@@ -27,8 +27,8 @@
 //!   equivalence suites; the controller trades cost, never answers.
 //! * [`ThreadTuner`] — one per host. Flips the per-pattern refresh phase
 //!   between the sequential baseline and pool fan-out by comparing the
-//!   last tick's summed refresh time against its critical path plus the
-//!   pool's spawn overhead.
+//!   tick's summed (predicted) refresh time against the fan-out's
+//!   critical path plus the pool's spawn overhead.
 //!
 //! Exploration uses a seeded [`rand::rngs::StdRng`], so an adaptive run
 //! is reproducible end to end.
@@ -140,6 +140,18 @@ pub struct Decision {
     /// [`RefreshStrategy::ALL`] order; `NaN` until that arm has been
     /// observed once.
     pub predicted: [f64; 3],
+}
+
+impl Decision {
+    /// Predicted cost of the chosen arm in nanoseconds; `NaN` on the tick
+    /// that seeds it.
+    pub fn predicted_ns(&self) -> f64 {
+        RefreshStrategy::ALL
+            .iter()
+            .zip(self.predicted)
+            .find_map(|(&arm, ns)| (arm == self.arm).then_some(ns))
+            .expect("the chosen arm is one of ALL")
+    }
 }
 
 /// Per-pattern epsilon-greedy strategy selector over a fitted cost model.
@@ -334,7 +346,10 @@ impl StrategyController {
 #[derive(Debug, Clone, Copy)]
 pub struct TunerConfig {
     /// Estimated pool overhead per spawned refresh lane, in nanoseconds
-    /// (scope setup + task hand-off + join).
+    /// (scope setup + task hand-off + join, including waking a parked
+    /// worker and the cold caches it starts with: on the reference box a
+    /// 2-lane fan-out turns six refreshes that take 90 µs in sequence
+    /// into a 205 µs phase, 160 µs over the ideal 45).
     pub spawn_overhead_ns: u64,
     /// Relative margin the parallel estimate must win by before fanning
     /// out (and lose by before falling back) — stops borderline ticks
@@ -345,21 +360,23 @@ pub struct TunerConfig {
 impl Default for TunerConfig {
     fn default() -> Self {
         TunerConfig {
-            spawn_overhead_ns: 25_000,
+            spawn_overhead_ns: 80_000,
             hysteresis: 0.25,
         }
     }
 }
 
 /// Flips the per-pattern refresh phase between the sequential baseline
-/// (`refresh_threads = 0`) and pool fan-out, from the last tick's
-/// measured refresh times.
+/// (`refresh_threads = 0`) and pool fan-out, from the per-pattern refresh
+/// times the coming tick is predicted to take.
 ///
 /// The model: a sequential refresh costs the *sum* of the per-pattern
-/// times; a perfectly parallel one costs the *max* plus per-lane spawn
-/// overhead. The tuner fans out only when the measured sum beats that
-/// parallel estimate by the hysteresis margin — tiny patterns stay on the
-/// overhead-free sequential path, heavy ones get the pool.
+/// times; the fan-out hands each lane one contiguous chunk of patterns,
+/// so it costs at least the slowest pattern and at least an even share
+/// of the sum, plus per-lane spawn overhead. The tuner fans out only
+/// when the measured sum beats that parallel estimate by the hysteresis
+/// margin — tiny patterns stay on the overhead-free sequential path,
+/// heavy ones get the pool.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadTuner {
     cfg: TunerConfig,
@@ -380,8 +397,8 @@ impl ThreadTuner {
         self.parallel
     }
 
-    /// The `refresh_threads` value for the next tick (`0` = sequential),
-    /// given the last tick's summed (`total_ns`) and worst-single-pattern
+    /// The `refresh_threads` value for the coming tick (`0` =
+    /// sequential), given its summed (`total_ns`) and worst-single-pattern
     /// (`max_ns`) refresh times, the number of registered patterns, and
     /// the pool lanes available.
     pub fn decide(
@@ -396,7 +413,8 @@ impl ThreadTuner {
             self.parallel = false;
             return 0;
         }
-        let parallel_est = max_ns + (self.cfg.spawn_overhead_ns as u128) * lanes as u128;
+        let critical_path = max_ns.max(total_ns / lanes as u128);
+        let parallel_est = critical_path + (self.cfg.spawn_overhead_ns as u128) * lanes as u128;
         let was_parallel = self.parallel;
         if self.parallel {
             // Fall back only when parallel is clearly not paying for its
@@ -483,6 +501,8 @@ mod tests {
             RefreshStrategy::ALL.to_vec(),
             "one seeding tick per arm"
         );
+        let seeding = ctl.last_decision().expect("decided");
+        assert!(seeding.predicted_ns().is_nan(), "a seeded arm has no price");
         // Small batches: eliminative survivor passes are the cheapest arm.
         for _ in 0..10 {
             assert_eq!(tick(&mut ctl, f, synthetic), RefreshStrategy::Eliminative);
@@ -508,6 +528,9 @@ mod tests {
             survivors: 100,
         };
         assert_eq!(ctl.decide(&churn, &HINTS), RefreshStrategy::Rematch);
+        // ...and the chosen arm's price is what the thread tuner sees.
+        let decision = ctl.last_decision().expect("decided");
+        assert_eq!(decision.predicted_ns(), 20_000.0);
     }
 
     #[test]
@@ -599,7 +622,7 @@ mod tests {
         assert_eq!(tuner.decide(40_000_000, 12_000_000, 4, 8), 4);
         assert!(tuner.parallel());
         // Borderline tick inside the hysteresis band: stays parallel.
-        assert_eq!(tuner.decide(150_000, 100_000, 4, 8), 4);
+        assert_eq!(tuner.decide(400_000, 100_000, 4, 8), 4);
         // Clearly sequential again: falls back.
         assert_eq!(tuner.decide(50_000, 45_000, 4, 8), 0);
         // One pattern can never fan out.

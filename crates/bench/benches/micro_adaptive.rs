@@ -23,7 +23,9 @@
 //! Before timing anything, the full stream runs through all four
 //! deployments and every tick's per-pattern delta is asserted bitwise
 //! equal — `deltas_bitwise_equal` in the emitted JSON is an *assertion*,
-//! not an observation. The acceptance booleans
+//! not an observation. The stream is then replayed 12 times through
+//! every deployment, one pass each in turn, and a phase's time is its
+//! fastest pass. The acceptance booleans
 //! (`adaptive_within_10pct_of_best_per_phase` over the measured phases,
 //! `adaptive_1_5x_faster_than_worst` end-to-end) are hard asserts unless
 //! `MICRO_ADAPTIVE_SMOKE=1`.
@@ -288,14 +290,19 @@ fn assert_bitwise_equal(deps: &mut [Deployment], phases: &[Phase]) -> Vec<&'stat
     trace
 }
 
-/// Apply the whole stream once, accumulating wall time per phase.
+/// Apply the whole stream once, keeping each phase's fastest wall time so
+/// far. The stream repeats the same work every pass, so the fastest pass
+/// is the one the box disturbed least — the same reading of a replay as
+/// the benchmark of record's slots. Since the row-scan witness probe a
+/// trickle phase is six ≈130 µs ticks: summed over a few passes, one slow
+/// spell of the box moved it by more than the 10% the criterion allows.
 fn run_stream(dep: &mut Deployment, phases: &[Phase], phase_ns: &mut [u128]) {
     for (pi, phase) in phases.iter().enumerate() {
         let t = Instant::now();
         for batch in &phase.ticks {
             std::hint::black_box(dep.svc.apply(batch).expect("valid tick"));
         }
-        phase_ns[pi] += t.elapsed().as_nanos();
+        phase_ns[pi] = phase_ns[pi].min(t.elapsed().as_nanos());
     }
 }
 
@@ -312,7 +319,7 @@ fn adaptive_vs_fixed(c: &mut Criterion) {
         group.measurement_time(Duration::from_millis(1));
     }
     for dep in &mut deps {
-        let mut sink = vec![0u128; phases.len()];
+        let mut sink = vec![u128::MAX; phases.len()];
         group.bench_function(dep.name, |b| b.iter(|| run_stream(dep, &phases, &mut sink)));
     }
     group.finish();
@@ -336,7 +343,7 @@ fn emit_json(c: &mut Criterion) {
                 .join(given)
         }
     };
-    let iters: u32 = if smoke() { 1 } else { 3 };
+    let iters: u32 = if smoke() { 1 } else { 12 };
     let (graph, interner) = setup_graph();
     let pats = patterns(&interner);
     let phases = build_phases(&graph);
@@ -345,7 +352,7 @@ fn emit_json(c: &mut Criterion) {
     // Equivalence first — the timed workload is the proven-identical one.
     let trace = assert_bitwise_equal(&mut deps, &phases);
 
-    let mut phase_ns: Vec<Vec<u128>> = vec![vec![0; phases.len()]; deps.len()];
+    let mut phase_ns: Vec<Vec<u128>> = vec![vec![u128::MAX; phases.len()]; deps.len()];
     for _ in 0..iters {
         for (di, dep) in deps.iter_mut().enumerate() {
             run_stream(dep, &phases, &mut phase_ns[di]);
@@ -470,7 +477,7 @@ fn telemetry_overhead(c: &mut Criterion) {
 
     let stream_ns = |label: &str| -> u128 {
         let mut dep = deployment(&graph, &pats, None);
-        let mut sink = vec![0u128; phases.len()];
+        let mut sink = vec![u128::MAX; phases.len()];
         let mut best = u128::MAX;
         for _ in 0..iters {
             let t = Instant::now();

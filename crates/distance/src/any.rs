@@ -11,7 +11,7 @@
 //! every repair — and everything else inherits the variant's behavior
 //! unchanged.
 
-use gpnm_graph::{DataGraph, NodeId};
+use gpnm_graph::{Bound, DataGraph, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
 use crate::backend::{
@@ -82,6 +82,11 @@ impl DistanceOracle for AnyBackend {
     #[inline]
     fn distance(&self, u: NodeId, v: NodeId) -> u32 {
         on_backend!(self, b => DistanceOracle::distance(b, u, v))
+    }
+
+    #[inline]
+    fn any_within(&self, u: NodeId, set: &NodeSet, bound: Bound) -> bool {
+        on_backend!(self, b => DistanceOracle::any_within(b, u, set, bound))
     }
 }
 

@@ -1,6 +1,6 @@
 //! The distance-oracle abstraction the matcher is generic over.
 
-use gpnm_graph::{Bound, NodeId};
+use gpnm_graph::{Bound, NodeId, NodeSet};
 
 use crate::hybrid::HybridMatrix;
 use crate::matrix::DistanceMatrix;
@@ -18,6 +18,18 @@ pub trait DistanceOracle {
     #[inline]
     fn within(&self, u: NodeId, v: NodeId, bound: Bound) -> bool {
         bound.admits(self.distance(u, v))
+    }
+
+    /// Whether some member `v` of `set` has the `u -> v` distance within
+    /// `bound` — the matcher's witness probe ("does `u` have a partner in
+    /// this simulation set?").
+    ///
+    /// The default probes member by member, which is right where a pair
+    /// lookup is O(1) (the dense matrices). Row-structured backends
+    /// override it to fetch `row(u)` once and scan it against the bitset.
+    #[inline]
+    fn any_within(&self, u: NodeId, set: &NodeSet, bound: Bound) -> bool {
+        set.iter().any(|v| self.within(u, v, bound))
     }
 }
 
@@ -39,6 +51,11 @@ impl<T: DistanceOracle + ?Sized> DistanceOracle for &T {
     #[inline(always)]
     fn distance(&self, u: NodeId, v: NodeId) -> u32 {
         (**self).distance(u, v)
+    }
+
+    #[inline(always)]
+    fn any_within(&self, u: NodeId, set: &NodeSet, bound: Bound) -> bool {
+        (**self).any_within(u, set, bound)
     }
 }
 

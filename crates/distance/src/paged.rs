@@ -30,9 +30,11 @@
 //!
 //! ## The read path is lock-free
 //!
-//! The refresh phase makes millions of [`DistanceOracle::distance`] calls
-//! per tick (fanned out across pool workers), so the hit path cannot
-//! afford a lock or a hash: the cache directory is a slot-indexed
+//! The refresh phase makes its [`DistanceOracle`] probes by the hundred
+//! thousand per tick (fanned out across pool workers) — one row access
+//! per `distance` call and one per `any_within` witness probe, however
+//! many members the probed set has — so the hit path cannot afford a lock
+//! or a hash: the cache directory is a slot-indexed
 //! `Vec<AtomicPtr<CacheEntry>>` and a hit is one `Acquire` load away from
 //! the row. This is sound because cached entries are only ever *freed* by
 //! `&mut self` methods (commits, eviction, re-budgeting) — and Rust's
@@ -47,7 +49,7 @@ use gpnm_sync::Mutex;
 use std::collections::VecDeque;
 use std::ptr;
 
-use gpnm_graph::{CsrSnapshot, DataGraph, Label, NodeId};
+use gpnm_graph::{Bound, CsrSnapshot, DataGraph, Label, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
 use crate::backend::{CostHints, IoStats, RepairHint, SlenBackend, SlenRequirements};
@@ -763,12 +765,13 @@ impl PagedIndex {
     }
 }
 
-impl DistanceOracle for PagedIndex {
+impl PagedIndex {
+    /// Run `f` over `u`'s row — the shared read path of every oracle
+    /// probe: one cache probe, and on a miss one spill read of the whole
+    /// row. `None` when `u` has no resident row.
     #[inline]
-    fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        let Some(&Some(loc)) = self.locs.get(u.index()) else {
-            return INF;
-        };
+    fn with_row<R>(&self, u: NodeId, f: impl FnOnce(&SparseRow) -> R) -> Option<R> {
+        let loc = self.locs.get(u.index()).copied().flatten()?;
         if let Some(entry) = self.cache.get(u.0) {
             // Check-then-set keeps the clock bit read-mostly: repeated hits
             // on a hot row must not dirty its cache line every call.
@@ -779,7 +782,7 @@ impl DistanceOracle for PagedIndex {
                 entry.touched.store(true, Ordering::Relaxed);
             }
             self.stats.bump_hit();
-            return entry.row.get(v.0).unwrap_or(INF);
+            return Some(f(&entry.row));
         }
         // Miss: read the row from the spill file and publish it (another
         // reader may win the race — keep theirs).
@@ -788,9 +791,25 @@ impl DistanceOracle for PagedIndex {
         let row = SparseRow {
             entries: self.file.read_row(loc),
         };
-        let answer = row.get(v.0).unwrap_or(INF);
+        let answer = f(&row);
         self.cache.try_promote(u.0, row);
-        answer
+        Some(answer)
+    }
+}
+
+impl DistanceOracle for PagedIndex {
+    #[inline]
+    fn distance(&self, u: NodeId, v: NodeId) -> u32 {
+        self.with_row(u, |row| row.get(v.0))
+            .flatten()
+            .unwrap_or(INF)
+    }
+
+    /// One row fetch per call, however many members `set` has.
+    #[inline]
+    fn any_within(&self, u: NodeId, set: &NodeSet, bound: Bound) -> bool {
+        self.with_row(u, |row| row.any_within(set, bound))
+            .unwrap_or(false)
     }
 }
 
@@ -1254,6 +1273,24 @@ mod tests {
         p.set_cache_budget(0);
         assert!(p.cached_rows() <= 1, "zero budget keeps at most the pin");
         assert!(p.mem_bytes() > 0);
+    }
+
+    #[test]
+    fn any_within_fetches_a_cold_row_exactly_once() {
+        let (f, mut p) = fig1_paged(tiny());
+        // Zero budget: every row is cold and no read promotes, so a member
+        // loop would pay one spill read per member probed.
+        p.set_cache_budget(0);
+        assert_eq!(p.cached_rows(), 0);
+        let before = p.io_stats().expect("paged reports IO");
+        // From PM1: PM2 and S1 are 3 hops away, TE2 unreachable.
+        let set: NodeSet = [f.pm2, f.s1, f.te2].into_iter().collect();
+        assert!(!p.any_within(f.pm1, &set, Bound::Hops(2)));
+        let after = p.io_stats().expect("paged reports IO");
+        assert_eq!(after.cache_misses - before.cache_misses, 1);
+        assert_eq!(after.pages_read - before.pages_read, 1);
+        assert_eq!(after.cache_hits, before.cache_hits);
+        assert!(p.any_within(f.pm1, &set, Bound::Hops(3)));
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! observes, which is what the backend-equivalence proptest suite asserts
 //! record-for-record against [`crate::IncrementalIndex`].
 
-use gpnm_graph::{CsrGraph, CsrSnapshot, DataGraph, Label, NodeId};
+use gpnm_graph::{Bound, CsrGraph, CsrSnapshot, DataGraph, Label, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
 use crate::backend::{RepairHint, SlenBackend, SlenRequirements};
@@ -69,6 +69,15 @@ impl SparseRow {
             .binary_search_by_key(&slot, |e| e.0)
             .ok()
             .map(|i| self.entries[i].1)
+    }
+
+    /// Whether some entry within `bound` targets a member of `set`: one
+    /// pass over the row against the bitset.
+    #[inline]
+    pub(crate) fn any_within(&self, set: &NodeSet, bound: Bound) -> bool {
+        self.entries
+            .iter()
+            .any(|&(t, d)| bound.admits(d) && set.contains(NodeId(t)))
     }
 
     /// Merge `updates` (sorted by slot, each an improvement or insertion)
@@ -219,6 +228,11 @@ impl SparseIndex {
 
     fn required(&self, label: Option<Label>) -> bool {
         label.is_some_and(|l| self.reqs.labels().binary_search(&l).is_ok())
+    }
+
+    #[inline]
+    fn row(&self, u: NodeId) -> Option<&SparseRow> {
+        self.rows.get(u.index()).and_then(|r| r.as_ref())
     }
 
     fn ensure_slots(&mut self, graph: &DataGraph) {
@@ -439,11 +453,12 @@ impl SparseIndex {
 impl DistanceOracle for SparseIndex {
     #[inline]
     fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        self.rows
-            .get(u.index())
-            .and_then(|r| r.as_ref())
-            .and_then(|r| r.get(v.0))
-            .unwrap_or(INF)
+        self.row(u).and_then(|r| r.get(v.0)).unwrap_or(INF)
+    }
+
+    #[inline]
+    fn any_within(&self, u: NodeId, set: &NodeSet, bound: Bound) -> bool {
+        self.row(u).is_some_and(|r| r.any_within(set, bound))
     }
 }
 

@@ -14,12 +14,16 @@
 //! the spill file: its probe and commit deltas must equal the sparse
 //! backend's **bitwise** — same records, same order, no projection — and
 //! its distances must agree pair for pair.
+//!
+//! A last block pins the witness-probe kernel: on all four backends, after
+//! a random commit sequence, `any_within(u, S, b)` answers exactly what
+//! the member loop `S.iter().any(|v| within(u, v, b))` answers.
 
 use gpnm_distance::{
-    project_delta, AffDelta, IncrementalIndex, PagedConfig, PagedIndex, RepairHint, SlenBackend,
-    SlenRequirements, SparseIndex, INF,
+    project_delta, AffDelta, AnyBackend, BackendKind, DistanceOracle, IncrementalIndex,
+    PagedConfig, PagedIndex, RepairHint, SlenBackend, SlenRequirements, SparseIndex, INF,
 };
-use gpnm_graph::{Bound, DataGraph, Label, NodeId, PatternGraph};
+use gpnm_graph::{Bound, DataGraph, Label, NodeId, NodeSet, PatternGraph};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
@@ -131,7 +135,6 @@ fn assert_paged_matches_sparse(
     sparse: &SparseIndex,
     paged: &PagedIndex,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    use gpnm_distance::DistanceOracle;
     let n = graph.slot_count();
     for i in 0..n {
         let x = NodeId::from_index(i);
@@ -156,7 +159,6 @@ fn assert_distances_match(
     resident: &[bool],
     depth: u32,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    use gpnm_distance::DistanceOracle;
     let n = graph.slot_count();
     for (i, &is_resident) in resident.iter().enumerate().take(n) {
         if !is_resident {
@@ -343,6 +345,80 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
     Ok(())
 }
 
+/// Apply one generated op to `graph` and commit it on every backend.
+fn commit_on_all(
+    graph: &mut DataGraph,
+    backends: &mut [AnyBackend],
+    label_ids: &[Label],
+    (kind, a, b): (u8, u32, u32),
+) {
+    let live: Vec<NodeId> = graph.nodes().collect();
+    let hint = RepairHint::Baseline;
+    match kind {
+        0 if live.len() >= 2 => {
+            let u = live[a as usize % live.len()];
+            let v = live[b as usize % live.len()];
+            if u != v && graph.add_edge(u, v).is_ok() {
+                for x in backends {
+                    x.commit_insert_edge(graph, u, v, hint);
+                }
+            }
+        }
+        1 => {
+            let all: Vec<(NodeId, NodeId)> = graph.edges().collect();
+            if !all.is_empty() {
+                let (u, v) = all[a as usize % all.len()];
+                graph.remove_edge(u, v).expect("listed");
+                for x in backends {
+                    x.commit_delete_edge(graph, u, v, hint);
+                }
+            }
+        }
+        2 => {
+            let id = graph.add_node(label_ids[a as usize % label_ids.len()]);
+            for x in backends {
+                x.commit_insert_node(graph, id, hint);
+            }
+        }
+        3 if live.len() > 2 => {
+            let id = live[a as usize % live.len()];
+            graph.remove_node(id).expect("listed");
+            for x in backends {
+                x.commit_delete_node(graph, id, hint);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// `any_within` against the member loop it replaces, for every source
+/// slot (resident or not, live or tombstoned), set and bound. Takes the
+/// oracle by value so a `&AnyBackend` argument exercises the `&T` forward.
+fn assert_kernel_matches_member_loop<O: DistanceOracle>(
+    oracle: O,
+    what: &str,
+    slots: usize,
+    sets: &[NodeSet],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let bounds = (1..=4).map(Bound::Hops).chain([Bound::Unbounded]);
+    for bound in bounds {
+        for set in sets {
+            for u in (0..slots).map(NodeId::from_index) {
+                prop_assert_eq!(
+                    oracle.any_within(u, set, bound),
+                    set.iter().any(|v| oracle.within(u, v, bound)),
+                    "{}: any_within({:?}, {:?}, {:?})",
+                    what,
+                    u,
+                    set,
+                    bound
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// Finite bounds: the truncated-row regime.
     #[test]
@@ -426,5 +502,56 @@ proptest! {
         prop_assert_eq!(paged.resident_rows(), fresh_wide.resident_rows());
         assert_paged_matches_sparse(&graph, &fresh_wide, &paged)?;
         assert_paged_matches_sparse(&graph, &sparse, &paged)?;
+    }
+
+    /// The witness-probe kernel equals the member loop on every backend —
+    /// the row scans of sparse and paged (under the 2-page cache, so most
+    /// probes reload their row) as much as the default the dense ones keep
+    /// — for finite and unbounded rows, non-resident sources and the empty
+    /// set.
+    #[test]
+    fn any_within_equals_the_member_loop(
+        case in raw_case(),
+        masks in vec(proptest::strategy::any::<u64>(), 1..4),
+    ) {
+        let (nodes, labels, edges, mask, depth_sel, ops) = case;
+        let (mut graph, label_ids) = build_graph(nodes, labels, &edges);
+        let reqs = requirements(&label_ids, mask, depth_sel);
+        let mut backends: Vec<AnyBackend> = [
+            BackendKind::Dense,
+            BackendKind::Partitioned,
+            BackendKind::Sparse,
+        ]
+        .into_iter()
+        .map(|kind| AnyBackend::of_kind(kind, &graph, &reqs))
+        .collect();
+        backends.push(AnyBackend::Paged(PagedIndex::with_config(
+            &graph,
+            &reqs,
+            tiny_paged(),
+        )));
+        for op in ops {
+            commit_on_all(&mut graph, &mut backends, &label_ids, op);
+        }
+
+        let slots = graph.slot_count();
+        let mut sets = vec![NodeSet::new()];
+        sets.extend(masks.iter().map(|&bits| {
+            (0..slots)
+                .filter(|i| bits >> (i % 64) & 1 == 1)
+                .map(NodeId::from_index)
+                .collect::<NodeSet>()
+        }));
+        for backend in &backends {
+            assert_kernel_matches_member_loop(backend, backend.kind(), slots, &sets)?;
+        }
+        // A source without a row has no partner in any set.
+        let resident = resident_mask(&graph, &reqs);
+        let everyone: NodeSet = (0..slots).map(NodeId::from_index).collect();
+        for u in (0..slots).filter(|&i| !resident[i]).map(NodeId::from_index) {
+            for backend in &backends[2..] {
+                prop_assert!(!backend.any_within(u, &everyone, Bound::Unbounded));
+            }
+        }
     }
 }

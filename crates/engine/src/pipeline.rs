@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use gpnm_distance::{AffDelta, RepairHint, SlenBackend};
 use gpnm_graph::{DataGraph, NodeId, PatternGraph};
-use gpnm_matcher::{match_graph, repair, MatchResult, MatchSemantics, RepairPlan};
+use gpnm_matcher::{match_graph, repair, repair_with, MatchResult, MatchSemantics, RepairPlan};
 use gpnm_updates::{DataUpdate, EhTree, EliminationGraph, Update, UpdateEffect};
 
 use crate::error::EngineError;
@@ -341,22 +341,21 @@ pub fn run_survivor_repairs<B: SlenBackend>(
     all_additions: &RepairPlan,
 ) -> usize {
     let mut repair_calls = 0;
-    let mut first = true;
+    let mut additions = all_additions.addition_sources.as_slice();
     for plan in survivor_plans {
-        let mut call_plan = RepairPlan {
-            verify: plan.verify.clone(),
-            addition_sources: Vec::new(),
-        };
-        if first {
-            call_plan
-                .addition_sources
-                .clone_from(&all_additions.addition_sources);
-            first = false;
-        }
-        repair(pattern, graph, index, semantics, result, &call_plan);
+        repair_with(
+            pattern,
+            graph,
+            index,
+            semantics,
+            result,
+            &plan.verify,
+            additions,
+        );
+        additions = &[];
         repair_calls += 1;
     }
-    if first && !all_additions.addition_sources.is_empty() {
+    if repair_calls == 0 && !additions.is_empty() {
         // No survivors (empty reduced batch) but additions pending —
         // cannot happen with a non-empty tree, guarded for safety.
         repair(pattern, graph, index, semantics, result, all_additions);

@@ -13,9 +13,35 @@ use gpnm_updates::{Candidates, DataUpdate, PatternUpdate};
 ///
 /// * `verify` — the affected nodes (their distances changed).
 /// * additions — only distance *decreases* (edge inserts) or fresh nodes
-///   can admit new members; deletions only remove. For decreases, a
-///   pattern node may gain a member only if some affected node carries its
-///   label and is not yet matched.
+///   can admit new members; deletions only remove. For an edge insert,
+///   pattern node `u` is an addition source only when some changed record
+///   `(x, y, old, new)` with `new < old` *crosses one of `u`'s bounds*:
+///   an edge `(u, u', b)` with `label(x) = label(u)`, `label(y) =
+///   label(u')` and `b` admitting `new` but not `old`, where `x` is not
+///   yet matched to `u` — or, mirrored for the predecessor checks of dual
+///   semantics, an edge `(w, u, b)` crossed the same way by a record whose
+///   target `y` carries `u`'s label and is not yet matched to `u`.
+///
+/// ## Why crossings are enough
+///
+/// Let `S_old` be the standing maximum simulation and call `(u, x)`
+/// *gained* when it is in the new maximum simulation but not in `S_old`.
+/// [`gpnm_matcher::repair`] re-seeds the reverse-dependency closure of the
+/// sources, so the plan is sound iff every gained pair has `u` inside that
+/// closure. Suppose some did not, and let `G` be the gained pairs outside
+/// the closure. Then `S_old ∪ G` would already be a simulation in the
+/// *old* state, contradicting the maximality of `S_old`: take `(u, x) ∈ G`
+/// and an edge `(u, u', b)`. Its new-state witness `x'` is an old member
+/// of `u'`, or `(u', x')` is itself gained — and outside the closure,
+/// because `u` depends on `u'`, so `u'` inside would put `u` inside. In
+/// both cases `(u', x') ∈ S_old ∪ G`. Its distance from `x` is within `b`
+/// now; had it not been before, some insert of the batch moved it across
+/// `b` with `x` unmatched, which names `u` a source. So the witness was
+/// within `b` in the old state too (the predecessor side is the mirrored
+/// argument). Node slots are never reused, so a member that did not exist
+/// in the old state came from an `InsertNode`, whose arm names every
+/// pattern node of its label; a result cleared by the total-match rule is
+/// re-matched by `repair`, not repaired.
 pub fn plan_for_data_update(
     update: &DataUpdate,
     delta: &AffDelta,
@@ -28,18 +54,24 @@ pub fn plan_for_data_update(
     plan.verify = delta.affected.clone();
     match update {
         DataUpdate::InsertEdge { .. } => {
-            // Distances shrank: any pattern node with an unmatched affected
-            // node of its label may gain members.
-            for u in pattern.nodes() {
-                let Some(lu) = pattern.label(u) else { continue };
-                let gains = delta
-                    .affected
-                    .iter()
-                    .any(|v| graph.label(v) == Some(lu) && !result.contains(u, v));
-                if gains {
-                    plan.addition_sources.push(u);
+            let mut gains = vec![false; pattern.slot_count()];
+            for &(x, y, old, new) in &delta.changed {
+                if new >= old {
+                    continue;
+                }
+                let (lx, ly) = (graph.label(x), graph.label(y));
+                for u in pattern.nodes().filter(|&u| pattern.label(u) == lx) {
+                    for &(succ, bound) in pattern.out_edges(u) {
+                        let crossed = bound.admits(new) && !bound.admits(old);
+                        if crossed && pattern.label(succ) == ly {
+                            gains[u.index()] |= !result.contains(u, x);
+                            gains[succ.index()] |= !result.contains(succ, y);
+                        }
+                    }
                 }
             }
+            plan.addition_sources
+                .extend(pattern.nodes().filter(|u| gains[u.index()]));
         }
         DataUpdate::InsertNode { label } => {
             if let Some(id) = created {
@@ -124,6 +156,29 @@ mod tests {
         let plan = plan_for_data_update(&up, &delta, &f.pattern, &f.graph, &result, None);
         assert!(plan.addition_sources.contains(&f.p_te));
         assert!(!plan.verify.is_empty());
+    }
+
+    #[test]
+    fn data_insert_that_crosses_no_bound_has_no_additions() {
+        let mut f = fig1();
+        let mut idx = IncrementalIndex::build(&f.graph);
+        let semantics = MatchSemantics::DualSimulation;
+        let mut result = match_graph(&f.pattern, &f.graph, &idx, semantics);
+        // TE2 -> DB1 shortens TE2's paths to DB1, SE1, SE2 and PM2. TE2 is
+        // affected, carries TE's label and is unmatched — but TE has no
+        // outgoing bound, and no shortened pair ends in a TE node.
+        let up = DataUpdate::InsertEdge {
+            from: f.te2,
+            to: f.db1,
+        };
+        f.graph.add_edge(f.te2, f.db1).unwrap();
+        let delta = idx.commit_insert_edge(f.te2, f.db1);
+        assert!(delta.affected.contains(f.te2) && !result.contains(f.p_te, f.te2));
+        let plan = plan_for_data_update(&up, &delta, &f.pattern, &f.graph, &result, None);
+        assert!(plan.addition_sources.is_empty());
+        assert!(!plan.verify.is_empty());
+        gpnm_matcher::repair(&f.pattern, &f.graph, &idx, semantics, &mut result, &plan);
+        assert_eq!(result, match_graph(&f.pattern, &f.graph, &idx, semantics));
     }
 
     #[test]

@@ -30,15 +30,13 @@ pub fn verify_node<O: DistanceOracle>(
         return false;
     }
     for &(succ, bound) in pattern.out_edges(u) {
-        let found = result
-            .set(succ)
-            .iter()
-            .any(|v2| oracle.within(v, v2, bound));
-        if !found {
+        if !oracle.any_within(v, result.set(succ), bound) {
             return false;
         }
     }
     if semantics.checks_predecessors() {
+        // Fixed target, varying source: no backend keeps reverse rows, so
+        // this side stays a pair probe per member.
         for &(pred, bound) in pattern.in_edges(u) {
             let found = result
                 .set(pred)
@@ -119,6 +117,29 @@ pub fn repair<O: DistanceOracle>(
     result: &mut MatchResult,
     plan: &RepairPlan,
 ) {
+    repair_with(
+        pattern,
+        graph,
+        oracle,
+        semantics,
+        result,
+        &plan.verify,
+        &plan.addition_sources,
+    );
+}
+
+/// [`repair`] with the plan's two halves borrowed separately, for callers
+/// that pair one update's `verify` set with a source list merged over a
+/// whole batch and would otherwise clone the set into a [`RepairPlan`].
+pub fn repair_with<O: DistanceOracle>(
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    oracle: &O,
+    semantics: MatchSemantics,
+    result: &mut MatchResult,
+    verify: &NodeSet,
+    addition_sources: &[PatternNodeId],
+) {
     result.grow(pattern.slot_count());
 
     // Tombstoned pattern slots must not retain matches — and this must
@@ -130,7 +151,7 @@ pub fn repair<O: DistanceOracle>(
             result.set_mut(p).clear();
         }
     }
-    if plan.is_empty() {
+    if verify.is_empty() && addition_sources.is_empty() {
         // Still enforce the total-match rule: a pattern-node deletion can
         // turn a previously-empty result non-empty only via additions,
         // which would come with addition_sources.
@@ -146,7 +167,7 @@ pub fn repair<O: DistanceOracle>(
     }
 
     // (1) Close addition sources under reverse dependency.
-    let affected = close_addition_sources(pattern, &plan.addition_sources, semantics);
+    let affected = close_addition_sources(pattern, addition_sources, semantics);
 
     // (2) Re-seed affected pattern nodes from label candidates.
     let mut pending: Vec<bool> = vec![false; pattern.slot_count()];
@@ -159,14 +180,14 @@ pub fn repair<O: DistanceOracle>(
                 set.insert(v);
             }
             pending[u.index()] = true;
-        } else if result.set(u).intersects(&plan.verify) {
+        } else if result.set(u).intersects(verify) {
             pending[u.index()] = true;
         }
     }
 
     // (3) Prune. Non-affected pattern nodes only re-verify their dirty
     // members on the first visit; cascaded visits verify whole sets.
-    let verify_filter = Some((&plan.verify, affected.as_slice()));
+    let verify_filter = Some((verify, affected.as_slice()));
     prune_to_fixpoint(
         pattern,
         graph,
@@ -220,7 +241,8 @@ fn close_addition_sources(
 /// `verify_filter = Some((dirty, affected))` restricts the *first*
 /// verification sweep of non-`affected` pattern nodes to members of
 /// `dirty`; cascaded sweeps (after a dependent set shrinks) always verify
-/// the full set. `None` verifies full sets everywhere (batch mode).
+/// the full set, first visit or not. `None` verifies full sets everywhere
+/// (batch mode).
 fn prune_to_fixpoint<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -264,12 +286,16 @@ fn prune_to_fixpoint<O: DistanceOracle>(
             result.set_mut(u).remove(v);
         }
         // Removal cascade: any pattern node whose checks reference u's set.
+        // A cascaded visit verifies the whole set even when it is `w`'s
+        // first: its members lost a potential witness without being dirty.
         for &(w, _) in pattern.in_edges(u) {
             pending[w.index()] = true;
+            first_sweep[w.index()] = false;
         }
         if semantics.checks_predecessors() {
             for &(w, _) in pattern.out_edges(u) {
                 pending[w.index()] = true;
+                first_sweep[w.index()] = false;
             }
         }
     }
@@ -520,5 +546,58 @@ mod tests {
         let scratch = match_graph(&p, &g, &slen, MatchSemantics::Simulation);
         assert_eq!(result, scratch);
         assert!(result.is_empty());
+    }
+
+    #[test]
+    fn cascade_reaches_clean_members_on_a_first_visit() {
+        // Chain pattern A->B->C over two disjoint data chains. Only c1 is
+        // dirty: it leaves C, and that removal must evict b1 (and then a1)
+        // although neither is dirty and B's first visit is the cascaded
+        // one. C, B and A each keep a second member, so the total-match
+        // rule does not hide a stale b1 by clearing everything.
+        let (mut g, li, names) = DataGraphBuilder::new()
+            .node("a1", "A")
+            .node("b1", "B")
+            .node("c1", "C")
+            .node("a2", "A")
+            .node("b2", "B")
+            .node("c2", "C")
+            .edge("a1", "b1")
+            .edge("b1", "c1")
+            .edge("a2", "b2")
+            .edge("b2", "c2")
+            .build()
+            .unwrap();
+        let (p, _, pn) = PatternGraphBuilder::new()
+            .node("A", "A")
+            .node("B", "B")
+            .node("C", "C")
+            .edge("A", "B", 1)
+            .edge("B", "C", 1)
+            .build_with_interner(li)
+            .unwrap();
+        let mut result = match_graph(&p, &g, &apsp_matrix(&g), MatchSemantics::Simulation);
+        assert_eq!(result.total_matches(), 6);
+        g.remove_node(names["c1"]).unwrap();
+        let slen = apsp_matrix(&g);
+        let mut plan = RepairPlan::new();
+        plan.verify.insert(names["c1"]);
+        repair(
+            &p,
+            &g,
+            &slen,
+            MatchSemantics::Simulation,
+            &mut result,
+            &plan,
+        );
+        assert!(
+            !result.contains(pn["B"], names["b1"]),
+            "b1 lost its only witness"
+        );
+        assert_eq!(
+            result,
+            match_graph(&p, &g, &slen, MatchSemantics::Simulation)
+        );
+        assert_eq!(result.total_matches(), 3);
     }
 }

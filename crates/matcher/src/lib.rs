@@ -27,7 +27,7 @@ mod render;
 mod result;
 mod semantics;
 
-pub use bgs::{match_graph, repair, verify_node};
+pub use bgs::{match_graph, repair, repair_with, verify_node};
 pub use delta::MatchDelta;
 pub use plan::RepairPlan;
 pub use render::render_match_table;

@@ -11,10 +11,10 @@ use gpnm_graph::{NodeSet, PatternNodeId};
 ///   this set are handled inside the repair.
 /// * `addition_sources` — pattern nodes that may *gain* members (a deleted
 ///   pattern edge, an inserted pattern node, or a data update that
-///   shortened distances). The repair re-seeds these — and every pattern
-///   node that transitively depends on them — from full label candidates,
-///   because additions cascade (a new partner can legitimize a node that
-///   was previously out).
+///   shortened a distance across one of the node's bounds). The repair
+///   re-seeds these — and every pattern node that transitively depends
+///   on them — from full label candidates, because additions cascade (a
+///   new partner can legitimize a node that was previously out).
 #[derive(Debug, Clone, Default)]
 pub struct RepairPlan {
     /// Data nodes to re-verify for removal.

@@ -16,7 +16,7 @@ use gpnm_engine::RefreshStrategy;
 use gpnm_graph::{DataGraph, PatternGraph};
 use gpnm_matcher::{match_graph, MatchDelta, MatchResult, MatchSemantics, RepairPlan};
 use gpnm_pool::WorkerPool;
-use gpnm_telemetry::{IoDelta, PatternRefreshSample, TickRecorder};
+use gpnm_telemetry::{Counter, IoDelta, PatternRefreshSample, TickRecorder};
 use gpnm_updates::{reduce_batch, Update, UpdateBatch};
 
 use crate::error::ServiceError;
@@ -532,14 +532,33 @@ impl ServiceBuilder {
 
 /// The online controller state of an adaptive service: one
 /// [`StrategyController`] per registered pattern plus the host-wide
-/// [`ThreadTuner`], and the previous tick's refresh timings the tuner
-/// decides against.
+/// [`ThreadTuner`].
 #[derive(Debug, Clone)]
 struct AdaptiveState {
     controllers: Vec<(PatternHandle, StrategyController)>,
     tuner: ThreadTuner,
-    /// `(total_ns, max_ns)` of the last tick's refresh phase.
-    last_refresh: Option<(u128, u128)>,
+    /// `gpnm_adaptive_decisions_total{arm, reason}` handles, resolved on
+    /// first use: a registry lookup per pattern per tick is measurable
+    /// on a 100 µs tick.
+    decision_counters: Vec<((&'static str, &'static str), Arc<Counter>)>,
+}
+
+impl AdaptiveState {
+    fn count_decision(&mut self, arm: &'static str, reason: &'static str) {
+        let known = self
+            .decision_counters
+            .iter()
+            .position(|(key, _)| *key == (arm, reason));
+        let at = known.unwrap_or_else(|| {
+            let counter = gpnm_telemetry::global().counter_with(
+                "gpnm_adaptive_decisions_total",
+                &[("arm", arm), ("reason", reason)],
+            );
+            self.decision_counters.push(((arm, reason), counter));
+            self.decision_counters.len() - 1
+        });
+        self.decision_counters[at].1.inc();
+    }
 }
 
 /// A continuous-query GPNM service: **one** data graph and **one** `SLen`
@@ -688,7 +707,7 @@ impl<B: SlenBackend> GpnmService<B> {
                     .map(|(h, _)| (*h, StrategyController::with_seed(h.id())))
                     .collect(),
                 tuner: ThreadTuner::default(),
-                last_refresh: None,
+                decision_counters: Vec::new(),
             });
         }
     }
@@ -1062,9 +1081,12 @@ impl<B: SlenBackend> GpnmService<B> {
 
         // Adaptive pre-refresh step: price each pattern's strategy arms
         // against this tick's known features and let the tuner set the
-        // refresh parallelism from the last tick's critical path. Both
-        // decisions trade cost only — every arm and lane count reaches
-        // the same fixed point.
+        // refresh parallelism from the chosen arms' predicted costs — like
+        // the arms themselves it follows a phase shift on its first tick,
+        // where last tick's measured times would fan a trickle tick out
+        // (or keep a churn tick sequential) once per shift. Both decisions
+        // trade cost only — every arm and lane count reaches the same
+        // fixed point.
         let features = TickFeatures {
             updates: committed.len(),
             survivors: shared.survivors().len(),
@@ -1073,23 +1095,24 @@ impl<B: SlenBackend> GpnmService<B> {
         let mut effective_threads = self.refresh_threads;
         if let Some(state) = &mut self.adaptive {
             let hints = self.index.cost_hints();
+            // Sum and max of the predicted refresh times; NaN while some
+            // pattern is still seeding an arm it has never run.
+            let (mut total, mut max) = (0.0f64, 0.0f64);
             for (handle, sess) in self.sessions.iter_mut() {
                 if let Some((_, ctl)) = state.controllers.iter_mut().find(|(h, _)| h == handle) {
                     sess.strategy = ctl.decide(&features, &hints);
                     if let Some(d) = ctl.last_decision() {
-                        gpnm_telemetry::global()
-                            .counter_with(
-                                "gpnm_adaptive_decisions_total",
-                                &[("arm", d.arm.name()), ("reason", d.reason)],
-                            )
-                            .inc();
+                        let ns = d.predicted_ns();
+                        total += ns;
+                        max = max.max(ns);
+                        state.count_decision(d.arm.name(), d.reason);
                     }
                 }
             }
-            if let Some((total, max)) = state.last_refresh {
+            if total.is_finite() {
                 effective_threads = state.tuner.decide(
-                    total,
-                    max,
+                    total as u128,
+                    max as u128,
                     self.sessions.len(),
                     WorkerPool::global().lanes(),
                 );
@@ -1133,14 +1156,9 @@ impl<B: SlenBackend> GpnmService<B> {
         rec.repair_calls = repair_calls as u64;
 
         // Adaptive post-refresh step: fold the measured per-pattern
-        // timings back into each controller's cost model and remember
-        // the phase totals the tuner decides against next tick.
+        // timings back into each controller's cost model.
         if let Some(state) = &mut self.adaptive {
-            let mut total = 0u128;
-            let mut max = 0u128;
             for &(handle, ns) in per_pattern_refresh_ns.iter() {
-                total += ns;
-                max = max.max(ns);
                 let strategy = self
                     .sessions
                     .iter()
@@ -1151,7 +1169,6 @@ impl<B: SlenBackend> GpnmService<B> {
                     ctl.observe(strategy, &features, ns);
                 }
             }
-            state.last_refresh = Some((total, max));
         }
 
         self.tick += 1;

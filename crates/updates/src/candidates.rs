@@ -68,8 +68,7 @@ pub fn candidates_for<O: DistanceOracle>(
             }
             // Dual rule on the matched sets.
             for v in iquery.matches_of(from) {
-                let has_partner = iquery.matches_of(to).any(|v2| oracle.within(v, v2, bound));
-                if !has_partner {
+                if !oracle.any_within(v, iquery.set(to), bound) {
                     c.can_rn.insert(v);
                 }
             }
@@ -170,6 +169,11 @@ fn cascade_removals<O: DistanceOracle>(
             to_check.push((s, u, b, false)); // s -> u: t-side is u
         }
         for (pu, pt, bound, _) in to_check {
+            // An endpoint created after `iquery` was answered has no
+            // matchers yet: nothing on this edge had support to lose.
+            if pu.index() >= iquery.slot_count() || pt.index() >= iquery.slot_count() {
+                continue;
+            }
             // A matcher is flagged only when it *had* support and every
             // supporting partner is now flagged — a node that never had a
             // partner for this edge (possible under simulation semantics)
@@ -179,7 +183,7 @@ fn cascade_removals<O: DistanceOracle>(
                 if flagged.contains(v) {
                     continue;
                 }
-                let had_support = iquery.matches_of(pt).any(|v2| oracle.within(v, v2, bound));
+                let had_support = oracle.any_within(v, iquery.set(pt), bound);
                 let has_unflagged = iquery
                     .matches_of(pt)
                     .any(|v2| !flagged.contains(v2) && oracle.within(v, v2, bound));

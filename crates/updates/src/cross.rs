@@ -38,10 +38,7 @@ pub fn cross_eliminates<O: DistanceOracle>(
     }
     // Under SLen_new, every matcher must have a partner (dual rule).
     for v in iquery.matches_of(from) {
-        let ok = iquery
-            .matches_of(to)
-            .any(|v2| new_oracle.within(v, v2, bound));
-        if !ok {
+        if !new_oracle.any_within(v, iquery.set(to), bound) {
             return false;
         }
     }
