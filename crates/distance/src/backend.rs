@@ -20,6 +20,8 @@
 //!   (nodes whose label occurs in the pattern), truncated at the pattern's
 //!   maximum finite bound. Memory proportional to candidate rows × nodes
 //!   within the bound, which is what unlocks 100k+-node graphs.
+//!   [`crate::PagedIndex`] is the same index ([`crate::BoundedRows`]) with
+//!   its rows in a spill file behind a hot-row cache.
 //!
 //! What a backend must cover is captured by [`SlenRequirements`]: the
 //! matcher only ever asks for distances *from* pattern-labeled nodes and

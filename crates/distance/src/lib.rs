@@ -13,42 +13,64 @@
 //!   emitting an [`AffDelta`]: the changed pairs `AFF[u,v] = [a, b]` and the
 //!   affected-node set `Aff_N` that drives DER-II elimination detection.
 //! * [`Partition`] / [`PartitionedIndex`] — the §V label-based partition
-//!   method: per-partition APSP (parallelized with `crossbeam`, the paper's
-//!   "processed distributively"), a bridge graph over inner/outer bridge
-//!   nodes, and exact cross-partition composition.
+//!   method: per-partition APSP (fanned out over the persistent
+//!   `gpnm_pool::WorkerPool`, the paper's "processed distributively"), a
+//!   bridge graph over inner/outer bridge nodes, and exact cross-partition
+//!   composition.
 //! * [`backend`] — the [`SlenBackend`] trait: the repairable-index
 //!   lifecycle (build, slot grow/tombstone, probe/commit deltas, bulk row
 //!   recompute) the GPNM engine is generic over, plus the requirement model
 //!   ([`SlenRequirements`]) that lets backends cover only the projection
 //!   the matcher observes.
-//! * [`SparseIndex`] — the bounded-row sparse backend: truncated BFS rows
-//!   for pattern-labeled sources only, `O(candidate rows × bounded ball)`
-//!   memory instead of `O(n²)` — the backend that unlocks 100k+-node
-//!   graphs.
-//! * [`PagedIndex`] — the out-of-core backend: the same sparse rows
-//!   serialized into fixed-size pages of a spill file, with a
-//!   byte-budgeted hot-row cache in front. Memory is
+//! * [`BoundedRows`] — the bounded-row index: truncated BFS rows for
+//!   pattern-labeled sources only, `O(candidate rows × bounded ball)`
+//!   memory instead of `O(n²)`. One repair algorithm, generic over where
+//!   the rows are kept; its two instantiations are the backends below.
+//! * [`SparseIndex`] — bounded rows on the heap: the backend that unlocks
+//!   100k+-node graphs.
+//! * [`PagedIndex`] — bounded rows serialized into fixed-size pages of a
+//!   spill file, with a byte-budgeted hot-row cache in front. Memory is
 //!   `O(row directory + cache budget)` however many rows are resident —
 //!   the backend for 10M+-node graphs under a hard memory ceiling.
 //!
 //! ## Choosing a backend
 //!
-//! * **dense** ([`IncrementalIndex`]) — exact for every pair, fastest point
-//!   lookups; `4n²` bytes, so it stops fitting around ~50k nodes. Use for
-//!   paper-scale experiments and workloads where every source matters.
-//! * **partitioned** ([`PartitionedBackend`]) — dense storage plus the §V
-//!   accelerator for deletion repair. Same memory envelope; wins on
-//!   update-heavy workloads with label locality (bridge-sparse graphs) or
-//!   many invalidated rows (pool-parallel fan-out).
-//! * **sparse** ([`SparseIndex`]) — memory proportional to candidate rows ×
-//!   nodes within the pattern's maximum finite bound. The right choice past
-//!   ~50k nodes; patterns with unbounded (`*`) edges fall back to full
-//!   (untruncated) rows for candidate sources.
-//! * **paged** ([`PagedIndex`]) — the sparse rows spilled to disk, hot rows
-//!   cached under a byte budget. Identical deltas and answers to sparse;
-//!   choose it when even the sparse index outgrows RAM, and size the
-//!   working set with the service's `cache_budget_mb` (or the backend's
-//!   [`PagedIndex::set_cache_budget`]).
+//! There are two index representations, each chosen over alternatives
+//! whose cost is written down here.
+//!
+//! **Dense `n × n` matrix** ([`IncrementalIndex`], `dense`). Exact for
+//! every pair, `O(1)` lookups, delta-proportional repair; `4n²` bytes, so
+//! it stops fitting around ~50k nodes (40 GB at 100k). It is what the
+//! paper describes and what its figures measure, so the paper-scale
+//! experiments use it. [`PartitionedBackend`] (`partitioned`) is the same
+//! matrix plus the §V accelerator for deletion repair: same memory
+//! envelope; wins on update-heavy workloads with label locality
+//! (bridge-sparse graphs) or many invalidated rows (pool-parallel
+//! fan-out).
+//!
+//! **Bounded rows** ([`BoundedRows`]). Rows for candidate sources only,
+//! truncated at the pattern's maximum finite bound (patterns with
+//! unbounded `*` edges fall back to untruncated rows for candidate
+//! sources). The right choice past ~50k nodes. The representation and its
+//! repair algorithm exist once; the only choice left is where rows live:
+//!
+//! * **sparse** ([`SparseIndex`]) — on the heap. Fastest; memory is
+//!   `Σ_candidates |ball_B(x)|`.
+//! * **paged** ([`PagedIndex`]) — in a spill file, hot rows cached under a
+//!   byte budget. The same code, hence identical deltas and answers;
+//!   choose it when even the sparse rows outgrow RAM, and size the working
+//!   set with the service's `cache_budget_mb` (or
+//!   [`PagedIndex::set_cache_budget`]). A cache much smaller than the
+//!   working set pays a spill read per row touched.
+//!
+//! Rejected for the bounded-row family (details in the `rows` module
+//! docs): *two copies of the algorithm, one per storage* — the tree's
+//! shape until PR 13, ~330 duplicated code lines that drifted despite a
+//! proptest suite proving them equal; *a `dyn` row store* — a virtual
+//! call and no inlining on the `distance`/`any_within` path the matcher
+//! runs by the hundred thousand per tick; *one store shape with a cache
+//! inside the in-memory store too* — a clock bit, a budget and an eviction
+//! path that can never fire, on the sparse workloads' hottest lookup.
 //!
 //! The infinity sentinel is [`INF`] (`u32::MAX`); all arithmetic goes
 //! through [`sat_add`] so infinity propagates instead of wrapping.
@@ -65,13 +87,13 @@ mod dijkstra;
 mod hybrid;
 pub mod incremental;
 mod kind;
-mod label_range;
 mod matrix;
 mod oracle;
 mod paged;
 mod pager;
 mod partition;
 mod partitioned;
+mod rows;
 mod sparse;
 
 pub use aff::AffDelta;
@@ -88,17 +110,17 @@ pub use dijkstra::{dijkstra, dijkstra_multi, WeightedAdj};
 pub use hybrid::HybridMatrix;
 pub use incremental::IncrementalIndex;
 pub use kind::BackendKind;
-pub use label_range::{LabelRangeIndex, RangeVerdict};
 pub use matrix::DistanceMatrix;
 pub use oracle::DistanceOracle;
 #[cfg(gpnm_loom)]
 #[doc(hidden)]
 pub use paged::loom_model;
-pub use paged::{PagedConfig, PagedIndex};
+pub use paged::{PagedConfig, PagedIndex, PagedStore};
 pub use pager::DEFAULT_PAGE_SIZE;
 pub use partition::{Partition, PartitionId};
 pub use partitioned::{paper_literal, PartitionedIndex};
-pub use sparse::SparseIndex;
+pub use rows::BoundedRows;
+pub use sparse::{MemStore, SparseIndex};
 
 /// Infinity: no path. `u32::MAX`, so every finite distance compares below.
 pub const INF: u32 = u32::MAX;

@@ -1,5 +1,5 @@
-//! The out-of-core paged `SLen` backend: disk-resident sparse rows with an
-//! in-memory hot-row cache.
+//! The paged row store and [`PagedIndex`], the out-of-core bounded-row
+//! backend: disk-resident sparse rows with an in-memory hot-row cache.
 //!
 //! ## Why
 //!
@@ -16,47 +16,44 @@
 //!
 //! ## Contract
 //!
-//! Algorithmically this is [`crate::SparseIndex`] verbatim — the same
-//! truncated BFS, the same insert pruning, the same delete-candidate test,
-//! row accesses simply go through the cache. Probe/commit deltas are
-//! therefore **bitwise identical** to the sparse backend's (the
-//! backend-equivalence proptest suites assert it record for record), and
-//! [`DistanceOracle::distance`] answers the same projection.
+//! The algorithm is [`crate::rows`] — literally the code
+//! [`crate::SparseIndex`] runs; this module is its second [`RowStore`].
+//! Probe/commit deltas and [`crate::DistanceOracle`] answers are therefore
+//! identical to the sparse backend's by construction, and what the
+//! backend-equivalence proptest suites assert record for record is that
+//! this store's serialisation, eviction and write-through are transparent.
 //!
 //! Commits write *through* the cache: the cached row image is mutated,
 //! then its spill extent is rewritten append-wise (the old extent joins
 //! the pager's free list), so cache and disk never disagree and eviction
-//! is always a plain drop.
+//! is always a plain drop. A build or rebuild bulk-loads rows straight to
+//! the spill file and leaves the cache cold (rows warm on use).
 //!
 //! ## The read path is lock-free
 //!
-//! The refresh phase makes its [`DistanceOracle`] probes by the hundred
-//! thousand per tick (fanned out across pool workers) — one row access
-//! per `distance` call and one per `any_within` witness probe, however
-//! many members the probed set has — so the hit path cannot afford a lock
-//! or a hash: the cache directory is a slot-indexed
-//! `Vec<AtomicPtr<CacheEntry>>` and a hit is one `Acquire` load away from
-//! the row. This is sound because cached entries are only ever *freed* by
-//! `&mut self` methods (commits, eviction, re-budgeting) — and Rust's
-//! aliasing rules guarantee no `&self` reader can exist while those run.
-//! A read miss loads the row from the spill file and *publishes* it with
-//! a budget-gated CAS (losers free their own unpublished copy; when the
-//! cache is at budget the miss stays a read-through and eviction waits
-//! for the next `&mut` operation).
+//! The refresh phase makes its oracle probes by the hundred thousand per
+//! tick (fanned out across pool workers) — one row access per `distance`
+//! call and one per `any_within` witness probe, however many members the
+//! probed set has — so the hit path cannot afford a lock or a hash: the
+//! cache directory is a slot-indexed `Vec<AtomicPtr<CacheEntry>>` and a
+//! hit is one `Acquire` load away from the row. This is sound because
+//! cached entries are only ever *freed* by `&mut self` methods (commits,
+//! eviction, re-budgeting) — and Rust's aliasing rules guarantee no
+//! `&self` reader can exist while those run. A read miss loads the row
+//! from the spill file and *publishes* it with a budget-gated CAS (losers
+//! free their own unpublished copy; when the cache is at budget the miss
+//! stays a read-through and eviction waits for the next `&mut` operation).
 
 use gpnm_sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use gpnm_sync::Mutex;
 use std::collections::VecDeque;
 use std::ptr;
 
-use gpnm_graph::{Bound, CsrSnapshot, DataGraph, Label, NodeId, NodeSet};
+use gpnm_graph::DataGraph;
 
-use crate::aff::AffDelta;
-use crate::backend::{CostHints, IoStats, RepairHint, SlenBackend, SlenRequirements};
-use crate::oracle::DistanceOracle;
+use crate::backend::{CostHints, IoStats, SlenRequirements};
 use crate::pager::{PageFile, RowLoc, DEFAULT_PAGE_SIZE};
-use crate::sparse::{bfs_truncated, diff_rows, Skip, SparseRow};
-use crate::{sat_add, INF};
+use crate::rows::{grow_with_slack, BoundedRows, RowStore, SparseRow};
 
 /// Tuning knobs for [`PagedIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,22 +91,6 @@ const ENTRY_OVERHEAD: usize = std::mem::size_of::<CacheEntry>() + 32;
 
 fn row_footprint(row: &SparseRow) -> usize {
     ENTRY_OVERHEAD + row.entries.capacity() * std::mem::size_of::<(u32, u32)>()
-}
-
-/// Grow a slot-aligned vector to `n` elements without the doubling
-/// transient. `Vec::resize` grows by doubling, which at 10M+ slots
-/// allocates a second quarter-GiB buffer while the old one is still
-/// live — enough to blow a tight address-space budget on a single
-/// node insert. Reserving ~1.5% headroom past `n` instead keeps a
-/// long run of single-slot commits realloc-free and bounds the
-/// transient to the exact new size.
-fn grow_with_slack<T>(v: &mut Vec<T>, n: usize, fill: impl FnMut() -> T) {
-    if n > v.capacity() {
-        v.reserve_exact(n + n / 64 + 16 - v.len());
-    }
-    if v.len() < n {
-        v.resize_with(n, fill);
-    }
 }
 
 #[derive(Debug, Default)]
@@ -372,103 +353,35 @@ impl Drop for CacheDir {
     }
 }
 
-/// Make `slot`'s row cached (loading it from the spill file on a miss)
-/// and return a reference to it.
-fn fetch<'a>(
-    locs: &[Option<RowLoc>],
-    file: &PageFile,
-    cache: &'a mut CacheDir,
-    stats: &CacheStats,
-    slot: u32,
-) -> &'a SparseRow {
-    if cache.entry_mut(slot).is_some() {
-        // RELAXED: diagnostics counters; readers tolerate staleness.
-        stats.hits.fetch_add(1, Ordering::Relaxed);
-    } else {
-        // RELAXED: as above.
-        stats.misses.fetch_add(1, Ordering::Relaxed);
-        let loc = locs[slot as usize].expect("fetch of a non-resident row");
-        let row = SparseRow {
-            entries: file.read_row(loc),
-        };
-        cache.insert(stats, slot, row);
-    }
-    &cache.entry_mut(slot).expect("just ensured").row
-}
-
-/// Replace `slot`'s row with `row`: rewrite the spill extent (append +
-/// free-list) and refresh the cached image — the write-through commit path.
-fn put_row(
-    locs: &mut [Option<RowLoc>],
-    file: &mut PageFile,
-    cache: &mut CacheDir,
-    stats: &CacheStats,
-    slot: u32,
-    row: SparseRow,
-) {
-    if let Some(old) = locs[slot as usize].take() {
-        file.free_row(old);
-    }
-    locs[slot as usize] = Some(file.write_row(&row.entries));
-    cache.insert(stats, slot, row);
-}
-
-/// Mutate `slot`'s cached row in place, then rewrite its spill extent so
-/// disk and cache stay in agreement.
-fn update_row(
-    locs: &mut [Option<RowLoc>],
-    file: &mut PageFile,
-    cache: &mut CacheDir,
-    stats: &CacheStats,
-    slot: u32,
-    f: impl FnOnce(&mut SparseRow),
-) {
-    fetch(locs, file, cache, stats, slot);
-    let (before, after);
-    {
-        let entry = cache.entry_mut(slot).expect("just fetched");
-        before = row_footprint(&entry.row);
-        f(&mut entry.row);
-        *entry.touched.get_mut() = true;
-        after = row_footprint(&entry.row);
-        let old = locs[slot as usize].take().expect("resident row");
-        file.free_row(old);
-        locs[slot as usize] = Some(file.write_row(&entry.row.entries));
-    }
-    let bytes = cache.bytes.get_mut();
-    *bytes = *bytes + after - before;
-    cache.evict_to_budget(stats, slot);
-}
-
-/// Drop `slot` from the index: free its extent and cached image.
-fn remove_row(locs: &mut [Option<RowLoc>], file: &mut PageFile, cache: &mut CacheDir, slot: u32) {
-    if let Some(old) = locs[slot as usize].take() {
-        file.free_row(old);
-    }
-    cache.remove(slot);
-}
-
-/// Disk-resident bounded-row `SLen` index with a hot-row cache — the
-/// fourth [`SlenBackend`], for graphs whose index never fits in RAM.
-///
-/// Same projection semantics as [`crate::SparseIndex`] (see the module
-/// docs); choose it when `Σ|ball_B(candidate)|` rows outgrow memory, and
-/// size the working set with [`PagedIndex::set_cache_budget`].
+/// Spill-file row storage behind a hot-row cache: where [`PagedIndex`] keeps
+/// its rows. Opaque — it exists as a name for the alias to mention.
 #[derive(Debug)]
-pub struct PagedIndex {
-    /// The covered requirement set — single source of truth for residency.
-    reqs: SlenRequirements,
+pub struct PagedStore {
     /// Slot-indexed row directory (`None` = not a candidate source).
     locs: Vec<Option<RowLoc>>,
     file: PageFile,
     cache: CacheDir,
     stats: CacheStats,
-    snapshot: CsrSnapshot,
-    dist_buf: Vec<u32>,
-    queue_buf: Vec<NodeId>,
 }
 
-impl Clone for PagedIndex {
+impl PagedStore {
+    pub(crate) fn new(config: PagedConfig) -> Self {
+        PagedStore {
+            locs: Vec::new(),
+            file: PageFile::create(config.page_size),
+            cache: CacheDir::new(config.cache_budget_bytes),
+            stats: CacheStats::default(),
+        }
+    }
+}
+
+impl Default for PagedStore {
+    fn default() -> Self {
+        PagedStore::new(PagedConfig::default())
+    }
+}
+
+impl Clone for PagedStore {
     /// An independent replica with its **own spill file** (rows are copied
     /// extent by extent) and a fresh, empty cache at the same budget.
     fn clone(&self) -> Self {
@@ -481,298 +394,106 @@ impl Clone for PagedIndex {
         }
         let mut cache = CacheDir::new(self.cache.budget);
         cache.ensure_slots(locs.len());
-        PagedIndex {
-            reqs: self.reqs.clone(),
+        PagedStore {
             locs,
             file,
             cache,
             stats: CacheStats::default(),
-            snapshot: CsrSnapshot::new(),
-            dist_buf: vec![INF; self.dist_buf.len()],
-            queue_buf: Vec::new(),
         }
     }
 }
 
-impl PagedIndex {
-    /// Build with explicit knobs (the trait's [`SlenBackend::build`] uses
-    /// [`PagedConfig::default`]).
-    pub fn with_config(graph: &DataGraph, reqs: &SlenRequirements, config: PagedConfig) -> Self {
-        let n = graph.slot_count();
-        let mut index = PagedIndex {
-            reqs: reqs.clone(),
-            locs: vec![None; n],
-            file: PageFile::create(config.page_size),
-            cache: CacheDir::new(config.cache_budget_bytes),
-            stats: CacheStats::default(),
-            snapshot: CsrSnapshot::new(),
-            dist_buf: vec![INF; n],
-            queue_buf: Vec::new(),
-        };
-        index.materialize_all(graph);
-        index
+impl RowStore for PagedStore {
+    const KIND: &'static str = "paged";
+
+    fn slots(&self) -> usize {
+        self.locs.len()
     }
 
-    /// The truncation depth currently honored ([`INF`] = untruncated).
-    pub fn depth(&self) -> u32 {
-        self.reqs.depth()
-    }
-
-    /// The source labels currently materialized.
-    pub fn labels(&self) -> &[Label] {
-        self.reqs.labels()
-    }
-
-    /// The hot-row cache budget, in bytes.
-    pub fn cache_budget(&self) -> usize {
-        self.cache.budget
-    }
-
-    /// Re-budget the hot-row cache, evicting down if it shrank.
-    pub fn set_cache_budget(&mut self, bytes: usize) {
-        self.cache.budget = bytes;
-        self.cache.evict_to_budget(&self.stats, u32::MAX);
-    }
-
-    /// Rows currently deserialized in the cache.
-    pub fn cached_rows(&self) -> usize {
-        // RELAXED: monitoring snapshot; may trail in-flight promotions.
-        self.cache.count.load(Ordering::Relaxed)
-    }
-
-    /// Current cache footprint in bytes.
-    pub fn cache_bytes(&self) -> usize {
-        // RELAXED: monitoring snapshot; may trail in-flight promotions.
-        self.cache.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Spill-file size high-water mark, in pages.
-    pub fn spill_pages(&self) -> u64 {
-        self.file.page_count()
-    }
-
-    /// Spill-file page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.file.page_size()
-    }
-
-    fn required(&self, label: Option<Label>) -> bool {
-        label.is_some_and(|l| self.reqs.labels().binary_search(&l).is_ok())
-    }
-
-    fn ensure_slots(&mut self, graph: &DataGraph) {
-        let n = graph.slot_count();
+    fn grow(&mut self, n: usize) {
         grow_with_slack(&mut self.locs, n, || None);
         self.cache.ensure_slots(n);
-        grow_with_slack(&mut self.dist_buf, n, || INF);
     }
 
-    /// Recompute every row the requirement set implies, from scratch. The
-    /// spill file restarts empty; the cache stays cold (rows warm on use).
-    fn materialize_all(&mut self, graph: &DataGraph) {
-        self.ensure_slots(graph);
-        let depth = self.reqs.depth();
-        let Self {
-            reqs,
-            locs,
-            file,
-            cache,
-            snapshot,
-            dist_buf,
-            queue_buf,
-            ..
-        } = self;
-        locs.iter_mut().for_each(|l| *l = None);
-        file.reset();
-        cache.clear();
-        let csr = snapshot.get(graph);
-        for &label in reqs.labels() {
-            for &x in graph.nodes_with_label(label) {
-                let row = bfs_truncated(csr, x, depth, Skip::Nothing, dist_buf, queue_buf);
-                locs[x.index()] = Some(file.write_row(&row.entries));
-            }
-        }
-    }
-
-    /// Shared insert-edge repair — [`crate::SparseIndex`]'s algorithm with
-    /// row access through the cache. See its docs for why the `v` row is
-    /// valid pre- and post-insert.
-    fn insert_edge_delta(
-        &mut self,
-        graph: &DataGraph,
-        u: NodeId,
-        v: NodeId,
-        commit: bool,
-    ) -> AffDelta {
-        self.ensure_slots(graph);
-        let depth = self.reqs.depth();
-        let mut delta = AffDelta::new();
-        let Self {
-            locs,
-            file,
-            cache,
-            stats,
-            snapshot,
-            dist_buf,
-            queue_buf,
-            ..
-        } = self;
-        let mut candidates: Vec<(usize, u32)> = Vec::new();
-        for i in 0..locs.len() {
-            if locs[i].is_none() {
-                continue;
-            }
-            let row = fetch(locs, file, cache, stats, i as u32);
-            let Some(du) = row.get(u.0) else { continue };
-            let through = sat_add(du, 1);
-            if through <= depth && through < row.get(v.0).unwrap_or(INF) {
-                candidates.push((i, through));
-            }
-        }
-        if candidates.is_empty() {
-            return delta;
-        }
-        let csr = snapshot.get(graph);
-        let vrow = bfs_truncated(csr, v, depth, Skip::Nothing, dist_buf, queue_buf);
-        let mut updates: Vec<(u32, u32)> = Vec::new();
-        for (i, through) in candidates {
-            let x = NodeId::from_index(i);
-            updates.clear();
-            let row = fetch(locs, file, cache, stats, i as u32);
-            for &(y, dvy) in &vrow.entries {
-                let cand = sat_add(through, dvy);
-                if cand > depth {
-                    continue;
-                }
-                let old = row.get(y).unwrap_or(INF);
-                if cand < old {
-                    delta.record(x, NodeId(y), old, cand);
-                    if commit {
-                        updates.push((y, cand));
-                    }
-                }
-            }
-            if commit && !updates.is_empty() {
-                update_row(locs, file, cache, stats, i as u32, |row| {
-                    row.apply_sorted_updates(&updates)
-                });
-            }
-        }
-        delta
-    }
-
-    fn delete_edge_delta(
-        &mut self,
-        graph: &DataGraph,
-        u: NodeId,
-        v: NodeId,
-        commit: bool,
-    ) -> AffDelta {
-        self.ensure_slots(graph);
-        let depth = self.reqs.depth();
-        let Self {
-            locs,
-            file,
-            cache,
-            stats,
-            snapshot,
-            dist_buf,
-            queue_buf,
-            ..
-        } = self;
-        // The truncated delete-candidate test, in slot order.
-        let mut candidates: Vec<NodeId> = Vec::new();
-        for i in 0..locs.len() {
-            if locs[i].is_none() {
-                continue;
-            }
-            let row = fetch(locs, file, cache, stats, i as u32);
-            let (Some(dxu), Some(dxv)) = (row.get(u.0), row.get(v.0)) else {
-                continue;
-            };
-            if sat_add(dxu, 1) == dxv {
-                candidates.push(NodeId::from_index(i));
-            }
-        }
-        // Probe: the edge is still present, skip it. Commit: already gone.
-        let skip = if commit {
-            Skip::Nothing
-        } else {
-            Skip::Edge(u, v)
-        };
-        let mut delta = AffDelta::new();
-        for x in candidates {
-            let csr = snapshot.get(graph);
-            let new_row = bfs_truncated(csr, x, depth, skip, dist_buf, queue_buf);
-            let old_row = fetch(locs, file, cache, stats, x.0);
-            diff_rows(x, old_row, &new_row, &mut delta);
-            if commit {
-                put_row(locs, file, cache, stats, x.0, new_row);
-            }
-        }
-        delta
-    }
-
-    fn delete_node_delta(&mut self, graph: &DataGraph, id: NodeId, commit: bool) -> AffDelta {
-        self.ensure_slots(graph);
-        let depth = self.reqs.depth();
-        let Self {
-            locs,
-            file,
-            cache,
-            stats,
-            snapshot,
-            dist_buf,
-            queue_buf,
-            ..
-        } = self;
-        let mut sources: Vec<NodeId> = Vec::new();
-        for i in 0..locs.len() {
-            if i == id.index() || locs[i].is_none() {
-                continue;
-            }
-            let row = fetch(locs, file, cache, stats, i as u32);
-            if row.get(id.0).is_some() {
-                sources.push(NodeId::from_index(i));
-            }
-        }
-        let mut delta = AffDelta::new();
-        // The node's own row: every entry becomes INF.
-        if locs[id.index()].is_some() {
-            let row = fetch(locs, file, cache, stats, id.0);
-            for &(y, d) in &row.entries {
-                delta.record(id, NodeId(y), d, INF);
-            }
-            if commit {
-                remove_row(locs, file, cache, id.0);
-            }
-        }
-        let skip = if commit {
-            Skip::Nothing
-        } else {
-            Skip::Node(id)
-        };
-        for x in sources {
-            let csr = snapshot.get(graph);
-            let new_row = bfs_truncated(csr, x, depth, skip, dist_buf, queue_buf);
-            let old_row = fetch(locs, file, cache, stats, x.0);
-            diff_rows(x, old_row, &new_row, &mut delta);
-            if commit {
-                put_row(locs, file, cache, stats, x.0, new_row);
-            }
-        }
-        delta
-    }
-}
-
-impl PagedIndex {
-    /// Run `f` over `u`'s row — the shared read path of every oracle
-    /// probe: one cache probe, and on a miss one spill read of the whole
-    /// row. `None` when `u` has no resident row.
     #[inline]
-    fn with_row<R>(&self, u: NodeId, f: impl FnOnce(&SparseRow) -> R) -> Option<R> {
-        let loc = self.locs.get(u.index()).copied().flatten()?;
-        if let Some(entry) = self.cache.get(u.0) {
+    fn is_resident(&self, slot: u32) -> bool {
+        self.locs[slot as usize].is_some()
+    }
+
+    /// Make `slot`'s row cached (loading it from the spill file on a miss)
+    /// and return a reference to it.
+    fn fetch(&mut self, slot: u32) -> Option<&SparseRow> {
+        let loc = self.locs[slot as usize]?;
+        if self.cache.entry_mut(slot).is_some() {
+            // RELAXED: diagnostics counters; readers tolerate staleness.
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            // RELAXED: as above.
+            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            let row = SparseRow {
+                entries: self.file.read_row(loc),
+            };
+            self.cache.insert(&self.stats, slot, row);
+        }
+        Some(&self.cache.entry_mut(slot).expect("just ensured").row)
+    }
+
+    /// Replace `slot`'s row: rewrite the spill extent (append + free-list)
+    /// and refresh the cached image — the write-through commit path.
+    fn put(&mut self, slot: u32, row: SparseRow) {
+        if let Some(old) = self.locs[slot as usize].take() {
+            self.file.free_row(old);
+        }
+        self.locs[slot as usize] = Some(self.file.write_row(&row.entries));
+        self.cache.insert(&self.stats, slot, row);
+    }
+
+    /// The cold bulk load: the row goes to the spill file only.
+    fn load(&mut self, slot: u32, row: SparseRow) {
+        debug_assert!(self.locs[slot as usize].is_none(), "load into a live slot");
+        self.locs[slot as usize] = Some(self.file.write_row(&row.entries));
+    }
+
+    /// Mutate `slot`'s cached row in place, then rewrite its spill extent
+    /// so disk and cache stay in agreement.
+    fn update(&mut self, slot: u32, f: impl FnOnce(&mut SparseRow)) {
+        self.fetch(slot).expect("update of a non-resident row");
+        let (before, after);
+        {
+            let entry = self.cache.entry_mut(slot).expect("just fetched");
+            before = row_footprint(&entry.row);
+            f(&mut entry.row);
+            *entry.touched.get_mut() = true;
+            after = row_footprint(&entry.row);
+            let old = self.locs[slot as usize].take().expect("resident row");
+            self.file.free_row(old);
+            self.locs[slot as usize] = Some(self.file.write_row(&entry.row.entries));
+        }
+        let bytes = self.cache.bytes.get_mut();
+        *bytes = *bytes + after - before;
+        self.cache.evict_to_budget(&self.stats, slot);
+    }
+
+    /// Drop `slot` from the index: free its extent and cached image.
+    fn remove(&mut self, slot: u32) {
+        if let Some(old) = self.locs[slot as usize].take() {
+            self.file.free_row(old);
+        }
+        self.cache.remove(slot);
+    }
+
+    /// The spill file restarts empty and the cache cold.
+    fn clear(&mut self) {
+        self.locs.iter_mut().for_each(|l| *l = None);
+        self.file.reset();
+        self.cache.clear();
+    }
+
+    /// One cache probe, and on a miss one spill read of the whole row.
+    #[inline]
+    fn with_row<R>(&self, slot: u32, f: impl FnOnce(&SparseRow) -> R) -> Option<R> {
+        let loc = self.locs.get(slot as usize).copied().flatten()?;
+        if let Some(entry) = self.cache.get(slot) {
             // Check-then-set keeps the clock bit read-mostly: repeated hits
             // on a hot row must not dirty its cache line every call.
             // RELAXED: the clock bit is an eviction heuristic — a touch
@@ -792,227 +513,8 @@ impl PagedIndex {
             entries: self.file.read_row(loc),
         };
         let answer = f(&row);
-        self.cache.try_promote(u.0, row);
+        self.cache.try_promote(slot, row);
         Some(answer)
-    }
-}
-
-impl DistanceOracle for PagedIndex {
-    #[inline]
-    fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        self.with_row(u, |row| row.get(v.0))
-            .flatten()
-            .unwrap_or(INF)
-    }
-
-    /// One row fetch per call, however many members `set` has.
-    #[inline]
-    fn any_within(&self, u: NodeId, set: &NodeSet, bound: Bound) -> bool {
-        self.with_row(u, |row| row.any_within(set, bound))
-            .unwrap_or(false)
-    }
-}
-
-impl SlenBackend for PagedIndex {
-    fn kind(&self) -> &'static str {
-        "paged"
-    }
-
-    fn build(graph: &DataGraph, reqs: &SlenRequirements) -> Self {
-        PagedIndex::with_config(graph, reqs, PagedConfig::default())
-    }
-
-    fn rebuild(&mut self, graph: &DataGraph, reqs: &SlenRequirements) {
-        self.reqs.absorb(reqs);
-        self.materialize_all(graph);
-    }
-
-    fn sync_requirements(&mut self, graph: &DataGraph, reqs: &SlenRequirements) {
-        self.ensure_slots(graph);
-        let deeper = reqs.depth() > self.reqs.depth();
-        let widened = reqs
-            .labels()
-            .iter()
-            .any(|l| self.reqs.labels().binary_search(l).is_err());
-        if !deeper && !widened {
-            return;
-        }
-        self.reqs.absorb(reqs);
-        let depth = self.reqs.depth();
-        let Self {
-            reqs,
-            locs,
-            file,
-            cache,
-            stats,
-            snapshot,
-            dist_buf,
-            queue_buf,
-            ..
-        } = self;
-        if deeper {
-            // Every resident row was truncated too early: re-run them all
-            // at the new horizon.
-            for i in 0..locs.len() {
-                if locs[i].is_some() {
-                    let csr = snapshot.get(graph);
-                    let row = bfs_truncated(
-                        csr,
-                        NodeId::from_index(i),
-                        depth,
-                        Skip::Nothing,
-                        dist_buf,
-                        queue_buf,
-                    );
-                    put_row(locs, file, cache, stats, i as u32, row);
-                }
-            }
-        }
-        if widened {
-            // Materialize the newly required sources (existing rows are
-            // already at the right depth).
-            for &label in reqs.labels() {
-                for &x in graph.nodes_with_label(label) {
-                    if locs[x.index()].is_none() {
-                        let csr = snapshot.get(graph);
-                        let row = bfs_truncated(csr, x, depth, Skip::Nothing, dist_buf, queue_buf);
-                        put_row(locs, file, cache, stats, x.0, row);
-                    }
-                }
-            }
-        }
-    }
-
-    fn narrow_requirements(&mut self, graph: &DataGraph, reqs: &SlenRequirements) {
-        self.ensure_slots(graph);
-        if self.reqs == *reqs {
-            return;
-        }
-        let deeper = reqs.depth() > self.reqs.depth();
-        let shallower = reqs.depth() < self.reqs.depth();
-        self.reqs = reqs.clone();
-        let depth = self.reqs.depth();
-        let Self {
-            reqs,
-            locs,
-            file,
-            cache,
-            stats,
-            snapshot,
-            dist_buf,
-            queue_buf,
-            ..
-        } = self;
-        let required =
-            |label: Option<Label>| label.is_some_and(|l| reqs.labels().binary_search(&l).is_ok());
-        // Drop rows whose source label left the requirement set. A
-        // shrunken horizon re-truncates in place: a depth-B row filtered
-        // to `d ≤ B` *is* the shallower row (no BFS needed).
-        for i in 0..locs.len() {
-            if locs[i].is_none() {
-                continue;
-            }
-            if !required(graph.label(NodeId::from_index(i))) {
-                remove_row(locs, file, cache, i as u32);
-            } else if shallower {
-                update_row(locs, file, cache, stats, i as u32, |row| {
-                    row.entries.retain(|&(_, d)| d <= depth)
-                });
-            }
-        }
-        // A deeper horizon (or a label the old set lacked) needs fresh BFS.
-        let mut todo: Vec<NodeId> = Vec::new();
-        if deeper {
-            todo.extend(
-                locs.iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.is_some())
-                    .map(|(i, _)| NodeId::from_index(i)),
-            );
-        }
-        for &label in reqs.labels() {
-            for &x in graph.nodes_with_label(label) {
-                if locs[x.index()].is_none() {
-                    todo.push(x);
-                }
-            }
-        }
-        for x in todo {
-            let csr = snapshot.get(graph);
-            let row = bfs_truncated(csr, x, depth, Skip::Nothing, dist_buf, queue_buf);
-            put_row(locs, file, cache, stats, x.0, row);
-        }
-    }
-
-    fn probe_insert_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        debug_assert!(!graph.has_edge(u, v), "probe_insert_edge on present edge");
-        self.insert_edge_delta(graph, u, v, false)
-    }
-
-    fn probe_delete_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        debug_assert!(graph.has_edge(u, v), "probe_delete_edge on absent edge");
-        self.delete_edge_delta(graph, u, v, false)
-    }
-
-    fn probe_delete_node(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta {
-        debug_assert!(graph.contains(id), "probe_delete_node on absent node");
-        self.delete_node_delta(graph, id, false)
-    }
-
-    fn commit_insert_edge(
-        &mut self,
-        graph: &DataGraph,
-        u: NodeId,
-        v: NodeId,
-        _hint: RepairHint,
-    ) -> AffDelta {
-        debug_assert!(graph.has_edge(u, v), "commit before graph mutation");
-        self.insert_edge_delta(graph, u, v, true)
-    }
-
-    fn commit_delete_edge(
-        &mut self,
-        graph: &DataGraph,
-        u: NodeId,
-        v: NodeId,
-        _hint: RepairHint,
-    ) -> AffDelta {
-        debug_assert!(!graph.has_edge(u, v), "commit before graph mutation");
-        self.delete_edge_delta(graph, u, v, true)
-    }
-
-    fn commit_insert_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
-        self.ensure_slots(graph);
-        if self.required(graph.label(id)) {
-            // An isolated newcomer's row is just itself at distance 0.
-            let Self {
-                locs,
-                file,
-                cache,
-                stats,
-                ..
-            } = self;
-            put_row(
-                locs,
-                file,
-                cache,
-                stats,
-                id.0,
-                SparseRow {
-                    entries: vec![(id.0, 0)],
-                },
-            );
-        }
-        AffDelta::new()
-    }
-
-    fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
-        debug_assert!(!graph.contains(id), "commit before graph mutation");
-        self.delete_node_delta(graph, id, true)
-    }
-
-    fn resident_rows(&self) -> usize {
-        self.locs.iter().filter(|l| l.is_some()).count()
     }
 
     fn mem_bytes(&self) -> usize {
@@ -1021,7 +523,8 @@ impl SlenBackend for PagedIndex {
         // this number is the whole point of the backend.
         self.locs.capacity() * std::mem::size_of::<Option<RowLoc>>()
             + self.cache.slots.capacity() * std::mem::size_of::<AtomicPtr<CacheEntry>>()
-            + self.cache_bytes()
+            // RELAXED: monitoring snapshot; may trail in-flight promotions.
+            + self.cache.bytes.load(Ordering::Relaxed)
             + self.file.meta_bytes()
     }
 
@@ -1067,20 +570,77 @@ impl SlenBackend for PagedIndex {
     }
 }
 
+/// Disk-resident bounded-row `SLen` index with a hot-row cache:
+/// [`BoundedRows`] over a spill file — the fourth `SlenBackend`, for
+/// graphs whose index never fits in RAM.
+///
+/// Same code and projection semantics as [`crate::SparseIndex`] (see
+/// [`BoundedRows`]); choose it when `Σ|ball_B(candidate)|` rows outgrow
+/// memory, and size the working set with [`PagedIndex::set_cache_budget`].
+pub type PagedIndex = BoundedRows<PagedStore>;
+
+impl BoundedRows<PagedStore> {
+    /// Build with explicit knobs (the trait's `SlenBackend::build` uses
+    /// [`PagedConfig::default`]).
+    pub fn with_config(graph: &DataGraph, reqs: &SlenRequirements, config: PagedConfig) -> Self {
+        Self::with_store(graph, reqs, PagedStore::new(config))
+    }
+
+    /// The hot-row cache budget, in bytes.
+    pub fn cache_budget(&self) -> usize {
+        self.store.cache.budget
+    }
+
+    /// Re-budget the hot-row cache, evicting down if it shrank.
+    pub fn set_cache_budget(&mut self, bytes: usize) {
+        let PagedStore { cache, stats, .. } = &mut self.store;
+        cache.budget = bytes;
+        cache.evict_to_budget(stats, u32::MAX);
+    }
+
+    /// Rows currently deserialized in the cache.
+    pub fn cached_rows(&self) -> usize {
+        // RELAXED: monitoring snapshot; may trail in-flight promotions.
+        self.store.cache.count.load(Ordering::Relaxed)
+    }
+
+    /// Current cache footprint in bytes.
+    pub fn cache_bytes(&self) -> usize {
+        // RELAXED: monitoring snapshot; may trail in-flight promotions.
+        self.store.cache.bytes.load(Ordering::Relaxed)
+    }
+
+    /// Spill-file size high-water mark, in pages.
+    pub fn spill_pages(&self) -> u64 {
+        self.store.file.page_count()
+    }
+
+    /// Spill-file page size in bytes.
+    pub fn page_size(&self) -> usize {
+        self.store.file.page_size()
+    }
+}
+
+/// A 2-page cache: every fetch beyond the pinned row evicts.
+#[cfg(test)]
+pub(crate) fn tiny() -> PagedConfig {
+    PagedConfig {
+        page_size: 256,
+        cache_budget_bytes: 512,
+    }
+}
+
+// The algorithm's tests are the generic suite in `crate::rows`, which runs
+// over this store under the `tiny()` cache; only what the store itself
+// adds is tested here.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apsp::apsp_matrix;
+    use crate::backend::{RepairHint, SlenBackend};
+    use crate::oracle::DistanceOracle;
     use crate::sparse::SparseIndex;
     use gpnm_graph::paper::fig1;
-
-    /// A 2-page cache: every fetch beyond the pinned row evicts.
-    fn tiny() -> PagedConfig {
-        PagedConfig {
-            page_size: 256,
-            cache_budget_bytes: 512,
-        }
-    }
+    use gpnm_graph::{Bound, NodeId, NodeSet};
 
     fn fig1_paged(config: PagedConfig) -> (gpnm_graph::paper::Fig1, PagedIndex) {
         let f = fig1();
@@ -1090,34 +650,9 @@ mod tests {
     }
 
     #[test]
-    fn build_matches_truncated_dense() {
-        let (f, p) = fig1_paged(PagedConfig::default());
-        assert_eq!(p.kind(), "paged");
-        assert_eq!(p.resident_rows(), 7);
-        assert_eq!(p.depth(), 4);
-        let dense = apsp_matrix(&f.graph);
-        let n = f.graph.slot_count();
-        for i in 0..n {
-            let x = NodeId::from_index(i);
-            for j in 0..n {
-                let y = NodeId::from_index(j);
-                let d = dense.get(x, y);
-                let expected = if p.distance(x, x) == 0 && d <= p.depth() {
-                    d
-                } else {
-                    INF
-                };
-                if p.distance(x, x) == 0 {
-                    assert_eq!(p.distance(x, y), expected, "d({x:?},{y:?})");
-                }
-            }
-        }
-        assert_eq!(p.distance(f.db1, f.se1), INF, "non-resident row reads INF");
-    }
-
-    #[test]
     fn tiny_cache_still_answers_exactly_and_evicts() {
         let (f, mut p) = fig1_paged(tiny());
+        assert_eq!(p.kind(), "paged");
         let reqs = SlenRequirements::of_pattern(&f.pattern);
         let mut s = SparseIndex::build(&f.graph, &reqs);
         let n = f.graph.slot_count();
@@ -1135,6 +670,19 @@ mod tests {
         let io = p.io_stats().expect("paged reports IO");
         assert!(io.cache_evictions > 0, "2-page budget must churn: {io:?}");
         assert!(io.pages_read > 0);
+    }
+
+    #[test]
+    fn build_and_rebuild_leave_the_cache_cold() {
+        let (f, mut p) = fig1_paged(PagedConfig::default());
+        assert_eq!(p.cached_rows(), 0, "bulk load bypasses the cache");
+        assert!(p.spill_pages() > 0);
+        p.distance(f.pm1, f.se1);
+        assert_eq!(p.cached_rows(), 1);
+        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        p.rebuild(&f.graph, &reqs);
+        assert_eq!(p.cached_rows(), 0, "rebuild restarts cold");
+        assert_eq!(p.resident_rows(), 7);
     }
 
     #[test]
@@ -1166,71 +714,6 @@ mod tests {
             hot.rematch_bias
         );
         assert!((1.0..=16.0).contains(&hot.rematch_bias));
-    }
-
-    #[test]
-    fn commits_track_sparse_bitwise_through_a_mixed_sequence() {
-        let (mut f, mut p) = fig1_paged(tiny());
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
-        let mut s = SparseIndex::build(&f.graph, &reqs);
-
-        let probe_p = SlenBackend::probe_insert_edge(&mut p, &f.graph, f.se1, f.te2);
-        let probe_s = SlenBackend::probe_insert_edge(&mut s, &f.graph, f.se1, f.te2);
-        assert_eq!(probe_p.changed, probe_s.changed);
-        f.graph.add_edge(f.se1, f.te2).unwrap();
-        let cp =
-            SlenBackend::commit_insert_edge(&mut p, &f.graph, f.se1, f.te2, RepairHint::Baseline);
-        let cs =
-            SlenBackend::commit_insert_edge(&mut s, &f.graph, f.se1, f.te2, RepairHint::Baseline);
-        assert_eq!(cp.changed, cs.changed);
-
-        f.graph.remove_edge(f.pm1, f.db1).unwrap();
-        let cp =
-            SlenBackend::commit_delete_edge(&mut p, &f.graph, f.pm1, f.db1, RepairHint::Baseline);
-        let cs =
-            SlenBackend::commit_delete_edge(&mut s, &f.graph, f.pm1, f.db1, RepairHint::Baseline);
-        assert_eq!(cp.changed, cs.changed);
-
-        let label = f.interner.get("TE").unwrap();
-        let id = f.graph.add_node(label);
-        SlenBackend::commit_insert_node(&mut p, &f.graph, id, RepairHint::Baseline);
-        SlenBackend::commit_insert_node(&mut s, &f.graph, id, RepairHint::Baseline);
-        assert_eq!(p.distance(id, id), 0, "required newcomer is resident");
-
-        f.graph.remove_node(f.se1).unwrap();
-        let cp = SlenBackend::commit_delete_node(&mut p, &f.graph, f.se1, RepairHint::Baseline);
-        let cs = SlenBackend::commit_delete_node(&mut s, &f.graph, f.se1, RepairHint::Baseline);
-        assert_eq!(cp.changed, cs.changed);
-
-        let n = f.graph.slot_count();
-        for i in 0..n {
-            for j in 0..n {
-                let (x, y) = (NodeId::from_index(i), NodeId::from_index(j));
-                assert_eq!(p.distance(x, y), s.distance(x, y), "d({x:?},{y:?})");
-            }
-        }
-    }
-
-    #[test]
-    fn narrow_then_widen_round_trips_against_sparse() {
-        let (f, mut p) = fig1_paged(tiny());
-        let mut wide = SlenRequirements::of_pattern(&f.pattern);
-        wide.absorb_label(f.interner.get("DB").unwrap());
-        wide.absorb_bound(gpnm_graph::Bound::Hops(6));
-        p.sync_requirements(&f.graph, &wide);
-        assert_eq!(p.resident_rows(), 8);
-        assert_eq!(p.depth(), 6);
-        let narrow = SlenRequirements::of_pattern(&f.pattern);
-        p.narrow_requirements(&f.graph, &narrow);
-        let fresh = SparseIndex::build(&f.graph, &narrow);
-        assert_eq!(p.resident_rows(), fresh.resident_rows());
-        let n = f.graph.slot_count();
-        for i in 0..n {
-            for j in 0..n {
-                let (x, y) = (NodeId::from_index(i), NodeId::from_index(j));
-                assert_eq!(p.distance(x, y), fresh.distance(x, y), "d({x:?},{y:?})");
-            }
-        }
     }
 
     #[test]
@@ -1373,7 +856,7 @@ pub mod loom_model {
         pub fn mark_touched(&self, slot: u32) {
             if let Some(entry) = self.dir.get(slot) {
                 // RELAXED: the clock bit is an eviction heuristic; see the
-                // identical pattern in `PagedIndex::distance`.
+                // identical pattern in `PagedStore::with_row`.
                 if !entry.touched.load(Ordering::Relaxed) {
                     entry.touched.store(true, Ordering::Relaxed);
                 }

@@ -1,5 +1,5 @@
-//! Workspace automation tool. Two subcommands: `lint` and
-//! `check-telemetry`.
+//! Workspace automation tool. Three subcommands: `lint`,
+//! `check-telemetry` and `loc`.
 //!
 //! `cargo run -p gpnm-xtask -- lint` runs the source-level concurrency
 //! lint described in the workspace README ("Correctness tooling"): a
@@ -13,6 +13,10 @@
 //! text dump (`--metrics-out`) and the Chrome trace-event JSON
 //! (`--trace-out`). CI runs a replay with both exporters and feeds the
 //! files through this check.
+//!
+//! `cargo run -p gpnm-xtask -- loc` prints, per crate, the code-line and
+//! `pub`-item counts ROADMAP aim 2 tracks per PR. It only prints: there is
+//! no threshold to fail and no flag to pass.
 
 #![forbid(unsafe_code)]
 
@@ -52,10 +56,12 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        Some("loc") => print!("{}", loc::report(Path::new("."))),
         _ => {
             eprintln!(
                 "usage: cargo run -p gpnm-xtask -- lint\n\
-                 \x20      cargo run -p gpnm-xtask -- check-telemetry [--metrics FILE] [--trace FILE]"
+                 \x20      cargo run -p gpnm-xtask -- check-telemetry [--metrics FILE] [--trace FILE]\n\
+                 \x20      cargo run -p gpnm-xtask -- loc"
             );
             std::process::exit(2);
         }
@@ -118,7 +124,7 @@ mod lint {
             .replace('\\', "/")
     }
 
-    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+    pub fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         let Ok(entries) = std::fs::read_dir(dir) else {
             return;
         };
@@ -535,6 +541,98 @@ mod lint {
     }
 }
 
+mod loc {
+    use super::lint::{split_code_comments, walk, Line};
+    use super::*;
+
+    /// Item keywords that make a `pub` line a public item. `use` is left
+    /// out (a re-export would count its item twice) and so are fields.
+    const ITEM_KEYWORDS: &[&str] = &[
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "unsafe", "async",
+        "union", "macro",
+    ];
+
+    /// `(code lines, pub items)` of one file: lines with code on them —
+    /// not blank, not comment-only — outside `#[cfg(test)]` modules, and
+    /// among those the ones opening a plain-`pub` item. Lexical, like the
+    /// lint: `pub(crate)` does not count, and a `pub` item in a private
+    /// module does.
+    pub fn count(lines: &[Line]) -> (usize, usize) {
+        let codes: Vec<&str> = lines
+            .iter()
+            .map(|l| l.code.trim())
+            .filter(|code| !code.is_empty())
+            .collect();
+        let is_mod = |code: &str| code.starts_with("mod ") || code.contains(" mod ");
+        let (mut code_lines, mut pub_items) = (0, 0);
+        let mut i = 0;
+        while i < codes.len() {
+            if codes[i] == "#[cfg(test)]" && codes.get(i + 1).is_some_and(|next| is_mod(next)) {
+                // Skip the attribute and the module through its closing
+                // brace (`mod tests;` has none and ends at once).
+                i += 1;
+                let mut depth = 0usize;
+                while i < codes.len() {
+                    for c in codes[i].chars() {
+                        match c {
+                            '{' => depth += 1,
+                            '}' => depth = depth.saturating_sub(1),
+                            _ => {}
+                        }
+                    }
+                    i += 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                continue;
+            }
+            code_lines += 1;
+            let is_item = codes[i].strip_prefix("pub ").is_some_and(|rest| {
+                let word = rest.split(|c: char| !c.is_alphanumeric()).next();
+                word.is_some_and(|w| ITEM_KEYWORDS.contains(&w))
+            });
+            pub_items += usize::from(is_item);
+            i += 1;
+        }
+        (code_lines, pub_items)
+    }
+
+    /// One row per crate under `crates/` and `shims/`, plus the facade
+    /// (`src/`), over each crate's `src` tree.
+    pub fn report(root: &Path) -> String {
+        let mut crates: Vec<(String, PathBuf)> = vec![("(facade)".to_owned(), root.join("src"))];
+        for group in ["crates", "shims"] {
+            let Ok(entries) = std::fs::read_dir(root.join(group)) else {
+                continue;
+            };
+            for entry in entries.flatten() {
+                let name = entry.file_name().to_string_lossy().into_owned();
+                crates.push((format!("{group}/{name}"), entry.path().join("src")));
+            }
+        }
+        crates.sort();
+        let mut out = format!("{:<24}{:>12}{:>12}\n", "crate", "code lines", "pub items");
+        let (mut all_lines, mut all_pub) = (0, 0);
+        for (name, src_dir) in crates {
+            let mut files = Vec::new();
+            walk(&src_dir, &mut files);
+            let (mut lines, mut items) = (0, 0);
+            for file in files {
+                let src = std::fs::read_to_string(&file).unwrap_or_default();
+                let (l, p) = count(&split_code_comments(&src));
+                lines += l;
+                items += p;
+            }
+            let _ = writeln!(out, "{name:<24}{lines:>12}{items:>12}");
+            all_lines += lines;
+            all_pub += items;
+        }
+        let _ = writeln!(out, "{:<24}{all_lines:>12}{all_pub:>12}", "total");
+        out
+    }
+}
+
 mod telemetry_check {
     use std::collections::HashMap;
 
@@ -792,5 +890,30 @@ unsafe in block */ let c = 'x'; let lt: &'static str = "";
         assert!(lines[1].comment.contains("block"));
         assert!(lines[2].comment.contains("unsafe in block"));
         assert!(lines[2].code.contains("&'static str"));
+    }
+
+    #[test]
+    fn loc_counts_code_and_pub_items_outside_cfg_test() {
+        let src = r#"//! docs are not code
+pub struct A; // trailing comments do not hide code
+
+pub(crate) fn b() {}
+pub fn c() {
+    let s = "pub fn not_an_item() {";
+}
+pub use x::Y;
+#[cfg(test)]
+pub(crate) fn fixture() {}
+#[cfg(test)]
+mod tests {
+    pub fn helper() {
+        if true {}
+    }
+}
+pub const D: u32 = 0;
+"#;
+        let (code_lines, pub_items) = super::loc::count(&split_code_comments(src));
+        assert_eq!(code_lines, 9, "a `#[cfg(test)]` fn is outside the rule");
+        assert_eq!(pub_items, 3, "A, c, D");
     }
 }
