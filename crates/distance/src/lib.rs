@@ -51,8 +51,13 @@
 //! **Bounded rows** ([`BoundedRows`]). Rows for candidate sources only,
 //! truncated at the pattern's maximum finite bound (patterns with
 //! unbounded `*` edges fall back to untruncated rows for candidate
-//! sources). The right choice past ~50k nodes. The representation and its
-//! repair algorithm exist once; the only choice left is where rows live:
+//! sources). The right choice past ~50k nodes. Repair is ball-local: an
+//! update at `u` fetches only the resident rows inside `u`'s backward
+//! ball (one BFS over the graph's own in-adjacency — no reverse rows, and
+//! no CSR copy outside the bulk build) and re-runs only the rows that
+//! change.
+//! The representation and its repair algorithm exist once; the only choice
+//! left is where rows live:
 //!
 //! * **sparse** ([`SparseIndex`]) — on the heap. Fastest; memory is
 //!   `Σ_candidates |ball_B(x)|`.
@@ -70,7 +75,10 @@
 //! call and no inlining on the `distance`/`any_within` path the matcher
 //! runs by the hundred thousand per tick; *one store shape with a cache
 //! inside the in-memory store too* — a clock bit, a budget and an eviction
-//! path that can never fire, on the sparse workloads' hottest lookup.
+//! path that can never fire, on the sparse workloads' hottest lookup;
+//! *a candidate scan over every resident row* and *a CSR snapshot on the
+//! repair path* — the tree's shape until PR 17, O(index) plus an O(N + E)
+//! rebuild per update whatever the update touched.
 //!
 //! The infinity sentinel is [`INF`] (`u32::MAX`); all arithmetic goes
 //! through [`sat_add`] so infinity propagates instead of wrapping.

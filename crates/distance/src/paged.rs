@@ -359,6 +359,8 @@ impl Drop for CacheDir {
 pub struct PagedStore {
     /// Slot-indexed row directory (`None` = not a candidate source).
     locs: Vec<Option<RowLoc>>,
+    /// How many of `locs` are `Some` (kept so the per-tick stats are O(1)).
+    resident: usize,
     file: PageFile,
     cache: CacheDir,
     stats: CacheStats,
@@ -368,6 +370,7 @@ impl PagedStore {
     pub(crate) fn new(config: PagedConfig) -> Self {
         PagedStore {
             locs: Vec::new(),
+            resident: 0,
             file: PageFile::create(config.page_size),
             cache: CacheDir::new(config.cache_budget_bytes),
             stats: CacheStats::default(),
@@ -396,6 +399,7 @@ impl Clone for PagedStore {
         cache.ensure_slots(locs.len());
         PagedStore {
             locs,
+            resident: self.resident,
             file,
             cache,
             stats: CacheStats::default(),
@@ -420,6 +424,10 @@ impl RowStore for PagedStore {
         self.locs[slot as usize].is_some()
     }
 
+    fn resident(&self) -> usize {
+        self.resident
+    }
+
     /// Make `slot`'s row cached (loading it from the spill file on a miss)
     /// and return a reference to it.
     fn fetch(&mut self, slot: u32) -> Option<&SparseRow> {
@@ -441,8 +449,9 @@ impl RowStore for PagedStore {
     /// Replace `slot`'s row: rewrite the spill extent (append + free-list)
     /// and refresh the cached image — the write-through commit path.
     fn put(&mut self, slot: u32, row: SparseRow) {
-        if let Some(old) = self.locs[slot as usize].take() {
-            self.file.free_row(old);
+        match self.locs[slot as usize].take() {
+            Some(old) => self.file.free_row(old),
+            None => self.resident += 1,
         }
         self.locs[slot as usize] = Some(self.file.write_row(&row.entries));
         self.cache.insert(&self.stats, slot, row);
@@ -452,6 +461,7 @@ impl RowStore for PagedStore {
     fn load(&mut self, slot: u32, row: SparseRow) {
         debug_assert!(self.locs[slot as usize].is_none(), "load into a live slot");
         self.locs[slot as usize] = Some(self.file.write_row(&row.entries));
+        self.resident += 1;
     }
 
     /// Mutate `slot`'s cached row in place, then rewrite its spill extent
@@ -478,6 +488,7 @@ impl RowStore for PagedStore {
     fn remove(&mut self, slot: u32) {
         if let Some(old) = self.locs[slot as usize].take() {
             self.file.free_row(old);
+            self.resident -= 1;
         }
         self.cache.remove(slot);
     }
@@ -485,6 +496,7 @@ impl RowStore for PagedStore {
     /// The spill file restarts empty and the cache cold.
     fn clear(&mut self) {
         self.locs.iter_mut().for_each(|l| *l = None);
+        self.resident = 0;
         self.file.reset();
         self.cache.clear();
     }
@@ -651,7 +663,7 @@ mod tests {
 
     #[test]
     fn tiny_cache_still_answers_exactly_and_evicts() {
-        let (f, mut p) = fig1_paged(tiny());
+        let (mut f, mut p) = fig1_paged(tiny());
         assert_eq!(p.kind(), "paged");
         let reqs = SlenRequirements::of_pattern(&f.pattern);
         let mut s = SparseIndex::build(&f.graph, &reqs);
@@ -663,10 +675,13 @@ mod tests {
             }
         }
         // Read-path promotions are budget-gated, so churn the cache
-        // through the `&mut` repair path too (fetch → insert → evict).
-        let probe_p = SlenBackend::probe_delete_edge(&mut p, &f.graph, f.pm1, f.db1);
-        let probe_s = SlenBackend::probe_delete_edge(&mut s, &f.graph, f.pm1, f.db1);
-        assert_eq!(probe_p.changed, probe_s.changed);
+        // through the `&mut` repair path too (fetch → insert → evict): the
+        // one repair that still reads every row is a node-delete commit.
+        f.graph.remove_node(f.pm1).unwrap();
+        let hint = RepairHint::Baseline;
+        let commit_p = SlenBackend::commit_delete_node(&mut p, &f.graph, f.pm1, hint);
+        let commit_s = SlenBackend::commit_delete_node(&mut s, &f.graph, f.pm1, hint);
+        assert_eq!(commit_p.changed, commit_s.changed);
         let io = p.io_stats().expect("paged reports IO");
         assert!(io.cache_evictions > 0, "2-page budget must churn: {io:?}");
         assert!(io.pages_read > 0);

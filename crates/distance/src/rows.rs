@@ -19,10 +19,10 @@
 //! ## 2. Representation: one [`BoundedRows<S>`] over a `RowStore`
 //!
 //! Each resident row is a sorted `(target, dist)` vector (`SparseRow`)
-//! filled by a BFS truncated at depth `B` over the shared [`CsrSnapshot`].
-//! [`BoundedRows`] owns the requirement set, the snapshot and the BFS
-//! scratch, and carries the only copy of the build, insert-edge,
-//! delete-edge, delete-node and requirement-retarget routines plus the
+//! filled by a BFS truncated at depth `B`. [`BoundedRows`] owns the
+//! requirement set, the BFS scratch and a CSR snapshot for the bulk build,
+//! and carries the only copy of the build, insert-edge, delete-edge,
+//! delete-node and requirement-retarget routines plus the
 //! only `impl SlenBackend` / `impl DistanceOracle`. *Where a row lives* is
 //! the crate-private `RowStore` seam: resident? / fetch / put / update /
 //! remove / clear / grow for the `&mut` repair paths, `with_row` for the
@@ -61,35 +61,111 @@
 //! fire, on the lookup path the sparse workloads spend most of their
 //! refresh time in.
 //!
-//! ## 3. Repair
+//! ## 3. Repair: an update costs its ball, not the index
 //!
-//! The dense delta-proportional repair carries over in truncated form:
+//! The dense delta-proportional repair carries over in truncated form, and
+//! every routine starts from the update's **backward ball** instead of the
+//! index: a source `x` can only be affected by an update at `u` if it
+//! reaches `u` inside the horizon, and `{x : d(x, u) + 1 ≤ B}` is one
+//! BFS of depth `B − 1` from `u` over [`DataGraph::in_neighbors`]. The ball
+//! is filtered by residency *before* any row is fetched and walked in slot
+//! order, so deltas keep the order a slot-order pass over every row gave
+//! them; the exact candidate predicates then run on the fetched (old) rows.
 //!
 //! * *Edge insert `(u, v)`*: only resident sources `x` with
 //!   `d_B(x, u) + 1 < d_B(x, v)` can change (the dense triangle-inequality
 //!   pruning, applied to the truncated function), and candidate targets
 //!   come from one truncated BFS row of `v` (valid pre- *and* post-insert:
 //!   a simple shortest path from `v` cannot use an edge *into* `v`). An
-//!   insert with no such source does no BFS and no write.
+//!   insert with no such source does no forward BFS and no write; one whose
+//!   `u` no resident row reaches fetches nothing at all.
 //! * *Edge delete `(u, v)`*: only resident sources with
-//!   `d_B(x, u) + 1 == d_B(x, v)` can lose a path; their rows are re-run by
-//!   truncated BFS. A source whose `d(x, v)` exceeds `B` can only change
-//!   beyond the truncation horizon — invisible to the engine by
-//!   construction.
+//!   `d_B(x, u) + 1 == d_B(x, v)` can lose a path. A source whose `d(x, v)`
+//!   exceeds `B` can only change beyond the truncation horizon — invisible
+//!   to the engine by construction. Of the rest, only rows that really
+//!   change are re-run by truncated BFS (the two lemmas below).
 //! * *Node delete*: resident sources whose row reaches the node, plus the
 //!   node's own row.
 //!
-//! Every candidate scan fetches each resident row exactly once, in slot
-//! order; probes never write. Deltas are the dense deltas *projected* onto
+//! **The ball is a superset of the candidates** in whichever graph state
+//! the routine is handed (probes see the pre-update graph, commits the
+//! post-update one; the rows are the pre-update distances either way):
+//!
+//! 1. *Insert.* Adding an edge only shortens distances, so the post-insert
+//!    ball of `u` contains the pre-insert one, which contains every `x`
+//!    whose old row has `d(x, u) ≤ B − 1`.
+//! 2. *Delete edge.* A shortest path *to* `u` never uses an out-edge of
+//!    `u` (it would pass through `u` before arriving there), so the
+//!    backward ball of `u` is identical with and without `(u, v)`.
+//! 3. *Unbounded rows.* With `B = `[`INF`] the "ball" degrades to backward
+//!    reachability — as large as the graph allows, still a superset, still
+//!    exact.
+//!
+//! A node-delete *probe* walks the radius-`B` ball of the node the same
+//! way. A node-delete **commit is the one routine that still scans every
+//! resident row**: it runs on the post-state graph, which no longer holds
+//! the node's in-edges, so there is nothing to walk backwards from; the
+//! `RemovedNode` that lists them stops at the `commit_delete_node`
+//! signature, which the benchmark's staged replay calls directly and so
+//! pins. Passing it through is the follow-up (ROADMAP, direction A) — at
+//! 100k nodes this scan is what remains of a repair tick.
+//!
+//! **Re-run only rows that change.** Both lemmas skip a BFS whose diff is
+//! empty or one known record, so deltas stay bit-identical:
+//!
+//! * *Alternative parent* (delete-edge). If a candidate `x` has another
+//!   in-neighbour `w ≠ u` of `v` with `row_x(w) + 1 == row_x(v)`, its whole
+//!   row stands. The path `x ⇝ w → v` keeps `d(x, v)`: a shortest path to
+//!   `w` is shorter than `d(x, v)`, so it does not pass through `v`, so it
+//!   does not use `(u, v)`. And any shortest path `x ⇝ y` through `(u, v)`
+//!   re-routes at equal length over `x ⇝ w → v` plus its own suffix out of
+//!   `v`, which never returns to `v` and so never used `(u, v)` either.
+//!   Such a candidate is fetched once and dropped.
+//! * *Horizon leaf* (delete-edge and delete-node, finite `B`). A source
+//!   whose entry for the vanishing target `t` sits exactly at `B` — and,
+//!   for an edge, has no alternative parent — loses that entry and nothing
+//!   else: any path through `t` to somewhere else is longer than `B`, so
+//!   no other entry depended on it; and a second path of length `B` to `t`
+//!   would end in an alternative parent. The record `(x, t, B, ∞)` goes
+//!   where the re-run's diff would have put it and, on commit, the entry is
+//!   removed in place.
+//!
+//! Probes never write; no row is fetched more than twice (once to test,
+//! once to re-run or patch). Deltas are the dense deltas *projected* onto
 //! resident sources with distances `> B` mapped to ∞ — exactly the
 //! projection the matcher observes, which the backend-equivalence proptest
 //! suite asserts record-for-record against [`crate::IncrementalIndex`]
 //! (and, between the two stores, proves the paged store's serialisation,
 //! eviction and write-through transparent).
+//!
+//! **Why not scan every row** (the tree until PR 17). `row.get(u)` on each
+//! resident row is correct and needs no in-adjacency, but it is O(index)
+//! per update whatever the update touches: 22 of a 24 ms tick on the
+//! benchmark's 210-update workload, and on the paged store a spill read
+//! for every row the cache cannot hold (4 484 pages per 4-update tick,
+//! 1 272 from the ball).
+//!
+//! **Why no CSR copy on the repair path.** Every BFS used to run over a
+//! `CsrSnapshot` keyed on the graph version — which every committed update
+//! moves, so each repairing update first paid an O(N + E) rebuild. Patching
+//! the CSR in place (overflow adjacency plus periodic compaction) would
+//! remove the rebuild at the cost of a second mutable graph representation
+//! to keep exact. A repair's BFS walks [`DataGraph`]'s own adjacency, which
+//! costs nothing to maintain. The snapshot survives for the bulk build
+//! alone (build, rebuild, retarget), where the graph does not move between
+//! BFSs: registering `k` patterns re-targets `k` times against one graph
+//! version, and both alternatives measured — the bulk build over the live
+//! adjacency, and a flat copy made per call — read the benchmark's
+//! `setup_s` ≈20% worse (0.0102 → 0.0124 s and 0.0111 → 0.0135 s on the
+//! default serving workload) against a 25% bound.
+//!
+//! **Why no reverse rows.** Storing, per node, who reaches it would make
+//! the candidate set a lookup — and double the index and its repair. The
+//! backward BFS reads adjacency the graph already keeps.
 
 use std::fmt::Debug;
 
-use gpnm_graph::{Bound, CsrGraph, CsrSnapshot, DataGraph, Label, NodeId, NodeSet};
+use gpnm_graph::{Bound, CsrSnapshot, DataGraph, Label, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
 use crate::backend::{CostHints, IoStats, RepairHint, SlenBackend, SlenRequirements};
@@ -119,6 +195,13 @@ impl SparseRow {
         self.entries
             .iter()
             .any(|&(t, d)| bound.admits(d) && set.contains(NodeId(t)))
+    }
+
+    /// Drop `slot`'s entry, if any.
+    pub(crate) fn remove(&mut self, slot: u32) {
+        if let Ok(i) = self.entries.binary_search_by_key(&slot, |e| e.0) {
+            self.entries.remove(i);
+        }
     }
 
     /// Merge `updates` (sorted by slot, each an improvement or insertion)
@@ -157,18 +240,21 @@ pub(crate) enum Skip {
     Node(NodeId),
 }
 
-/// BFS from `source`, truncated at `depth` hops ([`INF`] = untruncated),
-/// honoring `skip`. `dist` is an all-[`INF`] scratch array that is restored
-/// before returning; `queue` is reusable scratch.
-pub(crate) fn bfs_truncated(
-    csr: &CsrGraph,
+/// BFS from `source` along `adjacent`, truncated at `depth` hops ([`INF`] =
+/// untruncated), honoring `skip`: the one traversal of the index. Forward
+/// rows walk `DataGraph::out_neighbors`, backward balls
+/// `DataGraph::in_neighbors` — the live adjacency either way, so a BFS
+/// costs its ball and nothing per graph version. `dist` is an all-[`INF`]
+/// scratch array that is restored before returning; `queue` is reusable
+/// scratch.
+pub(crate) fn bfs_truncated<'g>(
+    adjacent: impl Fn(NodeId) -> &'g [NodeId],
     source: NodeId,
     depth: u32,
     skip: Skip,
     dist: &mut [u32],
     queue: &mut Vec<NodeId>,
 ) -> SparseRow {
-    debug_assert!(dist.len() >= csr.slot_count());
     queue.clear();
     dist[source.index()] = 0;
     queue.push(source);
@@ -181,7 +267,7 @@ pub(crate) fn bfs_truncated(
             continue; // at the truncation horizon: do not expand further
         }
         let u_is_skip_source = matches!(skip, Skip::Edge(a, _) if a == u);
-        for &v in csr.out_neighbors(u) {
+        for &v in adjacent(u) {
             match skip {
                 Skip::Edge(_, b) if u_is_skip_source && v == b => continue,
                 Skip::Node(s) if v == s => continue,
@@ -270,6 +356,10 @@ pub(crate) trait RowStore: Debug + Default + Send + Sync {
     /// Whether `slot` holds a row.
     fn is_resident(&self, slot: u32) -> bool;
 
+    /// How many slots hold a row — a count the store keeps, not a pass
+    /// over the slots (every tick's stats read it).
+    fn resident(&self) -> usize;
+
     /// `slot`'s row on the exclusive repair path (a paged store faults it
     /// into its cache); `None` when `slot` holds no row.
     fn fetch(&mut self, slot: u32) -> Option<&SparseRow>;
@@ -296,7 +386,8 @@ pub(crate) trait RowStore: Debug + Default + Send + Sync {
     /// probe. `None` when `slot` holds no row.
     fn with_row<R>(&self, slot: u32, f: impl FnOnce(&SparseRow) -> R) -> Option<R>;
 
-    /// In-memory footprint of the stored rows and their directories.
+    /// In-memory footprint of the stored rows and their directories, from
+    /// sums the store keeps — like [`RowStore::resident`], read every tick.
     fn mem_bytes(&self) -> usize;
 
     /// Cumulative paging counters; `None` for a store that never pages.
@@ -342,6 +433,8 @@ pub struct BoundedRows<S> {
     /// the single source of truth for what is resident.
     reqs: SlenRequirements,
     pub(crate) store: S,
+    /// Flat adjacency for the bulk build ([`BoundedRows::build_rows`]);
+    /// no repair reads it.
     snapshot: CsrSnapshot,
     dist_buf: Vec<u32>,
     queue_buf: Vec<NodeId>,
@@ -380,11 +473,11 @@ impl<S: RowStore> BoundedRows<S> {
         grow_with_slack(&mut self.dist_buf, n, || INF);
     }
 
-    /// One truncated BFS row at the current depth. Every BFS goes through
-    /// here, so the snapshot is rebuilt only by a pass that needs a row.
+    /// One truncated BFS row at the current depth, over the live
+    /// out-adjacency: what every repair runs.
     fn bfs(&mut self, graph: &DataGraph, source: NodeId, skip: Skip) -> SparseRow {
         bfs_truncated(
-            self.snapshot.get(graph),
+            |n| graph.out_neighbors(n),
             source,
             self.reqs.depth(),
             skip,
@@ -393,38 +486,91 @@ impl<S: RowStore> BoundedRows<S> {
         )
     }
 
-    /// Candidate scan: fetch every resident row but `except`'s exactly
-    /// once, in slot order, and keep what `pick` selects.
-    fn scan<T>(
+    /// The backward ball of `target`: the resident slots `x` with
+    /// `d(x, target) + slack ≤ depth` in `graph`, ascending — one truncated
+    /// BFS over the live in-adjacency, filtered by residency before any
+    /// row is fetched. (`slack` above the depth leaves nobody.)
+    fn backward_ball(&mut self, graph: &DataGraph, target: NodeId, slack: u32) -> Vec<u32> {
+        let Some(radius) = self.reqs.depth().checked_sub(slack) else {
+            return Vec::new();
+        };
+        let ball = bfs_truncated(
+            |n| graph.in_neighbors(n),
+            target,
+            radius,
+            Skip::Nothing,
+            &mut self.dist_buf,
+            &mut self.queue_buf,
+        );
+        let slots = ball.entries.iter().map(|e| e.0);
+        slots.filter(|&s| self.store.is_resident(s)).collect()
+    }
+
+    /// Candidate pass: fetch each of `slots`' rows exactly once, in the
+    /// given order, and keep what `pick` selects.
+    fn pick_from<T>(
         &mut self,
-        except: Option<NodeId>,
+        slots: impl IntoIterator<Item = u32>,
         mut pick: impl FnMut(NodeId, &SparseRow) -> Option<T>,
     ) -> Vec<T> {
         let mut picked = Vec::new();
-        for slot in 0..self.store.slots() as u32 {
-            let x = NodeId(slot);
-            if Some(x) == except {
-                continue;
-            }
+        for slot in slots {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
-            if let Some(hit) = pick(x, row) {
+            if let Some(hit) = pick(NodeId(slot), row) {
                 picked.push(hit);
             }
         }
         picked
     }
 
+    /// The all-rows candidate pass: every resident row but `except`'s, in
+    /// slot order. O(index) — only for the one caller that has no ball to
+    /// walk (see [`BoundedRows::delete_node_delta`]).
+    fn scan<T>(
+        &mut self,
+        except: NodeId,
+        pick: impl FnMut(NodeId, &SparseRow) -> Option<T>,
+    ) -> Vec<T> {
+        let slots = 0..self.store.slots() as u32;
+        self.pick_from(slots.filter(|&s| s != except.0), pick)
+    }
+
+    /// Bulk build: one row per source, each handed to `keep`. The only
+    /// reader of the CSR snapshot: hundreds of BFSs over one unchanging
+    /// graph are worth a flat copy of its adjacency, and registering `k`
+    /// patterns re-targets `k` times against one graph version, which the
+    /// snapshot answers with one build.
+    fn build_rows(
+        &mut self,
+        graph: &DataGraph,
+        sources: Vec<NodeId>,
+        mut keep: impl FnMut(&mut S, u32, SparseRow),
+    ) {
+        if sources.is_empty() {
+            return;
+        }
+        let csr = self.snapshot.get(graph);
+        for x in sources {
+            let row = bfs_truncated(
+                |n| csr.out_neighbors(n),
+                x,
+                self.reqs.depth(),
+                Skip::Nothing,
+                &mut self.dist_buf,
+                &mut self.queue_buf,
+            );
+            keep(&mut self.store, x.0, row);
+        }
+    }
+
     /// Recompute every row the requirement set implies, from scratch.
     fn materialize_all(&mut self, graph: &DataGraph) {
         self.ensure_slots(graph);
         self.store.clear();
-        let sources: Vec<NodeId> = required_sources(&self.reqs, graph).collect();
-        for x in sources {
-            let row = self.bfs(graph, x, Skip::Nothing);
-            self.store.load(x.0, row);
-        }
+        let sources = required_sources(&self.reqs, graph).collect();
+        self.build_rows(graph, sources, S::load);
     }
 
     /// Re-aim coverage at exactly `target`. Rows whose label left are
@@ -456,17 +602,15 @@ impl<S: RowStore> BoundedRows<S> {
             }
         }
         todo.extend(required_sources(&self.reqs, graph).filter(|x| !self.store.is_resident(x.0)));
-        for x in todo {
-            let row = self.bfs(graph, x, Skip::Nothing);
-            self.store.put(x.0, row);
-        }
+        self.build_rows(graph, todo, S::put);
     }
 
     /// Shared insert-edge repair: the truncated analogue of the dense
     /// affected-source × finite-target pruning. Valid with the graph in
-    /// either its pre-insert (probe) or post-insert (commit) state: a
-    /// simple shortest path from `v` never traverses an edge into `v`, so
-    /// the BFS row of `v` is identical in both.
+    /// either its pre-insert (probe) or post-insert (commit) state: the
+    /// backward ball of `u` only grows with the insert (superset argument
+    /// 1), and a simple shortest path from `v` never traverses an edge
+    /// into `v`, so the BFS row of `v` is identical in both.
     fn insert_edge_delta(
         &mut self,
         graph: &DataGraph,
@@ -478,10 +622,11 @@ impl<S: RowStore> BoundedRows<S> {
         let depth = self.reqs.depth();
         let mut delta = AffDelta::new();
         // Affected sources first: `x` with `d_B(x,u) + 1 < d_B(x,v)` and
-        // within the horizon. Needs only row lookups, so the (much more
-        // expensive) BFS row of `v` is skipped entirely for the common
-        // no-candidate insert.
-        let candidates = self.scan(None, |x, row| {
+        // within the horizon. Needs only the ball's row lookups, so the
+        // BFS row of `v` is skipped entirely for the common no-candidate
+        // insert — and an insert nobody resident reaches fetches nothing.
+        let ball = self.backward_ball(graph, u, 1);
+        let candidates = self.pick_from(ball, |x, row| {
             let through = sat_add(row.get(u.0)?, 1);
             let within = through <= depth && through < row.get(v.0).unwrap_or(INF);
             within.then_some((x, through))
@@ -515,20 +660,31 @@ impl<S: RowStore> BoundedRows<S> {
         delta
     }
 
-    /// Re-run `sources`' rows after a deletion, recording every change and,
-    /// on commit, storing the new rows. A probe's graph still holds what is
-    /// being deleted, so its BFS skips `deleted`; a commit's is already
-    /// without it.
+    /// Bring `sources`' rows up to date after `gone` was deleted (an edge
+    /// into it, or the node itself), recording every change and, on commit,
+    /// storing it. A source flagged as a horizon leaf — its entry for
+    /// `gone` sat exactly at the horizon — loses that entry and nothing
+    /// else; the others are re-run by truncated BFS and diffed. A probe's
+    /// graph still holds what is being deleted, so its BFS skips `deleted`;
+    /// a commit's is already without it.
     fn rerun_rows(
         &mut self,
         graph: &DataGraph,
-        sources: Vec<NodeId>,
+        sources: Vec<(NodeId, bool)>,
+        gone: NodeId,
         deleted: Skip,
         commit: bool,
         delta: &mut AffDelta,
     ) {
         let skip = if commit { Skip::Nothing } else { deleted };
-        for x in sources {
+        for (x, horizon_leaf) in sources {
+            if horizon_leaf {
+                delta.record(x, gone, self.reqs.depth(), INF);
+                if commit {
+                    self.store.update(x.0, |row| row.remove(gone.0));
+                }
+                continue;
+            }
             let new_row = self.bfs(graph, x, skip);
             let old_row = self.store.fetch(x.0).expect("source is resident");
             diff_rows(x, old_row, &new_row, delta);
@@ -538,6 +694,9 @@ impl<S: RowStore> BoundedRows<S> {
         }
     }
 
+    /// Valid with the graph in either state: a shortest path *to* `u` never
+    /// uses an out-edge of `u`, so `u`'s backward ball is the same with
+    /// and without `(u, v)` (superset argument 2).
     fn delete_edge_delta(
         &mut self,
         graph: &DataGraph,
@@ -546,19 +705,43 @@ impl<S: RowStore> BoundedRows<S> {
         commit: bool,
     ) -> AffDelta {
         self.ensure_slots(graph);
+        let depth = self.reqs.depth();
+        let ball = self.backward_ball(graph, u, 1);
         // Resident sources whose shortest path to `v` may run through the
-        // edge `(u, v)` — the truncated delete-candidate test.
-        let candidates = self.scan(None, |x, row| {
-            (sat_add(row.get(u.0)?, 1) == row.get(v.0)?).then_some(x)
+        // edge `(u, v)` — the truncated delete-candidate test — less those
+        // with an alternative parent: another in-neighbour of `v` at the
+        // same distance as `u` keeps `d(x, v)`, hence the whole row.
+        let candidates = self.pick_from(ball, |x, row| {
+            let dv = row.get(v.0)?;
+            if sat_add(row.get(u.0)?, 1) != dv {
+                return None;
+            }
+            let mut others = graph.in_neighbors(v).iter().filter(|&&w| w != u);
+            if others.any(|w| row.get(w.0).is_some_and(|dw| dw + 1 == dv)) {
+                return None;
+            }
+            // Stored distances are finite, so no row of an untruncated
+            // index has a horizon leaf.
+            Some((x, dv == depth))
         });
         let mut delta = AffDelta::new();
-        self.rerun_rows(graph, candidates, Skip::Edge(u, v), commit, &mut delta);
+        self.rerun_rows(graph, candidates, v, Skip::Edge(u, v), commit, &mut delta);
         delta
     }
 
+    /// A probe walks `id`'s backward ball. A commit cannot: it runs on the
+    /// post-state graph, which no longer holds `id`'s in-edges, so it keeps
+    /// the slot-order scan of every resident row.
     fn delete_node_delta(&mut self, graph: &DataGraph, id: NodeId, commit: bool) -> AffDelta {
         self.ensure_slots(graph);
-        let sources = self.scan(Some(id), |x, row| row.get(id.0).map(|_| x));
+        let depth = self.reqs.depth();
+        let pick = |x: NodeId, row: &SparseRow| Some((x, row.get(id.0)? == depth));
+        let sources = if commit {
+            self.scan(id, pick)
+        } else {
+            let ball = self.backward_ball(graph, id, 0);
+            self.pick_from(ball.into_iter().filter(|&s| s != id.0), pick)
+        };
         let mut delta = AffDelta::new();
         // The node's own row: every entry becomes INF.
         if let Some(row) = self.store.fetch(id.0) {
@@ -569,7 +752,7 @@ impl<S: RowStore> BoundedRows<S> {
                 self.store.remove(id.0);
             }
         }
-        self.rerun_rows(graph, sources, Skip::Node(id), commit, &mut delta);
+        self.rerun_rows(graph, sources, id, Skip::Node(id), commit, &mut delta);
         delta
     }
 }
@@ -678,9 +861,7 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
     }
 
     fn resident_rows(&self) -> usize {
-        (0..self.store.slots() as u32)
-            .filter(|&slot| self.store.is_resident(slot))
-            .count()
+        self.store.resident()
     }
 
     fn mem_bytes(&self) -> usize {
@@ -705,6 +886,7 @@ mod tests {
     use crate::sparse::MemStore;
     use crate::DistanceMatrix;
     use gpnm_graph::paper::{fig1, Fig1};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn fig1_rows<S: RowStore>(store: S) -> (Fig1, BoundedRows<S>) {
         let f = fig1();
@@ -749,6 +931,13 @@ mod tests {
                 assert_eq!(a.distance(x, y), b.distance(x, y), "d({x:?},{y:?})");
             }
         }
+    }
+
+    /// The store's running row count against a recount over its slots.
+    fn assert_resident_count<S: RowStore>(s: &BoundedRows<S>) {
+        let slots = 0..s.store.slots() as u32;
+        let recount = slots.filter(|&slot| s.store.is_resident(slot)).count();
+        assert_eq!(s.resident_rows(), recount);
     }
 
     fn sorted(delta: &AffDelta) -> Vec<(NodeId, NodeId, u32, u32)> {
@@ -806,6 +995,7 @@ mod tests {
         s.commit_delete_node(&f.graph, f.se1, RepairHint::Baseline);
         assert_projection(&s, &f.graph, dense.matrix());
         assert_eq!(s.distance(f.se1, f.se2), INF, "tombstone row dropped");
+        assert_resident_count(&s);
     }
 
     fn probe_equals_commit_delta<S: RowStore>(store: S) {
@@ -866,6 +1056,7 @@ mod tests {
         assert_eq!(s.depth(), 6);
         let fresh = BoundedRows::with_store(&f.graph, &only_db, MemStore::default());
         assert_same_index(&s, &fresh, &f.graph);
+        assert_resident_count(&s);
     }
 
     fn unbounded_requirements_store_full_rows<S: RowStore>(store: S) {
@@ -933,17 +1124,22 @@ mod tests {
         inner: MemStore,
         /// `fetch` calls per slot.
         fetches: Vec<u32>,
-        /// The slot of every `put`, in call order.
+        /// The slot of every `put` / of every `update`, in call order.
         puts: Vec<u32>,
+        updates: Vec<u32>,
         /// `put` + `update` + `remove` + `clear` calls.
         writes: usize,
+        /// `is_resident` calls (it takes `&self`, hence the atomic).
+        residency_checks: AtomicUsize,
     }
 
     impl Recording {
         fn reset(&mut self) {
             self.fetches.iter_mut().for_each(|c| *c = 0);
             self.puts.clear();
+            self.updates.clear();
             self.writes = 0;
+            *self.residency_checks.get_mut() = 0;
         }
 
         /// Fetch counts of the resident slots, in slot order.
@@ -966,7 +1162,12 @@ mod tests {
             self.fetches.resize(n, 0);
         }
         fn is_resident(&self, slot: u32) -> bool {
+            // RELAXED: a single-threaded test's call counter.
+            self.residency_checks.fetch_add(1, Ordering::Relaxed);
             self.inner.is_resident(slot)
+        }
+        fn resident(&self) -> usize {
+            self.inner.resident()
         }
         fn fetch(&mut self, slot: u32) -> Option<&SparseRow> {
             let row = self.inner.fetch(slot)?;
@@ -979,6 +1180,7 @@ mod tests {
             self.inner.put(slot, row);
         }
         fn update(&mut self, slot: u32, f: impl FnOnce(&mut SparseRow)) {
+            self.updates.push(slot);
             self.writes += 1;
             self.inner.update(slot, f);
         }
@@ -998,30 +1200,56 @@ mod tests {
         }
     }
 
+    /// The locality contract: since the last `reset`, every fetched slot is
+    /// a resident `x` with `d(x, target) + slack ≤ depth` in `graph`, and
+    /// none was fetched more than twice.
+    fn assert_ball_local(
+        s: &BoundedRows<Recording>,
+        graph: &DataGraph,
+        target: NodeId,
+        slack: u32,
+    ) {
+        let dense = apsp_matrix(graph);
+        for (slot, &count) in s.store.fetches.iter().enumerate() {
+            let x = NodeId::from_index(slot);
+            assert!(count <= 2, "{x:?} fetched {count} times");
+            if count > 0 {
+                assert!(s.store.inner.is_resident(x.0));
+                let d = dense.get(x, target);
+                assert!(sat_add(d, slack) <= s.depth(), "{x:?} is outside the ball");
+            }
+        }
+    }
+
     /// Fetch counts are in slot order `PM1, PM2, SE1, SE2, S1, TE1, TE2`
     /// (DB1 has no row); distances per `gpnm_graph::paper::TABLE_III`.
     #[test]
-    fn probes_never_write_and_scan_each_resident_row_once() {
+    fn probes_never_write_and_fetch_only_the_backward_ball() {
         let (f, mut s) = fig1_rows(Recording::default());
 
-        // `SE1 -> TE2` improves every source but TE2 itself: the scan reads
-        // each row once, then each of the six candidates once more.
+        // Everyone reaches SE1 within 3 hops, and `SE1 -> TE2` improves
+        // every source but TE2 itself: the candidate pass reads each row
+        // once, then each of the six candidates once more.
         s.store.reset();
         assert!(!s.probe_insert_edge(&f.graph, f.se1, f.te2).is_empty());
         assert_eq!(s.store.resident_fetches(), [2, 2, 2, 2, 2, 2, 1]);
+        assert_ball_local(&s, &f.graph, f.se1, 1);
         assert_eq!(s.store.writes, 0);
 
-        // `PM1 -> DB1` carries a shortest path of PM1 only.
+        // Nobody reaches PM1 but PM1, whose only path to DB1 is the edge.
         s.store.reset();
         assert!(!s.probe_delete_edge(&f.graph, f.pm1, f.db1).is_empty());
-        assert_eq!(s.store.resident_fetches(), [2, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(s.store.resident_fetches(), [2, 0, 0, 0, 0, 0, 0]);
+        assert_ball_local(&s, &f.graph, f.pm1, 1);
         assert_eq!(s.store.writes, 0);
 
-        // Every other source reaches S1 within the horizon; S1's own row is
-        // read once, after the scan and not by it.
+        // Every other source reaches S1 within the horizon — TE1 exactly at
+        // it, so that row is read once and not re-run; S1's own row is read
+        // once, after the candidate pass and not by it.
         s.store.reset();
         assert!(!s.probe_delete_node(&f.graph, f.s1).is_empty());
-        assert_eq!(s.store.resident_fetches(), [2, 2, 2, 2, 1, 2, 2]);
+        assert_eq!(s.store.resident_fetches(), [2, 2, 2, 2, 1, 1, 2]);
+        assert_ball_local(&s, &f.graph, f.s1, 0);
         assert_eq!(s.store.writes, 0);
 
         // And nothing a probe did changed an answer.
@@ -1031,7 +1259,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_without_an_affected_source_does_no_bfs_and_no_write() {
+    fn insert_that_no_resident_row_reaches_fetches_nothing() {
         let (mut f, mut s) = fig1_rows(Recording::default());
         // DB is not a source label, so the newcomer gets no row — and no
         // resident row reaches it, so the edge out of it affects nobody.
@@ -1039,15 +1267,92 @@ mod tests {
         s.commit_insert_node(&f.graph, db, RepairHint::Baseline);
         f.graph.add_edge(db, f.se1).unwrap();
         s.store.reset();
-        assert!(s.snapshot.is_stale(&f.graph));
         let delta = s.commit_insert_edge(&f.graph, db, f.se1, RepairHint::Baseline);
         assert!(delta.is_empty());
         assert_eq!(s.store.writes, 0);
-        assert_eq!(s.store.resident_fetches(), vec![1; 7], "the scan only");
+        assert_eq!(s.store.resident_fetches(), vec![0; 7], "an empty ball");
+    }
+
+    #[test]
+    fn an_alternative_parent_is_fetched_once_and_never_rerun() {
+        let (mut f, mut s) = fig1_rows(Recording::default());
+        // `SE2 -> DB1`: PM2 and SE1 reach DB1 just as fast through S1, so
+        // their rows stand; SE2 and TE1 have no other way and re-run. PM1
+        // and S1 are in SE2's ball but do not route through the edge; TE2
+        // is 4 hops from SE2, outside the ball.
+        let expected = [1, 1, 1, 2, 1, 2, 0];
+        s.store.reset();
+        let probe = s.probe_delete_edge(&f.graph, f.se2, f.db1);
+        assert_eq!(s.store.resident_fetches(), expected);
+        assert_ball_local(&s, &f.graph, f.se2, 1);
+
+        f.graph.remove_edge(f.se2, f.db1).unwrap();
+        s.store.reset();
+        let commit = s.commit_delete_edge(&f.graph, f.se2, f.db1, RepairHint::Baseline);
+        assert_eq!(s.store.resident_fetches(), expected);
+        assert_eq!(s.store.puts, [f.se2.0, f.te1.0]);
+        assert_eq!(s.store.writes, 2);
+        assert_eq!(probe.changed, commit.changed);
+        assert!(commit.changed.iter().all(|r| r.0 == f.se2 || r.0 == f.te1));
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
+    }
+
+    #[test]
+    fn a_horizon_leaf_gets_one_update_and_no_put() {
+        let (mut f, mut s) = fig1_rows(Recording::default());
+        // S1 reaches TE1 in exactly 4 = B hops, through `SE2 -> TE1`, TE1's
+        // only in-edge: S1's row loses that one entry in place. The four
+        // nearer sources re-run.
+        f.graph.remove_edge(f.se2, f.te1).unwrap();
+        s.store.reset();
+        let delta = s.commit_delete_edge(&f.graph, f.se2, f.te1, RepairHint::Baseline);
+        assert_eq!(s.store.updates, [f.s1.0]);
+        assert_eq!(s.store.puts, [f.pm1.0, f.pm2.0, f.se1.0, f.se2.0]);
         assert!(
             s.snapshot.is_stale(&f.graph),
-            "every BFS goes through the snapshot: none ran"
+            "four re-runs and no repair read the bulk build's snapshot"
         );
+        assert_eq!(s.store.resident_fetches(), [2, 2, 2, 2, 1, 1, 0]);
+        // Its one record sits where the re-run's diff would have put it.
+        let of_s1: Vec<_> = delta.changed.iter().filter(|r| r.0 == f.s1).collect();
+        assert_eq!(of_s1, [&(f.s1, f.te1, 4, INF)]);
+        assert_eq!(delta.changed.last(), Some(&(f.s1, f.te1, 4, INF)));
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
+
+        // Node deletion has the same leaf: TE2 reaches SE2 in exactly 4.
+        f.graph.remove_node(f.se2).unwrap();
+        s.store.reset();
+        s.commit_delete_node(&f.graph, f.se2, RepairHint::Baseline);
+        assert_eq!(s.store.updates, [f.te2.0]);
+        assert!(!s.store.puts.contains(&f.te2.0));
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
+    }
+
+    #[test]
+    fn only_commit_delete_node_fetches_every_row() {
+        let (mut f, mut s) = fig1_rows(Recording::default());
+        // Nobody reaches PM1: the probe walks an empty ball and reads only
+        // PM1's own row. The commit's graph has lost PM1's in-edges, so it
+        // scans — every resident row once, PM1's own after the scan.
+        s.store.reset();
+        let probe = s.probe_delete_node(&f.graph, f.pm1);
+        assert_eq!(s.store.resident_fetches(), [1, 0, 0, 0, 0, 0, 0]);
+        f.graph.remove_node(f.pm1).unwrap();
+        s.store.reset();
+        let commit = s.commit_delete_node(&f.graph, f.pm1, RepairHint::Baseline);
+        assert_eq!(s.store.fetches, [1, 1, 1, 1, 1, 1, 1, 0]);
+        assert_eq!(probe.changed, commit.changed);
+        assert_eq!(s.store.puts, [] as [u32; 0], "nobody lost a path");
+    }
+
+    #[test]
+    fn the_per_tick_stats_do_no_per_slot_work() {
+        let (_, mut s) = fig1_rows(Recording::default());
+        s.store.reset();
+        assert_eq!(s.resident_rows(), 7);
+        assert!(s.mem_bytes() > 0);
+        assert_eq!(*s.store.residency_checks.get_mut(), 0);
+        assert_eq!(s.store.resident_fetches(), vec![0; 7]);
     }
 
     #[test]

@@ -16,6 +16,25 @@ use crate::rows::{grow_with_slack, BoundedRows, RowStore, SparseRow};
 pub struct MemStore {
     /// Slot-indexed resident rows (`None` = not a candidate source).
     rows: Vec<Option<SparseRow>>,
+    /// How many of `rows` are `Some`, and the sum of their entry
+    /// capacities: kept by every write so the per-tick stats are O(1).
+    resident: usize,
+    entry_capacity: usize,
+}
+
+impl MemStore {
+    /// Swap `slot`'s row for `row`, keeping the two counters in step.
+    fn replace(&mut self, slot: u32, row: Option<SparseRow>) {
+        let old = std::mem::replace(&mut self.rows[slot as usize], row);
+        if let Some(old) = old {
+            self.resident -= 1;
+            self.entry_capacity -= old.entries.capacity();
+        }
+        if let Some(new) = &self.rows[slot as usize] {
+            self.resident += 1;
+            self.entry_capacity += new.entries.capacity();
+        }
+    }
 }
 
 impl RowStore for MemStore {
@@ -34,27 +53,36 @@ impl RowStore for MemStore {
         self.rows[slot as usize].is_some()
     }
 
+    fn resident(&self) -> usize {
+        self.resident
+    }
+
     #[inline]
     fn fetch(&mut self, slot: u32) -> Option<&SparseRow> {
         self.rows[slot as usize].as_ref()
     }
 
     fn put(&mut self, slot: u32, row: SparseRow) {
-        self.rows[slot as usize] = Some(row);
+        self.replace(slot, Some(row));
     }
 
     fn update(&mut self, slot: u32, f: impl FnOnce(&mut SparseRow)) {
-        f(self.rows[slot as usize]
+        let row = self.rows[slot as usize]
             .as_mut()
-            .expect("update of a non-resident row"));
+            .expect("update of a non-resident row");
+        let before = row.entries.capacity();
+        f(row);
+        self.entry_capacity = self.entry_capacity - before + row.entries.capacity();
     }
 
     fn remove(&mut self, slot: u32) {
-        self.rows[slot as usize] = None;
+        self.replace(slot, None);
     }
 
     fn clear(&mut self) {
         self.rows.iter_mut().for_each(|r| *r = None);
+        self.resident = 0;
+        self.entry_capacity = 0;
     }
 
     #[inline]
@@ -68,13 +96,7 @@ impl RowStore for MemStore {
         // growth. `max_index_gb` admission and `LeastLoaded` placement
         // compare against the real allocation, not the live entry count.
         self.rows.capacity() * std::mem::size_of::<Option<SparseRow>>()
-            + self
-                .rows
-                .iter()
-                .flatten()
-                .map(|r| r.entries.capacity())
-                .sum::<usize>()
-                * std::mem::size_of::<(u32, u32)>()
+            + self.entry_capacity * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -109,6 +131,40 @@ mod tests {
             "{} slots for n = {n}: doubled",
             store.rows.capacity()
         );
+    }
+
+    #[test]
+    fn counters_match_a_recount_through_commits_and_a_retarget() {
+        fn assert_recount(s: &SparseIndex) {
+            let rows = || s.store.rows.iter().flatten();
+            assert_eq!(s.store.resident, rows().count());
+            let capacity: usize = rows().map(|r| r.entries.capacity()).sum();
+            assert_eq!(s.store.entry_capacity, capacity);
+        }
+        let mut f = fig1();
+        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let mut s = SparseIndex::build(&f.graph, &reqs);
+        assert_recount(&s); // `load`
+        let hint = RepairHint::Baseline;
+        f.graph.add_edge(f.se1, f.te2).unwrap();
+        s.commit_insert_edge(&f.graph, f.se1, f.te2, hint);
+        assert_recount(&s); // `update` growing rows
+        f.graph.remove_edge(f.se2, f.te1).unwrap();
+        s.commit_delete_edge(&f.graph, f.se2, f.te1, hint);
+        assert_recount(&s); // `put` over a row, `update` shrinking one
+        f.graph.remove_node(f.se1).unwrap();
+        s.commit_delete_node(&f.graph, f.se1, hint);
+        assert_recount(&s); // `remove`
+        let mut te_only = SlenRequirements::empty();
+        te_only.absorb_label(f.interner.get("TE").unwrap());
+        te_only.absorb_bound(gpnm_graph::Bound::Hops(2));
+        s.narrow_requirements(&f.graph, &te_only);
+        assert_eq!(s.store.resident, 2);
+        assert_recount(&s); // retarget: `remove` + `update`
+        s.sync_requirements(&f.graph, &reqs);
+        assert_recount(&s); // retarget: `put` over a row and into a gap
+        s.rebuild(&f.graph, &reqs);
+        assert_recount(&s); // `clear` + `load`
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! backend's **bitwise** — same records, same order, no projection — and
 //! its distances must agree pair for pair.
 //!
+//! One block aims the same checks at the repair's pruning branches — the
+//! backward-ball candidate pass, the alternative-parent drop and the
+//! horizon-leaf shortcut — with layered-diamond graphs at the depths those
+//! branches turn on. Every case also checks probe ≡ commit record for
+//! record and the delta order the candidate pass's sort-by-slot produces.
+//!
 //! A last block pins the witness-probe kernel: on all four backends, after
 //! a random commit sequence, `any_within(u, S, b)` answers exactly what
 //! the member loop `S.iter().any(|v| within(u, v, b))` answers.
@@ -50,6 +56,74 @@ fn raw_case() -> impl PropStrategy<Value = RawCase> {
             vec(((0u8..4), (0u32..4096), (0u32..4096)), 1..12),
         )
     })
+}
+
+/// Layered diamonds: `layers × width` nodes, every node wired to a
+/// non-empty random subset of the next layer — so most targets have several
+/// parents at the same distance — and the last layer optionally wired back
+/// to the first, so an edge's head reaches its tail. The depth is drawn
+/// from the values the pruning turns on: 1; one short of the height (the
+/// last layer sits exactly at the first layer's horizon); the height;
+/// unbounded. The stream is deletion-heavy, with re-inserts to keep paths
+/// alive; a label mask that leaves a node's predecessors (or, in layer 0
+/// of an acyclic draw, everybody) without a row comes up by itself.
+fn diamond_case() -> impl PropStrategy<Value = RawCase> {
+    (2usize..5, 1usize..4, 1usize..4).prop_flat_map(|(layers, width, labels)| {
+        let nodes = layers * width;
+        // Every label on some node from the start (`check_case`'s closing
+        // spill-traffic check counts on a selected label having a row).
+        let labels = labels.min(nodes);
+        let subset = 1u8 << width;
+        (
+            vec(1u8..subset, nodes - width..nodes - width + 1),
+            vec(0u8..subset, width..width + 1),
+            1u8..16,
+            0usize..4,
+            vec(((0usize..6), (0u32..4096), (0u32..4096)), 1..10),
+        )
+            .prop_map(move |(forward, back, mask, depth_pick, ops)| {
+                let mut edges = Vec::new();
+                let wire = |edges: &mut Vec<(u32, u32)>, from: usize, to_layer: usize, bits: u8| {
+                    for k in (0..width).filter(|k| bits >> k & 1 == 1) {
+                        edges.push((from as u32, (to_layer * width + k) as u32));
+                    }
+                };
+                for (from, &bits) in forward.iter().enumerate() {
+                    wire(&mut edges, from, from / width + 1, bits);
+                }
+                for (k, &bits) in back.iter().enumerate() {
+                    wire(&mut edges, nodes - width + k, 0, bits);
+                }
+                let depth_sel = [1, layers - 1, layers, 0][depth_pick] as u8;
+                let kinds = [1u8, 1, 3, 3, 0, 2];
+                let ops = ops.into_iter().map(|(k, a, b)| (kinds[k], a, b)).collect();
+                (nodes, labels, edges, mask, depth_sel, ops)
+            })
+    })
+}
+
+/// The order the candidate pass's sort-by-slot gives a delta: ascending in
+/// `(source, target)` — after `own`'s records, which lead (the deleted
+/// node's own row comes first).
+fn assert_delta_order(
+    delta: &AffDelta,
+    own: Option<NodeId>,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let own_rows = delta
+        .changed
+        .iter()
+        .take_while(|r| Some(r.0) == own)
+        .count();
+    let (head, tail) = delta.changed.split_at(own_rows);
+    prop_assert!(tail.iter().all(|r| Some(r.0) != own), "own row not leading");
+    for part in [head, tail] {
+        prop_assert!(
+            part.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "delta out of (source, target) order: {:?}",
+            delta.changed
+        );
+    }
+    Ok(())
 }
 
 fn build_graph(nodes: usize, labels: usize, edges: &[(u32, u32)]) -> (DataGraph, Vec<Label>) {
@@ -242,6 +316,8 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
                     "insert commit"
                 );
                 prop_assert_eq!(&pc.changed, &sc.changed, "paged insert commit");
+                prop_assert_eq!(&sp.changed, &sc.changed, "insert probe ≡ commit");
+                assert_delta_order(&sc, None)?;
             }
             // ---- delete edge ----
             1 => {
@@ -279,6 +355,8 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
                     "delete commit"
                 );
                 prop_assert_eq!(&pc.changed, &sc.changed, "paged delete commit");
+                prop_assert_eq!(&sp.changed, &sc.changed, "delete probe ≡ commit");
+                assert_delta_order(&sc, None)?;
             }
             // ---- insert node ----
             2 => {
@@ -325,6 +403,8 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
                     "node delete commit"
                 );
                 prop_assert_eq!(&pc.changed, &sc.changed, "paged node delete commit");
+                prop_assert_eq!(&sp.changed, &sc.changed, "node delete probe ≡ commit");
+                assert_delta_order(&sc, Some(id))?;
             }
             _ => unreachable!("kind range"),
         }
@@ -435,6 +515,14 @@ proptest! {
     fn sparse_matches_dense_with_unbounded_rows(case in raw_case()) {
         let (nodes, labels, edges, mask, _, ops) = case;
         check_case((nodes, labels, edges, mask, 0, ops))?;
+    }
+
+    /// The pruning's edge cases: multi-parent diamonds, targets exactly at
+    /// the horizon, `B = 1`, unbounded rows, cycles, sources nobody
+    /// resident reaches.
+    #[test]
+    fn pruned_repair_matches_dense_projection_on_diamonds(case in diamond_case()) {
+        check_case(case)?;
     }
 
     /// Widening requirements mid-stream (deeper bound + new label) keeps

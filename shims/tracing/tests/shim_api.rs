@@ -2,7 +2,7 @@
 //! stack, field capture, and the disabled fast path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use tracing::field::Value;
 use tracing::subscriber::{replace_global_default, set_global_default, with_default};
@@ -62,10 +62,20 @@ impl Subscriber for Recorder {
     }
 }
 
-#[test]
-fn disabled_spans_and_events_are_inert_and_do_not_evaluate_fields() {
-    // No subscriber installed on this thread, and field expressions must
-    // not even run on the disabled path.
+/// The shim's enabled gate is one process-wide counter — the global default
+/// plus every live `with_default` scope on *any* thread — so a test that
+/// asserts the disabled path, or owns the global slot, must not overlap a
+/// test that installs anything. Every such test holds this lock.
+static DISPATCH: Mutex<()> = Mutex::new(());
+
+fn dispatch_lock() -> MutexGuard<'static, ()> {
+    // A panicking holder must fail alone, not poison its neighbours.
+    DISPATCH.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// With no subscriber installed anywhere, spans and events are inert and
+/// their field expressions do not even run. Call with [`DISPATCH`] held.
+fn assert_disabled_path_is_inert() {
     let evaluated = std::cell::Cell::new(false);
     let observe = || {
         evaluated.set(true);
@@ -80,7 +90,14 @@ fn disabled_spans_and_events_are_inert_and_do_not_evaluate_fields() {
 }
 
 #[test]
+fn disabled_spans_and_events_are_inert_and_do_not_evaluate_fields() {
+    let _serial = dispatch_lock();
+    assert_disabled_path_is_inert();
+}
+
+#[test]
 fn with_default_records_nesting_and_fields() {
+    let _serial = dispatch_lock();
     let rec = Arc::new(Recorder::default());
     let rec2 = rec.clone();
     struct Fwd(Arc<Recorder>);
@@ -124,6 +141,7 @@ fn with_default_records_nesting_and_fields() {
 
 #[test]
 fn explicit_parent_overrides_the_contextual_stack() {
+    let _serial = dispatch_lock();
     let rec = Arc::new(Recorder::default());
     struct Fwd(Arc<Recorder>);
     impl Subscriber for Fwd {
@@ -157,8 +175,8 @@ fn explicit_parent_overrides_the_contextual_stack() {
 
 #[test]
 fn global_default_set_replace_and_clear() {
-    // One test owns the global slot (others use with_default) so parallel
-    // test threads cannot interfere with it.
+    // One test owns the global slot (others use with_default).
+    let _serial = dispatch_lock();
     let rec = Arc::new(Recorder::default());
     struct Fwd(Arc<Recorder>);
     impl Subscriber for Fwd {
@@ -191,8 +209,8 @@ fn global_default_set_replace_and_clear() {
 
     let prev = replace_global_default(None);
     assert!(prev.is_some());
-    let s = span!(Level::INFO, "after_clear");
-    assert!(s.is_disabled());
+    // Cleared means disabled again, not merely "no subscriber found".
+    assert_disabled_path_is_inert();
 }
 
 #[test]
