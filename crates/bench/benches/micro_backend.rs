@@ -1,8 +1,8 @@
 //! PR-3 backend microbenches: dense vs. sparse `SLen` backends on one
 //! paper-shaped workload — build time, repair (insert+delete commit
-//! cycles), probe batches, and the resident-row/memory footprint.
+//! cycles), and the resident-row/memory footprint.
 //!
-//! Before timing anything, the sparse probe deltas are asserted to equal
+//! Before timing anything, the sparse commit deltas are asserted to equal
 //! the dense deltas projected onto resident sources × the truncation
 //! depth — the bench doubles as an equivalence smoke test on the exact
 //! graphs being timed.
@@ -23,7 +23,7 @@ use gpnm_distance::{
 use gpnm_graph::{DataGraph, NodeId, PatternGraph};
 use gpnm_workload::{generate_pattern, generate_social_graph, PatternConfig, SocialGraphConfig};
 
-/// The micro_probe 2k-node sparse social graph, plus a 6-node bounded
+/// A 2k-node sparse social graph, plus a 6-node bounded
 /// pattern over its label alphabet (the sparse backend's requirement set).
 fn setup() -> (DataGraph, PatternGraph) {
     let (graph, interner) = generate_social_graph(&SocialGraphConfig {
@@ -74,17 +74,6 @@ fn insert_picks(graph: &DataGraph, count: usize) -> Vec<(NodeId, NodeId)> {
     picks
 }
 
-/// Existing edges to delete, preferring small repair candidate sets.
-fn delete_picks(graph: &DataGraph, idx: &IncrementalIndex, count: usize) -> Vec<(NodeId, NodeId)> {
-    let mut ranked: Vec<(usize, (NodeId, NodeId))> = graph
-        .edges()
-        .map(|(u, v)| (idx.delete_candidates(u, v).len(), (u, v)))
-        .collect();
-    ranked.sort_by_key(|&(c, _)| c);
-    ranked.truncate(count);
-    ranked.into_iter().map(|(_, e)| e).collect()
-}
-
 /// The shared projection helper, bound to label residency in `graph`.
 fn project(
     delta: &AffDelta,
@@ -96,25 +85,34 @@ fn project(
     })
 }
 
-/// Equivalence gate: sparse probe deltas must equal the projected dense
-/// deltas on every pick being timed.
+/// Equivalence gate: over one repair cycle of every pick being timed,
+/// sparse commit deltas must equal the projected dense deltas. The cycle
+/// is balanced, so graph and indexes end where they started.
 fn assert_equivalent(
-    graph: &DataGraph,
+    graph: &mut DataGraph,
     reqs: &SlenRequirements,
     dense: &mut IncrementalIndex,
     sparse: &mut SparseIndex,
-    inserts: &[(NodeId, NodeId)],
-    deletes: &[(NodeId, NodeId)],
+    picks: &[(NodeId, NodeId)],
 ) {
-    for &(u, v) in inserts {
-        let d = dense.probe_insert_edge(u, v);
-        let s = SlenBackend::probe_insert_edge(sparse, graph, u, v);
-        assert_eq!(project(&d, graph, reqs), s.changed, "insert probe diverged");
-    }
-    for &(u, v) in deletes {
-        let d = dense.probe_delete_edge(graph, u, v);
-        let s = SlenBackend::probe_delete_edge(sparse, graph, u, v);
-        assert_eq!(project(&d, graph, reqs), s.changed, "delete probe diverged");
+    let hint = RepairHint::Baseline;
+    for &(u, v) in picks {
+        graph.add_edge(u, v).expect("pick edge insertable");
+        let d = SlenBackend::commit_insert_edge(dense, graph, u, v, hint);
+        let s = sparse.commit_insert_edge(graph, u, v, hint);
+        assert_eq!(
+            project(&d, graph, reqs),
+            s.changed,
+            "insert commit diverged"
+        );
+        graph.remove_edge(u, v).expect("edge just inserted");
+        let d = SlenBackend::commit_delete_edge(dense, graph, u, v, hint);
+        let s = sparse.commit_delete_edge(graph, u, v, hint);
+        assert_eq!(
+            project(&d, graph, reqs),
+            s.changed,
+            "delete commit diverged"
+        );
     }
 }
 
@@ -140,22 +138,6 @@ fn repair_cycle<B: SlenBackend>(
     total
 }
 
-fn probe_batch<B: SlenBackend>(
-    graph: &DataGraph,
-    index: &mut B,
-    inserts: &[(NodeId, NodeId)],
-    deletes: &[(NodeId, NodeId)],
-) -> usize {
-    let mut total = 0usize;
-    for &(u, v) in inserts {
-        total += index.probe_insert_edge(graph, u, v).len();
-    }
-    for &(u, v) in deletes {
-        total += index.probe_delete_edge(graph, u, v).len();
-    }
-    total
-}
-
 fn backend_build(c: &mut Criterion) {
     let (graph, pattern) = setup();
     let reqs = SlenRequirements::of_pattern(&pattern);
@@ -174,13 +156,12 @@ fn backend_build(c: &mut Criterion) {
 }
 
 fn backend_repair(c: &mut Criterion) {
-    let (graph, pattern) = setup();
+    let (mut graph, pattern) = setup();
     let reqs = SlenRequirements::of_pattern(&pattern);
     let mut dense = <IncrementalIndex as SlenBackend>::build(&graph, &reqs);
     let mut sparse = SparseIndex::build(&graph, &reqs);
     let inserts = insert_picks(&graph, 8);
-    let deletes = delete_picks(&graph, &dense, 8);
-    assert_equivalent(&graph, &reqs, &mut dense, &mut sparse, &inserts, &deletes);
+    assert_equivalent(&mut graph, &reqs, &mut dense, &mut sparse, &inserts);
 
     let mut group = c.benchmark_group("backend_repair_2k");
     group.sample_size(10);
@@ -194,12 +175,6 @@ fn backend_repair(c: &mut Criterion) {
     let mut g_sparse = graph.clone();
     group.bench_function("sparse_commit_cycle", |b| {
         b.iter(|| repair_cycle(&mut g_sparse, &mut sparse, &inserts))
-    });
-    group.bench_function("dense_probe_batch", |b| {
-        b.iter(|| probe_batch(&graph, &mut dense, &inserts, &deletes))
-    });
-    group.bench_function("sparse_probe_batch", |b| {
-        b.iter(|| probe_batch(&graph, &mut sparse, &inserts, &deletes))
     });
     group.finish();
 }
@@ -231,13 +206,12 @@ fn emit_json(c: &mut Criterion) {
         }
     };
     let iters: u32 = if smoke() { 1 } else { 5 };
-    let (graph, pattern) = setup();
+    let (mut graph, pattern) = setup();
     let reqs = SlenRequirements::of_pattern(&pattern);
     let mut dense = <IncrementalIndex as SlenBackend>::build(&graph, &reqs);
     let mut sparse = SparseIndex::build(&graph, &reqs);
     let inserts = insert_picks(&graph, 8);
-    let deletes = delete_picks(&graph, &dense, 8);
-    assert_equivalent(&graph, &reqs, &mut dense, &mut sparse, &inserts, &deletes);
+    assert_equivalent(&mut graph, &reqs, &mut dense, &mut sparse, &inserts);
 
     let build_dense = time_ns(iters, || {
         <IncrementalIndex as SlenBackend>::build(&graph, &reqs).resident_rows()
@@ -247,16 +221,10 @@ fn emit_json(c: &mut Criterion) {
     let repair_dense = time_ns(iters, || repair_cycle(&mut g_dense, &mut dense, &inserts));
     let mut g_sparse = graph.clone();
     let repair_sparse = time_ns(iters, || repair_cycle(&mut g_sparse, &mut sparse, &inserts));
-    let probe_dense = time_ns(iters, || {
-        probe_batch(&graph, &mut dense, &inserts, &deletes)
-    });
-    let probe_sparse = time_ns(iters, || {
-        probe_batch(&graph, &mut sparse, &inserts, &deletes)
-    });
 
     let ratio = |base: u128, fast: u128| base as f64 / fast.max(1) as f64;
     let json = format!(
-        "{{\n  \"bench\": \"micro_backend\",\n  \"graph\": {{ \"nodes\": {}, \"edges\": {} }},\n  \"requirements\": {{ \"labels\": {}, \"depth\": {} }},\n  \"iterations\": {},\n  \"build\": {{\n    \"dense_ns\": {},\n    \"sparse_ns\": {},\n    \"speedup\": {:.2}\n  }},\n  \"repair_commit_cycle\": {{\n    \"dense_ns\": {},\n    \"sparse_ns\": {},\n    \"speedup\": {:.2}\n  }},\n  \"probe_batch\": {{\n    \"dense_ns\": {},\n    \"sparse_ns\": {},\n    \"speedup\": {:.2}\n  }},\n  \"memory\": {{\n    \"dense_resident_rows\": {},\n    \"sparse_resident_rows\": {},\n    \"dense_bytes\": {},\n    \"sparse_bytes\": {},\n    \"bytes_ratio\": {:.1}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"micro_backend\",\n  \"graph\": {{ \"nodes\": {}, \"edges\": {} }},\n  \"requirements\": {{ \"labels\": {}, \"depth\": {} }},\n  \"iterations\": {},\n  \"build\": {{\n    \"dense_ns\": {},\n    \"sparse_ns\": {},\n    \"speedup\": {:.2}\n  }},\n  \"repair_commit_cycle\": {{\n    \"dense_ns\": {},\n    \"sparse_ns\": {},\n    \"speedup\": {:.2}\n  }},\n  \"memory\": {{\n    \"dense_resident_rows\": {},\n    \"sparse_resident_rows\": {},\n    \"dense_bytes\": {},\n    \"sparse_bytes\": {},\n    \"bytes_ratio\": {:.1}\n  }}\n}}\n",
         graph.node_count(),
         graph.edge_count(),
         reqs.labels().len(),
@@ -268,9 +236,6 @@ fn emit_json(c: &mut Criterion) {
         repair_dense,
         repair_sparse,
         ratio(repair_dense, repair_sparse),
-        probe_dense,
-        probe_sparse,
-        ratio(probe_dense, probe_sparse),
         dense.resident_rows(),
         sparse.resident_rows(),
         dense.mem_bytes(),

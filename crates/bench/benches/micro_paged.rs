@@ -5,7 +5,7 @@
 //! cache the acceptance bar compares against sparse).
 //!
 //! Before timing anything, a distance-level gate drives both backends
-//! through every pick being timed and asserts probe *and* commit deltas
+//! through every pick being timed and asserts the commit deltas
 //! **bitwise** equal (paged is sparse behind a pager — no projection, no
 //! tolerance), and each paged service's standing results are asserted
 //! bitwise equal to the sparse service's on the verify cycle.
@@ -111,7 +111,7 @@ fn union_reqs(pats: &[PatternGraph]) -> SlenRequirements {
     reqs
 }
 
-/// Equivalence gate: paged probe and commit deltas must equal sparse's
+/// Equivalence gate: paged commit deltas must equal sparse's
 /// **bitwise** on every pick being timed, under a cache small enough to
 /// churn throughout (paged is sparse behind a pager, so there is no
 /// projection to forgive — same records, same order).
@@ -127,18 +127,12 @@ fn assert_bitwise_deltas(graph: &DataGraph, reqs: &SlenRequirements, picks: &[(N
     );
     let mut g = graph.clone();
     for &(u, v) in picks {
-        let sp = SlenBackend::probe_insert_edge(&mut sparse, &g, u, v);
-        let pp = SlenBackend::probe_insert_edge(&mut paged, &g, u, v);
-        assert_eq!(sp.changed, pp.changed, "insert probe delta diverged");
         g.add_edge(u, v).expect("pick edge insertable");
         let sc = SlenBackend::commit_insert_edge(&mut sparse, &g, u, v, RepairHint::Baseline);
         let pc = SlenBackend::commit_insert_edge(&mut paged, &g, u, v, RepairHint::Baseline);
         assert_eq!(sc.changed, pc.changed, "insert commit delta diverged");
     }
     for &(u, v) in picks.iter().rev() {
-        let sp = SlenBackend::probe_delete_edge(&mut sparse, &g, u, v);
-        let pp = SlenBackend::probe_delete_edge(&mut paged, &g, u, v);
-        assert_eq!(sp.changed, pp.changed, "delete probe delta diverged");
         g.remove_edge(u, v).expect("edge just inserted");
         let sc = SlenBackend::commit_delete_edge(&mut sparse, &g, u, v, RepairHint::Baseline);
         let pc = SlenBackend::commit_delete_edge(&mut paged, &g, u, v, RepairHint::Baseline);

@@ -53,7 +53,7 @@ const PATTERNS: usize = 8;
 const EDGES_PER_TICK: usize = 8;
 const READER_COUNTS: [usize; 3] = [0, 4, 16];
 
-/// The micro_probe/micro_backend/micro_service 2k-node sparse social graph.
+/// The micro_backend/micro_service 2k-node sparse social graph.
 fn setup_graph() -> (DataGraph, gpnm_graph::LabelInterner) {
     generate_social_graph(&SocialGraphConfig {
         nodes: 2000,

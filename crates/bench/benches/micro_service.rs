@@ -29,7 +29,7 @@ use gpnm_workload::{generate_pattern, generate_social_graph, PatternConfig, Soci
 
 const EDGES_PER_TICK: usize = 8;
 
-/// The micro_probe/micro_backend 2k-node sparse social graph.
+/// The micro_backend 2k-node sparse social graph.
 fn setup_graph() -> (DataGraph, gpnm_graph::LabelInterner) {
     let (graph, interner) = generate_social_graph(&SocialGraphConfig {
         nodes: 2000,

@@ -6,7 +6,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use gpnm_engine::{GpnmEngine, Strategy};
+use gpnm_engine::GpnmEngine;
 use gpnm_graph::LabelInterner;
 use gpnm_matcher::MatchSemantics;
 use gpnm_updates::UpdateBatch;
@@ -68,14 +68,4 @@ pub fn prepare_cell(
         batch,
         interner,
     }
-}
-
-/// Run one strategy on a clone of the prepared engine; returns elapsed
-/// wall time of the subsequent query.
-pub fn run_strategy(cell: &PreparedCell, strategy: Strategy) -> std::time::Duration {
-    let mut engine = cell.engine.clone();
-    let stats = engine
-        .subsequent_query(&cell.batch, strategy)
-        .expect("batch validated");
-    stats.total_time
 }

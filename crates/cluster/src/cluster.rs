@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gpnm_distance::{AnyBackend, BackendKind, RepairHint, SlenBackend, SlenRequirements};
+use gpnm_distance::{AnyBackend, BackendKind, SlenBackend, SlenRequirements};
 use gpnm_graph::{DataGraph, PatternGraph};
 use gpnm_matcher::{MatchDelta, MatchResult, MatchSemantics};
 use gpnm_pool::WorkerPool;
@@ -208,7 +208,6 @@ pub struct ClusterBuilder {
     kind: BackendKind,
     max_index_gb: f64,
     cache_budget_mb: Option<f64>,
-    hint: RepairHint,
     refresh_threads: usize,
     placement: Box<dyn ShardPlacement>,
     adaptive: bool,
@@ -222,7 +221,6 @@ impl Default for ClusterBuilder {
             kind: BackendKind::Sparse,
             max_index_gb: 4.0,
             cache_budget_mb: None,
-            hint: RepairHint::Accelerated,
             refresh_threads: 0,
             placement: Box::new(LeastLoaded::new()),
             adaptive: false,
@@ -269,13 +267,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Choose how deletion rows are recomputed (default
-    /// [`RepairHint::Accelerated`]).
-    pub fn repair_hint(mut self, hint: RepairHint) -> Self {
-        self.hint = hint;
-        self
-    }
-
     /// Per-shard refresh parallelism (see
     /// [`gpnm_service::ServiceBuilder::refresh_threads`]). The two levels
     /// compose: a tick fans out across shards, and each shard fans its
@@ -301,8 +292,8 @@ impl ClusterBuilder {
     }
 
     /// Run a [`GpnmCluster::rebalance`] pass automatically after every
-    /// `n`th tick (`n ≥ 1`). Off by default; `rebalance()` can always be
-    /// called by hand.
+    /// `n`th tick (`n ≥ 1`; [`ClusterBuilder::build`] refuses 0). Off by
+    /// default; `rebalance()` can always be called by hand.
     pub fn rebalance_every(mut self, n: u64) -> Self {
         self.rebalance_every = Some(n);
         self
@@ -317,6 +308,11 @@ impl ClusterBuilder {
                 "a cluster needs at least one shard".to_owned(),
             ));
         }
+        if self.rebalance_every == Some(0) {
+            return Err(ClusterError::InvalidConfig(
+                "rebalance_every needs a period of at least one tick".to_owned(),
+            ));
+        }
         let mut shards = Vec::with_capacity(self.shards);
         for _ in 0..self.shards {
             // Shard replicas never publish their own read front-end:
@@ -327,7 +323,6 @@ impl ClusterBuilder {
             let mut builder = GpnmService::builder()
                 .backend(self.kind)
                 .max_index_gb(self.max_index_gb)
-                .repair_hint(self.hint)
                 .refresh_threads(self.refresh_threads)
                 .adaptive(self.adaptive)
                 .publishing(false);
@@ -768,7 +763,7 @@ impl GpnmCluster {
         // are invisible to readers (handles, views and subscriptions are
         // untouched) and only shrink what the next tick repairs.
         let rebalanced = match self.rebalance_every {
-            Some(n) if n > 0 && self.tick % n == 0 => self.rebalance()?,
+            Some(n) if self.tick % n == 0 => self.rebalance()?,
             _ => Vec::new(),
         };
 
@@ -959,6 +954,13 @@ mod tests {
         let f = fig1();
         assert!(matches!(
             GpnmCluster::builder().shards(0).build(f.graph.clone()),
+            Err(ClusterError::InvalidConfig(_))
+        ));
+        // A period of zero ticks would silently never rebalance.
+        assert!(matches!(
+            GpnmCluster::builder()
+                .rebalance_every(0)
+                .build(f.graph.clone()),
             Err(ClusterError::InvalidConfig(_))
         ));
         // The per-shard dense budget propagates.

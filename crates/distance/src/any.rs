@@ -117,18 +117,6 @@ impl SlenBackend for AnyBackend {
         on_backend!(self, b => b.prepare_accelerator(graph))
     }
 
-    fn probe_insert_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        on_backend!(self, b => SlenBackend::probe_insert_edge(b, graph, u, v))
-    }
-
-    fn probe_delete_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        on_backend!(self, b => SlenBackend::probe_delete_edge(b, graph, u, v))
-    }
-
-    fn probe_delete_node(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta {
-        on_backend!(self, b => SlenBackend::probe_delete_node(b, graph, id))
-    }
-
     fn commit_insert_edge(
         &mut self,
         graph: &DataGraph,

@@ -34,40 +34,6 @@ pub fn bfs_row(csr: &CsrGraph, source: NodeId, row: &mut [u32], queue: &mut Vec<
     }
 }
 
-/// BFS row on the graph *minus* one directed edge — the read-only probe used
-/// by DER-II to evaluate a deletion's effect without mutating the graph.
-pub fn bfs_row_skipping_edge(
-    csr: &CsrGraph,
-    source: NodeId,
-    skip: (NodeId, NodeId),
-    row: &mut [u32],
-    queue: &mut Vec<NodeId>,
-) {
-    debug_assert_eq!(row.len(), csr.slot_count());
-    row.fill(INF);
-    row[source.index()] = 0;
-    queue.clear();
-    queue.push(source);
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        let du = row[u.index()];
-        // Hoisted: whether the skipped edge can appear at all depends only
-        // on the dequeued node, not on each neighbor.
-        let u_is_skip_source = u == skip.0;
-        for &v in csr.out_neighbors(u) {
-            if u_is_skip_source && v == skip.1 {
-                continue;
-            }
-            if row[v.index()] == INF {
-                row[v.index()] = du + 1;
-                queue.push(v);
-            }
-        }
-    }
-}
-
 /// Recompute BFS rows for `sources` in parallel over the persistent
 /// [`gpnm_pool::WorkerPool`] (`threads`: lane cap; `0` = all pool lanes).
 /// Returns `(source, row)` pairs.
@@ -131,55 +97,6 @@ pub fn parallel_bfs_rows_csr(
             });
         }
     });
-    results.into_inner()
-}
-
-/// The pre-pool implementation of [`parallel_bfs_rows`]: spawn `threads`
-/// scoped OS threads per call via `crossbeam::thread::scope`. Retained as
-/// the ablation baseline (spawn/join cost per batch vs. the persistent
-/// pool) and as the equivalence oracle for the pool path.
-pub fn parallel_bfs_rows_scoped(
-    graph: &DataGraph,
-    sources: &[NodeId],
-    threads: usize,
-) -> Vec<(NodeId, Vec<u32>)> {
-    let csr = CsrGraph::from_graph(graph);
-    let n = csr.slot_count();
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        threads
-    };
-    if threads <= 1 || sources.len() < 16 {
-        let mut queue = Vec::with_capacity(n);
-        return sources
-            .iter()
-            .map(|&s| {
-                let mut row = vec![INF; n];
-                bfs_row(&csr, s, &mut row, &mut queue);
-                (s, row)
-            })
-            .collect();
-    }
-    let chunk = sources.len().div_ceil(threads);
-    let results = parking_lot::Mutex::new(Vec::with_capacity(sources.len()));
-    crossbeam::thread::scope(|scope| {
-        for chunk_sources in sources.chunks(chunk) {
-            let csr = &csr;
-            let results = &results;
-            scope.spawn(move |_| {
-                let mut queue = Vec::with_capacity(n);
-                let mut local = Vec::with_capacity(chunk_sources.len());
-                for &s in chunk_sources {
-                    let mut row = vec![INF; n];
-                    bfs_row(csr, s, &mut row, &mut queue);
-                    local.push((s, row));
-                }
-                results.lock().extend(local);
-            });
-        }
-    })
-    .expect("BFS row worker panicked");
     results.into_inner()
 }
 
@@ -256,33 +173,27 @@ mod tests {
         assert_eq!(m.get(names["a"], names["a"]), 0);
     }
 
-    #[test]
-    fn skip_edge_probe_matches_actual_deletion() {
-        let (mut g, _, names) = DataGraphBuilder::new()
-            .node("a", "X")
-            .node("b", "X")
-            .node("c", "X")
-            .node("d", "X")
-            .edge("a", "b")
-            .edge("b", "c")
-            .edge("a", "d")
-            .edge("d", "c")
-            .build()
-            .unwrap();
-        let csr = CsrGraph::from_graph(&g);
-        let n = g.slot_count();
-        let (mut probe_row, mut queue) = (vec![0u32; n], Vec::new());
-        bfs_row_skipping_edge(
-            &csr,
-            names["a"],
-            (names["b"], names["c"]),
-            &mut probe_row,
-            &mut queue,
-        );
-        g.remove_edge(names["b"], names["c"]).unwrap();
-        let actual = apsp_matrix(&g);
-        assert_eq!(probe_row, actual.row(names["a"]));
-        // Alternative path a->d->c survives.
-        assert_eq!(probe_row[names["c"].index()], 2);
+    proptest::proptest! {
+        /// The worker-pool path computes the rows the serial loop does.
+        /// Sixteen sources or more, so the pool path is the one that runs
+        /// wherever the pool has a second lane.
+        #[test]
+        fn pool_bfs_rows_equal_serial(
+            n in 16usize..40,
+            edges in proptest::collection::vec((0usize..40, 0usize..40), 0..120),
+        ) {
+            let mut g = DataGraph::new();
+            let label = gpnm_graph::Label::from_index(0);
+            let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(label)).collect();
+            for (a, b) in edges {
+                if a % n != b % n {
+                    let _ = g.add_edge(ids[a % n], ids[b % n]);
+                }
+            }
+            let csr = CsrGraph::from_graph(&g);
+            let mut pooled = parallel_bfs_rows_csr(&csr, &ids, 0);
+            pooled.sort_unstable_by_key(|(s, _)| *s);
+            proptest::prop_assert_eq!(pooled, parallel_bfs_rows_csr(&csr, &ids, 1));
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! [`crate::DistanceOracle`] answers point lookups; [`SlenBackend`]
 //! subsumes it with the full *repairable index* contract the GPNM engine
 //! needs: build from a graph, grow/tombstone slots as nodes come and go,
-//! probe updates read-only (DER-II), commit them with an [`AffDelta`], and
-//! recompute whole rows after deletions. Three implementations ship:
+//! and commit each applied update, returning the [`AffDelta`] it caused
+//! (DER-II's `Aff_N`). Three implementations ship:
 //!
 //! * [`crate::IncrementalIndex`] — the dense `n × n` matrix of §IV with
 //!   delta-proportional repair. Exact for every pair; `O(n²)` memory, so it
@@ -248,13 +248,13 @@ pub enum RepairHint {
 /// A repairable `SLen` index: the full lifecycle the GPNM engine drives.
 ///
 /// Contract shared by every method: `graph` is the engine's data graph.
-/// *Probes* receive it in its **pre-update** state and must not change any
-/// answer [`DistanceOracle::distance`] would give. *Commits* receive it in
-/// its **post-update** state (the caller mutates the graph first) and must
-/// leave the index exact for that state — where "exact" means exact for
-/// the projection of the backend's current [`SlenRequirements`]; dense
+/// A commit receives it in its **post-update** state (the caller mutates
+/// the graph first), returns every distance the update changed and leaves
+/// the index exact for that state — where "exact" means exact for the
+/// projection of the backend's current [`SlenRequirements`]; dense
 /// backends are exact everywhere. Every mutation of the graph must be
-/// mirrored by exactly one commit call.
+/// mirrored by exactly one commit call. There is no read-only "what if"
+/// evaluation: an update's effect is the delta its commit emits.
 ///
 /// Backends are `Send + Sync`: after a batch's commit pass the index is
 /// consulted read-only by per-pattern refresh work fanned out across the
@@ -292,15 +292,6 @@ pub trait SlenBackend: DistanceOracle + Send + Sync {
     /// Ready whatever acceleration [`RepairHint::Accelerated`] commits
     /// will use (the §V partition build), outside the timed query path.
     fn prepare_accelerator(&mut self, _graph: &DataGraph) {}
-
-    /// Distance changes if edge `(u, v)` were inserted (graph pre-insert).
-    fn probe_insert_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta;
-
-    /// Distance changes if edge `(u, v)` were deleted (graph pre-delete).
-    fn probe_delete_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta;
-
-    /// Distance changes if node `id` were deleted (graph pre-delete).
-    fn probe_delete_node(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta;
 
     /// Repair after the caller inserted edge `(u, v)`.
     fn commit_insert_edge(
@@ -365,18 +356,6 @@ impl SlenBackend for IncrementalIndex {
 
     fn rebuild(&mut self, graph: &DataGraph, _reqs: &SlenRequirements) {
         *self = IncrementalIndex::build(graph);
-    }
-
-    fn probe_insert_edge(&mut self, _graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        self.probe_insert_edge(u, v)
-    }
-
-    fn probe_delete_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        self.probe_delete_edge(graph, u, v)
-    }
-
-    fn probe_delete_node(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta {
-        self.probe_delete_node(graph, id)
     }
 
     fn commit_insert_edge(
@@ -465,16 +444,6 @@ impl PartitionedBackend {
         self.index.matrix()
     }
 
-    /// The inner dense index.
-    pub fn inner(&self) -> &IncrementalIndex {
-        &self.index
-    }
-
-    /// The §V partition index, if prepared.
-    pub fn partitioned(&self) -> Option<&PartitionedIndex> {
-        self.part.as_ref()
-    }
-
     /// Resolve the effective acceleration for one commit. Composition
     /// reads partition data, so it demands a fresh partition; parallel
     /// BFS never does, so it stays active even after commits (its own
@@ -533,18 +502,6 @@ impl SlenBackend for PartitionedBackend {
         } else {
             AccelMode::ParallelBfs
         };
-    }
-
-    fn probe_insert_edge(&mut self, _graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        self.index.probe_insert_edge(u, v)
-    }
-
-    fn probe_delete_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        self.index.probe_delete_edge(graph, u, v)
-    }
-
-    fn probe_delete_node(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta {
-        self.index.probe_delete_node(graph, id)
     }
 
     fn commit_insert_edge(

@@ -47,33 +47,10 @@ impl WeightedAdj {
     }
 }
 
-/// Single-source shortest paths from `source`; returns a distance vector
-/// with [`INF`] for unreachable vertices.
-pub fn dijkstra(graph: &WeightedAdj, source: usize) -> Vec<u32> {
-    let mut dist = vec![INF; graph.len()];
-    if source >= graph.len() {
-        return dist;
-    }
-    dist[source] = 0;
-    let mut heap = BinaryHeap::new();
-    heap.push(Reverse((0u32, source as u32)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u as usize] {
-            continue; // stale entry
-        }
-        for &(v, w) in graph.neighbors(u as usize) {
-            let nd = sat_add(d, w);
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Reverse((nd, v)));
-            }
-        }
-    }
-    dist
-}
-
 /// Dijkstra from multiple seeds with given initial distances, used to relax
-/// a source's partition-exit distances across the bridge graph.
+/// a source's partition-exit distances across the bridge graph. Returns a
+/// distance vector with [`INF`] for unreachable vertices; out-of-range and
+/// [`INF`] seeds are ignored.
 pub fn dijkstra_multi(graph: &WeightedAdj, seeds: &[(usize, u32)]) -> Vec<u32> {
     let mut dist = vec![INF; graph.len()];
     let mut heap = BinaryHeap::new();
@@ -101,6 +78,11 @@ pub fn dijkstra_multi(graph: &WeightedAdj, seeds: &[(usize, u32)]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Single-source shortest paths: one seed at distance 0.
+    fn dijkstra(graph: &WeightedAdj, source: usize) -> Vec<u32> {
+        dijkstra_multi(graph, &[(source, 0)])
+    }
 
     fn diamond() -> WeightedAdj {
         // 0 -> 1 (1), 0 -> 2 (4), 1 -> 2 (1), 2 -> 3 (1), 1 -> 3 (5)

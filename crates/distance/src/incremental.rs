@@ -2,13 +2,12 @@
 //!
 //! This is the machinery behind the paper's Algorithm 2 step 1 ("apply the
 //! Dijkstra's algorithm for updating the shortest path lengths between the
-//! affected nodes") and behind DER-II's per-update `Aff_N` sets. Two modes:
-//!
-//! * **probe** — evaluate one update against the *original* graph + matrix
-//!   without mutating either. DER-II probes every `UDi ∈ ΔGD` independently
-//!   (paper Example 8 compares each `SLen_new` against the original `SLen`).
-//! * **commit** — apply the update to the matrix (the graph is mutated by
-//!   the caller) and return the same [`AffDelta`].
+//! affected nodes") and behind DER-II's per-update `Aff_N` sets. One mode:
+//! a **commit** applies the update to the matrix (the graph is mutated by
+//! the caller first) and returns the [`AffDelta`] between the matrix
+//! before and after — the `AFF` pairs and `Aff_N` of that update. To
+//! evaluate an update against the *original* `SLen`, as paper Example 8
+//! does for each `UDi ∈ ΔGD` independently, commit it on a clone.
 //!
 //! Correctness notes (tested against from-scratch APSP):
 //!
@@ -26,18 +25,15 @@
 //! Cost model (the paper's premise that repair cost scales with the
 //! *delta*, not the graph):
 //!
-//! * Insert probes/commits iterate **affected sources × finite targets**
-//!   instead of all `n²` pairs: only `x` with `d(x,u) + 1 < d(x,v)` can
-//!   change any entry (take `y = v`; for every other `y` the triangle
-//!   inequality gives `d(x,u) + 1 + d(v,y) ≥ d(x,v) + d(v,y) ≥ d(x,y)`),
-//!   and only `y` with `d(v,y)` finite can produce a finite candidate. The
-//!   unpruned loops survive as `*_naive` reference implementations — the
-//!   correctness oracles of the equivalence proptests and the baseline of
-//!   the `micro_probe` bench.
-//! * Delete probes/commits run BFS over a generation-stamped
-//!   [`CsrSnapshot`] instead of building a fresh [`CsrGraph`] per call: a
-//!   batch of `k` probes against an unmutated graph shares one CSR build,
-//!   and commits rebuild *in place*, reusing the allocation.
+//! * Insert commits iterate **affected sources × finite targets** instead
+//!   of all `n²` pairs: only `x` with `d(x,u) + 1 < d(x,v)` can change any
+//!   entry (take `y = v`; for every other `y` the triangle inequality gives
+//!   `d(x,u) + 1 + d(v,y) ≥ d(x,v) + d(v,y) ≥ d(x,y)`), and only `y` with
+//!   `d(v,y)` finite can produce a finite candidate.
+//! * Delete commits run BFS over a generation-stamped [`CsrSnapshot`]
+//!   instead of building a fresh [`CsrGraph`] per call: the snapshot
+//!   rebuilds *in place* when the graph's version moves, reusing the
+//!   allocation.
 
 use gpnm_graph::{CsrGraph, CsrSnapshot, DataGraph, NodeId};
 
@@ -89,16 +85,11 @@ impl IncrementalIndex {
         &self.matrix
     }
 
-    /// Consume the index, yielding the matrix.
-    pub fn into_matrix(self) -> DistanceMatrix {
-        self.matrix
-    }
-
     /// The cached CSR view of `graph` (rebuilt only if stale) — the same
-    /// snapshot the delete probes/commits use. Engines that drive their own
-    /// row recomputation (the §V parallel repair) share it through this
-    /// accessor instead of materializing a second CSR of the same graph.
-    pub fn csr(&mut self, graph: &DataGraph) -> &CsrGraph {
+    /// snapshot the delete commits use. The §V parallel repair drives its
+    /// own row recomputation and shares it through this accessor instead
+    /// of materializing a second CSR of the same graph.
+    pub(crate) fn csr(&mut self, graph: &DataGraph) -> &CsrGraph {
         self.snapshot.get(graph)
     }
 
@@ -125,134 +116,14 @@ impl IncrementalIndex {
     }
 
     // ==================================================================
-    // Probes (read-only; graph must be in its pre-update state)
-    // ==================================================================
-
-    /// Distance changes if edge `(u, v)` were inserted.
-    ///
-    /// Prunes to affected sources × finite targets (see the module docs):
-    /// on sparse graphs the scanned pair count is proportional to the
-    /// update's actual blast radius, not `n²`. Produces exactly the same
-    /// [`AffDelta`] (same records, same order) as
-    /// [`IncrementalIndex::probe_insert_edge_naive`].
-    pub fn probe_insert_edge(&mut self, u: NodeId, v: NodeId) -> AffDelta {
-        let mut delta = AffDelta::new();
-        self.collect_insert_affected(u, v);
-        for &x_id in &self.src_buf {
-            let through = sat_add(self.matrix.get(x_id, u), 1);
-            let xrow = self.matrix.row(x_id);
-            for &(y, dvy) in &self.tgt_buf {
-                let cand = sat_add(through, dvy);
-                if cand < xrow[y as usize] {
-                    delta.record(x_id, NodeId(y), xrow[y as usize], cand);
-                }
-            }
-        }
-        delta
-    }
-
-    /// The unpruned all-pairs insert probe — the reference implementation
-    /// the pruned [`IncrementalIndex::probe_insert_edge`] is verified
-    /// against (equivalence proptests) and benchmarked against
-    /// (`micro_probe`).
-    pub fn probe_insert_edge_naive(&self, u: NodeId, v: NodeId) -> AffDelta {
-        let mut delta = AffDelta::new();
-        let n = self.matrix.n();
-        let vrow = self.matrix.row(v);
-        for x in 0..n {
-            let x_id = NodeId::from_index(x);
-            let dxu = self.matrix.get(x_id, u);
-            if dxu == INF {
-                continue;
-            }
-            let through = sat_add(dxu, 1);
-            let xrow = self.matrix.row(x_id);
-            for y in 0..n {
-                let cand = sat_add(through, vrow[y]);
-                if cand < xrow[y] {
-                    delta.record(x_id, NodeId::from_index(y), xrow[y], cand);
-                }
-            }
-        }
-        delta
-    }
-
-    /// Distance changes if edge `(u, v)` were deleted. `graph` is the
-    /// *pre-delete* graph (the edge must still be present).
-    ///
-    /// Runs over the cached CSR snapshot: a DER-II batch probing many
-    /// updates against the same graph pays for one CSR build, not one per
-    /// probe.
-    pub fn probe_delete_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        debug_assert!(graph.has_edge(u, v), "probe_delete_edge on absent edge");
-        let candidates = self.delete_candidates(u, v);
-        let (csr, matrix, row_buf, queue_buf) = self.delete_repair_parts(graph);
-        let mut delta = AffDelta::new();
-        for x in candidates {
-            crate::apsp::bfs_row_skipping_edge(csr, x, (u, v), row_buf, queue_buf);
-            diff_row(matrix, x, row_buf, &mut delta);
-        }
-        delta
-    }
-
-    /// The snapshot-free delete probe (fresh [`CsrGraph`] per call) — the
-    /// baseline the cached path is verified and benchmarked against.
-    pub fn probe_delete_edge_naive(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        debug_assert!(graph.has_edge(u, v), "probe_delete_edge on absent edge");
-        let csr = CsrGraph::from_graph(graph);
-        let candidates = self.delete_candidates(u, v);
-        let mut delta = AffDelta::new();
-        for x in candidates {
-            crate::apsp::bfs_row_skipping_edge(
-                &csr,
-                x,
-                (u, v),
-                &mut self.row_buf,
-                &mut self.queue_buf,
-            );
-            diff_row(&self.matrix, x, &self.row_buf, &mut delta);
-        }
-        delta
-    }
-
-    /// Distance changes if node `id` were deleted (with its incident
-    /// edges). `graph` is the pre-delete graph. Uses the cached CSR
-    /// snapshot like [`IncrementalIndex::probe_delete_edge`].
-    pub fn probe_delete_node(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta {
-        debug_assert!(graph.contains(id), "probe_delete_node on absent node");
-        let (csr, matrix, row_buf, queue_buf) = self.delete_repair_parts(graph);
-        let n = matrix.n();
-        let mut delta = AffDelta::new();
-        // The node's own row: every finite entry becomes INF.
-        for y in 0..n {
-            let y_id = NodeId::from_index(y);
-            let old = matrix.get(id, y_id);
-            if old != INF {
-                delta.record(id, y_id, old, INF);
-            }
-        }
-        // Sources that could reach `id` may lose paths through it.
-        for x in 0..n {
-            let x_id = NodeId::from_index(x);
-            if x_id == id || matrix.get(x_id, id) == INF {
-                continue;
-            }
-            bfs_row_skipping_node(csr, x_id, id, row_buf, queue_buf);
-            // Row entries for the deleted node itself become INF.
-            row_buf[id.index()] = INF;
-            diff_row(matrix, x_id, row_buf, &mut delta);
-        }
-        delta
-    }
-
-    // ==================================================================
     // Commits (mutate the matrix; the caller has already mutated the graph)
     // ==================================================================
 
     /// Apply an edge insertion `(u, v)` to the matrix.
     ///
-    /// Shares the affected-source × finite-target pruning with
-    /// [`IncrementalIndex::probe_insert_edge`]. The pruning stays valid
+    /// Prunes to affected sources × finite targets (see the module docs):
+    /// on sparse graphs the scanned pair count is proportional to the
+    /// update's actual blast radius, not `n²`. The pruning stays valid
     /// while rows mutate: `d(x,u)` can never shrink through `(u,v)` (that
     /// path revisits `u`), row `v` can never shrink (revisits `v`), and a
     /// source outside the set has its row untouched, so its membership test
@@ -332,8 +203,8 @@ impl IncrementalIndex {
     /// Fill `src_buf` with the insert-affected sources of `(u, v)` — the
     /// `x` with `d(x,u) + 1 < d(x,v)` (module docs prove no other source
     /// can change) — and `tgt_buf` with the finite `(y, d(v,y))` targets.
-    /// Both in ascending slot order, so the pruned loops record changes in
-    /// exactly the order of the naive all-pairs scan.
+    /// Both in ascending slot order, so the pruned loop records changes in
+    /// exactly the order of an all-pairs scan.
     fn collect_insert_affected(&mut self, u: NodeId, v: NodeId) {
         let n = self.matrix.n();
         self.tgt_buf.clear();
@@ -356,10 +227,10 @@ impl IncrementalIndex {
     }
 
     /// Sources whose shortest path to `v` may run through the edge
-    /// `(u, v)`: exactly those with `d(x,u) + 1 == d(x,v)`. Public so that
-    /// engines with their own row oracle (the §V partitioned index) can
-    /// drive the repair themselves.
-    pub fn delete_candidates(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
+    /// `(u, v)`: exactly those with `d(x,u) + 1 == d(x,v)`. Crate-visible
+    /// so the §V partitioned backend, which has its own row oracle, can
+    /// drive the repair itself.
+    pub(crate) fn delete_candidates(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
         let n = self.matrix.n();
         (0..n)
             .map(NodeId::from_index)
@@ -372,7 +243,7 @@ impl IncrementalIndex {
 
     /// Sources that could reach `id` (candidates for node-deletion repair),
     /// excluding `id` itself.
-    pub fn delete_node_candidates(&self, id: NodeId) -> Vec<NodeId> {
+    pub(crate) fn delete_node_candidates(&self, id: NodeId) -> Vec<NodeId> {
         let n = self.matrix.n();
         (0..n)
             .map(NodeId::from_index)
@@ -381,9 +252,9 @@ impl IncrementalIndex {
     }
 
     /// Replace the row of `x` with `new_row`, recording every change into
-    /// `delta`. Used by engines that recompute rows through an external
-    /// oracle (partitioned composition) instead of this index's own BFS.
-    pub fn apply_row(&mut self, x: NodeId, new_row: &[u32], delta: &mut AffDelta) {
+    /// `delta`. Used by the partitioned backend, which recomputes rows
+    /// through its own oracle (composition) instead of this index's BFS.
+    pub(crate) fn apply_row(&mut self, x: NodeId, new_row: &[u32], delta: &mut AffDelta) {
         diff_row(&self.matrix, x, new_row, delta);
         self.matrix.set_row(x, new_row);
     }
@@ -391,7 +262,7 @@ impl IncrementalIndex {
     /// Clear the row and column of a deleted node, recording the vanished
     /// finite entries into `delta`. Complements [`Self::apply_row`] for the
     /// externally-driven node-deletion repair.
-    pub fn clear_slot(&mut self, id: NodeId, delta: &mut AffDelta) {
+    pub(crate) fn clear_slot(&mut self, id: NodeId, delta: &mut AffDelta) {
         let n = self.matrix.n();
         for y in 0..n {
             let y_id = NodeId::from_index(y);
@@ -421,36 +292,6 @@ fn diff_row(matrix: &DistanceMatrix, x: NodeId, new_row: &[u32], delta: &mut Aff
     for (y, (&old, &new)) in old_row.iter().zip(new_row.iter()).enumerate() {
         if old != new {
             delta.record(x, NodeId::from_index(y), old, new);
-        }
-    }
-}
-
-/// BFS from `source` pretending `skip` (and its edges) do not exist.
-fn bfs_row_skipping_node(
-    csr: &CsrGraph,
-    source: NodeId,
-    skip: NodeId,
-    row: &mut Vec<u32>,
-    queue: &mut Vec<NodeId>,
-) {
-    row.resize(csr.slot_count(), INF);
-    row.fill(INF);
-    row[source.index()] = 0;
-    queue.clear();
-    queue.push(source);
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        let du = row[u.index()];
-        for &v in csr.out_neighbors(u) {
-            if v == skip {
-                continue;
-            }
-            if row[v.index()] == INF {
-                row[v.index()] = du + 1;
-                queue.push(v);
-            }
         }
     }
 }
@@ -498,56 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_insert_probe_matches_naive_bitwise() {
-        let f = fig1();
-        let mut idx = IncrementalIndex::build(&f.graph);
-        for (u, v) in [(f.se1, f.te2), (f.db1, f.s1), (f.te1, f.db1)] {
-            let naive = idx.probe_insert_edge_naive(u, v);
-            let pruned = idx.probe_insert_edge(u, v);
-            // Bitwise identical: same records in the same order.
-            assert_eq!(pruned.changed, naive.changed, "probe ({u:?},{v:?})");
-            assert_eq!(
-                pruned.affected.iter().collect::<Vec<_>>(),
-                naive.affected.iter().collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn cached_delete_probe_matches_naive_across_batch() {
-        let mut f = fig1();
-        let mut idx = IncrementalIndex::build(&f.graph);
-        // A batch of probes against the unmutated graph shares one CSR;
-        // each must still equal the rebuild-per-probe baseline.
-        let probes = [(f.db1, f.se1), (f.se1, f.se2), (f.pm1, f.db1)];
-        for (u, v) in probes {
-            let naive = idx.probe_delete_edge_naive(&f.graph, u, v);
-            let cached = idx.probe_delete_edge(&f.graph, u, v);
-            assert_eq!(cached.changed, naive.changed, "probe ({u:?},{v:?})");
-        }
-        // Mutating the graph must invalidate the snapshot.
-        f.graph.remove_edge(f.pm1, f.db1).unwrap();
-        idx.commit_delete_edge(&f.graph, f.pm1, f.db1);
-        let naive = idx.probe_delete_edge_naive(&f.graph, f.db1, f.se1);
-        let cached = idx.probe_delete_edge(&f.graph, f.db1, f.se1);
-        assert_eq!(cached.changed, naive.changed, "post-mutation probe");
-    }
-
-    #[test]
-    fn probe_insert_matches_commit() {
-        let mut f = fig1();
-        let mut idx = IncrementalIndex::build(&f.graph);
-        let probe = idx.probe_insert_edge(f.se1, f.te2);
-        f.graph.add_edge(f.se1, f.te2).unwrap();
-        let commit = idx.commit_insert_edge(f.se1, f.te2);
-        let mut p = probe.changed.clone();
-        let mut c = commit.changed.clone();
-        p.sort_unstable();
-        c.sort_unstable();
-        assert_eq!(p, c);
-    }
-
-    #[test]
     fn insert_then_recompute_agree() {
         let mut f = fig1();
         let mut idx = IncrementalIndex::build(&f.graph);
@@ -562,21 +353,6 @@ mod tests {
         let mut idx = IncrementalIndex::build(&f.graph);
         f.graph.remove_edge(f.se1, f.se2).unwrap();
         idx.commit_delete_edge(&f.graph, f.se1, f.se2);
-        assert_eq!(idx.matrix(), &apsp_matrix(&f.graph));
-    }
-
-    #[test]
-    fn probe_delete_matches_actual() {
-        let mut f = fig1();
-        let mut idx = IncrementalIndex::build(&f.graph);
-        let probe = idx.probe_delete_edge(&f.graph, f.db1, f.se1);
-        f.graph.remove_edge(f.db1, f.se1).unwrap();
-        let commit = idx.commit_delete_edge(&f.graph, f.db1, f.se1);
-        let mut p = probe.changed.clone();
-        let mut c = commit.changed.clone();
-        p.sort_unstable();
-        c.sort_unstable();
-        assert_eq!(p, c);
         assert_eq!(idx.matrix(), &apsp_matrix(&f.graph));
     }
 
@@ -597,15 +373,9 @@ mod tests {
     fn node_delete_matches_recompute() {
         let mut f = fig1();
         let mut idx = IncrementalIndex::build(&f.graph);
-        let probe = idx.probe_delete_node(&f.graph, f.se1);
         f.graph.remove_node(f.se1).unwrap();
         let commit = idx.commit_delete_node(&f.graph, f.se1);
         assert_eq!(idx.matrix(), &apsp_matrix(&f.graph));
-        let mut p = probe.changed.clone();
-        let mut c = commit.changed.clone();
-        p.sort_unstable();
-        c.sort_unstable();
-        assert_eq!(p, c, "probe and commit disagree on node deletion");
         // SE1 is on many shortest paths; deleting it affects everyone who
         // could reach it.
         assert!(commit.affected.contains(f.pm2));

@@ -6,9 +6,6 @@
 //!
 //! * [`DistanceMatrix`] — the dense `SLen` matrix of §IV, built by
 //!   per-source BFS over a [`gpnm_graph::CsrGraph`] snapshot.
-//! * [`HybridMatrix`] — the Bell & Garland "Hybrid" (ELL+COO) compressed
-//!   representation the paper's §IV-B remark proposes for sparse `SLen`
-//!   storage, used by the space-cost experiment.
 //! * [`incremental`] — repair of the matrix under single edge/node updates,
 //!   emitting an [`AffDelta`]: the changed pairs `AFF[u,v] = [a, b]` and the
 //!   affected-node set `Aff_N` that drives DER-II elimination detection.
@@ -18,8 +15,9 @@
 //!   bridge graph over inner/outer bridge nodes, and exact cross-partition
 //!   composition.
 //! * [`backend`] — the [`SlenBackend`] trait: the repairable-index
-//!   lifecycle (build, slot grow/tombstone, probe/commit deltas, bulk row
-//!   recompute) the GPNM engine is generic over, plus the requirement model
+//!   lifecycle (build, slot grow/tombstone, one commit per applied update
+//!   returning its delta, bulk rebuild) the GPNM engine is generic over,
+//!   plus the requirement model
 //!   ([`SlenRequirements`]) that lets backends cover only the projection
 //!   the matcher observes.
 //! * [`BoundedRows`] — the bounded-row index: truncated BFS rows for
@@ -92,7 +90,6 @@ mod any;
 mod apsp;
 pub mod backend;
 mod dijkstra;
-mod hybrid;
 pub mod incremental;
 mod kind;
 mod matrix;
@@ -106,16 +103,12 @@ mod sparse;
 
 pub use aff::AffDelta;
 pub use any::AnyBackend;
-pub use apsp::{
-    apsp_matrix, bfs_row, bfs_row_skipping_edge, parallel_bfs_rows, parallel_bfs_rows_csr,
-    parallel_bfs_rows_scoped,
-};
+pub use apsp::{apsp_matrix, bfs_row, parallel_bfs_rows, parallel_bfs_rows_csr};
 pub use backend::{
     project_delta, CostHints, IoStats, PartitionedBackend, RepairHint, SlenBackend,
     SlenRequirements,
 };
-pub use dijkstra::{dijkstra, dijkstra_multi, WeightedAdj};
-pub use hybrid::HybridMatrix;
+pub use dijkstra::{dijkstra_multi, WeightedAdj};
 pub use incremental::IncrementalIndex;
 pub use kind::BackendKind;
 pub use matrix::DistanceMatrix;

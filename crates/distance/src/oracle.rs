@@ -2,14 +2,13 @@
 
 use gpnm_graph::{Bound, NodeId, NodeSet};
 
-use crate::hybrid::HybridMatrix;
 use crate::matrix::DistanceMatrix;
 
 /// Anything that can answer "shortest path length from `u` to `v`".
 ///
 /// The BGS matcher and the candidate/affected detectors only consume
 /// distances through this trait, so they run unchanged over the dense
-/// matrix, the Hybrid compressed matrix, or the incremental index.
+/// matrix, the incremental index, or bounded rows.
 pub trait DistanceOracle {
     /// Shortest path length from `u` to `v`; [`crate::INF`] when unreachable.
     fn distance(&self, u: NodeId, v: NodeId) -> u32;
@@ -40,13 +39,6 @@ impl DistanceOracle for DistanceMatrix {
     }
 }
 
-impl DistanceOracle for HybridMatrix {
-    #[inline]
-    fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        self.get(u, v)
-    }
-}
-
 impl<T: DistanceOracle + ?Sized> DistanceOracle for &T {
     #[inline(always)]
     fn distance(&self, u: NodeId, v: NodeId) -> u32 {
@@ -67,17 +59,17 @@ mod tests {
     use gpnm_graph::paper::fig1;
 
     #[test]
-    fn matrix_and_hybrid_agree_through_the_trait() {
+    fn matrix_and_index_agree_through_the_trait() {
         let f = fig1();
         let dense = apsp_matrix(&f.graph);
-        let hybrid = HybridMatrix::from_dense_auto(&dense);
-        fn probe<O: DistanceOracle>(o: &O, u: NodeId, v: NodeId) -> u32 {
+        let index = crate::IncrementalIndex::build(&f.graph);
+        fn lookup<O: DistanceOracle>(o: &O, u: NodeId, v: NodeId) -> u32 {
             o.distance(u, v)
         }
-        assert_eq!(probe(&dense, f.pm1, f.se2), 1);
-        assert_eq!(probe(&hybrid, f.pm1, f.se2), 1);
-        assert_eq!(probe(&dense, f.pm1, f.te2), INF);
-        assert_eq!(probe(&hybrid, f.pm1, f.te2), INF);
+        assert_eq!(lookup(&dense, f.pm1, f.se2), 1);
+        assert_eq!(lookup(&index, f.pm1, f.se2), 1);
+        assert_eq!(lookup(&dense, f.pm1, f.te2), INF);
+        assert_eq!(lookup(&index, f.pm1, f.te2), INF);
     }
 
     #[test]

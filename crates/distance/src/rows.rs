@@ -63,22 +63,29 @@
 //!
 //! ## 3. Repair: an update costs its ball, not the index
 //!
+//! Repair is commit-only: each routine is handed the graph **after** the
+//! update and the rows as they stood **before** it, returns the
+//! [`AffDelta`] between the two and leaves the rows exact for the graph.
+//! There is no what-if mode — DER-II's `Aff_N` *is* the delta the applied
+//! update emits — so every argument below is stated for that one pairing.
+//!
 //! The dense delta-proportional repair carries over in truncated form, and
-//! every routine starts from the update's **backward ball** instead of the
-//! index: a source `x` can only be affected by an update at `u` if it
-//! reaches `u` inside the horizon, and `{x : d(x, u) + 1 ≤ B}` is one
-//! BFS of depth `B − 1` from `u` over [`DataGraph::in_neighbors`]. The ball
-//! is filtered by residency *before* any row is fetched and walked in slot
-//! order, so deltas keep the order a slot-order pass over every row gave
-//! them; the exact candidate predicates then run on the fetched (old) rows.
+//! the edge routines start from the update's **backward ball** instead of
+//! the index: a source `x` can only be affected by an update to `(u, v)`
+//! if it reaches `u` inside the horizon, and `{x : d(x, u) + 1 ≤ B}` is
+//! one BFS of depth `B − 1` from `u` over [`DataGraph::in_neighbors`]. The
+//! ball is filtered by residency *before* any row is fetched and walked in
+//! slot order, so deltas keep the order a slot-order pass over every row
+//! gave them; the exact candidate predicates then run on the fetched (old)
+//! rows.
 //!
 //! * *Edge insert `(u, v)`*: only resident sources `x` with
 //!   `d_B(x, u) + 1 < d_B(x, v)` can change (the dense triangle-inequality
 //!   pruning, applied to the truncated function), and candidate targets
-//!   come from one truncated BFS row of `v` (valid pre- *and* post-insert:
-//!   a simple shortest path from `v` cannot use an edge *into* `v`). An
-//!   insert with no such source does no forward BFS and no write; one whose
-//!   `u` no resident row reaches fetches nothing at all.
+//!   come from one truncated BFS row of `v` (a simple shortest path from
+//!   `v` cannot use an edge *into* `v`, so the new edge does not alter that
+//!   row). An insert with no such source does no forward BFS and no write;
+//!   one whose `u` no resident row reaches fetches nothing at all.
 //! * *Edge delete `(u, v)`*: only resident sources with
 //!   `d_B(x, u) + 1 == d_B(x, v)` can lose a path. A source whose `d(x, v)`
 //!   exceeds `B` can only change beyond the truncation horizon — invisible
@@ -87,37 +94,37 @@
 //! * *Node delete*: resident sources whose row reaches the node, plus the
 //!   node's own row.
 //!
-//! **The ball is a superset of the candidates** in whichever graph state
-//! the routine is handed (probes see the pre-update graph, commits the
-//! post-update one; the rows are the pre-update distances either way):
+//! **The ball, walked in the post-update graph, is a superset of the
+//! candidates the old rows define.** Three arguments are needed, one per
+//! way the two could differ:
 //!
 //! 1. *Insert.* Adding an edge only shortens distances, so the post-insert
 //!    ball of `u` contains the pre-insert one, which contains every `x`
 //!    whose old row has `d(x, u) ≤ B − 1`.
 //! 2. *Delete edge.* A shortest path *to* `u` never uses an out-edge of
 //!    `u` (it would pass through `u` before arriving there), so the
-//!    backward ball of `u` is identical with and without `(u, v)`.
+//!    backward ball of `u` is the same without `(u, v)` as it was with it.
 //! 3. *Unbounded rows.* With `B = `[`INF`] the "ball" degrades to backward
 //!    reachability — as large as the graph allows, still a superset, still
 //!    exact.
 //!
-//! A node-delete *probe* walks the radius-`B` ball of the node the same
-//! way. A node-delete **commit is the one routine that still scans every
-//! resident row**: it runs on the post-state graph, which no longer holds
-//! the node's in-edges, so there is nothing to walk backwards from; the
-//! `RemovedNode` that lists them stops at the `commit_delete_node`
-//! signature, which the benchmark's staged replay calls directly and so
-//! pins. Passing it through is the follow-up (ROADMAP, direction A) — at
-//! 100k nodes this scan is what remains of a repair tick.
+//! **Node delete is the one routine that still scans every resident
+//! row**: the post-delete graph no longer holds the node's in-edges, so
+//! there is nothing to walk backwards from; the `RemovedNode` that lists
+//! them stops at the `commit_delete_node` signature, which the benchmark's
+//! staged replay calls directly and so pins. Passing it through is the
+//! follow-up (ROADMAP, direction A) — at 100k nodes this scan is what
+//! remains of a repair tick.
 //!
 //! **Re-run only rows that change.** Both lemmas skip a BFS whose diff is
 //! empty or one known record, so deltas stay bit-identical:
 //!
-//! * *Alternative parent* (delete-edge). If a candidate `x` has another
-//!   in-neighbour `w ≠ u` of `v` with `row_x(w) + 1 == row_x(v)`, its whole
-//!   row stands. The path `x ⇝ w → v` keeps `d(x, v)`: a shortest path to
-//!   `w` is shorter than `d(x, v)`, so it does not pass through `v`, so it
-//!   does not use `(u, v)`. And any shortest path `x ⇝ y` through `(u, v)`
+//! * *Alternative parent* (delete-edge). If a candidate `x` has an
+//!   in-neighbour `w` of `v` left in the graph — `w ≠ u`, the edge is gone —
+//!   with `row_x(w) + 1 == row_x(v)`, its whole row stands. The path
+//!   `x ⇝ w → v` keeps `d(x, v)`: a shortest path to `w` is shorter than
+//!   `d(x, v)`, so it does not pass through `v`, so it did not use
+//!   `(u, v)`. And any shortest path `x ⇝ y` that ran through `(u, v)`
 //!   re-routes at equal length over `x ⇝ w → v` plus its own suffix out of
 //!   `v`, which never returns to `v` and so never used `(u, v)` either.
 //!   Such a candidate is fetched once and dropped.
@@ -127,16 +134,16 @@
 //!   else: any path through `t` to somewhere else is longer than `B`, so
 //!   no other entry depended on it; and a second path of length `B` to `t`
 //!   would end in an alternative parent. The record `(x, t, B, ∞)` goes
-//!   where the re-run's diff would have put it and, on commit, the entry is
-//!   removed in place.
+//!   where the re-run's diff would have put it and the entry is removed in
+//!   place.
 //!
-//! Probes never write; no row is fetched more than twice (once to test,
-//! once to re-run or patch). Deltas are the dense deltas *projected* onto
-//! resident sources with distances `> B` mapped to ∞ — exactly the
-//! projection the matcher observes, which the backend-equivalence proptest
-//! suite asserts record-for-record against [`crate::IncrementalIndex`]
-//! (and, between the two stores, proves the paged store's serialisation,
-//! eviction and write-through transparent).
+//! Nothing outside the delta's sources is written; no row is fetched more
+//! than twice (once to test, once to re-run or patch). Deltas are the
+//! dense deltas *projected* onto resident sources with distances `> B`
+//! mapped to ∞ — exactly the projection the matcher observes, which the
+//! backend-equivalence proptest suite asserts record-for-record against
+//! [`crate::IncrementalIndex`] (and, between the two stores, proves the
+//! paged store's serialisation, eviction and write-through transparent).
 //!
 //! **Why not scan every row** (the tree until PR 17). `row.get(u)` on each
 //! resident row is correct and needs no in-adjacency, but it is O(index)
@@ -232,26 +239,16 @@ impl SparseRow {
     }
 }
 
-/// What the truncated BFS must pretend is absent (deletion probes).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Skip {
-    Nothing,
-    Edge(NodeId, NodeId),
-    Node(NodeId),
-}
-
 /// BFS from `source` along `adjacent`, truncated at `depth` hops ([`INF`] =
-/// untruncated), honoring `skip`: the one traversal of the index. Forward
-/// rows walk `DataGraph::out_neighbors`, backward balls
-/// `DataGraph::in_neighbors` — the live adjacency either way, so a BFS
-/// costs its ball and nothing per graph version. `dist` is an all-[`INF`]
-/// scratch array that is restored before returning; `queue` is reusable
-/// scratch.
+/// untruncated): the one traversal of the index. Forward rows walk
+/// `DataGraph::out_neighbors`, backward balls `DataGraph::in_neighbors` —
+/// the live adjacency either way, so a BFS costs its ball and nothing per
+/// graph version. `dist` is an all-[`INF`] scratch array that is restored
+/// before returning; `queue` is reusable scratch.
 pub(crate) fn bfs_truncated<'g>(
     adjacent: impl Fn(NodeId) -> &'g [NodeId],
     source: NodeId,
     depth: u32,
-    skip: Skip,
     dist: &mut [u32],
     queue: &mut Vec<NodeId>,
 ) -> SparseRow {
@@ -266,13 +263,7 @@ pub(crate) fn bfs_truncated<'g>(
         if du >= depth {
             continue; // at the truncation horizon: do not expand further
         }
-        let u_is_skip_source = matches!(skip, Skip::Edge(a, _) if a == u);
         for &v in adjacent(u) {
-            match skip {
-                Skip::Edge(_, b) if u_is_skip_source && v == b => continue,
-                Skip::Node(s) if v == s => continue,
-                _ => {}
-            }
             if dist[v.index()] == INF {
                 dist[v.index()] = du + 1;
                 queue.push(v);
@@ -475,30 +466,29 @@ impl<S: RowStore> BoundedRows<S> {
 
     /// One truncated BFS row at the current depth, over the live
     /// out-adjacency: what every repair runs.
-    fn bfs(&mut self, graph: &DataGraph, source: NodeId, skip: Skip) -> SparseRow {
+    fn bfs(&mut self, graph: &DataGraph, source: NodeId) -> SparseRow {
         bfs_truncated(
             |n| graph.out_neighbors(n),
             source,
             self.reqs.depth(),
-            skip,
             &mut self.dist_buf,
             &mut self.queue_buf,
         )
     }
 
-    /// The backward ball of `target`: the resident slots `x` with
-    /// `d(x, target) + slack ≤ depth` in `graph`, ascending — one truncated
-    /// BFS over the live in-adjacency, filtered by residency before any
-    /// row is fetched. (`slack` above the depth leaves nobody.)
-    fn backward_ball(&mut self, graph: &DataGraph, target: NodeId, slack: u32) -> Vec<u32> {
-        let Some(radius) = self.reqs.depth().checked_sub(slack) else {
+    /// The backward ball of an edge's tail `u`: the resident slots `x` with
+    /// `d(x, u) + 1 ≤ depth` in `graph` — the sources that reach across
+    /// the edge inside the horizon — ascending. One truncated BFS over the
+    /// live in-adjacency, filtered by residency before any row is fetched.
+    /// (Depth 0 leaves nobody.)
+    fn backward_ball(&mut self, graph: &DataGraph, u: NodeId) -> Vec<u32> {
+        let Some(radius) = self.reqs.depth().checked_sub(1) else {
             return Vec::new();
         };
         let ball = bfs_truncated(
             |n| graph.in_neighbors(n),
-            target,
+            u,
             radius,
-            Skip::Nothing,
             &mut self.dist_buf,
             &mut self.queue_buf,
         );
@@ -557,7 +547,6 @@ impl<S: RowStore> BoundedRows<S> {
                 |n| csr.out_neighbors(n),
                 x,
                 self.reqs.depth(),
-                Skip::Nothing,
                 &mut self.dist_buf,
                 &mut self.queue_buf,
             );
@@ -605,19 +594,13 @@ impl<S: RowStore> BoundedRows<S> {
         self.build_rows(graph, todo, S::put);
     }
 
-    /// Shared insert-edge repair: the truncated analogue of the dense
-    /// affected-source × finite-target pruning. Valid with the graph in
-    /// either its pre-insert (probe) or post-insert (commit) state: the
-    /// backward ball of `u` only grows with the insert (superset argument
-    /// 1), and a simple shortest path from `v` never traverses an edge
-    /// into `v`, so the BFS row of `v` is identical in both.
-    fn insert_edge_delta(
-        &mut self,
-        graph: &DataGraph,
-        u: NodeId,
-        v: NodeId,
-        commit: bool,
-    ) -> AffDelta {
+    /// Insert-edge repair: the truncated analogue of the dense
+    /// affected-source × finite-target pruning. `graph` already holds
+    /// `(u, v)`: the backward ball of `u` only grew with the insert
+    /// (superset argument 1), and a simple shortest path from `v` never
+    /// traverses an edge into `v`, so the BFS row of `v` is the one the
+    /// old rows compose with.
+    fn insert_edge_delta(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
         self.ensure_slots(graph);
         let depth = self.reqs.depth();
         let mut delta = AffDelta::new();
@@ -625,7 +608,7 @@ impl<S: RowStore> BoundedRows<S> {
         // within the horizon. Needs only the ball's row lookups, so the
         // BFS row of `v` is skipped entirely for the common no-candidate
         // insert — and an insert nobody resident reaches fetches nothing.
-        let ball = self.backward_ball(graph, u, 1);
+        let ball = self.backward_ball(graph, u);
         let candidates = self.pick_from(ball, |x, row| {
             let through = sat_add(row.get(u.0)?, 1);
             let within = through <= depth && through < row.get(v.0).unwrap_or(INF);
@@ -634,7 +617,7 @@ impl<S: RowStore> BoundedRows<S> {
         if candidates.is_empty() {
             return delta;
         }
-        let vrow = self.bfs(graph, v, Skip::Nothing);
+        let vrow = self.bfs(graph, v);
         let mut updates: Vec<(u32, u32)> = Vec::new();
         for (x, through) in candidates {
             updates.clear();
@@ -647,12 +630,10 @@ impl<S: RowStore> BoundedRows<S> {
                 let old = row.get(y).unwrap_or(INF);
                 if cand < old {
                     delta.record(x, NodeId(y), old, cand);
-                    if commit {
-                        updates.push((y, cand));
-                    }
+                    updates.push((y, cand));
                 }
             }
-            if commit && !updates.is_empty() {
+            if !updates.is_empty() {
                 self.store
                     .update(x.0, |row| row.apply_sorted_updates(&updates));
             }
@@ -661,63 +642,48 @@ impl<S: RowStore> BoundedRows<S> {
     }
 
     /// Bring `sources`' rows up to date after `gone` was deleted (an edge
-    /// into it, or the node itself), recording every change and, on commit,
-    /// storing it. A source flagged as a horizon leaf — its entry for
+    /// into it, or the node itself) from `graph`, recording and storing
+    /// every change. A source flagged as a horizon leaf — its entry for
     /// `gone` sat exactly at the horizon — loses that entry and nothing
-    /// else; the others are re-run by truncated BFS and diffed. A probe's
-    /// graph still holds what is being deleted, so its BFS skips `deleted`;
-    /// a commit's is already without it.
+    /// else; the others are re-run by truncated BFS and diffed.
     fn rerun_rows(
         &mut self,
         graph: &DataGraph,
         sources: Vec<(NodeId, bool)>,
         gone: NodeId,
-        deleted: Skip,
-        commit: bool,
         delta: &mut AffDelta,
     ) {
-        let skip = if commit { Skip::Nothing } else { deleted };
         for (x, horizon_leaf) in sources {
             if horizon_leaf {
                 delta.record(x, gone, self.reqs.depth(), INF);
-                if commit {
-                    self.store.update(x.0, |row| row.remove(gone.0));
-                }
+                self.store.update(x.0, |row| row.remove(gone.0));
                 continue;
             }
-            let new_row = self.bfs(graph, x, skip);
+            let new_row = self.bfs(graph, x);
             let old_row = self.store.fetch(x.0).expect("source is resident");
             diff_rows(x, old_row, &new_row, delta);
-            if commit {
-                self.store.put(x.0, new_row);
-            }
+            self.store.put(x.0, new_row);
         }
     }
 
-    /// Valid with the graph in either state: a shortest path *to* `u` never
-    /// uses an out-edge of `u`, so `u`'s backward ball is the same with
-    /// and without `(u, v)` (superset argument 2).
-    fn delete_edge_delta(
-        &mut self,
-        graph: &DataGraph,
-        u: NodeId,
-        v: NodeId,
-        commit: bool,
-    ) -> AffDelta {
+    /// Delete-edge repair; `graph` has already lost `(u, v)`. A shortest
+    /// path *to* `u` never uses an out-edge of `u`, so `u`'s backward ball
+    /// is the one it had with the edge (superset argument 2).
+    fn delete_edge_delta(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
         self.ensure_slots(graph);
         let depth = self.reqs.depth();
-        let ball = self.backward_ball(graph, u, 1);
+        let ball = self.backward_ball(graph, u);
         // Resident sources whose shortest path to `v` may run through the
         // edge `(u, v)` — the truncated delete-candidate test — less those
-        // with an alternative parent: another in-neighbour of `v` at the
-        // same distance as `u` keeps `d(x, v)`, hence the whole row.
+        // with an alternative parent: an in-neighbour `v` still has, at the
+        // distance `u` was, keeps `d(x, v)` and hence the whole row.
         let candidates = self.pick_from(ball, |x, row| {
             let dv = row.get(v.0)?;
             if sat_add(row.get(u.0)?, 1) != dv {
                 return None;
             }
-            let mut others = graph.in_neighbors(v).iter().filter(|&&w| w != u);
-            if others.any(|w| row.get(w.0).is_some_and(|dw| dw + 1 == dv)) {
+            let mut parents = graph.in_neighbors(v).iter();
+            if parents.any(|w| row.get(w.0).is_some_and(|dw| dw + 1 == dv)) {
                 return None;
             }
             // Stored distances are finite, so no row of an untruncated
@@ -725,34 +691,26 @@ impl<S: RowStore> BoundedRows<S> {
             Some((x, dv == depth))
         });
         let mut delta = AffDelta::new();
-        self.rerun_rows(graph, candidates, v, Skip::Edge(u, v), commit, &mut delta);
+        self.rerun_rows(graph, candidates, v, &mut delta);
         delta
     }
 
-    /// A probe walks `id`'s backward ball. A commit cannot: it runs on the
-    /// post-state graph, which no longer holds `id`'s in-edges, so it keeps
-    /// the slot-order scan of every resident row.
-    fn delete_node_delta(&mut self, graph: &DataGraph, id: NodeId, commit: bool) -> AffDelta {
+    /// Delete-node repair; `graph` has already lost `id` and with it the
+    /// in-edges a backward ball would be walked over, so this is the one
+    /// routine that keeps the slot-order scan of every resident row.
+    fn delete_node_delta(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta {
         self.ensure_slots(graph);
         let depth = self.reqs.depth();
-        let pick = |x: NodeId, row: &SparseRow| Some((x, row.get(id.0)? == depth));
-        let sources = if commit {
-            self.scan(id, pick)
-        } else {
-            let ball = self.backward_ball(graph, id, 0);
-            self.pick_from(ball.into_iter().filter(|&s| s != id.0), pick)
-        };
+        let sources = self.scan(id, |x, row| Some((x, row.get(id.0)? == depth)));
         let mut delta = AffDelta::new();
         // The node's own row: every entry becomes INF.
         if let Some(row) = self.store.fetch(id.0) {
             for &(y, d) in &row.entries {
                 delta.record(id, NodeId(y), d, INF);
             }
-            if commit {
-                self.store.remove(id.0);
-            }
+            self.store.remove(id.0);
         }
-        self.rerun_rows(graph, sources, id, Skip::Node(id), commit, &mut delta);
+        self.rerun_rows(graph, sources, id, &mut delta);
         delta
     }
 }
@@ -804,21 +762,6 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
         self.retarget(graph, reqs.clone());
     }
 
-    fn probe_insert_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        debug_assert!(!graph.has_edge(u, v), "probe_insert_edge on present edge");
-        self.insert_edge_delta(graph, u, v, false)
-    }
-
-    fn probe_delete_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
-        debug_assert!(graph.has_edge(u, v), "probe_delete_edge on absent edge");
-        self.delete_edge_delta(graph, u, v, false)
-    }
-
-    fn probe_delete_node(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta {
-        debug_assert!(graph.contains(id), "probe_delete_node on absent node");
-        self.delete_node_delta(graph, id, false)
-    }
-
     fn commit_insert_edge(
         &mut self,
         graph: &DataGraph,
@@ -827,7 +770,7 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
         _hint: RepairHint,
     ) -> AffDelta {
         debug_assert!(graph.has_edge(u, v), "commit before graph mutation");
-        self.insert_edge_delta(graph, u, v, true)
+        self.insert_edge_delta(graph, u, v)
     }
 
     fn commit_delete_edge(
@@ -838,7 +781,7 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
         _hint: RepairHint,
     ) -> AffDelta {
         debug_assert!(!graph.has_edge(u, v), "commit before graph mutation");
-        self.delete_edge_delta(graph, u, v, true)
+        self.delete_edge_delta(graph, u, v)
     }
 
     fn commit_insert_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
@@ -857,7 +800,7 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
 
     fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
         debug_assert!(!graph.contains(id), "commit before graph mutation");
-        self.delete_node_delta(graph, id, true)
+        self.delete_node_delta(graph, id)
     }
 
     fn resident_rows(&self) -> usize {
@@ -940,12 +883,6 @@ mod tests {
         assert_eq!(s.resident_rows(), recount);
     }
 
-    fn sorted(delta: &AffDelta) -> Vec<(NodeId, NodeId, u32, u32)> {
-        let mut changed = delta.changed.clone();
-        changed.sort_unstable();
-        changed
-    }
-
     fn wide_reqs(f: &Fig1) -> SlenRequirements {
         // Widen: DB becomes a pattern label; deepen: a bound of 6 arrives.
         let mut wide = SlenRequirements::of_pattern(&f.pattern);
@@ -996,24 +933,6 @@ mod tests {
         assert_projection(&s, &f.graph, dense.matrix());
         assert_eq!(s.distance(f.se1, f.se2), INF, "tombstone row dropped");
         assert_resident_count(&s);
-    }
-
-    fn probe_equals_commit_delta<S: RowStore>(store: S) {
-        let (mut f, mut s) = fig1_rows(store);
-        let probe = s.probe_insert_edge(&f.graph, f.se1, f.te2);
-        f.graph.add_edge(f.se1, f.te2).unwrap();
-        let commit = s.commit_insert_edge(&f.graph, f.se1, f.te2, RepairHint::Baseline);
-        assert_eq!(probe.changed, commit.changed);
-
-        let probe = s.probe_delete_edge(&f.graph, f.se1, f.s1);
-        f.graph.remove_edge(f.se1, f.s1).unwrap();
-        let commit = s.commit_delete_edge(&f.graph, f.se1, f.s1, RepairHint::Baseline);
-        assert_eq!(sorted(&probe), sorted(&commit));
-
-        let probe = s.probe_delete_node(&f.graph, f.s1);
-        f.graph.remove_node(f.s1).unwrap();
-        let commit = s.commit_delete_node(&f.graph, f.s1, RepairHint::Baseline);
-        assert_eq!(sorted(&probe), sorted(&commit));
     }
 
     fn sync_requirements_deepens_and_widens<S: RowStore>(store: S) {
@@ -1085,10 +1004,6 @@ mod tests {
                 #[test]
                 fn commits_track_dense_through_a_mixed_sequence() {
                     super::commits_track_dense_through_a_mixed_sequence($store);
-                }
-                #[test]
-                fn probe_equals_commit_delta() {
-                    super::probe_equals_commit_delta($store);
                 }
                 #[test]
                 fn sync_requirements_deepens_and_widens() {
@@ -1200,62 +1115,71 @@ mod tests {
         }
     }
 
-    /// The locality contract: since the last `reset`, every fetched slot is
-    /// a resident `x` with `d(x, target) + slack ≤ depth` in `graph`, and
-    /// none was fetched more than twice.
-    fn assert_ball_local(
-        s: &BoundedRows<Recording>,
-        graph: &DataGraph,
-        target: NodeId,
-        slack: u32,
-    ) {
+    /// The locality contract of the edge repairs: since the last `reset`,
+    /// every fetched slot is a resident `x` with `d(x, u) + 1 ≤ depth` in
+    /// `graph` — inside the backward ball of the edge's tail `u` — and none
+    /// was fetched more than twice.
+    fn assert_ball_local(s: &BoundedRows<Recording>, graph: &DataGraph, u: NodeId) {
         let dense = apsp_matrix(graph);
         for (slot, &count) in s.store.fetches.iter().enumerate() {
             let x = NodeId::from_index(slot);
             assert!(count <= 2, "{x:?} fetched {count} times");
             if count > 0 {
                 assert!(s.store.inner.is_resident(x.0));
-                let d = dense.get(x, target);
-                assert!(sat_add(d, slack) <= s.depth(), "{x:?} is outside the ball");
+                let d = dense.get(x, u);
+                assert!(sat_add(d, 1) <= s.depth(), "{x:?} is outside the ball");
             }
         }
+    }
+
+    /// Nothing outside the delta's sources is written: since the last
+    /// `reset`, every `put` / `update` went to a row the delta has a record
+    /// for, and there was no other write but `removed` row drops.
+    fn assert_writes_only_sources(s: &BoundedRows<Recording>, delta: &AffDelta, removed: usize) {
+        for slot in s.store.puts.iter().chain(&s.store.updates) {
+            let written = NodeId(*slot);
+            assert!(
+                delta.changed.iter().any(|r| r.0 == written),
+                "{written:?} was written but did not change"
+            );
+        }
+        let stored = s.store.puts.len() + s.store.updates.len();
+        assert_eq!(s.store.writes, stored + removed);
     }
 
     /// Fetch counts are in slot order `PM1, PM2, SE1, SE2, S1, TE1, TE2`
     /// (DB1 has no row); distances per `gpnm_graph::paper::TABLE_III`.
     #[test]
-    fn probes_never_write_and_fetch_only_the_backward_ball() {
-        let (f, mut s) = fig1_rows(Recording::default());
-
+    fn commits_fetch_only_the_backward_ball_and_write_only_their_sources() {
         // Everyone reaches SE1 within 3 hops, and `SE1 -> TE2` improves
         // every source but TE2 itself: the candidate pass reads each row
-        // once, then each of the six candidates once more.
+        // once, then each of the six candidates once more and patches it
+        // in place.
+        let (mut f, mut s) = fig1_rows(Recording::default());
+        f.graph.add_edge(f.se1, f.te2).unwrap();
         s.store.reset();
-        assert!(!s.probe_insert_edge(&f.graph, f.se1, f.te2).is_empty());
+        let delta = s.commit_insert_edge(&f.graph, f.se1, f.te2, RepairHint::Baseline);
+        assert!(!delta.is_empty());
         assert_eq!(s.store.resident_fetches(), [2, 2, 2, 2, 2, 2, 1]);
-        assert_ball_local(&s, &f.graph, f.se1, 1);
-        assert_eq!(s.store.writes, 0);
+        assert_ball_local(&s, &f.graph, f.se1);
+        let improved = [f.pm1, f.pm2, f.se1, f.se2, f.s1, f.te1].map(|x| x.0);
+        assert_eq!(s.store.updates, improved);
+        assert_eq!(s.store.puts, [] as [u32; 0]);
+        assert_writes_only_sources(&s, &delta, 0);
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
 
-        // Nobody reaches PM1 but PM1, whose only path to DB1 is the edge.
+        // Nobody reaches PM1 but PM1, whose only path to DB1 was the edge.
+        let (mut f, mut s) = fig1_rows(Recording::default());
+        f.graph.remove_edge(f.pm1, f.db1).unwrap();
         s.store.reset();
-        assert!(!s.probe_delete_edge(&f.graph, f.pm1, f.db1).is_empty());
+        let delta = s.commit_delete_edge(&f.graph, f.pm1, f.db1, RepairHint::Baseline);
+        assert!(!delta.is_empty());
         assert_eq!(s.store.resident_fetches(), [2, 0, 0, 0, 0, 0, 0]);
-        assert_ball_local(&s, &f.graph, f.pm1, 1);
-        assert_eq!(s.store.writes, 0);
-
-        // Every other source reaches S1 within the horizon — TE1 exactly at
-        // it, so that row is read once and not re-run; S1's own row is read
-        // once, after the candidate pass and not by it.
-        s.store.reset();
-        assert!(!s.probe_delete_node(&f.graph, f.s1).is_empty());
-        assert_eq!(s.store.resident_fetches(), [2, 2, 2, 2, 1, 1, 2]);
-        assert_ball_local(&s, &f.graph, f.s1, 0);
-        assert_eq!(s.store.writes, 0);
-
-        // And nothing a probe did changed an answer.
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
-        let fresh = BoundedRows::with_store(&f.graph, &reqs, MemStore::default());
-        assert_same_index(&s, &fresh, &f.graph);
+        assert_ball_local(&s, &f.graph, f.pm1);
+        assert_eq!(s.store.puts, [f.pm1.0]);
+        assert_eq!(s.store.updates, [] as [u32; 0]);
+        assert_writes_only_sources(&s, &delta, 0);
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
     }
 
     #[test]
@@ -1280,20 +1204,15 @@ mod tests {
         // their rows stand; SE2 and TE1 have no other way and re-run. PM1
         // and S1 are in SE2's ball but do not route through the edge; TE2
         // is 4 hops from SE2, outside the ball.
-        let expected = [1, 1, 1, 2, 1, 2, 0];
-        s.store.reset();
-        let probe = s.probe_delete_edge(&f.graph, f.se2, f.db1);
-        assert_eq!(s.store.resident_fetches(), expected);
-        assert_ball_local(&s, &f.graph, f.se2, 1);
-
         f.graph.remove_edge(f.se2, f.db1).unwrap();
         s.store.reset();
-        let commit = s.commit_delete_edge(&f.graph, f.se2, f.db1, RepairHint::Baseline);
-        assert_eq!(s.store.resident_fetches(), expected);
+        let delta = s.commit_delete_edge(&f.graph, f.se2, f.db1, RepairHint::Baseline);
+        assert_eq!(s.store.resident_fetches(), [1, 1, 1, 2, 1, 2, 0]);
+        assert_ball_local(&s, &f.graph, f.se2);
         assert_eq!(s.store.puts, [f.se2.0, f.te1.0]);
-        assert_eq!(s.store.writes, 2);
-        assert_eq!(probe.changed, commit.changed);
-        assert!(commit.changed.iter().all(|r| r.0 == f.se2 || r.0 == f.te1));
+        assert_eq!(s.store.updates, [] as [u32; 0]);
+        assert_writes_only_sources(&s, &delta, 0);
+        assert!(delta.changed.iter().all(|r| r.0 == f.se2 || r.0 == f.te1));
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
     }
 
@@ -1330,19 +1249,32 @@ mod tests {
 
     #[test]
     fn only_commit_delete_node_fetches_every_row() {
+        // Nobody reaches PM1, but the graph has lost PM1's in-edges, so
+        // there is no ball to find that out from: the scan reads every
+        // other resident row once, then PM1's own, and re-runs nobody.
         let (mut f, mut s) = fig1_rows(Recording::default());
-        // Nobody reaches PM1: the probe walks an empty ball and reads only
-        // PM1's own row. The commit's graph has lost PM1's in-edges, so it
-        // scans — every resident row once, PM1's own after the scan.
-        s.store.reset();
-        let probe = s.probe_delete_node(&f.graph, f.pm1);
-        assert_eq!(s.store.resident_fetches(), [1, 0, 0, 0, 0, 0, 0]);
         f.graph.remove_node(f.pm1).unwrap();
         s.store.reset();
-        let commit = s.commit_delete_node(&f.graph, f.pm1, RepairHint::Baseline);
+        let delta = s.commit_delete_node(&f.graph, f.pm1, RepairHint::Baseline);
         assert_eq!(s.store.fetches, [1, 1, 1, 1, 1, 1, 1, 0]);
-        assert_eq!(probe.changed, commit.changed);
         assert_eq!(s.store.puts, [] as [u32; 0], "nobody lost a path");
+        assert_eq!(s.store.updates, [] as [u32; 0]);
+        assert_writes_only_sources(&s, &delta, 1);
+        assert!(delta.changed.iter().all(|r| r.0 == f.pm1));
+
+        // Every other source reaches S1 within the horizon — TE1 exactly at
+        // it, so that row is read once and patched in place, not re-run;
+        // S1's own row is read once, after the scan and not by it.
+        let (mut f, mut s) = fig1_rows(Recording::default());
+        f.graph.remove_node(f.s1).unwrap();
+        s.store.reset();
+        let delta = s.commit_delete_node(&f.graph, f.s1, RepairHint::Baseline);
+        assert_eq!(s.store.fetches, [2, 2, 2, 2, 1, 1, 2, 0]);
+        assert_eq!(s.store.updates, [f.te1.0]);
+        let rerun = [f.pm1, f.pm2, f.se1, f.se2, f.te2].map(|x| x.0);
+        assert_eq!(s.store.puts, rerun);
+        assert_writes_only_sources(&s, &delta, 1);
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
     }
 
     #[test]

@@ -105,14 +105,6 @@ impl RowStore for MemStore {
 /// bound. The backend that unlocks 100k+-node graphs.
 pub type SparseIndex = BoundedRows<MemStore>;
 
-impl BoundedRows<MemStore> {
-    /// Total `(target, dist)` entries across all resident rows.
-    pub fn entry_count(&self) -> usize {
-        let rows = self.store.rows.iter().flatten();
-        rows.map(|r| r.entries.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

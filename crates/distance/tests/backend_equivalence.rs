@@ -5,21 +5,21 @@
 //! depth)`, with everything beyond the truncation horizon reading as ∞.
 //! These property tests drive both backends through identical random
 //! graph/requirement/update triples and assert that projection exactly —
-//! same records, same order — for probes and commits of all four update
-//! kinds, plus full distance agreement after every commit. One block pins
+//! same records, same order — for the commits of all four update kinds,
+//! plus full distance agreement after every commit. One block pins
 //! the unbounded-depth fallback (full rows, candidate sources only).
 //!
 //! The paged backend rides along through every case under a deliberately
 //! tiny (2-page, ~0.5 KiB) cache so rows constantly evict and reload from
-//! the spill file: its probe and commit deltas must equal the sparse
-//! backend's **bitwise** — same records, same order, no projection — and
+//! the spill file: its commit deltas must equal the sparse backend's
+//! **bitwise** — same records, same order, no projection — and
 //! its distances must agree pair for pair.
 //!
 //! One block aims the same checks at the repair's pruning branches — the
 //! backward-ball candidate pass, the alternative-parent drop and the
 //! horizon-leaf shortcut — with layered-diamond graphs at the depths those
-//! branches turn on. Every case also checks probe ≡ commit record for
-//! record and the delta order the candidate pass's sort-by-slot produces.
+//! branches turn on. Every case also checks the delta order the candidate
+//! pass's sort-by-slot produces.
 //!
 //! A last block pins the witness-probe kernel: on all four backends, after
 //! a random commit sequence, `any_within(u, S, b)` answers exactly what
@@ -255,14 +255,15 @@ fn assert_distances_match(
     Ok(())
 }
 
-/// Drive one generated case through all three backends, checking probes,
-/// commits and distances after every step. Dense-vs-sparse is a
+/// Drive one generated case through all three backends, checking every
+/// commit's delta and all distances after it. Dense-vs-sparse is a
 /// projection check; paged-vs-sparse is bitwise.
 fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError> {
     let (nodes, labels, edges, mask, depth_sel, ops) = case;
     let (mut graph, label_ids) = build_graph(nodes, labels, &edges);
     let reqs = requirements(&label_ids, mask, depth_sel);
     let depth = reqs.depth();
+    let hint = RepairHint::Baseline;
 
     let mut dense = <IncrementalIndex as SlenBackend>::build(&graph, &reqs);
     let mut sparse = SparseIndex::build(&graph, &reqs);
@@ -274,8 +275,12 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
     }
 
     for (kind, a, b) in ops {
+        // Residency as the deltas see it: before the op (a deleted node's
+        // own row is part of its delta).
         let resident = resident_mask(&graph, &reqs);
-        match kind {
+        // Mutate the graph, commit on all three: `(dense, sparse, paged)`
+        // deltas, and whose records lead (a deleted node's own row).
+        let (what, dc, sc, pc, own) = match kind {
             // ---- insert edge ----
             0 => {
                 let live: Vec<NodeId> = graph.nodes().collect();
@@ -287,37 +292,14 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
                 if u == v || graph.has_edge(u, v) {
                     continue;
                 }
-                let dp = dense.probe_insert_edge(u, v);
-                let sp = SlenBackend::probe_insert_edge(&mut sparse, &graph, u, v);
-                let pp = SlenBackend::probe_insert_edge(&mut paged, &graph, u, v);
-                prop_assert_eq!(
-                    project(&dp, &resident, depth),
-                    sp.changed.clone(),
-                    "insert probe ({:?},{:?})",
-                    u,
-                    v
-                );
-                prop_assert_eq!(&pp.changed, &sp.changed, "paged insert probe");
                 graph.add_edge(u, v).expect("checked");
-                let dc =
-                    SlenBackend::commit_insert_edge(&mut dense, &graph, u, v, RepairHint::Baseline);
-                let sc = SlenBackend::commit_insert_edge(
-                    &mut sparse,
-                    &graph,
-                    u,
-                    v,
-                    RepairHint::Baseline,
-                );
-                let pc =
-                    SlenBackend::commit_insert_edge(&mut paged, &graph, u, v, RepairHint::Baseline);
-                prop_assert_eq!(
-                    project(&dc, &resident, depth),
-                    sc.changed.clone(),
-                    "insert commit"
-                );
-                prop_assert_eq!(&pc.changed, &sc.changed, "paged insert commit");
-                prop_assert_eq!(&sp.changed, &sc.changed, "insert probe ≡ commit");
-                assert_delta_order(&sc, None)?;
+                (
+                    "insert edge",
+                    SlenBackend::commit_insert_edge(&mut dense, &graph, u, v, hint),
+                    sparse.commit_insert_edge(&graph, u, v, hint),
+                    paged.commit_insert_edge(&graph, u, v, hint),
+                    None,
+                )
             }
             // ---- delete edge ----
             1 => {
@@ -326,52 +308,28 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
                     continue;
                 }
                 let (u, v) = all[a as usize % all.len()];
-                let dp = dense.probe_delete_edge(&graph, u, v);
-                let sp = SlenBackend::probe_delete_edge(&mut sparse, &graph, u, v);
-                let pp = SlenBackend::probe_delete_edge(&mut paged, &graph, u, v);
-                prop_assert_eq!(
-                    project(&dp, &resident, depth),
-                    sp.changed.clone(),
-                    "delete probe ({:?},{:?})",
-                    u,
-                    v
-                );
-                prop_assert_eq!(&pp.changed, &sp.changed, "paged delete probe");
                 graph.remove_edge(u, v).expect("listed");
-                let dc =
-                    SlenBackend::commit_delete_edge(&mut dense, &graph, u, v, RepairHint::Baseline);
-                let sc = SlenBackend::commit_delete_edge(
-                    &mut sparse,
-                    &graph,
-                    u,
-                    v,
-                    RepairHint::Baseline,
-                );
-                let pc =
-                    SlenBackend::commit_delete_edge(&mut paged, &graph, u, v, RepairHint::Baseline);
-                prop_assert_eq!(
-                    project(&dc, &resident, depth),
-                    sc.changed.clone(),
-                    "delete commit"
-                );
-                prop_assert_eq!(&pc.changed, &sc.changed, "paged delete commit");
-                prop_assert_eq!(&sp.changed, &sc.changed, "delete probe ≡ commit");
-                assert_delta_order(&sc, None)?;
+                (
+                    "delete edge",
+                    SlenBackend::commit_delete_edge(&mut dense, &graph, u, v, hint),
+                    sparse.commit_delete_edge(&graph, u, v, hint),
+                    paged.commit_delete_edge(&graph, u, v, hint),
+                    None,
+                )
             }
             // ---- insert node ----
             2 => {
                 let label = label_ids[a as usize % label_ids.len()];
                 let id = graph.add_node(label);
-                let dc =
-                    SlenBackend::commit_insert_node(&mut dense, &graph, id, RepairHint::Baseline);
-                let sc =
-                    SlenBackend::commit_insert_node(&mut sparse, &graph, id, RepairHint::Baseline);
-                let pc =
-                    SlenBackend::commit_insert_node(&mut paged, &graph, id, RepairHint::Baseline);
-                prop_assert!(
-                    dc.is_empty() && sc.is_empty() && pc.is_empty(),
-                    "node insert deltas empty"
-                );
+                let dc = SlenBackend::commit_insert_node(&mut dense, &graph, id, hint);
+                prop_assert!(dc.is_empty(), "node insert delta empty");
+                (
+                    "insert node",
+                    dc,
+                    sparse.commit_insert_node(&graph, id, hint),
+                    paged.commit_insert_node(&graph, id, hint),
+                    None,
+                )
             }
             // ---- delete node ----
             3 => {
@@ -380,34 +338,25 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
                     continue;
                 }
                 let id = live[a as usize % live.len()];
-                let dp = dense.probe_delete_node(&graph, id);
-                let sp = SlenBackend::probe_delete_node(&mut sparse, &graph, id);
-                let pp = SlenBackend::probe_delete_node(&mut paged, &graph, id);
-                prop_assert_eq!(
-                    project(&dp, &resident, depth),
-                    sp.changed.clone(),
-                    "node delete probe {:?}",
-                    id
-                );
-                prop_assert_eq!(&pp.changed, &sp.changed, "paged node delete probe");
                 graph.remove_node(id).expect("listed");
-                let dc =
-                    SlenBackend::commit_delete_node(&mut dense, &graph, id, RepairHint::Baseline);
-                let sc =
-                    SlenBackend::commit_delete_node(&mut sparse, &graph, id, RepairHint::Baseline);
-                let pc =
-                    SlenBackend::commit_delete_node(&mut paged, &graph, id, RepairHint::Baseline);
-                prop_assert_eq!(
-                    project(&dc, &resident, depth),
-                    sc.changed.clone(),
-                    "node delete commit"
-                );
-                prop_assert_eq!(&pc.changed, &sc.changed, "paged node delete commit");
-                prop_assert_eq!(&sp.changed, &sc.changed, "node delete probe ≡ commit");
-                assert_delta_order(&sc, Some(id))?;
+                (
+                    "delete node",
+                    SlenBackend::commit_delete_node(&mut dense, &graph, id, hint),
+                    sparse.commit_delete_node(&graph, id, hint),
+                    paged.commit_delete_node(&graph, id, hint),
+                    Some(id),
+                )
             }
             _ => unreachable!("kind range"),
-        }
+        };
+        prop_assert_eq!(
+            project(&dc, &resident, depth),
+            sc.changed.clone(),
+            "{} commit vs dense projection",
+            what
+        );
+        prop_assert_eq!(&pc.changed, &sc.changed, "paged {} commit", what);
+        assert_delta_order(&sc, own)?;
         let resident = resident_mask(&graph, &reqs);
         assert_distances_match(&graph, &dense, &sparse, &resident, depth)?;
         assert_paged_matches_sparse(&graph, &sparse, &paged)?;

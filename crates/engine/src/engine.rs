@@ -452,11 +452,13 @@ impl<B: SlenBackend> GpnmEngine<B> {
                         .iter()
                         .enumerate()
                         .filter(|(_, pe)| {
-                            let aff = AffDelta {
-                                changed: Vec::new(),
-                                affected: de.affected.clone(),
-                            };
-                            cross_eliminates(&pe.update, &pe.can, &aff, &self.index, &self.result)
+                            cross_eliminates(
+                                &pe.update,
+                                &pe.can,
+                                &de.affected,
+                                &self.index,
+                                &self.result,
+                            )
                         })
                         .map(|(i, _)| i)
                         .collect();

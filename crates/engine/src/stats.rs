@@ -22,7 +22,7 @@ pub struct ExecStats {
     pub slen_changes: usize,
     /// Net-effect reduction time.
     pub reduce_time: Duration,
-    /// DER-I/II/III detection time (candidate sets, probes, cross checks).
+    /// DER-I/II/III detection time (candidate sets, repair plans, cross checks).
     pub detect_time: Duration,
     /// EH-Tree construction time.
     pub tree_time: Duration,

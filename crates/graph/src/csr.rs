@@ -9,15 +9,13 @@
 use crate::data_graph::{DataGraph, GraphVersion};
 use crate::ids::NodeId;
 
-/// Flat forward (and optional reverse) adjacency, frozen at build time.
+/// Flat forward adjacency, frozen at build time. (Backward walks read
+/// [`DataGraph::in_neighbors`] on the live graph.)
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
     /// `offsets[i]..offsets[i+1]` indexes `targets` for slot `i`.
     offsets: Vec<u32>,
     targets: Vec<NodeId>,
-    /// Reverse adjacency in the same layout (built on demand).
-    rev_offsets: Vec<u32>,
-    rev_sources: Vec<NodeId>,
     live_nodes: usize,
 }
 
@@ -27,8 +25,6 @@ impl Default for CsrGraph {
         CsrGraph {
             offsets: vec![0],
             targets: Vec::new(),
-            rev_offsets: Vec::new(),
-            rev_sources: Vec::new(),
             live_nodes: 0,
         }
     }
@@ -37,24 +33,12 @@ impl Default for CsrGraph {
 impl CsrGraph {
     /// Snapshot the forward adjacency of `graph`.
     pub fn from_graph(graph: &DataGraph) -> Self {
-        Self::build(graph, false)
-    }
-
-    /// Snapshot forward *and* reverse adjacency (needed by the delete-repair
-    /// path of the incremental distance index).
-    pub fn from_graph_with_reverse(graph: &DataGraph) -> Self {
-        Self::build(graph, true)
-    }
-
-    fn build(graph: &DataGraph, reverse: bool) -> Self {
         let mut csr = CsrGraph {
             offsets: Vec::with_capacity(graph.slot_count() + 1),
             targets: Vec::with_capacity(graph.edge_count()),
-            rev_offsets: Vec::new(),
-            rev_sources: Vec::new(),
             live_nodes: 0,
         };
-        csr.rebuild(graph, reverse);
+        csr.rebuild(graph);
         csr
     }
 
@@ -67,7 +51,7 @@ impl CsrGraph {
     /// instead of letting `reserve` double: one inserted node on a 10M-slot
     /// graph must not transiently allocate a second half-size buffer while
     /// the old one is live (that is what blows tight address-space budgets).
-    pub(crate) fn rebuild(&mut self, graph: &DataGraph, reverse: bool) {
+    pub(crate) fn rebuild(&mut self, graph: &DataGraph) {
         fn reserve_with_slack<T>(v: &mut Vec<T>, n: usize) {
             if n > v.capacity() {
                 v.reserve_exact(n + n / 64 + 16 - v.len());
@@ -83,18 +67,6 @@ impl CsrGraph {
             self.targets
                 .extend_from_slice(graph.out_neighbors(NodeId::from_index(i)));
             self.offsets.push(self.targets.len() as u32);
-        }
-        self.rev_offsets.clear();
-        self.rev_sources.clear();
-        if reverse {
-            reserve_with_slack(&mut self.rev_offsets, slots + 1);
-            reserve_with_slack(&mut self.rev_sources, graph.edge_count());
-            self.rev_offsets.push(0);
-            for i in 0..slots {
-                self.rev_sources
-                    .extend_from_slice(graph.in_neighbors(NodeId::from_index(i)));
-                self.rev_offsets.push(self.rev_sources.len() as u32);
-            }
         }
         self.live_nodes = graph.node_count();
     }
@@ -124,57 +96,29 @@ impl CsrGraph {
         let hi = self.offsets[u.index() + 1] as usize;
         &self.targets[lo..hi]
     }
-
-    /// In-neighbors of slot `u`. Empty unless built with
-    /// [`CsrGraph::from_graph_with_reverse`].
-    #[inline(always)]
-    pub fn in_neighbors(&self, u: NodeId) -> &[NodeId] {
-        if self.rev_offsets.is_empty() {
-            return &[];
-        }
-        let lo = self.rev_offsets[u.index()] as usize;
-        let hi = self.rev_offsets[u.index() + 1] as usize;
-        &self.rev_sources[lo..hi]
-    }
-
-    /// Whether the reverse adjacency was materialized.
-    #[inline]
-    pub fn has_reverse(&self) -> bool {
-        !self.rev_offsets.is_empty()
-    }
 }
 
 /// A generation-stamped, lazily rebuilt [`CsrGraph`] cache.
 ///
-/// The incremental-repair hot path needs a CSR view of the current graph
-/// for every delete probe/commit; rebuilding one from scratch per update is
-/// O(n + m) *allocation and copy* even when the batch probes dozens of
-/// updates against the same unmutated graph. `CsrSnapshot` keys the cached
-/// CSR on [`DataGraph::version`]: [`CsrSnapshot::get`] is a two-word
-/// comparison when the graph has not mutated, and an in-place, allocation-
-/// reusing rebuild when it has. A DER-II batch of `k` probes therefore
-/// shares one CSR build instead of performing `k` of them.
+/// The dense delete repair and the bounded-row bulk build need a CSR view
+/// of the current graph; building one from scratch per call is O(n + m)
+/// *allocation and copy* even when many calls see the same unmutated
+/// graph. `CsrSnapshot` keys the cached CSR on [`DataGraph::version`]:
+/// [`CsrSnapshot::get`] is a two-word comparison when the graph has not
+/// mutated, and an in-place, allocation-reusing rebuild when it has.
+/// Registering `k` patterns against one graph version therefore shares one
+/// CSR build instead of performing `k` of them.
 #[derive(Debug, Clone, Default)]
 pub struct CsrSnapshot {
     /// The version of `csr`'s source graph; `None` until the first build.
     version: Option<GraphVersion>,
-    /// Whether the cached CSR carries reverse adjacency.
-    reverse: bool,
     csr: CsrGraph,
 }
 
 impl CsrSnapshot {
-    /// An empty (stale) cache that materializes forward adjacency only.
+    /// An empty (stale) cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache that also materializes reverse adjacency on rebuild.
-    pub fn with_reverse() -> Self {
-        CsrSnapshot {
-            reverse: true,
-            ..Self::default()
-        }
     }
 
     /// The CSR view of `graph`, rebuilt (in place) only if `graph` has
@@ -182,7 +126,7 @@ impl CsrSnapshot {
     pub fn get(&mut self, graph: &DataGraph) -> &CsrGraph {
         let version = graph.version();
         if self.version != Some(version) {
-            self.csr.rebuild(graph, self.reverse);
+            self.csr.rebuild(graph);
             self.version = Some(version);
         }
         &self.csr
@@ -224,17 +168,6 @@ mod tests {
         assert_eq!(csr.out_neighbors(n[2]), &[n[3]]);
         assert_eq!(csr.edge_count(), 3);
         assert_eq!(csr.node_count(), 4);
-        assert!(!csr.has_reverse());
-    }
-
-    #[test]
-    fn reverse_adjacency_matches_graph() {
-        let (g, n) = sample();
-        let csr = CsrGraph::from_graph_with_reverse(&g);
-        assert!(csr.has_reverse());
-        assert_eq!(csr.in_neighbors(n[3]), &[n[2]]);
-        assert_eq!(csr.in_neighbors(n[0]), &[] as &[NodeId]);
-        assert_eq!(csr.in_neighbors(n[1]), &[n[0]]);
     }
 
     #[test]
@@ -273,23 +206,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_with_reverse_rebuilds_reverse() {
-        let (mut g, n) = sample();
-        let mut snap = CsrSnapshot::with_reverse();
-        assert_eq!(snap.get(&g).in_neighbors(n[3]), &[n[2]]);
-        g.add_edge(n[1], n[3]).unwrap();
-        assert_eq!(snap.get(&g).in_neighbors(n[3]), &[n[1], n[2]]);
-    }
-
-    #[test]
     fn tombstoned_slots_have_empty_ranges() {
         let (mut g, n) = sample();
         g.remove_node(n[2]).unwrap();
-        let csr = CsrGraph::from_graph_with_reverse(&g);
+        let csr = CsrGraph::from_graph(&g);
         assert_eq!(csr.slot_count(), 4);
         assert_eq!(csr.node_count(), 3);
         assert_eq!(csr.out_neighbors(n[2]), &[] as &[NodeId]);
-        assert_eq!(csr.in_neighbors(n[3]), &[] as &[NodeId]);
         assert_eq!(csr.out_neighbors(n[0]), &[n[1]]);
     }
 }

@@ -99,8 +99,9 @@ pub trait TickOutcome {
     /// `resident_rows`, `index_mem_bytes`); `per_pattern` — array of
     /// `{handle, refresh_ns, strategy}` in registration order; `io` —
     /// `{cache_hits, cache_misses, cache_evictions, pages_read,
-    /// pages_written}` cumulative backend IO counters, or `null` on
-    /// in-memory backends.
+    /// pages_written}`, the backend's IO **during this tick** (the
+    /// cumulative counters diffed across it), or `null` on in-memory
+    /// backends.
     fn stats_json(&self) -> String;
 
     /// The delta of one registered pattern, if it is part of this tick.

@@ -393,7 +393,6 @@ pub struct ServiceBuilder {
     kind: BackendKind,
     max_index_gb: f64,
     cache_budget_mb: Option<f64>,
-    hint: RepairHint,
     refresh_threads: usize,
     publishing: bool,
     adaptive: bool,
@@ -405,7 +404,6 @@ impl Default for ServiceBuilder {
             kind: BackendKind::Partitioned,
             max_index_gb: 4.0,
             cache_budget_mb: None,
-            hint: RepairHint::Accelerated,
             refresh_threads: 0,
             publishing: true,
             adaptive: false,
@@ -415,7 +413,7 @@ impl Default for ServiceBuilder {
 
 impl ServiceBuilder {
     /// A builder with the defaults: partitioned backend, 4 GiB dense-index
-    /// budget, accelerated repair.
+    /// budget.
     pub fn new() -> Self {
         Self::default()
     }
@@ -441,13 +439,6 @@ impl ServiceBuilder {
     /// ceiling. Ignored by in-memory backends.
     pub fn cache_budget_mb(mut self, mb: impl Into<f64>) -> Self {
         self.cache_budget_mb = Some(mb.into());
-        self
-    }
-
-    /// Choose how deletion rows are recomputed (default
-    /// [`RepairHint::Accelerated`]).
-    pub fn repair_hint(mut self, hint: RepairHint) -> Self {
-        self.hint = hint;
         self
     }
 
@@ -522,7 +513,7 @@ impl ServiceBuilder {
             };
             paged.set_cache_budget(bytes);
         }
-        let mut service = GpnmService::from_parts(graph, index, reqs, self.hint);
+        let mut service = GpnmService::from_parts(graph, index, reqs);
         service.set_refresh_threads(self.refresh_threads);
         service.publishing = self.publishing;
         service.set_adaptive(self.adaptive);
@@ -572,8 +563,8 @@ impl AdaptiveState {
 ///
 /// 1. rejects pattern updates and invalid data updates with a typed
 ///    [`ServiceError`], before any mutation;
-/// 2. net-reduces the batch and commits it through one shared
-///    probe-free repair pass over the backend;
+/// 2. net-reduces the batch and commits it through one shared repair
+///    pass over the backend;
 /// 3. refreshes every registered pattern via its own elimination/affected
 ///    pipeline (DER-II containment → EH-Tree → survivor repairs);
 /// 4. returns a [`MatchDelta`] per handle — added/removed pairs plus a
@@ -589,7 +580,6 @@ pub struct GpnmService<B: SlenBackend = PartitionedBackend> {
     graph: DataGraph,
     index: B,
     reqs: SlenRequirements,
-    hint: RepairHint,
     sessions: Vec<(PatternHandle, PatternSession)>,
     next_handle: u64,
     tick: u64,
@@ -610,7 +600,6 @@ impl<B: SlenBackend + Clone> Clone for GpnmService<B> {
             graph: self.graph.clone(),
             index: self.index.clone(),
             reqs: self.reqs.clone(),
-            hint: self.hint,
             sessions: self.sessions.clone(),
             next_handle: self.next_handle,
             tick: self.tick,
@@ -638,15 +627,14 @@ impl<B: SlenBackend> GpnmService<B> {
     pub fn new(graph: DataGraph) -> Self {
         let reqs = SlenRequirements::empty();
         let index = B::build(&graph, &reqs);
-        Self::from_parts(graph, index, reqs, RepairHint::Accelerated)
+        Self::from_parts(graph, index, reqs)
     }
 
-    fn from_parts(graph: DataGraph, index: B, reqs: SlenRequirements, hint: RepairHint) -> Self {
+    fn from_parts(graph: DataGraph, index: B, reqs: SlenRequirements) -> Self {
         GpnmService {
             graph,
             index,
             reqs,
-            hint,
             sessions: Vec::new(),
             next_handle: 0,
             tick: 0,
@@ -1014,9 +1002,10 @@ impl<B: SlenBackend> GpnmService<B> {
         rec.reduce_ns = ns64(reduce_time);
         rec.updates_applied = reduced.len() as u64;
 
-        if self.hint == RepairHint::Accelerated {
-            self.index.prepare_accelerator(&self.graph);
-        }
+        // The service always repairs accelerated (the paper's UA-GPNM arm;
+        // the `-NoPar` / EH / INC baselines are `GpnmEngine` strategies).
+        let hint = RepairHint::Accelerated;
+        self.index.prepare_accelerator(&self.graph);
 
         // The shared single pass: each surviving update mutates the graph
         // and repairs the backend exactly once; every pattern derives its
@@ -1037,7 +1026,7 @@ impl<B: SlenBackend> GpnmService<B> {
                 unreachable!("pattern updates rejected above");
             };
             let t = Instant::now();
-            let cu = commit_data_update(&mut self.graph, &mut self.index, du, self.hint)?;
+            let cu = commit_data_update(&mut self.graph, &mut self.index, du, hint)?;
             slen_time += t.elapsed();
             tracing::event!(
                 tracing::Level::TRACE,

@@ -360,30 +360,6 @@ impl Registry {
         }
         out
     }
-
-    /// A human summary of every histogram: count, p50/p90/p99, and mean —
-    /// the bottom half of the `--trace-summary` output.
-    pub fn histogram_summary(&self) -> String {
-        let map = self.series.lock().expect("metrics registry poisoned");
-        let mut out = String::new();
-        for (key, series) in map.iter() {
-            if let Slot::Histogram(h) = &series.slot {
-                let count = h.count();
-                if count == 0 {
-                    continue;
-                }
-                let mean = h.sum() as f64 / count as f64;
-                out.push_str(&format!(
-                    "{key}: count {count}, mean {:.0}, p50 {:.0}, p90 {:.0}, p99 {:.0}\n",
-                    mean,
-                    h.percentile(0.50),
-                    h.percentile(0.90),
-                    h.percentile(0.99),
-                ));
-            }
-        }
-        out
-    }
 }
 
 /// The process-global registry (the Prometheus scrape unit).

@@ -20,7 +20,8 @@ pub struct PatternRefreshSample {
     pub handle: u64,
     /// Refresh duration for this pattern.
     pub ns: u64,
-    /// The refresh strategy that ran (`"UA-GPNM"`, `"PerUpdate"`, ...).
+    /// The refresh strategy that ran: `"UA-GPNM"`, `"INC-GPNM"` or
+    /// `"Scratch"`.
     pub strategy: &'static str,
 }
 

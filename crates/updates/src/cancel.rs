@@ -3,7 +3,7 @@
 //! eliminate each other").
 //!
 //! Reduction happens *before* any detection work: an update pair with zero
-//! net effect never costs a probe, a tree slot, or a repair pass.
+//! net effect never costs a commit, a tree slot, or a repair pass.
 
 use std::collections::HashMap;
 

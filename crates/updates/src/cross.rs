@@ -1,12 +1,15 @@
 //! DER-III: cross-graph elimination (paper Algorithm 3, Example 9).
 
-use gpnm_distance::{AffDelta, DistanceOracle};
+use gpnm_distance::DistanceOracle;
+use gpnm_graph::NodeSet;
 use gpnm_matcher::MatchResult;
 
 use crate::candidates::Candidates;
 use crate::update::PatternUpdate;
 
-/// Whether data update effects (`aff`) make pattern update `up` a no-op:
+/// Whether a data update's affected nodes `aff` (the `Aff_N` of the
+/// [`gpnm_distance::AffDelta`] its commit emitted) make pattern update `up`
+/// a no-op:
 ///
 /// 1. `Aff_N(UD) ⊇ Can_N(UP)` — the data update touches every candidate
 ///    (Algorithm 3 step 3), and
@@ -21,14 +24,14 @@ use crate::update::PatternUpdate;
 pub fn cross_eliminates<O: DistanceOracle>(
     up: &PatternUpdate,
     can: &Candidates,
-    aff: &AffDelta,
+    aff: &NodeSet,
     new_oracle: &O,
     iquery: &MatchResult,
 ) -> bool {
     let PatternUpdate::InsertEdge { from, to, bound } = *up else {
         return false;
     };
-    if !aff.affected.is_superset_of(&can.can_rn) || can.can_rn.is_empty() {
+    if !aff.is_superset_of(&can.can_rn) || can.can_rn.is_empty() {
         // An empty Can_RN means the insert was already satisfied — nothing
         // to eliminate (and nothing to repair); treat as not-cross-related.
         return false;
@@ -56,9 +59,7 @@ pub fn cross_eliminates<O: DistanceOracle>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affected::affected_for;
     use crate::candidates::candidates_for;
-    use crate::update::DataUpdate;
     use gpnm_distance::{apsp_matrix, IncrementalIndex};
     use gpnm_graph::paper::fig1;
     use gpnm_graph::Bound;
@@ -75,22 +76,11 @@ mod tests {
             bound: Bound::Hops(2),
         };
         let can = candidates_for(&f.pattern, &f.graph, &slen, &iq, &up1);
+        // Commit UD1: its delta is Aff_N(UD1), the index SLen_new.
         let mut idx = IncrementalIndex::build(&f.graph);
-        let aff = affected_for(
-            &f.graph,
-            &mut idx,
-            &DataUpdate::InsertEdge {
-                from: f.se1,
-                to: f.te2,
-            },
-        )
-        .unwrap();
-        // Build SLen_new with UD1 applied.
-        let mut g2 = f.graph.clone();
-        g2.add_edge(f.se1, f.te2).unwrap();
-        let slen_new = apsp_matrix(&g2);
+        let aff = idx.commit_insert_edge(f.se1, f.te2);
         assert!(
-            cross_eliminates(&up1, &can, &aff, &slen_new, &iq),
+            cross_eliminates(&up1, &can, &aff.affected, &idx, &iq),
             "paper Example 9: UP1 <=> UD1"
         );
     }
@@ -108,22 +98,11 @@ mod tests {
             bound: Bound::Hops(2),
         };
         let can = candidates_for(&f.pattern, &f.graph, &slen, &iq, &up1);
-        let mut idx = IncrementalIndex::build(&f.graph);
         // UD2 does not cover Can_RN(UP1) = {PM2, TE2} (Table VII row UD2
         // lacks PM2/TE2) so containment already fails.
-        let aff2 = affected_for(
-            &f.graph,
-            &mut idx,
-            &DataUpdate::InsertEdge {
-                from: f.db1,
-                to: f.s1,
-            },
-        )
-        .unwrap();
-        let mut g2 = f.graph.clone();
-        g2.add_edge(f.db1, f.s1).unwrap();
-        let slen_new = apsp_matrix(&g2);
-        assert!(!cross_eliminates(&up1, &can, &aff2, &slen_new, &iq));
+        let mut idx = IncrementalIndex::build(&f.graph);
+        let aff2 = idx.commit_insert_edge(f.db1, f.s1);
+        assert!(!cross_eliminates(&up1, &can, &aff2.affected, &idx, &iq));
     }
 
     #[test]
@@ -136,7 +115,6 @@ mod tests {
             to: f.p_te,
         };
         let can = candidates_for(&f.pattern, &f.graph, &slen, &iq, &del);
-        let aff = AffDelta::new();
-        assert!(!cross_eliminates(&del, &can, &aff, &slen, &iq));
+        assert!(!cross_eliminates(&del, &can, &NodeSet::new(), &slen, &iq));
     }
 }

@@ -6,8 +6,9 @@
 //!   (`ΔG±_{PE,PN,DE,DN}`) with apply/undo support.
 //! * [`candidates_for`] (DER-I) — per-pattern-update candidate sets
 //!   `Can_AN`/`Can_RN`, using the dual rule plus cascade of Example 7.
-//! * DER-II is the [`gpnm_distance::AffDelta`] the distance index emits per
-//!   data update; [`affected_for`] wraps the read-only probes.
+//! * DER-II *is* the [`gpnm_distance::AffDelta`] the distance index's
+//!   commit emits for each applied data update: its `affected` set is the
+//!   update's `Aff_N`. Nothing here evaluates an update it does not apply.
 //! * [`cross_eliminates`] (DER-III) — whether a data update makes a pattern
 //!   edge insertion a no-op (Example 9).
 //! * [`EliminationGraph`] — all pairwise Type I/II/III relations.
@@ -20,7 +21,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod affected;
 mod batch;
 mod cancel;
 mod candidates;
@@ -29,7 +29,6 @@ mod eh_tree;
 mod elimination;
 mod update;
 
-pub use affected::affected_for;
 pub use batch::{AppliedUpdate, UpdateBatch};
 pub use cancel::reduce_batch;
 pub use candidates::{candidates_for, Candidates};

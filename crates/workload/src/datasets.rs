@@ -58,17 +58,6 @@ impl Dataset {
         }
     }
 
-    /// The paper's original `(nodes, edges)` for reference.
-    pub fn paper_size(&self) -> (usize, usize) {
-        match self {
-            Dataset::EmailEuCore => (1_005, 25_571),
-            Dataset::DblpSim => (317_080, 1_049_866),
-            Dataset::AmazonSim => (334_863, 925_872),
-            Dataset::YoutubeSim => (1_134_890, 2_987_624),
-            Dataset::LiveJournalSim => (3_997_962, 34_681_189),
-        }
-    }
-
     /// The stand-in generator configuration.
     pub fn config(&self, seed: u64) -> SocialGraphConfig {
         let (nodes, edges) = match self {

@@ -12,8 +12,9 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`graph`] — dynamic labeled digraphs, pattern graphs, CSR snapshots.
-//! * [`distance`] — dense/hybrid all-pairs shortest-path-length (`SLen`)
-//!   matrices, incremental repair, label-based partitioned computation.
+//! * [`distance`] — the shortest-path-length (`SLen`) index: dense
+//!   matrices and bounded rows, incremental repair, label-based
+//!   partitioned computation.
 //! * [`matcher`] — the BGS fixpoint matcher and incremental match repair.
 //! * [`updates`] — update model, DER-I/II/III elimination detection,
 //!   EH-Tree.

@@ -9,7 +9,7 @@ use ua_gpnm::distance::{apsp_matrix, IncrementalIndex, PartitionedIndex, INF};
 use ua_gpnm::graph::paper::{fig1, fig4, TABLE_III, TABLE_IX, TABLE_V, TABLE_VI, TABLE_VIII};
 use ua_gpnm::matcher::match_graph;
 use ua_gpnm::prelude::*;
-use ua_gpnm::updates::{affected_for, candidates_for};
+use ua_gpnm::updates::candidates_for;
 
 #[test]
 fn table_i_node_matching_results() {
@@ -63,31 +63,23 @@ fn table_iv_candidate_sets() {
 #[test]
 fn tables_v_vi_vii_incremental_slen() {
     // UD1 = insert e(SE1, TE2); UD2 = insert e(DB1, S1), each against the
-    // original graph, exactly as Example 8 presents them.
+    // original graph, exactly as Example 8 presents them: every update is
+    // committed on its own clone of the graph and of the original SLen.
     let f = fig1();
-    let mut idx = IncrementalIndex::build(&f.graph);
+    let original = IncrementalIndex::build(&f.graph);
+    let commit = |u: NodeId, v: NodeId| {
+        let (mut graph, mut idx) = (f.graph.clone(), original.clone());
+        graph.add_edge(u, v).expect("the update is valid");
+        let delta = idx.commit_insert_edge(u, v);
+        assert_eq!(idx.matrix(), &apsp_matrix(&graph), "commit ≡ recompute");
+        (delta, idx)
+    };
 
-    let ud1 = affected_for(
-        &f.graph,
-        &mut idx,
-        &DataUpdate::InsertEdge {
-            from: f.se1,
-            to: f.te2,
-        },
-    )
-    .expect("UD1 is valid");
+    let (ud1, slen_new1) = commit(f.se1, f.te2);
     // Table VII row 1: all eight nodes affected.
     assert_eq!(ud1.affected.len(), 8);
 
-    let ud2 = affected_for(
-        &f.graph,
-        &mut idx,
-        &DataUpdate::InsertEdge {
-            from: f.db1,
-            to: f.s1,
-        },
-    )
-    .expect("UD2 is valid");
+    let (ud2, slen_new2) = commit(f.db1, f.s1);
     // Table VII row 2.
     assert_eq!(
         ud2.affected.iter().collect::<Vec<_>>(),
@@ -95,30 +87,18 @@ fn tables_v_vi_vii_incremental_slen() {
     );
     // Type II: Aff(UD1) ⊇ Aff(UD2) => UD1 eliminates UD2 (Example 8).
     assert!(ud1.affected.is_superset_of(&ud2.affected));
+    assert!(!ud2.affected.is_superset_of(&ud1.affected));
 
     // Tables V and VI: the full SLen_new matrices.
-    let mut g1 = f.graph.clone();
-    g1.add_edge(f.se1, f.te2).unwrap();
-    let m1 = apsp_matrix(&g1);
-    for (i, row) in TABLE_V.iter().enumerate() {
-        for (j, &expected) in row.iter().enumerate() {
-            assert_eq!(
-                m1.get(NodeId(i as u32), NodeId(j as u32)),
-                expected,
-                "Table V [{i}][{j}]"
-            );
-        }
-    }
-    let mut g2 = f.graph.clone();
-    g2.add_edge(f.db1, f.s1).unwrap();
-    let m2 = apsp_matrix(&g2);
-    for (i, row) in TABLE_VI.iter().enumerate() {
-        for (j, &expected) in row.iter().enumerate() {
-            assert_eq!(
-                m2.get(NodeId(i as u32), NodeId(j as u32)),
-                expected,
-                "Table VI [{i}][{j}]"
-            );
+    for (name, table, slen_new) in [("V", &TABLE_V, &slen_new1), ("VI", &TABLE_VI, &slen_new2)] {
+        for (i, row) in table.iter().enumerate() {
+            for (j, &expected) in row.iter().enumerate() {
+                assert_eq!(
+                    slen_new.matrix().get(NodeId(i as u32), NodeId(j as u32)),
+                    expected,
+                    "Table {name} [{i}][{j}]"
+                );
+            }
         }
     }
 }
