@@ -282,10 +282,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enable the online cost-model controller on every shard (see
-    /// [`gpnm_service::ServiceBuilder::adaptive`]): per-pattern refresh
-    /// strategies and per-shard refresh parallelism are then driven by
-    /// live tick stats instead of the fixed configuration.
+    /// Enable the refresh-parallelism tuner on every shard (see
+    /// [`gpnm_service::ServiceBuilder::adaptive`]): per-shard refresh
+    /// parallelism is then driven by live tick stats instead of the fixed
+    /// configuration.
     pub fn adaptive(mut self, on: bool) -> Self {
         self.adaptive = on;
         self

@@ -14,9 +14,7 @@
 use gpnm_graph::{Bound, DataGraph, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
-use crate::backend::{
-    CostHints, IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements,
-};
+use crate::backend::{IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements};
 use crate::incremental::IncrementalIndex;
 use crate::kind::BackendKind;
 use crate::oracle::DistanceOracle;
@@ -155,10 +153,6 @@ impl SlenBackend for AnyBackend {
 
     fn io_stats(&self) -> Option<IoStats> {
         on_backend!(self, b => b.io_stats())
-    }
-
-    fn cost_hints(&self) -> CostHints {
-        on_backend!(self, b => b.cost_hints())
     }
 }
 

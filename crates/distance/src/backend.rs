@@ -198,37 +198,6 @@ impl IoStats {
     }
 }
 
-/// Cheap, static per-backend cost hints for adaptive execution.
-///
-/// An online controller choosing between incremental repair and a full
-/// re-match only observes wall times *on the backend it runs on* — but
-/// some backends make whole strategy families structurally cheaper or
-/// dearer regardless of the workload. These hints encode that prior so
-/// the controller does not have to rediscover it by exploring expensive
-/// arms: a paged backend's re-match streams every resident row through a
-/// byte-budgeted cache (evicting the hot set a repair pass would reuse),
-/// so its predictions for scan-shaped strategies are scaled up front.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostHints {
-    /// Multiplier a controller applies to its *predicted* full re-match
-    /// cost on this backend. `1.0` for in-memory backends; `> 1.0` when
-    /// full scans are structurally penalized (cache-thrashing paged
-    /// storage).
-    pub rematch_bias: f64,
-    /// Whether row access may fault to storage — scan-shaped work then
-    /// has tail latencies the mean-based cost model underestimates.
-    pub storage_backed: bool,
-}
-
-impl Default for CostHints {
-    fn default() -> Self {
-        CostHints {
-            rematch_bias: 1.0,
-            storage_backed: false,
-        }
-    }
-}
-
 /// How a strategy wants deletion rows recomputed.
 ///
 /// The paper's evaluation separates UA-GPNM (partition-accelerated `SLen`
@@ -257,8 +226,9 @@ pub enum RepairHint {
 /// evaluation: an update's effect is the delta its commit emits.
 ///
 /// Backends are `Send + Sync`: after a batch's commit pass the index is
-/// consulted read-only by per-pattern refresh work fanned out across the
-/// `gpnm-pool` workers (and whole backends move between threads when a
+/// consulted read-only by per-pattern refresh work (one merged repair
+/// pass or a re-match per pattern) fanned out across the `gpnm-pool`
+/// workers (and whole backends move between threads when a
 /// cluster fans a tick out across shards), so thread-safe sharing is part
 /// of the contract, not an implementation detail.
 pub trait SlenBackend: DistanceOracle + Send + Sync {
@@ -331,13 +301,6 @@ pub trait SlenBackend: DistanceOracle + Send + Sync {
     /// In-memory backends return `None`.
     fn io_stats(&self) -> Option<IoStats> {
         None
-    }
-
-    /// Static cost hints an adaptive controller folds into its strategy
-    /// predictions — see [`CostHints`]. The default (no bias) fits every
-    /// in-memory backend; storage-backed backends override.
-    fn cost_hints(&self) -> CostHints {
-        CostHints::default()
     }
 }
 

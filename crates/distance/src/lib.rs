@@ -105,8 +105,7 @@ pub use aff::AffDelta;
 pub use any::AnyBackend;
 pub use apsp::{apsp_matrix, bfs_row, parallel_bfs_rows, parallel_bfs_rows_csr};
 pub use backend::{
-    project_delta, CostHints, IoStats, PartitionedBackend, RepairHint, SlenBackend,
-    SlenRequirements,
+    project_delta, IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements,
 };
 pub use dijkstra::{dijkstra_multi, WeightedAdj};
 pub use incremental::IncrementalIndex;

@@ -51,7 +51,7 @@ use std::ptr;
 
 use gpnm_graph::DataGraph;
 
-use crate::backend::{CostHints, IoStats, SlenRequirements};
+use crate::backend::{IoStats, SlenRequirements};
 use crate::pager::{PageFile, RowLoc, DEFAULT_PAGE_SIZE};
 use crate::rows::{grow_with_slack, BoundedRows, RowStore, SparseRow};
 
@@ -550,36 +550,6 @@ impl RowStore for PagedStore {
             pages_written: self.file.pages_written(),
         })
     }
-
-    /// A full re-match streams every resident row through the
-    /// byte-budgeted cache — on a cache-starved index that evicts the hot
-    /// set an incremental repair would have reused, so scan predictions
-    /// are biased up front instead of learned by running the expensive
-    /// arm.
-    ///
-    /// The bias is priced from the cache's own history rather than a
-    /// fixed constant: a cold or thrashing cache (high miss ratio) pays
-    /// spill-file page reads on nearly every row a scan touches, so the
-    /// penalty scales up toward 16×; a cache that absorbs the working
-    /// set (miss ratio → 0) costs little more than the in-memory
-    /// backends and the penalty relaxes toward 1×. Before any row fetch
-    /// has been observed the static 4× prior applies.
-    fn cost_hints(&self) -> CostHints {
-        // RELAXED: monitoring snapshot of lossy counters.
-        let hits = self.stats.hits.load(Ordering::Relaxed);
-        let misses = self.stats.misses.load(Ordering::Relaxed);
-        let total = hits + misses;
-        let rematch_bias = if total == 0 {
-            4.0
-        } else {
-            let miss_ratio = misses as f64 / total as f64;
-            (1.0 + 15.0 * miss_ratio).clamp(1.0, 16.0)
-        };
-        CostHints {
-            rematch_bias,
-            storage_backed: true,
-        }
-    }
 }
 
 /// Disk-resident bounded-row `SLen` index with a hot-row cache:
@@ -698,37 +668,6 @@ mod tests {
         p.rebuild(&f.graph, &reqs);
         assert_eq!(p.cached_rows(), 0, "rebuild restarts cold");
         assert_eq!(p.resident_rows(), 7);
-    }
-
-    #[test]
-    fn cost_hints_price_io_from_live_cache_metrics() {
-        let (f, p) = fig1_paged(tiny());
-        // Idle index: no fetch history yet, the static prior applies.
-        let idle = SlenBackend::cost_hints(&p);
-        assert!(idle.storage_backed);
-        assert_eq!(idle.rematch_bias, 4.0, "no observations → static prior");
-
-        // Thrash the 2-page cache so the miss ratio climbs, then check
-        // the bias is priced from the observed history (and bounded).
-        let n = f.graph.slot_count();
-        for _ in 0..3 {
-            for i in 0..n {
-                for j in 0..n {
-                    let _ = p.distance(NodeId::from_index(i), NodeId::from_index(j));
-                }
-            }
-        }
-        let io = p.io_stats().expect("paged reports IO");
-        assert!(io.cache_hits + io.cache_misses > 0);
-        let hot = SlenBackend::cost_hints(&p);
-        let miss_ratio = io.cache_misses as f64 / (io.cache_hits + io.cache_misses) as f64;
-        let expected = (1.0 + 15.0 * miss_ratio).clamp(1.0, 16.0);
-        assert!(
-            (hot.rematch_bias - expected).abs() < 1e-9,
-            "bias {} should track miss ratio {miss_ratio}",
-            hot.rematch_bias
-        );
-        assert!((1.0..=16.0).contains(&hot.rematch_bias));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! the crate-private `RowStore` seam: resident? / fetch / put / update /
 //! remove / clear / grow for the `&mut` repair paths, `with_row` for the
 //! `&self` oracle probes, and the store's own accounting (`mem_bytes`,
-//! `io_stats`, `cost_hints`, `KIND`). Two stores exist:
+//! `io_stats`, `KIND`). Two stores exist:
 //!
 //! * `MemStore` ([`crate::SparseIndex`]) — a slot-indexed
 //!   `Vec<Option<SparseRow>>`; every operation is an index.
@@ -175,7 +175,7 @@ use std::fmt::Debug;
 use gpnm_graph::{Bound, CsrSnapshot, DataGraph, Label, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
-use crate::backend::{CostHints, IoStats, RepairHint, SlenBackend, SlenRequirements};
+use crate::backend::{IoStats, RepairHint, SlenBackend, SlenRequirements};
 use crate::oracle::DistanceOracle;
 use crate::{sat_add, INF};
 
@@ -384,11 +384,6 @@ pub(crate) trait RowStore: Debug + Default + Send + Sync {
     /// Cumulative paging counters; `None` for a store that never pages.
     fn io_stats(&self) -> Option<IoStats> {
         None
-    }
-
-    /// Cost hints of the storage (see [`CostHints`]).
-    fn cost_hints(&self) -> CostHints {
-        CostHints::default()
     }
 }
 
@@ -813,10 +808,6 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
 
     fn io_stats(&self) -> Option<IoStats> {
         self.store.io_stats()
-    }
-
-    fn cost_hints(&self) -> CostHints {
-        self.store.cost_hints()
     }
 }
 

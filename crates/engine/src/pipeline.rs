@@ -16,13 +16,19 @@
 //!    [`RepairPlan`] from a committed update. Must be called *during* the
 //!    commit pass, while the graph sits at that update's post-state —
 //!    exactly where the single-pattern engine calls it.
-//! 3. [`refresh_pattern`] — one pattern's DER-II elimination analysis
-//!    (affected-set containment → EH-Tree) plus the survivor repair
-//!    passes, over the shared committed records.
+//! 3. [`SharedElimination::detect`] — the tick's DER-II elimination
+//!    analysis (affected-set containment → EH-Tree), once for all
+//!    patterns.
+//! 4. [`refresh_pattern_strategy`] — the one refresh entry: a single
+//!    merged repair pass per pattern over the survivors' plans (or a
+//!    re-match), at the post-batch state.
 //!
-//! `GpnmEngine` itself drives the same functions (its `commit_data` and
-//! survivor-repair loop delegate here), so the single-pattern path and the
-//! `gpnm-service` multi-pattern path cannot drift apart.
+//! `GpnmEngine` commits through [`commit_data_update`] and plans through
+//! the same plan builders, so the two front doors cannot drift apart
+//! there. They differ on purpose in step 4: the engine interleaves
+//! pattern updates and runs the paper's one pass **per surviving update**
+//! (`run_survivor_repairs` — the cost model Fig. 5–9 measure), the hosts
+//! commit the whole batch first and run one pass over the union.
 
 use std::time::{Duration, Instant};
 
@@ -109,16 +115,13 @@ pub fn commit_data_update<B: SlenBackend>(
 /// Where one pattern's refresh spent its work.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RefreshStats {
-    /// Updates whose repair pass the EH-Tree eliminated.
+    /// Updates the tick's EH-Tree eliminated — a property of the batch,
+    /// the same under either [`crate::RefreshStrategy`].
     pub eliminated: usize,
-    /// Repair passes actually run.
+    /// Repair passes run: one when the tick committed any update under
+    /// [`crate::RefreshStrategy::Eliminative`], else zero.
     pub repair_calls: usize,
-    /// Elimination detection time (containment + relations). Zero when a
-    /// precomputed [`SharedElimination`] was supplied.
-    pub detect_time: Duration,
-    /// EH-Tree construction time. Zero when precomputed.
-    pub tree_time: Duration,
-    /// Match repair time.
+    /// Match repair (or re-match) time.
     pub repair_time: Duration,
 }
 
@@ -127,7 +130,7 @@ pub struct RefreshStats {
 /// records. The effects consume only the update kind and its `SLen`
 /// `Aff_N` coverage — nothing pattern-specific — so a multi-pattern tick
 /// computes this **once** and shares it across every
-/// [`refresh_pattern_shared`] call instead of rebuilding k identical
+/// [`refresh_pattern_strategy`] call instead of rebuilding k identical
 /// trees.
 #[derive(Debug, Clone)]
 pub struct SharedElimination {
@@ -176,100 +179,34 @@ impl SharedElimination {
     }
 }
 
-/// Refresh one pattern's `result` after a shared commit pass: detect
-/// DER-II eliminations among the committed data updates, build the
-/// EH-Tree, and run one repair pass per surviving update.
+/// Refresh one pattern's `result` after a shared commit pass — the one
+/// refresh entry of the hosts (service, every cluster shard, the
+/// benchmark's staged replay).
 ///
-/// `plans[i]` must be the plan [`plan_for_data_update`] derived for
-/// `committed[i]` *against this pattern* during the commit pass. The
-/// graph/backend must be in their post-batch state. Multi-pattern callers
-/// should run [`SharedElimination::detect`] once and use
-/// [`refresh_pattern_shared`] per pattern instead.
-pub fn refresh_pattern<B: SlenBackend>(
-    pattern: &PatternGraph,
-    graph: &DataGraph,
-    index: &B,
-    semantics: MatchSemantics,
-    result: &mut MatchResult,
-    committed: &[CommittedUpdate],
-    plans: &[RepairPlan],
-) -> RefreshStats {
-    assert_eq!(
-        committed.len(),
-        plans.len(),
-        "one plan per committed update"
-    );
-    let shared = SharedElimination::detect(committed);
-    let mut stats =
-        refresh_pattern_shared(pattern, graph, index, semantics, result, plans, &shared);
-    stats.detect_time = shared.detect_time;
-    stats.tree_time = shared.tree_time;
-    stats
-}
-
-/// [`refresh_pattern`] with the elimination analysis precomputed — the
-/// multi-pattern fast path: one [`SharedElimination`] serves every
-/// registered pattern of a tick.
-pub fn refresh_pattern_shared<B: SlenBackend>(
-    pattern: &PatternGraph,
-    graph: &DataGraph,
-    index: &B,
-    semantics: MatchSemantics,
-    result: &mut MatchResult,
-    plans: &[RepairPlan],
-    shared: &SharedElimination,
-) -> RefreshStats {
-    let mut stats = RefreshStats {
-        eliminated: shared.eliminated_count(),
-        ..Default::default()
-    };
-
-    // Addition sources union over *every* update (eliminated included) —
-    // same contract as the engine (DESIGN.md §2): coverage containment
-    // justifies skipping an eliminated update's verify pass, but its
-    // pattern-node-level addition sources must still seed the first call.
-    let mut all_additions = RepairPlan::new();
-    for plan in plans {
-        for &p in &plan.addition_sources {
-            if !all_additions.addition_sources.contains(&p) {
-                all_additions.addition_sources.push(p);
-            }
-        }
-    }
-    let survivor_plans: Vec<&RepairPlan> = shared.survivors().iter().map(|&r| &plans[r]).collect();
-
-    let t = Instant::now();
-    stats.repair_calls = run_survivor_repairs(
-        pattern,
-        graph,
-        index,
-        semantics,
-        result,
-        &survivor_plans,
-        &all_additions,
-    );
-    stats.repair_time = t.elapsed();
-    stats
-}
-
-/// [`refresh_pattern_shared`] with the per-pattern half of the tick
-/// chosen by a [`crate::RefreshStrategy`] — the seam an adaptive
-/// controller swaps per pattern, per tick:
+/// `plans[i]` must be the plan [`plan_for_data_update`] derived for the
+/// tick's `i`-th committed update *against this pattern* during the
+/// commit pass, and `shared` the [`SharedElimination`] detected over those
+/// same committed updates. The graph/backend must be in their post-batch
+/// state.
 ///
-/// * [`crate::RefreshStrategy::Eliminative`] delegates to
-///   [`refresh_pattern_shared`] (EH-Tree survivors, one verify pass each);
-/// * [`crate::RefreshStrategy::PerUpdate`] runs one verify pass per
-///   *committed* update, ignoring the elimination analysis — the
-///   INC-GPNM refresh shape;
+/// * [`crate::RefreshStrategy::Eliminative`] runs **one** [`repair`] over
+///   the union of the EH-Tree survivors' `verify` sets, seeded with every
+///   update's addition sources (eliminated included: coverage
+///   containment justifies skipping an eliminated update's `verify` set,
+///   not its pattern-node-level addition sources). By refresh time the
+///   graph and index are read-only, and pruning a superset of the maximum
+///   simulation from above is confluent ([`repair`]'s own argument), so
+///   one pass over the union reaches exactly the fixed point the paper's
+///   pass-per-survivor loop reaches — [`crate::GpnmEngine`] keeps that
+///   loop, whose per-update cost is what the paper's figures measure.
 /// * [`crate::RefreshStrategy::Rematch`] discards the standing result and
-///   re-matches from the post-batch index — the Scratch refresh shape.
+///   re-matches from the post-batch index.
 ///
-/// All three converge to the same fixed point (repair passes verify down
-/// to exactly the full match — the invariant
-/// `commit_then_refresh_matches_scratch` pins), so the choice trades cost
-/// only; the service equivalence proptests assert bitwise-equal results
-/// across forced mid-stream switches.
-#[allow(clippy::too_many_arguments)] // refresh_pattern_shared's signature + the strategy selector
+/// Both reach the same fixed point (`commit_then_refresh_matches_scratch`
+/// pins it), so the choice trades cost only; the service equivalence
+/// proptests assert bitwise-equal results across forced mid-stream
+/// switches.
+#[allow(clippy::too_many_arguments)] // one pattern's whole refresh context + the strategy selector
 pub fn refresh_pattern_strategy<B: SlenBackend>(
     strategy: crate::RefreshStrategy,
     pattern: &PatternGraph,
@@ -287,51 +224,43 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
         plans = plans.len(),
     );
     let _entered = span.enter();
-    match strategy {
+    let t = Instant::now();
+    let repair_calls = match strategy {
+        crate::RefreshStrategy::Eliminative if plans.is_empty() => 0,
         crate::RefreshStrategy::Eliminative => {
-            refresh_pattern_shared(pattern, graph, index, semantics, result, plans, shared)
-        }
-        crate::RefreshStrategy::PerUpdate => {
-            let mut stats = RefreshStats::default();
-            let mut all_additions = RepairPlan::new();
+            let mut merged = RepairPlan::new();
             for plan in plans {
                 for &p in &plan.addition_sources {
-                    if !all_additions.addition_sources.contains(&p) {
-                        all_additions.addition_sources.push(p);
+                    if !merged.addition_sources.contains(&p) {
+                        merged.addition_sources.push(p);
                     }
                 }
             }
-            let every_plan: Vec<&RepairPlan> = plans.iter().collect();
-            let t = Instant::now();
-            stats.repair_calls = run_survivor_repairs(
-                pattern,
-                graph,
-                index,
-                semantics,
-                result,
-                &every_plan,
-                &all_additions,
-            );
-            stats.repair_time = t.elapsed();
-            stats
+            for &survivor in shared.survivors() {
+                merged.verify.union_with(&plans[survivor].verify);
+            }
+            repair(pattern, graph, index, semantics, result, &merged);
+            1
         }
         crate::RefreshStrategy::Rematch => {
-            let t = Instant::now();
             *result = match_graph(pattern, graph, index, semantics);
-            RefreshStats {
-                repair_time: t.elapsed(),
-                ..Default::default()
-            }
+            0
         }
+    };
+    RefreshStats {
+        eliminated: shared.eliminated_count(),
+        repair_calls,
+        repair_time: t.elapsed(),
     }
 }
 
 /// Run one repair pass per survivor plan, seeding the merged addition
 /// sources into the first call only (additions cascade inside `repair`,
 /// so one seeding suffices; later passes are pure verify passes). Returns
-/// the number of repair calls made. Shared by [`refresh_pattern`] and the
-/// engine's eliminative strategies.
-pub fn run_survivor_repairs<B: SlenBackend>(
+/// the number of repair calls made. The engine's eliminative strategies
+/// only: the hosts merge the survivors into one pass
+/// ([`refresh_pattern_strategy`]).
+pub(crate) fn run_survivor_repairs<B: SlenBackend>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     index: &B,
@@ -368,7 +297,7 @@ pub fn run_survivor_repairs<B: SlenBackend>(
 mod tests {
     use super::*;
     use gpnm_distance::IncrementalIndex;
-    use gpnm_graph::paper::fig1;
+    use gpnm_graph::paper::{fig1, Fig1};
     use gpnm_graph::GraphError;
     use gpnm_matcher::match_graph;
 
@@ -390,54 +319,22 @@ mod tests {
         assert_eq!(f.graph.edge_count(), before_edges);
     }
 
-    #[test]
-    fn commit_then_refresh_matches_scratch() {
-        let mut f = fig1();
-        let mut index = IncrementalIndex::build(&f.graph);
-        let semantics = MatchSemantics::Simulation;
-        let mut result = match_graph(&f.pattern, &f.graph, &index, semantics);
-
-        let updates = [
-            DataUpdate::InsertEdge {
-                from: f.se1,
-                to: f.te2,
-            },
-            DataUpdate::DeleteEdge {
-                from: f.se1,
-                to: f.s1,
-            },
-        ];
-        let mut committed = Vec::new();
-        let mut plans = Vec::new();
-        for u in &updates {
-            let cu = commit_data_update(&mut f.graph, &mut index, u, RepairHint::Baseline)
-                .expect("valid update");
-            plans.push(plan_for_data_update(
-                u, &cu.delta, &f.pattern, &f.graph, &result, cu.created,
-            ));
-            committed.push(cu);
-        }
-        let stats = refresh_pattern(
-            &f.pattern,
-            &f.graph,
-            &index,
-            semantics,
-            &mut result,
-            &committed,
-            &plans,
-        );
-        assert!(stats.repair_calls >= 1);
-        let scratch = match_graph(&f.pattern, &f.graph, &index, semantics);
-        assert_eq!(result, scratch);
+    /// Fig. 1 after one committed tick: the pre-batch result plus the
+    /// plans and elimination analysis a host's refresh consumes.
+    struct Tick {
+        f: Fig1,
+        index: IncrementalIndex,
+        base: MatchResult,
+        plans: Vec<RepairPlan>,
+        shared: SharedElimination,
     }
 
-    #[test]
-    fn every_refresh_strategy_reaches_the_same_fixed_point() {
+    const SEMANTICS: MatchSemantics = MatchSemantics::Simulation;
+
+    fn committed_tick() -> Tick {
         let mut f = fig1();
         let mut index = IncrementalIndex::build(&f.graph);
-        let semantics = MatchSemantics::Simulation;
-        let base = match_graph(&f.pattern, &f.graph, &index, semantics);
-
+        let base = match_graph(&f.pattern, &f.graph, &index, SEMANTICS);
         let updates = [
             DataUpdate::InsertEdge {
                 from: f.se1,
@@ -459,20 +356,60 @@ mod tests {
             committed.push(cu);
         }
         let shared = SharedElimination::detect(&committed);
-        let scratch = match_graph(&f.pattern, &f.graph, &index, semantics);
+        Tick {
+            f,
+            index,
+            base,
+            plans,
+            shared,
+        }
+    }
+
+    fn refresh(tick: &Tick, strategy: crate::RefreshStrategy) -> (MatchResult, RefreshStats) {
+        let mut result = tick.base.clone();
+        let stats = refresh_pattern_strategy(
+            strategy,
+            &tick.f.pattern,
+            &tick.f.graph,
+            &tick.index,
+            SEMANTICS,
+            &mut result,
+            &tick.plans,
+            &tick.shared,
+        );
+        (result, stats)
+    }
+
+    #[test]
+    fn commit_then_refresh_matches_scratch() {
+        let tick = committed_tick();
+        let (result, stats) = refresh(&tick, crate::RefreshStrategy::Eliminative);
+        assert_eq!(stats.repair_calls, 1, "one merged pass for the whole batch");
+        let scratch = match_graph(&tick.f.pattern, &tick.f.graph, &tick.index, SEMANTICS);
+        assert_eq!(result, scratch);
+    }
+
+    #[test]
+    fn every_refresh_strategy_reaches_the_same_fixed_point() {
+        let tick = committed_tick();
+        let scratch = match_graph(&tick.f.pattern, &tick.f.graph, &tick.index, SEMANTICS);
         for strategy in crate::RefreshStrategy::ALL {
-            let mut result = base.clone();
-            refresh_pattern_strategy(
-                strategy,
-                &f.pattern,
-                &f.graph,
-                &index,
-                semantics,
-                &mut result,
-                &plans,
-                &shared,
-            );
+            let (result, _) = refresh(&tick, strategy);
             assert_eq!(result, scratch, "{strategy} diverged from scratch");
+        }
+    }
+
+    #[test]
+    fn eliminated_is_reported_by_every_arm() {
+        let tick = committed_tick();
+        let eliminated = tick.shared.eliminated_count();
+        assert!(
+            eliminated >= 1,
+            "the fixture batch has an eliminated update"
+        );
+        for strategy in crate::RefreshStrategy::ALL {
+            let (_, stats) = refresh(&tick, strategy);
+            assert_eq!(stats.eliminated, eliminated, "{strategy}");
         }
     }
 }

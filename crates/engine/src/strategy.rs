@@ -6,6 +6,12 @@
 //! underneath — see [`gpnm_distance::backend`] for the trait and the
 //! per-backend trade-offs). Every strategy runs on every backend and
 //! produces the same match results; they differ in time and memory.
+//!
+//! A [`Strategy`] is a [`crate::GpnmEngine`] choice — the paper's model,
+//! where every surviving update costs a repair pass. The multi-pattern
+//! hosts commit the whole batch first and refresh each pattern at the
+//! final state under a [`RefreshStrategy`]: one merged pass, or a
+//! re-match.
 
 /// Which algorithm answers the subsequent query. See the crate docs for
 /// the capability matrix.
@@ -78,58 +84,35 @@ impl std::fmt::Display for Strategy {
 
 /// How one standing pattern's *refresh* runs inside a multi-pattern tick.
 ///
-/// A service tick splits a [`Strategy`] into a shared half (graph +
-/// `SLen` commit, DER-II detection — paid once per tick) and a
-/// per-pattern half (the survivor repair passes). This enum names the
-/// per-pattern half only, which is what an adaptive controller can swap
-/// *per pattern, per tick*: all three variants drive the result to the
-/// same fixed point (the matcher's repair converges to the full match —
-/// the bitwise contract the equivalence suites pin), so switching
-/// mid-stream changes cost, never answers.
+/// A host tick has a shared half (graph + `SLen` commit, DER-II
+/// detection — paid once per tick) and a per-pattern half, which this
+/// enum names. Both variants drive the result to the same fixed point
+/// (the matcher's repair converges to the full match — the bitwise
+/// contract the equivalence suites pin), so switching mid-stream changes
+/// cost, never answers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RefreshStrategy {
-    /// EH-Tree survivors only, one verify pass each — the per-pattern
-    /// half of [`Strategy::UaGpnm`]/[`Strategy::EhGpnm`], and the
-    /// default. Cheapest when most updates are eliminated or batches are
-    /// small.
+    /// One repair pass over the union of the EH-Tree survivors' plans —
+    /// the default. Its cost is bounded by a re-match of the affected
+    /// pattern nodes whatever the batch size.
     #[default]
     Eliminative,
-    /// One verify pass per committed update, ignoring the elimination
-    /// analysis — the per-pattern half of [`Strategy::IncGpnm`]. A strict
-    /// superset of [`RefreshStrategy::Eliminative`]'s passes; exists as
-    /// the ablation arm that prices what elimination saves.
-    PerUpdate,
     /// Throw the standing result away and re-match from the post-batch
-    /// index — the per-pattern half of [`Strategy::Scratch`]. Wins when a
-    /// batch disturbs more of the result than one full match costs.
+    /// index — the per-pattern half of [`Strategy::Scratch`], and the
+    /// reference the merged pass is checked against.
     Rematch,
 }
 
 impl RefreshStrategy {
-    /// All refresh strategies, in expected cheapest-first order on small
-    /// batches.
-    pub const ALL: [RefreshStrategy; 3] = [
-        RefreshStrategy::Eliminative,
-        RefreshStrategy::PerUpdate,
-        RefreshStrategy::Rematch,
-    ];
+    /// All refresh strategies.
+    pub const ALL: [RefreshStrategy; 2] = [RefreshStrategy::Eliminative, RefreshStrategy::Rematch];
 
-    /// Display name, matching the whole-engine strategy each variant is
-    /// the per-pattern half of.
+    /// Display name: the whole-engine strategy whose elimination analysis
+    /// (or lack of one) the variant shares.
     pub fn name(&self) -> &'static str {
         match self {
             RefreshStrategy::Eliminative => "UA-GPNM",
-            RefreshStrategy::PerUpdate => "INC-GPNM",
             RefreshStrategy::Rematch => "Scratch",
-        }
-    }
-
-    /// The whole-engine [`Strategy`] this refresh shape corresponds to.
-    pub fn engine_strategy(&self) -> Strategy {
-        match self {
-            RefreshStrategy::Eliminative => Strategy::UaGpnm,
-            RefreshStrategy::PerUpdate => Strategy::IncGpnm,
-            RefreshStrategy::Rematch => Strategy::Scratch,
         }
     }
 }
@@ -155,13 +138,8 @@ mod tests {
     #[test]
     fn refresh_strategies_map_to_engine_strategies() {
         assert_eq!(RefreshStrategy::default(), RefreshStrategy::Eliminative);
-        for rs in RefreshStrategy::ALL {
-            assert_eq!(rs.name(), rs.engine_strategy().name());
-        }
-        assert_eq!(
-            RefreshStrategy::Rematch.engine_strategy(),
-            Strategy::Scratch
-        );
+        assert_eq!(RefreshStrategy::Eliminative.name(), Strategy::UaGpnm.name());
+        assert_eq!(RefreshStrategy::Rematch.name(), Strategy::Scratch.name());
     }
 
     #[test]

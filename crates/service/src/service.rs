@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gpnm_adaptive::{StrategyController, ThreadTuner, TickFeatures};
+use gpnm_adaptive::ThreadTuner;
 use gpnm_distance::{
     AnyBackend, BackendKind, IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements,
 };
@@ -16,7 +16,7 @@ use gpnm_engine::RefreshStrategy;
 use gpnm_graph::{DataGraph, PatternGraph};
 use gpnm_matcher::{match_graph, MatchDelta, MatchResult, MatchSemantics, RepairPlan};
 use gpnm_pool::WorkerPool;
-use gpnm_telemetry::{Counter, IoDelta, PatternRefreshSample, TickRecorder};
+use gpnm_telemetry::{IoDelta, PatternRefreshSample, TickRecorder};
 use gpnm_updates::{reduce_batch, Update, UpdateBatch};
 
 use crate::error::ServiceError;
@@ -57,7 +57,7 @@ struct PatternSession {
     version: u64,
     /// How the next tick refreshes this pattern. Every
     /// [`RefreshStrategy`] reaches the same fixed point, so this knob
-    /// (hand-set or driven by the adaptive controller) trades cost only.
+    /// trades cost only.
     strategy: RefreshStrategy,
 }
 
@@ -91,8 +91,8 @@ pub struct TickStats {
     /// Refresh strategy each pattern ran this tick (display names, in
     /// registration order — parallel to `per_pattern_refresh_ns`).
     pub per_pattern_strategy: Vec<(PatternHandle, &'static str)>,
-    /// Cumulative adaptive controller arm switches across all patterns
-    /// since the controller was enabled (`0` on a fixed-strategy host).
+    /// Cumulative refresh-arm changes made through
+    /// [`GpnmService::set_refresh_strategy`] across all patterns.
     pub strategy_switches: u64,
     /// Updates whose repair pass the EH-Tree eliminated, summed over
     /// patterns.
@@ -245,8 +245,8 @@ impl TickStats {
     /// the same numbers into the global metrics registry), so the per-tick
     /// stats and the cumulative metrics can never disagree. The backend
     /// fields (`kind`/rows/bytes) are point-in-time gauges sampled at tick
-    /// end, not tick measurements; `strategy_switches` is the cumulative
-    /// controller count this struct has always reported.
+    /// end, not tick measurements; `strategy_switches` is the service's
+    /// cumulative count.
     fn from_recorder<B: SlenBackend>(
         rec: &TickRecorder,
         strategy_switches: u64,
@@ -453,12 +453,12 @@ impl ServiceBuilder {
         self
     }
 
-    /// Enable the online cost-model controller (default `false`): each
-    /// tick it picks every pattern's [`RefreshStrategy`] from live phase
-    /// timings and tunes the refresh parallelism between the sequential
-    /// baseline and pool fan-out — see [`GpnmService::set_adaptive`].
+    /// Enable the refresh-parallelism tuner (default `false`): each tick
+    /// it picks the refresh phase's lane count between the sequential
+    /// baseline and pool fan-out from the previous tick's measured
+    /// per-pattern refresh times — see [`GpnmService::set_adaptive`].
     /// Results stay bitwise identical to any fixed configuration; the
-    /// controller trades cost only.
+    /// tuner trades cost only.
     pub fn adaptive(mut self, on: bool) -> Self {
         self.adaptive = on;
         self
@@ -521,35 +521,14 @@ impl ServiceBuilder {
     }
 }
 
-/// The online controller state of an adaptive service: one
-/// [`StrategyController`] per registered pattern plus the host-wide
-/// [`ThreadTuner`].
-#[derive(Debug, Clone)]
+/// The state of an adaptive service: the host-wide [`ThreadTuner`] and
+/// what it is fed — the previous tick's measured per-pattern refresh
+/// times, summed and worst (zero before the first tick).
+#[derive(Debug, Clone, Default)]
 struct AdaptiveState {
-    controllers: Vec<(PatternHandle, StrategyController)>,
     tuner: ThreadTuner,
-    /// `gpnm_adaptive_decisions_total{arm, reason}` handles, resolved on
-    /// first use: a registry lookup per pattern per tick is measurable
-    /// on a 100 µs tick.
-    decision_counters: Vec<((&'static str, &'static str), Arc<Counter>)>,
-}
-
-impl AdaptiveState {
-    fn count_decision(&mut self, arm: &'static str, reason: &'static str) {
-        let known = self
-            .decision_counters
-            .iter()
-            .position(|(key, _)| *key == (arm, reason));
-        let at = known.unwrap_or_else(|| {
-            let counter = gpnm_telemetry::global().counter_with(
-                "gpnm_adaptive_decisions_total",
-                &[("arm", arm), ("reason", reason)],
-            );
-            self.decision_counters.push(((arm, reason), counter));
-            self.decision_counters.len() - 1
-        });
-        self.decision_counters[at].1.inc();
-    }
+    refresh_total_ns: u128,
+    refresh_max_ns: u128,
 }
 
 /// A continuous-query GPNM service: **one** data graph and **one** `SLen`
@@ -565,8 +544,9 @@ impl AdaptiveState {
 ///    [`ServiceError`], before any mutation;
 /// 2. net-reduces the batch and commits it through one shared repair
 ///    pass over the backend;
-/// 3. refreshes every registered pattern via its own elimination/affected
-///    pipeline (DER-II containment → EH-Tree → survivor repairs);
+/// 3. detects DER-II eliminations once (containment → EH-Tree) and
+///    refreshes every registered pattern with one repair pass over the
+///    union of the survivors' plans, at the post-batch state;
 /// 4. returns a [`MatchDelta`] per handle — added/removed pairs plus a
 ///    monotone `result_version` — instead of k full result tables.
 ///
@@ -587,6 +567,7 @@ pub struct GpnmService<B: SlenBackend = PartitionedBackend> {
     front: ReadFront,
     publishing: bool,
     adaptive: Option<AdaptiveState>,
+    strategy_switches: u64,
 }
 
 impl<B: SlenBackend + Clone> Clone for GpnmService<B> {
@@ -607,6 +588,7 @@ impl<B: SlenBackend + Clone> Clone for GpnmService<B> {
             front: ReadFront::new(),
             publishing: self.publishing,
             adaptive: self.adaptive.clone(),
+            strategy_switches: self.strategy_switches,
         };
         clone.republish_all();
         clone
@@ -642,6 +624,7 @@ impl<B: SlenBackend> GpnmService<B> {
             front: ReadFront::new(),
             publishing: true,
             adaptive: None,
+            strategy_switches: 0,
         }
     }
 
@@ -675,60 +658,49 @@ impl<B: SlenBackend> GpnmService<B> {
         self.refresh_threads
     }
 
-    /// Enable or disable the online cost-model controller. Enabled, each
-    /// tick prices every pattern's [`RefreshStrategy`] arms against the
-    /// batch features known before the refresh runs (committed updates,
-    /// EH-Tree survivors) using per-unit costs fitted to this pattern's
-    /// own observed timings, and tunes the refresh parallelism from the
-    /// last tick's measured critical path. Disabling drops the fitted
-    /// model; sessions keep whatever strategy the controller last chose.
+    /// Enable or disable the refresh-parallelism tuner. Enabled, each
+    /// tick's refresh lane count comes from the previous tick's measured
+    /// per-pattern refresh times (sum against critical path plus spawn
+    /// overhead — see [`ThreadTuner`]) instead of
+    /// [`GpnmService::refresh_threads`]. Disabling drops the tuner's state.
     pub fn set_adaptive(&mut self, on: bool) {
         if !on {
             self.adaptive = None;
-            return;
-        }
-        if self.adaptive.is_none() {
-            self.adaptive = Some(AdaptiveState {
-                controllers: self
-                    .sessions
-                    .iter()
-                    .map(|(h, _)| (*h, StrategyController::with_seed(h.id())))
-                    .collect(),
-                tuner: ThreadTuner::default(),
-                decision_counters: Vec::new(),
-            });
+        } else if self.adaptive.is_none() {
+            self.adaptive = Some(AdaptiveState::default());
         }
     }
 
-    /// Whether the online controller is driving this service.
+    /// Whether the tuner is driving this service's refresh parallelism.
     pub fn adaptive(&self) -> bool {
         self.adaptive.is_some()
     }
 
-    /// Cumulative strategy-arm switches across all adaptive controllers
-    /// (`0` when the controller is off).
+    /// Cumulative refresh-arm changes made through
+    /// [`GpnmService::set_refresh_strategy`] — the one way an arm changes.
     pub fn strategy_switches(&self) -> u64 {
-        self.adaptive
-            .as_ref()
-            .map(|s| s.controllers.iter().map(|(_, c)| c.switches()).sum())
-            .unwrap_or(0)
+        self.strategy_switches
     }
 
     /// Pin `handle`'s refresh strategy for subsequent ticks. Every
     /// strategy reaches the same fixed point (the `service_equivalence`
     /// suite switches mid-stream and asserts bitwise equality), so this
-    /// trades cost only. On an adaptive service the controller re-decides
-    /// each tick, overriding a manual pin.
+    /// trades cost only.
     pub fn set_refresh_strategy(
         &mut self,
         handle: PatternHandle,
         strategy: RefreshStrategy,
     ) -> Result<(), ServiceError> {
-        self.sessions
+        let (_, sess) = self
+            .sessions
             .iter_mut()
             .find(|(h, _)| *h == handle)
-            .map(|(_, s)| s.strategy = strategy)
-            .ok_or(ServiceError::UnknownHandle(handle))
+            .ok_or(ServiceError::UnknownHandle(handle))?;
+        if sess.strategy != strategy {
+            sess.strategy = strategy;
+            self.strategy_switches += 1;
+        }
+        Ok(())
     }
 
     /// The strategy `handle`'s next refresh will run under.
@@ -906,11 +878,6 @@ impl<B: SlenBackend> GpnmService<B> {
                 strategy: RefreshStrategy::default(),
             },
         ));
-        if let Some(state) = &mut self.adaptive {
-            state
-                .controllers
-                .push((handle, StrategyController::with_seed(handle.id())));
-        }
         Ok(handle)
     }
 
@@ -925,9 +892,6 @@ impl<B: SlenBackend> GpnmService<B> {
             .position(|(h, _)| *h == handle)
             .ok_or(ServiceError::UnknownHandle(handle))?;
         self.sessions.remove(pos);
-        if let Some(state) = &mut self.adaptive {
-            state.controllers.retain(|(h, _)| *h != handle);
-        }
         // Terminate the handle's published state and subscriptions
         // (queued deltas drain first, then a final `Closed`).
         self.front.close(handle);
@@ -1057,7 +1021,7 @@ impl<B: SlenBackend> GpnmService<B> {
         // Per-pattern refresh over the shared committed records. The
         // elimination analysis (DER-II containment + EH-Tree) consumes only
         // the shared deltas, so it is computed once and reused by every
-        // pattern's survivor-repair pass; then delta extraction. From here
+        // pattern's merged repair pass; then delta extraction. From here
         // the graph and index are read-only, so the per-pattern work is
         // independent and fans out across `refresh_threads` pool lanes.
         let t = Instant::now();
@@ -1068,46 +1032,18 @@ impl<B: SlenBackend> GpnmService<B> {
         };
         rec.detect_ns = ns64(shared.detect_time + shared.tree_time);
 
-        // Adaptive pre-refresh step: price each pattern's strategy arms
-        // against this tick's known features and let the tuner set the
-        // refresh parallelism from the chosen arms' predicted costs — like
-        // the arms themselves it follows a phase shift on its first tick,
-        // where last tick's measured times would fan a trickle tick out
-        // (or keep a churn tick sequential) once per shift. Both decisions
-        // trade cost only — every arm and lane count reaches the same
-        // fixed point.
-        let features = TickFeatures {
-            updates: committed.len(),
-            survivors: shared.survivors().len(),
+        // Adaptive pre-refresh step: the tuner sets the refresh parallelism
+        // from the previous tick's measured refresh times. It trades cost
+        // only — every lane count reaches the same fixed point.
+        let effective_threads = match &mut self.adaptive {
+            Some(state) => state.tuner.decide(
+                state.refresh_total_ns,
+                state.refresh_max_ns,
+                self.sessions.len(),
+                rec.pool_lanes,
+            ),
+            None => self.refresh_threads,
         };
-        let switches_before = self.strategy_switches();
-        let mut effective_threads = self.refresh_threads;
-        if let Some(state) = &mut self.adaptive {
-            let hints = self.index.cost_hints();
-            // Sum and max of the predicted refresh times; NaN while some
-            // pattern is still seeding an arm it has never run.
-            let (mut total, mut max) = (0.0f64, 0.0f64);
-            for (handle, sess) in self.sessions.iter_mut() {
-                if let Some((_, ctl)) = state.controllers.iter_mut().find(|(h, _)| h == handle) {
-                    sess.strategy = ctl.decide(&features, &hints);
-                    if let Some(d) = ctl.last_decision() {
-                        let ns = d.predicted_ns();
-                        total += ns;
-                        max = max.max(ns);
-                        state.count_decision(d.arm.name(), d.reason);
-                    }
-                }
-            }
-            if total.is_finite() {
-                effective_threads = state.tuner.decide(
-                    total as u128,
-                    max as u128,
-                    self.sessions.len(),
-                    WorkerPool::global().lanes(),
-                );
-            }
-        }
-        rec.strategy_switches = self.strategy_switches().saturating_sub(switches_before);
         rec.refresh_lanes = refresh_lanes(effective_threads, self.sessions.len());
 
         let refresh_span =
@@ -1128,12 +1064,10 @@ impl<B: SlenBackend> GpnmService<B> {
 
         let mut eliminated = 0;
         let mut repair_calls = 0;
-        let mut per_pattern_refresh_ns = Vec::with_capacity(outcomes.len());
         let mut deltas = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
             eliminated += outcome.stats.eliminated;
             repair_calls += outcome.stats.repair_calls;
-            per_pattern_refresh_ns.push((outcome.handle, outcome.refresh_ns));
             rec.per_pattern.push(PatternRefreshSample {
                 handle: outcome.handle.id(),
                 ns: u64::try_from(outcome.refresh_ns).unwrap_or(u64::MAX),
@@ -1143,22 +1077,6 @@ impl<B: SlenBackend> GpnmService<B> {
         }
         rec.eliminated = eliminated as u64;
         rec.repair_calls = repair_calls as u64;
-
-        // Adaptive post-refresh step: fold the measured per-pattern
-        // timings back into each controller's cost model.
-        if let Some(state) = &mut self.adaptive {
-            for &(handle, ns) in per_pattern_refresh_ns.iter() {
-                let strategy = self
-                    .sessions
-                    .iter()
-                    .find(|(h, _)| *h == handle)
-                    .map(|(_, s)| s.strategy)
-                    .unwrap_or_default();
-                if let Some((_, ctl)) = state.controllers.iter_mut().find(|(h, _)| *h == handle) {
-                    ctl.observe(strategy, &features, ns);
-                }
-            }
-        }
 
         self.tick += 1;
 
@@ -1212,7 +1130,11 @@ impl<B: SlenBackend> GpnmService<B> {
             _ => None,
         };
         rec.finish();
-        let stats = TickStats::from_recorder(&rec, self.strategy_switches(), &self.index);
+        let stats = TickStats::from_recorder(&rec, self.strategy_switches, &self.index);
+        if let Some(state) = &mut self.adaptive {
+            state.refresh_total_ns = stats.refresh_total_ns();
+            state.refresh_max_ns = stats.refresh_max_ns();
+        }
         let registry = gpnm_telemetry::global();
         registry
             .gauge("gpnm_index_resident_rows")
@@ -1640,11 +1562,31 @@ mod tests {
         assert_eq!(stats.shared_repair_ns, report.slen_time.as_nanos());
         assert_eq!(stats.eliminated, report.eliminated);
         assert_eq!(stats.repair_calls, report.repair_calls);
+        assert_eq!(
+            stats.repair_calls,
+            service.pattern_count(),
+            "one merged pass per pattern"
+        );
         assert!(stats.affected_nodes > 0, "the insert disturbed distances");
         assert!(stats.refresh_total_ns() >= stats.refresh_max_ns());
         let rendered = stats.render();
         assert!(rendered.contains("shared_repair"));
         assert!(rendered.contains("pattern #0"));
+
+        // Deleting the edge and inserting it back cancel in the reduction:
+        // nothing commits, so no pass runs.
+        let mut noop = UpdateBatch::new();
+        noop.push(DataUpdate::DeleteEdge {
+            from: f.se1,
+            to: f.te2,
+        });
+        noop.push(DataUpdate::InsertEdge {
+            from: f.se1,
+            to: f.te2,
+        });
+        let report = service.apply(&noop).expect("valid");
+        assert_eq!(report.updates_applied, 0);
+        assert_eq!(report.stats.repair_calls, 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use gpnm_distance::{BackendKind, IncrementalIndex, PartitionedBackend, SlenBackend, SparseIndex};
 use gpnm_engine::{GpnmEngine, RefreshStrategy, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
-use gpnm_matcher::{MatchResult, MatchSemantics};
+use gpnm_matcher::{match_graph, MatchResult, MatchSemantics};
 use gpnm_service::{GpnmService, ServiceError, TickOutcome};
 use gpnm_updates::{DataUpdate, UpdateBatch};
 use rand::rngs::StdRng;
@@ -199,6 +199,88 @@ fn check_equivalence<B: SlenBackend>(seed: u64, k: usize, ticks: usize, semantic
     }
 }
 
+/// `count` distinct ordered node pairs of `graph` with no edge between
+/// them: inserted in one tick and deleted back in the next, they make a
+/// balanced tick pair.
+fn absent_edges(rng: &mut StdRng, graph: &DataGraph, count: usize) -> Vec<(NodeId, NodeId)> {
+    let live: Vec<NodeId> = graph.nodes().collect();
+    let mut picks = Vec::with_capacity(count);
+    while picks.len() < count {
+        let u = live[rng.gen_range(0..live.len())];
+        let v = live[rng.gen_range(0..live.len())];
+        if u != v && !graph.has_edge(u, v) && !picks.contains(&(u, v)) {
+            picks.push((u, v));
+        }
+    }
+    picks
+}
+
+/// The merged repair pass where elimination is non-trivial: a stream
+/// alternating 1-update and 80-update balanced ticks (the proptests below
+/// draw 4–6 updates a tick, where the EH-Tree rarely eliminates
+/// anything). Every tick, the `Eliminative` service, the `Rematch`
+/// service and `match_graph` over a freshly built index agree bitwise.
+#[test]
+fn merged_pass_matches_rematch_and_scratch_across_batch_sizes() {
+    let semantics = MatchSemantics::Simulation;
+    let mut eliminated = 0;
+    let mut changed_ticks = 0;
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (graph, interner) = random_graph(&mut rng, 60, 120, 4);
+        let mut merged = GpnmService::<SparseIndex>::new(graph.clone());
+        let mut rematch = GpnmService::<SparseIndex>::new(graph);
+        let mut handles = Vec::new();
+        for _ in 0..3 {
+            let pattern = random_pattern(&mut rng, &interner, 4);
+            let hm = merged.register_pattern(pattern.clone(), semantics).unwrap();
+            let hr = rematch.register_pattern(pattern, semantics).unwrap();
+            rematch
+                .set_refresh_strategy(hr, RefreshStrategy::Rematch)
+                .unwrap();
+            handles.push((hm, hr));
+        }
+        let picks = absent_edges(&mut rng, merged.graph(), 81);
+        let (trickle, churn) = picks.split_at(1);
+        for (tick, picks) in [trickle, churn, trickle, churn].into_iter().enumerate() {
+            for insert in [true, false] {
+                let mut batch = UpdateBatch::new();
+                for &(from, to) in picks {
+                    batch.push(if insert {
+                        DataUpdate::InsertEdge { from, to }
+                    } else {
+                        DataUpdate::DeleteEdge { from, to }
+                    });
+                }
+                let rm = merged.apply(&batch).expect("valid batch");
+                let rr = rematch.apply(&batch).expect("valid batch");
+                assert_eq!(rm.repair_calls, handles.len(), "one merged pass a pattern");
+                assert_eq!(rr.repair_calls, 0);
+                assert_eq!(rm.eliminated, rr.eliminated);
+                eliminated += rm.eliminated;
+                let fresh = SparseIndex::build(merged.graph(), merged.requirements());
+                for &(hm, hr) in &handles {
+                    let pattern = merged.pattern(hm).unwrap();
+                    let scratch = match_graph(pattern, merged.graph(), &fresh, semantics);
+                    let context = format!("seed {seed}, tick {tick}, insert {insert}");
+                    assert_eq!(merged.result(hm).unwrap(), &scratch, "{context}");
+                    assert_eq!(rematch.result(hr).unwrap(), &scratch, "{context}");
+                    let dm = rm.delta_for(hm).expect("handle in report");
+                    let dr = rr.delta_for(hr).expect("handle in report");
+                    assert_eq!(
+                        (&dm.added, &dm.removed, dm.result_version),
+                        (&dr.added, &dr.removed, dr.result_version),
+                        "{context}"
+                    );
+                    changed_ticks += usize::from(!dm.added.is_empty() || !dm.removed.is_empty());
+                }
+            }
+        }
+    }
+    assert!(eliminated > 0, "the stream must exercise elimination");
+    assert!(changed_ticks > 0, "the stream must move some result");
+}
+
 proptest! {
     // Each case runs 3 backends (+ both semantics split across two props),
     // k engines and several ticks; 12 cases keeps the default run under a
@@ -255,11 +337,11 @@ proptest! {
     }
 
     /// Switching a pattern's refresh strategy *mid-stream* — tick by tick,
-    /// per pattern, through all three arms — never changes the answers:
-    /// every arm converges to the same fixed point, so the controller is
-    /// free to flip between them at any tick boundary. Results stay
-    /// bitwise-equal to dedicated engines and the delta contract holds
-    /// across every switch.
+    /// per pattern, between both arms — never changes the answers: each
+    /// arm converges to the same fixed point, so a caller is free to flip
+    /// between them at any tick boundary. Results stay bitwise-equal to
+    /// dedicated engines and the delta contract holds across every
+    /// switch.
     #[test]
     fn mid_stream_strategy_switches_preserve_results(seed in any::<u64>(), k in 1usize..4) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -317,10 +399,10 @@ proptest! {
         }
     }
 
-    /// An adaptive service — controller picking strategies and the tuner
-    /// picking lane counts live — produces bitwise the same results and
-    /// deltas as a fixed-strategy service fed the same stream. The
-    /// controller moves *cost*, never *answers*.
+    /// An adaptive service — the tuner picking lane counts live —
+    /// produces bitwise the same results and deltas as a fixed-lane
+    /// service fed the same stream. The tuner moves *cost*, never
+    /// *answers*.
     #[test]
     fn adaptive_service_matches_fixed(seed in any::<u64>(), k in 1usize..4) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -362,7 +444,7 @@ proptest! {
                 prop_assert_eq!(da.result_version, df.result_version);
             }
         }
-        // The controller actually ran: per-pattern strategies are reported.
+        // Per-pattern strategies are reported either way.
         let batch = random_data_batch(&mut rng, adaptive.graph(), &interner, 4);
         let report = adaptive.apply(&batch).expect("valid batch");
         prop_assert_eq!(report.stats.per_pattern_strategy.len(), k);

@@ -20,8 +20,7 @@ pub struct PatternRefreshSample {
     pub handle: u64,
     /// Refresh duration for this pattern.
     pub ns: u64,
-    /// The refresh strategy that ran: `"UA-GPNM"`, `"INC-GPNM"` or
-    /// `"Scratch"`.
+    /// The refresh strategy that ran: `"UA-GPNM"` or `"Scratch"`.
     pub strategy: &'static str,
 }
 
@@ -63,8 +62,6 @@ pub struct TickRecorder {
     pub repair_calls: u64,
     /// Affected-source set sizes, summed.
     pub affected_nodes: u64,
-    /// Adaptive strategy switches settled this tick.
-    pub strategy_switches: u64,
     /// Lanes actually used for per-pattern refresh (1 = sequential).
     pub refresh_lanes: usize,
     /// Worker-pool lanes available.
@@ -95,7 +92,6 @@ struct Flushed {
     eliminated: Arc<Counter>,
     repair_calls: Arc<Counter>,
     affected_nodes: Arc<Counter>,
-    strategy_switches: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
@@ -120,7 +116,6 @@ fn flushed() -> &'static Flushed {
             eliminated: r.counter("gpnm_eliminated_total"),
             repair_calls: r.counter("gpnm_repair_calls_total"),
             affected_nodes: r.counter("gpnm_affected_nodes_total"),
-            strategy_switches: r.counter("gpnm_strategy_switches_total"),
             cache_hits: r.counter("gpnm_paged_cache_hits_total"),
             cache_misses: r.counter("gpnm_paged_cache_misses_total"),
             cache_evictions: r.counter("gpnm_paged_cache_evictions_total"),
@@ -144,7 +139,6 @@ impl TickRecorder {
             eliminated: 0,
             repair_calls: 0,
             affected_nodes: 0,
-            strategy_switches: 0,
             refresh_lanes: 1,
             pool_lanes: 1,
             per_pattern: Vec::new(),
@@ -173,7 +167,6 @@ impl TickRecorder {
         f.eliminated.add(self.eliminated);
         f.repair_calls.add(self.repair_calls);
         f.affected_nodes.add(self.affected_nodes);
-        f.strategy_switches.add(self.strategy_switches);
         for sample in &self.per_pattern {
             f.pattern_refresh_ns.observe(sample.ns);
             metrics::global()

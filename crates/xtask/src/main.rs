@@ -5,8 +5,9 @@
 //! lint described in the workspace README ("Correctness tooling"): a
 //! purely lexical pass (no rustc plumbing, no external parser) that
 //! enforces the commenting and layering discipline the loom models and
-//! the `gpnm-sync` facade rely on. Diagnostics are `path:line: message`;
-//! any finding exits nonzero.
+//! the `gpnm-sync` facade rely on, and that every `BENCH_*.json` result
+//! file the README or a `//!` doc cites exists. Diagnostics are
+//! `path:line: message`; any finding exits nonzero.
 //!
 //! `cargo run -p gpnm-xtask -- check-telemetry [--metrics FILE]
 //! [--trace FILE]` validates the replay exporters' output: the Prometheus
@@ -111,6 +112,16 @@ mod lint {
             }
             if !print_exempt(&name) {
                 check_no_adhoc_printing(&name, &lines, &mut findings);
+            }
+            for (i, line) in lines.iter().enumerate() {
+                if line.comment.starts_with('!') {
+                    check_cited_bench_files(root, &name, i, &line.comment, &mut findings);
+                }
+            }
+        }
+        if let Ok(readme) = std::fs::read_to_string(root.join("README.md")) {
+            for (i, line) in readme.lines().enumerate() {
+                check_cited_bench_files(root, "README.md", i, line, &mut findings);
             }
         }
         check_crate_attrs(root, &files, &mut findings);
@@ -463,6 +474,44 @@ mod lint {
                         &format!("`{mac}` in a library crate — emit a `tracing` event or a metric instead (binaries, benches, tests, examples, and shims are exempt)"),
                     );
                 }
+            }
+        }
+    }
+
+    /// The `BENCH_<name>.json` result files `text` names.
+    pub fn cited_bench_files(text: &str) -> Vec<&str> {
+        let mut cited = Vec::new();
+        let mut rest = text;
+        while let Some(at) = rest.find("BENCH_") {
+            let tail = &rest[at..];
+            let stem = tail
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(tail.len());
+            if tail[stem..].starts_with(".json") {
+                cited.push(&tail[..stem + ".json".len()]);
+            }
+            rest = &tail[stem..];
+        }
+        cited
+    }
+
+    /// Rule 6: a result file that `README.md` or a `//!` doc cites exists
+    /// at the repository root.
+    fn check_cited_bench_files(
+        root: &Path,
+        name: &str,
+        line_idx: usize,
+        text: &str,
+        findings: &mut Vec<String>,
+    ) {
+        for file in cited_bench_files(text) {
+            if !root.join(file).is_file() {
+                push(
+                    findings,
+                    name,
+                    line_idx,
+                    &format!("cites `{file}`, which is not at the repository root"),
+                );
             }
         }
     }
@@ -890,6 +939,16 @@ unsafe in block */ let c = 'x'; let lt: &'static str = "";
         assert!(lines[1].comment.contains("block"));
         assert!(lines[2].comment.contains("unsafe in block"));
         assert!(lines[2].code.contains("&'static str"));
+    }
+
+    #[test]
+    fn cited_bench_files_are_found_lexically() {
+        let text = "`BENCH_pr4.json` (k = 16) and (BENCH_pr10.json); not the CI copy \
+                    `BENCH_pr3.ci.json`, a glob `BENCH_pr*.json` or `BENCH_pr3/4.json`";
+        assert_eq!(
+            super::lint::cited_bench_files(text),
+            ["BENCH_pr4.json", "BENCH_pr10.json"]
+        );
     }
 
     #[test]

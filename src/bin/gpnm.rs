@@ -28,9 +28,9 @@
 //! `--threads T` fans each shard's (or the single service's) per-pattern
 //! refresh out over T pool lanes, and `--stats` prints the per-tick
 //! `TickStats` accounting (`--stats-json FILE` writes the same stats as
-//! one JSON object per tick). `--adaptive` turns on the online cost-model
-//! controller: per-pattern refresh strategies and refresh parallelism are
-//! then picked each tick from live timings instead of fixed knobs, and
+//! one JSON object per tick). `--adaptive` turns on the refresh-parallelism
+//! tuner: the refresh lane count is then picked each tick from the previous
+//! tick's measured refresh times instead of `--threads`, and
 //! `--rebalance-every N` (clusters only) migrates patterns between shards
 //! every N ticks when a move shrinks the total resident index — results
 //! stay bitwise identical either way. Either way the replay drives the host through

@@ -20,9 +20,8 @@
 //!   EH-Tree.
 //! * [`engine`] — end-to-end strategies: `UA-GPNM` and the `INC-GPNM`,
 //!   `EH-GPNM`, `UA-GPNM-NoPar` baselines.
-//! * [`adaptive`] — the online cost-model controller: per-pattern refresh
-//!   strategy selection and refresh-parallelism tuning from live tick
-//!   stats.
+//! * [`adaptive`] — the refresh-parallelism tuner: sequential refresh or
+//!   pool fan-out, from the measured per-pattern refresh times.
 //! * [`service`] — the continuous-query layer: many standing patterns over
 //!   one graph, shared single-pass repair, per-tick [`prelude::MatchDelta`]s.
 //! * [`cluster`] — the sharded serving layer: k service shards with
@@ -86,7 +85,7 @@ pub use gpnm_workload as workload;
 
 /// Convenience re-exports covering the common API surface.
 pub mod prelude {
-    pub use gpnm_adaptive::{ControllerConfig, StrategyController, ThreadTuner, TickFeatures};
+    pub use gpnm_adaptive::ThreadTuner;
     pub use gpnm_cluster::{
         ClusterBuilder, ClusterError, ClusterHandle, ClusterTickReport, GpnmCluster, LeastLoaded,
         RebalanceMove, RoundRobin, ShardLoad, ShardPlacement,
