@@ -560,7 +560,7 @@ impl GpnmCluster {
         self.front.publish(
             handle,
             ReadView {
-                result: self.shards[shard].result(local)?.clone(),
+                result: self.shards[shard].result(local)?.visible(),
                 result_version: 0,
                 tick: self.tick,
             },
@@ -593,10 +593,12 @@ impl GpnmCluster {
     /// re-match**: replicas walk one graph trajectory and results are
     /// graph-determined, so the lifted result is bitwise what the target
     /// shard would compute (proptested against a freshly placed
-    /// cluster). The source shard's requirement union narrows, the
-    /// target's widens; the [`ClusterHandle`], its read views and its
-    /// subscriptions are untouched. Load snapshots update as moves
-    /// apply, so a pass never ping-pongs a pattern.
+    /// cluster). The full result moves — with the relation an unmatched
+    /// pattern withholds, so the target keeps repairing it — while read
+    /// views get the visible sets only. The source shard's requirement
+    /// union narrows, the target's widens; the [`ClusterHandle`], its
+    /// read views and its subscriptions are untouched. Load snapshots
+    /// update as moves apply, so a pass never ping-pongs a pattern.
     pub fn rebalance(&mut self) -> Result<Vec<RebalanceMove>, ClusterError> {
         let mut moves = Vec::new();
         if self.shards.len() < 2 {
@@ -744,7 +746,7 @@ impl GpnmCluster {
                     result: self.shards[shard]
                         .result(local)
                         .expect("routing table tracks live handles")
-                        .clone(),
+                        .visible(),
                     result_version: self.shards[shard]
                         .result_version(local)
                         .expect("routing table tracks live handles"),

@@ -4,7 +4,12 @@
 //! independent `GpnmEngine`s — on every backend and under both semantics,
 //! with registrations and deregistrations mid-stream. On top, parallel
 //! per-pattern refresh (`refresh_threads > 0`) must be bitwise equal to
-//! the sequential baseline.
+//! the sequential baseline. The pattern generator shares the service
+//! suite's *starved* arm (patterns biased to have no match), and every tick
+//! asserts `relation_eq` — cluster against single service against a fresh
+//! `match_graph` — so the withheld relation of an unmatched pattern is
+//! checked across deregistration, late registration and `rebalance()`
+//! migration, where `==` on the (empty) visible sets proves nothing.
 //!
 //! This is the load-bearing proof that sharding and fan-out parallelism
 //! change *cost and isolation*, not *answers*.
@@ -15,7 +20,7 @@ use gpnm_cluster::{GpnmCluster, RoundRobin, ShardLoad, ShardPlacement};
 use gpnm_distance::{BackendKind, SlenBackend};
 use gpnm_engine::{GpnmEngine, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
-use gpnm_matcher::MatchSemantics;
+use gpnm_matcher::{match_graph, MatchSemantics};
 use gpnm_service::{GpnmService, TickOutcome};
 use gpnm_updates::{DataUpdate, UpdateBatch};
 use rand::rngs::StdRng;
@@ -49,9 +54,13 @@ fn random_graph(
     (g, interner)
 }
 
-/// Random small finite-bounded pattern over the same label alphabet.
+/// Random small finite-bounded pattern over the same label alphabet; one
+/// draw in three is the service suite's *starved* arm, a four-node chain
+/// of bound-1 edges that usually has no match but keeps a non-empty
+/// withheld relation.
 fn random_pattern(rng: &mut StdRng, interner: &LabelInterner, labels: usize) -> PatternGraph {
-    let n: usize = rng.gen_range(2..=4);
+    let starved = rng.gen_range(0..3) == 0;
+    let n: usize = if starved { 4 } else { rng.gen_range(2..=4) };
     let mut p = PatternGraph::new();
     let nodes: Vec<_> = (0..n)
         .map(|_| {
@@ -61,6 +70,13 @@ fn random_pattern(rng: &mut StdRng, interner: &LabelInterner, labels: usize) -> 
             p.add_node(l)
         })
         .collect();
+    if starved {
+        for pair in nodes.windows(2) {
+            p.add_edge(pair[0], pair[1], Bound::Hops(1))
+                .expect("a fresh chain edge");
+        }
+        return p;
+    }
     let edges = rng.gen_range(1..=n);
     let mut added = 0;
     let mut attempts = 0;
@@ -219,6 +235,20 @@ fn check_equivalence(
                 service.result(sh).unwrap(),
                 "tick {tick} pattern {i}: cluster diverged from single service (seed {seed})"
             );
+            // The relation too — withheld or not — and against a fresh
+            // match, so a relation that a migration dropped or a repair
+            // left stale fails here, on this tick.
+            let fresh = match_graph(
+                service.pattern(sh).unwrap(),
+                service.graph(),
+                service.backend(),
+                semantics,
+            );
+            assert!(
+                got.relation_eq(&fresh) && service.result(sh).unwrap().relation_eq(&fresh),
+                "tick {tick} pattern {i}: stale relation (seed {seed}, {shards} shards, \
+                 {kind:?}, {semantics:?}): {got:?} vs fresh {fresh:?}"
+            );
             // The merged report's delta equals the single service's.
             assert_eq!(
                 cluster_report.delta_for(ch).expect("handle in report"),
@@ -355,6 +385,10 @@ proptest! {
         for (&hm, &hf) in handles.iter().zip(fresh_handles.iter()) {
             prop_assert_eq!(moved.shard_of(hm).unwrap(), fresh.shard_of(hf).unwrap());
             prop_assert_eq!(moved.result(hm).unwrap(), fresh.result(hf).unwrap());
+            prop_assert!(
+                moved.result(hm).unwrap().relation_eq(fresh.result(hf).unwrap()),
+                "a migration carries the withheld relation too"
+            );
             prop_assert_eq!(
                 moved.result_version(hm).unwrap(),
                 fresh.result_version(hf).unwrap()
@@ -375,6 +409,7 @@ proptest! {
             prop_assert_eq!(&dm.added, &df.added);
             prop_assert_eq!(&dm.removed, &df.removed);
             prop_assert_eq!(dm.result_version, df.result_version);
+            prop_assert!(moved.result(hm).unwrap().relation_eq(fresh.result(hf).unwrap()));
         }
     }
 
@@ -409,6 +444,7 @@ proptest! {
             let par_report = par.apply(&batch).expect("valid");
             for &h in &handles {
                 prop_assert_eq!(seq.result(h).unwrap(), par.result(h).unwrap());
+                prop_assert!(seq.result(h).unwrap().relation_eq(par.result(h).unwrap()));
                 prop_assert_eq!(
                     seq_report.delta_for(h).unwrap(),
                     par_report.delta_for(h).unwrap()

@@ -555,7 +555,13 @@ impl<B: SlenBackend> GpnmEngine<B> {
     // Update application primitives
     // ==================================================================
 
+    /// The one place a pattern is mutated under the standing result. Every
+    /// caller derived its plan from DER-I candidates, which read the
+    /// *visible* sets; a relation the total-match rule is withholding is
+    /// not covered by such a plan, so it is forgotten here and the next
+    /// repair re-matches (see [`MatchResult::forget_relation`]).
     fn apply_pattern_update(&mut self, update: &PatternUpdate) {
+        self.result.forget_relation();
         match *update {
             PatternUpdate::InsertEdge { from, to, bound } => {
                 self.pattern

@@ -123,6 +123,11 @@ pub struct RefreshStats {
     pub repair_calls: usize,
     /// Match repair (or re-match) time.
     pub repair_time: Duration,
+    /// Whether the repair pass fell back to [`match_graph`] because
+    /// `result` was visibly empty and carried no relation to repair (see
+    /// [`repair`]). Not set by [`crate::RefreshStrategy::Rematch`], which
+    /// re-matches by choice. A steady-state host tick expects `false`.
+    pub rematched: bool,
 }
 
 /// The pattern-*independent* half of a tick's elimination analysis:
@@ -225,6 +230,7 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
     );
     let _entered = span.enter();
     let t = Instant::now();
+    let mut rematched = false;
     let repair_calls = match strategy {
         crate::RefreshStrategy::Eliminative if plans.is_empty() => 0,
         crate::RefreshStrategy::Eliminative => {
@@ -239,7 +245,10 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
             for &survivor in shared.survivors() {
                 merged.verify.union_with(&plans[survivor].verify);
             }
-            repair(pattern, graph, index, semantics, result, &merged);
+            rematched = repair(pattern, graph, index, semantics, result, &merged);
+            if rematched {
+                tracing::event!(tracing::Level::TRACE, "repair_rematch");
+            }
             1
         }
         crate::RefreshStrategy::Rematch => {
@@ -251,6 +260,7 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
         eliminated: shared.eliminated_count(),
         repair_calls,
         repair_time: t.elapsed(),
+        rematched,
     }
 }
 

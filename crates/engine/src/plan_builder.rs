@@ -18,13 +18,16 @@ use gpnm_updates::{Candidates, DataUpdate, PatternUpdate};
 ///   `(x, y, old, new)` with `new < old` *crosses one of `u`'s bounds*:
 ///   an edge `(u, u', b)` with `label(x) = label(u)`, `label(y) =
 ///   label(u')` and `b` admitting `new` but not `old`, where `x` is not
-///   yet matched to `u` — or, mirrored for the predecessor checks of dual
-///   semantics, an edge `(w, u, b)` crossed the same way by a record whose
-///   target `y` carries `u`'s label and is not yet matched to `u`.
+///   yet matched to `u` (in the relation — see below) — or, mirrored for
+///   the predecessor checks of dual semantics, an edge `(w, u, b)` crossed
+///   the same way by a record whose target `y` carries `u`'s label and is
+///   not yet matched to `u`.
 ///
 /// ## Why crossings are enough
 ///
-/// Let `S_old` be the standing maximum simulation and call `(u, x)`
+/// Let `S_old` be the standing maximum simulation — the relation `result`
+/// stands for ([`MatchResult::relation_contains`]), which the total-match
+/// rule may be withholding from the visible sets — and call `(u, x)`
 /// *gained* when it is in the new maximum simulation but not in `S_old`.
 /// [`gpnm_matcher::repair`] re-seeds the reverse-dependency closure of the
 /// sources, so the plan is sound iff every gained pair has `u` inside that
@@ -40,7 +43,17 @@ use gpnm_updates::{Candidates, DataUpdate, PatternUpdate};
 /// within `b` in the old state too (the predecessor side is the mirrored
 /// argument). Node slots are never reused, so a member that did not exist
 /// in the old state came from an `InsertNode`, whose arm names every
-/// pattern node of its label; a result cleared by the total-match rule is
+/// pattern node of its label. Nothing above needs `S_old` to be total, so
+/// the argument applies to a withheld relation directly: an unmatched
+/// pattern is repaired like any other, and "matched" / "unmatched" in the
+/// rule above mean membership in the relation, not in the visible sets —
+/// read off the (empty) visible sets, every crossing would name a source.
+/// The relation is exact because the two things that could stale it end
+/// in a re-match instead: an outside edit of the visible sets
+/// ([`MatchResult::set_mut`]) discards it, and a pattern update forgets it
+/// ([`MatchResult::forget_relation`], called by
+/// `GpnmEngine::apply_pattern_update`, whose DER-I candidates come from
+/// the visible sets) — a visibly-empty result with no relation is
 /// re-matched by `repair`, not repaired.
 pub fn plan_for_data_update(
     update: &DataUpdate,
@@ -64,8 +77,8 @@ pub fn plan_for_data_update(
                     for &(succ, bound) in pattern.out_edges(u) {
                         let crossed = bound.admits(new) && !bound.admits(old);
                         if crossed && pattern.label(succ) == ly {
-                            gains[u.index()] |= !result.contains(u, x);
-                            gains[succ.index()] |= !result.contains(succ, y);
+                            gains[u.index()] |= !result.relation_contains(u, x);
+                            gains[succ.index()] |= !result.relation_contains(succ, y);
                         }
                     }
                 }

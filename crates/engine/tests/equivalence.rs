@@ -275,6 +275,108 @@ fn chained_subsequent_queries_stay_exact() {
     }
 }
 
+/// A standing result the total-match rule is withholding, then batches
+/// *with pattern updates*: DER-I candidates read the visible (empty) sets,
+/// so `apply_pattern_update` forgets the relation and the repair
+/// re-matches — every incremental strategy must land on `Scratch`, visible
+/// sets and relation alike, before and after (the data-only batches in
+/// between repair the kept relation incrementally).
+#[test]
+fn pattern_updates_over_an_unmatched_result_equal_scratch() {
+    let strategies = [
+        Strategy::IncGpnm,
+        Strategy::EhGpnm,
+        Strategy::UaGpnmNoPar,
+        Strategy::UaGpnm,
+    ];
+    for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let (mut unmatched_starts, mut revived) = (0, 0);
+        for round in 0..40 {
+            let labels = rng.gen_range(2..5);
+            let nodes = rng.gen_range(10..30);
+            let edges = rng.gen_range(nodes / 2..nodes * 2);
+            let (graph, interner) = random_graph(&mut rng, nodes, edges, labels);
+            // A bound-1 chain: usually unmatched from the head while the
+            // tail keeps members.
+            let mut pattern = PatternGraph::new();
+            let chain: Vec<_> = (0..4)
+                .map(|_| pattern.add_node(Label(rng.gen_range(0..labels as u32))))
+                .collect();
+            for pair in chain.windows(2) {
+                pattern.add_edge(pair[0], pair[1], Bound::Hops(1)).unwrap();
+            }
+            let data_only = |rng: &mut StdRng, engine: &GpnmEngine| {
+                let mixed = random_batch(rng, engine.graph(), engine.pattern(), &interner, 6);
+                UpdateBatch::from_updates(
+                    mixed
+                        .updates()
+                        .iter()
+                        .filter(|u| !u.is_pattern())
+                        .copied()
+                        .collect(),
+                )
+            };
+            let mut reference = GpnmEngine::new(graph.clone(), pattern.clone(), semantics);
+            reference.initial_query();
+            if !reference.result().is_empty() {
+                continue;
+            }
+            unmatched_starts += 1;
+            let mut engines: Vec<GpnmEngine> = strategies
+                .iter()
+                .map(|_| {
+                    let mut e = GpnmEngine::new(graph.clone(), pattern.clone(), semantics);
+                    e.initial_query();
+                    e
+                })
+                .collect();
+            for step in 0..5 {
+                // Data-only batches around two that also carry a pattern
+                // update: one tightens the tail, whose hidden set is a
+                // whole label class no DER-I candidate names; one relaxes
+                // the head, the update most likely to revive the match.
+                let mut batch = data_only(&mut rng, &reference);
+                match step {
+                    1 => batch.push(PatternUpdate::InsertEdge {
+                        from: chain[3],
+                        to: chain[2],
+                        bound: Bound::Hops(1),
+                    }),
+                    3 => batch.push(PatternUpdate::DeleteEdge {
+                        from: chain[0],
+                        to: chain[1],
+                    }),
+                    _ => {}
+                }
+                reference
+                    .subsequent_query(&batch, Strategy::Scratch)
+                    .expect("valid batch");
+                for (engine, &strategy) in engines.iter_mut().zip(&strategies) {
+                    engine
+                        .subsequent_query(&batch, strategy)
+                        .expect("valid batch");
+                    let context = format!("round {round} step {step}, {strategy}, {semantics:?}");
+                    assert_eq!(engine.result(), reference.result(), "{context}");
+                    assert!(
+                        engine.result().relation_eq(reference.result()),
+                        "stale relation ({context})"
+                    );
+                }
+                revived += usize::from(step == 3 && !reference.result().is_empty());
+            }
+        }
+        assert!(
+            unmatched_starts >= 10,
+            "{unmatched_starts} unmatched starts"
+        );
+        assert!(
+            revived >= 1,
+            "no pattern update revived a match ({semantics:?})"
+        );
+    }
+}
+
 #[test]
 fn invalid_batch_leaves_engine_untouched() {
     let f = fig1();

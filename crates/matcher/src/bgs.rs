@@ -55,7 +55,8 @@ pub fn verify_node<O: DistanceOracle>(
 ///
 /// Seeds every live pattern node with its full label-candidate set, then
 /// prunes to the greatest fixpoint. If any live pattern node ends empty,
-/// `GP ⋠ GD` and every set is cleared (§III-B).
+/// `GP ⋠ GD` and every visible set is empty (§III-B); the relation itself
+/// is withheld inside the result, not dropped (see [`MatchResult`]).
 pub fn match_graph<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -66,7 +67,7 @@ pub fn match_graph<O: DistanceOracle>(
     let mut pending: Vec<bool> = vec![false; pattern.slot_count()];
     for u in pattern.nodes() {
         let label = pattern.label(u).expect("live pattern node");
-        let set = result.set_mut(u);
+        let set = result.slot_mut(u);
         for &v in graph.nodes_with_label(label) {
             set.insert(v);
         }
@@ -86,29 +87,48 @@ pub fn match_graph<O: DistanceOracle>(
 }
 
 /// Incremental repair: bring `result` (valid for some earlier graph state)
-/// up to date with the *current* `graph`/`pattern`/`oracle`.
+/// up to date with the *current* `graph`/`pattern`/`oracle`. Returns
+/// whether it had to fall back to [`match_graph`] (see the last paragraph).
 ///
 /// ## Correctness sketch (the invariant every engine strategy leans on)
+///
+/// The repair works on the **relation** `result` stands for — the maximum
+/// simulation `S_old` of the earlier state, which is unique and well
+/// defined whether or not it is total. Where the total-match rule withheld
+/// it, the repair first puts it back; the visible sets are only ever its
+/// projection.
 ///
 /// Soundness requires of the caller only that `plan` covers every *primary*
 /// membership trigger:
 ///
 /// * every data node whose distances changed or whose pattern constraints
 ///   changed is in `plan.verify`, and
-/// * every pattern node that can gain members is in
+/// * every pattern node that can gain members *relative to `S_old`* is in
 ///   `plan.addition_sources`.
 ///
 /// The repair then (1) closes `addition_sources` under reverse dependency
 /// (under simulation semantics `u` depends on its successors; under dual,
 /// on both directions), because a new partner in `u'` can admit nodes into
 /// any `u` that depends on it; (2) re-seeds closed addition targets from
-/// full label candidates — a superset of their true final sets; (3) runs
-/// the same pruning fixpoint as the batch matcher, verifying the seeded
-/// sets plus `plan.verify` members, cascading every removal to dependent
-/// sets. Pruning a superset of the maximum simulation from above converges
-/// exactly to the maximum simulation, so the result equals
-/// [`match_graph`] on the current state — an equality the test-suite
-/// asserts on randomized workloads.
+/// full label candidates — a superset of their true final sets — while
+/// every other pattern node keeps its `S_old` set, which is a superset of
+/// its final set because it can gain nothing; (3) runs the same pruning
+/// fixpoint as the batch matcher, verifying the seeded sets plus
+/// `plan.verify` members, cascading every removal to dependent sets.
+/// Pruning a superset of the maximum simulation from above converges
+/// exactly to the maximum simulation — nothing in that argument needs a
+/// set to be non-empty — so the relation equals [`match_graph`]'s on the
+/// current state, and projecting it by the total-match rule gives equal
+/// visible sets: both equalities the test-suite asserts on randomized
+/// workloads (`==` and [`MatchResult::relation_eq`]).
+///
+/// Two invalidation rules keep the kept relation exact, and both end in
+/// the fallback: an outside edit of the visible sets
+/// ([`MatchResult::set_mut`]) discards a withheld relation, and a caller
+/// that mutates the *pattern* with a plan derived from the visible sets
+/// calls [`MatchResult::forget_relation`] first. A visibly-empty result
+/// that carries no relation has nothing sound to start from and is
+/// re-matched; that is the only case that re-matches.
 pub fn repair<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -116,7 +136,7 @@ pub fn repair<O: DistanceOracle>(
     semantics: MatchSemantics,
     result: &mut MatchResult,
     plan: &RepairPlan,
-) {
+) -> bool {
     repair_with(
         pattern,
         graph,
@@ -125,7 +145,7 @@ pub fn repair<O: DistanceOracle>(
         result,
         &plan.verify,
         &plan.addition_sources,
-    );
+    )
 }
 
 /// [`repair`] with the plan's two halves borrowed separately, for callers
@@ -139,7 +159,8 @@ pub fn repair_with<O: DistanceOracle>(
     result: &mut MatchResult,
     verify: &NodeSet,
     addition_sources: &[PatternNodeId],
-) {
+) -> bool {
+    let kept_relation = result.restore_relation();
     result.grow(pattern.slot_count());
 
     // Tombstoned pattern slots must not retain matches — and this must
@@ -148,22 +169,24 @@ pub fn repair_with<O: DistanceOracle>(
     for i in 0..result.slot_count() {
         let p = PatternNodeId::from_index(i);
         if !pattern.contains(p) {
-            result.set_mut(p).clear();
+            result.slot_mut(p).clear();
         }
     }
+    // Visibly empty and no relation carried (built or edited from outside,
+    // or forgotten by a pattern update): nothing sound to start from.
+    let no_relation = !kept_relation && result.is_empty() && pattern.node_count() > 0;
     if verify.is_empty() && addition_sources.is_empty() {
         // Still enforce the total-match rule: a pattern-node deletion can
         // turn a previously-empty result non-empty only via additions,
         // which would come with addition_sources.
-        enforce_total_match(pattern, result);
-        return;
+        if !no_relation {
+            enforce_total_match(pattern, result);
+        }
+        return false;
     }
-    if result.is_empty() && pattern.node_count() > 0 {
-        // The stored result was cleared by the total-match rule (or never
-        // matched): the per-pattern-node simulation sets are gone, so
-        // incremental repair has nothing sound to start from. Recompute.
+    if no_relation {
         *result = match_graph(pattern, graph, oracle, semantics);
-        return;
+        return true;
     }
 
     // (1) Close addition sources under reverse dependency.
@@ -174,7 +197,7 @@ pub fn repair_with<O: DistanceOracle>(
     for u in pattern.nodes() {
         if affected[u.index()] {
             let label = pattern.label(u).expect("live pattern node");
-            let set = result.set_mut(u);
+            let set = result.slot_mut(u);
             set.clear();
             for &v in graph.nodes_with_label(label) {
                 set.insert(v);
@@ -198,6 +221,7 @@ pub fn repair_with<O: DistanceOracle>(
         verify_filter,
     );
     enforce_total_match(pattern, result);
+    false
 }
 
 /// Reverse-dependency closure of the addition sources.
@@ -283,7 +307,7 @@ fn prune_to_fixpoint<O: DistanceOracle>(
             continue;
         }
         for &v in &removals {
-            result.set_mut(u).remove(v);
+            result.slot_mut(u).remove(v);
         }
         // Removal cascade: any pattern node whose checks reference u's set.
         // A cascaded visit verifies the whole set even when it is `w`'s
@@ -302,13 +326,14 @@ fn prune_to_fixpoint<O: DistanceOracle>(
 }
 
 /// §III-B: if any live pattern node has no matcher, there is no match of
-/// `GP` in `GD` at all — clear everything.
+/// `GP` in `GD` at all — every visible set is empty. The relation is moved
+/// aside, not cleared, so the next [`repair`] starts from it.
 fn enforce_total_match(pattern: &PatternGraph, result: &mut MatchResult) {
     let incomplete = pattern
         .nodes()
         .any(|u| u.index() >= result.slot_count() || result.set(u).is_empty());
     if incomplete && pattern.node_count() > 0 {
-        result.clear_all();
+        result.withhold_relation();
     }
 }
 
@@ -599,5 +624,197 @@ mod tests {
             match_graph(&p, &g, &slen, MatchSemantics::Simulation)
         );
         assert_eq!(result.total_matches(), 3);
+    }
+
+    /// Chain pattern A->B->C (bounds 1) over a graph where A's only
+    /// matcher can be cut off and a different one connected later.
+    fn chain_fixture() -> (
+        DataGraph,
+        PatternGraph,
+        std::collections::HashMap<String, NodeId>,
+        std::collections::HashMap<String, PatternNodeId>,
+    ) {
+        let (g, li, names) = DataGraphBuilder::new()
+            .node("a1", "A")
+            .node("b1", "B")
+            .node("c1", "C")
+            .node("a2", "A")
+            .node("b2", "B")
+            .node("c2", "C")
+            .node("a3", "A")
+            .node("b3", "B")
+            .edge("a1", "b1")
+            .edge("b1", "c1")
+            .edge("a2", "b2")
+            .edge("b3", "c2")
+            .build()
+            .unwrap();
+        let (p, _, pn) = PatternGraphBuilder::new()
+            .node("A", "A")
+            .node("B", "B")
+            .node("C", "C")
+            .edge("A", "B", 1)
+            .edge("B", "C", 1)
+            .build_with_interner(li)
+            .unwrap();
+        (g, p, names, pn)
+    }
+
+    #[test]
+    fn unmatched_pattern_is_repaired_not_rematched_until_it_revives() {
+        const SEM: MatchSemantics = MatchSemantics::Simulation;
+        let (mut g, p, n, pn) = chain_fixture();
+        let mut slen = IncrementalIndex::build(&g);
+        let mut result = match_graph(&p, &g, &slen, SEM);
+        assert_eq!(result.total_matches(), 5, "a1 | b1 b3 | c1 c2");
+
+        enum Step {
+            Insert(&'static str, &'static str),
+            Delete(&'static str, &'static str),
+            DeleteNode(&'static str),
+        }
+        // (update, whether the pattern has a match afterwards)
+        let steps = [
+            (Step::Delete("a1", "b1"), false), // A loses its only matcher
+            (Step::Delete("b1", "c1"), false), // the hidden B shrinks
+            (Step::Insert("b1", "c2"), false), // ...and grows back
+            (Step::DeleteNode("c1"), false),   // the hidden C shrinks
+            (Step::Insert("a3", "b3"), true),  // A gains a3: revives
+        ];
+        let all_nodes: Vec<PatternNodeId> = p.nodes().collect();
+        for (i, (step, matched)) in steps.iter().enumerate() {
+            let mut plan = RepairPlan::new();
+            match *step {
+                Step::Insert(u, v) => {
+                    g.add_edge(n[u], n[v]).unwrap();
+                    plan.verify = slen.commit_insert_edge(n[u], n[v]).affected;
+                    plan.addition_sources = all_nodes.clone();
+                }
+                Step::Delete(u, v) => {
+                    g.remove_edge(n[u], n[v]).unwrap();
+                    plan.verify = slen.commit_delete_edge(&g, n[u], n[v]).affected;
+                }
+                Step::DeleteNode(v) => {
+                    g.remove_node(n[v]).unwrap();
+                    plan.verify = slen.commit_delete_node(&g, n[v]).affected;
+                    plan.verify.insert(n[v]);
+                }
+            }
+            let rematched = repair(&p, &g, &slen, SEM, &mut result, &plan);
+            assert!(!rematched, "step {i} repaired the kept relation");
+            let scratch = match_graph(&p, &g, &slen, SEM);
+            assert_eq!(result, scratch, "step {i}: visible sets");
+            assert!(result.relation_eq(&scratch), "step {i}: relation");
+            assert_eq!(!result.is_empty(), *matched, "step {i}");
+            if !matched {
+                // The relation is kept and non-trivial, just not shown.
+                assert!(result.relation_contains(pn["B"], n["b3"]), "step {i}");
+                assert!(!result.contains(pn["B"], n["b3"]), "step {i}");
+            }
+        }
+        assert_eq!(
+            result.matches_of(pn["A"]).collect::<Vec<_>>(),
+            vec![n["a3"]]
+        );
+    }
+
+    /// Counts the witness probes the matcher makes.
+    struct CountingOracle<'a, O> {
+        inner: &'a O,
+        probes: std::cell::Cell<usize>,
+    }
+
+    impl<O: DistanceOracle> DistanceOracle for CountingOracle<'_, O> {
+        fn distance(&self, u: NodeId, v: NodeId) -> u32 {
+            self.inner.distance(u, v)
+        }
+
+        fn any_within(&self, u: NodeId, set: &NodeSet, bound: gpnm_graph::Bound) -> bool {
+            self.probes.set(self.probes.get() + 1);
+            self.inner.any_within(u, set, bound)
+        }
+    }
+
+    #[test]
+    fn unmatched_tick_probes_dirty_relation_members_not_a_label_class() {
+        // 40 A nodes each one hop from its own B node; pattern A->B plus a
+        // GHOST pattern node whose label no data node carries, so the
+        // pattern never matches while A and B keep 40 hidden members each.
+        const WIDTH: usize = 40;
+        let mut builder = DataGraphBuilder::new();
+        for i in 0..WIDTH {
+            builder = builder
+                .node(&format!("a{i}"), "A")
+                .node(&format!("b{i}"), "B")
+                .edge(&format!("a{i}"), &format!("b{i}"));
+        }
+        let (mut g, li, n) = builder.build().unwrap();
+        let (p, _, pn) = PatternGraphBuilder::new()
+            .node("A", "A")
+            .node("B", "B")
+            .node("GHOST", "NoSuchLabel")
+            .edge("A", "B", 1)
+            .build_with_interner(li)
+            .unwrap();
+        const SEM: MatchSemantics = MatchSemantics::Simulation;
+        let mut slen = IncrementalIndex::build(&g);
+        let mut result = match_graph(&p, &g, &slen, SEM);
+        assert!(result.is_empty());
+        assert!(result.relation_contains(pn["A"], n["a0"]));
+
+        g.remove_edge(n["a0"], n["b0"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_delete_edge(&g, n["a0"], n["b0"]).affected;
+        // verify ∩ relation = {(A, a0), (B, b0)}; only A has an out-edge
+        // to probe.
+        let counting = CountingOracle {
+            inner: &slen,
+            probes: std::cell::Cell::new(0),
+        };
+        let rematched = repair(&p, &g, &counting, SEM, &mut result, &plan);
+        assert!(!rematched);
+        assert_eq!(counting.probes.get(), 1, "one dirty member with an edge");
+        assert!(!result.relation_contains(pn["A"], n["a0"]));
+
+        let scratch_probes = CountingOracle {
+            inner: &slen,
+            probes: std::cell::Cell::new(0),
+        };
+        let scratch = match_graph(&p, &g, &scratch_probes, SEM);
+        assert!(
+            scratch_probes.probes.get() >= WIDTH,
+            "scratch scans the class"
+        );
+        assert_eq!(result, scratch);
+        assert!(result.relation_eq(&scratch));
+    }
+
+    #[test]
+    fn result_edited_from_outside_is_rematched() {
+        // A subscriber-style `fold` goes through `set_mut`: the withheld
+        // relation is discarded, so the next repair must take the
+        // fallback — and still land on scratch.
+        const SEM: MatchSemantics = MatchSemantics::Simulation;
+        let (mut g, p, n, pn) = chain_fixture();
+        let mut slen = IncrementalIndex::build(&g);
+        g.remove_edge(n["a1"], n["b1"]).unwrap();
+        slen.commit_delete_edge(&g, n["a1"], n["b1"]);
+        let mut result = match_graph(&p, &g, &slen, SEM);
+        assert!(result.is_empty() && result.relation_contains(pn["B"], n["b3"]));
+        let before = result.clone();
+        result.set_mut(pn["A"]).remove(n["a1"]); // a no-op edit
+        assert_eq!(result, before, "`==` is over the visible sets");
+        assert!(!result.relation_eq(&before), "the relation is gone");
+
+        g.add_edge(n["a3"], n["b3"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_insert_edge(n["a3"], n["b3"]).affected;
+        plan.addition_sources.push(pn["A"]);
+        let rematched = repair(&p, &g, &slen, SEM, &mut result, &plan);
+        assert!(rematched, "no relation to repair: fallback");
+        let scratch = match_graph(&p, &g, &slen, SEM);
+        assert_eq!(result, scratch);
+        assert!(result.relation_eq(&scratch));
+        assert!(result.contains(pn["A"], n["a3"]));
     }
 }

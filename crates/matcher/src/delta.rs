@@ -75,7 +75,7 @@ impl MatchDelta {
     /// Reconstruct the post-tick result from the pre-tick one:
     /// `added ∪ (prev ∖ removed)`.
     pub fn apply_to(&self, prev: &MatchResult) -> MatchResult {
-        let mut next = prev.clone();
+        let mut next = prev.visible();
         if let Some(max_slot) = self.added.iter().map(|&(p, _)| p.index()).max() {
             next.grow(max_slot + 1);
         }

@@ -4,17 +4,55 @@ use gpnm_graph::{NodeId, NodeSet, PatternGraph, PatternNodeId};
 
 /// Per-pattern-node match sets — the paper's `N_pi` for every `pi ∈ GP`
 /// (Table I is one of these, rendered).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// ## Total match is a projection
+///
+/// §III-B's rule — `GP ⋠ GD` means every `N_pi` is empty — hides the
+/// maximum simulation relation, it does not delete it. When some live
+/// pattern node has no match the matcher moves the relation aside
+/// (*withheld*) and leaves the visible sets empty. Everything that
+/// **reports** reads the visible sets: [`set`](Self::set),
+/// [`contains`](Self::contains), [`matches_of`](Self::matches_of),
+/// [`total_matches`](Self::total_matches), [`is_empty`](Self::is_empty),
+/// [`diff`](Self::diff) / `delta_from` and `==`. What **reasons** about
+/// the standing simulation reads the relation:
+/// [`relation_contains`](Self::relation_contains), and [`crate::repair`],
+/// which puts the withheld sets back, repairs them and projects again.
+///
+/// Two rules keep a withheld relation exact. An edit of the visible sets
+/// from outside ([`set_mut`](Self::set_mut)) discards it; and whoever
+/// mutates the *pattern* under a standing result calls
+/// [`forget_relation`](Self::forget_relation) unless its repair plan was
+/// derived from the relation. A visibly-empty result that carries no
+/// relation is re-matched by [`crate::repair`], never repaired.
+#[derive(Debug, Clone, Default)]
 pub struct MatchResult {
-    /// Indexed by pattern slot; tombstoned pattern slots keep empty sets.
+    /// The visible sets, indexed by pattern slot; tombstoned pattern slots
+    /// keep empty sets.
     sets: Vec<NodeSet>,
+    /// The maximum simulation relation while the total-match rule hides it
+    /// (`sets` are then all empty and as many). `None` when `sets` *are*
+    /// the relation, or when no relation is carried at all.
+    withheld: Option<Vec<NodeSet>>,
 }
+
+/// Equality is over the **visible** sets only: two results that report the
+/// same matches are equal whether or not either carries a withheld
+/// relation. [`MatchResult::relation_eq`] compares the relation.
+impl PartialEq for MatchResult {
+    fn eq(&self, other: &Self) -> bool {
+        self.sets == other.sets
+    }
+}
+
+impl Eq for MatchResult {}
 
 impl MatchResult {
     /// An empty result sized for `pattern`.
     pub fn for_pattern(pattern: &PatternGraph) -> Self {
         MatchResult {
             sets: vec![NodeSet::new(); pattern.slot_count()],
+            withheld: None,
         }
     }
 
@@ -27,6 +65,9 @@ impl MatchResult {
     pub fn grow(&mut self, slots: usize) {
         if slots > self.sets.len() {
             self.sets.resize_with(slots, NodeSet::new);
+            if let Some(relation) = &mut self.withheld {
+                relation.resize_with(slots, NodeSet::new);
+            }
         }
     }
 
@@ -36,9 +77,12 @@ impl MatchResult {
         &self.sets[p.index()]
     }
 
-    /// Mutable match set of pattern node `p`.
+    /// Mutable match set of pattern node `p`. An edit from outside the
+    /// matcher cannot keep a withheld relation in step, so this discards
+    /// it (see the type's docs).
     #[inline]
     pub fn set_mut(&mut self, p: PatternNodeId) -> &mut NodeSet {
+        self.withheld = None;
         &mut self.sets[p.index()]
     }
 
@@ -46,6 +90,43 @@ impl MatchResult {
     #[inline]
     pub fn contains(&self, p: PatternNodeId, v: NodeId) -> bool {
         self.sets.get(p.index()).is_some_and(|s| s.contains(v))
+    }
+
+    /// Whether `(p, v)` is in the maximum simulation relation this result
+    /// stands for — [`contains`](Self::contains) unless the total-match
+    /// rule withheld the relation. The question an update planner asks
+    /// ("is `v` already simulated at `p`?"), as opposed to the one a
+    /// reader asks.
+    #[inline]
+    pub fn relation_contains(&self, p: PatternNodeId, v: NodeId) -> bool {
+        self.relation()
+            .get(p.index())
+            .is_some_and(|s| s.contains(v))
+    }
+
+    /// Whether `self` and `other` stand for the same relation: the
+    /// withheld sets where the total-match rule hid them, the visible sets
+    /// otherwise. Stricter than `==` on unmatched patterns — it is what
+    /// catches a relation that went stale while nothing was visible.
+    pub fn relation_eq(&self, other: &MatchResult) -> bool {
+        self.relation() == other.relation()
+    }
+
+    /// A copy of the visible sets alone — what a read view, a subscriber
+    /// snapshot or a delta base needs; the relation is never handed to
+    /// readers.
+    pub fn visible(&self) -> MatchResult {
+        MatchResult {
+            sets: self.sets.clone(),
+            withheld: None,
+        }
+    }
+
+    /// Drop a withheld relation, leaving a visibly-empty result that
+    /// [`crate::repair`] re-matches. For callers that change the pattern
+    /// under a standing result with a plan derived from the visible sets.
+    pub fn forget_relation(&mut self) {
+        self.withheld = None;
     }
 
     /// Ascending iterator over the matchers of `p`. Empty for slots beyond
@@ -60,20 +141,12 @@ impl MatchResult {
         self.sets.iter().map(NodeSet::len).sum()
     }
 
-    /// Clear every set (used when some live pattern node has no match:
-    /// `GP ⋠ GD` means the whole result is empty — §III-B).
-    pub fn clear_all(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-    }
-
-    /// Whether every set is empty.
+    /// Whether every visible set is empty.
     pub fn is_empty(&self) -> bool {
         self.sets.iter().all(NodeSet::is_empty)
     }
 
-    /// Symmetric difference against `other` as
+    /// Symmetric difference of the visible sets against `other` as
     /// `(pattern node, data node, added)` triples — the basis of SQuery
     /// vs IQuery reporting.
     pub fn diff<'a>(
@@ -83,21 +156,49 @@ impl MatchResult {
         let slots = self.sets.len().max(other.sets.len());
         (0..slots).flat_map(move |i| {
             let p = PatternNodeId::from_index(i);
-            let empty = NodeSet::new();
-            let a = self.sets.get(i).unwrap_or(&empty).clone();
-            let b = other.sets.get(i).unwrap_or(&empty).clone();
-            let removed: Vec<_> = a
-                .iter()
-                .filter(|&v| !b.contains(v))
-                .map(move |v| (p, v, false))
-                .collect();
-            let added: Vec<_> = b
-                .iter()
-                .filter(|&v| !a.contains(v))
-                .map(move |v| (p, v, true))
-                .collect();
-            removed.into_iter().chain(added)
+            let (a, b) = (self.sets.get(i), other.sets.get(i));
+            let only_in = |x: Option<&'a NodeSet>, y: Option<&'a NodeSet>, added: bool| {
+                x.into_iter()
+                    .flat_map(NodeSet::iter)
+                    .filter(move |&v| !y.is_some_and(|y| y.contains(v)))
+                    .map(move |v| (p, v, added))
+            };
+            only_in(a, b, false).chain(only_in(b, a, true))
         })
+    }
+
+    /// The relation's sets: withheld if the total-match rule hid them,
+    /// else the visible ones.
+    fn relation(&self) -> &[NodeSet] {
+        self.withheld.as_deref().unwrap_or(&self.sets)
+    }
+
+    /// Matcher-internal set access: the matcher edits the relation while
+    /// it sits in `sets` (after [`restore_relation`](Self::restore_relation)),
+    /// so there is nothing to discard.
+    #[inline]
+    pub(crate) fn slot_mut(&mut self, p: PatternNodeId) -> &mut NodeSet {
+        debug_assert!(self.withheld.is_none(), "edit the restored relation");
+        &mut self.sets[p.index()]
+    }
+
+    /// Put a withheld relation back into the visible sets; returns
+    /// whether there was one.
+    pub(crate) fn restore_relation(&mut self) -> bool {
+        match self.withheld.take() {
+            Some(relation) => {
+                self.sets = relation;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The total-match projection: move the sets aside as the withheld
+    /// relation and leave every visible set empty.
+    pub(crate) fn withhold_relation(&mut self) {
+        let empty = vec![NodeSet::new(); self.sets.len()];
+        self.withheld = Some(std::mem::replace(&mut self.sets, empty));
     }
 }
 
@@ -128,16 +229,6 @@ mod tests {
             r.matches_of(PatternNodeId(0)).collect::<Vec<_>>(),
             vec![NodeId(7)]
         );
-    }
-
-    #[test]
-    fn clear_all_empties_everything() {
-        let p = pattern2();
-        let mut r = MatchResult::for_pattern(&p);
-        r.set_mut(PatternNodeId(0)).insert(NodeId(1));
-        r.set_mut(PatternNodeId(1)).insert(NodeId(2));
-        r.clear_all();
-        assert!(r.is_empty());
     }
 
     #[test]
@@ -180,5 +271,39 @@ mod tests {
         b.set_mut(PatternNodeId(2)).insert(NodeId(9));
         let d: Vec<_> = a.diff(&b).collect();
         assert_eq!(d, vec![(PatternNodeId(2), NodeId(9), true)]);
+    }
+
+    #[test]
+    fn withheld_relation_is_hidden_from_reports_and_dropped_by_edits() {
+        let (p0, p1) = (PatternNodeId(0), PatternNodeId(1));
+        let mut r = MatchResult::for_pattern(&pattern2());
+        r.slot_mut(p0).insert(NodeId(1));
+        let shown = r.clone();
+        r.withhold_relation();
+        // Reports read the (empty) visible sets...
+        assert!(r.is_empty() && r.total_matches() == 0 && !r.contains(p0, NodeId(1)));
+        assert_eq!(r.matches_of(p0).count(), 0);
+        assert_eq!(
+            shown.diff(&r).collect::<Vec<_>>(),
+            vec![(p0, NodeId(1), false)]
+        );
+        assert_ne!(r, shown);
+        // ...reasoning reads the relation.
+        assert!(r.relation_contains(p0, NodeId(1)));
+        assert!(r.relation_eq(&shown));
+        // A reader's copy equals the result and carries no relation.
+        let view = r.visible();
+        assert_eq!(view, r);
+        assert!(!view.relation_contains(p0, NodeId(1)));
+        // Growth keeps both sides as wide as each other.
+        r.grow(4);
+        assert!(r.restore_relation());
+        assert_eq!(r.slot_count(), 4);
+        assert!(r.contains(p0, NodeId(1)));
+        // An outside edit discards a withheld relation.
+        r.withhold_relation();
+        r.set_mut(p1).insert(NodeId(5));
+        assert!(!r.relation_contains(p0, NodeId(1)));
+        assert!(!r.restore_relation());
     }
 }

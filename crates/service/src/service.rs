@@ -638,7 +638,7 @@ impl<B: SlenBackend> GpnmService<B> {
             self.front.publish(
                 *handle,
                 ReadView {
-                    result: sess.result.clone(),
+                    result: sess.result.visible(),
                     result_version: sess.version,
                     tick: self.tick,
                 },
@@ -862,7 +862,7 @@ impl<B: SlenBackend> GpnmService<B> {
             self.front.publish(
                 handle,
                 ReadView {
-                    result: result.clone(),
+                    result: result.visible(),
                     result_version: version,
                     tick: self.tick,
                 },
@@ -1068,6 +1068,7 @@ impl<B: SlenBackend> GpnmService<B> {
         for outcome in outcomes {
             eliminated += outcome.stats.eliminated;
             repair_calls += outcome.stats.repair_calls;
+            rec.repair_rematches += u64::from(outcome.stats.rematched);
             rec.per_pattern.push(PatternRefreshSample {
                 handle: outcome.handle.id(),
                 ns: u64::try_from(outcome.refresh_ns).unwrap_or(u64::MAX),
@@ -1101,7 +1102,7 @@ impl<B: SlenBackend> GpnmService<B> {
                     (
                         HandleId::from(*handle),
                         ReadView {
-                            result: sess.result.clone(),
+                            result: sess.result.visible(),
                             result_version: sess.version,
                             tick: self.tick,
                         },
@@ -1281,7 +1282,7 @@ fn refresh_sessions<B: SlenBackend>(
         );
         let _entered = span.enter();
         let t = Instant::now();
-        let prev = sess.result.clone();
+        let prev = sess.result.visible();
         let stats = refresh_pattern_strategy(
             sess.strategy,
             &sess.pattern,

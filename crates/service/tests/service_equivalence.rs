@@ -4,7 +4,12 @@
 //! every backend and under both semantics. On top of result equality the
 //! suite asserts the delta contract: each tick's `MatchDelta` reconstructs
 //! the new result from the previous one (`added ∪ (prev ∖ removed)`), with
-//! a monotone `result_version`.
+//! a monotone `result_version`. A third of the generated patterns come from
+//! an arm biased to have **no match** (a bound-1 chain): for those the
+//! visible sets are empty on both sides whatever the repair did, so every
+//! tick also asserts `relation_eq` against a fresh `match_graph` — the
+//! withheld simulation relation must be exact on the tick it could go
+//! stale, not only on the tick the pattern revives.
 //!
 //! This is the load-bearing proof that the shared single-pass repair
 //! changes *cost*, not *answers*.
@@ -15,7 +20,7 @@ use gpnm_distance::{BackendKind, IncrementalIndex, PartitionedBackend, SlenBacke
 use gpnm_engine::{GpnmEngine, RefreshStrategy, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
 use gpnm_matcher::{match_graph, MatchResult, MatchSemantics};
-use gpnm_service::{GpnmService, ServiceError, TickOutcome};
+use gpnm_service::{GpnmService, PatternHandle, ServiceError, TickOutcome};
 use gpnm_updates::{DataUpdate, UpdateBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,9 +53,15 @@ fn random_graph(
     (g, interner)
 }
 
-/// Random small finite-bounded pattern over the same label alphabet.
+/// Random small finite-bounded pattern over the same label alphabet. One
+/// draw in three takes the *starved* arm: a four-node chain of bound-1
+/// edges, which these sparse graphs rarely satisfy from the head while the
+/// tail keeps a non-empty simulation set — a standing query with no match
+/// and a withheld relation that the ticks grow, shrink and now and then
+/// revive.
 fn random_pattern(rng: &mut StdRng, interner: &LabelInterner, labels: usize) -> PatternGraph {
-    let n: usize = rng.gen_range(2..=4);
+    let starved = rng.gen_range(0..3) == 0;
+    let n: usize = if starved { 4 } else { rng.gen_range(2..=4) };
     let mut p = PatternGraph::new();
     let nodes: Vec<_> = (0..n)
         .map(|_| {
@@ -60,6 +71,13 @@ fn random_pattern(rng: &mut StdRng, interner: &LabelInterner, labels: usize) -> 
             p.add_node(l)
         })
         .collect();
+    if starved {
+        for pair in nodes.windows(2) {
+            p.add_edge(pair[0], pair[1], Bound::Hops(1))
+                .expect("a fresh chain edge");
+        }
+        return p;
+    }
     let edges = rng.gen_range(1..=n);
     let mut added = 0;
     let mut attempts = 0;
@@ -112,6 +130,31 @@ fn random_data_batch(
     batch
 }
 
+/// `handle`'s standing result must stand for exactly what a from-scratch
+/// match over the service's own graph and index computes: equal visible
+/// sets and an equal relation (`relation_eq` — the withheld sets where the
+/// total-match rule hides them). Returns whether the pattern is unmatched
+/// while its relation is non-empty, the case only `relation_eq` can see.
+fn assert_fresh<B: SlenBackend>(
+    service: &GpnmService<B>,
+    handle: PatternHandle,
+    semantics: MatchSemantics,
+    context: &str,
+) -> bool {
+    let got = service.result(handle).unwrap();
+    let pattern = service.pattern(handle).unwrap();
+    let fresh = match_graph(pattern, service.graph(), service.backend(), semantics);
+    assert_eq!(got, &fresh, "visible sets vs fresh match ({context})");
+    assert!(
+        got.relation_eq(&fresh),
+        "stale relation vs fresh match ({context}): {got:?} != {fresh:?}"
+    );
+    let hidden = pattern
+        .nodes()
+        .any(|u| service.graph().nodes().any(|v| got.relation_contains(u, v)));
+    got.is_empty() && hidden
+}
+
 /// The per-tick engine strategies exercised against the service pipeline.
 const STRATEGIES: [Strategy; 4] = [
     Strategy::UaGpnm,
@@ -122,8 +165,15 @@ const STRATEGIES: [Strategy; 4] = [
 
 /// Run k patterns through one service and k independent engines (backend
 /// `B` on both sides), assert bitwise-equal results per handle per tick,
-/// plus the delta-reconstruction invariant.
-fn check_equivalence<B: SlenBackend>(seed: u64, k: usize, ticks: usize, semantics: MatchSemantics) {
+/// plus the delta-reconstruction invariant and [`assert_fresh`]. Returns
+/// `(unmatched, revived)`: pattern-ticks spent unmatched over a non-empty
+/// relation, and how many of those were followed by a tick with a match.
+fn check_equivalence<B: SlenBackend>(
+    seed: u64,
+    k: usize,
+    ticks: usize,
+    semantics: MatchSemantics,
+) -> (usize, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let labels = rng.gen_range(2..6);
     let nodes = rng.gen_range(8..32);
@@ -153,6 +203,11 @@ fn check_equivalence<B: SlenBackend>(seed: u64, k: usize, ticks: usize, semantic
         .iter()
         .map(|&h| service.result(h).unwrap().clone())
         .collect();
+    let mut was_hidden: Vec<bool> = handles
+        .iter()
+        .map(|&h| assert_fresh(&service, h, semantics, &format!("seed {seed}, initial")))
+        .collect();
+    let (mut unmatched, mut revived) = (0, 0);
     for tick in 0..ticks {
         let len = rng.gen_range(1..8);
         let batch = random_data_batch(&mut rng, service.graph(), &interner, len);
@@ -186,6 +241,11 @@ fn check_equivalence<B: SlenBackend>(seed: u64, k: usize, ticks: usize, semantic
                 assert!(prev[i].contains(p, v), "removed pair was not present");
             }
             prev[i] = got.clone();
+            let context = format!("seed {seed}, tick {tick}, pattern {i}, {semantics:?}");
+            let hidden = assert_fresh(&service, handles[i], semantics, &context);
+            unmatched += usize::from(hidden);
+            revived += usize::from(was_hidden[i] && !got.is_empty());
+            was_hidden[i] = hidden;
         }
         // The graphs walked the same trajectory.
         assert_eq!(
@@ -197,6 +257,25 @@ fn check_equivalence<B: SlenBackend>(seed: u64, k: usize, ticks: usize, semantic
             engines[0].graph().edge_count()
         );
     }
+    (unmatched, revived)
+}
+
+/// The starved arm does what it is for: over a fixed set of seeds the
+/// stream spends ticks on unmatched patterns whose withheld relation is
+/// non-empty, and some of them revive — so the `relation_eq` assertions
+/// above are exercised, not vacuous.
+#[test]
+fn starved_arm_reaches_unmatched_patterns_and_revivals() {
+    let (mut unmatched, mut revived) = (0, 0);
+    for seed in 0..24u64 {
+        for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
+            let (u, r) = check_equivalence::<SparseIndex>(seed, 3, 8, semantics);
+            unmatched += u;
+            revived += r;
+        }
+    }
+    assert!(unmatched >= 50, "only {unmatched} unmatched pattern-ticks");
+    assert!(revived >= 1, "no unmatched pattern ever revived");
 }
 
 /// `count` distinct ordered node pairs of `graph` with no edge between
@@ -265,6 +344,14 @@ fn merged_pass_matches_rematch_and_scratch_across_batch_sizes() {
                     let context = format!("seed {seed}, tick {tick}, insert {insert}");
                     assert_eq!(merged.result(hm).unwrap(), &scratch, "{context}");
                     assert_eq!(rematch.result(hr).unwrap(), &scratch, "{context}");
+                    assert!(
+                        merged.result(hm).unwrap().relation_eq(&scratch),
+                        "{context}"
+                    );
+                    assert!(
+                        rematch.result(hr).unwrap().relation_eq(&scratch),
+                        "{context}"
+                    );
                     let dm = rm.delta_for(hm).expect("handle in report");
                     let dr = rr.delta_for(hr).expect("handle in report");
                     assert_eq!(
@@ -289,16 +376,16 @@ proptest! {
 
     #[test]
     fn service_matches_k_engines_simulation(seed in any::<u64>(), k in 1usize..4) {
-        check_equivalence::<IncrementalIndex>(seed, k, 3, MatchSemantics::Simulation);
-        check_equivalence::<PartitionedBackend>(seed, k, 3, MatchSemantics::Simulation);
-        check_equivalence::<SparseIndex>(seed, k, 3, MatchSemantics::Simulation);
+        let _ = check_equivalence::<IncrementalIndex>(seed, k, 3, MatchSemantics::Simulation);
+        let _ = check_equivalence::<PartitionedBackend>(seed, k, 3, MatchSemantics::Simulation);
+        let _ = check_equivalence::<SparseIndex>(seed, k, 3, MatchSemantics::Simulation);
     }
 
     #[test]
     fn service_matches_k_engines_dual(seed in any::<u64>(), k in 1usize..4) {
-        check_equivalence::<IncrementalIndex>(seed, k, 3, MatchSemantics::DualSimulation);
-        check_equivalence::<PartitionedBackend>(seed, k, 3, MatchSemantics::DualSimulation);
-        check_equivalence::<SparseIndex>(seed, k, 3, MatchSemantics::DualSimulation);
+        let _ = check_equivalence::<IncrementalIndex>(seed, k, 3, MatchSemantics::DualSimulation);
+        let _ = check_equivalence::<PartitionedBackend>(seed, k, 3, MatchSemantics::DualSimulation);
+        let _ = check_equivalence::<SparseIndex>(seed, k, 3, MatchSemantics::DualSimulation);
     }
 
     /// The runtime-dispatched backend behind the builder path obeys the
@@ -395,6 +482,11 @@ proptest! {
                 prop_assert_eq!(delta.result_version, tick as u64 + 1);
                 prop_assert_eq!(&delta.apply_to(&prev[i]), got);
                 prev[i] = got.clone();
+                // Both arms leave the relation a fresh match would: the
+                // switch back to the merged pass repairs what `Rematch`
+                // left, and the other way round.
+                let context = format!("seed {seed}, tick {tick}, pattern {i}, after a switch");
+                assert_fresh(&service, handles[i], MatchSemantics::Simulation, &context);
             }
         }
     }
@@ -481,6 +573,12 @@ proptest! {
         let report = service.apply(&batch).expect("valid");
         engine2.subsequent_query(&batch, Strategy::UaGpnm).expect("valid");
         prop_assert_eq!(service.result(h2).unwrap(), engine2.result());
+        assert_fresh(
+            &service,
+            h2,
+            MatchSemantics::Simulation,
+            &format!("seed {seed}, after deregister"),
+        );
         prop_assert_eq!(report.deltas.len(), 1);
         prop_assert!(report.delta_for(h1).is_none());
     }

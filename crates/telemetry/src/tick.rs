@@ -60,6 +60,9 @@ pub struct TickRecorder {
     pub eliminated: u64,
     /// Distance-repair invocations.
     pub repair_calls: u64,
+    /// Repair passes that fell back to a from-scratch re-match because
+    /// the standing result carried no relation (0 in steady state).
+    pub repair_rematches: u64,
     /// Affected-source set sizes, summed.
     pub affected_nodes: u64,
     /// Lanes actually used for per-pattern refresh (1 = sequential).
@@ -91,6 +94,7 @@ struct Flushed {
     updates_applied: Arc<Counter>,
     eliminated: Arc<Counter>,
     repair_calls: Arc<Counter>,
+    repair_rematches: Arc<Counter>,
     affected_nodes: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
@@ -115,6 +119,7 @@ fn flushed() -> &'static Flushed {
             updates_applied: r.counter("gpnm_updates_applied_total"),
             eliminated: r.counter("gpnm_eliminated_total"),
             repair_calls: r.counter("gpnm_repair_calls_total"),
+            repair_rematches: r.counter("gpnm_repair_rematch_total"),
             affected_nodes: r.counter("gpnm_affected_nodes_total"),
             cache_hits: r.counter("gpnm_paged_cache_hits_total"),
             cache_misses: r.counter("gpnm_paged_cache_misses_total"),
@@ -138,6 +143,7 @@ impl TickRecorder {
             updates_applied: 0,
             eliminated: 0,
             repair_calls: 0,
+            repair_rematches: 0,
             affected_nodes: 0,
             refresh_lanes: 1,
             pool_lanes: 1,
@@ -166,6 +172,7 @@ impl TickRecorder {
         f.updates_applied.add(self.updates_applied);
         f.eliminated.add(self.eliminated);
         f.repair_calls.add(self.repair_calls);
+        f.repair_rematches.add(self.repair_rematches);
         f.affected_nodes.add(self.affected_nodes);
         for sample in &self.per_pattern {
             f.pattern_refresh_ns.observe(sample.ns);
@@ -195,10 +202,13 @@ mod tests {
     fn finish_flushes_into_the_global_registry() {
         let before_ticks = metrics::global().counter("gpnm_ticks_total").get();
         let before_elim = metrics::global().counter("gpnm_eliminated_total").get();
+        let rematch = metrics::global().counter("gpnm_repair_rematch_total");
+        let before_rematch = rematch.get();
         let mut rec = TickRecorder::new();
         rec.reduce_ns = 100;
         rec.commit_ns = 200;
         rec.eliminated = 7;
+        rec.repair_rematches = 2;
         rec.per_pattern.push(PatternRefreshSample {
             handle: 0,
             ns: 1234,
@@ -219,6 +229,7 @@ mod tests {
             metrics::global().counter("gpnm_eliminated_total").get(),
             before_elim + 7
         );
+        assert_eq!(rematch.get(), before_rematch + 2);
         let text = metrics::metrics_text();
         assert!(text.contains("gpnm_paged_cache_hits_total"));
         assert!(text.contains("gpnm_pattern_refresh_total{strategy=\"UA-GPNM\"}"));

@@ -177,3 +177,77 @@ fn removed_subscriber_records_nothing() {
         "disabled tick must record no events"
     );
 }
+
+/// The `match_graph` fallback of a repair is visible from the system's own
+/// output. A standing query with no match is *carried* into a service
+/// without its withheld relation (a reader's `visible()` copy): the first
+/// tick has nothing to repair and re-matches — one `repair_rematch` event,
+/// `gpnm_repair_rematch_total` + 1 — and every later tick repairs the
+/// relation that re-match kept, so both stay silent.
+#[test]
+fn repair_rematch_fallback_is_reported_then_stays_silent() {
+    let _guard = serialize();
+    let (graph, interner) = generate_social_graph(&SocialGraphConfig {
+        nodes: 200,
+        edges: 800,
+        labels: 4,
+        communities: 4,
+        seed: 5,
+        ..Default::default()
+    });
+    // A pattern node whose label no data node carries: never matches.
+    let mut interner = interner;
+    let ghost = interner.intern("NoSuchLabel");
+    let mut pattern = generate_pattern(
+        &PatternConfig {
+            nodes: 3,
+            edges: 3,
+            bound_range: (1, 2),
+            seed: 5,
+        },
+        &interner,
+    );
+    pattern.add_node(ghost);
+
+    let semantics = MatchSemantics::Simulation;
+    let mut donor = GpnmService::builder().build(graph.clone()).unwrap();
+    let h = donor.register_pattern(pattern.clone(), semantics).unwrap();
+    let carried = donor.result(h).unwrap().visible();
+    assert!(carried.is_empty());
+    let mut service = GpnmService::builder().build(graph).unwrap();
+    let h = service
+        .register_pattern_with_result(pattern.clone(), semantics, carried, 0)
+        .unwrap();
+
+    let counter = ua_gpnm::telemetry::global().counter("gpnm_repair_rematch_total");
+    let mut rematch_events = Vec::new();
+    let mut counts = vec![counter.get()];
+    for tick in 0..3usize {
+        // Edge churn only: no inserted node can carry the ghost label.
+        let nodes: Vec<_> = service.graph().nodes().collect();
+        let mut batch = UpdateBatch::new();
+        for (&from, &to) in nodes.iter().zip(nodes.iter().skip(7 + tick)).take(6) {
+            batch.push(if service.graph().has_edge(from, to) {
+                DataUpdate::DeleteEdge { from, to }
+            } else {
+                DataUpdate::InsertEdge { from, to }
+            });
+        }
+        let collector = install_collector();
+        service.apply(&batch).expect("generated batch applies");
+        uninstall_collector();
+        let trace = collector.finish();
+        rematch_events.push(
+            trace
+                .events
+                .iter()
+                .filter(|e| e.name == "repair_rematch")
+                .count(),
+        );
+        counts.push(counter.get());
+        assert!(service.result(h).unwrap().is_empty());
+    }
+    assert_eq!(rematch_events, [1, 0, 0]);
+    assert_eq!(counts[1], counts[0] + 1, "the fallback tick is counted");
+    assert_eq!(counts[3], counts[1], "steady-state ticks never fall back");
+}
