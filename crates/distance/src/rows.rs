@@ -82,17 +82,28 @@
 //! * *Edge insert `(u, v)`*: only resident sources `x` with
 //!   `d_B(x, u) + 1 < d_B(x, v)` can change (the dense triangle-inequality
 //!   pruning, applied to the truncated function), and candidate targets
-//!   come from one truncated BFS row of `v` (a simple shortest path from
+//!   come from the truncated BFS row of `v` (a simple shortest path from
 //!   `v` cannot use an edge *into* `v`, so the new edge does not alter that
-//!   row). An insert with no such source does no forward BFS and no write;
-//!   one whose `u` no resident row reaches fetches nothing at all.
+//!   row) — run only as deep as a candidate can use it: one that enters at
+//!   `through = d(x, u) + 1` reaches no target farther than `B − through`
+//!   from `v`, so the row is BFSed at `B − min through` (an untruncated
+//!   index runs it untruncated), a tenth of the depth-`B` row on the
+//!   benchmark's churn workload. The ball is walked once, in slot order,
+//!   so the minimum is not known up front: a candidate that enters nearer
+//!   than every one before it re-runs the BFS deeper (1.7 runs per
+//!   inserting commit there, the earlier ones inner shells of the last) —
+//!   cheaper than fetching every candidate a second time. Improvements are
+//!   written into the row where they stand; only genuinely new targets
+//!   grow it, by exactly their number. An insert with no such source does
+//!   no forward BFS and no write; one whose `u` no resident row reaches
+//!   fetches nothing at all.
 //! * *Edge delete `(u, v)`*: only resident sources with
 //!   `d_B(x, u) + 1 == d_B(x, v)` can lose a path. A source whose `d(x, v)`
 //!   exceeds `B` can only change beyond the truncation horizon — invisible
-//!   to the engine by construction. Of the rest, only rows that really
-//!   change are re-run by truncated BFS (the two lemmas below).
+//!   to the engine by construction. Of the rest, only the *entries* that
+//!   really change are re-settled, in place ("Re-settle only …" below).
 //! * *Node delete*: resident sources whose row reaches the node, plus the
-//!   node's own row.
+//!   node's own row; each such row is re-run by truncated BFS and diffed.
 //!
 //! **The ball, walked in the post-update graph, is a superset of the
 //! candidates the old rows define.** Three arguments are needed, one per
@@ -109,36 +120,85 @@
 //!    exact.
 //!
 //! **Node delete is the one routine that still scans every resident
-//! row**: the post-delete graph no longer holds the node's in-edges, so
-//! there is nothing to walk backwards from; the `RemovedNode` that lists
-//! them stops at the `commit_delete_node` signature, which the benchmark's
-//! staged replay calls directly and so pins. Passing it through is the
-//! follow-up (ROADMAP, direction A) — at 100k nodes this scan is what
-//! remains of a repair tick.
+//! row — and the one that still re-runs whole rows.** The post-delete
+//! graph holds neither half of what a local repair needs: not the node's
+//! in-edges, so there is no ball to walk backwards from; and not its
+//! out-edges, so the children a re-settle would start from cannot be
+//! enumerated — finding them means testing a whole BFS level of each row,
+//! which a prototype measured *slower* than the re-run at 100k nodes (30
+//! node deletes 144 → 167 ms). The `RemovedNode` that lists both stops at
+//! the `commit_delete_node` signature, which the benchmark's staged replay
+//! calls directly and so pins. Passing it through is the follow-up
+//! (ROADMAP, direction A): seeds for the backward ball from its in-edges,
+//! seeds for the affected set from its out-edges — after which `scan`,
+//! `rerun_rows`, `diff_rows` and `bfs` can all go. At 100k nodes this scan
+//! is what remains of a repair tick.
 //!
-//! **Re-run only rows that change.** Both lemmas skip a BFS whose diff is
-//! empty or one known record, so deltas stay bit-identical:
+//! **Re-settle only the entries that change** (edge delete). A deleted
+//! edge changes 9 entries of a 310-entry row on the benchmark's churn
+//! workload; re-running the row's BFS to find them costs the row. The
+//! repair is the decremental step of Ramalingam & Reps, truncated at `B`
+//! and specialised to unit weights. For a candidate source `x` with old
+//! row `d`:
 //!
-//! * *Alternative parent* (delete-edge). If a candidate `x` has an
-//!   in-neighbour `w` of `v` left in the graph — `w ≠ u`, the edge is gone —
-//!   with `row_x(w) + 1 == row_x(v)`, its whole row stands. The path
-//!   `x ⇝ w → v` keeps `d(x, v)`: a shortest path to `w` is shorter than
-//!   `d(x, v)`, so it does not pass through `v`, so it did not use
-//!   `(u, v)`. And any shortest path `x ⇝ y` that ran through `(u, v)`
-//!   re-routes at equal length over `x ⇝ w → v` plus its own suffix out of
-//!   `v`, which never returns to `v` and so never used `(u, v)` either.
-//!   Such a candidate is fetched once and dropped.
-//! * *Horizon leaf* (delete-edge and delete-node, finite `B`). A source
-//!   whose entry for the vanishing target `t` sits exactly at `B` — and,
-//!   for an edge, has no alternative parent — loses that entry and nothing
-//!   else: any path through `t` to somewhere else is longer than `B`, so
-//!   no other entry depended on it; and a second path of length `B` to `t`
-//!   would end in an alternative parent. The record `(x, t, B, ∞)` goes
-//!   where the re-run's diff would have put it and the entry is removed in
-//!   place.
+//! * *The affected set* `A` is the targets whose distance grows. It is
+//!   defined level by level: `v` is affected iff no in-neighbour `w` left
+//!   in the graph has `d(w) + 1 == d(v)`; a target `z` one level below an
+//!   affected `y` (`d(z) == d(y) + 1`, `y → z`) is affected iff **every**
+//!   in-neighbour one level up (`d(w) + 1 == d(z)`) is affected. Growing
+//!   `A` from `v` through out-edges in FIFO order visits it in level
+//!   order, so a level is final before the next is judged.
+//! * *Non-affected entries stand.* By induction on `d`: a target with a
+//!   standing parent one level up keeps a path of its old length (the
+//!   parent's path does not use `(u, v)`, nor does the last hop), and no
+//!   distance ever shrinks under a delete.
+//! * *The settle.* Each affected target takes the best `d(w) + 1 ≤ B` over
+//!   its standing in-neighbours, then a small heap settles the nearest
+//!   tentative one and relaxes its affected children — Dijkstra over `A`
+//!   alone, since a target can come back through another affected target
+//!   (even one of its own children). What is left unsettled fell beyond
+//!   `B` and leaves the row. Records go out ascending by target — the
+//!   order a diff of the two rows lists them — so deltas are bit-identical
+//!   to the re-run's.
+//! * *The truncated row is enough.* A parent of `z` one level up sits at
+//!   `d(z) − 1 ≤ B − 1`, and the predecessor on any new path of length
+//!   `≤ B` sits at `≤ B − 1`: both are entries of the row (or affected,
+//!   hence former entries). A neighbour the row does not list is farther
+//!   than `B` and can hold nothing up.
+//! * *The two lemmas of PR 17 are its first step.* "No standing parent of
+//!   `v`" is the **alternative-parent** test: a candidate that fails it is
+//!   fetched once and dropped, its whole row standing. A `v` at `d(v) == B`
+//!   with no standing parent is the **horizon leaf**: its children lie
+//!   beyond `B`, so `A = {v}`, and nothing standing is near enough to
+//!   bring it back (that would be a parent at `B − 1`), so the record
+//!   `(x, v, B, ∞)` is written and the entry removed without scattering
+//!   the row at all. Node deletes keep the leaf in its old form.
 //!
-//! Nothing outside the delta's sources is written; no row is fetched more
-//! than twice (once to test, once to re-run or patch). Deltas are the
+//! **Why not binary-search the row.** The level test reads `d` at every
+//! in-neighbour of every child of every affected target; around a hub that
+//! is hundreds of lookups at `log₂ |row|` probes each. Scattering the row
+//! into the all-[`INF`] BFS scratch array once makes each an index, and
+//! costs 2 × |row| sequential writes — a fraction of the BFS it replaces.
+//! (The candidate and alternative-parent tests, a handful of lookups that
+//! discard most ball rows, still search: they run before any scatter.)
+//!
+//! **Why not a second scratch array.** "Affected", "tentative" and
+//! "standing" need no marks beside the distances: an affected cell is set
+//! to [`INF`] the moment it is found, which is exactly how every test
+//! should read it ("holds nothing up", "not reached yet"), and its old
+//! distance rides in the small affected list. Every tentative value is the
+//! length of a real path in the post-delete graph, so it can only ever
+//! undercut an affected cell — a standing cell is already at its
+//! distance, and a cell outside the row is farther than `B` — and the
+//! settle needs no way to tell them apart. One O(n) array serves the
+//! BFSs and the re-settle; it is all-[`INF`] between commits (asserted on
+//! entry in debug builds, and after every commit by the tests).
+//!
+//! Nothing outside the delta's sources is written; an edge commit fetches
+//! each ball row once — tested and repaired on the same fetch — and only
+//! ever patches rows in place (`RowStore::update`; `put` is for builds,
+//! re-targets and the node-delete re-run, which fetches a row twice: once
+//! to test, once to diff). Deltas are the
 //! dense deltas *projected* onto resident sources with distances `> B`
 //! mapped to ∞ — exactly the projection the matcher observes, which the
 //! backend-equivalence proptest suite asserts record-for-record against
@@ -170,6 +230,8 @@
 //! the candidate set a lookup — and double the index and its repair. The
 //! backward BFS reads adjacency the graph already keeps.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt::Debug;
 
 use gpnm_graph::{Bound, CsrSnapshot, DataGraph, Label, NodeId, NodeSet};
@@ -212,30 +274,60 @@ impl SparseRow {
     }
 
     /// Merge `updates` (sorted by slot, each an improvement or insertion)
-    /// into the row, keeping it sorted.
+    /// into the row, keeping it sorted. Improvements are written where
+    /// they stand; only genuinely new targets grow the vector — by exactly
+    /// their number — and are placed by one backward merge, which moves
+    /// each old entry at most once.
     pub(crate) fn apply_sorted_updates(&mut self, updates: &[(u32, u32)]) {
-        let mut merged = Vec::with_capacity(self.entries.len() + updates.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() && j < updates.len() {
-            match self.entries[i].0.cmp(&updates[j].0) {
-                std::cmp::Ordering::Less => {
-                    merged.push(self.entries[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(updates[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push(updates[j]);
-                    i += 1;
-                    j += 1;
-                }
+        let mut fresh = 0;
+        for &(y, d) in updates {
+            match self.entries.binary_search_by_key(&y, |e| e.0) {
+                Ok(i) => self.entries[i].1 = d,
+                Err(_) => fresh += 1,
             }
         }
-        merged.extend_from_slice(&self.entries[i..]);
-        merged.extend_from_slice(&updates[j..]);
-        self.entries = merged;
+        if fresh == 0 {
+            return;
+        }
+        // `i` entries are still where they were; `k..` is merged.
+        let mut i = self.entries.len();
+        let mut k = i + fresh;
+        self.entries.reserve_exact(fresh);
+        self.entries.resize(k, (0, 0));
+        for &up in updates.iter().rev() {
+            while i > 0 && self.entries[i - 1].0 > up.0 {
+                i -= 1;
+                k -= 1;
+                self.entries[k] = self.entries[i];
+            }
+            if i > 0 && self.entries[i - 1].0 == up.0 {
+                continue; // an improvement, written above
+            }
+            k -= 1;
+            self.entries[k] = up;
+            if k == i {
+                break; // every new target is placed
+            }
+        }
+    }
+
+    /// Overwrite the distances of `changes`' targets — `(target, old, new)`
+    /// sorted by slot, all present — in place; a new distance of [`INF`]
+    /// drops the entry (stored distances are finite, so it doubles as the
+    /// tombstone).
+    pub(crate) fn settle(&mut self, changes: &[(u32, u32, u32)]) {
+        let mut from = 0;
+        let mut dropped = false;
+        for &(y, _, new) in changes {
+            let at = self.entries[from..].binary_search_by_key(&y, |e| e.0);
+            let i = from + at.expect("a re-settled target is in the row");
+            self.entries[i].1 = new;
+            dropped |= new == INF;
+            from = i + 1;
+        }
+        if dropped {
+            self.entries.retain(|e| e.1 != INF);
+        }
     }
 }
 
@@ -243,15 +335,17 @@ impl SparseRow {
 /// untruncated): the one traversal of the index. Forward rows walk
 /// `DataGraph::out_neighbors`, backward balls `DataGraph::in_neighbors` —
 /// the live adjacency either way, so a BFS costs its ball and nothing per
-/// graph version. `dist` is an all-[`INF`] scratch array that is restored
-/// before returning; `queue` is reusable scratch.
-pub(crate) fn bfs_truncated<'g>(
+/// graph version. `dist` is an all-[`INF`] scratch array; on return `queue`
+/// lists the nodes reached, in BFS order, and `dist` holds their depths —
+/// the caller reads what it needs and hands both to [`restore_scratch`].
+fn bfs_visit<'g>(
     adjacent: impl Fn(NodeId) -> &'g [NodeId],
     source: NodeId,
     depth: u32,
     dist: &mut [u32],
     queue: &mut Vec<NodeId>,
-) -> SparseRow {
+) {
+    debug_assert_eq!(dist[source.index()], INF, "scratch not restored");
     queue.clear();
     dist[source.index()] = 0;
     queue.push(source);
@@ -270,12 +364,118 @@ pub(crate) fn bfs_truncated<'g>(
             }
         }
     }
-    let mut entries: Vec<(u32, u32)> = queue.iter().map(|&v| (v.0, dist[v.index()])).collect();
-    for &v in queue.iter() {
-        dist[v.index()] = INF; // restore the all-INF invariant
+}
+
+/// Put `dist` back to all-[`INF`] after a [`bfs_visit`] that reached `queue`.
+fn restore_scratch(dist: &mut [u32], queue: &[NodeId]) {
+    for &v in queue {
+        dist[v.index()] = INF;
     }
+}
+
+/// The truncated BFS row of `source`: [`bfs_visit`] harvested into a sorted
+/// [`SparseRow`], scratch restored.
+pub(crate) fn bfs_truncated<'g>(
+    adjacent: impl Fn(NodeId) -> &'g [NodeId],
+    source: NodeId,
+    depth: u32,
+    dist: &mut [u32],
+    queue: &mut Vec<NodeId>,
+) -> SparseRow {
+    bfs_visit(adjacent, source, depth, dist, queue);
+    let mut entries: Vec<(u32, u32)> = queue.iter().map(|&v| (v.0, dist[v.index()])).collect();
+    restore_scratch(dist, queue);
     entries.sort_unstable_by_key(|e| e.0);
     SparseRow { entries }
+}
+
+/// The edge-delete re-settle: its scratch, and after [`Resettle::run`] its
+/// outcome.
+#[derive(Debug, Clone, Default)]
+struct Resettle {
+    /// The affected set, in discovery (level) order while it grows; the
+    /// entries that changed, `(target, old, new)` ascending by target,
+    /// once settled — `new` = [`INF`] for one that fell beyond the horizon.
+    affected: Vec<(u32, u32, u32)>,
+    /// Tentative `(distance, target)`s of the settle, nearest first.
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+}
+
+impl Resettle {
+    /// Re-settle `row` — a source's row as it stood with an edge into `v`,
+    /// at distance `dv` inside the horizon, that `graph` has lost and no
+    /// standing parent replaces. The truncated, unit-weight decremental
+    /// step of Ramalingam & Reps (module docs §3). `dist` is the
+    /// all-[`INF`] scratch array, restored before returning.
+    fn run(
+        &mut self,
+        graph: &DataGraph,
+        row: &SparseRow,
+        v: NodeId,
+        dv: u32,
+        depth: u32,
+        dist: &mut [u32],
+    ) {
+        let Resettle { affected, heap } = self;
+        let cells = || row.entries.iter().map(|e| e.0 as usize);
+        debug_assert!(cells().all(|y| dist[y] == INF), "scratch not restored");
+        for &(y, d) in &row.entries {
+            dist[y as usize] = d;
+        }
+        // 1. The affected set, level by level from `v`. A cell reads INF from
+        // the moment its target is affected, so "a standing in-neighbour one
+        // level up" is one comparison; FIFO order is level order, so level
+        // `dy` is final before the first child at `dy + 1` is judged.
+        affected.clear();
+        affected.push((v.0, dv, INF));
+        dist[v.index()] = INF;
+        let mut head = 0;
+        while head < affected.len() {
+            let (y, dy, _) = affected[head];
+            head += 1;
+            for &z in graph.out_neighbors(NodeId(y)) {
+                let mut parents = graph.in_neighbors(z).iter();
+                if dist[z.index()] == dy + 1 && !parents.any(|w| dist[w.index()] == dy) {
+                    affected.push((z.0, dy + 1, INF));
+                    dist[z.index()] = INF;
+                }
+            }
+        }
+        // 2. Settle it: each affected target enters at its nearest standing
+        // in-neighbour, then the nearest unsettled one relaxes its affected
+        // children. Every value written is the length of a real path, so only
+        // an affected cell can ever exceed `d + 1` (a standing one is already
+        // at its distance; one outside the row lies beyond `depth`).
+        heap.clear();
+        for &(y, _, _) in affected.iter() {
+            let parents = graph.in_neighbors(NodeId(y)).iter();
+            let near = parents.map(|w| dist[w.index()]).min().unwrap_or(INF);
+            if near < depth {
+                dist[y as usize] = near + 1;
+                heap.push(Reverse((near + 1, y)));
+            }
+        }
+        while let Some(Reverse((d, y))) = heap.pop() {
+            if dist[y as usize] != d || d >= depth {
+                continue; // superseded, or at the horizon
+            }
+            for &z in graph.out_neighbors(NodeId(y)) {
+                if dist[z.index()] > d + 1 {
+                    debug_assert!(affected.iter().any(|a| a.0 == z.0), "wrote a standing cell");
+                    dist[z.index()] = d + 1;
+                    heap.push(Reverse((d + 1, z.0)));
+                }
+            }
+        }
+        // 3. Read the outcome in the order a diff of the rows would list it.
+        affected.sort_unstable_by_key(|a| a.0);
+        for a in affected.iter_mut() {
+            a.2 = dist[a.0 as usize];
+        }
+        for y in cells() {
+            dist[y] = INF;
+        }
+    }
 }
 
 /// Record every difference between two sorted sparse rows of source `x`
@@ -422,8 +622,11 @@ pub struct BoundedRows<S> {
     /// Flat adjacency for the bulk build ([`BoundedRows::build_rows`]);
     /// no repair reads it.
     snapshot: CsrSnapshot,
+    /// All-[`INF`] between commits: the BFS depth array and the cells a
+    /// re-settle scatters a row into.
     dist_buf: Vec<u32>,
     queue_buf: Vec<NodeId>,
+    resettle: Resettle,
 }
 
 // The private bound is the seal: `RowStore` is crate-private by design, so
@@ -438,6 +641,7 @@ impl<S: RowStore> BoundedRows<S> {
             snapshot: CsrSnapshot::new(),
             dist_buf: Vec::new(),
             queue_buf: Vec::new(),
+            resettle: Resettle::default(),
         };
         index.materialize_all(graph);
         index
@@ -460,7 +664,7 @@ impl<S: RowStore> BoundedRows<S> {
     }
 
     /// One truncated BFS row at the current depth, over the live
-    /// out-adjacency: what every repair runs.
+    /// out-adjacency: what the node-delete re-run runs.
     fn bfs(&mut self, graph: &DataGraph, source: NodeId) -> SparseRow {
         bfs_truncated(
             |n| graph.out_neighbors(n),
@@ -474,32 +678,33 @@ impl<S: RowStore> BoundedRows<S> {
     /// The backward ball of an edge's tail `u`: the resident slots `x` with
     /// `d(x, u) + 1 ≤ depth` in `graph` — the sources that reach across
     /// the edge inside the horizon — ascending. One truncated BFS over the
-    /// live in-adjacency, filtered by residency before any row is fetched.
-    /// (Depth 0 leaves nobody.)
+    /// live in-adjacency, filtered by residency straight off its queue:
+    /// before any row is fetched, and before anything is sorted. (Depth 0
+    /// leaves nobody.)
     fn backward_ball(&mut self, graph: &DataGraph, u: NodeId) -> Vec<u32> {
         let Some(radius) = self.reqs.depth().checked_sub(1) else {
             return Vec::new();
         };
-        let ball = bfs_truncated(
-            |n| graph.in_neighbors(n),
-            u,
-            radius,
-            &mut self.dist_buf,
-            &mut self.queue_buf,
-        );
-        let slots = ball.entries.iter().map(|e| e.0);
-        slots.filter(|&s| self.store.is_resident(s)).collect()
+        let (dist, queue) = (&mut self.dist_buf, &mut self.queue_buf);
+        bfs_visit(|n| graph.in_neighbors(n), u, radius, dist, queue);
+        restore_scratch(dist, queue);
+        let slots = queue.iter().map(|x| x.0);
+        let mut ball: Vec<u32> = slots.filter(|&s| self.store.is_resident(s)).collect();
+        ball.sort_unstable();
+        ball
     }
 
-    /// Candidate pass: fetch each of `slots`' rows exactly once, in the
-    /// given order, and keep what `pick` selects.
-    fn pick_from<T>(
+    /// The all-rows candidate pass: fetch every resident row but `except`'s
+    /// exactly once, in slot order, and keep what `pick` selects.
+    /// O(index) — only for the one caller that has no ball to walk (see
+    /// [`BoundedRows::delete_node_delta`]).
+    fn scan<T>(
         &mut self,
-        slots: impl IntoIterator<Item = u32>,
+        except: NodeId,
         mut pick: impl FnMut(NodeId, &SparseRow) -> Option<T>,
     ) -> Vec<T> {
         let mut picked = Vec::new();
-        for slot in slots {
+        for slot in (0..self.store.slots() as u32).filter(|&s| s != except.0) {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
@@ -508,18 +713,6 @@ impl<S: RowStore> BoundedRows<S> {
             }
         }
         picked
-    }
-
-    /// The all-rows candidate pass: every resident row but `except`'s, in
-    /// slot order. O(index) — only for the one caller that has no ball to
-    /// walk (see [`BoundedRows::delete_node_delta`]).
-    fn scan<T>(
-        &mut self,
-        except: NodeId,
-        pick: impl FnMut(NodeId, &SparseRow) -> Option<T>,
-    ) -> Vec<T> {
-        let slots = 0..self.store.slots() as u32;
-        self.pick_from(slots.filter(|&s| s != except.0), pick)
     }
 
     /// Bulk build: one row per source, each handed to `keep`. The only
@@ -599,24 +792,35 @@ impl<S: RowStore> BoundedRows<S> {
         self.ensure_slots(graph);
         let depth = self.reqs.depth();
         let mut delta = AffDelta::new();
-        // Affected sources first: `x` with `d_B(x,u) + 1 < d_B(x,v)` and
-        // within the horizon. Needs only the ball's row lookups, so the
-        // BFS row of `v` is skipped entirely for the common no-candidate
-        // insert — and an insert nobody resident reaches fetches nothing.
-        let ball = self.backward_ball(graph, u);
-        let candidates = self.pick_from(ball, |x, row| {
-            let through = sat_add(row.get(u.0)?, 1);
-            let within = through <= depth && through < row.get(v.0).unwrap_or(INF);
-            within.then_some((x, through))
-        });
-        if candidates.is_empty() {
-            return delta;
-        }
-        let vrow = self.bfs(graph, v);
+        // The BFS row of `v`, as deep as a candidate met so far can use:
+        // `through + d(v, y) ≤ depth` leaves `depth − through` hops past
+        // `v`. None until the first candidate, so the common no-candidate
+        // insert runs no forward BFS — and an insert nobody resident
+        // reaches fetches nothing at all. A later candidate that enters
+        // nearer re-runs it deeper; the last run is at
+        // `depth − min through`, and the shallower ones before it are the
+        // inner shells of that ball.
+        let mut vrow = SparseRow::default();
+        let mut reach = None;
         let mut updates: Vec<(u32, u32)> = Vec::new();
-        for (x, through) in candidates {
+        for slot in self.backward_ball(graph, u) {
+            let Some(row) = self.store.fetch(slot) else {
+                continue;
+            };
+            // Affected source: `d_B(x,u) + 1 < d_B(x,v)`, within the horizon.
+            let Some(through) = row.get(u.0).map(|du| sat_add(du, 1)) else {
+                continue;
+            };
+            if through > depth || through >= row.get(v.0).unwrap_or(INF) {
+                continue;
+            }
+            let usable = if depth == INF { INF } else { depth - through };
+            if reach < Some(usable) {
+                let out = |n| graph.out_neighbors(n);
+                vrow = bfs_truncated(out, v, usable, &mut self.dist_buf, &mut self.queue_buf);
+                reach = Some(usable);
+            }
             updates.clear();
-            let row = self.store.fetch(x.0).expect("candidate is resident");
             for &(y, dvy) in &vrow.entries {
                 let cand = sat_add(through, dvy);
                 if cand > depth {
@@ -624,13 +828,13 @@ impl<S: RowStore> BoundedRows<S> {
                 }
                 let old = row.get(y).unwrap_or(INF);
                 if cand < old {
-                    delta.record(x, NodeId(y), old, cand);
+                    delta.record(NodeId(slot), NodeId(y), old, cand);
                     updates.push((y, cand));
                 }
             }
             if !updates.is_empty() {
                 self.store
-                    .update(x.0, |row| row.apply_sorted_updates(&updates));
+                    .update(slot, |row| row.apply_sorted_updates(&updates));
             }
         }
         delta
@@ -667,26 +871,44 @@ impl<S: RowStore> BoundedRows<S> {
     fn delete_edge_delta(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
         self.ensure_slots(graph);
         let depth = self.reqs.depth();
-        let ball = self.backward_ball(graph, u);
-        // Resident sources whose shortest path to `v` may run through the
-        // edge `(u, v)` — the truncated delete-candidate test — less those
-        // with an alternative parent: an in-neighbour `v` still has, at the
-        // distance `u` was, keeps `d(x, v)` and hence the whole row.
-        let candidates = self.pick_from(ball, |x, row| {
-            let dv = row.get(v.0)?;
-            if sat_add(row.get(u.0)?, 1) != dv {
-                return None;
+        let mut delta = AffDelta::new();
+        for slot in self.backward_ball(graph, u) {
+            let Some(row) = self.store.fetch(slot) else {
+                continue;
+            };
+            // Resident sources whose shortest path to `v` may run through
+            // the edge `(u, v)` — the truncated delete-candidate test —
+            // less those with an alternative parent: an in-neighbour `v`
+            // still has, at the distance `u` was, keeps `d(x, v)` and hence
+            // the whole row (`v` is not affected, so nothing is).
+            let Some(dv) = row.get(v.0) else {
+                continue;
+            };
+            if row.get(u.0).map(|du| sat_add(du, 1)) != Some(dv) {
+                continue;
             }
             let mut parents = graph.in_neighbors(v).iter();
             if parents.any(|w| row.get(w.0).is_some_and(|dw| dw + 1 == dv)) {
-                return None;
+                continue;
             }
-            // Stored distances are finite, so no row of an untruncated
-            // index has a horizon leaf.
-            Some((x, dv == depth))
-        });
-        let mut delta = AffDelta::new();
-        self.rerun_rows(graph, candidates, v, &mut delta);
+            let x = NodeId(slot);
+            if dv == depth {
+                // Horizon leaf: `v`'s children lie beyond the horizon and
+                // nothing standing is near enough to re-settle it. (Stored
+                // distances are finite, so no row of an untruncated index
+                // has one.)
+                delta.record(x, v, depth, INF);
+                self.store.update(slot, |row| row.remove(v.0));
+                continue;
+            }
+            self.resettle
+                .run(graph, row, v, dv, depth, &mut self.dist_buf);
+            let changes = &self.resettle.affected;
+            for &(y, old, new) in changes {
+                delta.record(x, NodeId(y), old, new);
+            }
+            self.store.update(slot, |row| row.settle(changes));
+        }
         delta
     }
 
@@ -829,12 +1051,14 @@ mod tests {
         (f, index)
     }
 
-    /// The truncated-projection equality every test leans on.
+    /// The truncated-projection equality every test leans on — and, since
+    /// it runs after every commit of every test, the scratch invariant.
     fn assert_projection<S: RowStore>(
         s: &BoundedRows<S>,
         graph: &DataGraph,
         dense: &DistanceMatrix,
     ) {
+        assert_scratch_restored(s);
         let n = graph.slot_count();
         for i in 0..n {
             let x = NodeId::from_index(i);
@@ -865,6 +1089,12 @@ mod tests {
                 assert_eq!(a.distance(x, y), b.distance(x, y), "d({x:?},{y:?})");
             }
         }
+    }
+
+    /// The invariant every repair routine leans on: between commits the
+    /// scratch array is all-`INF`.
+    fn assert_scratch_restored<S: RowStore>(s: &BoundedRows<S>) {
+        assert!(s.dist_buf.iter().all(|&d| d == INF), "dist_buf left dirty");
     }
 
     /// The store's running row count against a recount over its slots.
@@ -912,6 +1142,7 @@ mod tests {
         dense.commit_insert_node(f.graph.slot_count());
         s.commit_insert_node(&f.graph, id, RepairHint::Baseline);
         assert_eq!(s.distance(id, id), 0, "required newcomer is resident");
+        assert_scratch_restored(&s);
 
         f.graph.add_edge(f.s1, id).unwrap();
         dense.commit_insert_edge(f.s1, id);
@@ -982,6 +1213,112 @@ mod tests {
         assert_eq!(s.distance(f.pm2, f.te1), dense.get(f.pm2, f.te1));
     }
 
+    /// Every edge delete's re-settle against the path it replaced — a
+    /// truncated BFS of every row, diffed against the old one (`bfs` +
+    /// `diff_rows`, which node deletes still run) — record for record and
+    /// row for row, on seeded random graphs with every node a source, at
+    /// `Hops(1..=4)` and unbounded.
+    fn edge_delete_resettle_equals_rerun_and_diff<S: RowStore>(store: impl Fn() -> S) {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        // What the suite must have seen by the end: a target re-settled
+        // inside the horizon at a larger distance, an affected subtree more
+        // than one level deep, a target that falls beyond a finite horizon
+        // from strictly inside it.
+        let (mut farther, mut deep, mut beyond) = (false, false, false);
+        for round in 0..60 {
+            let bound = [1, 2, 3, 4, INF][round % 5];
+            let mut reqs = SlenRequirements::empty();
+            reqs.absorb_label(Label(0));
+            reqs.absorb_bound(if bound == INF {
+                Bound::Unbounded
+            } else {
+                Bound::Hops(bound)
+            });
+            let n = 6 + draw(8);
+            let mut graph = DataGraph::new();
+            let ids: Vec<NodeId> = (0..n).map(|_| graph.add_node(Label(0))).collect();
+            for _ in 0..n + draw(2 * n) {
+                let (a, b) = (ids[draw(n)], ids[draw(n)]);
+                if a != b {
+                    let _ = graph.add_edge(a, b);
+                }
+            }
+            let mut s = BoundedRows::with_store(&graph, &reqs, store());
+            loop {
+                let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
+                if edges.is_empty() {
+                    break;
+                }
+                let (u, v) = edges[draw(edges.len())];
+                let old_rows: Vec<SparseRow> = ids
+                    .iter()
+                    .map(|x| s.store.fetch(x.0).expect("every node is a source").clone())
+                    .collect();
+                graph.remove_edge(u, v).unwrap();
+                let mut expected = AffDelta::new();
+                let new_rows: Vec<SparseRow> = ids.iter().map(|&x| s.bfs(&graph, x)).collect();
+                for (i, &x) in ids.iter().enumerate() {
+                    diff_rows(x, &old_rows[i], &new_rows[i], &mut expected);
+                }
+                let delta = s.commit_delete_edge(&graph, u, v, RepairHint::Baseline);
+                assert_eq!(
+                    delta.changed, expected.changed,
+                    "round {round}, ({u:?}, {v:?})"
+                );
+                for (i, x) in ids.iter().enumerate() {
+                    assert_eq!(s.store.fetch(x.0), Some(&new_rows[i]), "row of {x:?}");
+                }
+                assert_scratch_restored(&s);
+                for (i, &x) in ids.iter().enumerate() {
+                    let of_x = || delta.changed.iter().filter(move |r| r.0 == x);
+                    let dv = old_rows[i].get(v.0);
+                    farther |= of_x().any(|r| r.3 != INF);
+                    deep |= of_x().any(|r| dv.is_some_and(|dv| r.2 >= dv + 2));
+                    beyond |= of_x().any(|r| r.3 == INF && r.2 < bound);
+                }
+            }
+        }
+        assert!(farther && deep && beyond, "{farther} {deep} {beyond}");
+    }
+
+    /// The settle step is a shortest-path search, not one look at the
+    /// standing in-neighbours: `v` loses `u -> v`; its child `c` re-enters
+    /// over the long way round (`x -> a -> b -> e -> c`), and only then does
+    /// `v` come back — through `c -> v`, an affected node judged after it.
+    #[test]
+    fn a_target_resettles_through_its_own_affected_child() {
+        let mut reqs = SlenRequirements::empty();
+        reqs.absorb_label(Label(0));
+        reqs.absorb_bound(Bound::Hops(5));
+        let mut graph = DataGraph::new();
+        let [x, u, v, c, a, b, e] = [0; 7].map(|_| graph.add_node(Label(0)));
+        let edges = [
+            (x, u),
+            (u, v),
+            (v, c),
+            (c, v),
+            (x, a),
+            (a, b),
+            (b, e),
+            (e, c),
+        ];
+        for (from, to) in edges {
+            graph.add_edge(from, to).unwrap();
+        }
+        let mut s = BoundedRows::with_store(&graph, &reqs, MemStore::default());
+        graph.remove_edge(u, v).unwrap();
+        let delta = s.commit_delete_edge(&graph, u, v, RepairHint::Baseline);
+        let of_x: Vec<_> = delta.changed.iter().filter(|r| r.0 == x).collect();
+        assert_eq!(of_x, [&(x, v, 2, 5), &(x, c, 3, 4)]);
+        assert_projection(&s, &graph, &apsp_matrix(&graph));
+    }
+
     /// Run the whole algorithm suite over one store.
     macro_rules! store_suite {
         ($name:ident, $store:expr) => {
@@ -1012,6 +1349,10 @@ mod tests {
                 fn unbounded_requirements_store_full_rows() {
                     super::unbounded_requirements_store_full_rows($store);
                 }
+                #[test]
+                fn edge_delete_resettle_equals_rerun_and_diff() {
+                    super::edge_delete_resettle_equals_rerun_and_diff(|| $store);
+                }
             }
         };
     }
@@ -1019,6 +1360,76 @@ mod tests {
     store_suite!(mem, MemStore::default());
     // A 2-page cache, so nearly every fetch of the suite evicts.
     store_suite!(paged_tiny, PagedStore::new(tiny()));
+
+    /// `apply_sorted_updates` on an exact-fit row of even targets `0..12`:
+    /// the merged row, and how much the allocation grew.
+    fn patched(updates: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
+        let mut row = SparseRow {
+            entries: (0..6).map(|i| (2 * i, 9)).collect(),
+        };
+        row.entries.shrink_to_fit();
+        let before = row.entries.capacity();
+        row.apply_sorted_updates(updates);
+        (row.entries.clone(), row.entries.capacity() - before)
+    }
+
+    #[test]
+    fn sorted_updates_grow_a_row_by_exactly_its_new_targets() {
+        let evens = |dist: [u32; 6]| {
+            (0..6)
+                .map(|i| (2 * i, dist[i as usize]))
+                .collect::<Vec<_>>()
+        };
+        // Pure improvements are written where they stand.
+        let (row, grew) = patched(&[(0, 1), (4, 2), (10, 3)]);
+        assert_eq!((row, grew), (evens([1, 9, 2, 9, 9, 3]), 0));
+        // Pure insertions: middle, back, front.
+        let (row, grew) = patched(&[(5, 1)]);
+        assert_eq!(
+            row,
+            [(0, 9), (2, 9), (4, 9), (5, 1), (6, 9), (8, 9), (10, 9)]
+        );
+        assert_eq!(grew, 1);
+        let (row, grew) = patched(&[(11, 1), (13, 2)]);
+        assert_eq!(row[5..], [(10, 9), (11, 1), (13, 2)]);
+        assert_eq!(grew, 2);
+        let mut odd = SparseRow {
+            entries: vec![(1, 9)],
+        };
+        odd.apply_sorted_updates(&[(0, 1)]);
+        assert_eq!(odd.entries, [(0, 1), (1, 9)]);
+        // A mix, new targets on both sides of every improvement.
+        let (row, grew) = patched(&[(1, 1), (2, 2), (3, 3), (10, 4), (12, 5)]);
+        let expected = [
+            (0, 9),
+            (1, 1),
+            (2, 2),
+            (3, 3),
+            (4, 9),
+            (6, 9),
+            (8, 9),
+            (10, 4),
+            (12, 5),
+        ];
+        assert_eq!((row.as_slice(), grew), (&expected[..], 3));
+        // Into an empty row, and nothing into a row.
+        let mut empty = SparseRow::default();
+        empty.apply_sorted_updates(&[(3, 1), (7, 2)]);
+        assert_eq!(empty.entries, [(3, 1), (7, 2)]);
+        assert_eq!(patched(&[]), (evens([9; 6]), 0));
+    }
+
+    #[test]
+    fn settle_rewrites_in_place_and_drops_what_fell_beyond() {
+        let mut row = SparseRow {
+            entries: (0..6).map(|i| (2 * i, 2)).collect(),
+        };
+        row.settle(&[(2, 2, 3), (10, 2, 4)]);
+        assert_eq!(row.entries[1], (2, 3));
+        assert_eq!(row.entries[5], (10, 4));
+        row.settle(&[(0, 2, INF), (4, 2, 3), (10, 4, INF)]);
+        assert_eq!(row.entries, [(2, 3), (4, 3), (6, 2), (8, 2)]);
+    }
 
     // ------------------------------------------------------------------
     // What the seam is for: a store that records how it is driven.
@@ -1109,18 +1520,26 @@ mod tests {
     /// The locality contract of the edge repairs: since the last `reset`,
     /// every fetched slot is a resident `x` with `d(x, u) + 1 ≤ depth` in
     /// `graph` — inside the backward ball of the edge's tail `u` — and none
-    /// was fetched more than twice.
+    /// was fetched more than once (tested and repaired on the same fetch).
     fn assert_ball_local(s: &BoundedRows<Recording>, graph: &DataGraph, u: NodeId) {
         let dense = apsp_matrix(graph);
         for (slot, &count) in s.store.fetches.iter().enumerate() {
             let x = NodeId::from_index(slot);
-            assert!(count <= 2, "{x:?} fetched {count} times");
+            assert!(count <= 1, "{x:?} fetched {count} times");
             if count > 0 {
                 assert!(s.store.inner.is_resident(x.0));
                 let d = dense.get(x, u);
                 assert!(sat_add(d, 1) <= s.depth(), "{x:?} is outside the ball");
             }
         }
+    }
+
+    /// An edge commit patches rows where they stand: since the last
+    /// `reset` it replaced none (no `put`), dropped none, and every
+    /// `update` went to a source of the delta.
+    fn assert_patches_only_sources(s: &BoundedRows<Recording>, delta: &AffDelta) {
+        assert_eq!(s.store.puts, [] as [u32; 0], "an edge commit rebuilt a row");
+        assert_writes_only_sources(s, delta, 0);
     }
 
     /// Nothing outside the delta's sources is written: since the last
@@ -1143,20 +1562,18 @@ mod tests {
     #[test]
     fn commits_fetch_only_the_backward_ball_and_write_only_their_sources() {
         // Everyone reaches SE1 within 3 hops, and `SE1 -> TE2` improves
-        // every source but TE2 itself: the candidate pass reads each row
-        // once, then each of the six candidates once more and patches it
-        // in place.
+        // every source but TE2 itself: each ball row is read once, and the
+        // six candidates are patched in place on that same read.
         let (mut f, mut s) = fig1_rows(Recording::default());
         f.graph.add_edge(f.se1, f.te2).unwrap();
         s.store.reset();
         let delta = s.commit_insert_edge(&f.graph, f.se1, f.te2, RepairHint::Baseline);
         assert!(!delta.is_empty());
-        assert_eq!(s.store.resident_fetches(), [2, 2, 2, 2, 2, 2, 1]);
+        assert_eq!(s.store.resident_fetches(), [1, 1, 1, 1, 1, 1, 1]);
         assert_ball_local(&s, &f.graph, f.se1);
         let improved = [f.pm1, f.pm2, f.se1, f.se2, f.s1, f.te1].map(|x| x.0);
         assert_eq!(s.store.updates, improved);
-        assert_eq!(s.store.puts, [] as [u32; 0]);
-        assert_writes_only_sources(&s, &delta, 0);
+        assert_patches_only_sources(&s, &delta);
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
 
         // Nobody reaches PM1 but PM1, whose only path to DB1 was the edge.
@@ -1165,11 +1582,10 @@ mod tests {
         s.store.reset();
         let delta = s.commit_delete_edge(&f.graph, f.pm1, f.db1, RepairHint::Baseline);
         assert!(!delta.is_empty());
-        assert_eq!(s.store.resident_fetches(), [2, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(s.store.resident_fetches(), [1, 0, 0, 0, 0, 0, 0]);
         assert_ball_local(&s, &f.graph, f.pm1);
-        assert_eq!(s.store.puts, [f.pm1.0]);
-        assert_eq!(s.store.updates, [] as [u32; 0]);
-        assert_writes_only_sources(&s, &delta, 0);
+        assert_eq!(s.store.updates, [f.pm1.0]);
+        assert_patches_only_sources(&s, &delta);
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
     }
 
@@ -1192,17 +1608,16 @@ mod tests {
     fn an_alternative_parent_is_fetched_once_and_never_rerun() {
         let (mut f, mut s) = fig1_rows(Recording::default());
         // `SE2 -> DB1`: PM2 and SE1 reach DB1 just as fast through S1, so
-        // their rows stand; SE2 and TE1 have no other way and re-run. PM1
-        // and S1 are in SE2's ball but do not route through the edge; TE2
-        // is 4 hops from SE2, outside the ball.
+        // their rows stand; SE2 and TE1 have no other way and re-settle.
+        // PM1 and S1 are in SE2's ball but do not route through the edge;
+        // TE2 is 4 hops from SE2, outside the ball.
         f.graph.remove_edge(f.se2, f.db1).unwrap();
         s.store.reset();
         let delta = s.commit_delete_edge(&f.graph, f.se2, f.db1, RepairHint::Baseline);
-        assert_eq!(s.store.resident_fetches(), [1, 1, 1, 2, 1, 2, 0]);
+        assert_eq!(s.store.resident_fetches(), [1, 1, 1, 1, 1, 1, 0]);
         assert_ball_local(&s, &f.graph, f.se2);
-        assert_eq!(s.store.puts, [f.se2.0, f.te1.0]);
-        assert_eq!(s.store.updates, [] as [u32; 0]);
-        assert_writes_only_sources(&s, &delta, 0);
+        assert_eq!(s.store.updates, [f.se2.0, f.te1.0]);
+        assert_patches_only_sources(&s, &delta);
         assert!(delta.changed.iter().all(|r| r.0 == f.se2 || r.0 == f.te1));
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
     }
@@ -1211,18 +1626,19 @@ mod tests {
     fn a_horizon_leaf_gets_one_update_and_no_put() {
         let (mut f, mut s) = fig1_rows(Recording::default());
         // S1 reaches TE1 in exactly 4 = B hops, through `SE2 -> TE1`, TE1's
-        // only in-edge: S1's row loses that one entry in place. The four
-        // nearer sources re-run.
+        // only in-edge: S1's row loses that one entry in place, without a
+        // scatter. The four nearer sources re-settle.
         f.graph.remove_edge(f.se2, f.te1).unwrap();
         s.store.reset();
         let delta = s.commit_delete_edge(&f.graph, f.se2, f.te1, RepairHint::Baseline);
-        assert_eq!(s.store.updates, [f.s1.0]);
-        assert_eq!(s.store.puts, [f.pm1.0, f.pm2.0, f.se1.0, f.se2.0]);
+        let patched = [f.pm1, f.pm2, f.se1, f.se2, f.s1].map(|x| x.0);
+        assert_eq!(s.store.updates, patched);
+        assert_patches_only_sources(&s, &delta);
         assert!(
             s.snapshot.is_stale(&f.graph),
-            "four re-runs and no repair read the bulk build's snapshot"
+            "no repair read the bulk build's snapshot"
         );
-        assert_eq!(s.store.resident_fetches(), [2, 2, 2, 2, 1, 1, 0]);
+        assert_eq!(s.store.resident_fetches(), [1, 1, 1, 1, 1, 1, 0]);
         // Its one record sits where the re-run's diff would have put it.
         let of_s1: Vec<_> = delta.changed.iter().filter(|r| r.0 == f.s1).collect();
         assert_eq!(of_s1, [&(f.s1, f.te1, 4, INF)]);

@@ -91,10 +91,12 @@ impl RowStore for MemStore {
     }
 
     fn mem_bytes(&self) -> usize {
-        // Capacity, not len: `apply_sorted_updates` and `retain` leave slack
-        // in row vectors, and the slot vector itself over-allocates on
-        // growth. `max_index_gb` admission and `LeastLoaded` placement
-        // compare against the real allocation, not the live entry count.
+        // Capacity, not len: rows are patched in place and keep the
+        // capacity of their high-water mark (`settle`, `remove` and
+        // `retain` shrink only `len`), and the slot vector itself
+        // over-allocates on growth. `max_index_gb` admission and
+        // `LeastLoaded` placement compare against the real allocation, not
+        // the live entry count.
         self.rows.capacity() * std::mem::size_of::<Option<SparseRow>>()
             + self.entry_capacity * std::mem::size_of::<(u32, u32)>()
     }
@@ -143,10 +145,10 @@ mod tests {
         assert_recount(&s); // `update` growing rows
         f.graph.remove_edge(f.se2, f.te1).unwrap();
         s.commit_delete_edge(&f.graph, f.se2, f.te1, hint);
-        assert_recount(&s); // `put` over a row, `update` shrinking one
+        assert_recount(&s); // `update` re-settling rows and shrinking one
         f.graph.remove_node(f.se1).unwrap();
         s.commit_delete_node(&f.graph, f.se1, hint);
-        assert_recount(&s); // `remove`
+        assert_recount(&s); // `remove`, `put` over the re-run rows
         let mut te_only = SlenRequirements::empty();
         te_only.absorb_label(f.interner.get("TE").unwrap());
         te_only.absorb_bound(gpnm_graph::Bound::Hops(2));

@@ -18,8 +18,11 @@
 //! One block aims the same checks at the repair's pruning branches — the
 //! backward-ball candidate pass, the alternative-parent drop and the
 //! horizon-leaf shortcut — with layered-diamond graphs at the depths those
-//! branches turn on. Every case also checks the delta order the candidate
-//! pass's sort-by-slot produces.
+//! branches turn on. Two more aim at the edge-delete re-settle: hub-heavy
+//! graphs (one node with in- and out-degree ≥ 16, so affected sets contain
+//! and border long in-neighbour lists) and streams that delete an edge and
+//! put the same edge back. Every case also checks the delta order the
+//! candidate pass's sort-by-slot produces.
 //!
 //! A last block pins the witness-probe kernel: on all four backends, after
 //! a random commit sequence, `any_within(u, S, b)` answers exactly what
@@ -41,7 +44,7 @@ type RawCase = (
     Vec<(u32, u32)>,     // edge endpoints (mod nodes)
     u8,                  // label mask (which labels are "pattern" labels)
     u8,                  // depth selector: 0 = unbounded, else Hops(sel)
-    Vec<(u8, u32, u32)>, // ops: (kind, a, b)
+    Vec<(u8, u32, u32)>, // ops: (kind, a, b); kind 4 re-inserts the last deleted edge
 );
 
 fn raw_case() -> impl PropStrategy<Value = RawCase> {
@@ -99,6 +102,46 @@ fn diamond_case() -> impl PropStrategy<Value = RawCase> {
                 let ops = ops.into_iter().map(|(k, a, b)| (kinds[k], a, b)).collect();
                 (nodes, labels, edges, mask, depth_sel, ops)
             })
+    })
+}
+
+/// Hub-heavy: node 0 has an edge from and an edge to each of 16 spokes,
+/// which also wire among themselves and to a few outer nodes at random —
+/// so most two-hop paths run through the hub, a deleted spoke edge leaves
+/// the hub's children to be judged against its 16-long in-list, and a
+/// deleted hub edge re-settles a target that borders it. Deletion-heavy,
+/// at every depth from 1 to 4 and unbounded.
+fn hub_case() -> impl PropStrategy<Value = RawCase> {
+    const SPOKES: u32 = 16;
+    (SPOKES as usize + 1..SPOKES as usize + 8, 1usize..4).prop_flat_map(|(nodes, labels)| {
+        (
+            vec(((1u32..nodes as u32), (1u32..nodes as u32)), 0..24),
+            1u8..16,
+            0u8..5,
+            vec(((0usize..6), (0u32..4096), (0u32..4096)), 1..12),
+        )
+            .prop_map(move |(mut edges, mask, depth_sel, ops)| {
+                edges.extend((1..=SPOKES).flat_map(|spoke| [(0, spoke), (spoke, 0)]));
+                let kinds = [1u8, 1, 1, 0, 4, 3];
+                let ops = ops.into_iter().map(|(k, a, b)| (kinds[k], a, b)).collect();
+                (nodes, labels, edges, mask, depth_sel, ops)
+            })
+    })
+}
+
+/// Delete-then-reinsert: the generic graphs of [`raw_case`] under a stream
+/// that mostly alternates "delete an edge" with "insert that same edge
+/// again" — so every re-settle is followed by the insert that must undo it
+/// exactly, on rows the re-settle patched in place.
+fn reinsert_case() -> impl PropStrategy<Value = RawCase> {
+    raw_case().prop_map(|(nodes, labels, edges, mask, depth_sel, ops)| {
+        let ops = ops.into_iter().enumerate();
+        let ops = ops.map(|(i, (kind, a, b))| match (i % 2, kind) {
+            (0, _) => (1, a, b),
+            (_, 0..=2) => (4, a, b),
+            (_, kind) => (kind, a, b),
+        });
+        (nodes, labels, edges, mask, depth_sel, ops.collect())
     })
 }
 
@@ -274,6 +317,7 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
         assert_paged_matches_sparse(&graph, &sparse, &paged)?;
     }
 
+    let mut last_deleted = None;
     for (kind, a, b) in ops {
         // Residency as the deltas see it: before the op (a deleted node's
         // own row is part of its delta).
@@ -281,15 +325,19 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
         // Mutate the graph, commit on all three: `(dense, sparse, paged)`
         // deltas, and whose records lead (a deleted node's own row).
         let (what, dc, sc, pc, own) = match kind {
-            // ---- insert edge ----
-            0 => {
+            // ---- insert edge: a drawn one (0), or the last deleted (4) ----
+            0 | 4 => {
                 let live: Vec<NodeId> = graph.nodes().collect();
                 if live.len() < 2 {
                     continue;
                 }
-                let u = live[a as usize % live.len()];
-                let v = live[b as usize % live.len()];
-                if u == v || graph.has_edge(u, v) {
+                let drawn = (live[a as usize % live.len()], live[b as usize % live.len()]);
+                let (u, v) = if kind == 4 {
+                    last_deleted.take().unwrap_or(drawn)
+                } else {
+                    drawn
+                };
+                if u == v || graph.has_edge(u, v) || !graph.contains(u) || !graph.contains(v) {
                     continue;
                 }
                 graph.add_edge(u, v).expect("checked");
@@ -309,6 +357,7 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
                 }
                 let (u, v) = all[a as usize % all.len()];
                 graph.remove_edge(u, v).expect("listed");
+                last_deleted = Some((u, v));
                 (
                     "delete edge",
                     SlenBackend::commit_delete_edge(&mut dense, &graph, u, v, hint),
@@ -471,6 +520,20 @@ proptest! {
     /// resident reaches.
     #[test]
     fn pruned_repair_matches_dense_projection_on_diamonds(case in diamond_case()) {
+        check_case(case)?;
+    }
+
+    /// The re-settle next to long adjacency lists: a hub with in- and
+    /// out-degree ≥ 16 inside and on the border of the affected sets.
+    #[test]
+    fn resettle_matches_dense_projection_around_a_hub(case in hub_case()) {
+        check_case(case)?;
+    }
+
+    /// An edge deleted and put back: the insert undoes the re-settle
+    /// record for record, on the rows it patched.
+    #[test]
+    fn delete_then_reinsert_matches_dense_projection(case in reinsert_case()) {
         check_case(case)?;
     }
 

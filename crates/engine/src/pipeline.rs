@@ -62,6 +62,17 @@ impl CommittedUpdate {
             DataUpdate::InsertEdge { .. } | DataUpdate::InsertNode { .. }
         )
     }
+
+    /// The update's kind as telemetry names it: the `kind` of the TRACE
+    /// `engine_commit` event and of `gpnm_slen_repair_seconds`.
+    pub fn kind(&self) -> &'static str {
+        match self.update {
+            DataUpdate::InsertEdge { .. } => "insert_edge",
+            DataUpdate::DeleteEdge { .. } => "delete_edge",
+            DataUpdate::InsertNode { .. } => "insert_node",
+            DataUpdate::DeleteNode { .. } => "delete_node",
+        }
+    }
 }
 
 /// Apply one data update to `graph` and repair `index`, returning the
@@ -74,42 +85,49 @@ pub fn commit_data_update<B: SlenBackend>(
     update: &DataUpdate,
     hint: RepairHint,
 ) -> Result<CommittedUpdate, EngineError> {
-    let (delta, created) = match *update {
+    // The repair is timed apart from the mutation: the event below
+    // carries the `SLen` layer's share alone.
+    fn timed(repair: impl FnOnce() -> AffDelta) -> (AffDelta, Duration) {
+        let t = Instant::now();
+        let delta = repair();
+        (delta, t.elapsed())
+    }
+    let ((delta, took), created) = match *update {
         DataUpdate::InsertEdge { from, to } => {
             graph.add_edge(from, to)?;
-            (index.commit_insert_edge(graph, from, to, hint), None)
+            let repair = || index.commit_insert_edge(graph, from, to, hint);
+            (timed(repair), None)
         }
         DataUpdate::DeleteEdge { from, to } => {
             graph.remove_edge(from, to)?;
-            (index.commit_delete_edge(graph, from, to, hint), None)
+            let repair = || index.commit_delete_edge(graph, from, to, hint);
+            (timed(repair), None)
         }
         DataUpdate::InsertNode { label } => {
             let id = graph.add_node(label);
-            (index.commit_insert_node(graph, id, hint), Some(id))
+            let repair = || index.commit_insert_node(graph, id, hint);
+            (timed(repair), Some(id))
         }
         DataUpdate::DeleteNode { node } => {
             graph.remove_node(node)?;
-            (index.commit_delete_node(graph, node, hint), None)
+            let repair = || index.commit_delete_node(graph, node, hint);
+            (timed(repair), None)
         }
     };
-    let kind = match *update {
-        DataUpdate::InsertEdge { .. } => "insert_edge",
-        DataUpdate::DeleteEdge { .. } => "delete_edge",
-        DataUpdate::InsertNode { .. } => "insert_node",
-        DataUpdate::DeleteNode { .. } => "delete_node",
+    let committed = CommittedUpdate {
+        update: *update,
+        delta,
+        created,
     };
     tracing::event!(
         tracing::Level::TRACE,
         "engine_commit",
-        kind = kind,
-        slen_changes = delta.changed.len(),
-        affected = delta.affected.len(),
+        kind = committed.kind(),
+        slen_changes = committed.delta.changed.len(),
+        affected = committed.delta.affected.len(),
+        repair_ns = u64::try_from(took.as_nanos()).unwrap_or(u64::MAX),
     );
-    Ok(CommittedUpdate {
-        update: *update,
-        delta,
-        created,
-    })
+    Ok(committed)
 }
 
 /// Where one pattern's refresh spent its work.

@@ -74,6 +74,9 @@ pub struct TickStats {
     /// The shared graph + `SLen` commit pass — paid once per tick, the
     /// part a per-pattern-engine deployment would pay k times.
     pub shared_repair_ns: u128,
+    /// `shared_repair_ns` by update kind (`insert_edge`, `delete_edge`,
+    /// `insert_node`, `delete_node`; only the kinds the tick committed).
+    pub shared_repair_by_kind_ns: Vec<(&'static str, u128)>,
     /// DER-II elimination detection + EH-Tree build (also shared).
     pub detect_ns: u128,
     /// Read-front publish + subscription fan-out (`0` on a non-publishing
@@ -148,12 +151,17 @@ impl TickStats {
         } else {
             self.refresh_lanes.to_string()
         };
+        let by_kind = self.shared_repair_by_kind_ns.iter();
+        let by_kind: Vec<String> = by_kind
+            .map(|(kind, ns)| format!("{kind}={}µs", ns / 1_000))
+            .collect();
         let mut out = format!(
-            "  stats: reduce={}µs shared_repair={}µs detect={}µs refresh(Σ)={}µs \
+            "  stats: reduce={}µs shared_repair={}µs [{}] detect={}µs refresh(Σ)={}µs \
              refresh(max)={}µs publish={}µs lanes={lanes} switches={} eliminated={} \
              repairs={} affected={}",
             self.reduce_ns / 1_000,
             self.shared_repair_ns / 1_000,
+            by_kind.join(" "),
             self.detect_ns / 1_000,
             self.refresh_total_ns() / 1_000,
             self.refresh_max_ns() / 1_000,
@@ -213,8 +221,13 @@ impl TickStats {
             ),
             None => "null".to_string(),
         };
+        let by_kind = self.shared_repair_by_kind_ns.iter();
+        let by_kind: Vec<String> = by_kind
+            .map(|(kind, ns)| format!("\"{kind}\":{ns}"))
+            .collect();
         format!(
-            "{{\"reduce_ns\":{},\"shared_repair_ns\":{},\"detect_ns\":{},\
+            "{{\"reduce_ns\":{},\"shared_repair_ns\":{},\"shared_repair_by_kind_ns\":{{{}}},\
+             \"detect_ns\":{},\
              \"refresh_total_ns\":{},\"refresh_max_ns\":{},\"publish_ns\":{},\
              \"refresh_lanes\":{},\
              \"pool_lanes\":{},\"strategy_switches\":{},\"eliminated\":{},\
@@ -222,6 +235,7 @@ impl TickStats {
              \"resident_rows\":{},\"index_mem_bytes\":{},\"per_pattern\":[{}],\"io\":{}}}",
             self.reduce_ns,
             self.shared_repair_ns,
+            by_kind.join(","),
             self.detect_ns,
             self.refresh_total_ns(),
             self.refresh_max_ns(),
@@ -255,6 +269,11 @@ impl TickStats {
         TickStats {
             reduce_ns: u128::from(rec.reduce_ns),
             shared_repair_ns: u128::from(rec.commit_ns),
+            shared_repair_by_kind_ns: rec
+                .commit_ns_by_kind
+                .iter()
+                .map(|&(kind, ns)| (kind, u128::from(ns)))
+                .collect(),
             detect_ns: u128::from(rec.detect_ns),
             publish_ns: u128::from(rec.publish_ns),
             per_pattern_refresh_ns: rec
@@ -978,7 +997,6 @@ impl<B: SlenBackend> GpnmService<B> {
         // own.
         let commit_span = tracing::span!(tracing::Level::DEBUG, "commit", updates = reduced.len());
         let commit_entered = commit_span.enter();
-        let mut slen_time = Duration::ZERO;
         let mut committed: Vec<CommittedUpdate> = Vec::with_capacity(reduced.len());
         let mut plans: Vec<Vec<RepairPlan>> = self
             .sessions
@@ -991,7 +1009,7 @@ impl<B: SlenBackend> GpnmService<B> {
             };
             let t = Instant::now();
             let cu = commit_data_update(&mut self.graph, &mut self.index, du, hint)?;
-            slen_time += t.elapsed();
+            rec.add_commit(cu.kind(), ns64(t.elapsed()));
             tracing::event!(
                 tracing::Level::TRACE,
                 "update_committed",
@@ -1012,7 +1030,6 @@ impl<B: SlenBackend> GpnmService<B> {
         }
         drop(commit_entered);
         let slen_changes = committed.iter().map(|c| c.delta.len()).sum();
-        rec.commit_ns = ns64(slen_time);
         rec.affected_nodes = committed
             .iter()
             .map(|c| c.delta.affected.len() as u64)
@@ -1152,7 +1169,7 @@ impl<B: SlenBackend> GpnmService<B> {
             eliminated,
             repair_calls,
             reduce_time,
-            slen_time,
+            slen_time: Duration::from_nanos(rec.commit_ns),
             refresh_time,
             total_time: start.elapsed(),
             ts_ms: gpnm_telemetry::clock::wall_ms(),

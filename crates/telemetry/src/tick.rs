@@ -48,6 +48,10 @@ pub struct TickRecorder {
     pub reduce_ns: u64,
     /// Shared graph/index commit incl. per-update repair.
     pub commit_ns: u64,
+    /// `commit_ns` by update kind (`"insert_edge"`, `"delete_edge"`,
+    /// `"insert_node"`, `"delete_node"`), in first-seen order; fed by
+    /// [`TickRecorder::add_commit`].
+    pub commit_ns_by_kind: Vec<(&'static str, u64)>,
     /// EH-tree elimination detection.
     pub detect_ns: u64,
     /// Per-pattern refresh, wall clock across lanes.
@@ -137,6 +141,7 @@ impl TickRecorder {
             start_ns: clock::monotonic_ns(),
             reduce_ns: 0,
             commit_ns: 0,
+            commit_ns_by_kind: Vec::new(),
             detect_ns: 0,
             refresh_ns: 0,
             publish_ns: 0,
@@ -149,6 +154,16 @@ impl TickRecorder {
             pool_lanes: 1,
             per_pattern: Vec::new(),
             io: None,
+        }
+    }
+
+    /// Count one update's commit (graph mutation + `SLen` repair) of `ns`
+    /// nanoseconds towards `commit_ns` and its kind's share of it.
+    pub fn add_commit(&mut self, kind: &'static str, ns: u64) {
+        self.commit_ns += ns;
+        match self.commit_ns_by_kind.iter_mut().find(|e| e.0 == kind) {
+            Some(entry) => entry.1 += ns,
+            None => self.commit_ns_by_kind.push((kind, ns)),
         }
     }
 
@@ -166,6 +181,13 @@ impl TickRecorder {
         f.total_ns.observe(total);
         f.reduce_ns.observe(self.reduce_ns);
         f.commit_ns.observe(self.commit_ns);
+        for &(kind, ns) in &self.commit_ns_by_kind {
+            // Cumulative seconds; a gauge because the registry's counters
+            // are integers.
+            metrics::global()
+                .gauge_with("gpnm_slen_repair_seconds", &[("kind", kind)])
+                .add(ns as f64 / 1e9);
+        }
         f.detect_ns.observe(self.detect_ns);
         f.refresh_ns.observe(self.refresh_ns);
         f.publish_ns.observe(self.publish_ns);
@@ -204,9 +226,21 @@ mod tests {
         let before_elim = metrics::global().counter("gpnm_eliminated_total").get();
         let rematch = metrics::global().counter("gpnm_repair_rematch_total");
         let before_rematch = rematch.get();
+        let repair_s = |kind| {
+            let g = metrics::global().gauge_with("gpnm_slen_repair_seconds", &[("kind", kind)]);
+            g.get()
+        };
+        let before_repair = (repair_s("delete_edge"), repair_s("delete_node"));
         let mut rec = TickRecorder::new();
         rec.reduce_ns = 100;
-        rec.commit_ns = 200;
+        rec.add_commit("delete_edge", 150);
+        rec.add_commit("delete_node", 20);
+        rec.add_commit("delete_edge", 30);
+        assert_eq!(rec.commit_ns, 200);
+        assert_eq!(
+            rec.commit_ns_by_kind,
+            [("delete_edge", 180), ("delete_node", 20)]
+        );
         rec.eliminated = 7;
         rec.repair_rematches = 2;
         rec.per_pattern.push(PatternRefreshSample {
@@ -230,7 +264,10 @@ mod tests {
             before_elim + 7
         );
         assert_eq!(rematch.get(), before_rematch + 2);
+        assert!((repair_s("delete_edge") - before_repair.0 - 180e-9).abs() < 1e-12);
+        assert!((repair_s("delete_node") - before_repair.1 - 20e-9).abs() < 1e-12);
         let text = metrics::metrics_text();
+        assert!(text.contains("gpnm_slen_repair_seconds{kind=\"delete_edge\"}"));
         assert!(text.contains("gpnm_paged_cache_hits_total"));
         assert!(text.contains("gpnm_pattern_refresh_total{strategy=\"UA-GPNM\"}"));
     }

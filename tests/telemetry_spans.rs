@@ -251,3 +251,75 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
     assert_eq!(counts[1], counts[0] + 1, "the fallback tick is counted");
     assert_eq!(counts[3], counts[1], "steady-state ticks never fall back");
 }
+
+/// Where a tick's `SLen` repair went is readable from the system's own
+/// output: every TRACE `engine_commit` event carries its `kind` and the
+/// repair's `repair_ns`; the tick's stats split `shared_repair` by kind;
+/// and `gpnm_slen_repair_seconds{kind=…}` grows by exactly that split.
+#[test]
+fn commit_time_is_reported_by_update_kind() {
+    let _guard = serialize();
+    let (graph, _) = generate_social_graph(&SocialGraphConfig {
+        nodes: 200,
+        edges: 800,
+        labels: 4,
+        communities: 4,
+        seed: 9,
+        ..Default::default()
+    });
+    let mut service = GpnmService::builder().build(graph).unwrap();
+    let nodes: Vec<_> = service.graph().nodes().collect();
+    let (from, to) = service.graph().edges().next().expect("800 edges");
+    let fresh = nodes.iter().zip(&nodes[9..]);
+    let (&a, &b) = { fresh }
+        .find(|&(&a, &b)| !service.graph().has_edge(a, b))
+        .expect("a sparse graph has a missing pair");
+    let label = service.graph().label(a).expect("live node");
+    let mut batch = UpdateBatch::new();
+    batch.push(DataUpdate::InsertEdge { from: a, to: b });
+    batch.push(DataUpdate::DeleteEdge { from, to });
+    batch.push(DataUpdate::InsertNode { label });
+    batch.push(DataUpdate::DeleteNode { node: nodes[5] });
+
+    let kinds = ["insert_edge", "delete_edge", "insert_node", "delete_node"];
+    let seconds = |kind| {
+        let registry = ua_gpnm::telemetry::global();
+        let gauge = registry.gauge_with("gpnm_slen_repair_seconds", &[("kind", kind)]);
+        gauge.get()
+    };
+    let before = kinds.map(seconds);
+    let collector = install_collector();
+    let report = service.apply(&batch).expect("valid batch");
+    uninstall_collector();
+    let trace = collector.finish();
+
+    let commits = trace.events.iter().filter(|e| e.name == "engine_commit");
+    let commits: Vec<_> = commits
+        .map(|e| {
+            let field = |key| e.fields.iter().find(|f| f.0 == key).map(|f| f.1.to_json());
+            let repair_ns = field("repair_ns").expect("repair_ns on the event");
+            assert!(repair_ns.parse::<u64>().is_ok(), "{repair_ns}");
+            field("kind").expect("kind on the event")
+        })
+        .collect();
+    assert_eq!(commits, kinds.map(|k| format!("\"{k}\"")));
+
+    let by_kind = &report.stats.shared_repair_by_kind_ns;
+    assert_eq!(by_kind.iter().map(|e| e.0).collect::<Vec<_>>(), kinds);
+    let total: u128 = by_kind.iter().map(|e| e.1).sum();
+    assert_eq!(total, report.stats.shared_repair_ns);
+    for ((kind, ns), before) in by_kind.iter().zip(before) {
+        let grew = seconds(kind) - before;
+        assert!(
+            (grew - *ns as f64 / 1e9).abs() < 1e-9,
+            "{kind}: {grew} vs {ns} ns"
+        );
+    }
+    let rendered = report.stats.render();
+    assert!(rendered.contains(" [insert_edge="), "{rendered}");
+    assert!(rendered.contains(" delete_node="), "{rendered}");
+    assert!(report
+        .stats
+        .to_json()
+        .contains("\"shared_repair_by_kind_ns\":{\"insert_edge\":"));
+}
