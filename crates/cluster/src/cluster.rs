@@ -15,7 +15,7 @@ use gpnm_service::{
 use gpnm_updates::UpdateBatch;
 
 use crate::error::ClusterError;
-use crate::placement::{CoveredRowsCache, LeastLoaded, ShardLoad, ShardPlacement};
+use crate::placement::{LeastLoaded, ShardLoad, ShardPlacement};
 
 /// Opaque cluster-wide id of one registered standing pattern. Like the
 /// service's [`PatternHandle`], handles are unique for the cluster's
@@ -340,7 +340,6 @@ impl ClusterBuilder {
             tick: 0,
             front: ReadFront::new(),
             rebalance_every: self.rebalance_every,
-            covered: CoveredRowsCache::new(),
         })
     }
 }
@@ -386,9 +385,6 @@ pub struct GpnmCluster {
     /// Auto-rebalance period — a [`GpnmCluster::rebalance`] pass runs
     /// after every `n`th tick when set.
     rebalance_every: Option<u64>,
-    /// Per-label covered-row counts, shared by placement and rebalancing
-    /// and invalidated on every graph version bump.
-    covered: CoveredRowsCache,
 }
 
 impl GpnmCluster {
@@ -461,8 +457,7 @@ impl GpnmCluster {
     /// pattern were placed there).
     pub fn loads(&self, candidate: &PatternGraph) -> Vec<ShardLoad> {
         let candidate_reqs = SlenRequirements::of_pattern(candidate);
-        // Every replica holds the same graph; pricing all shards against
-        // shard 0's keeps one version key hot in the covered-rows cache.
+        // Every replica holds the same graph.
         let graph = self.shards[0].graph();
         self.shards
             .iter()
@@ -475,7 +470,7 @@ impl GpnmCluster {
                     patterns: service.pattern_count(),
                     resident_rows: service.backend().resident_rows(),
                     mem_bytes: service.backend().mem_bytes(),
-                    projected_rows: self.covered.covered_rows(&union, graph),
+                    projected_rows: union.covered_rows(graph),
                 }
             })
             .collect()
@@ -619,8 +614,7 @@ impl GpnmCluster {
             let mut full = others.clone();
             full.absorb(&pattern_reqs);
             let graph = self.shards[0].graph();
-            let exclusive =
-                self.covered.covered_rows(&full, graph) - self.covered.covered_rows(&others, graph);
+            let exclusive = full.covered_rows(graph) - others.covered_rows(graph);
             if exclusive == 0 {
                 continue; // fully covered by shard-mates: free where it is
             }
@@ -632,8 +626,8 @@ impl GpnmCluster {
                 }
                 let mut union = service.requirements().clone();
                 union.absorb(&pattern_reqs);
-                let marginal = self.covered.covered_rows(&union, graph)
-                    - self.covered.covered_rows(service.requirements(), graph);
+                let marginal =
+                    union.covered_rows(graph) - service.requirements().covered_rows(graph);
                 if best.map_or(true, |(m, _)| marginal < m) {
                     best = Some((marginal, t));
                 }
@@ -768,6 +762,16 @@ impl GpnmCluster {
             Some(n) if self.tick % n == 0 => self.rebalance()?,
             _ => Vec::new(),
         };
+
+        // The index gauges are the cluster's totals; the shards, being
+        // non-publishing replicas, leave them alone.
+        let registry = gpnm_telemetry::global();
+        registry
+            .gauge("gpnm_index_resident_rows")
+            .set(self.total_resident_rows() as f64);
+        registry
+            .gauge("gpnm_index_mem_bytes")
+            .set(self.total_index_bytes() as f64);
 
         Ok(ClusterTickReport {
             tick: self.tick,

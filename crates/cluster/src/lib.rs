@@ -70,4 +70,4 @@ mod placement;
 
 pub use cluster::{ClusterBuilder, ClusterHandle, ClusterTickReport, GpnmCluster, RebalanceMove};
 pub use error::ClusterError;
-pub use placement::{CoveredRowsCache, LeastLoaded, RoundRobin, ShardLoad, ShardPlacement};
+pub use placement::{LeastLoaded, RoundRobin, ShardLoad, ShardPlacement};

@@ -12,55 +12,7 @@
 //! `SlenRequirements::covered_rows`) and hands the decision to a
 //! [`ShardPlacement`] strategy.
 
-use std::collections::HashMap;
-
-use gpnm_distance::SlenRequirements;
-use gpnm_graph::{DataGraph, GraphVersion, Label, PatternGraph};
-use parking_lot::Mutex;
-
-/// A per-label node-count cache behind
-/// [`SlenRequirements::covered_rows`], keyed on the graph's
-/// [`GraphVersion`].
-///
-/// Placement and rebalancing price every candidate shard by the rows a
-/// requirement union would cover, and each pricing walks
-/// `nodes_with_label` per label — k shards × p patterns of redundant
-/// scans over the *same unchanged graph*. The cache memoizes one count
-/// per label and invalidates wholesale on any version bump (mutation or
-/// replica change), so a placement round costs each label's scan once.
-/// Interior-mutable (`Mutex`) because load snapshots are taken through
-/// `&self`.
-#[derive(Debug, Default)]
-pub struct CoveredRowsCache {
-    inner: Mutex<Option<(GraphVersion, HashMap<Label, usize>)>>,
-}
-
-impl CoveredRowsCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `reqs.covered_rows(graph)`, served from the cache when `graph`'s
-    /// version still matches the cached counts.
-    pub fn covered_rows(&self, reqs: &SlenRequirements, graph: &DataGraph) -> usize {
-        let version = graph.version();
-        let mut guard = self.inner.lock();
-        let (cached_version, counts) = guard.get_or_insert_with(|| (version, HashMap::new()));
-        if *cached_version != version {
-            *cached_version = version;
-            counts.clear();
-        }
-        reqs.labels()
-            .iter()
-            .map(|&l| {
-                *counts
-                    .entry(l)
-                    .or_insert_with(|| graph.nodes_with_label(l).len())
-            })
-            .sum()
-    }
-}
+use gpnm_graph::PatternGraph;
 
 /// One shard's load snapshot at placement time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,24 +125,6 @@ mod tests {
             mem_bytes: resident * 64,
             projected_rows: projected,
         }
-    }
-
-    #[test]
-    fn covered_rows_cache_tracks_graph_versions() {
-        let f = gpnm_graph::paper::fig1();
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
-        let cache = CoveredRowsCache::new();
-        let direct = reqs.covered_rows(&f.graph);
-        assert_eq!(cache.covered_rows(&reqs, &f.graph), direct);
-        // Cached answer is stable while the graph is unchanged.
-        assert_eq!(cache.covered_rows(&reqs, &f.graph), direct);
-        // A mutation bumps the version and invalidates the counts.
-        let mut graph = f.graph.clone();
-        let db = f.interner.get("DB").unwrap();
-        graph.add_node(db);
-        let mut wide = reqs.clone();
-        wide.absorb_label(db);
-        assert_eq!(cache.covered_rows(&wide, &graph), wide.covered_rows(&graph));
     }
 
     #[test]

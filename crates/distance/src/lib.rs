@@ -76,12 +76,17 @@
 //! path that can never fire, on the sparse workloads' hottest lookup;
 //! *a candidate scan over every resident row* and *a CSR snapshot on the
 //! repair path* — the tree's shape until PR 17, O(index) plus an O(N + E)
-//! rebuild per update whatever the update touched.
+//! rebuild per update whatever the update touched; *a lock-free published
+//! directory for the paged store's hot-row cache* — the tree's shape
+//! until PR 24 (the `paged` module docs have the traffic that sized its
+//! replacement, a plain struct behind one lock): 8 `unsafe` sites, 17
+//! relaxed-ordering arguments and a loom model for a path that runs
+//! ≈10² times a 156 µs tick.
 //!
 //! The infinity sentinel is [`INF`] (`u32::MAX`); all arithmetic goes
 //! through [`sat_add`] so infinity propagates instead of wrapping.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -112,9 +117,6 @@ pub use incremental::IncrementalIndex;
 pub use kind::BackendKind;
 pub use matrix::DistanceMatrix;
 pub use oracle::DistanceOracle;
-#[cfg(gpnm_loom)]
-#[doc(hidden)]
-pub use paged::loom_model;
 pub use paged::{PagedConfig, PagedIndex, PagedStore};
 pub use pager::DEFAULT_PAGE_SIZE;
 pub use partition::{Partition, PartitionId};

@@ -29,25 +29,49 @@
 //! is always a plain drop. A build or rebuild bulk-loads rows straight to
 //! the spill file and leaves the cache cold (rows warm on use).
 //!
-//! ## The read path is lock-free
+//! ## The cache sits behind one lock
 //!
-//! The refresh phase makes its oracle probes by the hundred thousand per
-//! tick (fanned out across pool workers) — one row access per `distance`
-//! call and one per `any_within` witness probe, however many members the
-//! probed set has — so the hit path cannot afford a lock or a hash: the
-//! cache directory is a slot-indexed `Vec<AtomicPtr<CacheEntry>>` and a
-//! hit is one `Acquire` load away from the row. This is sound because
-//! cached entries are only ever *freed* by `&mut self` methods (commits,
-//! eviction, re-budgeting) — and Rust's aliasing rules guarantee no
-//! `&self` reader can exist while those run. A read miss loads the row
-//! from the spill file and *publishes* it with a budget-gated CAS (losers
-//! free their own unpublished copy; when the cache is at budget the miss
-//! stays a read-through and eviction waits for the next `&mut` operation).
+//! The index is shared-immutable while patterns refresh and mutated only
+//! between refreshes, so the one thing concurrent readers can race on is
+//! the cache itself. It is a plain struct ([`HotRows`]) in a
+//! `std::sync::Mutex`:
+//!
+//! * the `&mut` repair paths (`fetch` / `put` / `update` / `remove` /
+//!   `clear` / re-budgeting) reach it through `Mutex::get_mut` and take no
+//!   lock at all;
+//! * the shared read path (`with_row`, every oracle probe) holds the lock
+//!   for the directory lookup, the clock bit and the hit/miss count, and
+//!   clones the row's `Arc` out — the row *scan* runs outside the lock,
+//!   so two refresh lanes never serialise on it. A miss reads the row from
+//!   the spill file unlocked and takes the lock once more to insert it.
+//!
+//! The policy: a read miss caches its row only while that keeps the cache
+//! within budget and never evicts — at budget it stays a read-through —
+//! and the clock (second-chance) ring evicts on exclusive operations only.
+//!
+//! **What sized it.** One traced benchmark round (`gpnm-bench --workload
+//! paged_squeeze --seed 11 --seconds 0 --trace 1`) reads
+//! `distance.cache_hit_ratio` 0.554 at `distance.pages_read` 54.6 a tick:
+//! ≈123 row accesses a tick, shared and exclusive path together, in a
+//! ≈156 µs tick. At 100k nodes (`gpnm replay --backend paged --nodes
+//! 100000 --edges 400000 --labels 60 --patterns 8 --ticks 3 --updates 20
+//! --seed 7 --stats`, the `paging:` line) a tick makes 279–298 k accesses
+//! of which ≈267 k are `commit_delete_node`'s `&mut` scan (53 334 resident
+//! rows × 5 node deletes), leaving ≤ 31 k on the shared path in a
+//! 113–157 ms tick. An uncontended lock at ≈25 ns is ≈2 % and ≈0.6 % of
+//! those ticks.
+//!
+//! **Rejected: a lock-free published directory** — this module until
+//! PR 24: `Vec<AtomicPtr<_>>` slots published by a budget-gated CAS and
+//! freed only under `&mut`, a side queue to register promotions in the
+//! ring later, a deliberately lossy hit counter. It bought a hit path of
+//! one `Acquire` load when the matcher paid one row access per *pair*;
+//! since the row-scan probe (`any_within`, one access per probe) and
+//! ball-local repair that traffic is gone, and what remained was 8
+//! `unsafe` sites, 17 relaxed-ordering arguments and a loom model.
 
-use gpnm_sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use gpnm_sync::Mutex;
 use std::collections::VecDeque;
-use std::ptr;
+use std::sync::{Arc, Mutex};
 
 use gpnm_graph::DataGraph;
 
@@ -75,231 +99,117 @@ impl Default for PagedConfig {
     }
 }
 
-/// One cached row. `touched` is the clock bit the lock-free read path sets
-/// on every hit; `in_ring` (mutated under `&mut` only) tracks whether the
-/// slot is already registered in the eviction ring.
-#[derive(Debug)]
-struct CacheEntry {
-    row: SparseRow,
-    touched: AtomicBool,
-    in_ring: bool,
-}
-
-/// Per-entry bookkeeping overhead (box + directory + ring slots), on top
-/// of the row's entry storage.
-const ENTRY_OVERHEAD: usize = std::mem::size_of::<CacheEntry>() + 32;
+/// Bookkeeping charged per cached row on top of its entry storage: the
+/// `Arc` and `Vec` headers and the row's directory, clock-bit and ring
+/// slots.
+const ENTRY_OVERHEAD: usize = 64;
 
 fn row_footprint(row: &SparseRow) -> usize {
     ENTRY_OVERHEAD + row.entries.capacity() * std::mem::size_of::<(u32, u32)>()
 }
 
+/// Why an `expect` on the cache lock can fire: nothing panics while
+/// holding it short of a bug in this module.
+const POISONED: &str = "a thread panicked while holding the hot-row cache lock";
+
+/// The hot-row cache: a slot-indexed directory of deserialized rows, a
+/// clock ring over them and the paging counters. Rows are `Arc`s so the
+/// shared read path can scan one after releasing the lock; no clone
+/// outlives `with_row`, so under `&mut` every row is uniquely owned.
 #[derive(Debug, Default)]
-struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl CacheStats {
-    /// Deliberately racy hit counter: a relaxed load+store pair instead of
-    /// `fetch_add`, because this sits on the per-distance-call hot path
-    /// (millions per tick) where an RMW's cost is measurable. Concurrent
-    /// readers may drop an increment; the counter is diagnostics, not
-    /// accounting.
-    #[inline(always)]
-    fn bump_hit(&self) {
-        // RELAXED: lossy statistics (see above) — no ordering, no RMW.
-        self.hits.store(
-            self.hits.load(Ordering::Relaxed).wrapping_add(1),
-            Ordering::Relaxed,
-        );
-    }
-}
-
-/// The hot-row cache: a slot-indexed directory of heap-boxed rows.
-///
-/// # Safety invariant
-///
-/// Every non-null pointer in `slots` owns a live `Box<CacheEntry>`.
-/// Pointers are **published** either by `&mut` methods or by the `&self`
-/// CAS in [`CacheDir::try_promote`]; they are **freed** only by `&mut`
-/// methods ([`CacheDir::remove`], [`CacheDir::evict_to_budget`],
-/// [`CacheDir::clear`]) or `Drop`. Since an `&mut CacheDir` cannot coexist
-/// with `&self` borrows, no reader can observe a dangling pointer.
-#[derive(Debug)]
-struct CacheDir {
-    slots: Vec<AtomicPtr<CacheEntry>>,
-    /// Clock ring over cached slots (second-chance eviction order).
-    /// Touched only under `&mut`; read-path promotions queue up in
-    /// `promoted` until the next `&mut` operation drains them in.
+struct HotRows {
+    /// Slot-indexed like the store's row directory (`None` = not cached).
+    rows: Vec<Option<Arc<SparseRow>>>,
+    /// Clock bits, slot-indexed like `rows`.
+    touched: Vec<bool>,
+    /// Clock ring (second-chance eviction order): every cached slot, once.
     ring: VecDeque<u32>,
-    /// Slots published by `&self` promotions, awaiting ring registration.
-    promoted: Mutex<Vec<u32>>,
     /// Current footprint per [`row_footprint`].
-    bytes: AtomicUsize,
-    /// Cached-row count (kept so `cached_rows` is O(1)).
-    count: AtomicUsize,
-    /// Byte budget evictions drive toward. Mutated under `&mut` only.
+    bytes: usize,
+    /// Byte budget evictions drive toward.
     budget: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-// SAFETY: `slots` holds owning pointers managed per the invariant above;
-// `CacheEntry` itself is `Send + Sync` (rows are plain data, the clock bit
-// is atomic). The raw pointers are what inhibit the auto-impls.
-unsafe impl Send for CacheDir {}
-// SAFETY: same invariant as `Send` above; shared (`&self`) paths only
-// `Acquire`-load the published pointer or CAS-publish a fresh one — they
-// never free, so `&CacheDir` across threads cannot double-free or tear.
-unsafe impl Sync for CacheDir {}
-
-impl CacheDir {
-    fn new(budget: usize) -> Self {
-        CacheDir {
-            slots: Vec::new(),
-            ring: VecDeque::new(),
-            promoted: Mutex::new(Vec::new()),
-            bytes: AtomicUsize::new(0),
-            count: AtomicUsize::new(0),
+impl HotRows {
+    fn new(budget: usize, slots: usize) -> Self {
+        let mut cache = HotRows {
             budget,
-        }
-    }
-
-    fn ensure_slots(&mut self, n: usize) {
-        grow_with_slack(&mut self.slots, n, || AtomicPtr::new(ptr::null_mut()));
-    }
-
-    /// Lock-free shared lookup — the distance hot path.
-    #[inline(always)]
-    fn get(&self, slot: u32) -> Option<&CacheEntry> {
-        let ptr = self.slots.get(slot as usize)?.load(Ordering::Acquire);
-        // SAFETY: non-null published pointers are freed only under `&mut
-        // self`, which cannot run while this `&self` borrow is live.
-        (!ptr.is_null()).then(|| unsafe { &*ptr })
-    }
-
-    /// Shared-path promotion after a read miss. Budget-gated and
-    /// non-evicting: when the cache is full the miss stays a
-    /// read-through, and rebalancing waits for the next `&mut` op.
-    fn try_promote(&self, slot: u32, row: SparseRow) -> bool {
-        let added = row_footprint(&row);
-        // RELAXED: the budget gate is advisory check-then-act — two racing
-        // promotions to *different* slots can both pass and overshoot by
-        // up to one row per concurrent promoter (see the `PagedConfig`
-        // budget doc). A stronger ordering would not close that window;
-        // only a lock would, and this sits on the miss path.
-        if self.bytes.load(Ordering::Relaxed) + added > self.budget {
-            return false;
-        }
-        let Some(cell) = self.slots.get(slot as usize) else {
-            return false;
+            ..HotRows::default()
         };
-        let fresh = Box::into_raw(Box::new(CacheEntry {
-            row,
-            touched: AtomicBool::new(true),
-            in_ring: false,
-        }));
-        // RELAXED: failure ordering — a lost CAS only frees our copy, no
-        // data is read through it. Success is `AcqRel`: `Release` publishes
-        // the boxed row to `Acquire` loads in `get`.
-        match cell.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => {
-                // RELAXED: byte/row accounting is read for the advisory
-                // gate above and `&mut` rebalancing (already synchronized);
-                // atomicity is all the increments need.
-                self.bytes.fetch_add(added, Ordering::Relaxed);
-                self.count.fetch_add(1, Ordering::Relaxed);
-                self.promoted
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(slot);
-                true
-            }
-            // A racing reader published first — keep theirs, drop ours
-            // (never published, so this free is race-free).
-            Err(_) => {
-                // SAFETY: `fresh` came from Box::into_raw above and the
-                // CAS failed, so it was never published — we still hold
-                // the only pointer to it.
-                drop(unsafe { Box::from_raw(fresh) });
-                false
-            }
+        cache.grow(slots);
+        cache
+    }
+
+    fn grow(&mut self, n: usize) {
+        grow_with_slack(&mut self.rows, n, || None);
+        grow_with_slack(&mut self.touched, n, || false);
+    }
+
+    /// The shared path's lookup: counts the access and touches a hit.
+    fn lookup(&mut self, slot: u32) -> Option<Arc<SparseRow>> {
+        let row = self.rows[slot as usize].clone();
+        if row.is_some() {
+            self.touched[slot as usize] = true;
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        row
+    }
+
+    /// The shared path's insert after a miss. Budget-gated and
+    /// non-evicting: when the cache is full the miss stays a read-through
+    /// and rebalancing waits for the next exclusive operation. A racing
+    /// reader may have cached the slot first — keep theirs.
+    fn promote(&mut self, slot: u32, row: SparseRow) {
+        if self.rows[slot as usize].is_none() && self.bytes + row_footprint(&row) <= self.budget {
+            self.admit(slot, row);
         }
     }
 
-    /// Exclusive lookup for the `&mut` repair paths.
-    fn entry_mut(&mut self, slot: u32) -> Option<&mut CacheEntry> {
-        let ptr = *self.slots.get_mut(slot as usize)?.get_mut();
-        // SAFETY: `&mut self` is exclusive — no reader holds this entry.
-        (!ptr.is_null()).then(|| unsafe { &mut *ptr })
+    /// Cache `row` in vacant `slot`, touched and at the back of the ring.
+    fn admit(&mut self, slot: u32, row: SparseRow) {
+        self.bytes += row_footprint(&row);
+        self.rows[slot as usize] = Some(Arc::new(row));
+        self.touched[slot as usize] = true;
+        self.ring.push_back(slot);
+    }
+
+    /// Exclusive access to `slot`'s cached row.
+    fn row_mut(&mut self, slot: u32) -> Option<&mut SparseRow> {
+        let row = self.rows[slot as usize].as_mut()?;
+        Some(Arc::get_mut(row).expect("no row clone outlives `with_row`"))
     }
 
     /// Insert (or replace) `slot`'s cached image and re-balance the budget.
-    fn insert(&mut self, stats: &CacheStats, slot: u32, row: SparseRow) {
-        self.ensure_slots(slot as usize + 1);
+    fn insert(&mut self, slot: u32, row: SparseRow) {
         let added = row_footprint(&row);
-        if let Some(entry) = self.entry_mut(slot) {
-            let removed = row_footprint(&entry.row);
-            entry.row = row;
-            *entry.touched.get_mut() = true;
-            let bytes = self.bytes.get_mut();
-            *bytes = *bytes + added - removed;
+        if let Some(cached) = self.row_mut(slot) {
+            let removed = row_footprint(cached);
+            *cached = row;
+            self.touched[slot as usize] = true;
+            self.bytes = self.bytes + added - removed;
         } else {
-            let fresh = Box::into_raw(Box::new(CacheEntry {
-                row,
-                touched: AtomicBool::new(true),
-                in_ring: true,
-            }));
-            *self.slots[slot as usize].get_mut() = fresh;
-            self.ring.push_back(slot);
-            *self.bytes.get_mut() += added;
-            *self.count.get_mut() += 1;
+            self.admit(slot, row);
         }
-        self.evict_to_budget(stats, slot);
+        self.evict_to_budget(slot);
     }
 
     /// Drop `slot` from the cache entirely (row left the index).
     fn remove(&mut self, slot: u32) {
-        let Some(cell) = self.slots.get_mut(slot as usize) else {
-            return;
-        };
-        let ptr = std::mem::replace(cell.get_mut(), ptr::null_mut());
-        if ptr.is_null() {
-            return;
-        }
-        // SAFETY: exclusive access; the pointer was just unpublished.
-        let entry = unsafe { Box::from_raw(ptr) };
-        *self.bytes.get_mut() -= row_footprint(&entry.row);
-        *self.count.get_mut() -= 1;
-        self.ring.retain(|&s| s != slot);
-        self.promoted
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .retain(|&s| s != slot);
-    }
-
-    /// Register read-path promotions in the clock ring (idempotent via
-    /// the per-entry `in_ring` flag).
-    fn drain_promotions(&mut self) {
-        let pending = std::mem::take(self.promoted.get_mut().unwrap_or_else(|e| e.into_inner()));
-        for slot in pending {
-            let needs_ring = match self.entry_mut(slot) {
-                Some(entry) if !entry.in_ring => {
-                    entry.in_ring = true;
-                    true
-                }
-                _ => false,
-            };
-            if needs_ring {
-                self.ring.push_back(slot);
-            }
+        if let Some(row) = self.rows[slot as usize].take() {
+            self.bytes -= row_footprint(&row);
+            self.ring.retain(|&s| s != slot);
         }
     }
 
     /// Evict clock-cold rows until the cache fits its budget. `protect`
     /// pins one slot (the row the caller holds or is about to borrow).
-    fn evict_to_budget(&mut self, stats: &CacheStats, protect: u32) {
-        self.drain_promotions();
-        while *self.bytes.get_mut() > self.budget {
+    fn evict_to_budget(&mut self, protect: u32) {
+        while self.bytes > self.budget {
             let Some(slot) = self.ring.pop_front() else {
                 break;
             };
@@ -310,46 +220,23 @@ impl CacheDir {
                 }
                 continue;
             }
-            let touched = match self.entry_mut(slot) {
-                None => continue, // stale ring entry
-                Some(entry) => std::mem::take(entry.touched.get_mut()),
-            };
-            if touched {
+            if std::mem::take(&mut self.touched[slot as usize]) {
                 self.ring.push_back(slot); // second chance
                 continue;
             }
-            let ptr = std::mem::replace(self.slots[slot as usize].get_mut(), ptr::null_mut());
-            // SAFETY: exclusive access; the pointer was just unpublished.
-            let entry = unsafe { Box::from_raw(ptr) };
-            *self.bytes.get_mut() -= row_footprint(&entry.row);
-            *self.count.get_mut() -= 1;
-            // RELAXED: diagnostics counter; readers tolerate staleness.
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
+            let row = self.rows[slot as usize]
+                .take()
+                .expect("the ring holds cached slots only");
+            self.bytes -= row_footprint(&row);
+            self.evictions += 1;
         }
     }
 
-    /// Free every cached row (cold restart).
+    /// Drop every cached row (cold restart); slots and counters stay.
     fn clear(&mut self) {
-        for cell in &mut self.slots {
-            let ptr = std::mem::replace(cell.get_mut(), ptr::null_mut());
-            if !ptr.is_null() {
-                // SAFETY: exclusive access; the pointer was just unpublished.
-                drop(unsafe { Box::from_raw(ptr) });
-            }
-        }
+        self.rows.iter_mut().for_each(|r| *r = None);
         self.ring.clear();
-        self.promoted
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-        *self.bytes.get_mut() = 0;
-        *self.count.get_mut() = 0;
-    }
-}
-
-impl Drop for CacheDir {
-    fn drop(&mut self) {
-        self.clear();
+        self.bytes = 0;
     }
 }
 
@@ -362,8 +249,8 @@ pub struct PagedStore {
     /// How many of `locs` are `Some` (kept so the per-tick stats are O(1)).
     resident: usize,
     file: PageFile,
-    cache: CacheDir,
-    stats: CacheStats,
+    /// Has exactly `locs.len()` slots.
+    cache: Mutex<HotRows>,
 }
 
 impl PagedStore {
@@ -372,8 +259,7 @@ impl PagedStore {
             locs: Vec::new(),
             resident: 0,
             file: PageFile::create(config.page_size),
-            cache: CacheDir::new(config.cache_budget_bytes),
-            stats: CacheStats::default(),
+            cache: Mutex::new(HotRows::new(config.cache_budget_bytes, 0)),
         }
     }
 }
@@ -395,14 +281,12 @@ impl Clone for PagedStore {
                 locs[i] = Some(file.write_row(&self.file.read_row(*loc)));
             }
         }
-        let mut cache = CacheDir::new(self.cache.budget);
-        cache.ensure_slots(locs.len());
+        let budget = self.cache.lock().expect(POISONED).budget;
         PagedStore {
+            cache: Mutex::new(HotRows::new(budget, locs.len())),
             locs,
             resident: self.resident,
             file,
-            cache,
-            stats: CacheStats::default(),
         }
     }
 }
@@ -416,7 +300,7 @@ impl RowStore for PagedStore {
 
     fn grow(&mut self, n: usize) {
         grow_with_slack(&mut self.locs, n, || None);
-        self.cache.ensure_slots(n);
+        self.cache.get_mut().expect(POISONED).grow(n);
     }
 
     #[inline]
@@ -432,18 +316,17 @@ impl RowStore for PagedStore {
     /// and return a reference to it.
     fn fetch(&mut self, slot: u32) -> Option<&SparseRow> {
         let loc = self.locs[slot as usize]?;
-        if self.cache.entry_mut(slot).is_some() {
-            // RELAXED: diagnostics counters; readers tolerate staleness.
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        let cache = self.cache.get_mut().expect(POISONED);
+        if cache.rows[slot as usize].is_some() {
+            cache.hits += 1;
         } else {
-            // RELAXED: as above.
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            cache.misses += 1;
             let row = SparseRow {
                 entries: self.file.read_row(loc),
             };
-            self.cache.insert(&self.stats, slot, row);
+            cache.insert(slot, row);
         }
-        Some(&self.cache.entry_mut(slot).expect("just ensured").row)
+        cache.rows[slot as usize].as_deref()
     }
 
     /// Replace `slot`'s row: rewrite the spill extent (append + free-list)
@@ -454,7 +337,7 @@ impl RowStore for PagedStore {
             None => self.resident += 1,
         }
         self.locs[slot as usize] = Some(self.file.write_row(&row.entries));
-        self.cache.insert(&self.stats, slot, row);
+        self.cache.get_mut().expect(POISONED).insert(slot, row);
     }
 
     /// The cold bulk load: the row goes to the spill file only.
@@ -468,20 +351,17 @@ impl RowStore for PagedStore {
     /// so disk and cache stay in agreement.
     fn update(&mut self, slot: u32, f: impl FnOnce(&mut SparseRow)) {
         self.fetch(slot).expect("update of a non-resident row");
-        let (before, after);
-        {
-            let entry = self.cache.entry_mut(slot).expect("just fetched");
-            before = row_footprint(&entry.row);
-            f(&mut entry.row);
-            *entry.touched.get_mut() = true;
-            after = row_footprint(&entry.row);
-            let old = self.locs[slot as usize].take().expect("resident row");
-            self.file.free_row(old);
-            self.locs[slot as usize] = Some(self.file.write_row(&entry.row.entries));
-        }
-        let bytes = self.cache.bytes.get_mut();
-        *bytes = *bytes + after - before;
-        self.cache.evict_to_budget(&self.stats, slot);
+        let cache = self.cache.get_mut().expect(POISONED);
+        let row = cache.row_mut(slot).expect("just fetched");
+        let before = row_footprint(row);
+        f(row);
+        let after = row_footprint(row);
+        let old = self.locs[slot as usize].take().expect("resident row");
+        self.file.free_row(old);
+        self.locs[slot as usize] = Some(self.file.write_row(&row.entries));
+        cache.touched[slot as usize] = true;
+        cache.bytes = cache.bytes + after - before;
+        cache.evict_to_budget(slot);
     }
 
     /// Drop `slot` from the index: free its extent and cached image.
@@ -490,7 +370,7 @@ impl RowStore for PagedStore {
             self.file.free_row(old);
             self.resident -= 1;
         }
-        self.cache.remove(slot);
+        self.cache.get_mut().expect(POISONED).remove(slot);
     }
 
     /// The spill file restarts empty and the cache cold.
@@ -498,34 +378,23 @@ impl RowStore for PagedStore {
         self.locs.iter_mut().for_each(|l| *l = None);
         self.resident = 0;
         self.file.reset();
-        self.cache.clear();
+        self.cache.get_mut().expect(POISONED).clear();
     }
 
     /// One cache probe, and on a miss one spill read of the whole row.
+    /// `f` never runs under the cache lock.
     #[inline]
     fn with_row<R>(&self, slot: u32, f: impl FnOnce(&SparseRow) -> R) -> Option<R> {
         let loc = self.locs.get(slot as usize).copied().flatten()?;
-        if let Some(entry) = self.cache.get(slot) {
-            // Check-then-set keeps the clock bit read-mostly: repeated hits
-            // on a hot row must not dirty its cache line every call.
-            // RELAXED: the clock bit is an eviction heuristic — a touch
-            // that a racing evictor misses costs one early eviction, never
-            // correctness.
-            if !entry.touched.load(Ordering::Relaxed) {
-                entry.touched.store(true, Ordering::Relaxed);
-            }
-            self.stats.bump_hit();
-            return Some(f(&entry.row));
+        let cached = self.cache.lock().expect(POISONED).lookup(slot);
+        if let Some(row) = cached {
+            return Some(f(&row));
         }
-        // Miss: read the row from the spill file and publish it (another
-        // reader may win the race — keep theirs).
-        // RELAXED: diagnostics counter; readers tolerate staleness.
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
         let row = SparseRow {
             entries: self.file.read_row(loc),
         };
         let answer = f(&row);
-        self.cache.try_promote(slot, row);
+        self.cache.lock().expect(POISONED).promote(slot, row);
         Some(answer)
     }
 
@@ -533,19 +402,20 @@ impl RowStore for PagedStore {
         // The in-memory share only: row + cache directories, hot rows and
         // pager metadata. The spill file is deliberately absent — bounding
         // this number is the whole point of the backend.
+        let cache = self.cache.lock().expect(POISONED);
         self.locs.capacity() * std::mem::size_of::<Option<RowLoc>>()
-            + self.cache.slots.capacity() * std::mem::size_of::<AtomicPtr<CacheEntry>>()
-            // RELAXED: monitoring snapshot; may trail in-flight promotions.
-            + self.cache.bytes.load(Ordering::Relaxed)
+            + cache.rows.capacity() * std::mem::size_of::<Option<Arc<SparseRow>>>()
+            + cache.touched.capacity()
+            + cache.bytes
             + self.file.meta_bytes()
     }
 
     fn io_stats(&self) -> Option<IoStats> {
+        let cache = self.cache.lock().expect(POISONED);
         Some(IoStats {
-            // RELAXED: monitoring snapshot of lossy counters.
-            cache_hits: self.stats.hits.load(Ordering::Relaxed),
-            cache_misses: self.stats.misses.load(Ordering::Relaxed),
-            cache_evictions: self.stats.evictions.load(Ordering::Relaxed),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
             pages_read: self.file.pages_read(),
             pages_written: self.file.pages_written(),
         })
@@ -570,26 +440,24 @@ impl BoundedRows<PagedStore> {
 
     /// The hot-row cache budget, in bytes.
     pub fn cache_budget(&self) -> usize {
-        self.store.cache.budget
+        self.store.cache.lock().expect(POISONED).budget
     }
 
     /// Re-budget the hot-row cache, evicting down if it shrank.
     pub fn set_cache_budget(&mut self, bytes: usize) {
-        let PagedStore { cache, stats, .. } = &mut self.store;
+        let cache = self.store.cache.get_mut().expect(POISONED);
         cache.budget = bytes;
-        cache.evict_to_budget(stats, u32::MAX);
+        cache.evict_to_budget(u32::MAX);
     }
 
     /// Rows currently deserialized in the cache.
     pub fn cached_rows(&self) -> usize {
-        // RELAXED: monitoring snapshot; may trail in-flight promotions.
-        self.store.cache.count.load(Ordering::Relaxed)
+        self.store.cache.lock().expect(POISONED).ring.len()
     }
 
     /// Current cache footprint in bytes.
     pub fn cache_bytes(&self) -> usize {
-        // RELAXED: monitoring snapshot; may trail in-flight promotions.
-        self.store.cache.bytes.load(Ordering::Relaxed)
+        self.store.cache.lock().expect(POISONED).bytes
     }
 
     /// Spill-file size high-water mark, in pages.
@@ -701,7 +569,6 @@ mod tests {
                 p.distance(NodeId::from_index(i), NodeId::from_index(j));
             }
         }
-        // Read-path promotions land in the ring at the next `&mut` op.
         assert_eq!(
             p.cached_rows(),
             p.resident_rows(),
@@ -744,112 +611,85 @@ mod tests {
                 p.distance(NodeId::from_index(i), NodeId::from_index(j));
             }
         }
-        // The lock-free read path never exceeds the budget on its own.
+        // The read path never exceeds the budget on its own.
         assert!(
             p.cache_bytes() <= p.cache_budget(),
             "read promotions overshot: {} > {}",
             p.cache_bytes(),
             p.cache_budget()
         );
-        // Shrinking to zero drains the promoted rows through the ring.
+        // Promoted rows are in the ring, so shrinking to zero evicts them.
         p.set_cache_budget(0);
         assert_eq!(p.cached_rows(), 0, "rebudget must reclaim promoted rows");
     }
-}
 
-/// Model-checking surface for the loom suite (`--cfg gpnm_loom` builds
-/// only): a thin handle over the crate-private [`CacheDir`] so the
-/// `loom_paged_cache` integration tests can drive the budget-gated CAS
-/// publish and clock eviction protocols directly.
-#[cfg(gpnm_loom)]
-#[doc(hidden)]
-pub mod loom_model {
-    use super::*;
+    #[test]
+    fn concurrent_readers_answer_exactly_and_count_every_access() {
+        const READERS: usize = 4;
+        let (f, mut p) = fig1_paged(tiny());
+        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let s = SparseIndex::build(&f.graph, &reqs);
+        let nodes: Vec<NodeId> = (0..f.graph.slot_count()).map(NodeId::from_index).collect();
+        let all: NodeSet = nodes.iter().copied().collect();
+        let resident = p.resident_rows() as u64;
+        assert!(resident > 0);
+        let before = p.io_stats().expect("paged reports IO");
 
-    /// A hot-row cache directory plus its stats, sized for model tests.
-    pub struct ModelCache {
-        dir: CacheDir,
-        stats: CacheStats,
-    }
-
-    impl ModelCache {
-        /// Cache with `slots` addressable slots and a `budget`-byte cap.
-        pub fn new(slots: usize, budget: usize) -> Self {
-            let mut dir = CacheDir::new(budget);
-            dir.ensure_slots(slots);
-            ModelCache {
-                dir,
-                stats: CacheStats::default(),
+        // No writer exists: the readers share `&p`, and the barrier starts
+        // them together so their lookups and promotions interleave.
+        let start = std::sync::Barrier::new(READERS);
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    start.wait();
+                    for &x in &nodes {
+                        for &y in &nodes {
+                            assert_eq!(p.distance(x, y), s.distance(x, y), "d({x:?},{y:?})");
+                        }
+                        for hops in 0..4 {
+                            let bound = Bound::Hops(hops);
+                            assert_eq!(p.any_within(x, &all, bound), s.any_within(x, &all, bound));
+                        }
+                    }
+                });
             }
-        }
+        });
 
-        fn row(len: usize) -> SparseRow {
-            SparseRow {
-                entries: (0..len as u32).map(|t| (t, 1)).collect(),
-            }
-        }
+        // One access per probe of a resident source — none lost to a race.
+        let after = p.io_stats().expect("paged reports IO");
+        let per_row = nodes.len() as u64 + 4;
+        assert_eq!(
+            (after.cache_hits + after.cache_misses) - (before.cache_hits + before.cache_misses),
+            READERS as u64 * resident * per_row
+        );
+        assert_eq!(after.cache_evictions, 0, "the read path never evicts");
+        let largest_row = row_footprint(&SparseRow {
+            entries: vec![(0, 0); nodes.len()],
+        });
+        assert!(p.cache_bytes() <= p.cache_budget() + READERS * largest_row);
+        let promoted = p.cached_rows();
+        assert!(
+            promoted > 0 && promoted < resident as usize,
+            "2 pages hold some rows, not all"
+        );
 
-        /// What a `len`-entry row charges against the byte budget.
-        pub fn row_bytes(len: usize) -> usize {
-            row_footprint(&Self::row(len))
-        }
-
-        /// Shared-path promotion (the racing CAS publish under test).
-        /// Returns whether **this** call published the row.
-        pub fn try_promote(&self, slot: u32, len: usize) -> bool {
-            self.dir.try_promote(slot, Self::row(len))
-        }
-
-        /// Shared-path lookup: entry length of `slot`'s cached row.
-        pub fn get_len(&self, slot: u32) -> Option<usize> {
-            self.dir.get(slot).map(|e| e.row.entries.len())
-        }
-
-        /// Shared-path clock-bit touch, exactly as the distance hot path
-        /// does it (check-then-set to keep hot hits store-free).
-        pub fn mark_touched(&self, slot: u32) {
-            if let Some(entry) = self.dir.get(slot) {
-                // RELAXED: the clock bit is an eviction heuristic; see the
-                // identical pattern in `PagedStore::with_row`.
-                if !entry.touched.load(Ordering::Relaxed) {
-                    entry.touched.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-
-        /// Exclusive insert (the `&mut` write-through path).
-        pub fn insert(&mut self, slot: u32, len: usize) {
-            self.dir.insert(&self.stats, slot, Self::row(len));
-        }
-
-        /// Exclusive removal.
-        pub fn remove(&mut self, slot: u32) {
-            self.dir.remove(slot);
-        }
-
-        /// Re-aim the byte budget and evict down to it (`protect` pins one
-        /// slot, as the repair paths do for the row they hold).
-        pub fn rebudget(&mut self, budget: usize, protect: u32) {
-            self.dir.budget = budget;
-            self.dir.evict_to_budget(&self.stats, protect);
-        }
-
-        /// Cached-row count per the atomic accounting.
-        pub fn cached_rows(&self) -> usize {
-            // RELAXED: test-side observation after joins; no ordering load.
-            self.dir.count.load(Ordering::Relaxed)
-        }
-
-        /// Byte footprint per the atomic accounting.
-        pub fn bytes(&self) -> usize {
-            // RELAXED: test-side observation after joins; no ordering load.
-            self.dir.bytes.load(Ordering::Relaxed)
-        }
-
-        /// Eviction count (second-chance clock victims).
-        pub fn evictions(&self) -> u64 {
-            // RELAXED: test-side observation after joins; no ordering load.
-            self.stats.evictions.load(Ordering::Relaxed)
+        // What the readers promoted, the exclusive path finds cached.
+        let cached: Vec<u32> = p
+            .store
+            .cache
+            .get_mut()
+            .expect(POISONED)
+            .ring
+            .iter()
+            .copied()
+            .collect();
+        assert_eq!(cached.len(), promoted);
+        for slot in cached {
+            let before = p.io_stats().expect("paged reports IO");
+            assert!(p.store.fetch(slot).is_some());
+            let after = p.io_stats().expect("paged reports IO");
+            assert_eq!(after.cache_hits, before.cache_hits + 1);
+            assert_eq!(after.pages_read, before.pages_read);
         }
     }
 }

@@ -32,7 +32,7 @@
 //! * `MemStore` ([`crate::SparseIndex`]) — a slot-indexed
 //!   `Vec<Option<SparseRow>>`; every operation is an index.
 //! * `PagedStore` ([`crate::PagedIndex`]) — a row directory into a spill
-//!   file behind a byte-budgeted, lock-free hot-row cache; `put`/`update`
+//!   file behind a byte-budgeted hot-row cache; `put`/`update`
 //!   write through, `fetch` fills the cache and evicts.
 //!
 //! The seam is sealed (`pub(crate)`): the repair routines rely on stores

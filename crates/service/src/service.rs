@@ -841,13 +841,9 @@ impl<B: SlenBackend> GpnmService<B> {
         pattern: PatternGraph,
         semantics: MatchSemantics,
     ) -> Result<PatternHandle, ServiceError> {
-        if pattern.node_count() == 0 {
-            return Err(ServiceError::EmptyPattern);
-        }
-        self.reqs.absorb(&SlenRequirements::of_pattern(&pattern));
-        self.index.sync_requirements(&self.graph, &self.reqs);
+        self.admit(&pattern)?;
         let result = match_graph(&pattern, &self.graph, &self.index, semantics);
-        self.register_pattern_with_result(pattern, semantics, result, 0)
+        Ok(self.open_session(pattern, semantics, result, 0))
     }
 
     /// Register a standing pattern **carrying** an already-computed
@@ -870,11 +866,29 @@ impl<B: SlenBackend> GpnmService<B> {
         result: MatchResult,
         version: u64,
     ) -> Result<PatternHandle, ServiceError> {
+        self.admit(&pattern)?;
+        Ok(self.open_session(pattern, semantics, result, version))
+    }
+
+    /// Admission, shared by both registration entries: reject an empty
+    /// pattern, then widen the backend's requirement union to cover it.
+    fn admit(&mut self, pattern: &PatternGraph) -> Result<(), ServiceError> {
         if pattern.node_count() == 0 {
             return Err(ServiceError::EmptyPattern);
         }
-        self.reqs.absorb(&SlenRequirements::of_pattern(&pattern));
+        self.reqs.absorb(&SlenRequirements::of_pattern(pattern));
         self.index.sync_requirements(&self.graph, &self.reqs);
+        Ok(())
+    }
+
+    /// Give an admitted pattern its handle, published view and session.
+    fn open_session(
+        &mut self,
+        pattern: PatternGraph,
+        semantics: MatchSemantics,
+        result: MatchResult,
+        version: u64,
+    ) -> PatternHandle {
         let handle = PatternHandle(HandleId(self.next_handle));
         self.next_handle += 1;
         if self.publishing {
@@ -897,7 +911,7 @@ impl<B: SlenBackend> GpnmService<B> {
                 strategy: RefreshStrategy::default(),
             },
         ));
-        Ok(handle)
+        handle
     }
 
     /// Deregister a standing pattern and narrow the backend's requirement
@@ -1153,13 +1167,17 @@ impl<B: SlenBackend> GpnmService<B> {
             state.refresh_total_ns = stats.refresh_total_ns();
             state.refresh_max_ns = stats.refresh_max_ns();
         }
-        let registry = gpnm_telemetry::global();
-        registry
-            .gauge("gpnm_index_resident_rows")
-            .set(stats.resident_rows as f64);
-        registry
-            .gauge("gpnm_index_mem_bytes")
-            .set(stats.index_mem_bytes as f64);
+        // A non-publishing replica is one shard of a cluster: its narrowed
+        // index is a share of the total, which the cluster reports itself.
+        if self.publishing {
+            let registry = gpnm_telemetry::global();
+            registry
+                .gauge("gpnm_index_resident_rows")
+                .set(stats.resident_rows as f64);
+            registry
+                .gauge("gpnm_index_mem_bytes")
+                .set(stats.index_mem_bytes as f64);
+        }
 
         Ok(TickReport {
             tick: self.tick,

@@ -1,9 +1,8 @@
 //! Synchronization facade for the concurrency-bearing gpnm crates.
 //!
 //! The lock-free core (`gpnm-pool`'s work-stealing deques, the epoch-swapped
-//! `ReadFront` in `gpnm-service`, the paged cache's atomic directory in
-//! `gpnm-distance`) imports every atomic, lock, condvar, thread spawn, and
-//! spin hint through this crate instead of `std` directly. Normally that is
+//! `ReadFront` in `gpnm-service`) imports every atomic, lock, condvar,
+//! thread spawn, and spin hint through this crate instead of `std` directly. Normally that is
 //! a zero-cost re-export of `std::sync`; compiled with `--cfg gpnm_loom`
 //! it re-exports the `shims/loom` model checker instead, so `loom_*`
 //! integration tests can explore the bounded interleavings of those
@@ -12,7 +11,7 @@
 //! exploration knobs).
 //!
 //! The workspace lint (`cargo run -p gpnm-xtask -- lint`) enforces that the
-//! four concurrency-bearing source files use this facade rather than
+//! three concurrency-bearing source files use this facade rather than
 //! `std::sync::atomic`.
 
 #![warn(missing_docs)]

@@ -79,7 +79,6 @@ mod lint {
         "crates/pool/src/lib.rs",
         "crates/service/src/read.rs",
         "crates/distance/src/pager.rs",
-        "crates/distance/src/paged.rs",
     ];
 
     /// Directories walked for `.rs` files, relative to the workspace root.

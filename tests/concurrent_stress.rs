@@ -234,11 +234,10 @@ fn service_readers_only_observe_committed_epochs() {
 }
 
 /// Same harness over the out-of-core paged backend with a deliberately
-/// tiny hot-row cache: every tick's repairs and the reader spins force
-/// promotions, CAS races, and clock evictions *while* the epoch-swap
-/// publication is exercised — the stressy end of what the loom models in
-/// `crates/distance/tests/loom_paged_cache.rs` check exhaustively at
-/// 2 threads.
+/// tiny hot-row cache: two refresh lanes share the locked cache, so every
+/// tick's repairs force racing promotions and clock evictions *while* the
+/// epoch-swap publication is exercised — the end-to-end check of the
+/// paged store's read path.
 #[test]
 fn paged_backend_readers_only_observe_committed_epochs() {
     let readers = env_or("STRESS_READERS", 4);

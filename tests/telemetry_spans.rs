@@ -36,6 +36,8 @@ fn build_cluster(seed: u64) -> (GpnmCluster, ua_gpnm::graph::LabelInterner, Patt
     let mut cluster = GpnmCluster::builder()
         .shards(2)
         .refresh_threads(2)
+        // One pattern per shard, whatever labels the two share.
+        .placement(RoundRobin::new())
         .build(graph)
         .expect("sparse is never refused");
     let mut first = None;
@@ -175,6 +177,29 @@ fn removed_subscriber_records_nothing() {
     assert!(
         silent.events.is_empty(),
         "disabled tick must record no events"
+    );
+}
+
+/// The index gauges of a cluster are its totals: the shards tick on pool
+/// threads in any order, so none of them may write its own share.
+#[test]
+fn cluster_index_gauges_are_the_totals_over_shards() {
+    let _guard = serialize();
+    let (mut cluster, interner, pattern) = build_cluster(11);
+    tick_once(&mut cluster, &interner, &pattern, 31);
+    for shard in cluster.shards() {
+        let rows = shard.backend().resident_rows();
+        assert!(rows > 0, "the fixture puts a pattern on each shard");
+        assert!(rows < cluster.total_resident_rows());
+    }
+    let registry = ua_gpnm::telemetry::global();
+    assert_eq!(
+        registry.gauge("gpnm_index_resident_rows").get(),
+        cluster.total_resident_rows() as f64
+    );
+    assert_eq!(
+        registry.gauge("gpnm_index_mem_bytes").get(),
+        cluster.total_index_bytes() as f64
     );
 }
 
