@@ -1,14 +1,21 @@
-//! PR-6 read-path microbench: the epoch-swapped concurrent read
-//! front-end vs the exclusive-access deployment it replaces, k = 8
-//! standing patterns on the 2k-node micro graph.
+//! PR-6 read-path microbench: the concurrent read front-end vs the
+//! exclusive-access deployment it replaces, k = 8 standing patterns on
+//! the 2k-node micro graph.
 //!
 //! Without the front-end, concurrent readers must serialize against the
 //! writer on one big lock — a `Mutex<GpnmService>` — so every read
 //! blocks while a tick holds the service. The front-end publishes each
-//! pattern's `ReadView` behind an epoch-swapped double buffer:
-//! `read_view` is `&self`, lock-free on the hot path, and always returns
-//! the last committed epoch, so readers keep making progress *while
-//! ticks are running*. That claim is the number this bench records.
+//! pattern's `ReadView` as an `Arc` behind its own `RwLock`, which the
+//! writer takes only to swap the pointer after a tick commits:
+//! `read_view` is `&self`, holds the read lock for one `Arc` clone, and
+//! always returns the last committed view, so readers keep making
+//! progress *while ticks are running*. That claim is the number this
+//! bench records.
+//!
+//! The front-end rows keep their PR-6 `mode` name,
+//! `epoch_swapped_front`, so `BENCH_pr6.json` (taken on the epoch-swapped
+//! double buffer PR 25 replaced with the lock) stays comparable row for
+//! row.
 //!
 //! The measured matrix: {0, 4, 16} reader threads snapshotting every
 //! handle while the writer streams balanced tick cycles (insert 8
@@ -241,8 +248,8 @@ where
     })
 }
 
-/// Front-end mode: readers snapshot lock-free pinned views while the
-/// writer ticks the service directly.
+/// Front-end mode: readers snapshot pinned views while the writer ticks
+/// the service directly.
 fn run_front(
     sut: &mut ServiceUnderTest,
     fwd: &UpdateBatch,
@@ -329,8 +336,8 @@ fn readpath(c: &mut Criterion) {
     if smoke() {
         group.measurement_time(Duration::from_millis(1));
     }
-    // The single-op read costs, uncontended: the front-end's lock-free
-    // snapshot (pinned and by-handle) vs taking the big lock.
+    // The single-op read costs, uncontended: the front-end's snapshot
+    // (pinned and by-handle) vs taking the big lock.
     let front = sut.service.reader();
     let pinned = front.pinned(sut.handles[0]).expect("registered");
     group.bench_function("pinned_view", |b| b.iter(|| pinned.view().result_version));
@@ -357,8 +364,8 @@ fn readpath(c: &mut Criterion) {
 }
 
 /// Write `BENCH_pr6.json`-shaped numbers if `MICRO_READPATH_JSON` is set:
-/// the {0, 4, 16}-reader matrix for the epoch-swapped front-end vs the
-/// exclusive `Mutex` baseline.
+/// the {0, 4, 16}-reader matrix for the front-end vs the exclusive
+/// `Mutex` baseline.
 fn emit_json(c: &mut Criterion) {
     let _ = c;
     let Some(path) = std::env::var_os("MICRO_READPATH_JSON") else {
@@ -420,7 +427,8 @@ fn emit_json(c: &mut Criterion) {
          \"ticks_per_cycle\": 2,\n  \"cycles\": {cycles},\n  \"backend\": \"sparse\",\n  \
          \"available_parallelism\": {},\n  \
          \"note\": \"readers snapshot (result_version, tick) while the writer ticks; \
-         epoch_swapped_front reads are lock-free &self views, exclusive_mutex reads \
+         epoch_swapped_front reads are &self views behind a per-pattern lock the writer \
+         takes only to swap a pointer (the mode keeps its PR-6 name), exclusive_mutex reads \
          serialize on one Mutex<GpnmService>. during_tick_views_per_sec is the collapse \
          indicator: front readers keep reading mid-tick, mutex readers sleep until the \
          tick commits.\",\n  \"cells\": [\n{}\n  ]\n}}\n",

@@ -387,6 +387,18 @@ pub struct GpnmCluster {
     rebalance_every: Option<u64>,
 }
 
+impl Drop for GpnmCluster {
+    /// Dropping the cluster ends every stream on its front: each live
+    /// subscription drains its queued deltas, then receives a final
+    /// [`SubEvent::Closed`](gpnm_service::SubEvent::Closed). The shards
+    /// publish nothing of their own.
+    fn drop(&mut self) {
+        for &(handle, _, _) in &self.patterns {
+            self.front.close(handle);
+        }
+    }
+}
+
 impl GpnmCluster {
     /// Start configuring a cluster — see [`ClusterBuilder`].
     pub fn builder() -> ClusterBuilder {
@@ -913,6 +925,36 @@ mod tests {
             "shard 0's rows reclaimed"
         );
         assert!(cluster.result(b).is_ok());
+    }
+
+    #[test]
+    fn dropping_the_cluster_closes_its_subscriptions() {
+        let (f, mut cluster) = two_shard_cluster();
+        let a = cluster
+            .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
+            .unwrap();
+        let b = cluster
+            .register_pattern(f.pattern.clone(), MatchSemantics::DualSimulation)
+            .unwrap();
+        let subs = [cluster.subscribe(a).unwrap(), cluster.subscribe(b).unwrap()];
+        let mut batch = UpdateBatch::new();
+        batch.push(DataUpdate::InsertEdge {
+            from: f.se1,
+            to: f.te2,
+        });
+        cluster.apply(&batch).unwrap();
+        drop(cluster);
+        let wait = std::time::Duration::from_millis(200);
+        for sub in &subs {
+            assert!(
+                matches!(
+                    sub.recv_timeout(wait),
+                    Some(gpnm_service::SubEvent::Delta(d)) if d.result_version == 1
+                ),
+                "the queued delta drains first"
+            );
+            assert_eq!(sub.recv_timeout(wait), Some(gpnm_service::SubEvent::Closed));
+        }
     }
 
     #[test]

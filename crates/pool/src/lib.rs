@@ -1,4 +1,4 @@
-//! A persistent, work-stealing worker pool with a scoped-submit API.
+//! A persistent worker pool with a scoped-submit API.
 //!
 //! The repair hot paths of UA-GPNM (parallel BFS-row recomputation, the §V
 //! per-partition APSP, row composition) were previously parallelized with
@@ -29,15 +29,14 @@
 //!   caller's stack frame: [`WorkerPool::scope`] does not return until every
 //!   task spawned in it has finished, which makes the internal lifetime
 //!   erasure sound (the same argument `std::thread::scope` makes).
-//! * **Work stealing.** Each worker owns a deque; submissions are dealt
-//!   round-robin, a worker drains its own deque from the front and steals
-//!   from the back of the longest other deque when empty. One pool-wide
-//!   lock arbitrates — tasks on these paths are chunk-sized (dozens of BFS
-//!   rows), so queue traffic is far too low for the lock to contend; under
-//!   that single lock the topology schedules like a global FIFO, and the
-//!   per-worker deques are the seam for per-deque locks (or lock-free
-//!   Chase–Lev deques) if queue traffic ever grows fine-grained enough to
-//!   contend.
+//! * **One FIFO.** Every submission goes to the back of one queue behind
+//!   one pool-wide lock, and workers and waiting callers pop its front.
+//!   Tasks on these paths are chunk-sized (a shard's tick, a pattern's
+//!   refresh, dozens of BFS rows), so queue traffic is far too low for the
+//!   lock to contend. Rejected alternative: per-worker deques with
+//!   round-robin dealing and steal-from-the-longest (PRs 2–24). Under the
+//!   single lock they scheduled as one FIFO anyway, and on the 2-lane
+//!   reference box (one worker plus the caller) there was only one deque.
 //! * **The caller helps.** While waiting for its tasks, the scoping thread
 //!   executes queued tasks itself. A pool with zero workers degenerates to
 //!   serial execution on the caller, nested scopes cannot deadlock the
@@ -135,7 +134,8 @@ mod pool_metrics {
     pub fn pool_sized(_lanes: usize) {}
 }
 
-/// Queues and lifecycle flags shared between the pool handle and workers.
+/// The task queue and shutdown flag shared between the pool handle and
+/// workers.
 struct Shared {
     state: Mutex<State>,
     /// Signaled when a task is pushed or shutdown begins.
@@ -143,32 +143,10 @@ struct Shared {
 }
 
 struct State {
-    /// One deque per worker. With zero workers a single deque serves the
-    /// helping caller.
-    queues: Vec<VecDeque<Task>>,
-    /// Round-robin dealing cursor.
-    next: usize,
+    /// Queued tasks, oldest first; workers and waiting callers pop the
+    /// front.
+    queue: VecDeque<Task>,
     shutdown: bool,
-}
-
-impl State {
-    /// Pop a task for worker `home`: own deque front first (LIFO-ish cache
-    /// warmth does not matter for chunk-sized tasks; FIFO keeps fairness),
-    /// then steal from the back of the longest other deque.
-    fn pop(&mut self, home: usize) -> Option<Task> {
-        if let Some(task) = self.queues.get_mut(home).and_then(VecDeque::pop_front) {
-            return Some(task);
-        }
-        let victim = (0..self.queues.len())
-            .filter(|&j| j != home)
-            .max_by_key(|&j| self.queues[j].len())?;
-        self.queues[victim].pop_back()
-    }
-
-    /// Pop from any deque — used by the helping caller, which has no home.
-    fn pop_any(&mut self) -> Option<Task> {
-        self.queues.iter_mut().find_map(VecDeque::pop_front)
-    }
 }
 
 /// Completion latch of one [`WorkerPool::scope`] call.
@@ -212,9 +190,7 @@ impl WorkerPool {
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                // At least one deque so a zero-worker pool can still queue.
-                queues: (0..workers.max(1)).map(|_| VecDeque::new()).collect(),
-                next: 0,
+                queue: VecDeque::new(),
                 shutdown: false,
             }),
             work_available: Condvar::new(),
@@ -223,7 +199,7 @@ impl WorkerPool {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 gpnm_sync::thread::spawn_named(&format!("gpnm-pool-{i}"), move || {
-                    worker_loop(i, &shared)
+                    worker_loop(&shared)
                 })
             })
             .collect();
@@ -298,7 +274,13 @@ impl WorkerPool {
             // Help: run any queued task (ours or a sibling scope's — both
             // make progress). If nothing is queued, our remaining tasks are
             // running on workers; sleep until one finishes.
-            let task = self.shared.state.lock().expect("pool lock").pop_any();
+            let task = self
+                .shared
+                .state
+                .lock()
+                .expect("pool lock")
+                .queue
+                .pop_front();
             match task {
                 Some(task) => task(),
                 None => {
@@ -311,13 +293,14 @@ impl WorkerPool {
         }
     }
 
-    /// Deal an erased task to the next deque and wake a worker.
+    /// Queue an erased task and wake a worker.
     fn push(&self, task: Task) {
-        let mut state = self.shared.state.lock().expect("pool lock");
-        let slot = state.next;
-        state.next = (slot + 1) % state.queues.len();
-        state.queues[slot].push_back(task);
-        drop(state);
+        self.shared
+            .state
+            .lock()
+            .expect("pool lock")
+            .queue
+            .push_back(task);
         self.shared.work_available.notify_one();
     }
 }
@@ -332,10 +315,10 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(home: usize, shared: &Shared) {
+fn worker_loop(shared: &Shared) {
     let mut state = shared.state.lock().expect("pool lock");
     loop {
-        if let Some(task) = state.pop(home) {
+        if let Some(task) = state.queue.pop_front() {
             drop(state);
             task(); // panics are caught inside the task wrapper
             state = shared.state.lock().expect("pool lock");

@@ -1,20 +1,20 @@
-//! Loom model tests for the worker pool's queue/steal/latch protocol.
+//! Loom model tests for the worker pool's queue/latch protocol.
 //!
 //! Build with `RUSTFLAGS="--cfg gpnm_loom"`; in ordinary builds this file
 //! compiles to nothing. Each test explores every interleaving (up to the
 //! `LOOM_MAX_PREEMPTIONS` preemption bound) of a small pool run, checking
 //! the no-lost-task / no-double-pop invariant: every spawned task runs
-//! exactly once, no matter how workers, stealers, and the helping caller
-//! interleave.
+//! exactly once, no matter how workers and the helping caller interleave
+//! on the one queue.
 #![cfg(gpnm_loom)]
 
 use gpnm_pool::WorkerPool;
 use gpnm_sync::atomic::{AtomicUsize, Ordering};
 use gpnm_sync::Arc;
 
-/// One worker plus the helping caller: both pull from the deques, and the
-/// caller races the worker for the same queue (`pop` front vs `pop_any`).
-/// Exactly-once execution must hold in every schedule.
+/// One worker plus the helping caller: both pop the front of the one
+/// queue, racing each other for every task. Exactly-once execution must
+/// hold in every schedule.
 #[test]
 fn scope_runs_every_task_exactly_once() {
     loom::model(|| {
@@ -37,11 +37,12 @@ fn scope_runs_every_task_exactly_once() {
     });
 }
 
-/// Two workers, two queues: `push` deals tasks round-robin, so each worker
-/// may find its own queue empty and steal from the other's back — the
-/// steal path must neither lose a task nor double-pop it.
+/// Two workers racing one queue (and the caller, once it waits): a
+/// `notify_one` may wake either worker, and both may find the queue
+/// non-empty between the push and their pop — no task may be lost or
+/// popped twice.
 #[test]
-fn steal_path_is_exactly_once() {
+fn two_workers_racing_one_queue_run_each_task_once() {
     loom::model(|| {
         let pool = WorkerPool::new(2);
         let counter = Arc::new(AtomicUsize::new(0));
@@ -58,7 +59,7 @@ fn steal_path_is_exactly_once() {
         assert_eq!(
             counter.load(Ordering::Relaxed),
             2,
-            "steal lost or duplicated a task"
+            "racing workers lost or duplicated a task"
         );
     });
 }

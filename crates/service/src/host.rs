@@ -196,8 +196,10 @@ pub trait PatternHost {
     /// pattern.
     fn apply(&mut self, batch: &UpdateBatch) -> Result<Self::Report, Self::Error>;
 
-    /// The last published snapshot of `handle` — lock-free, safe to call
-    /// from any thread holding [`PatternHost::reader`].
+    /// The last published snapshot of `handle` — an `Arc` clone under the
+    /// pattern's view read lock, which publication holds only to swap the
+    /// pointer (never across a tick); safe to call from any thread holding
+    /// [`PatternHost::reader`].
     fn read_view(&self, handle: Self::Handle) -> Result<Arc<ReadView>, Self::Error>;
 
     /// Subscribe to `handle`'s per-tick delta stream (default bounded

@@ -1,22 +1,19 @@
-//! The concurrent read front-end: epoch-swapped published snapshots
-//! ([`ReadView`]) and bounded match-delta subscriptions ([`Subscription`]).
+//! The concurrent read front-end: published snapshots ([`ReadView`]) and
+//! bounded match-delta subscriptions ([`Subscription`]).
 //!
 //! A tick owns its host exclusively (`&mut self`), but serving readers
-//! must not: the ROADMAP's "millions of readers" story needs a read path
-//! that takes **no lock** while ticks run. The front-end is the classic
-//! decoupled reader/writer shape — the writer prepares the next epoch off
-//! to the side and *publishes* it with one atomic swap per pattern after
-//! commit, so a reader can only ever observe a fully-committed epoch:
+//! must not: readers keep reading while ticks run. The writer builds each
+//! pattern's next view off to the side — the whole tick's work happens
+//! with no front-end lock held — and *publishes* it after commit, so a
+//! reader can only ever observe a fully-committed view:
 //!
-//! * every pattern has a [`PublishCell`]: an atomic epoch counter plus two
-//!   slots holding `Arc<ReadView>`. The epoch's low bit names the live
-//!   slot; the writer only ever touches the *spare* slot, then advances
-//!   the epoch (release), making the swap the linearization point;
-//! * readers load the epoch (acquire), `try_read` the live slot and clone
-//!   the `Arc` out — the `try_read` can only fail if the writer published
-//!   *twice* in the reader's tiny window, in which case the reader
-//!   reloads the epoch and wins on the other slot. No reader ever blocks
-//!   a tick; a tick never blocks a reader;
+//! * every pattern's live view is one `RwLock<Arc<ReadView>>`. A read
+//!   takes the read lock for the length of one `Arc` clone; `publish`
+//!   takes the write lock for the length of one pointer swap and drops
+//!   the superseded view after releasing it. The views themselves are
+//!   immutable — the shared-immutable hand-off *Asynchronous Graph
+//!   Pattern Matching on Multiprocessor Systems* (PAPERS.md) gives its
+//!   workers — so the lock guards a pointer, never a tick;
 //! * subscriptions ride the same publication: after the views of a tick
 //!   are swapped in, the tick's [`MatchDelta`]s fan out to per-subscriber
 //!   bounded queues. A slow consumer is never buffered without bound —
@@ -27,10 +24,21 @@
 //! The [`ReadFront`] is the shared, cloneable bundle of all of this:
 //! hosts hand it out via `reader()`, reader threads keep their clone —
 //! and their views and subscriptions — while `&mut self` ticks proceed
-//! on the host.
+//! on the host. Dropping the host closes every subscription on its front.
+//!
+//! Rejected alternative: from PR 6 to PR 24 each view sat in an
+//! epoch-swapped double buffer (an `AtomicU64` epoch naming the live one
+//! of two `RwLock` slots, a `try_read` + spin retry, a seqlock re-check
+//! of the epoch). It avoided no lock — every `read_view` already took the
+//! handle map's `RwLock` first, and each slot was an `RwLock` too — and
+//! its spare slot kept every superseded view alive for one more
+//! publication. Sizing run (`trickle_read`, four alternating pairs,
+//! `--seconds 5`): the reader went from 101.7 / 82.8 / 77.6 / 77.4 ns per
+//! read with the double buffer to 83.4 / 76.0 / 72.6 / 75.4 with one
+//! lock, `tick_p50_ms` stayed within 0.100–0.104 on both sides, and every
+//! run printed `correct: true`.
 
-use gpnm_sync::atomic::{AtomicU64, Ordering};
-use gpnm_sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
+use gpnm_sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::Duration;
@@ -288,80 +296,36 @@ impl Subscription {
     }
 }
 
-/// The double-buffered epoch cell behind one handle's published view.
-///
-/// The low bit of `epoch` names the live slot. The single writer (a
-/// host's `&mut self` tick) writes the *spare* slot, drops its lock, and
-/// advances the epoch with release ordering — publication is that one
-/// atomic store. A reader acquires the epoch, `try_read`s the live slot
-/// and clones the `Arc` out; the only way `try_read` can fail is a
-/// writer locking that slot for the *next* publication (i.e. two full
-/// publications raced past the reader), and retrying reloads the epoch,
-/// which now names the other slot. Readers therefore never wait on a
-/// lock the writer holds for more than the slot-store instant, and never
-/// observe a half-written view: the swapped `Arc` was fully built before
-/// the release store.
-struct PublishCell {
-    epoch: AtomicU64,
-    slots: [RwLock<Arc<ReadView>>; 2],
-}
-
-impl PublishCell {
-    fn new(initial: Arc<ReadView>) -> Self {
-        PublishCell {
-            epoch: AtomicU64::new(0),
-            slots: [RwLock::new(Arc::clone(&initial)), RwLock::new(initial)],
-        }
-    }
-
-    fn load(&self) -> Arc<ReadView> {
-        loop {
-            let e = self.epoch.load(Ordering::Acquire);
-            let view = match self.slots[(e & 1) as usize].try_read() {
-                Ok(guard) => Arc::clone(&guard),
-                Err(TryLockError::Poisoned(poisoned)) => {
-                    // The stored Arc is always whole (a clone of a fully
-                    // built view), so a reader panic cannot have torn it.
-                    Arc::clone(&poisoned.into_inner())
-                }
-                Err(TryLockError::WouldBlock) => {
-                    gpnm_sync::hint::spin_loop();
-                    continue;
-                }
-            };
-            // Seqlock-style re-check: a reader that stalls between the
-            // epoch load and the slot read can otherwise return the
-            // *in-flight* view early — the writer refills slot `e & 1`
-            // as the spare of epoch `e + 1` before publishing it — and a
-            // later read would then rewind to the previous version. The
-            // slot content is only rewritten after the epoch moves on, so
-            // an unchanged epoch proves `view` was current for the whole
-            // read (found by the loom model in `loom_read_front.rs`).
-            if self.epoch.load(Ordering::Acquire) == e {
-                return view;
-            }
-        }
-    }
-
-    /// Single-writer only — hosts serialize publication behind
-    /// `&mut self`.
-    fn publish(&self, view: Arc<ReadView>) {
-        // RELAXED: single-writer — only `publish` stores `epoch`, so the
-        // writer reads back its own last store; readers use `Acquire`.
-        let e = self.epoch.load(Ordering::Relaxed);
-        {
-            let mut spare = self.slots[((e + 1) & 1) as usize]
-                .write()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            *spare = view;
-        }
-        self.epoch.store(e.wrapping_add(1), Ordering::Release);
-    }
-}
-
+/// One handle's published state: the live view and its subscribers.
 struct Entry {
-    cell: PublishCell,
+    /// The live view. Locked only to clone the `Arc` out (readers) or to
+    /// swap a new one in (`publish`), never across a tick; the stored
+    /// `Arc` is always a whole, fully built view, so a poisoned lock is
+    /// recovered rather than propagated.
+    view: RwLock<Arc<ReadView>>,
     subs: Mutex<Vec<Arc<SubShared>>>,
+}
+
+impl Entry {
+    fn load(&self) -> Arc<ReadView> {
+        Arc::clone(
+            &self
+                .view
+                .read()
+                .unwrap_or_else(|poisoned| poisoned.into_inner()),
+        )
+    }
+
+    fn publish(&self, view: Arc<ReadView>) {
+        let mut live = self
+            .view
+            .write()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let superseded = std::mem::replace(&mut *live, view);
+        drop(live);
+        // A view no reader holds is freed here, outside the lock.
+        drop(superseded);
+    }
 }
 
 #[derive(Default)]
@@ -388,8 +352,10 @@ impl FrontInner {
 /// method of the same name); cloning is cheap (`Arc`) and every clone
 /// observes the same publications. The read path
 /// ([`ReadFront::read_view`]) takes no lock the writer ever holds across
-/// a tick — each pattern's view sits in an epoch-swapped double buffer —
-/// so any number of readers may spin on it concurrently with `apply`.
+/// a tick: it write-locks a pattern's view only to swap the pointer in,
+/// and a read holds the handle map's and the view's read locks for one
+/// lookup and one `Arc` clone. Any number of readers may read
+/// concurrently with `apply`.
 ///
 /// The `publish*`/`close` methods are the **host side** of the contract;
 /// application code only reads.
@@ -410,15 +376,16 @@ impl ReadFront {
         Self::default()
     }
 
-    /// The last published snapshot of `handle` — lock-free against
-    /// concurrent publication; always a fully-committed epoch.
+    /// The last published snapshot of `handle` — an `Arc` clone under the
+    /// view's read lock, which publication holds only for a pointer swap;
+    /// always a fully-committed view.
     pub fn read_view(&self, handle: impl Into<HandleId>) -> Result<Arc<ReadView>, ReadError> {
-        Ok(self.inner.entry(handle.into())?.cell.load())
+        Ok(self.inner.entry(handle.into())?.load())
     }
 
     /// A reader pinned to one handle: skips the per-call handle lookup,
-    /// leaving only the epoch load on the hot path. The benchmark's (and
-    /// a tight reader loop's) entry point.
+    /// leaving only the view's read lock and `Arc` clone on the hot path.
+    /// The benchmark's (and a tight reader loop's) entry point.
     pub fn pinned(&self, handle: impl Into<HandleId>) -> Result<PinnedReader, ReadError> {
         Ok(PinnedReader {
             entry: self.inner.entry(handle.into())?,
@@ -447,14 +414,14 @@ impl ReadFront {
     }
 
     /// Host side: publish `view` as `handle`'s live snapshot, creating
-    /// the handle's cell on first publication (registration). No delta
+    /// the handle's entry on first publication (registration). No delta
     /// fan-out — tick publication goes through
     /// [`ReadFront::publish_tick`].
     pub fn publish(&self, handle: impl Into<HandleId>, view: ReadView) {
         let id = handle.into();
         let view = Arc::new(view);
         if let Ok(entry) = self.inner.entry(id) {
-            entry.cell.publish(view);
+            entry.publish(view);
             return;
         }
         let mut entries = self
@@ -465,7 +432,7 @@ impl ReadFront {
         entries.insert(
             id.raw(),
             Arc::new(Entry {
-                cell: PublishCell::new(view),
+                view: RwLock::new(view),
                 subs: Mutex::new(Vec::new()),
             }),
         );
@@ -561,8 +528,8 @@ impl ReadFront {
 }
 
 /// A handle-pinned reader: [`PinnedReader::view`] is the minimal hot
-/// path — one atomic load, one `try_read` of an uncontended slot, one
-/// `Arc` clone. Survives deregistration (keeps serving the last
+/// path — one read lock of the pattern's view, held for one `Arc` clone.
+/// Survives deregistration (keeps serving the last
 /// published view); take a fresh one from [`ReadFront::pinned`] to
 /// observe re-registration.
 #[derive(Debug, Clone)]
@@ -580,7 +547,7 @@ impl PinnedReader {
     /// The last published snapshot — infallible: the pinned entry is
     /// kept alive by this reader even across deregistration.
     pub fn view(&self) -> Arc<ReadView> {
-        self.entry.cell.load()
+        self.entry.load()
     }
 }
 
@@ -588,6 +555,7 @@ impl PinnedReader {
 mod tests {
     use super::*;
     use gpnm_graph::{LabelInterner, NodeId, PatternGraph, PatternNodeId};
+    use gpnm_sync::atomic::{AtomicU64, Ordering};
 
     fn pattern1() -> PatternGraph {
         let mut li = LabelInterner::new();
@@ -628,6 +596,29 @@ mod tests {
         // Clones observe the same publications.
         let clone = front.clone();
         assert_eq!(clone.read_view(id).unwrap().result_version, 1);
+    }
+
+    #[test]
+    fn publish_releases_the_superseded_view() {
+        let front = ReadFront::new();
+        let id = HandleId(0);
+        front.publish(id, view_with(&[1], 0));
+        let held = front.read_view(id).unwrap();
+        assert_eq!(Arc::strong_count(&held), 2, "the front holds the live view");
+        front.publish(id, view_with(&[1, 2], 1));
+        assert_eq!(
+            Arc::strong_count(&held),
+            1,
+            "the front keeps no reference to a superseded view"
+        );
+
+        // A held view is immutable: later publications never touch it.
+        let snapshot = (*held).clone();
+        for v in 2..102u64 {
+            front.publish(id, view_with(&[v as u32], v));
+        }
+        assert_eq!(*held, snapshot, "held view unchanged by 100 publications");
+        assert_eq!(front.read_view(id).unwrap().result_version, 101);
     }
 
     #[test]

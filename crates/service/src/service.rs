@@ -614,6 +614,18 @@ impl<B: SlenBackend + Clone> Clone for GpnmService<B> {
     }
 }
 
+impl<B: SlenBackend> Drop for GpnmService<B> {
+    /// Dropping the host ends every stream on its own front: each live
+    /// subscription drains its queued deltas, then receives a final
+    /// [`crate::SubEvent::Closed`]. A non-publishing replica's front is
+    /// empty, and a clone's front is its own.
+    fn drop(&mut self) {
+        for (handle, _) in &self.sessions {
+            self.front.close(*handle);
+        }
+    }
+}
+
 impl GpnmService<AnyBackend> {
     /// Start configuring a runtime-backed service — see [`ServiceBuilder`].
     pub fn builder() -> ServiceBuilder {
@@ -781,8 +793,8 @@ impl<B: SlenBackend> GpnmService<B> {
 
     /// Subscribe to `handle`'s per-tick delta stream. Events arrive in
     /// `result_version` order, gap-free (a slow consumer gets a
-    /// coalesced [`crate::SubEvent::Lagged`]); deregistration delivers a
-    /// final [`crate::SubEvent::Closed`].
+    /// coalesced [`crate::SubEvent::Lagged`]); deregistration, or dropping
+    /// the service, delivers a final [`crate::SubEvent::Closed`].
     pub fn subscribe(&self, handle: PatternHandle) -> Result<Subscription, ServiceError> {
         self.session(handle)?;
         if !self.publishing {
@@ -796,7 +808,8 @@ impl<B: SlenBackend> GpnmService<B> {
     /// A cloneable, `Send + Sync` handle onto this service's read
     /// front-end. Hand clones to reader threads: their
     /// [`ReadFront::read_view`] / [`ReadFront::subscribe`] calls proceed
-    /// lock-free against this service's `&mut self` ticks.
+    /// while this service's `&mut self` ticks run — no front-end lock is
+    /// held across a tick.
     pub fn reader(&self) -> ReadFront {
         self.front.clone()
     }
@@ -1431,6 +1444,38 @@ mod tests {
             "stale handle is a typed error"
         );
         assert_eq!(service.backend().resident_rows(), 0, "rows reclaimed");
+    }
+
+    #[test]
+    fn dropping_the_service_closes_its_subscriptions() {
+        let f = fig1();
+        let mut service = GpnmService::<SparseIndex>::new(f.graph.clone());
+        let h = service
+            .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
+            .unwrap();
+        let sub = service.subscribe(h).unwrap();
+        let mut batch = UpdateBatch::new();
+        batch.push(DataUpdate::InsertEdge {
+            from: f.se1,
+            to: f.te2,
+        });
+        service.apply(&batch).unwrap();
+
+        // A clone's front is its own: dropping the clone closes only the
+        // streams taken from it.
+        let clone = service.clone();
+        let clone_sub = clone.subscribe(h).unwrap();
+        drop(clone);
+        let wait = std::time::Duration::from_millis(200);
+        assert_eq!(clone_sub.recv_timeout(wait), Some(crate::SubEvent::Closed));
+        assert!(service.read_view(h).is_ok(), "original front untouched");
+
+        drop(service);
+        assert!(
+            matches!(sub.recv_timeout(wait), Some(crate::SubEvent::Delta(d)) if d.result_version == 1),
+            "the queued delta drains first"
+        );
+        assert_eq!(sub.recv_timeout(wait), Some(crate::SubEvent::Closed));
     }
 
     #[test]

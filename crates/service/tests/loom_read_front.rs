@@ -1,11 +1,11 @@
-//! Loom model tests for the epoch-swapped `ReadFront` publish protocol.
+//! Loom model tests for the `ReadFront` publish protocol.
 //!
 //! Build with `RUSTFLAGS="--cfg gpnm_loom"`; in ordinary builds this file
 //! compiles to nothing. The models check the two PR-6 invariants under
 //! every bounded interleaving:
 //!
 //! 1. a concurrent reader only ever observes fully committed views, in
-//!    monotone version order (the double-buffered epoch swap), and
+//!    monotone version order (the per-pattern view lock), and
 //! 2. `publish_tick` swaps **all** views in before **any** delta fans out,
 //!    so a woken subscriber's `read_view` is never older than the delta it
 //!    was handed.
@@ -50,10 +50,11 @@ fn delta_between(prev: &ReadView, next: &ReadView) -> MatchDelta {
     next.result.delta_from(&prev.result, next.result_version)
 }
 
-/// Epoch-swap safety: while a writer publishes versions 1 and 2, a pinned
+/// Publication safety: while a writer publishes versions 1 and 2, a pinned
 /// reader sees only committed, untorn views with monotone versions — in
-/// every interleaving, including the try-read-fails window where two
-/// publications race past the reader.
+/// every interleaving of its read-lock-and-clone with the writer's
+/// write-lock-and-swap, including both publications landing between two
+/// reads.
 #[test]
 fn readers_observe_only_committed_epochs() {
     loom::model(|| {

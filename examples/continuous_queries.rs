@@ -144,7 +144,7 @@ fn main() {
     stop.store(true, Ordering::Release);
     let (snapshots, last_version) = reader_thread.join().expect("reader thread");
     println!(
-        "\nconcurrent reader: {snapshots} lock-free snapshots during the ticks, \
+        "\nconcurrent reader: {snapshots} snapshots during the ticks, \
          last at v{last_version}"
     );
 

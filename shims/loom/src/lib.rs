@@ -5,25 +5,27 @@
 //! deterministic bounded-exhaustive scheduler. Controlled code runs on real
 //! OS threads, but a token-passing scheduler serializes them so that exactly
 //! one controlled thread runs at a time; every instrumented operation
-//! (atomic access, lock acquire/release, condvar wait/notify, spawn/join,
-//! yield) is a *decision point* where the scheduler may switch threads. A
+//! (atomic access, lock acquire/release, condvar wait/notify, spawn/join)
+//! is a *decision point* where the scheduler may switch threads. A
 //! depth-first search over those decisions replays the test body once per
 //! distinct schedule until the (bounded) schedule space is exhausted.
 //!
 //! # Implemented API subset
 //!
+//! Only what the workspace reaches through `gpnm-sync` (plus what the
+//! self-tests need); no `try_lock`, spin hint, yield or raw-pointer atomic
+//! is modelled, because no shipped code uses one.
+//!
 //! - [`model`] / [`model_with`] — run a closure under every explored schedule.
-//! - [`sync::atomic`]: `AtomicBool`, `AtomicUsize`, `AtomicU64`, `AtomicPtr`,
-//!   plus `Ordering` and `fence`. Atomics wrap their `std` counterparts, so
-//!   there is no `unsafe` here; the shim explores *interleavings* under
-//!   sequential consistency and does not model C11 weak-memory reorderings
-//!   (real loom does; this is the documented gap).
+//! - [`sync::atomic`]: `AtomicBool`, `AtomicUsize`, `AtomicU64`, plus
+//!   `Ordering`. Atomics wrap their `std` counterparts, so there is no
+//!   `unsafe` here; the shim explores *interleavings* under sequential
+//!   consistency and does not model C11 weak-memory reorderings (real loom
+//!   does; this is the documented gap).
 //! - [`sync`]: `Arc` (a plain re-export of `std::sync::Arc`), plus
 //!   scheduler-aware `Mutex`, `RwLock`, and `Condvar` with `std`-shaped
 //!   poisoning signatures (the shim never actually poisons).
-//! - [`thread`]: `spawn`, `spawn_named`, `yield_now`, `JoinHandle`.
-//! - [`hint::spin_loop`] — treated as a yield so spin-wait loops cannot
-//!   livelock the explorer.
+//! - [`thread`]: `spawn`, `spawn_named`, `JoinHandle`.
 //!
 //! All types are *dual mode*: outside [`model`] they delegate directly to
 //! `std` with no scheduling, so a crate compiled with `--cfg gpnm_loom` still
@@ -48,7 +50,6 @@
 
 mod sched;
 
-pub mod hint;
 pub mod sync;
 pub mod thread;
 

@@ -88,9 +88,6 @@ enum Block {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TState {
     Runnable,
-    /// Voluntarily stepped aside; re-enabled at the next decision taken by a
-    /// different thread (spin-wait de-livelocking).
-    Yielded,
     Blocked(Block),
     Finished,
 }
@@ -208,15 +205,7 @@ impl Scheduler {
         if g.failed.is_some() {
             std::panic::panic_any(ModelAbort);
         }
-        // Re-enable threads that yielded, now that a decision is being taken
-        // (possibly by a different thread). A thread's own yield stays in
-        // force for this decision so the scheduler must pick someone else.
-        for (i, t) in g.threads.iter_mut().enumerate() {
-            if i != me && *t == TState::Yielded {
-                *t = TState::Runnable;
-            }
-        }
-        let mut enabled: Vec<usize> = g
+        let enabled: Vec<usize> = g
             .threads
             .iter()
             .enumerate()
@@ -224,11 +213,7 @@ impl Scheduler {
             .map(|(i, _)| i)
             .collect();
         if enabled.is_empty() {
-            if g.threads[me] == TState::Yielded {
-                // Everyone else is blocked/finished: the yield is moot.
-                g.threads[me] = TState::Runnable;
-                enabled.push(me);
-            } else if g.threads.iter().all(|t| *t == TState::Finished) {
+            if g.threads.iter().all(|t| *t == TState::Finished) {
                 // Last thread finishing; nothing left to schedule.
                 return;
             } else {
@@ -347,19 +332,6 @@ impl Scheduler {
         }
     }
 
-    pub(crate) fn try_mutex_lock(self: &Arc<Self>, me: usize, id: u64) -> bool {
-        let mut g = self.lock();
-        self.decide(&mut g, me);
-        g = self.wait_token(g, me);
-        let res = g.resources.entry(id).or_default();
-        if res.owner.is_none() && res.readers == 0 {
-            res.owner = Some(me);
-            true
-        } else {
-            false
-        }
-    }
-
     pub(crate) fn mutex_unlock(self: &Arc<Self>, me: usize, id: u64) {
         let mut g = self.lock();
         if g.failed.is_some() {
@@ -394,19 +366,6 @@ impl Scheduler {
             g.threads[me] = TState::Blocked(Block::RwRead(id));
             self.decide(&mut g, me);
             g = self.wait_token(g, me);
-        }
-    }
-
-    pub(crate) fn try_rw_read_lock(self: &Arc<Self>, me: usize, id: u64) -> bool {
-        let mut g = self.lock();
-        self.decide(&mut g, me);
-        g = self.wait_token(g, me);
-        let res = g.resources.entry(id).or_default();
-        if res.owner.is_none() {
-            res.readers += 1;
-            true
-        } else {
-            false
         }
     }
 
@@ -625,15 +584,6 @@ impl Scheduler {
         for h in handles {
             let _ = h.join();
         }
-    }
-
-    // ---- yield ----------------------------------------------------------
-
-    pub(crate) fn yield_now(self: &Arc<Self>, me: usize) {
-        let mut g = self.lock();
-        g.threads[me] = TState::Yielded;
-        self.decide(&mut g, me);
-        let _g = self.wait_token(g, me);
     }
 }
 

@@ -15,7 +15,7 @@ use std::sync::{
 };
 
 pub use std::sync::Arc;
-pub use std::sync::{LockResult, PoisonError, TryLockError, TryLockResult};
+pub use std::sync::{LockResult, PoisonError};
 
 /// Scheduling decision point if the calling thread is controlled by a model.
 fn maybe_point() {
@@ -32,12 +32,6 @@ fn addr_id<T: ?Sized>(r: &T) -> u64 {
 pub mod atomic {
     use super::maybe_point;
     pub use std::sync::atomic::Ordering;
-
-    /// An atomic fence; a scheduling decision point under a model.
-    pub fn fence(order: Ordering) {
-        maybe_point();
-        std::sync::atomic::fence(order);
-    }
 
     macro_rules! atomic_common {
         ($name:ident, $std:path, $val:ty) => {
@@ -67,44 +61,6 @@ pub mod atomic {
                     self.inner.store(v, order);
                 }
 
-                /// Atomic swap; a decision point under a model.
-                pub fn swap(&self, v: $val, order: Ordering) -> $val {
-                    maybe_point();
-                    self.inner.swap(v, order)
-                }
-
-                /// Atomic compare-exchange; a decision point under a model.
-                pub fn compare_exchange(
-                    &self,
-                    current: $val,
-                    new: $val,
-                    success: Ordering,
-                    failure: Ordering,
-                ) -> Result<$val, $val> {
-                    maybe_point();
-                    self.inner.compare_exchange(current, new, success, failure)
-                }
-
-                /// Atomic weak compare-exchange; a decision point under a
-                /// model (the shim never fails it spuriously).
-                pub fn compare_exchange_weak(
-                    &self,
-                    current: $val,
-                    new: $val,
-                    success: Ordering,
-                    failure: Ordering,
-                ) -> Result<$val, $val> {
-                    maybe_point();
-                    self.inner
-                        .compare_exchange_weak(current, new, success, failure)
-                }
-
-                /// Exclusive-access read/write; never a decision point
-                /// (`&mut self` proves no concurrent access).
-                pub fn get_mut(&mut self) -> &mut $val {
-                    self.inner.get_mut()
-                }
-
                 /// Consume the atomic; never a decision point.
                 pub fn into_inner(self) -> $val {
                     self.inner.into_inner()
@@ -122,16 +78,18 @@ pub mod atomic {
                     self.inner.fetch_add(v, order)
                 }
 
-                /// Atomic subtract; a decision point under a model.
-                pub fn fetch_sub(&self, v: $val, order: Ordering) -> $val {
+                /// Atomic weak compare-exchange; a decision point under a
+                /// model (the shim never fails it spuriously).
+                pub fn compare_exchange_weak(
+                    &self,
+                    current: $val,
+                    new: $val,
+                    success: Ordering,
+                    failure: Ordering,
+                ) -> Result<$val, $val> {
                     maybe_point();
-                    self.inner.fetch_sub(v, order)
-                }
-
-                /// Atomic max; a decision point under a model.
-                pub fn fetch_max(&self, v: $val, order: Ordering) -> $val {
-                    maybe_point();
-                    self.inner.fetch_max(v, order)
+                    self.inner
+                        .compare_exchange_weak(current, new, success, failure)
                 }
             }
         };
@@ -140,79 +98,8 @@ pub mod atomic {
     atomic_common!(AtomicBool, std::sync::atomic::AtomicBool, bool);
     atomic_common!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
     atomic_common!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-    atomic_common!(AtomicU32, std::sync::atomic::AtomicU32, u32);
     atomic_int_ops!(AtomicUsize, usize);
     atomic_int_ops!(AtomicU64, u64);
-    atomic_int_ops!(AtomicU32, u32);
-
-    impl AtomicBool {
-        /// Atomic or; a decision point under a model.
-        pub fn fetch_or(&self, v: bool, order: Ordering) -> bool {
-            maybe_point();
-            self.inner.fetch_or(v, order)
-        }
-    }
-
-    /// Model-checked counterpart of `std::sync::atomic::AtomicPtr`.
-    #[derive(Debug)]
-    pub struct AtomicPtr<T> {
-        inner: std::sync::atomic::AtomicPtr<T>,
-    }
-
-    impl<T> AtomicPtr<T> {
-        /// Create a new atomic pointer.
-        pub const fn new(p: *mut T) -> Self {
-            Self {
-                inner: std::sync::atomic::AtomicPtr::new(p),
-            }
-        }
-
-        /// Atomic load; a decision point under a model.
-        pub fn load(&self, order: Ordering) -> *mut T {
-            maybe_point();
-            self.inner.load(order)
-        }
-
-        /// Atomic store; a decision point under a model.
-        pub fn store(&self, p: *mut T, order: Ordering) {
-            maybe_point();
-            self.inner.store(p, order);
-        }
-
-        /// Atomic swap; a decision point under a model.
-        pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
-            maybe_point();
-            self.inner.swap(p, order)
-        }
-
-        /// Atomic compare-exchange; a decision point under a model.
-        pub fn compare_exchange(
-            &self,
-            current: *mut T,
-            new: *mut T,
-            success: Ordering,
-            failure: Ordering,
-        ) -> Result<*mut T, *mut T> {
-            maybe_point();
-            self.inner.compare_exchange(current, new, success, failure)
-        }
-
-        /// Exclusive-access read/write; never a decision point.
-        pub fn get_mut(&mut self) -> &mut *mut T {
-            self.inner.get_mut()
-        }
-
-        /// Consume the atomic; never a decision point.
-        pub fn into_inner(self) -> *mut T {
-            self.inner.into_inner()
-        }
-    }
-
-    impl Default for AtomicPtr<()> {
-        fn default() -> Self {
-            Self::new(std::ptr::null_mut())
-        }
-    }
 }
 
 type Model = (StdArc<Scheduler>, usize);
@@ -278,46 +165,6 @@ impl<T: ?Sized> Mutex<T> {
                 })),
             }
         }
-    }
-
-    /// Attempt the lock without blocking; a decision point under a model.
-    pub fn try_lock(&self) -> TryLockResult<MutexGuard<'_, T>> {
-        if let Some((sched, me)) = sched::current() {
-            if sched.try_mutex_lock(me, self.id()) {
-                let inner = self
-                    .inner
-                    .try_lock()
-                    .expect("loom shim: logical mutex owner could not take the inner lock");
-                Ok(MutexGuard {
-                    lock: self,
-                    inner: Some(inner),
-                    model: Some((sched, me)),
-                })
-            } else {
-                Err(TryLockError::WouldBlock)
-            }
-        } else {
-            match self.inner.try_lock() {
-                Ok(g) => Ok(MutexGuard {
-                    lock: self,
-                    inner: Some(g),
-                    model: None,
-                }),
-                Err(TryLockError::WouldBlock) => Err(TryLockError::WouldBlock),
-                Err(TryLockError::Poisoned(p)) => {
-                    Err(TryLockError::Poisoned(PoisonError::new(MutexGuard {
-                        lock: self,
-                        inner: Some(p.into_inner()),
-                        model: None,
-                    })))
-                }
-            }
-        }
-    }
-
-    /// Exclusive-access read/write; never a decision point.
-    pub fn get_mut(&mut self) -> LockResult<&mut T> {
-        self.inner.get_mut()
     }
 }
 
@@ -517,11 +364,6 @@ impl<T> RwLock<T> {
             inner: StdRwLock::new(t),
         }
     }
-
-    /// Consume the lock, returning the data.
-    pub fn into_inner(self) -> LockResult<T> {
-        self.inner.into_inner()
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -558,42 +400,6 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
-    /// Attempt a shared read lock without blocking; a decision point under a
-    /// model.
-    pub fn try_read(&self) -> TryLockResult<RwLockReadGuard<'_, T>> {
-        if let Some((sched, me)) = sched::current() {
-            if sched.try_rw_read_lock(me, self.id()) {
-                let inner = self
-                    .inner
-                    .try_read()
-                    .expect("loom shim: logical read-lock holder could not take the inner lock");
-                Ok(RwLockReadGuard {
-                    lock: self,
-                    inner: Some(inner),
-                    model: Some((sched, me)),
-                })
-            } else {
-                Err(TryLockError::WouldBlock)
-            }
-        } else {
-            match self.inner.try_read() {
-                Ok(g) => Ok(RwLockReadGuard {
-                    lock: self,
-                    inner: Some(g),
-                    model: None,
-                }),
-                Err(TryLockError::WouldBlock) => Err(TryLockError::WouldBlock),
-                Err(TryLockError::Poisoned(p)) => {
-                    Err(TryLockError::Poisoned(PoisonError::new(RwLockReadGuard {
-                        lock: self,
-                        inner: Some(p.into_inner()),
-                        model: None,
-                    })))
-                }
-            }
-        }
-    }
-
     /// Acquire the exclusive write lock.
     pub fn write(&self) -> LockResult<RwLockWriteGuard<'_, T>> {
         if let Some((sched, me)) = sched::current() {
@@ -621,11 +427,6 @@ impl<T: ?Sized> RwLock<T> {
                 })),
             }
         }
-    }
-
-    /// Exclusive-access read/write; never a decision point.
-    pub fn get_mut(&mut self) -> LockResult<&mut T> {
-        self.inner.get_mut()
     }
 }
 

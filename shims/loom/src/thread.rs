@@ -96,14 +96,3 @@ where
         }
     }
 }
-
-/// Yield the current thread. Under a model the thread steps aside until some
-/// other thread has taken a turn (this is what keeps spin-wait loops from
-/// livelocking the explorer).
-pub fn yield_now() {
-    if let Some((sched, me)) = sched::current() {
-        sched.yield_now(me);
-    } else {
-        std::thread::yield_now();
-    }
-}

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 use std::sync::Mutex as StdMutex;
 
-use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::{model_with, Config};
 
@@ -140,25 +140,6 @@ fn condvar_handoff_never_loses_wakeup() {
         assert_eq!(*slot, Some(7));
         drop(slot);
         producer.join().unwrap();
-    });
-}
-
-/// A spin-wait on a flag set by another thread terminates under the model
-/// (spin hints yield, and yielded threads only resume after others run).
-#[test]
-fn spin_wait_terminates() {
-    model_with(small(), || {
-        let flag = Arc::new(AtomicBool::new(false));
-        let setter = {
-            let flag = Arc::clone(&flag);
-            loom::thread::spawn(move || {
-                flag.store(true, Ordering::Release);
-            })
-        };
-        while !flag.load(Ordering::Acquire) {
-            loom::hint::spin_loop();
-        }
-        setter.join().unwrap();
     });
 }
 

@@ -61,9 +61,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ua_gpnm::distance::{
-    IncrementalIndex, PagedIndex, PartitionedBackend, SlenBackend, SparseIndex,
-};
+use ua_gpnm::distance::{AnyBackend, SlenBackend};
 use ua_gpnm::engine::BackendKind;
 use ua_gpnm::matcher::render_match_table;
 use ua_gpnm::prelude::*;
@@ -299,19 +297,18 @@ fn make_pattern(args: &Args, interner: &LabelInterner) -> PatternGraph {
     )
 }
 
-fn run_match<B: SlenBackend>(
-    graph: DataGraph,
-    interner: &LabelInterner,
-    args: &Args,
-) -> Result<(), String> {
+fn cmd_match(path: &str, args: &Args) -> Result<(), String> {
+    let (graph, interner) = load(path, args)?;
+    guard_dense_build(args.backend, graph.slot_count(), args.max_index_gb)?;
     eprintln!(
         "loaded {} nodes / {} edges; building {} SLen index ...",
         graph.node_count(),
         graph.edge_count(),
         args.backend
     );
-    let pattern = make_pattern(args, interner);
-    let mut engine = GpnmEngine::<B>::with_backend(graph, pattern, MatchSemantics::Simulation);
+    let pattern = make_pattern(args, &interner);
+    let mut engine =
+        GpnmEngine::with_backend_kind(args.backend, graph, pattern, MatchSemantics::Simulation);
     engine.initial_query();
     eprintln!(
         "index: {} rows resident, ~{:.1} MiB",
@@ -320,22 +317,27 @@ fn run_match<B: SlenBackend>(
     );
     println!(
         "{}",
-        render_match_table(engine.pattern(), engine.result(), interner, |n| n
+        render_match_table(engine.pattern(), engine.result(), &interner, |n| n
             .to_string())
     );
     Ok(())
 }
 
-fn run_bench<B: SlenBackend + Clone>(
-    graph: DataGraph,
-    interner: &LabelInterner,
-    args: &Args,
-) -> Result<(), String> {
-    let pattern = make_pattern(args, interner);
-    let mut base = GpnmEngine::<B>::with_backend(graph, pattern, MatchSemantics::Simulation);
+fn cmd_bench(path: &str, args: &Args) -> Result<(), String> {
+    let (graph, interner) = load(path, args)?;
+    guard_dense_build(args.backend, graph.slot_count(), args.max_index_gb)?;
+    let pattern = make_pattern(args, &interner);
+    let mut base =
+        GpnmEngine::with_backend_kind(args.backend, graph, pattern, MatchSemantics::Simulation);
     base.initial_query();
     let protocol = UpdateProtocol::from_scale(args.pattern_nodes, args.updates);
-    let batch = generate_batch(base.graph(), base.pattern(), interner, &protocol, args.seed);
+    let batch = generate_batch(
+        base.graph(),
+        base.pattern(),
+        &interner,
+        &protocol,
+        args.seed,
+    );
     println!("backend: {}", args.backend);
     println!("batch: {} updates", batch.len());
     println!(
@@ -364,7 +366,8 @@ fn run_bench<B: SlenBackend + Clone>(
 /// The large-graph end-to-end smoke: generate a power-law graph, answer
 /// `IQuery`, apply a generated batch, answer `SQuery` — printing the
 /// footprint numbers CI asserts on.
-fn run_smoke<B: SlenBackend>(args: &Args, tune: impl FnOnce(&mut B)) -> Result<(), String> {
+fn cmd_smoke(args: &Args) -> Result<(), String> {
+    guard_dense_build(args.backend, args.nodes, args.max_index_gb)?;
     let t = std::time::Instant::now();
     let (graph, interner) = generate_social_graph(&SocialGraphConfig {
         nodes: args.nodes,
@@ -382,9 +385,12 @@ fn run_smoke<B: SlenBackend>(args: &Args, tune: impl FnOnce(&mut B)) -> Result<(
     );
     let pattern = make_pattern(args, &interner);
     let t = std::time::Instant::now();
-    let mut engine = GpnmEngine::<B>::with_backend(graph, pattern, MatchSemantics::Simulation);
+    let mut engine =
+        GpnmEngine::with_backend_kind(args.backend, graph, pattern, MatchSemantics::Simulation);
     let build_time = t.elapsed();
-    tune(engine.backend_mut());
+    if let (AnyBackend::Paged(paged), Some(mb)) = (engine.backend_mut(), args.cache_budget_mb) {
+        paged.set_cache_budget((mb * (1u64 << 20) as f64) as usize);
+    }
     let t = std::time::Instant::now();
     engine.initial_query();
     println!(
@@ -770,42 +776,6 @@ fn run_replay_cluster(
         cluster.total_index_bytes() as f64 / (1u64 << 20) as f64,
     );
     Ok(())
-}
-
-fn cmd_match(path: &str, args: &Args) -> Result<(), String> {
-    let (graph, interner) = load(path, args)?;
-    guard_dense_build(args.backend, graph.slot_count(), args.max_index_gb)?;
-    match args.backend {
-        BackendKind::Dense => run_match::<IncrementalIndex>(graph, &interner, args),
-        BackendKind::Partitioned => run_match::<PartitionedBackend>(graph, &interner, args),
-        BackendKind::Sparse => run_match::<SparseIndex>(graph, &interner, args),
-        BackendKind::Paged => run_match::<PagedIndex>(graph, &interner, args),
-    }
-}
-
-fn cmd_bench(path: &str, args: &Args) -> Result<(), String> {
-    let (graph, interner) = load(path, args)?;
-    guard_dense_build(args.backend, graph.slot_count(), args.max_index_gb)?;
-    match args.backend {
-        BackendKind::Dense => run_bench::<IncrementalIndex>(graph, &interner, args),
-        BackendKind::Partitioned => run_bench::<PartitionedBackend>(graph, &interner, args),
-        BackendKind::Sparse => run_bench::<SparseIndex>(graph, &interner, args),
-        BackendKind::Paged => run_bench::<PagedIndex>(graph, &interner, args),
-    }
-}
-
-fn cmd_smoke(args: &Args) -> Result<(), String> {
-    guard_dense_build(args.backend, args.nodes, args.max_index_gb)?;
-    match args.backend {
-        BackendKind::Dense => run_smoke::<IncrementalIndex>(args, |_| {}),
-        BackendKind::Partitioned => run_smoke::<PartitionedBackend>(args, |_| {}),
-        BackendKind::Sparse => run_smoke::<SparseIndex>(args, |_| {}),
-        BackendKind::Paged => run_smoke::<PagedIndex>(args, |b| {
-            if let Some(mb) = args.cache_budget_mb {
-                b.set_cache_budget((mb * (1u64 << 20) as f64) as usize);
-            }
-        }),
-    }
 }
 
 fn cmd_demo() {

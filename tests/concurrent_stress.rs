@@ -48,7 +48,7 @@ fn stress_graph(seed: u64, nodes: usize) -> (DataGraph, LabelInterner) {
 ///
 /// 1. every observed `(handle, result_version)` must carry the bitwise
 ///    result and tick the writer committed under that version (the
-///    epoch-swap safety property);
+///    publication safety property);
 /// 2. every subscription stream, folded over its base view via
 ///    `MatchDelta::apply_to`, must reconstruct the final live view
 ///    (ordered, gap-free delivery — with `Lagged` coalescing kept exact);
@@ -236,7 +236,7 @@ fn service_readers_only_observe_committed_epochs() {
 /// Same harness over the out-of-core paged backend with a deliberately
 /// tiny hot-row cache: two refresh lanes share the locked cache, so every
 /// tick's repairs force racing promotions and clock evictions *while* the
-/// epoch-swap publication is exercised — the end-to-end check of the
+/// view publication is exercised — the end-to-end check of the
 /// paged store's read path.
 #[test]
 fn paged_backend_readers_only_observe_committed_epochs() {
