@@ -1,19 +1,11 @@
-//! PR-3 backend microbenches: dense vs. sparse `SLen` backends on one
-//! paper-shaped workload — build time, repair (insert+delete commit
-//! cycles), and the resident-row/memory footprint.
+//! Backend microbenches: dense vs. sparse `SLen` backends on one
+//! paper-shaped workload — build time and repair (insert+delete commit
+//! cycles).
 //!
 //! Before timing anything, the sparse commit deltas are asserted to equal
 //! the dense deltas projected onto resident sources × the truncation
 //! depth — the bench doubles as an equivalence smoke test on the exact
 //! graphs being timed.
-//!
-//! Set `MICRO_BACKEND_JSON=<path>` to write machine-readable numbers
-//! (self-timed, independent of the criterion shim's reporting) — CI's
-//! bench-smoke step uploads this as `BENCH_pr3.json`. Set
-//! `MICRO_BACKEND_SMOKE=1` to shrink both the criterion budget and the
-//! JSON sample count to a single iteration for CI.
-
-use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpnm_distance::{
@@ -45,12 +37,6 @@ fn setup() -> (DataGraph, PatternGraph) {
         &interner,
     );
     (graph, pattern)
-}
-
-fn smoke() -> bool {
-    std::env::var("MICRO_BACKEND_SMOKE")
-        .map(|v| !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"))
-        .unwrap_or(false)
 }
 
 /// Triadic-closure insert candidates (the dominant social-update shape).
@@ -143,9 +129,6 @@ fn backend_build(c: &mut Criterion) {
     let reqs = SlenRequirements::of_pattern(&pattern);
     let mut group = c.benchmark_group("backend_build_2k");
     group.sample_size(10);
-    if smoke() {
-        group.measurement_time(Duration::from_millis(1));
-    }
     group.bench_function("dense", |b| {
         b.iter(|| <IncrementalIndex as SlenBackend>::build(&graph, &reqs).resident_rows())
     });
@@ -165,9 +148,6 @@ fn backend_repair(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("backend_repair_2k");
     group.sample_size(10);
-    if smoke() {
-        group.measurement_time(Duration::from_millis(1));
-    }
     let mut g_dense = graph.clone();
     group.bench_function("dense_commit_cycle", |b| {
         b.iter(|| repair_cycle(&mut g_dense, &mut dense, &inserts))
@@ -179,72 +159,5 @@ fn backend_repair(c: &mut Criterion) {
     group.finish();
 }
 
-/// Self-timed mean over `iters` runs, nanoseconds.
-fn time_ns<F: FnMut() -> usize>(iters: u32, mut f: F) -> u128 {
-    std::hint::black_box(f()); // warm
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_nanos() / u128::from(iters.max(1))
-}
-
-/// Write `BENCH_pr3.json`-shaped numbers if `MICRO_BACKEND_JSON` is set.
-fn emit_json(c: &mut Criterion) {
-    let _ = c;
-    let Some(path) = std::env::var_os("MICRO_BACKEND_JSON") else {
-        return;
-    };
-    let path = {
-        let given = std::path::PathBuf::from(&path);
-        if given.is_absolute() {
-            given
-        } else {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(given)
-        }
-    };
-    let iters: u32 = if smoke() { 1 } else { 5 };
-    let (mut graph, pattern) = setup();
-    let reqs = SlenRequirements::of_pattern(&pattern);
-    let mut dense = <IncrementalIndex as SlenBackend>::build(&graph, &reqs);
-    let mut sparse = SparseIndex::build(&graph, &reqs);
-    let inserts = insert_picks(&graph, 8);
-    assert_equivalent(&mut graph, &reqs, &mut dense, &mut sparse, &inserts);
-
-    let build_dense = time_ns(iters, || {
-        <IncrementalIndex as SlenBackend>::build(&graph, &reqs).resident_rows()
-    });
-    let build_sparse = time_ns(iters, || SparseIndex::build(&graph, &reqs).resident_rows());
-    let mut g_dense = graph.clone();
-    let repair_dense = time_ns(iters, || repair_cycle(&mut g_dense, &mut dense, &inserts));
-    let mut g_sparse = graph.clone();
-    let repair_sparse = time_ns(iters, || repair_cycle(&mut g_sparse, &mut sparse, &inserts));
-
-    let ratio = |base: u128, fast: u128| base as f64 / fast.max(1) as f64;
-    let json = format!(
-        "{{\n  \"bench\": \"micro_backend\",\n  \"graph\": {{ \"nodes\": {}, \"edges\": {} }},\n  \"requirements\": {{ \"labels\": {}, \"depth\": {} }},\n  \"iterations\": {},\n  \"build\": {{\n    \"dense_ns\": {},\n    \"sparse_ns\": {},\n    \"speedup\": {:.2}\n  }},\n  \"repair_commit_cycle\": {{\n    \"dense_ns\": {},\n    \"sparse_ns\": {},\n    \"speedup\": {:.2}\n  }},\n  \"memory\": {{\n    \"dense_resident_rows\": {},\n    \"sparse_resident_rows\": {},\n    \"dense_bytes\": {},\n    \"sparse_bytes\": {},\n    \"bytes_ratio\": {:.1}\n  }}\n}}\n",
-        graph.node_count(),
-        graph.edge_count(),
-        reqs.labels().len(),
-        reqs.depth(),
-        iters,
-        build_dense,
-        build_sparse,
-        ratio(build_dense, build_sparse),
-        repair_dense,
-        repair_sparse,
-        ratio(repair_dense, repair_sparse),
-        dense.resident_rows(),
-        sparse.resident_rows(),
-        dense.mem_bytes(),
-        sparse.mem_bytes(),
-        dense.mem_bytes() as f64 / sparse.mem_bytes().max(1) as f64,
-    );
-    std::fs::write(&path, json).expect("writing MICRO_BACKEND_JSON");
-    eprintln!("[micro_backend] wrote {}", path.to_string_lossy());
-}
-
-criterion_group!(benches, backend_build, backend_repair, emit_json);
+criterion_group!(benches, backend_build, backend_repair);
 criterion_main!(benches);

@@ -25,8 +25,9 @@
 //! patterns' labels, truncated at its own patterns' maximum bound, so one
 //! deep or label-hungry pattern stops taxing every other pattern's repair.
 //! Results stay bitwise identical to a single service and to k independent
-//! engines (the `cluster_equivalence` proptest suite); the `micro_cluster`
-//! bench tracks the tick-throughput win.
+//! engines (the `cluster_equivalence` proptest suite); the benchmark of
+//! record's `cluster_2shard` workload prices a cluster tick against the
+//! single host.
 //!
 //! ## Quickstart
 //!

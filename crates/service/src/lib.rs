@@ -25,7 +25,8 @@
 //! Per-pattern results are bitwise identical to k independent engines
 //! (asserted by the `service_equivalence` proptest suite, all backends ×
 //! both semantics); the shared pass just stops paying the `SLen` repair k
-//! times — the `micro_service` bench tracks the resulting speedup.
+//! times — the benchmark of record (`gpnm-bench/`) times the result on
+//! its multi-pattern workloads.
 //!
 //! ## Worked example: two standing queries, streamed updates
 //!

@@ -5,8 +5,10 @@
 //! lint described in the workspace README ("Correctness tooling"): a
 //! purely lexical pass (no rustc plumbing, no external parser) that
 //! enforces the commenting and layering discipline the loom models and
-//! the `gpnm-sync` facade rely on, and that every `BENCH_*.json` result
-//! file the README or a `//!` doc cites exists. Diagnostics are
+//! the `gpnm-sync` facade rely on, and that no README line or `//!` doc
+//! cites a `BENCH_*.json` result file missing from the repository root
+//! (deleting a result file fails the lint until its citations go too).
+//! Diagnostics are
 //! `path:line: message`; any finding exits nonzero.
 //!
 //! `cargo run -p gpnm-xtask -- check-telemetry [--metrics FILE]
@@ -942,11 +944,29 @@ unsafe in block */ let c = 'x'; let lt: &'static str = "";
 
     #[test]
     fn cited_bench_files_are_found_lexically() {
-        let text = "`BENCH_pr4.json` (k = 16) and (BENCH_pr10.json); not the CI copy \
-                    `BENCH_pr3.ci.json`, a glob `BENCH_pr*.json` or `BENCH_pr3/4.json`";
+        let text = "`BENCH_k16.json` (k = 16) and (BENCH_read_10.json); not the CI copy \
+                    `BENCH_k4.ci.json`, a glob `BENCH_k*.json` or `BENCH_k4/16.json`";
         assert_eq!(
             super::lint::cited_bench_files(text),
-            ["BENCH_pr4.json", "BENCH_pr10.json"]
+            ["BENCH_k16.json", "BENCH_read_10.json"]
+        );
+    }
+
+    #[test]
+    fn lint_reports_a_readme_citation_of_a_missing_result_file() {
+        let root = std::env::temp_dir().join(format!("gpnm-xtask-lint-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(root.join("BENCH_kept.json"), "{}").unwrap();
+        std::fs::write(
+            root.join("README.md"),
+            "# Title\n\nKept: `BENCH_kept.json`.\nGone: `BENCH_gone.json`.\n",
+        )
+        .unwrap();
+        let findings = super::lint::run(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(
+            findings,
+            ["README.md:4: cites `BENCH_gone.json`, which is not at the repository root"]
         );
     }
 

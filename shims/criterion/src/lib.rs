@@ -13,9 +13,8 @@
 #![warn(rust_2018_idioms)]
 
 use std::fmt::Display;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-pub use std::hint::black_box;
 
 /// Identifier for one benchmark: a function name plus an optional parameter.
 #[derive(Debug, Clone)]
@@ -28,13 +27,6 @@ impl BenchmarkId {
     pub fn new(function_name: impl Into<String>, parameter: impl Display) -> Self {
         BenchmarkId {
             label: format!("{}/{}", function_name.into(), parameter),
-        }
-    }
-
-    /// Id carrying only a parameter value.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            label: parameter.to_string(),
         }
     }
 }
@@ -120,20 +112,6 @@ impl Criterion {
             cfg: self.cfg.clone(),
             _parent: self,
         }
-    }
-
-    /// Run a single ungrouped benchmark.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher<'_>),
-    {
-        let id = id.into();
-        let mut b = Bencher {
-            cfg: &self.cfg,
-            report_label: id.label,
-        };
-        f(&mut b);
-        self
     }
 }
 
