@@ -1,11 +1,13 @@
 //! Ablation: SLen construction strategies (DESIGN.md ablation table).
 //!
-//! * dense per-source BFS (the baseline everyone maintains),
-//! * partitioned build, serial vs parallel (the §V "processed
-//!   distributively" claim),
-//! * single-row recomputation: flat BFS vs bridge-graph composition, on a
-//!   high-locality graph (composition's favorable regime) and on the
-//!   bridge-dense email shape (its unfavorable regime).
+//! * dense per-source BFS (the baseline everyone maintains) vs the §V
+//!   partitioned build composed through the bridge graph,
+//! * single-row recomputation: flat BFS, pooled BFS and bridge-graph
+//!   composition, on a high-locality graph (composition's favorable
+//!   regime) and on the bridge-dense email shape (its unfavorable regime).
+//!   Composition against BFS on the `local` graph is the record of the
+//!   deletion-repair arm `PartitionedBackend` no longer has: no graph in
+//!   play is bridge-sparse enough to select it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpnm_distance::{apsp_matrix, bfs_row, parallel_bfs_rows, PartitionedIndex, INF};
@@ -46,12 +48,6 @@ fn apsp_builds(c: &mut Criterion) {
     group.bench_function("dense_bfs", |b| b.iter(|| apsp_matrix(&graph)));
     group.bench_function("partitioned_serial", |b| {
         b.iter(|| {
-            let idx = PartitionedIndex::build_serial(&graph);
-            idx.build_matrix_serial(&graph)
-        })
-    });
-    group.bench_function("partitioned_parallel", |b| {
-        b.iter(|| {
             let idx = PartitionedIndex::build(&graph);
             idx.build_matrix(&graph)
         })
@@ -64,7 +60,7 @@ fn row_recompute(c: &mut Criterion) {
     group.sample_size(20);
     for (name, graph) in [("local", local_graph()), ("bridge_dense", dense_graph())] {
         let csr = CsrGraph::from_graph(&graph);
-        let idx = PartitionedIndex::build_serial(&graph);
+        let idx = PartitionedIndex::build(&graph);
         eprintln!(
             "[micro_apsp] {name}: {} nodes, {} bridge nodes",
             graph.node_count(),

@@ -14,8 +14,8 @@ use gpnm_workload::{
     generate_batch, generate_pattern, generate_social_graph, Dataset, PatternConfig, UpdateProtocol,
 };
 
-/// A fully prepared benchmark cell: engine with `IQuery` answered and
-/// partition ready, plus the update batch to time.
+/// A fully prepared benchmark cell: engine with `IQuery` answered, plus
+/// the update batch to time.
 pub struct PreparedCell {
     /// Engine positioned after the initial query.
     pub engine: GpnmEngine,
@@ -57,7 +57,6 @@ pub fn prepare_cell(
     );
     let mut engine = GpnmEngine::new(graph, pattern_graph, MatchSemantics::Simulation);
     engine.initial_query();
-    engine.prepare_partition();
     let protocol = UpdateProtocol::from_scale(delta.0, (delta.1 / delta_div).max(4));
     let batch = generate_batch(engine.graph(), engine.pattern(), &interner, &protocol, seed);
     batch

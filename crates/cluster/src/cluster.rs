@@ -1015,7 +1015,7 @@ mod tests {
         assert!(matches!(
             GpnmCluster::builder()
                 .shards(2)
-                .backend(BackendKind::Dense)
+                .backend(BackendKind::Partitioned)
                 .max_index_gb(1.0e-9)
                 .build(f.graph.clone()),
             Err(ClusterError::Service(ServiceError::IndexTooLarge { .. }))

@@ -302,7 +302,7 @@ proptest! {
     #[test]
     fn cluster_matches_service_and_engines_dense(seed in any::<u64>(), k in 1usize..4) {
         for shards in [1usize, 2, 4] {
-            check_equivalence(seed, shards, k, 3, BackendKind::Dense,
+            check_equivalence(seed, shards, k, 3, BackendKind::Partitioned,
                 MatchSemantics::DualSimulation, 0);
         }
     }

@@ -1,11 +1,11 @@
 //! [`AnyBackend`]: one `SLen` backend type dispatching at runtime over the
-//! four static implementations.
+//! three static implementations a configuration can name.
 //!
 //! The engine and service are generic over [`SlenBackend`], which gives
 //! static dispatch when the backend is known at compile time. Callers that
 //! pick the backend from configuration (the `gpnm` CLI, the service
 //! builder) would otherwise have to monomorphize their whole call graph
-//! four times per choice point; `AnyBackend` folds the choice into one
+//! three times per choice point; `AnyBackend` folds the choice into one
 //! enum whose trait methods forward to the selected variant. Point lookups
 //! pay one predictable branch — irrelevant next to the BFS work behind
 //! every repair — and everything else inherits the variant's behavior
@@ -15,23 +15,19 @@ use gpnm_graph::{Bound, DataGraph, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
 use crate::backend::{IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements};
-use crate::incremental::IncrementalIndex;
 use crate::kind::BackendKind;
 use crate::oracle::DistanceOracle;
 use crate::paged::PagedIndex;
 use crate::sparse::SparseIndex;
 
-/// A runtime-selected `SLen` backend: dense, partitioned, sparse, or
-/// paged.
+/// A runtime-selected `SLen` backend: partitioned, sparse, or paged.
 // One AnyBackend exists per engine/service, so the size spread between
 // variants costs a few hundred bytes total — boxing would instead tax
 // every distance lookup with a second indirection.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum AnyBackend {
-    /// Plain dense incremental matrix ([`IncrementalIndex`]).
-    Dense(IncrementalIndex),
-    /// Dense matrix + §V accelerator ([`PartitionedBackend`]).
+    /// Dense matrix with pooled deletion repair ([`PartitionedBackend`]).
     Partitioned(PartitionedBackend),
     /// Bounded-row sparse index ([`SparseIndex`]).
     Sparse(SparseIndex),
@@ -42,7 +38,6 @@ pub enum AnyBackend {
 macro_rules! on_backend {
     ($self:expr, $b:ident => $e:expr) => {
         match $self {
-            AnyBackend::Dense($b) => $e,
             AnyBackend::Partitioned($b) => $e,
             AnyBackend::Sparse($b) => $e,
             AnyBackend::Paged($b) => $e,
@@ -54,9 +49,6 @@ impl AnyBackend {
     /// Build the backend `kind` names over `graph`, covering `reqs`.
     pub fn of_kind(kind: BackendKind, graph: &DataGraph, reqs: &SlenRequirements) -> Self {
         match kind {
-            BackendKind::Dense => {
-                AnyBackend::Dense(<IncrementalIndex as SlenBackend>::build(graph, reqs))
-            }
             BackendKind::Partitioned => {
                 AnyBackend::Partitioned(PartitionedBackend::build(graph, reqs))
             }
@@ -68,7 +60,6 @@ impl AnyBackend {
     /// Which [`BackendKind`] this value carries.
     pub fn backend_kind(&self) -> BackendKind {
         match self {
-            AnyBackend::Dense(_) => BackendKind::Dense,
             AnyBackend::Partitioned(_) => BackendKind::Partitioned,
             AnyBackend::Sparse(_) => BackendKind::Sparse,
             AnyBackend::Paged(_) => BackendKind::Paged,
@@ -109,10 +100,6 @@ impl SlenBackend for AnyBackend {
 
     fn narrow_requirements(&mut self, graph: &DataGraph, reqs: &SlenRequirements) {
         on_backend!(self, b => b.narrow_requirements(graph, reqs))
-    }
-
-    fn prepare_accelerator(&mut self, graph: &DataGraph) {
-        on_backend!(self, b => b.prepare_accelerator(graph))
     }
 
     fn commit_insert_edge(
@@ -178,7 +165,7 @@ mod tests {
     fn dispatched_commits_stay_exact() {
         let mut f = fig1();
         let reqs = SlenRequirements::of_pattern(&f.pattern);
-        let mut b = AnyBackend::of_kind(BackendKind::Dense, &f.graph, &reqs);
+        let mut b = AnyBackend::of_kind(BackendKind::Partitioned, &f.graph, &reqs);
         f.graph.add_edge(f.se1, f.te2).unwrap();
         let delta = b.commit_insert_edge(&f.graph, f.se1, f.te2, RepairHint::Baseline);
         assert!(!delta.is_empty());

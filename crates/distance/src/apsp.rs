@@ -36,15 +36,16 @@ pub fn bfs_row(csr: &CsrGraph, source: NodeId, row: &mut [u32], queue: &mut Vec<
 
 /// Recompute BFS rows for `sources` in parallel over the persistent
 /// [`gpnm_pool::WorkerPool`] (`threads`: lane cap; `0` = all pool lanes).
-/// Returns `(source, row)` pairs.
+/// Returns `(source, row)` pairs in `sources` order, whatever order the
+/// lanes finish in.
 ///
-/// This is the workhorse of UA-GPNM's partition-distributed deletion
-/// repair (§V: "the shortest path computation will be processed
-/// distributively"): deletions invalidate many rows at once, and the rows
-/// are independent. Falls back to a serial loop for small batches where
-/// even pool hand-off would dominate. Builds a CSR snapshot per call; hot
-/// loops that already hold a cached CSR (the engine's batch repair) should
-/// call [`parallel_bfs_rows_csr`] instead.
+/// This is the workhorse of UA-GPNM's deletion repair (§V: "the shortest
+/// path computation will be processed distributively"): deletions
+/// invalidate many rows at once, and the rows are independent. Falls back
+/// to a serial loop for small batches where even pool hand-off would
+/// dominate. Builds a CSR snapshot per call; hot loops that already hold a
+/// cached CSR (the engine's batch repair) should call
+/// [`parallel_bfs_rows_csr`] instead.
 pub fn parallel_bfs_rows(
     graph: &DataGraph,
     sources: &[NodeId],
@@ -69,35 +70,28 @@ pub fn parallel_bfs_rows_csr(
     } else {
         threads.min(pool.lanes())
     };
-    if lanes <= 1 || sources.len() < 16 {
+    // Each source owns its output slot up front, so a chunk writes rows in
+    // place and the result keeps `sources` order without a lock.
+    let mut rows: Vec<(NodeId, Vec<u32>)> = sources.iter().map(|&s| (s, Vec::new())).collect();
+    let fill = |slots: &mut [(NodeId, Vec<u32>)]| {
         let mut queue = Vec::with_capacity(n);
-        return sources
-            .iter()
-            .map(|&s| {
-                let mut row = vec![INF; n];
-                bfs_row(csr, s, &mut row, &mut queue);
-                (s, row)
-            })
-            .collect();
+        for (s, row) in slots {
+            *row = vec![INF; n];
+            bfs_row(csr, *s, row, &mut queue);
+        }
+    };
+    if lanes <= 1 || sources.len() < 16 {
+        fill(&mut rows);
+        return rows;
     }
     let chunk = sources.len().div_ceil(lanes);
-    let results = parking_lot::Mutex::new(Vec::with_capacity(sources.len()));
     pool.scope(|scope| {
-        for chunk_sources in sources.chunks(chunk) {
-            let results = &results;
-            scope.spawn(move || {
-                let mut queue = Vec::with_capacity(n);
-                let mut local = Vec::with_capacity(chunk_sources.len());
-                for &s in chunk_sources {
-                    let mut row = vec![INF; n];
-                    bfs_row(csr, s, &mut row, &mut queue);
-                    local.push((s, row));
-                }
-                results.lock().extend(local);
-            });
+        for slots in rows.chunks_mut(chunk) {
+            let fill = &fill;
+            scope.spawn(move || fill(slots));
         }
     });
-    results.into_inner()
+    rows
 }
 
 /// Build the full `SLen` matrix of `graph` by BFS from every live node.
@@ -174,9 +168,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The worker-pool path computes the rows the serial loop does.
-        /// Sixteen sources or more, so the pool path is the one that runs
-        /// wherever the pool has a second lane.
+        /// The worker-pool path computes the rows the serial loop does, in
+        /// the same order. Sixteen sources or more, so the pool path is
+        /// the one that runs wherever the pool has a second lane.
         #[test]
         fn pool_bfs_rows_equal_serial(
             n in 16usize..40,
@@ -191,9 +185,10 @@ mod tests {
                 }
             }
             let csr = CsrGraph::from_graph(&g);
-            let mut pooled = parallel_bfs_rows_csr(&csr, &ids, 0);
-            pooled.sort_unstable_by_key(|(s, _)| *s);
-            proptest::prop_assert_eq!(pooled, parallel_bfs_rows_csr(&csr, &ids, 1));
+            proptest::prop_assert_eq!(
+                parallel_bfs_rows_csr(&csr, &ids, 0),
+                parallel_bfs_rows_csr(&csr, &ids, 1)
+            );
         }
     }
 }

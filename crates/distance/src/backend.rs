@@ -9,13 +9,12 @@
 //!
 //! * [`crate::IncrementalIndex`] — the dense `n × n` matrix of §IV with
 //!   delta-proportional repair. Exact for every pair; `O(n²)` memory, so it
-//!   stops fitting around ~50k nodes (40 GB at 100k). The right choice for
-//!   the paper-scale experiments and whenever every source node matters.
-//! * [`PartitionedBackend`] — the dense matrix plus the §V label-partition
-//!   accelerator: deletions repair rows by composing partition-local
-//!   distances through the bridge graph (bridge-sparse graphs) or by
-//!   pool-parallel BFS fan-out (bridge-dense graphs). Same memory envelope
-//!   as dense; wins on repair latency when deletions invalidate many rows.
+//!   stops fitting around ~50k nodes (40 GB at 100k). Not a runtime kind:
+//!   it is the serial reference the tests compare the others against.
+//! * [`PartitionedBackend`] — the same matrix with the paper's distributed
+//!   deletion repair: an accelerated edge or node delete recomputes its
+//!   candidate rows by BFS spread over the worker pool. The runtime
+//!   `partitioned` kind, and the one the paper-scale experiments use.
 //! * [`crate::SparseIndex`] — bounded rows for *candidate* sources only
 //!   (nodes whose label occurs in the pattern), truncated at the pattern's
 //!   maximum finite bound. Memory proportional to candidate rows × nodes
@@ -38,7 +37,6 @@ use crate::apsp::parallel_bfs_rows_csr;
 use crate::incremental::IncrementalIndex;
 use crate::matrix::DistanceMatrix;
 use crate::oracle::DistanceOracle;
-use crate::partitioned::PartitionedIndex;
 use crate::INF;
 
 /// What the pattern (plus any pending pattern updates) requires of the
@@ -200,17 +198,18 @@ impl IoStats {
 
 /// How a strategy wants deletion rows recomputed.
 ///
-/// The paper's evaluation separates UA-GPNM (partition-accelerated `SLen`
-/// maintenance) from its `-NoPar` ablation and the EH/INC baselines, which
-/// repair densely. The engine passes the strategy's choice down so one
-/// backend can serve both sides of that comparison.
+/// The paper's evaluation separates UA-GPNM (distributed `SLen`
+/// maintenance, §V) from its `-NoPar` ablation and the EH/INC baselines,
+/// which repair serially. The engine passes the strategy's choice down so
+/// one backend can serve both sides of that comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairHint {
     /// Serial reference repair (INC/EH/NoPar baselines).
     Baseline,
-    /// Use whatever acceleration the backend has prepared (§V partition
-    /// composition or parallel row fan-out). Backends without an
-    /// accelerator treat this as [`RepairHint::Baseline`].
+    /// Recompute deletion rows on the worker pool ([`PartitionedBackend`]).
+    /// Backends without a pooled path treat this as
+    /// [`RepairHint::Baseline`]. Both hints give the same delta, record for
+    /// record and in the same order.
     Accelerated,
 }
 
@@ -232,7 +231,8 @@ pub enum RepairHint {
 /// cluster fans a tick out across shards), so thread-safe sharing is part
 /// of the contract, not an implementation detail.
 pub trait SlenBackend: DistanceOracle + Send + Sync {
-    /// Short backend name for CLIs and reports (`"dense"`, `"sparse"`, …).
+    /// Short backend name for CLIs and reports (`"partitioned"`,
+    /// `"sparse"`, …).
     fn kind(&self) -> &'static str;
 
     /// Build an index of `graph` covering `reqs`.
@@ -259,8 +259,9 @@ pub trait SlenBackend: DistanceOracle + Send + Sync {
     /// cover everything for free and no-op.
     fn narrow_requirements(&mut self, _graph: &DataGraph, _reqs: &SlenRequirements) {}
 
-    /// Ready whatever acceleration [`RepairHint::Accelerated`] commits
-    /// will use (the §V partition build), outside the timed query path.
+    /// A no-op that no backend overrides. It stays because the benchmark
+    /// of record (`gpnm-bench/src/staged.rs`) calls it by name; nothing
+    /// else does.
     fn prepare_accelerator(&mut self, _graph: &DataGraph) {}
 
     /// Repair after the caller inserted edge `(u, v)`.
@@ -364,62 +365,27 @@ impl SlenBackend for IncrementalIndex {
 }
 
 // ======================================================================
-// Partitioned backend: dense matrix + §V accelerator.
+// Partitioned backend: dense matrix + pooled deletion repair.
 // ======================================================================
 
-/// Which acceleration [`PartitionedBackend`] applies to deletion repair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AccelMode {
-    /// Compose rows from partition-local distances through the bridge
-    /// graph. Wins when label locality keeps the bridge universe small
-    /// (`|B| ≪ |ND|`); degenerates badly otherwise.
-    Compose,
-    /// Recompute affected rows with BFS fanned out across the persistent
-    /// worker pool — the §V "processed distributively" reading. Wins
-    /// whenever a deletion invalidates many rows, regardless of bridge
-    /// density.
-    ParallelBfs,
-}
-
-/// The dense incremental matrix paired with the §V label-partition index.
+/// The dense incremental matrix with the paper's distributed deletion
+/// repair (§V: "the shortest path computation will be processed
+/// distributively").
 ///
-/// [`RepairHint::Baseline`] commits behave exactly like the plain dense
-/// backend. [`RepairHint::Accelerated`] commits repair deletion rows
-/// through the partition — by bridge-graph composition when bridges are
-/// sparse, by pool-parallel BFS otherwise (the adaptive choice is made
-/// once per [`SlenBackend::prepare_accelerator`] call, outside the timed
-/// path). Any commit that bypasses partition maintenance marks the
-/// partition dirty so the next prepare rebuilds it.
+/// A [`RepairHint::Accelerated`] edge or node delete recomputes its
+/// candidate rows with [`parallel_bfs_rows_csr`] over the worker pool.
+/// Every other commit, and every [`RepairHint::Baseline`] commit, is the
+/// plain [`IncrementalIndex`]'s own. Both paths record the same delta in
+/// the same order.
 #[derive(Debug, Clone)]
 pub struct PartitionedBackend {
     index: IncrementalIndex,
-    part: Option<PartitionedIndex>,
-    /// Whether `part` no longer reflects the graph (some commit bypassed
-    /// its `note_*` maintenance).
-    part_dirty: bool,
-    mode: AccelMode,
-    row_scratch: Vec<u32>,
 }
 
 impl PartitionedBackend {
     /// The dense `SLen` matrix (always exact for the committed graph).
     pub fn matrix(&self) -> &DistanceMatrix {
         self.index.matrix()
-    }
-
-    /// Resolve the effective acceleration for one commit. Composition
-    /// reads partition data, so it demands a fresh partition; parallel
-    /// BFS never does, so it stays active even after commits (its own
-    /// included) have dirtied the partition — matching the engine's old
-    /// fixed-mode-per-batch behavior.
-    fn active_mode(&self, hint: RepairHint) -> Option<AccelMode> {
-        if hint != RepairHint::Accelerated || self.part.is_none() {
-            return None;
-        }
-        match self.mode {
-            AccelMode::Compose if self.part_dirty => Some(AccelMode::ParallelBfs),
-            mode => Some(mode),
-        }
     }
 }
 
@@ -438,49 +404,20 @@ impl SlenBackend for PartitionedBackend {
     fn build(graph: &DataGraph, _reqs: &SlenRequirements) -> Self {
         PartitionedBackend {
             index: IncrementalIndex::build(graph),
-            part: None,
-            part_dirty: true,
-            mode: AccelMode::ParallelBfs,
-            row_scratch: vec![INF; graph.slot_count()],
         }
     }
 
     fn rebuild(&mut self, graph: &DataGraph, _reqs: &SlenRequirements) {
         self.index = IncrementalIndex::build(graph);
-        self.part_dirty = true;
-        self.row_scratch.resize(graph.slot_count(), INF);
-    }
-
-    fn prepare_accelerator(&mut self, graph: &DataGraph) {
-        if self.part_dirty || self.part.is_none() {
-            self.part = Some(PartitionedIndex::build(graph));
-            self.part_dirty = false;
-        }
-        let bridges = self.part.as_ref().expect("just built").bridge_count();
-        // Composing through bridge nodes only pays off when few nodes sit
-        // on cross-partition edges; on bridge-dense graphs the partition's
-        // win is the distributed row recomputation instead.
-        self.mode = if bridges * 8 <= graph.slot_count() {
-            AccelMode::Compose
-        } else {
-            AccelMode::ParallelBfs
-        };
     }
 
     fn commit_insert_edge(
         &mut self,
-        graph: &DataGraph,
+        _graph: &DataGraph,
         u: NodeId,
         v: NodeId,
-        hint: RepairHint,
+        _hint: RepairHint,
     ) -> AffDelta {
-        match self.active_mode(hint) {
-            Some(AccelMode::Compose) => {
-                let part = self.part.as_mut().expect("accelerator prepared");
-                part.note_insert_edge(graph, u, v);
-            }
-            _ => self.part_dirty = true,
-        }
         self.index.commit_insert_edge(u, v)
     }
 
@@ -491,85 +428,43 @@ impl SlenBackend for PartitionedBackend {
         v: NodeId,
         hint: RepairHint,
     ) -> AffDelta {
+        if hint == RepairHint::Baseline {
+            return self.index.commit_delete_edge(graph, u, v);
+        }
         // Candidates come from the (not yet repaired) matrix, so computing
         // them after the graph mutation is sound.
         let candidates = self.index.delete_candidates(u, v);
-        match self.active_mode(hint) {
-            Some(AccelMode::Compose) => {
-                let part = self.part.as_mut().expect("accelerator prepared");
-                part.note_delete_edge(graph, u, v);
-                let mut delta = AffDelta::new();
-                self.row_scratch.resize(graph.slot_count(), INF);
-                for x in candidates {
-                    part.compose_row(x, &mut self.row_scratch);
-                    self.index.apply_row(x, &self.row_scratch, &mut delta);
-                }
-                delta
-            }
-            Some(AccelMode::ParallelBfs) => {
-                self.part_dirty = true;
-                let mut delta = AffDelta::new();
-                // Bind the rows first: the CSR borrow of the index must end
-                // before `apply_row` mutates it.
-                let rows = parallel_bfs_rows_csr(self.index.csr(graph), &candidates, 0);
-                for (x, row) in rows {
-                    self.index.apply_row(x, &row, &mut delta);
-                }
-                delta
-            }
-            None => {
-                self.part_dirty = true;
-                self.index.commit_delete_edge(graph, u, v)
-            }
-        }
-    }
-
-    fn commit_insert_node(&mut self, graph: &DataGraph, id: NodeId, hint: RepairHint) -> AffDelta {
-        let delta = self.index.commit_insert_node(graph.slot_count());
-        self.row_scratch.resize(graph.slot_count(), INF);
-        match self.active_mode(hint) {
-            Some(AccelMode::Compose) => {
-                let part = self.part.as_mut().expect("accelerator prepared");
-                part.note_insert_node(graph, id);
-            }
-            _ => self.part_dirty = true,
+        // Bind the rows first: the CSR borrow of the index must end before
+        // `apply_row` mutates it.
+        let rows = parallel_bfs_rows_csr(self.index.csr(graph), &candidates, 0);
+        let mut delta = AffDelta::new();
+        for (x, row) in rows {
+            self.index.apply_row(x, &row, &mut delta);
         }
         delta
     }
 
+    fn commit_insert_node(
+        &mut self,
+        graph: &DataGraph,
+        _id: NodeId,
+        _hint: RepairHint,
+    ) -> AffDelta {
+        self.index.commit_insert_node(graph.slot_count())
+    }
+
     fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, hint: RepairHint) -> AffDelta {
-        let sources = self.index.delete_node_candidates(id);
-        match self.active_mode(hint) {
-            Some(AccelMode::Compose) => {
-                let part = self.part.as_mut().expect("accelerator prepared");
-                // The partition still reflects the pre-delete graph, so the
-                // deleted node's former partition is queryable.
-                let former = part.partition().of(id).expect("deleting a live node");
-                part.note_delete_node(graph, id, former);
-                let mut delta = AffDelta::new();
-                self.row_scratch.resize(graph.slot_count(), INF);
-                for x in sources {
-                    part.compose_row(x, &mut self.row_scratch);
-                    self.index.apply_row(x, &self.row_scratch, &mut delta);
-                }
-                self.index.clear_slot(id, &mut delta);
-                delta
-            }
-            Some(AccelMode::ParallelBfs) => {
-                self.part_dirty = true;
-                let mut delta = AffDelta::new();
-                let rows = parallel_bfs_rows_csr(self.index.csr(graph), &sources, 0);
-                for (x, row) in rows {
-                    self.index.apply_row(x, &row, &mut delta);
-                }
-                self.index.clear_slot(id, &mut delta);
-                delta
-            }
-            None => {
-                self.part_dirty = true;
-                self.index.commit_delete_node(graph, id)
-            }
+        if hint == RepairHint::Baseline {
+            return self.index.commit_delete_node(graph, id);
         }
+        let sources = self.index.delete_node_candidates(id);
+        let rows = parallel_bfs_rows_csr(self.index.csr(graph), &sources, 0);
+        let mut delta = AffDelta::new();
+        self.index.clear_slot(id, &mut delta);
+        for (x, row) in rows {
+            self.index.apply_row(x, &row, &mut delta);
+        }
+        delta
     }
 
     fn resident_rows(&self) -> usize {
@@ -656,29 +551,50 @@ mod tests {
         let mut f = fig1();
         let reqs = SlenRequirements::of_pattern(&f.pattern);
         let mut b = PartitionedBackend::build(&f.graph, &reqs);
-        b.prepare_accelerator(&f.graph);
         f.graph.remove_edge(f.se1, f.se2).unwrap();
         b.commit_delete_edge(&f.graph, f.se1, f.se2, RepairHint::Accelerated);
         assert_eq!(b.matrix(), &apsp_matrix(&f.graph));
         f.graph.remove_node(f.db1).unwrap();
         b.commit_delete_node(&f.graph, f.db1, RepairHint::Accelerated);
         assert_eq!(b.matrix(), &apsp_matrix(&f.graph));
-    }
-
-    #[test]
-    fn baseline_commit_dirties_the_partition() {
-        let mut f = fig1();
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
-        let mut b = PartitionedBackend::build(&f.graph, &reqs);
-        b.prepare_accelerator(&f.graph);
-        assert!(!b.part_dirty);
+        // Baseline and accelerated commits interleave freely.
         f.graph.add_edge(f.se1, f.te2).unwrap();
         b.commit_insert_edge(&f.graph, f.se1, f.te2, RepairHint::Baseline);
-        assert!(b.part_dirty, "bypassing note_* must dirty the partition");
-        // An accelerated commit on a dirty partition must fall back to the
-        // dense path rather than compose through stale intra matrices.
         f.graph.remove_edge(f.se1, f.te2).unwrap();
         b.commit_delete_edge(&f.graph, f.se1, f.te2, RepairHint::Accelerated);
         assert_eq!(b.matrix(), &apsp_matrix(&f.graph));
+    }
+
+    /// The pooled deletion rows give `Baseline`'s delta record for record
+    /// and in its order. Twenty sources reach `hub`, and all their shortest
+    /// paths onward cross `(hub, head)`, so both deletes hand the pool at
+    /// least sixteen rows.
+    #[test]
+    fn accelerated_deletes_record_the_baseline_delta() {
+        let mut g = DataGraph::new();
+        let label = Label::from_index(0);
+        let sources: Vec<NodeId> = (0..20).map(|_| g.add_node(label)).collect();
+        let [hub, head, tail] = [(); 3].map(|_| g.add_node(label));
+        for &s in &sources {
+            g.add_edge(s, hub).unwrap();
+        }
+        g.add_edge(hub, head).unwrap();
+        g.add_edge(head, tail).unwrap();
+        let reqs = SlenRequirements::empty();
+        let mut pooled = PartitionedBackend::build(&g, &reqs);
+        let mut serial = <IncrementalIndex as SlenBackend>::build(&g, &reqs);
+
+        g.remove_edge(hub, head).unwrap();
+        let want =
+            SlenBackend::commit_delete_edge(&mut serial, &g, hub, head, RepairHint::Baseline);
+        let got = pooled.commit_delete_edge(&g, hub, head, RepairHint::Accelerated);
+        assert_eq!(got.changed, want.changed, "edge delete");
+        assert_eq!(pooled.matrix(), &apsp_matrix(&g));
+
+        g.remove_node(hub).unwrap();
+        let want = SlenBackend::commit_delete_node(&mut serial, &g, hub, RepairHint::Baseline);
+        let got = pooled.commit_delete_node(&g, hub, RepairHint::Accelerated);
+        assert_eq!(got.changed, want.changed, "node delete");
+        assert_eq!(pooled.matrix(), &apsp_matrix(&g));
     }
 }

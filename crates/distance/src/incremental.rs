@@ -62,12 +62,7 @@ pub struct IncrementalIndex {
 impl IncrementalIndex {
     /// Build the index from scratch (per-source BFS APSP).
     pub fn build(graph: &DataGraph) -> Self {
-        Self::from_matrix(apsp_matrix(graph))
-    }
-
-    /// Wrap an existing, known-correct matrix (e.g. produced by the
-    /// partitioned builder).
-    pub fn from_matrix(matrix: DistanceMatrix) -> Self {
+        let matrix = apsp_matrix(graph);
         let n = matrix.n();
         IncrementalIndex {
             matrix,
@@ -86,9 +81,9 @@ impl IncrementalIndex {
     }
 
     /// The cached CSR view of `graph` (rebuilt only if stale) — the same
-    /// snapshot the delete commits use. The §V parallel repair drives its
-    /// own row recomputation and shares it through this accessor instead
-    /// of materializing a second CSR of the same graph.
+    /// snapshot the delete commits use. The pooled deletion repair drives
+    /// its own row recomputation and shares it through this accessor
+    /// instead of materializing a second CSR of the same graph.
     pub(crate) fn csr(&mut self, graph: &DataGraph) -> &CsrGraph {
         self.snapshot.get(graph)
     }
@@ -180,23 +175,15 @@ impl IncrementalIndex {
             "commit_delete_node before graph mutation"
         );
         let sources = self.delete_node_candidates(id);
-        let (csr, matrix, row_buf, queue_buf) = self.delete_repair_parts(graph);
-        let n = matrix.n();
         let mut delta = AffDelta::new();
-        for y in 0..n {
-            let y_id = NodeId::from_index(y);
-            let old = matrix.get(id, y_id);
-            if old != INF {
-                delta.record(id, y_id, old, INF);
-            }
-        }
+        self.clear_slot(id, &mut delta);
+        let (csr, matrix, row_buf, queue_buf) = self.delete_repair_parts(graph);
         for x in sources {
             // The graph no longer contains `id`, so a plain BFS suffices.
             bfs_row(csr, x, row_buf, queue_buf);
             diff_row(matrix, x, row_buf, &mut delta);
             matrix.set_row(x, row_buf);
         }
-        matrix.clear_slot(id);
         delta
     }
 
@@ -228,8 +215,8 @@ impl IncrementalIndex {
 
     /// Sources whose shortest path to `v` may run through the edge
     /// `(u, v)`: exactly those with `d(x,u) + 1 == d(x,v)`. Crate-visible
-    /// so the §V partitioned backend, which has its own row oracle, can
-    /// drive the repair itself.
+    /// so the partitioned backend, which recomputes the rows on the worker
+    /// pool, can drive the repair itself.
     pub(crate) fn delete_candidates(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
         let n = self.matrix.n();
         (0..n)
@@ -252,30 +239,28 @@ impl IncrementalIndex {
     }
 
     /// Replace the row of `x` with `new_row`, recording every change into
-    /// `delta`. Used by the partitioned backend, which recomputes rows
-    /// through its own oracle (composition) instead of this index's BFS.
+    /// `delta`. Used by the partitioned backend, which recomputes deletion
+    /// rows on the worker pool instead of with this index's serial BFS;
+    /// applied in source order, the rows record what the serial loop does.
     pub(crate) fn apply_row(&mut self, x: NodeId, new_row: &[u32], delta: &mut AffDelta) {
         diff_row(&self.matrix, x, new_row, delta);
         self.matrix.set_row(x, new_row);
     }
 
-    /// Clear the row and column of a deleted node, recording the vanished
-    /// finite entries into `delta`. Complements [`Self::apply_row`] for the
-    /// externally-driven node-deletion repair.
+    /// First step of a node-deletion repair, on the serial and the pooled
+    /// path alike: record the deleted node's finite row entries as
+    /// vanishing, then clear the row. The column clears as the sources'
+    /// rows are applied — every `x` with a finite `d(x, id)` is a source,
+    /// and its post-delete row has [`INF`] at `id` — so the delta lists
+    /// `id`'s row first and each `(x, id)` inside `x`'s row diff.
     pub(crate) fn clear_slot(&mut self, id: NodeId, delta: &mut AffDelta) {
-        let n = self.matrix.n();
-        for y in 0..n {
-            let y_id = NodeId::from_index(y);
-            let old = self.matrix.get(id, y_id);
-            if old != INF {
-                delta.record(id, y_id, old, INF);
-            }
-            let old_col = self.matrix.get(y_id, id);
-            if old_col != INF && y_id != id {
-                delta.record(y_id, id, old_col, INF);
+        let row = self.matrix.row_mut(id);
+        for (y, d) in row.iter_mut().enumerate() {
+            if *d != INF {
+                delta.record(id, NodeId::from_index(y), *d, INF);
+                *d = INF;
             }
         }
-        self.matrix.clear_slot(id);
     }
 }
 

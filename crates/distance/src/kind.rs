@@ -1,13 +1,12 @@
-//! Runtime backend selection: [`BackendKind`] names the four `SLen`
+//! Runtime backend selection: [`BackendKind`] names the three `SLen`
 //! backends, [`crate::AnyBackend`] dispatches over them dynamically.
 
 /// Which `SLen` backend maintains distances — the configuration axis next
 /// to the engine's `Strategy`.
 ///
-/// * [`BackendKind::Dense`] — `n × n` matrix, exact everywhere; `4n²`
-///   bytes (≈40 GB at 100k nodes).
-/// * [`BackendKind::Partitioned`] — dense matrix + the §V partition
-///   accelerator for deletion repair (the paper's `UA-GPNM` setup).
+/// * [`BackendKind::Partitioned`] — the dense `n × n` matrix, exact
+///   everywhere, with deletion rows recomputed on the worker pool (the
+///   paper's `UA-GPNM` setup); `4n²` bytes (≈40 GB at 100k nodes).
 /// * [`BackendKind::Sparse`] — bounded rows for pattern-labeled sources
 ///   only; memory ∝ candidate rows × bounded ball, the only fit past
 ///   ~50k nodes.
@@ -16,9 +15,7 @@
 ///   for graphs whose sparse index itself outgrows RAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// Plain dense incremental matrix.
-    Dense,
-    /// Dense matrix with the §V partition accelerator (default).
+    /// Dense matrix with pooled deletion repair (default).
     Partitioned,
     /// Bounded-row sparse index over candidate sources.
     Sparse,
@@ -28,8 +25,7 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// All backends, smallest-memory last.
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Dense,
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::Partitioned,
         BackendKind::Sparse,
         BackendKind::Paged,
@@ -38,7 +34,6 @@ impl BackendKind {
     /// CLI name (`--backend` value).
     pub fn name(&self) -> &'static str {
         match self {
-            BackendKind::Dense => "dense",
             BackendKind::Partitioned => "partitioned",
             BackendKind::Sparse => "sparse",
             BackendKind::Paged => "paged",
@@ -48,7 +43,7 @@ impl BackendKind {
     /// Whether this backend materializes a full `n × n` matrix (and so
     /// needs a memory guard on large graphs).
     pub fn is_dense(&self) -> bool {
-        matches!(self, BackendKind::Dense | BackendKind::Partitioned)
+        matches!(self, BackendKind::Partitioned)
     }
 
     /// Estimated heap bytes of this backend's distance storage for a graph
@@ -65,12 +60,11 @@ impl std::str::FromStr for BackendKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "dense" => Ok(BackendKind::Dense),
             "partitioned" => Ok(BackendKind::Partitioned),
             "sparse" => Ok(BackendKind::Sparse),
             "paged" => Ok(BackendKind::Paged),
             other => Err(format!(
-                "unknown backend {other:?} (expected dense, partitioned, sparse or paged)"
+                "unknown backend {other:?} (expected partitioned, sparse or paged)"
             )),
         }
     }
@@ -93,7 +87,9 @@ mod tests {
             assert_eq!(kind.to_string(), kind.name());
         }
         assert!("matrix".parse::<BackendKind>().is_err());
-        assert!(BackendKind::Dense.is_dense());
+        // `dense` folded into `partitioned`; the refusal names what is left.
+        let err = "dense".parse::<BackendKind>().unwrap_err();
+        assert!(err.contains("partitioned, sparse or paged"), "{err}");
         assert!(BackendKind::Partitioned.is_dense());
         assert!(!BackendKind::Sparse.is_dense());
         assert!(!BackendKind::Paged.is_dense());
@@ -102,7 +98,7 @@ mod tests {
     #[test]
     fn dense_estimate_is_quadratic() {
         assert_eq!(
-            BackendKind::Dense.estimated_index_bytes(100_000),
+            BackendKind::Partitioned.estimated_index_bytes(100_000),
             Some(40_000_000_000)
         );
         assert_eq!(BackendKind::Sparse.estimated_index_bytes(100_000), None);

@@ -10,10 +10,9 @@
 //!   emitting an [`AffDelta`]: the changed pairs `AFF[u,v] = [a, b]` and the
 //!   affected-node set `Aff_N` that drives DER-II elimination detection.
 //! * [`Partition`] / [`PartitionedIndex`] — the §V label-based partition
-//!   method: per-partition APSP (fanned out over the persistent
-//!   `gpnm_pool::WorkerPool`, the paper's "processed distributively"), a
-//!   bridge graph over inner/outer bridge nodes, and exact cross-partition
-//!   composition.
+//!   method: per-partition APSP, a bridge graph over inner/outer bridge
+//!   nodes, and exact cross-partition composition. It reproduces the
+//!   paper's Tables VIII/IX and is off every repair path (see below).
 //! * [`backend`] — the [`SlenBackend`] trait: the repairable-index
 //!   lifecycle (build, slot grow/tombstone, one commit per applied update
 //!   returning its delta, bulk rebuild) the GPNM engine is generic over,
@@ -36,15 +35,32 @@
 //! There are two index representations, each chosen over alternatives
 //! whose cost is written down here.
 //!
-//! **Dense `n × n` matrix** ([`IncrementalIndex`], `dense`). Exact for
-//! every pair, `O(1)` lookups, delta-proportional repair; `4n²` bytes, so
-//! it stops fitting around ~50k nodes (40 GB at 100k). It is what the
-//! paper describes and what its figures measure, so the paper-scale
-//! experiments use it. [`PartitionedBackend`] (`partitioned`) is the same
-//! matrix plus the §V accelerator for deletion repair: same memory
-//! envelope; wins on update-heavy workloads with label locality
-//! (bridge-sparse graphs) or many invalidated rows (pool-parallel
-//! fan-out).
+//! **Dense `n × n` matrix** ([`PartitionedBackend`], `partitioned`).
+//! Exact for every pair, `O(1)` lookups, delta-proportional repair; `4n²`
+//! bytes, so it stops fitting around ~50k nodes (40 GB at 100k). It is
+//! what the paper describes and what its figures measure, so the
+//! paper-scale experiments use it. A `UA-GPNM` edge or node delete
+//! recomputes its candidate rows by BFS over the worker pool: the paper's
+//! "processed distributively" (§V), the arm that keeps `UA-GPNM` ahead of
+//! its `-NoPar` ablation. [`IncrementalIndex`] is the same matrix repaired
+//! serially; it stays a [`SlenBackend`] as the tests' reference, not a
+//! runtime kind.
+//!
+//! Rejected for the dense family: *repairing deletion rows by composing
+//! partition-local distances through the §V bridge graph* — this
+//! backend's former second arm, selected only when at most 1/8 of the
+//! nodes are bridges. No graph in play comes close. Bridge shares measure
+//! 0.67–1.0 on the five Table X stand-ins (seeds 7, 11 and 42, full and
+//! 1/10 scale), 0.90 and 1.0 on the two `experiment_shape` fixtures, 8/8
+//! and 5/8 on the paper's Figs. 1 and 4, and 1 005/1 005 on
+//! `paper_squery`'s graph. So the arm never ran, yet choosing it built a
+//! whole [`PartitionedIndex`] just to count bridges (2.9–3.5 ms on
+//! email-EU-core, 22–23 ms on LiveJournal(sim), 2 cores). Every commit
+//! after that dirtied it, so a service rebuilt it on every tick and a
+//! chained engine inside every timed `UA-GPNM` query. *A separate `dense`
+//! kind* — once the partition went, it differed from `partitioned` only
+//! in whether deletion rows ran on the pool, a choice [`RepairHint`]
+//! already makes per commit; it folded into `partitioned`.
 //!
 //! **Bounded rows** ([`BoundedRows`]). Rows for candidate sources only,
 //! truncated at the pattern's maximum finite bound (patterns with

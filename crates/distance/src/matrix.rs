@@ -116,12 +116,6 @@ impl DistanceMatrix {
         self.dist.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// The raw row-major storage, mutable — for parallel builders that
-    /// split the matrix into disjoint row chunks across threads.
-    pub fn as_mut_slice(&mut self) -> &mut [u32] {
-        &mut self.dist
-    }
-
     /// Compare against `other`, yielding `(u, v, old, new)` for every entry
     /// that differs. Both matrices must have equal dimension.
     pub fn diff<'a>(

@@ -18,13 +18,12 @@
 //! actually needs); [`paper_literal`] keeps the verbatim merge procedure
 //! for the ablation bench.
 //!
-//! Per-partition APSP is embarrassingly parallel; [`PartitionedIndex::build`]
-//! spreads it over the persistent [`gpnm_pool::WorkerPool`] — the paper's
-//! "processed distributively based on the partitions" without paying a
-//! thread spawn/join per build.
+//! This module is the §V reproduction behind the Table VIII/IX goldens and
+//! the `micro_apsp` ablation, and is off every repair path: no backend
+//! repairs `SLen` by composing through the bridge graph. The crate docs'
+//! "Choosing a backend" has the measurement that retired that arm.
 
 use gpnm_graph::{DataGraph, NodeId};
-use parking_lot::Mutex;
 
 use crate::dijkstra::{dijkstra_multi, WeightedAdj};
 use crate::matrix::DistanceMatrix;
@@ -50,51 +49,17 @@ pub struct PartitionedIndex {
 }
 
 impl PartitionedIndex {
-    /// Build the index with per-partition APSP parallelized over `threads`
-    /// lanes of the persistent worker pool (clamped to the pool size;
-    /// `0` means all lanes).
-    pub fn build_with_threads(graph: &DataGraph, threads: usize) -> Self {
-        let pool = gpnm_pool::WorkerPool::global();
-        let threads = if threads == 0 {
-            pool.lanes()
-        } else {
-            threads.min(pool.lanes())
-        };
+    /// Build the index: the label partition, each partition's APSP and the
+    /// bridge graph over them.
+    pub fn build(graph: &DataGraph) -> Self {
         let partition = Partition::by_label(graph);
         let local_idx = compute_local_idx(graph, &partition);
-        let parts: Vec<PartitionId> = partition.non_empty().collect();
-        let nparts = partition.len();
-
-        let mut intra: Vec<DistanceMatrix> =
-            (0..nparts).map(|_| DistanceMatrix::all_inf(0)).collect();
-        if threads <= 1 || parts.len() <= 1 {
-            for &p in &parts {
-                intra[p.index()] = intra_apsp(graph, &partition, &local_idx, p);
-            }
-        } else {
-            let results: Mutex<Vec<(PartitionId, DistanceMatrix)>> =
-                Mutex::new(Vec::with_capacity(parts.len()));
-            let chunk = parts.len().div_ceil(threads);
-            pool.scope(|scope| {
-                for chunk_parts in parts.chunks(chunk) {
-                    let results = &results;
-                    let partition = &partition;
-                    let local_idx = &local_idx;
-                    scope.spawn(move || {
-                        let mut local: Vec<(PartitionId, DistanceMatrix)> =
-                            Vec::with_capacity(chunk_parts.len());
-                        for &p in chunk_parts {
-                            local.push((p, intra_apsp(graph, partition, local_idx, p)));
-                        }
-                        results.lock().extend(local);
-                    });
-                }
-            });
-            for (p, m) in results.into_inner() {
-                intra[p.index()] = m;
-            }
+        let mut intra: Vec<DistanceMatrix> = (0..partition.len())
+            .map(|_| DistanceMatrix::all_inf(0))
+            .collect();
+        for p in partition.non_empty() {
+            intra[p.index()] = intra_apsp(graph, &partition, &local_idx, p);
         }
-
         let (bridges, bridge_of_part, bridge_graph) =
             build_bridge_graph(&partition, &local_idx, &intra);
         PartitionedIndex {
@@ -105,21 +70,6 @@ impl PartitionedIndex {
             bridge_of_part,
             bridge_graph,
         }
-    }
-
-    /// Build with the default degree of parallelism.
-    pub fn build(graph: &DataGraph) -> Self {
-        Self::build_with_threads(graph, 0)
-    }
-
-    /// Build single-threaded (ablation baseline).
-    pub fn build_serial(graph: &DataGraph) -> Self {
-        Self::build_with_threads(graph, 1)
-    }
-
-    /// The underlying partition.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
     }
 
     /// Number of bridge nodes.
@@ -179,139 +129,14 @@ impl PartitionedIndex {
         }
     }
 
-    /// Materialize the full `SLen` matrix, composing rows in parallel.
+    /// Materialize the full `SLen` matrix by composing every live row.
     pub fn build_matrix(&self, graph: &DataGraph) -> DistanceMatrix {
-        self.build_matrix_with_threads(graph, 0)
-    }
-
-    /// Materialize the full matrix single-threaded (ablation baseline).
-    pub fn build_matrix_serial(&self, graph: &DataGraph) -> DistanceMatrix {
-        self.build_matrix_with_threads(graph, 1)
-    }
-
-    /// Materialize with an explicit lane count (`0` = all pool lanes).
-    pub fn build_matrix_with_threads(&self, graph: &DataGraph, threads: usize) -> DistanceMatrix {
-        let pool = gpnm_pool::WorkerPool::global();
-        let threads = if threads == 0 {
-            pool.lanes()
-        } else {
-            threads.min(pool.lanes())
-        };
-        let n = graph.slot_count();
-        let mut matrix = DistanceMatrix::all_inf(n);
-        if n == 0 {
-            return matrix;
+        let mut matrix = DistanceMatrix::all_inf(graph.slot_count());
+        // Rows of tombstones stay INF; compose_row handles the rest.
+        for source in graph.nodes() {
+            self.compose_row(source, matrix.row_mut(source));
         }
-        if threads <= 1 {
-            for source in graph.nodes() {
-                // Rows of tombstones stay INF; compose_row handles the rest.
-                let row_start = source.index() * n;
-                let storage = matrix.as_mut_slice();
-                self.compose_row(source, &mut storage[row_start..row_start + n]);
-            }
-            return matrix;
-        }
-        let rows_per_chunk = n.div_ceil(threads).max(1);
-        let storage = matrix.as_mut_slice();
-        pool.scope(|scope| {
-            for (chunk_idx, chunk) in storage.chunks_mut(rows_per_chunk * n).enumerate() {
-                let first_row = chunk_idx * rows_per_chunk;
-                scope.spawn(move || {
-                    for (off, row) in chunk.chunks_mut(n).enumerate() {
-                        let slot = NodeId::from_index(first_row + off);
-                        if graph.contains(slot) {
-                            self.compose_row(slot, row);
-                        }
-                    }
-                });
-            }
-        });
         matrix
-    }
-
-    // ------------------------------------------------------------------
-    // Maintenance under graph updates (graph already mutated by caller)
-    // ------------------------------------------------------------------
-
-    /// Repair after inserting edge `(u, v)`.
-    pub fn note_insert_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) {
-        let pu = self.partition.of(u);
-        let pv = self.partition.of(v);
-        if let (Some(p), true) = (pu, pu == pv) {
-            self.refresh_partition(graph, p);
-            self.rebuild_bridge_graph();
-        } else {
-            // Cross-partition edge: bridge sets changed.
-            self.rebuild_partition_preserving_intra(graph);
-        }
-    }
-
-    /// Repair after deleting edge `(u, v)`.
-    pub fn note_delete_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) {
-        // Identical dichotomy to insertion.
-        self.note_insert_edge(graph, u, v);
-    }
-
-    /// Repair after inserting an (isolated) node.
-    pub fn note_insert_node(&mut self, graph: &DataGraph, id: NodeId) {
-        debug_assert!(graph.contains(id));
-        // Fresh ids are maximal, so the new member lands at the end of its
-        // partition's sorted member list and existing local indices hold;
-        // a full partition rebuild keeps the code path simple, after which
-        // only the touched partition's intra matrix needs growing.
-        let label = graph.label(id).expect("live node");
-        self.partition = Partition::by_label(graph);
-        self.local_idx = compute_local_idx(graph, &self.partition);
-        let p = PartitionId(label.0);
-        let len = self.partition.members(p).len();
-        if p.index() >= self.intra.len() {
-            self.intra
-                .resize_with(p.index() + 1, || DistanceMatrix::all_inf(0));
-            self.bridge_of_part.resize_with(p.index() + 1, Vec::new);
-        }
-        if self.intra[p.index()].n() + 1 == len {
-            // The isolated newcomer sits at the end of the member list:
-            // grow in place (new row/col INF, diagonal 0).
-            self.intra[p.index()].grow(len);
-        } else {
-            self.intra[p.index()] = intra_apsp(graph, &self.partition, &self.local_idx, p);
-        }
-        self.rebuild_bridge_graph();
-    }
-
-    /// Repair after deleting node `id` (edges already detached).
-    pub fn note_delete_node(&mut self, graph: &DataGraph, id: NodeId, former: PartitionId) {
-        debug_assert!(!graph.contains(id));
-        self.partition = Partition::by_label(graph);
-        self.local_idx = compute_local_idx(graph, &self.partition);
-        // Local indices after the removed member shift down: recompute the
-        // partition's intra matrix outright.
-        if former.index() < self.intra.len() {
-            self.intra[former.index()] =
-                intra_apsp(graph, &self.partition, &self.local_idx, former);
-        }
-        self.rebuild_bridge_graph();
-    }
-
-    /// Recompute one partition's intra-APSP (after an in-partition change).
-    fn refresh_partition(&mut self, graph: &DataGraph, p: PartitionId) {
-        self.intra[p.index()] = intra_apsp(graph, &self.partition, &self.local_idx, p);
-    }
-
-    /// Rebuild bridge sets *and* graph (cross-edge set changed), keeping
-    /// intra matrices (edge updates never change membership).
-    fn rebuild_partition_preserving_intra(&mut self, graph: &DataGraph) {
-        self.partition = Partition::by_label(graph);
-        self.local_idx = compute_local_idx(graph, &self.partition);
-        self.rebuild_bridge_graph();
-    }
-
-    fn rebuild_bridge_graph(&mut self) {
-        let (bridges, bridge_of_part, bridge_graph) =
-            build_bridge_graph(&self.partition, &self.local_idx, &self.intra);
-        self.bridges = bridges;
-        self.bridge_of_part = bridge_of_part;
-        self.bridge_graph = bridge_graph;
     }
 }
 
@@ -556,19 +381,10 @@ mod tests {
     #[test]
     fn composed_rows_match_flat_apsp_on_fig1() {
         let f = fig1();
-        let idx = PartitionedIndex::build_serial(&f.graph);
-        let flat = apsp_matrix(&f.graph);
-        let composed = idx.build_matrix_serial(&f.graph);
-        assert_eq!(composed, flat);
-    }
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        let f = fig1();
         let idx = PartitionedIndex::build(&f.graph);
-        let serial = idx.build_matrix_serial(&f.graph);
-        let parallel = idx.build_matrix_with_threads(&f.graph, 4);
-        assert_eq!(serial, parallel);
+        let flat = apsp_matrix(&f.graph);
+        let composed = idx.build_matrix(&f.graph);
+        assert_eq!(composed, flat);
     }
 
     #[test]
@@ -576,7 +392,7 @@ mod tests {
         // Table VIII is P_SE's matrix *after combining with P_PM*: exactly
         // the exact composed distances restricted to SE members.
         let f = fig4();
-        let idx = PartitionedIndex::build_serial(&f.graph);
+        let idx = PartitionedIndex::build(&f.graph);
         let mut row = vec![INF; f.graph.slot_count()];
         for (i, &si) in f.se.iter().enumerate() {
             idx.compose_row(si, &mut row);
@@ -589,7 +405,7 @@ mod tests {
     #[test]
     fn table_ix_golden_via_exact_composition() {
         let f = fig4();
-        let idx = PartitionedIndex::build_serial(&f.graph);
+        let idx = PartitionedIndex::build(&f.graph);
         let mut row = vec![INF; f.graph.slot_count()];
         for (i, &si) in f.se.iter().enumerate() {
             idx.compose_row(si, &mut row);
@@ -638,40 +454,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn maintenance_tracks_edge_updates() {
-        let mut f = fig1();
-        let mut idx = PartitionedIndex::build_serial(&f.graph);
-        // Same-partition edge insert (PM1 -> PM2): refresh partition.
-        f.graph.add_edge(f.pm1, f.pm2).unwrap();
-        idx.note_insert_edge(&f.graph, f.pm1, f.pm2);
-        assert_eq!(idx.build_matrix_serial(&f.graph), apsp_matrix(&f.graph));
-        // Cross-partition edge insert (SE1 -> TE2): bridge rebuild.
-        f.graph.add_edge(f.se1, f.te2).unwrap();
-        idx.note_insert_edge(&f.graph, f.se1, f.te2);
-        assert_eq!(idx.build_matrix_serial(&f.graph), apsp_matrix(&f.graph));
-        // Cross-partition delete.
-        f.graph.remove_edge(f.se1, f.te2).unwrap();
-        idx.note_delete_edge(&f.graph, f.se1, f.te2);
-        assert_eq!(idx.build_matrix_serial(&f.graph), apsp_matrix(&f.graph));
-    }
-
-    #[test]
-    fn maintenance_tracks_node_updates() {
-        let mut f = fig1();
-        let mut idx = PartitionedIndex::build_serial(&f.graph);
-        let se = f.interner.get("SE").unwrap();
-        let new = f.graph.add_node(se);
-        idx.note_insert_node(&f.graph, new);
-        assert_eq!(idx.build_matrix_serial(&f.graph), apsp_matrix(&f.graph));
-        f.graph.add_edge(new, f.te2).unwrap();
-        idx.note_insert_edge(&f.graph, new, f.te2);
-        assert_eq!(idx.build_matrix_serial(&f.graph), apsp_matrix(&f.graph));
-        let former = idx.partition().of(f.se1).unwrap();
-        f.graph.remove_node(f.se1).unwrap();
-        idx.note_delete_node(&f.graph, f.se1, former);
-        assert_eq!(idx.build_matrix_serial(&f.graph), apsp_matrix(&f.graph));
     }
 }

@@ -617,14 +617,10 @@ proptest! {
         let (nodes, labels, edges, mask, depth_sel, ops) = case;
         let (mut graph, label_ids) = build_graph(nodes, labels, &edges);
         let reqs = requirements(&label_ids, mask, depth_sel);
-        let mut backends: Vec<AnyBackend> = [
-            BackendKind::Dense,
-            BackendKind::Partitioned,
-            BackendKind::Sparse,
-        ]
-        .into_iter()
-        .map(|kind| AnyBackend::of_kind(kind, &graph, &reqs))
-        .collect();
+        let mut backends: Vec<AnyBackend> = [BackendKind::Partitioned, BackendKind::Sparse]
+            .into_iter()
+            .map(|kind| AnyBackend::of_kind(kind, &graph, &reqs))
+            .collect();
         backends.push(AnyBackend::Paged(PagedIndex::with_config(
             &graph,
             &reqs,

@@ -3,11 +3,13 @@
 //!
 //! [`GpnmEngine`] is generic over the [`SlenBackend`] maintaining the
 //! distance index — the architectural seam behind backend selection
-//! (`dense` / `partitioned` / `sparse`, see [`crate::BackendKind`]). The
+//! (`partitioned` / `sparse` / `paged`, see [`crate::BackendKind`]). The
 //! default backend is [`PartitionedBackend`], which reproduces the paper's
-//! setup: a dense matrix with the §V partition accelerator behind
-//! `UA-GPNM`. [`gpnm_distance::SparseIndex`] trades exhaustive coverage
-//! for bounded-row storage and is what large-graph runs use.
+//! setup: a dense matrix whose `UA-GPNM` deletion repair recomputes rows
+//! on the worker pool (§V's "processed distributively"), while the
+//! `-NoPar` ablation and the baselines repair serially.
+//! [`gpnm_distance::SparseIndex`] trades exhaustive coverage for
+//! bounded-row storage and is what large-graph runs use.
 
 use std::time::Instant;
 
@@ -55,9 +57,8 @@ pub struct GpnmEngine<B: SlenBackend = PartitionedBackend> {
 }
 
 impl GpnmEngine<PartitionedBackend> {
-    /// Build an engine on the default (paper-faithful) backend: a dense
-    /// matrix constructed eagerly, the §V partition accelerator lazily
-    /// (see [`GpnmEngine::prepare_partition`]).
+    /// Build an engine on the default (paper-faithful) backend: the dense
+    /// matrix with pooled deletion repair.
     pub fn new(graph: DataGraph, pattern: PatternGraph, semantics: MatchSemantics) -> Self {
         Self::with_backend(graph, pattern, semantics)
     }
@@ -161,12 +162,10 @@ impl<B: SlenBackend> GpnmEngine<B> {
         &self.result
     }
 
-    /// Ready the backend's repair accelerator (the §V partitioned index on
-    /// [`PartitionedBackend`]) so a following `UA-GPNM` query doesn't pay
-    /// construction inside its timed path. No-op on backends without one.
-    pub fn prepare_partition(&mut self) {
-        self.index.prepare_accelerator(&self.graph);
-    }
+    /// A no-op: no backend has anything to prepare. It stays because the
+    /// benchmark of record (`gpnm-bench/src/squery.rs`) calls it by name;
+    /// nothing else does.
+    pub fn prepare_partition(&mut self) {}
 
     /// Compute `IQuery` — the batch GPNM of the current graphs.
     pub fn initial_query(&mut self) -> &MatchResult {
@@ -229,7 +228,6 @@ impl<B: SlenBackend> GpnmEngine<B> {
                 self.run_eliminative(batch, ElimScope::Full, RepairHint::Baseline)
             }
             Strategy::UaGpnm => {
-                self.index.prepare_accelerator(&self.graph);
                 self.run_eliminative(batch, ElimScope::Full, RepairHint::Accelerated)
             }
         };

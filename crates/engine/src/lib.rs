@@ -11,15 +11,16 @@
 //! | `IncGpnm` \[13\] | none | none | dense per update | one per update |
 //! | `EhGpnm` \[14\] | data side | Type II only | dense per update | pattern updates + surviving data updates |
 //! | `UaGpnmNoPar` | full | Types I+II+III, EH-Tree | dense per update | surviving updates |
-//! | `UaGpnm` (this paper) | full | Types I+II+III, EH-Tree | partitioned per update | surviving updates |
+//! | `UaGpnm` (this paper) | full | Types I+II+III, EH-Tree | dense per update, deletion rows on the pool | surviving updates |
 //!
 //! Every strategy produces the *same* `SQuery` (asserted by the
 //! cross-method equivalence tests); they differ in how much work they do.
 //!
 //! Orthogonally, the engine is generic over the
 //! [`gpnm_distance::SlenBackend`] that maintains distances (see
-//! [`BackendKind`]): the dense matrix, the dense-plus-§V-partition default,
-//! or the bounded-row sparse index that scales past 100k nodes.
+//! [`BackendKind`]): the dense matrix with pooled deletion repair (the
+//! default), or the bounded-row index that scales past 100k nodes, on the
+//! heap or paged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

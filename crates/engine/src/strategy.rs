@@ -25,11 +25,12 @@ pub enum Strategy {
     /// EH-GPNM \[14\]: single-graph eliminations among *data* updates only;
     /// every pattern update still gets its own pass.
     EhGpnm,
-    /// UA-GPNM without the §V graph partition (ablation in the paper's
-    /// evaluation).
+    /// UA-GPNM without the §V distributed `SLen` repair (ablation in the
+    /// paper's evaluation).
     UaGpnmNoPar,
     /// The paper's full method: all three elimination types, EH-Tree, and
-    /// partitioned `SLen` maintenance.
+    /// `SLen` deletion repair spread over the worker pool
+    /// ([`gpnm_distance::RepairHint::Accelerated`]).
     UaGpnm,
 }
 
@@ -68,11 +69,6 @@ impl Strategy {
             self,
             Strategy::EhGpnm | Strategy::UaGpnmNoPar | Strategy::UaGpnm
         )
-    }
-
-    /// Whether this strategy uses the §V label-based partition.
-    pub fn partitioned(&self) -> bool {
-        matches!(self, Strategy::UaGpnm)
     }
 }
 
@@ -144,8 +140,6 @@ mod tests {
 
     #[test]
     fn capability_flags() {
-        assert!(Strategy::UaGpnm.partitioned());
-        assert!(!Strategy::UaGpnmNoPar.partitioned());
         assert!(Strategy::EhGpnm.eliminates());
         assert!(!Strategy::IncGpnm.eliminates());
         assert_eq!(Strategy::ALL.len(), 5);

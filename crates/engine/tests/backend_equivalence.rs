@@ -1,5 +1,6 @@
 //! Cross-backend equivalence: every `SLen` backend must produce the same
-//! `SQuery` as the default (dense + partition) backend, on every strategy.
+//! `SQuery` as the default (dense, pooled deletion repair) backend, on
+//! every strategy.
 //!
 //! This is the engine-level half of the sparse-backend proof (the
 //! distance-level half — record-for-record delta projection — lives in

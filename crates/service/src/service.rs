@@ -106,7 +106,7 @@ pub struct TickStats {
     /// multiplicity across updates) — how much of the graph the batch
     /// disturbed.
     pub affected_nodes: usize,
-    /// The `SLen` backend that served the tick (`"dense"`, `"sparse"`,
+    /// The `SLen` backend that served the tick (`"partitioned"`, `"sparse"`,
     /// `"paged"`, …). Empty on a default-constructed stats value.
     pub backend_kind: &'static str,
     /// Distance rows the backend held after the tick.
@@ -1015,7 +1015,6 @@ impl<B: SlenBackend> GpnmService<B> {
         // The service always repairs accelerated (the paper's UA-GPNM arm;
         // the `-NoPar` / EH / INC baselines are `GpnmEngine` strategies).
         let hint = RepairHint::Accelerated;
-        self.index.prepare_accelerator(&self.graph);
 
         // The shared single pass: each surviving update mutates the graph
         // and repairs the backend exactly once; every pattern derives its
@@ -1546,7 +1545,7 @@ mod tests {
         let f = fig1();
         // An absurdly small budget refuses even the 8-node dense build.
         let err = GpnmService::builder()
-            .backend(BackendKind::Dense)
+            .backend(BackendKind::Partitioned)
             .max_index_gb(1.0e-9)
             .build(f.graph.clone())
             .expect_err("tiny budget");

@@ -144,9 +144,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> Vec<CellResult> {
                 completed_runs += 1;
                 for (si, &strategy) in config.strategies.iter().enumerate() {
                     let mut engine = base.clone();
-                    if strategy.partitioned() {
-                        engine.prepare_partition();
-                    }
                     let stats = engine
                         .subsequent_query(&batch, strategy)
                         .expect("batch validated");

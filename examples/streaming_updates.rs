@@ -35,7 +35,6 @@ fn main() {
 
     let mut engine = GpnmEngine::new(graph, pattern, MatchSemantics::Simulation);
     engine.initial_query();
-    engine.prepare_partition();
     println!(
         "session start: {} matches across {} pattern nodes",
         engine.result().total_matches(),

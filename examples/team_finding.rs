@@ -68,9 +68,6 @@ fn main() {
     let mut reference: Option<ua_gpnm::matcher::MatchResult> = None;
     for strategy in Strategy::PAPER {
         let mut run = engine.clone();
-        if strategy.partitioned() {
-            run.prepare_partition();
-        }
         let stats = run
             .subsequent_query(&batch, strategy)
             .expect("batch validated");

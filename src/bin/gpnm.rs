@@ -49,8 +49,8 @@
 //! gauges, histograms) in Prometheus text exposition format after the
 //! last tick.
 //!
-//! `--backend {dense,partitioned,sparse,paged}` selects the `SLen`
-//! backend. The dense backends materialize an `n × n` matrix; builds whose
+//! `--backend {partitioned,sparse,paged}` selects the `SLen` backend.
+//! `partitioned` materializes an `n × n` matrix; builds whose
 //! estimated matrix exceeds `--max-index-gb` (default 4 GiB) are refused
 //! with a pointer at `--backend sparse` instead of running into the OOM
 //! killer. `paged` spills the sparse rows to a temp file and keeps a
@@ -346,9 +346,6 @@ fn cmd_bench(path: &str, args: &Args) -> Result<(), String> {
     );
     for strategy in Strategy::PAPER {
         let mut engine = base.clone();
-        if strategy.partitioned() {
-            engine.prepare_partition();
-        }
         let stats = engine
             .subsequent_query(&batch, strategy)
             .map_err(|e| e.to_string())?;
@@ -826,7 +823,7 @@ fn main() -> ExitCode {
         _ => Err(
             "usage: gpnm demo | gpnm match <edge-list> [flags] | gpnm bench <edge-list> [flags] \
              | gpnm smoke [flags] | gpnm replay [flags]\n\
-             flags: --backend dense|partitioned|sparse|paged --max-index-gb G\n\
+             flags: --backend partitioned|sparse|paged --max-index-gb G\n\
              \x20      --cache-budget-mb M (smoke/replay, paged backend)\n\
              \x20      --labels N --pattern-nodes N --updates N --seed S\n\
              \x20      --nodes N --edges M (smoke/replay only)\n\

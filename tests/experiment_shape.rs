@@ -47,9 +47,6 @@ fn elimination_strategies_issue_fewer_repair_calls() {
     let mut results = Vec::new();
     for strategy in Strategy::PAPER {
         let mut engine = base.clone();
-        if strategy.partitioned() {
-            engine.prepare_partition();
-        }
         let stats = engine.subsequent_query(&batch, strategy).expect("valid");
         calls.insert(strategy.name(), stats.repair_calls);
         results.push(engine.result().clone());

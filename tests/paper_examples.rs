@@ -106,7 +106,7 @@ fn tables_v_vi_vii_incremental_slen() {
 #[test]
 fn tables_viii_ix_partitioned_distances() {
     let f = fig4();
-    let idx = PartitionedIndex::build_serial(&f.graph);
+    let idx = PartitionedIndex::build(&f.graph);
     let mut row = vec![INF; f.graph.slot_count()];
     for (i, &si) in f.se.iter().enumerate() {
         idx.compose_row(si, &mut row);

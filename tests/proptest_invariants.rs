@@ -153,8 +153,8 @@ proptest! {
     #[test]
     fn partitioned_apsp_is_exact(spec in graph_spec(24)) {
         let (graph, _) = build_graph(&spec);
-        let idx = PartitionedIndex::build_serial(&graph);
-        prop_assert_eq!(idx.build_matrix_serial(&graph), apsp_matrix(&graph));
+        let idx = PartitionedIndex::build(&graph);
+        prop_assert_eq!(idx.build_matrix(&graph), apsp_matrix(&graph));
     }
 
     /// Triangle inequality holds on every computed matrix.
