@@ -16,11 +16,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-/// Estimated pool overhead per spawned refresh lane, in nanoseconds
-/// (scope setup + task hand-off + join, including waking a parked worker
-/// and the cold caches it starts with: on the reference box a 2-lane
-/// fan-out turns six refreshes that take 90 µs in sequence into a 205 µs
-/// phase, 160 µs over the ideal 45).
+/// Estimated fan-out overhead per refresh lane, in nanoseconds: spawning
+/// and joining one scoped thread (31–35 µs on the 2-core reference box)
+/// plus the cold caches it starts with. Fitted when lanes were
+/// persistent workers (a 2-lane fan-out turned six refreshes that take
+/// 90 µs in sequence into a 205 µs phase, 160 µs over the ideal 45) and
+/// kept so that the tuner's choice on the benchmark's adaptive workload
+/// (one refresh lane) stays put.
 const SPAWN_OVERHEAD_NS: u128 = 80_000;
 
 /// Relative margin the parallel estimate must win by before fanning out

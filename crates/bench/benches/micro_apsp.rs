@@ -84,7 +84,7 @@ fn row_recompute(c: &mut Criterion) {
             })
         });
         group.bench_function(format!("{name}/parallel_bfs_64rows"), |b| {
-            b.iter(|| parallel_bfs_rows(&graph, &sources, 0))
+            b.iter(|| parallel_bfs_rows(&graph, &sources))
         });
     }
     group.finish();

@@ -270,7 +270,8 @@ impl ClusterBuilder {
     /// Per-shard refresh parallelism (see
     /// [`gpnm_service::ServiceBuilder::refresh_threads`]). The two levels
     /// compose: a tick fans out across shards, and each shard fans its
-    /// patterns out across this many further lanes of the same pool.
+    /// patterns out across this many further lanes in a nested
+    /// [`gpnm_pool::WorkerPool::scope`], which opens threads of its own.
     pub fn refresh_threads(mut self, n: usize) -> Self {
         self.refresh_threads = n;
         self
@@ -351,7 +352,7 @@ impl ClusterBuilder {
 /// Where a single [`GpnmService`] pays one shared repair pass over the
 /// *union* of every registered pattern's requirements,
 /// [`GpnmCluster::apply`] validates the batch once and fans it out to all
-/// shards **in parallel** on the shared [`gpnm_pool::WorkerPool`]; each
+/// shards **in parallel** in one [`gpnm_pool::WorkerPool::scope`]; each
 /// shard commits the same batch to its replica and repairs only its own
 /// narrowed index, then refreshes its patterns (themselves parallel when
 /// `refresh_threads > 0`). The speedup composes twice:
@@ -361,7 +362,7 @@ impl ClusterBuilder {
 ///   its own patterns' labels, truncated at its own patterns' max bound —
 ///   one deep or label-hungry pattern no longer taxes every other
 ///   pattern's repair);
-/// * **within a shard** — per-pattern refresh rides the same pool.
+/// * **within a shard** — per-pattern refresh fans out in a nested scope.
 ///
 /// Per-pattern results are bitwise identical to a single service (and to
 /// k independent engines) — asserted by the `cluster_equivalence` proptest
@@ -675,7 +676,7 @@ impl GpnmCluster {
     /// Apply one data-update batch across the whole cluster: validate it
     /// **once** (typed, mutation-free refusal — exactly
     /// [`GpnmService::apply`]'s contract), fan the validated batch out to
-    /// every shard **in parallel** on the shared worker pool, and merge
+    /// every shard **in parallel** in one [`WorkerPool::scope`], and merge
     /// the per-shard [`TickReport`]s into one [`ClusterTickReport`] keyed
     /// by cluster handles.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<ClusterTickReport, ClusterError> {

@@ -14,8 +14,8 @@
 //!   growth a placement would cause) and returns a stable
 //!   [`ClusterHandle`];
 //! * [`GpnmCluster::apply`] validates a data batch **once**, fans it out
-//!   to every shard **in parallel** on the shared
-//!   [`gpnm_pool::WorkerPool`], and merges the per-shard
+//!   to every shard **in parallel** in one
+//!   [`gpnm_pool::WorkerPool::scope`], and merges the per-shard
 //!   [`TickReport`](gpnm_service::TickReport)s into one
 //!   [`ClusterTickReport`] keyed by cluster handles.
 //!

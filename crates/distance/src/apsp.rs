@@ -34,42 +34,29 @@ pub fn bfs_row(csr: &CsrGraph, source: NodeId, row: &mut [u32], queue: &mut Vec<
     }
 }
 
-/// Recompute BFS rows for `sources` in parallel over the persistent
-/// [`gpnm_pool::WorkerPool`] (`threads`: lane cap; `0` = all pool lanes).
-/// Returns `(source, row)` pairs in `sources` order, whatever order the
-/// lanes finish in.
+/// Recompute BFS rows for `sources` in parallel, one contiguous chunk per
+/// lane of [`gpnm_pool::WorkerPool::global`]. Returns `(source, row)` pairs
+/// in `sources` order, whatever order the lanes finish in.
 ///
 /// This is the workhorse of UA-GPNM's deletion repair (§V: "the shortest
 /// path computation will be processed distributively"): deletions
 /// invalidate many rows at once, and the rows are independent. Falls back
-/// to a serial loop for small batches where even pool hand-off would
-/// dominate. Builds a CSR snapshot per call; hot loops that already hold a
-/// cached CSR (the engine's batch repair) should call
-/// [`parallel_bfs_rows_csr`] instead.
-pub fn parallel_bfs_rows(
-    graph: &DataGraph,
-    sources: &[NodeId],
-    threads: usize,
-) -> Vec<(NodeId, Vec<u32>)> {
+/// to a serial loop for small batches, where spawning a scoped thread
+/// would cost more than the rows. Builds a CSR snapshot per call; hot
+/// loops that already hold a cached CSR (the engine's batch repair) should
+/// call [`parallel_bfs_rows_csr`] instead.
+pub fn parallel_bfs_rows(graph: &DataGraph, sources: &[NodeId]) -> Vec<(NodeId, Vec<u32>)> {
     let csr = CsrGraph::from_graph(graph);
-    parallel_bfs_rows_csr(&csr, sources, threads)
+    parallel_bfs_rows_csr(&csr, sources)
 }
 
 /// [`parallel_bfs_rows`] over a caller-provided CSR snapshot — the batch
 /// repair path, where a [`gpnm_graph::CsrSnapshot`] amortizes the CSR build
 /// across the whole update batch.
-pub fn parallel_bfs_rows_csr(
-    csr: &CsrGraph,
-    sources: &[NodeId],
-    threads: usize,
-) -> Vec<(NodeId, Vec<u32>)> {
+pub fn parallel_bfs_rows_csr(csr: &CsrGraph, sources: &[NodeId]) -> Vec<(NodeId, Vec<u32>)> {
     let n = csr.slot_count();
     let pool = gpnm_pool::WorkerPool::global();
-    let lanes = if threads == 0 {
-        pool.lanes()
-    } else {
-        threads.min(pool.lanes())
-    };
+    let lanes = pool.lanes();
     // Each source owns its output slot up front, so a chunk writes rows in
     // place and the result keeps `sources` order without a lock.
     let mut rows: Vec<(NodeId, Vec<u32>)> = sources.iter().map(|&s| (s, Vec::new())).collect();
@@ -168,9 +155,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The worker-pool path computes the rows the serial loop does, in
-        /// the same order. Sixteen sources or more, so the pool path is
-        /// the one that runs wherever the pool has a second lane.
+        /// The pooled path computes the rows a serial `bfs_row` loop does,
+        /// in the same order. Sixteen sources or more, so the pooled path
+        /// is the one that runs wherever the pool has a second lane.
         #[test]
         fn pool_bfs_rows_equal_serial(
             n in 16usize..40,
@@ -185,10 +172,16 @@ mod tests {
                 }
             }
             let csr = CsrGraph::from_graph(&g);
-            proptest::prop_assert_eq!(
-                parallel_bfs_rows_csr(&csr, &ids, 0),
-                parallel_bfs_rows_csr(&csr, &ids, 1)
-            );
+            let mut queue = Vec::new();
+            let serial: Vec<(NodeId, Vec<u32>)> = ids
+                .iter()
+                .map(|&s| {
+                    let mut row = vec![INF; n];
+                    bfs_row(&csr, s, &mut row, &mut queue);
+                    (s, row)
+                })
+                .collect();
+            proptest::prop_assert_eq!(parallel_bfs_rows_csr(&csr, &ids), serial);
         }
     }
 }

@@ -436,7 +436,7 @@ impl SlenBackend for PartitionedBackend {
         let candidates = self.index.delete_candidates(u, v);
         // Bind the rows first: the CSR borrow of the index must end before
         // `apply_row` mutates it.
-        let rows = parallel_bfs_rows_csr(self.index.csr(graph), &candidates, 0);
+        let rows = parallel_bfs_rows_csr(self.index.csr(graph), &candidates);
         let mut delta = AffDelta::new();
         for (x, row) in rows {
             self.index.apply_row(x, &row, &mut delta);
@@ -458,7 +458,7 @@ impl SlenBackend for PartitionedBackend {
             return self.index.commit_delete_node(graph, id);
         }
         let sources = self.index.delete_node_candidates(id);
-        let rows = parallel_bfs_rows_csr(self.index.csr(graph), &sources, 0);
+        let rows = parallel_bfs_rows_csr(self.index.csr(graph), &sources);
         let mut delta = AffDelta::new();
         self.index.clear_slot(id, &mut delta);
         for (x, row) in rows {

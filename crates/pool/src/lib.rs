@@ -1,13 +1,9 @@
-//! A persistent worker pool with a scoped-submit API.
+//! Scoped fan-out over the machine's lanes, on `std::thread::scope`.
 //!
-//! The repair hot paths of UA-GPNM (parallel BFS-row recomputation, the §V
-//! per-partition APSP, row composition) were previously parallelized with
-//! `crossbeam::thread::scope`, which spawns and joins OS threads *per
-//! batch*. Thread spawn costs tens of microseconds; a DER-II batch issues
-//! many small parallel sections, so spawn/join dominated the parallel win
-//! on the paper's update scales (ROADMAP: "evaluate a persistent worker
-//! pool"). This crate keeps one set of workers alive for the process
-//! lifetime and hands out borrowed-data scopes over them:
+//! The repair hot paths of UA-GPNM (the dense backend's deletion rows — §V's
+//! "processed distributively" —, a cluster's shard tick, a service's
+//! per-pattern refresh) hand chunk-sized tasks that borrow from the caller's
+//! stack to one [`WorkerPool::scope`]:
 //!
 //! ```
 //! use gpnm_pool::WorkerPool;
@@ -25,61 +21,60 @@
 //!
 //! Design points:
 //!
-//! * **Persistent workers, scoped borrows.** Tasks may borrow from the
-//!   caller's stack frame: [`WorkerPool::scope`] does not return until every
-//!   task spawned in it has finished, which makes the internal lifetime
-//!   erasure sound (the same argument `std::thread::scope` makes).
-//! * **One FIFO.** Every submission goes to the back of one queue behind
-//!   one pool-wide lock, and workers and waiting callers pop its front.
-//!   Tasks on these paths are chunk-sized (a shard's tick, a pattern's
-//!   refresh, dozens of BFS rows), so queue traffic is far too low for the
-//!   lock to contend. Rejected alternative: per-worker deques with
-//!   round-robin dealing and steal-from-the-longest (PRs 2–24). Under the
-//!   single lock they scheduled as one FIFO anyway, and on the 2-lane
-//!   reference box (one worker plus the caller) there was only one deque.
-//! * **The caller helps.** While waiting for its tasks, the scoping thread
-//!   executes queued tasks itself. A pool with zero workers degenerates to
-//!   serial execution on the caller, nested scopes cannot deadlock the
-//!   pool, and `available_parallelism` minus one workers plus the caller
-//!   saturates the machine without oversubscribing it.
-//! * **Nesting, including from worker context.** A task running *on a pool
-//!   worker* may open its own [`WorkerPool::scope`] on the same pool — the
-//!   shape a sharded tick produces (shard tasks fan out per-pattern refresh
-//!   scopes). This cannot deadlock: a scope's waiter executes queued tasks
-//!   itself before sleeping, so every blocked waiter either drains its own
-//!   pending work or is waiting on a strictly deeper scope, and the
-//!   innermost blocked scope always has its tasks queued where its waiter
-//!   can reach them.
-//! * **Panic propagation.** A panicking task poisons its scope; the scope
-//!   re-panics on the submitting thread after all sibling tasks finish,
-//!   matching the `crossbeam::thread::scope(...).expect(...)` behavior the
-//!   call sites relied on.
+//! * **Collect, then split into at most `lanes()` groups.** [`PoolScope::spawn`]
+//!   only records its task. Once `f` returns, the scope splits the tasks, in
+//!   spawn order, into at most [`WorkerPool::lanes`] contiguous groups: the
+//!   caller runs group 0 and every other group runs on one thread of a
+//!   `std::thread::scope`. A scope therefore never runs more than `lanes()`
+//!   threads, the caller included, however many tasks it was handed, and a
+//!   lone task runs on the caller without spawning anything. Borrowing is
+//!   `std::thread::scope`'s, so the crate has no `unsafe`.
+//! * **A nested scope opens its own threads.** A task may open a scope of
+//!   its own; that scope is bounded by `lanes()` on its own, not out of one
+//!   shared budget, so nesting can oversubscribe the machine. Only a
+//!   cluster whose shards also refresh in parallel (`refresh_threads > 0`)
+//!   nests; the default, and the benchmark's cluster, refresh each shard's
+//!   patterns on one lane.
+//! * **Panic propagation.** A panicking task does not stop its group: every
+//!   task still runs, and the scope re-raises the first panic on the
+//!   scoping thread once all of them have finished.
+//!
+//! **Why scoped threads over a persistent pool:** a pool whose workers
+//! outlive the scope must erase the tasks' borrow lifetimes to queue them.
+//! Until this crate moved to `std::thread::scope`, that took the workspace's
+//! only `unsafe` (a lifetime-erasing `transmute`), a task queue, a scope
+//! latch, a helping-caller argument for why nested scopes cannot deadlock, a
+//! loom model and a Miri CI job. The cost is a thread spawn and join per
+//! scope, 31–35 µs on a 2-core Xeon box: measured on the benchmark of
+//! record (ten pairs), a 2-shard cluster tick reads ≈ 6% slower at the
+//! median (1.13 → 1.19 ms) and a dense-backend subsequent query ≈ 2%
+//! slower (33.8 → 34.6 ms, function-aligned builds), which is acceptable
+//! given that only those two shapes open a scope at all, and both stay
+//! well inside the benchmark's bounds.
+//!
+//! **Why not one thread per task:** the tasks of one scope would then
+//! oversubscribe the machine whenever a caller spawns more tasks than there
+//! are lanes; grouping keeps the old pool's bound without its queue.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use gpnm_sync::atomic::{AtomicBool, Ordering};
-use gpnm_sync::thread::JoinHandle;
-use gpnm_sync::{Arc, Condvar, Mutex};
-use std::collections::VecDeque;
+use std::any::Any;
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-/// A type-erased, lifetime-erased task. Erasure to `'static` is sound
-/// because [`WorkerPool::scope`] joins every task it submitted before the
-/// borrowed environment can go out of scope.
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A task spawned into a scope, boxed until the scope runs it.
+type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 /// Pool telemetry: cumulative scope/task counters and the live
 /// `gpnm_pool_active_tasks` gauge (read against `gpnm_pool_lanes` for
-/// lane occupancy). Compiled out under loom model checking — the metrics
-/// registry lives in process-wide statics, and loom state must not leak
-/// across model iterations.
-#[cfg(not(gpnm_loom))]
+/// lane occupancy).
 mod pool_metrics {
-    use super::{Arc, OnceLock};
+    use super::OnceLock;
+    use gpnm_sync::Arc;
 
     /// Cached handles into the global metrics registry — resolved once so
     /// the per-task cost is a relaxed atomic bump, not a registry lookup.
@@ -124,271 +119,125 @@ mod pool_metrics {
     }
 }
 
-/// No-op stand-in under `--cfg gpnm_loom`; see the real module above.
-#[cfg(gpnm_loom)]
-mod pool_metrics {
-    pub fn scope_opened() {}
-    pub fn task_submitted() {}
-    pub fn task_started() {}
-    pub fn task_finished() {}
-    pub fn pool_sized(_lanes: usize) {}
-}
-
-/// The task queue and shutdown flag shared between the pool handle and
-/// workers.
-struct Shared {
-    state: Mutex<State>,
-    /// Signaled when a task is pushed or shutdown begins.
-    work_available: Condvar,
-}
-
-struct State {
-    /// Queued tasks, oldest first; workers and waiting callers pop the
-    /// front.
-    queue: VecDeque<Task>,
-    shutdown: bool,
-}
-
-/// Completion latch of one [`WorkerPool::scope`] call.
-struct ScopeLatch {
-    /// Tasks submitted and not yet finished.
-    pending: Mutex<usize>,
-    /// Signaled when `pending` reaches zero.
-    done: Condvar,
-    /// Set if any task panicked.
-    panicked: AtomicBool,
-}
-
-impl ScopeLatch {
-    fn new() -> Arc<Self> {
-        Arc::new(ScopeLatch {
-            pending: Mutex::new(0),
-            done: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        })
-    }
-}
-
-/// A persistent pool of worker threads. See the crate docs for the design.
+/// The machine's lane count and the scoped fan-out over it. See the crate
+/// docs for the design.
+#[derive(Debug)]
 pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    threads: usize,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.threads)
-            .finish_non_exhaustive()
-    }
+    lanes: usize,
 }
 
 impl WorkerPool {
-    /// Spawn a pool with `workers` persistent worker threads. `0` is valid:
-    /// tasks then run on the thread that calls [`WorkerPool::scope`].
-    pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_available: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                gpnm_sync::thread::spawn_named(&format!("gpnm-pool-{i}"), move || {
-                    worker_loop(&shared)
-                })
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            workers: handles,
-            threads: workers,
-        }
-    }
-
-    /// The process-wide pool, created on first use with
-    /// `available_parallelism - 1` workers (the scoping caller is the
-    /// remaining lane). All repair paths share it, so parallel sections
-    /// never oversubscribe each other.
+    /// The process-wide pool: `available_parallelism` lanes, the scoping
+    /// caller being one of them.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
             let lanes = std::thread::available_parallelism().map_or(1, usize::from);
-            let pool = WorkerPool::new(lanes.saturating_sub(1));
-            pool_metrics::pool_sized(pool.lanes());
-            pool
+            pool_metrics::pool_sized(lanes);
+            WorkerPool { lanes }
         })
     }
 
-    /// Number of persistent worker threads (the caller lane not included).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Parallel lanes a scope can use: the workers plus the helping caller.
+    /// Threads a scope runs its tasks on at most, the caller included.
     pub fn lanes(&self) -> usize {
-        self.threads + 1
+        self.lanes
     }
 
     /// Run `f` with a scope whose spawned tasks may borrow from the current
-    /// stack frame. Returns once `f` *and every task it spawned* have
-    /// finished; panics if any task panicked.
+    /// stack frame, then run those tasks on at most [`lanes`](Self::lanes)
+    /// threads. Returns once every task has finished; panics if any task
+    /// panicked. If `f` itself panics, no task runs.
     pub fn scope<'env, F, R>(&self, f: F) -> R
     where
         F: for<'scope> FnOnce(&'scope PoolScope<'scope, 'env>) -> R,
     {
         pool_metrics::scope_opened();
         let scope = PoolScope {
-            pool: self,
-            latch: ScopeLatch::new(),
-            _env: PhantomData,
+            tasks: RefCell::new(Vec::new()),
+            _scope: PhantomData,
         };
-        // Even if `f` itself panics, already-spawned tasks still borrow the
-        // environment: the wait below must happen before unwinding past it.
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        self.wait(&scope.latch);
-        match result {
-            Ok(value) => {
-                if scope.latch.panicked.load(Ordering::Acquire) {
-                    panic!("worker pool task panicked");
-                }
-                value
-            }
-            Err(payload) => resume_unwind(payload),
+        let value = f(&scope);
+        let mut first = scope.tasks.into_inner();
+        if first.is_empty() {
+            return value;
         }
-    }
-
-    /// Block until `latch` drains, executing queued tasks while waiting.
-    fn wait(&self, latch: &Arc<ScopeLatch>) {
-        loop {
-            {
-                let pending = latch.pending.lock().expect("latch lock");
-                if *pending == 0 {
-                    return;
-                }
-            }
-            // Help: run any queued task (ours or a sibling scope's — both
-            // make progress). If nothing is queued, our remaining tasks are
-            // running on workers; sleep until one finishes.
-            let task = self
-                .shared
-                .state
-                .lock()
-                .expect("pool lock")
-                .queue
-                .pop_front();
-            match task {
-                Some(task) => task(),
-                None => {
-                    let pending = latch.pending.lock().expect("latch lock");
-                    if *pending > 0 {
-                        drop(latch.done.wait(pending).expect("latch wait"));
-                    }
-                }
-            }
+        // Contiguous groups of `chunk` tasks, split off the back; the
+        // front group stays with the caller.
+        let chunk = first.len().div_ceil(self.lanes);
+        let mut rest = Vec::new();
+        while first.len() > chunk {
+            rest.push(first.split_off(first.len() - chunk));
         }
-    }
-
-    /// Queue an erased task and wake a worker.
-    fn push(&self, task: Task) {
-        self.shared
-            .state
-            .lock()
-            .expect("pool lock")
-            .queue
-            .push_back(task);
-        self.shared.work_available.notify_one();
+        let panic = std::thread::scope(|s| {
+            let handles: Vec<_> = rest
+                .into_iter()
+                .map(|group| s.spawn(move || run_group(group)))
+                .collect();
+            let mut panic = run_group(first);
+            for handle in handles {
+                let group_panic = handle.join().expect("run_group catches task panics");
+                panic = panic.or(group_panic);
+            }
+            panic
+        });
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        value
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.state.lock().expect("pool lock").shutdown = true;
-        self.shared.work_available.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+/// Run every task of `group` in order, even past a panicking one; return
+/// the first panic's payload.
+fn run_group(group: Vec<Task<'_>>) -> Option<Box<dyn Any + Send>> {
+    let mut first = None;
+    for task in group {
+        pool_metrics::task_started();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
+            first.get_or_insert(payload);
         }
+        pool_metrics::task_finished();
     }
+    first
 }
 
-fn worker_loop(shared: &Shared) {
-    let mut state = shared.state.lock().expect("pool lock");
-    loop {
-        if let Some(task) = state.queue.pop_front() {
-            drop(state);
-            task(); // panics are caught inside the task wrapper
-            state = shared.state.lock().expect("pool lock");
-            continue;
-        }
-        if state.shutdown {
-            return;
-        }
-        state = shared.work_available.wait(state).expect("pool wait");
-    }
-}
-
-/// Handle for submitting borrowed-data tasks; see [`WorkerPool::scope`].
-pub struct PoolScope<'pool, 'env> {
-    pool: &'pool WorkerPool,
-    latch: Arc<ScopeLatch>,
-    /// Invariant over `'env`, like `std::thread::Scope`.
-    _env: PhantomData<&'env mut &'env ()>,
+/// Handle for spawning borrowed-data tasks; see [`WorkerPool::scope`].
+pub struct PoolScope<'scope, 'env> {
+    tasks: RefCell<Vec<Task<'env>>>,
+    _scope: PhantomData<&'scope ()>,
 }
 
 impl<'env> PoolScope<'_, 'env> {
-    /// Queue `f` on the pool. It starts as soon as a worker (or the waiting
-    /// caller) is free and is guaranteed finished when the enclosing
-    /// [`WorkerPool::scope`] returns.
+    /// Add `f` to the scope. It runs, on the caller or on one of the
+    /// scope's threads, after the closure passed to [`WorkerPool::scope`]
+    /// returns, and is finished when that call returns.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'env,
     {
-        *self.latch.pending.lock().expect("latch lock") += 1;
         pool_metrics::task_submitted();
-        let latch = Arc::clone(&self.latch);
-        let wrapper: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            pool_metrics::task_started();
-            if catch_unwind(AssertUnwindSafe(f)).is_err() {
-                latch.panicked.store(true, Ordering::Release);
-            }
-            pool_metrics::task_finished();
-            let mut pending = latch.pending.lock().expect("latch lock");
-            *pending -= 1;
-            if *pending == 0 {
-                latch.done.notify_all();
-            }
-        });
-        // SAFETY: the enclosing `WorkerPool::scope` call blocks until this
-        // task has run to completion (the latch above), so every borrow of
-        // `'env` inside `wrapper` is live for as long as the task can
-        // observe it. This is the lifetime argument of `std::thread::scope`,
-        // applied to pooled threads instead of freshly spawned ones.
-        let task: Task = unsafe { std::mem::transmute(wrapper) };
-        self.pool.push(task);
+        self.tasks.borrow_mut().push(Box::new(f));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpnm_sync::atomic::AtomicUsize;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn scope_joins_all_tasks_and_allows_borrows() {
-        let pool = WorkerPool::new(3);
         let data: Vec<u64> = (0..1000).collect();
         let total = AtomicUsize::new(0);
-        pool.scope(|scope| {
+        WorkerPool::global().scope(|scope| {
             for chunk in data.chunks(100) {
                 let total = &total;
                 scope.spawn(move || {
                     let s: u64 = chunk.iter().sum();
-                    // RELAXED: scope() latch orders this against the final
-                    // read; the counter needs atomicity only.
+                    // RELAXED: the scope's join orders this against the
+                    // final read; the counter needs atomicity only.
                     total.fetch_add(s as usize, Ordering::Relaxed);
                 });
             }
@@ -397,13 +246,32 @@ mod tests {
     }
 
     #[test]
-    fn zero_worker_pool_runs_on_caller() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.threads(), 0);
-        assert_eq!(pool.lanes(), 1);
+    fn scope_runs_on_at_most_lanes_threads() {
+        let lanes = WorkerPool::global().lanes();
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(HashSet::new());
+        WorkerPool::global().scope(|scope| {
+            for _ in 0..3 * lanes {
+                let ran_on = &ran_on;
+                scope.spawn(move || {
+                    ran_on.lock().unwrap().insert(std::thread::current().id());
+                });
+            }
+        });
+        let ran_on = ran_on.into_inner().unwrap();
+        assert!(
+            ran_on.len() <= lanes,
+            "{} threads for {lanes} lanes",
+            ran_on.len()
+        );
+        assert!(ran_on.contains(&caller), "the caller runs a group");
+    }
+
+    #[test]
+    fn a_lone_task_runs_on_the_caller() {
         let caller = std::thread::current().id();
         let ran_on = Mutex::new(None);
-        pool.scope(|scope| {
+        WorkerPool::global().scope(|scope| {
             let ran_on = &ran_on;
             scope.spawn(move || *ran_on.lock().unwrap() = Some(std::thread::current().id()));
         });
@@ -411,27 +279,26 @@ mod tests {
     }
 
     #[test]
-    fn sequential_scopes_reuse_workers() {
-        let pool = WorkerPool::new(2);
+    fn sequential_scopes_each_join_their_tasks() {
         let counter = AtomicUsize::new(0);
-        for _ in 0..50 {
-            pool.scope(|scope| {
+        for round in 1..=50 {
+            WorkerPool::global().scope(|scope| {
                 for _ in 0..4 {
                     let counter = &counter;
                     scope.spawn(move || {
-                        // RELAXED: scope() latch synchronizes; atomicity only.
+                        // RELAXED: the scope's join synchronizes; atomicity only.
                         counter.fetch_add(1, Ordering::Relaxed);
                     });
                 }
             });
+            // RELAXED: read after the scope joined.
+            assert_eq!(counter.load(Ordering::Relaxed), 4 * round);
         }
-        assert_eq!(counter.into_inner(), 200);
     }
 
     #[test]
     fn scope_returns_closure_value() {
-        let pool = WorkerPool::new(1);
-        let out = pool.scope(|scope| {
+        let out = WorkerPool::global().scope(|scope| {
             scope.spawn(|| {});
             42
         });
@@ -440,30 +307,28 @@ mod tests {
 
     #[test]
     fn task_panic_propagates_after_siblings_finish() {
-        let pool = WorkerPool::new(2);
-        let finished = Arc::new(AtomicUsize::new(0));
-        let finished2 = Arc::clone(&finished);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|scope| {
-                let finished = &finished2;
+        let finished = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            WorkerPool::global().scope(|scope| {
+                let finished = &finished;
                 scope.spawn(|| panic!("boom"));
                 for _ in 0..8 {
                     scope.spawn(move || {
-                        // RELAXED: scope() latch synchronizes; atomicity only.
+                        // RELAXED: the scope's join synchronizes; atomicity only.
                         finished.fetch_add(1, Ordering::Relaxed);
                     });
                 }
             });
         }));
-        assert!(result.is_err(), "scope must re-panic");
-        // RELAXED: read after the scope's latch synchronized.
-        assert_eq!(finished.load(Ordering::Relaxed), 8, "siblings all ran");
+        let payload = result.expect_err("scope must re-panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        assert_eq!(finished.into_inner(), 8, "siblings all ran");
         // The pool survives a panicked scope.
         let ok = AtomicUsize::new(0);
-        pool.scope(|scope| {
+        WorkerPool::global().scope(|scope| {
             let ok = &ok;
             scope.spawn(move || {
-                // RELAXED: scope() latch synchronizes; atomicity only.
+                // RELAXED: the scope's join synchronizes; atomicity only.
                 ok.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -472,18 +337,16 @@ mod tests {
 
     #[test]
     fn concurrent_scopes_from_many_threads() {
-        let pool = WorkerPool::new(2);
         let grand_total = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let pool = &pool;
                 let grand_total = &grand_total;
                 s.spawn(move || {
                     for _ in 0..10 {
-                        pool.scope(|scope| {
+                        WorkerPool::global().scope(|scope| {
                             for _ in 0..3 {
                                 scope.spawn(move || {
-                                    // RELAXED: scope() latch synchronizes.
+                                    // RELAXED: the scope's join synchronizes.
                                     grand_total.fetch_add(1, Ordering::Relaxed);
                                 });
                             }
@@ -497,22 +360,17 @@ mod tests {
 
     #[test]
     fn nested_scope_from_worker_context_completes() {
-        // The sharded-tick shape: an outer scope's tasks run on pool
-        // workers and each opens an inner scope on the *same* pool. With
-        // more outer tasks than lanes, some inner scopes necessarily run
-        // from worker context while every worker is busy — progress then
-        // depends on waiters helping, which is what this test pins down.
-        let pool = WorkerPool::new(2);
+        // An outer scope's tasks, some on the outer scope's threads, each
+        // open an inner scope with threads of its own.
         let total = AtomicUsize::new(0);
-        pool.scope(|outer| {
+        WorkerPool::global().scope(|outer| {
             for _ in 0..8 {
                 let total = &total;
-                let pool = &pool;
                 outer.spawn(move || {
-                    pool.scope(|inner| {
+                    WorkerPool::global().scope(|inner| {
                         for _ in 0..4 {
                             inner.spawn(move || {
-                                // RELAXED: scope() latch synchronizes.
+                                // RELAXED: the scope's join synchronizes.
                                 total.fetch_add(1, Ordering::Relaxed);
                             });
                         }
@@ -522,27 +380,24 @@ mod tests {
         });
         assert_eq!(total.into_inner(), 32);
 
-        // Three levels deep, zero workers: everything degenerates to the
-        // caller without hanging.
-        let pool = WorkerPool::new(0);
-        let hits = AtomicUsize::new(0);
-        pool.scope(|a| {
-            let hits = &hits;
-            let pool = &pool;
+        // Three levels deep, one task each: everything stays on the caller.
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(None);
+        WorkerPool::global().scope(|a| {
+            let ran_on = &ran_on;
             a.spawn(move || {
-                pool.scope(|b| {
+                WorkerPool::global().scope(|b| {
                     b.spawn(move || {
-                        pool.scope(|c| {
+                        WorkerPool::global().scope(|c| {
                             c.spawn(move || {
-                                // RELAXED: scope() latch synchronizes.
-                                hits.fetch_add(1, Ordering::Relaxed);
+                                *ran_on.lock().unwrap() = Some(std::thread::current().id());
                             });
                         });
                     });
                 });
             });
         });
-        assert_eq!(hits.into_inner(), 1);
+        assert_eq!(ran_on.into_inner().unwrap(), Some(caller));
     }
 
     #[test]
@@ -556,7 +411,7 @@ mod tests {
             for _ in 0..16 {
                 let hits = &hits;
                 scope.spawn(move || {
-                    // RELAXED: scope() latch synchronizes; atomicity only.
+                    // RELAXED: the scope's join synchronizes; atomicity only.
                     hits.fetch_add(1, Ordering::Relaxed);
                 });
             }

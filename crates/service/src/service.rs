@@ -88,7 +88,7 @@ pub struct TickStats {
     pub per_pattern_refresh_ns: Vec<(PatternHandle, u128)>,
     /// Parallel lanes the refresh phase ran on (1 = sequential baseline).
     pub refresh_lanes: usize,
-    /// Lanes the shared worker pool offers this host — pool utilization
+    /// Lanes a pool scope may use on this host — pool utilization
     /// of the refresh phase is `refresh_lanes / pool_lanes`.
     pub pool_lanes: usize,
     /// Refresh strategy each pattern ran this tick (display names, in
@@ -464,9 +464,10 @@ impl ServiceBuilder {
     /// Parallel lanes for the per-pattern refresh phase (default `0` =
     /// the sequential baseline, kept for ablations). After the shared
     /// commit pass the graph and index are read-only, so each registered
-    /// pattern's refresh is independent; `n > 0` fans them out over up to
-    /// `n` lanes of the shared [`gpnm_pool::WorkerPool`]. Results are
-    /// bitwise identical either way — the knob trades wall time only.
+    /// pattern's refresh is independent; `n > 0` fans them out as up to
+    /// `n` tasks of one [`gpnm_pool::WorkerPool::scope`], which runs them
+    /// on at most its `lanes()` threads. Results are bitwise identical
+    /// either way — the knob trades wall time only.
     pub fn refresh_threads(mut self, n: usize) -> Self {
         self.refresh_threads = n;
         self
@@ -1300,8 +1301,8 @@ struct RefreshOutcome {
 }
 
 /// Refresh every session against the post-commit graph/index, sequentially
-/// (`refresh_threads == 0`) or fanned out in contiguous chunks across the
-/// shared worker pool. The two paths run the same per-session code on the
+/// (`refresh_threads == 0`) or fanned out in contiguous chunks in one
+/// [`WorkerPool::scope`]. The two paths run the same per-session code on the
 /// same inputs, so their outputs are bitwise identical — asserted by the
 /// cluster equivalence proptests.
 fn refresh_sessions<B: SlenBackend>(

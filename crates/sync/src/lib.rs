@@ -1,20 +1,19 @@
 //! Synchronization facade for the concurrency-bearing gpnm crates.
 //!
-//! The modelled code (`gpnm-pool`'s task queue and scope latch, the
-//! `ReadFront` views and subscriptions in `gpnm-service`) and the pager's
-//! and telemetry's counters import every atomic, lock, condvar and thread
-//! spawn through this crate instead of `std` directly. Normally that is a
-//! zero-cost re-export of `std::sync`; compiled with `--cfg gpnm_loom` it
-//! re-exports the `shims/loom` model checker instead, so `loom_*`
-//! integration tests can explore the bounded interleavings of those
-//! protocols exhaustively (see `shims/loom` for the scheduler and its
-//! `LOOM_MAX_PREEMPTIONS` / `LOOM_MAX_BRANCHES` / `LOOM_MAX_ITERATIONS`
-//! exploration knobs).
+//! The modelled code (the `ReadFront` views and subscriptions in
+//! `gpnm-service`) and the pager's and telemetry's counters import every
+//! atomic, lock, condvar and thread spawn through this crate instead of
+//! `std` directly. Normally that is a zero-cost re-export of `std::sync`;
+//! compiled with `--cfg gpnm_loom` it re-exports the `shims/loom` model
+//! checker instead, so `loom_*` integration tests can explore the bounded
+//! interleavings of those protocols exhaustively (see `shims/loom` for the
+//! scheduler and its `LOOM_MAX_PREEMPTIONS` / `LOOM_MAX_BRANCHES` /
+//! `LOOM_MAX_ITERATIONS` exploration knobs).
 //!
 //! The facade carries only what the workspace uses: both modes must
 //! provide every item, so each unused re-export is shim code kept alive
 //! for nothing. The workspace lint (`cargo run -p gpnm-xtask -- lint`)
-//! enforces that the three facade files use it rather than
+//! enforces that the two facade files use it rather than
 //! `std::sync::atomic`.
 
 #![warn(missing_docs)]
@@ -30,10 +29,10 @@ pub use loom::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 /// Atomic types and memory orderings (std or loom, by configuration).
 pub mod atomic {
     #[cfg(not(gpnm_loom))]
-    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicU64, Ordering};
 
     #[cfg(gpnm_loom)]
-    pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    pub use loom::sync::atomic::{AtomicU64, Ordering};
 }
 
 /// Thread spawning (std or loom, by configuration).
@@ -51,20 +50,6 @@ pub mod thread {
         std::thread::spawn(f)
     }
 
-    /// Spawn a thread with an OS-visible name. Panics if the OS refuses to
-    /// spawn (matching the previous `Builder::spawn().expect(..)` call sites).
-    #[cfg(not(gpnm_loom))]
-    pub fn spawn_named<F, T>(name: &str, f: F) -> JoinHandle<T>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(f)
-            .expect("failed to spawn thread")
-    }
-
     #[cfg(gpnm_loom)]
-    pub use loom::thread::{spawn, spawn_named, JoinHandle};
+    pub use loom::thread::{spawn, JoinHandle};
 }

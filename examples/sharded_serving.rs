@@ -4,8 +4,8 @@
 //! The distribution shape of the ROADMAP's serving north star: k shards,
 //! each a full `GpnmService` over its own graph replica with a sparse
 //! index narrowed to only *that shard's* patterns' requirements. A batch
-//! is validated once and fanned out to all shards in parallel on the
-//! shared worker pool; per-pattern results stay bitwise identical to a
+//! is validated once and fanned out to all shards in parallel in one
+//! pool scope; per-pattern results stay bitwise identical to a
 //! single service (verified every tick here), but one deep or
 //! label-hungry pattern no longer taxes every other pattern's repair.
 //!

@@ -17,7 +17,7 @@
 //! is modelled, because no shipped code uses one.
 //!
 //! - [`model`] / [`model_with`] — run a closure under every explored schedule.
-//! - [`sync::atomic`]: `AtomicBool`, `AtomicUsize`, `AtomicU64`, plus
+//! - [`sync::atomic`]: `AtomicUsize`, `AtomicU64`, plus
 //!   `Ordering`. Atomics wrap their `std` counterparts, so there is no
 //!   `unsafe` here; the shim explores *interleavings* under sequential
 //!   consistency and does not model C11 weak-memory reorderings (real loom
@@ -25,7 +25,7 @@
 //! - [`sync`]: `Arc` (a plain re-export of `std::sync::Arc`), plus
 //!   scheduler-aware `Mutex`, `RwLock`, and `Condvar` with `std`-shaped
 //!   poisoning signatures (the shim never actually poisons).
-//! - [`thread`]: `spawn`, `spawn_named`, `JoinHandle`.
+//! - [`thread`]: `spawn`, `JoinHandle`.
 //!
 //! All types are *dual mode*: outside [`model`] they delegate directly to
 //! `std` with no scheduling, so a crate compiled with `--cfg gpnm_loom` still

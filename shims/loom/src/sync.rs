@@ -95,7 +95,6 @@ pub mod atomic {
         };
     }
 
-    atomic_common!(AtomicBool, std::sync::atomic::AtomicBool, bool);
     atomic_common!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
     atomic_common!(AtomicU64, std::sync::atomic::AtomicU64, u64);
     atomic_int_ops!(AtomicUsize, usize);

@@ -48,7 +48,7 @@ where
 }
 
 /// [`spawn`] with an OS thread name (the name plays no role in scheduling).
-pub fn spawn_named<F, T>(name: &str, f: F) -> JoinHandle<T>
+fn spawn_named<F, T>(name: &str, f: F) -> JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
