@@ -2,15 +2,15 @@
 //!
 //! * dense per-source BFS (the baseline everyone maintains) vs the §V
 //!   partitioned build composed through the bridge graph,
-//! * single-row recomputation: flat BFS, pooled BFS and bridge-graph
-//!   composition, on a high-locality graph (composition's favorable
-//!   regime) and on the bridge-dense email shape (its unfavorable regime).
+//! * single-row recomputation: flat BFS and bridge-graph composition, on a
+//!   high-locality graph (composition's favorable regime) and on the
+//!   bridge-dense email shape (its unfavorable regime).
 //!   Composition against BFS on the `local` graph is the record of the
 //!   deletion-repair arm `PartitionedBackend` no longer has: no graph in
 //!   play is bridge-sparse enough to select it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpnm_distance::{apsp_matrix, bfs_row, parallel_bfs_rows, PartitionedIndex, INF};
+use gpnm_distance::{apsp_matrix, bfs_row, PartitionedIndex, INF};
 use gpnm_graph::{CsrGraph, NodeId};
 use gpnm_workload::{generate_social_graph, SocialGraphConfig};
 
@@ -82,9 +82,6 @@ fn row_recompute(c: &mut Criterion) {
                     idx.compose_row(s, &mut row);
                 }
             })
-        });
-        group.bench_function(format!("{name}/parallel_bfs_64rows"), |b| {
-            b.iter(|| parallel_bfs_rows(&graph, &sources))
         });
     }
     group.finish();

@@ -27,7 +27,7 @@ use crate::sparse::SparseIndex;
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum AnyBackend {
-    /// Dense matrix with pooled deletion repair ([`PartitionedBackend`]).
+    /// Dense matrix ([`PartitionedBackend`]).
     Partitioned(PartitionedBackend),
     /// Bounded-row sparse index ([`SparseIndex`]).
     Sparse(SparseIndex),

@@ -12,8 +12,8 @@ use crate::INF;
 /// Compute one BFS row: shortest path lengths from `source` to every slot,
 /// written into `row` (length = slot count). Unreachable slots get [`INF`].
 ///
-/// `queue` is caller-provided scratch so hot loops (delete repair recomputes
-/// many rows) don't reallocate per call.
+/// `queue` is caller-provided scratch so hot loops (a build runs one row
+/// per source) don't reallocate per call.
 pub fn bfs_row(csr: &CsrGraph, source: NodeId, row: &mut [u32], queue: &mut Vec<NodeId>) {
     debug_assert_eq!(row.len(), csr.slot_count());
     row.fill(INF);
@@ -32,53 +32,6 @@ pub fn bfs_row(csr: &CsrGraph, source: NodeId, row: &mut [u32], queue: &mut Vec<
             }
         }
     }
-}
-
-/// Recompute BFS rows for `sources` in parallel, one contiguous chunk per
-/// lane of [`gpnm_pool::WorkerPool::global`]. Returns `(source, row)` pairs
-/// in `sources` order, whatever order the lanes finish in.
-///
-/// This is the workhorse of UA-GPNM's deletion repair (§V: "the shortest
-/// path computation will be processed distributively"): deletions
-/// invalidate many rows at once, and the rows are independent. Falls back
-/// to a serial loop for small batches, where spawning a scoped thread
-/// would cost more than the rows. Builds a CSR snapshot per call; hot
-/// loops that already hold a cached CSR (the engine's batch repair) should
-/// call [`parallel_bfs_rows_csr`] instead.
-pub fn parallel_bfs_rows(graph: &DataGraph, sources: &[NodeId]) -> Vec<(NodeId, Vec<u32>)> {
-    let csr = CsrGraph::from_graph(graph);
-    parallel_bfs_rows_csr(&csr, sources)
-}
-
-/// [`parallel_bfs_rows`] over a caller-provided CSR snapshot — the batch
-/// repair path, where a [`gpnm_graph::CsrSnapshot`] amortizes the CSR build
-/// across the whole update batch.
-pub fn parallel_bfs_rows_csr(csr: &CsrGraph, sources: &[NodeId]) -> Vec<(NodeId, Vec<u32>)> {
-    let n = csr.slot_count();
-    let pool = gpnm_pool::WorkerPool::global();
-    let lanes = pool.lanes();
-    // Each source owns its output slot up front, so a chunk writes rows in
-    // place and the result keeps `sources` order without a lock.
-    let mut rows: Vec<(NodeId, Vec<u32>)> = sources.iter().map(|&s| (s, Vec::new())).collect();
-    let fill = |slots: &mut [(NodeId, Vec<u32>)]| {
-        let mut queue = Vec::with_capacity(n);
-        for (s, row) in slots {
-            *row = vec![INF; n];
-            bfs_row(csr, *s, row, &mut queue);
-        }
-    };
-    if lanes <= 1 || sources.len() < 16 {
-        fill(&mut rows);
-        return rows;
-    }
-    let chunk = sources.len().div_ceil(lanes);
-    pool.scope(|scope| {
-        for slots in rows.chunks_mut(chunk) {
-            let fill = &fill;
-            scope.spawn(move || fill(slots));
-        }
-    });
-    rows
 }
 
 /// Build the full `SLen` matrix of `graph` by BFS from every live node.
@@ -152,36 +105,5 @@ mod tests {
         assert_eq!(m.get(names["b"], names["b"]), INF, "tombstone diagonal");
         assert_eq!(m.get(names["a"], names["b"]), INF);
         assert_eq!(m.get(names["a"], names["a"]), 0);
-    }
-
-    proptest::proptest! {
-        /// The pooled path computes the rows a serial `bfs_row` loop does,
-        /// in the same order. Sixteen sources or more, so the pooled path
-        /// is the one that runs wherever the pool has a second lane.
-        #[test]
-        fn pool_bfs_rows_equal_serial(
-            n in 16usize..40,
-            edges in proptest::collection::vec((0usize..40, 0usize..40), 0..120),
-        ) {
-            let mut g = DataGraph::new();
-            let label = gpnm_graph::Label::from_index(0);
-            let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(label)).collect();
-            for (a, b) in edges {
-                if a % n != b % n {
-                    let _ = g.add_edge(ids[a % n], ids[b % n]);
-                }
-            }
-            let csr = CsrGraph::from_graph(&g);
-            let mut queue = Vec::new();
-            let serial: Vec<(NodeId, Vec<u32>)> = ids
-                .iter()
-                .map(|&s| {
-                    let mut row = vec![INF; n];
-                    bfs_row(&csr, s, &mut row, &mut queue);
-                    (s, row)
-                })
-                .collect();
-            proptest::prop_assert_eq!(parallel_bfs_rows_csr(&csr, &ids), serial);
-        }
     }
 }

@@ -8,13 +8,14 @@
 //! (DER-II's `Aff_N`). Three implementations ship:
 //!
 //! * [`crate::IncrementalIndex`] — the dense `n × n` matrix of §IV with
-//!   delta-proportional repair. Exact for every pair; `O(n²)` memory, so it
-//!   stops fitting around ~50k nodes (40 GB at 100k). Not a runtime kind:
-//!   it is the serial reference the tests compare the others against.
-//! * [`PartitionedBackend`] — the same matrix with the paper's distributed
-//!   deletion repair: an accelerated edge or node delete recomputes its
-//!   candidate rows by BFS spread over the worker pool. The runtime
-//!   `partitioned` kind, and the one the paper-scale experiments use.
+//!   delta-proportional repair: inserts touch affected sources × finite
+//!   targets, deletes re-settle only the entries they change. Exact for
+//!   every pair; `O(n²)` memory, so it stops fitting around ~50k nodes
+//!   (42 GB at 100k, growth headroom included). Not a runtime kind: the
+//!   tests' reference.
+//! * [`PartitionedBackend`] — the same matrix as the runtime `partitioned`
+//!   kind, the one the paper-scale experiments use. It commits exactly as
+//!   [`crate::IncrementalIndex`] does, for every [`RepairHint`].
 //! * [`crate::SparseIndex`] — bounded rows for *candidate* sources only
 //!   (nodes whose label occurs in the pattern), truncated at the pattern's
 //!   maximum finite bound. Memory proportional to candidate rows × nodes
@@ -33,7 +34,6 @@
 use gpnm_graph::{Bound, DataGraph, Label, NodeId, PatternGraph};
 
 use crate::aff::AffDelta;
-use crate::apsp::parallel_bfs_rows_csr;
 use crate::incremental::IncrementalIndex;
 use crate::matrix::DistanceMatrix;
 use crate::oracle::DistanceOracle;
@@ -196,20 +196,26 @@ impl IoStats {
     }
 }
 
-/// How a strategy wants deletion rows recomputed.
+/// How a strategy asked for deletion rows to be repaired. No backend
+/// selects anything by it any more.
 ///
 /// The paper's evaluation separates UA-GPNM (distributed `SLen`
 /// maintenance, §V) from its `-NoPar` ablation and the EH/INC baselines,
-/// which repair serially. The engine passes the strategy's choice down so
-/// one backend can serve both sides of that comparison.
+/// which repair serially, and the engine still passes each strategy's
+/// choice down. [`PartitionedBackend`] used to recompute an
+/// [`RepairHint::Accelerated`] delete's rows by BFS on the worker pool.
+/// Every dense delete now re-settles only the entries it changes, at
+/// ≈0.4 µs a re-settled row (a node delete on the email-EU-core stand-in)
+/// against 31–44 µs for one scoped thread spawn, so there is nothing left
+/// worth fanning out. The
+/// hint stays in [`SlenBackend`]'s commit signatures only because the
+/// benchmark of record (`gpnm-bench/src/staged.rs`) passes it by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairHint {
     /// Serial reference repair (INC/EH/NoPar baselines).
     Baseline,
-    /// Recompute deletion rows on the worker pool ([`PartitionedBackend`]).
-    /// Backends without a pooled path treat this as
-    /// [`RepairHint::Baseline`]. Both hints give the same delta, record for
-    /// record and in the same order.
+    /// The paper's distributed repair (UA-GPNM). Repairs exactly as
+    /// [`RepairHint::Baseline`] does, in every backend.
     Accelerated,
 }
 
@@ -226,10 +232,11 @@ pub enum RepairHint {
 ///
 /// Backends are `Send + Sync`: after a batch's commit pass the index is
 /// consulted read-only by per-pattern refresh work (one merged repair
-/// pass or a re-match per pattern) fanned out across the `gpnm-pool`
-/// workers (and whole backends move between threads when a
-/// cluster fans a tick out across shards), so thread-safe sharing is part
-/// of the contract, not an implementation detail.
+/// pass or a re-match per pattern), which a service may fan out over the
+/// `gpnm-pool` lanes, and whole backends move between threads when a
+/// cluster fans a tick out across shards. Thread-safe sharing is part of
+/// the contract, not an implementation detail. No commit runs on more than
+/// one thread.
 pub trait SlenBackend: DistanceOracle + Send + Sync {
     /// Short backend name for CLIs and reports (`"partitioned"`,
     /// `"sparse"`, …).
@@ -365,18 +372,17 @@ impl SlenBackend for IncrementalIndex {
 }
 
 // ======================================================================
-// Partitioned backend: dense matrix + pooled deletion repair.
+// Partitioned backend: the runtime kind of the dense matrix.
 // ======================================================================
 
-/// The dense incremental matrix with the paper's distributed deletion
-/// repair (§V: "the shortest path computation will be processed
-/// distributively").
+/// The dense incremental matrix as a runtime backend: the `partitioned`
+/// kind, and the one the paper-scale experiments use.
 ///
-/// A [`RepairHint::Accelerated`] edge or node delete recomputes its
-/// candidate rows with [`parallel_bfs_rows_csr`] over the worker pool.
-/// Every other commit, and every [`RepairHint::Baseline`] commit, is the
-/// plain [`IncrementalIndex`]'s own. Both paths record the same delta in
-/// the same order.
+/// Every commit is the plain [`IncrementalIndex`]'s own, whatever the
+/// [`RepairHint`]: a delete re-settles only the entries it changes, which
+/// costs less than handing rows to another thread would (see
+/// [`RepairHint`]). The name is the paper's §V; the crate docs' "Choosing
+/// a backend" has why neither the partition nor the pool is left in it.
 #[derive(Debug, Clone)]
 pub struct PartitionedBackend {
     index: IncrementalIndex,
@@ -426,22 +432,9 @@ impl SlenBackend for PartitionedBackend {
         graph: &DataGraph,
         u: NodeId,
         v: NodeId,
-        hint: RepairHint,
+        _hint: RepairHint,
     ) -> AffDelta {
-        if hint == RepairHint::Baseline {
-            return self.index.commit_delete_edge(graph, u, v);
-        }
-        // Candidates come from the (not yet repaired) matrix, so computing
-        // them after the graph mutation is sound.
-        let candidates = self.index.delete_candidates(u, v);
-        // Bind the rows first: the CSR borrow of the index must end before
-        // `apply_row` mutates it.
-        let rows = parallel_bfs_rows_csr(self.index.csr(graph), &candidates);
-        let mut delta = AffDelta::new();
-        for (x, row) in rows {
-            self.index.apply_row(x, &row, &mut delta);
-        }
-        delta
+        self.index.commit_delete_edge(graph, u, v)
     }
 
     fn commit_insert_node(
@@ -453,18 +446,8 @@ impl SlenBackend for PartitionedBackend {
         self.index.commit_insert_node(graph.slot_count())
     }
 
-    fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, hint: RepairHint) -> AffDelta {
-        if hint == RepairHint::Baseline {
-            return self.index.commit_delete_node(graph, id);
-        }
-        let sources = self.index.delete_node_candidates(id);
-        let rows = parallel_bfs_rows_csr(self.index.csr(graph), &sources);
-        let mut delta = AffDelta::new();
-        self.index.clear_slot(id, &mut delta);
-        for (x, row) in rows {
-            self.index.apply_row(x, &row, &mut delta);
-        }
-        delta
+    fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
+        self.index.commit_delete_node(graph, id)
     }
 
     fn resident_rows(&self) -> usize {
@@ -563,38 +546,5 @@ mod tests {
         f.graph.remove_edge(f.se1, f.te2).unwrap();
         b.commit_delete_edge(&f.graph, f.se1, f.te2, RepairHint::Accelerated);
         assert_eq!(b.matrix(), &apsp_matrix(&f.graph));
-    }
-
-    /// The pooled deletion rows give `Baseline`'s delta record for record
-    /// and in its order. Twenty sources reach `hub`, and all their shortest
-    /// paths onward cross `(hub, head)`, so both deletes hand the pool at
-    /// least sixteen rows.
-    #[test]
-    fn accelerated_deletes_record_the_baseline_delta() {
-        let mut g = DataGraph::new();
-        let label = Label::from_index(0);
-        let sources: Vec<NodeId> = (0..20).map(|_| g.add_node(label)).collect();
-        let [hub, head, tail] = [(); 3].map(|_| g.add_node(label));
-        for &s in &sources {
-            g.add_edge(s, hub).unwrap();
-        }
-        g.add_edge(hub, head).unwrap();
-        g.add_edge(head, tail).unwrap();
-        let reqs = SlenRequirements::empty();
-        let mut pooled = PartitionedBackend::build(&g, &reqs);
-        let mut serial = <IncrementalIndex as SlenBackend>::build(&g, &reqs);
-
-        g.remove_edge(hub, head).unwrap();
-        let want =
-            SlenBackend::commit_delete_edge(&mut serial, &g, hub, head, RepairHint::Baseline);
-        let got = pooled.commit_delete_edge(&g, hub, head, RepairHint::Accelerated);
-        assert_eq!(got.changed, want.changed, "edge delete");
-        assert_eq!(pooled.matrix(), &apsp_matrix(&g));
-
-        g.remove_node(hub).unwrap();
-        let want = SlenBackend::commit_delete_node(&mut serial, &g, hub, RepairHint::Baseline);
-        let got = pooled.commit_delete_node(&g, hub, RepairHint::Accelerated);
-        assert_eq!(got.changed, want.changed, "node delete");
-        assert_eq!(pooled.matrix(), &apsp_matrix(&g));
     }
 }

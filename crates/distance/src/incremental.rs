@@ -9,18 +9,38 @@
 //! evaluate an update against the *original* `SLen`, as paper Example 8
 //! does for each `UDi ∈ ΔGD` independently, commit it on a clone.
 //!
-//! Correctness notes (tested against from-scratch APSP):
+//! Correctness notes (tested against from-scratch APSP, delta and matrix,
+//! after every commit of random update sequences):
 //!
 //! * *Edge insert `(u,v)`*: a shortest path in `G+e` uses `e` at most once
 //!   (shortest paths are simple), so
 //!   `d'(x,y) = min(d(x,y), d(x,u) + 1 + d(v,y))` over *old* distances.
 //! * *Edge delete `(u,v)`*: only sources `x` with `d(x,u) + 1 == d(x,v)`
-//!   can lose a shortest path through `e`; their rows are recomputed by
-//!   BFS. Everyone else's row is provably unchanged.
+//!   can lose a shortest path through `e`, and of those only the ones where
+//!   `v` has no **standing parent** — an in-neighbour `w` left in the graph
+//!   with `d(x,w) + 1 == d(x,v)`. A standing parent keeps `d(x,v)`, and
+//!   then every other entry of the row, since a path to `y` that used `e`
+//!   can use the parent's instead. Each remaining row is **re-settled**
+//!   with `v` seeded as affected: the decremental step of Ramalingam & Reps
+//!   shared with the bounded rows (`rows` module docs §3, run here
+//!   untruncated), which finds the targets whose every shortest path ran
+//!   through `e`, level by level, and settles just those. The matrix row
+//!   *is* the distance array it works on, so nothing is copied.
 //! * *Node insert*: an isolated node changes no existing distance.
-//! * *Node delete*: only sources that could reach the node are affected;
-//!   their rows are recomputed with the node masked out, and the node's own
-//!   row/column go to [`crate::INF`].
+//! * *Node delete `id`*: only sources with a finite `d(x,id)` are affected.
+//!   The post-delete graph has lost `id`'s edges, but the matrix has not:
+//!   `id`'s **own row lists its children**, the `z` with `d(id,z) == 1`,
+//!   and is read before it is cleared. No target nearer to `x` than `id`
+//!   routes through it, so for each source the affected set starts at
+//!   level `d(x,id)` with `id` alone (seeded: it goes to [`INF`]), and at
+//!   the next level with the children at `d(x,id) + 1` that have no
+//!   standing parent at `d(x,id)`; the re-settle grows and settles the
+//!   rest. A tombstone's adjacency is empty, so nothing reaches `id` again.
+//!
+//! Every commit records its changes source by source, ascending, and by
+//! target within a source — the order a row-major diff of the matrices
+//! lists them — with a node delete's own row first. DER-II and the
+//! EH-Tree read deltas in that order.
 //!
 //! Cost model (the paper's premise that repair cost scales with the
 //! *delta*, not the graph):
@@ -30,17 +50,24 @@
 //!   entry (take `y = v`; for every other `y` the triangle inequality gives
 //!   `d(x,u) + 1 + d(v,y) ≥ d(x,v) + d(v,y) ≥ d(x,y)`), and only `y` with
 //!   `d(v,y)` finite can produce a finite candidate.
-//! * Delete commits run BFS over a generation-stamped [`CsrSnapshot`]
-//!   instead of building a fresh [`CsrGraph`] per call: the snapshot
-//!   rebuilds *in place* when the graph's version moves, reusing the
-//!   allocation.
+//! * Delete commits read two columns of the matrix to find their
+//!   candidates (`O(n)`), test `v`'s in-neighbours (or `id`'s children's)
+//!   for a standing parent, and re-settle what is left: `O(Σ in-degree)`
+//!   over the affected targets and their children, plus a heap over the
+//!   affected set. A re-settled row costs its change, not a BFS of the
+//!   graph's 26 k edges: on the email-EU-core stand-in (1 005 nodes, one
+//!   Xeon core) a node delete re-settles ≈990 rows at ≈0.4 µs each, and an
+//!   edge delete takes ≈29 µs, most of it the two-column candidate scan.
+//! * A node insert appends one row inside the matrix's stride (see
+//!   [`DistanceMatrix`]), so it copies nothing until the headroom runs out.
 
-use gpnm_graph::{CsrGraph, CsrSnapshot, DataGraph, NodeId};
+use gpnm_graph::{DataGraph, NodeId};
 
 use crate::aff::AffDelta;
-use crate::apsp::{apsp_matrix, bfs_row};
+use crate::apsp::apsp_matrix;
 use crate::matrix::DistanceMatrix;
 use crate::oracle::DistanceOracle;
+use crate::rows::Resettle;
 use crate::{sat_add, INF};
 
 /// Owns the `SLen` matrix and repairs it update by update.
@@ -48,29 +75,22 @@ use crate::{sat_add, INF};
 pub struct IncrementalIndex {
     matrix: DistanceMatrix,
     // Scratch reused across repairs to keep the hot path allocation-free.
-    row_buf: Vec<u32>,
-    queue_buf: Vec<NodeId>,
     /// Affected sources of an insert: `x` with `d(x,u) + 1 < d(x,v)`.
     src_buf: Vec<NodeId>,
     /// Finite `(target, d(v, target))` pairs of the inserted edge's head.
     tgt_buf: Vec<(u32, u32)>,
-    /// Cached CSR view for delete repair; rebuilt only when the graph's
-    /// version moves.
-    snapshot: CsrSnapshot,
+    /// The delete commits' re-settle.
+    resettle: Resettle,
 }
 
 impl IncrementalIndex {
     /// Build the index from scratch (per-source BFS APSP).
     pub fn build(graph: &DataGraph) -> Self {
-        let matrix = apsp_matrix(graph);
-        let n = matrix.n();
         IncrementalIndex {
-            matrix,
-            row_buf: vec![INF; n],
-            queue_buf: Vec::with_capacity(n),
+            matrix: apsp_matrix(graph),
             src_buf: Vec::new(),
             tgt_buf: Vec::new(),
-            snapshot: CsrSnapshot::new(),
+            resettle: Resettle::default(),
         }
     }
 
@@ -78,36 +98,6 @@ impl IncrementalIndex {
     #[inline]
     pub fn matrix(&self) -> &DistanceMatrix {
         &self.matrix
-    }
-
-    /// The cached CSR view of `graph` (rebuilt only if stale) — the same
-    /// snapshot the delete commits use. The pooled deletion repair drives
-    /// its own row recomputation and shares it through this accessor
-    /// instead of materializing a second CSR of the same graph.
-    pub(crate) fn csr(&mut self, graph: &DataGraph) -> &CsrGraph {
-        self.snapshot.get(graph)
-    }
-
-    /// Split-borrow the delete-repair working set: the cached CSR of
-    /// `graph` alongside the matrix and the BFS scratch buffers.
-    #[allow(clippy::type_complexity)]
-    fn delete_repair_parts(
-        &mut self,
-        graph: &DataGraph,
-    ) -> (
-        &CsrGraph,
-        &mut DistanceMatrix,
-        &mut Vec<u32>,
-        &mut Vec<NodeId>,
-    ) {
-        let Self {
-            snapshot,
-            matrix,
-            row_buf,
-            queue_buf,
-            ..
-        } = self;
-        (snapshot.get(graph), matrix, row_buf, queue_buf)
     }
 
     // ==================================================================
@@ -141,20 +131,27 @@ impl IncrementalIndex {
     }
 
     /// Apply an edge deletion to the matrix. `graph` is the *post-delete*
-    /// graph (the edge is already gone). BFS runs over the cached CSR
-    /// snapshot, which rebuilds in place (no per-commit allocation).
+    /// graph (the edge is already gone). Re-settles, in place, the rows
+    /// whose only parents of `v` ran through the edge.
     pub fn commit_delete_edge(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
         debug_assert!(
             !graph.has_edge(u, v),
             "commit_delete_edge before graph mutation"
         );
-        let candidates = self.delete_candidates(u, v);
-        let (csr, matrix, row_buf, queue_buf) = self.delete_repair_parts(graph);
         let mut delta = AffDelta::new();
-        for x in candidates {
-            bfs_row(csr, x, row_buf, queue_buf);
-            diff_row(matrix, x, row_buf, &mut delta);
-            matrix.set_row(x, row_buf);
+        for x in (0..self.matrix.n()).map(NodeId::from_index) {
+            let (du, dv) = (self.matrix.get(x, u), self.matrix.get(x, v));
+            if du == INF || du + 1 != dv {
+                continue;
+            }
+            let row = self.matrix.row_mut(x);
+            if has_standing_parent(graph, row, v, dv - 1) {
+                continue;
+            }
+            self.resettle.clear();
+            self.resettle.seed(row, v, dv);
+            self.resettle.run(graph, row, INF);
+            record(&mut delta, x, &self.resettle);
         }
         delta
     }
@@ -163,26 +160,43 @@ impl IncrementalIndex {
     /// An isolated node changes no existing distance, so the delta is empty.
     pub fn commit_insert_node(&mut self, new_slot_count: usize) -> AffDelta {
         self.matrix.grow(new_slot_count);
-        let n = self.matrix.n();
-        self.row_buf.resize(n, INF);
         AffDelta::new()
     }
 
-    /// Apply a node deletion. `graph` is the post-delete graph.
+    /// Apply a node deletion. `graph` is the post-delete graph: `id`'s
+    /// children come from its row of the matrix, read before it is cleared.
     pub fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta {
         debug_assert!(
             !graph.contains(id),
             "commit_delete_node before graph mutation"
         );
-        let sources = self.delete_node_candidates(id);
         let mut delta = AffDelta::new();
-        self.clear_slot(id, &mut delta);
-        let (csr, matrix, row_buf, queue_buf) = self.delete_repair_parts(graph);
-        for x in sources {
-            // The graph no longer contains `id`, so a plain BFS suffices.
-            bfs_row(csr, x, row_buf, queue_buf);
-            diff_row(matrix, x, row_buf, &mut delta);
-            matrix.set_row(x, row_buf);
+        let own = self.matrix.row_mut(id);
+        let children: Vec<NodeId> = (0..own.len())
+            .filter(|&z| own[z] == 1)
+            .map(NodeId::from_index)
+            .collect();
+        for (y, d) in own.iter_mut().enumerate() {
+            if *d != INF {
+                delta.record(id, NodeId::from_index(y), *d, INF);
+                *d = INF;
+            }
+        }
+        for x in (0..self.matrix.n()).map(NodeId::from_index) {
+            let did = self.matrix.get(x, id);
+            if did == INF {
+                continue;
+            }
+            let row = self.matrix.row_mut(x);
+            self.resettle.clear();
+            self.resettle.seed(row, id, did);
+            for &z in &children {
+                if row[z.index()] == did + 1 && !has_standing_parent(graph, row, z, did) {
+                    self.resettle.seed(row, z, did + 1);
+                }
+            }
+            self.resettle.run(graph, row, INF);
+            record(&mut delta, x, &self.resettle);
         }
         delta
     }
@@ -212,55 +226,21 @@ impl IncrementalIndex {
             }
         }
     }
+}
 
-    /// Sources whose shortest path to `v` may run through the edge
-    /// `(u, v)`: exactly those with `d(x,u) + 1 == d(x,v)`. Crate-visible
-    /// so the partitioned backend, which recomputes the rows on the worker
-    /// pool, can drive the repair itself.
-    pub(crate) fn delete_candidates(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        let n = self.matrix.n();
-        (0..n)
-            .map(NodeId::from_index)
-            .filter(|&x| {
-                let dxu = self.matrix.get(x, u);
-                dxu != INF && sat_add(dxu, 1) == self.matrix.get(x, v)
-            })
-            .collect()
-    }
+/// Whether `z` keeps an in-neighbour in `graph` at distance `level` in
+/// `row` — a parent one level up that the update did not take away.
+fn has_standing_parent(graph: &DataGraph, row: &[u32], z: NodeId, level: u32) -> bool {
+    graph
+        .in_neighbors(z)
+        .iter()
+        .any(|w| row[w.index()] == level)
+}
 
-    /// Sources that could reach `id` (candidates for node-deletion repair),
-    /// excluding `id` itself.
-    pub(crate) fn delete_node_candidates(&self, id: NodeId) -> Vec<NodeId> {
-        let n = self.matrix.n();
-        (0..n)
-            .map(NodeId::from_index)
-            .filter(|&x| x != id && self.matrix.get(x, id) != INF)
-            .collect()
-    }
-
-    /// Replace the row of `x` with `new_row`, recording every change into
-    /// `delta`. Used by the partitioned backend, which recomputes deletion
-    /// rows on the worker pool instead of with this index's serial BFS;
-    /// applied in source order, the rows record what the serial loop does.
-    pub(crate) fn apply_row(&mut self, x: NodeId, new_row: &[u32], delta: &mut AffDelta) {
-        diff_row(&self.matrix, x, new_row, delta);
-        self.matrix.set_row(x, new_row);
-    }
-
-    /// First step of a node-deletion repair, on the serial and the pooled
-    /// path alike: record the deleted node's finite row entries as
-    /// vanishing, then clear the row. The column clears as the sources'
-    /// rows are applied — every `x` with a finite `d(x, id)` is a source,
-    /// and its post-delete row has [`INF`] at `id` — so the delta lists
-    /// `id`'s row first and each `(x, id)` inside `x`'s row diff.
-    pub(crate) fn clear_slot(&mut self, id: NodeId, delta: &mut AffDelta) {
-        let row = self.matrix.row_mut(id);
-        for (y, d) in row.iter_mut().enumerate() {
-            if *d != INF {
-                delta.record(id, NodeId::from_index(y), *d, INF);
-                *d = INF;
-            }
-        }
+/// Record a re-settled row of `x`: its changes, ascending by target.
+fn record(delta: &mut AffDelta, x: NodeId, resettle: &Resettle) {
+    for &(y, old, new) in &resettle.affected {
+        delta.record(x, NodeId(y), old, new);
     }
 }
 
@@ -268,16 +248,6 @@ impl DistanceOracle for IncrementalIndex {
     #[inline(always)]
     fn distance(&self, u: NodeId, v: NodeId) -> u32 {
         self.matrix.get(u, v)
-    }
-}
-
-/// Record every difference between `matrix`'s row of `x` and `new_row`.
-fn diff_row(matrix: &DistanceMatrix, x: NodeId, new_row: &[u32], delta: &mut AffDelta) {
-    let old_row = matrix.row(x);
-    for (y, (&old, &new)) in old_row.iter().zip(new_row.iter()).enumerate() {
-        if old != new {
-            delta.record(x, NodeId::from_index(y), old, new);
-        }
     }
 }
 
@@ -384,5 +354,83 @@ mod tests {
         f.graph.remove_node(f.te1).unwrap();
         idx.commit_delete_node(&f.graph, f.te1);
         assert_eq!(idx.matrix(), &apsp_matrix(&f.graph));
+    }
+
+    proptest::proptest! {
+        /// Every commit against from-scratch APSP, on random graphs with
+        /// unreachable parts and a hub, under random interleavings of edge
+        /// and node inserts and deletes. After each commit the matrix equals
+        /// `apsp_matrix` of the graph, and the delta is the diff of the
+        /// matrices before and after, record for record in the documented
+        /// order: row-major, with a node delete's own row first.
+        #[test]
+        fn commits_equal_recompute_and_its_diff(
+            n in 16usize..40,
+            edges in proptest::collection::vec((0usize..40, 0usize..40), 0..100),
+            hub in (0usize..40, 0usize..24),
+            ops in proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 1..40),
+        ) {
+            let label = gpnm_graph::Label::from_index(0);
+            let mut g = DataGraph::new();
+            let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(label)).collect();
+            // Random edges among three quarters of the nodes leave the rest
+            // unreachable until an op wires them in. The hub has `fan`
+            // edges out and `fan` in, so many rows route through it.
+            let wired = n * 3 / 4;
+            for (a, b) in edges {
+                let _ = g.add_edge(ids[a % wired], ids[b % wired]);
+            }
+            let (hub, fan) = (ids[hub.0 % n], hub.1.min(n));
+            for i in 0..fan {
+                let _ = g.add_edge(hub, ids[i]);
+                let _ = g.add_edge(ids[i * 7 % n], hub);
+            }
+            let mut idx = IncrementalIndex::build(&g);
+            for (kind, a, b) in ops {
+                let live: Vec<NodeId> = g.nodes().collect();
+                let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+                let before = idx.matrix().clone();
+                let mut own_row = None;
+                let delta = match kind {
+                    0..=2 => {
+                        let Some(&x) = live.get(a % live.len().max(1)) else { continue };
+                        let y = live[b % live.len()];
+                        if g.add_edge(x, y).is_err() {
+                            continue;
+                        }
+                        idx.commit_insert_edge(x, y)
+                    }
+                    3..=5 => {
+                        let Some(&(x, y)) = edges.get(a % edges.len().max(1)) else { continue };
+                        g.remove_edge(x, y).unwrap();
+                        idx.commit_delete_edge(&g, x, y)
+                    }
+                    6 => {
+                        g.add_node(label);
+                        idx.commit_insert_node(g.slot_count())
+                    }
+                    _ => {
+                        // Every other node delete aims at the hub while it lives.
+                        let id = if b % 2 == 0 && g.contains(hub) {
+                            hub
+                        } else {
+                            let Some(&id) = live.get(a % live.len().max(1)) else { continue };
+                            id
+                        };
+                        g.remove_node(id).unwrap();
+                        own_row = Some(id);
+                        idx.commit_delete_node(&g, id)
+                    }
+                };
+                proptest::prop_assert_eq!(idx.matrix(), &apsp_matrix(&g));
+                if before.n() != idx.matrix().n() {
+                    proptest::prop_assert!(delta.is_empty());
+                    continue;
+                }
+                let (own, rest): (Vec<_>, Vec<_>) =
+                    before.diff(idx.matrix()).partition(|r| Some(r.0) == own_row);
+                proptest::prop_assert_eq!(delta.changed, [own, rest].concat());
+            }
+        }
     }
 }

@@ -5,8 +5,8 @@
 /// to the engine's `Strategy`.
 ///
 /// * [`BackendKind::Partitioned`] — the dense `n × n` matrix, exact
-///   everywhere, with deletion rows recomputed on the worker pool (the
-///   paper's `UA-GPNM` setup); `4n²` bytes (≈40 GB at 100k nodes).
+///   everywhere (the paper's `UA-GPNM` setup); `4n²` bytes plus ≈3%
+///   growth headroom (≈42 GB at 100k nodes).
 /// * [`BackendKind::Sparse`] — bounded rows for pattern-labeled sources
 ///   only; memory ∝ candidate rows × bounded ball, the only fit past
 ///   ~50k nodes.
@@ -15,7 +15,7 @@
 ///   for graphs whose sparse index itself outgrows RAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// Dense matrix with pooled deletion repair (default).
+    /// Dense matrix (default).
     Partitioned,
     /// Bounded-row sparse index over candidate sources.
     Sparse,
@@ -47,11 +47,13 @@ impl BackendKind {
     }
 
     /// Estimated heap bytes of this backend's distance storage for a graph
-    /// with `nodes` slots — the basis of the dense-build memory guard.
-    /// `None` means "proportional to the requirement set, not predictable
-    /// from `nodes` alone" (the sparse backend).
+    /// with `nodes` slots — the basis of the dense-build memory guard. For
+    /// the dense matrix it is what the build allocates, growth headroom
+    /// included. `None` means "proportional to the requirement set, not
+    /// predictable from `nodes` alone" (the sparse backend).
     pub fn estimated_index_bytes(&self, nodes: usize) -> Option<u128> {
-        self.is_dense().then(|| nodes as u128 * nodes as u128 * 4)
+        self.is_dense()
+            .then(|| crate::matrix::allocated_bytes(nodes))
     }
 }
 
@@ -97,9 +99,20 @@ mod tests {
 
     #[test]
     fn dense_estimate_is_quadratic() {
+        // 100 000 rows and columns plus 3 125 of headroom, 4 bytes a cell.
         assert_eq!(
             BackendKind::Partitioned.estimated_index_bytes(100_000),
-            Some(40_000_000_000)
+            Some(103_125 * 103_125 * 4)
+        );
+        // It is what a build allocates.
+        let mut graph = gpnm_graph::DataGraph::new();
+        for _ in 0..1_000 {
+            graph.add_node(gpnm_graph::Label::from_index(0));
+        }
+        let built = crate::IncrementalIndex::build(&graph).matrix().mem_bytes() as u128;
+        assert_eq!(
+            Some(built),
+            BackendKind::Partitioned.estimated_index_bytes(1_000)
         );
         assert_eq!(BackendKind::Sparse.estimated_index_bytes(100_000), None);
         assert_eq!(BackendKind::Paged.estimated_index_bytes(100_000), None);

@@ -37,30 +37,40 @@
 //!
 //! **Dense `n × n` matrix** ([`PartitionedBackend`], `partitioned`).
 //! Exact for every pair, `O(1)` lookups, delta-proportional repair; `4n²`
-//! bytes, so it stops fitting around ~50k nodes (40 GB at 100k). It is
-//! what the paper describes and what its figures measure, so the
-//! paper-scale experiments use it. A `UA-GPNM` edge or node delete
-//! recomputes its candidate rows by BFS over the worker pool: the paper's
-//! "processed distributively" (§V), the arm that keeps `UA-GPNM` ahead of
-//! its `-NoPar` ablation. [`IncrementalIndex`] is the same matrix repaired
-//! serially; it stays a [`SlenBackend`] as the tests' reference, not a
-//! runtime kind.
+//! bytes plus ≈3% growth headroom, so it stops fitting around ~50k nodes
+//! (42 GB at 100k). It is what the paper describes and what its figures
+//! measure, so the paper-scale experiments use it. An insert touches its
+//! affected sources × finite targets; a delete re-settles, in place, only
+//! the entries whose every shortest path it took away — the decremental
+//! step the bounded rows run, untruncated (the [`incremental`] module docs
+//! have the argument and the cost); a node insert appends a row inside the
+//! matrix's stride. [`IncrementalIndex`] is the index itself; it stays a
+//! [`SlenBackend`] as the tests' reference, not a runtime kind.
 //!
-//! Rejected for the dense family: *repairing deletion rows by composing
-//! partition-local distances through the §V bridge graph* — this
-//! backend's former second arm, selected only when at most 1/8 of the
-//! nodes are bridges. No graph in play comes close. Bridge shares measure
-//! 0.67–1.0 on the five Table X stand-ins (seeds 7, 11 and 42, full and
-//! 1/10 scale), 0.90 and 1.0 on the two `experiment_shape` fixtures, 8/8
-//! and 5/8 on the paper's Figs. 1 and 4, and 1 005/1 005 on
-//! `paper_squery`'s graph. So the arm never ran, yet choosing it built a
-//! whole [`PartitionedIndex`] just to count bridges (2.9–3.5 ms on
-//! email-EU-core, 22–23 ms on LiveJournal(sim), 2 cores). Every commit
-//! after that dirtied it, so a service rebuilt it on every tick and a
-//! chained engine inside every timed `UA-GPNM` query. *A separate `dense`
-//! kind* — once the partition went, it differed from `partitioned` only
-//! in whether deletion rows ran on the pool, a choice [`RepairHint`]
-//! already makes per commit; it folded into `partitioned`.
+//! Rejected for the dense family: *recomputing a delete's candidate rows
+//! by BFS, spread over the worker pool* — the paper's "processed
+//! distributively" (§V), and this backend's `UA-GPNM` arm until the
+//! re-settle replaced it. A query of the paper's own S-query workload
+//! changes ≈2 400 entries, yet the BFS re-ran 26 k edges for every row
+//! that reached a deleted node, and every node insert copied the whole
+//! matrix: 32.9 ms a query, 0.53 ms with the re-settle and the stride
+//! (medians of ten runs each, 2 cores). A re-settled row costs ≈0.4 µs, a
+//! scoped thread spawn 31–44 µs, so there is nothing left worth fanning
+//! out; [`RepairHint`] selects nothing.
+//! *Repairing deletion rows by composing partition-local distances
+//! through the §V bridge graph* — this backend's former second arm,
+//! selected only when at most 1/8 of the nodes are bridges. No graph in
+//! play comes close. Bridge shares measure 0.67–1.0 on the five Table X
+//! stand-ins (seeds 7, 11 and 42, full and 1/10 scale), 0.90 and 1.0 on
+//! the two `experiment_shape` fixtures, 8/8 and 5/8 on the paper's Figs. 1
+//! and 4, and 1 005/1 005 on `paper_squery`'s graph. So the arm never ran,
+//! yet choosing it built a whole [`PartitionedIndex`] just to count
+//! bridges (2.9–3.5 ms on email-EU-core, 22–23 ms on LiveJournal(sim), 2
+//! cores). Every commit after that dirtied it, so a service rebuilt it on
+//! every tick and a chained engine inside every timed `UA-GPNM` query. *A
+//! separate `dense` kind* — once the partition went, it differed from
+//! `partitioned` only in whether deletion rows ran on the pool; it folded
+//! into `partitioned`.
 //!
 //! **Bounded rows** ([`BoundedRows`]). Rows for candidate sources only,
 //! truncated at the pattern's maximum finite bound (patterns with
@@ -124,7 +134,7 @@ mod sparse;
 
 pub use aff::AffDelta;
 pub use any::AnyBackend;
-pub use apsp::{apsp_matrix, bfs_row, parallel_bfs_rows, parallel_bfs_rows_csr};
+pub use apsp::{apsp_matrix, bfs_row};
 pub use backend::{
     project_delta, IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements,
 };

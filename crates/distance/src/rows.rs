@@ -132,14 +132,24 @@
 //! (ROADMAP, direction A): seeds for the backward ball from its in-edges,
 //! seeds for the affected set from its out-edges — after which `scan`,
 //! `rerun_rows`, `diff_rows` and `bfs` can all go. At 100k nodes this scan
-//! is what remains of a repair tick.
+//! is what remains of a repair tick. The dense index
+//! ([`crate::IncrementalIndex`]) already re-settles node deletes: it reads
+//! the deleted node's children from the node's own row, `d(id, z) == 1`,
+//! before clearing it. Bounded rows cannot rely on that row. It exists
+//! only when the deleted node carries a pattern label, so the
+//! `RemovedNode` is still the way in here.
 //!
 //! **Re-settle only the entries that change** (edge delete). A deleted
 //! edge changes 9 entries of a 310-entry row on the benchmark's churn
 //! workload; re-running the row's BFS to find them costs the row. The
 //! repair is the decremental step of Ramalingam & Reps, truncated at `B`
-//! and specialised to unit weights. For a candidate source `x` with old
-//! row `d`:
+//! and specialised to unit weights. One routine, `Resettle`, runs it over a
+//! dense distance array indexed by slot, with the affected set seeded by
+//! its caller. Here the array is the BFS scratch: the row is scattered into
+//! it, re-settled at depth `B` and restored. The dense index hands it a
+//! matrix row as it stands, at depth [`INF`], with nothing to scatter or
+//! restore; it also seeds node deletes (above). For a candidate source `x`
+//! with old row `d`:
 //!
 //! * *The affected set* `A` is the targets whose distance grows. It is
 //!   defined level by level: `v` is affected iff no in-neighbour `w` left
@@ -389,46 +399,49 @@ pub(crate) fn bfs_truncated<'g>(
     SparseRow { entries }
 }
 
-/// The edge-delete re-settle: its scratch, and after [`Resettle::run`] its
-/// outcome.
+/// The decremental re-settle (module docs §3): its scratch, and after
+/// [`Resettle::run`] its outcome. The one copy of the routine. It works on
+/// a dense distance array indexed by slot: the bounded rows scatter a row
+/// into their all-[`INF`] scratch array around it and run it at depth `B`;
+/// the dense index hands it a matrix row as it stands, at depth [`INF`].
 #[derive(Debug, Clone, Default)]
-struct Resettle {
+pub(crate) struct Resettle {
     /// The affected set, in discovery (level) order while it grows; the
     /// entries that changed, `(target, old, new)` ascending by target,
     /// once settled — `new` = [`INF`] for one that fell beyond the horizon.
-    affected: Vec<(u32, u32, u32)>,
+    pub(crate) affected: Vec<(u32, u32, u32)>,
     /// Tentative `(distance, target)`s of the settle, nearest first.
     heap: BinaryHeap<Reverse<(u32, u32)>>,
 }
 
 impl Resettle {
-    /// Re-settle `row` — a source's row as it stood with an edge into `v`,
-    /// at distance `dv` inside the horizon, that `graph` has lost and no
-    /// standing parent replaces. The truncated, unit-weight decremental
-    /// step of Ramalingam & Reps (module docs §3). `dist` is the
-    /// all-[`INF`] scratch array, restored before returning.
-    fn run(
-        &mut self,
-        graph: &DataGraph,
-        row: &SparseRow,
-        v: NodeId,
-        dv: u32,
-        depth: u32,
-        dist: &mut [u32],
-    ) {
+    /// Begin a re-settle: nothing affected yet.
+    pub(crate) fn clear(&mut self) {
+        self.affected.clear();
+    }
+
+    /// Mark `y`, at old distance `dy`, affected: every parent it had one
+    /// level up is gone or affected. Seeds go in ascending level order, and
+    /// every affected target at a level must be seeded before the first
+    /// seed one level below it.
+    pub(crate) fn seed(&mut self, dist: &mut [u32], y: NodeId, dy: u32) {
+        self.affected.push((y.0, dy, INF));
+        dist[y.index()] = INF;
+    }
+
+    /// Re-settle `dist` — a source's distances as they stood before
+    /// `graph` lost an edge or a node, with the targets that lost their
+    /// last parent seeded. The unit-weight decremental step of Ramalingam &
+    /// Reps, truncated at `depth` ([`INF`] = untruncated). Leaves `dist`
+    /// exact for `graph` on every cell the source reached, and
+    /// [`Resettle::affected`] listing the changes.
+    pub(crate) fn run(&mut self, graph: &DataGraph, dist: &mut [u32], depth: u32) {
         let Resettle { affected, heap } = self;
-        let cells = || row.entries.iter().map(|e| e.0 as usize);
-        debug_assert!(cells().all(|y| dist[y] == INF), "scratch not restored");
-        for &(y, d) in &row.entries {
-            dist[y as usize] = d;
-        }
-        // 1. The affected set, level by level from `v`. A cell reads INF from
-        // the moment its target is affected, so "a standing in-neighbour one
-        // level up" is one comparison; FIFO order is level order, so level
-        // `dy` is final before the first child at `dy + 1` is judged.
-        affected.clear();
-        affected.push((v.0, dv, INF));
-        dist[v.index()] = INF;
+        // 1. The affected set, level by level from the seeds. A cell reads
+        // INF from the moment its target is affected, so "a standing
+        // in-neighbour one level up" is one comparison; FIFO order is level
+        // order, so level `dy` is final before the first child at `dy + 1`
+        // is judged.
         let mut head = 0;
         while head < affected.len() {
             let (y, dy, _) = affected[head];
@@ -445,7 +458,8 @@ impl Resettle {
         // in-neighbour, then the nearest unsettled one relaxes its affected
         // children. Every value written is the length of a real path, so only
         // an affected cell can ever exceed `d + 1` (a standing one is already
-        // at its distance; one outside the row lies beyond `depth`).
+        // at its distance; any other INF cell lies beyond `depth`, or out of
+        // the source's reach before the delete and so after it).
         heap.clear();
         for &(y, _, _) in affected.iter() {
             let parents = graph.in_neighbors(NodeId(y)).iter();
@@ -471,9 +485,6 @@ impl Resettle {
         affected.sort_unstable_by_key(|a| a.0);
         for a in affected.iter_mut() {
             a.2 = dist[a.0 as usize];
-        }
-        for y in cells() {
-            dist[y] = INF;
         }
     }
 }
@@ -901,9 +912,20 @@ impl<S: RowStore> BoundedRows<S> {
                 self.store.update(slot, |row| row.remove(v.0));
                 continue;
             }
-            self.resettle
-                .run(graph, row, v, dv, depth, &mut self.dist_buf);
-            let changes = &self.resettle.affected;
+            // Scatter the row into the scratch array, re-settle, restore.
+            let (dist, resettle) = (&mut self.dist_buf, &mut self.resettle);
+            let cells = || row.entries.iter().map(|e| e.0 as usize);
+            debug_assert!(cells().all(|y| dist[y] == INF), "scratch not restored");
+            for &(y, d) in &row.entries {
+                dist[y as usize] = d;
+            }
+            resettle.clear();
+            resettle.seed(dist, v, dv);
+            resettle.run(graph, dist, depth);
+            for y in cells() {
+                dist[y] = INF;
+            }
+            let changes = &resettle.affected;
             for &(y, old, new) in changes {
                 delta.record(x, NodeId(y), old, new);
             }

@@ -5,9 +5,9 @@
 //! distance index — the architectural seam behind backend selection
 //! (`partitioned` / `sparse` / `paged`, see [`crate::BackendKind`]). The
 //! default backend is [`PartitionedBackend`], which reproduces the paper's
-//! setup: a dense matrix whose `UA-GPNM` deletion repair recomputes rows
-//! on the worker pool (§V's "processed distributively"), while the
-//! `-NoPar` ablation and the baselines repair serially.
+//! setup: a dense matrix, repaired in proportion to each update's change
+//! under every strategy (see [`crate::Strategy::UaGpnmNoPar`] for what that
+//! leaves of the `-NoPar` ablation).
 //! [`gpnm_distance::SparseIndex`] trades exhaustive coverage for
 //! bounded-row storage and is what large-graph runs use.
 
@@ -58,7 +58,7 @@ pub struct GpnmEngine<B: SlenBackend = PartitionedBackend> {
 
 impl GpnmEngine<PartitionedBackend> {
     /// Build an engine on the default (paper-faithful) backend: the dense
-    /// matrix with pooled deletion repair.
+    /// matrix.
     pub fn new(graph: DataGraph, pattern: PatternGraph, semantics: MatchSemantics) -> Self {
         Self::with_backend(graph, pattern, semantics)
     }

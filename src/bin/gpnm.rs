@@ -270,7 +270,7 @@ fn guard_dense_build(backend: BackendKind, nodes: usize, max_index_gb: f64) -> R
     if bytes as f64 > limit {
         return Err(format!(
             "refusing to build a dense SLen matrix for {nodes} nodes: \
-             {nodes}² × 4 B ≈ {:.1} GiB exceeds --max-index-gb {max_index_gb}. \
+             {nodes}² × 4 B plus growth headroom ≈ {:.1} GiB exceeds --max-index-gb {max_index_gb}. \
              Use `--backend sparse` (bounded rows for pattern-labeled nodes only), \
              or raise --max-index-gb if you really have the RAM.",
             bytes as f64 / (1u64 << 30) as f64
