@@ -6,8 +6,8 @@
 //!   high-locality graph (composition's favorable regime) and on the
 //!   bridge-dense email shape (its unfavorable regime).
 //!   Composition against BFS on the `local` graph is the record of the
-//!   deletion-repair arm `PartitionedBackend` no longer has: no graph in
-//!   play is bridge-sparse enough to select it.
+//!   deletion-repair arm the dense `partitioned` backend no longer has: no
+//!   graph in play is bridge-sparse enough to select it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpnm_distance::{apsp_matrix, bfs_row, PartitionedIndex, INF};

@@ -1,5 +1,5 @@
-//! Backend microbenches: dense vs. sparse `SLen` backends on one
-//! paper-shaped workload — build time and repair (insert+delete commit
+//! Backend microbenches: the `partitioned` (dense) vs. `sparse` `SLen`
+//! backends on one paper-shaped workload — build time and repair (insert+delete commit
 //! cycles).
 //!
 //! Before timing anything, the sparse commit deltas are asserted to equal
@@ -129,7 +129,7 @@ fn backend_build(c: &mut Criterion) {
     let reqs = SlenRequirements::of_pattern(&pattern);
     let mut group = c.benchmark_group("backend_build_2k");
     group.sample_size(10);
-    group.bench_function("dense", |b| {
+    group.bench_function("partitioned", |b| {
         b.iter(|| <IncrementalIndex as SlenBackend>::build(&graph, &reqs).resident_rows())
     });
     group.bench_function("sparse", |b| {
@@ -149,7 +149,7 @@ fn backend_repair(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend_repair_2k");
     group.sample_size(10);
     let mut g_dense = graph.clone();
-    group.bench_function("dense_commit_cycle", |b| {
+    group.bench_function("partitioned_commit_cycle", |b| {
         b.iter(|| repair_cycle(&mut g_dense, &mut dense, &inserts))
     });
     let mut g_sparse = graph.clone();

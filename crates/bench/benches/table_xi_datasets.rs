@@ -1,4 +1,4 @@
-//! Table XI: average query processing time per dataset, all four methods.
+//! Table XI: average query processing time per dataset, all three methods.
 //!
 //! One representative (pattern, dG) cell per dataset (Table XI aggregates
 //! the full grid; `paper-repro -- table11` regenerates the aggregate).

@@ -1,5 +1,6 @@
 //! [`AnyBackend`]: one `SLen` backend type dispatching at runtime over the
-//! three static implementations a configuration can name.
+//! three kinds a configuration can name (two index types, one of them in
+//! two stores).
 //!
 //! The engine and service are generic over [`SlenBackend`], which gives
 //! static dispatch when the backend is known at compile time. Callers that
@@ -14,7 +15,8 @@
 use gpnm_graph::{Bound, DataGraph, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
-use crate::backend::{IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements};
+use crate::backend::{IoStats, RepairHint, SlenBackend, SlenRequirements};
+use crate::incremental::IncrementalIndex;
 use crate::kind::BackendKind;
 use crate::oracle::DistanceOracle;
 use crate::paged::PagedIndex;
@@ -27,8 +29,8 @@ use crate::sparse::SparseIndex;
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum AnyBackend {
-    /// Dense matrix ([`PartitionedBackend`]).
-    Partitioned(PartitionedBackend),
+    /// Dense matrix ([`IncrementalIndex`]).
+    Partitioned(IncrementalIndex),
     /// Bounded-row sparse index ([`SparseIndex`]).
     Sparse(SparseIndex),
     /// Out-of-core paged index ([`PagedIndex`]).
@@ -49,9 +51,7 @@ impl AnyBackend {
     /// Build the backend `kind` names over `graph`, covering `reqs`.
     pub fn of_kind(kind: BackendKind, graph: &DataGraph, reqs: &SlenRequirements) -> Self {
         match kind {
-            BackendKind::Partitioned => {
-                AnyBackend::Partitioned(PartitionedBackend::build(graph, reqs))
-            }
+            BackendKind::Partitioned => AnyBackend::Partitioned(IncrementalIndex::build(graph)),
             BackendKind::Sparse => AnyBackend::Sparse(SparseIndex::build(graph, reqs)),
             BackendKind::Paged => AnyBackend::Paged(PagedIndex::build(graph, reqs)),
         }

@@ -5,17 +5,14 @@
 //! subsumes it with the full *repairable index* contract the GPNM engine
 //! needs: build from a graph, grow/tombstone slots as nodes come and go,
 //! and commit each applied update, returning the [`AffDelta`] it caused
-//! (DER-II's `Aff_N`). Three implementations ship:
+//! (DER-II's `Aff_N`). Two index types ship:
 //!
 //! * [`crate::IncrementalIndex`] — the dense `n × n` matrix of §IV with
 //!   delta-proportional repair: inserts touch affected sources × finite
 //!   targets, deletes re-settle only the entries they change. Exact for
 //!   every pair; `O(n²)` memory, so it stops fitting around ~50k nodes
-//!   (42 GB at 100k, growth headroom included). Not a runtime kind: the
-//!   tests' reference.
-//! * [`PartitionedBackend`] — the same matrix as the runtime `partitioned`
-//!   kind, the one the paper-scale experiments use. It commits exactly as
-//!   [`crate::IncrementalIndex`] does, for every [`RepairHint`].
+//!   (42 GB at 100k, growth headroom included). The runtime `partitioned`
+//!   kind, and the one the paper-scale experiments use.
 //! * [`crate::SparseIndex`] — bounded rows for *candidate* sources only
 //!   (nodes whose label occurs in the pattern), truncated at the pattern's
 //!   maximum finite bound. Memory proportional to candidate rows × nodes
@@ -35,7 +32,7 @@ use gpnm_graph::{Bound, DataGraph, Label, NodeId, PatternGraph};
 
 use crate::aff::AffDelta;
 use crate::incremental::IncrementalIndex;
-use crate::matrix::DistanceMatrix;
+use crate::kind::BackendKind;
 use crate::oracle::DistanceOracle;
 use crate::INF;
 
@@ -196,26 +193,24 @@ impl IoStats {
     }
 }
 
-/// How a strategy asked for deletion rows to be repaired. No backend
-/// selects anything by it any more.
+/// An argument of [`SlenBackend`]'s commits that selects nothing: every
+/// backend repairs the same way for both values.
 ///
-/// The paper's evaluation separates UA-GPNM (distributed `SLen`
-/// maintenance, §V) from its `-NoPar` ablation and the EH/INC baselines,
-/// which repair serially, and the engine still passes each strategy's
-/// choice down. [`PartitionedBackend`] used to recompute an
-/// [`RepairHint::Accelerated`] delete's rows by BFS on the worker pool.
-/// Every dense delete now re-settles only the entries it changes, at
-/// ≈0.4 µs a re-settled row (a node delete on the email-EU-core stand-in)
-/// against 31–44 µs for one scoped thread spawn, so there is nothing left
-/// worth fanning out. The
-/// hint stays in [`SlenBackend`]'s commit signatures only because the
-/// benchmark of record (`gpnm-bench/src/staged.rs`) passes it by name.
+/// It once chose whether the dense matrix recomputed a delete's rows by
+/// BFS on the worker pool (the paper's §V distributed maintenance, its
+/// UA-GPNM arm). Every dense delete now re-settles only the entries it
+/// changes, at ≈0.4 µs a re-settled row (a node delete on the
+/// email-EU-core stand-in) against 31–44 µs for one scoped thread spawn,
+/// so there is nothing left worth fanning out. The engine and the service
+/// pass [`RepairHint::Baseline`] from one place
+/// (`gpnm_engine::pipeline::commit_data_update`). The type stays in the
+/// commit signatures only because the benchmark of record
+/// (`gpnm-bench/src/staged.rs`) passes it by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairHint {
-    /// Serial reference repair (INC/EH/NoPar baselines).
+    /// The value every in-tree caller passes.
     Baseline,
-    /// The paper's distributed repair (UA-GPNM). Repairs exactly as
-    /// [`RepairHint::Baseline`] does, in every backend.
+    /// Repairs exactly as [`RepairHint::Baseline`] does, in every backend.
     Accelerated,
 }
 
@@ -313,12 +308,12 @@ pub trait SlenBackend: DistanceOracle + Send + Sync {
 }
 
 // ======================================================================
-// Dense backend: the incremental n × n matrix.
+// Dense backend: the incremental n × n matrix, the `partitioned` kind.
 // ======================================================================
 
 impl SlenBackend for IncrementalIndex {
     fn kind(&self) -> &'static str {
-        "dense"
+        BackendKind::Partitioned.name()
     }
 
     fn build(graph: &DataGraph, _reqs: &SlenRequirements) -> Self {
@@ -368,94 +363,6 @@ impl SlenBackend for IncrementalIndex {
 
     fn mem_bytes(&self) -> usize {
         self.matrix().mem_bytes()
-    }
-}
-
-// ======================================================================
-// Partitioned backend: the runtime kind of the dense matrix.
-// ======================================================================
-
-/// The dense incremental matrix as a runtime backend: the `partitioned`
-/// kind, and the one the paper-scale experiments use.
-///
-/// Every commit is the plain [`IncrementalIndex`]'s own, whatever the
-/// [`RepairHint`]: a delete re-settles only the entries it changes, which
-/// costs less than handing rows to another thread would (see
-/// [`RepairHint`]). The name is the paper's §V; the crate docs' "Choosing
-/// a backend" has why neither the partition nor the pool is left in it.
-#[derive(Debug, Clone)]
-pub struct PartitionedBackend {
-    index: IncrementalIndex,
-}
-
-impl PartitionedBackend {
-    /// The dense `SLen` matrix (always exact for the committed graph).
-    pub fn matrix(&self) -> &DistanceMatrix {
-        self.index.matrix()
-    }
-}
-
-impl DistanceOracle for PartitionedBackend {
-    #[inline(always)]
-    fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        self.index.distance(u, v)
-    }
-}
-
-impl SlenBackend for PartitionedBackend {
-    fn kind(&self) -> &'static str {
-        "partitioned"
-    }
-
-    fn build(graph: &DataGraph, _reqs: &SlenRequirements) -> Self {
-        PartitionedBackend {
-            index: IncrementalIndex::build(graph),
-        }
-    }
-
-    fn rebuild(&mut self, graph: &DataGraph, _reqs: &SlenRequirements) {
-        self.index = IncrementalIndex::build(graph);
-    }
-
-    fn commit_insert_edge(
-        &mut self,
-        _graph: &DataGraph,
-        u: NodeId,
-        v: NodeId,
-        _hint: RepairHint,
-    ) -> AffDelta {
-        self.index.commit_insert_edge(u, v)
-    }
-
-    fn commit_delete_edge(
-        &mut self,
-        graph: &DataGraph,
-        u: NodeId,
-        v: NodeId,
-        _hint: RepairHint,
-    ) -> AffDelta {
-        self.index.commit_delete_edge(graph, u, v)
-    }
-
-    fn commit_insert_node(
-        &mut self,
-        graph: &DataGraph,
-        _id: NodeId,
-        _hint: RepairHint,
-    ) -> AffDelta {
-        self.index.commit_insert_node(graph.slot_count())
-    }
-
-    fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
-        self.index.commit_delete_node(graph, id)
-    }
-
-    fn resident_rows(&self) -> usize {
-        self.index.matrix().n()
-    }
-
-    fn mem_bytes(&self) -> usize {
-        self.index.matrix().mem_bytes()
     }
 }
 
@@ -516,11 +423,21 @@ mod tests {
     }
 
     #[test]
+    fn dense_kind_name_parses_back_to_partitioned() {
+        let f = fig1();
+        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let b = <IncrementalIndex as SlenBackend>::build(&f.graph, &reqs);
+        assert_eq!(
+            b.kind().parse::<BackendKind>(),
+            Ok(BackendKind::Partitioned)
+        );
+    }
+
+    #[test]
     fn dense_backend_round_trips_through_the_trait() {
         let mut f = fig1();
         let reqs = SlenRequirements::of_pattern(&f.pattern);
         let mut b = <IncrementalIndex as SlenBackend>::build(&f.graph, &reqs);
-        assert_eq!(b.kind(), "dense");
         f.graph.add_edge(f.se1, f.te2).unwrap();
         let delta =
             SlenBackend::commit_insert_edge(&mut b, &f.graph, f.se1, f.te2, RepairHint::Baseline);
@@ -533,18 +450,18 @@ mod tests {
     fn partitioned_backend_accelerated_commits_stay_exact() {
         let mut f = fig1();
         let reqs = SlenRequirements::of_pattern(&f.pattern);
-        let mut b = PartitionedBackend::build(&f.graph, &reqs);
+        let mut b = <IncrementalIndex as SlenBackend>::build(&f.graph, &reqs);
         f.graph.remove_edge(f.se1, f.se2).unwrap();
-        b.commit_delete_edge(&f.graph, f.se1, f.se2, RepairHint::Accelerated);
+        SlenBackend::commit_delete_edge(&mut b, &f.graph, f.se1, f.se2, RepairHint::Accelerated);
         assert_eq!(b.matrix(), &apsp_matrix(&f.graph));
         f.graph.remove_node(f.db1).unwrap();
-        b.commit_delete_node(&f.graph, f.db1, RepairHint::Accelerated);
+        SlenBackend::commit_delete_node(&mut b, &f.graph, f.db1, RepairHint::Accelerated);
         assert_eq!(b.matrix(), &apsp_matrix(&f.graph));
-        // Baseline and accelerated commits interleave freely.
+        // Both hints repair alike, so they interleave freely.
         f.graph.add_edge(f.se1, f.te2).unwrap();
-        b.commit_insert_edge(&f.graph, f.se1, f.te2, RepairHint::Baseline);
+        SlenBackend::commit_insert_edge(&mut b, &f.graph, f.se1, f.te2, RepairHint::Baseline);
         f.graph.remove_edge(f.se1, f.te2).unwrap();
-        b.commit_delete_edge(&f.graph, f.se1, f.te2, RepairHint::Accelerated);
+        SlenBackend::commit_delete_edge(&mut b, &f.graph, f.se1, f.te2, RepairHint::Accelerated);
         assert_eq!(b.matrix(), &apsp_matrix(&f.graph));
     }
 }

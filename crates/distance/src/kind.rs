@@ -1,12 +1,14 @@
 //! Runtime backend selection: [`BackendKind`] names the three `SLen`
-//! backends, [`crate::AnyBackend`] dispatches over them dynamically.
+//! backend kinds, [`crate::AnyBackend`] dispatches over them dynamically.
+//! Each kind's [`crate::SlenBackend::kind`] is its [`BackendKind::name`], so
+//! a reported kind parses back to the value that built it.
 
 /// Which `SLen` backend maintains distances — the configuration axis next
 /// to the engine's `Strategy`.
 ///
-/// * [`BackendKind::Partitioned`] — the dense `n × n` matrix, exact
-///   everywhere (the paper's `UA-GPNM` setup); `4n²` bytes plus ≈3%
-///   growth headroom (≈42 GB at 100k nodes).
+/// * [`BackendKind::Partitioned`] — the dense `n × n` matrix
+///   ([`crate::IncrementalIndex`]), exact everywhere (the paper's `UA-GPNM`
+///   setup); `4n²` bytes plus ≈3% growth headroom (≈42 GB at 100k nodes).
 /// * [`BackendKind::Sparse`] — bounded rows for pattern-labeled sources
 ///   only; memory ∝ candidate rows × bounded ball, the only fit past
 ///   ~50k nodes.

@@ -35,7 +35,7 @@
 //! There are two index representations, each chosen over alternatives
 //! whose cost is written down here.
 //!
-//! **Dense `n × n` matrix** ([`PartitionedBackend`], `partitioned`).
+//! **Dense `n × n` matrix** ([`IncrementalIndex`], `partitioned`).
 //! Exact for every pair, `O(1)` lookups, delta-proportional repair; `4n²`
 //! bytes plus ≈3% growth headroom, so it stops fitting around ~50k nodes
 //! (42 GB at 100k). It is what the paper describes and what its figures
@@ -44,8 +44,8 @@
 //! the entries whose every shortest path it took away — the decremental
 //! step the bounded rows run, untruncated (the [`incremental`] module docs
 //! have the argument and the cost); a node insert appends a row inside the
-//! matrix's stride. [`IncrementalIndex`] is the index itself; it stays a
-//! [`SlenBackend`] as the tests' reference, not a runtime kind.
+//! matrix's stride. The kind keeps the paper's §V name; what is left of
+//! §V is below.
 //!
 //! Rejected for the dense family: *recomputing a delete's candidate rows
 //! by BFS, spread over the worker pool* — the paper's "processed
@@ -56,7 +56,9 @@
 //! matrix: 32.9 ms a query, 0.53 ms with the re-settle and the stride
 //! (medians of ten runs each, 2 cores). A re-settled row costs ≈0.4 µs, a
 //! scoped thread spawn 31–44 µs, so there is nothing left worth fanning
-//! out; [`RepairHint`] selects nothing.
+//! out; [`RepairHint`] selects nothing. With it went the paper's
+//! `UA-GPNM-NoPar` ablation, which isolated exactly this arm: the engine
+//! has one UA-GPNM, and the kind has one type.
 //! *Repairing deletion rows by composing partition-local distances
 //! through the §V bridge graph* — this backend's former second arm,
 //! selected only when at most 1/8 of the nodes are bridges. No graph in
@@ -68,9 +70,10 @@
 //! bridges (2.9–3.5 ms on email-EU-core, 22–23 ms on LiveJournal(sim), 2
 //! cores). Every commit after that dirtied it, so a service rebuilt it on
 //! every tick and a chained engine inside every timed `UA-GPNM` query. *A
-//! separate `dense` kind* — once the partition went, it differed from
-//! `partitioned` only in whether deletion rows ran on the pool; it folded
-//! into `partitioned`.
+//! separate `dense` kind*, and then *a runtime wrapper type beside the
+//! index* — once the partition and the pool went, each differed from the
+//! plain [`IncrementalIndex`] only in its `kind()` name; both folded into
+//! it.
 //!
 //! **Bounded rows** ([`BoundedRows`]). Rows for candidate sources only,
 //! truncated at the pattern's maximum finite bound (patterns with
@@ -135,9 +138,7 @@ mod sparse;
 pub use aff::AffDelta;
 pub use any::AnyBackend;
 pub use apsp::{apsp_matrix, bfs_row};
-pub use backend::{
-    project_delta, IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements,
-};
+pub use backend::{project_delta, IoStats, RepairHint, SlenBackend, SlenRequirements};
 pub use dijkstra::{dijkstra_multi, WeightedAdj};
 pub use incremental::IncrementalIndex;
 pub use kind::BackendKind;

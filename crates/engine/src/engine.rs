@@ -4,18 +4,17 @@
 //! [`GpnmEngine`] is generic over the [`SlenBackend`] maintaining the
 //! distance index — the architectural seam behind backend selection
 //! (`partitioned` / `sparse` / `paged`, see [`crate::BackendKind`]). The
-//! default backend is [`PartitionedBackend`], which reproduces the paper's
-//! setup: a dense matrix, repaired in proportion to each update's change
-//! under every strategy (see [`crate::Strategy::UaGpnmNoPar`] for what that
-//! leaves of the `-NoPar` ablation).
+//! default backend is [`IncrementalIndex`] (the `partitioned` kind), which
+//! reproduces the paper's setup: a dense matrix, repaired in proportion to
+//! each update's change under every strategy.
 //! [`gpnm_distance::SparseIndex`] trades exhaustive coverage for
 //! bounded-row storage and is what large-graph runs use.
 
 use std::time::Instant;
 
 use gpnm_distance::{
-    AffDelta, AnyBackend, BackendKind, DistanceMatrix, IncrementalIndex, PartitionedBackend,
-    RepairHint, SlenBackend, SlenRequirements,
+    AffDelta, AnyBackend, BackendKind, DistanceMatrix, IncrementalIndex, SlenBackend,
+    SlenRequirements,
 };
 use gpnm_graph::{DataGraph, NodeId, NodeSet, PatternGraph};
 use gpnm_matcher::{match_graph, repair, MatchResult, MatchSemantics, RepairPlan};
@@ -47,7 +46,7 @@ enum ElimScope {
 /// subsequent queries can be chained; each [`GpnmEngine::subsequent_query`]
 /// advances the graphs to their post-batch state.
 #[derive(Debug, Clone)]
-pub struct GpnmEngine<B: SlenBackend = PartitionedBackend> {
+pub struct GpnmEngine<B: SlenBackend = IncrementalIndex> {
     graph: DataGraph,
     pattern: PatternGraph,
     semantics: MatchSemantics,
@@ -56,7 +55,7 @@ pub struct GpnmEngine<B: SlenBackend = PartitionedBackend> {
     queried: bool,
 }
 
-impl GpnmEngine<PartitionedBackend> {
+impl GpnmEngine<IncrementalIndex> {
     /// Build an engine on the default (paper-faithful) backend: the dense
     /// matrix.
     pub fn new(graph: DataGraph, pattern: PatternGraph, semantics: MatchSemantics) -> Self {
@@ -64,15 +63,8 @@ impl GpnmEngine<PartitionedBackend> {
     }
 
     /// The current dense `SLen` matrix (always exact for the current
-    /// graph). Only dense-matrix backends expose this; generic code should
-    /// go through [`gpnm_distance::DistanceOracle`] instead.
-    pub fn slen(&self) -> &DistanceMatrix {
-        self.index.matrix()
-    }
-}
-
-impl GpnmEngine<IncrementalIndex> {
-    /// The current dense `SLen` matrix.
+    /// graph). Only the dense backend exposes this; generic code should go
+    /// through [`gpnm_distance::DistanceOracle`] instead.
     pub fn slen(&self) -> &DistanceMatrix {
         self.index.matrix()
     }
@@ -221,15 +213,8 @@ impl<B: SlenBackend> GpnmEngine<B> {
         let mut stats = match strategy {
             Strategy::Scratch => self.run_scratch(batch, &reqs),
             Strategy::IncGpnm => self.run_inc(batch),
-            Strategy::EhGpnm => {
-                self.run_eliminative(batch, ElimScope::DataOnly, RepairHint::Baseline)
-            }
-            Strategy::UaGpnmNoPar => {
-                self.run_eliminative(batch, ElimScope::Full, RepairHint::Baseline)
-            }
-            Strategy::UaGpnm => {
-                self.run_eliminative(batch, ElimScope::Full, RepairHint::Accelerated)
-            }
+            Strategy::EhGpnm => self.run_eliminative(batch, ElimScope::DataOnly),
+            Strategy::UaGpnm => self.run_eliminative(batch, ElimScope::Full),
         };
         stats.strategy = strategy.name();
         stats.slen_time += sync_time;
@@ -295,7 +280,7 @@ impl<B: SlenBackend> GpnmEngine<B> {
         for u in batch.updates() {
             let Update::Data(du) = u else { continue };
             let t = Instant::now();
-            let (delta, created) = self.commit_data(du, RepairHint::Baseline);
+            let (delta, created) = self.commit_data(du);
             stats.slen_time += t.elapsed();
             stats.slen_changes += delta.len();
             let t = Instant::now();
@@ -324,15 +309,10 @@ impl<B: SlenBackend> GpnmEngine<B> {
     }
 
     // ==================================================================
-    // Strategies: EH-GPNM / UA-GPNM(-NoPar) — eliminate, then repair
+    // Strategies: EH-GPNM / UA-GPNM — eliminate, then repair
     // ==================================================================
 
-    fn run_eliminative(
-        &mut self,
-        batch: &UpdateBatch,
-        scope: ElimScope,
-        hint: RepairHint,
-    ) -> ExecStats {
+    fn run_eliminative(&mut self, batch: &UpdateBatch, scope: ElimScope) -> ExecStats {
         let mut stats = ExecStats {
             updates_submitted: batch.len(),
             ..Default::default()
@@ -404,7 +384,7 @@ impl<B: SlenBackend> GpnmEngine<B> {
         for u in reduced.updates() {
             let Update::Data(du) = u else { continue };
             let t = Instant::now();
-            let (delta, created) = self.commit_data(du, hint);
+            let (delta, created) = self.commit_data(du);
             stats.slen_time += t.elapsed();
             stats.slen_changes += delta.len();
             let t = Instant::now();
@@ -579,13 +559,11 @@ impl<B: SlenBackend> GpnmEngine<B> {
     }
 
     /// Apply one data update to the graph and repair `SLen` through the
-    /// backend, forwarding the strategy's repair `hint`. Delegates to the
-    /// shared [`pipeline::commit_data_update`] step; the batch was
-    /// validated up front, so failure here is a bug.
-    fn commit_data(&mut self, update: &DataUpdate, hint: RepairHint) -> (AffDelta, Option<NodeId>) {
-        let committed =
-            pipeline::commit_data_update(&mut self.graph, &mut self.index, update, hint)
-                .expect("batch validated");
+    /// backend. Delegates to the shared [`pipeline::commit_data_update`]
+    /// step; the batch was validated up front, so failure here is a bug.
+    fn commit_data(&mut self, update: &DataUpdate) -> (AffDelta, Option<NodeId>) {
+        let committed = pipeline::commit_data_update(&mut self.graph, &mut self.index, update)
+            .expect("batch validated");
         (committed.delta, committed.created)
     }
 }

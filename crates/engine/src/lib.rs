@@ -3,20 +3,20 @@
 //! [`GpnmEngine`] owns a data graph, a pattern graph, the `SLen` index and
 //! the current match result. [`GpnmEngine::initial_query`] computes
 //! `IQuery`; [`GpnmEngine::subsequent_query`] answers `SQuery` after a
-//! batch of updates under one of five [`Strategy`] values:
+//! batch of updates under one of four [`Strategy`] values:
 //!
 //! | strategy | reduction | eliminations | SLen repair | repair calls |
 //! |---|---|---|---|---|
 //! | `Scratch` | — | — | full rebuild | 1 (full match) |
 //! | `IncGpnm` \[13\] | none | none | dense per update | one per update |
 //! | `EhGpnm` \[14\] | data side | Type II only | dense per update | pattern updates + surviving data updates |
-//! | `UaGpnmNoPar` | full | Types I+II+III, EH-Tree | dense per update | surviving updates |
 //! | `UaGpnm` (this paper) | full | Types I+II+III, EH-Tree | dense per update | surviving updates |
 //!
 //! Every strategy produces the *same* `SQuery` (asserted by the
 //! cross-method equivalence tests); they differ in how much work they do.
-//! `UaGpnm` and `UaGpnmNoPar` now do the same work: the pooled deletion
-//! repair that told them apart is gone (see [`Strategy::UaGpnmNoPar`]).
+//! The paper's `UA-GPNM-NoPar` ablation has no variant: the pooled deletion
+//! repair it switched off is gone, so it would run `UaGpnm`'s code (see
+//! [`Strategy::UaGpnm`]).
 //!
 //! Orthogonally, the engine is generic over the
 //! [`gpnm_distance::SlenBackend`] that maintains distances (see

@@ -78,13 +78,14 @@ impl CommittedUpdate {
 /// Apply one data update to `graph` and repair `index`, returning the
 /// committed record. Fails (without mutating anything) if the update is
 /// invalid against the current graph — callers that pre-validate whole
-/// batches can `expect` this.
+/// batches can `expect` this. The one place a [`RepairHint`] is chosen for
+/// the engine and the hosts; it selects nothing (see its docs).
 pub fn commit_data_update<B: SlenBackend>(
     graph: &mut DataGraph,
     index: &mut B,
     update: &DataUpdate,
-    hint: RepairHint,
 ) -> Result<CommittedUpdate, EngineError> {
+    const HINT: RepairHint = RepairHint::Baseline;
     // The repair is timed apart from the mutation: the event below
     // carries the `SLen` layer's share alone.
     fn timed(repair: impl FnOnce() -> AffDelta) -> (AffDelta, Duration) {
@@ -95,22 +96,22 @@ pub fn commit_data_update<B: SlenBackend>(
     let ((delta, took), created) = match *update {
         DataUpdate::InsertEdge { from, to } => {
             graph.add_edge(from, to)?;
-            let repair = || index.commit_insert_edge(graph, from, to, hint);
+            let repair = || index.commit_insert_edge(graph, from, to, HINT);
             (timed(repair), None)
         }
         DataUpdate::DeleteEdge { from, to } => {
             graph.remove_edge(from, to)?;
-            let repair = || index.commit_delete_edge(graph, from, to, hint);
+            let repair = || index.commit_delete_edge(graph, from, to, HINT);
             (timed(repair), None)
         }
         DataUpdate::InsertNode { label } => {
             let id = graph.add_node(label);
-            let repair = || index.commit_insert_node(graph, id, hint);
+            let repair = || index.commit_insert_node(graph, id, HINT);
             (timed(repair), Some(id))
         }
         DataUpdate::DeleteNode { node } => {
             graph.remove_node(node)?;
-            let repair = || index.commit_delete_node(graph, node, hint);
+            let repair = || index.commit_delete_node(graph, node, HINT);
             (timed(repair), None)
         }
     };
@@ -338,7 +339,7 @@ mod tests {
             to: f.se2, // already exists
         };
         let before_edges = f.graph.edge_count();
-        let err = commit_data_update(&mut f.graph, &mut index, &bad, RepairHint::Baseline)
+        let err = commit_data_update(&mut f.graph, &mut index, &bad)
             .expect_err("duplicate edge must be refused");
         assert_eq!(
             err,
@@ -376,8 +377,7 @@ mod tests {
         let mut committed = Vec::new();
         let mut plans = Vec::new();
         for u in &updates {
-            let cu = commit_data_update(&mut f.graph, &mut index, u, RepairHint::Baseline)
-                .expect("valid update");
+            let cu = commit_data_update(&mut f.graph, &mut index, u).expect("valid update");
             plans.push(plan_for_data_update(
                 u, &cu.delta, &f.pattern, &f.graph, &base, cu.created,
             ));

@@ -25,37 +25,27 @@ pub enum Strategy {
     /// EH-GPNM \[14\]: single-graph eliminations among *data* updates only;
     /// every pattern update still gets its own pass.
     EhGpnm,
-    /// UA-GPNM without the §V distributed `SLen` repair: the ablation
-    /// column of the paper's evaluation, kept under its name. It now runs
-    /// exactly what [`Strategy::UaGpnm`] runs. The ablated arm recomputed a
-    /// delete's rows by BFS on the worker pool; a dense delete now
-    /// re-settles only the entries it changes, ≈0.4 µs a row against
-    /// 31–44 µs for one scoped thread spawn, so no backend distributes
-    /// anything and [`gpnm_distance::RepairHint`] selects nothing.
-    UaGpnmNoPar,
     /// The paper's full method: all three elimination types and the
-    /// EH-Tree. It passes [`gpnm_distance::RepairHint::Accelerated`] down,
-    /// which repairs as the baseline hint does.
+    /// EH-Tree. The paper also evaluates a `UA-GPNM-NoPar` ablation without
+    /// §V's distributed `SLen` maintenance; no backend distributes anything
+    /// any more (a dense delete re-settles only the entries it changes,
+    /// ≈0.4 µs a row against 31–44 µs for one scoped thread spawn), so the
+    /// ablation would run this strategy's code and has no variant of its own.
     UaGpnm,
 }
 
 impl Strategy {
     /// All strategies, in the paper's fastest-to-slowest expected order.
-    pub const ALL: [Strategy; 5] = [
+    pub const ALL: [Strategy; 4] = [
         Strategy::UaGpnm,
-        Strategy::UaGpnmNoPar,
         Strategy::EhGpnm,
         Strategy::IncGpnm,
         Strategy::Scratch,
     ];
 
-    /// The four strategies the paper's evaluation compares (no Scratch).
-    pub const PAPER: [Strategy; 4] = [
-        Strategy::UaGpnm,
-        Strategy::UaGpnmNoPar,
-        Strategy::EhGpnm,
-        Strategy::IncGpnm,
-    ];
+    /// The three strategies the paper's evaluation compares (no Scratch),
+    /// UA-GPNM first: the reports measure the others against it.
+    pub const PAPER: [Strategy; 3] = [Strategy::UaGpnm, Strategy::EhGpnm, Strategy::IncGpnm];
 
     /// Display name matching the paper's figures.
     pub fn name(&self) -> &'static str {
@@ -63,17 +53,8 @@ impl Strategy {
             Strategy::Scratch => "Scratch",
             Strategy::IncGpnm => "INC-GPNM",
             Strategy::EhGpnm => "EH-GPNM",
-            Strategy::UaGpnmNoPar => "UA-GPNM-NoPar",
             Strategy::UaGpnm => "UA-GPNM",
         }
-    }
-
-    /// Whether this strategy detects any elimination relationships.
-    pub fn eliminates(&self) -> bool {
-        matches!(
-            self,
-            Strategy::EhGpnm | Strategy::UaGpnmNoPar | Strategy::UaGpnm
-        )
     }
 }
 
@@ -131,7 +112,6 @@ mod tests {
     #[test]
     fn names_match_paper_figures() {
         assert_eq!(Strategy::UaGpnm.name(), "UA-GPNM");
-        assert_eq!(Strategy::UaGpnmNoPar.name(), "UA-GPNM-NoPar");
         assert_eq!(Strategy::EhGpnm.name(), "EH-GPNM");
         assert_eq!(Strategy::IncGpnm.name(), "INC-GPNM");
     }
@@ -144,10 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn capability_flags() {
-        assert!(Strategy::EhGpnm.eliminates());
-        assert!(!Strategy::IncGpnm.eliminates());
-        assert_eq!(Strategy::ALL.len(), 5);
-        assert_eq!(Strategy::PAPER.len(), 4);
+    fn one_strategy_per_behaviour() {
+        assert_eq!(Strategy::ALL.len(), 4);
+        assert_eq!(Strategy::PAPER.len(), 3);
+        assert_eq!(Strategy::PAPER[0], Strategy::UaGpnm);
+        assert!(!Strategy::PAPER.contains(&Strategy::Scratch));
     }
 }

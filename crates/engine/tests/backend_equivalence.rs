@@ -129,7 +129,6 @@ fn assert_backends_agree(
         Strategy::Scratch,
         Strategy::IncGpnm,
         Strategy::EhGpnm,
-        Strategy::UaGpnmNoPar,
         Strategy::UaGpnm,
     ] {
         // Sparse backend — the headline equivalence.

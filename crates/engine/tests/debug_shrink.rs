@@ -147,7 +147,7 @@ proptest! {
             .expect("valid batch");
         let expected = reference.result().clone();
 
-        for strategy in [Strategy::IncGpnm, Strategy::EhGpnm, Strategy::UaGpnmNoPar, Strategy::UaGpnm] {
+        for strategy in [Strategy::IncGpnm, Strategy::EhGpnm, Strategy::UaGpnm] {
             let mut engine =
                 GpnmEngine::new(graph.clone(), pattern.clone(), MatchSemantics::Simulation);
             engine.initial_query();

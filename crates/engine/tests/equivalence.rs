@@ -112,12 +112,7 @@ fn assert_all_strategies_agree(
         .expect("valid batch");
     let expected = reference.result().clone();
 
-    for strategy in [
-        Strategy::IncGpnm,
-        Strategy::EhGpnm,
-        Strategy::UaGpnmNoPar,
-        Strategy::UaGpnm,
-    ] {
+    for strategy in [Strategy::IncGpnm, Strategy::EhGpnm, Strategy::UaGpnm] {
         let mut engine = GpnmEngine::new(graph.clone(), pattern.clone(), semantics);
         engine.initial_query();
         let stats = engine
@@ -283,12 +278,7 @@ fn chained_subsequent_queries_stay_exact() {
 /// between repair the kept relation incrementally).
 #[test]
 fn pattern_updates_over_an_unmatched_result_equal_scratch() {
-    let strategies = [
-        Strategy::IncGpnm,
-        Strategy::EhGpnm,
-        Strategy::UaGpnmNoPar,
-        Strategy::UaGpnm,
-    ];
+    let strategies = [Strategy::IncGpnm, Strategy::EhGpnm, Strategy::UaGpnm];
     for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let (mut unmatched_starts, mut revived) = (0, 0);

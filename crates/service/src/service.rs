@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use gpnm_adaptive::ThreadTuner;
 use gpnm_distance::{
-    AnyBackend, BackendKind, IoStats, PartitionedBackend, RepairHint, SlenBackend, SlenRequirements,
+    AnyBackend, BackendKind, IncrementalIndex, IoStats, SlenBackend, SlenRequirements,
 };
 use gpnm_engine::pipeline::{
     commit_data_update, plan_for_data_update, refresh_pattern_strategy, CommittedUpdate,
@@ -576,7 +576,7 @@ struct AdaptiveState {
 /// ([`SlenBackend::narrow_requirements`]), so a bounded sparse index stays
 /// proportional to what the surviving patterns actually consult.
 #[derive(Debug)]
-pub struct GpnmService<B: SlenBackend = PartitionedBackend> {
+pub struct GpnmService<B: SlenBackend = IncrementalIndex> {
     graph: DataGraph,
     index: B,
     reqs: SlenRequirements,
@@ -1013,10 +1013,6 @@ impl<B: SlenBackend> GpnmService<B> {
         rec.reduce_ns = ns64(reduce_time);
         rec.updates_applied = reduced.len() as u64;
 
-        // The service always repairs accelerated (the paper's UA-GPNM arm;
-        // the `-NoPar` / EH / INC baselines are `GpnmEngine` strategies).
-        let hint = RepairHint::Accelerated;
-
         // The shared single pass: each surviving update mutates the graph
         // and repairs the backend exactly once; every pattern derives its
         // repair plan from the shared delta *at this update's post-state*,
@@ -1035,7 +1031,7 @@ impl<B: SlenBackend> GpnmService<B> {
                 unreachable!("pattern updates rejected above");
             };
             let t = Instant::now();
-            let cu = commit_data_update(&mut self.graph, &mut self.index, du, hint)?;
+            let cu = commit_data_update(&mut self.graph, &mut self.index, du)?;
             rec.add_commit(cu.kind(), ns64(t.elapsed()));
             tracing::event!(
                 tracing::Level::TRACE,

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use gpnm_distance::{BackendKind, IncrementalIndex, PartitionedBackend, SlenBackend, SparseIndex};
+use gpnm_distance::{BackendKind, IncrementalIndex, SlenBackend, SparseIndex};
 use gpnm_engine::{GpnmEngine, RefreshStrategy, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
 use gpnm_matcher::{match_graph, MatchResult, MatchSemantics};
@@ -155,14 +155,6 @@ fn assert_fresh<B: SlenBackend>(
     got.is_empty() && hidden
 }
 
-/// The per-tick engine strategies exercised against the service pipeline.
-const STRATEGIES: [Strategy; 4] = [
-    Strategy::UaGpnm,
-    Strategy::UaGpnmNoPar,
-    Strategy::EhGpnm,
-    Strategy::IncGpnm,
-];
-
 /// Run k patterns through one service and k independent engines (backend
 /// `B` on both sides), assert bitwise-equal results per handle per tick,
 /// plus the delta-reconstruction invariant and [`assert_fresh`]. Returns
@@ -214,7 +206,7 @@ fn check_equivalence<B: SlenBackend>(
         let report = service.apply(&batch).expect("valid data batch");
         assert_eq!(report.tick, tick as u64 + 1);
         assert_eq!(report.deltas.len(), k, "one delta per registered pattern");
-        let strategy = STRATEGIES[tick % STRATEGIES.len()];
+        let strategy = Strategy::PAPER[tick % Strategy::PAPER.len()];
         for i in 0..k {
             engines[i]
                 .subsequent_query(&batch, strategy)
@@ -377,14 +369,12 @@ proptest! {
     #[test]
     fn service_matches_k_engines_simulation(seed in any::<u64>(), k in 1usize..4) {
         let _ = check_equivalence::<IncrementalIndex>(seed, k, 3, MatchSemantics::Simulation);
-        let _ = check_equivalence::<PartitionedBackend>(seed, k, 3, MatchSemantics::Simulation);
         let _ = check_equivalence::<SparseIndex>(seed, k, 3, MatchSemantics::Simulation);
     }
 
     #[test]
     fn service_matches_k_engines_dual(seed in any::<u64>(), k in 1usize..4) {
         let _ = check_equivalence::<IncrementalIndex>(seed, k, 3, MatchSemantics::DualSimulation);
-        let _ = check_equivalence::<PartitionedBackend>(seed, k, 3, MatchSemantics::DualSimulation);
         let _ = check_equivalence::<SparseIndex>(seed, k, 3, MatchSemantics::DualSimulation);
     }
 

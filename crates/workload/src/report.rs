@@ -18,131 +18,115 @@ fn mean(results: &[&CellResult]) -> Duration {
     results.iter().map(|c| c.avg_time).sum::<Duration>() / results.len() as u32
 }
 
-/// Table XI: average query processing time per dataset × method.
-/// `results` may span several datasets.
-pub fn table_xi(results: &[CellResult]) -> String {
-    let mut datasets: Vec<_> = results.iter().map(|c| c.dataset).collect();
-    datasets.dedup();
-    let mut out = String::from(
-        "| Dataset | UA-GPNM | UA-GPNM-NoPar | EH-GPNM | INC-GPNM |\n|---|---|---|---|---|\n",
-    );
-    let order = [
-        Strategy::UaGpnm,
-        Strategy::UaGpnmNoPar,
-        Strategy::EhGpnm,
-        Strategy::IncGpnm,
-    ];
-    for d in datasets {
-        out.push_str(&format!("| {} |", d.name()));
-        for s in order {
-            let picked: Vec<&CellResult> = results
-                .iter()
-                .filter(|c| c.dataset == d && c.strategy == s)
-                .collect();
-            out.push_str(&format!(" {} |", fmt_dur(mean(&picked))));
+/// One table row per distinct `label` over the whole of `results`, in
+/// first-seen order, each with the mean time of every [`Strategy::PAPER`]
+/// strategy (in that order) among the row's cells.
+fn rows(
+    results: &[CellResult],
+    label: impl Fn(&CellResult) -> String,
+) -> Vec<(String, Vec<Duration>)> {
+    let mut labels: Vec<String> = Vec::new();
+    for c in results {
+        let l = label(c);
+        if !labels.contains(&l) {
+            labels.push(l);
         }
-        out.push('\n');
+    }
+    labels
+        .into_iter()
+        .map(|l| {
+            let times = Strategy::PAPER
+                .iter()
+                .map(|&s| {
+                    let picked: Vec<&CellResult> = results
+                        .iter()
+                        .filter(|c| c.strategy == s && label(c) == l)
+                        .collect();
+                    mean(&picked)
+                })
+                .collect();
+            (l, times)
+        })
+        .collect()
+}
+
+/// A table header: the row column `what`, then one column per `names`.
+fn header(what: &str, names: impl ExactSizeIterator<Item = String>) -> String {
+    let columns = names.len();
+    let names: String = names.map(|n| format!(" {n} |")).collect();
+    format!("| {what} |{names}\n|---|{}\n", "---|".repeat(columns))
+}
+
+/// Tables XI and XIII: the mean query time of every paper strategy, one
+/// row per distinct `label`.
+fn time_table(results: &[CellResult], what: &str, label: impl Fn(&CellResult) -> String) -> String {
+    let mut out = header(what, Strategy::PAPER.iter().map(|s| s.name().to_owned()));
+    for (l, times) in rows(results, label) {
+        let cells: String = times
+            .iter()
+            .map(|&t| format!(" {} |", fmt_dur(t)))
+            .collect();
+        out.push_str(&format!("| {l} |{cells}\n"));
     }
     out
 }
 
-/// Table XII: percentage reduction of UA-GPNM vs the three baselines,
-/// per dataset.
-pub fn table_xii(results: &[CellResult]) -> String {
-    let mut datasets: Vec<_> = results.iter().map(|c| c.dataset).collect();
-    datasets.dedup();
-    let mut out = String::from(
-        "| Dataset | vs INC-GPNM | vs EH-GPNM | vs UA-GPNM-NoPar |\n|---|---|---|---|\n",
-    );
-    for d in datasets {
-        let per = |s: Strategy| {
-            let picked: Vec<&CellResult> = results
-                .iter()
-                .filter(|c| c.dataset == d && c.strategy == s)
-                .collect();
-            mean(&picked).as_secs_f64()
-        };
-        let ua = per(Strategy::UaGpnm);
-        let line = |other: f64| {
-            if other == 0.0 {
-                "n/a".to_owned()
-            } else {
-                format!("{:.2}% less", (1.0 - ua / other) * 100.0)
-            }
-        };
-        out.push_str(&format!(
-            "| {} | {} | {} | {} |\n",
-            d.name(),
-            line(per(Strategy::IncGpnm)),
-            line(per(Strategy::EhGpnm)),
-            line(per(Strategy::UaGpnmNoPar)),
-        ));
+/// Tables XII and XIV: UA-GPNM's (the first paper strategy's) percentage
+/// reduction against each other paper strategy, one row per distinct
+/// `label`.
+fn reduction_table(
+    results: &[CellResult],
+    what: &str,
+    label: impl Fn(&CellResult) -> String,
+) -> String {
+    let baselines = Strategy::PAPER[1..].iter();
+    let mut out = header(what, baselines.map(|s| format!("vs {}", s.name())));
+    for (l, times) in rows(results, label) {
+        let ua = times[0].as_secs_f64();
+        let cells: String = times[1..]
+            .iter()
+            .map(|other| {
+                let other = other.as_secs_f64();
+                if other == 0.0 {
+                    " n/a |".to_owned()
+                } else {
+                    format!(" {:.2}% less |", (1.0 - ua / other) * 100.0)
+                }
+            })
+            .collect();
+        out.push_str(&format!("| {l} |{cells}\n"));
     }
     out
+}
+
+fn dataset_label(c: &CellResult) -> String {
+    c.dataset.name().to_owned()
+}
+
+fn scale_label(c: &CellResult) -> String {
+    format!("({}, {})", c.delta_scale.0, c.delta_scale.1)
+}
+
+/// Table XI: average query processing time per dataset × method.
+/// `results` may span several datasets.
+pub fn table_xi(results: &[CellResult]) -> String {
+    time_table(results, "Dataset", dataset_label)
+}
+
+/// Table XII: percentage reduction of UA-GPNM vs the baselines, per
+/// dataset.
+pub fn table_xii(results: &[CellResult]) -> String {
+    reduction_table(results, "Dataset", dataset_label)
 }
 
 /// Table XIII: average query time grouped by ΔG scale.
 pub fn table_xiii(results: &[CellResult]) -> String {
-    let mut scales: Vec<_> = results.iter().map(|c| c.delta_scale).collect();
-    scales.sort_unstable();
-    scales.dedup();
-    let order = [
-        Strategy::UaGpnm,
-        Strategy::UaGpnmNoPar,
-        Strategy::EhGpnm,
-        Strategy::IncGpnm,
-    ];
-    let mut out = String::from(
-        "| Scale of ΔG | UA-GPNM | UA-GPNM-NoPar | EH-GPNM | INC-GPNM |\n|---|---|---|---|---|\n",
-    );
-    for scale in scales {
-        out.push_str(&format!("| ({}, {}) |", scale.0, scale.1));
-        for s in order {
-            let picked: Vec<&CellResult> = results
-                .iter()
-                .filter(|c| c.delta_scale == scale && c.strategy == s)
-                .collect();
-            out.push_str(&format!(" {} |", fmt_dur(mean(&picked))));
-        }
-        out.push('\n');
-    }
-    out
+    time_table(results, "Scale of ΔG", scale_label)
 }
 
 /// Table XIV: percentage reduction of UA-GPNM by ΔG scale.
 pub fn table_xiv(results: &[CellResult]) -> String {
-    let mut scales: Vec<_> = results.iter().map(|c| c.delta_scale).collect();
-    scales.sort_unstable();
-    scales.dedup();
-    let mut out = String::from(
-        "| Scale of ΔG | vs INC-GPNM | vs EH-GPNM | vs UA-GPNM-NoPar |\n|---|---|---|---|\n",
-    );
-    for scale in scales {
-        let per = |s: Strategy| {
-            let picked: Vec<&CellResult> = results
-                .iter()
-                .filter(|c| c.delta_scale == scale && c.strategy == s)
-                .collect();
-            mean(&picked).as_secs_f64()
-        };
-        let ua = per(Strategy::UaGpnm);
-        let line = |other: f64| {
-            if other == 0.0 {
-                "n/a".to_owned()
-            } else {
-                format!("{:.2}% less", (1.0 - ua / other) * 100.0)
-            }
-        };
-        out.push_str(&format!(
-            "| ({}, {}) | {} | {} | {} |\n",
-            scale.0,
-            scale.1,
-            line(per(Strategy::IncGpnm)),
-            line(per(Strategy::EhGpnm)),
-            line(per(Strategy::UaGpnmNoPar)),
-        ));
-    }
-    out
+    reduction_table(results, "Scale of ΔG", scale_label)
 }
 
 /// One Figure 5–9 panel: for a fixed pattern size, the per-method series
@@ -155,12 +139,6 @@ pub fn figure_series(results: &[CellResult], pattern_size: (usize, usize)) -> St
         .collect();
     scales.sort_unstable();
     scales.dedup();
-    let order = [
-        Strategy::UaGpnm,
-        Strategy::UaGpnmNoPar,
-        Strategy::EhGpnm,
-        Strategy::IncGpnm,
-    ];
     let mut out = format!(
         "The size of pattern graph = ({}, {})\n",
         pattern_size.0, pattern_size.1
@@ -170,7 +148,7 @@ pub fn figure_series(results: &[CellResult], pattern_size: (usize, usize)) -> St
         out.push_str(&format!(" ({},{})", s.0, s.1));
     }
     out.push('\n');
-    for s in order {
+    for s in Strategy::PAPER {
         out.push_str(&format!("{:<16}", s.name()));
         for &scale in &scales {
             let picked: Vec<&CellResult> = results
@@ -230,7 +208,6 @@ mod tests {
     fn sample() -> Vec<CellResult> {
         vec![
             cell(Strategy::UaGpnm, (6, 200), (6, 6), 10),
-            cell(Strategy::UaGpnmNoPar, (6, 200), (6, 6), 14),
             cell(Strategy::EhGpnm, (6, 200), (6, 6), 20),
             cell(Strategy::IncGpnm, (6, 200), (6, 6), 40),
         ]
@@ -252,6 +229,27 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_datasets_get_one_row_each() {
+        let mut results = Vec::new();
+        for dataset in [Dataset::EmailEuCore, Dataset::DblpSim, Dataset::EmailEuCore] {
+            for mut c in sample() {
+                c.dataset = dataset;
+                results.push(c);
+            }
+        }
+        for t in [table_xi(&results), table_xii(&results)] {
+            let rows = |name: &str| {
+                t.lines()
+                    .filter(|l| l.starts_with(&format!("| {name} |")))
+                    .count()
+            };
+            assert_eq!(rows("email-EU-core"), 1, "{t}");
+            assert_eq!(rows("DBLP(sim)"), 1, "{t}");
+            assert_eq!(t.lines().count(), 4, "header, rule and two rows: {t}");
+        }
+    }
+
+    #[test]
     fn table_xiii_groups_by_scale() {
         let t = table_xiii(&sample());
         assert!(t.contains("(6, 200)"));
@@ -268,7 +266,7 @@ mod tests {
     #[test]
     fn csv_has_header_and_rows() {
         let c = to_csv(&sample());
-        assert_eq!(c.lines().count(), 5);
+        assert_eq!(c.lines().count(), 1 + sample().len());
         assert!(c.starts_with("dataset,"));
     }
 }

@@ -55,7 +55,7 @@ fn main() {
         let strategy = if round % 2 == 0 {
             Strategy::UaGpnm
         } else {
-            Strategy::UaGpnmNoPar
+            Strategy::EhGpnm
         };
         let stats = engine
             .subsequent_query(&batch, strategy)

@@ -4,7 +4,7 @@
 //! Generates a community-structured collaboration graph, asks for an IT
 //! project team (PM + SE + TE + S with hop bounds), then simulates a burst
 //! of organizational churn (hires, departures, new collaborations) and
-//! compares all four strategies on the same batch.
+//! compares the paper's three strategies on the same batch.
 //!
 //! Run with: `cargo run --release --example team_finding`
 
@@ -84,5 +84,5 @@ fn main() {
             Some(r) => assert_eq!(r, run.result(), "strategies must agree"),
         }
     }
-    println!("\nall four strategies returned identical SQuery results.");
+    println!("\nall three strategies returned identical SQuery results.");
 }

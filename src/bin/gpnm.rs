@@ -15,7 +15,7 @@
 //! `match` loads a whitespace edge list (labels assigned per DESIGN.md §5,
 //! since SNAP graphs are unlabeled), generates a random pattern and prints
 //! the match table. `bench` additionally generates an update batch and
-//! compares all four strategies. `smoke` generates a power-law social
+//! compares the paper's three strategies. `smoke` generates a power-law social
 //! graph in-process (no file needed) and runs an initial + subsequent
 //! query — the large-graph CI entry point. `replay` is the
 //! continuous-query mode: register `--patterns` standing patterns on one

@@ -18,8 +18,8 @@
 //! * [`matcher`] — the BGS fixpoint matcher and incremental match repair.
 //! * [`updates`] — update model, DER-I/II/III elimination detection,
 //!   EH-Tree.
-//! * [`engine`] — end-to-end strategies: `UA-GPNM` and the `INC-GPNM`,
-//!   `EH-GPNM`, `UA-GPNM-NoPar` baselines.
+//! * [`engine`] — end-to-end strategies: `UA-GPNM` and the `INC-GPNM` and
+//!   `EH-GPNM` baselines.
 //! * [`adaptive`] — the refresh-parallelism tuner: sequential refresh or
 //!   pool fan-out, from the measured per-pattern refresh times.
 //! * [`service`] — the continuous-query layer: many standing patterns over

@@ -115,7 +115,7 @@ fn duplicate_pattern_edge_rejected() {
         to: h.p_te,
         bound: Bound::Hops(3), // duplicate edge, different bound
     });
-    assert!(e.subsequent_query(&batch, Strategy::UaGpnmNoPar).is_err());
+    assert!(e.subsequent_query(&batch, Strategy::UaGpnm).is_err());
     assert_unchanged(&e, &before);
 }
 
