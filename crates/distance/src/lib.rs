@@ -109,7 +109,7 @@
 //! directory for the paged store's hot-row cache* — the tree's shape
 //! until PR 24 (the `paged` module docs have the traffic that sized its
 //! replacement, a plain struct behind one lock): 8 `unsafe` sites, 17
-//! relaxed-ordering arguments and a loom model for a path that runs
+//! relaxed-ordering arguments and a model-checker suite for a path that runs
 //! ≈10² times a 156 µs tick.
 //!
 //! The infinity sentinel is [`INF`] (`u32::MAX`); all arithmetic goes

@@ -68,7 +68,7 @@
 //! one `Acquire` load when the matcher paid one row access per *pair*;
 //! since the row-scan probe (`any_within`, one access per probe) and
 //! ball-local repair that traffic is gone, and what remained was 8
-//! `unsafe` sites, 17 relaxed-ordering arguments and a loom model.
+//! `unsafe` sites, 17 relaxed-ordering arguments and a model-checker suite.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

@@ -19,9 +19,9 @@
 //! on crash); elsewhere it is removed on `Drop`. Page-touch counters feed
 //! the cache/IO statistics the serving layer surfaces per tick.
 
-use gpnm_sync::atomic::{AtomicU64, Ordering};
 use std::fs::{File, OpenOptions};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default page size: 64 KiB.
 pub const DEFAULT_PAGE_SIZE: usize = 64 * 1024;

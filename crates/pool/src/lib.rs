@@ -44,8 +44,8 @@
 //! Until this crate moved to `std::thread::scope`, that took the workspace's
 //! only `unsafe` (a lifetime-erasing `transmute`), a task queue, a scope
 //! latch, a helping-caller argument for why nested scopes cannot deadlock, a
-//! loom model and a Miri CI job. The cost is a thread spawn and join per
-//! scope, 31–35 µs on a 2-core Xeon box: measured on the benchmark of
+//! model-checker suite and a Miri CI job. The cost is a thread spawn and
+//! join per scope, 31–35 µs on a 2-core Xeon box: measured on the benchmark of
 //! record (ten pairs), a 2-shard cluster tick reads ≈ 6% slower at the
 //! median (1.13 → 1.19 ms) and a dense-backend subsequent query ≈ 2%
 //! slower (33.8 → 34.6 ms, function-aligned builds), which is acceptable
@@ -73,8 +73,7 @@ type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
 /// `gpnm_pool_active_tasks` gauge (read against `gpnm_pool_lanes` for
 /// lane occupancy).
 mod pool_metrics {
-    use super::OnceLock;
-    use gpnm_sync::Arc;
+    use std::sync::{Arc, OnceLock};
 
     /// Cached handles into the global metrics registry — resolved once so
     /// the per-task cost is a relaxed atomic bump, not a registry lookup.

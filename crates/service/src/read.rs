@@ -38,9 +38,9 @@
 //! lock, `tick_p50_ms` stayed within 0.100–0.104 on both sides, and every
 //! run printed `correct: true`.
 
-use gpnm_sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
 use gpnm_matcher::{MatchDelta, MatchResult};
@@ -117,11 +117,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-// Publish-path counters. Compiled out under loom: `publish_tick` runs
-// inside `loom::model` closures (see `tests/loom_read_front.rs`), and the
-// global registry's lazily-initialised statics must not be touched there —
-// loom state may not leak across model iterations.
-#[cfg(not(gpnm_loom))]
+// Publish-path counters.
 mod read_metrics {
     pub fn tick_published(views: u64, deltas_offered: u64, newly_lagged: u64) {
         let reg = gpnm_telemetry::global();
@@ -130,10 +126,6 @@ mod read_metrics {
             .add(deltas_offered);
         reg.counter("gpnm_read_sub_lagged_total").add(newly_lagged);
     }
-}
-#[cfg(gpnm_loom)]
-mod read_metrics {
-    pub fn tick_published(_views: u64, _deltas_offered: u64, _newly_lagged: u64) {}
 }
 
 /// Consumer-side queue state. `pending` and `lagged` are mutually
@@ -468,30 +460,6 @@ impl ReadFront {
         read_metrics::tick_published(views, offered, newly_lagged);
     }
 
-    /// Deliberately *broken* variant of [`ReadFront::publish_tick`] that
-    /// fans each delta out **before** swapping the view in — the exact
-    /// ordering bug the publish-all-views-before-any-fan-out invariant
-    /// forbids (a woken subscriber could observe a `read_view` older than
-    /// the delta it was just handed). Compiled only for the loom model
-    /// suite, where `loom_read_front.rs` proves the checker catches it.
-    #[cfg(gpnm_loom)]
-    #[doc(hidden)]
-    pub fn publish_tick_fanout_first(
-        &self,
-        items: impl IntoIterator<Item = (HandleId, ReadView, MatchDelta)>,
-    ) {
-        for (id, view, delta) in items {
-            if let Ok(entry) = self.inner.entry(id) {
-                let mut subs = lock(&entry.subs);
-                subs.retain(|sub| Arc::strong_count(sub) > 1);
-                for sub in subs.iter() {
-                    sub.offer(&delta);
-                }
-            }
-            self.publish(id, view);
-        }
-    }
-
     /// Host side: stop serving `handle` (deregistration). Live
     /// subscriptions receive their queued deltas, then a final
     /// [`SubEvent::Closed`]; subsequent `read_view`/`subscribe` calls
@@ -555,7 +523,8 @@ impl PinnedReader {
 mod tests {
     use super::*;
     use gpnm_graph::{LabelInterner, NodeId, PatternGraph, PatternNodeId};
-    use gpnm_sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Instant;
 
     fn pattern1() -> PatternGraph {
         let mut li = LabelInterner::new();
@@ -763,6 +732,51 @@ mod tests {
     }
 
     #[test]
+    fn every_view_is_swapped_in_before_any_delta_fans_out() {
+        // Hold the middle handle's subscriber lock while a tick of three
+        // publishes: fan-out blocks there, so every view must already be
+        // live. A tick that fanned out item by item, before or after each
+        // swap, would block with the last view still unpublished.
+        let front = ReadFront::new();
+        let ids = [HandleId(0), HandleId(1), HandleId(2)];
+        let v0 = view_with(&[1], 0);
+        let v1 = view_with(&[1, 2], 1);
+        let subs: Vec<Subscription> = ids
+            .iter()
+            .map(|&id| {
+                front.publish(id, v0.clone());
+                front.subscribe(id).unwrap()
+            })
+            .collect();
+        let middle = front.inner.entry(ids[1]).unwrap();
+        let blocked = lock(&middle.subs);
+        let items: Vec<_> = ids
+            .iter()
+            .map(|&id| (id, v1.clone(), delta_between(&v0, &v1)))
+            .collect();
+        let writer = {
+            let front = front.clone();
+            std::thread::spawn(move || front.publish_tick(items))
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while ids
+            .iter()
+            .any(|&id| front.read_view(id).unwrap().result_version < 1)
+        {
+            assert!(
+                Instant::now() < deadline,
+                "a view was still unpublished while fan-out was blocked"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(blocked);
+        writer.join().expect("writer");
+        for sub in &subs {
+            assert!(matches!(sub.recv(), SubEvent::Delta(d) if d.result_version == 1));
+        }
+    }
+
+    #[test]
     fn concurrent_readers_only_see_committed_epochs() {
         let front = ReadFront::new();
         let id = HandleId(0);
@@ -776,7 +790,7 @@ mod tests {
                 let pinned = front.pinned(id).unwrap();
                 let stop = Arc::clone(&stop);
                 let committed = committed.clone();
-                gpnm_sync::thread::spawn(move || {
+                std::thread::spawn(move || {
                     let mut last = 0u64;
                     let mut observations = 0u64;
                     loop {

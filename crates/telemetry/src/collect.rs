@@ -10,8 +10,8 @@
 
 use std::collections::HashMap;
 
-use gpnm_sync::atomic::{AtomicU64, Ordering};
-use gpnm_sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use tracing::field::Value;
 use tracing::{Attributes, Event, Id, Subscriber};
@@ -367,8 +367,8 @@ mod tests {
 
     #[test]
     fn collector_records_nested_spans_and_events() {
-        let collector = gpnm_sync::Arc::new(SpanCollector::new());
-        struct Fwd(gpnm_sync::Arc<SpanCollector>);
+        let collector = std::sync::Arc::new(SpanCollector::new());
+        struct Fwd(std::sync::Arc<SpanCollector>);
         impl Subscriber for Fwd {
             fn new_span(&self, a: &Attributes<'_>) -> Id {
                 self.0.new_span(a)

@@ -37,7 +37,7 @@ pub use collect::{NoopSubscriber, SpanCollector, SpanData, Trace};
 pub use metrics::{global, metrics_text, Counter, Gauge, Histogram, Registry};
 pub use tick::{IoDelta, PatternRefreshSample, TickRecorder};
 
-use gpnm_sync::Arc;
+use std::sync::Arc;
 
 /// Install a fresh [`SpanCollector`] as the global tracing subscriber
 /// (replacing any previous one) and return it. The replay harness calls

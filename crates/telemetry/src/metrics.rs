@@ -10,8 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use gpnm_sync::atomic::{AtomicU64, Ordering};
-use gpnm_sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// A monotonic counter. Increments wrap on `u64` overflow (after 2^64
 /// events; Prometheus rate() treats the wrap as a reset).

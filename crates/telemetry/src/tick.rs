@@ -10,8 +10,7 @@
 
 use crate::clock;
 use crate::metrics::{self, Counter, Histogram};
-use gpnm_sync::Arc;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Per-pattern refresh measurement within one tick.
 #[derive(Debug, Clone)]

@@ -4,12 +4,12 @@
 //! `cargo run -p gpnm-xtask -- lint` runs the source-level concurrency
 //! lint described in the workspace README ("Correctness tooling"): a
 //! purely lexical pass (no rustc plumbing, no external parser) that
-//! enforces the commenting and layering discipline the loom models and
-//! the `gpnm-sync` facade rely on, and that no README line or `//!` doc
-//! cites a `BENCH_*.json` result file missing from the repository root
-//! (deleting a result file fails the lint until its citations go too).
-//! Diagnostics are
-//! `path:line: message`; any finding exits nonzero.
+//! enforces the `SAFETY:` / `RELAXED:` commenting discipline, each crate
+//! root's unsafe policy and no ad-hoc printing in library crates, and that
+//! no README line or `//!` doc cites a `BENCH_*.json` result file missing
+//! from the repository root (deleting a result file fails the lint until
+//! its citations go too). Diagnostics are `path:line: message`; any
+//! finding exits nonzero.
 //!
 //! `cargo run -p gpnm-xtask -- check-telemetry [--metrics FILE]
 //! [--trace FILE]` validates the replay exporters' output: the Prometheus
@@ -74,11 +74,6 @@ fn main() {
 mod lint {
     use super::*;
 
-    /// The facade-only files: refactored onto `gpnm_sync` so the loom
-    /// models exercise the exact code that ships. `std::sync::atomic`
-    /// in any of them would silently fall out of the modeled space.
-    const FACADE_ONLY: &[&str] = &["crates/service/src/read.rs", "crates/distance/src/pager.rs"];
-
     /// Directories walked for `.rs` files, relative to the workspace root.
     const ROOTS: &[&str] = &["crates", "shims", "src", "tests"];
 
@@ -101,12 +96,7 @@ mod lint {
             let lines = split_code_comments(&src);
             let name = rel(path, root);
             check_safety_comments(&name, &lines, &mut findings);
-            if !name.starts_with("shims/loom/") {
-                check_relaxed_comments(&name, &lines, &mut findings);
-            }
-            if FACADE_ONLY.contains(&name.as_str()) {
-                check_facade_only(&name, &lines, &mut findings);
-            }
+            check_relaxed_comments(&name, &lines, &mut findings);
             if !print_exempt(&name) {
                 check_no_adhoc_printing(&name, &lines, &mut findings);
             }
@@ -403,8 +393,8 @@ mod lint {
         }
     }
 
-    /// Rule 2: every `Relaxed` ordering outside the loom shim carries a
-    /// `RELAXED:` justification — same line, or a comment within the
+    /// Rule 2: every `Relaxed` ordering carries a `RELAXED:`
+    /// justification — same line, or a comment within the
     /// lookback window above (stopping at a blank line).
     fn check_relaxed_comments(name: &str, lines: &[Line], findings: &mut Vec<String>) {
         for (i, line) in lines.iter().enumerate() {
@@ -428,25 +418,10 @@ mod lint {
         }
     }
 
-    /// Rule 3: the facade files must not reach around `gpnm_sync` to
-    /// `std::sync::atomic`.
-    fn check_facade_only(name: &str, lines: &[Line], findings: &mut Vec<String>) {
-        for (i, line) in lines.iter().enumerate() {
-            if line.code.contains("std::sync::atomic") {
-                push(
-                    findings,
-                    name,
-                    i,
-                    "`std::sync::atomic` in a facade file — use `gpnm_sync::atomic` so the loom models cover this code",
-                );
-            }
-        }
-    }
-
     /// Files where direct stdout/stderr printing is the *product*: CLI
-    /// binaries, bench harnesses, examples, tests, the shims (the loom
-    /// scheduler and criterion shim report to the console by design), and
-    /// this tool itself.
+    /// binaries, bench harnesses, examples, tests, the shims (the
+    /// criterion shim reports to the console by design), and this tool
+    /// itself.
     fn print_exempt(name: &str) -> bool {
         name.starts_with("shims/")
             || name.starts_with("tests/")
@@ -457,7 +432,7 @@ mod lint {
             || name.contains("/examples/")
     }
 
-    /// Rule 5: library crates report through the telemetry layer (spans,
+    /// Rule 4: library crates report through the telemetry layer (spans,
     /// events, metrics) — not ad-hoc console printing a service embedder
     /// cannot intercept.
     fn check_no_adhoc_printing(name: &str, lines: &[Line], findings: &mut Vec<String>) {
@@ -492,7 +467,7 @@ mod lint {
         cited
     }
 
-    /// Rule 6: a result file that `README.md` or a `//!` doc cites exists
+    /// Rule 5: a result file that `README.md` or a `//!` doc cites exists
     /// at the repository root.
     fn check_cited_bench_files(
         root: &Path,
@@ -513,7 +488,7 @@ mod lint {
         }
     }
 
-    /// Rule 4: crates that use `unsafe` declare
+    /// Rule 3: crates that use `unsafe` declare
     /// `#![deny(unsafe_op_in_unsafe_fn)]`; all others declare
     /// `#![forbid(unsafe_code)]`.
     fn check_crate_attrs(root: &Path, files: &[PathBuf], findings: &mut Vec<String>) {

@@ -1,67 +1,2 @@
-//! Offline stand-in for the `crossbeam` crate.
-//!
-//! Provides `crossbeam::thread::scope` with the 0.8 call shape
-//! (`scope(|s| { s.spawn(|_| ...); }).expect(...)`) implemented on
-//! `std::thread::scope`, which has been stable since Rust 1.63 and is what
-//! crossbeam users are advised to migrate to. One semantic difference: when
-//! a spawned closure panics, `std::thread::scope` re-raises the panic at the
-//! end of the scope instead of surfacing it as an `Err`, so the caller's
-//! `.expect(...)` is never reached — the process still fails with the worker
-//! panic, which is the behavior every call site in this workspace wants.
-
+//! Empty: kept only because `gpnm-bench/Cargo.lock` names this package (ROADMAP D1).
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-/// Scoped-thread API compatible with `crossbeam::thread`.
-pub mod thread {
-    /// Result alias matching `crossbeam::thread::scope`'s return type.
-    pub type Result<T> = std::thread::Result<T>;
-
-    /// A scope handle; closures spawned through it may borrow from the
-    /// enclosing stack frame.
-    pub struct Scope<'scope, 'env> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a scoped thread. The closure receives the scope (crossbeam
-        /// passes it so workers can spawn sub-workers); it is safe to ignore.
-        pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            inner.spawn(move || f(&Scope { inner }))
-        }
-    }
-
-    /// Run `f` with a scope in which borrowed-data threads can be spawned;
-    /// all spawned threads are joined before this returns.
-    pub fn scope<'env, F, R>(f: F) -> Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn scoped_threads_join_and_borrow() {
-        let data = [1u32, 2, 3, 4];
-        let sums = std::sync::Mutex::new(Vec::new());
-        super::thread::scope(|s| {
-            for chunk in data.chunks(2) {
-                let sums = &sums;
-                s.spawn(move |_| sums.lock().unwrap().push(chunk.iter().sum::<u32>()));
-            }
-        })
-        .expect("workers joined");
-        let mut got = sums.into_inner().unwrap();
-        got.sort_unstable();
-        assert_eq!(got, vec![3, 7]);
-    }
-}

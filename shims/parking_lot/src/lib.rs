@@ -1,56 +1,2 @@
-//! Offline stand-in for the `parking_lot` crate.
-//!
-//! The build environment has no crates.io access, so this shim provides the
-//! exact subset of `parking_lot` the workspace uses — a [`Mutex`] whose
-//! `lock` does not return a poison `Result` — implemented on top of
-//! `std::sync::Mutex`. Poisoning is deliberately swallowed: a panicking
-//! worker thread already aborts the surrounding `scope`, matching
-//! `parking_lot`'s no-poisoning semantics closely enough for this codebase.
-
+//! Empty: kept only because `gpnm-bench/Cargo.lock` names this package (ROADMAP D1).
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-use std::sync::Mutex as StdMutex;
-
-/// Guard returned by [`Mutex::lock`]; identical to the std guard.
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-
-/// A mutual-exclusion primitive with `parking_lot`'s panic-free `lock`.
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized>(StdMutex<T>);
-
-impl<T> Mutex<T> {
-    /// Create a new mutex holding `value`.
-    pub const fn new(value: T) -> Self {
-        Mutex(StdMutex::new(value))
-    }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquire the mutex, blocking until it is available.
-    ///
-    /// Unlike `std`, never returns a poison error: a poisoned lock is
-    /// recovered, mirroring `parking_lot`'s lack of poisoning.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lock_and_into_inner() {
-        let m = Mutex::new(Vec::new());
-        m.lock().push(1);
-        m.lock().extend([2, 3]);
-        assert_eq!(m.into_inner(), vec![1, 2, 3]);
-    }
-}

@@ -61,11 +61,11 @@
 //! CI additionally runs `cargo test --workspace`, `cargo fmt --check`,
 //! `cargo clippy --workspace --all-targets -- -D warnings`, compiles every
 //! Criterion bench (`cargo bench --no-run --workspace`), and smoke-runs the
-//! four `examples/`. Property-test volume is tunable via the
+//! six `examples/`. Property-test volume is tunable via the
 //! `PROPTEST_CASES` environment variable.
 //!
 //! The build environment is offline, so the usual crates.io dependencies
-//! (`rand`, `parking_lot`, `crossbeam`, `proptest`, `criterion`) are
+//! (`rand`, `proptest`, `criterion`, `tracing`) are
 //! provided by minimal API-compatible shims under `shims/`; swapping a shim
 //! for the real crate is a one-line edit in the workspace manifest's
 //! `[workspace.dependencies]`.
