@@ -33,15 +33,48 @@ fn synth_effects(n: usize, universe: usize, seed: u64) -> Vec<UpdateEffect> {
         .collect()
 }
 
+/// The batch shape a `churn_adaptive` host tick analyses: 210 data updates
+/// over a 3 000-node graph, coverages of 22 draws from a 64-node window (a
+/// ball around the update), and every seventh coverage empty (30 in all;
+/// a node insert's always is).
+fn churn_effects(seed: u64) -> Vec<UpdateEffect> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..210)
+        .map(|i| {
+            let coverage: NodeSet = if i % 7 == 0 {
+                NodeSet::new()
+            } else {
+                let centre: u32 = rng.gen_range(0..3000 - 64);
+                (0..22)
+                    .map(|_| NodeId(centre + rng.gen_range(0u32..64)))
+                    .collect()
+            };
+            UpdateEffect {
+                index: i,
+                update: Update::Data(DataUpdate::InsertEdge {
+                    from: NodeId(0),
+                    to: NodeId(i as u32 + 1),
+                }),
+                coverage,
+                insertion: true,
+                cross_eliminates: Vec::new(),
+            }
+        })
+        .collect()
+}
+
 fn detection_and_tree(c: &mut Criterion) {
     let mut group = c.benchmark_group("elimination");
-    for n in [50usize, 100, 250] {
-        let effects = synth_effects(n, 2000, 3);
-        group.bench_function(format!("detect_pairwise_{n}"), |b| {
+    let cases = [50usize, 100, 250]
+        .map(|n| (n.to_string(), synth_effects(n, 2000, 3)))
+        .into_iter()
+        .chain([("churn_210".to_string(), churn_effects(7))]);
+    for (name, effects) in cases {
+        group.bench_function(format!("detect_{name}"), |b| {
             b.iter(|| EliminationGraph::detect(&effects))
         });
         let relations = EliminationGraph::detect(&effects);
-        group.bench_function(format!("tree_build_{n}"), |b| {
+        group.bench_function(format!("tree_build_{name}"), |b| {
             b.iter(|| EhTree::build(&effects, &relations))
         });
     }

@@ -167,6 +167,25 @@ impl NodeSet {
             .any(|(&a, &b)| a & b != 0)
     }
 
+    /// Iterate the members of both sets in ascending id order, a word at a
+    /// time and without building the intersection.
+    pub fn intersection<'a>(&'a self, other: &'a NodeSet) -> impl Iterator<Item = NodeId> + 'a {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .flat_map(|(i, (&a, &b))| {
+                let mut word = a & b;
+                std::iter::from_fn(move || {
+                    (word != 0).then(|| {
+                        let bit = word.trailing_zeros() as usize;
+                        word &= word - 1;
+                        NodeId::from_index(i * WORD_BITS + bit)
+                    })
+                })
+            })
+    }
+
     /// Iterate members in ascending id order.
     pub fn iter(&self) -> NodeSetIter<'_> {
         NodeSetIter {
@@ -288,6 +307,8 @@ mod tests {
         assert_eq!(a.iter().collect::<Vec<_>>(), ids(&[1, 2, 3, 65, 200]));
         assert_eq!(a.len(), 5);
         let mut c = NodeSet::from_iter(ids(&[2, 65, 999]));
+        assert_eq!(c.intersection(&a).collect::<Vec<_>>(), ids(&[2, 65]));
+        assert_eq!(a.intersection(&c).collect::<Vec<_>>(), ids(&[2, 65]));
         c.intersect_with(&a);
         assert_eq!(c.iter().collect::<Vec<_>>(), ids(&[2, 65]));
         assert_eq!(c.len(), 2);

@@ -7,8 +7,12 @@
 //! that still covers it — this reproduces Fig. 3, where `UP2` hangs under
 //! `UP1` rather than under the larger `UD1`); incomparable updates root
 //! their own trees, so the index is in general a forest.
+//!
+//! [`EhTree::build`] costs O(n + R) for `n` updates and `R` relations, plus
+//! the O(r log r) sort of the `r` roots: one pass over the relations keeps
+//! each update's tightest eliminator so far.
 
-use crate::elimination::{EliminationGraph, UpdateEffect};
+use crate::elimination::{debug_assert_positions, EliminationGraph, UpdateEffect};
 
 /// The EH-Tree (forest) over one batch of updates.
 #[derive(Debug, Clone)]
@@ -22,17 +26,19 @@ pub struct EhTree {
 }
 
 impl EhTree {
-    /// Build the tree from detected relations.
+    /// Build the tree from detected relations. `effects[i].index` must be
+    /// `i`, as for [`EliminationGraph::detect`].
     pub fn build(effects: &[UpdateEffect], relations: &EliminationGraph) -> Self {
+        debug_assert_positions(effects);
         let n = effects.len();
+        // Tightest eliminator: smallest coverage, then earliest index.
+        let tightness = |i: usize| (effects[i].coverage.len(), i);
         let mut parent: Vec<Option<usize>> = vec![None; n];
-        for e in effects {
-            // Tightest eliminator: smallest coverage, then earliest index.
-            let best = relations
-                .eliminators_of(e.index)
-                .map(|r| r.eliminator)
-                .min_by_key(|&i| (effects[i].coverage.len(), i));
-            parent[e.index] = best;
+        for r in relations.relations() {
+            let p = &mut parent[r.eliminated];
+            if p.map_or(true, |q| tightness(r.eliminator) < tightness(q)) {
+                *p = Some(r.eliminator);
+            }
         }
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, &p) in parent.iter().enumerate() {
