@@ -290,6 +290,10 @@ pub trait SlenBackend: DistanceOracle + Send + Sync {
     fn commit_insert_node(&mut self, graph: &DataGraph, id: NodeId, hint: RepairHint) -> AffDelta;
 
     /// Repair after the caller deleted node `id` (tombstone its slot).
+    /// Commit directly after that [`DataGraph::remove_node`], with no other
+    /// mutation of `graph` in between: the bounded-row backends read the
+    /// node's in- and out-edges from [`DataGraph::last_removed`], which the
+    /// next successful mutation clears, and panic if it does not name `id`.
     fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, hint: RepairHint) -> AffDelta;
 
     /// Number of distance rows currently materialized.
@@ -447,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_backend_accelerated_commits_stay_exact() {
+    fn dense_backend_accelerated_commits_stay_exact() {
         let mut f = fig1();
         let reqs = SlenRequirements::of_pattern(&f.pattern);
         let mut b = <IncrementalIndex as SlenBackend>::build(&f.graph, &reqs);

@@ -55,11 +55,9 @@
 //! ≈123 row accesses a tick, shared and exclusive path together, in a
 //! ≈156 µs tick. At 100k nodes (`gpnm replay --backend paged --nodes
 //! 100000 --edges 400000 --labels 60 --patterns 8 --ticks 3 --updates 20
-//! --seed 7 --stats`, the `paging:` line) a tick makes 279–298 k accesses
-//! of which ≈267 k are `commit_delete_node`'s `&mut` scan (53 334 resident
-//! rows × 5 node deletes), leaving ≤ 31 k on the shared path in a
-//! 113–157 ms tick. An uncontended lock at ≈25 ns is ≈2 % and ≈0.6 % of
-//! those ticks.
+//! --seed 7 --stats`, the `paging:` line) a tick makes 13–33 k accesses,
+//! exclusive and shared path together, in a 25–63 ms tick. An
+//! uncontended lock at ≈25 ns is ≈2 % and ≈1.3 % of those ticks.
 //!
 //! **Rejected: a lock-free published directory** — this module until
 //! PR 24: `Vec<AtomicPtr<_>>` slots published by a budget-gated CAS and
@@ -513,12 +511,13 @@ mod tests {
             }
         }
         // Read-path promotions are budget-gated, so churn the cache
-        // through the `&mut` repair path too (fetch → insert → evict): the
-        // one repair that still reads every row is a node-delete commit.
-        f.graph.remove_node(f.pm1).unwrap();
+        // through the `&mut` repair path too (fetch → insert → evict): every
+        // other source reaches S1 within the horizon, so deleting it fetches
+        // and patches all seven rows.
+        f.graph.remove_node(f.s1).unwrap();
         let hint = RepairHint::Baseline;
-        let commit_p = SlenBackend::commit_delete_node(&mut p, &f.graph, f.pm1, hint);
-        let commit_s = SlenBackend::commit_delete_node(&mut s, &f.graph, f.pm1, hint);
+        let commit_p = SlenBackend::commit_delete_node(&mut p, &f.graph, f.s1, hint);
+        let commit_s = SlenBackend::commit_delete_node(&mut s, &f.graph, f.s1, hint);
         assert_eq!(commit_p.changed, commit_s.changed);
         let io = p.io_stats().expect("paged reports IO");
         assert!(io.cache_evictions > 0, "2-page budget must churn: {io:?}");

@@ -70,14 +70,15 @@
 //! update emits — so every argument below is stated for that one pairing.
 //!
 //! The dense delta-proportional repair carries over in truncated form, and
-//! the edge routines start from the update's **backward ball** instead of
+//! every routine starts from the update's **backward ball** instead of
 //! the index: a source `x` can only be affected by an update to `(u, v)`
 //! if it reaches `u` inside the horizon, and `{x : d(x, u) + 1 ≤ B}` is
-//! one BFS of depth `B − 1` from `u` over [`DataGraph::in_neighbors`]. The
-//! ball is filtered by residency *before* any row is fetched and walked in
-//! slot order, so deltas keep the order a slot-order pass over every row
-//! gave them; the exact candidate predicates then run on the fetched (old)
-//! rows.
+//! one BFS of depth `B − 1` from `u` over [`DataGraph::in_neighbors`]. A
+//! node delete has one such tail per in-edge, and one BFS seeded with all
+//! of them at once. The ball is filtered by residency *before* any row is
+//! fetched and walked in slot order, so deltas keep the order a slot-order
+//! pass over every row gave them; the exact candidate predicates then run
+//! on the fetched (old) rows.
 //!
 //! * *Edge insert `(u, v)`*: only resident sources `x` with
 //!   `d_B(x, u) + 1 < d_B(x, v)` can change (the dense triangle-inequality
@@ -102,8 +103,19 @@
 //!   exceeds `B` can only change beyond the truncation horizon — invisible
 //!   to the engine by construction. Of the rest, only the *entries* that
 //!   really change are re-settled, in place ("Re-settle only …" below).
-//! * *Node delete*: resident sources whose row reaches the node, plus the
-//!   node's own row; each such row is re-run by truncated BFS and diffed.
+//! * *Node delete* of `id`: the node's own row goes (every entry to ∞),
+//!   and the candidates are the resident sources in the backward ball of
+//!   its in-neighbours — the `in_edges` of the [`gpnm_graph::RemovedNode`]
+//!   that [`DataGraph::last_removed`] keeps until the graph's next
+//!   mutation. A candidate row with `d = d(x, id)` loses `id`'s entry; its
+//!   other entries can only change below a child `z` of `id` (an
+//!   `out_edges` head) at `d + 1` that has no other in-neighbour left at
+//!   `d`. With no such child — or with `id` at the horizon, its children
+//!   beyond it — the one entry is dropped in place. Otherwise the row is
+//!   re-settled, seeded with `id` at `d` and those children at `d + 1`:
+//!   the seeding the dense index uses, which reads the children from
+//!   `id`'s own matrix row instead. A bounded index holds that row only
+//!   when `id` carries a pattern label, hence the record.
 //!
 //! **The ball, walked in the post-update graph, is a superset of the
 //! candidates the old rows define.** Three arguments are needed, one per
@@ -118,28 +130,24 @@
 //! 3. *Unbounded rows.* With `B = `[`INF`] the "ball" degrades to backward
 //!    reachability — as large as the graph allows, still a superset, still
 //!    exact.
+//! 4. *Delete node.* A shortest path from `x` to `id` of length `≤ B` ends
+//!    in an in-edge `(w, id)`, and its prefix to `w` — `≤ B − 1` hops —
+//!    does not pass through `id`, so the delete leaves it standing: `x` is
+//!    in the post-delete ball of the old in-neighbours.
 //!
-//! **Node delete is the one routine that still scans every resident
-//! row — and the one that still re-runs whole rows.** The post-delete
-//! graph holds neither half of what a local repair needs: not the node's
-//! in-edges, so there is no ball to walk backwards from; and not its
-//! out-edges, so the children a re-settle would start from cannot be
-//! enumerated — finding them means testing a whole BFS level of each row,
-//! which a prototype measured *slower* than the re-run at 100k nodes (30
-//! node deletes 144 → 167 ms). The `RemovedNode` that lists both stops at
-//! the `commit_delete_node` signature, which the benchmark's staged replay
-//! calls directly and so pins. Passing it through is the follow-up
-//! (ROADMAP, direction A): seeds for the backward ball from its in-edges,
-//! seeds for the affected set from its out-edges — after which `scan`,
-//! `rerun_rows`, `diff_rows` and `bfs` can all go. At 100k nodes this scan
-//! is what remains of a repair tick. The dense index
-//! ([`crate::IncrementalIndex`]) already re-settles node deletes: it reads
-//! the deleted node's children from the node's own row, `d(id, z) == 1`,
-//! before clearing it. Bounded rows cannot rely on that row. It exists
-//! only when the deleted node carries a pattern label, so the
-//! `RemovedNode` is still the way in here.
+//! **Why the removed node's edges come through the graph.** The
+//! post-delete graph has lost both halves of what a local repair needs:
+//! the in-edges the ball is walked back from, and the out-edges that name
+//! the children to seed. Finding the children without them means testing
+//! a whole BFS level of each row, which a prototype measured *slower* than
+//! re-running the rows at 100k nodes (30 node deletes 144 → 167 ms). A
+//! new parameter on `commit_delete_node` would change a signature every
+//! host and the benchmark's staged replay call by name; the graph already
+//! holds the record at the moment of the commit, so it keeps it until its
+//! next mutation. The cost of the contract is that the commit must
+//! directly follow its `remove_node`, which `delete_node_delta` `expect`s.
 //!
-//! **Re-settle only the entries that change** (edge delete). A deleted
+//! **Re-settle only the entries that change** (edge and node delete). A deleted
 //! edge changes 9 entries of a 310-entry row on the benchmark's churn
 //! workload; re-running the row's BFS to find them costs the row. The
 //! repair is the decremental step of Ramalingam & Reps, truncated at `B`
@@ -148,8 +156,8 @@
 //! its caller. Here the array is the BFS scratch: the row is scattered into
 //! it, re-settled at depth `B` and restored. The dense index hands it a
 //! matrix row as it stands, at depth [`INF`], with nothing to scatter or
-//! restore; it also seeds node deletes (above). For a candidate source `x`
-//! with old row `d`:
+//! restore. Both seed node deletes alike (above). For a candidate source
+//! `x` with old row `d` (an edge delete's seed is `v`):
 //!
 //! * *The affected set* `A` is the targets whose distance grows. It is
 //!   defined level by level: `v` is affected iff no in-neighbour `w` left
@@ -182,7 +190,8 @@
 //!   beyond `B`, so `A = {v}`, and nothing standing is near enough to
 //!   bring it back (that would be a parent at `B − 1`), so the record
 //!   `(x, v, B, ∞)` is written and the entry removed without scattering
-//!   the row at all. Node deletes keep the leaf in its old form.
+//!   the row at all. A node delete has the same leaf, with `id` in `v`'s
+//!   place — and the same drop when `id`'s children all keep a parent.
 //!
 //! **Why not binary-search the row.** The level test reads `d` at every
 //! in-neighbour of every child of every affected target; around a hub that
@@ -204,23 +213,24 @@
 //! BFSs and the re-settle; it is all-[`INF`] between commits (asserted on
 //! entry in debug builds, and after every commit by the tests).
 //!
-//! Nothing outside the delta's sources is written; an edge commit fetches
-//! each ball row once — tested and repaired on the same fetch — and only
-//! ever patches rows in place (`RowStore::update`; `put` is for builds,
-//! re-targets and the node-delete re-run, which fetches a row twice: once
-//! to test, once to diff). Deltas are the
+//! Nothing outside the delta's sources is written; a commit fetches each
+//! ball row once — tested and repaired on the same fetch — plus, for a node
+//! delete, the node's own row, and only ever patches rows in place
+//! (`RowStore::update`; `put` is for builds and re-targets). Deltas are the
 //! dense deltas *projected* onto resident sources with distances `> B`
 //! mapped to ∞ — exactly the projection the matcher observes, which the
 //! backend-equivalence proptest suite asserts record-for-record against
 //! [`crate::IncrementalIndex`] (and, between the two stores, proves the
 //! paged store's serialisation, eviction and write-through transparent).
 //!
-//! **Why not scan every row** (the tree until PR 17). `row.get(u)` on each
-//! resident row is correct and needs no in-adjacency, but it is O(index)
-//! per update whatever the update touches: 22 of a 24 ms tick on the
-//! benchmark's 210-update workload, and on the paged store a spill read
-//! for every row the cache cannot hold (4 484 pages per 4-update tick,
-//! 1 272 from the ball).
+//! **Why not scan every row** (how every routine first found its
+//! candidates). `row.get(u)` on each resident row is correct and needs no
+//! in-adjacency, but it is O(index) per update whatever the update
+//! touches: 22 of a 24 ms tick on the benchmark's 210-update workload, and
+//! on the paged store a spill read for every row the cache cannot hold
+//! (4 484 pages per 4-update tick, 1 272 from the ball). Node deletes
+//! kept the scan, and re-ran every row that reached the node by BFS:
+//! 709 µs of a ≈1.25 ms tick (p50) on the default serving workload.
 //!
 //! **Why no CSR copy on the repair path.** Every BFS used to run over a
 //! `CsrSnapshot` keyed on the graph version — which every committed update
@@ -341,24 +351,28 @@ impl SparseRow {
     }
 }
 
-/// BFS from `source` along `adjacent`, truncated at `depth` hops ([`INF`] =
-/// untruncated): the one traversal of the index. Forward rows walk
-/// `DataGraph::out_neighbors`, backward balls `DataGraph::in_neighbors` —
-/// the live adjacency either way, so a BFS costs its ball and nothing per
-/// graph version. `dist` is an all-[`INF`] scratch array; on return `queue`
-/// lists the nodes reached, in BFS order, and `dist` holds their depths —
-/// the caller reads what it needs and hands both to [`restore_scratch`].
+/// BFS from the distinct `sources`, all at depth 0, along `adjacent`,
+/// truncated at `depth` hops ([`INF`] = untruncated): the one traversal of
+/// the index. Forward rows walk `DataGraph::out_neighbors` from one source,
+/// backward balls `DataGraph::in_neighbors` from an edge's tail or a
+/// deleted node's in-neighbours — the live adjacency either way, so a BFS
+/// costs its ball and nothing per graph version. `dist` is an all-[`INF`]
+/// scratch array; on return `queue` lists the nodes reached, in BFS order,
+/// and `dist` holds their depths — the caller reads what it needs and
+/// hands both to [`restore_scratch`].
 fn bfs_visit<'g>(
     adjacent: impl Fn(NodeId) -> &'g [NodeId],
-    source: NodeId,
+    sources: &[NodeId],
     depth: u32,
     dist: &mut [u32],
     queue: &mut Vec<NodeId>,
 ) {
-    debug_assert_eq!(dist[source.index()], INF, "scratch not restored");
     queue.clear();
-    dist[source.index()] = 0;
-    queue.push(source);
+    for &source in sources {
+        debug_assert_eq!(dist[source.index()], INF, "scratch not restored");
+        dist[source.index()] = 0;
+        queue.push(source);
+    }
     let mut head = 0;
     while head < queue.len() {
         let u = queue[head];
@@ -392,7 +406,7 @@ pub(crate) fn bfs_truncated<'g>(
     dist: &mut [u32],
     queue: &mut Vec<NodeId>,
 ) -> SparseRow {
-    bfs_visit(adjacent, source, depth, dist, queue);
+    bfs_visit(adjacent, &[source], depth, dist, queue);
     let mut entries: Vec<(u32, u32)> = queue.iter().map(|&v| (v.0, dist[v.index()])).collect();
     restore_scratch(dist, queue);
     entries.sort_unstable_by_key(|e| e.0);
@@ -486,38 +500,6 @@ impl Resettle {
         for a in affected.iter_mut() {
             a.2 = dist[a.0 as usize];
         }
-    }
-}
-
-/// Record every difference between two sorted sparse rows of source `x`
-/// (absent entries read as [`INF`]), in ascending target order.
-pub(crate) fn diff_rows(x: NodeId, old: &SparseRow, new: &SparseRow, delta: &mut AffDelta) {
-    let (a, b) = (&old.entries, &new.entries);
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                delta.record(x, NodeId(a[i].0), a[i].1, INF);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                delta.record(x, NodeId(b[j].0), INF, b[j].1);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                if a[i].1 != b[j].1 {
-                    delta.record(x, NodeId(a[i].0), a[i].1, b[j].1);
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    for &(y, d) in &a[i..] {
-        delta.record(x, NodeId(y), d, INF);
-    }
-    for &(y, d) in &b[j..] {
-        delta.record(x, NodeId(y), INF, d);
     }
 }
 
@@ -674,56 +656,24 @@ impl<S: RowStore> BoundedRows<S> {
         grow_with_slack(&mut self.dist_buf, n, || INF);
     }
 
-    /// One truncated BFS row at the current depth, over the live
-    /// out-adjacency: what the node-delete re-run runs.
-    fn bfs(&mut self, graph: &DataGraph, source: NodeId) -> SparseRow {
-        bfs_truncated(
-            |n| graph.out_neighbors(n),
-            source,
-            self.reqs.depth(),
-            &mut self.dist_buf,
-            &mut self.queue_buf,
-        )
-    }
-
-    /// The backward ball of an edge's tail `u`: the resident slots `x` with
-    /// `d(x, u) + 1 ≤ depth` in `graph` — the sources that reach across
-    /// the edge inside the horizon — ascending. One truncated BFS over the
-    /// live in-adjacency, filtered by residency straight off its queue:
-    /// before any row is fetched, and before anything is sorted. (Depth 0
-    /// leaves nobody.)
-    fn backward_ball(&mut self, graph: &DataGraph, u: NodeId) -> Vec<u32> {
+    /// The backward ball of `tails` — an edge's tail, or every in-neighbour
+    /// a deleted node had: the resident slots `x` with `d(x, t) + 1 ≤
+    /// depth` in `graph` for some tail `t` — the sources that reach across
+    /// one of the edges inside the horizon — ascending. One truncated BFS
+    /// over the live in-adjacency, from all the tails at once, filtered by
+    /// residency straight off its queue: before any row is fetched, and
+    /// before anything is sorted. (Depth 0 leaves nobody.)
+    fn backward_ball(&mut self, graph: &DataGraph, tails: &[NodeId]) -> Vec<u32> {
         let Some(radius) = self.reqs.depth().checked_sub(1) else {
             return Vec::new();
         };
         let (dist, queue) = (&mut self.dist_buf, &mut self.queue_buf);
-        bfs_visit(|n| graph.in_neighbors(n), u, radius, dist, queue);
+        bfs_visit(|n| graph.in_neighbors(n), tails, radius, dist, queue);
         restore_scratch(dist, queue);
         let slots = queue.iter().map(|x| x.0);
         let mut ball: Vec<u32> = slots.filter(|&s| self.store.is_resident(s)).collect();
         ball.sort_unstable();
         ball
-    }
-
-    /// The all-rows candidate pass: fetch every resident row but `except`'s
-    /// exactly once, in slot order, and keep what `pick` selects.
-    /// O(index) — only for the one caller that has no ball to walk (see
-    /// [`BoundedRows::delete_node_delta`]).
-    fn scan<T>(
-        &mut self,
-        except: NodeId,
-        mut pick: impl FnMut(NodeId, &SparseRow) -> Option<T>,
-    ) -> Vec<T> {
-        let mut picked = Vec::new();
-        for slot in (0..self.store.slots() as u32).filter(|&s| s != except.0) {
-            let Some(row) = self.store.fetch(slot) else {
-                continue;
-            };
-            if let Some(hit) = pick(NodeId(slot), row) {
-                picked.push(hit);
-            }
-        }
-        picked
     }
 
     /// Bulk build: one row per source, each handed to `keep`. The only
@@ -814,7 +764,7 @@ impl<S: RowStore> BoundedRows<S> {
         let mut vrow = SparseRow::default();
         let mut reach = None;
         let mut updates: Vec<(u32, u32)> = Vec::new();
-        for slot in self.backward_ball(graph, u) {
+        for slot in self.backward_ball(graph, &[u]) {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
@@ -851,31 +801,6 @@ impl<S: RowStore> BoundedRows<S> {
         delta
     }
 
-    /// Bring `sources`' rows up to date after `gone` was deleted (an edge
-    /// into it, or the node itself) from `graph`, recording and storing
-    /// every change. A source flagged as a horizon leaf — its entry for
-    /// `gone` sat exactly at the horizon — loses that entry and nothing
-    /// else; the others are re-run by truncated BFS and diffed.
-    fn rerun_rows(
-        &mut self,
-        graph: &DataGraph,
-        sources: Vec<(NodeId, bool)>,
-        gone: NodeId,
-        delta: &mut AffDelta,
-    ) {
-        for (x, horizon_leaf) in sources {
-            if horizon_leaf {
-                delta.record(x, gone, self.reqs.depth(), INF);
-                self.store.update(x.0, |row| row.remove(gone.0));
-                continue;
-            }
-            let new_row = self.bfs(graph, x);
-            let old_row = self.store.fetch(x.0).expect("source is resident");
-            diff_rows(x, old_row, &new_row, delta);
-            self.store.put(x.0, new_row);
-        }
-    }
-
     /// Delete-edge repair; `graph` has already lost `(u, v)`. A shortest
     /// path *to* `u` never uses an out-edge of `u`, so `u`'s backward ball
     /// is the one it had with the edge (superset argument 2).
@@ -883,7 +808,7 @@ impl<S: RowStore> BoundedRows<S> {
         self.ensure_slots(graph);
         let depth = self.reqs.depth();
         let mut delta = AffDelta::new();
-        for slot in self.backward_ball(graph, u) {
+        for slot in self.backward_ball(graph, &[u]) {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
@@ -908,39 +833,28 @@ impl<S: RowStore> BoundedRows<S> {
                 // nothing standing is near enough to re-settle it. (Stored
                 // distances are finite, so no row of an untruncated index
                 // has one.)
-                delta.record(x, v, depth, INF);
-                self.store.update(slot, |row| row.remove(v.0));
+                self.drop_entry(x, v, dv, &mut delta);
                 continue;
             }
-            // Scatter the row into the scratch array, re-settle, restore.
             let (dist, resettle) = (&mut self.dist_buf, &mut self.resettle);
-            let cells = || row.entries.iter().map(|e| e.0 as usize);
-            debug_assert!(cells().all(|y| dist[y] == INF), "scratch not restored");
-            for &(y, d) in &row.entries {
-                dist[y as usize] = d;
-            }
-            resettle.clear();
-            resettle.seed(dist, v, dv);
-            resettle.run(graph, dist, depth);
-            for y in cells() {
-                dist[y] = INF;
-            }
-            let changes = &resettle.affected;
-            for &(y, old, new) in changes {
-                delta.record(x, NodeId(y), old, new);
-            }
-            self.store.update(slot, |row| row.settle(changes));
+            resettle_row(graph, row, depth, dist, resettle, [(v, dv)]);
+            self.settle_row(x, &mut delta);
         }
         delta
     }
 
-    /// Delete-node repair; `graph` has already lost `id` and with it the
-    /// in-edges a backward ball would be walked over, so this is the one
-    /// routine that keeps the slot-order scan of every resident row.
+    /// Delete-node repair; `graph` has already lost `id`, and its
+    /// [`DataGraph::last_removed`] lists the edges that went with it: the
+    /// in-edges are the tails of the candidates' backward ball (superset
+    /// argument 4), the out-edges the children that may lose their last
+    /// parent.
     fn delete_node_delta(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta {
+        let removed = graph.last_removed().filter(|r| r.id == id).expect(
+            "commit_delete_node(id) must directly follow the graph's remove_node(id): \
+             the repair reads the node's edges from DataGraph::last_removed",
+        );
         self.ensure_slots(graph);
         let depth = self.reqs.depth();
-        let sources = self.scan(id, |x, row| Some((x, row.get(id.0)? == depth)));
         let mut delta = AffDelta::new();
         // The node's own row: every entry becomes INF.
         if let Some(row) = self.store.fetch(id.0) {
@@ -949,8 +863,78 @@ impl<S: RowStore> BoundedRows<S> {
             }
             self.store.remove(id.0);
         }
-        self.rerun_rows(graph, sources, id, &mut delta);
+        for slot in self.backward_ball(graph, &removed.in_edges) {
+            let Some(row) = self.store.fetch(slot) else {
+                continue;
+            };
+            let Some(d) = row.get(id.0) else {
+                continue;
+            };
+            // The children one level below `id` with no other parent left
+            // at `d` — the alternative-parent test, once per child. None
+            // (at the horizon there are none: its children lie beyond it)
+            // means the row loses `id`'s entry and nothing else.
+            let orphaned = |z: &NodeId| {
+                let mut parents = graph.in_neighbors(*z).iter();
+                row.get(z.0) == Some(d + 1) && !parents.any(|w| row.get(w.0) == Some(d))
+            };
+            let orphans: Vec<NodeId> = removed.out_edges.iter().copied().filter(orphaned).collect();
+            let x = NodeId(slot);
+            if orphans.is_empty() {
+                self.drop_entry(x, id, d, &mut delta);
+                continue;
+            }
+            let seeds = std::iter::once((id, d)).chain(orphans.iter().map(|&z| (z, d + 1)));
+            let (dist, resettle) = (&mut self.dist_buf, &mut self.resettle);
+            resettle_row(graph, row, depth, dist, resettle, seeds);
+            self.settle_row(x, &mut delta);
+        }
         delta
+    }
+
+    /// Record that source `x` lost its entry `(y, d)` and nothing else, and
+    /// drop it from the row in place.
+    fn drop_entry(&mut self, x: NodeId, y: NodeId, d: u32, delta: &mut AffDelta) {
+        delta.record(x, y, d, INF);
+        self.store.update(x.0, |row| row.remove(y.0));
+    }
+
+    /// Record the changes [`resettle_row`] left in the re-settle scratch
+    /// as `x`'s, and write them into its row in place.
+    fn settle_row(&mut self, x: NodeId, delta: &mut AffDelta) {
+        let changes = &self.resettle.affected;
+        for &(y, old, new) in changes {
+            delta.record(x, NodeId(y), old, new);
+        }
+        self.store.update(x.0, |row| row.settle(changes));
+    }
+}
+
+/// Re-settle one bounded `row` (module docs §3): scatter it into the
+/// all-[`INF`] scratch `dist`, seed `resettle` with the affected `(target,
+/// old distance)`s — in the order [`Resettle::seed`] asks for — run it at
+/// `depth` and restore `dist`. [`Resettle::affected`] then lists the row's
+/// changes, ascending by target.
+fn resettle_row(
+    graph: &DataGraph,
+    row: &SparseRow,
+    depth: u32,
+    dist: &mut [u32],
+    resettle: &mut Resettle,
+    seeds: impl IntoIterator<Item = (NodeId, u32)>,
+) {
+    let cells = || row.entries.iter().map(|e| e.0 as usize);
+    debug_assert!(cells().all(|y| dist[y] == INF), "scratch not restored");
+    for &(y, d) in &row.entries {
+        dist[y as usize] = d;
+    }
+    resettle.clear();
+    for (y, d) in seeds {
+        resettle.seed(dist, y, d);
+    }
+    resettle.run(graph, dist, depth);
+    for y in cells() {
+        dist[y] = INF;
     }
 }
 
@@ -1235,12 +1219,13 @@ mod tests {
         assert_eq!(s.distance(f.pm2, f.te1), dense.get(f.pm2, f.te1));
     }
 
-    /// Every edge delete's re-settle against the path it replaced — a
-    /// truncated BFS of every row, diffed against the old one (`bfs` +
-    /// `diff_rows`, which node deletes still run) — record for record and
-    /// row for row, on seeded random graphs with every node a source, at
-    /// `Hops(1..=4)` and unbounded.
-    fn edge_delete_resettle_equals_rerun_and_diff<S: RowStore>(store: impl Fn() -> S) {
+    /// Every delete's re-settle against the path it replaced — a truncated
+    /// BFS of every row, diffed against the old one (the deleted node's own
+    /// row, all of it going to ∞, leading) — record for record and row for
+    /// row, on seeded random graphs with every node a source, at
+    /// `Hops(1..=4)` and unbounded. Edge deletes take a random edge until
+    /// none is left; node deletes a random node until two are left.
+    fn delete_resettle_equals_rerun_and_diff<S: RowStore>(store: impl Fn() -> S, nodes: bool) {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut draw = |below: usize| {
             state ^= state << 13;
@@ -1250,8 +1235,8 @@ mod tests {
         };
         // What the suite must have seen by the end: a target re-settled
         // inside the horizon at a larger distance, an affected subtree more
-        // than one level deep, a target that falls beyond a finite horizon
-        // from strictly inside it.
+        // than one level below the deleted head, a target that falls beyond
+        // a finite horizon from strictly inside it.
         let (mut farther, mut deep, mut beyond) = (false, false, false);
         for round in 0..60 {
             let bound = [1, 2, 3, 4, INF][round % 5];
@@ -1272,41 +1257,103 @@ mod tests {
                 }
             }
             let mut s = BoundedRows::with_store(&graph, &reqs, store());
+            let (mut dist, mut queue) = (vec![INF; n], Vec::new());
             loop {
-                let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
-                if edges.is_empty() {
-                    break;
-                }
-                let (u, v) = edges[draw(edges.len())];
-                let old_rows: Vec<SparseRow> = ids
+                let old_rows: Vec<Option<SparseRow>> =
+                    ids.iter().map(|x| s.store.fetch(x.0).cloned()).collect();
+                let (own, gone, delta) = if nodes {
+                    let live: Vec<NodeId> = graph.nodes().collect();
+                    if live.len() <= 2 {
+                        break;
+                    }
+                    let id = live[draw(live.len())];
+                    graph.remove_node(id).unwrap();
+                    let delta = s.commit_delete_node(&graph, id, RepairHint::Baseline);
+                    (Some(id), id, delta)
+                } else {
+                    let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
+                    if edges.is_empty() {
+                        break;
+                    }
+                    let (u, v) = edges[draw(edges.len())];
+                    graph.remove_edge(u, v).unwrap();
+                    (
+                        None,
+                        v,
+                        s.commit_delete_edge(&graph, u, v, RepairHint::Baseline),
+                    )
+                };
+                let out = |x| graph.out_neighbors(x);
+                let new_rows: Vec<Option<SparseRow>> = ids
                     .iter()
-                    .map(|x| s.store.fetch(x.0).expect("every node is a source").clone())
+                    .map(|&x| {
+                        let live = graph.contains(x);
+                        live.then(|| bfs_truncated(out, x, s.depth(), &mut dist, &mut queue))
+                    })
                     .collect();
-                graph.remove_edge(u, v).unwrap();
-                let mut expected = AffDelta::new();
-                let new_rows: Vec<SparseRow> = ids.iter().map(|&x| s.bfs(&graph, x)).collect();
-                for (i, &x) in ids.iter().enumerate() {
-                    diff_rows(x, &old_rows[i], &new_rows[i], &mut expected);
+                let (empty, mut expected) = (SparseRow::default(), AffDelta::new());
+                let others = ids.iter().copied().filter(|&x| Some(x) != own);
+                for x in own.into_iter().chain(others) {
+                    let [old, new] = [&old_rows, &new_rows].map(|r| r[x.index()].as_ref());
+                    diff_rows(
+                        x,
+                        old.unwrap_or(&empty),
+                        new.unwrap_or(&empty),
+                        &mut expected,
+                    );
                 }
-                let delta = s.commit_delete_edge(&graph, u, v, RepairHint::Baseline);
+                let what = if nodes { "node" } else { "edge" };
                 assert_eq!(
                     delta.changed, expected.changed,
-                    "round {round}, ({u:?}, {v:?})"
+                    "round {round}, {what} delete at {gone:?}"
                 );
                 for (i, x) in ids.iter().enumerate() {
-                    assert_eq!(s.store.fetch(x.0), Some(&new_rows[i]), "row of {x:?}");
+                    assert_eq!(s.store.fetch(x.0), new_rows[i].as_ref(), "row of {x:?}");
                 }
                 assert_scratch_restored(&s);
-                for (i, &x) in ids.iter().enumerate() {
+                for (i, &x) in ids.iter().enumerate().filter(|&(_, &x)| Some(x) != own) {
                     let of_x = || delta.changed.iter().filter(move |r| r.0 == x);
-                    let dv = old_rows[i].get(v.0);
+                    let dv = old_rows[i].as_ref().and_then(|row| row.get(gone.0));
                     farther |= of_x().any(|r| r.3 != INF);
                     deep |= of_x().any(|r| dv.is_some_and(|dv| r.2 >= dv + 2));
-                    beyond |= of_x().any(|r| r.3 == INF && r.2 < bound);
+                    beyond |= of_x().any(|r| r.3 == INF && r.2 < bound && r.1 != gone);
                 }
             }
         }
         assert!(farther && deep && beyond, "{farther} {deep} {beyond}");
+    }
+
+    /// The re-run-and-diff the re-settle is held against: every difference
+    /// between two sorted rows of source `x` (absent entries read as
+    /// [`INF`]), in ascending target order.
+    fn diff_rows(x: NodeId, old: &SparseRow, new: &SparseRow, delta: &mut AffDelta) {
+        let (a, b) = (&old.entries, &new.entries);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => {
+                    delta.record(x, NodeId(a[i].0), a[i].1, INF);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    delta.record(x, NodeId(b[j].0), INF, b[j].1);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    if a[i].1 != b[j].1 {
+                        delta.record(x, NodeId(a[i].0), a[i].1, b[j].1);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        for &(y, d) in &a[i..] {
+            delta.record(x, NodeId(y), d, INF);
+        }
+        for &(y, d) in &b[j..] {
+            delta.record(x, NodeId(y), INF, d);
+        }
     }
 
     /// The settle step is a shortest-path search, not one look at the
@@ -1373,7 +1420,11 @@ mod tests {
                 }
                 #[test]
                 fn edge_delete_resettle_equals_rerun_and_diff() {
-                    super::edge_delete_resettle_equals_rerun_and_diff(|| $store);
+                    super::delete_resettle_equals_rerun_and_diff(|| $store, false);
+                }
+                #[test]
+                fn node_delete_resettle_equals_rerun_and_diff() {
+                    super::delete_resettle_equals_rerun_and_diff(|| $store, true);
                 }
             }
         };
@@ -1556,12 +1607,30 @@ mod tests {
         }
     }
 
-    /// An edge commit patches rows where they stand: since the last
-    /// `reset` it replaced none (no `put`), dropped none, and every
+    /// A commit patches rows where they stand: since the last `reset` it
+    /// replaced none (no `put`), dropped none but `removed` rows, and every
     /// `update` went to a source of the delta.
-    fn assert_patches_only_sources(s: &BoundedRows<Recording>, delta: &AffDelta) {
-        assert_eq!(s.store.puts, [] as [u32; 0], "an edge commit rebuilt a row");
-        assert_writes_only_sources(s, delta, 0);
+    fn assert_patches_only_sources(s: &BoundedRows<Recording>, delta: &AffDelta, removed: usize) {
+        assert_eq!(s.store.puts, [] as [u32; 0], "a commit rebuilt a row");
+        assert_writes_only_sources(s, delta, removed);
+    }
+
+    /// The locality contract of a node delete: since the last `reset`, the
+    /// slots fetched are exactly the deleted node's own row, when `own` (it
+    /// had one), and the resident `x` with `d(x, w) + 1 ≤ depth` in `graph`
+    /// for an in-neighbour `w` the node had — its in-edges' backward ball —
+    /// each once.
+    fn assert_in_edges_ball_local(s: &BoundedRows<Recording>, graph: &DataGraph, own: bool) {
+        let removed = graph.last_removed().expect("a node delete");
+        let dense = apsp_matrix(graph);
+        let near = |x, w| sat_add(dense.get(x, w), 1) <= s.depth();
+        for (slot, &count) in s.store.fetches.iter().enumerate() {
+            let x = NodeId::from_index(slot);
+            let in_ball =
+                s.store.inner.is_resident(x.0) && removed.in_edges.iter().any(|&w| near(x, w));
+            let expected = in_ball || (x == removed.id && own);
+            assert_eq!(count, u32::from(expected), "fetches of {x:?}");
+        }
     }
 
     /// Nothing outside the delta's sources is written: since the last
@@ -1595,7 +1664,7 @@ mod tests {
         assert_ball_local(&s, &f.graph, f.se1);
         let improved = [f.pm1, f.pm2, f.se1, f.se2, f.s1, f.te1].map(|x| x.0);
         assert_eq!(s.store.updates, improved);
-        assert_patches_only_sources(&s, &delta);
+        assert_patches_only_sources(&s, &delta, 0);
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
 
         // Nobody reaches PM1 but PM1, whose only path to DB1 was the edge.
@@ -1607,7 +1676,7 @@ mod tests {
         assert_eq!(s.store.resident_fetches(), [1, 0, 0, 0, 0, 0, 0]);
         assert_ball_local(&s, &f.graph, f.pm1);
         assert_eq!(s.store.updates, [f.pm1.0]);
-        assert_patches_only_sources(&s, &delta);
+        assert_patches_only_sources(&s, &delta, 0);
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
     }
 
@@ -1639,7 +1708,7 @@ mod tests {
         assert_eq!(s.store.resident_fetches(), [1, 1, 1, 1, 1, 1, 0]);
         assert_ball_local(&s, &f.graph, f.se2);
         assert_eq!(s.store.updates, [f.se2.0, f.te1.0]);
-        assert_patches_only_sources(&s, &delta);
+        assert_patches_only_sources(&s, &delta, 0);
         assert!(delta.changed.iter().all(|r| r.0 == f.se2 || r.0 == f.te1));
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
     }
@@ -1655,7 +1724,7 @@ mod tests {
         let delta = s.commit_delete_edge(&f.graph, f.se2, f.te1, RepairHint::Baseline);
         let patched = [f.pm1, f.pm2, f.se1, f.se2, f.s1].map(|x| x.0);
         assert_eq!(s.store.updates, patched);
-        assert_patches_only_sources(&s, &delta);
+        assert_patches_only_sources(&s, &delta, 0);
         assert!(
             s.snapshot.is_stale(&f.graph),
             "no repair read the bulk build's snapshot"
@@ -1667,42 +1736,63 @@ mod tests {
         assert_eq!(delta.changed.last(), Some(&(f.s1, f.te1, 4, INF)));
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
 
-        // Node deletion has the same leaf: TE2 reaches SE2 in exactly 4.
+        // Node deletion has the same leaf: TE2 reaches SE2 in exactly 4,
+        // and loses that one entry in place. Every other ball row is
+        // patched in place too; none is rebuilt.
         f.graph.remove_node(f.se2).unwrap();
         s.store.reset();
-        s.commit_delete_node(&f.graph, f.se2, RepairHint::Baseline);
-        assert_eq!(s.store.updates, [f.te2.0]);
-        assert!(!s.store.puts.contains(&f.te2.0));
+        let delta = s.commit_delete_node(&f.graph, f.se2, RepairHint::Baseline);
+        let patched = [f.pm1, f.pm2, f.se1, f.s1, f.te1, f.te2].map(|x| x.0);
+        assert_eq!(s.store.updates, patched);
+        assert_patches_only_sources(&s, &delta, 1);
+        let of_te2: Vec<_> = delta.changed.iter().filter(|r| r.0 == f.te2).collect();
+        assert_eq!(of_te2, [&(f.te2, f.se2, 4, INF)]);
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
     }
 
+    /// Fetch counts are in slot order `PM1, PM2, SE1, SE2, S1, TE1, TE2,
+    /// DB1` (DB1 has no row).
     #[test]
-    fn only_commit_delete_node_fetches_every_row() {
-        // Nobody reaches PM1, but the graph has lost PM1's in-edges, so
-        // there is no ball to find that out from: the scan reads every
-        // other resident row once, then PM1's own, and re-runs nobody.
+    fn a_node_delete_fetches_its_in_edges_ball_and_its_own_row() {
+        // Nobody reaches PM1: no in-edge, no ball. PM1's own row is the one
+        // read, and dropped.
         let (mut f, mut s) = fig1_rows(Recording::default());
         f.graph.remove_node(f.pm1).unwrap();
         s.store.reset();
         let delta = s.commit_delete_node(&f.graph, f.pm1, RepairHint::Baseline);
-        assert_eq!(s.store.fetches, [1, 1, 1, 1, 1, 1, 1, 0]);
-        assert_eq!(s.store.puts, [] as [u32; 0], "nobody lost a path");
+        assert_eq!(s.store.fetches, [1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_in_edges_ball_local(&s, &f.graph, true);
         assert_eq!(s.store.updates, [] as [u32; 0]);
-        assert_writes_only_sources(&s, &delta, 1);
+        assert_patches_only_sources(&s, &delta, 1);
         assert!(delta.changed.iter().all(|r| r.0 == f.pm1));
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
 
-        // Every other source reaches S1 within the horizon — TE1 exactly at
-        // it, so that row is read once and patched in place, not re-run;
-        // S1's own row is read once, after the scan and not by it.
+        // SE2 had three in-neighbours — PM1, SE1, TE1 — and one BFS from
+        // all three reaches every other source, TE2 exactly at the horizon.
+        // Each row is read once and patched in place, SE2's own row read
+        // once and dropped.
+        let (mut f, mut s) = fig1_rows(Recording::default());
+        f.graph.remove_node(f.se2).unwrap();
+        s.store.reset();
+        let delta = s.commit_delete_node(&f.graph, f.se2, RepairHint::Baseline);
+        assert_eq!(s.store.fetches, [1, 1, 1, 1, 1, 1, 1, 0]);
+        assert_in_edges_ball_local(&s, &f.graph, true);
+        let patched = [f.pm1, f.pm2, f.se1, f.s1, f.te1, f.te2].map(|x| x.0);
+        assert_eq!(s.store.updates, patched);
+        assert_patches_only_sources(&s, &delta, 1);
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
+
+        // S1's in-neighbours SE1 and TE2 are within reach of every other
+        // source — TE1 exactly at the horizon.
         let (mut f, mut s) = fig1_rows(Recording::default());
         f.graph.remove_node(f.s1).unwrap();
         s.store.reset();
         let delta = s.commit_delete_node(&f.graph, f.s1, RepairHint::Baseline);
-        assert_eq!(s.store.fetches, [2, 2, 2, 2, 1, 1, 2, 0]);
-        assert_eq!(s.store.updates, [f.te1.0]);
-        let rerun = [f.pm1, f.pm2, f.se1, f.se2, f.te2].map(|x| x.0);
-        assert_eq!(s.store.puts, rerun);
-        assert_writes_only_sources(&s, &delta, 1);
+        assert_eq!(s.store.fetches, [1, 1, 1, 1, 1, 1, 1, 0]);
+        assert_in_edges_ball_local(&s, &f.graph, true);
+        let patched = [f.pm1, f.pm2, f.se1, f.se2, f.te1, f.te2].map(|x| x.0);
+        assert_eq!(s.store.updates, patched);
+        assert_patches_only_sources(&s, &delta, 1);
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
     }
 

@@ -21,8 +21,10 @@
 //! branches turn on. Two more aim at the edge-delete re-settle: hub-heavy
 //! graphs (one node with in- and out-degree ≥ 16, so affected sets contain
 //! and border long in-neighbour lists) and streams that delete an edge and
-//! put the same edge back. Every case also checks the delta order the
-//! candidate pass's sort-by-slot produces.
+//! put the same edge back. A third deletes the hub and then its spokes,
+//! so node deletes seed their backward ball from many in-neighbours at
+//! once. Every case also checks the delta order the candidate pass's
+//! sort-by-slot produces.
 //!
 //! A last block pins the witness-probe kernel: on all four backends, after
 //! a random commit sequence, `any_within(u, S, b)` answers exactly what
@@ -126,6 +128,25 @@ fn hub_case() -> impl PropStrategy<Value = RawCase> {
                 let ops = ops.into_iter().map(|(k, a, b)| (kinds[k], a, b)).collect();
                 (nodes, labels, edges, mask, depth_sel, ops)
             })
+    })
+}
+
+/// Node-delete-heavy: [`hub_case`]'s graphs with the hub deleted first,
+/// then mostly spokes (the lowest live slots), a third of the ops edge
+/// deletes. Deleting
+/// the hub seeds the candidates' backward ball from 16 in-neighbours at
+/// once and orphans 16 children, some of which keep a standing parent
+/// through the random spoke-to-spoke edges; each spoke deleted after it
+/// has in- and out-edges of its own. At every depth from 1 to 4 and
+/// unbounded.
+fn hub_node_delete_case() -> impl PropStrategy<Value = RawCase> {
+    hub_case().prop_map(|(nodes, labels, edges, mask, depth_sel, ops)| {
+        let spokes = ops.into_iter().map(|(kind, a, b)| match kind {
+            0 | 4 => (1, a, b),
+            _ => (3, a % 4, b),
+        });
+        let ops = std::iter::once((3, 0, 0)).chain(spokes).collect();
+        (nodes, labels, edges, mask, depth_sel, ops)
     })
 }
 
@@ -527,6 +548,14 @@ proptest! {
     /// out-degree ≥ 16 inside and on the border of the affected sets.
     #[test]
     fn resettle_matches_dense_projection_around_a_hub(case in hub_case()) {
+        check_case(case)?;
+    }
+
+    /// The hub and its spokes deleted: node deletes whose candidates come
+    /// from many in-neighbours at once, with children both orphaned and
+    /// held up by a standing parent.
+    #[test]
+    fn node_deletes_match_dense_projection_around_a_hub(case in hub_node_delete_case()) {
         check_case(case)?;
     }
 

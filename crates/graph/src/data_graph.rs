@@ -59,6 +59,9 @@ pub struct DataGraph {
     uid: u64,
     /// Bumped on every successful mutation.
     generation: u64,
+    /// What the last successful mutation removed, when it was a
+    /// [`DataGraph::remove_node`]; see [`DataGraph::last_removed`].
+    last_removed: Option<RemovedNode>,
 }
 
 impl Default for DataGraph {
@@ -73,6 +76,7 @@ impl Default for DataGraph {
             // RELAXED: uid allocation needs uniqueness, not ordering.
             uid: NEXT_GRAPH_UID.fetch_add(1, Ordering::Relaxed),
             generation: 0,
+            last_removed: None,
         }
     }
 }
@@ -92,6 +96,7 @@ impl Clone for DataGraph {
             // RELAXED: uid allocation needs uniqueness, not ordering.
             uid: NEXT_GRAPH_UID.fetch_add(1, Ordering::Relaxed),
             generation: self.generation,
+            last_removed: self.last_removed.clone(),
         }
     }
 }
@@ -251,15 +256,18 @@ impl DataGraph {
         self.inn.push(Vec::new());
         self.label_bucket(label).push(id); // fresh id is the maximum: stays sorted
         self.live_nodes += 1;
-        self.generation += 1;
+        self.mutated();
         id
     }
 
     /// Delete a live node and all incident edges.
     ///
-    /// Returns the removed label and incident edges so callers (the update
-    /// engine's rollback path, the batch inverter) can undo the operation.
-    pub fn remove_node(&mut self, id: NodeId) -> Result<RemovedNode> {
+    /// Returns the removed label and incident edges, from which
+    /// [`DataGraph::restore_node`] undoes the operation. The graph keeps
+    /// that record until its next successful mutation
+    /// ([`DataGraph::last_removed`]): the in- and out-edges are what a
+    /// distance index repairs the deletion from.
+    pub fn remove_node(&mut self, id: NodeId) -> Result<&RemovedNode> {
         let label = self.label(id).ok_or(GraphError::MissingNode(id))?;
         let out_edges = std::mem::take(&mut self.out[id.index()]);
         let in_edges = std::mem::take(&mut self.inn[id.index()]);
@@ -274,12 +282,21 @@ impl DataGraph {
         remove_sorted(&mut self.by_label[label.index()], id);
         self.live_nodes -= 1;
         self.generation += 1;
-        Ok(RemovedNode {
+        Ok(self.last_removed.insert(RemovedNode {
             id,
             label,
             out_edges,
             in_edges,
-        })
+        }))
+    }
+
+    /// The node the last successful mutation removed, with the edges that
+    /// went with it — `None` when that mutation was anything but a
+    /// [`DataGraph::remove_node`]. A failed mutation leaves it as it was;
+    /// a clone carries it.
+    #[inline]
+    pub fn last_removed(&self) -> Option<&RemovedNode> {
+        self.last_removed.as_ref()
     }
 
     /// Insert the edge `u -> v`.
@@ -302,7 +319,7 @@ impl DataGraph {
         let pos = radj.binary_search(&u).unwrap_err();
         radj.insert(pos, u);
         self.live_edges += 1;
-        self.generation += 1;
+        self.mutated();
         Ok(())
     }
 
@@ -327,7 +344,7 @@ impl DataGraph {
             .expect("in-adjacency out of sync with out-adjacency");
         radj.remove(pos);
         self.live_edges -= 1;
-        self.generation += 1;
+        self.mutated();
         Ok(())
     }
 
@@ -362,7 +379,7 @@ impl DataGraph {
             insert_sorted(&mut self.out[u.index()], removed.id);
         }
         self.live_edges += removed.out_edges.len() + removed.in_edges.len();
-        self.generation += 1;
+        self.mutated();
         Ok(())
     }
 
@@ -381,6 +398,13 @@ impl DataGraph {
             }
         }
         inserted
+    }
+
+    /// Book a successful mutation other than a node removal: a new
+    /// version, and no removal record.
+    fn mutated(&mut self) {
+        self.generation += 1;
+        self.last_removed = None;
     }
 
     fn label_bucket(&mut self, label: Label) -> &mut Vec<NodeId> {
@@ -637,7 +661,7 @@ mod tests {
         g.add_edge(n0, n1).unwrap();
         g.add_edge(n1, n2).unwrap();
         let snapshot = g.clone();
-        let removed = g.remove_node(n1).unwrap();
+        let removed = g.remove_node(n1).unwrap().clone();
         g.restore_node(&removed).unwrap();
         assert_eq!(g.node_count(), snapshot.node_count());
         assert_eq!(g.edge_count(), snapshot.edge_count());
@@ -737,5 +761,71 @@ mod tests {
         assert_eq!(g.edge_count(), before.edge_count());
         assert_eq!(g.node_count(), before.node_count());
         assert!(g.check_invariants());
+    }
+
+    /// `n0 -> n1 -> n2 -> n3`, then `n1` removed.
+    fn path_without_n1() -> (DataGraph, [NodeId; 4], RemovedNode) {
+        let (_, a, b) = two_labels();
+        let mut g = DataGraph::new();
+        let n = [a, b, a, a].map(|l| g.add_node(l));
+        for w in n.windows(2) {
+            g.add_edge(w[0], w[1]).unwrap();
+        }
+        assert_eq!(g.last_removed(), None);
+        let removed = g.remove_node(n[1]).unwrap().clone();
+        let expected = RemovedNode {
+            id: n[1],
+            label: b,
+            out_edges: vec![n[2]],
+            in_edges: vec![n[0]],
+        };
+        assert_eq!(removed, expected);
+        (g, n, removed)
+    }
+
+    #[test]
+    fn last_removed_lives_until_the_next_successful_mutation() {
+        let (mut g, [n0, n1, n2, _], removed) = path_without_n1();
+        assert_eq!(g.last_removed(), Some(&removed), "remove_node sets it");
+        assert_eq!(
+            g.clone().last_removed(),
+            Some(&removed),
+            "a clone carries it"
+        );
+        // A failed mutation leaves the record and the graph untouched.
+        let version = g.version();
+        assert!(g.add_edge(n0, n0).is_err());
+        assert!(g.add_edge(n0, n1).is_err());
+        assert!(g.remove_edge(n0, n2).is_err());
+        assert!(g.remove_node(n1).is_err());
+        let taken = RemovedNode {
+            id: n0,
+            ..removed.clone()
+        };
+        assert!(g.restore_node(&taken).is_err(), "slot still live");
+        assert_eq!(g.last_removed(), Some(&removed));
+        assert_eq!(g.version(), version);
+        assert_eq!((g.node_count(), g.edge_count()), (3, 1));
+        // Every other successful mutation clears it.
+        type Mutation = fn(&mut DataGraph, [NodeId; 4]);
+        let others: [(&str, Mutation); 4] = [
+            ("add_node", |g, _| {
+                g.add_node(Label(0));
+            }),
+            ("add_edge", |g, [n0, _, n2, _]| g.add_edge(n0, n2).unwrap()),
+            ("remove_edge", |g, [_, _, n2, n3]| {
+                g.remove_edge(n2, n3).unwrap()
+            }),
+            ("restore_node", |g, _| {
+                let removed = g.last_removed().unwrap().clone();
+                g.restore_node(&removed).unwrap();
+            }),
+        ];
+        for (what, mutate) in others {
+            let (mut g, n, _) = path_without_n1();
+            mutate(&mut g, n);
+            assert_eq!(g.last_removed(), None, "{what} clears it");
+            assert!(g.check_invariants());
+        }
     }
 }
