@@ -23,7 +23,7 @@
 /// 90 µs in sequence into a 205 µs phase, 160 µs over the ideal 45) and
 /// kept so that the tuner's choice on the benchmark's adaptive workload
 /// (one refresh lane) stays put.
-const SPAWN_OVERHEAD_NS: u128 = 80_000;
+const SPAWN_OVERHEAD_NS: u64 = 80_000;
 
 /// Relative margin the parallel estimate must win by before fanning out
 /// (and lose by before falling back) — stops borderline ticks from
@@ -58,8 +58,8 @@ impl ThreadTuner {
     /// registered patterns, and the pool lanes available.
     pub fn decide(
         &mut self,
-        total_ns: u128,
-        max_ns: u128,
+        total_ns: u64,
+        max_ns: u64,
         patterns: usize,
         pool_lanes: usize,
     ) -> usize {
@@ -68,8 +68,8 @@ impl ThreadTuner {
             self.parallel = false;
             return 0;
         }
-        let critical_path = max_ns.max(total_ns / lanes as u128);
-        let parallel_est = critical_path + SPAWN_OVERHEAD_NS * lanes as u128;
+        let critical_path = max_ns.max(total_ns / lanes as u64);
+        let parallel_est = critical_path + SPAWN_OVERHEAD_NS * lanes as u64;
         let was_parallel = self.parallel;
         if self.parallel {
             // Fall back only when parallel is clearly not paying for its

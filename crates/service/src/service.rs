@@ -1,7 +1,7 @@
 //! The continuous-query service: many standing patterns, one shared
 //! single-pass repair per tick.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use gpnm_adaptive::ThreadTuner;
@@ -16,7 +16,7 @@ use gpnm_engine::RefreshStrategy;
 use gpnm_graph::{DataGraph, PatternGraph};
 use gpnm_matcher::{match_graph, MatchDelta, MatchResult, MatchSemantics, RepairPlan};
 use gpnm_pool::WorkerPool;
-use gpnm_telemetry::{IoDelta, PatternRefreshSample, TickRecorder};
+use gpnm_telemetry::{Counter, Histogram};
 use gpnm_updates::{reduce_batch, Update, UpdateBatch};
 
 use crate::error::ServiceError;
@@ -65,27 +65,35 @@ struct PatternSession {
 /// observability a serving deployment tunes shard counts and
 /// `refresh_threads` against. Printed by `gpnm replay --stats`.
 ///
-/// All durations are nanoseconds (`u128` so they sum safely when a
-/// cluster aggregates shard stats).
+/// This is the tick's one record: [`GpnmService::apply`] writes each
+/// measurement here once, then flushes the finished record into the
+/// global metrics registry, so `--stats`, `--stats-json` and the
+/// `gpnm_tick_*` series read the same values. The five phases (reduce,
+/// commit, detect, refresh, publish) do not overlap, so their sum is at
+/// most the tick's [`TickReport::total_time`]. All durations are
+/// nanoseconds.
 #[derive(Debug, Clone, Default)]
 pub struct TickStats {
     /// Net-effect batch reduction.
-    pub reduce_ns: u128,
+    pub reduce_ns: u64,
     /// The shared graph + `SLen` commit pass — paid once per tick, the
     /// part a per-pattern-engine deployment would pay k times.
-    pub shared_repair_ns: u128,
+    pub shared_repair_ns: u64,
     /// `shared_repair_ns` by update kind (`insert_edge`, `delete_edge`,
     /// `insert_node`, `delete_node`; only the kinds the tick committed).
-    pub shared_repair_by_kind_ns: Vec<(&'static str, u128)>,
+    pub shared_repair_by_kind_ns: Vec<(&'static str, u64)>,
     /// DER-II elimination detection + EH-Tree build (also shared).
-    pub detect_ns: u128,
+    pub detect_ns: u64,
+    /// The per-pattern refresh phase, wall clock across lanes (it starts
+    /// after detection returns).
+    pub refresh_ns: u64,
     /// Read-front publish + subscription fan-out (`0` on a non-publishing
     /// shard replica — the cluster publishes merged views itself).
-    pub publish_ns: u128,
+    pub publish_ns: u64,
     /// Per-pattern refresh time, in registration order. Summed this is
     /// the embarrassingly parallel half of the tick; the max entry bounds
     /// its ideal parallel wall time.
-    pub per_pattern_refresh_ns: Vec<(PatternHandle, u128)>,
+    pub per_pattern_refresh_ns: Vec<(PatternHandle, u64)>,
     /// Parallel lanes the refresh phase ran on (1 = sequential baseline).
     pub refresh_lanes: usize,
     /// Lanes a pool scope may use on this host — pool utilization
@@ -102,6 +110,9 @@ pub struct TickStats {
     pub eliminated: usize,
     /// Repair passes actually run, summed over patterns.
     pub repair_calls: usize,
+    /// Repair passes that fell back to a from-scratch re-match because
+    /// the standing result carried no relation (0 in steady state).
+    pub repair_rematches: usize,
     /// Nodes in the union of the committed updates' `Aff_N` sets (with
     /// multiplicity across updates) — how much of the graph the batch
     /// disturbed.
@@ -122,18 +133,29 @@ pub struct TickStats {
 
 impl TickStats {
     /// Summed per-pattern refresh time.
-    pub fn refresh_total_ns(&self) -> u128 {
+    pub fn refresh_total_ns(&self) -> u64 {
         self.per_pattern_refresh_ns.iter().map(|&(_, ns)| ns).sum()
     }
 
     /// The slowest single pattern's refresh time — the critical path of a
     /// perfectly parallel refresh phase.
-    pub fn refresh_max_ns(&self) -> u128 {
+    pub fn refresh_max_ns(&self) -> u64 {
         self.per_pattern_refresh_ns
             .iter()
             .map(|&(_, ns)| ns)
             .max()
             .unwrap_or(0)
+    }
+
+    /// Count one update's commit (graph mutation + `SLen` repair) of `ns`
+    /// nanoseconds towards `shared_repair_ns` and its kind's share of it.
+    fn add_commit(&mut self, kind: &'static str, ns: u64) {
+        self.shared_repair_ns += ns;
+        let by_kind = &mut self.shared_repair_by_kind_ns;
+        match by_kind.iter_mut().find(|e| e.0 == kind) {
+            Some(entry) => entry.1 += ns,
+            None => by_kind.push((kind, ns)),
+        }
     }
 
     /// The strategy name recorded for `handle` this tick, if any.
@@ -253,63 +275,99 @@ impl TickStats {
             io,
         )
     }
-
-    /// Project per-tick stats out of the telemetry [`TickRecorder`] — the
-    /// recorder is the tick's single bookkeeping path (`finish()` flushes
-    /// the same numbers into the global metrics registry), so the per-tick
-    /// stats and the cumulative metrics can never disagree. The backend
-    /// fields (`kind`/rows/bytes) are point-in-time gauges sampled at tick
-    /// end, not tick measurements; `strategy_switches` is the service's
-    /// cumulative count.
-    fn from_recorder<B: SlenBackend>(
-        rec: &TickRecorder,
-        strategy_switches: u64,
-        index: &B,
-    ) -> TickStats {
-        TickStats {
-            reduce_ns: u128::from(rec.reduce_ns),
-            shared_repair_ns: u128::from(rec.commit_ns),
-            shared_repair_by_kind_ns: rec
-                .commit_ns_by_kind
-                .iter()
-                .map(|&(kind, ns)| (kind, u128::from(ns)))
-                .collect(),
-            detect_ns: u128::from(rec.detect_ns),
-            publish_ns: u128::from(rec.publish_ns),
-            per_pattern_refresh_ns: rec
-                .per_pattern
-                .iter()
-                .map(|s| (PatternHandle(HandleId(s.handle)), u128::from(s.ns)))
-                .collect(),
-            refresh_lanes: rec.refresh_lanes,
-            pool_lanes: rec.pool_lanes,
-            per_pattern_strategy: rec
-                .per_pattern
-                .iter()
-                .map(|s| (PatternHandle(HandleId(s.handle)), s.strategy))
-                .collect(),
-            strategy_switches,
-            eliminated: rec.eliminated as usize,
-            repair_calls: rec.repair_calls as usize,
-            affected_nodes: rec.affected_nodes as usize,
-            backend_kind: index.kind(),
-            resident_rows: index.resident_rows(),
-            index_mem_bytes: index.mem_bytes(),
-            io: rec.io.map(|d| IoStats {
-                cache_hits: d.hits,
-                cache_misses: d.misses,
-                cache_evictions: d.evictions,
-                pages_read: d.pages_read,
-                pages_written: d.pages_written,
-            }),
-        }
-    }
 }
 
-/// Nanoseconds of a [`Duration`] as the `u64` the telemetry recorder
-/// carries (saturating — 584 years of headroom).
+/// Nanoseconds of a [`Duration`] as the `u64` the tick record carries
+/// (saturating — 584 years of headroom).
 fn ns64(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Registry handles a tick record flushes into, resolved once per process.
+struct TickSeries {
+    ticks: Arc<Counter>,
+    total_ns: Arc<Histogram>,
+    reduce_ns: Arc<Histogram>,
+    commit_ns: Arc<Histogram>,
+    detect_ns: Arc<Histogram>,
+    refresh_ns: Arc<Histogram>,
+    publish_ns: Arc<Histogram>,
+    pattern_refresh_ns: Arc<Histogram>,
+    updates_applied: Arc<Counter>,
+    eliminated: Arc<Counter>,
+    repair_calls: Arc<Counter>,
+    repair_rematches: Arc<Counter>,
+    affected_nodes: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    cache_evictions: Arc<Counter>,
+    pages_read: Arc<Counter>,
+    pages_written: Arc<Counter>,
+}
+
+/// Flush one finished tick into the global metrics registry: the values
+/// written are the report's own, so the cumulative series and the tick's
+/// [`TickStats`] cannot disagree. Called once per tick.
+fn flush(report: &TickReport) {
+    static SERIES: OnceLock<TickSeries> = OnceLock::new();
+    let registry = gpnm_telemetry::global();
+    let f = SERIES.get_or_init(|| TickSeries {
+        ticks: registry.counter("gpnm_ticks_total"),
+        total_ns: registry.histogram("gpnm_tick_total_ns"),
+        reduce_ns: registry.histogram("gpnm_tick_reduce_ns"),
+        commit_ns: registry.histogram("gpnm_tick_commit_ns"),
+        detect_ns: registry.histogram("gpnm_tick_detect_ns"),
+        refresh_ns: registry.histogram("gpnm_tick_refresh_ns"),
+        publish_ns: registry.histogram("gpnm_tick_publish_ns"),
+        pattern_refresh_ns: registry.histogram("gpnm_pattern_refresh_ns"),
+        updates_applied: registry.counter("gpnm_updates_applied_total"),
+        eliminated: registry.counter("gpnm_eliminated_total"),
+        repair_calls: registry.counter("gpnm_repair_calls_total"),
+        repair_rematches: registry.counter("gpnm_repair_rematch_total"),
+        affected_nodes: registry.counter("gpnm_affected_nodes_total"),
+        cache_hits: registry.counter("gpnm_paged_cache_hits_total"),
+        cache_misses: registry.counter("gpnm_paged_cache_misses_total"),
+        cache_evictions: registry.counter("gpnm_paged_cache_evictions_total"),
+        pages_read: registry.counter("gpnm_paged_pages_read_total"),
+        pages_written: registry.counter("gpnm_paged_pages_written_total"),
+    });
+    let stats = &report.stats;
+    f.ticks.inc();
+    f.total_ns.observe(ns64(report.total_time));
+    f.reduce_ns.observe(stats.reduce_ns);
+    f.commit_ns.observe(stats.shared_repair_ns);
+    for &(kind, ns) in &stats.shared_repair_by_kind_ns {
+        // Cumulative seconds; a gauge because the registry's counters are
+        // integers.
+        registry
+            .gauge_with("gpnm_slen_repair_seconds", &[("kind", kind)])
+            .add(ns as f64 / 1e9);
+    }
+    f.detect_ns.observe(stats.detect_ns);
+    f.refresh_ns.observe(stats.refresh_ns);
+    f.publish_ns.observe(stats.publish_ns);
+    f.updates_applied.add(report.updates_applied as u64);
+    f.eliminated.add(stats.eliminated as u64);
+    f.repair_calls.add(stats.repair_calls as u64);
+    f.repair_rematches.add(stats.repair_rematches as u64);
+    f.affected_nodes.add(stats.affected_nodes as u64);
+    for (&(_, ns), &(_, strategy)) in stats
+        .per_pattern_refresh_ns
+        .iter()
+        .zip(&stats.per_pattern_strategy)
+    {
+        f.pattern_refresh_ns.observe(ns);
+        registry
+            .counter_with("gpnm_pattern_refresh_total", &[("strategy", strategy)])
+            .inc();
+    }
+    if let Some(io) = &stats.io {
+        f.cache_hits.add(io.cache_hits);
+        f.cache_misses.add(io.cache_misses);
+        f.cache_evictions.add(io.cache_evictions);
+        f.pages_read.add(io.pages_read);
+        f.pages_written.add(io.pages_written);
+    }
 }
 
 /// What one [`GpnmService::apply`] tick did: shared-work accounting plus
@@ -328,13 +386,9 @@ pub struct TickReport {
     pub eliminated: usize,
     /// Per-pattern repair passes run, summed.
     pub repair_calls: usize,
-    /// Net-effect reduction time.
-    pub reduce_time: Duration,
-    /// Shared graph + `SLen` commit time (paid once, not per pattern).
-    pub slen_time: Duration,
-    /// Per-pattern detection + repair + diff time, summed.
-    pub refresh_time: Duration,
-    /// End-to-end wall time of the tick.
+    /// End-to-end wall time of the tick, measured once: the same value is
+    /// `total_ns` in the `--stats-json` line and the tick's
+    /// `gpnm_tick_total_ns` observation.
     pub total_time: Duration,
     /// Wall-clock unix milliseconds when the tick finished (sampled from
     /// the telemetry clock) — the `ts_ms` of this tick's `--stats-json`
@@ -547,8 +601,8 @@ impl ServiceBuilder {
 #[derive(Debug, Clone, Default)]
 struct AdaptiveState {
     tuner: ThreadTuner,
-    refresh_total_ns: u128,
-    refresh_max_ns: u128,
+    refresh_total_ns: u64,
+    refresh_max_ns: u64,
 }
 
 /// A continuous-query GPNM service: **one** data graph and **one** `SLen`
@@ -983,10 +1037,9 @@ impl<B: SlenBackend> GpnmService<B> {
             return Err(ServiceError::PatternUpdateInBatch { index });
         }
         // The tick's telemetry: one root span covering the whole tick,
-        // child spans per phase, and a `TickRecorder` as the single
-        // bookkeeping path every measurement is written into exactly once
-        // — `TickStats` is projected from the recorder at the end, and
-        // `finish()` flushes the same numbers into the metrics registry.
+        // child spans per phase, and one `TickStats` record every
+        // measurement is written into exactly once — the report carries
+        // it, and `flush` writes the same values into the metrics registry.
         let tick_span = tracing::span!(
             tracing::Level::INFO,
             "tick",
@@ -995,9 +1048,11 @@ impl<B: SlenBackend> GpnmService<B> {
             submitted = batch.len(),
         );
         let _tick_entered = tick_span.enter();
-        let mut rec = TickRecorder::new();
-        rec.pool_lanes = WorkerPool::global().lanes();
         let start = Instant::now();
+        let mut stats = TickStats {
+            pool_lanes: WorkerPool::global().lanes(),
+            ..TickStats::default()
+        };
         let io_before = self.index.io_stats();
 
         // Net-effect reduction. Data-update cancellation never consults the
@@ -1009,9 +1064,7 @@ impl<B: SlenBackend> GpnmService<B> {
             let _entered = span.enter();
             reduce_batch(&self.graph, &PatternGraph::new(), batch)
         };
-        let reduce_time = t.elapsed();
-        rec.reduce_ns = ns64(reduce_time);
-        rec.updates_applied = reduced.len() as u64;
+        stats.reduce_ns = ns64(t.elapsed());
 
         // The shared single pass: each surviving update mutates the graph
         // and repairs the backend exactly once; every pattern derives its
@@ -1032,7 +1085,7 @@ impl<B: SlenBackend> GpnmService<B> {
             };
             let t = Instant::now();
             let cu = commit_data_update(&mut self.graph, &mut self.index, du)?;
-            rec.add_commit(cu.kind(), ns64(t.elapsed()));
+            stats.add_commit(cu.kind(), ns64(t.elapsed()));
             tracing::event!(
                 tracing::Level::TRACE,
                 "update_committed",
@@ -1053,10 +1106,7 @@ impl<B: SlenBackend> GpnmService<B> {
         }
         drop(commit_entered);
         let slen_changes = committed.iter().map(|c| c.delta.len()).sum();
-        rec.affected_nodes = committed
-            .iter()
-            .map(|c| c.delta.affected.len() as u64)
-            .sum();
+        stats.affected_nodes = committed.iter().map(|c| c.delta.affected.len()).sum();
 
         // Per-pattern refresh over the shared committed records. The
         // elimination analysis (DER-II containment + EH-Tree) consumes only
@@ -1064,30 +1114,33 @@ impl<B: SlenBackend> GpnmService<B> {
         // pattern's merged repair pass; then delta extraction. From here
         // the graph and index are read-only, so the per-pattern work is
         // independent and fans out across `refresh_threads` pool lanes.
-        let t = Instant::now();
         let shared = {
             let span = tracing::span!(tracing::Level::DEBUG, "detect", updates = committed.len());
             let _entered = span.enter();
             SharedElimination::detect(&committed)
         };
-        rec.detect_ns = ns64(shared.detect_time + shared.tree_time);
+        stats.detect_ns = ns64(shared.detect_time + shared.tree_time);
 
         // Adaptive pre-refresh step: the tuner sets the refresh parallelism
         // from the previous tick's measured refresh times. It trades cost
         // only — every lane count reaches the same fixed point.
+        let t = Instant::now();
         let effective_threads = match &mut self.adaptive {
             Some(state) => state.tuner.decide(
                 state.refresh_total_ns,
                 state.refresh_max_ns,
                 self.sessions.len(),
-                rec.pool_lanes,
+                stats.pool_lanes,
             ),
             None => self.refresh_threads,
         };
-        rec.refresh_lanes = refresh_lanes(effective_threads, self.sessions.len());
+        stats.refresh_lanes = refresh_lanes(effective_threads, self.sessions.len());
 
-        let refresh_span =
-            tracing::span!(tracing::Level::DEBUG, "refresh", lanes = rec.refresh_lanes);
+        let refresh_span = tracing::span!(
+            tracing::Level::DEBUG,
+            "refresh",
+            lanes = stats.refresh_lanes
+        );
         let refresh_entered = refresh_span.enter();
         let outcomes = refresh_sessions(
             &self.graph,
@@ -1099,25 +1152,22 @@ impl<B: SlenBackend> GpnmService<B> {
             &refresh_span,
         );
         drop(refresh_entered);
-        let refresh_time = t.elapsed();
-        rec.refresh_ns = ns64(refresh_time);
+        stats.refresh_ns = ns64(t.elapsed());
 
-        let mut eliminated = 0;
-        let mut repair_calls = 0;
         let mut deltas = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
-            eliminated += outcome.stats.eliminated;
-            repair_calls += outcome.stats.repair_calls;
-            rec.repair_rematches += u64::from(outcome.stats.rematched);
-            rec.per_pattern.push(PatternRefreshSample {
-                handle: outcome.handle.id(),
-                ns: u64::try_from(outcome.refresh_ns).unwrap_or(u64::MAX),
-                strategy: outcome.strategy.name(),
-            });
-            deltas.push((outcome.handle, outcome.delta));
+            stats.eliminated += outcome.stats.eliminated;
+            stats.repair_calls += outcome.stats.repair_calls;
+            stats.repair_rematches += usize::from(outcome.stats.rematched);
+            let handle = outcome.handle;
+            stats
+                .per_pattern_refresh_ns
+                .push((handle, outcome.refresh_ns));
+            stats
+                .per_pattern_strategy
+                .push((handle, outcome.strategy.name()));
+            deltas.push((handle, outcome.delta));
         }
-        rec.eliminated = eliminated as u64;
-        rec.repair_calls = repair_calls as u64;
 
         self.tick += 1;
 
@@ -1151,27 +1201,18 @@ impl<B: SlenBackend> GpnmService<B> {
                 })
                 .collect();
             self.front.publish_tick(items);
-            rec.publish_ns = ns64(t.elapsed());
+            stats.publish_ns = ns64(t.elapsed());
         }
 
-        // Paging delta, then flush: the recorder pushes everything it
-        // accumulated into the cumulative metrics registry, and the
-        // per-tick stats are projected from the very same recorder.
-        rec.io = match (io_before, self.index.io_stats()) {
-            (Some(before), Some(after)) => {
-                let d = after.since(&before);
-                Some(IoDelta {
-                    hits: d.cache_hits,
-                    misses: d.cache_misses,
-                    evictions: d.cache_evictions,
-                    pages_read: d.pages_read,
-                    pages_written: d.pages_written,
-                })
-            }
-            _ => None,
-        };
-        rec.finish();
-        let stats = TickStats::from_recorder(&rec, self.strategy_switches, &self.index);
+        // Paging delta and the backend's point-in-time gauges, sampled at
+        // tick end.
+        if let (Some(before), Some(after)) = (io_before, self.index.io_stats()) {
+            stats.io = Some(after.since(&before));
+        }
+        stats.strategy_switches = self.strategy_switches;
+        stats.backend_kind = self.index.kind();
+        stats.resident_rows = self.index.resident_rows();
+        stats.index_mem_bytes = self.index.mem_bytes();
         if let Some(state) = &mut self.adaptive {
             state.refresh_total_ns = stats.refresh_total_ns();
             state.refresh_max_ns = stats.refresh_max_ns();
@@ -1188,21 +1229,20 @@ impl<B: SlenBackend> GpnmService<B> {
                 .set(stats.index_mem_bytes as f64);
         }
 
-        Ok(TickReport {
+        let report = TickReport {
             tick: self.tick,
             updates_submitted: batch.len(),
             updates_applied: reduced.len(),
             slen_changes,
-            eliminated,
-            repair_calls,
-            reduce_time,
-            slen_time: Duration::from_nanos(rec.commit_ns),
-            refresh_time,
+            eliminated: stats.eliminated,
+            repair_calls: stats.repair_calls,
             total_time: start.elapsed(),
             ts_ms: gpnm_telemetry::clock::wall_ms(),
             deltas,
             stats,
-        })
+        };
+        flush(&report);
+        Ok(report)
     }
 }
 
@@ -1292,7 +1332,7 @@ struct RefreshOutcome {
     handle: PatternHandle,
     stats: gpnm_engine::pipeline::RefreshStats,
     delta: MatchDelta,
-    refresh_ns: u128,
+    refresh_ns: u64,
     strategy: RefreshStrategy,
 }
 
@@ -1348,7 +1388,7 @@ fn refresh_sessions<B: SlenBackend>(
             handle: *handle,
             stats,
             delta: sess.result.delta_from(&prev, sess.version),
-            refresh_ns: t.elapsed().as_nanos(),
+            refresh_ns: ns64(t.elapsed()),
             strategy: sess.strategy,
         }
     };
@@ -1636,7 +1676,8 @@ mod tests {
         let stats = &report.stats;
         assert_eq!(stats.per_pattern_refresh_ns.len(), 1);
         assert_eq!(stats.per_pattern_refresh_ns[0].0, h);
-        assert_eq!(stats.shared_repair_ns, report.slen_time.as_nanos());
+        let by_kind: u64 = stats.shared_repair_by_kind_ns.iter().map(|e| e.1).sum();
+        assert_eq!(stats.shared_repair_ns, by_kind);
         assert_eq!(stats.eliminated, report.eliminated);
         assert_eq!(stats.repair_calls, report.repair_calls);
         assert_eq!(

@@ -20,7 +20,7 @@ use crate::clock;
 
 /// Small dense per-thread ordinal (Chrome trace `tid`), assigned on first
 /// telemetry use per thread.
-pub fn thread_ordinal() -> u64 {
+fn thread_ordinal() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
         static ORDINAL: u64 = {
@@ -180,38 +180,6 @@ impl Subscriber for SpanCollector {
             .events
             .push(data);
     }
-}
-
-/// A subscriber that allocates ids and drops everything else — the
-/// "telemetry enabled, nobody listening" configuration the bench overhead
-/// guard measures.
-pub struct NoopSubscriber {
-    next_id: AtomicU64,
-}
-
-impl Default for NoopSubscriber {
-    fn default() -> Self {
-        NoopSubscriber {
-            next_id: AtomicU64::new(1),
-        }
-    }
-}
-
-impl NoopSubscriber {
-    /// A fresh no-op subscriber.
-    pub fn new() -> Self {
-        NoopSubscriber::default()
-    }
-}
-
-impl Subscriber for NoopSubscriber {
-    fn new_span(&self, _attrs: &Attributes<'_>) -> Id {
-        // RELAXED: unique-id allocator; only atomicity matters.
-        Id::from_u64(self.next_id.fetch_add(1, Ordering::Relaxed))
-    }
-    fn enter(&self, _id: Id) {}
-    fn exit(&self, _id: Id) {}
-    fn event(&self, _event: &Event<'_>) {}
 }
 
 /// A drained set of spans and events, ready for export.
@@ -410,16 +378,6 @@ mod tests {
         let table = trace.summary_table();
         assert!(table.contains("tick"));
         assert!(table.contains("reduce"));
-    }
-
-    #[test]
-    fn noop_subscriber_records_nothing_but_allocates_ids() {
-        with_default(NoopSubscriber::new(), || {
-            let s = span!(Level::INFO, "anything", x = 1u64);
-            assert!(s.id().is_some());
-            let _g = s.enter();
-            event!(Level::INFO, "noop");
-        });
     }
 
     #[test]

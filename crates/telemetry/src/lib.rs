@@ -1,24 +1,23 @@
 //! Telemetry substrate for the gpnm workspace.
 //!
-//! Three pieces, all offline and dependency-free:
+//! Two pieces, both offline and dependency-free:
 //!
 //! - [`metrics`] — a process-global registry of monotonic [`Counter`]s,
 //!   [`Gauge`]s, and log-bucketed [`Histogram`]s (p50/p90/p99 summaries).
-//!   The hot path is a single relaxed atomic RMW through the `gpnm-sync`
-//!   facade; registration (name → handle) is the only locked step and call
-//!   sites cache the returned handles. [`metrics_text`] renders the whole
+//!   The hot path is a single relaxed `std::sync::atomic` RMW;
+//!   registration (name → handle) is the only locked step and call sites
+//!   cache the returned handles. [`metrics_text`] renders the whole
 //!   registry in Prometheus text exposition format.
 //! - [`collect`] — a [`SpanCollector`] implementing the tracing shim's
 //!   `Subscriber`: it records every span interval (name, thread, parent,
 //!   fields, start/duration) and event, and renders them as a Chrome
 //!   `chrome://tracing` trace-event JSON ([`Trace::chrome_json`]) or a
 //!   per-span summary table ([`Trace::summary_table`]).
-//! - [`tick`] — the [`TickRecorder`]: the single bookkeeping path for a
-//!   tick's phase timings and work counters. The service writes each
-//!   measurement into the recorder exactly once; `finish()` flushes the
-//!   same values into the registry, and `TickStats` is projected from the
-//!   recorder afterwards — the per-tick stats and the cumulative metrics
-//!   can never disagree because they share one ingestion point.
+//!
+//! No tick record lives here: a service tick's phase timings and work
+//! counters are stored once, in `gpnm-service`'s `TickStats`, and the
+//! service flushes that record into the registry at the end of the tick,
+//! so the per-tick stats and the cumulative metrics read the same values.
 //!
 //! The [`clock`] module is the telemetry time source: monotonic
 //! nanoseconds since process start for span timestamps, wall-clock unix
@@ -31,11 +30,9 @@
 pub mod clock;
 pub mod collect;
 pub mod metrics;
-pub mod tick;
 
-pub use collect::{NoopSubscriber, SpanCollector, SpanData, Trace};
+pub use collect::{SpanCollector, SpanData, Trace};
 pub use metrics::{global, metrics_text, Counter, Gauge, Histogram, Registry};
-pub use tick::{IoDelta, PatternRefreshSample, TickRecorder};
 
 use std::sync::Arc;
 

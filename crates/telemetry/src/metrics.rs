@@ -3,10 +3,10 @@
 //!
 //! Call sites fetch a handle once ([`Registry::counter`] /
 //! [`Registry::gauge`] / [`Registry::histogram`] — the only locked step)
-//! and then update it with single relaxed atomic RMWs through the
-//! `gpnm-sync` facade. Series are identified Prometheus-style: a base name
-//! plus optional `{key="value"}` labels; [`Registry::render_prometheus`]
-//! emits the standard text exposition format.
+//! and then update it with single relaxed `std::sync::atomic` RMWs.
+//! Series are identified Prometheus-style: a base name plus optional
+//! `{key="value"}` labels; [`Registry::render_prometheus`] emits the
+//! standard text exposition format.
 
 use std::collections::BTreeMap;
 

@@ -102,6 +102,6 @@ pub mod prelude {
         ReadView, ServiceBuilder, ServiceError, SubEvent, Subscription, TickOutcome, TickReport,
         TickStats, DEFAULT_SUBSCRIPTION_CAPACITY,
     };
-    pub use gpnm_telemetry::{install_collector, metrics_text, SpanCollector, TickRecorder};
+    pub use gpnm_telemetry::{install_collector, metrics_text, SpanCollector};
     pub use gpnm_updates::{DataUpdate, PatternUpdate, Update, UpdateBatch};
 }

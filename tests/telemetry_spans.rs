@@ -9,6 +9,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use ua_gpnm::distance::IoStats;
 use ua_gpnm::prelude::*;
 use ua_gpnm::telemetry::{install_collector, uninstall_collector, SpanData, Trace};
 use ua_gpnm::workload::{
@@ -331,7 +332,7 @@ fn commit_time_is_reported_by_update_kind() {
 
     let by_kind = &report.stats.shared_repair_by_kind_ns;
     assert_eq!(by_kind.iter().map(|e| e.0).collect::<Vec<_>>(), kinds);
-    let total: u128 = by_kind.iter().map(|e| e.1).sum();
+    let total: u64 = by_kind.iter().map(|e| e.1).sum();
     assert_eq!(total, report.stats.shared_repair_ns);
     for ((kind, ns), before) in by_kind.iter().zip(before) {
         let grew = seconds(kind) - before;
@@ -347,4 +348,113 @@ fn commit_time_is_reported_by_update_kind() {
         .stats
         .to_json()
         .contains("\"shared_repair_by_kind_ns\":{\"insert_edge\":"));
+}
+
+/// One tick, one record: what a tick flushes into the metrics registry is
+/// exactly what its report carries — the total once, each phase once,
+/// each counter once — and the five phases do not overlap. One sparse
+/// tick and one paged tick (a cache small enough that the tick pages).
+#[test]
+fn registry_deltas_equal_the_tick_report() {
+    let _guard = serialize();
+    let registry = ua_gpnm::telemetry::global();
+    let histogram = |name: &str| registry.histogram(name).sum();
+    let counter = |name: &str| registry.counter(name).get();
+    let phases = ["reduce", "commit", "detect", "refresh", "publish"];
+    let series = |name: &str| format!("gpnm_tick_{name}_ns");
+    let counters = [
+        "gpnm_eliminated_total",
+        "gpnm_repair_calls_total",
+        "gpnm_affected_nodes_total",
+        "gpnm_updates_applied_total",
+        "gpnm_paged_cache_hits_total",
+        "gpnm_paged_cache_misses_total",
+        "gpnm_paged_cache_evictions_total",
+        "gpnm_paged_pages_read_total",
+        "gpnm_paged_pages_written_total",
+    ];
+    for (kind, cache_mb) in [
+        (BackendKind::Sparse, None),
+        (BackendKind::Paged, Some(0.02)),
+    ] {
+        let (graph, interner) = generate_social_graph(&SocialGraphConfig {
+            nodes: 300,
+            edges: 1200,
+            labels: 4,
+            communities: 4,
+            seed: 17,
+            ..Default::default()
+        });
+        let mut builder = GpnmService::builder().backend(kind);
+        if let Some(mb) = cache_mb {
+            builder = builder.cache_budget_mb(mb);
+        }
+        let mut service = builder
+            .build(graph)
+            .expect("bounded rows are never refused");
+        let pattern = generate_pattern(
+            &PatternConfig {
+                nodes: 4,
+                edges: 4,
+                bound_range: (1, 3),
+                seed: 17,
+            },
+            &interner,
+        );
+        service
+            .register_pattern(pattern.clone(), MatchSemantics::Simulation)
+            .expect("registration succeeds");
+        let protocol = UpdateProtocol::from_scale(0, 30);
+        let batch = generate_batch(service.graph(), &pattern, &interner, &protocol, 3);
+
+        let total_before = histogram("gpnm_tick_total_ns");
+        let phases_before = phases.map(|p| histogram(&series(p)));
+        let counters_before = counters.map(counter);
+        let report = service.apply(&batch).expect("generated batch applies");
+        let stats = &report.stats;
+
+        let total = u64::try_from(report.total_time.as_nanos()).unwrap();
+        assert_eq!(histogram("gpnm_tick_total_ns") - total_before, total);
+        let phase_ns = [
+            stats.reduce_ns,
+            stats.shared_repair_ns,
+            stats.detect_ns,
+            stats.refresh_ns,
+            stats.publish_ns,
+        ];
+        for ((phase, before), ns) in phases.iter().zip(phases_before).zip(phase_ns) {
+            assert_eq!(histogram(&series(phase)) - before, ns, "{phase}");
+        }
+        assert!(
+            phase_ns.iter().sum::<u64>() <= total,
+            "{kind}: phases {phase_ns:?} overlap a {total} ns tick"
+        );
+
+        let io = match kind {
+            BackendKind::Paged => stats.io.expect("the paged backend reports its IO"),
+            _ => {
+                assert!(stats.io.is_none(), "in-memory rows do no IO");
+                IoStats::default()
+            }
+        };
+        assert!(
+            kind != BackendKind::Paged || io.pages_read + io.pages_written > 0,
+            "the tiny cache pages"
+        );
+        let expected = [
+            report.eliminated as u64,
+            report.repair_calls as u64,
+            stats.affected_nodes as u64,
+            report.updates_applied as u64,
+            io.cache_hits,
+            io.cache_misses,
+            io.cache_evictions,
+            io.pages_read,
+            io.pages_written,
+        ];
+        for ((name, before), want) in counters.iter().zip(counters_before).zip(expected) {
+            assert_eq!(counter(name) - before, want, "{kind}: {name}");
+        }
+        assert!(report.updates_applied > 0 && stats.repair_calls > 0);
+    }
 }
