@@ -471,25 +471,18 @@ impl<B: SlenBackend> GpnmEngine<B> {
         stats.eliminated = tree.eliminated_count();
 
         // ---- repair: one pass per surviving update ----
-        // Addition sources come from *every* update (eliminated included):
-        // coverage containment guarantees the eliminated update's verify
-        // set is covered by its eliminator, but addition sources are
-        // pattern-node-level and must be unioned explicitly (DESIGN.md §2).
+        // Additions (gains and sources) come from *every* update
+        // (eliminated included): coverage containment guarantees the
+        // eliminated update's verify set is covered by its eliminator, but
+        // the pairs an update may make matchable are not, and must be
+        // unioned explicitly (DESIGN.md §2).
         let t = Instant::now();
         let mut all_additions = RepairPlan::new();
         for pe in &pattern_effects {
-            for &p in &pe.plan.addition_sources {
-                if !all_additions.addition_sources.contains(&p) {
-                    all_additions.addition_sources.push(p);
-                }
-            }
+            all_additions.merge_additions(&pe.plan);
         }
         for de in &data_effects {
-            for &p in &de.plan.addition_sources {
-                if !all_additions.addition_sources.contains(&p) {
-                    all_additions.addition_sources.push(p);
-                }
-            }
+            all_additions.merge_additions(&de.plan);
         }
 
         // Survivor verify-plans, in EH-Tree root order.
@@ -523,7 +516,7 @@ impl<B: SlenBackend> GpnmEngine<B> {
             self.semantics,
             &mut self.result,
             &survivor_plans,
-            &all_additions,
+            all_additions,
         );
         stats.repair_time = t.elapsed();
         stats

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use gpnm_distance::{AffDelta, RepairHint, SlenBackend};
 use gpnm_graph::{DataGraph, NodeId, PatternGraph};
-use gpnm_matcher::{match_graph, repair, repair_with, MatchResult, MatchSemantics, RepairPlan};
+use gpnm_matcher::{match_graph, repair, MatchResult, MatchSemantics, RepairPlan};
 use gpnm_updates::{DataUpdate, EhTree, EliminationGraph, Update, UpdateEffect};
 
 use crate::error::EngineError;
@@ -147,6 +147,10 @@ pub struct RefreshStats {
     /// [`repair`]). Not set by [`crate::RefreshStrategy::Rematch`], which
     /// re-matches by choice. A steady-state host tick expects `false`.
     pub rematched: bool,
+    /// `(pattern node, data node)` candidates the repair grew outside the
+    /// standing relation ([`gpnm_matcher::RepairOutcome::candidates`]);
+    /// `0` under [`crate::RefreshStrategy::Rematch`].
+    pub candidates: usize,
 }
 
 /// The pattern-*independent* half of a tick's elimination analysis:
@@ -215,9 +219,9 @@ impl SharedElimination {
 ///
 /// * [`crate::RefreshStrategy::Eliminative`] runs **one** [`repair`] over
 ///   the union of the EH-Tree survivors' `verify` sets, seeded with every
-///   update's addition sources (eliminated included: coverage
-///   containment justifies skipping an eliminated update's `verify` set,
-///   not its pattern-node-level addition sources). By refresh time the
+///   update's root gains (eliminated included: coverage containment
+///   justifies skipping an eliminated update's `verify` set, not the
+///   pairs it may have made matchable). By refresh time the
 ///   graph and index are read-only, and pruning a superset of the maximum
 ///   simulation from above is confluent ([`repair`]'s own argument), so
 ///   one pass over the union reaches exactly the fixed point the paper's
@@ -250,21 +254,20 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
     let _entered = span.enter();
     let t = Instant::now();
     let mut rematched = false;
+    let mut candidates = 0;
     let repair_calls = match strategy {
         crate::RefreshStrategy::Eliminative if plans.is_empty() => 0,
         crate::RefreshStrategy::Eliminative => {
             let mut merged = RepairPlan::new();
             for plan in plans {
-                for &p in &plan.addition_sources {
-                    if !merged.addition_sources.contains(&p) {
-                        merged.addition_sources.push(p);
-                    }
-                }
+                merged.merge_additions(plan);
             }
             for &survivor in shared.survivors() {
                 merged.verify.union_with(&plans[survivor].verify);
             }
-            rematched = repair(pattern, graph, index, semantics, result, &merged);
+            let outcome = repair(pattern, graph, index, semantics, result, &merged);
+            rematched = outcome.rematched;
+            candidates = outcome.candidates;
             if rematched {
                 tracing::event!(tracing::Level::TRACE, "repair_rematch");
             }
@@ -280,15 +283,16 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
         repair_calls,
         repair_time: t.elapsed(),
         rematched,
+        candidates,
     }
 }
 
-/// Run one repair pass per survivor plan, seeding the merged addition
-/// sources into the first call only (additions cascade inside `repair`,
-/// so one seeding suffices; later passes are pure verify passes). Returns
-/// the number of repair calls made. The engine's eliminative strategies
-/// only: the hosts merge the survivors into one pass
-/// ([`refresh_pattern_strategy`]).
+/// Run one repair pass per survivor plan, seeding the merged additions
+/// (gains and sources) into the first call only (additions cascade inside
+/// `repair`, so one seeding suffices; later passes are pure verify
+/// passes). Returns the number of repair calls made. The engine's
+/// eliminative strategies only: the hosts merge the survivors into one
+/// pass ([`refresh_pattern_strategy`]).
 pub(crate) fn run_survivor_repairs<B: SlenBackend>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -296,30 +300,24 @@ pub(crate) fn run_survivor_repairs<B: SlenBackend>(
     semantics: MatchSemantics,
     result: &mut MatchResult,
     survivor_plans: &[&RepairPlan],
-    all_additions: &RepairPlan,
+    mut pass: RepairPlan,
 ) -> usize {
-    let mut repair_calls = 0;
-    let mut additions = all_additions.addition_sources.as_slice();
-    for plan in survivor_plans {
-        repair_with(
-            pattern,
-            graph,
-            index,
-            semantics,
-            result,
-            &plan.verify,
-            additions,
-        );
-        additions = &[];
-        repair_calls += 1;
-    }
-    if repair_calls == 0 && !additions.is_empty() {
+    if survivor_plans.is_empty() {
         // No survivors (empty reduced batch) but additions pending —
         // cannot happen with a non-empty tree, guarded for safety.
-        repair(pattern, graph, index, semantics, result, all_additions);
-        repair_calls += 1;
+        if pass.is_empty() {
+            return 0;
+        }
+        repair(pattern, graph, index, semantics, result, &pass);
+        return 1;
     }
-    repair_calls
+    for plan in survivor_plans {
+        pass.verify.clone_from(&plan.verify);
+        repair(pattern, graph, index, semantics, result, &pass);
+        pass.gains.clear();
+        pass.addition_sources.clear();
+    }
+    survivor_plans.len()
 }
 
 #[cfg(test)]

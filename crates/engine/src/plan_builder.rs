@@ -12,16 +12,18 @@ use gpnm_updates::{Candidates, DataUpdate, PatternUpdate};
 /// Plan for a data update, given the `SLen` delta its commit produced.
 ///
 /// * `verify` — the affected nodes (their distances changed).
-/// * additions — only distance *decreases* (edge inserts) or fresh nodes
-///   can admit new members; deletions only remove. For an edge insert,
-///   pattern node `u` is an addition source only when some changed record
-///   `(x, y, old, new)` with `new < old` *crosses one of `u`'s bounds*:
-///   an edge `(u, u', b)` with `label(x) = label(u)`, `label(y) =
-///   label(u')` and `b` admitting `new` but not `old`, where `x` is not
-///   yet matched to `u` (in the relation — see below) — or, mirrored for
-///   the predecessor checks of dual semantics, an edge `(w, u, b)` crossed
-///   the same way by a record whose target `y` carries `u`'s label and is
-///   not yet matched to `u`.
+/// * `gains` — only distance *decreases* (edge inserts) or fresh nodes can
+///   admit new members; deletions only remove. For an edge insert, each
+///   changed record `(x, y, old, new)` with `new < old` that *crosses a
+///   bound* — a pattern edge `(u, u', b)` with `label(x) = label(u)`,
+///   `label(y) = label(u')` and `b` admitting `new` but not `old` — gains
+///   `(u, x)` when `x` is not yet matched to `u` (in the relation — see
+///   below), and, mirrored for the predecessor checks of dual semantics,
+///   `(u', y)` when `y` is not yet matched to `u'`. A fresh node is a gain
+///   under every pattern node of its label. No gain is listed twice.
+///
+/// Data-update plans name no `addition_sources`: [`gpnm_matcher::repair`]
+/// grows every other candidate from these root gains.
 ///
 /// ## Why crossings are enough
 ///
@@ -29,25 +31,27 @@ use gpnm_updates::{Candidates, DataUpdate, PatternUpdate};
 /// stands for ([`MatchResult::relation_contains`]), which the total-match
 /// rule may be withholding from the visible sets — and call `(u, x)`
 /// *gained* when it is in the new maximum simulation but not in `S_old`.
-/// [`gpnm_matcher::repair`] re-seeds the reverse-dependency closure of the
-/// sources, so the plan is sound iff every gained pair has `u` inside that
-/// closure. Suppose some did not, and let `G` be the gained pairs outside
-/// the closure. Then `S_old ∪ G` would already be a simulation in the
-/// *old* state, contradicting the maximality of `S_old`: take `(u, x) ∈ G`
-/// and an edge `(u, u', b)`. Its new-state witness `x'` is an old member
-/// of `u'`, or `(u', x')` is itself gained — and outside the closure,
-/// because `u` depends on `u'`, so `u'` inside would put `u` inside. In
-/// both cases `(u', x') ∈ S_old ∪ G`. Its distance from `x` is within `b`
-/// now; had it not been before, some insert of the batch moved it across
-/// `b` with `x` unmatched, which names `u` a source. So the witness was
-/// within `b` in the old state too (the predecessor side is the mirrored
-/// argument). Node slots are never reused, so a member that did not exist
-/// in the old state came from an `InsertNode`, whose arm names every
-/// pattern node of its label. Nothing above needs `S_old` to be total, so
+/// [`gpnm_matcher::repair`] grows candidates from the root gains through
+/// the bounded balls of the candidates each pattern node depends on, so
+/// the plan is sound iff every gained pair ends up a candidate. Suppose
+/// some did not, and let `G` be the gained pairs outside the candidates.
+/// Then `S_old ∪ G` would already be a simulation in the *old* state,
+/// contradicting the maximality of `S_old`: take `(u, x) ∈ G` and an edge
+/// `(u, u', b)`. Its new-state witness `x'` is an old member of `u'`, or
+/// `(u', x')` is itself gained — and outside the candidates, because the
+/// ball of a candidate `(u', x')` reaches `x`, which is within `b` of it,
+/// and would make `(u, x)` a candidate. In both cases `(u', x') ∈ S_old ∪
+/// G`. Its distance from `x` is within `b` now; had it not been before,
+/// some insert of the batch moved it across `b` with `x` unmatched, which
+/// names `(u, x)` a gain. So the witness was within `b` in the old state
+/// too (the predecessor side is the mirrored argument). Node slots are
+/// never reused, so a member that did not exist in the old state came
+/// from an `InsertNode`, whose arm names it under every pattern node of
+/// its label. Nothing above needs `S_old` to be total, so
 /// the argument applies to a withheld relation directly: an unmatched
 /// pattern is repaired like any other, and "matched" / "unmatched" in the
 /// rule above mean membership in the relation, not in the visible sets —
-/// read off the (empty) visible sets, every crossing would name a source.
+/// read off the (empty) visible sets, every crossing would name a gain.
 /// The relation is exact because the two things that could stale it end
 /// in a re-match instead: an outside edit of the visible sets
 /// ([`MatchResult::set_mut`]) discards it, and a pattern update forgets it
@@ -67,7 +71,6 @@ pub fn plan_for_data_update(
     plan.verify = delta.affected.clone();
     match update {
         DataUpdate::InsertEdge { .. } => {
-            let mut gains = vec![false; pattern.slot_count()];
             for &(x, y, old, new) in &delta.changed {
                 if new >= old {
                     continue;
@@ -77,21 +80,25 @@ pub fn plan_for_data_update(
                     for &(succ, bound) in pattern.out_edges(u) {
                         let crossed = bound.admits(new) && !bound.admits(old);
                         if crossed && pattern.label(succ) == ly {
-                            gains[u.index()] |= !result.relation_contains(u, x);
-                            gains[succ.index()] |= !result.relation_contains(succ, y);
+                            if !result.relation_contains(u, x) {
+                                plan.gains.push((u, x));
+                            }
+                            if !result.relation_contains(succ, y) {
+                                plan.gains.push((succ, y));
+                            }
                         }
                     }
                 }
             }
-            plan.addition_sources
-                .extend(pattern.nodes().filter(|u| gains[u.index()]));
+            plan.gains.sort_unstable();
+            plan.gains.dedup();
         }
         DataUpdate::InsertNode { label } => {
             if let Some(id) = created {
                 plan.verify.insert(id);
                 for u in pattern.nodes() {
                     if pattern.label(u) == Some(*label) {
-                        plan.addition_sources.push(u);
+                        plan.gains.push((u, id));
                     }
                 }
             }
@@ -154,12 +161,12 @@ mod tests {
     use gpnm_updates::candidates_for;
 
     #[test]
-    fn data_insert_plan_flags_addition_sources() {
+    fn data_insert_plan_names_root_gains() {
         let mut f = fig1();
         let mut idx = IncrementalIndex::build(&f.graph);
         let result = match_graph(&f.pattern, &f.graph, &idx, MatchSemantics::DualSimulation);
         // Under dual semantics TE2 is unmatched; UD1 shortens paths into
-        // TE2, so p_te must be an addition source.
+        // TE2, so (p_te, TE2) must be a root gain.
         let up = DataUpdate::InsertEdge {
             from: f.se1,
             to: f.te2,
@@ -167,8 +174,12 @@ mod tests {
         f.graph.add_edge(f.se1, f.te2).unwrap();
         let delta = idx.commit_insert_edge(f.se1, f.te2);
         let plan = plan_for_data_update(&up, &delta, &f.pattern, &f.graph, &result, None);
-        assert!(plan.addition_sources.contains(&f.p_te));
+        assert!(plan.gains.contains(&(f.p_te, f.te2)));
+        assert!(plan.addition_sources.is_empty());
         assert!(!plan.verify.is_empty());
+        let mut sorted = plan.gains.clone();
+        sorted.dedup();
+        assert_eq!(sorted, plan.gains, "no gain is listed twice");
     }
 
     #[test]
@@ -188,7 +199,7 @@ mod tests {
         let delta = idx.commit_insert_edge(f.te2, f.db1);
         assert!(delta.affected.contains(f.te2) && !result.contains(f.p_te, f.te2));
         let plan = plan_for_data_update(&up, &delta, &f.pattern, &f.graph, &result, None);
-        assert!(plan.addition_sources.is_empty());
+        assert!(plan.gains.is_empty());
         assert!(!plan.verify.is_empty());
         gpnm_matcher::repair(&f.pattern, &f.graph, &idx, semantics, &mut result, &plan);
         assert_eq!(result, match_graph(&f.pattern, &f.graph, &idx, semantics));
@@ -206,7 +217,7 @@ mod tests {
         f.graph.remove_edge(f.se1, f.s1).unwrap();
         let delta = idx.commit_delete_edge(&f.graph, f.se1, f.s1);
         let plan = plan_for_data_update(&up, &delta, &f.pattern, &f.graph, &result, None);
-        assert!(plan.addition_sources.is_empty());
+        assert!(plan.gains.is_empty() && plan.addition_sources.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The bounded-graph-simulation fixpoint and its incremental repair.
 
 use gpnm_distance::DistanceOracle;
-use gpnm_graph::{DataGraph, NodeId, NodeSet, PatternGraph, PatternNodeId};
+use gpnm_graph::{Bound, DataGraph, NodeId, NodeSet, PatternGraph, PatternNodeId};
 
 use crate::plan::RepairPlan;
 use crate::result::MatchResult;
@@ -86,9 +86,19 @@ pub fn match_graph<O: DistanceOracle>(
     result
 }
 
+/// What one [`repair`] call did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RepairOutcome {
+    /// Whether it fell back to [`match_graph`] (see [`repair`]'s last
+    /// paragraph).
+    pub rematched: bool,
+    /// `(pattern node, data node)` candidates it grew outside the old
+    /// relation — the members it had to verify beyond `plan.verify`.
+    pub candidates: usize,
+}
+
 /// Incremental repair: bring `result` (valid for some earlier graph state)
-/// up to date with the *current* `graph`/`pattern`/`oracle`. Returns
-/// whether it had to fall back to [`match_graph`] (see the last paragraph).
+/// up to date with the *current* `graph`/`pattern`/`oracle`.
 ///
 /// ## Correctness sketch (the invariant every engine strategy leans on)
 ///
@@ -102,20 +112,65 @@ pub fn match_graph<O: DistanceOracle>(
 /// membership trigger:
 ///
 /// * every data node whose distances changed or whose pattern constraints
-///   changed is in `plan.verify`, and
-/// * every pattern node that can gain members *relative to `S_old`* is in
+///   changed is in `plan.verify`;
+/// * every `(u, x)` whose distance from `x` crossed one of `u`'s bounds
+///   with `x` outside `S_old(u)`, and every fresh data node under each
+///   pattern node of its label, is in `plan.gains`; and
+/// * every pattern node whose whole label class may gain members (a
+///   pattern update relaxed its constraints) is in
 ///   `plan.addition_sources`.
 ///
-/// The repair then (1) closes `addition_sources` under reverse dependency
-/// (under simulation semantics `u` depends on its successors; under dual,
-/// on both directions), because a new partner in `u'` can admit nodes into
-/// any `u` that depends on it; (2) re-seeds closed addition targets from
-/// full label candidates — a superset of their true final sets — while
-/// every other pattern node keeps its `S_old` set, which is a superset of
-/// its final set because it can gain nothing; (3) runs the same pruning
-/// fixpoint as the batch matcher, verifying the seeded sets plus
-/// `plan.verify` members, cascading every removal to dependent sets.
-/// Pruning a superset of the maximum simulation from above converges
+/// The repair then
+///
+/// 1. **grows candidates**, keeping only live nodes of `u`'s label
+///    outside `S_old(u)`. The reverse-dependency closure of
+///    `plan.addition_sources` (under simulation `u` depends on its
+///    successors; under dual, on both directions) takes its whole label
+///    classes, as a pattern update may relax any member's constraints.
+///    Every other `Cand(u)` starts from `u`'s gains and grows to a
+///    fixpoint: new members of `Cand(u')` add, for each pattern edge `(u,
+///    u', b)`, the nodes of `u`'s label within `b` of them (a BFS of
+///    depth `b` over in-edges); under dual semantics also, for each `(u',
+///    w, b)`, the nodes of `w`'s label within `b` *from* them (over
+///    out-edges). So a data update's candidates reach only the pattern
+///    nodes, and the data nodes, its gains' balls reach.
+/// 2. **seeds** every set with `S_old(u) ∪ Cand(u)`; and
+/// 3. **prunes** to the greatest fixpoint, with `u`'s *dirty* members
+///    `plan.verify ∪ Cand(u)`: a sweep checks only the dirty members of
+///    the set until the sweep is made *whole*. A removal that includes an
+///    old member (one of `S_old`) makes every dependent's sweeps whole
+///    from then on; a removal of fresh candidates only makes them
+///    pending. The sources' closure sweeps whole from the start: a
+///    pattern update changes constraints whose members its `verify` need
+///    not name (DER-I names no `Can_RN` for an edge into a pattern node
+///    the same batch inserted).
+///
+/// **The seed is a superset of the new maximum simulation.** Let `G` be
+/// the gained pairs (new, not in `S_old`) outside `Cand`. Then `S_old ∪ G`
+/// is a simulation in the *old* state, which by the maximality of
+/// `S_old` forces `G = ∅`: take `(u, x) ∈ G` and an edge `(u, u', b)` (a
+/// deleted pattern edge, or a deleted pattern node's, makes its ends
+/// sources, whose whole class is in `Cand`; so is the class of every
+/// node that depends on a source). The new-state witness `x'`
+/// of `(u, x)` is an old member of `u'`, or `(u', x')` is gained. If it is
+/// gained and in `Cand(u')`, the BFS from `x'` reached `x` — within `b`
+/// now — and put `(u, x)` in `Cand`; so it is in `G`. Either way `(u', x')
+/// ∈ S_old ∪ G`. Had `d(x, x')` been over `b` before, some insert of the
+/// batch moved it across `b` with `x` outside `S_old(u)`, which names
+/// `(u, x)` a root gain. A node that did not exist before is a root gain
+/// under every pattern node of its label. So the old distance was within
+/// `b` too (the predecessor side is the mirrored argument).
+///
+/// **Skipping clean members is exact.** Outside the sources' closure, a
+/// member of `u` that is neither in `plan.verify` nor a candidate is an
+/// old member whose distances and constraints did not change, so its old
+/// witnesses still qualify, and they stay in the sets until some old
+/// member is removed. That removal makes the dependents' sweeps whole.
+/// A whole sweep may keep a clean member on a
+/// *fresh* witness, which a later removal of fresh candidates alone could
+/// take away — so once a node has had a whole sweep, every later sweep of
+/// it is whole too. Pruning a superset of the maximum simulation from
+/// above, never dropping a member that still has its witnesses, converges
 /// exactly to the maximum simulation — nothing in that argument needs a
 /// set to be non-empty — so the relation equals [`match_graph`]'s on the
 /// current state, and projecting it by the total-match rule gives equal
@@ -136,30 +191,7 @@ pub fn repair<O: DistanceOracle>(
     semantics: MatchSemantics,
     result: &mut MatchResult,
     plan: &RepairPlan,
-) -> bool {
-    repair_with(
-        pattern,
-        graph,
-        oracle,
-        semantics,
-        result,
-        &plan.verify,
-        &plan.addition_sources,
-    )
-}
-
-/// [`repair`] with the plan's two halves borrowed separately, for callers
-/// that pair one update's `verify` set with a source list merged over a
-/// whole batch and would otherwise clone the set into a [`RepairPlan`].
-pub fn repair_with<O: DistanceOracle>(
-    pattern: &PatternGraph,
-    graph: &DataGraph,
-    oracle: &O,
-    semantics: MatchSemantics,
-    result: &mut MatchResult,
-    verify: &NodeSet,
-    addition_sources: &[PatternNodeId],
-) -> bool {
+) -> RepairOutcome {
     let kept_relation = result.restore_relation();
     result.grow(pattern.slot_count());
 
@@ -175,42 +207,45 @@ pub fn repair_with<O: DistanceOracle>(
     // Visibly empty and no relation carried (built or edited from outside,
     // or forgotten by a pattern update): nothing sound to start from.
     let no_relation = !kept_relation && result.is_empty() && pattern.node_count() > 0;
-    if verify.is_empty() && addition_sources.is_empty() {
+    let verify = &plan.verify;
+    if plan.is_empty() {
         // Still enforce the total-match rule: a pattern-node deletion can
         // turn a previously-empty result non-empty only via additions,
-        // which would come with addition_sources.
+        // which would come with addition sources.
         if !no_relation {
             enforce_total_match(pattern, result);
         }
-        return false;
+        return RepairOutcome::default();
     }
     if no_relation {
         *result = match_graph(pattern, graph, oracle, semantics);
-        return true;
+        return RepairOutcome {
+            rematched: true,
+            candidates: 0,
+        };
     }
 
-    // (1) Close addition sources under reverse dependency.
-    let affected = close_addition_sources(pattern, addition_sources, semantics);
-
-    // (2) Re-seed affected pattern nodes from label candidates.
+    // (1) Grow candidates; (2) seed `S_old ∪ Cand`.
+    let whole = close_addition_sources(pattern, &plan.addition_sources, semantics);
+    let fresh = grow_candidates(pattern, graph, result, semantics, plan, &whole);
     let mut pending: Vec<bool> = vec![false; pattern.slot_count()];
+    let mut candidates = 0;
     for u in pattern.nodes() {
-        if affected[u.index()] {
-            let label = pattern.label(u).expect("live pattern node");
-            let set = result.slot_mut(u);
-            set.clear();
-            for &v in graph.nodes_with_label(label) {
-                set.insert(v);
-            }
-            pending[u.index()] = true;
-        } else if result.set(u).intersects(verify) {
-            pending[u.index()] = true;
+        let cand = &fresh[u.index()];
+        candidates += cand.len();
+        if !cand.is_empty() {
+            result.slot_mut(u).union_with(cand);
         }
+        pending[u.index()] =
+            whole[u.index()] || !cand.is_empty() || result.set(u).intersects(verify);
     }
 
-    // (3) Prune. Non-affected pattern nodes only re-verify their dirty
-    // members on the first visit; cascaded visits verify whole sets.
-    let verify_filter = Some((verify, affected.as_slice()));
+    // (3) Prune, sweeping dirty members until a sweep is made whole.
+    let dirty = Dirty {
+        verify,
+        fresh: &fresh,
+        whole,
+    };
     prune_to_fixpoint(
         pattern,
         graph,
@@ -218,13 +253,139 @@ pub fn repair_with<O: DistanceOracle>(
         oracle,
         semantics,
         &mut pending,
-        verify_filter,
+        Some(dirty),
     );
     enforce_total_match(pattern, result);
-    false
+    RepairOutcome {
+        rematched: false,
+        candidates,
+    }
 }
 
-/// Reverse-dependency closure of the addition sources.
+/// Step (1) of [`repair`]: every pattern node's candidates `Cand(u)`,
+/// grown to a fixpoint from the plan's gains through the bounded balls
+/// of the candidates `u` depends on. `relation` holds `S_old`; the
+/// pattern nodes `closure` marks start from their whole label class.
+fn grow_candidates(
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    relation: &MatchResult,
+    semantics: MatchSemantics,
+    plan: &RepairPlan,
+    closure: &[bool],
+) -> Vec<NodeSet> {
+    let slots = pattern.slot_count();
+    let mut cand = vec![NodeSet::new(); slots];
+    // Members of `cand[u]` whose balls are still to be walked.
+    let mut unwalked: Vec<Vec<NodeId>> = vec![Vec::new(); slots];
+    // Admit `v` into `Cand(u)` if it is a live node of u's label outside
+    // `S_old(u)`, queueing its balls the first time.
+    let admit =
+        |u: PatternNodeId, v: NodeId, cand: &mut [NodeSet], unwalked: &mut [Vec<NodeId>]| {
+            let fits = graph.label(v).is_some_and(|l| pattern.label(u) == Some(l));
+            if fits && !relation.set(u).contains(v) && cand[u.index()].insert(v) {
+                unwalked[u.index()].push(v);
+            }
+        };
+    for u in pattern.nodes().filter(|u| closure[u.index()]) {
+        let label = pattern.label(u).expect("live pattern node");
+        for &v in graph.nodes_with_label(label) {
+            admit(u, v, &mut cand, &mut unwalked);
+        }
+    }
+    for &(u, x) in &plan.gains {
+        admit(u, x, &mut cand, &mut unwalked);
+    }
+
+    let mut ball = Ball::default();
+    while let Some(i) = unwalked.iter().position(|w| !w.is_empty()) {
+        let roots = std::mem::take(&mut unwalked[i]);
+        let u_new = PatternNodeId::from_index(i);
+        // `w` depends on `u_new` through `(w, u_new, b)`: a node of w's
+        // label within `b` of a new candidate may now have its witness.
+        let backward = pattern.in_edges(u_new).iter().map(|&(w, b)| (w, b, true));
+        // Dual semantics: `(u_new, w, b)` asks members of `w` for a
+        // predecessor in `u_new` within `b`.
+        let forward = pattern
+            .out_edges(u_new)
+            .iter()
+            .filter(|_| semantics.checks_predecessors())
+            .map(|&(w, b)| (w, b, false));
+        for (w, bound, backward) in backward.chain(forward) {
+            // A closure node holds its whole class already, and the
+            // closure is closed under dependency: only walks out of gains'
+            // candidates go on.
+            if closure[w.index()] {
+                continue;
+            }
+            for &v in ball.walk(graph, &roots, bound, backward) {
+                admit(w, v, &mut cand, &mut unwalked);
+            }
+        }
+    }
+    cand
+}
+
+/// Scratch for a multi-source bounded BFS, reused across walks: the nodes
+/// reached, level by level, and their membership set. Each walk costs
+/// what it visits — clearing removes only the previous walk's members.
+#[derive(Default)]
+struct Ball {
+    seen: NodeSet,
+    members: Vec<NodeId>,
+}
+
+impl Ball {
+    /// Every node within `bound` hops of some root — *to* a root over
+    /// in-edges when `backward`, *from* one over out-edges otherwise —
+    /// the roots included.
+    fn walk(
+        &mut self,
+        graph: &DataGraph,
+        roots: &[NodeId],
+        bound: Bound,
+        backward: bool,
+    ) -> &[NodeId] {
+        for &v in &self.members {
+            self.seen.remove(v);
+        }
+        self.members.clear();
+        for &r in roots {
+            if self.seen.insert(r) {
+                self.members.push(r);
+            }
+        }
+        let depth = match bound {
+            Bound::Hops(k) => k,
+            Bound::Unbounded => u32::MAX,
+        };
+        let mut level = 0..self.members.len();
+        for _ in 0..depth {
+            if level.is_empty() {
+                break;
+            }
+            let end = self.members.len();
+            for i in level {
+                let v = self.members[i];
+                let next = if backward {
+                    graph.in_neighbors(v)
+                } else {
+                    graph.out_neighbors(v)
+                };
+                for &n in next {
+                    if self.seen.insert(n) {
+                        self.members.push(n);
+                    }
+                }
+            }
+            level = end..self.members.len();
+        }
+        &self.members
+    }
+}
+
+/// Reverse-dependency closure of the addition sources: the pattern nodes
+/// whose sweeps are whole from the start.
 fn close_addition_sources(
     pattern: &PatternGraph,
     sources: &[PatternNodeId],
@@ -260,12 +421,22 @@ fn close_addition_sources(
     affected
 }
 
+/// Which members a repair's sweeps must check: `verify` for every pattern
+/// node plus each node's own candidates (`fresh`), until a sweep is made
+/// whole. `whole[u]` makes every sweep of `u` whole from the start.
+struct Dirty<'a> {
+    verify: &'a NodeSet,
+    fresh: &'a [NodeSet],
+    whole: Vec<bool>,
+}
+
 /// Round-robin pruning until no pattern node is pending.
 ///
-/// `verify_filter = Some((dirty, affected))` restricts the *first*
-/// verification sweep of non-`affected` pattern nodes to members of
-/// `dirty`; cascaded sweeps (after a dependent set shrinks) always verify
-/// the full set, first visit or not. `None` verifies full sets everywhere
+/// `dirty = Some(..)` (a repair) restricts each pattern node's sweeps to
+/// its dirty members until a removal that includes an old member — one
+/// not among the node's candidates — makes its dependents' sweeps whole;
+/// a whole sweep stays whole for the rest of the fixpoint (see [`repair`]
+/// for why both rules are needed). `None` verifies whole sets everywhere
 /// (batch mode).
 fn prune_to_fixpoint<O: DistanceOracle>(
     pattern: &PatternGraph,
@@ -274,9 +445,12 @@ fn prune_to_fixpoint<O: DistanceOracle>(
     oracle: &O,
     semantics: MatchSemantics,
     pending: &mut [bool],
-    verify_filter: Option<(&NodeSet, &[bool])>,
+    dirty: Option<Dirty<'_>>,
 ) {
-    let mut first_sweep = vec![true; pattern.slot_count()];
+    let (mut whole, dirty) = match dirty {
+        Some(d) => (d.whole, Some((d.verify, d.fresh))),
+        None => (vec![true; pattern.slot_count()], None),
+    };
     let mut removals: Vec<NodeId> = Vec::new();
     while let Some(u) = (0..pending.len())
         .map(PatternNodeId::from_index)
@@ -287,40 +461,42 @@ fn prune_to_fixpoint<O: DistanceOracle>(
             continue;
         }
         removals.clear();
-        let restrict_to_dirty = match verify_filter {
-            Some((_, affected)) => first_sweep[u.index()] && !affected[u.index()],
-            None => false,
-        };
-        first_sweep[u.index()] = false;
-        for v in result.set(u).iter() {
-            if restrict_to_dirty {
-                let (dirty, _) = verify_filter.expect("restrict implies filter");
-                if !dirty.contains(v) {
-                    continue;
-                }
-            }
+        let set = result.set(u);
+        let mut check = |v: NodeId| {
             if !verify_node(pattern, graph, result, oracle, semantics, u, v) {
                 removals.push(v);
             }
+        };
+        match dirty {
+            Some((verify, fresh)) if !whole[u.index()] => {
+                set.intersection(verify).for_each(&mut check);
+                fresh[u.index()]
+                    .intersection(set)
+                    .filter(|&v| !verify.contains(v))
+                    .for_each(&mut check);
+            }
+            _ => set.iter().for_each(&mut check),
         }
         if removals.is_empty() {
             continue;
         }
+        let old_removed = match dirty {
+            Some((_, fresh)) => removals.iter().any(|&v| !fresh[u.index()].contains(v)),
+            None => true,
+        };
         for &v in &removals {
             result.slot_mut(u).remove(v);
         }
         // Removal cascade: any pattern node whose checks reference u's set.
-        // A cascaded visit verifies the whole set even when it is `w`'s
-        // first: its members lost a potential witness without being dirty.
-        for &(w, _) in pattern.in_edges(u) {
+        let dependents = pattern.in_edges(u).iter().chain(
+            pattern
+                .out_edges(u)
+                .iter()
+                .filter(|_| semantics.checks_predecessors()),
+        );
+        for &(w, _) in dependents {
             pending[w.index()] = true;
-            first_sweep[w.index()] = false;
-        }
-        if semantics.checks_predecessors() {
-            for &(w, _) in pattern.out_edges(u) {
-                pending[w.index()] = true;
-                first_sweep[w.index()] = false;
-            }
+            whole[w.index()] |= old_removed;
         }
     }
 }
@@ -700,7 +876,7 @@ mod tests {
                     plan.verify.insert(n[v]);
                 }
             }
-            let rematched = repair(&p, &g, &slen, SEM, &mut result, &plan);
+            let rematched = repair(&p, &g, &slen, SEM, &mut result, &plan).rematched;
             assert!(!rematched, "step {i} repaired the kept relation");
             let scratch = match_graph(&p, &g, &slen, SEM);
             assert_eq!(result, scratch, "step {i}: visible sets");
@@ -771,7 +947,7 @@ mod tests {
             inner: &slen,
             probes: std::cell::Cell::new(0),
         };
-        let rematched = repair(&p, &g, &counting, SEM, &mut result, &plan);
+        let rematched = repair(&p, &g, &counting, SEM, &mut result, &plan).rematched;
         assert!(!rematched);
         assert_eq!(counting.probes.get(), 1, "one dirty member with an edge");
         assert!(!result.relation_contains(pn["A"], n["a0"]));
@@ -785,6 +961,117 @@ mod tests {
             scratch_probes.probes.get() >= WIDTH,
             "scratch scans the class"
         );
+        assert_eq!(result, scratch);
+        assert!(result.relation_eq(&scratch));
+    }
+
+    #[test]
+    fn a_gain_two_pattern_hops_from_its_root_is_grown_through_backward_balls() {
+        // Chain A->B->C->D (bounds 1). a1->b1->c1 waits for c1->d1; the
+        // a2 chain is complete, a3 is an A that nothing reaches. The insert
+        // crosses only (C, D): its one root gain is (C, c1). (B, b1) and
+        // (A, a1) — two pattern hops from the root — become candidates
+        // only through the backward balls of c1 and then of b1.
+        const SEM: MatchSemantics = MatchSemantics::Simulation;
+        let (mut g, li, n) = DataGraphBuilder::new()
+            .node("a1", "A")
+            .node("b1", "B")
+            .node("c1", "C")
+            .node("d1", "D")
+            .node("a2", "A")
+            .node("b2", "B")
+            .node("c2", "C")
+            .node("d2", "D")
+            .node("a3", "A")
+            .edge("a1", "b1")
+            .edge("b1", "c1")
+            .edge("a2", "b2")
+            .edge("b2", "c2")
+            .edge("c2", "d2")
+            .build()
+            .unwrap();
+        let (p, _, pn) = PatternGraphBuilder::new()
+            .node("A", "A")
+            .node("B", "B")
+            .node("C", "C")
+            .node("D", "D")
+            .edge("A", "B", 1)
+            .edge("B", "C", 1)
+            .edge("C", "D", 1)
+            .build_with_interner(li)
+            .unwrap();
+        let mut slen = IncrementalIndex::build(&g);
+        let mut result = match_graph(&p, &g, &slen, SEM);
+        assert!(!result.contains(pn["A"], n["a1"]));
+
+        g.add_edge(n["c1"], n["d1"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_insert_edge(n["c1"], n["d1"]).affected;
+        plan.gains.push((pn["C"], n["c1"]));
+        let outcome = repair(&p, &g, &slen, SEM, &mut result, &plan);
+        assert_eq!(outcome.candidates, 3, "c1, b1 and a1 — not a3");
+        let scratch = match_graph(&p, &g, &slen, SEM);
+        assert_eq!(result, scratch);
+        assert!(result.relation_eq(&scratch));
+        assert!(result.contains(pn["A"], n["a1"]));
+    }
+
+    #[test]
+    fn a_clean_member_held_up_by_a_fresh_witness_is_swept_again() {
+        // Pattern 2-cycle U0 <-> U1 (bounds 1) over a core cycle xc <-> yc.
+        // y_old stands on x_old, and x_old on yc. Deleting x_old->yc
+        // changes x_old's row only (y_old still reaches yc through z):
+        // x_old is dirty, y_old is clean. The plan also names the pairs
+        // (U0, x_new) and (U1, y_new) — a plan may over-approximate its
+        // gains. The sweeps then go: U0 drops x_old, an old member, so
+        // U1's next sweep is whole; it keeps y_old on the *fresh* x_new
+        // and drops y_new; U0 then drops x_new, a fresh candidate only.
+        // y_old has lost every witness, but it is clean: only the rule
+        // that a node once swept whole is swept whole again removes it.
+        const SEM: MatchSemantics = MatchSemantics::Simulation;
+        let (mut g, li, n) = DataGraphBuilder::new()
+            .node("xc", "X")
+            .node("yc", "Y")
+            .node("x_old", "X")
+            .node("y_old", "Y")
+            .node("z", "Z")
+            .node("x_new", "X")
+            .node("y_new", "Y")
+            .edge("xc", "yc")
+            .edge("yc", "xc")
+            .edge("x_old", "yc")
+            .edge("y_old", "x_old")
+            .edge("y_old", "z")
+            .edge("z", "yc")
+            .edge("y_old", "x_new")
+            .edge("x_new", "y_new")
+            .build()
+            .unwrap();
+        let (p, _, pn) = PatternGraphBuilder::new()
+            .node("U0", "X")
+            .node("U1", "Y")
+            .edge("U0", "U1", 1)
+            .edge("U1", "U0", 1)
+            .build_with_interner(li)
+            .unwrap();
+        let mut slen = IncrementalIndex::build(&g);
+        let mut result = match_graph(&p, &g, &slen, SEM);
+        assert!(result.contains(pn["U1"], n["y_old"]));
+        assert!(!result.contains(pn["U0"], n["x_new"]));
+
+        g.remove_edge(n["x_old"], n["yc"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_delete_edge(&g, n["x_old"], n["yc"]).affected;
+        assert!(plan.verify.contains(n["x_old"]) && !plan.verify.contains(n["y_old"]));
+        plan.gains.push((pn["U0"], n["x_new"]));
+        plan.gains.push((pn["U1"], n["y_new"]));
+        let outcome = repair(&p, &g, &slen, SEM, &mut result, &plan);
+        assert_eq!(outcome.candidates, 2);
+        assert!(
+            !result.contains(pn["U1"], n["y_old"]),
+            "y_old lost x_old and x_new"
+        );
+        let scratch = match_graph(&p, &g, &slen, SEM);
         assert_eq!(result, scratch);
         assert!(result.relation_eq(&scratch));
     }
@@ -810,7 +1097,7 @@ mod tests {
         let mut plan = RepairPlan::new();
         plan.verify = slen.commit_insert_edge(n["a3"], n["b3"]).affected;
         plan.addition_sources.push(pn["A"]);
-        let rematched = repair(&p, &g, &slen, SEM, &mut result, &plan);
+        let rematched = repair(&p, &g, &slen, SEM, &mut result, &plan).rematched;
         assert!(rematched, "no relation to repair: fallback");
         let scratch = match_graph(&p, &g, &slen, SEM);
         assert_eq!(result, scratch);

@@ -6,10 +6,11 @@
 //!
 //! * [`match_graph`] — the batch fixpoint over label-seeded candidate sets.
 //! * [`repair`] — incremental repair given a [`RepairPlan`] describing
-//!   which nodes must be re-verified and which pattern nodes may gain
-//!   members. Every incremental strategy in the engine crate (INC-GPNM,
-//!   EH-GPNM, UA-GPNM) funnels through this one function, so its
-//!   correctness argument (documented on the function) is load-bearing.
+//!   which nodes must be re-verified and which `(pattern node, data
+//!   node)` pairs may be gained. Every incremental strategy in the engine
+//!   crate (INC-GPNM, EH-GPNM, UA-GPNM) funnels through this one
+//!   function, so its correctness argument (documented on the function)
+//!   is load-bearing.
 //!
 //! Both support two [`MatchSemantics`] (see DESIGN.md §2): successor-only
 //! `Simulation` (faithful to BGS \[4\]; the default) and `DualSimulation`
@@ -27,7 +28,7 @@ mod render;
 mod result;
 mod semantics;
 
-pub use bgs::{match_graph, repair, repair_with, verify_node};
+pub use bgs::{match_graph, repair, verify_node, RepairOutcome};
 pub use delta::MatchDelta;
 pub use plan::RepairPlan;
 pub use render::render_match_table;

@@ -113,6 +113,11 @@ pub struct TickStats {
     /// Repair passes that fell back to a from-scratch re-match because
     /// the standing result carried no relation (0 in steady state).
     pub repair_rematches: usize,
+    /// `(pattern node, data node)` candidates the repair passes grew
+    /// outside their standing relations, summed over patterns — the
+    /// members a tick had to verify beyond its dirty set, to read the
+    /// matcher's cost against.
+    pub addition_candidates: usize,
     /// Nodes in the union of the committed updates' `Aff_N` sets (with
     /// multiplicity across updates) — how much of the graph the batch
     /// disturbed.
@@ -180,7 +185,7 @@ impl TickStats {
         let mut out = format!(
             "  stats: reduce={}µs shared_repair={}µs [{}] detect={}µs refresh(Σ)={}µs \
              refresh(max)={}µs publish={}µs lanes={lanes} switches={} eliminated={} \
-             repairs={} affected={}",
+             repairs={} candidates={} affected={}",
             self.reduce_ns / 1_000,
             self.shared_repair_ns / 1_000,
             by_kind.join(" "),
@@ -191,6 +196,7 @@ impl TickStats {
             self.strategy_switches,
             self.eliminated,
             self.repair_calls,
+            self.addition_candidates,
             self.affected_nodes,
         );
         out.push_str(&format!(
@@ -253,7 +259,8 @@ impl TickStats {
              \"refresh_total_ns\":{},\"refresh_max_ns\":{},\"publish_ns\":{},\
              \"refresh_lanes\":{},\
              \"pool_lanes\":{},\"strategy_switches\":{},\"eliminated\":{},\
-             \"repair_calls\":{},\"affected_nodes\":{},\"backend_kind\":\"{}\",\
+             \"repair_calls\":{},\"addition_candidates\":{},\"affected_nodes\":{},\
+             \"backend_kind\":\"{}\",\
              \"resident_rows\":{},\"index_mem_bytes\":{},\"per_pattern\":[{}],\"io\":{}}}",
             self.reduce_ns,
             self.shared_repair_ns,
@@ -267,6 +274,7 @@ impl TickStats {
             self.strategy_switches,
             self.eliminated,
             self.repair_calls,
+            self.addition_candidates,
             self.affected_nodes,
             self.backend_kind,
             self.resident_rows,
@@ -1159,6 +1167,7 @@ impl<B: SlenBackend> GpnmService<B> {
             stats.eliminated += outcome.stats.eliminated;
             stats.repair_calls += outcome.stats.repair_calls;
             stats.repair_rematches += usize::from(outcome.stats.rematched);
+            stats.addition_candidates += outcome.stats.candidates;
             let handle = outcome.handle;
             stats
                 .per_pattern_refresh_ns
@@ -1705,6 +1714,44 @@ mod tests {
         let report = service.apply(&noop).expect("valid");
         assert_eq!(report.updates_applied, 0);
         assert_eq!(report.stats.repair_calls, 0);
+    }
+
+    #[test]
+    fn tick_stats_count_the_candidates_grown() {
+        // Under dual semantics TE2 is unmatched until SE1 -> TE2 brings an
+        // SE within bound of it: the tick grows at least that candidate,
+        // and a delete grows none.
+        let f = fig1();
+        let mut service = GpnmService::<SparseIndex>::new(f.graph.clone());
+        let h = service
+            .register_pattern(f.pattern.clone(), MatchSemantics::DualSimulation)
+            .unwrap();
+        assert!(!service.result(h).unwrap().contains(f.p_te, f.te2));
+        let mut batch = UpdateBatch::new();
+        batch.push(DataUpdate::InsertEdge {
+            from: f.se1,
+            to: f.te2,
+        });
+        let report = service.apply(&batch).expect("valid");
+        assert!(service.result(h).unwrap().contains(f.p_te, f.te2));
+        let grown = report.stats.addition_candidates;
+        assert!(grown >= 1, "(TE, TE2) was a candidate");
+        assert!(report
+            .stats
+            .render()
+            .contains(&format!("candidates={grown} ")));
+        assert!(report
+            .stats
+            .to_json()
+            .contains(&format!("\"addition_candidates\":{grown},")));
+
+        let mut batch = UpdateBatch::new();
+        batch.push(DataUpdate::DeleteEdge {
+            from: f.se1,
+            to: f.s1,
+        });
+        let report = service.apply(&batch).expect("valid");
+        assert_eq!(report.stats.addition_candidates, 0, "deletes gain nothing");
     }
 
     #[test]
