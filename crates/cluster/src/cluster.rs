@@ -9,8 +9,8 @@ use gpnm_graph::{DataGraph, PatternGraph};
 use gpnm_matcher::{MatchDelta, MatchResult, MatchSemantics};
 use gpnm_pool::WorkerPool;
 use gpnm_service::{
-    GpnmService, HandleId, PatternHandle, PatternHost, ReadFront, ReadView, ServiceError,
-    Subscription, TickOutcome, TickReport,
+    GpnmService, HandleId, PatternHandle, PatternHost, ReadFront, ReadView, ServiceBuilder,
+    ServiceError, Subscription, TickOutcome, TickReport,
 };
 use gpnm_updates::UpdateBatch;
 
@@ -72,7 +72,7 @@ impl std::fmt::Display for RebalanceMove {
     }
 }
 
-/// What one [`GpnmCluster::apply`] tick did: the merged view of every
+/// What one [`PatternHost::apply`] tick did: the merged view of every
 /// shard's [`TickReport`], with deltas keyed by stable cluster handles in
 /// cluster registration order.
 #[derive(Debug, Clone)]
@@ -205,12 +205,11 @@ impl TickOutcome for ClusterTickReport {
 #[derive(Debug)]
 pub struct ClusterBuilder {
     shards: usize,
-    kind: BackendKind,
-    max_index_gb: f64,
-    cache_budget_mb: Option<f64>,
-    refresh_threads: usize,
+    /// Every shard's configuration: the backend, budget and refresh knobs
+    /// forward here, and [`ClusterBuilder::build`] builds each shard from
+    /// it with publishing off.
+    shard: ServiceBuilder,
     placement: Box<dyn ShardPlacement>,
-    adaptive: bool,
     rebalance_every: Option<u64>,
 }
 
@@ -218,12 +217,8 @@ impl Default for ClusterBuilder {
     fn default() -> Self {
         ClusterBuilder {
             shards: 1,
-            kind: BackendKind::Sparse,
-            max_index_gb: 4.0,
-            cache_budget_mb: None,
-            refresh_threads: 0,
+            shard: ServiceBuilder::new().backend(BackendKind::Sparse),
             placement: Box::new(LeastLoaded::new()),
-            adaptive: false,
             rebalance_every: None,
         }
     }
@@ -232,8 +227,8 @@ impl Default for ClusterBuilder {
 impl ClusterBuilder {
     /// A builder with the defaults: 1 shard, sparse backend (sharding
     /// exists to bound per-shard index size, which only a requirement-
-    /// narrowed backend delivers), 4 GiB dense budget, least-loaded
-    /// placement, sequential refresh.
+    /// narrowed backend delivers), least-loaded placement, and
+    /// [`ServiceBuilder`]'s defaults for everything else.
     pub fn new() -> Self {
         Self::default()
     }
@@ -247,33 +242,33 @@ impl ClusterBuilder {
 
     /// Select every shard's `SLen` backend.
     pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.kind = kind;
+        self.shard = self.shard.backend(kind);
         self
     }
 
     /// Per-shard dense-index memory budget, in GiB (see
-    /// [`gpnm_service::ServiceBuilder::max_index_gb`]).
+    /// [`ServiceBuilder::max_index_gb`]).
     pub fn max_index_gb(mut self, gb: impl Into<f64>) -> Self {
-        self.max_index_gb = gb.into();
+        self.shard = self.shard.max_index_gb(gb);
         self
     }
 
     /// Per-shard paged-backend cache budget, in MiB (see
-    /// [`gpnm_service::ServiceBuilder::cache_budget_mb`]). Each shard
-    /// builds its own paged backend, so every shard gets its own spill
-    /// file and a cache of this size.
+    /// [`ServiceBuilder::cache_budget_mb`]). Each shard builds its own
+    /// paged backend, so every shard gets its own spill file and a cache
+    /// of this size.
     pub fn cache_budget_mb(mut self, mb: impl Into<f64>) -> Self {
-        self.cache_budget_mb = Some(mb.into());
+        self.shard = self.shard.cache_budget_mb(mb);
         self
     }
 
     /// Per-shard refresh parallelism (see
-    /// [`gpnm_service::ServiceBuilder::refresh_threads`]). The two levels
-    /// compose: a tick fans out across shards, and each shard fans its
-    /// patterns out across this many further lanes in a nested
+    /// [`ServiceBuilder::refresh_threads`]). The two levels compose: a
+    /// tick fans out across shards, and each shard fans its patterns out
+    /// across this many further lanes in a nested
     /// [`gpnm_pool::WorkerPool::scope`], which opens threads of its own.
     pub fn refresh_threads(mut self, n: usize) -> Self {
-        self.refresh_threads = n;
+        self.shard = self.shard.refresh_threads(n);
         self
     }
 
@@ -284,11 +279,10 @@ impl ClusterBuilder {
     }
 
     /// Enable the refresh-parallelism tuner on every shard (see
-    /// [`gpnm_service::ServiceBuilder::adaptive`]): per-shard refresh
-    /// parallelism is then driven by live tick stats instead of the fixed
-    /// configuration.
+    /// [`ServiceBuilder::adaptive`]): per-shard refresh parallelism is
+    /// then driven by live tick stats instead of the fixed configuration.
     pub fn adaptive(mut self, on: bool) -> Self {
-        self.adaptive = on;
+        self.shard = self.shard.adaptive(on);
         self
     }
 
@@ -314,25 +308,14 @@ impl ClusterBuilder {
                 "rebalance_every needs a period of at least one tick".to_owned(),
             ));
         }
-        let mut shards = Vec::with_capacity(self.shards);
-        for _ in 0..self.shards {
-            // Shard replicas never publish their own read front-end:
-            // nothing may become observable until *every* shard has
-            // committed the tick, so the cluster publishes the merged
-            // views itself after the fan-out joins — per-tick
-            // publication stays atomic across shards.
-            let mut builder = GpnmService::builder()
-                .backend(self.kind)
-                .max_index_gb(self.max_index_gb)
-                .refresh_threads(self.refresh_threads)
-                .adaptive(self.adaptive)
-                .publishing(false);
-            if let Some(mb) = self.cache_budget_mb {
-                builder = builder.cache_budget_mb(mb);
-            }
-            let service = builder.build(graph.clone())?;
-            shards.push(service);
-        }
+        // Shard replicas never publish their own read front-end: nothing
+        // may become observable until *every* shard has committed the
+        // tick, so the cluster publishes the merged views itself after the
+        // fan-out joins — per-tick publication stays atomic across shards.
+        let shard = self.shard.publishing(false);
+        let shards = (0..self.shards)
+            .map(|_| shard.clone().build(graph.clone()))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(GpnmCluster {
             shards,
             placement: self.placement,
@@ -351,7 +334,7 @@ impl ClusterBuilder {
 ///
 /// Where a single [`GpnmService`] pays one shared repair pass over the
 /// *union* of every registered pattern's requirements,
-/// [`GpnmCluster::apply`] validates the batch once and fans it out to all
+/// [`PatternHost::apply`] validates the batch once and fans it out to all
 /// shards **in parallel** in one [`gpnm_pool::WorkerPool::scope`]; each
 /// shard commits the same batch to its replica and repairs only its own
 /// narrowed index, then refreshes its patterns (themselves parallel when
@@ -411,58 +394,10 @@ impl GpnmCluster {
         self.shards.len()
     }
 
-    /// Number of registered patterns across all shards.
-    pub fn pattern_count(&self) -> usize {
-        self.patterns.len()
-    }
-
-    /// Batches applied so far.
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// Handles of every registered pattern, in registration order.
-    pub fn handles(&self) -> Vec<ClusterHandle> {
-        self.patterns.iter().map(|&(h, _, _)| h).collect()
-    }
-
-    /// The last *published* snapshot of `handle` — the same view every
-    /// concurrent reader holding [`GpnmCluster::reader`] sees. Published
-    /// only after **all** shards commit a tick, so it is always a whole
-    /// cluster epoch.
-    pub fn read_view(&self, handle: ClusterHandle) -> Result<Arc<ReadView>, ClusterError> {
-        self.route(handle)?;
-        self.front
-            .read_view(handle)
-            .map_err(|_| ClusterError::UnknownHandle(handle))
-    }
-
-    /// Subscribe to `handle`'s per-tick delta stream — same contract as
-    /// [`GpnmService::subscribe`], fed from the cluster's post-fan-out
-    /// publication.
-    pub fn subscribe(&self, handle: ClusterHandle) -> Result<Subscription, ClusterError> {
-        self.route(handle)?;
-        self.front
-            .subscribe(handle)
-            .map_err(|_| ClusterError::UnknownHandle(handle))
-    }
-
-    /// A cloneable, `Send + Sync` handle onto the cluster's read
-    /// front-end for reader threads.
-    pub fn reader(&self) -> ReadFront {
-        self.front.clone()
-    }
-
     /// The shards, in shard order — read-only introspection (footprints,
     /// requirements, per-shard pattern counts).
     pub fn shards(&self) -> &[GpnmService<AnyBackend>] {
         &self.shards
-    }
-
-    /// Shard 0's graph replica. All replicas walk the same trajectory, so
-    /// this *is* the cluster's data graph.
-    pub fn graph(&self) -> &DataGraph {
-        self.shards[0].graph()
     }
 
     /// Current load snapshot per shard, with `projected_rows` computed
@@ -514,79 +449,6 @@ impl GpnmCluster {
     /// The shard `handle`'s pattern lives on.
     pub fn shard_of(&self, handle: ClusterHandle) -> Result<usize, ClusterError> {
         Ok(self.route(handle)?.0)
-    }
-
-    /// The registered pattern behind `handle`.
-    pub fn pattern(&self, handle: ClusterHandle) -> Result<&PatternGraph, ClusterError> {
-        let (shard, local) = self.route(handle)?;
-        Ok(self.shards[shard].pattern(local)?)
-    }
-
-    /// The semantics `handle` was registered under.
-    pub fn semantics(&self, handle: ClusterHandle) -> Result<MatchSemantics, ClusterError> {
-        let (shard, local) = self.route(handle)?;
-        Ok(self.shards[shard].semantics(local)?)
-    }
-
-    /// The full current result of `handle` — the snapshot for late
-    /// joiners; deltas are the streaming answer.
-    pub fn result(&self, handle: ClusterHandle) -> Result<&MatchResult, ClusterError> {
-        let (shard, local) = self.route(handle)?;
-        Ok(self.shards[shard].result(local)?)
-    }
-
-    /// How many ticks `handle`'s result has absorbed since registration.
-    pub fn result_version(&self, handle: ClusterHandle) -> Result<u64, ClusterError> {
-        let (shard, local) = self.route(handle)?;
-        Ok(self.shards[shard].result_version(local)?)
-    }
-
-    /// Register a standing pattern: consult the placement strategy, widen
-    /// only the chosen shard's requirement union, run the initial match
-    /// there, and return the cluster handle its deltas will be keyed by.
-    /// Every other shard is untouched — registration cost is local to one
-    /// shard.
-    pub fn register_pattern(
-        &mut self,
-        pattern: PatternGraph,
-        semantics: MatchSemantics,
-    ) -> Result<ClusterHandle, ClusterError> {
-        if pattern.node_count() == 0 {
-            return Err(ServiceError::EmptyPattern.into());
-        }
-        let loads = self.loads(&pattern);
-        let shard = self.placement.place(&pattern, &loads);
-        if shard >= self.shards.len() {
-            return Err(ClusterError::PlacementOutOfRange {
-                shard,
-                shards: self.shards.len(),
-            });
-        }
-        let local = self.shards[shard].register_pattern(pattern, semantics)?;
-        let handle = ClusterHandle(HandleId::from_raw(self.next_handle));
-        self.next_handle += 1;
-        self.front.publish(
-            handle,
-            ReadView {
-                result: self.shards[shard].result(local)?.visible(),
-                result_version: 0,
-                tick: self.tick,
-            },
-        );
-        self.patterns.push((handle, shard, local));
-        Ok(handle)
-    }
-
-    /// Deregister a standing pattern and narrow its shard's requirement
-    /// union to what that shard's remaining patterns need.
-    pub fn deregister(&mut self, handle: ClusterHandle) -> Result<(), ClusterError> {
-        let (shard, local) = self.route(handle)?;
-        self.shards[shard].deregister(local)?;
-        self.patterns.retain(|&(h, _, _)| h != handle);
-        // Terminate the handle's published state and subscriptions
-        // (queued deltas drain first, then a final `Closed`).
-        self.front.close(handle);
-        Ok(())
     }
 
     /// One greedy pattern re-placement pass: migrate each standing
@@ -672,14 +534,103 @@ impl GpnmCluster {
         }
         Ok(moves)
     }
+}
 
-    /// Apply one data-update batch across the whole cluster: validate it
-    /// **once** (typed, mutation-free refusal — exactly
-    /// [`GpnmService::apply`]'s contract), fan the validated batch out to
-    /// every shard **in parallel** in one [`WorkerPool::scope`], and merge
-    /// the per-shard [`TickReport`]s into one [`ClusterTickReport`] keyed
-    /// by cluster handles.
-    pub fn apply(&mut self, batch: &UpdateBatch) -> Result<ClusterTickReport, ClusterError> {
+impl PatternHost for GpnmCluster {
+    type Handle = ClusterHandle;
+    type Error = ClusterError;
+    type Report = ClusterTickReport;
+
+    /// Shard 0's graph replica. All replicas walk the same trajectory, so
+    /// this *is* the cluster's data graph.
+    fn graph(&self) -> &DataGraph {
+        self.shards[0].graph()
+    }
+
+    fn pattern(&self, handle: ClusterHandle) -> Result<&PatternGraph, ClusterError> {
+        let (shard, local) = self.route(handle)?;
+        Ok(self.shards[shard].pattern(local)?)
+    }
+
+    fn semantics(&self, handle: ClusterHandle) -> Result<MatchSemantics, ClusterError> {
+        let (shard, local) = self.route(handle)?;
+        Ok(self.shards[shard].semantics(local)?)
+    }
+
+    fn result(&self, handle: ClusterHandle) -> Result<&MatchResult, ClusterError> {
+        let (shard, local) = self.route(handle)?;
+        Ok(self.shards[shard].result(local)?)
+    }
+
+    fn result_version(&self, handle: ClusterHandle) -> Result<u64, ClusterError> {
+        let (shard, local) = self.route(handle)?;
+        Ok(self.shards[shard].result_version(local)?)
+    }
+
+    fn handles(&self) -> Vec<ClusterHandle> {
+        self.patterns.iter().map(|&(h, _, _)| h).collect()
+    }
+
+    fn pattern_count(&self) -> usize {
+        self.patterns.len()
+    }
+
+    fn tick(&self) -> u64 {
+        self.tick
+    }
+
+    /// Consult the placement strategy, widen only the chosen shard's
+    /// requirement union and run the initial match there. Every other
+    /// shard is untouched — registration cost is local to one shard.
+    fn register_pattern(
+        &mut self,
+        pattern: PatternGraph,
+        semantics: MatchSemantics,
+    ) -> Result<ClusterHandle, ClusterError> {
+        if pattern.node_count() == 0 {
+            return Err(ServiceError::EmptyPattern.into());
+        }
+        let loads = self.loads(&pattern);
+        let shard = self.placement.place(&pattern, &loads);
+        if shard >= self.shards.len() {
+            return Err(ClusterError::PlacementOutOfRange {
+                shard,
+                shards: self.shards.len(),
+            });
+        }
+        let local = self.shards[shard].register_pattern(pattern, semantics)?;
+        let handle = ClusterHandle(HandleId::from_raw(self.next_handle));
+        self.next_handle += 1;
+        self.front.publish(
+            handle,
+            ReadView {
+                result: self.shards[shard].result(local)?.visible(),
+                result_version: 0,
+                tick: self.tick,
+            },
+        );
+        self.patterns.push((handle, shard, local));
+        Ok(handle)
+    }
+
+    /// Narrow the pattern's shard's requirement union to what that
+    /// shard's remaining patterns need.
+    fn deregister(&mut self, handle: ClusterHandle) -> Result<(), ClusterError> {
+        let (shard, local) = self.route(handle)?;
+        self.shards[shard].deregister(local)?;
+        self.patterns.retain(|&(h, _, _)| h != handle);
+        // Terminate the handle's published state and subscriptions
+        // (queued deltas drain first, then a final `Closed`).
+        self.front.close(handle);
+        Ok(())
+    }
+
+    /// Validate the batch **once** (typed, mutation-free refusal — the
+    /// service's contract), fan the validated batch out to every shard
+    /// **in parallel** in one [`WorkerPool::scope`], and merge the
+    /// per-shard [`TickReport`]s into one [`ClusterTickReport`] keyed by
+    /// cluster handles.
+    fn apply(&mut self, batch: &UpdateBatch) -> Result<ClusterTickReport, ClusterError> {
         if let Some(index) = batch.first_pattern_update() {
             return Err(ServiceError::PatternUpdateInBatch { index }.into());
         }
@@ -800,71 +751,26 @@ impl GpnmCluster {
             rebalanced,
         })
     }
-}
 
-impl PatternHost for GpnmCluster {
-    type Handle = ClusterHandle;
-    type Error = ClusterError;
-    type Report = ClusterTickReport;
-
-    fn graph(&self) -> &DataGraph {
-        GpnmCluster::graph(self)
-    }
-
-    fn pattern(&self, handle: ClusterHandle) -> Result<&PatternGraph, ClusterError> {
-        GpnmCluster::pattern(self, handle)
-    }
-
-    fn semantics(&self, handle: ClusterHandle) -> Result<MatchSemantics, ClusterError> {
-        GpnmCluster::semantics(self, handle)
-    }
-
-    fn result(&self, handle: ClusterHandle) -> Result<&MatchResult, ClusterError> {
-        GpnmCluster::result(self, handle)
-    }
-
-    fn result_version(&self, handle: ClusterHandle) -> Result<u64, ClusterError> {
-        GpnmCluster::result_version(self, handle)
-    }
-
-    fn handles(&self) -> Vec<ClusterHandle> {
-        GpnmCluster::handles(self)
-    }
-
-    fn pattern_count(&self) -> usize {
-        GpnmCluster::pattern_count(self)
-    }
-
-    fn tick(&self) -> u64 {
-        GpnmCluster::tick(self)
-    }
-
-    fn register_pattern(
-        &mut self,
-        pattern: PatternGraph,
-        semantics: MatchSemantics,
-    ) -> Result<ClusterHandle, ClusterError> {
-        GpnmCluster::register_pattern(self, pattern, semantics)
-    }
-
-    fn deregister(&mut self, handle: ClusterHandle) -> Result<(), ClusterError> {
-        GpnmCluster::deregister(self, handle)
-    }
-
-    fn apply(&mut self, batch: &UpdateBatch) -> Result<ClusterTickReport, ClusterError> {
-        GpnmCluster::apply(self, batch)
-    }
-
+    /// Published only after **all** shards commit a tick, so it is always
+    /// a whole cluster epoch.
     fn read_view(&self, handle: ClusterHandle) -> Result<Arc<ReadView>, ClusterError> {
-        GpnmCluster::read_view(self, handle)
+        self.route(handle)?;
+        self.front
+            .read_view(handle)
+            .map_err(|_| ClusterError::UnknownHandle(handle))
     }
 
+    /// Fed from the cluster's post-fan-out publication.
     fn subscribe(&self, handle: ClusterHandle) -> Result<Subscription, ClusterError> {
-        GpnmCluster::subscribe(self, handle)
+        self.route(handle)?;
+        self.front
+            .subscribe(handle)
+            .map_err(|_| ClusterError::UnknownHandle(handle))
     }
 
     fn reader(&self) -> ReadFront {
-        GpnmCluster::reader(self)
+        self.front.clone()
     }
 }
 
@@ -1027,6 +933,35 @@ mod tests {
             .expect("sparse default");
         assert_eq!(cluster.shard_count(), 3);
         assert_eq!(cluster.total_resident_rows(), 0, "no patterns yet");
+    }
+
+    #[test]
+    fn builder_knobs_reach_every_shard() {
+        let f = fig1();
+        let cluster = GpnmCluster::builder()
+            .shards(3)
+            .backend(BackendKind::Paged)
+            .refresh_threads(2)
+            .adaptive(true)
+            .cache_budget_mb(0.5)
+            .build(f.graph.clone())
+            .expect("paged builds are never refused");
+        for shard in cluster.shards() {
+            let AnyBackend::Paged(paged) = shard.backend() else {
+                panic!("shard runs {}, not paged", shard.backend().kind());
+            };
+            assert_eq!(paged.cache_budget(), 1 << 19, "0.5 MiB cache");
+            assert_eq!(shard.refresh_threads(), 2);
+            assert!(shard.adaptive());
+            assert!(!shard.publishing(), "shards never publish on their own");
+        }
+        // The shard template validates the forwarded knobs.
+        assert!(matches!(
+            GpnmCluster::builder()
+                .cache_budget_mb(f64::NAN)
+                .build(f.graph),
+            Err(ClusterError::Service(ServiceError::InvalidConfig(_)))
+        ));
     }
 
     #[test]

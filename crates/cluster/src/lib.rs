@@ -6,14 +6,14 @@
 //! `GpnmService` over its own [`DataGraph`](gpnm_graph::DataGraph)
 //! replica, with a backend narrowed to only *that shard's* patterns'
 //! [`SlenRequirements`](gpnm_distance::SlenRequirements) — behind one
-//! register/apply surface:
+//! register/apply surface, the [`PatternHost`](gpnm_service::PatternHost)
+//! trait every host implements:
 //!
-//! * [`GpnmCluster::register_pattern`] places each standing pattern on a
-//!   shard via a pluggable [`ShardPlacement`] strategy ([`RoundRobin`],
-//!   or [`LeastLoaded`], which minimizes the *marginal* resident-row
-//!   growth a placement would cause) and returns a stable
-//!   [`ClusterHandle`];
-//! * [`GpnmCluster::apply`] validates a data batch **once**, fans it out
+//! * `register_pattern` places each standing pattern on a shard via a
+//!   pluggable [`ShardPlacement`] strategy ([`RoundRobin`], or
+//!   [`LeastLoaded`], which minimizes the *marginal* resident-row growth a
+//!   placement would cause) and returns a stable [`ClusterHandle`];
+//! * `apply` validates a data batch **once**, fans it out
 //!   to every shard **in parallel** in one
 //!   [`gpnm_pool::WorkerPool::scope`], and merges the per-shard
 //!   [`TickReport`](gpnm_service::TickReport)s into one
@@ -35,7 +35,7 @@
 //! use gpnm_cluster::{GpnmCluster, RoundRobin};
 //! use gpnm_distance::BackendKind;
 //! use gpnm_matcher::MatchSemantics;
-//! use gpnm_service::TickOutcome;
+//! use gpnm_service::{PatternHost, TickOutcome};
 //! use gpnm_updates::{DataUpdate, UpdateBatch};
 //!
 //! let fig = gpnm_graph::paper::fig1();

@@ -39,7 +39,8 @@ pub struct ShardLoad {
 /// per shard, pick the shard (`0..loads.len()`) the pattern lives on.
 ///
 /// Strategies are stateful (`&mut self`) so cursors and histories work;
-/// they are consulted once per [`crate::GpnmCluster::register_pattern`]
+/// they are consulted once per
+/// [`PatternHost::register_pattern`](gpnm_service::PatternHost::register_pattern)
 /// call, never on ticks. Returning an out-of-range index is a typed
 /// registration error, not a panic.
 pub trait ShardPlacement: Send + std::fmt::Debug {

@@ -21,7 +21,7 @@ use gpnm_distance::{BackendKind, SlenBackend};
 use gpnm_engine::{GpnmEngine, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
 use gpnm_matcher::{match_graph, MatchSemantics};
-use gpnm_service::{GpnmService, TickOutcome};
+use gpnm_service::{GpnmService, PatternHost, TickOutcome};
 use gpnm_updates::{DataUpdate, UpdateBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -485,29 +485,41 @@ impl<B: SlenBackend> GpnmEngine<B> {
             all_additions.merge_additions(&de.plan);
         }
 
-        // Survivor verify-plans, in EH-Tree root order.
+        // Survivor verify-plans, in EH-Tree root order. A root's pass
+        // verifies its whole subtree: containment puts an eliminated
+        // update's *coverage* inside its eliminator's, but not the
+        // `verify` set its plan derived from that coverage, so the nodes
+        // an eliminated update would re-check ride with its root.
+        // Coverage over (pattern node, data node) pairs would make
+        // containment cover `verify` too, but it changes the paper's
+        // elimination counts (Figs. 5–9), so the tree keeps data nodes.
+        let base = match scope {
+            ElimScope::Full => pattern_effects.len(),
+            ElimScope::DataOnly => 0,
+        };
+        let tree_plan = |i: usize| match i.checked_sub(base) {
+            Some(j) => &data_effects[j].plan,
+            None => &pattern_effects[i].plan,
+        };
+        let subtree_plans: Vec<RepairPlan> = tree
+            .roots()
+            .iter()
+            .map(|&root| {
+                let mut plan = RepairPlan::new();
+                let mut stack = vec![root];
+                while let Some(i) = stack.pop() {
+                    plan.verify.union_with(&tree_plan(i).verify);
+                    stack.extend_from_slice(tree.children(i));
+                }
+                plan
+            })
+            .collect();
         let mut survivor_plans: Vec<&RepairPlan> = Vec::new();
-        match scope {
-            ElimScope::Full => {
-                for &root in tree.roots() {
-                    let plan = if root < pattern_effects.len() {
-                        &pattern_effects[root].plan
-                    } else {
-                        &data_effects[root - pattern_effects.len()].plan
-                    };
-                    survivor_plans.push(plan);
-                }
-            }
-            ElimScope::DataOnly => {
-                // Every pattern update survives; data survivors from the tree.
-                for pe in &pattern_effects {
-                    survivor_plans.push(&pe.plan);
-                }
-                for &root in tree.roots() {
-                    survivor_plans.push(&data_effects[root].plan);
-                }
-            }
+        if scope == ElimScope::DataOnly {
+            // Every pattern update survives: EH-GPNM's tree holds data only.
+            survivor_plans.extend(pattern_effects.iter().map(|pe| &pe.plan));
         }
+        survivor_plans.extend(&subtree_plans);
 
         stats.repair_calls += pipeline::run_survivor_repairs(
             &self.pattern,

@@ -127,6 +127,41 @@ fn realize(
     batch
 }
 
+/// The property: every incremental strategy agrees with Scratch on the
+/// batch `spec` realizes over `seed`'s base state.
+fn strategies_agree(seed: u64, spec: &[(u8, u16, u16)]) -> Result<(), TestCaseError> {
+    let (graph, pattern, interner) = base_state(seed);
+    let batch = realize(&graph, &pattern, &interner, spec);
+    prop_assert!(
+        batch.validate(&graph, &pattern).is_ok(),
+        "realize produced an invalid batch"
+    );
+
+    let mut reference = GpnmEngine::new(graph.clone(), pattern.clone(), MatchSemantics::Simulation);
+    reference.initial_query();
+    reference
+        .subsequent_query(&batch, Strategy::Scratch)
+        .expect("valid batch");
+    let expected = reference.result().clone();
+
+    for strategy in [Strategy::IncGpnm, Strategy::EhGpnm, Strategy::UaGpnm] {
+        let mut engine =
+            GpnmEngine::new(graph.clone(), pattern.clone(), MatchSemantics::Simulation);
+        engine.initial_query();
+        engine
+            .subsequent_query(&batch, strategy)
+            .expect("valid batch");
+        prop_assert_eq!(
+            engine.result(),
+            &expected,
+            "{} diverged from Scratch on {} updates",
+            strategy,
+            batch.len()
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     /// Every incremental strategy must agree with Scratch. A failing spec
     /// shrinks itself to a minimal divergent update stream.
@@ -135,30 +170,20 @@ proptest! {
         seed in proptest::strategy::any::<u64>(),
         spec in vec(((0u8..8), (0u16..4096), (0u16..4096)), 1..12),
     ) {
-        let (graph, pattern, interner) = base_state(seed);
-        let batch = realize(&graph, &pattern, &interner, &spec);
-        prop_assert!(batch.validate(&graph, &pattern).is_ok(), "realize produced an invalid batch");
-
-        let mut reference =
-            GpnmEngine::new(graph.clone(), pattern.clone(), MatchSemantics::Simulation);
-        reference.initial_query();
-        reference
-            .subsequent_query(&batch, Strategy::Scratch)
-            .expect("valid batch");
-        let expected = reference.result().clone();
-
-        for strategy in [Strategy::IncGpnm, Strategy::EhGpnm, Strategy::UaGpnm] {
-            let mut engine =
-                GpnmEngine::new(graph.clone(), pattern.clone(), MatchSemantics::Simulation);
-            engine.initial_query();
-            engine.subsequent_query(&batch, strategy).expect("valid batch");
-            prop_assert_eq!(
-                engine.result(),
-                &expected,
-                "{} diverged from Scratch on {} updates",
-                strategy,
-                batch.len()
-            );
-        }
+        strategies_agree(seed, &spec)?;
     }
+}
+
+/// A pattern-node insert, a pattern-node delete and a pattern-edge insert
+/// (the minimized counterexample at 4 096 cases). The EH-Tree hangs the
+/// edge insert, whose plan verifies `n18`, under the node insert, whose
+/// plan verifies nothing: the root's pass must verify its whole subtree,
+/// or UA-GPNM keeps `n18` where Scratch drops it.
+#[test]
+fn survivor_verifies_its_eh_tree_subtree() {
+    strategies_agree(
+        1236190486320776938,
+        &[(6, 2831, 2694), (7, 704, 3715), (4, 3984, 3613)],
+    )
+    .unwrap();
 }

@@ -2,12 +2,14 @@
 //! for the register/apply/read lifecycle, [`TickOutcome`] for what a tick
 //! reported, and the shared [`HandleId`] every handle type wraps.
 //!
-//! `GpnmService` and `gpnm-cluster`'s `GpnmCluster` grew the same accessor
-//! surface twice — `pattern`, `result`, `apply`, … copied per layer, which
-//! any new feature (like the PR-6 read front-end) would have had to copy a
-//! third time. These traits are that surface written once: tools like
-//! `gpnm replay` and the concurrency stress harness are generic over
-//! `PatternHost` instead of branching on "service or cluster".
+//! `GpnmService` and `gpnm-cluster`'s `GpnmCluster` serve the same
+//! session surface — `pattern`, `result`, `apply`, … — and
+//! [`PatternHost`] is its only copy: each host implements those methods in
+//! its trait impl and nowhere else, keeping only host-specific methods
+//! (`apply_prevalidated`, `backend`, `shards`, …) inherent. Callers import
+//! the trait (the facade prelude exports it); tools like `gpnm replay` and
+//! the concurrency stress harness are generic over `PatternHost` instead of
+//! branching on "service or cluster".
 
 use std::fmt;
 use std::sync::Arc;
@@ -45,9 +47,9 @@ impl fmt::Display for HandleId {
     }
 }
 
-/// What one tick reported, read uniformly: `GpnmService::apply`'s
-/// `TickReport` and `GpnmCluster::apply`'s `ClusterTickReport` both
-/// implement this, so per-tick consumers (delta printers, reconstruction
+/// What one tick reported, read uniformly: the service's `TickReport`
+/// and the cluster's `ClusterTickReport` — [`PatternHost::apply`]'s
+/// report on each host — both implement this, so per-tick consumers (delta printers, reconstruction
 /// checks, stats dumps) are written once against the trait.
 pub trait TickOutcome {
     /// The handle type the deltas are keyed by.

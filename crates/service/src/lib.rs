@@ -11,16 +11,16 @@
 //!
 //! * **one** data graph + **one** [`SlenBackend`](gpnm_distance::SlenBackend)
 //!   covering the *union* of every registered pattern's requirements
-//!   (widened on [`GpnmService::register_pattern`], narrowed on
-//!   [`GpnmService::deregister`]);
-//! * [`GpnmService::apply`] validates and commits a data-update batch
+//!   (widened on [`PatternHost::register_pattern`], narrowed on
+//!   [`PatternHost::deregister`]);
+//! * [`PatternHost::apply`] validates and commits a data-update batch
 //!   **once** — one shared repair pass over the backend — then refreshes
 //!   each registered pattern through its own elimination/affected pipeline
 //!   (the engine's own steps, re-exported via [`gpnm_engine::pipeline`]);
 //! * every tick returns one [`MatchDelta`](gpnm_matcher::MatchDelta) per
 //!   [`PatternHandle`]: added/removed `(pattern node, data node)` pairs and
 //!   a monotone `result_version`, with the full snapshot still available
-//!   from [`GpnmService::result`] for late joiners.
+//!   from [`PatternHost::result`] for late joiners.
 //!
 //! Per-pattern results are bitwise identical to k independent engines
 //! (asserted by the `service_equivalence` proptest suite, all backends ×
@@ -34,7 +34,7 @@
 //! use gpnm_distance::BackendKind;
 //! use gpnm_graph::PatternGraphBuilder;
 //! use gpnm_matcher::MatchSemantics;
-//! use gpnm_service::{GpnmService, ServiceError, TickOutcome};
+//! use gpnm_service::{GpnmService, PatternHost, ServiceError, TickOutcome};
 //! use gpnm_updates::{DataUpdate, UpdateBatch};
 //!
 //! // The paper's Figure 1 data graph: PMs, SEs, a DB admin, test engineers.

@@ -65,7 +65,7 @@ struct PatternSession {
 /// observability a serving deployment tunes shard counts and
 /// `refresh_threads` against. Printed by `gpnm replay --stats`.
 ///
-/// This is the tick's one record: [`GpnmService::apply`] writes each
+/// This is the tick's one record: [`PatternHost::apply`] writes each
 /// measurement here once, then flushes the finished record into the
 /// global metrics registry, so `--stats`, `--stats-json` and the
 /// `gpnm_tick_*` series read the same values. The five phases (reduce,
@@ -378,7 +378,7 @@ fn flush(report: &TickReport) {
     }
 }
 
-/// What one [`GpnmService::apply`] tick did: shared-work accounting plus
+/// What one [`PatternHost::apply`] tick did: shared-work accounting plus
 /// one [`MatchDelta`] per registered pattern.
 #[derive(Debug, Clone)]
 pub struct TickReport {
@@ -620,7 +620,7 @@ struct AdaptiveState {
 /// match after this batch", the service answers "what changed for *every*
 /// standing pattern" — and pays the expensive part (graph mutation +
 /// `SLen` repair) once per batch instead of once per pattern. Each
-/// [`GpnmService::apply`] tick:
+/// [`PatternHost::apply`] tick:
 ///
 /// 1. rejects pattern updates and invalid data updates with a typed
 ///    [`ServiceError`], before any mutation;
@@ -802,11 +802,6 @@ impl<B: SlenBackend> GpnmService<B> {
         Ok(self.session(handle)?.strategy)
     }
 
-    /// The current data graph.
-    pub fn graph(&self) -> &DataGraph {
-        &self.graph
-    }
-
     /// The shared `SLen` backend.
     pub fn backend(&self) -> &B {
         &self.index
@@ -817,64 +812,10 @@ impl<B: SlenBackend> GpnmService<B> {
         &self.reqs
     }
 
-    /// Batches applied so far.
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// Number of registered patterns.
-    pub fn pattern_count(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Handles of every registered pattern, in registration order.
-    pub fn handles(&self) -> Vec<PatternHandle> {
-        self.sessions.iter().map(|(h, _)| *h).collect()
-    }
-
     /// Whether this service publishes to its read front-end — see
     /// [`ServiceBuilder::publishing`].
     pub fn publishing(&self) -> bool {
         self.publishing
-    }
-
-    /// The last *published* snapshot of `handle` — the same view every
-    /// concurrent reader holding [`GpnmService::reader`] sees. Unlike
-    /// [`GpnmService::result`] this clones no data and takes no lock the
-    /// writer holds across a tick; it errors with
-    /// [`ServiceError::ReadFrontDisabled`] on a non-publishing service
-    /// (e.g. a cluster's shard replica).
-    pub fn read_view(&self, handle: PatternHandle) -> Result<Arc<ReadView>, ServiceError> {
-        self.session(handle)?;
-        if !self.publishing {
-            return Err(ServiceError::ReadFrontDisabled);
-        }
-        self.front
-            .read_view(handle)
-            .map_err(|_| ServiceError::UnknownHandle(handle))
-    }
-
-    /// Subscribe to `handle`'s per-tick delta stream. Events arrive in
-    /// `result_version` order, gap-free (a slow consumer gets a
-    /// coalesced [`crate::SubEvent::Lagged`]); deregistration, or dropping
-    /// the service, delivers a final [`crate::SubEvent::Closed`].
-    pub fn subscribe(&self, handle: PatternHandle) -> Result<Subscription, ServiceError> {
-        self.session(handle)?;
-        if !self.publishing {
-            return Err(ServiceError::ReadFrontDisabled);
-        }
-        self.front
-            .subscribe(handle)
-            .map_err(|_| ServiceError::UnknownHandle(handle))
-    }
-
-    /// A cloneable, `Send + Sync` handle onto this service's read
-    /// front-end. Hand clones to reader threads: their
-    /// [`ReadFront::read_view`] / [`ReadFront::subscribe`] calls proceed
-    /// while this service's `&mut self` ticks run — no front-end lock is
-    /// held across a tick.
-    pub fn reader(&self) -> ReadFront {
-        self.front.clone()
     }
 
     fn session(&self, handle: PatternHandle) -> Result<&PatternSession, ServiceError> {
@@ -885,41 +826,14 @@ impl<B: SlenBackend> GpnmService<B> {
             .ok_or(ServiceError::UnknownHandle(handle))
     }
 
-    /// The registered pattern behind `handle`.
-    pub fn pattern(&self, handle: PatternHandle) -> Result<&PatternGraph, ServiceError> {
-        Ok(&self.session(handle)?.pattern)
-    }
-
-    /// The semantics `handle` was registered under.
-    pub fn semantics(&self, handle: PatternHandle) -> Result<MatchSemantics, ServiceError> {
-        Ok(self.session(handle)?.semantics)
-    }
-
-    /// The full current result of `handle` (version
-    /// [`GpnmService::result_version`]). Deltas are the streaming answer;
-    /// this is the snapshot for late joiners.
-    pub fn result(&self, handle: PatternHandle) -> Result<&MatchResult, ServiceError> {
-        Ok(&self.session(handle)?.result)
-    }
-
-    /// How many ticks `handle`'s result has absorbed since registration.
-    pub fn result_version(&self, handle: PatternHandle) -> Result<u64, ServiceError> {
-        Ok(self.session(handle)?.version)
-    }
-
-    /// Register a standing pattern: widen the backend's requirement union,
-    /// run the initial match, and return the handle its deltas will be
-    /// keyed by. Cost is one initial query for *this* pattern (plus any
-    /// sparse rows the widened union now demands) — existing patterns are
-    /// untouched.
-    pub fn register_pattern(
-        &mut self,
-        pattern: PatternGraph,
-        semantics: MatchSemantics,
-    ) -> Result<PatternHandle, ServiceError> {
-        self.admit(&pattern)?;
-        let result = match_graph(&pattern, &self.graph, &self.index, semantics);
-        Ok(self.open_session(pattern, semantics, result, 0))
+    /// The read front-end `handle` is served from: a known handle on a
+    /// publishing service.
+    fn published_front(&self, handle: PatternHandle) -> Result<&ReadFront, ServiceError> {
+        self.session(handle)?;
+        if !self.publishing {
+            return Err(ServiceError::ReadFrontDisabled);
+        }
+        Ok(&self.front)
     }
 
     /// Register a standing pattern **carrying** an already-computed
@@ -990,45 +904,7 @@ impl<B: SlenBackend> GpnmService<B> {
         handle
     }
 
-    /// Deregister a standing pattern and narrow the backend's requirement
-    /// union to what the remaining patterns need — on a sparse backend
-    /// this reclaims rows (and row depth) only the departed pattern
-    /// consulted.
-    pub fn deregister(&mut self, handle: PatternHandle) -> Result<(), ServiceError> {
-        let pos = self
-            .sessions
-            .iter()
-            .position(|(h, _)| *h == handle)
-            .ok_or(ServiceError::UnknownHandle(handle))?;
-        self.sessions.remove(pos);
-        // Terminate the handle's published state and subscriptions
-        // (queued deltas drain first, then a final `Closed`).
-        self.front.close(handle);
-        let mut union = SlenRequirements::empty();
-        for (_, s) in &self.sessions {
-            union.absorb(&SlenRequirements::of_pattern(&s.pattern));
-        }
-        self.reqs = union;
-        self.index.narrow_requirements(&self.graph, &self.reqs);
-        Ok(())
-    }
-
-    /// Apply one data-update batch — **once** — and refresh every
-    /// registered pattern, returning per-handle [`MatchDelta`]s.
-    ///
-    /// The batch is validated up front and rejected (typed, mutation-free)
-    /// if it contains a pattern update or an invalid data update. On
-    /// success the graph, the backend and every result reflect the
-    /// post-batch state; per-pattern results are bitwise what a dedicated
-    /// [`gpnm_engine::GpnmEngine`] running the same batch would hold, but
-    /// the graph mutation and `SLen` repair were paid once, not
-    /// once per pattern.
-    pub fn apply(&mut self, batch: &UpdateBatch) -> Result<TickReport, ServiceError> {
-        batch.validate_data(&self.graph)?;
-        self.apply_prevalidated(batch)
-    }
-
-    /// [`GpnmService::apply`] minus the up-front *data* validation — the
+    /// [`PatternHost::apply`] minus the up-front *data* validation — the
     /// seam a cluster uses to validate a batch **once** and fan the same
     /// committed work out to every shard replica.
     ///
@@ -1036,7 +912,7 @@ impl<B: SlenBackend> GpnmService<B> {
     /// current graph (i.e. [`gpnm_updates::UpdateBatch::validate_data`]
     /// passed on an identical replica). An invalid batch still surfaces a
     /// typed error — pattern updates are always refused mutation-free,
-    /// exactly like [`GpnmService::apply`] — but an invalid *data* update
+    /// exactly like [`PatternHost::apply`] — but an invalid *data* update
     /// surfaces possibly after part of the batch has mutated this
     /// service's state, so atomic refusal is the validating caller's
     /// responsibility.
@@ -1265,59 +1141,101 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
     }
 
     fn pattern(&self, handle: PatternHandle) -> Result<&PatternGraph, ServiceError> {
-        GpnmService::pattern(self, handle)
+        Ok(&self.session(handle)?.pattern)
     }
 
     fn semantics(&self, handle: PatternHandle) -> Result<MatchSemantics, ServiceError> {
-        GpnmService::semantics(self, handle)
+        Ok(self.session(handle)?.semantics)
     }
 
     fn result(&self, handle: PatternHandle) -> Result<&MatchResult, ServiceError> {
-        GpnmService::result(self, handle)
+        Ok(&self.session(handle)?.result)
     }
 
     fn result_version(&self, handle: PatternHandle) -> Result<u64, ServiceError> {
-        GpnmService::result_version(self, handle)
+        Ok(self.session(handle)?.version)
     }
 
     fn handles(&self) -> Vec<PatternHandle> {
-        GpnmService::handles(self)
+        self.sessions.iter().map(|(h, _)| *h).collect()
     }
 
     fn pattern_count(&self) -> usize {
-        GpnmService::pattern_count(self)
+        self.sessions.len()
     }
 
     fn tick(&self) -> u64 {
-        GpnmService::tick(self)
+        self.tick
     }
 
+    /// Widen the backend's requirement union and run the initial match.
+    /// Cost is one initial query for *this* pattern (plus any sparse rows
+    /// the widened union now demands) — existing patterns are untouched.
     fn register_pattern(
         &mut self,
         pattern: PatternGraph,
         semantics: MatchSemantics,
     ) -> Result<PatternHandle, ServiceError> {
-        GpnmService::register_pattern(self, pattern, semantics)
+        self.admit(&pattern)?;
+        let result = match_graph(&pattern, &self.graph, &self.index, semantics);
+        Ok(self.open_session(pattern, semantics, result, 0))
     }
 
+    /// Narrow the backend's requirement union to what the remaining
+    /// patterns need — on a sparse backend this reclaims rows (and row
+    /// depth) only the departed pattern consulted.
     fn deregister(&mut self, handle: PatternHandle) -> Result<(), ServiceError> {
-        GpnmService::deregister(self, handle)
+        let pos = self
+            .sessions
+            .iter()
+            .position(|(h, _)| *h == handle)
+            .ok_or(ServiceError::UnknownHandle(handle))?;
+        self.sessions.remove(pos);
+        // Terminate the handle's published state and subscriptions
+        // (queued deltas drain first, then a final `Closed`).
+        self.front.close(handle);
+        let mut union = SlenRequirements::empty();
+        for (_, s) in &self.sessions {
+            union.absorb(&SlenRequirements::of_pattern(&s.pattern));
+        }
+        self.reqs = union;
+        self.index.narrow_requirements(&self.graph, &self.reqs);
+        Ok(())
     }
 
+    /// The batch is validated up front and rejected (typed, mutation-free)
+    /// if it contains a pattern update or an invalid data update. On
+    /// success the graph, the backend and every result reflect the
+    /// post-batch state; per-pattern results are bitwise what a dedicated
+    /// [`gpnm_engine::GpnmEngine`] running the same batch would hold, but
+    /// the graph mutation and `SLen` repair were paid once, not
+    /// once per pattern.
     fn apply(&mut self, batch: &UpdateBatch) -> Result<TickReport, ServiceError> {
-        GpnmService::apply(self, batch)
+        batch.validate_data(&self.graph)?;
+        self.apply_prevalidated(batch)
     }
 
+    /// Errors with [`ServiceError::ReadFrontDisabled`] on a non-publishing
+    /// service (e.g. a cluster's shard replica).
     fn read_view(&self, handle: PatternHandle) -> Result<Arc<ReadView>, ServiceError> {
-        GpnmService::read_view(self, handle)
+        self.published_front(handle)?
+            .read_view(handle)
+            .map_err(|_| ServiceError::UnknownHandle(handle))
     }
 
+    /// Events arrive in `result_version` order, gap-free (a slow consumer
+    /// gets a coalesced [`crate::SubEvent::Lagged`]); deregistration, or
+    /// dropping the service, delivers a final [`crate::SubEvent::Closed`].
+    /// Errors with [`ServiceError::ReadFrontDisabled`] on a non-publishing
+    /// service.
     fn subscribe(&self, handle: PatternHandle) -> Result<Subscription, ServiceError> {
-        GpnmService::subscribe(self, handle)
+        self.published_front(handle)?
+            .subscribe(handle)
+            .map_err(|_| ServiceError::UnknownHandle(handle))
     }
 
     fn reader(&self) -> ReadFront {
-        GpnmService::reader(self)
+        self.front.clone()
     }
 }
 

@@ -7,7 +7,7 @@
 
 use gpnm_distance::{BackendKind, SlenBackend, SlenRequirements, SparseIndex};
 use gpnm_matcher::{match_graph, MatchSemantics};
-use gpnm_service::GpnmService;
+use gpnm_service::{GpnmService, PatternHost};
 use gpnm_workload::{
     generate_batch, generate_pattern, generate_social_graph, PatternConfig, SocialGraphConfig,
     UpdateProtocol,

@@ -20,7 +20,7 @@ use gpnm_distance::{BackendKind, IncrementalIndex, SlenBackend, SparseIndex};
 use gpnm_engine::{GpnmEngine, RefreshStrategy, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
 use gpnm_matcher::{match_graph, MatchResult, MatchSemantics};
-use gpnm_service::{GpnmService, PatternHandle, ServiceError, TickOutcome};
+use gpnm_service::{GpnmService, PatternHandle, PatternHost, ServiceError, TickOutcome};
 use gpnm_updates::{DataUpdate, UpdateBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -17,16 +17,17 @@ use crate::update::{DataUpdate, PatternUpdate, Update};
 /// * toggling edge updates cancel pairwise (insert+delete or
 ///   delete+insert of the same edge; pattern edges must also agree on the
 ///   bound for the insert to restore the status quo);
-/// * a node inserted and later deleted within the batch is dropped along
-///   with every edge update that references it.
+/// * a *data* node inserted and later deleted within the batch is dropped
+///   along with every data-edge update that references it. Pattern-node
+///   insert/delete pairs are not cancelled; they pass through unchanged.
 ///
 /// The surviving updates keep their relative order, so id prediction for
 /// nodes created by surviving inserts still works (slot numbering is
 /// unaffected by *edge* cancellations; cancelled *node* inserts would shift
-/// ids, so node-insert/delete pairs are only cancelled when no surviving
-/// update references any node created later in the batch — conservatively
-/// approximated by requiring the cancelled insert to be the batch's last
-/// created data/pattern node or followed only by cancelled inserts).
+/// ids, so data-node insert/delete pairs are only cancelled when no
+/// surviving update references any node created later in the batch —
+/// conservatively approximated by requiring the cancelled insert to be the
+/// batch's last created data node or followed only by cancelled inserts).
 pub fn reduce_batch(graph: &DataGraph, pattern: &PatternGraph, batch: &UpdateBatch) -> UpdateBatch {
     let updates = batch.updates();
     let mut keep = vec![true; updates.len()];
