@@ -14,7 +14,7 @@ use crate::INF;
 ///
 /// `queue` is caller-provided scratch so hot loops (a build runs one row
 /// per source) don't reallocate per call.
-pub fn bfs_row(csr: &CsrGraph, source: NodeId, row: &mut [u32], queue: &mut Vec<NodeId>) {
+pub(crate) fn bfs_row(csr: &CsrGraph, source: NodeId, row: &mut [u32], queue: &mut Vec<NodeId>) {
     debug_assert_eq!(row.len(), csr.slot_count());
     row.fill(INF);
     row[source.index()] = 0;

@@ -128,11 +128,10 @@ impl SlenRequirements {
 /// slice: keep records whose source passes `resident`, clamp distances
 /// beyond `depth` to [`INF`], and drop records the clamp turns into
 /// no-ops. This *is* the sparse backend's delta contract — the
-/// equivalence proptests and the `micro_backend` bench both assert
-/// `sparse.changed == project_delta(dense, depth, resident)` record for
-/// record. `resident` must reflect residency at the time the delta was
-/// produced (for a node-deletion commit: *before* the node left the
-/// graph).
+/// equivalence proptests assert `sparse.changed == project_delta(dense,
+/// depth, resident)` record for record. `resident` must reflect residency
+/// at the time the delta was produced (for a node-deletion commit:
+/// *before* the node left the graph).
 pub fn project_delta<F: Fn(NodeId) -> bool>(
     delta: &AffDelta,
     depth: u32,

@@ -9,10 +9,6 @@
 //! * [`incremental`] — repair of the matrix under single edge/node updates,
 //!   emitting an [`AffDelta`]: the changed pairs `AFF[u,v] = [a, b]` and the
 //!   affected-node set `Aff_N` that drives DER-II elimination detection.
-//! * [`Partition`] / [`PartitionedIndex`] — the §V label-based partition
-//!   method: per-partition APSP, a bridge graph over inner/outer bridge
-//!   nodes, and exact cross-partition composition. It reproduces the
-//!   paper's Tables VIII/IX and is off every repair path (see below).
 //! * [`backend`] — the [`SlenBackend`] trait: the repairable-index
 //!   lifecycle (build, slot grow/tombstone, one commit per applied update
 //!   returning its delta, bulk rebuild) the GPNM engine is generic over,
@@ -44,8 +40,9 @@
 //! the entries whose every shortest path it took away — the decremental
 //! step the bounded rows run, untruncated (the [`incremental`] module docs
 //! have the argument and the cost); a node insert appends a row inside the
-//! matrix's stride. The kind keeps the paper's §V name; what is left of
-//! §V is below.
+//! matrix's stride. The kind keeps the paper's §V name. The §V partition
+//! method itself is test support: `tests/section_v` reproduces Tables
+//! VIII/IX with it, and below is why no backend repairs through it.
 //!
 //! Rejected for the dense family: *recomputing a delete's candidate rows
 //! by BFS, spread over the worker pool* — the paper's "processed
@@ -66,7 +63,7 @@
 //! stand-ins (seeds 7, 11 and 42, full and 1/10 scale), 0.90 and 1.0 on
 //! the two `experiment_shape` fixtures, 8/8 and 5/8 on the paper's Figs. 1
 //! and 4, and 1 005/1 005 on `paper_squery`'s graph. So the arm never ran,
-//! yet choosing it built a whole [`PartitionedIndex`] just to count
+//! yet choosing it built a whole `PartitionedIndex` just to count
 //! bridges (2.9–3.5 ms on email-EU-core, 22–23 ms on LiveJournal(sim), 2
 //! cores). Every commit after that dirtied it, so a service rebuilt it on
 //! every tick and a chained engine inside every timed `UA-GPNM` query. *A
@@ -123,31 +120,25 @@ mod aff;
 mod any;
 mod apsp;
 pub mod backend;
-mod dijkstra;
 pub mod incremental;
 mod kind;
 mod matrix;
 mod oracle;
 mod paged;
 mod pager;
-mod partition;
-mod partitioned;
 mod rows;
 mod sparse;
 
 pub use aff::AffDelta;
 pub use any::AnyBackend;
-pub use apsp::{apsp_matrix, bfs_row};
+pub use apsp::apsp_matrix;
 pub use backend::{project_delta, IoStats, RepairHint, SlenBackend, SlenRequirements};
-pub use dijkstra::{dijkstra_multi, WeightedAdj};
 pub use incremental::IncrementalIndex;
 pub use kind::BackendKind;
 pub use matrix::DistanceMatrix;
 pub use oracle::DistanceOracle;
 pub use paged::{PagedConfig, PagedIndex, PagedStore};
 pub use pager::DEFAULT_PAGE_SIZE;
-pub use partition::{Partition, PartitionId};
-pub use partitioned::{paper_literal, PartitionedIndex};
 pub use rows::BoundedRows;
 pub use sparse::{MemStore, SparseIndex};
 

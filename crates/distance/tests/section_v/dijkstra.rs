@@ -9,7 +9,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::{sat_add, INF};
+use gpnm_distance::{sat_add, INF};
 
 /// Weighted adjacency over a compact `0..n` vertex space.
 #[derive(Debug, Clone, Default)]
@@ -28,11 +28,6 @@ impl WeightedAdj {
     /// Number of vertices.
     pub fn len(&self) -> usize {
         self.adj.len()
-    }
-
-    /// Whether the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
     }
 
     /// Add a directed edge `u -> v` of weight `w`. Parallel edges are
@@ -75,7 +70,6 @@ pub fn dijkstra_multi(graph: &WeightedAdj, seeds: &[(usize, u32)]) -> Vec<u32> {
     dist
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -74,11 +74,6 @@ impl Partition {
         self.members.len()
     }
 
-    /// Whether there are no partitions at all.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// Partition of a live node.
     #[inline]
     pub fn of(&self, node: NodeId) -> Option<PartitionId> {
@@ -134,7 +129,6 @@ fn push_unique_sorted(v: &mut Vec<NodeId>, item: NodeId) {
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use gpnm_graph::paper::fig4;

@@ -15,20 +15,18 @@
 //! intra-partition shortest path lengths as within-partition weights. A
 //! multi-seed Dijkstra over this graph composes exact global distances
 //! (see DESIGN.md §2 item 5 for why this realization is the one Theorem 3
-//! actually needs); [`paper_literal`] keeps the verbatim merge procedure
-//! for the ablation bench.
+//! actually needs); [`paper_literal`] keeps the verbatim merge procedure.
 //!
-//! This module is the §V reproduction behind the Table VIII/IX goldens and
-//! the `micro_apsp` ablation, and is off every repair path: no backend
-//! repairs `SLen` by composing through the bridge graph. The crate docs'
-//! "Choosing a backend" has the measurement that retired that arm.
+//! This module is the §V reproduction behind the Table VIII/IX goldens,
+//! and is off every repair path: no backend repairs `SLen` by composing
+//! through the bridge graph. The crate docs' "Choosing a backend" has the
+//! measurement that retired that arm.
 
+use gpnm_distance::{sat_add, DistanceMatrix, INF};
 use gpnm_graph::{DataGraph, NodeId};
 
 use crate::dijkstra::{dijkstra_multi, WeightedAdj};
-use crate::matrix::DistanceMatrix;
 use crate::partition::{Partition, PartitionId};
-use crate::{sat_add, INF};
 
 const NO_LOCAL: u32 = u32::MAX;
 
@@ -70,11 +68,6 @@ impl PartitionedIndex {
             bridge_of_part,
             bridge_graph,
         }
-    }
-
-    /// Number of bridge nodes.
-    pub fn bridge_count(&self) -> usize {
-        self.bridges.len()
     }
 
     /// Exact shortest path lengths from `source` to every slot, composed
@@ -237,8 +230,8 @@ fn build_bridge_graph(
     (bridges, bridge_of_part, graph)
 }
 
-/// The verbatim Algorithm 4/5 merge procedure, kept for the ablation bench
-/// and the Figure 4 golden tests.
+/// The verbatim Algorithm 4/5 merge procedure, kept for the Figure 4
+/// golden tests.
 pub mod paper_literal {
     use super::*;
 
@@ -372,10 +365,9 @@ pub mod paper_literal {
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apsp::apsp_matrix;
+    use gpnm_distance::apsp_matrix;
     use gpnm_graph::paper::{fig1, fig4, TABLE_IX, TABLE_VIII};
 
     #[test]

@@ -12,8 +12,8 @@
 //!   length `k` or `*` (unbounded), per Bounded Graph Simulation
 //!   (Fan et al., PVLDB'10).
 //!
-//! Traversal kernels (all-pairs BFS, partitioned Dijkstra) operate on an
-//! immutable [`CsrGraph`] snapshot for cache-friendly iteration.
+//! Traversal kernels (all-pairs BFS) operate on an immutable [`CsrGraph`]
+//! snapshot for cache-friendly iteration.
 //!
 //! The [`paper`] module reconstructs the paper's Figure 1 / Figure 2 / Figure 4
 //! running examples; they anchor the golden tests across the workspace.

@@ -419,15 +419,12 @@ mod lint {
     }
 
     /// Files where direct stdout/stderr printing is the *product*: CLI
-    /// binaries, bench harnesses, examples, tests, the shims (the
-    /// criterion shim reports to the console by design), and this tool
-    /// itself.
+    /// binaries, examples, tests, the shims, and this tool itself.
     fn print_exempt(name: &str) -> bool {
         name.starts_with("shims/")
             || name.starts_with("tests/")
             || name.starts_with("crates/xtask/")
             || name.contains("/bin/")
-            || name.contains("/benches/")
             || name.contains("/tests/")
             || name.contains("/examples/")
     }
@@ -443,7 +440,7 @@ mod lint {
                         findings,
                         name,
                         i,
-                        &format!("`{mac}` in a library crate — emit a `tracing` event or a metric instead (binaries, benches, tests, examples, and shims are exempt)"),
+                        &format!("`{mac}` in a library crate — emit a `tracing` event or a metric instead (binaries, tests, examples, and shims are exempt)"),
                     );
                 }
             }

@@ -1,17 +1,25 @@
 //! Regenerate every table and figure of the paper's evaluation section.
 //!
 //! ```text
-//! cargo run --release -p gpnm-bench --bin paper-repro -- all
-//! cargo run --release -p gpnm-bench --bin paper-repro -- table11 table12
-//! cargo run --release -p gpnm-bench --bin paper-repro -- fig5
-//! cargo run --release -p gpnm-bench --bin paper-repro -- --full all
+//! cargo run --release --bin paper-repro -- all
+//! cargo run --release --bin paper-repro -- table11 table12
+//! cargo run --release --bin paper-repro -- fig5
+//! cargo run --release --bin paper-repro -- --full all
 //! ```
 //!
 //! The default grid is reduced (3 pattern sizes × 5 ΔG scales × 1 run,
 //! sim datasets at half scale) so the whole sweep finishes in minutes;
-//! `--full` runs the paper's complete 5×5 grid with 2 runs per cell.
+//! `--full` runs the paper's complete 5×5 grid with 2 runs per cell. Any
+//! other argument prints the usage line and exits with status 2.
 
 use gpnm_workload::{report, run_experiment, CellResult, Dataset, ExperimentConfig};
+
+const USAGE: &str = "usage: paper-repro [--full] [all | fig5..fig9 | table11..table14]...";
+
+/// Every figure and table `all` (or no argument) regenerates.
+const TARGETS: [&str; 9] = [
+    "fig5", "fig6", "fig7", "fig8", "fig9", "table11", "table12", "table13", "table14",
+];
 
 fn grid(dataset: Dataset, full: bool) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::paper_grid(dataset);
@@ -41,15 +49,17 @@ fn run_figure(dataset: Dataset, figure_no: usize, full: bool) -> Vec<CellResult>
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = args
+        .iter()
+        .find(|a| *a != "--full" && *a != "all" && !TARGETS.contains(&a.as_str()))
+    {
+        eprintln!("paper-repro: unknown argument `{bad}`; {USAGE}");
+        std::process::exit(2);
+    }
     let full = args.iter().any(|a| a == "--full");
     let mut wants: Vec<String> = args.into_iter().filter(|a| a != "--full").collect();
     if wants.is_empty() || wants.iter().any(|w| w == "all") {
-        wants = vec![
-            "fig5", "fig6", "fig7", "fig8", "fig9", "table11", "table12", "table13", "table14",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        wants = TARGETS.iter().map(|&t| String::from(t)).collect();
     }
 
     let figure_sets: [(&str, Dataset, usize); 5] = [

@@ -59,16 +59,15 @@
 //! ```
 //!
 //! CI additionally runs `cargo test --workspace`, `cargo fmt --check`,
-//! `cargo clippy --workspace --all-targets -- -D warnings`, compiles every
-//! Criterion bench (`cargo bench --no-run --workspace`), and smoke-runs the
-//! six `examples/`. Property-test volume is tunable via the
-//! `PROPTEST_CASES` environment variable.
+//! `cargo clippy --workspace --all-targets -- -D warnings`, and smoke-runs
+//! the six `examples/` and `paper-repro all` (the paper's Figs. 5–9 and
+//! Tables XI–XIV on a reduced grid). Property-test volume is tunable via
+//! the `PROPTEST_CASES` environment variable.
 //!
 //! The build environment is offline, so the usual crates.io dependencies
-//! (`rand`, `proptest`, `criterion`, `tracing`) are
-//! provided by minimal API-compatible shims under `shims/`; swapping a shim
-//! for the real crate is a one-line edit in the workspace manifest's
-//! `[workspace.dependencies]`.
+//! (`rand`, `proptest`, `tracing`) are provided by minimal API-compatible
+//! shims under `shims/`; swapping a shim for the real crate is a one-line
+//! edit in the workspace manifest's `[workspace.dependencies]`.
 
 #![forbid(unsafe_code)]
 

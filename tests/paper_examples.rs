@@ -3,10 +3,12 @@
 //!
 //! Per-crate unit tests assert the same tables at module level; this file
 //! is the single place a reviewer can read top-to-bottom against the
-//! paper (Tables I, III–IX, Figure 3, Examples 2/7/8/9/10).
+//! paper (Tables I, III–VII, Figure 3, Examples 2/7/8/9/10). The §V tables
+//! VIII/IX are held by `gpnm-distance`'s `section_v` test, beside the
+//! partition code that reproduces them.
 
-use ua_gpnm::distance::{apsp_matrix, IncrementalIndex, PartitionedIndex, INF};
-use ua_gpnm::graph::paper::{fig1, fig4, TABLE_III, TABLE_IX, TABLE_V, TABLE_VI, TABLE_VIII};
+use ua_gpnm::distance::{apsp_matrix, IncrementalIndex};
+use ua_gpnm::graph::paper::{fig1, TABLE_III, TABLE_V, TABLE_VI};
 use ua_gpnm::matcher::match_graph;
 use ua_gpnm::prelude::*;
 use ua_gpnm::updates::candidates_for;
@@ -99,22 +101,6 @@ fn tables_v_vi_vii_incremental_slen() {
                     "Table {name} [{i}][{j}]"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn tables_viii_ix_partitioned_distances() {
-    let f = fig4();
-    let idx = PartitionedIndex::build(&f.graph);
-    let mut row = vec![INF; f.graph.slot_count()];
-    for (i, &si) in f.se.iter().enumerate() {
-        idx.compose_row(si, &mut row);
-        for (j, &sj) in f.se.iter().enumerate() {
-            assert_eq!(row[sj.index()], TABLE_VIII[i][j], "Table VIII [{i}][{j}]");
-        }
-        for (j, &tj) in f.te.iter().enumerate() {
-            assert_eq!(row[tj.index()], TABLE_IX[i][j], "Table IX [{i}][{j}]");
         }
     }
 }

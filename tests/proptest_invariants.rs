@@ -5,7 +5,7 @@ use proptest::prelude::*;
 // Explicit import: both preludes glob-export a `Strategy` (proptest's trait,
 // the engine's enum); an explicit use shadows the globs and disambiguates.
 use proptest::strategy::Strategy;
-use ua_gpnm::distance::{apsp_matrix, IncrementalIndex, PartitionedIndex};
+use ua_gpnm::distance::{apsp_matrix, IncrementalIndex};
 use ua_gpnm::engine::Strategy as QueryStrategy;
 use ua_gpnm::prelude::*;
 use ua_gpnm::updates::reduce_batch;
@@ -147,14 +147,6 @@ proptest! {
             }
         }
         prop_assert_eq!(index.matrix(), &apsp_matrix(&graph));
-    }
-
-    /// Partitioned composition computes exactly the flat APSP.
-    #[test]
-    fn partitioned_apsp_is_exact(spec in graph_spec(24)) {
-        let (graph, _) = build_graph(&spec);
-        let idx = PartitionedIndex::build(&graph);
-        prop_assert_eq!(idx.build_matrix(&graph), apsp_matrix(&graph));
     }
 
     /// Triangle inequality holds on every computed matrix.
