@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gpnm_distance::{AnyBackend, BackendKind, SlenBackend, SlenRequirements};
+use gpnm_distance::{AnyBackend, BackendKind, SlenBackend};
 use gpnm_graph::{DataGraph, PatternGraph};
 use gpnm_matcher::{MatchDelta, MatchResult, MatchSemantics};
 use gpnm_pool::WorkerPool;
@@ -15,7 +15,6 @@ use gpnm_service::{
 use gpnm_updates::UpdateBatch;
 
 use crate::error::ClusterError;
-use crate::placement::{LeastLoaded, ShardLoad, ShardPlacement};
 
 /// Opaque cluster-wide id of one registered standing pattern. Like the
 /// service's [`PatternHandle`], handles are unique for the cluster's
@@ -41,34 +40,6 @@ impl From<ClusterHandle> for HandleId {
 impl std::fmt::Display for ClusterHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.0.fmt(f)
-    }
-}
-
-/// One pattern migration a [`GpnmCluster::rebalance`] pass performed.
-/// The cluster handle is stable across the move — readers, subscriptions
-/// and the delta stream never notice it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalanceMove {
-    /// The migrated pattern.
-    pub handle: ClusterHandle,
-    /// Shard the pattern left.
-    pub from: usize,
-    /// Shard the pattern now lives on.
-    pub to: usize,
-    /// Rows only this pattern kept resident on the source shard —
-    /// reclaimed by the move.
-    pub reclaimed_rows: usize,
-    /// Rows the move added to the target shard's index.
-    pub added_rows: usize,
-}
-
-impl std::fmt::Display for RebalanceMove {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} shard {} → {} (reclaimed {} rows, added {})",
-            self.handle, self.from, self.to, self.reclaimed_rows, self.added_rows
-        )
     }
 }
 
@@ -104,9 +75,6 @@ pub struct ClusterTickReport {
     /// Each shard's own report, in shard order — per-shard `TickStats`
     /// live here.
     pub shard_reports: Vec<TickReport>,
-    /// Pattern migrations the tick's auto-rebalance pass performed
-    /// (empty unless `rebalance_every` fired this tick).
-    pub rebalanced: Vec<RebalanceMove>,
 }
 
 impl TickOutcome for ClusterTickReport {
@@ -136,17 +104,12 @@ impl TickOutcome for ClusterTickReport {
     }
 
     fn render_stats(&self) -> String {
-        let mut out = self
-            .shard_reports
+        self.shard_reports
             .iter()
             .enumerate()
             .map(|(shard, report)| format!("  shard {shard}:\n{}", report.render_stats()))
             .collect::<Vec<_>>()
-            .join("\n");
-        for m in &self.rebalanced {
-            out.push_str(&format!("\n  rebalance: {m}"));
-        }
-        out
+            .join("\n")
     }
 
     fn stats_json(&self) -> String {
@@ -155,24 +118,10 @@ impl TickOutcome for ClusterTickReport {
             .iter()
             .map(|r| r.stats.to_json())
             .collect();
-        let moves: Vec<String> = self
-            .rebalanced
-            .iter()
-            .map(|m| {
-                format!(
-                    "{{\"handle\":{},\"from\":{},\"to\":{},\"reclaimed_rows\":{},\"added_rows\":{}}}",
-                    m.handle.id(),
-                    m.from,
-                    m.to,
-                    m.reclaimed_rows,
-                    m.added_rows
-                )
-            })
-            .collect();
         format!(
             "{{\"tick\":{},\"ts_ms\":{},\"updates_submitted\":{},\"updates_applied\":{},\
              \"slen_changes\":{},\"added\":{},\"removed\":{},\"total_ns\":{},\
-             \"rebalanced\":[{}],\"shards\":[{}]}}",
+             \"shards\":[{}]}}",
             self.tick,
             self.ts_ms,
             self.updates_submitted,
@@ -181,7 +130,6 @@ impl TickOutcome for ClusterTickReport {
             self.total_added(),
             self.total_removed(),
             self.total_time.as_nanos(),
-            moves.join(","),
             shards.join(","),
         )
     }
@@ -209,8 +157,6 @@ pub struct ClusterBuilder {
     /// forward here, and [`ClusterBuilder::build`] builds each shard from
     /// it with publishing off.
     shard: ServiceBuilder,
-    placement: Box<dyn ShardPlacement>,
-    rebalance_every: Option<u64>,
 }
 
 impl Default for ClusterBuilder {
@@ -218,17 +164,31 @@ impl Default for ClusterBuilder {
         ClusterBuilder {
             shards: 1,
             shard: ServiceBuilder::new().backend(BackendKind::Sparse),
-            placement: Box::new(LeastLoaded::new()),
-            rebalance_every: None,
         }
+    }
+}
+
+/// The cluster's one placement: the `i`-th registration lands on shard
+/// `i % k`, whatever was deregistered in between. There is nothing to
+/// configure. The type and [`ClusterBuilder::placement`] stay because the
+/// benchmark of record (`gpnm-bench/src/host.rs`) names them; nothing
+/// else does.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct RoundRobin;
+
+impl RoundRobin {
+    /// The placement (stateless: the cluster's handle counter is the
+    /// cursor).
+    pub fn new() -> Self {
+        RoundRobin
     }
 }
 
 impl ClusterBuilder {
     /// A builder with the defaults: 1 shard, sparse backend (sharding
     /// exists to bound per-shard index size, which only a requirement-
-    /// narrowed backend delivers), least-loaded placement, and
-    /// [`ServiceBuilder`]'s defaults for everything else.
+    /// narrowed backend delivers), and [`ServiceBuilder`]'s defaults for
+    /// everything else.
     pub fn new() -> Self {
         Self::default()
     }
@@ -272,9 +232,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Plug in a placement strategy (default [`LeastLoaded`]).
-    pub fn placement(mut self, placement: impl ShardPlacement + 'static) -> Self {
-        self.placement = Box::new(placement);
+    /// A no-op: [`RoundRobin`] is the only placement. It stays because
+    /// the benchmark of record (`gpnm-bench/src/host.rs`) calls it by
+    /// name; nothing else does.
+    pub fn placement(self, _placement: RoundRobin) -> Self {
         self
     }
 
@@ -283,14 +244,6 @@ impl ClusterBuilder {
     /// then driven by live tick stats instead of the fixed configuration.
     pub fn adaptive(mut self, on: bool) -> Self {
         self.shard = self.shard.adaptive(on);
-        self
-    }
-
-    /// Run a [`GpnmCluster::rebalance`] pass automatically after every
-    /// `n`th tick (`n ≥ 1`; [`ClusterBuilder::build`] refuses 0). Off by
-    /// default; `rebalance()` can always be called by hand.
-    pub fn rebalance_every(mut self, n: u64) -> Self {
-        self.rebalance_every = Some(n);
         self
     }
 
@@ -303,11 +256,6 @@ impl ClusterBuilder {
                 "a cluster needs at least one shard".to_owned(),
             ));
         }
-        if self.rebalance_every == Some(0) {
-            return Err(ClusterError::InvalidConfig(
-                "rebalance_every needs a period of at least one tick".to_owned(),
-            ));
-        }
         // Shard replicas never publish their own read front-end: nothing
         // may become observable until *every* shard has committed the
         // tick, so the cluster publishes the merged views itself after the
@@ -318,19 +266,17 @@ impl ClusterBuilder {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(GpnmCluster {
             shards,
-            placement: self.placement,
             patterns: Vec::new(),
             next_handle: 0,
             tick: 0,
             front: ReadFront::new(),
-            rebalance_every: self.rebalance_every,
         })
     }
 }
 
 /// A sharded GPNM serving cluster: k [`GpnmService`] shards, each with its
 /// own [`DataGraph`] replica and an index narrowed to only *that shard's*
-/// patterns' [`SlenRequirements`], behind one register/apply surface.
+/// patterns' [`SlenRequirements`](gpnm_distance::SlenRequirements), behind one register/apply surface.
 ///
 /// Where a single [`GpnmService`] pays one shared repair pass over the
 /// *union* of every registered pattern's requirements,
@@ -355,10 +301,10 @@ impl ClusterBuilder {
 #[derive(Debug)]
 pub struct GpnmCluster {
     shards: Vec<GpnmService<AnyBackend>>,
-    placement: Box<dyn ShardPlacement>,
     /// Registration-ordered routing table: cluster handle → (shard,
     /// shard-local handle).
     patterns: Vec<(ClusterHandle, usize, PatternHandle)>,
+    /// The next registration's handle, and its shard modulo k.
     next_handle: u64,
     tick: u64,
     /// The cluster-level read front-end. Shards run with publishing off;
@@ -366,9 +312,6 @@ pub struct GpnmCluster {
     /// the whole fan-out has joined, so readers never observe a tick
     /// some shard has not committed yet.
     front: ReadFront,
-    /// Auto-rebalance period — a [`GpnmCluster::rebalance`] pass runs
-    /// after every `n`th tick when set.
-    rebalance_every: Option<u64>,
 }
 
 impl Drop for GpnmCluster {
@@ -400,30 +343,6 @@ impl GpnmCluster {
         &self.shards
     }
 
-    /// Current load snapshot per shard, with `projected_rows` computed
-    /// for `candidate` (what each shard's index would grow to if the
-    /// pattern were placed there).
-    pub fn loads(&self, candidate: &PatternGraph) -> Vec<ShardLoad> {
-        let candidate_reqs = SlenRequirements::of_pattern(candidate);
-        // Every replica holds the same graph.
-        let graph = self.shards[0].graph();
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(shard, service)| {
-                let mut union = service.requirements().clone();
-                union.absorb(&candidate_reqs);
-                ShardLoad {
-                    shard,
-                    patterns: service.pattern_count(),
-                    resident_rows: service.backend().resident_rows(),
-                    mem_bytes: service.backend().mem_bytes(),
-                    projected_rows: union.covered_rows(graph),
-                }
-            })
-            .collect()
-    }
-
     /// Distance rows resident across all shards — the cluster's total
     /// index footprint in rows.
     pub fn total_resident_rows(&self) -> usize {
@@ -449,90 +368,6 @@ impl GpnmCluster {
     /// The shard `handle`'s pattern lives on.
     pub fn shard_of(&self, handle: ClusterHandle) -> Result<usize, ClusterError> {
         Ok(self.route(handle)?.0)
-    }
-
-    /// One greedy pattern re-placement pass: migrate each standing
-    /// pattern whose *exclusive* rows on its current shard (rows no
-    /// co-located pattern needs) exceed the *marginal* rows the cheapest
-    /// other shard would grow by — i.e. whenever moving it strictly
-    /// shrinks the cluster's total resident index. Returns the moves
-    /// performed (often none).
-    ///
-    /// A move carries the pattern's standing result and version across
-    /// via [`GpnmService::register_pattern_with_result`] — **no
-    /// re-match**: replicas walk one graph trajectory and results are
-    /// graph-determined, so the lifted result is bitwise what the target
-    /// shard would compute (proptested against a freshly placed
-    /// cluster). The full result moves — with the relation an unmatched
-    /// pattern withholds, so the target keeps repairing it — while read
-    /// views get the visible sets only. The source shard's requirement
-    /// union narrows, the target's widens; the [`ClusterHandle`], its
-    /// read views and its subscriptions are untouched. Load snapshots
-    /// update as moves apply, so a pass never ping-pongs a pattern.
-    pub fn rebalance(&mut self) -> Result<Vec<RebalanceMove>, ClusterError> {
-        let mut moves = Vec::new();
-        if self.shards.len() < 2 {
-            return Ok(moves);
-        }
-        let handles: Vec<ClusterHandle> = self.patterns.iter().map(|&(h, _, _)| h).collect();
-        for handle in handles {
-            let (from, local) = self.route(handle)?;
-            let pattern_reqs = SlenRequirements::of_pattern(self.shards[from].pattern(local)?);
-            // Rows only this pattern pins on its current shard: the
-            // union of its shard-mates covers the rest.
-            let mut others = SlenRequirements::empty();
-            for &(h, s, l) in &self.patterns {
-                if s == from && h != handle {
-                    others.absorb(&SlenRequirements::of_pattern(self.shards[s].pattern(l)?));
-                }
-            }
-            let mut full = others.clone();
-            full.absorb(&pattern_reqs);
-            let graph = self.shards[0].graph();
-            let exclusive = full.covered_rows(graph) - others.covered_rows(graph);
-            if exclusive == 0 {
-                continue; // fully covered by shard-mates: free where it is
-            }
-            // The cheapest target by marginal growth (ties: lowest index).
-            let mut best: Option<(usize, usize)> = None;
-            for (t, service) in self.shards.iter().enumerate() {
-                if t == from {
-                    continue;
-                }
-                let mut union = service.requirements().clone();
-                union.absorb(&pattern_reqs);
-                let marginal =
-                    union.covered_rows(graph) - service.requirements().covered_rows(graph);
-                if best.map_or(true, |(m, _)| marginal < m) {
-                    best = Some((marginal, t));
-                }
-            }
-            let Some((marginal, to)) = best else { continue };
-            if marginal >= exclusive {
-                continue; // the move would not shrink the total index
-            }
-            let pattern = self.shards[from].pattern(local)?.clone();
-            let semantics = self.shards[from].semantics(local)?;
-            let result = self.shards[from].result(local)?.clone();
-            let version = self.shards[from].result_version(local)?;
-            self.shards[from].deregister(local)?;
-            let new_local = self.shards[to]
-                .register_pattern_with_result(pattern, semantics, result, version)?;
-            for entry in self.patterns.iter_mut() {
-                if entry.0 == handle {
-                    entry.1 = to;
-                    entry.2 = new_local;
-                }
-            }
-            moves.push(RebalanceMove {
-                handle,
-                from,
-                to,
-                reclaimed_rows: exclusive,
-                added_rows: marginal,
-            });
-        }
-        Ok(moves)
     }
 }
 
@@ -579,9 +414,10 @@ impl PatternHost for GpnmCluster {
         self.tick
     }
 
-    /// Consult the placement strategy, widen only the chosen shard's
-    /// requirement union and run the initial match there. Every other
-    /// shard is untouched — registration cost is local to one shard.
+    /// Place the pattern round-robin (the `i`-th registration on shard
+    /// `i % k`), widen only that shard's requirement union and run the
+    /// initial match there. Every other shard is untouched — registration
+    /// cost is local to one shard.
     fn register_pattern(
         &mut self,
         pattern: PatternGraph,
@@ -590,14 +426,7 @@ impl PatternHost for GpnmCluster {
         if pattern.node_count() == 0 {
             return Err(ServiceError::EmptyPattern.into());
         }
-        let loads = self.loads(&pattern);
-        let shard = self.placement.place(&pattern, &loads);
-        if shard >= self.shards.len() {
-            return Err(ClusterError::PlacementOutOfRange {
-                shard,
-                shards: self.shards.len(),
-            });
-        }
+        let shard = (self.next_handle % self.shards.len() as u64) as usize;
         let local = self.shards[shard].register_pattern(pattern, semantics)?;
         let handle = ClusterHandle(HandleId::from_raw(self.next_handle));
         self.next_handle += 1;
@@ -719,14 +548,6 @@ impl PatternHost for GpnmCluster {
             .counter("gpnm_cluster_ticks_total")
             .inc();
 
-        // Periodic re-placement, after the epoch is published: migrations
-        // are invisible to readers (handles, views and subscriptions are
-        // untouched) and only shrink what the next tick repairs.
-        let rebalanced = match self.rebalance_every {
-            Some(n) if self.tick % n == 0 => self.rebalance()?,
-            _ => Vec::new(),
-        };
-
         // The index gauges are the cluster's totals; the shards, being
         // non-publishing replicas, leave them alone.
         let registry = gpnm_telemetry::global();
@@ -748,7 +569,6 @@ impl PatternHost for GpnmCluster {
             ts_ms: gpnm_telemetry::clock::wall_ms(),
             deltas,
             shard_reports,
-            rebalanced,
         })
     }
 
@@ -777,7 +597,6 @@ impl PatternHost for GpnmCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::RoundRobin;
     use gpnm_graph::paper::fig1;
     use gpnm_graph::GraphError;
     use gpnm_updates::{DataUpdate, PatternUpdate};
@@ -787,7 +606,6 @@ mod tests {
         let cluster = GpnmCluster::builder()
             .shards(2)
             .backend(BackendKind::Sparse)
-            .placement(RoundRobin::new())
             .build(f.graph.clone())
             .expect("sparse never refused");
         (f, cluster)
@@ -911,13 +729,6 @@ mod tests {
             GpnmCluster::builder().shards(0).build(f.graph.clone()),
             Err(ClusterError::InvalidConfig(_))
         ));
-        // A period of zero ticks would silently never rebalance.
-        assert!(matches!(
-            GpnmCluster::builder()
-                .rebalance_every(0)
-                .build(f.graph.clone()),
-            Err(ClusterError::InvalidConfig(_))
-        ));
         // The per-shard dense budget propagates.
         assert!(matches!(
             GpnmCluster::builder()
@@ -965,136 +776,27 @@ mod tests {
     }
 
     #[test]
-    fn placement_out_of_range_is_typed() {
-        #[derive(Debug)]
-        struct Broken;
-        impl ShardPlacement for Broken {
-            fn place(&mut self, _p: &PatternGraph, loads: &[ShardLoad]) -> usize {
-                loads.len() + 5
-            }
-            fn name(&self) -> &'static str {
-                "broken"
-            }
+    fn the_ith_registration_lands_on_shard_i_mod_k() {
+        let f = fig1();
+        let mut cluster = GpnmCluster::builder()
+            .shards(3)
+            .build(f.graph.clone())
+            .unwrap();
+        let register = |cluster: &mut GpnmCluster| {
+            cluster
+                .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
+                .unwrap()
+        };
+        let h: Vec<ClusterHandle> = (0..4).map(|_| register(&mut cluster)).collect();
+        // A deregistration frees no slot in the rotation: the late
+        // registration is the fifth, so it lands on shard 4 % 3.
+        cluster.deregister(h[1]).unwrap();
+        let late = register(&mut cluster);
+        for (i, handle) in [(0, h[0]), (2, h[2]), (3, h[3]), (4, late)] {
+            assert_eq!(cluster.shard_of(handle).unwrap(), i % 3, "registration {i}");
         }
-        let f = fig1();
-        let mut cluster = GpnmCluster::builder()
-            .shards(2)
-            .placement(Broken)
-            .build(f.graph)
-            .unwrap();
-        assert_eq!(
-            cluster.register_pattern(f.pattern, MatchSemantics::Simulation),
-            Err(ClusterError::PlacementOutOfRange {
-                shard: 7,
-                shards: 2
-            })
-        );
-        assert_eq!(cluster.pattern_count(), 0, "nothing registered");
-    }
-
-    #[test]
-    fn least_loaded_colocates_same_label_patterns() {
-        let f = fig1();
-        let mut cluster = GpnmCluster::builder()
-            .shards(2)
-            .backend(BackendKind::Sparse)
-            .build(f.graph.clone())
-            .unwrap();
-        // Two identical patterns: the second's labels are already covered
-        // by shard 0, so least-loaded keeps them together (marginal 0)
-        // instead of duplicating the rows on shard 1.
-        let a = cluster
-            .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
-            .unwrap();
-        let b = cluster
-            .register_pattern(f.pattern.clone(), MatchSemantics::DualSimulation)
-            .unwrap();
-        assert_eq!(cluster.shard_of(a).unwrap(), cluster.shard_of(b).unwrap());
-        assert_eq!(
-            cluster.total_resident_rows(),
-            cluster.shards()[cluster.shard_of(a).unwrap()]
-                .backend()
-                .resident_rows(),
-            "the other shard stayed empty"
-        );
-    }
-
-    #[test]
-    fn rebalance_colocates_overlapping_patterns() {
-        let (f, mut cluster) = two_shard_cluster();
-        // Round-robin splits two identical patterns across both shards —
-        // each shard pays the full row set for the same labels.
-        let a = cluster
-            .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
-            .unwrap();
-        let b = cluster
-            .register_pattern(f.pattern.clone(), MatchSemantics::DualSimulation)
-            .unwrap();
-        assert_ne!(cluster.shard_of(a).unwrap(), cluster.shard_of(b).unwrap());
-        let rows_before = cluster.total_resident_rows();
-        let result_a = cluster.result(a).unwrap().clone();
-        let result_b = cluster.result(b).unwrap().clone();
-
-        let moves = cluster.rebalance().expect("rebalance");
-        assert_eq!(moves.len(), 1, "one migration merges the duplicates");
-        assert_eq!(moves[0].added_rows, 0, "target already covers the labels");
-        assert_eq!(cluster.shard_of(a).unwrap(), cluster.shard_of(b).unwrap());
-        assert!(
-            cluster.total_resident_rows() < rows_before,
-            "the duplicate rows were reclaimed"
-        );
-        // The migrated result was carried, not re-matched — and stays
-        // exactly what the pattern matched before the move.
-        assert_eq!(cluster.result(a).unwrap(), &result_a);
-        assert_eq!(cluster.result(b).unwrap(), &result_b);
-        assert!(
-            cluster.rebalance().expect("second pass").is_empty(),
-            "stable"
-        );
-
-        // Ticks keep flowing through the migrated placement.
-        let mut batch = UpdateBatch::new();
-        batch.push(DataUpdate::InsertEdge {
-            from: f.se1,
-            to: f.te2,
-        });
-        let report = cluster.apply(&batch).expect("valid batch");
-        assert_eq!(report.delta_for(a).unwrap().result_version, 1);
-        assert_eq!(report.delta_for(b).unwrap().result_version, 1);
-    }
-
-    #[test]
-    fn auto_rebalance_fires_on_schedule() {
-        let f = fig1();
-        let mut cluster = GpnmCluster::builder()
-            .shards(2)
-            .backend(BackendKind::Sparse)
-            .placement(RoundRobin::new())
-            .rebalance_every(2)
-            .build(f.graph.clone())
-            .unwrap();
-        cluster
-            .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
-            .unwrap();
-        cluster
-            .register_pattern(f.pattern.clone(), MatchSemantics::DualSimulation)
-            .unwrap();
-        let mut batch = UpdateBatch::new();
-        batch.push(DataUpdate::InsertEdge {
-            from: f.se1,
-            to: f.te2,
-        });
-        let r1 = cluster.apply(&batch).unwrap();
-        assert!(r1.rebalanced.is_empty(), "tick 1 is off-schedule");
-        let mut undo = UpdateBatch::new();
-        undo.push(DataUpdate::DeleteEdge {
-            from: f.se1,
-            to: f.te2,
-        });
-        let r2 = cluster.apply(&undo).unwrap();
-        assert_eq!(r2.rebalanced.len(), 1, "tick 2 migrates the duplicate");
-        assert!(r2.render_stats().contains("rebalance:"));
-        assert!(r2.stats_json().contains("\"rebalanced\":[{\"handle\":"));
+        let per_shard: Vec<usize> = cluster.shards().iter().map(|s| s.pattern_count()).collect();
+        assert_eq!(per_shard, [2, 1, 1]);
     }
 
     #[test]

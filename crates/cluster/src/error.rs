@@ -17,13 +17,6 @@ pub enum ClusterError {
     UnknownHandle(ClusterHandle),
     /// A builder knob was given a nonsensical value (e.g. zero shards).
     InvalidConfig(String),
-    /// The placement strategy returned a shard index that does not exist.
-    PlacementOutOfRange {
-        /// What the strategy returned.
-        shard: usize,
-        /// How many shards the cluster has.
-        shards: usize,
-    },
     /// A shard failed *during* the fan-out of a pre-validated batch. This
     /// indicates a bug (replicas are validated identically before the
     /// fan-out); the failing shard may have partially applied the batch,
@@ -44,10 +37,6 @@ impl fmt::Display for ClusterError {
             ClusterError::InvalidConfig(msg) => {
                 write!(f, "invalid cluster configuration: {msg}")
             }
-            ClusterError::PlacementOutOfRange { shard, shards } => write!(
-                f,
-                "placement strategy chose shard {shard}, but the cluster has {shards} shards"
-            ),
             ClusterError::ShardFailed { shard, error } => write!(
                 f,
                 "shard {shard} failed mid-tick after validation passed ({error}); \
@@ -84,12 +73,6 @@ mod tests {
 
     #[test]
     fn displays_are_actionable() {
-        let e = ClusterError::PlacementOutOfRange {
-            shard: 7,
-            shards: 4,
-        };
-        assert!(e.to_string().contains("shard 7"));
-        assert!(e.to_string().contains("4 shards"));
         let e = ClusterError::ShardFailed {
             shard: 2,
             error: ServiceError::EmptyPattern,

@@ -9,10 +9,8 @@
 //! register/apply surface, the [`PatternHost`](gpnm_service::PatternHost)
 //! trait every host implements:
 //!
-//! * `register_pattern` places each standing pattern on a shard via a
-//!   pluggable [`ShardPlacement`] strategy ([`RoundRobin`], or
-//!   [`LeastLoaded`], which minimizes the *marginal* resident-row growth a
-//!   placement would cause) and returns a stable [`ClusterHandle`];
+//! * `register_pattern` places the `i`-th standing pattern on shard
+//!   `i % k` and returns a stable [`ClusterHandle`];
 //! * `apply` validates a data batch **once**, fans it out
 //!   to every shard **in parallel** in one
 //!   [`gpnm_pool::WorkerPool::scope`], and merges the per-shard
@@ -32,7 +30,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use gpnm_cluster::{GpnmCluster, RoundRobin};
+//! use gpnm_cluster::GpnmCluster;
 //! use gpnm_distance::BackendKind;
 //! use gpnm_matcher::MatchSemantics;
 //! use gpnm_service::{PatternHost, TickOutcome};
@@ -43,7 +41,6 @@
 //!     .shards(2)
 //!     .backend(BackendKind::Sparse)
 //!     .refresh_threads(2)
-//!     .placement(RoundRobin::new())
 //!     .build(fig.graph)?;
 //!
 //! let staffing = cluster.register_pattern(fig.pattern, MatchSemantics::Simulation)?;
@@ -67,8 +64,6 @@
 
 mod cluster;
 mod error;
-mod placement;
 
-pub use cluster::{ClusterBuilder, ClusterHandle, ClusterTickReport, GpnmCluster, RebalanceMove};
+pub use cluster::{ClusterBuilder, ClusterHandle, ClusterTickReport, GpnmCluster, RoundRobin};
 pub use error::ClusterError;
-pub use placement::{LeastLoaded, RoundRobin, ShardLoad, ShardPlacement};

@@ -8,16 +8,16 @@
 //! suite's *starved* arm (patterns biased to have no match), and every tick
 //! asserts `relation_eq` — cluster against single service against a fresh
 //! `match_graph` — so the withheld relation of an unmatched pattern is
-//! checked across deregistration, late registration and `rebalance()`
-//! migration, where `==` on the (empty) visible sets proves nothing.
+//! checked across deregistration and late registration, where `==` on the
+//! (empty) visible sets proves nothing.
 //!
 //! This is the load-bearing proof that sharding and fan-out parallelism
 //! change *cost and isolation*, not *answers*.
 
 use proptest::prelude::*;
 
-use gpnm_cluster::{GpnmCluster, RoundRobin, ShardLoad, ShardPlacement};
-use gpnm_distance::{BackendKind, SlenBackend};
+use gpnm_cluster::GpnmCluster;
+use gpnm_distance::BackendKind;
 use gpnm_engine::{GpnmEngine, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
 use gpnm_matcher::{match_graph, MatchSemantics};
@@ -153,7 +153,6 @@ fn check_equivalence(
         .shards(shards)
         .backend(kind)
         .refresh_threads(refresh_threads)
-        .placement(RoundRobin::new())
         .build(graph.clone())
         .expect("test graphs fit every budget");
     let mut service = GpnmService::builder()
@@ -201,10 +200,6 @@ fn check_equivalence(
             cluster_handles.push(ch);
             service_handles.push(sh);
             engines.push(engine);
-            // And rebalance mid-stream: any migration the cost model finds
-            // beneficial must carry results exactly — the asserts below
-            // hold whether or not a move happened.
-            cluster.rebalance().expect("healthy shards");
         }
         let len = rng.gen_range(1..8);
         let batch = random_data_batch(&mut rng, service.graph(), &interner, len);
@@ -236,8 +231,8 @@ fn check_equivalence(
                 "tick {tick} pattern {i}: cluster diverged from single service (seed {seed})"
             );
             // The relation too — withheld or not — and against a fresh
-            // match, so a relation that a migration dropped or a repair
-            // left stale fails here, on this tick.
+            // match, so a relation that a repair left stale fails here, on
+            // this tick.
             let fresh = match_graph(
                 service.pattern(sh).unwrap(),
                 service.graph(),
@@ -261,27 +256,6 @@ fn check_equivalence(
             assert_eq!(shard.graph().node_count(), service.graph().node_count());
             assert_eq!(shard.graph().edge_count(), service.graph().edge_count());
         }
-    }
-}
-
-/// Replays a recorded shard assignment: pattern `i` goes to `picks[i]`,
-/// ignoring loads. Used to rebuild, from scratch, the exact placement a
-/// rebalanced cluster ended up with.
-#[derive(Debug)]
-struct Scripted {
-    picks: Vec<usize>,
-    next: usize,
-}
-
-impl ShardPlacement for Scripted {
-    fn place(&mut self, _pattern: &PatternGraph, _loads: &[ShardLoad]) -> usize {
-        let shard = self.picks[self.next];
-        self.next += 1;
-        shard
-    }
-
-    fn name(&self) -> &'static str {
-        "scripted"
     }
 }
 
@@ -323,94 +297,6 @@ proptest! {
             MatchSemantics::Simulation, 4);
         check_equivalence(seed, 4, k, 3, BackendKind::Sparse,
             MatchSemantics::DualSimulation, 2);
-    }
-
-    /// Migration is result-preserving: after `rebalance()` moves patterns
-    /// between shards, the cluster is bitwise indistinguishable from a
-    /// fresh cluster that *placed* every pattern on its post-rebalance
-    /// shard from the start — same results, same footprints, same deltas
-    /// on the next tick. The carried-result registration seam really is a
-    /// pure relocation.
-    #[test]
-    fn rebalance_equals_fresh_placement(seed in any::<u64>(), k in 2usize..5) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let labels = rng.gen_range(2..6);
-        let (graph, interner) = random_graph(&mut rng, 20, 40, labels);
-
-        // Round-robin deliberately scatters patterns, then the cost model
-        // pulls overlapping ones back together mid-stream.
-        let mut moved = GpnmCluster::builder()
-            .shards(3)
-            .backend(BackendKind::Sparse)
-            .placement(RoundRobin::new())
-            .build(graph.clone())
-            .unwrap();
-        let mut patterns = Vec::new();
-        let mut handles = Vec::new();
-        for _ in 0..k {
-            let p = random_pattern(&mut rng, &interner, labels);
-            handles.push(moved.register_pattern(p.clone(), MatchSemantics::Simulation).unwrap());
-            patterns.push(p);
-        }
-        let mut batches = Vec::new();
-        for _ in 0..3 {
-            let batch = random_data_batch(&mut rng, moved.graph(), &interner, 5);
-            moved.apply(&batch).expect("valid batch");
-            batches.push(batch);
-        }
-        moved.rebalance().expect("healthy shards");
-        let picks: Vec<usize> = handles
-            .iter()
-            .map(|&h| moved.shard_of(h).unwrap())
-            .collect();
-
-        // A fresh cluster born onto the post-rebalance placement, fed the
-        // same stream.
-        let mut fresh = GpnmCluster::builder()
-            .shards(3)
-            .backend(BackendKind::Sparse)
-            .placement(Scripted { picks: picks.clone(), next: 0 })
-            .build(graph)
-            .unwrap();
-        let mut fresh_handles = Vec::new();
-        for p in &patterns {
-            fresh_handles.push(
-                fresh.register_pattern(p.clone(), MatchSemantics::Simulation).unwrap(),
-            );
-        }
-        for batch in &batches {
-            fresh.apply(batch).expect("valid batch");
-        }
-
-        for (&hm, &hf) in handles.iter().zip(fresh_handles.iter()) {
-            prop_assert_eq!(moved.shard_of(hm).unwrap(), fresh.shard_of(hf).unwrap());
-            prop_assert_eq!(moved.result(hm).unwrap(), fresh.result(hf).unwrap());
-            prop_assert!(
-                moved.result(hm).unwrap().relation_eq(fresh.result(hf).unwrap()),
-                "a migration carries the withheld relation too"
-            );
-            prop_assert_eq!(
-                moved.result_version(hm).unwrap(),
-                fresh.result_version(hf).unwrap()
-            );
-        }
-        prop_assert_eq!(moved.total_resident_rows(), fresh.total_resident_rows());
-        for (a, b) in moved.shards().iter().zip(fresh.shards().iter()) {
-            prop_assert_eq!(a.backend().resident_rows(), b.backend().resident_rows());
-        }
-
-        // And the next tick's deltas are identical pair by pair.
-        let batch = random_data_batch(&mut rng, moved.graph(), &interner, 5);
-        let rm = moved.apply(&batch).expect("valid batch");
-        let rf = fresh.apply(&batch).expect("valid batch");
-        for (&hm, &hf) in handles.iter().zip(fresh_handles.iter()) {
-            let dm = rm.delta_for(hm).expect("handle in report");
-            let df = rf.delta_for(hf).expect("handle in report");
-            prop_assert_eq!(&dm.added, &df.added);
-            prop_assert_eq!(&dm.removed, &df.removed);
-            prop_assert_eq!(dm.result_version, df.result_version);
-            prop_assert!(moved.result(hm).unwrap().relation_eq(fresh.result(hf).unwrap()));
-        }
     }
 
     /// A service with parallel refresh equals one without, tick for tick —

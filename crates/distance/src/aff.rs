@@ -46,18 +46,6 @@ impl AffDelta {
         self.changed.extend(other.changed);
         self.affected.union_with(&other.affected);
     }
-
-    /// The new distance for `(u, v)` if this delta changed it.
-    pub fn new_distance(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        // Linear scan: deltas are consumed once for containment checks and
-        // candidate verification, and the verification path looks up few
-        // pairs; profile before indexing.
-        self.changed
-            .iter()
-            .rev() // the most recent write wins if merged deltas overlap
-            .find(|&&(a, b, _, _)| a == u && b == v)
-            .map(|&(_, _, _, new)| new)
-    }
 }
 
 #[cfg(test)]
@@ -84,15 +72,6 @@ mod tests {
         a.merge(b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.affected.len(), 4);
-    }
-
-    #[test]
-    fn new_distance_returns_latest_write() {
-        let mut d = AffDelta::new();
-        d.record(NodeId(0), NodeId(1), INF, 3);
-        d.record(NodeId(0), NodeId(1), 3, 2);
-        assert_eq!(d.new_distance(NodeId(0), NodeId(1)), Some(2));
-        assert_eq!(d.new_distance(NodeId(1), NodeId(0)), None);
     }
 
     #[test]

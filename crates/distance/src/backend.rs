@@ -109,19 +109,6 @@ impl SlenRequirements {
     pub fn depth(&self) -> u32 {
         self.depth
     }
-
-    /// How many of `graph`'s nodes a bounded backend honoring this
-    /// requirement set would keep a row for — the nodes whose label is a
-    /// required source label. This is placement introspection: a shard
-    /// scheduler comparing "what would this shard's index grow to if the
-    /// pattern landed here" calls this on the prospective requirement
-    /// union instead of building the index to find out.
-    pub fn covered_rows(&self, graph: &DataGraph) -> usize {
-        self.labels
-            .iter()
-            .map(|&l| graph.nodes_with_label(l).len())
-            .sum()
-    }
 }
 
 /// Project a dense [`AffDelta`] onto a bounded backend's observable
@@ -401,16 +388,6 @@ mod tests {
         assert_eq!(reqs.labels().len(), before + 1);
         reqs.absorb_label(db);
         assert_eq!(reqs.labels().len(), before + 1, "labels dedupe");
-    }
-
-    #[test]
-    fn covered_rows_counts_required_label_nodes() {
-        let f = fig1();
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
-        // fig1 has 2 PMs, 2 SEs, 1 S, 2 TEs matching the pattern's four
-        // labels; DB1 is the only node outside the requirement set.
-        assert_eq!(reqs.covered_rows(&f.graph), f.graph.node_count() - 1);
-        assert_eq!(SlenRequirements::empty().covered_rows(&f.graph), 0);
     }
 
     #[test]

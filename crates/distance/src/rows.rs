@@ -20,7 +20,7 @@
 //!
 //! Each resident row is a sorted `(target, dist)` vector (`SparseRow`)
 //! filled by a BFS truncated at depth `B`. [`BoundedRows`] owns the
-//! requirement set, the BFS scratch and a CSR snapshot for the bulk build,
+//! requirement set, the BFS scratch and a CSR copy for the bulk build,
 //! and carries the only copy of the build, insert-edge, delete-edge,
 //! delete-node and requirement-retarget routines plus the
 //! only `impl SlenBackend` / `impl DistanceOracle`. *Where a row lives* is
@@ -233,15 +233,16 @@
 //! 709 µs of a ≈1.25 ms tick (p50) on the default serving workload.
 //!
 //! **Why no CSR copy on the repair path.** Every BFS used to run over a
-//! `CsrSnapshot` keyed on the graph version — which every committed update
+//! CSR snapshot of the current graph — which every committed update
 //! moves, so each repairing update first paid an O(N + E) rebuild. Patching
 //! the CSR in place (overflow adjacency plus periodic compaction) would
 //! remove the rebuild at the cost of a second mutable graph representation
 //! to keep exact. A repair's BFS walks [`DataGraph`]'s own adjacency, which
-//! costs nothing to maintain. The snapshot survives for the bulk build
-//! alone (build, rebuild, retarget), where the graph does not move between
-//! BFSs: registering `k` patterns re-targets `k` times against one graph
-//! version, and both alternatives measured — the bulk build over the live
+//! costs nothing to maintain. The CSR survives for the bulk build alone
+//! (build, rebuild, retarget), where the graph does not move between
+//! BFSs. It is kept from one bulk build to the next until a commit drops
+//! it: registering `k` patterns re-targets `k` times with no commit in
+//! between, and both alternatives measured — the bulk build over the live
 //! adjacency, and a flat copy made per call — read the benchmark's
 //! `setup_s` ≈20% worse (0.0102 → 0.0124 s and 0.0111 → 0.0135 s on the
 //! default serving workload) against a 25% bound.
@@ -254,7 +255,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
 
-use gpnm_graph::{Bound, CsrSnapshot, DataGraph, Label, NodeId, NodeSet};
+use gpnm_graph::{Bound, CsrGraph, DataGraph, Label, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
 use crate::backend::{IoStats, RepairHint, SlenBackend, SlenRequirements};
@@ -612,9 +613,11 @@ pub struct BoundedRows<S> {
     /// the single source of truth for what is resident.
     reqs: SlenRequirements,
     pub(crate) store: S,
-    /// Flat adjacency for the bulk build ([`BoundedRows::build_rows`]);
-    /// no repair reads it.
-    snapshot: CsrSnapshot,
+    /// Flat adjacency for the bulk build ([`BoundedRows::build_rows`]),
+    /// built on demand and dropped by every commit and rebuild: the
+    /// callers commit every mutation of the graph, so a kept CSR is the
+    /// graph's current adjacency. No repair reads it.
+    csr: Option<CsrGraph>,
     /// All-[`INF`] between commits: the BFS depth array and the cells a
     /// re-settle scatters a row into.
     dist_buf: Vec<u32>,
@@ -631,7 +634,7 @@ impl<S: RowStore> BoundedRows<S> {
         let mut index = BoundedRows {
             reqs: reqs.clone(),
             store,
-            snapshot: CsrSnapshot::new(),
+            csr: None,
             dist_buf: Vec::new(),
             queue_buf: Vec::new(),
             resettle: Resettle::default(),
@@ -677,10 +680,10 @@ impl<S: RowStore> BoundedRows<S> {
     }
 
     /// Bulk build: one row per source, each handed to `keep`. The only
-    /// reader of the CSR snapshot: hundreds of BFSs over one unchanging
-    /// graph are worth a flat copy of its adjacency, and registering `k`
-    /// patterns re-targets `k` times against one graph version, which the
-    /// snapshot answers with one build.
+    /// reader of the CSR: hundreds of BFSs over one unchanging graph are
+    /// worth a flat copy of its adjacency, and registering `k` patterns
+    /// re-targets `k` times with no commit in between, which one copy
+    /// answers.
     fn build_rows(
         &mut self,
         graph: &DataGraph,
@@ -690,7 +693,12 @@ impl<S: RowStore> BoundedRows<S> {
         if sources.is_empty() {
             return;
         }
-        let csr = self.snapshot.get(graph);
+        let csr = self.csr.get_or_insert_with(|| CsrGraph::from_graph(graph));
+        debug_assert_eq!(
+            (csr.slot_count(), csr.edge_count()),
+            (graph.slot_count(), graph.edge_count()),
+            "the graph moved without a commit"
+        );
         for x in sources {
             let row = bfs_truncated(
                 |n| csr.out_neighbors(n),
@@ -969,8 +977,10 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
 
     fn rebuild(&mut self, graph: &DataGraph, reqs: &SlenRequirements) {
         // Absorb the widened requirements first: the single materialize
-        // pass below then covers old and new coverage together.
+        // pass below then covers old and new coverage together. A rebuild
+        // may follow mutations no commit saw, so the CSR goes too.
         self.reqs.absorb(reqs);
+        self.csr = None;
         self.materialize_all(graph);
     }
 
@@ -993,6 +1003,7 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
         _hint: RepairHint,
     ) -> AffDelta {
         debug_assert!(graph.has_edge(u, v), "commit before graph mutation");
+        self.csr = None;
         self.insert_edge_delta(graph, u, v)
     }
 
@@ -1004,10 +1015,12 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
         _hint: RepairHint,
     ) -> AffDelta {
         debug_assert!(!graph.has_edge(u, v), "commit before graph mutation");
+        self.csr = None;
         self.delete_edge_delta(graph, u, v)
     }
 
     fn commit_insert_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
+        self.csr = None;
         self.ensure_slots(graph);
         if requires(&self.reqs, graph.label(id)) {
             // An isolated newcomer's row is just itself at distance 0.
@@ -1023,6 +1036,7 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
 
     fn commit_delete_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
         debug_assert!(!graph.contains(id), "commit before graph mutation");
+        self.csr = None;
         self.delete_node_delta(graph, id)
     }
 
@@ -1434,6 +1448,27 @@ mod tests {
     // A 2-page cache, so nearly every fetch of the suite evicts.
     store_suite!(paged_tiny, PagedStore::new(tiny()));
 
+    #[test]
+    fn the_bulk_build_csr_lives_until_a_commit() {
+        let (mut f, mut s) = fig1_rows(MemStore::default());
+        let copy =
+            |s: &BoundedRows<MemStore>| s.csr.as_ref().map(|c| c.out_neighbors(f.pm1).as_ptr());
+        let built = copy(&s);
+        assert!(built.is_some(), "the bulk build made a CSR");
+        // Retargets with no commit in between reuse it.
+        s.sync_requirements(&f.graph, &wide_reqs(&f));
+        assert_eq!(copy(&s), built);
+        // A commit drops it ...
+        f.graph.add_edge(f.se1, f.te2).unwrap();
+        s.commit_insert_edge(&f.graph, f.se1, f.te2, RepairHint::Baseline);
+        assert!(s.csr.is_none());
+        // ... so the next re-run of every row reads the moved graph.
+        s.narrow_requirements(&f.graph, &SlenRequirements::of_pattern(&f.pattern));
+        s.sync_requirements(&f.graph, &wide_reqs(&f));
+        assert!(s.csr.is_some());
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
+    }
+
     /// `apply_sorted_updates` on an exact-fit row of even targets `0..12`:
     /// the merged row, and how much the allocation grew.
     fn patched(updates: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
@@ -1725,10 +1760,7 @@ mod tests {
         let patched = [f.pm1, f.pm2, f.se1, f.se2, f.s1].map(|x| x.0);
         assert_eq!(s.store.updates, patched);
         assert_patches_only_sources(&s, &delta, 0);
-        assert!(
-            s.snapshot.is_stale(&f.graph),
-            "no repair read the bulk build's snapshot"
-        );
+        assert!(s.csr.is_none(), "no repair reads the bulk build's CSR");
         assert_eq!(s.store.resident_fetches(), [1, 1, 1, 1, 1, 1, 0]);
         // Its one record sits where the re-run's diff would have put it.
         let of_s1: Vec<_> = delta.changed.iter().filter(|r| r.0 == f.s1).collect();

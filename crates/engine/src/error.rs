@@ -16,15 +16,6 @@ pub enum EngineError {
     InvalidBatch(GraphError),
 }
 
-impl EngineError {
-    /// The underlying graph error, when there is one.
-    pub fn graph_error(&self) -> Option<&GraphError> {
-        match self {
-            EngineError::InvalidBatch(e) => Some(e),
-        }
-    }
-}
-
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -57,7 +48,6 @@ mod tests {
         let e: EngineError = GraphError::MissingNode(NodeId(3)).into();
         assert!(e.to_string().contains("invalid update batch"));
         assert!(e.to_string().contains("does not exist"));
-        assert_eq!(e.graph_error(), Some(&GraphError::MissingNode(NodeId(3))));
         assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -6,7 +6,7 @@
 //! to the data graph's *slots* — tombstoned slots simply have an empty
 //! neighbor range — so `NodeId`s index directly without remapping.
 
-use crate::data_graph::{DataGraph, GraphVersion};
+use crate::data_graph::DataGraph;
 use crate::ids::NodeId;
 
 /// Flat forward adjacency, frozen at build time. (Backward walks read
@@ -19,56 +19,22 @@ pub struct CsrGraph {
     live_nodes: usize,
 }
 
-impl Default for CsrGraph {
-    /// An empty zero-slot snapshot (the state of a fresh [`CsrSnapshot`]).
-    fn default() -> Self {
-        CsrGraph {
-            offsets: vec![0],
-            targets: Vec::new(),
-            live_nodes: 0,
-        }
-    }
-}
-
 impl CsrGraph {
     /// Snapshot the forward adjacency of `graph`.
     pub fn from_graph(graph: &DataGraph) -> Self {
-        let mut csr = CsrGraph {
-            offsets: Vec::with_capacity(graph.slot_count() + 1),
-            targets: Vec::with_capacity(graph.edge_count()),
-            live_nodes: 0,
-        };
-        csr.rebuild(graph);
-        csr
-    }
-
-    /// Refill this snapshot from `graph` *in place*, reusing the existing
-    /// allocations. After warm-up, rebuilding per update batch is
-    /// allocation-free (the vectors only grow when the graph does), which
-    /// is what keeps the delete-repair hot path off the allocator.
-    ///
-    /// Growth, when it does happen, reserves ~1.5% past the needed size
-    /// instead of letting `reserve` double: one inserted node on a 10M-slot
-    /// graph must not transiently allocate a second half-size buffer while
-    /// the old one is live (that is what blows tight address-space budgets).
-    pub(crate) fn rebuild(&mut self, graph: &DataGraph) {
-        fn reserve_with_slack<T>(v: &mut Vec<T>, n: usize) {
-            if n > v.capacity() {
-                v.reserve_exact(n + n / 64 + 16 - v.len());
-            }
-        }
         let slots = graph.slot_count();
-        self.offsets.clear();
-        self.targets.clear();
-        reserve_with_slack(&mut self.offsets, slots + 1);
-        reserve_with_slack(&mut self.targets, graph.edge_count());
-        self.offsets.push(0);
+        let mut offsets = Vec::with_capacity(slots + 1);
+        let mut targets = Vec::with_capacity(graph.edge_count());
+        offsets.push(0);
         for i in 0..slots {
-            self.targets
-                .extend_from_slice(graph.out_neighbors(NodeId::from_index(i)));
-            self.offsets.push(self.targets.len() as u32);
+            targets.extend_from_slice(graph.out_neighbors(NodeId::from_index(i)));
+            offsets.push(targets.len() as u32);
         }
-        self.live_nodes = graph.node_count();
+        CsrGraph {
+            offsets,
+            targets,
+            live_nodes: graph.node_count(),
+        }
     }
 
     /// Number of slots the snapshot covers (live + tombstoned).
@@ -98,51 +64,6 @@ impl CsrGraph {
     }
 }
 
-/// A generation-stamped, lazily rebuilt [`CsrGraph`] cache.
-///
-/// The dense delete repair and the bounded-row bulk build need a CSR view
-/// of the current graph; building one from scratch per call is O(n + m)
-/// *allocation and copy* even when many calls see the same unmutated
-/// graph. `CsrSnapshot` keys the cached CSR on [`DataGraph::version`]:
-/// [`CsrSnapshot::get`] is a two-word comparison when the graph has not
-/// mutated, and an in-place, allocation-reusing rebuild when it has.
-/// Registering `k` patterns against one graph version therefore shares one
-/// CSR build instead of performing `k` of them.
-#[derive(Debug, Clone, Default)]
-pub struct CsrSnapshot {
-    /// The version of `csr`'s source graph; `None` until the first build.
-    version: Option<GraphVersion>,
-    csr: CsrGraph,
-}
-
-impl CsrSnapshot {
-    /// An empty (stale) cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The CSR view of `graph`, rebuilt (in place) only if `graph` has
-    /// mutated since the cached build — or was never built.
-    pub fn get(&mut self, graph: &DataGraph) -> &CsrGraph {
-        let version = graph.version();
-        if self.version != Some(version) {
-            self.csr.rebuild(graph);
-            self.version = Some(version);
-        }
-        &self.csr
-    }
-
-    /// Whether a call to [`CsrSnapshot::get`] for `graph` would rebuild.
-    pub fn is_stale(&self, graph: &DataGraph) -> bool {
-        self.version != Some(graph.version())
-    }
-
-    /// Drop the cached build (the next [`CsrSnapshot::get`] rebuilds).
-    pub fn invalidate(&mut self) {
-        self.version = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,41 +89,6 @@ mod tests {
         assert_eq!(csr.out_neighbors(n[2]), &[n[3]]);
         assert_eq!(csr.edge_count(), 3);
         assert_eq!(csr.node_count(), 4);
-    }
-
-    #[test]
-    fn snapshot_rebuilds_only_when_stale() {
-        let (mut g, n) = sample();
-        let mut snap = CsrSnapshot::new();
-        assert!(snap.is_stale(&g));
-        let before = snap.get(&g).edge_count();
-        assert_eq!(before, 3);
-        assert!(!snap.is_stale(&g), "unmutated graph: cache stays valid");
-        // Failed mutations do not invalidate.
-        assert!(g.add_edge(n[0], n[1]).is_err());
-        assert!(!snap.is_stale(&g));
-        // Successful mutations do.
-        g.add_edge(n[1], n[3]).unwrap();
-        assert!(snap.is_stale(&g));
-        assert_eq!(snap.get(&g).out_neighbors(n[1]), &[n[3]]);
-        assert!(!snap.is_stale(&g));
-        snap.invalidate();
-        assert!(snap.is_stale(&g));
-    }
-
-    #[test]
-    fn snapshot_distinguishes_clones() {
-        let (g, n) = sample();
-        let mut g2 = g.clone();
-        let mut snap = CsrSnapshot::new();
-        snap.get(&g);
-        // The clone is a different object: even though its content is
-        // identical, the cache conservatively rebuilds rather than risk
-        // colliding generations across diverging clones.
-        assert!(snap.is_stale(&g2));
-        g2.add_edge(n[1], n[0]).unwrap();
-        assert_eq!(snap.get(&g2).out_neighbors(n[1]), &[n[0]]);
-        assert_eq!(snap.get(&g).out_neighbors(n[1]), &[] as &[NodeId]);
     }
 
     #[test]

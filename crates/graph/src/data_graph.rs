@@ -1,28 +1,9 @@
 //! The dynamic, labeled, directed data graph `GD`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::error::GraphError;
 use crate::ids::NodeId;
 use crate::label::Label;
 use crate::Result;
-
-/// Source of unique per-graph identities for [`GraphVersion`].
-static NEXT_GRAPH_UID: AtomicU64 = AtomicU64::new(1);
-
-/// A point-in-time identity of a [`DataGraph`]'s topology.
-///
-/// Two versions compare equal iff they were taken from the *same* graph
-/// object with no successful mutation in between: every graph (including
-/// every clone) gets a unique `uid`, and every successful mutation bumps
-/// the `generation`. Caches keyed by a `GraphVersion` (notably
-/// [`crate::CsrSnapshot`]) can therefore validate in O(1) without hashing
-/// the adjacency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GraphVersion {
-    uid: u64,
-    generation: u64,
-}
 
 /// A dynamic directed graph with one [`Label`] per node.
 ///
@@ -41,7 +22,7 @@ pub struct GraphVersion {
 ///   label, so this index is on the hot path of both.
 ///
 /// Mutations return [`GraphError`] and leave the graph untouched on failure.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct DataGraph {
     /// Label per slot; `None` marks a tombstoned (deleted) slot.
     labels: Vec<Option<Label>>,
@@ -55,50 +36,9 @@ pub struct DataGraph {
     live_nodes: usize,
     /// Number of live edges.
     live_edges: usize,
-    /// Unique identity of this graph object (fresh per clone).
-    uid: u64,
-    /// Bumped on every successful mutation.
-    generation: u64,
     /// What the last successful mutation removed, when it was a
     /// [`DataGraph::remove_node`]; see [`DataGraph::last_removed`].
     last_removed: Option<RemovedNode>,
-}
-
-impl Default for DataGraph {
-    fn default() -> Self {
-        DataGraph {
-            labels: Vec::new(),
-            out: Vec::new(),
-            inn: Vec::new(),
-            by_label: Vec::new(),
-            live_nodes: 0,
-            live_edges: 0,
-            // RELAXED: uid allocation needs uniqueness, not ordering.
-            uid: NEXT_GRAPH_UID.fetch_add(1, Ordering::Relaxed),
-            generation: 0,
-            last_removed: None,
-        }
-    }
-}
-
-impl Clone for DataGraph {
-    /// Clones get a fresh `uid`: the clone can diverge from the original,
-    /// so a [`GraphVersion`] taken from one must never validate a snapshot
-    /// built from the other once either has mutated.
-    fn clone(&self) -> Self {
-        DataGraph {
-            labels: self.labels.clone(),
-            out: self.out.clone(),
-            inn: self.inn.clone(),
-            by_label: self.by_label.clone(),
-            live_nodes: self.live_nodes,
-            live_edges: self.live_edges,
-            // RELAXED: uid allocation needs uniqueness, not ordering.
-            uid: NEXT_GRAPH_UID.fetch_add(1, Ordering::Relaxed),
-            generation: self.generation,
-            last_removed: self.last_removed.clone(),
-        }
-    }
 }
 
 /// Everything removed alongside a node, sufficient to undo the deletion.
@@ -157,17 +97,6 @@ impl DataGraph {
     #[inline]
     pub fn slot_count(&self) -> usize {
         self.labels.len()
-    }
-
-    /// The current topology version; changes after every successful
-    /// mutation and never collides across graph objects (clones included).
-    /// Snapshot caches ([`crate::CsrSnapshot`]) key on this.
-    #[inline]
-    pub fn version(&self) -> GraphVersion {
-        GraphVersion {
-            uid: self.uid,
-            generation: self.generation,
-        }
     }
 
     /// Whether `id` refers to a live node.
@@ -281,7 +210,6 @@ impl DataGraph {
         self.labels[id.index()] = None;
         remove_sorted(&mut self.by_label[label.index()], id);
         self.live_nodes -= 1;
-        self.generation += 1;
         Ok(self.last_removed.insert(RemovedNode {
             id,
             label,
@@ -400,10 +328,9 @@ impl DataGraph {
         inserted
     }
 
-    /// Book a successful mutation other than a node removal: a new
-    /// version, and no removal record.
+    /// Book a successful mutation other than a node removal: no removal
+    /// record.
     fn mutated(&mut self) {
-        self.generation += 1;
         self.last_removed = None;
     }
 
@@ -696,25 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn version_tracks_successful_mutations_only() {
-        let (_, a, _) = two_labels();
-        let mut g = DataGraph::new();
-        let v0 = g.version();
-        let n0 = g.add_node(a);
-        let n1 = g.add_node(a);
-        assert_ne!(g.version(), v0);
-        let v1 = g.version();
-        assert!(g.add_edge(n0, n0).is_err(), "self loop");
-        assert!(g.remove_edge(n0, n1).is_err(), "absent edge");
-        assert_eq!(g.version(), v1, "failed mutations leave the version");
-        g.add_edge(n0, n1).unwrap();
-        assert_ne!(g.version(), v1);
-        // Clones never share a version with the original.
-        let clone = g.clone();
-        assert_ne!(clone.version(), g.version());
-    }
-
-    #[test]
     fn iterators_report_exact_size() {
         let (_, a, _) = two_labels();
         let mut g = DataGraph::new();
@@ -793,7 +701,6 @@ mod tests {
             "a clone carries it"
         );
         // A failed mutation leaves the record and the graph untouched.
-        let version = g.version();
         assert!(g.add_edge(n0, n0).is_err());
         assert!(g.add_edge(n0, n1).is_err());
         assert!(g.remove_edge(n0, n2).is_err());
@@ -804,7 +711,6 @@ mod tests {
         };
         assert!(g.restore_node(&taken).is_err(), "slot still live");
         assert_eq!(g.last_removed(), Some(&removed));
-        assert_eq!(g.version(), version);
         assert_eq!((g.node_count(), g.edge_count()), (3, 1));
         // Every other successful mutation clears it.
         type Mutation = fn(&mut DataGraph, [NodeId; 4]);

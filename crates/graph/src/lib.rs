@@ -34,8 +34,8 @@ mod pattern;
 mod stats;
 
 pub use builder::{DataGraphBuilder, PatternGraphBuilder};
-pub use csr::{CsrGraph, CsrSnapshot};
-pub use data_graph::{DataGraph, EdgeIter, GraphVersion, NodeIter, RemovedNode};
+pub use csr::CsrGraph;
+pub use data_graph::{DataGraph, EdgeIter, NodeIter, RemovedNode};
 pub use error::GraphError;
 pub use ids::{NodeId, PatternNodeId};
 pub use label::{Label, LabelInterner};

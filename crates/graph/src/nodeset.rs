@@ -130,12 +130,6 @@ impl NodeSet {
         true
     }
 
-    /// `self ⊆ other`.
-    #[inline]
-    pub fn is_subset_of(&self, other: &NodeSet) -> bool {
-        other.is_superset_of(self)
-    }
-
     /// In-place union.
     pub fn union_with(&mut self, other: &NodeSet) {
         if other.words.len() > self.words.len() {
@@ -144,16 +138,6 @@ impl NodeSet {
         let mut len = 0usize;
         for (i, w) in self.words.iter_mut().enumerate() {
             *w |= other.words.get(i).copied().unwrap_or(0);
-            len += w.count_ones() as usize;
-        }
-        self.len = len;
-    }
-
-    /// In-place intersection.
-    pub fn intersect_with(&mut self, other: &NodeSet) {
-        let mut len = 0usize;
-        for (i, w) in self.words.iter_mut().enumerate() {
-            *w &= other.words.get(i).copied().unwrap_or(0);
             len += w.count_ones() as usize;
         }
         self.len = len;
@@ -283,12 +267,10 @@ mod tests {
         let a = NodeSet::from_iter(ids(&[1, 5, 70]));
         let b = NodeSet::from_iter(ids(&[5, 70]));
         assert!(a.is_superset_of(&b));
-        assert!(b.is_subset_of(&a));
         assert!(!b.is_superset_of(&a));
         assert!(a.is_superset_of(&a));
         let empty = NodeSet::new();
         assert!(a.is_superset_of(&empty));
-        assert!(empty.is_subset_of(&a));
     }
 
     #[test]
@@ -306,12 +288,9 @@ mod tests {
         a.union_with(&b);
         assert_eq!(a.iter().collect::<Vec<_>>(), ids(&[1, 2, 3, 65, 200]));
         assert_eq!(a.len(), 5);
-        let mut c = NodeSet::from_iter(ids(&[2, 65, 999]));
+        let c = NodeSet::from_iter(ids(&[2, 65, 999]));
         assert_eq!(c.intersection(&a).collect::<Vec<_>>(), ids(&[2, 65]));
         assert_eq!(a.intersection(&c).collect::<Vec<_>>(), ids(&[2, 65]));
-        c.intersect_with(&a);
-        assert_eq!(c.iter().collect::<Vec<_>>(), ids(&[2, 65]));
-        assert_eq!(c.len(), 2);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! self-checks and the experiment reports.
 
 use crate::data_graph::DataGraph;
-use crate::ids::NodeId;
 
 /// Degree/label statistics of a [`DataGraph`].
 #[derive(Debug, Clone, PartialEq)]
@@ -69,31 +68,6 @@ impl GraphStats {
             sources,
         }
     }
-
-    /// The maximum number of finite entries expected per `SLen` row under
-    /// the Hybrid-format sizing argument of §IV-B: nodes that can reach `K`
-    /// others have `K+1` finite entries. Returns the count of live nodes
-    /// reachable from `start` (including itself) — a cheap per-row proxy.
-    pub fn reachable_from(graph: &DataGraph, start: NodeId) -> usize {
-        if !graph.contains(start) {
-            return 0;
-        }
-        let mut seen = vec![false; graph.slot_count()];
-        let mut queue = std::collections::VecDeque::new();
-        seen[start.index()] = true;
-        queue.push_back(start);
-        let mut count = 0;
-        while let Some(u) = queue.pop_front() {
-            count += 1;
-            for &v in graph.out_neighbors(u) {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +77,7 @@ mod tests {
 
     #[test]
     fn stats_of_small_graph() {
-        let (g, _, names) = DataGraphBuilder::new()
+        let (g, _, _) = DataGraphBuilder::new()
             .node("a", "X")
             .node("b", "X")
             .node("c", "Y")
@@ -122,8 +96,6 @@ mod tests {
         assert_eq!(s.sinks, 2); // c and d
         assert_eq!(s.sources, 2); // a and d
         assert!((s.mean_degree - 0.75).abs() < 1e-9);
-        assert_eq!(GraphStats::reachable_from(&g, names["a"]), 3);
-        assert_eq!(GraphStats::reachable_from(&g, names["d"]), 1);
     }
 
     #[test]

@@ -88,9 +88,8 @@ pub trait TickOutcome {
     /// * `total_ns` — end-to-end tick wall time in nanoseconds.
     ///
     /// A service report adds `stats`: one *stats object* (below). A
-    /// cluster report instead adds `rebalanced` (array of
-    /// `{handle, from, to, reclaimed_rows, added_rows}` placement moves)
-    /// and `shards` (array of stats objects, shard order).
+    /// cluster report instead adds `shards` (array of stats objects,
+    /// shard order).
     ///
     /// Stats object fields: phase timings in integer nanoseconds
     /// (`reduce_ns`, `shared_repair_ns`, `detect_ns`, `refresh_total_ns`,

@@ -225,7 +225,6 @@ impl SubShared {
 /// next publication.
 #[derive(Debug)]
 pub struct Subscription {
-    id: HandleId,
     shared: Arc<SubShared>,
 }
 
@@ -238,11 +237,6 @@ impl fmt::Debug for SubShared {
 }
 
 impl Subscription {
-    /// The handle this subscription streams.
-    pub fn handle_id(&self) -> HandleId {
-        self.id
-    }
-
     /// Next event, blocking until one is available. Returns
     /// [`SubEvent::Closed`] exactly once at end of stream; calling again
     /// after that keeps returning `Closed`.
@@ -398,11 +392,10 @@ impl ReadFront {
         handle: impl Into<HandleId>,
         capacity: usize,
     ) -> Result<Subscription, ReadError> {
-        let id = handle.into();
-        let entry = self.inner.entry(id)?;
+        let entry = self.inner.entry(handle.into())?;
         let shared = Arc::new(SubShared::new(capacity));
         lock(&entry.subs).push(Arc::clone(&shared));
-        Ok(Subscription { id, shared })
+        Ok(Subscription { shared })
     }
 
     /// Host side: publish `view` as `handle`'s live snapshot, creating
@@ -479,20 +472,6 @@ impl ReadFront {
             }
         }
     }
-
-    /// Handle ids with a live published view, ascending.
-    pub fn published_ids(&self) -> Vec<HandleId> {
-        let mut ids: Vec<HandleId> = self
-            .inner
-            .entries
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .keys()
-            .map(|&raw| HandleId(raw))
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
 }
 
 /// A handle-pinned reader: [`PinnedReader::view`] is the minimal hot
@@ -561,7 +540,6 @@ mod tests {
         let v = front.read_view(id).unwrap();
         assert_eq!(v.result_version, 1);
         assert_eq!(v.result.total_matches(), 2);
-        assert_eq!(front.published_ids(), vec![id]);
         // Clones observe the same publications.
         let clone = front.clone();
         assert_eq!(clone.read_view(id).unwrap().result_version, 1);
@@ -609,7 +587,6 @@ mod tests {
         let v0 = view_with(&[1], 0);
         front.publish(id, v0.clone());
         let sub = front.subscribe(id).unwrap();
-        assert_eq!(sub.handle_id(), id);
         assert_eq!(sub.try_recv(), None);
 
         let v1 = view_with(&[1, 2], 1);

@@ -836,74 +836,6 @@ impl<B: SlenBackend> GpnmService<B> {
         Ok(&self.front)
     }
 
-    /// Register a standing pattern **carrying** an already-computed
-    /// result at `version` — the migration seam a cluster's
-    /// `rebalance()` uses to move a pattern between shard replicas
-    /// without re-matching it.
-    ///
-    /// Sound only when `result` is the pattern's exact current match on
-    /// *this* service's graph (under `semantics`): shard replicas walk
-    /// the same graph trajectory and results are graph-determined, so a
-    /// result lifted off one replica is bitwise what this replica would
-    /// compute. The backend's requirement union still widens and syncs
-    /// here — only the initial match is skipped. `version` seeds the
-    /// session's `result_version`, keeping the handle's delta stream
-    /// monotone across the move.
-    pub fn register_pattern_with_result(
-        &mut self,
-        pattern: PatternGraph,
-        semantics: MatchSemantics,
-        result: MatchResult,
-        version: u64,
-    ) -> Result<PatternHandle, ServiceError> {
-        self.admit(&pattern)?;
-        Ok(self.open_session(pattern, semantics, result, version))
-    }
-
-    /// Admission, shared by both registration entries: reject an empty
-    /// pattern, then widen the backend's requirement union to cover it.
-    fn admit(&mut self, pattern: &PatternGraph) -> Result<(), ServiceError> {
-        if pattern.node_count() == 0 {
-            return Err(ServiceError::EmptyPattern);
-        }
-        self.reqs.absorb(&SlenRequirements::of_pattern(pattern));
-        self.index.sync_requirements(&self.graph, &self.reqs);
-        Ok(())
-    }
-
-    /// Give an admitted pattern its handle, published view and session.
-    fn open_session(
-        &mut self,
-        pattern: PatternGraph,
-        semantics: MatchSemantics,
-        result: MatchResult,
-        version: u64,
-    ) -> PatternHandle {
-        let handle = PatternHandle(HandleId(self.next_handle));
-        self.next_handle += 1;
-        if self.publishing {
-            self.front.publish(
-                handle,
-                ReadView {
-                    result: result.visible(),
-                    result_version: version,
-                    tick: self.tick,
-                },
-            );
-        }
-        self.sessions.push((
-            handle,
-            PatternSession {
-                pattern,
-                semantics,
-                result,
-                version,
-                strategy: RefreshStrategy::default(),
-            },
-        ));
-        handle
-    }
-
     /// [`PatternHost::apply`] minus the up-front *data* validation — the
     /// seam a cluster uses to validate a batch **once** and fan the same
     /// committed work out to every shard replica.
@@ -1176,9 +1108,35 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
         pattern: PatternGraph,
         semantics: MatchSemantics,
     ) -> Result<PatternHandle, ServiceError> {
-        self.admit(&pattern)?;
+        if pattern.node_count() == 0 {
+            return Err(ServiceError::EmptyPattern);
+        }
+        self.reqs.absorb(&SlenRequirements::of_pattern(&pattern));
+        self.index.sync_requirements(&self.graph, &self.reqs);
         let result = match_graph(&pattern, &self.graph, &self.index, semantics);
-        Ok(self.open_session(pattern, semantics, result, 0))
+        let handle = PatternHandle(HandleId(self.next_handle));
+        self.next_handle += 1;
+        if self.publishing {
+            self.front.publish(
+                handle,
+                ReadView {
+                    result: result.visible(),
+                    result_version: 0,
+                    tick: self.tick,
+                },
+            );
+        }
+        self.sessions.push((
+            handle,
+            PatternSession {
+                pattern,
+                semantics,
+                result,
+                version: 0,
+                strategy: RefreshStrategy::default(),
+            },
+        ));
+        Ok(handle)
     }
 
     /// Narrow the backend's requirement union to what the remaining

@@ -66,11 +66,6 @@ impl UpdateBatch {
         self.updates.iter().filter(|u| u.is_pattern()).count()
     }
 
-    /// Number of data updates (`|ΔGD|`).
-    pub fn data_len(&self) -> usize {
-        self.len() - self.pattern_len()
-    }
-
     /// Apply the whole batch to both graphs, in order. Fails fast on the
     /// first invalid update, leaving the graphs in the partially-updated
     /// state (callers that need atomicity validate on clones first).
@@ -310,7 +305,6 @@ mod tests {
         });
         assert_eq!(batch.len(), 4);
         assert_eq!(batch.pattern_len(), 2);
-        assert_eq!(batch.data_len(), 2);
         batch.validate(&f.graph, &f.pattern).unwrap();
         batch.apply_all(&mut f.graph, &mut f.pattern).unwrap();
         assert!(f.graph.has_edge(f.se1, f.te2));

@@ -104,40 +104,6 @@ impl EhTree {
         }
         d
     }
-
-    /// Pre-order traversal from the roots — the §VI Step 1-2 search order.
-    pub fn preorder(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut stack: Vec<usize> = self.roots.iter().rev().copied().collect();
-        while let Some(i) = stack.pop() {
-            out.push(i);
-            for &c in self.children(i).iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
-    }
-
-    /// Graphviz rendering, labeling nodes with the update codes.
-    pub fn to_dot(&self, effects: &[UpdateEffect]) -> String {
-        let mut s = String::from("digraph eh_tree {\n");
-        for e in effects {
-            s.push_str(&format!(
-                "  u{} [label=\"#{} {} |cov|={}\"];\n",
-                e.index,
-                e.index,
-                e.update.code(),
-                e.coverage.len()
-            ));
-        }
-        for (i, &p) in self.parent.iter().enumerate() {
-            if let Some(p) = p {
-                s.push_str(&format!("  u{p} -> u{i};\n"));
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +176,6 @@ mod tests {
         );
         assert_eq!(tree.eliminated_count(), 3);
         assert_eq!(tree.depth(1), 2);
-        assert_eq!(tree.preorder(), vec![2, 0, 1, 3]);
     }
 
     #[test]
@@ -236,32 +201,5 @@ mod tests {
         let tree = EhTree::build(&effects, &rel);
         assert_eq!(tree.roots().len(), 2);
         assert_eq!(tree.eliminated_count(), 0);
-    }
-
-    #[test]
-    fn dot_export_mentions_every_update() {
-        let a = effect(
-            0,
-            Update::Data(DataUpdate::InsertEdge {
-                from: NodeId(0),
-                to: NodeId(1),
-            }),
-            &[1, 2],
-        );
-        let b = effect(
-            1,
-            Update::Data(DataUpdate::InsertEdge {
-                from: NodeId(0),
-                to: NodeId(2),
-            }),
-            &[1],
-        );
-        let effects = vec![a, b];
-        let rel = EliminationGraph::detect(&effects);
-        let tree = EhTree::build(&effects, &rel);
-        let dot = tree.to_dot(&effects);
-        assert!(dot.contains("u0"));
-        assert!(dot.contains("u0 -> u1"));
-        assert!(dot.starts_with("digraph"));
     }
 }

@@ -170,17 +170,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> Vec<CellResult> {
     results
 }
 
-/// Average the per-cell times of one strategy across a result set —
-/// the aggregation behind Tables XI and XIII.
-pub fn average_time(results: &[CellResult], strategy: Strategy) -> Duration {
-    let picked: Vec<&CellResult> = results.iter().filter(|c| c.strategy == strategy).collect();
-    if picked.is_empty() {
-        return Duration::ZERO;
-    }
-    let total: Duration = picked.iter().map(|c| c.avg_time).sum();
-    total / picked.len() as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,14 +190,5 @@ mod tests {
             .find(|c| c.strategy == Strategy::IncGpnm)
             .unwrap();
         assert_eq!(inc.avg_eliminated, 0.0);
-    }
-
-    #[test]
-    fn average_time_aggregates() {
-        let cfg = ExperimentConfig::smoke(Dataset::DblpSim);
-        let results = run_experiment(&cfg);
-        for &s in &cfg.strategies {
-            assert!(average_time(&results, s) > Duration::ZERO);
-        }
     }
 }

@@ -27,14 +27,12 @@ fn main() {
         ..Default::default()
     });
 
-    // A 3-shard cluster with round-robin placement (spread for fan-out
-    // parallelism; `LeastLoaded` would instead co-locate patterns sharing
-    // label families to minimize total index growth) and per-shard
-    // parallel refresh.
+    // A 3-shard cluster with per-shard parallel refresh. Placement is
+    // round-robin: the `i`-th pattern lands on shard `i % 3`, which spreads
+    // the patterns for fan-out parallelism.
     let mut cluster = GpnmCluster::builder()
         .shards(3)
         .backend(BackendKind::Sparse)
-        .placement(RoundRobin::new())
         .refresh_threads(2)
         .build(graph.clone())
         .expect("sparse backends are never refused");

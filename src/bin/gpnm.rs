@@ -7,7 +7,7 @@
 //! gpnm replay [--backend B] [--nodes N] [--edges M] [--patterns K] [--ticks T]
 //!             [--updates N] [--trace FILE] [--labels N] [--seed S]
 //!             [--shards K] [--threads T] [--stats] [--stats-json FILE] [--subscribe]
-//!             [--adaptive] [--rebalance-every N]
+//!             [--adaptive]
 //!             [--trace-summary] [--trace-out FILE] [--metrics-out FILE]
 //! gpnm demo
 //! ```
@@ -22,18 +22,16 @@
 //! `GpnmService`, stream `--ticks` data-update batches (generated, or
 //! parsed from a `--trace` file of `---`-separated trace chunks), and
 //! print the per-tick, per-pattern match deltas. With `--shards K` the
-//! patterns are placed across a K-shard `GpnmCluster` (round-robin spread
-//! by default; `--placement least-loaded` packs by marginal index growth
-//! instead) and every tick fans out to all shards in parallel;
+//! patterns are dealt round-robin across a K-shard `GpnmCluster` (the
+//! `i`-th on shard `i % K`) and every tick fans out to all shards in
+//! parallel;
 //! `--threads T` fans each shard's (or the single service's) per-pattern
 //! refresh out over T pool lanes, and `--stats` prints the per-tick
 //! `TickStats` accounting (`--stats-json FILE` writes the same stats as
 //! one JSON object per tick). `--adaptive` turns on the refresh-parallelism
 //! tuner: the refresh lane count is then picked each tick from the previous
-//! tick's measured refresh times instead of `--threads`, and
-//! `--rebalance-every N` (clusters only) migrates patterns between shards
-//! every N ticks when a move shrinks the total resident index — results
-//! stay bitwise identical either way. Either way the replay drives the host through
+//! tick's measured refresh times instead of `--threads` — results stay
+//! bitwise identical either way. Either way the replay drives the host through
 //! the `PatternHost` trait — the register and tick loops are one generic
 //! code path. `--subscribe` additionally consumes every pattern's deltas
 //! through the subscription API and cross-checks that the folded stream
@@ -88,22 +86,10 @@ struct Args {
     stats: bool,
     stats_json: Option<String>,
     subscribe: bool,
-    placement: PlacementKind,
     adaptive: bool,
-    rebalance_every: Option<u64>,
     trace_summary: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-}
-
-/// Which `ShardPlacement` strategy `--placement` selects.
-#[derive(Clone, Copy, PartialEq)]
-enum PlacementKind {
-    /// Spread patterns evenly across shards (maximum fan-out parallelism).
-    RoundRobin,
-    /// Minimize marginal resident-row growth (maximum index locality —
-    /// co-locates patterns over the same label families).
-    LeastLoaded,
 }
 
 /// Which subcommand the flags are parsed for — gates subcommand-specific
@@ -145,9 +131,7 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
         stats: false,
         stats_json: None,
         subscribe: false,
-        placement: PlacementKind::RoundRobin,
         adaptive: false,
-        rebalance_every: None,
         trace_summary: false,
         trace_out: None,
         metrics_out: None,
@@ -191,8 +175,8 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
             "--nodes" => args.nodes = parse_num(take_str("--nodes")?, "--nodes")?,
             "--edges" => args.edges = parse_num(take_str("--edges")?, "--edges")?,
             "--patterns" | "--ticks" | "--trace" | "--shards" | "--threads" | "--stats"
-            | "--stats-json" | "--subscribe" | "--placement" | "--adaptive"
-            | "--rebalance-every" | "--trace-summary" | "--trace-out" | "--metrics-out"
+            | "--stats-json" | "--subscribe" | "--adaptive" | "--trace-summary" | "--trace-out"
+            | "--metrics-out"
                 if cmd != Cmd::Replay =>
             {
                 return Err(format!("{flag} only applies to `gpnm replay`"));
@@ -215,24 +199,6 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
             "--trace-out" => args.trace_out = Some(take_str("--trace-out")?.clone()),
             "--metrics-out" => args.metrics_out = Some(take_str("--metrics-out")?.clone()),
             "--adaptive" => args.adaptive = true,
-            "--rebalance-every" => {
-                let n = parse_num(take_str("--rebalance-every")?, "--rebalance-every")? as u64;
-                if n == 0 {
-                    return Err("--rebalance-every: the period must be ≥ 1".to_owned());
-                }
-                args.rebalance_every = Some(n);
-            }
-            "--placement" => {
-                args.placement = match take_str("--placement")?.as_str() {
-                    "round-robin" => PlacementKind::RoundRobin,
-                    "least-loaded" => PlacementKind::LeastLoaded,
-                    other => {
-                        return Err(format!(
-                            "--placement: expected round-robin or least-loaded, got {other}"
-                        ))
-                    }
-                };
-            }
             "--backend" => args.backend = take_str("--backend")?.parse()?,
             "--max-index-gb" => {
                 let v = take_str("--max-index-gb")?;
@@ -681,13 +647,6 @@ fn run_replay_service(
 ) -> Result<(), String> {
     // The builder is the fallible construction path: a dense backend on a
     // 100k-node graph comes back as a typed refusal, not an OOM kill.
-    if args.rebalance_every.is_some() {
-        return Err(
-            "--rebalance-every needs --shards (rebalancing moves patterns between \
-                    shards)"
-                .to_owned(),
-        );
-    }
     let mut builder = GpnmService::builder()
         .backend(args.backend)
         .max_index_gb(args.max_index_gb)
@@ -732,16 +691,9 @@ fn run_replay_cluster(
         .max_index_gb(args.max_index_gb)
         .refresh_threads(args.threads)
         .adaptive(args.adaptive);
-    if let Some(n) = args.rebalance_every {
-        builder = builder.rebalance_every(n);
-    }
     if let Some(mb) = args.cache_budget_mb {
         builder = builder.cache_budget_mb(mb);
     }
-    let builder = match args.placement {
-        PlacementKind::RoundRobin => builder.placement(RoundRobin::new()),
-        PlacementKind::LeastLoaded => builder.placement(LeastLoaded::new()),
-    };
     let mut cluster = builder.build(graph).map_err(|e| e.to_string())?;
 
     replay_register(&mut cluster, args, interner)?;
@@ -829,8 +781,7 @@ fn main() -> ExitCode {
              \x20      --nodes N --edges M (smoke/replay only)\n\
              \x20      --patterns K --ticks T --trace FILE (replay only)\n\
              \x20      --shards K --threads T --stats --stats-json FILE --subscribe (replay only)\n\
-             \x20      --placement round-robin|least-loaded (replay only)\n\
-             \x20      --adaptive --rebalance-every N (replay only; rebalance needs --shards)\n\
+             \x20      --adaptive (replay only)\n\
              \x20      --trace-summary --trace-out FILE --metrics-out FILE (replay only)"
                 .to_owned(),
         ),

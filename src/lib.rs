@@ -11,7 +11,7 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`graph`] — dynamic labeled digraphs, pattern graphs, CSR snapshots.
+//! * [`graph`] — dynamic labeled digraphs, pattern graphs, CSR views.
 //! * [`distance`] — the shortest-path-length (`SLen`) index: dense
 //!   matrices and bounded rows, incremental repair, label-based
 //!   partitioned computation.
@@ -25,7 +25,8 @@
 //! * [`service`] — the continuous-query layer: many standing patterns over
 //!   one graph, shared single-pass repair, per-tick [`prelude::MatchDelta`]s.
 //! * [`cluster`] — the sharded serving layer: k service shards with
-//!   narrowed indices, pluggable pattern placement, parallel fan-out ticks.
+//!   narrowed indices, round-robin pattern placement, parallel fan-out
+//!   ticks.
 //! * [`workload`] — synthetic SNAP stand-ins and the paper's experiment
 //!   protocol.
 //! * [`telemetry`] — tracing spans + metrics registry over the whole tick
@@ -86,8 +87,7 @@ pub use gpnm_workload as workload;
 pub mod prelude {
     pub use gpnm_adaptive::ThreadTuner;
     pub use gpnm_cluster::{
-        ClusterBuilder, ClusterError, ClusterHandle, ClusterTickReport, GpnmCluster, LeastLoaded,
-        RebalanceMove, RoundRobin, ShardLoad, ShardPlacement,
+        ClusterBuilder, ClusterError, ClusterHandle, ClusterTickReport, GpnmCluster,
     };
     pub use gpnm_distance::{AnyBackend, BackendKind, SlenBackend, SlenRequirements, SparseIndex};
     pub use gpnm_engine::{EngineError, ExecStats, GpnmEngine, RefreshStrategy, Strategy};

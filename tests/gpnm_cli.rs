@@ -1,0 +1,22 @@
+//! `gpnm replay` has one cluster placement, round-robin, and never moves
+//! a pattern between shards: the flags that used to pick a placement or
+//! schedule such moves are unknown flags, refused before anything runs.
+
+use std::process::Command;
+
+#[test]
+fn retired_cluster_flags_are_unknown() {
+    for args in [
+        &["replay", "--shards", "2", "--rebalance-every", "2"][..],
+        &["replay", "--shards", "2", "--placement", "least-loaded"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gpnm"))
+            .args(args)
+            .output()
+            .expect("gpnm starts");
+        assert!(!out.status.success(), "{args:?} was accepted");
+        assert!(out.stdout.is_empty(), "{args:?} ran a replay");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag"), "{args:?}: {err}");
+    }
+}

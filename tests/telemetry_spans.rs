@@ -37,8 +37,7 @@ fn build_cluster(seed: u64) -> (GpnmCluster, ua_gpnm::graph::LabelInterner, Patt
     let mut cluster = GpnmCluster::builder()
         .shards(2)
         .refresh_threads(2)
-        // One pattern per shard, whatever labels the two share.
-        .placement(RoundRobin::new())
+        // Placement is round-robin: one pattern per shard.
         .build(graph)
         .expect("sparse is never refused");
     let mut first = None;
@@ -205,13 +204,19 @@ fn cluster_index_gauges_are_the_totals_over_shards() {
 }
 
 /// The `match_graph` fallback of a repair is visible from the system's own
-/// output. A standing query with no match is *carried* into a service
-/// without its withheld relation (a reader's `visible()` copy): the first
-/// tick has nothing to repair and re-matches — one `repair_rematch` event,
-/// `gpnm_repair_rematch_total` + 1 — and every later tick repairs the
-/// relation that re-match kept, so both stay silent.
+/// output. A standing query with no match is *carried* into the hosts'
+/// refresh step without its withheld relation (a reader's `visible()`
+/// copy): the first refresh has nothing to repair and re-matches — one
+/// `repair_rematch` event — and every later refresh repairs the relation
+/// that re-match kept, so it stays silent. A service never carries a
+/// result in: every registration matches, so on the same ticks its own
+/// session of the query repairs and `gpnm_repair_rematch_total` stays flat.
 #[test]
 fn repair_rematch_fallback_is_reported_then_stays_silent() {
+    use ua_gpnm::engine::pipeline::{
+        commit_data_update, plan_for_data_update, refresh_pattern_strategy, SharedElimination,
+    };
+
     let _guard = serialize();
     let (graph, interner) = generate_social_graph(&SocialGraphConfig {
         nodes: 200,
@@ -236,16 +241,19 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
     pattern.add_node(ghost);
 
     let semantics = MatchSemantics::Simulation;
-    let mut donor = GpnmService::builder().build(graph.clone()).unwrap();
-    let h = donor.register_pattern(pattern.clone(), semantics).unwrap();
-    let carried = donor.result(h).unwrap().visible();
-    assert!(carried.is_empty());
-    let mut service = GpnmService::builder().build(graph).unwrap();
+    let mut service = GpnmService::builder().build(graph.clone()).unwrap();
     let h = service
-        .register_pattern_with_result(pattern.clone(), semantics, carried, 0)
+        .register_pattern(pattern.clone(), semantics)
         .unwrap();
+    let mut carried = service.result(h).unwrap().visible();
+    assert!(carried.is_empty());
+    // The carried copy's own replica, refreshed by hand the way a host
+    // refreshes a session.
+    let mut replica = graph;
+    let mut index = AnyBackend::build(&replica, &SlenRequirements::of_pattern(&pattern));
 
     let counter = ua_gpnm::telemetry::global().counter("gpnm_repair_rematch_total");
+    let mut rematches = Vec::new();
     let mut rematch_events = Vec::new();
     let mut counts = vec![counter.get()];
     for tick in 0..3usize {
@@ -259,10 +267,37 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
                 DataUpdate::InsertEdge { from, to }
             });
         }
-        let collector = install_collector();
         service.apply(&batch).expect("generated batch applies");
+        counts.push(counter.get());
+        assert!(service.result(h).unwrap().is_empty());
+
+        let mut committed = Vec::new();
+        let mut plans = Vec::new();
+        for u in batch.updates() {
+            let Update::Data(du) = u else {
+                unreachable!("a data batch")
+            };
+            let cu = commit_data_update(&mut replica, &mut index, du).expect("valid update");
+            plans.push(plan_for_data_update(
+                du, &cu.delta, &pattern, &replica, &carried, cu.created,
+            ));
+            committed.push(cu);
+        }
+        let shared = SharedElimination::detect(&committed);
+        let collector = install_collector();
+        let stats = refresh_pattern_strategy(
+            RefreshStrategy::Eliminative,
+            &pattern,
+            &replica,
+            &index,
+            semantics,
+            &mut carried,
+            &plans,
+            &shared,
+        );
         uninstall_collector();
         let trace = collector.finish();
+        rematches.push(stats.rematched);
         rematch_events.push(
             trace
                 .events
@@ -270,12 +305,15 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
                 .filter(|e| e.name == "repair_rematch")
                 .count(),
         );
-        counts.push(counter.get());
-        assert!(service.result(h).unwrap().is_empty());
+        assert!(carried.is_empty());
+        assert!(
+            carried.relation_eq(service.result(h).unwrap()),
+            "tick {tick}: the refreshed copy stands for the service's relation"
+        );
     }
+    assert_eq!(rematches, [true, false, false]);
     assert_eq!(rematch_events, [1, 0, 0]);
-    assert_eq!(counts[1], counts[0] + 1, "the fallback tick is counted");
-    assert_eq!(counts[3], counts[1], "steady-state ticks never fall back");
+    assert_eq!(counts[3], counts[0], "a registered query never falls back");
 }
 
 /// Where a tick's `SLen` repair went is readable from the system's own
