@@ -20,8 +20,9 @@
 //! The parallelism composes twice — across shards, and (with
 //! `refresh_threads > 0`) across patterns within each shard — and the
 //! *work* shrinks too: a shard's repair pass only touches rows for its own
-//! patterns' labels, truncated at its own patterns' maximum bound, so one
-//! deep or label-hungry pattern stops taxing every other pattern's repair.
+//! patterns' edge-source labels, each truncated at the deepest bound its
+//! own patterns put on that label, so one deep or label-hungry pattern
+//! stops taxing every other pattern's repair.
 //! Results stay bitwise identical to a single service and to k independent
 //! engines (the `cluster_equivalence` proptest suite); the benchmark of
 //! record's `cluster_2shard` workload prices a cluster tick against the

@@ -13,22 +13,22 @@
 //!   every pair; `O(n²)` memory, so it stops fitting around ~50k nodes
 //!   (42 GB at 100k, growth headroom included). The runtime `partitioned`
 //!   kind, and the one the paper-scale experiments use.
-//! * [`crate::SparseIndex`] — bounded rows for *candidate* sources only
-//!   (nodes whose label occurs in the pattern), truncated at the pattern's
-//!   maximum finite bound. Memory proportional to candidate rows × nodes
-//!   within the bound, which is what unlocks 100k+-node graphs.
+//! * [`crate::SparseIndex`] — bounded rows for edge *sources* only (nodes
+//!   whose label some pattern edge leaves), each truncated at the deepest
+//!   bound on those edges. Memory proportional to source rows × nodes
+//!   within their bounds, which is what unlocks 100k+-node graphs.
 //!   [`crate::PagedIndex`] is the same index ([`crate::BoundedRows`]) with
 //!   its rows in a spill file behind a hot-row cache.
 //!
 //! What a backend must cover is captured by [`SlenRequirements`]: the
-//! matcher only ever asks for distances *from* pattern-labeled nodes and
-//! only compares them against the pattern's bounds, so a backend may
-//! restrict itself to that projection. Dense backends ignore requirements
+//! matcher only ever asks for distances *from* nodes matching a pattern
+//! edge's source and only compares them against that edge's bound, so a
+//! backend may restrict itself to that projection. Dense backends ignore requirements
 //! (they cover everything); the sparse backend materializes exactly the
 //! requirement set and [`SlenBackend::sync_requirements`] grows it when a
 //! batch's pattern updates widen the pattern.
 
-use gpnm_graph::{Bound, DataGraph, Label, NodeId, PatternGraph};
+use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
 
 use crate::aff::AffDelta;
 use crate::incremental::IncrementalIndex;
@@ -37,101 +37,125 @@ use crate::oracle::DistanceOracle;
 use crate::INF;
 
 /// What the pattern (plus any pending pattern updates) requires of the
-/// `SLen` index: which source labels are consulted, and how deep.
+/// `SLen` index: which nodes are distance sources, and how deep each one's
+/// row must resolve — a map from source label to *horizon*.
 ///
-/// The matcher's `within(v, v', bound)` checks always originate at a node
-/// `v` whose label occurs in the pattern, and a distance `d > depth` is
-/// indistinguishable from ∞ for every finite bound `≤ depth`. A backend
-/// honoring a requirement set is therefore exact *for the projection the
-/// engine observes* even if it stores nothing else.
+/// The matcher's `within(v, v', b)` checks always originate at a node `v`
+/// matching the source `u` of a pattern edge `(u, u', b)` (the predecessor
+/// side of dual semantics reads the predecessor's row, again an edge
+/// source). So a label gets rows only if some pattern edge leaves a node
+/// with that label, and its horizon is the deepest bound on those edges —
+/// [`INF`] for a `*` edge, which needs full reachability rows. A distance
+/// beyond a source's horizon is indistinguishable from ∞ for every bound
+/// its edges carry. A backend honoring a requirement set is therefore
+/// exact *for the projection the engine observes* even if it stores
+/// nothing else.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlenRequirements {
-    /// Labels whose nodes can be distance sources (sorted, deduplicated).
-    labels: Vec<Label>,
-    /// Maximum finite bound to resolve; [`INF`] when some pattern edge is
-    /// unbounded (`*`), which needs full reachability rows.
-    depth: u32,
+    /// `(source label, horizon)`, sorted by label, one entry per label.
+    horizons: Vec<(Label, u32)>,
 }
 
 impl SlenRequirements {
-    /// The empty requirement set: no source labels, depth 0. The natural
-    /// starting point for a union that [`SlenRequirements::absorb`]s one
-    /// pattern at a time (the multi-pattern service's register path).
+    /// The empty requirement set: no source labels. The natural starting
+    /// point for a union that [`SlenRequirements::absorb`]s one pattern at
+    /// a time (the multi-pattern service's register path).
     pub fn empty() -> Self {
         SlenRequirements {
-            labels: Vec::new(),
-            depth: 0,
+            horizons: Vec::new(),
         }
     }
 
-    /// Requirements of `pattern` as it stands.
+    /// Requirements of `pattern` as it stands: one
+    /// [`SlenRequirements::absorb_edge`] per edge, at its source's label.
     pub fn of_pattern(pattern: &PatternGraph) -> Self {
-        let mut labels: Vec<Label> = pattern.nodes().filter_map(|u| pattern.label(u)).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        let mut reqs = SlenRequirements { labels, depth: 0 };
+        let mut reqs = SlenRequirements::empty();
         for e in pattern.edges() {
-            reqs.absorb_bound(e.bound);
+            if let Some(label) = pattern.label(e.from) {
+                reqs.absorb_edge(label, e.bound);
+            }
         }
         reqs
     }
 
-    /// Widen to also cover sources labeled `label` (a pattern-node insert).
-    pub fn absorb_label(&mut self, label: Label) {
-        if let Err(pos) = self.labels.binary_search(&label) {
-            self.labels.insert(pos, label);
-        }
-    }
-
-    /// Widen to also resolve `bound` (a pattern-edge insert).
-    pub fn absorb_bound(&mut self, bound: Bound) {
-        let needed = match bound {
+    /// Widen to also resolve `bound` from every node labeled `label` (a
+    /// pattern edge leaving a node with that label).
+    pub fn absorb_edge(&mut self, label: Label, bound: Bound) {
+        let horizon = match bound {
             Bound::Hops(k) => k,
             Bound::Unbounded => INF,
         };
-        self.depth = self.depth.max(needed);
+        self.absorb_horizon(label, horizon);
     }
 
-    /// Widen to the union with `other`.
-    pub fn absorb(&mut self, other: &SlenRequirements) {
-        for &label in other.labels() {
-            self.absorb_label(label);
+    fn absorb_horizon(&mut self, label: Label, horizon: u32) {
+        match self.horizons.binary_search_by_key(&label, |e| e.0) {
+            Ok(i) => self.horizons[i].1 = self.horizons[i].1.max(horizon),
+            Err(i) => self.horizons.insert(i, (label, horizon)),
         }
-        self.depth = self.depth.max(other.depth);
     }
 
-    /// The required source labels, sorted ascending.
-    pub fn labels(&self) -> &[Label] {
-        &self.labels
+    /// Widen to the union with `other`: per label, the deeper horizon.
+    pub fn absorb(&mut self, other: &SlenRequirements) {
+        for &(label, horizon) in &other.horizons {
+            self.absorb_horizon(label, horizon);
+        }
     }
 
-    /// The required resolution depth ([`INF`] = full rows).
+    /// The source labels, ascending.
+    pub fn labels(&self) -> impl ExactSizeIterator<Item = Label> + '_ {
+        self.horizons.iter().map(|e| e.0)
+    }
+
+    /// How deep rows of `label`'s nodes resolve ([`INF`] = full rows);
+    /// `None` when `label` is no source.
+    pub fn horizon(&self, label: Label) -> Option<u32> {
+        let at = self.horizons.binary_search_by_key(&label, |e| e.0);
+        at.ok().map(|i| self.horizons[i].1)
+    }
+
+    /// The deepest horizon (0 with no source label).
     pub fn depth(&self) -> u32 {
-        self.depth
+        self.horizons.iter().map(|e| e.1).max().unwrap_or(0)
+    }
+
+    /// The map as `{name:horizon, …}`, label names from `names` and `*`
+    /// for a full-row horizon — the form reports print.
+    pub fn render(&self, names: &LabelInterner) -> String {
+        let entries: Vec<String> = self
+            .horizons
+            .iter()
+            .map(|&(label, h)| {
+                let name = names.name_or_placeholder(label);
+                if h == INF {
+                    format!("{name}:*")
+                } else {
+                    format!("{name}:{h}")
+                }
+            })
+            .collect();
+        format!("{{{}}}", entries.join(", "))
     }
 }
 
 /// Project a dense [`AffDelta`] onto a bounded backend's observable
-/// slice: keep records whose source passes `resident`, clamp distances
-/// beyond `depth` to [`INF`], and drop records the clamp turns into
-/// no-ops. This *is* the sparse backend's delta contract — the
+/// slice: keep records whose source `x` has a horizon `horizon(x)`, clamp
+/// distances beyond it to [`INF`], and drop records the clamp turns into
+/// no-ops. This *is* the bounded backends' delta contract — the
 /// equivalence proptests assert `sparse.changed == project_delta(dense,
-/// depth, resident)` record for record. `resident` must reflect residency
-/// at the time the delta was produced (for a node-deletion commit:
-/// *before* the node left the graph).
-pub fn project_delta<F: Fn(NodeId) -> bool>(
+/// horizon)` record for record. `horizon` must reflect residency at the
+/// time the delta was produced (for a node-deletion commit: *before* the
+/// node left the graph).
+pub fn project_delta<F: Fn(NodeId) -> Option<u32>>(
     delta: &AffDelta,
-    depth: u32,
-    resident: F,
+    horizon: F,
 ) -> Vec<(NodeId, NodeId, u32, u32)> {
-    let clamp = |d: u32| if d <= depth { d } else { INF };
     delta
         .changed
         .iter()
         .filter_map(|&(x, y, old, new)| {
-            if !resident(x) {
-                return None;
-            }
+            let h = horizon(x)?;
+            let clamp = |d: u32| if d <= h { d } else { INF };
             let (old, new) = (clamp(old), clamp(new));
             (old != new).then_some((x, y, old, new))
         })
@@ -367,27 +391,67 @@ mod tests {
     fn requirements_of_fig1_pattern() {
         let f = fig1();
         let reqs = SlenRequirements::of_pattern(&f.pattern);
-        // PM, SE, S, TE — four labels; max bound in the pattern is 4.
-        assert_eq!(reqs.labels().len(), 4);
+        // Edges leave PM (bound 3 twice) and SE (bound 4); S and TE are
+        // sinks and need no rows.
+        let [pm, se, s, te] = ["PM", "SE", "S", "TE"].map(|l| f.interner.get(l).unwrap());
+        assert_eq!(reqs.labels().collect::<Vec<_>>(), {
+            let mut sources = vec![pm, se];
+            sources.sort_unstable();
+            sources
+        });
+        assert_eq!(reqs.horizon(pm), Some(3));
+        assert_eq!(reqs.horizon(se), Some(4));
+        assert_eq!((reqs.horizon(s), reqs.horizon(te)), (None, None));
         assert_eq!(reqs.depth(), 4);
+        let mut shown = reqs.clone();
+        shown.absorb_edge(te, Bound::Unbounded);
+        let rendered = shown.render(&f.interner);
+        for entry in ["PM:3", "SE:4", "TE:*"] {
+            assert!(rendered.contains(entry), "{rendered}");
+        }
+        assert_eq!(SlenRequirements::empty().render(&f.interner), "{}");
     }
 
     #[test]
     fn requirements_absorb_monotonically() {
         let f = fig1();
+        let [pm, se, db] = ["PM", "SE", "DB"].map(|l| f.interner.get(l).unwrap());
         let mut reqs = SlenRequirements::of_pattern(&f.pattern);
-        reqs.absorb_bound(Bound::Hops(2));
-        assert_eq!(reqs.depth(), 4, "smaller bounds never shrink depth");
-        reqs.absorb_bound(Bound::Hops(9));
+        reqs.absorb_edge(pm, Bound::Hops(2));
+        assert_eq!(reqs.horizon(pm), Some(3), "a smaller bound never shrinks");
+        reqs.absorb_edge(pm, Bound::Hops(9));
+        assert_eq!(reqs.horizon(pm), Some(9));
+        assert_eq!(reqs.horizon(se), Some(4), "other labels keep theirs");
         assert_eq!(reqs.depth(), 9);
-        reqs.absorb_bound(Bound::Unbounded);
-        assert_eq!(reqs.depth(), INF);
-        let db = f.interner.get("DB").unwrap();
         let before = reqs.labels().len();
-        reqs.absorb_label(db);
+        reqs.absorb_edge(db, Bound::Hops(1));
         assert_eq!(reqs.labels().len(), before + 1);
-        reqs.absorb_label(db);
+        reqs.absorb_edge(db, Bound::Hops(1));
         assert_eq!(reqs.labels().len(), before + 1, "labels dedupe");
+        reqs.absorb_edge(db, Bound::Unbounded);
+        assert_eq!((reqs.horizon(db), reqs.depth()), (Some(INF), INF));
+        // The union takes the deeper horizon per label.
+        let mut union = SlenRequirements::empty();
+        union.absorb_edge(se, Bound::Hops(7));
+        union.absorb(&reqs);
+        assert_eq!(union.horizon(se), Some(7));
+        assert_eq!(union.horizon(pm), Some(9));
+        assert_eq!(SlenRequirements::empty().depth(), 0);
+    }
+
+    #[test]
+    fn projection_clamps_each_source_at_its_own_horizon() {
+        let mut delta = AffDelta::new();
+        let [x, y, z] = [0, 1, 2].map(NodeId);
+        delta.record(x, y, 3, 1); // x's horizon 2: INF -> 1
+        delta.record(x, z, 4, 3); // beyond x's horizon either way: dropped
+        delta.record(y, z, 4, 3); // y's horizon 4: kept as is
+        delta.record(z, x, 1, 2); // z has no row: dropped
+        let horizon = |n: NodeId| [Some(2), Some(4), None][n.index()];
+        assert_eq!(
+            project_delta(&delta, horizon),
+            [(x, y, INF, 1), (y, z, 4, 3)]
+        );
     }
 
     #[test]

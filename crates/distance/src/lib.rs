@@ -72,10 +72,10 @@
 //! plain [`IncrementalIndex`] only in its `kind()` name; both folded into
 //! it.
 //!
-//! **Bounded rows** ([`BoundedRows`]). Rows for candidate sources only,
-//! truncated at the pattern's maximum finite bound (patterns with
-//! unbounded `*` edges fall back to untruncated rows for candidate
-//! sources). The right choice past ~50k nodes. Repair is ball-local: an
+//! **Bounded rows** ([`BoundedRows`]). Rows only for nodes whose label
+//! some pattern edge leaves, each truncated at the deepest bound on those
+//! edges — its label's *horizon* (a `*` edge gives that label untruncated
+//! rows). The right choice past ~50k nodes. Repair is ball-local: an
 //! update at `u` fetches only the resident rows inside `u`'s backward
 //! ball (one BFS over the graph's own in-adjacency — no reverse rows, and
 //! no CSR copy outside the bulk build) and re-runs only the rows that

@@ -490,9 +490,20 @@ mod tests {
     use gpnm_graph::paper::fig1;
     use gpnm_graph::{Bound, NodeId, NodeSet};
 
+    /// Fig. 1's four pattern labels, each a source at the pattern's
+    /// deepest bound: seven rows, enough to overflow a 2-page cache. (The
+    /// pattern's own requirements make only PM and SE sources.)
+    fn pattern_label_reqs(f: &gpnm_graph::paper::Fig1) -> SlenRequirements {
+        let mut reqs = SlenRequirements::empty();
+        for label in ["PM", "SE", "S", "TE"] {
+            reqs.absorb_edge(f.interner.get(label).unwrap(), Bound::Hops(4));
+        }
+        reqs
+    }
+
     fn fig1_paged(config: PagedConfig) -> (gpnm_graph::paper::Fig1, PagedIndex) {
         let f = fig1();
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let reqs = pattern_label_reqs(&f);
         let p = PagedIndex::with_config(&f.graph, &reqs, config);
         (f, p)
     }
@@ -501,7 +512,7 @@ mod tests {
     fn tiny_cache_still_answers_exactly_and_evicts() {
         let (mut f, mut p) = fig1_paged(tiny());
         assert_eq!(p.kind(), "paged");
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let reqs = pattern_label_reqs(&f);
         let mut s = SparseIndex::build(&f.graph, &reqs);
         let n = f.graph.slot_count();
         for i in 0..n {
@@ -531,7 +542,7 @@ mod tests {
         assert!(p.spill_pages() > 0);
         p.distance(f.pm1, f.se1);
         assert_eq!(p.cached_rows(), 1);
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let reqs = pattern_label_reqs(&f);
         p.rebuild(&f.graph, &reqs);
         assert_eq!(p.cached_rows(), 0, "rebuild restarts cold");
         assert_eq!(p.resident_rows(), 7);
@@ -548,7 +559,7 @@ mod tests {
         f.graph.add_edge(f.se1, f.te2).unwrap();
         SlenBackend::commit_insert_edge(&mut clone, &f.graph, f.se1, f.te2, RepairHint::Baseline);
         f.graph.remove_edge(f.se1, f.te2).unwrap();
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let reqs = pattern_label_reqs(&f);
         let fresh = SparseIndex::build(&f.graph, &reqs);
         let n = f.graph.slot_count();
         for i in 0..n {
@@ -626,7 +637,7 @@ mod tests {
     fn concurrent_readers_answer_exactly_and_count_every_access() {
         const READERS: usize = 4;
         let (f, mut p) = fig1_paged(tiny());
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let reqs = pattern_label_reqs(&f);
         let s = SparseIndex::build(&f.graph, &reqs);
         let nodes: Vec<NodeId> = (0..f.graph.slot_count()).map(NodeId::from_index).collect();
         let all: NodeSet = nodes.iter().copied().collect();

@@ -4,22 +4,30 @@
 //! ## 1. Purpose
 //!
 //! GPNM only ever consults `SLen` through `within(v, v', f_e)` checks whose
-//! source `v` carries a label that occurs in the pattern (the matcher seeds
-//! sets from label candidates; DER-I candidates and DER-III re-checks range
-//! over matched/label sets too), and whose bound `f_e` is one of the
-//! pattern's bounded path lengths. So the index only needs, per
-//! *candidate* node `x` (label ∈ pattern labels), the distances
-//! `d(x, y) ≤ B` where `B` is the pattern's maximum finite bound — any
-//! longer distance is indistinguishable from ∞ for every check the engine
-//! performs. Patterns containing an unbounded (`*`) edge need full
-//! reachability, so `B` falls back to [`INF`] and rows are untruncated
-//! (still candidate-sources-only). Memory is `O(Σ_candidates |ball_B(x)|)`
-//! instead of `O(n²)`.
+//! source `v` matches the source `u` of a pattern edge `e = (u, u', f_e)`
+//! (the predecessor side of dual semantics reads the predecessor's row —
+//! again an edge source; DER-I candidates and DER-III re-checks range over
+//! the same matched/label sets), and whose bound is `f_e`. So the index
+//! only needs, per *source* node `x` — one whose label some pattern edge
+//! leaves — the distances `d(x, y) ≤ h(x)`, where the *horizon* `h(x)` is
+//! the deepest bound on the edges leaving `x`'s label: any longer distance
+//! is indistinguishable from ∞ for every check that reads `x`'s row. A
+//! label with an unbounded (`*`) edge out of it needs full reachability,
+//! so its horizon is [`INF`] and its rows are untruncated. A sink label
+//! gets no rows at all. Memory is `O(Σ_sources |ball_{h(x)}(x)|)` instead
+//! of `O(n²)`; [`SlenRequirements`] holds the label → horizon map.
+//!
+//! Below, `B` is the horizon of the row at hand. **Why not one horizon
+//! for every row** (the deepest bound of any pattern, on every pattern
+//! label): on the benchmark's default serving workload 17% of those rows
+//! were never read, and another 26% were kept 1–2 hops deeper than any
+//! reader needed; dropping them cut that workload's `SLen` repair by a
+//! third and its host tick by a fifth.
 //!
 //! ## 2. Representation: one [`BoundedRows<S>`] over a `RowStore`
 //!
 //! Each resident row is a sorted `(target, dist)` vector (`SparseRow`)
-//! filled by a BFS truncated at depth `B`. [`BoundedRows`] owns the
+//! filled by a BFS truncated at its horizon `B`. [`BoundedRows`] owns the
 //! requirement set, the BFS scratch and a CSR copy for the bulk build,
 //! and carries the only copy of the build, insert-edge, delete-edge,
 //! delete-node and requirement-retarget routines plus the
@@ -72,13 +80,15 @@
 //! The dense delta-proportional repair carries over in truncated form, and
 //! every routine starts from the update's **backward ball** instead of
 //! the index: a source `x` can only be affected by an update to `(u, v)`
-//! if it reaches `u` inside the horizon, and `{x : d(x, u) + 1 ≤ B}` is
-//! one BFS of depth `B − 1` from `u` over [`DataGraph::in_neighbors`]. A
-//! node delete has one such tail per in-edge, and one BFS seeded with all
-//! of them at once. The ball is filtered by residency *before* any row is
-//! fetched and walked in slot order, so deltas keep the order a slot-order
-//! pass over every row gave them; the exact candidate predicates then run
-//! on the fetched (old) rows.
+//! if it reaches `u` inside its own horizon, and `{x : d(x, u) + 1 ≤
+//! h(x)}` is one BFS from `u` over [`DataGraph::in_neighbors`], as deep as
+//! the deepest horizon less one — a path runs through nodes of every
+//! label, so the walk cannot stop at a shallow label — with each node it
+//! reaches admitted against its own horizon. A node delete has one such
+//! tail per in-edge, and one BFS seeded with all of them at once. The ball
+//! is filtered *before* any row is fetched and walked in slot order, so
+//! deltas keep the order a slot-order pass over every row gave them; the
+//! exact candidate predicates then run on the fetched (old) rows.
 //!
 //! * *Edge insert `(u, v)`*: only resident sources `x` with
 //!   `d_B(x, u) + 1 < d_B(x, v)` can change (the dense triangle-inequality
@@ -123,7 +133,7 @@
 //!
 //! 1. *Insert.* Adding an edge only shortens distances, so the post-insert
 //!    ball of `u` contains the pre-insert one, which contains every `x`
-//!    whose old row has `d(x, u) ≤ B − 1`.
+//!    whose old row has `d(x, u) ≤ h(x) − 1`.
 //! 2. *Delete edge.* A shortest path *to* `u` never uses an out-edge of
 //!    `u` (it would pass through `u` before arriving there), so the
 //!    backward ball of `u` is the same without `(u, v)` as it was with it.
@@ -217,8 +227,9 @@
 //! ball row once — tested and repaired on the same fetch — plus, for a node
 //! delete, the node's own row, and only ever patches rows in place
 //! (`RowStore::update`; `put` is for builds and re-targets). Deltas are the
-//! dense deltas *projected* onto resident sources with distances `> B`
-//! mapped to ∞ — exactly the projection the matcher observes, which the
+//! dense deltas *projected* onto resident sources with distances beyond
+//! each source's horizon mapped to ∞ — exactly the projection the matcher
+//! observes, which the
 //! backend-equivalence proptest suite asserts record-for-record against
 //! [`crate::IncrementalIndex`] (and, between the two stores, proves the
 //! paged store's serialisation, eviction and write-through transparent).
@@ -255,7 +266,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
 
-use gpnm_graph::{Bound, CsrGraph, DataGraph, Label, NodeId, NodeSet};
+use gpnm_graph::{Bound, CsrGraph, DataGraph, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
 use crate::backend::{IoStats, RepairHint, SlenBackend, SlenRequirements};
@@ -581,19 +592,21 @@ pub(crate) trait RowStore: Debug + Default + Send + Sync {
     }
 }
 
-/// Whether `reqs` makes nodes labeled `label` distance sources.
-fn requires(reqs: &SlenRequirements, label: Option<Label>) -> bool {
-    label.is_some_and(|l| reqs.labels().binary_search(&l).is_ok())
+/// The horizon `reqs` cuts `x`'s row at; `None` when `x` is no source.
+fn horizon_of(reqs: &SlenRequirements, graph: &DataGraph, x: NodeId) -> Option<u32> {
+    graph.label(x).and_then(|l| reqs.horizon(l))
 }
 
-/// Every node `reqs` makes a distance source, label-major.
+/// Every node `reqs` makes a distance source, with its horizon,
+/// label-major.
 fn required_sources<'a>(
     reqs: &'a SlenRequirements,
     graph: &'a DataGraph,
-) -> impl Iterator<Item = NodeId> + 'a {
-    reqs.labels()
-        .iter()
-        .flat_map(|&l| graph.nodes_with_label(l).iter().copied())
+) -> impl Iterator<Item = (NodeId, u32)> + 'a {
+    reqs.labels().flat_map(move |l| {
+        let h = reqs.horizon(l).expect("a listed label");
+        graph.nodes_with_label(l).iter().map(move |&x| (x, h))
+    })
 }
 
 /// Bounded-row `SLen` index over candidate sources only, generic over its
@@ -609,8 +622,8 @@ fn required_sources<'a>(
 /// [`SlenRequirements`] captures), but *not* a general-purpose APSP oracle.
 #[derive(Debug, Clone)]
 pub struct BoundedRows<S> {
-    /// The covered requirement set (source labels + truncation depth) —
-    /// the single source of truth for what is resident.
+    /// The covered requirement set (source labels and their horizons) —
+    /// the single source of truth for what is resident, and how deep.
     reqs: SlenRequirements,
     pub(crate) store: S,
     /// Flat adjacency for the bulk build ([`BoundedRows::build_rows`]),
@@ -643,16 +656,6 @@ impl<S: RowStore> BoundedRows<S> {
         index
     }
 
-    /// The truncation depth currently honored ([`INF`] = untruncated).
-    pub fn depth(&self) -> u32 {
-        self.reqs.depth()
-    }
-
-    /// The source labels currently materialized.
-    pub fn labels(&self) -> &[Label] {
-        self.reqs.labels()
-    }
-
     fn ensure_slots(&mut self, graph: &DataGraph) {
         let n = graph.slot_count();
         self.store.grow(n);
@@ -660,26 +663,33 @@ impl<S: RowStore> BoundedRows<S> {
     }
 
     /// The backward ball of `tails` — an edge's tail, or every in-neighbour
-    /// a deleted node had: the resident slots `x` with `d(x, t) + 1 ≤
-    /// depth` in `graph` for some tail `t` — the sources that reach across
-    /// one of the edges inside the horizon — ascending. One truncated BFS
-    /// over the live in-adjacency, from all the tails at once, filtered by
-    /// residency straight off its queue: before any row is fetched, and
-    /// before anything is sorted. (Depth 0 leaves nobody.)
-    fn backward_ball(&mut self, graph: &DataGraph, tails: &[NodeId]) -> Vec<u32> {
+    /// a deleted node had: the sources `x` with `d(x, t) + 1 ≤ h(x)` in
+    /// `graph` for some tail `t`, where `h(x)` is the horizon of `x`'s row —
+    /// the sources that reach across one of the edges inside their own
+    /// horizon — ascending by slot, each with its horizon. One BFS over the
+    /// live in-adjacency, from all the tails at once, as deep as the
+    /// deepest horizon (a path passes through nodes of any label), filtered
+    /// straight off its queue: before any row is fetched, and before
+    /// anything is sorted. (Depth 0 leaves nobody.)
+    fn backward_ball(&mut self, graph: &DataGraph, tails: &[NodeId]) -> Vec<(u32, u32)> {
         let Some(radius) = self.reqs.depth().checked_sub(1) else {
             return Vec::new();
         };
         let (dist, queue) = (&mut self.dist_buf, &mut self.queue_buf);
         bfs_visit(|n| graph.in_neighbors(n), tails, radius, dist, queue);
+        let reqs = &self.reqs;
+        let admitted = |x: &NodeId| {
+            let h = horizon_of(reqs, graph, *x)?;
+            (sat_add(dist[x.index()], 1) <= h).then_some((x.0, h))
+        };
+        let mut ball: Vec<(u32, u32)> = queue.iter().filter_map(admitted).collect();
         restore_scratch(dist, queue);
-        let slots = queue.iter().map(|x| x.0);
-        let mut ball: Vec<u32> = slots.filter(|&s| self.store.is_resident(s)).collect();
         ball.sort_unstable();
         ball
     }
 
-    /// Bulk build: one row per source, each handed to `keep`. The only
+    /// Bulk build: one row per source, at its horizon, each handed to
+    /// `keep`. The only
     /// reader of the CSR: hundreds of BFSs over one unchanging graph are
     /// worth a flat copy of its adjacency, and registering `k` patterns
     /// re-targets `k` times with no commit in between, which one copy
@@ -687,7 +697,7 @@ impl<S: RowStore> BoundedRows<S> {
     fn build_rows(
         &mut self,
         graph: &DataGraph,
-        sources: Vec<NodeId>,
+        sources: Vec<(NodeId, u32)>,
         mut keep: impl FnMut(&mut S, u32, SparseRow),
     ) {
         if sources.is_empty() {
@@ -699,14 +709,9 @@ impl<S: RowStore> BoundedRows<S> {
             (graph.slot_count(), graph.edge_count()),
             "the graph moved without a commit"
         );
-        for x in sources {
-            let row = bfs_truncated(
-                |n| csr.out_neighbors(n),
-                x,
-                self.reqs.depth(),
-                &mut self.dist_buf,
-                &mut self.queue_buf,
-            );
+        for (x, h) in sources {
+            let (dist, queue) = (&mut self.dist_buf, &mut self.queue_buf);
+            let row = bfs_truncated(|n| csr.out_neighbors(n), x, h, dist, queue);
             keep(&mut self.store, x.0, row);
         }
     }
@@ -719,35 +724,37 @@ impl<S: RowStore> BoundedRows<S> {
         self.build_rows(graph, sources, S::load);
     }
 
-    /// Re-aim coverage at exactly `target`. Rows whose label left are
-    /// dropped; a shrunken horizon re-truncates in place (a depth-B row
-    /// filtered to `d ≤ B'` *is* the depth-B' row, no BFS needed); a deeper
-    /// horizon re-runs every surviving row, then newly required sources
-    /// are materialized — puts in slot order first, label order second.
+    /// Re-aim coverage at exactly `target`, label by label. Rows whose
+    /// label left are dropped; a label whose horizon shrank re-truncates
+    /// its rows in place (a depth-B row filtered to `d ≤ B'` *is* the
+    /// depth-B' row, no BFS needed); a label whose horizon grew re-runs its
+    /// rows, then newly required sources are materialized — puts in slot
+    /// order first, label order second.
     fn retarget(&mut self, graph: &DataGraph, target: SlenRequirements) {
         self.ensure_slots(graph);
         if self.reqs == target {
             return;
         }
-        let deeper = target.depth() > self.reqs.depth();
-        let shallower = target.depth() < self.reqs.depth();
-        self.reqs = target;
-        let depth = self.reqs.depth();
-        let mut todo: Vec<NodeId> = Vec::new();
+        let old = std::mem::replace(&mut self.reqs, target);
+        let mut todo: Vec<(NodeId, u32)> = Vec::new();
         for slot in 0..self.store.slots() as u32 {
             if !self.store.is_resident(slot) {
                 continue;
             }
-            if !requires(&self.reqs, graph.label(NodeId(slot))) {
-                self.store.remove(slot);
-            } else if shallower {
-                self.store
-                    .update(slot, |row| row.entries.retain(|&(_, d)| d <= depth));
-            } else if deeper {
-                todo.push(NodeId(slot));
+            let x = NodeId(slot);
+            let was = horizon_of(&old, graph, x);
+            match horizon_of(&self.reqs, graph, x) {
+                None => self.store.remove(slot),
+                Some(h) if Some(h) < was => {
+                    self.store
+                        .update(slot, |row| row.entries.retain(|&(_, d)| d <= h));
+                }
+                Some(h) if Some(h) > was => todo.push((x, h)),
+                Some(_) => {}
             }
         }
-        todo.extend(required_sources(&self.reqs, graph).filter(|x| !self.store.is_resident(x.0)));
+        let sources = required_sources(&self.reqs, graph);
+        todo.extend(sources.filter(|&(x, _)| !self.store.is_resident(x.0)));
         self.build_rows(graph, todo, S::put);
     }
 
@@ -759,31 +766,30 @@ impl<S: RowStore> BoundedRows<S> {
     /// old rows compose with.
     fn insert_edge_delta(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
         self.ensure_slots(graph);
-        let depth = self.reqs.depth();
         let mut delta = AffDelta::new();
         // The BFS row of `v`, as deep as a candidate met so far can use:
-        // `through + d(v, y) ≤ depth` leaves `depth − through` hops past
-        // `v`. None until the first candidate, so the common no-candidate
-        // insert runs no forward BFS — and an insert nobody resident
-        // reaches fetches nothing at all. A later candidate that enters
-        // nearer re-runs it deeper; the last run is at
-        // `depth − min through`, and the shallower ones before it are the
+        // `through + d(v, y) ≤ h` leaves `h − through` hops past `v` for a
+        // source with horizon `h`. None until the first candidate, so the
+        // common no-candidate insert runs no forward BFS — and an insert
+        // nobody resident reaches fetches nothing at all. A later candidate
+        // that can use more re-runs it deeper; the last run is at the
+        // largest `h − through`, and the shallower ones before it are the
         // inner shells of that ball.
         let mut vrow = SparseRow::default();
         let mut reach = None;
         let mut updates: Vec<(u32, u32)> = Vec::new();
-        for slot in self.backward_ball(graph, &[u]) {
+        for (slot, h) in self.backward_ball(graph, &[u]) {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
-            // Affected source: `d_B(x,u) + 1 < d_B(x,v)`, within the horizon.
+            // Affected source: `d_h(x,u) + 1 < d_h(x,v)`, within its horizon.
             let Some(through) = row.get(u.0).map(|du| sat_add(du, 1)) else {
                 continue;
             };
-            if through > depth || through >= row.get(v.0).unwrap_or(INF) {
+            if through > h || through >= row.get(v.0).unwrap_or(INF) {
                 continue;
             }
-            let usable = if depth == INF { INF } else { depth - through };
+            let usable = if h == INF { INF } else { h - through };
             if reach < Some(usable) {
                 let out = |n| graph.out_neighbors(n);
                 vrow = bfs_truncated(out, v, usable, &mut self.dist_buf, &mut self.queue_buf);
@@ -792,7 +798,7 @@ impl<S: RowStore> BoundedRows<S> {
             updates.clear();
             for &(y, dvy) in &vrow.entries {
                 let cand = sat_add(through, dvy);
-                if cand > depth {
+                if cand > h {
                     continue;
                 }
                 let old = row.get(y).unwrap_or(INF);
@@ -814,9 +820,8 @@ impl<S: RowStore> BoundedRows<S> {
     /// is the one it had with the edge (superset argument 2).
     fn delete_edge_delta(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
         self.ensure_slots(graph);
-        let depth = self.reqs.depth();
         let mut delta = AffDelta::new();
-        for slot in self.backward_ball(graph, &[u]) {
+        for (slot, h) in self.backward_ball(graph, &[u]) {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
@@ -836,7 +841,7 @@ impl<S: RowStore> BoundedRows<S> {
                 continue;
             }
             let x = NodeId(slot);
-            if dv == depth {
+            if dv == h {
                 // Horizon leaf: `v`'s children lie beyond the horizon and
                 // nothing standing is near enough to re-settle it. (Stored
                 // distances are finite, so no row of an untruncated index
@@ -845,7 +850,7 @@ impl<S: RowStore> BoundedRows<S> {
                 continue;
             }
             let (dist, resettle) = (&mut self.dist_buf, &mut self.resettle);
-            resettle_row(graph, row, depth, dist, resettle, [(v, dv)]);
+            resettle_row(graph, row, h, dist, resettle, [(v, dv)]);
             self.settle_row(x, &mut delta);
         }
         delta
@@ -856,14 +861,18 @@ impl<S: RowStore> BoundedRows<S> {
     /// in-edges are the tails of the candidates' backward ball (superset
     /// argument 4), the out-edges the children that may lose their last
     /// parent.
+    ///
+    /// `id` is in `Aff_N` whether or not it held a row: a node no source
+    /// reaches still leaves every set it was a member of, and the dense
+    /// index names it through its own `(id, id, 0 → ∞)` record.
     fn delete_node_delta(&mut self, graph: &DataGraph, id: NodeId) -> AffDelta {
         let removed = graph.last_removed().filter(|r| r.id == id).expect(
             "commit_delete_node(id) must directly follow the graph's remove_node(id): \
              the repair reads the node's edges from DataGraph::last_removed",
         );
         self.ensure_slots(graph);
-        let depth = self.reqs.depth();
         let mut delta = AffDelta::new();
+        delta.affected.insert(id);
         // The node's own row: every entry becomes INF.
         if let Some(row) = self.store.fetch(id.0) {
             for &(y, d) in &row.entries {
@@ -871,7 +880,7 @@ impl<S: RowStore> BoundedRows<S> {
             }
             self.store.remove(id.0);
         }
-        for slot in self.backward_ball(graph, &removed.in_edges) {
+        for (slot, h) in self.backward_ball(graph, &removed.in_edges) {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
@@ -894,7 +903,7 @@ impl<S: RowStore> BoundedRows<S> {
             }
             let seeds = std::iter::once((id, d)).chain(orphans.iter().map(|&z| (z, d + 1)));
             let (dist, resettle) = (&mut self.dist_buf, &mut self.resettle);
-            resettle_row(graph, row, depth, dist, resettle, seeds);
+            resettle_row(graph, row, h, dist, resettle, seeds);
             self.settle_row(x, &mut delta);
         }
         delta
@@ -1022,7 +1031,7 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
     fn commit_insert_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
         self.csr = None;
         self.ensure_slots(graph);
-        if requires(&self.reqs, graph.label(id)) {
+        if horizon_of(&self.reqs, graph, id).is_some() {
             // An isolated newcomer's row is just itself at distance 0.
             self.store.put(
                 id.0,
@@ -1062,17 +1071,39 @@ mod tests {
     use crate::sparse::MemStore;
     use crate::DistanceMatrix;
     use gpnm_graph::paper::{fig1, Fig1};
+    use gpnm_graph::Label;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Fig. 1's four pattern labels, each a source at the pattern's
+    /// deepest bound (4): the uniform requirement set the specs below
+    /// count fetches and writes against. (The pattern's own requirements
+    /// give rows to PM and SE only — see
+    /// `of_pattern_rows_sit_at_edge_sources_at_their_own_horizons`.)
+    fn uniform_reqs(f: &Fig1, bound: Bound, labels: &[&str]) -> SlenRequirements {
+        let mut reqs = SlenRequirements::empty();
+        for l in labels {
+            reqs.absorb_edge(f.interner.get(l).unwrap(), bound);
+        }
+        reqs
+    }
+
+    const PATTERN_LABELS: [&str; 4] = ["PM", "SE", "S", "TE"];
 
     fn fig1_rows<S: RowStore>(store: S) -> (Fig1, BoundedRows<S>) {
         let f = fig1();
-        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let reqs = uniform_reqs(&f, Bound::Hops(4), &PATTERN_LABELS);
         let index = BoundedRows::with_store(&f.graph, &reqs, store);
         (f, index)
     }
 
-    /// The truncated-projection equality every test leans on — and, since
-    /// it runs after every commit of every test, the scratch invariant.
+    /// The horizon of resident `x`'s row.
+    fn horizon<S: RowStore>(s: &BoundedRows<S>, graph: &DataGraph, x: NodeId) -> u32 {
+        horizon_of(&s.reqs, graph, x).expect("a resident row has a horizon")
+    }
+
+    /// The truncated-projection equality every test leans on — each row cut
+    /// at its own horizon — and, since it runs after every commit of every
+    /// test, the scratch invariant.
     fn assert_projection<S: RowStore>(
         s: &BoundedRows<S>,
         graph: &DataGraph,
@@ -1085,10 +1116,11 @@ mod tests {
             if !s.store.is_resident(x.0) {
                 continue;
             }
+            let h = horizon(s, graph, x);
             for j in 0..n {
                 let y = NodeId::from_index(j);
                 let d = dense.get(x, y);
-                let expected = if d <= s.depth() { d } else { INF };
+                let expected = if d <= h { d } else { INF };
                 assert_eq!(s.distance(x, y), expected, "d({x:?},{y:?})");
             }
         }
@@ -1101,7 +1133,7 @@ mod tests {
         graph: &DataGraph,
     ) {
         assert_eq!(a.resident_rows(), b.resident_rows());
-        assert_eq!(a.depth(), b.depth());
+        assert_eq!(a.reqs, b.reqs);
         let n = graph.slot_count();
         for i in 0..n {
             for j in 0..n {
@@ -1125,11 +1157,8 @@ mod tests {
     }
 
     fn wide_reqs(f: &Fig1) -> SlenRequirements {
-        // Widen: DB becomes a pattern label; deepen: a bound of 6 arrives.
-        let mut wide = SlenRequirements::of_pattern(&f.pattern);
-        wide.absorb_label(f.interner.get("DB").unwrap());
-        wide.absorb_bound(Bound::Hops(6));
-        wide
+        // Widen: DB becomes a source; deepen: every label to a bound of 6.
+        uniform_reqs(f, Bound::Hops(6), &["PM", "SE", "S", "TE", "DB"])
     }
 
     fn build_matches_truncated_dense<S: RowStore>(store: S) {
@@ -1138,7 +1167,7 @@ mod tests {
         // All four pattern labels cover 7 of the 8 nodes (DB1 is not a
         // pattern label).
         assert_eq!(s.resident_rows(), 7);
-        assert_eq!(s.depth(), 4);
+        assert_eq!(s.reqs.depth(), 4);
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
         assert_eq!(s.distance(f.db1, f.se1), INF, "non-resident row reads INF");
     }
@@ -1182,22 +1211,22 @@ mod tests {
         assert_eq!(s.resident_rows(), 7);
         s.sync_requirements(&f.graph, &wide_reqs(&f));
         assert_eq!(s.resident_rows(), 8);
-        assert_eq!(s.depth(), 6);
+        assert_eq!(s.reqs, wide_reqs(&f));
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
         // Narrower requirements are a no-op (coverage is monotone).
         let narrow = SlenRequirements::of_pattern(&f.pattern);
         s.sync_requirements(&f.graph, &narrow);
         assert_eq!(s.resident_rows(), 8);
-        assert_eq!(s.depth(), 6);
+        assert_eq!(s.reqs, wide_reqs(&f));
     }
 
     fn narrow_requirements_matches_a_fresh_build<S: RowStore>(store: S) {
         let (f, mut s) = fig1_rows(store);
         s.sync_requirements(&f.graph, &wide_reqs(&f));
         assert_eq!(s.resident_rows(), 8);
-        assert_eq!(s.depth(), 6);
-        // Narrow back to the bare pattern: rows drop, entries re-truncate,
-        // and the result is indistinguishable from building fresh.
+        // Narrow back to the bare pattern: the sink labels' rows drop, PM's
+        // re-truncate to 3 and SE's to 4, and the result is
+        // indistinguishable from building fresh.
         let narrow = SlenRequirements::of_pattern(&f.pattern);
         s.narrow_requirements(&f.graph, &narrow);
         let fresh = BoundedRows::with_store(&f.graph, &narrow, MemStore::default());
@@ -1209,12 +1238,10 @@ mod tests {
         // "Narrow" re-targets: a requirement set that is wider on one axis
         // and absent on another still lands exactly.
         let (f, mut s) = fig1_rows(store);
-        let mut only_db = SlenRequirements::empty();
-        only_db.absorb_label(f.interner.get("DB").unwrap());
-        only_db.absorb_bound(Bound::Hops(6));
+        let only_db = uniform_reqs(&f, Bound::Hops(6), &["DB"]);
         s.narrow_requirements(&f.graph, &only_db);
         assert_eq!(s.resident_rows(), 1, "only DB1's row survives");
-        assert_eq!(s.depth(), 6);
+        assert_eq!(s.reqs.depth(), 6);
         let fresh = BoundedRows::with_store(&f.graph, &only_db, MemStore::default());
         assert_same_index(&s, &fresh, &f.graph);
         assert_resident_count(&s);
@@ -1222,15 +1249,18 @@ mod tests {
 
     fn unbounded_requirements_store_full_rows<S: RowStore>(store: S) {
         let f = fig1();
+        // A `*` edge out of TE: TE's rows are full, PM's and SE's stay at 3
+        // and 4.
         let mut reqs = SlenRequirements::of_pattern(&f.pattern);
-        reqs.absorb_bound(Bound::Unbounded);
+        reqs.absorb_edge(f.interner.get("TE").unwrap(), Bound::Unbounded);
         let s = BoundedRows::with_store(&f.graph, &reqs, store);
-        assert_eq!(s.depth(), INF);
+        assert_eq!(s.reqs.depth(), INF);
         let dense = apsp_matrix(&f.graph);
         assert_projection(&s, &f.graph, &dense);
-        // PM1 reaches TE1 in 5 hops — beyond the bounded pattern's horizon
-        // of 4, but a full row must resolve it.
-        assert_eq!(s.distance(f.pm2, f.te1), dense.get(f.pm2, f.te1));
+        // TE2 reaches TE1 in 5 hops — beyond every bounded horizon, but a
+        // full row must resolve it.
+        assert_eq!(dense.get(f.te2, f.te1), 5);
+        assert_eq!(s.distance(f.te2, f.te1), 5);
     }
 
     /// Every delete's re-settle against the path it replaced — a truncated
@@ -1255,12 +1285,14 @@ mod tests {
         for round in 0..60 {
             let bound = [1, 2, 3, 4, INF][round % 5];
             let mut reqs = SlenRequirements::empty();
-            reqs.absorb_label(Label(0));
-            reqs.absorb_bound(if bound == INF {
-                Bound::Unbounded
-            } else {
-                Bound::Hops(bound)
-            });
+            reqs.absorb_edge(
+                Label(0),
+                if bound == INF {
+                    Bound::Unbounded
+                } else {
+                    Bound::Hops(bound)
+                },
+            );
             let n = 6 + draw(8);
             let mut graph = DataGraph::new();
             let ids: Vec<NodeId> = (0..n).map(|_| graph.add_node(Label(0))).collect();
@@ -1302,7 +1334,7 @@ mod tests {
                     .iter()
                     .map(|&x| {
                         let live = graph.contains(x);
-                        live.then(|| bfs_truncated(out, x, s.depth(), &mut dist, &mut queue))
+                        live.then(|| bfs_truncated(out, x, bound, &mut dist, &mut queue))
                     })
                     .collect();
                 let (empty, mut expected) = (SparseRow::default(), AffDelta::new());
@@ -1377,8 +1409,7 @@ mod tests {
     #[test]
     fn a_target_resettles_through_its_own_affected_child() {
         let mut reqs = SlenRequirements::empty();
-        reqs.absorb_label(Label(0));
-        reqs.absorb_bound(Bound::Hops(5));
+        reqs.absorb_edge(Label(0), Bound::Hops(5));
         let mut graph = DataGraph::new();
         let [x, u, v, c, a, b, e] = [0; 7].map(|_| graph.add_node(Label(0)));
         let edges = [
@@ -1626,9 +1657,10 @@ mod tests {
     }
 
     /// The locality contract of the edge repairs: since the last `reset`,
-    /// every fetched slot is a resident `x` with `d(x, u) + 1 ≤ depth` in
-    /// `graph` — inside the backward ball of the edge's tail `u` — and none
-    /// was fetched more than once (tested and repaired on the same fetch).
+    /// every fetched slot is a resident `x` with `d(x, u) + 1 ≤ h(x)` in
+    /// `graph` — inside the backward ball of the edge's tail `u`, at its
+    /// own horizon — and none was fetched more than once (tested and
+    /// repaired on the same fetch).
     fn assert_ball_local(s: &BoundedRows<Recording>, graph: &DataGraph, u: NodeId) {
         let dense = apsp_matrix(graph);
         for (slot, &count) in s.store.fetches.iter().enumerate() {
@@ -1637,7 +1669,8 @@ mod tests {
             if count > 0 {
                 assert!(s.store.inner.is_resident(x.0));
                 let d = dense.get(x, u);
-                assert!(sat_add(d, 1) <= s.depth(), "{x:?} is outside the ball");
+                let h = horizon(s, graph, x);
+                assert!(sat_add(d, 1) <= h, "{x:?} is outside the ball");
             }
         }
     }
@@ -1652,13 +1685,13 @@ mod tests {
 
     /// The locality contract of a node delete: since the last `reset`, the
     /// slots fetched are exactly the deleted node's own row, when `own` (it
-    /// had one), and the resident `x` with `d(x, w) + 1 ≤ depth` in `graph`
+    /// had one), and the resident `x` with `d(x, w) + 1 ≤ h(x)` in `graph`
     /// for an in-neighbour `w` the node had — its in-edges' backward ball —
     /// each once.
     fn assert_in_edges_ball_local(s: &BoundedRows<Recording>, graph: &DataGraph, own: bool) {
         let removed = graph.last_removed().expect("a node delete");
         let dense = apsp_matrix(graph);
-        let near = |x, w| sat_add(dense.get(x, w), 1) <= s.depth();
+        let near = |x, w| sat_add(dense.get(x, w), 1) <= horizon(s, graph, x);
         for (slot, &count) in s.store.fetches.iter().enumerate() {
             let x = NodeId::from_index(slot);
             let in_ball =
@@ -1841,22 +1874,17 @@ mod tests {
     #[test]
     fn sync_is_retarget_at_the_union_with_puts_in_slot_then_label_order() {
         let f = fig1();
-        let reqs_of = |label: &str, hops: u32| {
-            let mut reqs = SlenRequirements::empty();
-            reqs.absorb_label(f.interner.get(label).unwrap());
-            reqs.absorb_bound(Bound::Hops(hops));
-            reqs
-        };
-        let te_only = reqs_of("TE", 2);
+        let te_only = uniform_reqs(&f, Bound::Hops(2), &["TE"]);
+        let deeper = uniform_reqs(&f, Bound::Hops(4), &["TE", "PM"]);
         let mut union = te_only.clone();
-        union.absorb(&reqs_of("PM", 4));
+        union.absorb(&deeper);
         // Deeper: the surviving TE rows re-run in slot order; then the
         // newly required PM sources — although their slots come first.
         let expected = [f.te1.0, f.te2.0, f.pm1.0, f.pm2.0];
 
         let mut synced = BoundedRows::with_store(&f.graph, &te_only, Recording::default());
         synced.store.reset();
-        synced.sync_requirements(&f.graph, &reqs_of("PM", 4));
+        synced.sync_requirements(&f.graph, &deeper);
         assert_eq!(synced.store.puts, expected);
         assert_eq!(synced.store.writes, 4, "no row dropped or re-truncated");
 
@@ -1865,6 +1893,111 @@ mod tests {
         narrowed.narrow_requirements(&f.graph, &union);
         assert_eq!(narrowed.store.puts, expected);
         assert_same_index(&synced, &narrowed, &f.graph);
-        assert_eq!(synced.labels(), union.labels());
+        assert_eq!(synced.reqs, union);
+    }
+
+    #[test]
+    fn a_retarget_moves_each_label_by_its_own_horizon() {
+        // PM 3 -> 5 re-runs, SE 4 -> 2 truncates in place, S is new, TE
+        // leaves; DB, never a source, stays without a row.
+        let f = fig1();
+        let mut from = uniform_reqs(&f, Bound::Hops(3), &["PM", "TE"]);
+        from.absorb(&uniform_reqs(&f, Bound::Hops(4), &["SE"]));
+        let mut to = uniform_reqs(&f, Bound::Hops(5), &["PM"]);
+        to.absorb(&uniform_reqs(&f, Bound::Hops(2), &["SE", "S"]));
+        let mut s = BoundedRows::with_store(&f.graph, &from, Recording::default());
+        s.store.reset();
+        s.narrow_requirements(&f.graph, &to);
+        assert_eq!(s.store.updates, [f.se1.0, f.se2.0], "truncated in place");
+        assert_eq!(s.store.puts, [f.pm1.0, f.pm2.0, f.s1.0], "re-run, then new");
+        assert_eq!(s.store.writes, 2 + 3 + 2, "and TE's two rows dropped");
+        let fresh = BoundedRows::with_store(&f.graph, &to, MemStore::default());
+        assert_same_index(&s, &fresh, &f.graph);
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
+        assert_resident_count(&s);
+    }
+
+    #[test]
+    fn of_pattern_rows_sit_at_edge_sources_at_their_own_horizons() {
+        // Fig. 1's edges leave PM (bound 3) and SE (bound 4): S and TE are
+        // sinks, so four rows instead of seven, and PM's stop at 3.
+        let f = fig1();
+        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let s = BoundedRows::with_store(&f.graph, &reqs, MemStore::default());
+        assert_eq!(s.resident_rows(), 4);
+        for x in [f.s1, f.te1, f.te2, f.db1] {
+            assert!(!s.store.is_resident(x.0), "{x:?} has a row");
+        }
+        let dense = apsp_matrix(&f.graph);
+        assert_projection(&s, &f.graph, &dense);
+        assert_eq!(dense.get(f.te2, f.s1), 1);
+        assert_eq!(s.distance(f.te2, f.s1), INF, "a sink's row is never read");
+    }
+
+    /// The per-row horizon on the repair path. `x` and `y` both sit one
+    /// hop before `u`; `x`'s label reads its rows only to bound 1, `y`'s to
+    /// bound 2. So `(u, v)` is within `y`'s horizon and past `x`'s: a commit
+    /// of it fetches `y`'s row once and never `x`'s.
+    #[test]
+    fn a_source_past_its_own_horizon_is_not_fetched() {
+        let (lx, ly, sink) = (Label(0), Label(1), Label(2));
+        let mut reqs = SlenRequirements::empty();
+        reqs.absorb_edge(lx, Bound::Hops(1));
+        reqs.absorb_edge(ly, Bound::Hops(2));
+        let mut graph = DataGraph::new();
+        let (x, y) = (graph.add_node(lx), graph.add_node(ly));
+        let [u, v] = [0; 2].map(|_| graph.add_node(sink));
+        for (a, b) in [(x, u), (y, u)] {
+            graph.add_edge(a, b).unwrap();
+        }
+        let mut s = BoundedRows::with_store(&graph, &reqs, Recording::default());
+        assert_eq!(s.resident_rows(), 2, "sinks hold no row");
+
+        graph.add_edge(u, v).unwrap();
+        s.store.reset();
+        let delta = s.commit_insert_edge(&graph, u, v, RepairHint::Baseline);
+        assert_eq!(delta.changed, [(y, v, INF, 2)]);
+        assert_eq!(s.store.resident_fetches(), [0, 1]);
+        assert_ball_local(&s, &graph, u);
+        assert_patches_only_sources(&s, &delta, 0);
+        assert_projection(&s, &graph, &apsp_matrix(&graph));
+
+        graph.remove_edge(u, v).unwrap();
+        s.store.reset();
+        let delta = s.commit_delete_edge(&graph, u, v, RepairHint::Baseline);
+        assert_eq!(delta.changed, [(y, v, 2, INF)]);
+        assert_eq!(s.store.resident_fetches(), [0, 1]);
+        assert_patches_only_sources(&s, &delta, 0);
+        assert_projection(&s, &graph, &apsp_matrix(&graph));
+
+        // `u` is one hop from both: a node delete re-settles `x`'s row and
+        // `y`'s alike, each fetched once.
+        graph.remove_node(u).unwrap();
+        s.store.reset();
+        let delta = s.commit_delete_node(&graph, u, RepairHint::Baseline);
+        assert_eq!(delta.changed, [(x, u, 1, INF), (y, u, 1, INF)]);
+        assert_in_edges_ball_local(&s, &graph, false);
+        assert_projection(&s, &graph, &apsp_matrix(&graph));
+    }
+
+    /// A deleted node is in its own `Aff_N` even when it held no row and
+    /// no source reaches it: nothing else would name it to the plans.
+    #[test]
+    fn a_deleted_node_without_a_row_is_still_affected() {
+        let (f, mut s) = {
+            let f = fig1();
+            let reqs = SlenRequirements::of_pattern(&f.pattern);
+            let s = BoundedRows::with_store(&f.graph, &reqs, MemStore::default());
+            (f, s)
+        };
+        let mut f = f;
+        let te = f.interner.get("TE").unwrap();
+        let lone = f.graph.add_node(te);
+        s.commit_insert_node(&f.graph, lone, RepairHint::Baseline);
+        assert!(!s.store.is_resident(lone.0), "TE is a sink");
+        f.graph.remove_node(lone).unwrap();
+        let delta = s.commit_delete_node(&f.graph, lone, RepairHint::Baseline);
+        assert!(delta.is_empty());
+        assert_eq!(delta.affected.iter().collect::<Vec<_>>(), [lone]);
     }
 }

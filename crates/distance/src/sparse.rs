@@ -148,12 +148,14 @@ mod tests {
         f.graph.remove_node(f.se1).unwrap();
         s.commit_delete_node(&f.graph, f.se1, hint);
         assert_recount(&s); // `remove`, `put` over the re-run rows
-        let mut te_only = SlenRequirements::empty();
-        te_only.absorb_label(f.interner.get("TE").unwrap());
-        te_only.absorb_bound(gpnm_graph::Bound::Hops(2));
-        s.narrow_requirements(&f.graph, &te_only);
-        assert_eq!(s.store.resident, 2);
-        assert_recount(&s); // retarget: `remove` + `update`
+                            // PM's rows truncate 3 -> 2, SE's leave, TE's arrive.
+        let mut pm_te = SlenRequirements::empty();
+        for label in ["PM", "TE"] {
+            pm_te.absorb_edge(f.interner.get(label).unwrap(), gpnm_graph::Bound::Hops(2));
+        }
+        s.narrow_requirements(&f.graph, &pm_te);
+        assert_eq!(s.store.resident, 4);
+        assert_recount(&s); // retarget: `remove` + `update` + `put`
         s.sync_requirements(&f.graph, &reqs);
         assert_recount(&s); // retarget: `put` over a row and into a gap
         s.rebuild(&f.graph, &reqs);
@@ -165,7 +167,7 @@ mod tests {
         let mut f = fig1();
         let reqs = SlenRequirements::of_pattern(&f.pattern);
         let mut s = SparseIndex::build(&f.graph, &reqs);
-        let label = f.interner.get("TE").unwrap();
+        let label = f.interner.get("PM").unwrap();
         for _ in 0..64 {
             let id = f.graph.add_node(label);
             s.commit_insert_node(&f.graph, id, RepairHint::Baseline);
@@ -173,6 +175,6 @@ mod tests {
         let n = f.graph.slot_count();
         assert_eq!(s.store.slots(), n);
         assert!(s.store.rows.capacity() <= n + n / 64 + 16);
-        assert_eq!(s.resident_rows(), 7 + 64);
+        assert_eq!(s.resident_rows(), 4 + 64);
     }
 }

@@ -1,13 +1,15 @@
 //! Sparse-vs-dense backend equivalence, record for record.
 //!
 //! The sparse backend's contract is that its deltas and distances are the
-//! dense backend's *projected* onto `(resident sources) × (distances ≤
-//! depth)`, with everything beyond the truncation horizon reading as ∞.
+//! dense backend's *projected* onto the resident sources, each row cut at
+//! its own label's horizon, with everything beyond it reading as ∞.
 //! These property tests drive both backends through identical random
 //! graph/requirement/update triples and assert that projection exactly —
 //! same records, same order — for the commits of all four update kinds,
 //! plus full distance agreement after every commit. One block pins
-//! the unbounded-depth fallback (full rows, candidate sources only).
+//! the unbounded-depth fallback (full rows, candidate sources only), and
+//! one draws a different horizon per label — some labels without rows,
+//! some shallow, now and then one unbounded — and re-targets mid-stream.
 //!
 //! The paged backend rides along through every case under a deliberately
 //! tiny (2-page, ~0.5 KiB) cache so rows constantly evict and reload from
@@ -205,6 +207,9 @@ fn build_graph(nodes: usize, labels: usize, edges: &[(u32, u32)]) -> (DataGraph,
     (g, label_ids)
 }
 
+/// A chain pattern over the masked labels, every edge at one bound: every
+/// chosen label but the last (a sink, so it holds no rows) is a source at
+/// that bound.
 fn requirements(label_ids: &[Label], mask: u8, depth_sel: u8) -> SlenRequirements {
     // Requirements are modeled through a throwaway pattern so the test
     // exercises the same constructor the engine uses.
@@ -229,30 +234,36 @@ fn requirements(label_ids: &[Label], mask: u8, depth_sel: u8) -> SlenRequirement
         prev = Some(node);
     }
     let mut reqs = SlenRequirements::of_pattern(&pattern);
-    if chosen.len() < 2 {
-        // Single-node patterns have no edges; force the depth knob anyway.
-        if depth_sel == 0 {
-            reqs.absorb_bound(Bound::Unbounded);
-        } else {
-            reqs.absorb_bound(Bound::Hops(depth_sel as u32));
-        }
+    if chosen.len() == 1 {
+        // A single-node pattern has no edge; keep its label a source at
+        // the drawn bound, so the case still has rows.
+        reqs.absorb_edge(chosen[0], bound_of(depth_sel as u32));
     }
     reqs
 }
 
-/// The shared projection helper, bound to a pre-op residency mask.
-fn project(delta: &AffDelta, resident: &[bool], depth: u32) -> Vec<(NodeId, NodeId, u32, u32)> {
-    project_delta(delta, depth, |x| {
-        resident.get(x.index()).copied().unwrap_or(false)
-    })
+/// `Hops(k)`, or `*` for selector 0 / [`INF`].
+fn bound_of(horizon: u32) -> Bound {
+    if horizon == 0 || horizon == INF {
+        Bound::Unbounded
+    } else {
+        Bound::Hops(horizon)
+    }
 }
 
-/// Which slots are resident for `reqs` in the current graph.
-fn resident_mask(graph: &DataGraph, reqs: &SlenRequirements) -> Vec<bool> {
+/// The shared projection helper, bound to pre-op per-slot horizons.
+fn project(delta: &AffDelta, horizons: &[Option<u32>]) -> Vec<(NodeId, NodeId, u32, u32)> {
+    project_delta(delta, |x| horizons.get(x.index()).copied().flatten())
+}
+
+/// Each slot's row horizon for `reqs` in the current graph (`None`: no
+/// row).
+fn horizons(graph: &DataGraph, reqs: &SlenRequirements) -> Vec<Option<u32>> {
     (0..graph.slot_count())
         .map(|i| {
-            let id = NodeId::from_index(i);
-            graph.label(id).is_some_and(|l| reqs.labels().contains(&l))
+            graph
+                .label(NodeId::from_index(i))
+                .and_then(|l| reqs.horizon(l))
         })
         .collect()
 }
@@ -294,19 +305,19 @@ fn assert_distances_match(
     graph: &DataGraph,
     dense: &IncrementalIndex,
     sparse: &SparseIndex,
-    resident: &[bool],
-    depth: u32,
+    horizons: &[Option<u32>],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let n = graph.slot_count();
-    for (i, &is_resident) in resident.iter().enumerate().take(n) {
-        if !is_resident {
-            continue;
-        }
+    for (i, &horizon) in horizons.iter().enumerate().take(n) {
         let x = NodeId::from_index(i);
         for j in 0..n {
             let y = NodeId::from_index(j);
             let d = dense.distance(x, y);
-            let expected = if d <= depth { d } else { INF };
+            // A slot without a row reads ∞ everywhere.
+            let expected = match horizon {
+                Some(h) if d <= h => d,
+                _ => INF,
+            };
             prop_assert_eq!(
                 sparse.distance(x, y),
                 expected,
@@ -319,6 +330,161 @@ fn assert_distances_match(
     Ok(())
 }
 
+/// The three backends a case drives: dense is the reference, sparse must
+/// equal its projection, paged must equal sparse bitwise.
+struct Trio {
+    dense: IncrementalIndex,
+    sparse: SparseIndex,
+    paged: PagedIndex,
+}
+
+impl Trio {
+    fn build(graph: &DataGraph, reqs: &SlenRequirements) -> Self {
+        Trio {
+            dense: <IncrementalIndex as SlenBackend>::build(graph, reqs),
+            sparse: SparseIndex::build(graph, reqs),
+            paged: PagedIndex::with_config(graph, reqs, tiny_paged()),
+        }
+    }
+
+    /// Every distance: sparse against dense projected at `reqs`, paged
+    /// against sparse.
+    fn assert_agree(
+        &self,
+        graph: &DataGraph,
+        reqs: &SlenRequirements,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let horizons = horizons(graph, reqs);
+        assert_distances_match(graph, &self.dense, &self.sparse, &horizons)?;
+        assert_paged_matches_sparse(graph, &self.sparse, &self.paged)
+    }
+
+    /// With any resident row, the cold cache plus the full pair scans
+    /// guarantee spill-file traffic — the tiny budget is really being hit.
+    fn assert_spill_traffic(&self) -> Result<(), proptest::test_runner::TestCaseError> {
+        if self.paged.resident_rows() > 0 {
+            let io = SlenBackend::io_stats(&self.paged).expect("paged reports IO");
+            prop_assert!(
+                io.cache_misses > 0 && io.pages_read > 0,
+                "2-page cache never touched the spill file: {:?}",
+                io
+            );
+        }
+        Ok(())
+    }
+
+    /// Apply `ops` to `graph` one by one, committing each on all three and
+    /// checking its delta and every distance after it.
+    fn commit_stream(
+        &mut self,
+        graph: &mut DataGraph,
+        label_ids: &[Label],
+        reqs: &SlenRequirements,
+        ops: Vec<(u8, u32, u32)>,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let Trio {
+            dense,
+            sparse,
+            paged,
+        } = self;
+        let hint = RepairHint::Baseline;
+        let mut last_deleted = None;
+        for (kind, a, b) in ops {
+            // Residency as the deltas see it: before the op (a deleted
+            // node's own row is part of its delta).
+            let before = horizons(graph, reqs);
+            // Mutate the graph, commit on all three: `(dense, sparse, paged)`
+            // deltas, and whose records lead (a deleted node's own row).
+            let (what, dc, sc, pc, own) = match kind {
+                // ---- insert edge: a drawn one (0), or the last deleted (4) ----
+                0 | 4 => {
+                    let live: Vec<NodeId> = graph.nodes().collect();
+                    if live.len() < 2 {
+                        continue;
+                    }
+                    let drawn = (live[a as usize % live.len()], live[b as usize % live.len()]);
+                    let (u, v) = if kind == 4 {
+                        last_deleted.take().unwrap_or(drawn)
+                    } else {
+                        drawn
+                    };
+                    if u == v || graph.has_edge(u, v) || !graph.contains(u) || !graph.contains(v) {
+                        continue;
+                    }
+                    graph.add_edge(u, v).expect("checked");
+                    (
+                        "insert edge",
+                        SlenBackend::commit_insert_edge(dense, graph, u, v, hint),
+                        sparse.commit_insert_edge(graph, u, v, hint),
+                        paged.commit_insert_edge(graph, u, v, hint),
+                        None,
+                    )
+                }
+                // ---- delete edge ----
+                1 => {
+                    let all: Vec<(NodeId, NodeId)> = graph.edges().collect();
+                    if all.is_empty() {
+                        continue;
+                    }
+                    let (u, v) = all[a as usize % all.len()];
+                    graph.remove_edge(u, v).expect("listed");
+                    last_deleted = Some((u, v));
+                    (
+                        "delete edge",
+                        SlenBackend::commit_delete_edge(dense, graph, u, v, hint),
+                        sparse.commit_delete_edge(graph, u, v, hint),
+                        paged.commit_delete_edge(graph, u, v, hint),
+                        None,
+                    )
+                }
+                // ---- insert node ----
+                2 => {
+                    let label = label_ids[a as usize % label_ids.len()];
+                    let id = graph.add_node(label);
+                    let dc = SlenBackend::commit_insert_node(dense, graph, id, hint);
+                    prop_assert!(dc.is_empty(), "node insert delta empty");
+                    (
+                        "insert node",
+                        dc,
+                        sparse.commit_insert_node(graph, id, hint),
+                        paged.commit_insert_node(graph, id, hint),
+                        None,
+                    )
+                }
+                // ---- delete node ----
+                3 => {
+                    let live: Vec<NodeId> = graph.nodes().collect();
+                    if live.len() <= 2 {
+                        continue;
+                    }
+                    let id = live[a as usize % live.len()];
+                    graph.remove_node(id).expect("listed");
+                    (
+                        "delete node",
+                        SlenBackend::commit_delete_node(dense, graph, id, hint),
+                        sparse.commit_delete_node(graph, id, hint),
+                        paged.commit_delete_node(graph, id, hint),
+                        Some(id),
+                    )
+                }
+                _ => unreachable!("kind range"),
+            };
+            prop_assert_eq!(
+                project(&dc, &before),
+                sc.changed.clone(),
+                "{} commit vs dense projection",
+                what
+            );
+            prop_assert_eq!(&pc.changed, &sc.changed, "paged {} commit", what);
+            assert_delta_order(&sc, own)?;
+            let after = horizons(graph, reqs);
+            assert_distances_match(graph, dense, sparse, &after)?;
+            assert_paged_matches_sparse(graph, sparse, paged)?;
+        }
+        Ok(())
+    }
+}
+
 /// Drive one generated case through all three backends, checking every
 /// commit's delta and all distances after it. Dense-vs-sparse is a
 /// projection check; paged-vs-sparse is bitwise.
@@ -326,122 +492,48 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
     let (nodes, labels, edges, mask, depth_sel, ops) = case;
     let (mut graph, label_ids) = build_graph(nodes, labels, &edges);
     let reqs = requirements(&label_ids, mask, depth_sel);
-    let depth = reqs.depth();
-    let hint = RepairHint::Baseline;
+    let mut trio = Trio::build(&graph, &reqs);
+    trio.assert_agree(&graph, &reqs)?;
+    trio.commit_stream(&mut graph, &label_ids, &reqs, ops)?;
+    trio.assert_spill_traffic()
+}
 
-    let mut dense = <IncrementalIndex as SlenBackend>::build(&graph, &reqs);
-    let mut sparse = SparseIndex::build(&graph, &reqs);
-    let mut paged = PagedIndex::with_config(&graph, &reqs, tiny_paged());
-    {
-        let resident = resident_mask(&graph, &reqs);
-        assert_distances_match(&graph, &dense, &sparse, &resident, depth)?;
-        assert_paged_matches_sparse(&graph, &sparse, &paged)?;
+/// Per-label horizons from `picks`, one selector per label: 0–2 no rows,
+/// 3–10 `Hops(1..=4)`, 11 unbounded.
+fn heterogeneous_requirements(label_ids: &[Label], picks: &[u8]) -> SlenRequirements {
+    let mut reqs = SlenRequirements::empty();
+    for (&label, &pick) in label_ids.iter().zip(picks) {
+        match pick {
+            0..=2 => {}
+            3..=10 => reqs.absorb_edge(label, Bound::Hops(1 + (pick as u32 - 3) % 4)),
+            _ => reqs.absorb_edge(label, Bound::Unbounded),
+        }
     }
+    reqs
+}
 
-    let mut last_deleted = None;
-    for (kind, a, b) in ops {
-        // Residency as the deltas see it: before the op (a deleted node's
-        // own row is part of its delta).
-        let resident = resident_mask(&graph, &reqs);
-        // Mutate the graph, commit on all three: `(dense, sparse, paged)`
-        // deltas, and whose records lead (a deleted node's own row).
-        let (what, dc, sc, pc, own) = match kind {
-            // ---- insert edge: a drawn one (0), or the last deleted (4) ----
-            0 | 4 => {
-                let live: Vec<NodeId> = graph.nodes().collect();
-                if live.len() < 2 {
-                    continue;
-                }
-                let drawn = (live[a as usize % live.len()], live[b as usize % live.len()]);
-                let (u, v) = if kind == 4 {
-                    last_deleted.take().unwrap_or(drawn)
-                } else {
-                    drawn
-                };
-                if u == v || graph.has_edge(u, v) || !graph.contains(u) || !graph.contains(v) {
-                    continue;
-                }
-                graph.add_edge(u, v).expect("checked");
-                (
-                    "insert edge",
-                    SlenBackend::commit_insert_edge(&mut dense, &graph, u, v, hint),
-                    sparse.commit_insert_edge(&graph, u, v, hint),
-                    paged.commit_insert_edge(&graph, u, v, hint),
-                    None,
-                )
-            }
-            // ---- delete edge ----
-            1 => {
-                let all: Vec<(NodeId, NodeId)> = graph.edges().collect();
-                if all.is_empty() {
-                    continue;
-                }
-                let (u, v) = all[a as usize % all.len()];
-                graph.remove_edge(u, v).expect("listed");
-                last_deleted = Some((u, v));
-                (
-                    "delete edge",
-                    SlenBackend::commit_delete_edge(&mut dense, &graph, u, v, hint),
-                    sparse.commit_delete_edge(&graph, u, v, hint),
-                    paged.commit_delete_edge(&graph, u, v, hint),
-                    None,
-                )
-            }
-            // ---- insert node ----
-            2 => {
-                let label = label_ids[a as usize % label_ids.len()];
-                let id = graph.add_node(label);
-                let dc = SlenBackend::commit_insert_node(&mut dense, &graph, id, hint);
-                prop_assert!(dc.is_empty(), "node insert delta empty");
-                (
-                    "insert node",
-                    dc,
-                    sparse.commit_insert_node(&graph, id, hint),
-                    paged.commit_insert_node(&graph, id, hint),
-                    None,
-                )
-            }
-            // ---- delete node ----
-            3 => {
-                let live: Vec<NodeId> = graph.nodes().collect();
-                if live.len() <= 2 {
-                    continue;
-                }
-                let id = live[a as usize % live.len()];
-                graph.remove_node(id).expect("listed");
-                (
-                    "delete node",
-                    SlenBackend::commit_delete_node(&mut dense, &graph, id, hint),
-                    sparse.commit_delete_node(&graph, id, hint),
-                    paged.commit_delete_node(&graph, id, hint),
-                    Some(id),
-                )
-            }
-            _ => unreachable!("kind range"),
+/// `reqs` re-aimed, starting at the `turn`-th of its labels: the first
+/// deepens (by one hop, or to `*`), the next shallows (by one hop, or from
+/// `*` to 2), the third leaves; any others stay as they were.
+fn retargeted(reqs: &SlenRequirements, turn: usize) -> SlenRequirements {
+    let labels: Vec<Label> = reqs.labels().collect();
+    let mut next = SlenRequirements::empty();
+    for (i, &label) in labels.iter().enumerate() {
+        let h = reqs.horizon(label).expect("listed");
+        let role = (i + labels.len() - turn % labels.len().max(1)) % labels.len();
+        let moved = match role {
+            0 if h >= 4 => Some(INF),
+            0 => Some(h + 1),
+            1 if h == INF => Some(2),
+            1 => Some(h.saturating_sub(1).max(1)),
+            2 => None,
+            _ => Some(h),
         };
-        prop_assert_eq!(
-            project(&dc, &resident, depth),
-            sc.changed.clone(),
-            "{} commit vs dense projection",
-            what
-        );
-        prop_assert_eq!(&pc.changed, &sc.changed, "paged {} commit", what);
-        assert_delta_order(&sc, own)?;
-        let resident = resident_mask(&graph, &reqs);
-        assert_distances_match(&graph, &dense, &sparse, &resident, depth)?;
-        assert_paged_matches_sparse(&graph, &sparse, &paged)?;
+        if let Some(h) = moved {
+            next.absorb_edge(label, bound_of(h));
+        }
     }
-    // With any resident row, the cold cache plus the full pair scans above
-    // guarantee spill-file traffic — the tiny budget is really being hit.
-    if paged.resident_rows() > 0 {
-        let io = SlenBackend::io_stats(&paged).expect("paged reports IO");
-        prop_assert!(
-            io.cache_misses > 0 && io.pages_read > 0,
-            "2-page cache never touched the spill file: {:?}",
-            io
-        );
-    }
-    Ok(())
+    next
 }
 
 /// Apply one generated op to `graph` and commit it on every backend.
@@ -566,6 +658,38 @@ proptest! {
         check_case(case)?;
     }
 
+    /// A horizon per label — some labels without rows, some shallow, now
+    /// and then one unbounded: every commit of the stream's first half
+    /// projects record for record, then a re-target deepens one label,
+    /// shallows another and drops a third, lands exactly where a fresh
+    /// build does, and the second half projects at the new horizons.
+    #[test]
+    fn heterogeneous_horizons_match_dense_projection_through_a_retarget(
+        case in raw_case(),
+        picks in vec(0u8..12, 4..5),
+        turn in 0usize..4,
+    ) {
+        let (nodes, labels, edges, _, _, mut ops) = case;
+        let (mut graph, label_ids) = build_graph(nodes, labels, &edges);
+        let reqs = heterogeneous_requirements(&label_ids, &picks);
+        let mut trio = Trio::build(&graph, &reqs);
+        trio.assert_agree(&graph, &reqs)?;
+        let second = ops.split_off(ops.len() / 2);
+        trio.commit_stream(&mut graph, &label_ids, &reqs, ops)?;
+
+        let next = retargeted(&reqs, turn);
+        trio.sparse.narrow_requirements(&graph, &next);
+        trio.paged.narrow_requirements(&graph, &next);
+        trio.assert_agree(&graph, &next)?;
+        let fresh = SparseIndex::build(&graph, &next);
+        prop_assert_eq!(trio.sparse.resident_rows(), fresh.resident_rows());
+        prop_assert_eq!(trio.paged.resident_rows(), fresh.resident_rows());
+        assert_paged_matches_sparse(&graph, &fresh, &trio.paged)?;
+
+        trio.commit_stream(&mut graph, &label_ids, &next, second)?;
+        trio.assert_spill_traffic()?;
+    }
+
     /// Widening requirements mid-stream (deeper bound + new label) keeps
     /// the projection exact — the path `subsequent_query` exercises when a
     /// batch contains pattern inserts.
@@ -584,16 +708,17 @@ proptest! {
         let mut paged = PagedIndex::with_config(&graph, &reqs, tiny_paged());
 
         let mut wide = reqs.clone();
-        wide.absorb_bound(Bound::Hops(extra_depth as u32));
-        if widen_all {
-            for &l in &label_ids {
-                wide.absorb_label(l);
-            }
+        let deepened: Vec<Label> = if widen_all {
+            label_ids.clone()
+        } else {
+            reqs.labels().collect()
+        };
+        for l in deepened {
+            wide.absorb_edge(l, Bound::Hops(extra_depth as u32));
         }
         sparse.sync_requirements(&graph, &wide);
         paged.sync_requirements(&graph, &wide);
-        let resident = resident_mask(&graph, &wide);
-        assert_distances_match(&graph, &dense, &sparse, &resident, wide.depth())?;
+        assert_distances_match(&graph, &dense, &sparse, &horizons(&graph, &wide))?;
         assert_paged_matches_sparse(&graph, &sparse, &paged)?;
     }
 
@@ -671,9 +796,9 @@ proptest! {
             assert_kernel_matches_member_loop(backend, backend.kind(), slots, &sets)?;
         }
         // A source without a row has no partner in any set.
-        let resident = resident_mask(&graph, &reqs);
+        let horizons = horizons(&graph, &reqs);
         let everyone: NodeSet = (0..slots).map(NodeId::from_index).collect();
-        for u in (0..slots).filter(|&i| !resident[i]).map(NodeId::from_index) {
+        for u in (0..slots).filter(|&i| horizons[i].is_none()).map(NodeId::from_index) {
             for backend in &backends[2..] {
                 prop_assert!(!backend.any_within(u, &everyone, Bound::Unbounded));
             }

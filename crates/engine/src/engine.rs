@@ -190,21 +190,23 @@ impl<B: SlenBackend> GpnmEngine<B> {
         // Widen the backend's coverage to everything this batch can ask
         // for *before* any detection: DER-I probes a pattern insert's new
         // bound against the pre-update index, so requirements must be the
-        // union of the standing pattern and every pending pattern insert.
-        // Scratch skips the pre-sync — its rebuild covers the widened
-        // requirements in the same single pass.
+        // union of the standing pattern and every pending pattern edge
+        // insert, each at the label its source node has when it arrives —
+        // which may be a node inserted earlier in the same batch, so the
+        // batch is walked on a copy of the pattern. Scratch skips the
+        // pre-sync — its rebuild covers the widened requirements in the
+        // same single pass.
         let t = Instant::now();
         let mut reqs = SlenRequirements::of_pattern(&self.pattern);
+        let mut pending = self.pattern.clone();
         for u in batch.updates() {
-            match u {
-                Update::Pattern(PatternUpdate::InsertEdge { bound, .. }) => {
-                    reqs.absorb_bound(*bound);
+            let Update::Pattern(pu) = u else { continue };
+            if let PatternUpdate::InsertEdge { from, bound, .. } = *pu {
+                if let Some(label) = pending.label(from) {
+                    reqs.absorb_edge(label, bound);
                 }
-                Update::Pattern(PatternUpdate::InsertNode { label }) => {
-                    reqs.absorb_label(*label);
-                }
-                _ => {}
             }
+            apply_to_pattern(&mut pending, pu);
         }
         if strategy != Strategy::Scratch {
             self.index.sync_requirements(&self.graph, &reqs);
@@ -545,22 +547,7 @@ impl<B: SlenBackend> GpnmEngine<B> {
     /// repair re-matches (see [`MatchResult::forget_relation`]).
     fn apply_pattern_update(&mut self, update: &PatternUpdate) {
         self.result.forget_relation();
-        match *update {
-            PatternUpdate::InsertEdge { from, to, bound } => {
-                self.pattern
-                    .add_edge(from, to, bound)
-                    .expect("batch validated");
-            }
-            PatternUpdate::DeleteEdge { from, to } => {
-                self.pattern.remove_edge(from, to).expect("batch validated");
-            }
-            PatternUpdate::InsertNode { label } => {
-                self.pattern.add_node(label);
-            }
-            PatternUpdate::DeleteNode { node } => {
-                self.pattern.remove_node(node).expect("batch validated");
-            }
-        }
+        apply_to_pattern(&mut self.pattern, update);
     }
 
     /// Apply one data update to the graph and repair `SLen` through the
@@ -570,5 +557,23 @@ impl<B: SlenBackend> GpnmEngine<B> {
         let committed = pipeline::commit_data_update(&mut self.graph, &mut self.index, update)
             .expect("batch validated");
         (committed.delta, committed.created)
+    }
+}
+
+/// Apply one validated pattern update to `pattern`.
+fn apply_to_pattern(pattern: &mut PatternGraph, update: &PatternUpdate) {
+    match *update {
+        PatternUpdate::InsertEdge { from, to, bound } => {
+            pattern.add_edge(from, to, bound).expect("batch validated");
+        }
+        PatternUpdate::DeleteEdge { from, to } => {
+            pattern.remove_edge(from, to).expect("batch validated");
+        }
+        PatternUpdate::InsertNode { label } => {
+            pattern.add_node(label);
+        }
+        PatternUpdate::DeleteNode { node } => {
+            pattern.remove_node(node).expect("batch validated");
+        }
     }
 }

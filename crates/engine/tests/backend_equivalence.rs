@@ -5,17 +5,22 @@
 //! This is the engine-level half of the sparse-backend proof (the
 //! distance-level half — record-for-record delta projection — lives in
 //! `crates/distance/tests/backend_equivalence.rs`): the sparse index only
-//! stores candidate rows truncated at the pattern's maximum finite bound,
-//! yet the match results must be bitwise identical to dense, because the
-//! matcher never looks outside that projection. The paged backend — the
-//! same rows behind a spill file and hot-row cache — runs every case too,
-//! including one chained sequence under a starvation-level cache budget.
+//! stores rows for nodes whose label some pattern edge leaves, each cut at
+//! the deepest bound on those edges, yet the match results must be bitwise
+//! identical to dense, because the matcher never looks outside that
+//! projection. The paged backend — the same rows behind a spill file and
+//! hot-row cache — runs every case too, including one chained sequence
+//! under a starvation-level cache budget.
+//!
+//! The two randomized cases are property tests over a seed, so the
+//! suite's case count (`PROPTEST_CASES`) sets how many draws they make.
 
 use gpnm_distance::{IncrementalIndex, PagedIndex, SlenBackend, SparseIndex};
 use gpnm_engine::{GpnmEngine, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
 use gpnm_matcher::{MatchResult, MatchSemantics};
 use gpnm_updates::{DataUpdate, PatternUpdate, UpdateBatch};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -165,45 +170,65 @@ fn assert_backends_agree(
     }
 }
 
-#[test]
-fn randomized_backend_equivalence_simulation() {
-    let mut rng = StdRng::seed_from_u64(0x5AB5E);
-    for round in 0..25 {
-        let labels = rng.gen_range(2..6);
-        let nodes = rng.gen_range(8..40);
-        let edges = rng.gen_range(nodes / 2..nodes * 3);
-        let (graph, mut interner) = random_graph(&mut rng, nodes, edges, labels);
-        let pattern = random_pattern(&mut rng, &mut interner, labels);
-        let batch_len = rng.gen_range(1..12);
-        let batch = random_batch(&mut rng, &graph, &pattern, &interner, batch_len);
-        assert_backends_agree(
-            &graph,
-            &pattern,
-            &batch,
-            MatchSemantics::Simulation,
-            &format!("round {round}"),
-        );
+/// One random graph, pattern and batch drawn from `seed`, checked under
+/// `semantics`.
+fn randomized_case(seed: u64, semantics: MatchSemantics) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let labels = rng.gen_range(2..6);
+    let nodes = rng.gen_range(8..40);
+    let edges = rng.gen_range(nodes / 2..nodes * 3);
+    let (graph, mut interner) = random_graph(&mut rng, nodes, edges, labels);
+    let pattern = random_pattern(&mut rng, &mut interner, labels);
+    let batch_len = rng.gen_range(1..12);
+    let batch = random_batch(&mut rng, &graph, &pattern, &interner, batch_len);
+    assert_backends_agree(&graph, &pattern, &batch, semantics, &format!("seed {seed}"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(25))]
+
+    #[test]
+    fn randomized_backend_equivalence_simulation(seed in any::<u64>()) {
+        randomized_case(seed, MatchSemantics::Simulation);
+    }
+
+    #[test]
+    fn randomized_backend_equivalence_dual(seed in any::<u64>()) {
+        randomized_case(seed, MatchSemantics::DualSimulation);
     }
 }
 
+/// A pattern edge out of a node the same batch inserts: its label labels
+/// no pattern node before the batch, so only walking the batch in order
+/// tells the backend that the label's nodes need rows, and how deep.
 #[test]
-fn randomized_backend_equivalence_dual() {
-    let mut rng = StdRng::seed_from_u64(0xD0A1);
-    for round in 0..25 {
-        let labels = rng.gen_range(2..6);
-        let nodes = rng.gen_range(8..40);
-        let edges = rng.gen_range(nodes / 2..nodes * 3);
-        let (graph, mut interner) = random_graph(&mut rng, nodes, edges, labels);
-        let pattern = random_pattern(&mut rng, &mut interner, labels);
-        let batch_len = rng.gen_range(1..12);
-        let batch = random_batch(&mut rng, &graph, &pattern, &interner, batch_len);
-        assert_backends_agree(
-            &graph,
-            &pattern,
-            &batch,
-            MatchSemantics::DualSimulation,
-            &format!("round {round}"),
+fn an_edge_out_of_a_pattern_node_of_the_same_batch_gets_its_rows() {
+    let (l, x, p, q) = (Label(0), Label(1), Label(2), Label(3));
+    let mut graph = DataGraph::new();
+    let [a, b, c, d] = [l, x, p, q].map(|label| graph.add_node(label));
+    for (from, to) in [(a, b), (d, c)] {
+        graph.add_edge(from, to).unwrap();
+    }
+    let mut pattern = PatternGraph::new();
+    let (pq, pp) = (pattern.add_node(q), pattern.add_node(p));
+    pattern.add_edge(pq, pp, Bound::Hops(1)).unwrap();
+    let fresh = gpnm_graph::PatternNodeId::from_index(pattern.slot_count());
+    let mut batch = UpdateBatch::new();
+    batch.push(PatternUpdate::InsertNode { label: l });
+    batch.push(PatternUpdate::InsertEdge {
+        from: fresh,
+        to: pp,
+        bound: Bound::Hops(3),
+    });
+    // `a -> b -> c`: the L node reaches the P node in 2 hops.
+    batch.push(DataUpdate::InsertEdge { from: b, to: c });
+    for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
+        let expected = dense_scratch(&graph, &pattern, &batch, semantics);
+        assert!(
+            expected.contains(fresh, a),
+            "the case must match the new node"
         );
+        assert_backends_agree(&graph, &pattern, &batch, semantics, "pending source");
     }
 }
 

@@ -4,10 +4,15 @@
 //! a few ticks. The stream below (built only from the `gpnm-workload`
 //! generators) reaches such a tick: at tick 19 the unfixed repair held 174
 //! members where a from-scratch match gives 173.
+//!
+//! A second case pins that a deleted node is in its own `Aff_N` even when
+//! the bounded rows hold nothing of it.
 
 use gpnm_distance::{BackendKind, SlenBackend, SlenRequirements, SparseIndex};
+use gpnm_graph::{Bound, DataGraph, Label, PatternGraph};
 use gpnm_matcher::{match_graph, MatchSemantics};
 use gpnm_service::{GpnmService, PatternHost};
+use gpnm_updates::{DataUpdate, UpdateBatch};
 use gpnm_workload::{
     generate_batch, generate_pattern, generate_social_graph, PatternConfig, SocialGraphConfig,
     UpdateProtocol,
@@ -69,4 +74,33 @@ fn service_stays_equal_to_scratch_across_cascading_deletes() {
         );
         assert_eq!(*held, scratch, "tick {tick}: host diverged from scratch");
     }
+}
+
+/// Under `A -> B`, `B` is a sink: its nodes hold no rows, and an isolated
+/// `B` node is in no row either. Deleting one must still drop it from
+/// `B`'s set that tick — the delete's `Aff_N` names the node itself.
+#[test]
+fn an_isolated_sink_member_leaves_its_set_when_deleted() {
+    let (a, b) = (Label(0), Label(1));
+    let mut graph = DataGraph::new();
+    let (a1, b1, lone) = (graph.add_node(a), graph.add_node(b), graph.add_node(b));
+    graph.add_edge(a1, b1).unwrap();
+    let mut pattern = PatternGraph::new();
+    let (pa, pb) = (pattern.add_node(a), pattern.add_node(b));
+    pattern.add_edge(pa, pb, Bound::Hops(1)).unwrap();
+    let mut service = GpnmService::builder()
+        .backend(BackendKind::Sparse)
+        .build(graph)
+        .expect("sparse service");
+    let handle = service
+        .register_pattern(pattern, MatchSemantics::Simulation)
+        .expect("pattern registers");
+    assert!(service.result(handle).unwrap().contains(pb, lone));
+
+    let mut batch = UpdateBatch::new();
+    batch.push(DataUpdate::DeleteNode { node: lone });
+    service.apply(&batch).expect("valid batch");
+    let held = service.result(handle).unwrap();
+    assert!(!held.contains(pb, lone), "a deleted node stayed a member");
+    assert!(held.contains(pb, b1) && held.contains(pa, a1));
 }

@@ -75,10 +75,9 @@ fn main() {
         shadows.push(shadow);
     }
     println!(
-        "shared index: {} rows resident covering {} labels at depth {}\n",
+        "shared index: {} rows resident, horizons (label:hops) {}\n",
         service.backend().resident_rows(),
-        service.requirements().labels().len(),
-        service.requirements().depth()
+        service.requirements().render(&interner),
     );
 
     // The concurrent read front-end: a subscription captures every tick's

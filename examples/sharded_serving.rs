@@ -73,19 +73,19 @@ fn main() {
         shadow_handles.push(sh);
     }
 
-    // Each shard's index covers only its own patterns' labels and depth —
-    // the isolation a single union index cannot offer.
+    // Each shard's index covers only its own patterns' source labels, each
+    // at its own horizon — the isolation a single union index cannot offer.
     for (i, shard) in cluster.shards().iter().enumerate() {
         println!(
-            "shard {i}: {} patterns, depth {}, {} rows resident",
+            "shard {i}: {} patterns, horizons {}, {} rows resident",
             shard.pattern_count(),
-            shard.requirements().depth(),
+            shard.requirements().render(&interner),
             shard.backend().resident_rows(),
         );
     }
     println!(
-        "single-service union for comparison: depth {}, {} rows resident",
-        shadow.requirements().depth(),
+        "single-service union for comparison: horizons {}, {} rows resident",
+        shadow.requirements().render(&interner),
         shadow.backend().resident_rows(),
     );
 

@@ -659,9 +659,8 @@ fn run_replay_service(
 
     replay_register(&mut service, args, interner)?;
     println!(
-        "union requirements: {} labels, depth {}; index: {} rows resident, {:.1} MiB ({})",
-        service.requirements().labels().len(),
-        service.requirements().depth(),
+        "union requirements (label:horizon): {}; index: {} rows resident, {:.1} MiB ({})",
+        service.requirements().render(interner),
         service.backend().resident_rows(),
         service.backend().mem_bytes() as f64 / (1u64 << 20) as f64,
         service.backend().kind(),
@@ -699,10 +698,9 @@ fn run_replay_cluster(
     replay_register(&mut cluster, args, interner)?;
     for (i, shard) in cluster.shards().iter().enumerate() {
         println!(
-            "shard {i}: {} patterns, {} labels, depth {}, {} rows resident, {:.1} MiB ({})",
+            "shard {i}: {} patterns, horizons {}, {} rows resident, {:.1} MiB ({})",
             shard.pattern_count(),
-            shard.requirements().labels().len(),
-            shard.requirements().depth(),
+            shard.requirements().render(interner),
             shard.backend().resident_rows(),
             shard.backend().mem_bytes() as f64 / (1u64 << 20) as f64,
             shard.backend().kind(),
