@@ -60,7 +60,9 @@ pub struct ClusterTickReport {
     /// indices make this *less* than `shards ×` a single union index's
     /// changes — the per-shard isolation win.
     pub slen_changes: usize,
-    /// Eliminated repair passes, summed across shards and patterns.
+    /// Always 0: every shard folds its updates into one pass per pattern
+    /// and eliminates nothing. Kept only because `gpnm-bench` names it;
+    /// removed with ROADMAP D2(b).
     pub eliminated: usize,
     /// Repair passes run, summed across shards and patterns.
     pub repair_calls: usize,
@@ -563,7 +565,7 @@ impl PatternHost for GpnmCluster {
             updates_submitted: batch.len(),
             updates_applied: shard_reports[0].updates_applied,
             slen_changes: shard_reports.iter().map(|r| r.slen_changes).sum(),
-            eliminated: shard_reports.iter().map(|r| r.eliminated).sum(),
+            eliminated: 0,
             repair_calls: shard_reports.iter().map(|r| r.repair_calls).sum(),
             total_time: start.elapsed(),
             ts_ms: gpnm_telemetry::clock::wall_ms(),

@@ -10,23 +10,25 @@
 //!
 //! 1. [`commit_data_update`] — apply one data update to the graph and
 //!    repair the backend, returning the [`CommittedUpdate`] record (the
-//!    `SLen` [`AffDelta`] plus any created node id) every pattern's
-//!    detection consumes.
+//!    `SLen` [`AffDelta`] plus any created node id).
 //! 2. [`plan_for_data_update`] (re-exported) — derive one pattern's
 //!    [`RepairPlan`] from a committed update. Must be called *during* the
 //!    commit pass, while the graph sits at that update's post-state —
-//!    exactly where the single-pattern engine calls it.
-//! 3. [`SharedElimination::detect`] — the tick's DER-II elimination
-//!    analysis (affected-set containment → EH-Tree), once for all
-//!    patterns.
+//!    exactly where the single-pattern engine calls it. The hosts fold
+//!    each update's plan into one per pattern ([`RepairPlan::merge`]).
+//! 3. [`SharedElimination::detect`] — DER-II elimination analysis
+//!    (affected-set containment → EH-Tree). Only `gpnm-bench`'s staged
+//!    replay calls it, to time it; the hosts pass `detect(&[])`, and no
+//!    refresh reads it.
 //! 4. [`refresh_pattern_strategy`] — the one refresh entry: a single
-//!    merged repair pass per pattern over the survivors' plans (or a
+//!    repair pass per pattern over the union of its plans (or a
 //!    re-match), at the post-batch state.
 //!
 //! `GpnmEngine` commits through [`commit_data_update`] and plans through
 //! the same plan builders, so the two front doors cannot drift apart
-//! there. They differ on purpose in step 4: the engine interleaves
-//! pattern updates and runs the paper's one pass **per surviving update**
+//! there: they share commit, plan and match. They differ on purpose
+//! after that: the engine interleaves pattern updates, detects
+//! eliminations and runs the paper's one pass **per surviving update**
 //! (`run_survivor_repairs` — the cost model Fig. 5–9 measure), the hosts
 //! commit the whole batch first and run one pass over the union.
 
@@ -42,7 +44,7 @@ use crate::error::EngineError;
 pub use crate::plan_builder::{plan_for_data_update, plan_for_pattern_update};
 
 /// One data update after its single shared commit: what the graph and
-/// backend absorbed, and what every pattern's detection needs to know.
+/// backend absorbed, and what a plan or an elimination analysis reads.
 #[derive(Debug, Clone)]
 pub struct CommittedUpdate {
     /// The update as applied.
@@ -134,9 +136,6 @@ pub fn commit_data_update<B: SlenBackend>(
 /// Where one pattern's refresh spent its work.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RefreshStats {
-    /// Updates the tick's EH-Tree eliminated — a property of the batch,
-    /// the same under either [`crate::RefreshStrategy`].
-    pub eliminated: usize,
     /// Repair passes run: one when the tick committed any update under
     /// [`crate::RefreshStrategy::Eliminative`], else zero.
     pub repair_calls: usize,
@@ -153,16 +152,15 @@ pub struct RefreshStats {
     pub candidates: usize,
 }
 
-/// The pattern-*independent* half of a tick's elimination analysis:
-/// DER-II containment detection and the EH-Tree over the shared committed
-/// records. The effects consume only the update kind and its `SLen`
-/// `Aff_N` coverage — nothing pattern-specific — so a multi-pattern tick
-/// computes this **once** and shares it across every
-/// [`refresh_pattern_strategy`] call instead of rebuilding k identical
-/// trees.
+/// A batch's DER-II elimination analysis: containment detection and the
+/// EH-Tree over committed records. The effects consume only the update
+/// kind and its `SLen` `Aff_N` coverage — nothing pattern-specific.
+///
+/// Kept only because `gpnm-bench` names it: its staged replay times
+/// `detect`. No refresh reads it, and a host passes `detect(&[])`, which
+/// eliminates nothing. Removed with ROADMAP D2(b).
 #[derive(Debug, Clone)]
 pub struct SharedElimination {
-    tree: EhTree,
     /// DER-II detection time (containment + relations).
     pub detect_time: Duration,
     /// EH-Tree construction time.
@@ -170,7 +168,8 @@ pub struct SharedElimination {
 }
 
 impl SharedElimination {
-    /// Detect eliminations among `committed` and build the EH-Tree.
+    /// Detect eliminations among `committed` and build the EH-Tree, timing
+    /// each half. The tree itself is not kept: nothing reads it.
     pub fn detect(committed: &[CommittedUpdate]) -> Self {
         let t = Instant::now();
         let effects: Vec<UpdateEffect> = committed
@@ -187,23 +186,12 @@ impl SharedElimination {
         let relations = EliminationGraph::detect(&effects);
         let detect_time = t.elapsed();
         let t = Instant::now();
-        let tree = EhTree::build(&effects, &relations);
+        std::hint::black_box(EhTree::build(&effects, &relations));
         let tree_time = t.elapsed();
         SharedElimination {
-            tree,
             detect_time,
             tree_time,
         }
-    }
-
-    /// Indices (into the committed slice) of the surviving updates.
-    pub fn survivors(&self) -> &[usize] {
-        self.tree.roots()
-    }
-
-    /// How many updates the tree eliminated.
-    pub fn eliminated_count(&self) -> usize {
-        self.tree.eliminated_count()
     }
 }
 
@@ -211,22 +199,24 @@ impl SharedElimination {
 /// refresh entry of the hosts (service, every cluster shard, the
 /// benchmark's staged replay).
 ///
-/// `plans[i]` must be the plan [`plan_for_data_update`] derived for the
-/// tick's `i`-th committed update *against this pattern* during the
-/// commit pass, and `shared` the [`SharedElimination`] detected over those
-/// same committed updates. The graph/backend must be in their post-batch
-/// state.
+/// `plans` must hold the plans [`plan_for_data_update`] derived for the
+/// tick's committed updates *against this pattern* during the commit
+/// pass — one per update, or any folding of them with
+/// [`RepairPlan::merge`] (the hosts pass one folded plan). An empty slice
+/// means the reduced batch was empty. The graph/backend must be in their
+/// post-batch state. `shared` is not read: it is kept only because
+/// `gpnm-bench` passes it, and removed with ROADMAP D2(b).
 ///
 /// * [`crate::RefreshStrategy::Eliminative`] runs **one** [`repair`] over
-///   the union of the EH-Tree survivors' `verify` sets, seeded with every
-///   update's root gains (eliminated included: coverage containment
-///   justifies skipping an eliminated update's `verify` set, not the
-///   pairs it may have made matchable). By refresh time the
-///   graph and index are read-only, and pruning a superset of the maximum
-///   simulation from above is confluent ([`repair`]'s own argument), so
-///   one pass over the union reaches exactly the fixed point the paper's
-///   pass-per-survivor loop reaches — [`crate::GpnmEngine`] keeps that
-///   loop, whose per-update cost is what the paper's figures measure.
+///   the union of every plan: every update's `verify` set and root gains.
+///   By refresh time the graph and index are read-only, and pruning a
+///   superset of the maximum simulation from above is confluent
+///   ([`repair`]'s own argument), so one pass over the union reaches
+///   exactly the fixed point the paper's pass-per-survivor loop reaches —
+///   [`crate::GpnmEngine`] keeps that loop, whose per-update cost is what
+///   the paper's figures measure. An update the paper eliminates has its
+///   `Aff_N` inside another's, so the union is what the survivors' sets
+///   cover.
 /// * [`crate::RefreshStrategy::Rematch`] discards the standing result and
 ///   re-matches from the post-batch index.
 ///
@@ -243,7 +233,7 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
     semantics: MatchSemantics,
     result: &mut MatchResult,
     plans: &[RepairPlan],
-    shared: &SharedElimination,
+    _shared: &SharedElimination,
 ) -> RefreshStats {
     let span = tracing::span!(
         tracing::Level::TRACE,
@@ -260,10 +250,7 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
         crate::RefreshStrategy::Eliminative => {
             let mut merged = RepairPlan::new();
             for plan in plans {
-                merged.merge_additions(plan);
-            }
-            for &survivor in shared.survivors() {
-                merged.verify.union_with(&plans[survivor].verify);
+                merged.merge(plan);
             }
             let outcome = repair(pattern, graph, index, semantics, result, &merged);
             rematched = outcome.rematched;
@@ -279,7 +266,6 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
         }
     };
     RefreshStats {
-        eliminated: shared.eliminated_count(),
         repair_calls,
         repair_time: t.elapsed(),
         rematched,
@@ -422,20 +408,6 @@ mod tests {
         for strategy in crate::RefreshStrategy::ALL {
             let (result, _) = refresh(&tick, strategy);
             assert_eq!(result, scratch, "{strategy} diverged from scratch");
-        }
-    }
-
-    #[test]
-    fn eliminated_is_reported_by_every_arm() {
-        let tick = committed_tick();
-        let eliminated = tick.shared.eliminated_count();
-        assert!(
-            eliminated >= 1,
-            "the fixture batch has an eliminated update"
-        );
-        for strategy in crate::RefreshStrategy::ALL {
-            let (_, stats) = refresh(&tick, strategy);
-            assert_eq!(stats.eliminated, eliminated, "{strategy}");
         }
     }
 }

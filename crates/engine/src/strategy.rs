@@ -66,17 +66,18 @@ impl std::fmt::Display for Strategy {
 
 /// How one standing pattern's *refresh* runs inside a multi-pattern tick.
 ///
-/// A host tick has a shared half (graph + `SLen` commit, DER-II
-/// detection — paid once per tick) and a per-pattern half, which this
-/// enum names. Both variants drive the result to the same fixed point
+/// A host tick has a shared half (graph + `SLen` commit — paid once per
+/// tick) and a per-pattern half, which this enum names. Both variants drive the result to the same fixed point
 /// (the matcher's repair converges to the full match — the bitwise
 /// contract the equivalence suites pin), so switching mid-stream changes
 /// cost, never answers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RefreshStrategy {
-    /// One repair pass over the union of the EH-Tree survivors' plans —
-    /// the default. Its cost is bounded by a re-match of the affected
-    /// pattern nodes whatever the batch size.
+    /// One repair pass over the union of every update's plan — the
+    /// default. No elimination analysis runs: an eliminated update's
+    /// `Aff_N` lies inside its eliminator's, so the union is what the
+    /// paper's survivors cover. Its cost is bounded by a re-match of the
+    /// affected pattern nodes whatever the batch size.
     #[default]
     Eliminative,
     /// Throw the standing result away and re-match from the post-batch

@@ -41,7 +41,8 @@ pub struct DataGraph {
     last_removed: Option<RemovedNode>,
 }
 
-/// Everything removed alongside a node, sufficient to undo the deletion.
+/// Everything removed alongside a node: the edges a distance index
+/// repairs the deletion from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemovedNode {
     /// The deleted node's id (now a tombstone).
@@ -191,8 +192,7 @@ impl DataGraph {
 
     /// Delete a live node and all incident edges.
     ///
-    /// Returns the removed label and incident edges, from which
-    /// [`DataGraph::restore_node`] undoes the operation. The graph keeps
+    /// Returns the removed label and incident edges. The graph keeps
     /// that record until its next successful mutation
     /// ([`DataGraph::last_removed`]): the in- and out-edges are what a
     /// distance index repairs the deletion from.
@@ -276,41 +276,6 @@ impl DataGraph {
         Ok(())
     }
 
-    /// Re-insert a node removed by [`DataGraph::remove_node`] *at its old
-    /// slot*, restoring its incident edges. Fails if the slot was since
-    /// reoccupied (cannot happen — slots are never reused) or any edge
-    /// endpoint has been deleted in the meantime.
-    pub fn restore_node(&mut self, removed: &RemovedNode) -> Result<()> {
-        let idx = removed.id.index();
-        if idx >= self.labels.len() || self.labels[idx].is_some() {
-            return Err(GraphError::DuplicateEdge(removed.id, removed.id));
-        }
-        for &v in &removed.out_edges {
-            if !self.contains(v) {
-                return Err(GraphError::MissingNode(v));
-            }
-        }
-        for &u in &removed.in_edges {
-            if !self.contains(u) {
-                return Err(GraphError::MissingNode(u));
-            }
-        }
-        self.labels[idx] = Some(removed.label);
-        insert_sorted(self.label_bucket(removed.label), removed.id);
-        self.live_nodes += 1;
-        for &v in &removed.out_edges {
-            insert_sorted(&mut self.out[idx], v);
-            insert_sorted(&mut self.inn[v.index()], removed.id);
-        }
-        for &u in &removed.in_edges {
-            insert_sorted(&mut self.inn[idx], u);
-            insert_sorted(&mut self.out[u.index()], removed.id);
-        }
-        self.live_edges += removed.out_edges.len() + removed.in_edges.len();
-        self.mutated();
-        Ok(())
-    }
-
     /// Bulk-load edges of the form `(u, v)` over pre-created nodes.
     ///
     /// Duplicate edges and self-loops are skipped (real-world edge lists
@@ -386,12 +351,6 @@ impl DataGraph {
 fn remove_sorted(v: &mut Vec<NodeId>, item: NodeId) {
     if let Ok(pos) = v.binary_search(&item) {
         v.remove(pos);
-    }
-}
-
-fn insert_sorted(v: &mut Vec<NodeId>, item: NodeId) {
-    if let Err(pos) = v.binary_search(&item) {
-        v.insert(pos, item);
     }
 }
 
@@ -579,24 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_node_round_trips() {
-        let (_, a, b) = two_labels();
-        let mut g = DataGraph::new();
-        let n0 = g.add_node(a);
-        let n1 = g.add_node(b);
-        let n2 = g.add_node(a);
-        g.add_edge(n0, n1).unwrap();
-        g.add_edge(n1, n2).unwrap();
-        let snapshot = g.clone();
-        let removed = g.remove_node(n1).unwrap().clone();
-        g.restore_node(&removed).unwrap();
-        assert_eq!(g.node_count(), snapshot.node_count());
-        assert_eq!(g.edge_count(), snapshot.edge_count());
-        assert!(g.has_edge(n0, n1) && g.has_edge(n1, n2));
-        assert!(g.check_invariants());
-    }
-
-    #[test]
     fn operations_on_tombstone_fail() {
         let (_, a, _) = two_labels();
         let mut g = DataGraph::new();
@@ -705,26 +646,17 @@ mod tests {
         assert!(g.add_edge(n0, n1).is_err());
         assert!(g.remove_edge(n0, n2).is_err());
         assert!(g.remove_node(n1).is_err());
-        let taken = RemovedNode {
-            id: n0,
-            ..removed.clone()
-        };
-        assert!(g.restore_node(&taken).is_err(), "slot still live");
         assert_eq!(g.last_removed(), Some(&removed));
         assert_eq!((g.node_count(), g.edge_count()), (3, 1));
         // Every other successful mutation clears it.
         type Mutation = fn(&mut DataGraph, [NodeId; 4]);
-        let others: [(&str, Mutation); 4] = [
+        let others: [(&str, Mutation); 3] = [
             ("add_node", |g, _| {
                 g.add_node(Label(0));
             }),
             ("add_edge", |g, [n0, _, n2, _]| g.add_edge(n0, n2).unwrap()),
             ("remove_edge", |g, [_, _, n2, n3]| {
                 g.remove_edge(n2, n3).unwrap()
-            }),
-            ("restore_node", |g, _| {
-                let removed = g.last_removed().unwrap().clone();
-                g.restore_node(&removed).unwrap();
             }),
         ];
         for (what, mutate) in others {

@@ -168,7 +168,7 @@ impl PatternGraph {
     }
 
     /// Delete a live pattern node and its incident edges; returns them as
-    /// `(from, to, bound)` triples for undo.
+    /// `(from, to, bound)` triples.
     pub fn remove_node(
         &mut self,
         id: PatternNodeId,
@@ -237,26 +237,6 @@ impl PatternGraph {
         radj.remove(pos);
         self.live_edges -= 1;
         Ok(bound)
-    }
-
-    /// Re-insert a node removed by [`PatternGraph::remove_node`] at its old
-    /// slot, restoring `label` and the returned incident edges.
-    pub fn restore_node(
-        &mut self,
-        id: PatternNodeId,
-        label: Label,
-        edges: &[(PatternNodeId, PatternNodeId, Bound)],
-    ) -> Result<()> {
-        let idx = id.index();
-        if idx >= self.labels.len() || self.labels[idx].is_some() {
-            return Err(GraphError::DuplicatePatternEdge(id, id));
-        }
-        self.labels[idx] = Some(label);
-        self.live_nodes += 1;
-        for &(u, v, b) in edges {
-            self.add_edge(u, v, b)?;
-        }
-        Ok(())
     }
 }
 
@@ -361,23 +341,6 @@ mod tests {
         assert!(removed.contains(&(a, b, Bound::Hops(1))));
         assert_eq!(p.edge_count(), 0);
         assert_eq!(p.node_count(), 2);
-    }
-
-    #[test]
-    fn restore_node_round_trips() {
-        let (pm, se, te) = labels();
-        let mut p = PatternGraph::new();
-        let a = p.add_node(pm);
-        let b = p.add_node(se);
-        let c = p.add_node(te);
-        p.add_edge(a, b, Bound::Hops(1)).unwrap();
-        p.add_edge(b, c, Bound::Hops(2)).unwrap();
-        let removed = p.remove_node(b).unwrap();
-        p.restore_node(b, se, &removed).unwrap();
-        assert_eq!(p.node_count(), 3);
-        assert_eq!(p.edge_count(), 2);
-        assert_eq!(p.bound(a, b), Some(Bound::Hops(1)));
-        assert_eq!(p.bound(b, c), Some(Bound::Hops(2)));
     }
 
     #[test]

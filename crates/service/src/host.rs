@@ -92,12 +92,15 @@ pub trait TickOutcome {
     /// shard order).
     ///
     /// Stats object fields: phase timings in integer nanoseconds
-    /// (`reduce_ns`, `shared_repair_ns`, `detect_ns`, `refresh_total_ns`,
+    /// (`reduce_ns`, `shared_repair_ns`, `refresh_total_ns`,
     /// `refresh_max_ns`, `publish_ns` — `publish_ns` is 0 on a
-    /// non-publishing host); lane counts (`refresh_lanes`, `pool_lanes`);
-    /// tick counters (`strategy_switches` cumulative, `eliminated`,
-    /// `repair_calls`, `affected_nodes`); index gauges (`backend_kind`,
-    /// `resident_rows`, `index_mem_bytes`); `per_pattern` — array of
+    /// non-publishing host); `shared_repair_by_kind_ns` — an object from
+    /// update kind to its nanoseconds of `shared_repair_ns`, holding only
+    /// the kinds the tick committed; lane counts (`refresh_lanes`,
+    /// `pool_lanes`); tick counters (`strategy_switches` cumulative,
+    /// `repair_calls`, `addition_candidates`, `affected_nodes`); index
+    /// gauges (`backend_kind`, `resident_rows`, `index_mem_bytes`);
+    /// `per_pattern` — array of
     /// `{handle, refresh_ns, strategy}` in registration order; `io` —
     /// `{cache_hits, cache_misses, cache_evictions, pages_read,
     /// pages_written}`, the backend's IO **during this tick** (the

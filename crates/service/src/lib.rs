@@ -15,8 +15,9 @@
 //!   [`PatternHost::deregister`]);
 //! * [`PatternHost::apply`] validates and commits a data-update batch
 //!   **once** — one shared repair pass over the backend — then refreshes
-//!   each registered pattern through its own elimination/affected pipeline
-//!   (the engine's own steps, re-exported via [`gpnm_engine::pipeline`]);
+//!   each registered pattern with one repair pass over the union of the
+//!   batch's plans for it (the engine's own commit and plan steps, via
+//!   [`gpnm_engine::pipeline`]);
 //! * every tick returns one [`MatchDelta`](gpnm_matcher::MatchDelta) per
 //!   [`PatternHandle`]: added/removed `(pattern node, data node)` pairs and
 //!   a monotone `result_version`, with the full snapshot still available

@@ -9,8 +9,7 @@ use gpnm_distance::{
     AnyBackend, BackendKind, IncrementalIndex, IoStats, SlenBackend, SlenRequirements,
 };
 use gpnm_engine::pipeline::{
-    commit_data_update, plan_for_data_update, refresh_pattern_strategy, CommittedUpdate,
-    SharedElimination,
+    commit_data_update, plan_for_data_update, refresh_pattern_strategy, SharedElimination,
 };
 use gpnm_engine::RefreshStrategy;
 use gpnm_graph::{DataGraph, PatternGraph};
@@ -68,8 +67,8 @@ struct PatternSession {
 /// This is the tick's one record: [`PatternHost::apply`] writes each
 /// measurement here once, then flushes the finished record into the
 /// global metrics registry, so `--stats`, `--stats-json` and the
-/// `gpnm_tick_*` series read the same values. The five phases (reduce,
-/// commit, detect, refresh, publish) do not overlap, so their sum is at
+/// `gpnm_tick_*` series read the same values. The four phases (reduce,
+/// commit, refresh, publish) do not overlap, so their sum is at
 /// most the tick's [`TickReport::total_time`]. All durations are
 /// nanoseconds.
 #[derive(Debug, Clone, Default)]
@@ -82,10 +81,8 @@ pub struct TickStats {
     /// `shared_repair_ns` by update kind (`insert_edge`, `delete_edge`,
     /// `insert_node`, `delete_node`; only the kinds the tick committed).
     pub shared_repair_by_kind_ns: Vec<(&'static str, u64)>,
-    /// DER-II elimination detection + EH-Tree build (also shared).
-    pub detect_ns: u64,
     /// The per-pattern refresh phase, wall clock across lanes (it starts
-    /// after detection returns).
+    /// after the commit pass returns).
     pub refresh_ns: u64,
     /// Read-front publish + subscription fan-out (`0` on a non-publishing
     /// shard replica — the cluster publishes merged views itself).
@@ -105,9 +102,6 @@ pub struct TickStats {
     /// Cumulative refresh-arm changes made through
     /// [`GpnmService::set_refresh_strategy`] across all patterns.
     pub strategy_switches: u64,
-    /// Updates whose repair pass the EH-Tree eliminated, summed over
-    /// patterns.
-    pub eliminated: usize,
     /// Repair passes actually run, summed over patterns.
     pub repair_calls: usize,
     /// Repair passes that fell back to a from-scratch re-match because
@@ -183,18 +177,16 @@ impl TickStats {
             .map(|(kind, ns)| format!("{kind}={}µs", ns / 1_000))
             .collect();
         let mut out = format!(
-            "  stats: reduce={}µs shared_repair={}µs [{}] detect={}µs refresh(Σ)={}µs \
-             refresh(max)={}µs publish={}µs lanes={lanes} switches={} eliminated={} \
+            "  stats: reduce={}µs shared_repair={}µs [{}] refresh(Σ)={}µs \
+             refresh(max)={}µs publish={}µs lanes={lanes} switches={} \
              repairs={} candidates={} affected={}",
             self.reduce_ns / 1_000,
             self.shared_repair_ns / 1_000,
             by_kind.join(" "),
-            self.detect_ns / 1_000,
             self.refresh_total_ns() / 1_000,
             self.refresh_max_ns() / 1_000,
             self.publish_ns / 1_000,
             self.strategy_switches,
-            self.eliminated,
             self.repair_calls,
             self.addition_candidates,
             self.affected_nodes,
@@ -255,24 +247,21 @@ impl TickStats {
             .collect();
         format!(
             "{{\"reduce_ns\":{},\"shared_repair_ns\":{},\"shared_repair_by_kind_ns\":{{{}}},\
-             \"detect_ns\":{},\
              \"refresh_total_ns\":{},\"refresh_max_ns\":{},\"publish_ns\":{},\
              \"refresh_lanes\":{},\
-             \"pool_lanes\":{},\"strategy_switches\":{},\"eliminated\":{},\
+             \"pool_lanes\":{},\"strategy_switches\":{},\
              \"repair_calls\":{},\"addition_candidates\":{},\"affected_nodes\":{},\
              \"backend_kind\":\"{}\",\
              \"resident_rows\":{},\"index_mem_bytes\":{},\"per_pattern\":[{}],\"io\":{}}}",
             self.reduce_ns,
             self.shared_repair_ns,
             by_kind.join(","),
-            self.detect_ns,
             self.refresh_total_ns(),
             self.refresh_max_ns(),
             self.publish_ns,
             self.refresh_lanes,
             self.pool_lanes,
             self.strategy_switches,
-            self.eliminated,
             self.repair_calls,
             self.addition_candidates,
             self.affected_nodes,
@@ -297,12 +286,10 @@ struct TickSeries {
     total_ns: Arc<Histogram>,
     reduce_ns: Arc<Histogram>,
     commit_ns: Arc<Histogram>,
-    detect_ns: Arc<Histogram>,
     refresh_ns: Arc<Histogram>,
     publish_ns: Arc<Histogram>,
     pattern_refresh_ns: Arc<Histogram>,
     updates_applied: Arc<Counter>,
-    eliminated: Arc<Counter>,
     repair_calls: Arc<Counter>,
     repair_rematches: Arc<Counter>,
     affected_nodes: Arc<Counter>,
@@ -324,12 +311,10 @@ fn flush(report: &TickReport) {
         total_ns: registry.histogram("gpnm_tick_total_ns"),
         reduce_ns: registry.histogram("gpnm_tick_reduce_ns"),
         commit_ns: registry.histogram("gpnm_tick_commit_ns"),
-        detect_ns: registry.histogram("gpnm_tick_detect_ns"),
         refresh_ns: registry.histogram("gpnm_tick_refresh_ns"),
         publish_ns: registry.histogram("gpnm_tick_publish_ns"),
         pattern_refresh_ns: registry.histogram("gpnm_pattern_refresh_ns"),
         updates_applied: registry.counter("gpnm_updates_applied_total"),
-        eliminated: registry.counter("gpnm_eliminated_total"),
         repair_calls: registry.counter("gpnm_repair_calls_total"),
         repair_rematches: registry.counter("gpnm_repair_rematch_total"),
         affected_nodes: registry.counter("gpnm_affected_nodes_total"),
@@ -351,11 +336,9 @@ fn flush(report: &TickReport) {
             .gauge_with("gpnm_slen_repair_seconds", &[("kind", kind)])
             .add(ns as f64 / 1e9);
     }
-    f.detect_ns.observe(stats.detect_ns);
     f.refresh_ns.observe(stats.refresh_ns);
     f.publish_ns.observe(stats.publish_ns);
     f.updates_applied.add(report.updates_applied as u64);
-    f.eliminated.add(stats.eliminated as u64);
     f.repair_calls.add(stats.repair_calls as u64);
     f.repair_rematches.add(stats.repair_rematches as u64);
     f.affected_nodes.add(stats.affected_nodes as u64);
@@ -390,7 +373,9 @@ pub struct TickReport {
     pub updates_applied: usize,
     /// Distance pairs the shared `SLen` repair changed.
     pub slen_changes: usize,
-    /// Per-pattern repair passes the EH-Trees eliminated, summed.
+    /// Always 0: a host folds every update into one pass per pattern and
+    /// eliminates nothing. Kept only because `gpnm-bench` names it;
+    /// removed with ROADMAP D2(b).
     pub eliminated: usize,
     /// Per-pattern repair passes run, summed.
     pub repair_calls: usize,
@@ -625,10 +610,11 @@ struct AdaptiveState {
 /// 1. rejects pattern updates and invalid data updates with a typed
 ///    [`ServiceError`], before any mutation;
 /// 2. net-reduces the batch and commits it through one shared repair
-///    pass over the backend;
-/// 3. detects DER-II eliminations once (containment → EH-Tree) and
-///    refreshes every registered pattern with one repair pass over the
-///    union of the survivors' plans, at the post-batch state;
+///    pass over the backend, folding every update's repair plan into one
+///    per pattern;
+/// 3. refreshes every registered pattern with one repair pass over that
+///    folded plan — the union of every update's — at the post-batch
+///    state;
 /// 4. returns a [`MatchDelta`] per handle — added/removed pairs plus a
 ///    monotone `result_version` — instead of k full result tables.
 ///
@@ -886,15 +872,12 @@ impl<B: SlenBackend> GpnmService<B> {
         // and repairs the backend exactly once; every pattern derives its
         // repair plan from the shared delta *at this update's post-state*,
         // which is precisely where the single-pattern engine derives its
-        // own.
+        // own, and folds it into one plan for the tick: the refresh runs
+        // one pass over the union anyway (see `refresh_pattern_strategy`).
         let commit_span = tracing::span!(tracing::Level::DEBUG, "commit", updates = reduced.len());
         let commit_entered = commit_span.enter();
-        let mut committed: Vec<CommittedUpdate> = Vec::with_capacity(reduced.len());
-        let mut plans: Vec<Vec<RepairPlan>> = self
-            .sessions
-            .iter()
-            .map(|_| Vec::with_capacity(reduced.len()))
-            .collect();
+        let mut plans: Vec<RepairPlan> = vec![RepairPlan::new(); self.sessions.len()];
+        let mut slen_changes = 0;
         for u in reduced.updates() {
             let Update::Data(du) = u else {
                 unreachable!("pattern updates rejected above");
@@ -908,8 +891,10 @@ impl<B: SlenBackend> GpnmService<B> {
                 affected = cu.delta.affected.len(),
                 slen_changes = cu.delta.len(),
             );
-            for ((_, sess), pattern_plans) in self.sessions.iter().zip(plans.iter_mut()) {
-                pattern_plans.push(plan_for_data_update(
+            slen_changes += cu.delta.len();
+            stats.affected_nodes += cu.delta.affected.len();
+            for ((_, sess), plan) in self.sessions.iter().zip(plans.iter_mut()) {
+                plan.merge(&plan_for_data_update(
                     du,
                     &cu.delta,
                     &sess.pattern,
@@ -918,25 +903,13 @@ impl<B: SlenBackend> GpnmService<B> {
                     cu.created,
                 ));
             }
-            committed.push(cu);
         }
         drop(commit_entered);
-        let slen_changes = committed.iter().map(|c| c.delta.len()).sum();
-        stats.affected_nodes = committed.iter().map(|c| c.delta.affected.len()).sum();
 
-        // Per-pattern refresh over the shared committed records. The
-        // elimination analysis (DER-II containment + EH-Tree) consumes only
-        // the shared deltas, so it is computed once and reused by every
-        // pattern's merged repair pass; then delta extraction. From here
-        // the graph and index are read-only, so the per-pattern work is
-        // independent and fans out across `refresh_threads` pool lanes.
-        let shared = {
-            let span = tracing::span!(tracing::Level::DEBUG, "detect", updates = committed.len());
-            let _entered = span.enter();
-            SharedElimination::detect(&committed)
-        };
-        stats.detect_ns = ns64(shared.detect_time + shared.tree_time);
-
+        // Per-pattern refresh, then delta extraction. From here the graph
+        // and index are read-only, so the per-pattern work is independent
+        // and fans out across `refresh_threads` pool lanes.
+        //
         // Adaptive pre-refresh step: the tuner sets the refresh parallelism
         // from the previous tick's measured refresh times. It trades cost
         // only — every lane count reaches the same fixed point.
@@ -963,7 +936,7 @@ impl<B: SlenBackend> GpnmService<B> {
             &self.index,
             &mut self.sessions,
             &plans,
-            &shared,
+            !reduced.is_empty(),
             effective_threads,
             &refresh_span,
         );
@@ -972,7 +945,6 @@ impl<B: SlenBackend> GpnmService<B> {
 
         let mut deltas = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
-            stats.eliminated += outcome.stats.eliminated;
             stats.repair_calls += outcome.stats.repair_calls;
             stats.repair_rematches += usize::from(outcome.stats.rematched);
             stats.addition_candidates += outcome.stats.candidates;
@@ -1051,7 +1023,7 @@ impl<B: SlenBackend> GpnmService<B> {
             updates_submitted: batch.len(),
             updates_applied: reduced.len(),
             slen_changes,
-            eliminated: stats.eliminated,
+            eliminated: 0,
             repair_calls: stats.repair_calls,
             total_time: start.elapsed(),
             ts_ms: gpnm_telemetry::clock::wall_ms(),
@@ -1230,13 +1202,16 @@ fn refresh_sessions<B: SlenBackend>(
     graph: &DataGraph,
     index: &B,
     sessions: &mut [(PatternHandle, PatternSession)],
-    plans: &[Vec<RepairPlan>],
-    shared: &SharedElimination,
+    plans: &[RepairPlan],
+    committed: bool,
     refresh_threads: usize,
     parent: &tracing::Span,
 ) -> Vec<RefreshOutcome> {
+    // Kept only for the signature `gpnm-bench` also calls: with one folded
+    // plan there is nothing to eliminate.
+    let no_elimination = SharedElimination::detect(&[]);
     let refresh_one = |(handle, sess): &mut (PatternHandle, PatternSession),
-                       pattern_plans: &Vec<RepairPlan>|
+                       plan: &RepairPlan|
      -> RefreshOutcome {
         // Explicit parenting: under pool fan-out this closure runs on a
         // worker thread whose contextual span stack is empty, so the
@@ -1259,14 +1234,18 @@ fn refresh_sessions<B: SlenBackend>(
             index,
             sess.semantics,
             &mut sess.result,
-            pattern_plans,
-            shared,
+            // An empty reduced batch refreshes from no plan: no repair pass.
+            if committed {
+                std::slice::from_ref(plan)
+            } else {
+                &[]
+            },
+            &no_elimination,
         );
         sess.version += 1;
         tracing::event!(
             tracing::Level::TRACE,
             "pattern_refreshed",
-            eliminated = stats.eliminated,
             repairs = stats.repair_calls,
         );
         RefreshOutcome {
@@ -1283,7 +1262,7 @@ fn refresh_sessions<B: SlenBackend>(
         return sessions
             .iter_mut()
             .zip(plans.iter())
-            .map(|(entry, pattern_plans)| refresh_one(entry, pattern_plans))
+            .map(|(entry, plan)| refresh_one(entry, plan))
             .collect();
     }
 
@@ -1302,12 +1281,12 @@ fn refresh_sessions<B: SlenBackend>(
         {
             let refresh_one = &refresh_one;
             scope.spawn(move || {
-                for ((entry, pattern_plans), slot) in session_chunk
+                for ((entry, plan), slot) in session_chunk
                     .iter_mut()
                     .zip(plan_chunk.iter())
                     .zip(slot_chunk.iter_mut())
                 {
-                    *slot = Some(refresh_one(entry, pattern_plans));
+                    *slot = Some(refresh_one(entry, plan));
                 }
             });
         }
@@ -1563,7 +1542,6 @@ mod tests {
         assert_eq!(stats.per_pattern_refresh_ns[0].0, h);
         let by_kind: u64 = stats.shared_repair_by_kind_ns.iter().map(|e| e.1).sum();
         assert_eq!(stats.shared_repair_ns, by_kind);
-        assert_eq!(stats.eliminated, report.eliminated);
         assert_eq!(stats.repair_calls, report.repair_calls);
         assert_eq!(
             stats.repair_calls,

@@ -16,12 +16,15 @@
 
 use proptest::prelude::*;
 
-use gpnm_distance::{BackendKind, IncrementalIndex, SlenBackend, SparseIndex};
+use gpnm_distance::{BackendKind, IncrementalIndex, SlenBackend, SlenRequirements, SparseIndex};
+use gpnm_engine::pipeline::{
+    commit_data_update, plan_for_data_update, refresh_pattern_strategy, SharedElimination,
+};
 use gpnm_engine::{GpnmEngine, RefreshStrategy, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
-use gpnm_matcher::{match_graph, MatchResult, MatchSemantics};
+use gpnm_matcher::{match_graph, MatchResult, MatchSemantics, RepairPlan};
 use gpnm_service::{GpnmService, PatternHandle, PatternHost, ServiceError, TickOutcome};
-use gpnm_updates::{DataUpdate, UpdateBatch};
+use gpnm_updates::{reduce_batch, DataUpdate, Update, UpdateBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -286,15 +289,13 @@ fn absent_edges(rng: &mut StdRng, graph: &DataGraph, count: usize) -> Vec<(NodeI
     picks
 }
 
-/// The merged repair pass where elimination is non-trivial: a stream
-/// alternating 1-update and 80-update balanced ticks (the proptests below
-/// draw 4–6 updates a tick, where the EH-Tree rarely eliminates
-/// anything). Every tick, the `Eliminative` service, the `Rematch`
+/// The merged repair pass across batch sizes: a stream alternating
+/// 1-update and 80-update balanced ticks (the proptests below draw 4–6
+/// updates a tick). Every tick, the `Eliminative` service, the `Rematch`
 /// service and `match_graph` over a freshly built index agree bitwise.
 #[test]
 fn merged_pass_matches_rematch_and_scratch_across_batch_sizes() {
     let semantics = MatchSemantics::Simulation;
-    let mut eliminated = 0;
     let mut changed_ticks = 0;
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -327,8 +328,6 @@ fn merged_pass_matches_rematch_and_scratch_across_batch_sizes() {
                 let rr = rematch.apply(&batch).expect("valid batch");
                 assert_eq!(rm.repair_calls, handles.len(), "one merged pass a pattern");
                 assert_eq!(rr.repair_calls, 0);
-                assert_eq!(rm.eliminated, rr.eliminated);
-                eliminated += rm.eliminated;
                 let fresh = SparseIndex::build(merged.graph(), merged.requirements());
                 for &(hm, hr) in &handles {
                     let pattern = merged.pattern(hm).unwrap();
@@ -356,8 +355,114 @@ fn merged_pass_matches_rematch_and_scratch_across_batch_sizes() {
             }
         }
     }
-    assert!(eliminated > 0, "the stream must exercise elimination");
     assert!(changed_ticks > 0, "the stream must move some result");
+}
+
+/// A data batch the net-effect reduction empties: an edge deleted and
+/// inserted again, or on an edgeless graph one inserted and deleted.
+fn cancelling_batch(graph: &DataGraph) -> UpdateBatch {
+    let mut batch = UpdateBatch::new();
+    if let Some((from, to)) = graph.edges().next() {
+        batch.push(DataUpdate::DeleteEdge { from, to });
+        batch.push(DataUpdate::InsertEdge { from, to });
+    } else {
+        let mut live = graph.nodes();
+        let (from, to) = (live.next().unwrap(), live.next().unwrap());
+        batch.push(DataUpdate::InsertEdge { from, to });
+        batch.push(DataUpdate::DeleteEdge { from, to });
+    }
+    batch
+}
+
+/// The hosts fold each update's plan into one per pattern and pass
+/// `SharedElimination::detect(&[])`; the benchmark's staged replay keeps
+/// one plan per update and a real `detect` over the committed records.
+/// For one pattern over a stream of random data batches, the last of
+/// which reduces to nothing, both refreshes must leave the same result
+/// and relation (a fresh match's), grow the same candidates and run the
+/// same number of passes, under every refresh strategy.
+fn check_fold<B: SlenBackend>(seed: u64, semantics: MatchSemantics) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let labels = rng.gen_range(2..6);
+    let nodes = rng.gen_range(8..32);
+    let edges = rng.gen_range(nodes / 2..nodes * 3);
+    let (mut graph, interner) = random_graph(&mut rng, nodes, edges, labels);
+    let pattern = random_pattern(&mut rng, &interner, labels);
+    let mut index = B::build(&graph, &SlenRequirements::of_pattern(&pattern));
+    let mut result = match_graph(&pattern, &graph, &index, semantics);
+    let ticks = 4;
+    for tick in 0..ticks {
+        let batch = if tick + 1 < ticks {
+            let len = rng.gen_range(1..8);
+            random_data_batch(&mut rng, &graph, &interner, len)
+        } else {
+            cancelling_batch(&graph)
+        };
+        let reduced = reduce_batch(&graph, &PatternGraph::new(), &batch);
+        let mut committed = Vec::new();
+        let mut plans = Vec::new();
+        let mut folded = RepairPlan::new();
+        for u in reduced.updates() {
+            let Update::Data(du) = u else {
+                unreachable!("a data batch")
+            };
+            let cu = commit_data_update(&mut graph, &mut index, du).expect("valid update");
+            let plan = plan_for_data_update(du, &cu.delta, &pattern, &graph, &result, cu.created);
+            folded.merge(&plan);
+            plans.push(plan);
+            committed.push(cu);
+        }
+        let host_plans = if reduced.is_empty() {
+            &[][..]
+        } else {
+            std::slice::from_ref(&folded)
+        };
+        let fresh = match_graph(&pattern, &graph, &index, semantics);
+        for strategy in RefreshStrategy::ALL {
+            let context = format!("seed {seed}, tick {tick}, {strategy}, {semantics:?}");
+            let mut staged = result.clone();
+            let staged_stats = refresh_pattern_strategy(
+                strategy,
+                &pattern,
+                &graph,
+                &index,
+                semantics,
+                &mut staged,
+                &plans,
+                &SharedElimination::detect(&committed),
+            );
+            let mut host = result.clone();
+            let host_stats = refresh_pattern_strategy(
+                strategy,
+                &pattern,
+                &graph,
+                &index,
+                semantics,
+                &mut host,
+                host_plans,
+                &SharedElimination::detect(&[]),
+            );
+            assert_eq!(host, staged, "{context}");
+            assert!(host.relation_eq(&staged), "{context}");
+            assert_eq!(host, fresh, "{context}");
+            assert!(host.relation_eq(&fresh), "{context}");
+            assert_eq!(host_stats.candidates, staged_stats.candidates, "{context}");
+            assert_eq!(
+                host_stats.repair_calls, staged_stats.repair_calls,
+                "{context}"
+            );
+            if reduced.is_empty() {
+                assert_eq!(host_stats.repair_calls, 0, "{context}");
+            }
+            if strategy == RefreshStrategy::Eliminative {
+                result = host;
+            }
+        }
+        assert!(
+            tick + 1 < ticks || reduced.is_empty(),
+            "the last batch cancels"
+        );
+    }
 }
 
 proptest! {
@@ -376,6 +481,16 @@ proptest! {
     fn service_matches_k_engines_dual(seed in any::<u64>(), k in 1usize..4) {
         let _ = check_equivalence::<IncrementalIndex>(seed, k, 3, MatchSemantics::DualSimulation);
         let _ = check_equivalence::<SparseIndex>(seed, k, 3, MatchSemantics::DualSimulation);
+    }
+
+    /// One folded plan per pattern refreshes exactly like the per-update
+    /// plans with a real elimination analysis ([`check_fold`]).
+    #[test]
+    fn folded_plan_refreshes_like_per_update_plans(seed in any::<u64>()) {
+        for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
+            check_fold::<IncrementalIndex>(seed, semantics);
+            check_fold::<SparseIndex>(seed, semantics);
+        }
     }
 
     /// The runtime-dispatched backend behind the builder path obeys the

@@ -61,11 +61,6 @@ impl UpdateBatch {
         self.updates.is_empty()
     }
 
-    /// Number of pattern updates (`|ΔGP|`).
-    pub fn pattern_len(&self) -> usize {
-        self.updates.iter().filter(|u| u.is_pattern()).count()
-    }
-
     /// Apply the whole batch to both graphs, in order. Fails fast on the
     /// first invalid update, leaving the graphs in the partially-updated
     /// state (callers that need atomicity validate on clones first).
@@ -304,7 +299,6 @@ mod tests {
             to: f.s1,
         });
         assert_eq!(batch.len(), 4);
-        assert_eq!(batch.pattern_len(), 2);
         batch.validate(&f.graph, &f.pattern).unwrap();
         batch.apply_all(&mut f.graph, &mut f.pattern).unwrap();
         assert!(f.graph.has_edge(f.se1, f.te2));

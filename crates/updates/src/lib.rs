@@ -3,7 +3,7 @@
 //! The paper's §IV in code:
 //!
 //! * [`Update`] / [`UpdateBatch`] — the eight update kinds of §III-C
-//!   (`ΔG±_{PE,PN,DE,DN}`) with apply/undo support.
+//!   (`ΔG±_{PE,PN,DE,DN}`), validated and applied in order.
 //! * [`candidates_for`] (DER-I) — per-pattern-update candidate sets
 //!   `Can_AN`/`Can_RN`, using the dual rule plus cascade of Example 7.
 //! * DER-II *is* the [`gpnm_distance::AffDelta`] the distance index's

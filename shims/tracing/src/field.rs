@@ -39,18 +39,6 @@ impl Value {
             Value::Str(s) => format!("\"{}\"", escape(s)),
         }
     }
-
-    /// The value as a display string (no quoting).
-    pub fn to_display(&self) -> String {
-        match self {
-            Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
-            Value::F64(v) => format!("{v}"),
-            Value::Bool(v) => v.to_string(),
-            Value::Static(s) => (*s).to_string(),
-            Value::Str(s) => s.clone(),
-        }
-    }
 }
 
 fn escape(s: &str) -> String {

@@ -11,10 +11,9 @@
 //!
 //! # Implemented API subset
 //!
-//! - [`span!`] / [`trace_span!`] / [`debug_span!`] / [`info_span!`] —
-//!   create a [`Span`]; `span.enter()` returns an RAII guard that exits the
-//!   span on drop. An explicit parent overrides the contextual one with the
-//!   upstream `span!(parent: &other, ...)` syntax.
+//! - [`span!`] — create a [`Span`]; `span.enter()` returns an RAII guard
+//!   that exits the span on drop. An explicit parent overrides the
+//!   contextual one with the upstream `span!(parent: &other, ...)` syntax.
 //! - [`event!`] — a point-in-time record with the same field syntax, parented
 //!   to the current span.
 //! - [`Subscriber`] + [`subscriber::set_global_default`] — process-wide
@@ -140,22 +139,4 @@ macro_rules! event {
             );
         }
     }};
-}
-
-/// `span!(Level::TRACE, ...)` shorthand, mirroring upstream.
-#[macro_export]
-macro_rules! trace_span {
-    ($($tt:tt)*) => { $crate::span!($crate::Level::TRACE, $($tt)*) };
-}
-
-/// `span!(Level::DEBUG, ...)` shorthand, mirroring upstream.
-#[macro_export]
-macro_rules! debug_span {
-    ($($tt:tt)*) => { $crate::span!($crate::Level::DEBUG, $($tt)*) };
-}
-
-/// `span!(Level::INFO, ...)` shorthand, mirroring upstream.
-#[macro_export]
-macro_rules! info_span {
-    ($($tt:tt)*) => { $crate::span!($crate::Level::INFO, $($tt)*) };
 }

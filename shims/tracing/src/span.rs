@@ -89,11 +89,6 @@ impl Span {
         self.live.as_ref().map(|l| l.id)
     }
 
-    /// True if no subscriber is recording this span.
-    pub fn is_disabled(&self) -> bool {
-        self.live.is_none()
-    }
-
     /// Enter the span: this thread is inside it until the guard drops.
     pub fn enter(&self) -> Entered<'_> {
         if let Some(live) = &self.live {

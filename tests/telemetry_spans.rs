@@ -216,6 +216,7 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
     use ua_gpnm::engine::pipeline::{
         commit_data_update, plan_for_data_update, refresh_pattern_strategy, SharedElimination,
     };
+    use ua_gpnm::matcher::RepairPlan;
 
     let _guard = serialize();
     let (graph, interner) = generate_social_graph(&SocialGraphConfig {
@@ -271,19 +272,17 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
         counts.push(counter.get());
         assert!(service.result(h).unwrap().is_empty());
 
-        let mut committed = Vec::new();
-        let mut plans = Vec::new();
+        // One plan folded over the batch, as a host folds it.
+        let mut plan = RepairPlan::new();
         for u in batch.updates() {
             let Update::Data(du) = u else {
                 unreachable!("a data batch")
             };
             let cu = commit_data_update(&mut replica, &mut index, du).expect("valid update");
-            plans.push(plan_for_data_update(
+            plan.merge(&plan_for_data_update(
                 du, &cu.delta, &pattern, &replica, &carried, cu.created,
             ));
-            committed.push(cu);
         }
-        let shared = SharedElimination::detect(&committed);
         let collector = install_collector();
         let stats = refresh_pattern_strategy(
             RefreshStrategy::Eliminative,
@@ -292,8 +291,8 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
             &index,
             semantics,
             &mut carried,
-            &plans,
-            &shared,
+            std::slice::from_ref(&plan),
+            &SharedElimination::detect(&[]),
         );
         uninstall_collector();
         let trace = collector.finish();
@@ -390,7 +389,7 @@ fn commit_time_is_reported_by_update_kind() {
 
 /// One tick, one record: what a tick flushes into the metrics registry is
 /// exactly what its report carries — the total once, each phase once,
-/// each counter once — and the five phases do not overlap. One sparse
+/// each counter once — and the four phases do not overlap. One sparse
 /// tick and one paged tick (a cache small enough that the tick pages).
 #[test]
 fn registry_deltas_equal_the_tick_report() {
@@ -398,10 +397,9 @@ fn registry_deltas_equal_the_tick_report() {
     let registry = ua_gpnm::telemetry::global();
     let histogram = |name: &str| registry.histogram(name).sum();
     let counter = |name: &str| registry.counter(name).get();
-    let phases = ["reduce", "commit", "detect", "refresh", "publish"];
+    let phases = ["reduce", "commit", "refresh", "publish"];
     let series = |name: &str| format!("gpnm_tick_{name}_ns");
     let counters = [
-        "gpnm_eliminated_total",
         "gpnm_repair_calls_total",
         "gpnm_affected_nodes_total",
         "gpnm_updates_applied_total",
@@ -456,7 +454,6 @@ fn registry_deltas_equal_the_tick_report() {
         let phase_ns = [
             stats.reduce_ns,
             stats.shared_repair_ns,
-            stats.detect_ns,
             stats.refresh_ns,
             stats.publish_ns,
         ];
@@ -480,7 +477,6 @@ fn registry_deltas_equal_the_tick_report() {
             "the tiny cache pages"
         );
         let expected = [
-            report.eliminated as u64,
             report.repair_calls as u64,
             stats.affected_nodes as u64,
             report.updates_applied as u64,
