@@ -241,14 +241,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enable the refresh-parallelism tuner on every shard (see
-    /// [`ServiceBuilder::adaptive`]): per-shard refresh parallelism is
-    /// then driven by live tick stats instead of the fixed configuration.
-    pub fn adaptive(mut self, on: bool) -> Self {
-        self.shard = self.shard.adaptive(on);
-        self
-    }
-
     /// Build the cluster over `graph`: every shard gets its own replica
     /// and an (initially empty-requirement) backend of the configured
     /// kind.
@@ -751,11 +743,10 @@ mod tests {
     #[test]
     fn builder_knobs_reach_every_shard() {
         let f = fig1();
-        let cluster = GpnmCluster::builder()
+        let mut cluster = GpnmCluster::builder()
             .shards(3)
             .backend(BackendKind::Paged)
             .refresh_threads(2)
-            .adaptive(true)
             .cache_budget_mb(0.5)
             .build(f.graph.clone())
             .expect("paged builds are never refused");
@@ -764,9 +755,26 @@ mod tests {
                 panic!("shard runs {}, not paged", shard.backend().kind());
             };
             assert_eq!(paged.cache_budget(), 1 << 19, "0.5 MiB cache");
-            assert_eq!(shard.refresh_threads(), 2);
-            assert!(shard.adaptive());
             assert!(!shard.publishing(), "shards never publish on their own");
+        }
+        // Two patterns a shard: each shard's refresh fans out over both.
+        for _ in 0..6 {
+            cluster
+                .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
+                .unwrap();
+        }
+        let mut batch = UpdateBatch::new();
+        batch.push(DataUpdate::InsertEdge {
+            from: f.se1,
+            to: f.te2,
+        });
+        let report = cluster.apply(&batch).expect("valid batch");
+        assert_eq!(report.shard_reports.len(), 3);
+        for shard in &report.shard_reports {
+            assert_eq!(
+                shard.stats.refresh_lanes, 2,
+                "refresh_threads reached the shard"
+            );
         }
         // The shard template validates the forwarded knobs.
         assert!(matches!(

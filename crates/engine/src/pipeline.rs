@@ -18,8 +18,8 @@
 //!    each update's plan into one per pattern ([`RepairPlan::merge`]).
 //! 3. [`SharedElimination::detect`] — DER-II elimination analysis
 //!    (affected-set containment → EH-Tree). Only `gpnm-bench`'s staged
-//!    replay calls it, to time it; the hosts pass `detect(&[])`, and no
-//!    refresh reads it.
+//!    replay calls it, to time it; no host calls it, and no refresh reads
+//!    it.
 //! 4. [`refresh_pattern_strategy`] — the one refresh entry: a single
 //!    repair pass per pattern over the union of its plans (or a
 //!    re-match), at the post-batch state.
@@ -136,19 +136,17 @@ pub fn commit_data_update<B: SlenBackend>(
 /// Where one pattern's refresh spent its work.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RefreshStats {
-    /// Repair passes run: one when the tick committed any update under
-    /// [`crate::RefreshStrategy::Eliminative`], else zero.
+    /// Repair passes run: one per [`refresh_pattern`] call, zero when the
+    /// tick committed nothing (or under [`crate::RefreshStrategy::Rematch`]).
     pub repair_calls: usize,
     /// Match repair (or re-match) time.
     pub repair_time: Duration,
     /// Whether the repair pass fell back to [`match_graph`] because
     /// `result` was visibly empty and carried no relation to repair (see
-    /// [`repair`]). Not set by [`crate::RefreshStrategy::Rematch`], which
-    /// re-matches by choice. A steady-state host tick expects `false`.
+    /// [`repair`]). A steady-state host tick expects `false`.
     pub rematched: bool,
     /// `(pattern node, data node)` candidates the repair grew outside the
-    /// standing relation ([`gpnm_matcher::RepairOutcome::candidates`]);
-    /// `0` under [`crate::RefreshStrategy::Rematch`].
+    /// standing relation ([`gpnm_matcher::RepairOutcome::candidates`]).
     pub candidates: usize,
 }
 
@@ -157,8 +155,8 @@ pub struct RefreshStats {
 /// kind and its `SLen` `Aff_N` coverage — nothing pattern-specific.
 ///
 /// Kept only because `gpnm-bench` names it: its staged replay times
-/// `detect`. No refresh reads it, and a host passes `detect(&[])`, which
-/// eliminates nothing. Removed with ROADMAP D2(b).
+/// `detect`. No refresh reads it, and no host calls it. Removed with
+/// ROADMAP D2(b).
 #[derive(Debug, Clone)]
 pub struct SharedElimination {
     /// DER-II detection time (containment + relations).
@@ -195,36 +193,60 @@ impl SharedElimination {
     }
 }
 
-/// Refresh one pattern's `result` after a shared commit pass — the one
-/// refresh entry of the hosts (service, every cluster shard, the
-/// benchmark's staged replay).
+/// Refresh one pattern's `result` after a shared commit pass — the hosts'
+/// one refresh (the service and every cluster shard): **one** [`repair`]
+/// over `plan`, at the post-batch state.
 ///
-/// `plans` must hold the plans [`plan_for_data_update`] derived for the
-/// tick's committed updates *against this pattern* during the commit
-/// pass — one per update, or any folding of them with
-/// [`RepairPlan::merge`] (the hosts pass one folded plan). An empty slice
-/// means the reduced batch was empty. The graph/backend must be in their
-/// post-batch state. `shared` is not read: it is kept only because
-/// `gpnm-bench` passes it, and removed with ROADMAP D2(b).
+/// `plan` must be the fold ([`RepairPlan::merge`]) of the plans
+/// [`plan_for_data_update`] derived for the tick's committed updates
+/// *against this pattern* during the commit pass: every update's `verify`
+/// set and root gains. By refresh time the graph and index are read-only,
+/// and pruning a superset of the maximum simulation from above is
+/// confluent ([`repair`]'s own argument), so one pass over the union
+/// reaches exactly the fixed point the paper's pass-per-survivor loop
+/// reaches — [`crate::GpnmEngine`] keeps that loop, whose per-update cost
+/// is what the paper's figures measure. An update the paper eliminates has
+/// its `Aff_N` inside another's, so the union is what the survivors' sets
+/// cover. A host whose reduced batch committed nothing does not call this.
 ///
-/// * [`crate::RefreshStrategy::Eliminative`] runs **one** [`repair`] over
-///   the union of every plan: every update's `verify` set and root gains.
-///   By refresh time the graph and index are read-only, and pruning a
-///   superset of the maximum simulation from above is confluent
-///   ([`repair`]'s own argument), so one pass over the union reaches
-///   exactly the fixed point the paper's pass-per-survivor loop reaches —
-///   [`crate::GpnmEngine`] keeps that loop, whose per-update cost is what
-///   the paper's figures measure. An update the paper eliminates has its
-///   `Aff_N` inside another's, so the union is what the survivors' sets
-///   cover.
-/// * [`crate::RefreshStrategy::Rematch`] discards the standing result and
-///   re-matches from the post-batch index.
+/// The repair runs inside a TRACE `match_repair` span (the matcher's
+/// share of a pattern's refresh), and a fallback to [`match_graph`] emits
+/// a TRACE `repair_rematch` event.
+pub fn refresh_pattern<B: SlenBackend>(
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    index: &B,
+    semantics: MatchSemantics,
+    result: &mut MatchResult,
+    plan: &RepairPlan,
+) -> RefreshStats {
+    let span = tracing::span!(tracing::Level::TRACE, "match_repair");
+    let _entered = span.enter();
+    let t = Instant::now();
+    let outcome = repair(pattern, graph, index, semantics, result, plan);
+    if outcome.rematched {
+        tracing::event!(tracing::Level::TRACE, "repair_rematch");
+    }
+    RefreshStats {
+        repair_calls: 1,
+        repair_time: t.elapsed(),
+        rematched: outcome.rematched,
+        candidates: outcome.candidates,
+    }
+}
+
+/// [`refresh_pattern`] over any number of plans, or a re-match. Kept only
+/// because `gpnm-bench`'s staged replay calls it; removed with ROADMAP
+/// D2(b).
 ///
-/// Both reach the same fixed point (`commit_then_refresh_matches_scratch`
-/// pins it), so the choice trades cost only; the service equivalence
-/// proptests assert bitwise-equal results across forced mid-stream
-/// switches.
-#[allow(clippy::too_many_arguments)] // one pattern's whole refresh context + the strategy selector
+/// `plans` holds one plan per committed update, or any folding of them;
+/// an empty slice means the reduced batch was empty and runs no pass.
+/// [`crate::RefreshStrategy::Eliminative`] folds them and runs
+/// [`refresh_pattern`]; [`crate::RefreshStrategy::Rematch`] discards the
+/// standing result and re-matches from the post-batch index. Both reach
+/// the same fixed point (`every_refresh_strategy_reaches_the_same_fixed_point`).
+/// `shared` is not read.
+#[allow(clippy::too_many_arguments)] // the bench's call shape
 pub fn refresh_pattern_strategy<B: SlenBackend>(
     strategy: crate::RefreshStrategy,
     pattern: &PatternGraph,
@@ -235,41 +257,23 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
     plans: &[RepairPlan],
     _shared: &SharedElimination,
 ) -> RefreshStats {
-    let span = tracing::span!(
-        tracing::Level::TRACE,
-        "strategy_refresh",
-        strategy = strategy.name(),
-        plans = plans.len(),
-    );
-    let _entered = span.enter();
-    let t = Instant::now();
-    let mut rematched = false;
-    let mut candidates = 0;
-    let repair_calls = match strategy {
-        crate::RefreshStrategy::Eliminative if plans.is_empty() => 0,
+    match strategy {
+        crate::RefreshStrategy::Eliminative if plans.is_empty() => RefreshStats::default(),
         crate::RefreshStrategy::Eliminative => {
             let mut merged = RepairPlan::new();
             for plan in plans {
                 merged.merge(plan);
             }
-            let outcome = repair(pattern, graph, index, semantics, result, &merged);
-            rematched = outcome.rematched;
-            candidates = outcome.candidates;
-            if rematched {
-                tracing::event!(tracing::Level::TRACE, "repair_rematch");
-            }
-            1
+            refresh_pattern(pattern, graph, index, semantics, result, &merged)
         }
         crate::RefreshStrategy::Rematch => {
+            let t = Instant::now();
             *result = match_graph(pattern, graph, index, semantics);
-            0
+            RefreshStats {
+                repair_time: t.elapsed(),
+                ..RefreshStats::default()
+            }
         }
-    };
-    RefreshStats {
-        repair_calls,
-        repair_time: t.elapsed(),
-        rematched,
-        candidates,
     }
 }
 
@@ -277,8 +281,8 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
 /// (gains and sources) into the first call only (additions cascade inside
 /// `repair`, so one seeding suffices; later passes are pure verify
 /// passes). Returns the number of repair calls made. The engine's
-/// eliminative strategies only: the hosts merge the survivors into one
-/// pass ([`refresh_pattern_strategy`]).
+/// eliminative strategies only: the hosts fold the survivors into one
+/// pass ([`refresh_pattern`]).
 pub(crate) fn run_survivor_repairs<B: SlenBackend>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -395,8 +399,20 @@ mod tests {
     #[test]
     fn commit_then_refresh_matches_scratch() {
         let tick = committed_tick();
-        let (result, stats) = refresh(&tick, crate::RefreshStrategy::Eliminative);
-        assert_eq!(stats.repair_calls, 1, "one merged pass for the whole batch");
+        let mut folded = RepairPlan::new();
+        for plan in &tick.plans {
+            folded.merge(plan);
+        }
+        let mut result = tick.base.clone();
+        let stats = refresh_pattern(
+            &tick.f.pattern,
+            &tick.f.graph,
+            &tick.index,
+            SEMANTICS,
+            &mut result,
+            &folded,
+        );
+        assert_eq!(stats.repair_calls, 1, "one folded pass for the whole batch");
         let scratch = match_graph(&tick.f.pattern, &tick.f.graph, &tick.index, SEMANTICS);
         assert_eq!(result, scratch);
     }

@@ -10,8 +10,8 @@
 //! A [`Strategy`] is a [`crate::GpnmEngine`] choice — the paper's model,
 //! where every surviving update costs a repair pass. The multi-pattern
 //! hosts commit the whole batch first and refresh each pattern at the
-//! final state under a [`RefreshStrategy`]: one merged pass, or a
-//! re-match.
+//! final state with one merged pass
+//! ([`crate::pipeline::refresh_pattern`]).
 
 /// Which algorithm answers the subsequent query. See the crate docs for
 /// the capability matrix.
@@ -64,13 +64,12 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// How one standing pattern's *refresh* runs inside a multi-pattern tick.
-///
-/// A host tick has a shared half (graph + `SLen` commit — paid once per
-/// tick) and a per-pattern half, which this enum names. Both variants drive the result to the same fixed point
-/// (the matcher's repair converges to the full match — the bitwise
-/// contract the equivalence suites pin), so switching mid-stream changes
-/// cost, never answers.
+/// How [`crate::pipeline::refresh_pattern_strategy`] refreshes one
+/// pattern after a shared commit. No host chooses: the hosts always run
+/// the merged pass ([`crate::pipeline::refresh_pattern`]). Kept only
+/// because `gpnm-bench`'s staged replay names it; removed with ROADMAP
+/// D2(b). Both variants drive the result to the same fixed point (the
+/// matcher's repair converges to the full match).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RefreshStrategy {
     /// One repair pass over the union of every update's plan — the

@@ -97,11 +97,11 @@ pub trait TickOutcome {
     /// non-publishing host); `shared_repair_by_kind_ns` — an object from
     /// update kind to its nanoseconds of `shared_repair_ns`, holding only
     /// the kinds the tick committed; lane counts (`refresh_lanes`,
-    /// `pool_lanes`); tick counters (`strategy_switches` cumulative,
-    /// `repair_calls`, `addition_candidates`, `affected_nodes`); index
-    /// gauges (`backend_kind`, `resident_rows`, `index_mem_bytes`);
-    /// `per_pattern` — array of
-    /// `{handle, refresh_ns, strategy}` in registration order; `io` —
+    /// `pool_lanes`); tick counters (`repair_calls`,
+    /// `addition_candidates`, `affected_nodes`); index gauges
+    /// (`backend_kind`, `resident_rows`, `index_mem_bytes`);
+    /// `per_pattern` — array of `{handle, refresh_ns}` in registration
+    /// order; `io` —
     /// `{cache_hits, cache_misses, cache_evictions, pages_read,
     /// pages_written}`, the backend's IO **during this tick** (the
     /// cumulative counters diffed across it), or `null` on in-memory

@@ -4,14 +4,12 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use gpnm_adaptive::ThreadTuner;
 use gpnm_distance::{
     AnyBackend, BackendKind, IncrementalIndex, IoStats, SlenBackend, SlenRequirements,
 };
 use gpnm_engine::pipeline::{
-    commit_data_update, plan_for_data_update, refresh_pattern_strategy, SharedElimination,
+    commit_data_update, plan_for_data_update, refresh_pattern, RefreshStats,
 };
-use gpnm_engine::RefreshStrategy;
 use gpnm_graph::{DataGraph, PatternGraph};
 use gpnm_matcher::{match_graph, MatchDelta, MatchResult, MatchSemantics, RepairPlan};
 use gpnm_pool::WorkerPool;
@@ -54,10 +52,6 @@ struct PatternSession {
     semantics: MatchSemantics,
     result: MatchResult,
     version: u64,
-    /// How the next tick refreshes this pattern. Every
-    /// [`RefreshStrategy`] reaches the same fixed point, so this knob
-    /// trades cost only.
-    strategy: RefreshStrategy,
 }
 
 /// Fine-grained accounting of where one tick spent its time — the
@@ -96,11 +90,12 @@ pub struct TickStats {
     /// Lanes a pool scope may use on this host — pool utilization
     /// of the refresh phase is `refresh_lanes / pool_lanes`.
     pub pool_lanes: usize,
-    /// Refresh strategy each pattern ran this tick (display names, in
-    /// registration order — parallel to `per_pattern_refresh_ns`).
+    /// Each pattern's refresh strategy name, in registration order: always
+    /// `RefreshStrategy::default().name()`, the one refresh there is. Kept
+    /// only because `gpnm-bench` reads it; removed with ROADMAP D2(b).
     pub per_pattern_strategy: Vec<(PatternHandle, &'static str)>,
-    /// Cumulative refresh-arm changes made through
-    /// [`GpnmService::set_refresh_strategy`] across all patterns.
+    /// Always 0: a host has one refresh policy and nothing to switch. Kept
+    /// only because `gpnm-bench` reads it; removed with ROADMAP D2(b).
     pub strategy_switches: u64,
     /// Repair passes actually run, summed over patterns.
     pub repair_calls: usize,
@@ -157,14 +152,6 @@ impl TickStats {
         }
     }
 
-    /// The strategy name recorded for `handle` this tick, if any.
-    fn strategy_of(&self, handle: PatternHandle) -> Option<&'static str> {
-        self.per_pattern_strategy
-            .iter()
-            .find(|&&(h, _)| h == handle)
-            .map(|&(_, name)| name)
-    }
-
     /// Multi-line human rendering (the `--stats` output).
     pub fn render(&self) -> String {
         let lanes = if self.pool_lanes > 0 {
@@ -178,7 +165,7 @@ impl TickStats {
             .collect();
         let mut out = format!(
             "  stats: reduce={}µs shared_repair={}µs [{}] refresh(Σ)={}µs \
-             refresh(max)={}µs publish={}µs lanes={lanes} switches={} \
+             refresh(max)={}µs publish={}µs lanes={lanes} \
              repairs={} candidates={} affected={}",
             self.reduce_ns / 1_000,
             self.shared_repair_ns / 1_000,
@@ -186,7 +173,6 @@ impl TickStats {
             self.refresh_total_ns() / 1_000,
             self.refresh_max_ns() / 1_000,
             self.publish_ns / 1_000,
-            self.strategy_switches,
             self.repair_calls,
             self.addition_candidates,
             self.affected_nodes,
@@ -211,9 +197,6 @@ impl TickStats {
         }
         for &(handle, ns) in &self.per_pattern_refresh_ns {
             out.push_str(&format!("\n    {handle}: refresh {}µs", ns / 1_000));
-            if let Some(name) = self.strategy_of(handle) {
-                out.push_str(&format!(" [{name}]"));
-            }
         }
         out
     }
@@ -225,13 +208,7 @@ impl TickStats {
         let per_pattern: Vec<String> = self
             .per_pattern_refresh_ns
             .iter()
-            .map(|&(handle, ns)| {
-                let strategy = self.strategy_of(handle).unwrap_or("");
-                format!(
-                    "{{\"handle\":{},\"refresh_ns\":{ns},\"strategy\":\"{strategy}\"}}",
-                    handle.id()
-                )
-            })
+            .map(|&(handle, ns)| format!("{{\"handle\":{},\"refresh_ns\":{ns}}}", handle.id()))
             .collect();
         let io = match &self.io {
             Some(io) => format!(
@@ -249,7 +226,7 @@ impl TickStats {
             "{{\"reduce_ns\":{},\"shared_repair_ns\":{},\"shared_repair_by_kind_ns\":{{{}}},\
              \"refresh_total_ns\":{},\"refresh_max_ns\":{},\"publish_ns\":{},\
              \"refresh_lanes\":{},\
-             \"pool_lanes\":{},\"strategy_switches\":{},\
+             \"pool_lanes\":{},\
              \"repair_calls\":{},\"addition_candidates\":{},\"affected_nodes\":{},\
              \"backend_kind\":\"{}\",\
              \"resident_rows\":{},\"index_mem_bytes\":{},\"per_pattern\":[{}],\"io\":{}}}",
@@ -261,7 +238,6 @@ impl TickStats {
             self.publish_ns,
             self.refresh_lanes,
             self.pool_lanes,
-            self.strategy_switches,
             self.repair_calls,
             self.addition_candidates,
             self.affected_nodes,
@@ -289,6 +265,7 @@ struct TickSeries {
     refresh_ns: Arc<Histogram>,
     publish_ns: Arc<Histogram>,
     pattern_refresh_ns: Arc<Histogram>,
+    pattern_refreshes: Arc<Counter>,
     updates_applied: Arc<Counter>,
     repair_calls: Arc<Counter>,
     repair_rematches: Arc<Counter>,
@@ -314,6 +291,7 @@ fn flush(report: &TickReport) {
         refresh_ns: registry.histogram("gpnm_tick_refresh_ns"),
         publish_ns: registry.histogram("gpnm_tick_publish_ns"),
         pattern_refresh_ns: registry.histogram("gpnm_pattern_refresh_ns"),
+        pattern_refreshes: registry.counter("gpnm_pattern_refresh_total"),
         updates_applied: registry.counter("gpnm_updates_applied_total"),
         repair_calls: registry.counter("gpnm_repair_calls_total"),
         repair_rematches: registry.counter("gpnm_repair_rematch_total"),
@@ -342,16 +320,11 @@ fn flush(report: &TickReport) {
     f.repair_calls.add(stats.repair_calls as u64);
     f.repair_rematches.add(stats.repair_rematches as u64);
     f.affected_nodes.add(stats.affected_nodes as u64);
-    for (&(_, ns), &(_, strategy)) in stats
-        .per_pattern_refresh_ns
-        .iter()
-        .zip(&stats.per_pattern_strategy)
-    {
+    for &(_, ns) in &stats.per_pattern_refresh_ns {
         f.pattern_refresh_ns.observe(ns);
-        registry
-            .counter_with("gpnm_pattern_refresh_total", &[("strategy", strategy)])
-            .inc();
     }
+    f.pattern_refreshes
+        .add(stats.per_pattern_refresh_ns.len() as u64);
     if let Some(io) = &stats.io {
         f.cache_hits.add(io.cache_hits);
         f.cache_misses.add(io.cache_misses);
@@ -461,7 +434,6 @@ pub struct ServiceBuilder {
     cache_budget_mb: Option<f64>,
     refresh_threads: usize,
     publishing: bool,
-    adaptive: bool,
 }
 
 impl Default for ServiceBuilder {
@@ -472,7 +444,6 @@ impl Default for ServiceBuilder {
             cache_budget_mb: None,
             refresh_threads: 0,
             publishing: true,
-            adaptive: false,
         }
     }
 }
@@ -520,14 +491,10 @@ impl ServiceBuilder {
         self
     }
 
-    /// Enable the refresh-parallelism tuner (default `false`): each tick
-    /// it picks the refresh phase's lane count between the sequential
-    /// baseline and pool fan-out from the previous tick's measured
-    /// per-pattern refresh times — see [`GpnmService::set_adaptive`].
-    /// Results stay bitwise identical to any fixed configuration; the
-    /// tuner trades cost only.
-    pub fn adaptive(mut self, on: bool) -> Self {
-        self.adaptive = on;
+    /// A no-op: the refresh runs on the fixed
+    /// [`ServiceBuilder::refresh_threads`] fan-out. Kept only because
+    /// `gpnm-bench` calls it; removed with ROADMAP D2(b).
+    pub fn adaptive(self, _on: bool) -> Self {
         self
     }
 
@@ -581,21 +548,10 @@ impl ServiceBuilder {
             paged.set_cache_budget(bytes);
         }
         let mut service = GpnmService::from_parts(graph, index, reqs);
-        service.set_refresh_threads(self.refresh_threads);
+        service.refresh_threads = self.refresh_threads;
         service.publishing = self.publishing;
-        service.set_adaptive(self.adaptive);
         Ok(service)
     }
-}
-
-/// The state of an adaptive service: the host-wide [`ThreadTuner`] and
-/// what it is fed — the previous tick's measured per-pattern refresh
-/// times, summed and worst (zero before the first tick).
-#[derive(Debug, Clone, Default)]
-struct AdaptiveState {
-    tuner: ThreadTuner,
-    refresh_total_ns: u64,
-    refresh_max_ns: u64,
 }
 
 /// A continuous-query GPNM service: **one** data graph and **one** `SLen`
@@ -634,8 +590,6 @@ pub struct GpnmService<B: SlenBackend = IncrementalIndex> {
     refresh_threads: usize,
     front: ReadFront,
     publishing: bool,
-    adaptive: Option<AdaptiveState>,
-    strategy_switches: u64,
 }
 
 impl<B: SlenBackend + Clone> Clone for GpnmService<B> {
@@ -655,8 +609,6 @@ impl<B: SlenBackend + Clone> Clone for GpnmService<B> {
             refresh_threads: self.refresh_threads,
             front: ReadFront::new(),
             publishing: self.publishing,
-            adaptive: self.adaptive.clone(),
-            strategy_switches: self.strategy_switches,
         };
         clone.republish_all();
         clone
@@ -703,8 +655,6 @@ impl<B: SlenBackend> GpnmService<B> {
             refresh_threads: 0,
             front: ReadFront::new(),
             publishing: true,
-            adaptive: None,
-            strategy_switches: 0,
         }
     }
 
@@ -724,68 +674,6 @@ impl<B: SlenBackend> GpnmService<B> {
                 },
             );
         }
-    }
-
-    /// Set the parallel-lane budget for the per-pattern refresh phase —
-    /// see [`ServiceBuilder::refresh_threads`]. `0` keeps the sequential
-    /// baseline. Safe to change between ticks.
-    pub fn set_refresh_threads(&mut self, n: usize) {
-        self.refresh_threads = n;
-    }
-
-    /// The configured refresh parallelism (`0` = sequential).
-    pub fn refresh_threads(&self) -> usize {
-        self.refresh_threads
-    }
-
-    /// Enable or disable the refresh-parallelism tuner. Enabled, each
-    /// tick's refresh lane count comes from the previous tick's measured
-    /// per-pattern refresh times (sum against critical path plus spawn
-    /// overhead — see [`ThreadTuner`]) instead of
-    /// [`GpnmService::refresh_threads`]. Disabling drops the tuner's state.
-    pub fn set_adaptive(&mut self, on: bool) {
-        if !on {
-            self.adaptive = None;
-        } else if self.adaptive.is_none() {
-            self.adaptive = Some(AdaptiveState::default());
-        }
-    }
-
-    /// Whether the tuner is driving this service's refresh parallelism.
-    pub fn adaptive(&self) -> bool {
-        self.adaptive.is_some()
-    }
-
-    /// Cumulative refresh-arm changes made through
-    /// [`GpnmService::set_refresh_strategy`] — the one way an arm changes.
-    pub fn strategy_switches(&self) -> u64 {
-        self.strategy_switches
-    }
-
-    /// Pin `handle`'s refresh strategy for subsequent ticks. Every
-    /// strategy reaches the same fixed point (the `service_equivalence`
-    /// suite switches mid-stream and asserts bitwise equality), so this
-    /// trades cost only.
-    pub fn set_refresh_strategy(
-        &mut self,
-        handle: PatternHandle,
-        strategy: RefreshStrategy,
-    ) -> Result<(), ServiceError> {
-        let (_, sess) = self
-            .sessions
-            .iter_mut()
-            .find(|(h, _)| *h == handle)
-            .ok_or(ServiceError::UnknownHandle(handle))?;
-        if sess.strategy != strategy {
-            sess.strategy = strategy;
-            self.strategy_switches += 1;
-        }
-        Ok(())
-    }
-
-    /// The strategy `handle`'s next refresh will run under.
-    pub fn refresh_strategy(&self, handle: PatternHandle) -> Result<RefreshStrategy, ServiceError> {
-        Ok(self.session(handle)?.strategy)
     }
 
     /// The shared `SLen` backend.
@@ -873,7 +761,7 @@ impl<B: SlenBackend> GpnmService<B> {
         // repair plan from the shared delta *at this update's post-state*,
         // which is precisely where the single-pattern engine derives its
         // own, and folds it into one plan for the tick: the refresh runs
-        // one pass over the union anyway (see `refresh_pattern_strategy`).
+        // one pass over the union anyway (see `refresh_pattern`).
         let commit_span = tracing::span!(tracing::Level::DEBUG, "commit", updates = reduced.len());
         let commit_entered = commit_span.enter();
         let mut plans: Vec<RepairPlan> = vec![RepairPlan::new(); self.sessions.len()];
@@ -885,12 +773,6 @@ impl<B: SlenBackend> GpnmService<B> {
             let t = Instant::now();
             let cu = commit_data_update(&mut self.graph, &mut self.index, du)?;
             stats.add_commit(cu.kind(), ns64(t.elapsed()));
-            tracing::event!(
-                tracing::Level::TRACE,
-                "update_committed",
-                affected = cu.delta.affected.len(),
-                slen_changes = cu.delta.len(),
-            );
             slen_changes += cu.delta.len();
             stats.affected_nodes += cu.delta.affected.len();
             for ((_, sess), plan) in self.sessions.iter().zip(plans.iter_mut()) {
@@ -909,21 +791,8 @@ impl<B: SlenBackend> GpnmService<B> {
         // Per-pattern refresh, then delta extraction. From here the graph
         // and index are read-only, so the per-pattern work is independent
         // and fans out across `refresh_threads` pool lanes.
-        //
-        // Adaptive pre-refresh step: the tuner sets the refresh parallelism
-        // from the previous tick's measured refresh times. It trades cost
-        // only — every lane count reaches the same fixed point.
         let t = Instant::now();
-        let effective_threads = match &mut self.adaptive {
-            Some(state) => state.tuner.decide(
-                state.refresh_total_ns,
-                state.refresh_max_ns,
-                self.sessions.len(),
-                stats.pool_lanes,
-            ),
-            None => self.refresh_threads,
-        };
-        stats.refresh_lanes = refresh_lanes(effective_threads, self.sessions.len());
+        stats.refresh_lanes = refresh_lanes(self.refresh_threads, self.sessions.len());
 
         let refresh_span = tracing::span!(
             tracing::Level::DEBUG,
@@ -937,7 +806,7 @@ impl<B: SlenBackend> GpnmService<B> {
             &mut self.sessions,
             &plans,
             !reduced.is_empty(),
-            effective_threads,
+            self.refresh_threads,
             &refresh_span,
         );
         drop(refresh_entered);
@@ -954,7 +823,7 @@ impl<B: SlenBackend> GpnmService<B> {
                 .push((handle, outcome.refresh_ns));
             stats
                 .per_pattern_strategy
-                .push((handle, outcome.strategy.name()));
+                .push((handle, gpnm_engine::RefreshStrategy::default().name()));
             deltas.push((handle, outcome.delta));
         }
 
@@ -998,14 +867,9 @@ impl<B: SlenBackend> GpnmService<B> {
         if let (Some(before), Some(after)) = (io_before, self.index.io_stats()) {
             stats.io = Some(after.since(&before));
         }
-        stats.strategy_switches = self.strategy_switches;
         stats.backend_kind = self.index.kind();
         stats.resident_rows = self.index.resident_rows();
         stats.index_mem_bytes = self.index.mem_bytes();
-        if let Some(state) = &mut self.adaptive {
-            state.refresh_total_ns = stats.refresh_total_ns();
-            state.refresh_max_ns = stats.refresh_max_ns();
-        }
         // A non-publishing replica is one shard of a cluster: its narrowed
         // index is a share of the total, which the cluster reports itself.
         if self.publishing {
@@ -1105,7 +969,6 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
                 semantics,
                 result,
                 version: 0,
-                strategy: RefreshStrategy::default(),
             },
         ));
         Ok(handle)
@@ -1187,10 +1050,9 @@ fn refresh_lanes(refresh_threads: usize, k: usize) -> usize {
 /// One pattern's refresh outcome, produced on whichever lane ran it.
 struct RefreshOutcome {
     handle: PatternHandle,
-    stats: gpnm_engine::pipeline::RefreshStats,
+    stats: RefreshStats,
     delta: MatchDelta,
     refresh_ns: u64,
-    strategy: RefreshStrategy,
 }
 
 /// Refresh every session against the post-commit graph/index, sequentially
@@ -1207,9 +1069,6 @@ fn refresh_sessions<B: SlenBackend>(
     refresh_threads: usize,
     parent: &tracing::Span,
 ) -> Vec<RefreshOutcome> {
-    // Kept only for the signature `gpnm-bench` also calls: with one folded
-    // plan there is nothing to eliminate.
-    let no_elimination = SharedElimination::detect(&[]);
     let refresh_one = |(handle, sess): &mut (PatternHandle, PatternSession),
                        plan: &RepairPlan|
      -> RefreshOutcome {
@@ -1222,38 +1081,29 @@ fn refresh_sessions<B: SlenBackend>(
             tracing::Level::DEBUG,
             "pattern_refresh",
             handle = handle.id(),
-            strategy = sess.strategy.name(),
         );
         let _entered = span.enter();
         let t = Instant::now();
         let prev = sess.result.visible();
-        let stats = refresh_pattern_strategy(
-            sess.strategy,
-            &sess.pattern,
-            graph,
-            index,
-            sess.semantics,
-            &mut sess.result,
-            // An empty reduced batch refreshes from no plan: no repair pass.
-            if committed {
-                std::slice::from_ref(plan)
-            } else {
-                &[]
-            },
-            &no_elimination,
-        );
+        // An empty reduced batch refreshes from no plan: no repair pass.
+        let stats = if committed {
+            refresh_pattern(
+                &sess.pattern,
+                graph,
+                index,
+                sess.semantics,
+                &mut sess.result,
+                plan,
+            )
+        } else {
+            RefreshStats::default()
+        };
         sess.version += 1;
-        tracing::event!(
-            tracing::Level::TRACE,
-            "pattern_refreshed",
-            repairs = stats.repair_calls,
-        );
         RefreshOutcome {
             handle: *handle,
             stats,
             delta: sess.result.delta_from(&prev, sess.version),
             refresh_ns: ns64(t.elapsed()),
-            strategy: sess.strategy,
         }
     };
 
@@ -1481,10 +1331,14 @@ mod tests {
     #[test]
     fn parallel_refresh_matches_sequential_bitwise() {
         let f = fig1();
-        let mut seq = GpnmService::<SparseIndex>::new(f.graph.clone());
-        let mut par = GpnmService::<SparseIndex>::new(f.graph.clone());
-        par.set_refresh_threads(4);
-        assert_eq!(par.refresh_threads(), 4);
+        let build = |threads| {
+            GpnmService::builder()
+                .backend(BackendKind::Sparse)
+                .refresh_threads(threads)
+                .build(f.graph.clone())
+                .expect("sparse builds are never refused")
+        };
+        let (mut seq, mut par) = (build(0), build(4));
         let mut handles = Vec::new();
         for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
             let a = seq.register_pattern(f.pattern.clone(), semantics).unwrap();

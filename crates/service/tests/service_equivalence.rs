@@ -291,26 +291,20 @@ fn absent_edges(rng: &mut StdRng, graph: &DataGraph, count: usize) -> Vec<(NodeI
 
 /// The merged repair pass across batch sizes: a stream alternating
 /// 1-update and 80-update balanced ticks (the proptests below draw 4–6
-/// updates a tick). Every tick, the `Eliminative` service, the `Rematch`
-/// service and `match_graph` over a freshly built index agree bitwise.
+/// updates a tick). Every tick, the service and `match_graph` over a
+/// freshly built index agree bitwise, relation included.
 #[test]
-fn merged_pass_matches_rematch_and_scratch_across_batch_sizes() {
+fn merged_pass_matches_scratch_across_batch_sizes() {
     let semantics = MatchSemantics::Simulation;
     let mut changed_ticks = 0;
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let (graph, interner) = random_graph(&mut rng, 60, 120, 4);
-        let mut merged = GpnmService::<SparseIndex>::new(graph.clone());
-        let mut rematch = GpnmService::<SparseIndex>::new(graph);
+        let mut merged = GpnmService::<SparseIndex>::new(graph);
         let mut handles = Vec::new();
         for _ in 0..3 {
             let pattern = random_pattern(&mut rng, &interner, 4);
-            let hm = merged.register_pattern(pattern.clone(), semantics).unwrap();
-            let hr = rematch.register_pattern(pattern, semantics).unwrap();
-            rematch
-                .set_refresh_strategy(hr, RefreshStrategy::Rematch)
-                .unwrap();
-            handles.push((hm, hr));
+            handles.push(merged.register_pattern(pattern, semantics).unwrap());
         }
         let picks = absent_edges(&mut rng, merged.graph(), 81);
         let (trickle, churn) = picks.split_at(1);
@@ -325,31 +319,18 @@ fn merged_pass_matches_rematch_and_scratch_across_batch_sizes() {
                     });
                 }
                 let rm = merged.apply(&batch).expect("valid batch");
-                let rr = rematch.apply(&batch).expect("valid batch");
                 assert_eq!(rm.repair_calls, handles.len(), "one merged pass a pattern");
-                assert_eq!(rr.repair_calls, 0);
                 let fresh = SparseIndex::build(merged.graph(), merged.requirements());
-                for &(hm, hr) in &handles {
+                for &hm in &handles {
                     let pattern = merged.pattern(hm).unwrap();
                     let scratch = match_graph(pattern, merged.graph(), &fresh, semantics);
                     let context = format!("seed {seed}, tick {tick}, insert {insert}");
                     assert_eq!(merged.result(hm).unwrap(), &scratch, "{context}");
-                    assert_eq!(rematch.result(hr).unwrap(), &scratch, "{context}");
                     assert!(
                         merged.result(hm).unwrap().relation_eq(&scratch),
                         "{context}"
                     );
-                    assert!(
-                        rematch.result(hr).unwrap().relation_eq(&scratch),
-                        "{context}"
-                    );
                     let dm = rm.delta_for(hm).expect("handle in report");
-                    let dr = rr.delta_for(hr).expect("handle in report");
-                    assert_eq!(
-                        (&dm.added, &dm.removed, dm.result_version),
-                        (&dr.added, &dr.removed, dr.result_version),
-                        "{context}"
-                    );
                     changed_ticks += usize::from(!dm.added.is_empty() || !dm.removed.is_empty());
                 }
             }
@@ -526,125 +507,6 @@ proptest! {
             let _ = engine; // engine and service walked the same trajectory
             prop_assert_eq!(service.backend().backend_kind(), kind);
         }
-    }
-
-    /// Switching a pattern's refresh strategy *mid-stream* — tick by tick,
-    /// per pattern, between both arms — never changes the answers: each
-    /// arm converges to the same fixed point, so a caller is free to flip
-    /// between them at any tick boundary. Results stay bitwise-equal to
-    /// dedicated engines and the delta contract holds across every
-    /// switch.
-    #[test]
-    fn mid_stream_strategy_switches_preserve_results(seed in any::<u64>(), k in 1usize..4) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (graph, interner) = random_graph(&mut rng, 20, 40, 4);
-        let mut service = GpnmService::<SparseIndex>::new(graph.clone());
-        let mut engines = Vec::new();
-        let mut handles = Vec::new();
-        for _ in 0..k {
-            let pattern = random_pattern(&mut rng, &interner, 4);
-            let h = service
-                .register_pattern(pattern.clone(), MatchSemantics::Simulation)
-                .unwrap();
-            let mut engine = GpnmEngine::<SparseIndex>::with_backend(
-                graph.clone(),
-                pattern,
-                MatchSemantics::Simulation,
-            );
-            engine.initial_query();
-            handles.push(h);
-            engines.push(engine);
-        }
-
-        let mut prev: Vec<MatchResult> = handles
-            .iter()
-            .map(|&h| service.result(h).unwrap().clone())
-            .collect();
-        for tick in 0..5usize {
-            // Each pattern lands on a different arm each tick, so every
-            // (arm → arm) transition is exercised somewhere in the run.
-            for (i, &h) in handles.iter().enumerate() {
-                let s = RefreshStrategy::ALL[(tick + i) % RefreshStrategy::ALL.len()];
-                service.set_refresh_strategy(h, s).unwrap();
-                prop_assert_eq!(service.refresh_strategy(h).unwrap(), s);
-            }
-            let batch = random_data_batch(&mut rng, service.graph(), &interner, 5);
-            let report = service.apply(&batch).expect("valid batch");
-            for i in 0..k {
-                engines[i]
-                    .subsequent_query(&batch, Strategy::UaGpnm)
-                    .expect("valid batch");
-                let got = service.result(handles[i]).unwrap();
-                prop_assert_eq!(
-                    got,
-                    engines[i].result(),
-                    "tick {} pattern {} diverged after a strategy switch (seed {})",
-                    tick,
-                    i,
-                    seed
-                );
-                let delta = report.delta_for(handles[i]).expect("handle in report");
-                prop_assert_eq!(delta.result_version, tick as u64 + 1);
-                prop_assert_eq!(&delta.apply_to(&prev[i]), got);
-                prev[i] = got.clone();
-                // Both arms leave the relation a fresh match would: the
-                // switch back to the merged pass repairs what `Rematch`
-                // left, and the other way round.
-                let context = format!("seed {seed}, tick {tick}, pattern {i}, after a switch");
-                assert_fresh(&service, handles[i], MatchSemantics::Simulation, &context);
-            }
-        }
-    }
-
-    /// An adaptive service — the tuner picking lane counts live —
-    /// produces bitwise the same results and deltas as a fixed-lane
-    /// service fed the same stream. The tuner moves *cost*, never
-    /// *answers*.
-    #[test]
-    fn adaptive_service_matches_fixed(seed in any::<u64>(), k in 1usize..4) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (graph, interner) = random_graph(&mut rng, 20, 40, 4);
-        let mut adaptive = GpnmService::builder()
-            .backend(BackendKind::Sparse)
-            .adaptive(true)
-            .build(graph.clone())
-            .unwrap();
-        let mut fixed = GpnmService::builder()
-            .backend(BackendKind::Sparse)
-            .build(graph)
-            .unwrap();
-        prop_assert!(adaptive.adaptive());
-        prop_assert!(!fixed.adaptive());
-
-        let mut pairs = Vec::new();
-        for _ in 0..k {
-            let pattern = random_pattern(&mut rng, &interner, 4);
-            let ha = adaptive
-                .register_pattern(pattern.clone(), MatchSemantics::Simulation)
-                .unwrap();
-            let hf = fixed
-                .register_pattern(pattern, MatchSemantics::Simulation)
-                .unwrap();
-            pairs.push((ha, hf));
-        }
-
-        for _ in 0..5 {
-            let batch = random_data_batch(&mut rng, adaptive.graph(), &interner, 6);
-            let ra = adaptive.apply(&batch).expect("valid batch");
-            let rf = fixed.apply(&batch).expect("valid batch");
-            for &(ha, hf) in &pairs {
-                prop_assert_eq!(adaptive.result(ha).unwrap(), fixed.result(hf).unwrap());
-                let da = ra.delta_for(ha).expect("handle in report");
-                let df = rf.delta_for(hf).expect("handle in report");
-                prop_assert_eq!(&da.added, &df.added);
-                prop_assert_eq!(&da.removed, &df.removed);
-                prop_assert_eq!(da.result_version, df.result_version);
-            }
-        }
-        // Per-pattern strategies are reported either way.
-        let batch = random_data_batch(&mut rng, adaptive.graph(), &interner, 4);
-        let report = adaptive.apply(&batch).expect("valid batch");
-        prop_assert_eq!(report.stats.per_pattern_strategy.len(), k);
     }
 
     /// Deregistering mid-stream narrows the shared requirement union

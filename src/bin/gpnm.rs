@@ -7,7 +7,6 @@
 //! gpnm replay [--backend B] [--nodes N] [--edges M] [--patterns K] [--ticks T]
 //!             [--updates N] [--trace FILE] [--labels N] [--seed S]
 //!             [--shards K] [--threads T] [--stats] [--stats-json FILE] [--subscribe]
-//!             [--adaptive]
 //!             [--trace-summary] [--trace-out FILE] [--metrics-out FILE]
 //! gpnm demo
 //! ```
@@ -28,10 +27,8 @@
 //! `--threads T` fans each shard's (or the single service's) per-pattern
 //! refresh out over T pool lanes, and `--stats` prints the per-tick
 //! `TickStats` accounting (`--stats-json FILE` writes the same stats as
-//! one JSON object per tick). `--adaptive` turns on the refresh-parallelism
-//! tuner: the refresh lane count is then picked each tick from the previous
-//! tick's measured refresh times instead of `--threads` — results stay
-//! bitwise identical either way. Either way the replay drives the host through
+//! one JSON object per tick) — results are bitwise identical at every
+//! `--threads`. Service or cluster, the replay drives the host through
 //! the `PatternHost` trait — the register and tick loops are one generic
 //! code path. `--subscribe` additionally consumes every pattern's deltas
 //! through the subscription API and cross-checks that the folded stream
@@ -86,7 +83,6 @@ struct Args {
     stats: bool,
     stats_json: Option<String>,
     subscribe: bool,
-    adaptive: bool,
     trace_summary: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -131,7 +127,6 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
         stats: false,
         stats_json: None,
         subscribe: false,
-        adaptive: false,
         trace_summary: false,
         trace_out: None,
         metrics_out: None,
@@ -175,7 +170,7 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
             "--nodes" => args.nodes = parse_num(take_str("--nodes")?, "--nodes")?,
             "--edges" => args.edges = parse_num(take_str("--edges")?, "--edges")?,
             "--patterns" | "--ticks" | "--trace" | "--shards" | "--threads" | "--stats"
-            | "--stats-json" | "--subscribe" | "--adaptive" | "--trace-summary" | "--trace-out"
+            | "--stats-json" | "--subscribe" | "--trace-summary" | "--trace-out"
             | "--metrics-out"
                 if cmd != Cmd::Replay =>
             {
@@ -198,7 +193,6 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
             "--trace-summary" => args.trace_summary = true,
             "--trace-out" => args.trace_out = Some(take_str("--trace-out")?.clone()),
             "--metrics-out" => args.metrics_out = Some(take_str("--metrics-out")?.clone()),
-            "--adaptive" => args.adaptive = true,
             "--backend" => args.backend = take_str("--backend")?.parse()?,
             "--max-index-gb" => {
                 let v = take_str("--max-index-gb")?;
@@ -650,8 +644,7 @@ fn run_replay_service(
     let mut builder = GpnmService::builder()
         .backend(args.backend)
         .max_index_gb(args.max_index_gb)
-        .refresh_threads(args.threads)
-        .adaptive(args.adaptive);
+        .refresh_threads(args.threads);
     if let Some(mb) = args.cache_budget_mb {
         builder = builder.cache_budget_mb(mb);
     }
@@ -688,8 +681,7 @@ fn run_replay_cluster(
         .shards(shards)
         .backend(args.backend)
         .max_index_gb(args.max_index_gb)
-        .refresh_threads(args.threads)
-        .adaptive(args.adaptive);
+        .refresh_threads(args.threads);
     if let Some(mb) = args.cache_budget_mb {
         builder = builder.cache_budget_mb(mb);
     }
@@ -779,7 +771,6 @@ fn main() -> ExitCode {
              \x20      --nodes N --edges M (smoke/replay only)\n\
              \x20      --patterns K --ticks T --trace FILE (replay only)\n\
              \x20      --shards K --threads T --stats --stats-json FILE --subscribe (replay only)\n\
-             \x20      --adaptive (replay only)\n\
              \x20      --trace-summary --trace-out FILE --metrics-out FILE (replay only)"
                 .to_owned(),
         ),

@@ -20,8 +20,6 @@
 //!   EH-Tree.
 //! * [`engine`] — end-to-end strategies: `UA-GPNM` and the `INC-GPNM` and
 //!   `EH-GPNM` baselines.
-//! * [`adaptive`] — the refresh-parallelism tuner: sequential refresh or
-//!   pool fan-out, from the measured per-pattern refresh times.
 //! * [`service`] — the continuous-query layer: many standing patterns over
 //!   one graph, shared single-pass repair, per-tick [`prelude::MatchDelta`]s.
 //! * [`cluster`] — the sharded serving layer: k service shards with
@@ -72,7 +70,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use gpnm_adaptive as adaptive;
 pub use gpnm_cluster as cluster;
 pub use gpnm_distance as distance;
 pub use gpnm_engine as engine;
@@ -85,12 +82,11 @@ pub use gpnm_workload as workload;
 
 /// Convenience re-exports covering the common API surface.
 pub mod prelude {
-    pub use gpnm_adaptive::ThreadTuner;
     pub use gpnm_cluster::{
         ClusterBuilder, ClusterError, ClusterHandle, ClusterTickReport, GpnmCluster,
     };
     pub use gpnm_distance::{AnyBackend, BackendKind, SlenBackend, SlenRequirements, SparseIndex};
-    pub use gpnm_engine::{EngineError, ExecStats, GpnmEngine, RefreshStrategy, Strategy};
+    pub use gpnm_engine::{EngineError, ExecStats, GpnmEngine, Strategy};
     pub use gpnm_graph::{
         Bound, DataGraph, DataGraphBuilder, GraphError, Label, LabelInterner, NodeId, PatternGraph,
         PatternGraphBuilder, PatternNodeId,

@@ -1,14 +1,16 @@
-//! `gpnm replay` has one cluster placement, round-robin, and never moves
-//! a pattern between shards: the flags that used to pick a placement or
-//! schedule such moves are unknown flags, refused before anything runs.
+//! Flags `gpnm replay` no longer has are unknown flags, refused before
+//! anything runs: the cluster has one placement, round-robin, and never
+//! moves a pattern between shards, and the refresh runs on the fixed
+//! `--threads` fan-out with no tuner to turn on.
 
 use std::process::Command;
 
 #[test]
-fn retired_cluster_flags_are_unknown() {
+fn retired_flags_are_unknown() {
     for args in [
         &["replay", "--shards", "2", "--rebalance-every", "2"][..],
         &["replay", "--shards", "2", "--placement", "least-loaded"],
+        &["replay", "--adaptive"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_gpnm"))
             .args(args)

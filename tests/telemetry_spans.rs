@@ -139,10 +139,6 @@ fn cluster_tick_spans_nest_across_the_pool_fanout() {
             ],
             "explicit parenting must survive the pool fan-out"
         );
-        assert!(
-            pr.fields.iter().any(|(k, _)| *k == "strategy"),
-            "pattern_refresh carries its strategy tag"
-        );
     }
 
     // Every span closed before the drain.
@@ -213,9 +209,7 @@ fn cluster_index_gauges_are_the_totals_over_shards() {
 /// session of the query repairs and `gpnm_repair_rematch_total` stays flat.
 #[test]
 fn repair_rematch_fallback_is_reported_then_stays_silent() {
-    use ua_gpnm::engine::pipeline::{
-        commit_data_update, plan_for_data_update, refresh_pattern_strategy, SharedElimination,
-    };
+    use ua_gpnm::engine::pipeline::{commit_data_update, plan_for_data_update, refresh_pattern};
     use ua_gpnm::matcher::RepairPlan;
 
     let _guard = serialize();
@@ -284,16 +278,7 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
             ));
         }
         let collector = install_collector();
-        let stats = refresh_pattern_strategy(
-            RefreshStrategy::Eliminative,
-            &pattern,
-            &replica,
-            &index,
-            semantics,
-            &mut carried,
-            std::slice::from_ref(&plan),
-            &SharedElimination::detect(&[]),
-        );
+        let stats = refresh_pattern(&pattern, &replica, &index, semantics, &mut carried, &plan);
         uninstall_collector();
         let trace = collector.finish();
         rematches.push(stats.rematched);
