@@ -147,7 +147,6 @@ impl TickOutcome for ClusterTickReport {
 /// let cluster = GpnmCluster::builder()
 ///     .shards(2)
 ///     .backend(BackendKind::Sparse)
-///     .refresh_threads(2)
 ///     .build(fig.graph)
 ///     .expect("sparse builds are never refused");
 /// assert_eq!(cluster.shard_count(), 2);
@@ -155,8 +154,8 @@ impl TickOutcome for ClusterTickReport {
 #[derive(Debug)]
 pub struct ClusterBuilder {
     shards: usize,
-    /// Every shard's configuration: the backend, budget and refresh knobs
-    /// forward here, and [`ClusterBuilder::build`] builds each shard from
+    /// Every shard's configuration: the backend and budget knobs forward
+    /// here, and [`ClusterBuilder::build`] builds each shard from
     /// it with publishing off.
     shard: ServiceBuilder,
 }
@@ -224,13 +223,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Per-shard refresh parallelism (see
-    /// [`ServiceBuilder::refresh_threads`]). The two levels compose: a
-    /// tick fans out across shards, and each shard fans its patterns out
-    /// across this many further lanes in a nested
-    /// [`gpnm_pool::WorkerPool::scope`], which opens threads of its own.
-    pub fn refresh_threads(mut self, n: usize) -> Self {
-        self.shard = self.shard.refresh_threads(n);
+    /// A no-op: each shard refreshes its patterns one after another. It
+    /// stays because the benchmark of record (`gpnm-bench/src/host.rs`)
+    /// calls it by name; removed with ROADMAP D2(b).
+    pub fn refresh_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -277,15 +273,11 @@ impl ClusterBuilder {
 /// [`PatternHost::apply`] validates the batch once and fans it out to all
 /// shards **in parallel** in one [`gpnm_pool::WorkerPool::scope`]; each
 /// shard commits the same batch to its replica and repairs only its own
-/// narrowed index, then refreshes its patterns (themselves parallel when
-/// `refresh_threads > 0`). The speedup composes twice:
-///
-/// * **across shards** — k repair passes run concurrently, and each is
-///   *smaller* than the union pass (a shard's index only keeps rows for
-///   its own patterns' labels, truncated at its own patterns' max bound —
-///   one deep or label-hungry pattern no longer taxes every other
-///   pattern's repair);
-/// * **within a shard** — per-pattern refresh fans out in a nested scope.
+/// narrowed index, then refreshes its own patterns in sequence. k repair
+/// passes run concurrently, and each is *smaller* than the union pass (a
+/// shard's index only keeps rows for its own patterns' labels, truncated
+/// at its own patterns' max bound — one deep or label-hungry pattern no
+/// longer taxes every other pattern's repair).
 ///
 /// Per-pattern results are bitwise identical to a single service (and to
 /// k independent engines) — asserted by the `cluster_equivalence` proptest
@@ -746,7 +738,6 @@ mod tests {
         let mut cluster = GpnmCluster::builder()
             .shards(3)
             .backend(BackendKind::Paged)
-            .refresh_threads(2)
             .cache_budget_mb(0.5)
             .build(f.graph.clone())
             .expect("paged builds are never refused");
@@ -757,7 +748,8 @@ mod tests {
             assert_eq!(paged.cache_budget(), 1 << 19, "0.5 MiB cache");
             assert!(!shard.publishing(), "shards never publish on their own");
         }
-        // Two patterns a shard: each shard's refresh fans out over both.
+        // Two patterns a shard: every paged shard commits the batch and
+        // refreshes both of its own patterns.
         for _ in 0..6 {
             cluster
                 .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
@@ -771,10 +763,8 @@ mod tests {
         let report = cluster.apply(&batch).expect("valid batch");
         assert_eq!(report.shard_reports.len(), 3);
         for shard in &report.shard_reports {
-            assert_eq!(
-                shard.stats.refresh_lanes, 2,
-                "refresh_threads reached the shard"
-            );
+            assert_eq!(shard.stats.per_pattern_refresh_ns.len(), 2);
+            assert!(shard.stats.io.is_some(), "paged shards report their IO");
         }
         // The shard template validates the forwarded knobs.
         assert!(matches!(

@@ -17,12 +17,12 @@
 //!   [`TickReport`](gpnm_service::TickReport)s into one
 //!   [`ClusterTickReport`] keyed by cluster handles.
 //!
-//! The parallelism composes twice — across shards, and (with
-//! `refresh_threads > 0`) across patterns within each shard — and the
-//! *work* shrinks too: a shard's repair pass only touches rows for its own
-//! patterns' edge-source labels, each truncated at the deepest bound its
-//! own patterns put on that label, so one deep or label-hungry pattern
-//! stops taxing every other pattern's repair.
+//! Shards commit and refresh concurrently, each refreshing its own
+//! patterns in sequence, and the *work* shrinks too: a shard's repair
+//! pass only touches rows for its own patterns' edge-source labels, each
+//! truncated at the deepest bound its own patterns put on that label, so
+//! one deep or label-hungry pattern stops taxing every other pattern's
+//! repair.
 //! Results stay bitwise identical to a single service and to k independent
 //! engines (the `cluster_equivalence` proptest suite); the benchmark of
 //! record's `cluster_2shard` workload prices a cluster tick against the
@@ -41,7 +41,6 @@
 //! let mut cluster = GpnmCluster::builder()
 //!     .shards(2)
 //!     .backend(BackendKind::Sparse)
-//!     .refresh_threads(2)
 //!     .build(fig.graph)?;
 //!
 //! let staffing = cluster.register_pattern(fig.pattern, MatchSemantics::Simulation)?;
@@ -55,7 +54,7 @@
 //! # Ok::<(), gpnm_cluster::ClusterError>(())
 //! ```
 //!
-//! `gpnm replay --shards K --threads T` drives the same API from the
+//! `gpnm replay --shards K` drives the same API from the
 //! command line; `examples/sharded_serving.rs` shows placement
 //! introspection and per-shard footprints.
 

@@ -125,15 +125,6 @@ impl DistanceMatrix {
         }
     }
 
-    /// Set the row and column of `u` to [`INF`] (node deletion).
-    pub fn clear_slot(&mut self, u: NodeId) {
-        self.row_mut(u).fill(INF);
-        let col = u.index();
-        for i in 0..self.n {
-            self.dist[i * self.stride + col] = INF;
-        }
-    }
-
     /// The `n` rows, in slot order.
     fn rows(&self) -> impl Iterator<Item = &[u32]> + '_ {
         self.dist.chunks(self.stride).map(|row| &row[..self.n])
@@ -350,35 +341,6 @@ mod tests {
             [(NodeId(29), NodeId(0), INF, 4)]
         );
         assert_ne!(DistanceMatrix::new(3), DistanceMatrix::new(4));
-    }
-
-    #[test]
-    fn clear_slot_wipes_row_and_column() {
-        let mut m = DistanceMatrix::new(3);
-        m.set(NodeId(0), NodeId(1), 2);
-        m.set(NodeId(1), NodeId(2), 3);
-        m.set(NodeId(2), NodeId(1), 4);
-        m.clear_slot(NodeId(1));
-        assert_eq!(m.get(NodeId(0), NodeId(1)), INF);
-        assert_eq!(m.get(NodeId(1), NodeId(2)), INF);
-        assert_eq!(m.get(NodeId(2), NodeId(1)), INF);
-        assert_eq!(m.get(NodeId(1), NodeId(1)), INF);
-        assert_eq!(m.get(NodeId(0), NodeId(0)), 0, "other slots untouched");
-        // On a grown matrix: the row and the column, and nothing else.
-        let mut m = numbered(20);
-        m.grow(24);
-        m.clear_slot(NodeId(7));
-        m.clear_slot(NodeId(23));
-        for i in 0..24 {
-            let (u, w) = (NodeId::from_index(i), NodeId(7));
-            assert_eq!((m.get(u, w), m.get(w, u)), (INF, INF));
-            assert_eq!(m.get(u, NodeId(23)), INF);
-        }
-        assert!(m.row(NodeId(23)).iter().all(|&d| d == INF));
-        assert_eq!(m.get(NodeId(5), NodeId(8)), 508);
-        // 400 numbered cells less row 7 and column 7, and the diagonals of
-        // the three newcomers left.
-        assert_eq!(m.finite_entries(), 400 - 39 + 3);
     }
 
     #[test]

@@ -42,8 +42,9 @@
 //! * the shared read path (`with_row`, every oracle probe) holds the lock
 //!   for the directory lookup, the clock bit and the hit/miss count, and
 //!   clones the row's `Arc` out — the row *scan* runs outside the lock,
-//!   so two refresh lanes never serialise on it. A miss reads the row from
-//!   the spill file unlocked and takes the lock once more to insert it.
+//!   so two readers sharing the backend never serialise on it. A miss
+//!   reads the row from the spill file unlocked and takes the lock once
+//!   more to insert it.
 //!
 //! The policy: a read miss caches its row only while that keeps the cache
 //! within budget and never evicts — at budget it stays a read-through —

@@ -187,3 +187,24 @@ fn survivor_verifies_its_eh_tree_subtree() {
     )
     .unwrap();
 }
+
+/// Two pattern-node inserts, two pattern-node deletes and an edge from an
+/// old pattern node into the first new one (case 503 at 16 384 cases).
+/// DER-I gives an edge into a pattern node created in the same batch an
+/// empty `Can_RN`, so the edge's plan marks none of its source's members
+/// dirty: only the closure's whole first sweeps prune that source, and
+/// with dirty-only first sweeps EH-GPNM keeps members Scratch drops.
+#[test]
+fn edge_into_a_node_created_in_the_same_batch_is_rechecked() {
+    strategies_agree(
+        15753668584200780995,
+        &[
+            (6, 1874, 244),
+            (7, 229, 2071),
+            (6, 124, 3741),
+            (7, 1881, 1661),
+            (4, 2946, 3468),
+        ],
+    )
+    .unwrap();
+}

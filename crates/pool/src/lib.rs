@@ -1,9 +1,8 @@
 //! Scoped fan-out over the machine's lanes, on `std::thread::scope`.
 //!
-//! The repair hot paths of UA-GPNM (the dense backend's deletion rows — §V's
-//! "processed distributively" —, a cluster's shard tick, a service's
-//! per-pattern refresh) hand chunk-sized tasks that borrow from the caller's
-//! stack to one [`WorkerPool::scope`]:
+//! Its one caller is a cluster's shard fan-out: each tick hands every
+//! shard's commit-and-refresh, as a task that borrows from the caller's
+//! stack, to one [`WorkerPool::scope`]:
 //!
 //! ```
 //! use gpnm_pool::WorkerPool;
@@ -29,12 +28,10 @@
 //!   threads, the caller included, however many tasks it was handed, and a
 //!   lone task runs on the caller without spawning anything. Borrowing is
 //!   `std::thread::scope`'s, so the crate has no `unsafe`.
-//! * **A nested scope opens its own threads.** A task may open a scope of
-//!   its own; that scope is bounded by `lanes()` on its own, not out of one
-//!   shared budget, so nesting can oversubscribe the machine. Only a
-//!   cluster whose shards also refresh in parallel (`refresh_threads > 0`)
-//!   nests; the default, and the benchmark's cluster, refresh each shard's
-//!   patterns on one lane.
+//! * **No scope nests.** A shard task runs its whole tick on its own
+//!   thread and opens no scope. A nested scope would be bounded by
+//!   `lanes()` on its own, not out of one shared budget, and so could
+//!   oversubscribe the machine.
 //! * **Panic propagation.** A panicking task does not stop its group: every
 //!   task still runs, and the scope re-raises the first panic on the
 //!   scoping thread once all of them have finished.
@@ -48,8 +45,8 @@
 //! join per scope, 31–35 µs on a 2-core Xeon box: measured on the benchmark of
 //! record (ten pairs), a 2-shard cluster tick reads ≈ 6% slower at the
 //! median (1.13 → 1.19 ms) and a dense-backend subsequent query ≈ 2%
-//! slower (33.8 → 34.6 ms, function-aligned builds), which is acceptable
-//! given that only those two shapes open a scope at all, and both stay
+//! slower (33.8 → 34.6 ms, function-aligned builds; the dense backend
+//! fanned out its deletion rows then and opens no scope now). Both stayed
 //! well inside the benchmark's bounds.
 //!
 //! **Why not one thread per task:** the tasks of one scope would then

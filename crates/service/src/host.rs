@@ -96,8 +96,7 @@ pub trait TickOutcome {
     /// `refresh_max_ns`, `publish_ns` — `publish_ns` is 0 on a
     /// non-publishing host); `shared_repair_by_kind_ns` — an object from
     /// update kind to its nanoseconds of `shared_repair_ns`, holding only
-    /// the kinds the tick committed; lane counts (`refresh_lanes`,
-    /// `pool_lanes`); tick counters (`repair_calls`,
+    /// the kinds the tick committed; tick counters (`repair_calls`,
     /// `addition_candidates`, `affected_nodes`); index gauges
     /// (`backend_kind`, `resident_rows`, `index_mem_bytes`);
     /// `per_pattern` — array of `{handle, refresh_ns}` in registration

@@ -12,7 +12,6 @@ use gpnm_engine::pipeline::{
 };
 use gpnm_graph::{DataGraph, PatternGraph};
 use gpnm_matcher::{match_graph, MatchDelta, MatchResult, MatchSemantics, RepairPlan};
-use gpnm_pool::WorkerPool;
 use gpnm_telemetry::{Counter, Histogram};
 use gpnm_updates::{reduce_batch, Update, UpdateBatch};
 
@@ -55,8 +54,8 @@ struct PatternSession {
 }
 
 /// Fine-grained accounting of where one tick spent its time — the
-/// observability a serving deployment tunes shard counts and
-/// `refresh_threads` against. Printed by `gpnm replay --stats`.
+/// observability a serving deployment tunes shard counts against.
+/// Printed by `gpnm replay --stats`.
 ///
 /// This is the tick's one record: [`PatternHost::apply`] writes each
 /// measurement here once, then flushes the finished record into the
@@ -75,21 +74,19 @@ pub struct TickStats {
     /// `shared_repair_ns` by update kind (`insert_edge`, `delete_edge`,
     /// `insert_node`, `delete_node`; only the kinds the tick committed).
     pub shared_repair_by_kind_ns: Vec<(&'static str, u64)>,
-    /// The per-pattern refresh phase, wall clock across lanes (it starts
-    /// after the commit pass returns).
+    /// The per-pattern refresh phase, wall clock (it starts after the
+    /// commit pass returns and refreshes the patterns one after another).
     pub refresh_ns: u64,
     /// Read-front publish + subscription fan-out (`0` on a non-publishing
     /// shard replica — the cluster publishes merged views itself).
     pub publish_ns: u64,
-    /// Per-pattern refresh time, in registration order. Summed this is
-    /// the embarrassingly parallel half of the tick; the max entry bounds
-    /// its ideal parallel wall time.
+    /// Per-pattern refresh time (repair plus delta extraction), in
+    /// registration order. Summed it is `refresh_ns` less the loop's own
+    /// bookkeeping; the max entry names the slowest pattern.
     pub per_pattern_refresh_ns: Vec<(PatternHandle, u64)>,
-    /// Parallel lanes the refresh phase ran on (1 = sequential baseline).
+    /// Always 1: the refresh runs on one lane. Kept only because
+    /// `gpnm-bench` reads it; removed with ROADMAP D2(b).
     pub refresh_lanes: usize,
-    /// Lanes a pool scope may use on this host — pool utilization
-    /// of the refresh phase is `refresh_lanes / pool_lanes`.
-    pub pool_lanes: usize,
     /// Each pattern's refresh strategy name, in registration order: always
     /// `RefreshStrategy::default().name()`, the one refresh there is. Kept
     /// only because `gpnm-bench` reads it; removed with ROADMAP D2(b).
@@ -131,8 +128,7 @@ impl TickStats {
         self.per_pattern_refresh_ns.iter().map(|&(_, ns)| ns).sum()
     }
 
-    /// The slowest single pattern's refresh time — the critical path of a
-    /// perfectly parallel refresh phase.
+    /// The slowest single pattern's refresh time.
     pub fn refresh_max_ns(&self) -> u64 {
         self.per_pattern_refresh_ns
             .iter()
@@ -154,18 +150,13 @@ impl TickStats {
 
     /// Multi-line human rendering (the `--stats` output).
     pub fn render(&self) -> String {
-        let lanes = if self.pool_lanes > 0 {
-            format!("{}/{}", self.refresh_lanes, self.pool_lanes)
-        } else {
-            self.refresh_lanes.to_string()
-        };
         let by_kind = self.shared_repair_by_kind_ns.iter();
         let by_kind: Vec<String> = by_kind
             .map(|(kind, ns)| format!("{kind}={}µs", ns / 1_000))
             .collect();
         let mut out = format!(
             "  stats: reduce={}µs shared_repair={}µs [{}] refresh(Σ)={}µs \
-             refresh(max)={}µs publish={}µs lanes={lanes} \
+             refresh(max)={}µs publish={}µs \
              repairs={} candidates={} affected={}",
             self.reduce_ns / 1_000,
             self.shared_repair_ns / 1_000,
@@ -225,8 +216,6 @@ impl TickStats {
         format!(
             "{{\"reduce_ns\":{},\"shared_repair_ns\":{},\"shared_repair_by_kind_ns\":{{{}}},\
              \"refresh_total_ns\":{},\"refresh_max_ns\":{},\"publish_ns\":{},\
-             \"refresh_lanes\":{},\
-             \"pool_lanes\":{},\
              \"repair_calls\":{},\"addition_candidates\":{},\"affected_nodes\":{},\
              \"backend_kind\":\"{}\",\
              \"resident_rows\":{},\"index_mem_bytes\":{},\"per_pattern\":[{}],\"io\":{}}}",
@@ -236,8 +225,6 @@ impl TickStats {
             self.refresh_total_ns(),
             self.refresh_max_ns(),
             self.publish_ns,
-            self.refresh_lanes,
-            self.pool_lanes,
             self.repair_calls,
             self.addition_candidates,
             self.affected_nodes,
@@ -432,7 +419,6 @@ pub struct ServiceBuilder {
     kind: BackendKind,
     max_index_gb: f64,
     cache_budget_mb: Option<f64>,
-    refresh_threads: usize,
     publishing: bool,
 }
 
@@ -442,7 +428,6 @@ impl Default for ServiceBuilder {
             kind: BackendKind::Partitioned,
             max_index_gb: 4.0,
             cache_budget_mb: None,
-            refresh_threads: 0,
             publishing: true,
         }
     }
@@ -479,21 +464,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Parallel lanes for the per-pattern refresh phase (default `0` =
-    /// the sequential baseline, kept for ablations). After the shared
-    /// commit pass the graph and index are read-only, so each registered
-    /// pattern's refresh is independent; `n > 0` fans them out as up to
-    /// `n` tasks of one [`gpnm_pool::WorkerPool::scope`], which runs them
-    /// on at most its `lanes()` threads. Results are bitwise identical
-    /// either way — the knob trades wall time only.
-    pub fn refresh_threads(mut self, n: usize) -> Self {
-        self.refresh_threads = n;
-        self
-    }
-
-    /// A no-op: the refresh runs on the fixed
-    /// [`ServiceBuilder::refresh_threads`] fan-out. Kept only because
-    /// `gpnm-bench` calls it; removed with ROADMAP D2(b).
+    /// A no-op: the refresh has one policy and runs on one lane. Kept
+    /// only because `gpnm-bench` calls it; removed with ROADMAP D2(b).
     pub fn adaptive(self, _on: bool) -> Self {
         self
     }
@@ -548,7 +520,6 @@ impl ServiceBuilder {
             paged.set_cache_budget(bytes);
         }
         let mut service = GpnmService::from_parts(graph, index, reqs);
-        service.refresh_threads = self.refresh_threads;
         service.publishing = self.publishing;
         Ok(service)
     }
@@ -587,7 +558,6 @@ pub struct GpnmService<B: SlenBackend = IncrementalIndex> {
     sessions: Vec<(PatternHandle, PatternSession)>,
     next_handle: u64,
     tick: u64,
-    refresh_threads: usize,
     front: ReadFront,
     publishing: bool,
 }
@@ -606,7 +576,6 @@ impl<B: SlenBackend + Clone> Clone for GpnmService<B> {
             sessions: self.sessions.clone(),
             next_handle: self.next_handle,
             tick: self.tick,
-            refresh_threads: self.refresh_threads,
             front: ReadFront::new(),
             publishing: self.publishing,
         };
@@ -652,7 +621,6 @@ impl<B: SlenBackend> GpnmService<B> {
             sessions: Vec::new(),
             next_handle: 0,
             tick: 0,
-            refresh_threads: 0,
             front: ReadFront::new(),
             publishing: true,
         }
@@ -740,7 +708,7 @@ impl<B: SlenBackend> GpnmService<B> {
         let _tick_entered = tick_span.enter();
         let start = Instant::now();
         let mut stats = TickStats {
-            pool_lanes: WorkerPool::global().lanes(),
+            refresh_lanes: 1,
             ..TickStats::default()
         };
         let io_before = self.index.io_stats();
@@ -788,44 +756,49 @@ impl<B: SlenBackend> GpnmService<B> {
         }
         drop(commit_entered);
 
-        // Per-pattern refresh, then delta extraction. From here the graph
-        // and index are read-only, so the per-pattern work is independent
-        // and fans out across `refresh_threads` pool lanes.
+        // Per-pattern refresh, then delta extraction, one pattern after
+        // another over the now read-only graph and index. An empty reduced
+        // batch refreshes from no plan: no repair pass.
         let t = Instant::now();
-        stats.refresh_lanes = refresh_lanes(self.refresh_threads, self.sessions.len());
-
-        let refresh_span = tracing::span!(
-            tracing::Level::DEBUG,
-            "refresh",
-            lanes = stats.refresh_lanes
-        );
+        let refresh_span = tracing::span!(tracing::Level::DEBUG, "refresh");
         let refresh_entered = refresh_span.enter();
-        let outcomes = refresh_sessions(
-            &self.graph,
-            &self.index,
-            &mut self.sessions,
-            &plans,
-            !reduced.is_empty(),
-            self.refresh_threads,
-            &refresh_span,
-        );
-        drop(refresh_entered);
-        stats.refresh_ns = ns64(t.elapsed());
-
-        let mut deltas = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            stats.repair_calls += outcome.stats.repair_calls;
-            stats.repair_rematches += usize::from(outcome.stats.rematched);
-            stats.addition_candidates += outcome.stats.candidates;
-            let handle = outcome.handle;
+        let committed = !reduced.is_empty();
+        let mut deltas = Vec::with_capacity(self.sessions.len());
+        for ((handle, sess), plan) in self.sessions.iter_mut().zip(&plans) {
+            let span = tracing::span!(
+                tracing::Level::DEBUG,
+                "pattern_refresh",
+                handle = handle.id(),
+            );
+            let _entered = span.enter();
+            let t = Instant::now();
+            let prev = sess.result.visible();
+            let refreshed = if committed {
+                refresh_pattern(
+                    &sess.pattern,
+                    &self.graph,
+                    &self.index,
+                    sess.semantics,
+                    &mut sess.result,
+                    plan,
+                )
+            } else {
+                RefreshStats::default()
+            };
+            sess.version += 1;
+            deltas.push((*handle, sess.result.delta_from(&prev, sess.version)));
             stats
                 .per_pattern_refresh_ns
-                .push((handle, outcome.refresh_ns));
+                .push((*handle, ns64(t.elapsed())));
+            stats.repair_calls += refreshed.repair_calls;
+            stats.repair_rematches += usize::from(refreshed.rematched);
+            stats.addition_candidates += refreshed.candidates;
             stats
                 .per_pattern_strategy
-                .push((handle, gpnm_engine::RefreshStrategy::default().name()));
-            deltas.push((handle, outcome.delta));
+                .push((*handle, gpnm_engine::RefreshStrategy::default().name()));
         }
+        drop(refresh_entered);
+        stats.refresh_ns = ns64(t.elapsed());
 
         self.tick += 1;
 
@@ -1032,121 +1005,6 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
     }
 }
 
-/// Parallel tasks the refresh phase actually spawns for `k` sessions
-/// under the `refresh_threads` knob (`0` = sequential baseline = one
-/// lane). Sessions are dealt in contiguous chunks of `⌈k / min(threads,
-/// k)⌉`, so the spawned-task count can be *below* the requested thread
-/// count (e.g. 4 sessions over 3 requested lanes → chunks of 2 → 2
-/// tasks) — this reports the real number, which is what `TickStats`
-/// consumers tune against.
-fn refresh_lanes(refresh_threads: usize, k: usize) -> usize {
-    if refresh_threads == 0 || k <= 1 {
-        return 1;
-    }
-    let chunk = k.div_ceil(refresh_threads.min(k));
-    k.div_ceil(chunk)
-}
-
-/// One pattern's refresh outcome, produced on whichever lane ran it.
-struct RefreshOutcome {
-    handle: PatternHandle,
-    stats: RefreshStats,
-    delta: MatchDelta,
-    refresh_ns: u64,
-}
-
-/// Refresh every session against the post-commit graph/index, sequentially
-/// (`refresh_threads == 0`) or fanned out in contiguous chunks in one
-/// [`WorkerPool::scope`]. The two paths run the same per-session code on the
-/// same inputs, so their outputs are bitwise identical — asserted by the
-/// cluster equivalence proptests.
-fn refresh_sessions<B: SlenBackend>(
-    graph: &DataGraph,
-    index: &B,
-    sessions: &mut [(PatternHandle, PatternSession)],
-    plans: &[RepairPlan],
-    committed: bool,
-    refresh_threads: usize,
-    parent: &tracing::Span,
-) -> Vec<RefreshOutcome> {
-    let refresh_one = |(handle, sess): &mut (PatternHandle, PatternSession),
-                       plan: &RepairPlan|
-     -> RefreshOutcome {
-        // Explicit parenting: under pool fan-out this closure runs on a
-        // worker thread whose contextual span stack is empty, so the
-        // pattern span names the refresh span as parent directly — the
-        // trace nests identically on the sequential and parallel paths.
-        let span = tracing::span!(
-            parent: parent,
-            tracing::Level::DEBUG,
-            "pattern_refresh",
-            handle = handle.id(),
-        );
-        let _entered = span.enter();
-        let t = Instant::now();
-        let prev = sess.result.visible();
-        // An empty reduced batch refreshes from no plan: no repair pass.
-        let stats = if committed {
-            refresh_pattern(
-                &sess.pattern,
-                graph,
-                index,
-                sess.semantics,
-                &mut sess.result,
-                plan,
-            )
-        } else {
-            RefreshStats::default()
-        };
-        sess.version += 1;
-        RefreshOutcome {
-            handle: *handle,
-            stats,
-            delta: sess.result.delta_from(&prev, sess.version),
-            refresh_ns: ns64(t.elapsed()),
-        }
-    };
-
-    let lanes = refresh_lanes(refresh_threads, sessions.len());
-    if lanes <= 1 || sessions.len() <= 1 {
-        return sessions
-            .iter_mut()
-            .zip(plans.iter())
-            .map(|(entry, plan)| refresh_one(entry, plan))
-            .collect();
-    }
-
-    // Chunked fan-out: one task per lane over contiguous session slices,
-    // each writing into its own pre-allocated outcome slot. `chunks_mut`
-    // hands every task a disjoint `&mut` view, so no locking is needed;
-    // the pool scope joins all tasks before the borrows end.
-    let mut slots: Vec<Option<RefreshOutcome>> = Vec::new();
-    slots.resize_with(sessions.len(), || None);
-    let chunk = sessions.len().div_ceil(lanes);
-    WorkerPool::global().scope(|scope| {
-        for ((session_chunk, plan_chunk), slot_chunk) in sessions
-            .chunks_mut(chunk)
-            .zip(plans.chunks(chunk))
-            .zip(slots.chunks_mut(chunk))
-        {
-            let refresh_one = &refresh_one;
-            scope.spawn(move || {
-                for ((entry, plan), slot) in session_chunk
-                    .iter_mut()
-                    .zip(plan_chunk.iter())
-                    .zip(slot_chunk.iter_mut())
-                {
-                    *slot = Some(refresh_one(entry, plan));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk task filled its slots"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1326,56 +1184,6 @@ mod tests {
             service.register_pattern(PatternGraph::new(), MatchSemantics::Simulation),
             Err(ServiceError::EmptyPattern)
         );
-    }
-
-    #[test]
-    fn parallel_refresh_matches_sequential_bitwise() {
-        let f = fig1();
-        let build = |threads| {
-            GpnmService::builder()
-                .backend(BackendKind::Sparse)
-                .refresh_threads(threads)
-                .build(f.graph.clone())
-                .expect("sparse builds are never refused")
-        };
-        let (mut seq, mut par) = (build(0), build(4));
-        let mut handles = Vec::new();
-        for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
-            let a = seq.register_pattern(f.pattern.clone(), semantics).unwrap();
-            let b = par.register_pattern(f.pattern.clone(), semantics).unwrap();
-            assert_eq!(a, b);
-            handles.push(a);
-        }
-        let mut batch = UpdateBatch::new();
-        batch.push(DataUpdate::InsertEdge {
-            from: f.se1,
-            to: f.te2,
-        });
-        batch.push(DataUpdate::DeleteEdge {
-            from: f.se1,
-            to: f.s1,
-        });
-        let seq_report = seq.apply(&batch).expect("valid");
-        let par_report = par.apply(&batch).expect("valid");
-        assert_eq!(seq_report.stats.refresh_lanes, 1);
-        assert_eq!(par_report.stats.refresh_lanes, 2, "capped at k sessions");
-        for &h in &handles {
-            assert_eq!(seq.result(h).unwrap(), par.result(h).unwrap());
-            assert_eq!(
-                seq_report.delta_for(h).unwrap(),
-                par_report.delta_for(h).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn refresh_lanes_reports_actual_tasks() {
-        assert_eq!(refresh_lanes(0, 8), 1, "sequential baseline");
-        assert_eq!(refresh_lanes(4, 0), 1);
-        assert_eq!(refresh_lanes(4, 1), 1);
-        assert_eq!(refresh_lanes(3, 4), 2, "chunks of 2 → 2 tasks, not 3");
-        assert_eq!(refresh_lanes(3, 5), 3, "chunks 2+2+1");
-        assert_eq!(refresh_lanes(16, 4), 4);
     }
 
     #[test]

@@ -27,13 +27,12 @@ fn main() {
         ..Default::default()
     });
 
-    // A 3-shard cluster with per-shard parallel refresh. Placement is
-    // round-robin: the `i`-th pattern lands on shard `i % 3`, which spreads
-    // the patterns for fan-out parallelism.
+    // A 3-shard cluster. Placement is round-robin: the `i`-th pattern
+    // lands on shard `i % 3`, which spreads the patterns for the shard
+    // fan-out.
     let mut cluster = GpnmCluster::builder()
         .shards(3)
         .backend(BackendKind::Sparse)
-        .refresh_threads(2)
         .build(graph.clone())
         .expect("sparse backends are never refused");
 

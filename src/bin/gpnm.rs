@@ -6,7 +6,7 @@
 //! gpnm smoke  [--backend B] [--nodes N] [--edges M] [--labels N] [--updates N] [--seed S]
 //! gpnm replay [--backend B] [--nodes N] [--edges M] [--patterns K] [--ticks T]
 //!             [--updates N] [--trace FILE] [--labels N] [--seed S]
-//!             [--shards K] [--threads T] [--stats] [--stats-json FILE] [--subscribe]
+//!             [--shards K] [--stats] [--stats-json FILE] [--subscribe]
 //!             [--trace-summary] [--trace-out FILE] [--metrics-out FILE]
 //! gpnm demo
 //! ```
@@ -23,12 +23,10 @@
 //! print the per-tick, per-pattern match deltas. With `--shards K` the
 //! patterns are dealt round-robin across a K-shard `GpnmCluster` (the
 //! `i`-th on shard `i % K`) and every tick fans out to all shards in
-//! parallel;
-//! `--threads T` fans each shard's (or the single service's) per-pattern
-//! refresh out over T pool lanes, and `--stats` prints the per-tick
-//! `TickStats` accounting (`--stats-json FILE` writes the same stats as
-//! one JSON object per tick) — results are bitwise identical at every
-//! `--threads`. Service or cluster, the replay drives the host through
+//! parallel; each shard (or the single service) refreshes its patterns
+//! one after another. `--stats` prints the per-tick `TickStats`
+//! accounting (`--stats-json FILE` writes the same stats as one JSON
+//! object per tick). Service or cluster, the replay drives the host through
 //! the `PatternHost` trait — the register and tick loops are one generic
 //! code path. `--subscribe` additionally consumes every pattern's deltas
 //! through the subscription API and cross-checks that the folded stream
@@ -79,7 +77,6 @@ struct Args {
     ticks: usize,
     trace: Option<String>,
     shards: Option<usize>,
-    threads: usize,
     stats: bool,
     stats_json: Option<String>,
     subscribe: bool,
@@ -123,7 +120,6 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
         ticks: 5,
         trace: None,
         shards: None,
-        threads: 0,
         stats: false,
         stats_json: None,
         subscribe: false,
@@ -169,9 +165,8 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
             }
             "--nodes" => args.nodes = parse_num(take_str("--nodes")?, "--nodes")?,
             "--edges" => args.edges = parse_num(take_str("--edges")?, "--edges")?,
-            "--patterns" | "--ticks" | "--trace" | "--shards" | "--threads" | "--stats"
-            | "--stats-json" | "--subscribe" | "--trace-summary" | "--trace-out"
-            | "--metrics-out"
+            "--patterns" | "--ticks" | "--trace" | "--shards" | "--stats" | "--stats-json"
+            | "--subscribe" | "--trace-summary" | "--trace-out" | "--metrics-out"
                 if cmd != Cmd::Replay =>
             {
                 return Err(format!("{flag} only applies to `gpnm replay`"));
@@ -186,7 +181,6 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
                 }
                 args.shards = Some(k);
             }
-            "--threads" => args.threads = parse_num(take_str("--threads")?, "--threads")?,
             "--stats" => args.stats = true,
             "--stats-json" => args.stats_json = Some(take_str("--stats-json")?.clone()),
             "--subscribe" => args.subscribe = true,
@@ -643,8 +637,7 @@ fn run_replay_service(
     // 100k-node graph comes back as a typed refusal, not an OOM kill.
     let mut builder = GpnmService::builder()
         .backend(args.backend)
-        .max_index_gb(args.max_index_gb)
-        .refresh_threads(args.threads);
+        .max_index_gb(args.max_index_gb);
     if let Some(mb) = args.cache_budget_mb {
         builder = builder.cache_budget_mb(mb);
     }
@@ -680,8 +673,7 @@ fn run_replay_cluster(
     let mut builder = GpnmCluster::builder()
         .shards(shards)
         .backend(args.backend)
-        .max_index_gb(args.max_index_gb)
-        .refresh_threads(args.threads);
+        .max_index_gb(args.max_index_gb);
     if let Some(mb) = args.cache_budget_mb {
         builder = builder.cache_budget_mb(mb);
     }
@@ -699,11 +691,10 @@ fn run_replay_cluster(
         );
     }
     println!(
-        "cluster total: {} rows resident, {:.1} MiB across {} shards (refresh_threads={})",
+        "cluster total: {} rows resident, {:.1} MiB across {} shards",
         cluster.total_resident_rows(),
         cluster.total_index_bytes() as f64 / (1u64 << 20) as f64,
         cluster.shard_count(),
-        args.threads,
     );
 
     replay_ticks(&mut cluster, args, interner, trace_chunks)?;
@@ -770,7 +761,7 @@ fn main() -> ExitCode {
              \x20      --labels N --pattern-nodes N --updates N --seed S\n\
              \x20      --nodes N --edges M (smoke/replay only)\n\
              \x20      --patterns K --ticks T --trace FILE (replay only)\n\
-             \x20      --shards K --threads T --stats --stats-json FILE --subscribe (replay only)\n\
+             \x20      --shards K --stats --stats-json FILE --subscribe (replay only)\n\
              \x20      --trace-summary --trace-out FILE --metrics-out FILE (replay only)"
                 .to_owned(),
         ),

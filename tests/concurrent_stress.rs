@@ -234,10 +234,10 @@ fn service_readers_only_observe_committed_epochs() {
 }
 
 /// Same harness over the out-of-core paged backend with a deliberately
-/// tiny hot-row cache: two refresh lanes share the locked cache, so every
-/// tick's repairs force racing promotions and clock evictions *while* the
-/// view publication is exercised — the end-to-end check of the
-/// paged store's read path.
+/// tiny hot-row cache: every tick's commits and repairs force promotions
+/// and clock evictions through the locked cache *while* readers are
+/// served the published views — the end-to-end check of the paged
+/// store's read path.
 #[test]
 fn paged_backend_readers_only_observe_committed_epochs() {
     let readers = env_or("STRESS_READERS", 4);
@@ -246,7 +246,6 @@ fn paged_backend_readers_only_observe_committed_epochs() {
     let service = GpnmService::builder()
         .backend(BackendKind::Paged)
         .cache_budget_mb(0.25)
-        .refresh_threads(2)
         .build(graph)
         .expect("paged accepts any graph");
     stress_host(service, &interner, 44, readers, ticks);
@@ -260,7 +259,6 @@ fn cluster_readers_only_observe_committed_epochs() {
     let cluster = GpnmCluster::builder()
         .shards(4)
         .backend(BackendKind::Sparse)
-        .refresh_threads(2)
         .build(graph)
         .expect("sparse is never refused");
     stress_host(cluster, &interner, 43, readers, ticks);

@@ -1,7 +1,7 @@
 //! Flags `gpnm replay` no longer has are unknown flags, refused before
 //! anything runs: the cluster has one placement, round-robin, and never
-//! moves a pattern between shards, and the refresh runs on the fixed
-//! `--threads` fan-out with no tuner to turn on.
+//! moves a pattern between shards, and every host refreshes its patterns
+//! one after another, with no lane count to set and no tuner to turn on.
 
 use std::process::Command;
 
@@ -11,6 +11,7 @@ fn retired_flags_are_unknown() {
         &["replay", "--shards", "2", "--rebalance-every", "2"][..],
         &["replay", "--shards", "2", "--placement", "least-loaded"],
         &["replay", "--adaptive"],
+        &["replay", "--threads", "2"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_gpnm"))
             .args(args)

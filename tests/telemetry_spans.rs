@@ -1,8 +1,8 @@
 //! Integration tests of the telemetry span tree: a cluster tick must
 //! produce a correctly parented `cluster_tick → shard_tick → tick →
-//! refresh → pattern_refresh` hierarchy even though the shard ticks and
-//! per-pattern refreshes run on pool worker threads, and running with the
-//! subscriber removed must record nothing at all.
+//! refresh → pattern_refresh` hierarchy even though the shard ticks run
+//! on pool worker threads, and running with the subscriber removed must
+//! record nothing at all.
 //!
 //! The global tracing subscriber is process state, so every test body
 //! runs under one shared lock.
@@ -36,7 +36,6 @@ fn build_cluster(seed: u64) -> (GpnmCluster, ua_gpnm::graph::LabelInterner, Patt
     });
     let mut cluster = GpnmCluster::builder()
         .shards(2)
-        .refresh_threads(2)
         // Placement is round-robin: one pattern per shard.
         .build(graph)
         .expect("sparse is never refused");
@@ -122,8 +121,8 @@ fn cluster_tick_spans_nest_across_the_pool_fanout() {
     }
 
     // Both registered patterns refresh; each pattern_refresh must chain
-    // through its shard's refresh phase up to the cluster root even when
-    // the refresh itself ran on a different worker thread.
+    // through its shard's refresh phase up to the cluster root, across
+    // the pool thread its shard ticked on.
     let refreshes = by_name("pattern_refresh");
     assert_eq!(refreshes.len(), 2, "one pattern_refresh per pattern");
     for pr in &refreshes {
@@ -137,7 +136,7 @@ fn cluster_tick_spans_nest_across_the_pool_fanout() {
                 "refresh",
                 "pattern_refresh"
             ],
-            "explicit parenting must survive the pool fan-out"
+            "the shard's span chain must survive the pool fan-out"
         );
     }
 
