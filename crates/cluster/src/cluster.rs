@@ -207,17 +207,17 @@ impl ClusterBuilder {
         self
     }
 
-    /// Per-shard dense-index memory budget, in GiB (see
-    /// [`ServiceBuilder::max_index_gb`]).
+    /// Per-shard dense-index admission budget, in GiB (see
+    /// [`ServiceBuilder::max_index_gb`]); it sizes no cache.
     pub fn max_index_gb(mut self, gb: impl Into<f64>) -> Self {
         self.shard = self.shard.max_index_gb(gb);
         self
     }
 
     /// Per-shard paged-backend cache budget, in MiB (see
-    /// [`ServiceBuilder::cache_budget_mb`]). Each shard builds its own
-    /// paged backend, so every shard gets its own spill file and a cache
-    /// of this size.
+    /// [`ServiceBuilder::cache_budget_mb`]; unset, 64 MiB). Each shard
+    /// builds its own paged backend, so every shard gets its own spill
+    /// file and a cache of this size.
     pub fn cache_budget_mb(mut self, mb: impl Into<f64>) -> Self {
         self.shard = self.shard.cache_budget_mb(mb);
         self
@@ -490,13 +490,21 @@ impl PatternHost for GpnmCluster {
                 Err(error) => return Err(ClusterError::ShardFailed { shard, error }),
             }
         }
-
+        // Shard stats name patterns by shard-local handle: rename them to
+        // cluster handles. A shard lists its sessions in registration order,
+        // the order of its rows in the routing table.
+        let mut position = vec![0; shard_reports.len()];
         let mut deltas = Vec::with_capacity(self.patterns.len());
         for &(handle, shard, local) in &self.patterns {
-            let delta = shard_reports[shard]
+            let report = &mut shard_reports[shard];
+            let delta = report
                 .delta_for(local)
                 .expect("every shard reports every registered pattern")
                 .clone();
+            let i = position[shard];
+            position[shard] += 1;
+            report.stats.per_pattern_refresh_ns[i].0 = handle.into();
+            report.stats.per_pattern_strategy[i].0 = handle.into();
             deltas.push((handle, delta));
         }
 
@@ -583,6 +591,7 @@ impl PatternHost for GpnmCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpnm_distance::BudgetError;
     use gpnm_graph::paper::fig1;
     use gpnm_graph::GraphError;
     use gpnm_updates::{DataUpdate, PatternUpdate};
@@ -722,7 +731,9 @@ mod tests {
                 .backend(BackendKind::Partitioned)
                 .max_index_gb(1.0e-9)
                 .build(f.graph.clone()),
-            Err(ClusterError::Service(ServiceError::IndexTooLarge { .. }))
+            Err(ClusterError::Service(ServiceError::Budget(
+                BudgetError::DenseTooLarge { .. }
+            )))
         ));
         let cluster = GpnmCluster::builder()
             .shards(3)
@@ -771,7 +782,9 @@ mod tests {
             GpnmCluster::builder()
                 .cache_budget_mb(f64::NAN)
                 .build(f.graph),
-            Err(ClusterError::Service(ServiceError::InvalidConfig(_)))
+            Err(ClusterError::Service(ServiceError::Budget(
+                BudgetError::Invalid { .. }
+            )))
         ));
     }
 
@@ -797,6 +810,72 @@ mod tests {
         }
         let per_shard: Vec<usize> = cluster.shards().iter().map(|s| s.pattern_count()).collect();
         assert_eq!(per_shard, [2, 1, 1]);
+    }
+
+    #[test]
+    fn shard_stats_name_cluster_handles() {
+        // Each shard's per-pattern stats, as `--stats-json` and `--stats`
+        // print them.
+        fn named(report: &ClusterTickReport) -> Vec<Vec<u64>> {
+            let json = report.stats_json();
+            let per_shard: Vec<Vec<u64>> = json
+                .split("\"per_pattern\":[")
+                .skip(1)
+                .map(|rest| {
+                    let list = &rest[..rest.find(']').expect("closed list")];
+                    list.split("\"handle\":")
+                        .skip(1)
+                        .map(|h| h[..h.find(',').unwrap()].parse().unwrap())
+                        .collect()
+                })
+                .collect();
+            let rendered = report.render_stats();
+            let shards = rendered.split("  shard ").skip(1);
+            let rendered_ids: Vec<Vec<u64>> = shards
+                .map(|text| {
+                    let names = text
+                        .lines()
+                        .filter_map(|l| l.trim().split_once(": refresh"));
+                    names
+                        .map(|(name, _)| name["pattern #".len()..].parse().unwrap())
+                        .collect()
+                })
+                .collect();
+            assert_eq!(per_shard, rendered_ids, "{json}\n{rendered}");
+            per_shard
+        }
+
+        let (f, mut cluster) = two_shard_cluster();
+        let mut register = || {
+            cluster
+                .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
+                .unwrap()
+                .id()
+        };
+        let h: Vec<u64> = (0..3).map(|_| register()).collect();
+        let mut batch = UpdateBatch::new();
+        batch.push(DataUpdate::InsertEdge {
+            from: f.se1,
+            to: f.te2,
+        });
+        // Shard s of k holds the cluster handles h ≡ s (mod k).
+        let report = cluster.apply(&batch).expect("valid batch");
+        assert_eq!(named(&report), [vec![h[0], h[2]], vec![h[1]]]);
+
+        // A deregistration keeps the rest in registration order.
+        let first = cluster.handles()[0];
+        cluster.deregister(first).unwrap();
+        let late = cluster
+            .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
+            .unwrap()
+            .id();
+        let mut undo = UpdateBatch::new();
+        undo.push(DataUpdate::DeleteEdge {
+            from: f.se1,
+            to: f.te2,
+        });
+        let report = cluster.apply(&undo).expect("valid batch");
+        assert_eq!(named(&report), [vec![h[2]], vec![h[1], late]]);
     }
 
     #[test]

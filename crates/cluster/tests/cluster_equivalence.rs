@@ -167,7 +167,8 @@ fn check_equivalence(
         let sh = service
             .register_pattern(pattern.clone(), semantics)
             .expect("non-empty pattern");
-        let mut engine = GpnmEngine::with_backend_kind(kind, graph, pattern, semantics);
+        let mut engine = GpnmEngine::with_backend_kind(kind, graph, pattern, semantics, 4.0, None)
+            .expect("test graphs fit every budget");
         engine.initial_query();
         assert_eq!(
             cluster.result(ch).unwrap(),

@@ -17,7 +17,7 @@ use gpnm_graph::{Bound, DataGraph, NodeId, NodeSet};
 use crate::aff::AffDelta;
 use crate::backend::{IoStats, RepairHint, SlenBackend, SlenRequirements};
 use crate::incremental::IncrementalIndex;
-use crate::kind::BackendKind;
+use crate::kind::{BackendKind, BudgetError};
 use crate::oracle::DistanceOracle;
 use crate::paged::PagedIndex;
 use crate::sparse::SparseIndex;
@@ -55,6 +55,27 @@ impl AnyBackend {
             BackendKind::Sparse => AnyBackend::Sparse(SparseIndex::build(graph, reqs)),
             BackendKind::Paged => AnyBackend::Paged(PagedIndex::build(graph, reqs)),
         }
+    }
+
+    /// Build the backend `kind` names from runtime configuration — the one
+    /// construction path behind every host builder and `--backend` flag.
+    /// It runs [`BackendKind::admit`] first (both budgets valid, no
+    /// over-budget dense matrix), then builds, then sizes a paged
+    /// hot-row cache to `cache_budget_mb` MiB, or leaves it at
+    /// [`crate::PagedConfig`]'s default when unset.
+    pub fn configured(
+        kind: BackendKind,
+        graph: &DataGraph,
+        reqs: &SlenRequirements,
+        max_index_gb: f64,
+        cache_budget_mb: Option<f64>,
+    ) -> Result<Self, BudgetError> {
+        kind.admit(graph.slot_count(), max_index_gb, cache_budget_mb)?;
+        let mut backend = Self::of_kind(kind, graph, reqs);
+        if let (AnyBackend::Paged(paged), Some(mb)) = (&mut backend, cache_budget_mb) {
+            paged.set_cache_budget((mb * (1u64 << 20) as f64) as usize);
+        }
+        Ok(backend)
     }
 
     /// Which [`BackendKind`] this value carries.
@@ -176,6 +197,27 @@ mod tests {
                 assert_eq!(b.distance(x, y), dense.get(x, y));
             }
         }
+    }
+
+    #[test]
+    fn configured_admits_then_sizes_the_paged_cache() {
+        let f = fig1();
+        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let default = crate::PagedConfig::default().cache_budget_bytes;
+        for (mb, bytes) in [(None, default), (Some(0.5), 1 << 19)] {
+            let b = AnyBackend::configured(BackendKind::Paged, &f.graph, &reqs, 4.0, mb).unwrap();
+            let AnyBackend::Paged(paged) = b else {
+                unreachable!("paged was asked for")
+            };
+            assert_eq!(paged.cache_budget(), bytes);
+        }
+        // The dense budget reaches only dense admission.
+        let b = AnyBackend::configured(BackendKind::Paged, &f.graph, &reqs, 1.0e-9, None);
+        assert!(b.is_ok());
+        let b = AnyBackend::configured(BackendKind::Partitioned, &f.graph, &reqs, 1.0e-9, None);
+        assert!(matches!(b, Err(BudgetError::DenseTooLarge { .. })));
+        let b = AnyBackend::configured(BackendKind::Sparse, &f.graph, &reqs, 4.0, Some(f64::NAN));
+        assert!(matches!(b, Err(BudgetError::Invalid { .. })));
     }
 
     #[test]

@@ -94,8 +94,8 @@ impl RowStore for MemStore {
         // Capacity, not len: rows are patched in place and keep the
         // capacity of their high-water mark (`settle`, `remove` and
         // `retain` shrink only `len`), and the slot vector itself
-        // over-allocates on growth. `max_index_gb` admission compares
-        // against the real allocation, not the live entry count.
+        // over-allocates on growth. The footprint is the real
+        // allocation, not the live entry count.
         self.rows.capacity() * std::mem::size_of::<Option<SparseRow>>()
             + self.entry_capacity * std::mem::size_of::<(u32, u32)>()
     }

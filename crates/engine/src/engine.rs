@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use gpnm_distance::{
-    AffDelta, AnyBackend, BackendKind, DistanceMatrix, IncrementalIndex, SlenBackend,
+    AffDelta, AnyBackend, BackendKind, BudgetError, DistanceMatrix, IncrementalIndex, SlenBackend,
     SlenRequirements,
 };
 use gpnm_graph::{DataGraph, NodeId, NodeSet, PatternGraph};
@@ -73,6 +73,9 @@ impl GpnmEngine<IncrementalIndex> {
 impl GpnmEngine<AnyBackend> {
     /// Build an engine whose backend is chosen at runtime by `kind` — the
     /// one constructor behind every `--backend`-style configuration knob.
+    /// The budgets mean what they mean on every host: `max_index_gb`
+    /// admits or refuses a dense matrix, `cache_budget_mb` sizes a paged
+    /// hot-row cache. Fails exactly when [`AnyBackend::configured`] does.
     /// Statically-typed callers keep [`GpnmEngine::with_backend`]
     /// (`GpnmEngine::<SparseIndex>::with_backend(..)` and friends).
     pub fn with_backend_kind(
@@ -80,10 +83,12 @@ impl GpnmEngine<AnyBackend> {
         graph: DataGraph,
         pattern: PatternGraph,
         semantics: MatchSemantics,
-    ) -> Self {
+        max_index_gb: f64,
+        cache_budget_mb: Option<f64>,
+    ) -> Result<Self, BudgetError> {
         let reqs = SlenRequirements::of_pattern(&pattern);
-        let index = AnyBackend::of_kind(kind, &graph, &reqs);
-        Self::from_backend(graph, pattern, semantics, index)
+        let index = AnyBackend::configured(kind, &graph, &reqs, max_index_gb, cache_budget_mb)?;
+        Ok(Self::from_backend(graph, pattern, semantics, index))
     }
 }
 
@@ -133,13 +138,6 @@ impl<B: SlenBackend> GpnmEngine<B> {
     /// The `SLen` backend.
     pub fn backend(&self) -> &B {
         &self.index
-    }
-
-    /// Mutable access to the `SLen` backend — for tuning knobs only (e.g.
-    /// the paged backend's cache budget). Mutating the index's *contents*
-    /// or coverage desynchronizes it from the engine's graph.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.index
     }
 
     /// The active match semantics.

@@ -15,7 +15,9 @@
 //! The two randomized cases are property tests over a seed, so the
 //! suite's case count (`PROPTEST_CASES`) sets how many draws they make.
 
-use gpnm_distance::{IncrementalIndex, PagedIndex, SlenBackend, SparseIndex};
+use gpnm_distance::{
+    AnyBackend, BackendKind, IncrementalIndex, PagedIndex, SlenBackend, SparseIndex,
+};
 use gpnm_engine::{GpnmEngine, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
 use gpnm_matcher::{MatchResult, MatchSemantics};
@@ -271,9 +273,21 @@ fn chained_paged_queries_stay_exact_under_tiny_cache() {
     let mut rng = StdRng::seed_from_u64(0x9A6ED);
     let (graph, mut interner) = random_graph(&mut rng, 25, 60, 4);
     let pattern = random_pattern(&mut rng, &mut interner, 4);
-    let mut engine =
-        GpnmEngine::<PagedIndex>::with_backend(graph, pattern, MatchSemantics::Simulation);
-    engine.backend_mut().set_cache_budget(512);
+    // 512 bytes, through the runtime-configured constructor.
+    let cache_mb = Some(512.0 / (1u64 << 20) as f64);
+    let mut engine = GpnmEngine::with_backend_kind(
+        BackendKind::Paged,
+        graph,
+        pattern,
+        MatchSemantics::Simulation,
+        4.0,
+        cache_mb,
+    )
+    .expect("paged builds are never refused");
+    let AnyBackend::Paged(paged) = engine.backend() else {
+        unreachable!("paged was asked for")
+    };
+    assert_eq!(paged.cache_budget(), 512);
     engine.initial_query();
     for round in 0..8 {
         let batch_len = rng.gen_range(1..8);

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use gpnm_distance::BudgetError;
 use gpnm_engine::EngineError;
 use gpnm_graph::GraphError;
 
@@ -31,19 +32,10 @@ pub enum ServiceError {
     /// The pattern has no nodes: a standing query that can never match
     /// anything is almost certainly a caller bug.
     EmptyPattern,
-    /// A dense backend's `n × n` matrix for this graph would exceed the
-    /// configured memory budget. Use the sparse backend, or raise the
-    /// budget if the RAM is really there.
-    IndexTooLarge {
-        /// Node slots in the graph.
-        nodes: usize,
-        /// Estimated matrix footprint.
-        estimated_bytes: u128,
-        /// The configured ceiling.
-        limit_bytes: u128,
-    },
-    /// A builder knob was given a nonsensical value.
-    InvalidConfig(String),
+    /// The builder's budgets were refused: one is not a positive finite
+    /// number, or the dense backend's `n × n` matrix for this graph would
+    /// exceed `max_index_gb` (see [`BudgetError`]).
+    Budget(BudgetError),
     /// `read_view`/`subscribe` on a service whose read front-end is
     /// turned off ([`crate::ServiceBuilder::publishing`]`(false)`) —
     /// e.g. a cluster's shard replica, whose published state lives on
@@ -62,18 +54,7 @@ impl fmt::Display for ServiceError {
             ),
             ServiceError::UnknownHandle(h) => write!(f, "no pattern registered under {h}"),
             ServiceError::EmptyPattern => write!(f, "refusing to register an empty pattern"),
-            ServiceError::IndexTooLarge {
-                nodes,
-                estimated_bytes,
-                limit_bytes,
-            } => write!(
-                f,
-                "dense SLen matrix for {nodes} nodes ≈ {:.1} GiB exceeds the {:.1} GiB budget; \
-                 use BackendKind::Sparse or raise max_index_gb",
-                *estimated_bytes as f64 / (1u64 << 30) as f64,
-                *limit_bytes as f64 / (1u64 << 30) as f64,
-            ),
-            ServiceError::InvalidConfig(msg) => write!(f, "invalid service configuration: {msg}"),
+            ServiceError::Budget(e) => write!(f, "{e}"),
             ServiceError::ReadFrontDisabled => write!(
                 f,
                 "this service does not publish a read front-end (built with \
@@ -115,12 +96,11 @@ mod tests {
     fn displays_are_actionable() {
         let e = ServiceError::PatternUpdateInBatch { index: 3 };
         assert!(e.to_string().contains("#3"));
-        let e = ServiceError::IndexTooLarge {
+        let e = ServiceError::Budget(BudgetError::DenseTooLarge {
             nodes: 100_000,
-            estimated_bytes: 40_000_000_000,
-            limit_bytes: 4 << 30,
-        };
-        assert!(e.to_string().contains("Sparse"));
+            max_index_gb: 4.0,
+        });
+        assert!(e.to_string().contains("backend sparse"));
         let e: ServiceError = GraphError::MissingNode(NodeId(1)).into();
         assert!(std::error::Error::source(&e).is_some());
     }

@@ -100,7 +100,8 @@ pub trait TickOutcome {
     /// `addition_candidates`, `affected_nodes`); index gauges
     /// (`backend_kind`, `resident_rows`, `index_mem_bytes`);
     /// `per_pattern` — array of `{handle, refresh_ns}` in registration
-    /// order; `io` —
+    /// order, `handle` being the id of the host's own handle (a cluster
+    /// handle in a cluster's shard objects); `io` —
     /// `{cache_hits, cache_misses, cache_evictions, pages_read,
     /// pages_written}`, the backend's IO **during this tick** (the
     /// cumulative counters diffed across it), or `null` on in-memory
@@ -213,21 +214,6 @@ pub trait PatternHost {
     /// for reader threads: views and subscriptions survive there while
     /// `&mut self` ticks proceed here.
     fn reader(&self) -> ReadFront;
-
-    /// Admission control under load: coalesce a backlog of batches into
-    /// **one** tick. The merged batch rides the tick's existing net-effect
-    /// reduction, so an insert queued behind its own deletion cancels
-    /// before any repair work is planned — k queued batches cost one
-    /// shared repair pass, not k.
-    fn apply_coalesced(&mut self, batches: &[UpdateBatch]) -> Result<Self::Report, Self::Error> {
-        let mut merged = UpdateBatch::new();
-        for batch in batches {
-            for update in batch.updates() {
-                merged.push(*update);
-            }
-        }
-        self.apply(&merged)
-    }
 }
 
 #[cfg(test)]

@@ -81,24 +81,23 @@ pub struct TickStats {
     /// shard replica — the cluster publishes merged views itself).
     pub publish_ns: u64,
     /// Per-pattern refresh time (repair plus delta extraction), in
-    /// registration order. Summed it is `refresh_ns` less the loop's own
-    /// bookkeeping; the max entry names the slowest pattern.
-    pub per_pattern_refresh_ns: Vec<(PatternHandle, u64)>,
+    /// registration order, keyed by the handle the host's caller holds (a
+    /// cluster rewrites its shards' entries to cluster handles). Summed it
+    /// is `refresh_ns` less the loop's own bookkeeping; the max entry names
+    /// the slowest pattern.
+    pub per_pattern_refresh_ns: Vec<(HandleId, u64)>,
     /// Always 1: the refresh runs on one lane. Kept only because
     /// `gpnm-bench` reads it; removed with ROADMAP D2(b).
     pub refresh_lanes: usize,
     /// Each pattern's refresh strategy name, in registration order: always
     /// `RefreshStrategy::default().name()`, the one refresh there is. Kept
     /// only because `gpnm-bench` reads it; removed with ROADMAP D2(b).
-    pub per_pattern_strategy: Vec<(PatternHandle, &'static str)>,
+    pub per_pattern_strategy: Vec<(HandleId, &'static str)>,
     /// Always 0: a host has one refresh policy and nothing to switch. Kept
     /// only because `gpnm-bench` reads it; removed with ROADMAP D2(b).
     pub strategy_switches: u64,
     /// Repair passes actually run, summed over patterns.
     pub repair_calls: usize,
-    /// Repair passes that fell back to a from-scratch re-match because
-    /// the standing result carried no relation (0 in steady state).
-    pub repair_rematches: usize,
     /// `(pattern node, data node)` candidates the repair passes grew
     /// outside their standing relations, summed over patterns — the
     /// members a tick had to verify beyond its dirty set, to read the
@@ -199,7 +198,7 @@ impl TickStats {
         let per_pattern: Vec<String> = self
             .per_pattern_refresh_ns
             .iter()
-            .map(|&(handle, ns)| format!("{{\"handle\":{},\"refresh_ns\":{ns}}}", handle.id()))
+            .map(|&(handle, ns)| format!("{{\"handle\":{},\"refresh_ns\":{ns}}}", handle.raw()))
             .collect();
         let io = match &self.io {
             Some(io) => format!(
@@ -255,7 +254,6 @@ struct TickSeries {
     pattern_refreshes: Arc<Counter>,
     updates_applied: Arc<Counter>,
     repair_calls: Arc<Counter>,
-    repair_rematches: Arc<Counter>,
     affected_nodes: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
@@ -281,7 +279,6 @@ fn flush(report: &TickReport) {
         pattern_refreshes: registry.counter("gpnm_pattern_refresh_total"),
         updates_applied: registry.counter("gpnm_updates_applied_total"),
         repair_calls: registry.counter("gpnm_repair_calls_total"),
-        repair_rematches: registry.counter("gpnm_repair_rematch_total"),
         affected_nodes: registry.counter("gpnm_affected_nodes_total"),
         cache_hits: registry.counter("gpnm_paged_cache_hits_total"),
         cache_misses: registry.counter("gpnm_paged_cache_misses_total"),
@@ -305,7 +302,6 @@ fn flush(report: &TickReport) {
     f.publish_ns.observe(stats.publish_ns);
     f.updates_applied.add(report.updates_applied as u64);
     f.repair_calls.add(stats.repair_calls as u64);
-    f.repair_rematches.add(stats.repair_rematches as u64);
     f.affected_nodes.add(stats.affected_nodes as u64);
     for &(_, ns) in &stats.per_pattern_refresh_ns {
         f.pattern_refresh_ns.observe(ns);
@@ -446,19 +442,21 @@ impl ServiceBuilder {
         self
     }
 
-    /// Memory budget for dense backends, in GiB. [`ServiceBuilder::build`]
-    /// refuses a dense matrix whose estimate exceeds it (instead of
-    /// handing the OOM killer a 40 GiB allocation); sparse backends are
-    /// never refused.
+    /// Admission budget for the dense backend, in GiB (default 4):
+    /// [`ServiceBuilder::build`] refuses a dense matrix whose estimate
+    /// exceeds it, instead of handing the OOM killer a 40 GiB allocation.
+    /// It bounds nothing else — the bounded-row backends are never
+    /// refused, and a paged cache is sized by
+    /// [`ServiceBuilder::cache_budget_mb`] alone. See
+    /// [`BackendKind::admit`].
     pub fn max_index_gb(mut self, gb: impl Into<f64>) -> Self {
         self.max_index_gb = gb.into();
         self
     }
 
     /// Hot-row cache budget for the paged backend, in MiB. Unset, the
-    /// paged cache inherits the whole [`ServiceBuilder::max_index_gb`]
-    /// budget — set this to hold the working set far below the admission
-    /// ceiling. Ignored by in-memory backends.
+    /// cache keeps [`gpnm_distance::PagedConfig`]'s default (64 MiB).
+    /// Ignored by the in-memory backends.
     pub fn cache_budget_mb(mut self, mb: impl Into<f64>) -> Self {
         self.cache_budget_mb = Some(mb.into());
         self
@@ -484,41 +482,10 @@ impl ServiceBuilder {
     /// Build the service over `graph`. Fails — instead of panicking or
     /// OOMing — when the configuration cannot be honored.
     pub fn build(self, graph: DataGraph) -> Result<GpnmService<AnyBackend>, ServiceError> {
-        if !self.max_index_gb.is_finite() || self.max_index_gb <= 0.0 {
-            return Err(ServiceError::InvalidConfig(format!(
-                "max_index_gb must be a positive finite number, got {}",
-                self.max_index_gb
-            )));
-        }
-        if let Some(mb) = self.cache_budget_mb {
-            if !mb.is_finite() || mb <= 0.0 {
-                return Err(ServiceError::InvalidConfig(format!(
-                    "cache_budget_mb must be a positive finite number, got {mb}"
-                )));
-            }
-        }
-        if let Some(estimated_bytes) = self.kind.estimated_index_bytes(graph.slot_count()) {
-            let limit_bytes = (self.max_index_gb * (1u64 << 30) as f64) as u128;
-            if estimated_bytes > limit_bytes {
-                return Err(ServiceError::IndexTooLarge {
-                    nodes: graph.slot_count(),
-                    estimated_bytes,
-                    limit_bytes,
-                });
-            }
-        }
         let reqs = SlenRequirements::empty();
-        let mut index = AnyBackend::of_kind(self.kind, &graph, &reqs);
-        if let AnyBackend::Paged(paged) = &mut index {
-            // The paged cache rides the existing memory-admission plumbing:
-            // its budget is the explicit cache knob when set, else the
-            // whole max_index_gb allowance.
-            let bytes = match self.cache_budget_mb {
-                Some(mb) => (mb * (1u64 << 20) as f64) as usize,
-                None => (self.max_index_gb * (1u64 << 30) as f64) as usize,
-            };
-            paged.set_cache_budget(bytes);
-        }
+        let (kind, gb, mb) = (self.kind, self.max_index_gb, self.cache_budget_mb);
+        let index =
+            AnyBackend::configured(kind, &graph, &reqs, gb, mb).map_err(ServiceError::Budget)?;
         let mut service = GpnmService::from_parts(graph, index, reqs);
         service.publishing = self.publishing;
         Ok(service)
@@ -772,6 +739,7 @@ impl<B: SlenBackend> GpnmService<B> {
             );
             let _entered = span.enter();
             let t = Instant::now();
+            let id = HandleId::from(*handle);
             let prev = sess.result.visible();
             let refreshed = if committed {
                 refresh_pattern(
@@ -787,15 +755,11 @@ impl<B: SlenBackend> GpnmService<B> {
             };
             sess.version += 1;
             deltas.push((*handle, sess.result.delta_from(&prev, sess.version)));
-            stats
-                .per_pattern_refresh_ns
-                .push((*handle, ns64(t.elapsed())));
+            stats.per_pattern_refresh_ns.push((id, ns64(t.elapsed())));
             stats.repair_calls += refreshed.repair_calls;
-            stats.repair_rematches += usize::from(refreshed.rematched);
             stats.addition_candidates += refreshed.candidates;
-            stats
-                .per_pattern_strategy
-                .push((*handle, gpnm_engine::RefreshStrategy::default().name()));
+            let strategy = gpnm_engine::RefreshStrategy::default().name();
+            stats.per_pattern_strategy.push((id, strategy));
         }
         drop(refresh_entered);
         stats.refresh_ns = ns64(t.elapsed());
@@ -1008,7 +972,7 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpnm_distance::SparseIndex;
+    use gpnm_distance::{BudgetError, PagedConfig, SparseIndex};
     use gpnm_graph::paper::fig1;
     use gpnm_graph::GraphError;
     use gpnm_updates::{DataUpdate, PatternUpdate};
@@ -1158,7 +1122,10 @@ mod tests {
             .max_index_gb(1.0e-9)
             .build(f.graph.clone())
             .expect_err("tiny budget");
-        assert!(matches!(err, ServiceError::IndexTooLarge { .. }));
+        assert!(matches!(
+            err,
+            ServiceError::Budget(BudgetError::DenseTooLarge { .. })
+        ));
         // Sparse is never refused.
         let service = GpnmService::builder()
             .backend(BackendKind::Sparse)
@@ -1171,9 +1138,34 @@ mod tests {
             GpnmService::builder()
                 .max_index_gb(f64::NAN)
                 .build(f.graph.clone()),
-            Err(ServiceError::InvalidConfig(_))
+            Err(ServiceError::Budget(BudgetError::Invalid { .. }))
         ));
         assert!(GpnmService::builder().build(f.graph).is_ok());
+    }
+
+    #[test]
+    fn unset_cache_budget_keeps_the_paged_default() {
+        let f = fig1();
+        let cache_budget = |builder: ServiceBuilder| match builder
+            .backend(BackendKind::Paged)
+            .build(f.graph.clone())
+            .expect("paged builds are never refused")
+            .backend()
+        {
+            AnyBackend::Paged(paged) => paged.cache_budget(),
+            other => unreachable!("built {}", other.kind()),
+        };
+        let default = PagedConfig::default().cache_budget_bytes;
+        assert_eq!(cache_budget(GpnmService::builder()), default);
+        // The dense budget does not size the cache.
+        assert_eq!(
+            cache_budget(GpnmService::builder().max_index_gb(16)),
+            default
+        );
+        assert_eq!(
+            cache_budget(GpnmService::builder().cache_budget_mb(2)),
+            2 << 20
+        );
     }
 
     #[test]
@@ -1201,7 +1193,7 @@ mod tests {
         let report = service.apply(&batch).expect("valid");
         let stats = &report.stats;
         assert_eq!(stats.per_pattern_refresh_ns.len(), 1);
-        assert_eq!(stats.per_pattern_refresh_ns[0].0, h);
+        assert_eq!(stats.per_pattern_refresh_ns[0].0, h.into());
         let by_kind: u64 = stats.shared_repair_by_kind_ns.iter().map(|e| e.1).sum();
         assert_eq!(stats.shared_repair_ns, by_kind);
         assert_eq!(stats.repair_calls, report.repair_calls);

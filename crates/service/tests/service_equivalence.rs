@@ -496,7 +496,10 @@ proptest! {
                 graph,
                 pattern,
                 MatchSemantics::Simulation,
-            );
+                1.0,
+                None,
+            )
+            .expect("tiny graph fits any budget");
             engine.initial_query();
             for _ in 0..2 {
                 let batch = random_data_batch(&mut rng, service.graph(), &interner, 5);

@@ -46,10 +46,13 @@
 //! `partitioned` materializes an `n × n` matrix; builds whose
 //! estimated matrix exceeds `--max-index-gb` (default 4 GiB) are refused
 //! with a pointer at `--backend sparse` instead of running into the OOM
-//! killer. `paged` spills the sparse rows to a temp file and keeps a
-//! hot-row cache whose size `--cache-budget-mb` bounds — the backend for
-//! graphs whose index outgrows RAM; `--stats` shows its per-tick cache
-//! hit rates and page IO.
+//! killer — by `smoke` and `replay` before they generate the graph, with
+//! the same text every host gives (`BackendKind::admit`). `paged` spills
+//! the sparse rows to a temp file and keeps a hot-row cache of
+//! `--cache-budget-mb` (default 64 MiB; `match`/`bench` always use the
+//! default) — the backend for graphs whose index outgrows RAM; `--stats`
+//! shows its per-tick cache hit rates and page IO. `--max-index-gb`
+//! sizes no cache, and `--cache-budget-mb` admits nothing.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -138,7 +141,7 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
                 args.pattern_nodes = parse_num(take_str("--pattern-nodes")?, "--pattern-nodes")?;
             }
             "--updates" => args.updates = parse_num(take_str("--updates")?, "--updates")?,
-            "--seed" => args.seed = parse_num(take_str("--seed")?, "--seed")? as u64,
+            "--seed" => args.seed = parse_num(take_str("--seed")?, "--seed")?,
             "--nodes" | "--edges" if !generated => {
                 return Err(format!(
                     "{flag} only applies to `gpnm smoke`/`gpnm replay` (match/bench take \
@@ -152,16 +155,7 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
                 ));
             }
             "--cache-budget-mb" => {
-                let v = take_str("--cache-budget-mb")?;
-                let parsed = v
-                    .parse::<f64>()
-                    .map_err(|e| format!("--cache-budget-mb: {e}"))?;
-                if !parsed.is_finite() || parsed <= 0.0 {
-                    return Err(format!(
-                        "--cache-budget-mb: expected a positive finite number, got {v}"
-                    ));
-                }
-                args.cache_budget_mb = Some(parsed);
+                args.cache_budget_mb = Some(parse_num(take_str(flag)?, flag)?);
             }
             "--nodes" => args.nodes = parse_num(take_str("--nodes")?, "--nodes")?,
             "--edges" => args.edges = parse_num(take_str("--edges")?, "--edges")?,
@@ -188,49 +182,46 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
             "--trace-out" => args.trace_out = Some(take_str("--trace-out")?.clone()),
             "--metrics-out" => args.metrics_out = Some(take_str("--metrics-out")?.clone()),
             "--backend" => args.backend = take_str("--backend")?.parse()?,
-            "--max-index-gb" => {
-                let v = take_str("--max-index-gb")?;
-                let parsed = v
-                    .parse::<f64>()
-                    .map_err(|e| format!("--max-index-gb: {e}"))?;
-                // NaN would make the guard's `bytes > limit` comparison
-                // silently false — the exact OOM the guard exists to stop.
-                if !parsed.is_finite() || parsed <= 0.0 {
-                    return Err(format!(
-                        "--max-index-gb: expected a positive finite number, got {v}"
-                    ));
-                }
-                args.max_index_gb = parsed;
-            }
+            "--max-index-gb" => args.max_index_gb = parse_num(take_str(flag)?, flag)?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
     Ok(args)
 }
 
-fn parse_num(value: &str, name: &str) -> Result<usize, String> {
-    value.parse::<usize>().map_err(|e| format!("{name}: {e}"))
+/// A flag's number. Whether a budget's number is a usable budget is
+/// `BackendKind::admit`'s decision, the same on every host.
+fn parse_num<T: std::str::FromStr>(value: &str, name: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse::<T>().map_err(|e| format!("{name}: {e}"))
 }
 
-/// Refuse dense builds whose `n × n` matrix would blow the memory budget —
-/// a helpful error beats an OOM kill half an hour into APSP. The size
-/// model is `BackendKind::estimated_index_bytes`, the same estimate the
-/// service builder's guard enforces, so the subcommands cannot drift.
-fn guard_dense_build(backend: BackendKind, nodes: usize, max_index_gb: f64) -> Result<(), String> {
-    let Some(bytes) = backend.estimated_index_bytes(nodes) else {
-        return Ok(());
-    };
-    let limit = max_index_gb * (1u64 << 30) as f64;
-    if bytes as f64 > limit {
-        return Err(format!(
-            "refusing to build a dense SLen matrix for {nodes} nodes: \
-             {nodes}² × 4 B plus growth headroom ≈ {:.1} GiB exceeds --max-index-gb {max_index_gb}. \
-             Use `--backend sparse` (bounded rows for pattern-labeled nodes only), \
-             or raise --max-index-gb if you really have the RAM.",
-            bytes as f64 / (1u64 << 30) as f64
-        ));
-    }
-    Ok(())
+/// The engine `args` configure over `graph`: the budgets are checked and
+/// an over-budget dense build refused before anything is built.
+fn build_engine(
+    args: &Args,
+    graph: DataGraph,
+    pattern: PatternGraph,
+) -> Result<GpnmEngine<AnyBackend>, String> {
+    GpnmEngine::with_backend_kind(
+        args.backend,
+        graph,
+        pattern,
+        MatchSemantics::Simulation,
+        args.max_index_gb,
+        args.cache_budget_mb,
+    )
+    .map_err(|e| e.to_string())
+}
+
+/// `smoke` and `replay` size their generated graph by `--nodes`: admit
+/// the configuration at that size before spending the generator's time.
+fn admit_generated(args: &Args) -> Result<(), String> {
+    args.backend
+        .admit(args.nodes, args.max_index_gb, args.cache_budget_mb)
+        .map_err(|e| e.to_string())
 }
 
 fn load(path: &str, args: &Args) -> Result<(DataGraph, LabelInterner), String> {
@@ -253,7 +244,6 @@ fn make_pattern(args: &Args, interner: &LabelInterner) -> PatternGraph {
 
 fn cmd_match(path: &str, args: &Args) -> Result<(), String> {
     let (graph, interner) = load(path, args)?;
-    guard_dense_build(args.backend, graph.slot_count(), args.max_index_gb)?;
     eprintln!(
         "loaded {} nodes / {} edges; building {} SLen index ...",
         graph.node_count(),
@@ -261,8 +251,7 @@ fn cmd_match(path: &str, args: &Args) -> Result<(), String> {
         args.backend
     );
     let pattern = make_pattern(args, &interner);
-    let mut engine =
-        GpnmEngine::with_backend_kind(args.backend, graph, pattern, MatchSemantics::Simulation);
+    let mut engine = build_engine(args, graph, pattern)?;
     engine.initial_query();
     eprintln!(
         "index: {} rows resident, ~{:.1} MiB",
@@ -279,10 +268,8 @@ fn cmd_match(path: &str, args: &Args) -> Result<(), String> {
 
 fn cmd_bench(path: &str, args: &Args) -> Result<(), String> {
     let (graph, interner) = load(path, args)?;
-    guard_dense_build(args.backend, graph.slot_count(), args.max_index_gb)?;
     let pattern = make_pattern(args, &interner);
-    let mut base =
-        GpnmEngine::with_backend_kind(args.backend, graph, pattern, MatchSemantics::Simulation);
+    let mut base = build_engine(args, graph, pattern)?;
     base.initial_query();
     let protocol = UpdateProtocol::from_scale(args.pattern_nodes, args.updates);
     let batch = generate_batch(
@@ -318,7 +305,7 @@ fn cmd_bench(path: &str, args: &Args) -> Result<(), String> {
 /// `IQuery`, apply a generated batch, answer `SQuery` — printing the
 /// footprint numbers CI asserts on.
 fn cmd_smoke(args: &Args) -> Result<(), String> {
-    guard_dense_build(args.backend, args.nodes, args.max_index_gb)?;
+    admit_generated(args)?;
     let t = std::time::Instant::now();
     let (graph, interner) = generate_social_graph(&SocialGraphConfig {
         nodes: args.nodes,
@@ -336,12 +323,8 @@ fn cmd_smoke(args: &Args) -> Result<(), String> {
     );
     let pattern = make_pattern(args, &interner);
     let t = std::time::Instant::now();
-    let mut engine =
-        GpnmEngine::with_backend_kind(args.backend, graph, pattern, MatchSemantics::Simulation);
+    let mut engine = build_engine(args, graph, pattern)?;
     let build_time = t.elapsed();
-    if let (AnyBackend::Paged(paged), Some(mb)) = (engine.backend_mut(), args.cache_budget_mb) {
-        paged.set_cache_budget((mb * (1u64 << 20) as f64) as usize);
-    }
     let t = std::time::Instant::now();
     engine.initial_query();
     println!(
@@ -459,6 +442,7 @@ fn replay_patterns(args: &Args, interner: &LabelInterner) -> Vec<PatternGraph> {
 /// [`replay_ticks`]); `--shards` only changes which host is built and
 /// which footprint lines print around it.
 fn run_replay(args: &Args) -> Result<(), String> {
+    admit_generated(args)?;
     let t = std::time::Instant::now();
     let (graph, mut interner) = generate_social_graph(&SocialGraphConfig {
         nodes: args.nodes,

@@ -204,8 +204,8 @@ fn cluster_index_gauges_are_the_totals_over_shards() {
 /// copy): the first refresh has nothing to repair and re-matches — one
 /// `repair_rematch` event — and every later refresh repairs the relation
 /// that re-match kept, so it stays silent. A service never carries a
-/// result in: every registration matches, so on the same ticks its own
-/// session of the query repairs and `gpnm_repair_rematch_total` stays flat.
+/// result in: every registration matches, so its own session of the query
+/// always has a relation to repair.
 #[test]
 fn repair_rematch_fallback_is_reported_then_stays_silent() {
     use ua_gpnm::engine::pipeline::{commit_data_update, plan_for_data_update, refresh_pattern};
@@ -246,10 +246,8 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
     let mut replica = graph;
     let mut index = AnyBackend::build(&replica, &SlenRequirements::of_pattern(&pattern));
 
-    let counter = ua_gpnm::telemetry::global().counter("gpnm_repair_rematch_total");
     let mut rematches = Vec::new();
     let mut rematch_events = Vec::new();
-    let mut counts = vec![counter.get()];
     for tick in 0..3usize {
         // Edge churn only: no inserted node can carry the ghost label.
         let nodes: Vec<_> = service.graph().nodes().collect();
@@ -262,7 +260,6 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
             });
         }
         service.apply(&batch).expect("generated batch applies");
-        counts.push(counter.get());
         assert!(service.result(h).unwrap().is_empty());
 
         // One plan folded over the batch, as a host folds it.
@@ -296,7 +293,6 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
     }
     assert_eq!(rematches, [true, false, false]);
     assert_eq!(rematch_events, [1, 0, 0]);
-    assert_eq!(counts[3], counts[0], "a registered query never falls back");
 }
 
 /// Where a tick's `SLen` repair went is readable from the system's own
