@@ -1,7 +1,7 @@
 //! The sharded serving layer: k [`GpnmService`] shards behind one
 //! cluster-level register/apply surface, with parallel fan-out ticks.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use gpnm_distance::{AnyBackend, BackendKind, SlenBackend};
@@ -12,6 +12,7 @@ use gpnm_service::{
     GpnmService, HandleId, PatternHandle, PatternHost, ReadFront, ReadView, ServiceBuilder,
     ServiceError, Subscription, TickOutcome, TickReport,
 };
+use gpnm_telemetry::{Counter, Gauge};
 use gpnm_updates::UpdateBatch;
 
 use crate::error::ClusterError;
@@ -75,7 +76,9 @@ pub struct ClusterTickReport {
     /// Per-pattern deltas, in cluster registration order.
     pub deltas: Vec<(ClusterHandle, MatchDelta)>,
     /// Each shard's own report, in shard order — per-shard `TickStats`
-    /// live here.
+    /// live here, with pattern entries renamed to cluster handles. Each
+    /// report's `deltas` is empty: its deltas were moved into
+    /// [`ClusterTickReport::deltas`].
     pub shard_reports: Vec<TickReport>,
 }
 
@@ -357,6 +360,26 @@ impl GpnmCluster {
     }
 }
 
+/// Registry handles a cluster tick writes into, resolved once per
+/// process.
+struct ClusterSeries {
+    ticks: Arc<Counter>,
+    resident_rows: Arc<Gauge>,
+    index_mem_bytes: Arc<Gauge>,
+}
+
+fn series() -> &'static ClusterSeries {
+    static SERIES: OnceLock<ClusterSeries> = OnceLock::new();
+    SERIES.get_or_init(|| {
+        let registry = gpnm_telemetry::global();
+        ClusterSeries {
+            ticks: registry.counter("gpnm_cluster_ticks_total"),
+            resident_rows: registry.gauge("gpnm_index_resident_rows"),
+            index_mem_bytes: registry.gauge("gpnm_index_mem_bytes"),
+        }
+    })
+}
+
 impl PatternHost for GpnmCluster {
     type Handle = ClusterHandle;
     type Error = ClusterError;
@@ -418,11 +441,7 @@ impl PatternHost for GpnmCluster {
         self.next_handle += 1;
         self.front.publish(
             handle,
-            ReadView {
-                result: self.shards[shard].result(local)?.visible(),
-                result_version: 0,
-                tick: self.tick,
-            },
+            ReadView::of(self.shards[shard].result(local)?, 0, self.tick),
         );
         self.patterns.push((handle, shard, local));
         Ok(handle)
@@ -490,21 +509,26 @@ impl PatternHost for GpnmCluster {
                 Err(error) => return Err(ClusterError::ShardFailed { shard, error }),
             }
         }
-        // Shard stats name patterns by shard-local handle: rename them to
-        // cluster handles. A shard lists its sessions in registration order,
-        // the order of its rows in the routing table.
+        // Shard reports name patterns by shard-local handle: move each
+        // delta out under its cluster handle and rename the stats entries.
+        // A shard lists its sessions in registration order, the order of
+        // its rows in the routing table.
+        let mut shard_deltas: Vec<_> = shard_reports
+            .iter_mut()
+            .map(|report| std::mem::take(&mut report.deltas).into_iter())
+            .collect();
         let mut position = vec![0; shard_reports.len()];
         let mut deltas = Vec::with_capacity(self.patterns.len());
         for &(handle, shard, local) in &self.patterns {
-            let report = &mut shard_reports[shard];
-            let delta = report
-                .delta_for(local)
-                .expect("every shard reports every registered pattern")
-                .clone();
+            let (reported, delta) = shard_deltas[shard]
+                .next()
+                .expect("every shard reports every registered pattern");
+            debug_assert_eq!(reported, local, "shard deltas in routing order");
             let i = position[shard];
             position[shard] += 1;
-            report.stats.per_pattern_refresh_ns[i].0 = handle.into();
-            report.stats.per_pattern_strategy[i].0 = handle.into();
+            let stats = &mut shard_reports[shard].stats;
+            stats.per_pattern_refresh_ns[i].0 = handle.into();
+            stats.per_pattern_strategy[i].0 = handle.into();
             deltas.push((handle, delta));
         }
 
@@ -521,36 +545,21 @@ impl PatternHost for GpnmCluster {
         let publish_entered = publish_span.enter();
         let mut items = Vec::with_capacity(self.patterns.len());
         for (&(handle, shard, local), (_, delta)) in self.patterns.iter().zip(deltas.iter()) {
-            items.push((
-                HandleId::from(handle),
-                ReadView {
-                    result: self.shards[shard]
-                        .result(local)
-                        .expect("routing table tracks live handles")
-                        .visible(),
-                    result_version: self.shards[shard]
-                        .result_version(local)
-                        .expect("routing table tracks live handles"),
-                    tick: self.tick,
-                },
-                delta.clone(),
-            ));
+            let shard = &self.shards[shard];
+            let live = "routing table tracks live handles";
+            let version = shard.result_version(local).expect(live);
+            let view = ReadView::of(shard.result(local).expect(live), version, self.tick);
+            items.push((HandleId::from(handle), view, delta.clone()));
         }
         self.front.publish_tick(items);
         drop(publish_entered);
-        gpnm_telemetry::global()
-            .counter("gpnm_cluster_ticks_total")
-            .inc();
+        let f = series();
+        f.ticks.inc();
 
         // The index gauges are the cluster's totals; the shards, being
         // non-publishing replicas, leave them alone.
-        let registry = gpnm_telemetry::global();
-        registry
-            .gauge("gpnm_index_resident_rows")
-            .set(self.total_resident_rows() as f64);
-        registry
-            .gauge("gpnm_index_mem_bytes")
-            .set(self.total_index_bytes() as f64);
+        f.resident_rows.set(self.total_resident_rows() as f64);
+        f.index_mem_bytes.set(self.total_index_bytes() as f64);
 
         Ok(ClusterTickReport {
             tick: self.tick,
@@ -885,5 +894,45 @@ mod tests {
             cluster.register_pattern(PatternGraph::new(), MatchSemantics::Simulation),
             Err(ClusterError::Service(ServiceError::EmptyPattern))
         );
+    }
+
+    #[test]
+    fn merged_deltas_are_moved_out_of_the_shards_under_cluster_handles() {
+        let (f, mut cluster) = two_shard_cluster();
+        let handles: Vec<ClusterHandle> = (0..3)
+            .map(|_| {
+                cluster
+                    .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
+                    .unwrap()
+            })
+            .collect();
+        // Shard 0 keeps the third registration alone; shard 1 the second.
+        cluster.deregister(handles[0]).unwrap();
+        let mut batch = UpdateBatch::new();
+        batch.push(DataUpdate::DeleteEdge {
+            from: f.se1,
+            to: f.s1,
+        });
+        let report = cluster.apply(&batch).unwrap();
+        assert!(
+            report.shard_reports.iter().all(|r| r.deltas.is_empty()),
+            "no shard report carries deltas"
+        );
+        let keyed: Vec<ClusterHandle> = report.deltas.iter().map(|&(h, _)| h).collect();
+        assert_eq!(keyed, handles[1..]);
+        for &(h, ref delta) in &report.deltas {
+            assert!(!delta.is_empty(), "{h}: the delete changes fig. 1's match");
+            assert_eq!(delta.result_version, 1);
+            assert_eq!(
+                cluster.read_view(h).unwrap().result,
+                *cluster.result(h).unwrap()
+            );
+        }
+        let stats_keys: Vec<HandleId> = report
+            .shard_reports
+            .iter()
+            .flat_map(|r| r.stats.per_pattern_refresh_ns.iter().map(|&(h, _)| h))
+            .collect();
+        assert_eq!(stats_keys, vec![handles[2].into(), handles[1].into()]);
     }
 }

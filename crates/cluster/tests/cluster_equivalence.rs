@@ -18,7 +18,7 @@ use gpnm_cluster::GpnmCluster;
 use gpnm_distance::BackendKind;
 use gpnm_engine::{GpnmEngine, Strategy};
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
-use gpnm_matcher::{match_graph, MatchSemantics};
+use gpnm_matcher::{match_graph, MatchResult, MatchSemantics};
 use gpnm_service::{GpnmService, PatternHost, TickOutcome};
 use gpnm_updates::{DataUpdate, UpdateBatch};
 use rand::rngs::StdRng;
@@ -183,6 +183,11 @@ fn check_equivalence(
         service_handles.push(sh);
         engines.push(engine);
     }
+    // Each pattern's result as of the previous tick: the delta oracle.
+    let mut prev: Vec<MatchResult> = cluster_handles
+        .iter()
+        .map(|&ch| cluster.result(ch).unwrap().clone())
+        .collect();
 
     let deregister_at = ticks / 2;
     for tick in 0..ticks {
@@ -192,11 +197,13 @@ fn check_equivalence(
             cluster.deregister(cluster_handles.remove(0)).unwrap();
             service.deregister(service_handles.remove(0)).unwrap();
             engines.remove(0);
+            prev.remove(0);
             // And register a fresh pattern mid-stream on the evolved graph.
             let (ch, sh, engine) = register(&mut cluster, &mut service, &mut rng);
             cluster_handles.push(ch);
             service_handles.push(sh);
             engines.push(engine);
+            prev.push(cluster.result(ch).unwrap().clone());
         }
         let len = rng.gen_range(1..8);
         let batch = random_data_batch(&mut rng, service.graph(), &interner, len);
@@ -241,12 +248,26 @@ fn check_equivalence(
                 "tick {tick} pattern {i}: stale relation (seed {seed}, {shards} shards, \
                  {kind:?}, {semantics:?}): {got:?} vs fresh {fresh:?}"
             );
-            // The merged report's delta equals the single service's.
+            // The merged report's delta equals the single service's, and
+            // both are the diff against the previous tick, pair for pair
+            // and in order.
+            let delta = cluster_report.delta_for(ch).expect("handle in report");
             assert_eq!(
-                cluster_report.delta_for(ch).expect("handle in report"),
+                delta,
                 service_report.delta_for(sh).expect("handle in report"),
                 "merged delta diverged (seed {seed}, tick {tick}, pattern {i})"
             );
+            assert_eq!(
+                delta,
+                &got.delta_from(&prev[i], delta.result_version),
+                "repair delta differs from the diff (seed {seed}, tick {tick}, pattern {i})"
+            );
+            assert_eq!(
+                &delta.apply_to(&prev[i]),
+                got,
+                "delta does not fold to the view"
+            );
+            prev[i] = got.clone();
         }
         // Every shard replica walked the same trajectory.
         for shard in cluster.shards() {

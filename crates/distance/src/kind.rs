@@ -88,6 +88,11 @@ impl BackendKind {
 
 const GIB: f64 = (1u64 << 30) as f64;
 
+/// The `max_index_gb` every entry point uses when none is configured
+/// ([`BackendKind::admit`]): a dense matrix estimated at up to 4 GiB is
+/// admitted.
+pub const DEFAULT_MAX_INDEX_GB: f64 = 4.0;
+
 /// Why [`BackendKind::admit`] (and so [`crate::AnyBackend::configured`])
 /// refused a configuration. The text names the remedy; it is what every
 /// host and the `gpnm` CLI print.

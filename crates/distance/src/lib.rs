@@ -134,7 +134,7 @@ pub use any::AnyBackend;
 pub use apsp::apsp_matrix;
 pub use backend::{project_delta, IoStats, RepairHint, SlenBackend, SlenRequirements};
 pub use incremental::IncrementalIndex;
-pub use kind::{BackendKind, BudgetError};
+pub use kind::{BackendKind, BudgetError, DEFAULT_MAX_INDEX_GB};
 pub use matrix::DistanceMatrix;
 pub use oracle::DistanceOracle;
 pub use paged::{PagedConfig, PagedIndex, PagedStore};

@@ -14,15 +14,17 @@
 //! 2. [`plan_for_data_update`] (re-exported) — derive one pattern's
 //!    [`RepairPlan`] from a committed update. Must be called *during* the
 //!    commit pass, while the graph sits at that update's post-state —
-//!    exactly where the single-pattern engine calls it. The hosts fold
-//!    each update's plan into one per pattern ([`RepairPlan::merge`]).
+//!    exactly where the single-pattern engine calls it. A plan's `verify`
+//!    set does not depend on the pattern, so the hosts union it once per
+//!    tick and build only each pattern's root gains
+//!    ([`push_data_update_gains`], also re-exported).
 //! 3. [`SharedElimination::detect`] — DER-II elimination analysis
 //!    (affected-set containment → EH-Tree). Only `gpnm-bench`'s staged
 //!    replay calls it, to time it; no host calls it, and no refresh reads
 //!    it.
-//! 4. [`refresh_pattern_strategy`] — the one refresh entry: a single
-//!    repair pass per pattern over the union of its plans (or a
-//!    re-match), at the post-batch state.
+//! 4. [`refresh_pattern`] — the hosts' one refresh: a single repair pass
+//!    per pattern over the tick's verify set and the pattern's gains, at
+//!    the post-batch state, returning the pattern's delta.
 //!
 //! `GpnmEngine` commits through [`commit_data_update`] and plans through
 //! the same plan builders, so the two front doors cannot drift apart
@@ -35,13 +37,17 @@
 use std::time::{Duration, Instant};
 
 use gpnm_distance::{AffDelta, RepairHint, SlenBackend};
-use gpnm_graph::{DataGraph, NodeId, PatternGraph};
-use gpnm_matcher::{match_graph, repair, MatchResult, MatchSemantics, RepairPlan};
+use gpnm_graph::{DataGraph, NodeId, NodeSet, PatternGraph, PatternNodeId};
+use gpnm_matcher::{
+    match_graph, repair, repair_gains, MatchDelta, MatchResult, MatchSemantics, RepairPlan,
+};
 use gpnm_updates::{DataUpdate, EhTree, EliminationGraph, Update, UpdateEffect};
 
 use crate::error::EngineError;
 
-pub use crate::plan_builder::{plan_for_data_update, plan_for_pattern_update};
+pub use crate::plan_builder::{
+    plan_for_data_update, plan_for_pattern_update, push_data_update_gains,
+};
 
 /// One data update after its single shared commit: what the graph and
 /// backend absorbed, and what a plan or an elimination analysis reads.
@@ -65,15 +71,19 @@ impl CommittedUpdate {
         )
     }
 
+    /// Every name [`CommittedUpdate::kind`] returns.
+    pub const KINDS: [&'static str; 4] =
+        ["insert_edge", "delete_edge", "insert_node", "delete_node"];
+
     /// The update's kind as telemetry names it: the `kind` of the TRACE
     /// `engine_commit` event and of `gpnm_slen_repair_seconds`.
     pub fn kind(&self) -> &'static str {
-        match self.update {
-            DataUpdate::InsertEdge { .. } => "insert_edge",
-            DataUpdate::DeleteEdge { .. } => "delete_edge",
-            DataUpdate::InsertNode { .. } => "insert_node",
-            DataUpdate::DeleteNode { .. } => "delete_node",
-        }
+        Self::KINDS[match self.update {
+            DataUpdate::InsertEdge { .. } => 0,
+            DataUpdate::DeleteEdge { .. } => 1,
+            DataUpdate::InsertNode { .. } => 2,
+            DataUpdate::DeleteNode { .. } => 3,
+        }]
     }
 }
 
@@ -133,8 +143,8 @@ pub fn commit_data_update<B: SlenBackend>(
     Ok(committed)
 }
 
-/// Where one pattern's refresh spent its work.
-#[derive(Debug, Clone, Copy, Default)]
+/// Where one pattern's refresh spent its work, and what it changed.
+#[derive(Debug, Clone, Default)]
 pub struct RefreshStats {
     /// Repair passes run: one per [`refresh_pattern`] call, zero when the
     /// tick committed nothing (or under [`crate::RefreshStrategy::Rematch`]).
@@ -148,6 +158,10 @@ pub struct RefreshStats {
     /// `(pattern node, data node)` candidates the repair grew outside the
     /// standing relation ([`gpnm_matcher::RepairOutcome::candidates`]).
     pub candidates: usize,
+    /// The visible change, stamped version 0
+    /// ([`gpnm_matcher::RepairOutcome::delta`]); empty when no repair pass
+    /// ran.
+    pub delta: MatchDelta,
 }
 
 /// A batch's DER-II elimination analysis: containment detection and the
@@ -194,18 +208,19 @@ impl SharedElimination {
 }
 
 /// Refresh one pattern's `result` after a shared commit pass — the hosts'
-/// one refresh (the service and every cluster shard): **one** [`repair`]
-/// over `plan`, at the post-batch state.
+/// one refresh (the service and every cluster shard): **one**
+/// [`repair_gains`] over `verify` and `gains`, at the post-batch state.
 ///
-/// `plan` must be the fold ([`RepairPlan::merge`]) of the plans
-/// [`plan_for_data_update`] derived for the tick's committed updates
-/// *against this pattern* during the commit pass: every update's `verify`
-/// set and root gains. By refresh time the graph and index are read-only,
-/// and pruning a superset of the maximum simulation from above is
-/// confluent ([`repair`]'s own argument), so one pass over the union
-/// reaches exactly the fixed point the paper's pass-per-survivor loop
-/// reaches — [`crate::GpnmEngine`] keeps that loop, whose per-update cost
-/// is what the paper's figures measure. An update the paper eliminates has
+/// `verify` must be the union of the tick's committed updates' `Aff_N`
+/// sets and created nodes — one set for every pattern — and `gains` what
+/// [`push_data_update_gains`] appended for them *against this pattern*
+/// during the commit pass: together, the fold of the plans
+/// [`plan_for_data_update`] would derive. By refresh time the graph and
+/// index are read-only, and pruning a superset of the maximum simulation
+/// from above is confluent ([`repair`]'s own argument), so one pass over
+/// the union reaches exactly the fixed point the paper's pass-per-survivor
+/// loop reaches — [`crate::GpnmEngine`] keeps that loop, whose per-update
+/// cost is what the paper's figures measure. An update the paper eliminates has
 /// its `Aff_N` inside another's, so the union is what the survivors' sets
 /// cover. A host whose reduced batch committed nothing does not call this.
 ///
@@ -218,12 +233,13 @@ pub fn refresh_pattern<B: SlenBackend>(
     index: &B,
     semantics: MatchSemantics,
     result: &mut MatchResult,
-    plan: &RepairPlan,
+    verify: &NodeSet,
+    gains: &[(PatternNodeId, NodeId)],
 ) -> RefreshStats {
     let span = tracing::span!(tracing::Level::TRACE, "match_repair");
     let _entered = span.enter();
     let t = Instant::now();
-    let outcome = repair(pattern, graph, index, semantics, result, plan);
+    let outcome = repair_gains(pattern, graph, index, semantics, result, verify, gains);
     if outcome.rematched {
         tracing::event!(tracing::Level::TRACE, "repair_rematch");
     }
@@ -232,6 +248,7 @@ pub fn refresh_pattern<B: SlenBackend>(
         repair_time: t.elapsed(),
         rematched: outcome.rematched,
         candidates: outcome.candidates,
+        delta: outcome.delta,
     }
 }
 
@@ -239,8 +256,9 @@ pub fn refresh_pattern<B: SlenBackend>(
 /// because `gpnm-bench`'s staged replay calls it; removed with ROADMAP
 /// D2(b).
 ///
-/// `plans` holds one plan per committed update, or any folding of them;
-/// an empty slice means the reduced batch was empty and runs no pass.
+/// `plans` holds one [`plan_for_data_update`] plan per committed update,
+/// or any folding of them; an empty slice means the reduced batch was
+/// empty and runs no pass.
 /// [`crate::RefreshStrategy::Eliminative`] folds them and runs
 /// [`refresh_pattern`]; [`crate::RefreshStrategy::Rematch`] discards the
 /// standing result and re-matches from the post-batch index. Both reach
@@ -264,7 +282,9 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
             for plan in plans {
                 merged.merge(plan);
             }
-            refresh_pattern(pattern, graph, index, semantics, result, &merged)
+            debug_assert!(merged.addition_sources.is_empty(), "data plans only");
+            let (verify, gains) = (&merged.verify, &merged.gains);
+            refresh_pattern(pattern, graph, index, semantics, result, verify, gains)
         }
         crate::RefreshStrategy::Rematch => {
             let t = Instant::now();
@@ -410,11 +430,13 @@ mod tests {
             &tick.index,
             SEMANTICS,
             &mut result,
-            &folded,
+            &folded.verify,
+            &folded.gains,
         );
         assert_eq!(stats.repair_calls, 1, "one folded pass for the whole batch");
         let scratch = match_graph(&tick.f.pattern, &tick.f.graph, &tick.index, SEMANTICS);
         assert_eq!(result, scratch);
+        assert_eq!(stats.delta, result.delta_from(&tick.base, 0));
     }
 
     #[test]

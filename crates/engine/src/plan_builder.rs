@@ -69,6 +69,35 @@ pub fn plan_for_data_update(
 ) -> RepairPlan {
     let mut plan = RepairPlan::new();
     plan.verify = delta.affected.clone();
+    plan.verify.extend(created);
+    push_data_update_gains(
+        update,
+        delta,
+        pattern,
+        graph,
+        result,
+        created,
+        &mut plan.gains,
+    );
+    plan.gains.sort_unstable();
+    plan.gains.dedup();
+    plan
+}
+
+/// The pattern-dependent half of [`plan_for_data_update`]: append the
+/// update's root gains against `pattern` to `gains`, unsorted and possibly
+/// repeated. The other half, `verify`, is the update's `Aff_N` plus any
+/// created node, the same for every pattern: a host unions it once per
+/// tick and passes it to [`gpnm_matcher::repair_gains`] by reference.
+pub fn push_data_update_gains(
+    update: &DataUpdate,
+    delta: &AffDelta,
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    result: &MatchResult,
+    created: Option<NodeId>,
+    gains: &mut Vec<(PatternNodeId, NodeId)>,
+) {
     match update {
         DataUpdate::InsertEdge { .. } => {
             for &(x, y, old, new) in &delta.changed {
@@ -81,24 +110,21 @@ pub fn plan_for_data_update(
                         let crossed = bound.admits(new) && !bound.admits(old);
                         if crossed && pattern.label(succ) == ly {
                             if !result.relation_contains(u, x) {
-                                plan.gains.push((u, x));
+                                gains.push((u, x));
                             }
                             if !result.relation_contains(succ, y) {
-                                plan.gains.push((succ, y));
+                                gains.push((succ, y));
                             }
                         }
                     }
                 }
             }
-            plan.gains.sort_unstable();
-            plan.gains.dedup();
         }
         DataUpdate::InsertNode { label } => {
             if let Some(id) = created {
-                plan.verify.insert(id);
                 for u in pattern.nodes() {
                     if pattern.label(u) == Some(*label) {
-                        plan.gains.push((u, id));
+                        gains.push((u, id));
                     }
                 }
             }
@@ -106,7 +132,6 @@ pub fn plan_for_data_update(
         // Deletions only lengthen/lose paths: no additions possible.
         DataUpdate::DeleteEdge { .. } | DataUpdate::DeleteNode { .. } => {}
     }
-    plan
 }
 
 /// Plan for a pattern update, given its DER-I candidate sets.

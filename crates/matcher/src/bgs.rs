@@ -3,6 +3,7 @@
 use gpnm_distance::DistanceOracle;
 use gpnm_graph::{Bound, DataGraph, NodeId, NodeSet, PatternGraph, PatternNodeId};
 
+use crate::delta::MatchDelta;
 use crate::plan::RepairPlan;
 use crate::result::MatchResult;
 use crate::semantics::MatchSemantics;
@@ -87,7 +88,7 @@ pub fn match_graph<O: DistanceOracle>(
 }
 
 /// What one [`repair`] call did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairOutcome {
     /// Whether it fell back to [`match_graph`] (see [`repair`]'s last
     /// paragraph).
@@ -95,6 +96,12 @@ pub struct RepairOutcome {
     /// `(pattern node, data node)` candidates it grew outside the old
     /// relation — the members it had to verify beyond `plan.verify`.
     pub candidates: usize,
+    /// What the call changed in the **visible** sets, ascending by
+    /// (slot, node) and stamped version 0: exactly
+    /// `after.delta_from(&before, 0)`, taken from the repair's own
+    /// admissions and removals instead of a snapshot and a diff (see
+    /// [`repair`]'s "The delta").
+    pub delta: MatchDelta,
 }
 
 /// Incremental repair: bring `result` (valid for some earlier graph state)
@@ -184,6 +191,19 @@ pub struct RepairOutcome {
 /// calls [`MatchResult::forget_relation`] first. A visibly-empty result
 /// that carries no relation has nothing sound to start from and is
 /// re-matched; that is the only case that re-matches.
+///
+/// ## The delta
+///
+/// [`RepairOutcome::delta`] is built from what the repair itself did to
+/// the relation: the old members it removed (a tombstoned slot's, or
+/// pruned ones outside `Cand`) and the candidates it admitted that
+/// survived the pruning — a candidate admitted and then pruned in the same
+/// call is in neither list. The projection decides what a reader saw
+/// change: relation shown before and after, exactly those pairs; withheld
+/// before and shown after, every pair of the new relation added; shown
+/// before and withheld after, every pair of the old relation removed;
+/// withheld on both sides, nothing. The fallback re-match adds every pair
+/// it shows. No set is copied or diffed for it.
 pub fn repair<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -192,47 +212,109 @@ pub fn repair<O: DistanceOracle>(
     result: &mut MatchResult,
     plan: &RepairPlan,
 ) -> RepairOutcome {
-    let kept_relation = result.restore_relation();
+    let additions = Additions {
+        gains: &plan.gains,
+        sources: &plan.addition_sources,
+    };
+    repair_parts(
+        pattern,
+        graph,
+        oracle,
+        semantics,
+        result,
+        &plan.verify,
+        additions,
+    )
+}
+
+/// [`repair`] for a data update's plan, with the `verify` set borrowed:
+/// the hosts' entry. A data update's `verify` set does not depend on the
+/// pattern, so a host builds one for the whole tick and hands every
+/// pattern a reference to it beside that pattern's own root `gains`. Data
+/// updates name no addition sources.
+pub fn repair_gains<O: DistanceOracle>(
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    oracle: &O,
+    semantics: MatchSemantics,
+    result: &mut MatchResult,
+    verify: &NodeSet,
+    gains: &[(PatternNodeId, NodeId)],
+) -> RepairOutcome {
+    let additions = Additions {
+        gains,
+        sources: &[],
+    };
+    repair_parts(pattern, graph, oracle, semantics, result, verify, additions)
+}
+
+/// The additions half of a [`RepairPlan`], borrowed.
+#[derive(Clone, Copy)]
+struct Additions<'a> {
+    gains: &'a [(PatternNodeId, NodeId)],
+    sources: &'a [PatternNodeId],
+}
+
+fn repair_parts<O: DistanceOracle>(
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    oracle: &O,
+    semantics: MatchSemantics,
+    result: &mut MatchResult,
+    verify: &NodeSet,
+    additions: Additions<'_>,
+) -> RepairOutcome {
+    let shown_before = !result.restore_relation();
     result.grow(pattern.slot_count());
 
     // Tombstoned pattern slots must not retain matches — and this must
     // happen before any early return: a batch whose only effect is a
     // pattern-node deletion arrives with an otherwise-empty plan.
+    let mut removed = Vec::new();
     for i in 0..result.slot_count() {
         let p = PatternNodeId::from_index(i);
-        if !pattern.contains(p) {
-            result.slot_mut(p).clear();
+        if !pattern.contains(p) && !result.set(p).is_empty() {
+            removed.extend(result.set(p).iter().map(|v| (p, v)));
+            result.clear_slot(p);
         }
     }
     // Visibly empty and no relation carried (built or edited from outside,
     // or forgotten by a pattern update): nothing sound to start from.
-    let no_relation = !kept_relation && result.is_empty() && pattern.node_count() > 0;
-    let verify = &plan.verify;
-    if plan.is_empty() {
+    let no_relation = shown_before && result.is_empty() && pattern.node_count() > 0;
+    let plan_empty =
+        verify.is_empty() && additions.gains.is_empty() && additions.sources.is_empty();
+    if plan_empty {
         // Still enforce the total-match rule: a pattern-node deletion can
         // turn a previously-empty result non-empty only via additions,
         // which would come with addition sources.
         if !no_relation {
             enforce_total_match(pattern, result);
         }
-        return RepairOutcome::default();
+        return RepairOutcome {
+            delta: project(shown_before, result, Vec::new(), removed),
+            ..RepairOutcome::default()
+        };
     }
     if no_relation {
+        // What was shown is exactly what the tombstones took.
         *result = match_graph(pattern, graph, oracle, semantics);
         return RepairOutcome {
             rematched: true,
             candidates: 0,
+            delta: MatchDelta {
+                added: shown_pairs(result),
+                removed,
+                result_version: 0,
+            },
         };
     }
 
     // (1) Grow candidates; (2) seed `S_old ∪ Cand`.
-    let whole = close_addition_sources(pattern, &plan.addition_sources, semantics);
-    let fresh = grow_candidates(pattern, graph, result, semantics, plan, &whole);
+    let whole = close_addition_sources(pattern, additions.sources, semantics);
+    let (fresh, admitted) = grow_candidates(pattern, graph, result, semantics, additions, &whole);
     let mut pending: Vec<bool> = vec![false; pattern.slot_count()];
-    let mut candidates = 0;
     for u in pattern.nodes() {
         let cand = &fresh[u.index()];
-        candidates += cand.len();
         if !cand.is_empty() {
             result.slot_mut(u).union_with(cand);
         }
@@ -246,7 +328,7 @@ pub fn repair<O: DistanceOracle>(
         fresh: &fresh,
         whole,
     };
-    prune_to_fixpoint(
+    removed.extend(prune_to_fixpoint(
         pattern,
         graph,
         result,
@@ -254,26 +336,75 @@ pub fn repair<O: DistanceOracle>(
         semantics,
         &mut pending,
         Some(dirty),
-    );
+    ));
+    // A candidate the pruning removed again never became a member.
+    let candidates = admitted.len();
+    let mut added = admitted;
+    added.retain(|&(u, v)| result.set(u).contains(v));
     enforce_total_match(pattern, result);
     RepairOutcome {
         rematched: false,
         candidates,
+        delta: project(shown_before, result, added, removed),
     }
+}
+
+/// Every pair of the visible sets, ascending by (slot, node).
+fn shown_pairs(result: &MatchResult) -> Vec<(PatternNodeId, NodeId)> {
+    (0..result.slot_count())
+        .map(PatternNodeId::from_index)
+        .flat_map(|p| result.matches_of(p).map(move |v| (p, v)))
+        .collect()
+}
+
+/// The visible delta of a repair that added the pairs `added` to the
+/// relation and removed the pairs `removed` from it, given whether the
+/// relation was shown before the call (see [`repair`]'s "The delta").
+fn project(
+    shown_before: bool,
+    result: &MatchResult,
+    mut added: Vec<(PatternNodeId, NodeId)>,
+    mut removed: Vec<(PatternNodeId, NodeId)>,
+) -> MatchDelta {
+    let mut delta = MatchDelta::default();
+    match (shown_before, result.shows_relation()) {
+        (true, true) => {
+            added.sort_unstable();
+            removed.sort_unstable();
+            delta.added = added;
+            delta.removed = removed;
+        }
+        (false, true) => delta.added = shown_pairs(result),
+        (true, false) => {
+            // The old relation: the new one without what was added, plus
+            // what was removed.
+            added.sort_unstable();
+            for (i, set) in result.relation().iter().enumerate() {
+                let p = PatternNodeId::from_index(i);
+                let kept = set.iter().map(|v| (p, v));
+                removed.extend(kept.filter(|pair| added.binary_search(pair).is_err()));
+            }
+            removed.sort_unstable();
+            delta.removed = removed;
+        }
+        (false, false) => {}
+    }
+    delta
 }
 
 /// Step (1) of [`repair`]: every pattern node's candidates `Cand(u)`,
 /// grown to a fixpoint from the plan's gains through the bounded balls
-/// of the candidates `u` depends on. `relation` holds `S_old`; the
-/// pattern nodes `closure` marks start from their whole label class.
+/// of the candidates `u` depends on, and every pair it admitted, in
+/// admission order. `relation` holds `S_old`; the pattern nodes `closure`
+/// marks start from their whole label class.
 fn grow_candidates(
     pattern: &PatternGraph,
     graph: &DataGraph,
     relation: &MatchResult,
     semantics: MatchSemantics,
-    plan: &RepairPlan,
+    additions: Additions<'_>,
     closure: &[bool],
-) -> Vec<NodeSet> {
+) -> (Vec<NodeSet>, Vec<(PatternNodeId, NodeId)>) {
     let slots = pattern.slot_count();
     let mut cand = vec![NodeSet::new(); slots];
     // Members of `cand[u]` whose balls are still to be walked.
@@ -293,14 +424,18 @@ fn grow_candidates(
             admit(u, v, &mut cand, &mut unwalked);
         }
     }
-    for &(u, x) in &plan.gains {
+    for &(u, x) in additions.gains {
         admit(u, x, &mut cand, &mut unwalked);
     }
 
+    // Every admitted pair is queued once and walked once: the walks list
+    // them all.
+    let mut admitted = Vec::new();
     let mut ball = Ball::default();
     while let Some(i) = unwalked.iter().position(|w| !w.is_empty()) {
         let roots = std::mem::take(&mut unwalked[i]);
         let u_new = PatternNodeId::from_index(i);
+        admitted.extend(roots.iter().map(|&v| (u_new, v)));
         // `w` depends on `u_new` through `(w, u_new, b)`: a node of w's
         // label within `b` of a new candidate may now have its witness.
         let backward = pattern.in_edges(u_new).iter().map(|&(w, b)| (w, b, true));
@@ -323,7 +458,7 @@ fn grow_candidates(
             }
         }
     }
-    cand
+    (cand, admitted)
 }
 
 /// Scratch for a multi-source bounded BFS, reused across walks: the nodes
@@ -436,8 +571,9 @@ struct Dirty<'a> {
 /// its dirty members until a removal that includes an old member — one
 /// not among the node's candidates — makes its dependents' sweeps whole;
 /// a whole sweep stays whole for the rest of the fixpoint (see [`repair`]
-/// for why both rules are needed). `None` verifies whole sets everywhere
-/// (batch mode).
+/// for why both rules are needed), and returns the old members it
+/// removed. `None` verifies whole sets everywhere (batch mode) and
+/// returns nothing.
 fn prune_to_fixpoint<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -446,12 +582,13 @@ fn prune_to_fixpoint<O: DistanceOracle>(
     semantics: MatchSemantics,
     pending: &mut [bool],
     dirty: Option<Dirty<'_>>,
-) {
+) -> Vec<(PatternNodeId, NodeId)> {
     let (mut whole, dirty) = match dirty {
         Some(d) => (d.whole, Some((d.verify, d.fresh))),
         None => (vec![true; pattern.slot_count()], None),
     };
     let mut removals: Vec<NodeId> = Vec::new();
+    let mut removed_old = Vec::new();
     while let Some(u) = (0..pending.len())
         .map(PatternNodeId::from_index)
         .find(|p| pending[p.index()])
@@ -481,11 +618,17 @@ fn prune_to_fixpoint<O: DistanceOracle>(
             continue;
         }
         let old_removed = match dirty {
-            Some((_, fresh)) => removals.iter().any(|&v| !fresh[u.index()].contains(v)),
+            Some((_, fresh)) => {
+                let len = removed_old.len();
+                let old = removals.iter().filter(|&&v| !fresh[u.index()].contains(v));
+                removed_old.extend(old.map(|&v| (u, v)));
+                removed_old.len() > len
+            }
             None => true,
         };
+        let set = result.slot_mut(u);
         for &v in &removals {
-            result.slot_mut(u).remove(v);
+            set.remove(v);
         }
         // Removal cascade: any pattern node whose checks reference u's set.
         let dependents = pattern.in_edges(u).iter().chain(
@@ -499,6 +642,7 @@ fn prune_to_fixpoint<O: DistanceOracle>(
             whole[w.index()] |= old_removed;
         }
     }
+    removed_old
 }
 
 /// §III-B: if any live pattern node has no matcher, there is no match of
@@ -1103,5 +1247,207 @@ mod tests {
         assert_eq!(result, scratch);
         assert!(result.relation_eq(&scratch));
         assert!(result.contains(pn["A"], n["a3"]));
+    }
+
+    /// `repair` on `result`, asserting that its delta is the diff of the
+    /// visible sets, pair for pair and in order.
+    fn repair_checked<O: DistanceOracle>(
+        p: &PatternGraph,
+        g: &DataGraph,
+        oracle: &O,
+        result: &mut MatchResult,
+        plan: &RepairPlan,
+    ) -> RepairOutcome {
+        let before = result.clone();
+        let outcome = repair(p, g, oracle, MatchSemantics::Simulation, result, plan);
+        assert_eq!(outcome.delta, result.delta_from(&before, 0));
+        outcome
+    }
+
+    /// `chain_fixture` with `a1 -> b1` deleted: A has no matcher, so the
+    /// relation `∅ | b1 b3 | c1 c2` is withheld.
+    fn withheld_chain() -> (
+        DataGraph,
+        PatternGraph,
+        IncrementalIndex,
+        MatchResult,
+        std::collections::HashMap<String, NodeId>,
+        std::collections::HashMap<String, PatternNodeId>,
+    ) {
+        let (mut g, p, n, pn) = chain_fixture();
+        let mut slen = IncrementalIndex::build(&g);
+        let mut result = match_graph(&p, &g, &slen, MatchSemantics::Simulation);
+        g.remove_edge(n["a1"], n["b1"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_delete_edge(&g, n["a1"], n["b1"]).affected;
+        repair(
+            &p,
+            &g,
+            &slen,
+            MatchSemantics::Simulation,
+            &mut result,
+            &plan,
+        );
+        assert!(result.is_empty() && result.relation_contains(pn["B"], n["b3"]));
+        (g, p, slen, result, n, pn)
+    }
+
+    #[test]
+    fn delta_shown_to_shown_omits_a_candidate_admitted_then_pruned() {
+        // The fixture of `a_clean_member_held_up_by_a_fresh_witness_is_
+        // swept_again`, cut down: x_new and y_new are admitted as
+        // candidates and pruned again in the same call.
+        let (mut g, li, n) = DataGraphBuilder::new()
+            .node("xc", "X")
+            .node("yc", "Y")
+            .node("x_old", "X")
+            .node("y_old", "Y")
+            .node("z", "Z")
+            .node("x_new", "X")
+            .node("y_new", "Y")
+            .edge("xc", "yc")
+            .edge("yc", "xc")
+            .edge("x_old", "yc")
+            .edge("y_old", "x_old")
+            .edge("y_old", "z")
+            .edge("z", "yc")
+            .edge("y_old", "x_new")
+            .edge("x_new", "y_new")
+            .build()
+            .unwrap();
+        let (p, _, pn) = PatternGraphBuilder::new()
+            .node("U0", "X")
+            .node("U1", "Y")
+            .edge("U0", "U1", 1)
+            .edge("U1", "U0", 1)
+            .build_with_interner(li)
+            .unwrap();
+        let mut slen = IncrementalIndex::build(&g);
+        let mut result = match_graph(&p, &g, &slen, MatchSemantics::Simulation);
+        g.remove_edge(n["x_old"], n["yc"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_delete_edge(&g, n["x_old"], n["yc"]).affected;
+        plan.gains.push((pn["U0"], n["x_new"]));
+        plan.gains.push((pn["U1"], n["y_new"]));
+        let outcome = repair_checked(&p, &g, &slen, &mut result, &plan);
+        assert_eq!(outcome.candidates, 2);
+        assert!(!result.is_empty(), "the xc <-> yc core still matches");
+        assert!(
+            outcome.delta.added.is_empty(),
+            "both candidates were pruned"
+        );
+        assert_eq!(
+            outcome.delta.removed,
+            vec![(pn["U0"], n["x_old"]), (pn["U1"], n["y_old"])]
+        );
+    }
+
+    #[test]
+    fn delta_shown_to_withheld_removes_every_shown_pair() {
+        let (mut g, p, n, _) = chain_fixture();
+        let mut slen = IncrementalIndex::build(&g);
+        let mut result = match_graph(&p, &g, &slen, MatchSemantics::Simulation);
+        let shown = result.total_matches();
+        g.remove_edge(n["a1"], n["b1"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_delete_edge(&g, n["a1"], n["b1"]).affected;
+        let outcome = repair_checked(&p, &g, &slen, &mut result, &plan);
+        assert!(result.is_empty());
+        assert!(outcome.delta.added.is_empty());
+        assert_eq!(outcome.delta.removed.len(), shown, "every shown pair");
+    }
+
+    #[test]
+    fn delta_withheld_to_withheld_is_empty() {
+        let (mut g, p, mut slen, mut result, n, pn) = withheld_chain();
+        g.remove_edge(n["b1"], n["c1"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_delete_edge(&g, n["b1"], n["c1"]).affected;
+        let outcome = repair_checked(&p, &g, &slen, &mut result, &plan);
+        assert!(
+            !result.relation_contains(pn["B"], n["b1"]),
+            "the hidden B shrank"
+        );
+        assert!(outcome.delta.is_empty());
+    }
+
+    #[test]
+    fn delta_withheld_to_shown_adds_every_pair() {
+        let (mut g, p, mut slen, mut result, n, pn) = withheld_chain();
+        g.add_edge(n["a3"], n["b3"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_insert_edge(n["a3"], n["b3"]).affected;
+        plan.gains.push((pn["A"], n["a3"]));
+        let outcome = repair_checked(&p, &g, &slen, &mut result, &plan);
+        assert!(!result.is_empty(), "A gained a3: the pattern revives");
+        assert!(outcome.delta.removed.is_empty());
+        assert_eq!(outcome.delta.added.len(), result.total_matches());
+    }
+
+    #[test]
+    fn delta_of_a_rematch_adds_every_shown_pair() {
+        let (mut g, p, mut slen, mut result, n, pn) = withheld_chain();
+        result.set_mut(pn["A"]).remove(n["a1"]); // discards the relation
+        g.add_edge(n["a3"], n["b3"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_insert_edge(n["a3"], n["b3"]).affected;
+        let outcome = repair_checked(&p, &g, &slen, &mut result, &plan);
+        assert!(outcome.rematched);
+        assert_eq!(outcome.delta.added.len(), result.total_matches());
+        assert!(outcome.delta.removed.is_empty());
+    }
+
+    #[test]
+    fn delta_of_an_empty_plan_follows_the_projection_and_the_tombstones() {
+        // A pattern kept unmatched by GHOST alone: deleting GHOST with an
+        // otherwise-empty plan shows the relation (every pair added).
+        let f = fig1();
+        let slen = IncrementalIndex::build(&f.graph);
+        let (mut p, _, pn) = PatternGraphBuilder::new()
+            .node("PM", "PM")
+            .node("SE", "SE")
+            .edge("PM", "SE", 3)
+            .node("GHOST", "NoSuchLabel")
+            .build_with_interner(f.interner.clone())
+            .unwrap();
+        let mut result = match_graph(&p, &f.graph, &slen, MatchSemantics::Simulation);
+        assert!(result.is_empty());
+        p.remove_node(pn["GHOST"]).unwrap();
+        let outcome = repair_checked(&p, &f.graph, &slen, &mut result, &RepairPlan::new());
+        let scratch = match_graph(&p, &f.graph, &slen, MatchSemantics::Simulation);
+        assert!(!result.is_empty() && result == scratch);
+        assert_eq!(outcome.delta.added.len(), result.total_matches());
+        assert!(outcome.delta.removed.is_empty());
+        // Deleting a shown node with no edges takes only its own pairs:
+        // its slot is tombstoned and cleared.
+        let lone = p.add_node(f.interner.get("TE").expect("fig. 1 label"));
+        let mut result = match_graph(&p, &f.graph, &slen, MatchSemantics::Simulation);
+        let lone_pairs: Vec<_> = result.matches_of(lone).map(|v| (lone, v)).collect();
+        assert!(!lone_pairs.is_empty());
+        p.remove_node(lone).unwrap();
+        let outcome = repair_checked(&p, &f.graph, &slen, &mut result, &RepairPlan::new());
+        assert!(outcome.delta.added.is_empty());
+        assert_eq!(outcome.delta.removed, lone_pairs);
+    }
+
+    #[test]
+    fn a_write_copies_only_the_set_it_touches_and_only_while_shared() {
+        let f = fig1();
+        let slen = apsp_matrix(&f.graph);
+        let mut live = match_graph(&f.pattern, &f.graph, &slen, MatchSemantics::Simulation);
+        let view = live.visible();
+        let set_ptr = |r: &MatchResult, p| r.set(p) as *const NodeSet;
+        assert_eq!(set_ptr(&view, f.p_pm), set_ptr(&live, f.p_pm), "shared");
+        live.slot_mut(f.p_pm).remove(f.pm2);
+        assert_ne!(set_ptr(&view, f.p_pm), set_ptr(&live, f.p_pm), "copied");
+        assert!(view.contains(f.p_pm, f.pm2), "the view is untouched");
+        assert_eq!(set_ptr(&view, f.p_se), set_ptr(&live, f.p_se), "unwritten");
+        let written = set_ptr(&live, f.p_pm);
+        live.slot_mut(f.p_pm).remove(f.pm1);
+        assert_eq!(
+            set_ptr(&live, f.p_pm),
+            written,
+            "unshared: written in place"
+        );
     }
 }

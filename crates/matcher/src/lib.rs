@@ -28,7 +28,7 @@ mod render;
 mod result;
 mod semantics;
 
-pub use bgs::{match_graph, repair, verify_node, RepairOutcome};
+pub use bgs::{match_graph, repair, repair_gains, verify_node, RepairOutcome};
 pub use delta::MatchDelta;
 pub use plan::RepairPlan;
 pub use render::render_match_table;

@@ -1,5 +1,7 @@
 //! The GPNM result: one node set per pattern node.
 
+use std::sync::Arc;
+
 use gpnm_graph::{NodeId, NodeSet, PatternGraph, PatternNodeId};
 
 /// Per-pattern-node match sets — the paper's `N_pi` for every `pi ∈ GP`
@@ -25,15 +27,24 @@ use gpnm_graph::{NodeId, NodeSet, PatternGraph, PatternNodeId};
 /// [`forget_relation`](Self::forget_relation) unless its repair plan was
 /// derived from the relation. A visibly-empty result that carries no
 /// relation is re-matched by [`crate::repair`], never repaired.
+///
+/// ## Sets are shared until written
+///
+/// Each set sits behind an `Arc` and every write goes through
+/// `Arc::make_mut`, so `clone` and [`visible`](Self::visible) cost one
+/// reference count per slot, and a write copies only the set it touches,
+/// and only while another result still shares it. A host publishes its
+/// read views this way: an unchanged set is the same allocation in the
+/// live result and in every view published since it was last written.
 #[derive(Debug, Clone, Default)]
 pub struct MatchResult {
     /// The visible sets, indexed by pattern slot; tombstoned pattern slots
     /// keep empty sets.
-    sets: Vec<NodeSet>,
+    sets: Vec<Arc<NodeSet>>,
     /// The maximum simulation relation while the total-match rule hides it
     /// (`sets` are then all empty and as many). `None` when `sets` *are*
     /// the relation, or when no relation is carried at all.
-    withheld: Option<Vec<NodeSet>>,
+    withheld: Option<Vec<Arc<NodeSet>>>,
 }
 
 /// Equality is over the **visible** sets only: two results that report the
@@ -51,7 +62,7 @@ impl MatchResult {
     /// An empty result sized for `pattern`.
     pub fn for_pattern(pattern: &PatternGraph) -> Self {
         MatchResult {
-            sets: vec![NodeSet::new(); pattern.slot_count()],
+            sets: vec![Arc::default(); pattern.slot_count()],
             withheld: None,
         }
     }
@@ -64,9 +75,10 @@ impl MatchResult {
     /// Grow to cover `slots` pattern slots (pattern node insertions).
     pub fn grow(&mut self, slots: usize) {
         if slots > self.sets.len() {
-            self.sets.resize_with(slots, NodeSet::new);
+            let empty = Arc::<NodeSet>::default();
+            self.sets.resize(slots, Arc::clone(&empty));
             if let Some(relation) = &mut self.withheld {
-                relation.resize_with(slots, NodeSet::new);
+                relation.resize(slots, empty);
             }
         }
     }
@@ -83,7 +95,7 @@ impl MatchResult {
     #[inline]
     pub fn set_mut(&mut self, p: PatternNodeId) -> &mut NodeSet {
         self.withheld = None;
-        &mut self.sets[p.index()]
+        Arc::make_mut(&mut self.sets[p.index()])
     }
 
     /// Whether data node `v` matches pattern node `p`.
@@ -112,9 +124,10 @@ impl MatchResult {
         self.relation() == other.relation()
     }
 
-    /// A copy of the visible sets alone — what a read view, a subscriber
-    /// snapshot or a delta base needs; the relation is never handed to
-    /// readers.
+    /// The visible sets alone — what a read view or a subscriber's base
+    /// needs; the relation is never handed to readers. It shares every set
+    /// with `self` (one reference count per slot): a later write to `self`
+    /// copies the set it touches, never the view's.
     pub fn visible(&self) -> MatchResult {
         MatchResult {
             sets: self.sets.clone(),
@@ -133,17 +146,17 @@ impl MatchResult {
     /// the result's width (e.g. pattern nodes created after the query this
     /// result answered — the DER-I cascade probes those).
     pub fn matches_of(&self, p: PatternNodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.sets.get(p.index()).into_iter().flat_map(NodeSet::iter)
+        self.sets.get(p.index()).into_iter().flat_map(|s| s.iter())
     }
 
     /// Total number of `(pattern node, data node)` match pairs.
     pub fn total_matches(&self) -> usize {
-        self.sets.iter().map(NodeSet::len).sum()
+        self.sets.iter().map(|s| s.len()).sum()
     }
 
     /// Whether every visible set is empty.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(NodeSet::is_empty)
+        self.sets.iter().all(|s| s.is_empty())
     }
 
     /// Symmetric difference of the visible sets against `other` as
@@ -156,7 +169,10 @@ impl MatchResult {
         let slots = self.sets.len().max(other.sets.len());
         (0..slots).flat_map(move |i| {
             let p = PatternNodeId::from_index(i);
-            let (a, b) = (self.sets.get(i), other.sets.get(i));
+            let (a, b) = (
+                self.sets.get(i).map(|s| &**s),
+                other.sets.get(i).map(|s| &**s),
+            );
             let only_in = |x: Option<&'a NodeSet>, y: Option<&'a NodeSet>, added: bool| {
                 x.into_iter()
                     .flat_map(NodeSet::iter)
@@ -169,8 +185,14 @@ impl MatchResult {
 
     /// The relation's sets: withheld if the total-match rule hid them,
     /// else the visible ones.
-    fn relation(&self) -> &[NodeSet] {
+    pub(crate) fn relation(&self) -> &[Arc<NodeSet>] {
         self.withheld.as_deref().unwrap_or(&self.sets)
+    }
+
+    /// Whether the visible sets are the relation, i.e. the total-match
+    /// rule is not withholding it.
+    pub(crate) fn shows_relation(&self) -> bool {
+        self.withheld.is_none()
     }
 
     /// Matcher-internal set access: the matcher edits the relation while
@@ -179,7 +201,13 @@ impl MatchResult {
     #[inline]
     pub(crate) fn slot_mut(&mut self, p: PatternNodeId) -> &mut NodeSet {
         debug_assert!(self.withheld.is_none(), "edit the restored relation");
-        &mut self.sets[p.index()]
+        Arc::make_mut(&mut self.sets[p.index()])
+    }
+
+    /// Empty `p`'s set without copying it first.
+    pub(crate) fn clear_slot(&mut self, p: PatternNodeId) {
+        debug_assert!(self.withheld.is_none(), "edit the restored relation");
+        self.sets[p.index()] = Arc::default();
     }
 
     /// Put a withheld relation back into the visible sets; returns
@@ -197,7 +225,7 @@ impl MatchResult {
     /// The total-match projection: move the sets aside as the withheld
     /// relation and leave every visible set empty.
     pub(crate) fn withhold_relation(&mut self) {
-        let empty = vec![NodeSet::new(); self.sets.len()];
+        let empty = vec![Arc::default(); self.sets.len()];
         self.withheld = Some(std::mem::replace(&mut self.sets, empty));
     }
 }

@@ -57,7 +57,9 @@ pub const DEFAULT_SUBSCRIPTION_CAPACITY: usize = 64;
 /// One pattern's published snapshot: the full result as of a committed
 /// tick, immutable behind an `Arc`. This is what every concurrent reader
 /// sees — the writer never mutates a published view, it publishes a new
-/// one.
+/// one. The view shares its match sets with the host's live result, and
+/// with earlier views, until a later tick writes them (see
+/// [`MatchResult::visible`]): publishing it copies no set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadView {
     /// The full match table at `result_version`.
@@ -67,6 +69,20 @@ pub struct ReadView {
     pub result_version: u64,
     /// The host tick at which this view was published.
     pub tick: u64,
+}
+
+impl ReadView {
+    /// The view a host publishes of `result` at `result_version` and host
+    /// `tick`: the visible sets alone, shared with `result` by reference
+    /// ([`MatchResult::visible`]) — never the withheld relation, and never
+    /// a copy of a set.
+    pub fn of(result: &MatchResult, result_version: u64, tick: u64) -> ReadView {
+        ReadView {
+            result: result.visible(),
+            result_version,
+            tick,
+        }
+    }
 }
 
 /// Typed error of the standalone read path: the handle was never
@@ -117,14 +133,31 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-// Publish-path counters.
+// Publish-path counters, resolved once per process.
 mod read_metrics {
+    use std::sync::{Arc, OnceLock};
+
+    use gpnm_telemetry::Counter;
+
+    struct Series {
+        views: Arc<Counter>,
+        deltas: Arc<Counter>,
+        lagged: Arc<Counter>,
+    }
+
     pub fn tick_published(views: u64, deltas_offered: u64, newly_lagged: u64) {
-        let reg = gpnm_telemetry::global();
-        reg.counter("gpnm_read_views_published_total").add(views);
-        reg.counter("gpnm_read_deltas_fanned_total")
-            .add(deltas_offered);
-        reg.counter("gpnm_read_sub_lagged_total").add(newly_lagged);
+        static SERIES: OnceLock<Series> = OnceLock::new();
+        let f = SERIES.get_or_init(|| {
+            let reg = gpnm_telemetry::global();
+            Series {
+                views: reg.counter("gpnm_read_views_published_total"),
+                deltas: reg.counter("gpnm_read_deltas_fanned_total"),
+                lagged: reg.counter("gpnm_read_sub_lagged_total"),
+            }
+        });
+        f.views.add(views);
+        f.deltas.add(deltas_offered);
+        f.lagged.add(newly_lagged);
     }
 }
 
@@ -403,24 +436,28 @@ impl ReadFront {
     /// fan-out — tick publication goes through
     /// [`ReadFront::publish_tick`].
     pub fn publish(&self, handle: impl Into<HandleId>, view: ReadView) {
-        let id = handle.into();
+        self.publish_entry(handle.into(), view);
+    }
+
+    /// [`ReadFront::publish`], returning the handle's entry: one map
+    /// lookup for a published handle.
+    fn publish_entry(&self, id: HandleId, view: ReadView) -> Arc<Entry> {
         let view = Arc::new(view);
         if let Ok(entry) = self.inner.entry(id) {
             entry.publish(view);
-            return;
+            return entry;
         }
         let mut entries = self
             .inner
             .entries
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        entries.insert(
-            id.raw(),
-            Arc::new(Entry {
-                view: RwLock::new(view),
-                subs: Mutex::new(Vec::new()),
-            }),
-        );
+        let entry = Arc::new(Entry {
+            view: RwLock::new(view),
+            subs: Mutex::new(Vec::new()),
+        });
+        entries.insert(id.raw(), Arc::clone(&entry));
+        entry
     }
 
     /// Host side: publish one committed tick. **All** views are swapped
@@ -430,13 +467,10 @@ impl ReadFront {
     /// exactly the events with `result_version` beyond it. Dropped
     /// subscribers are pruned here.
     pub fn publish_tick(&self, items: impl IntoIterator<Item = (HandleId, ReadView, MatchDelta)>) {
-        let mut fanout = Vec::new();
-        for (id, view, delta) in items {
-            self.publish(id, view);
-            if let Ok(entry) = self.inner.entry(id) {
-                fanout.push((entry, delta));
-            }
-        }
+        let fanout: Vec<(Arc<Entry>, MatchDelta)> = items
+            .into_iter()
+            .map(|(id, view, delta)| (self.publish_entry(id, view), delta))
+            .collect();
         let views = fanout.len() as u64;
         let mut offered = 0u64;
         let mut newly_lagged = 0u64;

@@ -6,13 +6,14 @@ use std::time::{Duration, Instant};
 
 use gpnm_distance::{
     AnyBackend, BackendKind, IncrementalIndex, IoStats, SlenBackend, SlenRequirements,
+    DEFAULT_MAX_INDEX_GB,
 };
 use gpnm_engine::pipeline::{
-    commit_data_update, plan_for_data_update, refresh_pattern, RefreshStats,
+    commit_data_update, push_data_update_gains, refresh_pattern, CommittedUpdate, RefreshStats,
 };
-use gpnm_graph::{DataGraph, PatternGraph};
-use gpnm_matcher::{match_graph, MatchDelta, MatchResult, MatchSemantics, RepairPlan};
-use gpnm_telemetry::{Counter, Histogram};
+use gpnm_graph::{DataGraph, NodeId, NodeSet, PatternGraph, PatternNodeId};
+use gpnm_matcher::{match_graph, MatchDelta, MatchResult, MatchSemantics};
+use gpnm_telemetry::{Counter, Gauge, Histogram};
 use gpnm_updates::{reduce_batch, Update, UpdateBatch};
 
 use crate::error::ServiceError;
@@ -80,7 +81,7 @@ pub struct TickStats {
     /// Read-front publish + subscription fan-out (`0` on a non-publishing
     /// shard replica — the cluster publishes merged views itself).
     pub publish_ns: u64,
-    /// Per-pattern refresh time (repair plus delta extraction), in
+    /// Per-pattern refresh time (the repair, which also yields the delta), in
     /// registration order, keyed by the handle the host's caller holds (a
     /// cluster rewrites its shards' entries to cluster handles). Summed it
     /// is `refresh_ns` less the loop's own bookkeeping; the max entry names
@@ -242,8 +243,16 @@ fn ns64(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Registry handles a tick record flushes into, resolved once per process.
+/// Registry handles the service writes into — a tick record's series, the
+/// index gauges and the registration histogram — resolved once per
+/// process.
 struct TickSeries {
+    /// `gpnm_slen_repair_seconds`, one gauge per update kind, in
+    /// [`CommittedUpdate::KINDS`] order.
+    slen_repair_seconds: Vec<Arc<Gauge>>,
+    resident_rows: Arc<Gauge>,
+    index_mem_bytes: Arc<Gauge>,
+    register_ns: Arc<Histogram>,
     ticks: Arc<Counter>,
     total_ns: Arc<Histogram>,
     reduce_ns: Arc<Histogram>,
@@ -262,13 +271,18 @@ struct TickSeries {
     pages_written: Arc<Counter>,
 }
 
-/// Flush one finished tick into the global metrics registry: the values
-/// written are the report's own, so the cumulative series and the tick's
-/// [`TickStats`] cannot disagree. Called once per tick.
-fn flush(report: &TickReport) {
+/// The process's [`TickSeries`].
+fn series() -> &'static TickSeries {
     static SERIES: OnceLock<TickSeries> = OnceLock::new();
     let registry = gpnm_telemetry::global();
-    let f = SERIES.get_or_init(|| TickSeries {
+    SERIES.get_or_init(|| TickSeries {
+        slen_repair_seconds: CommittedUpdate::KINDS
+            .iter()
+            .map(|&kind| registry.gauge_with("gpnm_slen_repair_seconds", &[("kind", kind)]))
+            .collect(),
+        resident_rows: registry.gauge("gpnm_index_resident_rows"),
+        index_mem_bytes: registry.gauge("gpnm_index_mem_bytes"),
+        register_ns: registry.histogram("gpnm_register_ns"),
         ticks: registry.counter("gpnm_ticks_total"),
         total_ns: registry.histogram("gpnm_tick_total_ns"),
         reduce_ns: registry.histogram("gpnm_tick_reduce_ns"),
@@ -285,7 +299,14 @@ fn flush(report: &TickReport) {
         cache_evictions: registry.counter("gpnm_paged_cache_evictions_total"),
         pages_read: registry.counter("gpnm_paged_pages_read_total"),
         pages_written: registry.counter("gpnm_paged_pages_written_total"),
-    });
+    })
+}
+
+/// Flush one finished tick into the global metrics registry: the values
+/// written are the report's own, so the cumulative series and the tick's
+/// [`TickStats`] cannot disagree. Called once per tick.
+fn flush(report: &TickReport) {
+    let f = series();
     let stats = &report.stats;
     f.ticks.inc();
     f.total_ns.observe(ns64(report.total_time));
@@ -294,9 +315,8 @@ fn flush(report: &TickReport) {
     for &(kind, ns) in &stats.shared_repair_by_kind_ns {
         // Cumulative seconds; a gauge because the registry's counters are
         // integers.
-        registry
-            .gauge_with("gpnm_slen_repair_seconds", &[("kind", kind)])
-            .add(ns as f64 / 1e9);
+        let i = CommittedUpdate::KINDS.iter().position(|&k| k == kind);
+        f.slen_repair_seconds[i.expect("a committed update kind")].add(ns as f64 / 1e9);
     }
     f.refresh_ns.observe(stats.refresh_ns);
     f.publish_ns.observe(stats.publish_ns);
@@ -422,7 +442,7 @@ impl Default for ServiceBuilder {
     fn default() -> Self {
         ServiceBuilder {
             kind: BackendKind::Partitioned,
-            max_index_gb: 4.0,
+            max_index_gb: DEFAULT_MAX_INDEX_GB,
             cache_budget_mb: None,
             publishing: true,
         }
@@ -442,7 +462,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Admission budget for the dense backend, in GiB (default 4):
+    /// Admission budget for the dense backend, in GiB (default
+    /// [`DEFAULT_MAX_INDEX_GB`], 4):
     /// [`ServiceBuilder::build`] refuses a dense matrix whose estimate
     /// exceeds it, instead of handing the OOM killer a 40 GiB allocation.
     /// It bounds nothing else — the bounded-row backends are never
@@ -600,14 +621,8 @@ impl<B: SlenBackend> GpnmService<B> {
             return;
         }
         for (handle, sess) in &self.sessions {
-            self.front.publish(
-                *handle,
-                ReadView {
-                    result: sess.result.visible(),
-                    result_version: sess.version,
-                    tick: self.tick,
-                },
-            );
+            self.front
+                .publish(*handle, ReadView::of(&sess.result, sess.version, self.tick));
         }
     }
 
@@ -692,14 +707,16 @@ impl<B: SlenBackend> GpnmService<B> {
         stats.reduce_ns = ns64(t.elapsed());
 
         // The shared single pass: each surviving update mutates the graph
-        // and repairs the backend exactly once; every pattern derives its
-        // repair plan from the shared delta *at this update's post-state*,
-        // which is precisely where the single-pattern engine derives its
-        // own, and folds it into one plan for the tick: the refresh runs
-        // one pass over the union anyway (see `refresh_pattern`).
+        // and repairs the backend exactly once. Its `Aff_N` (and created
+        // node) join the tick's one verify set, whatever the pattern; each
+        // pattern appends only its root gains, derived from the shared
+        // delta *at this update's post-state* — precisely where the
+        // single-pattern engine derives its plan. The refresh then runs
+        // one pass per pattern over the union (see `refresh_pattern`).
         let commit_span = tracing::span!(tracing::Level::DEBUG, "commit", updates = reduced.len());
         let commit_entered = commit_span.enter();
-        let mut plans: Vec<RepairPlan> = vec![RepairPlan::new(); self.sessions.len()];
+        let mut verify = NodeSet::new();
+        let mut gains: Vec<Vec<(PatternNodeId, NodeId)>> = vec![Vec::new(); self.sessions.len()];
         let mut slen_changes = 0;
         for u in reduced.updates() {
             let Update::Data(du) = u else {
@@ -710,28 +727,25 @@ impl<B: SlenBackend> GpnmService<B> {
             stats.add_commit(cu.kind(), ns64(t.elapsed()));
             slen_changes += cu.delta.len();
             stats.affected_nodes += cu.delta.affected.len();
-            for ((_, sess), plan) in self.sessions.iter().zip(plans.iter_mut()) {
-                plan.merge(&plan_for_data_update(
-                    du,
-                    &cu.delta,
-                    &sess.pattern,
-                    &self.graph,
-                    &sess.result,
-                    cu.created,
-                ));
+            verify.union_with(&cu.delta.affected);
+            verify.extend(cu.created);
+            for ((_, sess), gains) in self.sessions.iter().zip(gains.iter_mut()) {
+                let (pattern, graph, result) = (&sess.pattern, &self.graph, &sess.result);
+                push_data_update_gains(du, &cu.delta, pattern, graph, result, cu.created, gains);
             }
         }
         drop(commit_entered);
 
-        // Per-pattern refresh, then delta extraction, one pattern after
-        // another over the now read-only graph and index. An empty reduced
-        // batch refreshes from no plan: no repair pass.
+        // Per-pattern refresh, one pattern after another over the
+        // now read-only graph and index; each repair reports its own
+        // delta. An empty reduced batch runs no repair pass and leaves
+        // every set as it was.
         let t = Instant::now();
         let refresh_span = tracing::span!(tracing::Level::DEBUG, "refresh");
         let refresh_entered = refresh_span.enter();
         let committed = !reduced.is_empty();
         let mut deltas = Vec::with_capacity(self.sessions.len());
-        for ((handle, sess), plan) in self.sessions.iter_mut().zip(&plans) {
+        for ((handle, sess), gains) in self.sessions.iter_mut().zip(&gains) {
             let span = tracing::span!(
                 tracing::Level::DEBUG,
                 "pattern_refresh",
@@ -740,7 +754,6 @@ impl<B: SlenBackend> GpnmService<B> {
             let _entered = span.enter();
             let t = Instant::now();
             let id = HandleId::from(*handle);
-            let prev = sess.result.visible();
             let refreshed = if committed {
                 refresh_pattern(
                     &sess.pattern,
@@ -748,13 +761,18 @@ impl<B: SlenBackend> GpnmService<B> {
                     &self.index,
                     sess.semantics,
                     &mut sess.result,
-                    plan,
+                    &verify,
+                    gains,
                 )
             } else {
                 RefreshStats::default()
             };
             sess.version += 1;
-            deltas.push((*handle, sess.result.delta_from(&prev, sess.version)));
+            let delta = MatchDelta {
+                result_version: sess.version,
+                ..refreshed.delta
+            };
+            deltas.push((*handle, delta));
             stats.per_pattern_refresh_ns.push((id, ns64(t.elapsed())));
             stats.repair_calls += refreshed.repair_calls;
             stats.addition_candidates += refreshed.candidates;
@@ -770,7 +788,9 @@ impl<B: SlenBackend> GpnmService<B> {
         // swapped in atomically (per handle), then the tick's deltas fan
         // out to subscribers. Readers were served the previous epoch for
         // the whole tick and switch to this one at the swap — never a
-        // half-refreshed state.
+        // half-refreshed state. A view shares every set with the live
+        // result, so publishing copies nothing; the next tick's repair
+        // copies the sets it writes, and only those.
         let t = Instant::now();
         if self.publishing {
             let span = tracing::span!(
@@ -786,11 +806,7 @@ impl<B: SlenBackend> GpnmService<B> {
                 .map(|((handle, sess), (_, delta))| {
                     (
                         HandleId::from(*handle),
-                        ReadView {
-                            result: sess.result.visible(),
-                            result_version: sess.version,
-                            tick: self.tick,
-                        },
+                        ReadView::of(&sess.result, sess.version, self.tick),
                         delta.clone(),
                     )
                 })
@@ -810,13 +826,9 @@ impl<B: SlenBackend> GpnmService<B> {
         // A non-publishing replica is one shard of a cluster: its narrowed
         // index is a share of the total, which the cluster reports itself.
         if self.publishing {
-            let registry = gpnm_telemetry::global();
-            registry
-                .gauge("gpnm_index_resident_rows")
-                .set(stats.resident_rows as f64);
-            registry
-                .gauge("gpnm_index_mem_bytes")
-                .set(stats.index_mem_bytes as f64);
+            let f = series();
+            f.resident_rows.set(stats.resident_rows as f64);
+            f.index_mem_bytes.set(stats.index_mem_bytes as f64);
         }
 
         let report = TickReport {
@@ -876,6 +888,9 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
     /// Widen the backend's requirement union and run the initial match.
     /// Cost is one initial query for *this* pattern (plus any sparse rows
     /// the widened union now demands) — existing patterns are untouched.
+    /// Traced as a `register` span with a `rows` child (the requirement
+    /// sync) and a `match` child (the initial match), and timed into
+    /// `gpnm_register_ns`.
     fn register_pattern(
         &mut self,
         pattern: PatternGraph,
@@ -884,20 +899,30 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
         if pattern.node_count() == 0 {
             return Err(ServiceError::EmptyPattern);
         }
+        let span = tracing::span!(
+            tracing::Level::INFO,
+            "register",
+            pattern_nodes = pattern.node_count(),
+        );
+        let _entered = span.enter();
+        let start = Instant::now();
         self.reqs.absorb(&SlenRequirements::of_pattern(&pattern));
-        self.index.sync_requirements(&self.graph, &self.reqs);
-        let result = match_graph(&pattern, &self.graph, &self.index, semantics);
+        {
+            let span = tracing::span!(tracing::Level::DEBUG, "rows");
+            let _entered = span.enter();
+            self.index.sync_requirements(&self.graph, &self.reqs);
+        }
+        let result = {
+            let span = tracing::span!(tracing::Level::DEBUG, "match");
+            let _entered = span.enter();
+            match_graph(&pattern, &self.graph, &self.index, semantics)
+        };
+        series().register_ns.observe(ns64(start.elapsed()));
         let handle = PatternHandle(HandleId(self.next_handle));
         self.next_handle += 1;
         if self.publishing {
-            self.front.publish(
-                handle,
-                ReadView {
-                    result: result.visible(),
-                    result_version: 0,
-                    tick: self.tick,
-                },
-            );
+            self.front
+                .publish(handle, ReadView::of(&result, 0, self.tick));
         }
         self.sessions.push((
             handle,
@@ -1276,5 +1301,40 @@ mod tests {
         assert_ne!(a, b);
         assert!(service.result(a).is_err());
         assert!(service.result(b).is_ok());
+    }
+
+    #[test]
+    fn a_published_view_shares_the_sets_a_tick_left_unwritten() {
+        let f = fig1();
+        let mut service = GpnmService::<SparseIndex>::new(f.graph.clone());
+        let h = service
+            .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
+            .unwrap();
+        let before = service.read_view(h).unwrap();
+        // TE2 leaves TE and nothing else. A delete admits no candidate, so
+        // the repair writes exactly the sets whose members it removes.
+        let mut batch = UpdateBatch::new();
+        batch.push(DataUpdate::DeleteNode { node: f.te2 });
+        let report = service.apply(&batch).unwrap();
+        let after = service.read_view(h).unwrap();
+        let live = service.result(h).unwrap();
+        let delta = report.delta_for(h).unwrap();
+        let same = |a: &MatchResult, b: &MatchResult, p| std::ptr::eq(a.set(p), b.set(p));
+        let (mut shared, mut copied) = (0, 0);
+        for p in f.pattern.nodes() {
+            assert!(
+                same(&after.result, live, p),
+                "a fresh view shares every set"
+            );
+            if delta.removed.iter().any(|&(q, _)| q == p) {
+                assert!(!same(&before.result, live, p), "{p:?} was written");
+                copied += 1;
+            } else {
+                assert!(same(&before.result, live, p), "{p:?} was not written");
+                shared += 1;
+            }
+        }
+        assert_eq!((shared, copied), (3, 1));
+        assert_eq!(delta.apply_to(&before.result), after.result);
     }
 }

@@ -224,6 +224,12 @@ fn check_equivalence<B: SlenBackend>(
             // Delta contract: added ∪ (prev ∖ removed) = new, version moves.
             let delta = report.delta_for(handles[i]).expect("handle in report");
             assert_eq!(delta.result_version, tick as u64 + 1);
+            // The repair's own delta is the diff, pair for pair and in order.
+            assert_eq!(
+                delta,
+                &got.delta_from(&prev[i], delta.result_version),
+                "repair delta differs from the diff (seed {seed}, tick {tick}, pattern {i})"
+            );
             assert_eq!(
                 &delta.apply_to(&prev[i]),
                 got,

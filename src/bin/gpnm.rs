@@ -57,7 +57,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ua_gpnm::distance::{AnyBackend, SlenBackend};
+use ua_gpnm::distance::{AnyBackend, SlenBackend, DEFAULT_MAX_INDEX_GB};
 use ua_gpnm::engine::BackendKind;
 use ua_gpnm::matcher::render_match_table;
 use ua_gpnm::prelude::*;
@@ -115,7 +115,7 @@ fn parse_flags(rest: &[String], default_backend: BackendKind, cmd: Cmd) -> Resul
         updates: 40,
         seed: 7,
         backend: default_backend,
-        max_index_gb: 4.0,
+        max_index_gb: DEFAULT_MAX_INDEX_GB,
         cache_budget_mb: None,
         nodes: 100_000,
         edges: 400_000,

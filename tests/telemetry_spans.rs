@@ -175,6 +175,41 @@ fn removed_subscriber_records_nothing() {
     );
 }
 
+/// Registration is traced and timed: each shard-side registration opens a
+/// `register` span whose children are `rows` (the requirement sync) and
+/// `match` (the initial match), and observes `gpnm_register_ns` once.
+#[test]
+fn registration_spans_split_row_sync_from_the_initial_match() {
+    let _guard = serialize();
+    let observed = || {
+        let registry = ua_gpnm::telemetry::global();
+        registry.histogram("gpnm_register_ns").count()
+    };
+    let before = observed();
+    let collector = install_collector();
+    let _ = build_cluster(17);
+    uninstall_collector();
+    let trace = collector.finish();
+    assert_eq!(observed() - before, 2, "one observation per registration");
+
+    let registers: Vec<&SpanData> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "register")
+        .collect();
+    assert_eq!(registers.len(), 2, "one register span per registration");
+    for register in &registers {
+        assert_eq!(register.parent, None);
+        let children: Vec<&str> = trace
+            .spans
+            .iter()
+            .filter(|s| s.parent == Some(register.id))
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(children, ["rows", "match"]);
+    }
+}
+
 /// The index gauges of a cluster are its totals: the shards tick on pool
 /// threads in any order, so none of them may write its own share.
 #[test]
@@ -274,7 +309,16 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
             ));
         }
         let collector = install_collector();
-        let stats = refresh_pattern(&pattern, &replica, &index, semantics, &mut carried, &plan);
+        let (verify, gains) = (&plan.verify, &plan.gains);
+        let stats = refresh_pattern(
+            &pattern,
+            &replica,
+            &index,
+            semantics,
+            &mut carried,
+            verify,
+            gains,
+        );
         uninstall_collector();
         let trace = collector.finish();
         rematches.push(stats.rematched);
