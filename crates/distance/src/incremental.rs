@@ -84,7 +84,8 @@ pub struct IncrementalIndex {
 }
 
 impl IncrementalIndex {
-    /// Build the index from scratch (per-source BFS APSP).
+    /// Build the index from scratch: [`apsp_matrix`], every live node's
+    /// BFS run 64 sources to a pass, each source one bit of a `u64`.
     pub fn build(graph: &DataGraph) -> Self {
         IncrementalIndex {
             matrix: apsp_matrix(graph),

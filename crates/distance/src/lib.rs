@@ -5,7 +5,8 @@
 //! §III). This crate provides:
 //!
 //! * [`DistanceMatrix`] — the dense `SLen` matrix of §IV, built by
-//!   per-source BFS over a [`gpnm_graph::CsrGraph`] snapshot.
+//!   [`apsp_matrix`]: a bit-parallel BFS over a [`gpnm_graph::CsrGraph`]
+//!   snapshot that carries 64 sources per pass, one bit of a `u64` each.
 //! * [`incremental`] — repair of the matrix under single edge/node updates,
 //!   emitting an [`AffDelta`]: the changed pairs `AFF[u,v] = [a, b]` and the
 //!   affected-node set `Aff_N` that drives DER-II elimination detection.
