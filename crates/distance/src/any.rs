@@ -95,6 +95,11 @@ impl DistanceOracle for AnyBackend {
     }
 
     #[inline]
+    fn within(&self, u: NodeId, v: NodeId, bound: Bound) -> bool {
+        on_backend!(self, b => DistanceOracle::within(b, u, v, bound))
+    }
+
+    #[inline]
     fn any_within(&self, u: NodeId, set: &NodeSet, bound: Bound) -> bool {
         on_backend!(self, b => DistanceOracle::any_within(b, u, set, bound))
     }

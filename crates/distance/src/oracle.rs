@@ -46,6 +46,11 @@ impl<T: DistanceOracle + ?Sized> DistanceOracle for &T {
     }
 
     #[inline(always)]
+    fn within(&self, u: NodeId, v: NodeId, bound: Bound) -> bool {
+        (**self).within(u, v, bound)
+    }
+
+    #[inline(always)]
     fn any_within(&self, u: NodeId, set: &NodeSet, bound: Bound) -> bool {
         (**self).any_within(u, set, bound)
     }

@@ -6,8 +6,8 @@
 //! [`crate::SparseIndex`] bounds memory by *row selection* — only
 //! pattern-relevant sources get a row — but every resident row still lives
 //! on the heap, so graph size is ultimately capped by RAM. `PagedIndex`
-//! bounds memory by *storage*: rows are the exact same sorted
-//! `(target, dist)` runs, serialized into fixed-size pages of an anonymous
+//! bounds memory by *storage*: rows are the exact same level-grouped
+//! word images (`SparseRow`), serialized into fixed-size pages of an anonymous
 //! spill file (see [`crate::pager`]), and only a byte-budgeted working set
 //! of **hot rows** stays deserialized in memory. The in-memory footprint
 //! is `O(row directory + cache budget)` regardless of how many rows the
@@ -104,7 +104,7 @@ impl Default for PagedConfig {
 const ENTRY_OVERHEAD: usize = 64;
 
 fn row_footprint(row: &SparseRow) -> usize {
-    ENTRY_OVERHEAD + row.entries.capacity() * std::mem::size_of::<(u32, u32)>()
+    ENTRY_OVERHEAD + row.capacity() * std::mem::size_of::<u32>()
 }
 
 /// Why an `expect` on the cache lock can fire: nothing panics while
@@ -320,9 +320,7 @@ impl RowStore for PagedStore {
             cache.hits += 1;
         } else {
             cache.misses += 1;
-            let row = SparseRow {
-                entries: self.file.read_row(loc),
-            };
+            let row = SparseRow::from_words(self.file.read_row(loc));
             cache.insert(slot, row);
         }
         cache.rows[slot as usize].as_deref()
@@ -335,14 +333,14 @@ impl RowStore for PagedStore {
             Some(old) => self.file.free_row(old),
             None => self.resident += 1,
         }
-        self.locs[slot as usize] = Some(self.file.write_row(&row.entries));
+        self.locs[slot as usize] = Some(self.file.write_row(row.words()));
         self.cache.get_mut().expect(POISONED).insert(slot, row);
     }
 
     /// The cold bulk load: the row goes to the spill file only.
     fn load(&mut self, slot: u32, row: SparseRow) {
         debug_assert!(self.locs[slot as usize].is_none(), "load into a live slot");
-        self.locs[slot as usize] = Some(self.file.write_row(&row.entries));
+        self.locs[slot as usize] = Some(self.file.write_row(row.words()));
         self.resident += 1;
     }
 
@@ -357,7 +355,7 @@ impl RowStore for PagedStore {
         let after = row_footprint(row);
         let old = self.locs[slot as usize].take().expect("resident row");
         self.file.free_row(old);
-        self.locs[slot as usize] = Some(self.file.write_row(&row.entries));
+        self.locs[slot as usize] = Some(self.file.write_row(row.words()));
         cache.touched[slot as usize] = true;
         cache.bytes = cache.bytes + after - before;
         cache.evict_to_budget(slot);
@@ -389,9 +387,7 @@ impl RowStore for PagedStore {
         if let Some(row) = cached {
             return Some(f(&row));
         }
-        let row = SparseRow {
-            entries: self.file.read_row(loc),
-        };
+        let row = SparseRow::from_words(self.file.read_row(loc));
         let answer = f(&row);
         self.cache.lock().expect(POISONED).promote(slot, row);
         Some(answer)
@@ -612,9 +608,7 @@ mod tests {
     fn read_path_promotions_respect_the_budget_and_evict_later() {
         let (f, mut p) = fig1_paged(PagedConfig {
             page_size: 256,
-            cache_budget_bytes: row_footprint(&SparseRow {
-                entries: Vec::new(),
-            }) + 64,
+            cache_budget_bytes: row_footprint(&SparseRow::default()) + 64,
         });
         let n = f.graph.slot_count();
         for i in 0..n {
@@ -674,9 +668,7 @@ mod tests {
             READERS as u64 * resident * per_row
         );
         assert_eq!(after.cache_evictions, 0, "the read path never evicts");
-        let largest_row = row_footprint(&SparseRow {
-            entries: vec![(0, 0); nodes.len()],
-        });
+        let largest_row = row_footprint(&SparseRow::from_words(vec![0; 2 * nodes.len()]));
         assert!(p.cache_bytes() <= p.cache_budget() + READERS * largest_row);
         let promoted = p.cached_rows();
         assert!(

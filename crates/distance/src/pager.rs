@@ -1,6 +1,7 @@
 //! The spill-file page store behind [`crate::PagedIndex`].
 //!
-//! Rows are serialized `(target, dist)` runs written into **fixed-size
+//! Rows are serialized `u32` word runs (a row's level-grouped targets and
+//! level ends, `SparseRow::words`) written into **fixed-size
 //! pages** (default 64 KiB) of an anonymous temp file. The allocator is
 //! log-structured at page granularity:
 //!
@@ -26,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Default page size: 64 KiB.
 pub const DEFAULT_PAGE_SIZE: usize = 64 * 1024;
 
-/// Bytes per serialized row entry: one `(u32, u32)` pair, little-endian.
-pub(crate) const ENTRY_BYTES: usize = 8;
+/// Bytes per serialized row word: one `u32`, little-endian.
+pub(crate) const WORD_BYTES: usize = 4;
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -47,16 +48,16 @@ fn overlap(page_size: usize, start: u64, bytes: u64) -> impl Iterator<Item = (u6
 /// Where one row currently lives in the spill file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RowLoc {
-    /// Absolute byte offset of the first entry.
+    /// Absolute byte offset of the first word.
     pub start: u64,
-    /// Number of `(target, dist)` entries (`0` = no disk extent).
-    pub entries: u32,
+    /// Number of `u32` words (`0` = no disk extent).
+    pub words: u32,
 }
 
 impl RowLoc {
     #[inline]
     pub(crate) fn bytes(&self) -> u64 {
-        self.entries as u64 * ENTRY_BYTES as u64
+        self.words as u64 * WORD_BYTES as u64
     }
 }
 
@@ -120,8 +121,8 @@ impl PageFile {
     /// Create a fresh spill file in the OS temp directory.
     pub(crate) fn create(page_size: usize) -> PageFile {
         assert!(
-            page_size >= ENTRY_BYTES,
-            "page size must hold at least one entry"
+            page_size >= WORD_BYTES,
+            "page size must hold at least one word"
         );
         let dir = std::env::temp_dir();
         let (file, path) = loop {
@@ -222,16 +223,13 @@ impl PageFile {
         }
     }
 
-    /// Serialize `entries` and append them, returning the row's location.
+    /// Serialize `words` and append them, returning the row's location.
     /// Small rows pack into the open page; oversized rows take fresh pages.
-    pub(crate) fn write_row(&mut self, entries: &[(u32, u32)]) -> RowLoc {
-        if entries.is_empty() {
-            return RowLoc {
-                start: 0,
-                entries: 0,
-            };
+    pub(crate) fn write_row(&mut self, words: &[u32]) -> RowLoc {
+        if words.is_empty() {
+            return RowLoc { start: 0, words: 0 };
         }
-        let bytes = entries.len() * ENTRY_BYTES;
+        let bytes = words.len() * WORD_BYTES;
         let start = if bytes <= self.page_size {
             // In-page placement: current open page if it fits, else a
             // recycled or fresh page becomes the open page.
@@ -271,20 +269,19 @@ impl PageFile {
         }
         self.write_buf.clear();
         self.write_buf.reserve(bytes);
-        for &(t, d) in entries {
-            self.write_buf.extend_from_slice(&t.to_le_bytes());
-            self.write_buf.extend_from_slice(&d.to_le_bytes());
+        for &w in words {
+            self.write_buf.extend_from_slice(&w.to_le_bytes());
         }
         write_at(&self.file, &self.write_buf, start).expect("spill write");
         RowLoc {
             start,
-            entries: entries.len() as u32,
+            words: words.len() as u32,
         }
     }
 
-    /// Read the row at `loc` back into a sorted entry vector.
-    pub(crate) fn read_row(&self, loc: RowLoc) -> Vec<(u32, u32)> {
-        if loc.entries == 0 {
+    /// Read the row at `loc` back into its words.
+    pub(crate) fn read_row(&self, loc: RowLoc) -> Vec<u32> {
+        if loc.words == 0 {
             return Vec::new();
         }
         let bytes = loc.bytes() as usize;
@@ -293,20 +290,15 @@ impl PageFile {
         let touched = overlap(self.page_size, loc.start, bytes as u64).count() as u64;
         // RELAXED: I/O counter; read only by monitoring snapshots.
         self.pages_read.fetch_add(touched, Ordering::Relaxed);
-        buf.chunks_exact(ENTRY_BYTES)
-            .map(|c| {
-                (
-                    u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                    u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-                )
-            })
+        buf.chunks_exact(WORD_BYTES)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect()
     }
 
     /// Release the extent at `loc`; fully-dead sealed pages join the
     /// free list.
     pub(crate) fn free_row(&mut self, loc: RowLoc) {
-        if loc.entries == 0 {
+        if loc.words == 0 {
             return;
         }
         let mut dead = Vec::new();
@@ -334,8 +326,9 @@ impl Drop for PageFile {
 mod tests {
     use super::*;
 
-    fn row(n: u32, base: u32) -> Vec<(u32, u32)> {
-        (0..n).map(|i| (base + i, i)).collect()
+    /// `2n` words: the shape of a one-level row is irrelevant here.
+    fn row(n: u32, base: u32) -> Vec<u32> {
+        (0..n).flat_map(|i| [base + i, i]).collect()
     }
 
     #[test]
@@ -345,25 +338,19 @@ mod tests {
         let b = f.write_row(&row(5, 100));
         assert_eq!(f.read_row(a), row(3, 10));
         assert_eq!(f.read_row(b), row(5, 100));
-        assert_eq!(
-            f.read_row(RowLoc {
-                start: 0,
-                entries: 0
-            }),
-            vec![]
-        );
+        assert_eq!(f.read_row(RowLoc { start: 0, words: 0 }), vec![]);
     }
 
     #[test]
     fn small_rows_pack_into_one_page() {
         let mut f = PageFile::create(64);
-        // 8 entries/page: two 4-entry rows share page 0.
+        // 16 words/page: two 8-word rows share page 0.
         let a = f.write_row(&row(4, 0));
         let b = f.write_row(&row(4, 50));
         assert_eq!(a.start / 64, 0);
         assert_eq!(b.start / 64, 0);
         assert_eq!(f.page_count(), 1);
-        // A 5-entry row no longer fits the remainder: new page.
+        // A 10-word row no longer fits the remainder: new page.
         let c = f.write_row(&row(5, 90));
         assert_eq!(c.start / 64, 1);
     }

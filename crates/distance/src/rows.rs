@@ -26,8 +26,47 @@
 //!
 //! ## 2. Representation: one [`BoundedRows<S>`] over a `RowStore`
 //!
-//! Each resident row is a sorted `(target, dist)` vector (`SparseRow`)
-//! filled by a BFS truncated at its horizon `B`. [`BoundedRows`] owns the
+//! **A row is its targets grouped by distance.** Each resident row
+//! (`SparseRow`) is one `Vec<u32>`: the targets at distance 0, then those
+//! at 1, and so on to the row's last level (at most its horizon `B`), each
+//! level ascending by slot, then one end offset per level. No distance is
+//! stored: a target's level is its distance. A BFS truncated at `B` fills
+//! it straight from its queue, which is already in level order (each level
+//! is sorted where it lies). 4 bytes a target plus 4 a level, against the
+//! 8 of the `(target, dist)` pairs this replaced.
+//!
+//! * *The witness probe* (`any_within(set, b)`, the matcher's one question)
+//!   reads the targets of levels `0..=b` — one prefix of the vector — and
+//!   tests each against the bitset, with no distance read. The pair layout
+//!   read every entry and tested its distance too; on the benchmark's
+//!   default serving workload a probe scanned ≈125 entries, only 42% of
+//!   them within the probe's bound, and the cost was the bytes read (a
+//!   branch-free scan of the pairs gained 2–4% of the tick).
+//! * *A one-level check* (`has_at(y, d)`, one binary search in level `d`)
+//!   answers every repair test whose distance is known in advance: the
+//!   delete candidate test (`v` one level below `u`), the alternative-parent
+//!   and orphan tests, and `has_within(y, b)` (the levels up to `b`) for
+//!   the insert candidate test. No repair searches a row for the update's
+//!   tail: the backward ball already measured `d(x, u)` (§3). `get(y)`
+//!   searches level after level, deepest first — a BFS ball keeps most of
+//!   its targets on its last level, so a present target usually costs one
+//!   search and an absent one costs them all. It is left to `distance()`
+//!   and the insert path's per-target test, which needs the old distance
+//!   of every target it improves.
+//! * *A horizon cut* is an offset cut (`truncate`), and *a patch*
+//!   (`patch`, every insert and re-settle) keeps the levels nearer than its
+//!   nearest change in place and merges the rest back from a copy, whole
+//!   runs at a time. A row that outgrows its allocation takes an eighth
+//!   more than it needs, so most growing patches do not reallocate; the
+//!   slack is counted in `mem_bytes` (`distance.index_mib`).
+//! * *Deltas stay ascending by (source, target)*, the order a diff of two
+//!   rows lists them and the order every consumer and the equivalence
+//!   suites hold them to: an insert walks `v`'s BFS as pairs sorted by
+//!   target (one sort per BFS, as before, not one per source), a
+//!   re-settle's changes come out of `Resettle` by target already, and a
+//!   deleted node's own row is listed `by_target`.
+//!
+//! [`BoundedRows`] owns the
 //! requirement set, the BFS scratch and a CSR copy for the bulk build,
 //! and carries the only copy of the build, insert-edge, delete-edge,
 //! delete-node and requirement-retarget routines plus the
@@ -103,9 +142,10 @@
 //!   so the minimum is not known up front: a candidate that enters nearer
 //!   than every one before it re-runs the BFS deeper (1.7 runs per
 //!   inserting commit there, the earlier ones inner shells of the last) —
-//!   cheaper than fetching every candidate a second time. Improvements are
-//!   written into the row where they stand; only genuinely new targets
-//!   grow it, by exactly their number. An insert with no such source does
+//!   cheaper than fetching every candidate a second time. `v`'s row is
+//!   read level by level and stops at the first level that would land
+//!   past `B`; improvements move up a level and new targets arrive in one
+//!   patch of the row (§2). An insert with no such source does
 //!   no forward BFS and no write; one whose `u` no resident row reaches
 //!   fetches nothing at all.
 //! * *Edge delete `(u, v)`*: only resident sources with
@@ -126,6 +166,15 @@
 //!   the seeding the dense index uses, which reads the children from
 //!   `id`'s own matrix row instead. A bounded index holds that row only
 //!   when `id` carries a pattern label, hence the record.
+//!
+//! **The ball measures `d(x, u)`.** The walk's depth at `x` is the
+//! distance the row of `x` holds for the tail: a shortest path to `u`
+//! never uses an out-edge of `u`, so adding or deleting `(u, v)` does not
+//! move it; for a deleted node, the in-neighbour nearest `x` is reached
+//! without passing through the node, so the walk's depth plus one is the
+//! row's `d(x, id)`. The ball is admitted at `d + 1 ≤ h(x)`, so that entry
+//! is in the row, and each commit reads it off the ball instead of
+//! searching the row for it (asserted in debug builds).
 //!
 //! **The ball, walked in the post-update graph, is a superset of the
 //! candidates the old rows define.** Three arguments are needed, one per
@@ -203,13 +252,14 @@
 //!   the row at all. A node delete has the same leaf, with `id` in `v`'s
 //!   place — and the same drop when `id`'s children all keep a parent.
 //!
-//! **Why not binary-search the row.** The level test reads `d` at every
+//! **Why not search the row.** The level test reads `d` at every
 //! in-neighbour of every child of every affected target; around a hub that
-//! is hundreds of lookups at `log₂ |row|` probes each. Scattering the row
-//! into the all-[`INF`] BFS scratch array once makes each an index, and
-//! costs 2 × |row| sequential writes — a fraction of the BFS it replaces.
-//! (The candidate and alternative-parent tests, a handful of lookups that
-//! discard most ball rows, still search: they run before any scatter.)
+//! is hundreds of lookups, each a search of one or more levels. Scattering
+//! the row into the all-[`INF`] BFS scratch array once makes each an index,
+//! and costs 2 × |row| sequential writes — a fraction of the BFS it
+//! replaces. (The candidate and alternative-parent tests, a handful of
+//! one-level checks that discard most ball rows, still search: they run
+//! before any scatter.)
 //!
 //! **Why not a second scratch array.** "Affected", "tentative" and
 //! "standing" need no marks beside the distances: an affected cell is set
@@ -273,93 +323,241 @@ use crate::backend::{IoStats, RepairHint, SlenBackend, SlenRequirements};
 use crate::oracle::DistanceOracle;
 use crate::{sat_add, INF};
 
-/// One resident row: `(target slot, distance)` sorted by slot. The paged
-/// store's on-disk rows are these vectors serialized.
+/// One resident row: its targets grouped by distance, in one allocation.
+/// `words` holds every target — level 0 first, each level ascending by
+/// slot — followed by one end offset per level: `ends[d]` counts the
+/// targets at distance `≤ d`. The last word is therefore the target count,
+/// and the level count is `words.len()` less it; an empty row has no
+/// words. The paged store's spill extents are these words serialized.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct SparseRow {
-    pub(crate) entries: Vec<(u32, u32)>,
+    words: Vec<u32>,
+}
+
+/// Reused scratch of [`SparseRow::patch`]: the moved tail of the row,
+/// the moves as `(level, target, arrives)` and the level ends.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PatchBuf {
+    tail: Vec<u32>,
+    moves: Vec<(u32, u32, bool)>,
+    ends: Vec<u32>,
 }
 
 impl SparseRow {
+    /// The row a [`SparseRow::words`] image encodes.
+    pub(crate) fn from_words(words: Vec<u32>) -> Self {
+        SparseRow { words }
+    }
+
+    /// The row's one allocation, as stored: targets, then level ends.
+    pub(crate) fn words(&self) -> &[u32] {
+        &self.words
+    }
+
+    /// Words allocated, slack included.
+    pub(crate) fn capacity(&self) -> usize {
+        self.words.capacity()
+    }
+
+    /// `slot`'s row when nothing else is in reach: itself at distance 0.
+    pub(crate) fn single(slot: u32) -> Self {
+        SparseRow {
+            words: vec![slot, 1],
+        }
+    }
+
+    /// Number of targets.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.words.last().map_or(0, |&t| t as usize)
+    }
+
+    /// The level ends, one per level.
+    #[inline]
+    fn ends(&self) -> &[u32] {
+        &self.words[self.len()..]
+    }
+
+    /// Every target, nearest level first.
+    #[inline]
+    pub(crate) fn targets(&self) -> &[u32] {
+        &self.words[..self.len()]
+    }
+
+    /// `(distance, targets)` per level, nearest first.
+    #[inline]
+    pub(crate) fn levels(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        let mut start = 0;
+        self.ends().iter().zip(0..).map(move |(&end, d)| {
+            let level = &self.words[start..end as usize];
+            start = end as usize;
+            (d, level)
+        })
+    }
+
+    /// `(target, distance)` ascending by target: the order a delta lists a
+    /// row's records in.
+    pub(crate) fn by_target(&self) -> Vec<(u32, u32)> {
+        let mut entries: Vec<(u32, u32)> = self
+            .levels()
+            .flat_map(|(d, level)| level.iter().map(move |&y| (y, d)))
+            .collect();
+        entries.sort_unstable();
+        entries
+    }
+
+    /// The targets at distance `d`, ascending by slot (empty past the last
+    /// level).
+    #[inline]
+    fn level(&self, d: usize) -> &[u32] {
+        let ends = self.ends();
+        let Some(&end) = ends.get(d) else {
+            return &[];
+        };
+        let start = d.checked_sub(1).map_or(0, |p| ends[p]);
+        &self.words[start as usize..end as usize]
+    }
+
+    /// `slot`'s distance. Searches the levels deepest first: a BFS ball
+    /// keeps most of its targets on its last level, so a target there
+    /// costs one search, and only an absent one costs them all.
     #[inline]
     pub(crate) fn get(&self, slot: u32) -> Option<u32> {
-        self.entries
-            .binary_search_by_key(&slot, |e| e.0)
-            .ok()
-            .map(|i| self.entries[i].1)
+        let levels = self.ends().len();
+        let mut deepest_first = (0..levels).rev();
+        let d = deepest_first.find(|&d| self.level(d).binary_search(&slot).is_ok())?;
+        Some(d as u32)
     }
 
-    /// Whether some entry within `bound` targets a member of `set`: one
-    /// pass over the row against the bitset.
+    /// Whether `slot` sits at exactly distance `d`: one level's search.
+    #[inline]
+    pub(crate) fn has_at(&self, slot: u32, d: u32) -> bool {
+        self.level(d as usize).binary_search(&slot).is_ok()
+    }
+
+    /// Whether `slot` is within `b` hops: the levels `0..=b` searched.
+    #[inline]
+    pub(crate) fn has_within(&self, slot: u32, b: u32) -> bool {
+        self.levels()
+            .take_while(|&(d, _)| d <= b)
+            .any(|(_, level)| level.binary_search(&slot).is_ok())
+    }
+
+    /// Whether some target within `bound` is a member of `set`: the levels
+    /// `bound` admits are one prefix of the targets, tested against the
+    /// bitset with no distance read.
     #[inline]
     pub(crate) fn any_within(&self, set: &NodeSet, bound: Bound) -> bool {
-        self.entries
+        let ends = self.ends();
+        let Some(&all) = ends.last() else {
+            return false;
+        };
+        let end = match bound {
+            Bound::Hops(b) => ends.get(b as usize).copied().unwrap_or(all),
+            Bound::Unbounded => all,
+        };
+        self.words[..end as usize]
             .iter()
-            .any(|&(t, d)| bound.admits(d) && set.contains(NodeId(t)))
+            .any(|&t| set.contains(NodeId(t)))
     }
 
-    /// Drop `slot`'s entry, if any.
-    pub(crate) fn remove(&mut self, slot: u32) {
-        if let Ok(i) = self.entries.binary_search_by_key(&slot, |e| e.0) {
-            self.entries.remove(i);
-        }
-    }
-
-    /// Merge `updates` (sorted by slot, each an improvement or insertion)
-    /// into the row, keeping it sorted. Improvements are written where
-    /// they stand; only genuinely new targets grow the vector — by exactly
-    /// their number — and are placed by one backward merge, which moves
-    /// each old entry at most once.
-    pub(crate) fn apply_sorted_updates(&mut self, updates: &[(u32, u32)]) {
-        let mut fresh = 0;
-        for &(y, d) in updates {
-            match self.entries.binary_search_by_key(&y, |e| e.0) {
-                Ok(i) => self.entries[i].1 = d,
-                Err(_) => fresh += 1,
+    /// Pop the end of every empty level at the end of the row.
+    fn drop_empty_last_levels(&mut self) {
+        while let Some(&last) = self.words.last() {
+            let ends = self.ends();
+            let before = ends.len().checked_sub(2).map_or(0, |p| ends[p]);
+            if before != last {
+                break;
             }
+            self.words.pop();
         }
-        if fresh == 0 {
+    }
+
+    /// Cut the row at `depth` hops: an offset cut, no target read.
+    pub(crate) fn truncate(&mut self, depth: u32) {
+        let keep = depth as usize + 1;
+        if self.ends().len() <= keep {
             return;
         }
-        // `i` entries are still where they were; `k..` is merged.
-        let mut i = self.entries.len();
-        let mut k = i + fresh;
-        self.entries.reserve_exact(fresh);
-        self.entries.resize(k, (0, 0));
-        for &up in updates.iter().rev() {
-            while i > 0 && self.entries[i - 1].0 > up.0 {
-                i -= 1;
-                k -= 1;
-                self.entries[k] = self.entries[i];
-            }
-            if i > 0 && self.entries[i - 1].0 == up.0 {
-                continue; // an improvement, written above
-            }
-            k -= 1;
-            self.entries[k] = up;
-            if k == i {
-                break; // every new target is placed
-            }
-        }
+        let total = self.len();
+        let cut = self.words[total + keep - 1] as usize;
+        self.words.copy_within(total..total + keep, cut);
+        self.words.truncate(cut + keep);
+        self.drop_empty_last_levels();
     }
 
-    /// Overwrite the distances of `changes`' targets — `(target, old, new)`
-    /// sorted by slot, all present — in place; a new distance of [`INF`]
-    /// drops the entry (stored distances are finite, so it doubles as the
-    /// tombstone).
-    pub(crate) fn settle(&mut self, changes: &[(u32, u32, u32)]) {
+    /// Apply `changes` — `(target, old, new)`, one per target, each a real
+    /// change, [`INF`] for "absent" on either side: a target moves from
+    /// level `old` to level `new`, arrives, or leaves. Levels nearer
+    /// than every change stay where they are; the rest of the row is
+    /// copied aside and merged back level by level. A row that outgrows
+    /// its allocation takes an eighth more than it needs, so a run of
+    /// growing patches reallocates rarely (the slack shows in
+    /// `distance.index_mib`).
+    pub(crate) fn patch(&mut self, changes: &[(u32, u32, u32)], buf: &mut PatchBuf) {
+        let PatchBuf { tail, moves, ends } = buf;
+        moves.clear();
+        let (mut arrivals, mut deepest) = (0, 0);
+        for &(y, old, new) in changes {
+            if old != INF {
+                moves.push((old, y, false));
+            }
+            if new != INF {
+                moves.push((new, y, true));
+                arrivals += 1;
+                deepest = deepest.max(new as usize + 1);
+            }
+        }
+        // By level, and within one ascending by target: the order the
+        // merge below meets them in.
+        moves.sort_unstable();
+        let Some(first) = moves.first().map(|m| m.0 as usize) else {
+            return;
+        };
+        let total = self.len();
+        ends.clear();
+        ends.extend_from_slice(self.ends());
+        if ends.len() < first {
+            ends.resize(first, total as u32); // empty levels up to the first change
+        }
+        let levels = ends.len().max(deepest);
+        let start = first
+            .checked_sub(1)
+            .map_or(0, |p| ends.get(p).map_or(total, |&e| e as usize));
+        tail.clear();
+        tail.extend_from_slice(&self.words[start..total]);
+        self.words.truncate(start);
+        let need = total - (moves.len() - arrivals) + arrivals + levels;
+        if need > self.words.capacity() {
+            self.words.reserve_exact(need + need / 8 - start);
+        }
+        // Each level: the runs between its moves copied whole, each arrival
+        // placed, each departure skipped.
+        let mut moves = moves.iter().peekable();
         let mut from = 0;
-        let mut dropped = false;
-        for &(y, _, new) in changes {
-            let at = self.entries[from..].binary_search_by_key(&y, |e| e.0);
-            let i = from + at.expect("a re-settled target is in the row");
-            self.entries[i].1 = new;
-            dropped |= new == INF;
-            from = i + 1;
+        for d in first..levels {
+            let to = ends.get(d).map_or(tail.len(), |&e| e as usize - start);
+            while let Some(&(_, y, arrives)) = moves.next_if(|m| m.0 == d as u32) {
+                let run = tail[from..to].partition_point(|&t| t < y);
+                self.words.extend_from_slice(&tail[from..from + run]);
+                from += run;
+                if arrives {
+                    self.words.push(y);
+                } else {
+                    debug_assert_eq!(tail.get(from), Some(&y), "a departure off its level");
+                    from += 1;
+                }
+            }
+            self.words.extend_from_slice(&tail[from..to]);
+            from = to;
+            let end = self.words.len() as u32;
+            match ends.get_mut(d) {
+                Some(e) => *e = end,
+                None => ends.push(end),
+            }
         }
-        if dropped {
-            self.entries.retain(|e| e.1 != INF);
-        }
+        self.words.extend_from_slice(ends);
+        self.drop_empty_last_levels();
     }
 }
 
@@ -409,8 +607,9 @@ fn restore_scratch(dist: &mut [u32], queue: &[NodeId]) {
     }
 }
 
-/// The truncated BFS row of `source`: [`bfs_visit`] harvested into a sorted
-/// [`SparseRow`], scratch restored.
+/// The truncated BFS row of `source`: [`bfs_visit`] harvested into a
+/// [`SparseRow`], scratch restored. The queue is already in level order,
+/// so each level is one run of it, sorted where it lies.
 pub(crate) fn bfs_truncated<'g>(
     adjacent: impl Fn(NodeId) -> &'g [NodeId],
     source: NodeId,
@@ -419,10 +618,19 @@ pub(crate) fn bfs_truncated<'g>(
     queue: &mut Vec<NodeId>,
 ) -> SparseRow {
     bfs_visit(adjacent, &[source], depth, dist, queue);
-    let mut entries: Vec<(u32, u32)> = queue.iter().map(|&v| (v.0, dist[v.index()])).collect();
+    let levels = queue.last().map_or(0, |v| dist[v.index()] as usize + 1);
+    let mut words = Vec::with_capacity(queue.len() + levels);
+    words.extend(queue.iter().map(|v| v.0));
+    let mut start = 0;
+    for d in 0..levels as u32 {
+        let run = queue[start..].iter().take_while(|v| dist[v.index()] == d);
+        let end = start + run.count();
+        words[start..end].sort_unstable();
+        words.push(end as u32);
+        start = end;
+    }
     restore_scratch(dist, queue);
-    entries.sort_unstable_by_key(|e| e.0);
-    SparseRow { entries }
+    SparseRow { words }
 }
 
 /// The decremental re-settle (module docs §3): its scratch, and after
@@ -597,6 +805,16 @@ fn horizon_of(reqs: &SlenRequirements, graph: &DataGraph, x: NodeId) -> Option<u
     graph.label(x).and_then(|l| reqs.horizon(l))
 }
 
+/// `reqs` indexed by label: the ball walk's per-node horizon lookup.
+fn horizon_table(reqs: &SlenRequirements) -> Vec<Option<u32>> {
+    let mut table = Vec::new();
+    for l in reqs.labels() {
+        grow_with_slack(&mut table, l.index() + 1, || None);
+        table[l.index()] = reqs.horizon(l);
+    }
+    table
+}
+
 /// Every node `reqs` makes a distance source, with its horizon,
 /// label-major.
 fn required_sources<'a>(
@@ -625,6 +843,8 @@ pub struct BoundedRows<S> {
     /// The covered requirement set (source labels and their horizons) —
     /// the single source of truth for what is resident, and how deep.
     reqs: SlenRequirements,
+    /// `reqs` as [`horizon_table`], rebuilt with it.
+    horizons: Vec<Option<u32>>,
     pub(crate) store: S,
     /// Flat adjacency for the bulk build ([`BoundedRows::build_rows`]),
     /// built on demand and dropped by every commit and rebuild: the
@@ -635,6 +855,9 @@ pub struct BoundedRows<S> {
     /// re-settle scatters a row into.
     dist_buf: Vec<u32>,
     queue_buf: Vec<NodeId>,
+    /// The last commit's backward ball, kept for its allocation.
+    ball_buf: Vec<(u32, u32, u32)>,
+    patch_buf: PatchBuf,
     resettle: Resettle,
 }
 
@@ -646,10 +869,13 @@ impl<S: RowStore> BoundedRows<S> {
     pub(crate) fn with_store(graph: &DataGraph, reqs: &SlenRequirements, store: S) -> Self {
         let mut index = BoundedRows {
             reqs: reqs.clone(),
+            horizons: horizon_table(reqs),
             store,
             csr: None,
             dist_buf: Vec::new(),
             queue_buf: Vec::new(),
+            ball_buf: Vec::new(),
+            patch_buf: PatchBuf::default(),
             resettle: Resettle::default(),
         };
         index.materialize_all(graph);
@@ -666,23 +892,29 @@ impl<S: RowStore> BoundedRows<S> {
     /// a deleted node had: the sources `x` with `d(x, t) + 1 ≤ h(x)` in
     /// `graph` for some tail `t`, where `h(x)` is the horizon of `x`'s row —
     /// the sources that reach across one of the edges inside their own
-    /// horizon — ascending by slot, each with its horizon. One BFS over the
+    /// horizon — ascending by slot, each as `(x, h(x), d(x, tails))`. One
+    /// BFS over the
     /// live in-adjacency, from all the tails at once, as deep as the
     /// deepest horizon (a path passes through nodes of any label), filtered
     /// straight off its queue: before any row is fetched, and before
-    /// anything is sorted. (Depth 0 leaves nobody.)
-    fn backward_ball(&mut self, graph: &DataGraph, tails: &[NodeId]) -> Vec<(u32, u32)> {
+    /// anything is sorted. (Depth 0 leaves nobody.) The ball is returned
+    /// in the buffer the last commit's ball used: hand it back to
+    /// `ball_buf` when done.
+    fn backward_ball(&mut self, graph: &DataGraph, tails: &[NodeId]) -> Vec<(u32, u32, u32)> {
+        let mut ball = std::mem::take(&mut self.ball_buf);
+        ball.clear();
         let Some(radius) = self.reqs.depth().checked_sub(1) else {
-            return Vec::new();
+            return ball;
         };
         let (dist, queue) = (&mut self.dist_buf, &mut self.queue_buf);
         bfs_visit(|n| graph.in_neighbors(n), tails, radius, dist, queue);
-        let reqs = &self.reqs;
+        let horizons = &self.horizons;
         let admitted = |x: &NodeId| {
-            let h = horizon_of(reqs, graph, *x)?;
-            (sat_add(dist[x.index()], 1) <= h).then_some((x.0, h))
+            let h = graph.label(*x).and_then(|l| *horizons.get(l.index())?)?;
+            let d = dist[x.index()];
+            (sat_add(d, 1) <= h).then_some((x.0, h, d))
         };
-        let mut ball: Vec<(u32, u32)> = queue.iter().filter_map(admitted).collect();
+        ball.extend(queue.iter().filter_map(admitted));
         restore_scratch(dist, queue);
         ball.sort_unstable();
         ball
@@ -736,6 +968,7 @@ impl<S: RowStore> BoundedRows<S> {
             return;
         }
         let old = std::mem::replace(&mut self.reqs, target);
+        self.horizons = horizon_table(&self.reqs);
         let mut todo: Vec<(NodeId, u32)> = Vec::new();
         for slot in 0..self.store.slots() as u32 {
             if !self.store.is_resident(slot) {
@@ -746,8 +979,7 @@ impl<S: RowStore> BoundedRows<S> {
             match horizon_of(&self.reqs, graph, x) {
                 None => self.store.remove(slot),
                 Some(h) if Some(h) < was => {
-                    self.store
-                        .update(slot, |row| row.entries.retain(|&(_, d)| d <= h));
+                    self.store.update(slot, |row| row.truncate(h));
                 }
                 Some(h) if Some(h) > was => todo.push((x, h)),
                 Some(_) => {}
@@ -775,28 +1007,35 @@ impl<S: RowStore> BoundedRows<S> {
         // that can use more re-runs it deeper; the last run is at the
         // largest `h − through`, and the shallower ones before it are the
         // inner shells of that ball.
-        let mut vrow = SparseRow::default();
+        // Kept as `(target, d(v, target))` ascending by target, so each
+        // source's improvements come out in the order a diff lists them.
+        let mut vrow: Vec<(u32, u32)> = Vec::new();
         let mut reach = None;
-        let mut updates: Vec<(u32, u32)> = Vec::new();
-        for (slot, h) in self.backward_ball(graph, &[u]) {
+        let mut updates: Vec<(u32, u32, u32)> = Vec::new();
+        let ball = self.backward_ball(graph, &[u]);
+        for &(slot, h, du) in &ball {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
-            // Affected source: `d_h(x,u) + 1 < d_h(x,v)`, within its horizon.
-            let Some(through) = row.get(u.0).map(|du| sat_add(du, 1)) else {
-                continue;
-            };
-            if through > h || through >= row.get(v.0).unwrap_or(INF) {
+            // Affected source: `d_h(x,u) + 1 < d_h(x,v)`, within its horizon
+            // (the ball admitted `d(x, u) + 1 ≤ h`).
+            debug_assert!(row.has_at(u.0, du), "the ball's d(x, u) is the row's");
+            let through = du + 1;
+            if row.has_within(v.0, through) {
                 continue;
             }
             let usable = if h == INF { INF } else { h - through };
             if reach < Some(usable) {
-                let out = |n| graph.out_neighbors(n);
-                vrow = bfs_truncated(out, v, usable, &mut self.dist_buf, &mut self.queue_buf);
+                let (dist, queue) = (&mut self.dist_buf, &mut self.queue_buf);
+                bfs_visit(|n| graph.out_neighbors(n), &[v], usable, dist, queue);
+                vrow.clear();
+                vrow.extend(queue.iter().map(|&y| (y.0, dist[y.index()])));
+                restore_scratch(dist, queue);
+                vrow.sort_unstable();
                 reach = Some(usable);
             }
             updates.clear();
-            for &(y, dvy) in &vrow.entries {
+            for &(y, dvy) in &vrow {
                 let cand = sat_add(through, dvy);
                 if cand > h {
                     continue;
@@ -804,14 +1043,16 @@ impl<S: RowStore> BoundedRows<S> {
                 let old = row.get(y).unwrap_or(INF);
                 if cand < old {
                     delta.record(NodeId(slot), NodeId(y), old, cand);
-                    updates.push((y, cand));
+                    updates.push((y, old, cand));
                 }
             }
-            if !updates.is_empty() {
-                self.store
-                    .update(slot, |row| row.apply_sorted_updates(&updates));
+            if updates.is_empty() {
+                continue;
             }
+            let buf = &mut self.patch_buf;
+            self.store.update(slot, |row| row.patch(&updates, buf));
         }
+        self.ball_buf = ball;
         delta
     }
 
@@ -821,23 +1062,23 @@ impl<S: RowStore> BoundedRows<S> {
     fn delete_edge_delta(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
         self.ensure_slots(graph);
         let mut delta = AffDelta::new();
-        for (slot, h) in self.backward_ball(graph, &[u]) {
+        let ball = self.backward_ball(graph, &[u]);
+        for &(slot, h, du) in &ball {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
             // Resident sources whose shortest path to `v` may run through
-            // the edge `(u, v)` — the truncated delete-candidate test —
-            // less those with an alternative parent: an in-neighbour `v`
-            // still has, at the distance `u` was, keeps `d(x, v)` and hence
-            // the whole row (`v` is not affected, so nothing is).
-            let Some(dv) = row.get(v.0) else {
-                continue;
-            };
-            if row.get(u.0).map(|du| sat_add(du, 1)) != Some(dv) {
+            // the edge `(u, v)` — the truncated delete-candidate test, `v`
+            // one level below `u` — less those with an alternative parent:
+            // an in-neighbour `v` still has on `u`'s level keeps `d(x, v)`
+            // and hence the whole row (`v` is not affected, so nothing is).
+            debug_assert!(row.has_at(u.0, du), "the ball's d(x, u) is the row's");
+            let dv = du + 1;
+            if !row.has_at(v.0, dv) {
                 continue;
             }
             let mut parents = graph.in_neighbors(v).iter();
-            if parents.any(|w| row.get(w.0).is_some_and(|dw| dw + 1 == dv)) {
+            if parents.any(|w| row.has_at(w.0, du)) {
                 continue;
             }
             let x = NodeId(slot);
@@ -853,6 +1094,7 @@ impl<S: RowStore> BoundedRows<S> {
             resettle_row(graph, row, h, dist, resettle, [(v, dv)]);
             self.settle_row(x, &mut delta);
         }
+        self.ball_buf = ball;
         delta
     }
 
@@ -873,27 +1115,27 @@ impl<S: RowStore> BoundedRows<S> {
         self.ensure_slots(graph);
         let mut delta = AffDelta::new();
         delta.affected.insert(id);
-        // The node's own row: every entry becomes INF.
+        // The node's own row: every entry becomes INF, recorded by target.
         if let Some(row) = self.store.fetch(id.0) {
-            for &(y, d) in &row.entries {
+            for (y, d) in row.by_target() {
                 delta.record(id, NodeId(y), d, INF);
             }
             self.store.remove(id.0);
         }
-        for (slot, h) in self.backward_ball(graph, &removed.in_edges) {
+        let ball = self.backward_ball(graph, &removed.in_edges);
+        for &(slot, h, dw) in &ball {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
-            let Some(d) = row.get(id.0) else {
-                continue;
-            };
+            let d = dw + 1;
+            debug_assert!(row.has_at(id.0, d), "the ball's d(x, id) is the row's");
             // The children one level below `id` with no other parent left
             // at `d` — the alternative-parent test, once per child. None
             // (at the horizon there are none: its children lie beyond it)
             // means the row loses `id`'s entry and nothing else.
             let orphaned = |z: &NodeId| {
                 let mut parents = graph.in_neighbors(*z).iter();
-                row.get(z.0) == Some(d + 1) && !parents.any(|w| row.get(w.0) == Some(d))
+                row.has_at(z.0, d + 1) && !parents.any(|w| row.has_at(w.0, d))
             };
             let orphans: Vec<NodeId> = removed.out_edges.iter().copied().filter(orphaned).collect();
             let x = NodeId(slot);
@@ -906,6 +1148,7 @@ impl<S: RowStore> BoundedRows<S> {
             resettle_row(graph, row, h, dist, resettle, seeds);
             self.settle_row(x, &mut delta);
         }
+        self.ball_buf = ball;
         delta
     }
 
@@ -913,17 +1156,19 @@ impl<S: RowStore> BoundedRows<S> {
     /// drop it from the row in place.
     fn drop_entry(&mut self, x: NodeId, y: NodeId, d: u32, delta: &mut AffDelta) {
         delta.record(x, y, d, INF);
-        self.store.update(x.0, |row| row.remove(y.0));
+        let buf = &mut self.patch_buf;
+        self.store
+            .update(x.0, |row| row.patch(&[(y.0, d, INF)], buf));
     }
 
     /// Record the changes [`resettle_row`] left in the re-settle scratch
     /// as `x`'s, and write them into its row in place.
     fn settle_row(&mut self, x: NodeId, delta: &mut AffDelta) {
-        let changes = &self.resettle.affected;
+        let (changes, buf) = (&self.resettle.affected, &mut self.patch_buf);
         for &(y, old, new) in changes {
             delta.record(x, NodeId(y), old, new);
         }
-        self.store.update(x.0, |row| row.settle(changes));
+        self.store.update(x.0, |row| row.patch(changes, buf));
     }
 }
 
@@ -940,10 +1185,12 @@ fn resettle_row(
     resettle: &mut Resettle,
     seeds: impl IntoIterator<Item = (NodeId, u32)>,
 ) {
-    let cells = || row.entries.iter().map(|e| e.0 as usize);
+    let cells = || row.targets().iter().map(|&y| y as usize);
     debug_assert!(cells().all(|y| dist[y] == INF), "scratch not restored");
-    for &(y, d) in &row.entries {
-        dist[y as usize] = d;
+    for (d, level) in row.levels() {
+        for &y in level {
+            dist[y as usize] = d;
+        }
     }
     resettle.clear();
     for (y, d) in seeds {
@@ -963,6 +1210,18 @@ impl<S: RowStore> DistanceOracle for BoundedRows<S> {
             .with_row(u.0, |row| row.get(v.0))
             .flatten()
             .unwrap_or(INF)
+    }
+
+    /// The levels `bound` admits, and no deeper one.
+    #[inline]
+    fn within(&self, u: NodeId, v: NodeId, bound: Bound) -> bool {
+        let b = match bound {
+            Bound::Hops(b) => b,
+            Bound::Unbounded => INF,
+        };
+        self.store
+            .with_row(u.0, |row| row.has_within(v.0, b))
+            .unwrap_or(false)
     }
 
     /// One row access per call, however many members `set` has.
@@ -989,6 +1248,7 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
         // pass below then covers old and new coverage together. A rebuild
         // may follow mutations no commit saw, so the CSR goes too.
         self.reqs.absorb(reqs);
+        self.horizons = horizon_table(&self.reqs);
         self.csr = None;
         self.materialize_all(graph);
     }
@@ -1033,12 +1293,7 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
         self.ensure_slots(graph);
         if horizon_of(&self.reqs, graph, id).is_some() {
             // An isolated newcomer's row is just itself at distance 0.
-            self.store.put(
-                id.0,
-                SparseRow {
-                    entries: vec![(id.0, 0)],
-                },
-            );
+            self.store.put(id.0, SparseRow::single(id.0));
         }
         AffDelta::new()
     }
@@ -1270,13 +1525,7 @@ mod tests {
     /// `Hops(1..=4)` and unbounded. Edge deletes take a random edge until
     /// none is left; node deletes a random node until two are left.
     fn delete_resettle_equals_rerun_and_diff<S: RowStore>(store: impl Fn() -> S, nodes: bool) {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut draw = |below: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % below as u64) as usize
-        };
+        let mut draw = draws(0x9E37_79B9_7F4A_7C15);
         // What the suite must have seen by the end: a target re-settled
         // inside the horizon at a larger distance, an affected subtree more
         // than one level below the deleted head, a target that falls beyond
@@ -1369,11 +1618,22 @@ mod tests {
         assert!(farther && deep && beyond, "{farther} {deep} {beyond}");
     }
 
+    /// Draws below a bound from an xorshift stream seeded by `state`.
+    fn draws(mut state: u64) -> impl FnMut(usize) -> usize {
+        state |= 1; // xorshift never leaves zero
+        move |below| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        }
+    }
+
     /// The re-run-and-diff the re-settle is held against: every difference
     /// between two sorted rows of source `x` (absent entries read as
     /// [`INF`]), in ascending target order.
     fn diff_rows(x: NodeId, old: &SparseRow, new: &SparseRow, delta: &mut AffDelta) {
-        let (a, b) = (&old.entries, &new.entries);
+        let (a, b) = (&old.by_target(), &new.by_target());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].0.cmp(&b[j].0) {
@@ -1500,74 +1760,305 @@ mod tests {
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
     }
 
-    /// `apply_sorted_updates` on an exact-fit row of even targets `0..12`:
-    /// the merged row, and how much the allocation grew.
-    fn patched(updates: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
-        let mut row = SparseRow {
-            entries: (0..6).map(|i| (2 * i, 9)).collect(),
-        };
-        row.entries.shrink_to_fit();
-        let before = row.entries.capacity();
-        row.apply_sorted_updates(updates);
-        (row.entries.clone(), row.entries.capacity() - before)
+    /// A level row laid out from `(target, dist)` pairs in any order: the
+    /// layout [`SparseRow`] documents, written out independently.
+    fn row_of(entries: &[(u32, u32)]) -> SparseRow {
+        let mut by_level: Vec<(u32, u32)> = entries.iter().map(|&(y, d)| (d, y)).collect();
+        by_level.sort_unstable();
+        let levels = by_level.last().map_or(0, |e| e.0 + 1);
+        let mut words: Vec<u32> = by_level.iter().map(|e| e.1).collect();
+        for d in 0..levels {
+            words.push(by_level.iter().filter(|e| e.0 <= d).count() as u32);
+        }
+        SparseRow::from_words(words)
+    }
+
+    /// Every question a row answers, asked of `row` and of the slot-sorted
+    /// reference `pairs`: the layout, `get` / `has_at` / `has_within` for
+    /// slots `0..64` at every distance `0..10`, and `any_within` against
+    /// `set` at every bound `0..10` and at `*`.
+    fn assert_row_is(row: &SparseRow, pairs: &[(u32, u32)], set: &NodeSet) {
+        assert_eq!(row, &row_of(pairs), "layout of {pairs:?}");
+        assert_eq!(row.by_target(), pairs);
+        assert_eq!(row.len(), pairs.len());
+        let of = |y: u32| pairs.iter().find(|e| e.0 == y).map(|e| e.1);
+        for y in 0..64 {
+            assert_eq!(row.get(y), of(y), "get({y})");
+            for d in 0..10 {
+                assert_eq!(row.has_at(y, d), of(y) == Some(d), "has_at({y}, {d})");
+                let within = of(y).is_some_and(|dy| dy <= d);
+                assert_eq!(row.has_within(y, d), within, "has_within({y}, {d})");
+            }
+        }
+        let member = |&(y, _): &(u32, u32)| set.contains(NodeId(y));
+        for b in 0..10 {
+            let expected = pairs.iter().filter(|e| e.1 <= b).any(member);
+            assert_eq!(row.any_within(set, Bound::Hops(b)), expected, "bound {b}");
+        }
+        let all = pairs.iter().any(member);
+        assert_eq!(row.any_within(set, Bound::Unbounded), all, "bound *");
+    }
+
+    proptest::proptest! {
+        /// A level row held to a slot-sorted `(target, dist)` reference: a
+        /// truncated BFS row of a random graph at a random horizon (or
+        /// untruncated), then random patches — improvements, arrivals,
+        /// re-settles and departures in one call — single drops and
+        /// horizon cuts. After the
+        /// build and every step the row has the reference's layout and
+        /// answers every query as the reference does.
+        #[test]
+        fn a_level_row_answers_like_a_sorted_pair_row(
+            n in 1usize..48,
+            edges in proptest::collection::vec((0usize..48, 0usize..48), 0..160),
+            horizon in 0u32..7,
+            ops in proptest::collection::vec((0u8..3, proptest::prelude::any::<u64>()), 0..24),
+            members in proptest::prelude::any::<u64>(),
+        ) {
+            let depth = if horizon == 6 { INF } else { horizon };
+            let mut graph = DataGraph::new();
+            let ids: Vec<NodeId> = (0..n).map(|_| graph.add_node(Label(0))).collect();
+            for (a, b) in edges {
+                let _ = graph.add_edge(ids[a % n], ids[b % n]);
+            }
+            let set: NodeSet = (0..64).filter(|i| members >> i & 1 == 1).map(NodeId).collect();
+            // The reference: a plain FIFO BFS, cut at `depth`.
+            let mut reference = vec![(0u32, 0u32)];
+            let mut head = 0;
+            while head < reference.len() {
+                let (x, dx) = reference[head];
+                head += 1;
+                for &y in graph.out_neighbors(NodeId(x)) {
+                    if dx < depth && !reference.iter().any(|e| e.0 == y.0) {
+                        reference.push((y.0, dx + 1));
+                    }
+                }
+            }
+            reference.sort_unstable();
+            let (mut dist, mut queue) = (vec![INF; n], Vec::new());
+            let out = |x| graph.out_neighbors(x);
+            let mut row = bfs_truncated(out, ids[0], depth, &mut dist, &mut queue);
+            assert_row_is(&row, &reference, &set);
+            let mut buf = PatchBuf::default();
+            for (kind, seed) in ops {
+                let mut draw = draws(seed);
+                match kind {
+                    0 => {
+                        let mut changes: Vec<(u32, u32, u32)> = Vec::new();
+                        for _ in 0..1 + draw(6) {
+                            let y = draw(64) as u32;
+                            let new = [0, 1, 2, 3, 4, 5, 6, 7, INF][draw(9)];
+                            let old = reference.iter().find(|e| e.0 == y).map_or(INF, |e| e.1);
+                            if old != new && !changes.iter().any(|c| c.0 == y) {
+                                changes.push((y, old, new));
+                            }
+                        }
+                        changes.sort_unstable();
+                        row.patch(&changes, &mut buf);
+                        reference.retain(|e| !changes.iter().any(|c| c.0 == e.0));
+                        let stays = changes.iter().filter(|c| c.2 != INF);
+                        reference.extend(stays.map(|c| (c.0, c.2)));
+                        reference.sort_unstable();
+                    }
+                    1 if !reference.is_empty() => {
+                        // A drop: one departure, as a horizon leaf makes.
+                        let (y, d) = reference[draw(reference.len())];
+                        row.patch(&[(y, d, INF)], &mut buf);
+                        reference.retain(|e| e.0 != y);
+                    }
+                    _ => {
+                        let h = draw(8) as u32;
+                        row.truncate(h);
+                        reference.retain(|e| e.1 <= h);
+                    }
+                }
+                assert_row_is(&row, &reference, &set);
+            }
+        }
     }
 
     #[test]
-    fn sorted_updates_grow_a_row_by_exactly_its_new_targets() {
-        let evens = |dist: [u32; 6]| {
-            (0..6)
-                .map(|i| (2 * i, dist[i as usize]))
-                .collect::<Vec<_>>()
-        };
-        // Pure improvements are written where they stand.
-        let (row, grew) = patched(&[(0, 1), (4, 2), (10, 3)]);
-        assert_eq!((row, grew), (evens([1, 9, 2, 9, 9, 3]), 0));
-        // Pure insertions: middle, back, front.
-        let (row, grew) = patched(&[(5, 1)]);
-        assert_eq!(
-            row,
-            [(0, 9), (2, 9), (4, 9), (5, 1), (6, 9), (8, 9), (10, 9)]
+    fn an_untruncated_chain_row_keeps_one_level_per_hop() {
+        // 0 -> 1 -> ... -> 70: 71 levels of one target each.
+        let mut graph = DataGraph::new();
+        let ids: Vec<NodeId> = (0..71).map(|_| graph.add_node(Label(0))).collect();
+        for w in ids.windows(2) {
+            graph.add_edge(w[0], w[1]).unwrap();
+        }
+        let (mut dist, mut queue) = (vec![INF; 71], Vec::new());
+        let row = bfs_truncated(
+            |x| graph.out_neighbors(x),
+            ids[0],
+            INF,
+            &mut dist,
+            &mut queue,
         );
-        assert_eq!(grew, 1);
-        let (row, grew) = patched(&[(11, 1), (13, 2)]);
-        assert_eq!(row[5..], [(10, 9), (11, 1), (13, 2)]);
-        assert_eq!(grew, 2);
-        let mut odd = SparseRow {
-            entries: vec![(1, 9)],
-        };
-        odd.apply_sorted_updates(&[(0, 1)]);
-        assert_eq!(odd.entries, [(0, 1), (1, 9)]);
-        // A mix, new targets on both sides of every improvement.
-        let (row, grew) = patched(&[(1, 1), (2, 2), (3, 3), (10, 4), (12, 5)]);
+        assert_eq!(row.levels().count(), 71);
+        assert!(row.levels().all(|(d, level)| level == [d]));
+        assert_eq!(row.words().len(), 71 + 71, "a target and a level end a hop");
+        assert_eq!(row.get(70), Some(70));
+        let last: NodeSet = [ids[70]].into_iter().collect();
+        assert!(!row.any_within(&last, Bound::Hops(69)));
+        assert!(row.any_within(&last, Bound::Hops(70)));
+        assert!(row.any_within(&last, Bound::Unbounded));
+        let mut reqs = SlenRequirements::empty();
+        reqs.absorb_edge(Label(0), Bound::Unbounded);
+        let s = BoundedRows::with_store(&graph, &reqs, MemStore::default());
+        assert_eq!(s.distance(ids[0], ids[70]), 70);
+        assert_projection(&s, &graph, &apsp_matrix(&graph));
+    }
+
+    #[test]
+    fn an_improvement_moves_a_target_up_two_levels_in_place() {
+        let mut row = row_of(&[(0, 0), (1, 1), (2, 2), (3, 3), (5, 3)]);
+        row.words.shrink_to_fit();
+        let capacity = row.capacity();
+        // 3 moves from level 3 to level 1, between 1 and nothing; level 3
+        // keeps 5.
+        row.patch(&[(3, 3, 1)], &mut PatchBuf::default());
+        assert_eq!(row, row_of(&[(0, 0), (1, 1), (3, 1), (2, 2), (5, 3)]));
+        assert_eq!(row.capacity(), capacity, "a move needs no new word");
+        // The last target of level 3 moves up two as well: the level goes.
+        row.patch(&[(5, 3, 1)], &mut PatchBuf::default());
+        assert_eq!(row, row_of(&[(0, 0), (1, 1), (3, 1), (5, 1), (2, 2)]));
+        assert_eq!(row.levels().count(), 3);
+    }
+
+    #[test]
+    fn an_insert_records_its_improvements_by_target_not_by_level() {
+        // `u -> v` brings `v` and, one level deeper, `a`, whose slot comes
+        // first: each source's records list `a` before `v`.
+        let mut reqs = SlenRequirements::empty();
+        reqs.absorb_edge(Label(0), Bound::Hops(3));
+        let mut graph = DataGraph::new();
+        let [x, u, a, v] = [0; 4].map(|_| graph.add_node(Label(0)));
+        for (from, to) in [(x, u), (v, a)] {
+            graph.add_edge(from, to).unwrap();
+        }
+        let mut s = BoundedRows::with_store(&graph, &reqs, MemStore::default());
+        graph.add_edge(u, v).unwrap();
+        let delta = s.commit_insert_edge(&graph, u, v, RepairHint::Baseline);
         let expected = [
-            (0, 9),
-            (1, 1),
-            (2, 2),
-            (3, 3),
-            (4, 9),
-            (6, 9),
-            (8, 9),
-            (10, 4),
-            (12, 5),
+            (x, a, INF, 3),
+            (x, v, INF, 2),
+            (u, a, INF, 2),
+            (u, v, INF, 1),
         ];
-        assert_eq!((row.as_slice(), grew), (&expected[..], 3));
-        // Into an empty row, and nothing into a row.
+        assert_eq!(delta.changed, expected);
+        assert_projection(&s, &graph, &apsp_matrix(&graph));
+    }
+
+    #[test]
+    fn a_resettle_that_empties_the_last_levels_drops_them() {
+        // x -> u -> v -> w at horizon 3: deleting `u -> v` leaves `v` and
+        // `w` no path, so levels 2 and 3 lose their last targets and go.
+        let mut reqs = SlenRequirements::empty();
+        reqs.absorb_edge(Label(0), Bound::Hops(3));
+        let mut graph = DataGraph::new();
+        let [x, u, v, w] = [0; 4].map(|_| graph.add_node(Label(0)));
+        for (a, b) in [(x, u), (u, v), (v, w)] {
+            graph.add_edge(a, b).unwrap();
+        }
+        let mut s = BoundedRows::with_store(&graph, &reqs, MemStore::default());
+        graph.remove_edge(u, v).unwrap();
+        let delta = s.commit_delete_edge(&graph, u, v, RepairHint::Baseline);
+        let of_x: Vec<_> = delta.changed.iter().filter(|r| r.0 == x).collect();
+        assert_eq!(of_x, [&(x, v, 2, INF), &(x, w, 3, INF)]);
+        assert_eq!(s.store.fetch(x.0), Some(&row_of(&[(x.0, 0), (u.0, 1)])));
+        assert_projection(&s, &graph, &apsp_matrix(&graph));
+    }
+
+    #[test]
+    fn a_paged_round_trip_keeps_an_empty_row_and_one_past_a_page() {
+        // `tiny()` pages hold 64 words; the big row takes 100 targets over
+        // four levels, 104 words.
+        let big = row_of(&(0..100).map(|y| (y, y % 4)).collect::<Vec<_>>());
+        let mut store = PagedStore::new(tiny());
+        store.grow(2);
+        store.load(0, SparseRow::default());
+        store.load(1, big.clone());
+        assert_eq!(
+            store.with_row(0, SparseRow::clone),
+            Some(SparseRow::default())
+        );
+        let before = store.io_stats().expect("paged reports IO").pages_read;
+        assert_eq!(store.with_row(1, SparseRow::clone), Some(big.clone()));
+        let after = store.io_stats().expect("paged reports IO").pages_read;
+        assert!(
+            after - before >= 2,
+            "a row past a page reads its run of pages"
+        );
+        assert_eq!(store.fetch(1), Some(&big));
+        let evens: NodeSet = (0..64).step_by(2).map(NodeId).collect();
+        let probe = |b| store.with_row(1, |r| r.any_within(&evens, Bound::Hops(b)));
+        assert_eq!(probe(0), Some(true));
+    }
+
+    #[test]
+    fn a_patch_grows_a_row_into_slack_and_keeps_levels_sorted() {
+        // Exact fit after the build; the first arrival reserves an eighth
+        // more, and the arrivals after it land in that slack.
+        let mut row = row_of(&(0..64).map(|y| (2 * y, y % 3)).collect::<Vec<_>>());
+        row.words.shrink_to_fit();
+        let mut buf = PatchBuf::default();
+        row.patch(&[(1, INF, 1)], &mut buf);
+        let grown = row.capacity();
+        assert!(grown >= row.words().len() + 8, "{grown} words: no slack");
+        for y in [3, 5, 7, 9, 11, 13] {
+            row.patch(&[(y, INF, 2)], &mut buf);
+        }
+        assert_eq!(
+            row.capacity(),
+            grown,
+            "arrivals within the slack reallocated"
+        );
+        let mut pairs: Vec<(u32, u32)> = (0..64).map(|y| (2 * y, y % 3)).collect();
+        pairs.extend([(1, 1), (3, 2), (5, 2), (7, 2), (9, 2), (11, 2), (13, 2)]);
+        pairs.sort_unstable();
+        assert_eq!(row.by_target(), pairs);
+        assert_eq!(row, row_of(&pairs));
+        // A mix in one call: an arrival on a new level, an improvement, a
+        // departure and a re-settle.
+        row.patch(
+            &[(0, 0, INF), (2, 1, 0), (4, 2, 3), (201, INF, 4)],
+            &mut buf,
+        );
+        pairs.retain(|e| ![0, 2, 4].contains(&e.0));
+        pairs.extend([(2, 0), (4, 3), (201, 4)]);
+        pairs.sort_unstable();
+        assert_eq!(row, row_of(&pairs));
+        // Into an empty row, and an empty patch.
         let mut empty = SparseRow::default();
-        empty.apply_sorted_updates(&[(3, 1), (7, 2)]);
-        assert_eq!(empty.entries, [(3, 1), (7, 2)]);
-        assert_eq!(patched(&[]), (evens([9; 6]), 0));
+        empty.patch(&[(3, INF, 0), (7, INF, 1)], &mut buf);
+        assert_eq!(empty, row_of(&[(3, 0), (7, 1)]));
+        empty.patch(&[], &mut buf);
+        assert_eq!(empty, row_of(&[(3, 0), (7, 1)]));
     }
 
     #[test]
     fn settle_rewrites_in_place_and_drops_what_fell_beyond() {
-        let mut row = SparseRow {
-            entries: (0..6).map(|i| (2 * i, 2)).collect(),
-        };
-        row.settle(&[(2, 2, 3), (10, 2, 4)]);
-        assert_eq!(row.entries[1], (2, 3));
-        assert_eq!(row.entries[5], (10, 4));
-        row.settle(&[(0, 2, INF), (4, 2, 3), (10, 4, INF)]);
-        assert_eq!(row.entries, [(2, 3), (4, 3), (6, 2), (8, 2)]);
+        let mut row = row_of(&(0..6).map(|i| (2 * i, 2)).collect::<Vec<_>>());
+        let mut buf = PatchBuf::default();
+        row.patch(&[(2, 2, 3), (10, 2, 4)], &mut buf);
+        assert_eq!(
+            row,
+            row_of(&[(0, 2), (2, 3), (4, 2), (6, 2), (8, 2), (10, 4)])
+        );
+        row.patch(&[(0, 2, INF), (4, 2, 3), (10, 4, INF)], &mut buf);
+        assert_eq!(row.by_target(), [(2, 3), (4, 3), (6, 2), (8, 2)]);
+        assert_eq!(row.levels().count(), 4, "levels 0 and 1 stay, empty");
+        row.patch(&[(6, 2, INF), (8, 2, INF)], &mut buf);
+        assert_eq!(
+            row.levels().count(),
+            4,
+            "only a last level goes when it empties"
+        );
+        row.truncate(2);
+        assert_eq!(
+            row,
+            SparseRow::default(),
+            "a cut drops the empty levels it ends on"
+        );
     }
 
     // ------------------------------------------------------------------

@@ -16,10 +16,10 @@ use crate::rows::{grow_with_slack, BoundedRows, RowStore, SparseRow};
 pub struct MemStore {
     /// Slot-indexed resident rows (`None` = not a candidate source).
     rows: Vec<Option<SparseRow>>,
-    /// How many of `rows` are `Some`, and the sum of their entry
-    /// capacities: kept by every write so the per-tick stats are O(1).
+    /// How many of `rows` are `Some`, and the sum of their allocated
+    /// words: kept by every write so the per-tick stats are O(1).
     resident: usize,
-    entry_capacity: usize,
+    word_capacity: usize,
 }
 
 impl MemStore {
@@ -28,11 +28,11 @@ impl MemStore {
         let old = std::mem::replace(&mut self.rows[slot as usize], row);
         if let Some(old) = old {
             self.resident -= 1;
-            self.entry_capacity -= old.entries.capacity();
+            self.word_capacity -= old.capacity();
         }
         if let Some(new) = &self.rows[slot as usize] {
             self.resident += 1;
-            self.entry_capacity += new.entries.capacity();
+            self.word_capacity += new.capacity();
         }
     }
 }
@@ -70,9 +70,9 @@ impl RowStore for MemStore {
         let row = self.rows[slot as usize]
             .as_mut()
             .expect("update of a non-resident row");
-        let before = row.entries.capacity();
+        let before = row.capacity();
         f(row);
-        self.entry_capacity = self.entry_capacity - before + row.entries.capacity();
+        self.word_capacity = self.word_capacity - before + row.capacity();
     }
 
     fn remove(&mut self, slot: u32) {
@@ -82,7 +82,7 @@ impl RowStore for MemStore {
     fn clear(&mut self) {
         self.rows.iter_mut().for_each(|r| *r = None);
         self.resident = 0;
-        self.entry_capacity = 0;
+        self.word_capacity = 0;
     }
 
     #[inline]
@@ -92,12 +92,13 @@ impl RowStore for MemStore {
 
     fn mem_bytes(&self) -> usize {
         // Capacity, not len: rows are patched in place and keep the
-        // capacity of their high-water mark (`settle`, `remove` and
-        // `retain` shrink only `len`), and the slot vector itself
-        // over-allocates on growth. The footprint is the real
-        // allocation, not the live entry count.
+        // capacity of their high-water mark (a patch that shrinks, `remove`
+        // and `truncate` shrink only `len`) plus the slack a growing patch
+        // takes, and the slot vector itself over-allocates on growth. The
+        // footprint is the real allocation — 4 bytes a target and a level
+        // end — not the live entry count.
         self.rows.capacity() * std::mem::size_of::<Option<SparseRow>>()
-            + self.entry_capacity * std::mem::size_of::<(u32, u32)>()
+            + self.word_capacity * std::mem::size_of::<u32>()
     }
 }
 
@@ -131,8 +132,8 @@ mod tests {
         fn assert_recount(s: &SparseIndex) {
             let rows = || s.store.rows.iter().flatten();
             assert_eq!(s.store.resident, rows().count());
-            let capacity: usize = rows().map(|r| r.entries.capacity()).sum();
-            assert_eq!(s.store.entry_capacity, capacity);
+            let capacity: usize = rows().map(|r| r.capacity()).sum();
+            assert_eq!(s.store.word_capacity, capacity);
         }
         let mut f = fig1();
         let reqs = SlenRequirements::of_pattern(&f.pattern);

@@ -158,8 +158,8 @@ pub struct RefreshStats {
     /// `(pattern node, data node)` candidates the repair grew outside the
     /// standing relation ([`gpnm_matcher::RepairOutcome::candidates`]).
     pub candidates: usize,
-    /// The visible change, stamped version 0
-    /// ([`gpnm_matcher::RepairOutcome::delta`]); empty when no repair pass
+    /// The visible change, stamped version 0 (the delta
+    /// [`gpnm_matcher::repair_gains`] returns); empty when no repair pass
     /// ran.
     pub delta: MatchDelta,
 }
@@ -239,7 +239,7 @@ pub fn refresh_pattern<B: SlenBackend>(
     let span = tracing::span!(tracing::Level::TRACE, "match_repair");
     let _entered = span.enter();
     let t = Instant::now();
-    let outcome = repair_gains(pattern, graph, index, semantics, result, verify, gains);
+    let (outcome, delta) = repair_gains(pattern, graph, index, semantics, result, verify, gains);
     if outcome.rematched {
         tracing::event!(tracing::Level::TRACE, "repair_rematch");
     }
@@ -248,7 +248,7 @@ pub fn refresh_pattern<B: SlenBackend>(
         repair_time: t.elapsed(),
         rematched: outcome.rematched,
         candidates: outcome.candidates,
-        delta: outcome.delta,
+        delta,
     }
 }
 

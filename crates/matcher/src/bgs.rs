@@ -87,7 +87,7 @@ pub fn match_graph<O: DistanceOracle>(
     result
 }
 
-/// What one [`repair`] call did.
+/// What one [`repair`] or [`repair_gains`] call did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairOutcome {
     /// Whether it fell back to [`match_graph`] (see [`repair`]'s last
@@ -96,12 +96,17 @@ pub struct RepairOutcome {
     /// `(pattern node, data node)` candidates it grew outside the old
     /// relation — the members it had to verify beyond `plan.verify`.
     pub candidates: usize,
-    /// What the call changed in the **visible** sets, ascending by
-    /// (slot, node) and stamped version 0: exactly
-    /// `after.delta_from(&before, 0)`, taken from the repair's own
-    /// admissions and removals instead of a snapshot and a diff (see
-    /// [`repair`]'s "The delta").
-    pub delta: MatchDelta,
+}
+
+/// What a repair did to the relation, before any projection: the raw
+/// material of [`repair_gains`]'s delta, which [`repair`] drops unread.
+struct Repaired {
+    outcome: RepairOutcome,
+    shown_before: bool,
+    /// Every candidate admitted, pruned again or not.
+    admitted: Vec<(PatternNodeId, NodeId)>,
+    /// Every old member removed: a tombstoned slot's, or pruned.
+    removed: Vec<(PatternNodeId, NodeId)>,
 }
 
 /// Incremental repair: bring `result` (valid for some earlier graph state)
@@ -194,7 +199,11 @@ pub struct RepairOutcome {
 ///
 /// ## The delta
 ///
-/// [`RepairOutcome::delta`] is built from what the repair itself did to
+/// [`repair_gains`] (the hosts' entry) also returns what the call changed
+/// in the **visible** sets, ascending by (slot, node) and stamped version
+/// 0: exactly `after.delta_from(&before, 0)`. `repair` (the engine's
+/// per-update entry, which publishes nothing) builds none. The delta is
+/// built from what the repair itself did to
 /// the relation: the old members it removed (a tombstoned slot's, or
 /// pruned ones outside `Cand`) and the candidates it admitted that
 /// survived the pruning — a candidate admitted and then pruned in the same
@@ -216,22 +225,16 @@ pub fn repair<O: DistanceOracle>(
         gains: &plan.gains,
         sources: &plan.addition_sources,
     };
-    repair_parts(
-        pattern,
-        graph,
-        oracle,
-        semantics,
-        result,
-        &plan.verify,
-        additions,
-    )
+    let verify = &plan.verify;
+    repair_parts(pattern, graph, oracle, semantics, result, verify, additions).outcome
 }
 
 /// [`repair`] for a data update's plan, with the `verify` set borrowed:
 /// the hosts' entry. A data update's `verify` set does not depend on the
 /// pattern, so a host builds one for the whole tick and hands every
 /// pattern a reference to it beside that pattern's own root `gains`. Data
-/// updates name no addition sources.
+/// updates name no addition sources. Returns the visible delta beside the
+/// outcome ([`repair`]'s "The delta").
 pub fn repair_gains<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -240,12 +243,13 @@ pub fn repair_gains<O: DistanceOracle>(
     result: &mut MatchResult,
     verify: &NodeSet,
     gains: &[(PatternNodeId, NodeId)],
-) -> RepairOutcome {
+) -> (RepairOutcome, MatchDelta) {
     let additions = Additions {
         gains,
         sources: &[],
     };
-    repair_parts(pattern, graph, oracle, semantics, result, verify, additions)
+    let repaired = repair_parts(pattern, graph, oracle, semantics, result, verify, additions);
+    (repaired.outcome.clone(), project(repaired, result))
 }
 
 /// The additions half of a [`RepairPlan`], borrowed.
@@ -263,7 +267,7 @@ fn repair_parts<O: DistanceOracle>(
     result: &mut MatchResult,
     verify: &NodeSet,
     additions: Additions<'_>,
-) -> RepairOutcome {
+) -> Repaired {
     let shown_before = !result.restore_relation();
     result.grow(pattern.slot_count());
 
@@ -290,22 +294,24 @@ fn repair_parts<O: DistanceOracle>(
         if !no_relation {
             enforce_total_match(pattern, result);
         }
-        return RepairOutcome {
-            delta: project(shown_before, result, Vec::new(), removed),
-            ..RepairOutcome::default()
+        return Repaired {
+            outcome: RepairOutcome::default(),
+            shown_before,
+            admitted: Vec::new(),
+            removed,
         };
     }
     if no_relation {
         // What was shown is exactly what the tombstones took.
         *result = match_graph(pattern, graph, oracle, semantics);
-        return RepairOutcome {
-            rematched: true,
-            candidates: 0,
-            delta: MatchDelta {
-                added: shown_pairs(result),
-                removed,
-                result_version: 0,
+        return Repaired {
+            outcome: RepairOutcome {
+                rematched: true,
+                candidates: 0,
             },
+            shown_before,
+            admitted: Vec::new(),
+            removed,
         };
     }
 
@@ -337,15 +343,15 @@ fn repair_parts<O: DistanceOracle>(
         &mut pending,
         Some(dirty),
     ));
-    // A candidate the pruning removed again never became a member.
-    let candidates = admitted.len();
-    let mut added = admitted;
-    added.retain(|&(u, v)| result.set(u).contains(v));
     enforce_total_match(pattern, result);
-    RepairOutcome {
-        rematched: false,
-        candidates,
-        delta: project(shown_before, result, added, removed),
+    Repaired {
+        outcome: RepairOutcome {
+            rematched: false,
+            candidates: admitted.len(),
+        },
+        shown_before,
+        admitted,
+        removed,
     }
 }
 
@@ -357,15 +363,25 @@ fn shown_pairs(result: &MatchResult) -> Vec<(PatternNodeId, NodeId)> {
         .collect()
 }
 
-/// The visible delta of a repair that added the pairs `added` to the
-/// relation and removed the pairs `removed` from it, given whether the
-/// relation was shown before the call (see [`repair`]'s "The delta").
-fn project(
-    shown_before: bool,
-    result: &MatchResult,
-    mut added: Vec<(PatternNodeId, NodeId)>,
-    mut removed: Vec<(PatternNodeId, NodeId)>,
-) -> MatchDelta {
+/// The visible delta of what `repaired` did to `result`'s relation (see
+/// [`repair`]'s "The delta").
+fn project(repaired: Repaired, result: &MatchResult) -> MatchDelta {
+    let Repaired {
+        outcome,
+        shown_before,
+        admitted: mut added,
+        mut removed,
+    } = repaired;
+    if outcome.rematched {
+        return MatchDelta {
+            added: shown_pairs(result),
+            removed,
+            result_version: 0,
+        };
+    }
+    // A candidate the pruning removed again never became a member. (Read
+    // the relation: the total-match rule may have withheld it since.)
+    added.retain(|&(u, v)| result.relation_contains(u, v));
     let mut delta = MatchDelta::default();
     match (shown_before, result.shows_relation()) {
         (true, true) => {
@@ -1249,19 +1265,24 @@ mod tests {
         assert!(result.contains(pn["A"], n["a3"]));
     }
 
-    /// `repair` on `result`, asserting that its delta is the diff of the
-    /// visible sets, pair for pair and in order.
+    /// `repair_gains` on `result` for a data plan, asserting that its delta
+    /// is the diff of the visible sets, pair for pair and in order, and that
+    /// `repair` on a copy reaches the same result and outcome.
     fn repair_checked<O: DistanceOracle>(
         p: &PatternGraph,
         g: &DataGraph,
         oracle: &O,
         result: &mut MatchResult,
         plan: &RepairPlan,
-    ) -> RepairOutcome {
-        let before = result.clone();
-        let outcome = repair(p, g, oracle, MatchSemantics::Simulation, result, plan);
-        assert_eq!(outcome.delta, result.delta_from(&before, 0));
-        outcome
+    ) -> (RepairOutcome, MatchDelta) {
+        assert!(plan.addition_sources.is_empty(), "a data plan");
+        let (before, mut plain) = (result.clone(), result.clone());
+        let sem = MatchSemantics::Simulation;
+        let (outcome, delta) = repair_gains(p, g, oracle, sem, result, &plan.verify, &plan.gains);
+        assert_eq!(delta, result.delta_from(&before, 0));
+        assert_eq!(repair(p, g, oracle, sem, &mut plain, plan), outcome);
+        assert_eq!(&plain, result);
+        (outcome, delta)
     }
 
     /// `chain_fixture` with `a1 -> b1` deleted: A has no matcher, so the
@@ -1329,15 +1350,12 @@ mod tests {
         plan.verify = slen.commit_delete_edge(&g, n["x_old"], n["yc"]).affected;
         plan.gains.push((pn["U0"], n["x_new"]));
         plan.gains.push((pn["U1"], n["y_new"]));
-        let outcome = repair_checked(&p, &g, &slen, &mut result, &plan);
+        let (outcome, delta) = repair_checked(&p, &g, &slen, &mut result, &plan);
         assert_eq!(outcome.candidates, 2);
         assert!(!result.is_empty(), "the xc <-> yc core still matches");
-        assert!(
-            outcome.delta.added.is_empty(),
-            "both candidates were pruned"
-        );
+        assert!(delta.added.is_empty(), "both candidates were pruned");
         assert_eq!(
-            outcome.delta.removed,
+            delta.removed,
             vec![(pn["U0"], n["x_old"]), (pn["U1"], n["y_old"])]
         );
     }
@@ -1351,10 +1369,39 @@ mod tests {
         g.remove_edge(n["a1"], n["b1"]).unwrap();
         let mut plan = RepairPlan::new();
         plan.verify = slen.commit_delete_edge(&g, n["a1"], n["b1"]).affected;
-        let outcome = repair_checked(&p, &g, &slen, &mut result, &plan);
+        let (_, delta) = repair_checked(&p, &g, &slen, &mut result, &plan);
         assert!(result.is_empty());
-        assert!(outcome.delta.added.is_empty());
-        assert_eq!(outcome.delta.removed.len(), shown, "every shown pair");
+        assert!(delta.added.is_empty());
+        assert_eq!(delta.removed.len(), shown, "every shown pair");
+    }
+
+    #[test]
+    fn delta_shown_to_withheld_keeps_a_surviving_candidate_out_of_the_removals() {
+        // A loses a1 (shown -> withheld) in the repair that admits a new B
+        // member, b4 -> c2: b4 joins the withheld relation, so it was never
+        // shown and is no removal.
+        let (mut g, p, n, pn) = chain_fixture();
+        let mut slen = IncrementalIndex::build(&g);
+        let mut result = match_graph(&p, &g, &slen, MatchSemantics::Simulation);
+        let shown = result.total_matches();
+        g.remove_edge(n["a1"], n["b1"]).unwrap();
+        let mut plan = RepairPlan::new();
+        plan.verify = slen.commit_delete_edge(&g, n["a1"], n["b1"]).affected;
+        let b4 = g.add_node(g.label(n["b1"]).unwrap());
+        slen.commit_insert_node(g.slot_count());
+        g.add_edge(b4, n["c2"]).unwrap();
+        plan.verify
+            .union_with(&slen.commit_insert_edge(b4, n["c2"]).affected);
+        plan.gains.push((pn["B"], b4));
+        let (outcome, delta) = repair_checked(&p, &g, &slen, &mut result, &plan);
+        assert_eq!(outcome.candidates, 1);
+        assert!(result.is_empty() && result.relation_contains(pn["B"], b4));
+        assert!(delta.added.is_empty());
+        assert_eq!(
+            delta.removed.len(),
+            shown,
+            "every shown pair, and only those"
+        );
     }
 
     #[test]
@@ -1363,12 +1410,12 @@ mod tests {
         g.remove_edge(n["b1"], n["c1"]).unwrap();
         let mut plan = RepairPlan::new();
         plan.verify = slen.commit_delete_edge(&g, n["b1"], n["c1"]).affected;
-        let outcome = repair_checked(&p, &g, &slen, &mut result, &plan);
+        let (_, delta) = repair_checked(&p, &g, &slen, &mut result, &plan);
         assert!(
             !result.relation_contains(pn["B"], n["b1"]),
             "the hidden B shrank"
         );
-        assert!(outcome.delta.is_empty());
+        assert!(delta.is_empty());
     }
 
     #[test]
@@ -1378,10 +1425,10 @@ mod tests {
         let mut plan = RepairPlan::new();
         plan.verify = slen.commit_insert_edge(n["a3"], n["b3"]).affected;
         plan.gains.push((pn["A"], n["a3"]));
-        let outcome = repair_checked(&p, &g, &slen, &mut result, &plan);
+        let (_, delta) = repair_checked(&p, &g, &slen, &mut result, &plan);
         assert!(!result.is_empty(), "A gained a3: the pattern revives");
-        assert!(outcome.delta.removed.is_empty());
-        assert_eq!(outcome.delta.added.len(), result.total_matches());
+        assert!(delta.removed.is_empty());
+        assert_eq!(delta.added.len(), result.total_matches());
     }
 
     #[test]
@@ -1391,10 +1438,10 @@ mod tests {
         g.add_edge(n["a3"], n["b3"]).unwrap();
         let mut plan = RepairPlan::new();
         plan.verify = slen.commit_insert_edge(n["a3"], n["b3"]).affected;
-        let outcome = repair_checked(&p, &g, &slen, &mut result, &plan);
+        let (outcome, delta) = repair_checked(&p, &g, &slen, &mut result, &plan);
         assert!(outcome.rematched);
-        assert_eq!(outcome.delta.added.len(), result.total_matches());
-        assert!(outcome.delta.removed.is_empty());
+        assert_eq!(delta.added.len(), result.total_matches());
+        assert!(delta.removed.is_empty());
     }
 
     #[test]
@@ -1413,11 +1460,11 @@ mod tests {
         let mut result = match_graph(&p, &f.graph, &slen, MatchSemantics::Simulation);
         assert!(result.is_empty());
         p.remove_node(pn["GHOST"]).unwrap();
-        let outcome = repair_checked(&p, &f.graph, &slen, &mut result, &RepairPlan::new());
+        let (_, delta) = repair_checked(&p, &f.graph, &slen, &mut result, &RepairPlan::new());
         let scratch = match_graph(&p, &f.graph, &slen, MatchSemantics::Simulation);
         assert!(!result.is_empty() && result == scratch);
-        assert_eq!(outcome.delta.added.len(), result.total_matches());
-        assert!(outcome.delta.removed.is_empty());
+        assert_eq!(delta.added.len(), result.total_matches());
+        assert!(delta.removed.is_empty());
         // Deleting a shown node with no edges takes only its own pairs:
         // its slot is tombstoned and cleared.
         let lone = p.add_node(f.interner.get("TE").expect("fig. 1 label"));
@@ -1425,9 +1472,9 @@ mod tests {
         let lone_pairs: Vec<_> = result.matches_of(lone).map(|v| (lone, v)).collect();
         assert!(!lone_pairs.is_empty());
         p.remove_node(lone).unwrap();
-        let outcome = repair_checked(&p, &f.graph, &slen, &mut result, &RepairPlan::new());
-        assert!(outcome.delta.added.is_empty());
-        assert_eq!(outcome.delta.removed, lone_pairs);
+        let (_, delta) = repair_checked(&p, &f.graph, &slen, &mut result, &RepairPlan::new());
+        assert!(delta.added.is_empty());
+        assert_eq!(delta.removed, lone_pairs);
     }
 
     #[test]
