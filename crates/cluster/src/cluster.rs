@@ -396,11 +396,6 @@ impl PatternHost for GpnmCluster {
         Ok(self.shards[shard].pattern(local)?)
     }
 
-    fn semantics(&self, handle: ClusterHandle) -> Result<MatchSemantics, ClusterError> {
-        let (shard, local) = self.route(handle)?;
-        Ok(self.shards[shard].semantics(local)?)
-    }
-
     fn result(&self, handle: ClusterHandle) -> Result<&MatchResult, ClusterError> {
         let (shard, local) = self.route(handle)?;
         Ok(self.shards[shard].result(local)?)
@@ -622,7 +617,7 @@ mod tests {
             .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
             .expect("register");
         let b = cluster
-            .register_pattern(f.pattern.clone(), MatchSemantics::DualSimulation)
+            .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
             .expect("register");
         assert_eq!(cluster.pattern_count(), 2);
         // Round-robin spread them across both shards.
@@ -663,7 +658,7 @@ mod tests {
             .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
             .unwrap();
         let b = cluster
-            .register_pattern(f.pattern.clone(), MatchSemantics::DualSimulation)
+            .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
             .unwrap();
         let subs = [cluster.subscribe(a).unwrap(), cluster.subscribe(b).unwrap()];
         let mut batch = UpdateBatch::new();

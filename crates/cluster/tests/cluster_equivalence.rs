@@ -1,7 +1,7 @@
 //! Cluster/service/engine equivalence: a `GpnmCluster` with any shard
 //! count must produce, per handle and per tick, results **bitwise
 //! identical** to one `GpnmService` hosting the same patterns *and* to k
-//! independent `GpnmEngine`s — on every backend and under both semantics,
+//! independent `GpnmEngine`s — on the sparse and the dense backend,
 //! with registrations and deregistrations mid-stream. The pattern
 //! generator shares the service suite's *starved* arm (patterns biased to
 //! have no match), and every tick asserts `relation_eq` — cluster against
@@ -23,6 +23,8 @@ use gpnm_service::{GpnmService, PatternHost, TickOutcome};
 use gpnm_updates::{DataUpdate, UpdateBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+const SIMULATION: MatchSemantics = MatchSemantics::Simulation;
 
 /// Random labeled digraph (the service equivalence suite's distribution).
 fn random_graph(
@@ -132,14 +134,7 @@ fn random_data_batch(
 /// everywhere); assert bitwise-equal results per pattern per tick, plus
 /// the delta contract on the cluster's merged report. `deregister_at`
 /// drops pattern 0 from all three deployments before that tick.
-fn check_equivalence(
-    seed: u64,
-    shards: usize,
-    k: usize,
-    ticks: usize,
-    kind: BackendKind,
-    semantics: MatchSemantics,
-) {
+fn check_equivalence(seed: u64, shards: usize, k: usize, ticks: usize, kind: BackendKind) {
     let mut rng = StdRng::seed_from_u64(seed);
     let labels = rng.gen_range(2..6);
     let nodes = rng.gen_range(8..32);
@@ -162,12 +157,12 @@ fn check_equivalence(
         let pattern = random_pattern(rng, &interner, labels);
         let graph = service.graph().clone();
         let ch = cluster
-            .register_pattern(pattern.clone(), semantics)
+            .register_pattern(pattern.clone(), SIMULATION)
             .expect("non-empty pattern");
         let sh = service
-            .register_pattern(pattern.clone(), semantics)
+            .register_pattern(pattern.clone(), SIMULATION)
             .expect("non-empty pattern");
-        let mut engine = GpnmEngine::with_backend_kind(kind, graph, pattern, semantics, 4.0, None)
+        let mut engine = GpnmEngine::with_backend_kind(kind, graph, pattern, 4.0, None)
             .expect("test graphs fit every budget");
         engine.initial_query();
         assert_eq!(
@@ -227,7 +222,7 @@ fn check_equivalence(
                 got,
                 engines[i].result(),
                 "tick {tick} pattern {i} diverged from its engine \
-                 (seed {seed}, {shards} shards, {kind:?}, {semantics:?})"
+                 (seed {seed}, {shards} shards, {kind:?})"
             );
             assert_eq!(
                 got,
@@ -241,12 +236,12 @@ fn check_equivalence(
                 service.pattern(sh).unwrap(),
                 service.graph(),
                 service.backend(),
-                semantics,
+                SIMULATION,
             );
             assert!(
                 got.relation_eq(&fresh) && service.result(sh).unwrap().relation_eq(&fresh),
                 "tick {tick} pattern {i}: stale relation (seed {seed}, {shards} shards, \
-                 {kind:?}, {semantics:?}): {got:?} vs fresh {fresh:?}"
+                 {kind:?}): {got:?} vs fresh {fresh:?}"
             );
             // The merged report's delta equals the single service's, and
             // both are the diff against the previous tick, pair for pair
@@ -284,45 +279,34 @@ fn check_equivalence(
 /// pattern 2 keeps a stale relation at tick 2.
 #[test]
 fn a_whole_sweep_stays_whole_for_the_rest_of_the_fixpoint() {
-    check_equivalence(
-        10803717324649081819,
-        2,
-        5,
-        3,
-        BackendKind::Sparse,
-        MatchSemantics::Simulation,
-    );
+    check_equivalence(10803717324649081819, 2, 5, 3, BackendKind::Sparse);
 }
 
 proptest! {
-    // Each case runs shard counts {1, 2, 4} on one backend (both
-    // semantics on sparse, one on each dense arm); 8 cases × the three
-    // backend props keeps the default run in seconds while PROPTEST_CASES
-    // scales it in CI.
+    // Each case runs shard counts {1, 2, 4} on one backend; 8 cases × the
+    // three backend props keeps the default run in seconds while
+    // PROPTEST_CASES scales it in CI. The two dense props run the same
+    // check on different cases.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn cluster_matches_service_and_engines_sparse(seed in any::<u64>(), k in 1usize..6) {
-        for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
-            for shards in [1usize, 2, 4] {
-                check_equivalence(seed, shards, k, 4, BackendKind::Sparse, semantics);
-            }
+        for shards in [1usize, 2, 4] {
+            check_equivalence(seed, shards, k, 4, BackendKind::Sparse);
         }
     }
 
     #[test]
     fn cluster_matches_service_and_engines_dense(seed in any::<u64>(), k in 1usize..4) {
         for shards in [1usize, 2, 4] {
-            check_equivalence(seed, shards, k, 3, BackendKind::Partitioned,
-                MatchSemantics::DualSimulation);
+            check_equivalence(seed, shards, k, 3, BackendKind::Partitioned);
         }
     }
 
     #[test]
     fn cluster_matches_service_and_engines_partitioned(seed in any::<u64>(), k in 1usize..4) {
         for shards in [1usize, 2, 4] {
-            check_equivalence(seed, shards, k, 3, BackendKind::Partitioned,
-                MatchSemantics::Simulation);
+            check_equivalence(seed, shards, k, 3, BackendKind::Partitioned);
         }
     }
 }

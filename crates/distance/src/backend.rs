@@ -41,9 +41,8 @@ use crate::INF;
 /// row must resolve — a map from source label to *horizon*.
 ///
 /// The matcher's `within(v, v', b)` checks always originate at a node `v`
-/// matching the source `u` of a pattern edge `(u, u', b)` (the predecessor
-/// side of dual semantics reads the predecessor's row, again an edge
-/// source). So a label gets rows only if some pattern edge leaves a node
+/// matching the source `u` of a pattern edge `(u, u', b)`. So a label gets
+/// rows only if some pattern edge leaves a node
 /// with that label, and its horizon is the deepest bound on those edges —
 /// [`INF`] for a `*` edge, which needs full reachability rows. A distance
 /// beyond a source's horizon is indistinguishable from ∞ for every bound

@@ -5,9 +5,9 @@
 //!
 //! GPNM only ever consults `SLen` through `within(v, v', f_e)` checks whose
 //! source `v` matches the source `u` of a pattern edge `e = (u, u', f_e)`
-//! (the predecessor side of dual semantics reads the predecessor's row —
-//! again an edge source; DER-I candidates and DER-III re-checks range over
-//! the same matched/label sets), and whose bound is `f_e`. So the index
+//! (DER-I candidates and DER-III re-checks range over the same
+//! matched/label sets, reading the edge source's row), and whose bound is
+//! `f_e`. So the index
 //! only needs, per *source* node `x` — one whose label some pattern edge
 //! leaves — the distances `d(x, y) ≤ h(x)`, where the *horizon* `h(x)` is
 //! the deepest bound on the edges leaving `x`'s label: any longer distance

@@ -13,9 +13,12 @@
 //! here as a **bridge graph**: a small weighted graph over every node
 //! incident to a cross-partition edge, with cross edges at weight 1 and
 //! intra-partition shortest path lengths as within-partition weights. A
-//! multi-seed Dijkstra over this graph composes exact global distances
-//! (see DESIGN.md §2 item 5 for why this realization is the one Theorem 3
-//! actually needs); [`paper_literal`] keeps the verbatim merge procedure.
+//! multi-seed Dijkstra over this graph composes exact global distances:
+//! a path that leaves a partition is a chain of intra-partition legs
+//! joined by cross edges between bridge nodes, so exactness of those
+//! compositions is all Theorem 3 needs of the merge, whatever order it
+//! combines partitions in. [`paper_literal`] keeps the verbatim merge
+//! procedure.
 //!
 //! This module is the §V reproduction behind the Table VIII/IX goldens,
 //! and is off every repair path: no backend repairs `SLen` by composing

@@ -29,6 +29,9 @@ use crate::plan_builder::{plan_for_data_update, plan_for_pattern_update};
 use crate::stats::ExecStats;
 use crate::strategy::Strategy;
 
+/// The one [`MatchSemantics`] value [`match_graph`] takes.
+const SIMULATION: MatchSemantics = MatchSemantics::Simulation;
+
 /// Which single-graph/cross-graph eliminations a strategy detects.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ElimScope {
@@ -49,7 +52,6 @@ enum ElimScope {
 pub struct GpnmEngine<B: SlenBackend = IncrementalIndex> {
     graph: DataGraph,
     pattern: PatternGraph,
-    semantics: MatchSemantics,
     index: B,
     result: MatchResult,
     queried: bool,
@@ -57,9 +59,9 @@ pub struct GpnmEngine<B: SlenBackend = IncrementalIndex> {
 
 impl GpnmEngine<IncrementalIndex> {
     /// Build an engine on the default (paper-faithful) backend: the dense
-    /// matrix.
-    pub fn new(graph: DataGraph, pattern: PatternGraph, semantics: MatchSemantics) -> Self {
-        Self::with_backend(graph, pattern, semantics)
+    /// matrix. `_semantics` selects nothing (see [`MatchSemantics`]).
+    pub fn new(graph: DataGraph, pattern: PatternGraph, _semantics: MatchSemantics) -> Self {
+        Self::with_backend(graph, pattern)
     }
 
     /// The current dense `SLen` matrix (always exact for the current
@@ -82,13 +84,12 @@ impl GpnmEngine<AnyBackend> {
         kind: BackendKind,
         graph: DataGraph,
         pattern: PatternGraph,
-        semantics: MatchSemantics,
         max_index_gb: f64,
         cache_budget_mb: Option<f64>,
     ) -> Result<Self, BudgetError> {
         let reqs = SlenRequirements::of_pattern(&pattern);
         let index = AnyBackend::configured(kind, &graph, &reqs, max_index_gb, cache_budget_mb)?;
-        Ok(Self::from_backend(graph, pattern, semantics, index))
+        Ok(Self::from_backend(graph, pattern, index))
     }
 }
 
@@ -96,29 +97,19 @@ impl<B: SlenBackend> GpnmEngine<B> {
     /// Build an engine whose backend type is chosen by the caller:
     /// `GpnmEngine::<SparseIndex>::with_backend(..)`. The backend is
     /// constructed from the pattern's [`SlenRequirements`].
-    pub fn with_backend(
-        graph: DataGraph,
-        pattern: PatternGraph,
-        semantics: MatchSemantics,
-    ) -> Self {
+    pub fn with_backend(graph: DataGraph, pattern: PatternGraph) -> Self {
         let reqs = SlenRequirements::of_pattern(&pattern);
         let index = B::build(&graph, &reqs);
-        Self::from_backend(graph, pattern, semantics, index)
+        Self::from_backend(graph, pattern, index)
     }
 
     /// Wrap an already-built backend. The backend must be exact for
     /// `graph` and cover `pattern`'s requirements.
-    pub fn from_backend(
-        graph: DataGraph,
-        pattern: PatternGraph,
-        semantics: MatchSemantics,
-        index: B,
-    ) -> Self {
+    pub fn from_backend(graph: DataGraph, pattern: PatternGraph, index: B) -> Self {
         let result = MatchResult::for_pattern(&pattern);
         GpnmEngine {
             graph,
             pattern,
-            semantics,
             index,
             result,
             queried: false,
@@ -140,11 +131,6 @@ impl<B: SlenBackend> GpnmEngine<B> {
         &self.index
     }
 
-    /// The active match semantics.
-    pub fn semantics(&self) -> MatchSemantics {
-        self.semantics
-    }
-
     /// The most recent query result (IQuery after
     /// [`GpnmEngine::initial_query`], SQuery after
     /// [`GpnmEngine::subsequent_query`]).
@@ -159,7 +145,7 @@ impl<B: SlenBackend> GpnmEngine<B> {
 
     /// Compute `IQuery` — the batch GPNM of the current graphs.
     pub fn initial_query(&mut self) -> &MatchResult {
-        self.result = match_graph(&self.pattern, &self.graph, &self.index, self.semantics);
+        self.result = match_graph(&self.pattern, &self.graph, &self.index, SIMULATION);
         self.queried = true;
         &self.result
     }
@@ -167,7 +153,7 @@ impl<B: SlenBackend> GpnmEngine<B> {
     /// From-scratch GPNM of the *current* state without touching the
     /// engine — the correctness oracle used by the test-suite.
     pub fn scratch_query(&self) -> MatchResult {
-        match_graph(&self.pattern, &self.graph, &self.index, self.semantics)
+        match_graph(&self.pattern, &self.graph, &self.index, SIMULATION)
     }
 
     /// Answer `SQuery` after `batch`, using `strategy`.
@@ -239,7 +225,7 @@ impl<B: SlenBackend> GpnmEngine<B> {
         self.index.rebuild(&self.graph, reqs);
         stats.slen_time = t.elapsed();
         let t = Instant::now();
-        self.result = match_graph(&self.pattern, &self.graph, &self.index, self.semantics);
+        self.result = match_graph(&self.pattern, &self.graph, &self.index, SIMULATION);
         stats.repair_time = t.elapsed();
         stats.repair_calls = 1;
         stats
@@ -269,7 +255,6 @@ impl<B: SlenBackend> GpnmEngine<B> {
                 &self.pattern,
                 &self.graph,
                 &self.index,
-                self.semantics,
                 &mut self.result,
                 &plan,
             );
@@ -298,7 +283,6 @@ impl<B: SlenBackend> GpnmEngine<B> {
                 &self.pattern,
                 &self.graph,
                 &self.index,
-                self.semantics,
                 &mut self.result,
                 &plan,
             );
@@ -474,8 +458,9 @@ impl<B: SlenBackend> GpnmEngine<B> {
         // Additions (gains and sources) come from *every* update
         // (eliminated included): coverage containment guarantees the
         // eliminated update's verify set is covered by its eliminator, but
-        // the pairs an update may make matchable are not, and must be
-        // unioned explicitly (DESIGN.md §2).
+        // the pairs an update may make matchable are not — containment
+        // compares node sets, and a gain is a `(pattern node, data node)`
+        // pair no node set names — so they are unioned explicitly.
         let t = Instant::now();
         let mut all_additions = RepairPlan::new();
         for pe in &pattern_effects {
@@ -525,7 +510,6 @@ impl<B: SlenBackend> GpnmEngine<B> {
             &self.pattern,
             &self.graph,
             &self.index,
-            self.semantics,
             &mut self.result,
             &survivor_plans,
             all_additions,

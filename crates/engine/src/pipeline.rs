@@ -231,7 +231,6 @@ pub fn refresh_pattern<B: SlenBackend>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     index: &B,
-    semantics: MatchSemantics,
     result: &mut MatchResult,
     verify: &NodeSet,
     gains: &[(PatternNodeId, NodeId)],
@@ -239,7 +238,7 @@ pub fn refresh_pattern<B: SlenBackend>(
     let span = tracing::span!(tracing::Level::TRACE, "match_repair");
     let _entered = span.enter();
     let t = Instant::now();
-    let (outcome, delta) = repair_gains(pattern, graph, index, semantics, result, verify, gains);
+    let (outcome, delta) = repair_gains(pattern, graph, index, result, verify, gains);
     if outcome.rematched {
         tracing::event!(tracing::Level::TRACE, "repair_rematch");
     }
@@ -263,7 +262,8 @@ pub fn refresh_pattern<B: SlenBackend>(
 /// [`refresh_pattern`]; [`crate::RefreshStrategy::Rematch`] discards the
 /// standing result and re-matches from the post-batch index. Both reach
 /// the same fixed point (`every_refresh_strategy_reaches_the_same_fixed_point`).
-/// `shared` is not read.
+/// `semantics` selects nothing (see [`MatchSemantics`]) and `shared` is
+/// not read.
 #[allow(clippy::too_many_arguments)] // the bench's call shape
 pub fn refresh_pattern_strategy<B: SlenBackend>(
     strategy: crate::RefreshStrategy,
@@ -284,7 +284,7 @@ pub fn refresh_pattern_strategy<B: SlenBackend>(
             }
             debug_assert!(merged.addition_sources.is_empty(), "data plans only");
             let (verify, gains) = (&merged.verify, &merged.gains);
-            refresh_pattern(pattern, graph, index, semantics, result, verify, gains)
+            refresh_pattern(pattern, graph, index, result, verify, gains)
         }
         crate::RefreshStrategy::Rematch => {
             let t = Instant::now();
@@ -307,7 +307,6 @@ pub(crate) fn run_survivor_repairs<B: SlenBackend>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     index: &B,
-    semantics: MatchSemantics,
     result: &mut MatchResult,
     survivor_plans: &[&RepairPlan],
     mut pass: RepairPlan,
@@ -318,12 +317,12 @@ pub(crate) fn run_survivor_repairs<B: SlenBackend>(
         if pass.is_empty() {
             return 0;
         }
-        repair(pattern, graph, index, semantics, result, &pass);
+        repair(pattern, graph, index, result, &pass);
         return 1;
     }
     for plan in survivor_plans {
         pass.verify.clone_from(&plan.verify);
-        repair(pattern, graph, index, semantics, result, &pass);
+        repair(pattern, graph, index, result, &pass);
         pass.gains.clear();
         pass.addition_sources.clear();
     }
@@ -428,7 +427,6 @@ mod tests {
             &tick.f.pattern,
             &tick.f.graph,
             &tick.index,
-            SEMANTICS,
             &mut result,
             &folded.verify,
             &folded.gains,

@@ -18,9 +18,10 @@ use gpnm_updates::{Candidates, DataUpdate, PatternUpdate};
 ///   bound* — a pattern edge `(u, u', b)` with `label(x) = label(u)`,
 ///   `label(y) = label(u')` and `b` admitting `new` but not `old` — gains
 ///   `(u, x)` when `x` is not yet matched to `u` (in the relation — see
-///   below), and, mirrored for the predecessor checks of dual semantics,
-///   `(u', y)` when `y` is not yet matched to `u'`. A fresh node is a gain
-///   under every pattern node of its label. No gain is listed twice.
+///   below). A shorter `d(x, y)` constrains only `x`: `y`'s own
+///   membership reads distances *from* `y`, so the record gains nothing
+///   at `y`. A fresh node is a gain under every pattern node of its
+///   label. No gain is listed twice.
 ///
 /// Data-update plans name no `addition_sources`: [`gpnm_matcher::repair`]
 /// grows every other candidate from these root gains.
@@ -44,10 +45,9 @@ use gpnm_updates::{Candidates, DataUpdate, PatternUpdate};
 /// G`. Its distance from `x` is within `b` now; had it not been before,
 /// some insert of the batch moved it across `b` with `x` unmatched, which
 /// names `(u, x)` a gain. So the witness was within `b` in the old state
-/// too (the predecessor side is the mirrored argument). Node slots are
-/// never reused, so a member that did not exist in the old state came
-/// from an `InsertNode`, whose arm names it under every pattern node of
-/// its label. Nothing above needs `S_old` to be total, so
+/// too. Node slots are never reused, so a member that did not exist in
+/// the old state came from an `InsertNode`, whose arm names it under every
+/// pattern node of its label. Nothing above needs `S_old` to be total, so
 /// the argument applies to a withheld relation directly: an unmatched
 /// pattern is repaired like any other, and "matched" / "unmatched" in the
 /// rule above mean membership in the relation, not in the visible sets —
@@ -108,13 +108,8 @@ pub fn push_data_update_gains(
                 for u in pattern.nodes().filter(|&u| pattern.label(u) == lx) {
                     for &(succ, bound) in pattern.out_edges(u) {
                         let crossed = bound.admits(new) && !bound.admits(old);
-                        if crossed && pattern.label(succ) == ly {
-                            if !result.relation_contains(u, x) {
-                                gains.push((u, x));
-                            }
-                            if !result.relation_contains(succ, y) {
-                                gains.push((succ, y));
-                            }
+                        if crossed && pattern.label(succ) == ly && !result.relation_contains(u, x) {
+                            gains.push((u, x));
                         }
                     }
                 }
@@ -181,60 +176,81 @@ mod tests {
     use super::*;
     use gpnm_distance::IncrementalIndex;
     use gpnm_graph::paper::fig1;
-    use gpnm_graph::Bound;
+    use gpnm_graph::{Bound, DataGraphBuilder, PatternGraphBuilder};
     use gpnm_matcher::{match_graph, MatchSemantics};
     use gpnm_updates::candidates_for;
 
+    const SIMULATION: MatchSemantics = MatchSemantics::Simulation;
+
     #[test]
     fn data_insert_plan_names_root_gains() {
-        let mut f = fig1();
-        let mut idx = IncrementalIndex::build(&f.graph);
-        let result = match_graph(&f.pattern, &f.graph, &idx, MatchSemantics::DualSimulation);
-        // Under dual semantics TE2 is unmatched; UD1 shortens paths into
-        // TE2, so (p_te, TE2) must be a root gain.
+        // Chain pattern A -> B -> C (bounds 1). Neither a1 nor b1 is in
+        // the relation: b1 has no C. Inserting a1 -> b1 crosses (A, B)'s
+        // bound at (a1, b1): it gains (A, a1) and only that — b1's
+        // membership reads distances *from* b1, which did not change.
+        let (mut g, li, n) = DataGraphBuilder::new()
+            .node("a1", "A")
+            .node("b1", "B")
+            .node("a2", "A")
+            .node("b2", "B")
+            .node("c2", "C")
+            .edge("a2", "b2")
+            .edge("b2", "c2")
+            .build()
+            .unwrap();
+        let (p, _, pn) = PatternGraphBuilder::new()
+            .node("A", "A")
+            .node("B", "B")
+            .node("C", "C")
+            .edge("A", "B", 1)
+            .edge("B", "C", 1)
+            .build_with_interner(li)
+            .unwrap();
+        let mut idx = IncrementalIndex::build(&g);
+        let mut result = match_graph(&p, &g, &idx, SIMULATION);
+        assert!(!result.relation_contains(pn["A"], n["a1"]));
+        assert!(!result.relation_contains(pn["B"], n["b1"]));
         let up = DataUpdate::InsertEdge {
-            from: f.se1,
-            to: f.te2,
+            from: n["a1"],
+            to: n["b1"],
         };
-        f.graph.add_edge(f.se1, f.te2).unwrap();
-        let delta = idx.commit_insert_edge(f.se1, f.te2);
-        let plan = plan_for_data_update(&up, &delta, &f.pattern, &f.graph, &result, None);
-        assert!(plan.gains.contains(&(f.p_te, f.te2)));
+        g.add_edge(n["a1"], n["b1"]).unwrap();
+        let delta = idx.commit_insert_edge(n["a1"], n["b1"]);
+        let plan = plan_for_data_update(&up, &delta, &p, &g, &result, None);
+        assert_eq!(plan.gains, vec![(pn["A"], n["a1"])]);
         assert!(plan.addition_sources.is_empty());
-        assert!(!plan.verify.is_empty());
-        let mut sorted = plan.gains.clone();
-        sorted.dedup();
-        assert_eq!(sorted, plan.gains, "no gain is listed twice");
+        assert!(plan.verify.contains(n["a1"]));
+        gpnm_matcher::repair(&p, &g, &idx, &mut result, &plan);
+        assert_eq!(result, match_graph(&p, &g, &idx, SIMULATION));
     }
 
     #[test]
     fn data_insert_that_crosses_no_bound_has_no_additions() {
         let mut f = fig1();
         let mut idx = IncrementalIndex::build(&f.graph);
-        let semantics = MatchSemantics::DualSimulation;
-        let mut result = match_graph(&f.pattern, &f.graph, &idx, semantics);
-        // TE2 -> DB1 shortens TE2's paths to DB1, SE1, SE2 and PM2. TE2 is
-        // affected, carries TE's label and is unmatched — but TE has no
-        // outgoing bound, and no shortened pair ends in a TE node.
+        let mut result = match_graph(&f.pattern, &f.graph, &idx, SIMULATION);
+        // TE2 -> DB1 shortens TE2's paths to DB1, SE1, SE2 and PM2, and
+        // nothing else reaches TE2: every changed record starts at TE2, a
+        // TE node, and TE has no outgoing bound.
         let up = DataUpdate::InsertEdge {
             from: f.te2,
             to: f.db1,
         };
         f.graph.add_edge(f.te2, f.db1).unwrap();
         let delta = idx.commit_insert_edge(f.te2, f.db1);
-        assert!(delta.affected.contains(f.te2) && !result.contains(f.p_te, f.te2));
+        assert!(delta.changed.iter().all(|&(x, ..)| x == f.te2));
         let plan = plan_for_data_update(&up, &delta, &f.pattern, &f.graph, &result, None);
         assert!(plan.gains.is_empty());
         assert!(!plan.verify.is_empty());
-        gpnm_matcher::repair(&f.pattern, &f.graph, &idx, semantics, &mut result, &plan);
-        assert_eq!(result, match_graph(&f.pattern, &f.graph, &idx, semantics));
+        gpnm_matcher::repair(&f.pattern, &f.graph, &idx, &mut result, &plan);
+        assert_eq!(result, match_graph(&f.pattern, &f.graph, &idx, SIMULATION));
     }
 
     #[test]
     fn data_delete_plan_has_no_additions() {
         let mut f = fig1();
         let mut idx = IncrementalIndex::build(&f.graph);
-        let result = match_graph(&f.pattern, &f.graph, &idx, MatchSemantics::Simulation);
+        let result = match_graph(&f.pattern, &f.graph, &idx, SIMULATION);
         let up = DataUpdate::DeleteEdge {
             from: f.se1,
             to: f.s1,
@@ -249,7 +265,7 @@ mod tests {
     fn pattern_plans_by_kind() {
         let f = fig1();
         let idx = IncrementalIndex::build(&f.graph);
-        let iq = match_graph(&f.pattern, &f.graph, &idx, MatchSemantics::Simulation);
+        let iq = match_graph(&f.pattern, &f.graph, &idx, SIMULATION);
         // Insert: verify = Can_RN, no additions.
         let ins = PatternUpdate::InsertEdge {
             from: f.p_pm,

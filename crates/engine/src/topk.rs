@@ -67,9 +67,9 @@ fn score_of<O: DistanceOracle>(
             .map(|v0| oracle.distance(v0, v))
             .min()
             .unwrap_or(INF);
-        // Predecessor legs may be infinite under successor-only semantics
-        // (the member never needed them); cap their contribution so one
-        // missing leg doesn't flatten the ordering.
+        // Predecessor legs may be infinite: simulation constrains only a
+        // member's successors, so it never needed them. Cap their
+        // contribution so one missing leg doesn't flatten the ordering.
         if nearest != INF {
             score = sat_add(score, nearest);
         }

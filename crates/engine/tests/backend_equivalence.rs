@@ -109,13 +109,8 @@ fn random_batch(
 }
 
 /// Reference result: the default backend, from scratch.
-fn dense_scratch(
-    graph: &DataGraph,
-    pattern: &PatternGraph,
-    batch: &UpdateBatch,
-    semantics: MatchSemantics,
-) -> MatchResult {
-    let mut reference = GpnmEngine::new(graph.clone(), pattern.clone(), semantics);
+fn dense_scratch(graph: &DataGraph, pattern: &PatternGraph, batch: &UpdateBatch) -> MatchResult {
+    let mut reference = GpnmEngine::new(graph.clone(), pattern.clone(), MatchSemantics::Simulation);
     reference.initial_query();
     reference
         .subsequent_query(batch, Strategy::Scratch)
@@ -127,10 +122,9 @@ fn assert_backends_agree(
     graph: &DataGraph,
     pattern: &PatternGraph,
     batch: &UpdateBatch,
-    semantics: MatchSemantics,
     seed_info: &str,
 ) {
-    let expected = dense_scratch(graph, pattern, batch, semantics);
+    let expected = dense_scratch(graph, pattern, batch);
 
     for strategy in [
         Strategy::Scratch,
@@ -139,8 +133,7 @@ fn assert_backends_agree(
         Strategy::UaGpnm,
     ] {
         // Sparse backend — the headline equivalence.
-        let mut sparse =
-            GpnmEngine::<SparseIndex>::with_backend(graph.clone(), pattern.clone(), semantics);
+        let mut sparse = GpnmEngine::<SparseIndex>::with_backend(graph.clone(), pattern.clone());
         sparse.initial_query();
         sparse.subsequent_query(batch, strategy).expect("valid");
         assert_eq!(
@@ -150,8 +143,7 @@ fn assert_backends_agree(
         );
         // Paged backend — sparse rows behind the spill-file cache must not
         // change a single match.
-        let mut paged =
-            GpnmEngine::<PagedIndex>::with_backend(graph.clone(), pattern.clone(), semantics);
+        let mut paged = GpnmEngine::<PagedIndex>::with_backend(graph.clone(), pattern.clone());
         paged.initial_query();
         paged.subsequent_query(batch, strategy).expect("valid");
         assert_eq!(
@@ -161,7 +153,7 @@ fn assert_backends_agree(
         );
         // Plain dense backend — the trait plumbing itself.
         let mut dense =
-            GpnmEngine::<IncrementalIndex>::with_backend(graph.clone(), pattern.clone(), semantics);
+            GpnmEngine::<IncrementalIndex>::with_backend(graph.clone(), pattern.clone());
         dense.initial_query();
         dense.subsequent_query(batch, strategy).expect("valid");
         assert_eq!(
@@ -172,9 +164,8 @@ fn assert_backends_agree(
     }
 }
 
-/// One random graph, pattern and batch drawn from `seed`, checked under
-/// `semantics`.
-fn randomized_case(seed: u64, semantics: MatchSemantics) {
+/// One random graph, pattern and batch drawn from `seed`.
+fn randomized_case(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let labels = rng.gen_range(2..6);
     let nodes = rng.gen_range(8..40);
@@ -183,7 +174,7 @@ fn randomized_case(seed: u64, semantics: MatchSemantics) {
     let pattern = random_pattern(&mut rng, &mut interner, labels);
     let batch_len = rng.gen_range(1..12);
     let batch = random_batch(&mut rng, &graph, &pattern, &interner, batch_len);
-    assert_backends_agree(&graph, &pattern, &batch, semantics, &format!("seed {seed}"));
+    assert_backends_agree(&graph, &pattern, &batch, &format!("seed {seed}"));
 }
 
 proptest! {
@@ -191,12 +182,7 @@ proptest! {
 
     #[test]
     fn randomized_backend_equivalence_simulation(seed in any::<u64>()) {
-        randomized_case(seed, MatchSemantics::Simulation);
-    }
-
-    #[test]
-    fn randomized_backend_equivalence_dual(seed in any::<u64>()) {
-        randomized_case(seed, MatchSemantics::DualSimulation);
+        randomized_case(seed);
     }
 }
 
@@ -224,14 +210,12 @@ fn an_edge_out_of_a_pattern_node_of_the_same_batch_gets_its_rows() {
     });
     // `a -> b -> c`: the L node reaches the P node in 2 hops.
     batch.push(DataUpdate::InsertEdge { from: b, to: c });
-    for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
-        let expected = dense_scratch(&graph, &pattern, &batch, semantics);
-        assert!(
-            expected.contains(fresh, a),
-            "the case must match the new node"
-        );
-        assert_backends_agree(&graph, &pattern, &batch, semantics, "pending source");
-    }
+    let expected = dense_scratch(&graph, &pattern, &batch);
+    assert!(
+        expected.contains(fresh, a),
+        "the case must match the new node"
+    );
+    assert_backends_agree(&graph, &pattern, &batch, "pending source");
 }
 
 #[test]
@@ -259,7 +243,6 @@ fn unbounded_edge_falls_back_to_full_rows() {
             &graph,
             &pattern,
             &batch,
-            MatchSemantics::Simulation,
             &format!("unbounded round {round}"),
         );
     }
@@ -275,15 +258,9 @@ fn chained_paged_queries_stay_exact_under_tiny_cache() {
     let pattern = random_pattern(&mut rng, &mut interner, 4);
     // 512 bytes, through the runtime-configured constructor.
     let cache_mb = Some(512.0 / (1u64 << 20) as f64);
-    let mut engine = GpnmEngine::with_backend_kind(
-        BackendKind::Paged,
-        graph,
-        pattern,
-        MatchSemantics::Simulation,
-        4.0,
-        cache_mb,
-    )
-    .expect("paged builds are never refused");
+    let mut engine =
+        GpnmEngine::with_backend_kind(BackendKind::Paged, graph, pattern, 4.0, cache_mb)
+            .expect("paged builds are never refused");
     let AnyBackend::Paged(paged) = engine.backend() else {
         unreachable!("paged was asked for")
     };
@@ -329,8 +306,7 @@ fn chained_sparse_queries_stay_exact() {
     let mut rng = StdRng::seed_from_u64(77);
     let (graph, mut interner) = random_graph(&mut rng, 25, 60, 4);
     let pattern = random_pattern(&mut rng, &mut interner, 4);
-    let mut engine =
-        GpnmEngine::<SparseIndex>::with_backend(graph, pattern, MatchSemantics::Simulation);
+    let mut engine = GpnmEngine::<SparseIndex>::with_backend(graph, pattern);
     engine.initial_query();
     for round in 0..8 {
         let batch_len = rng.gen_range(1..8);

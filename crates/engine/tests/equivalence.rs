@@ -1,6 +1,7 @@
 //! Cross-strategy equivalence: every strategy must produce the same SQuery
 //! as from-scratch recomputation — the load-bearing invariant of the whole
-//! reproduction (DESIGN.md §7).
+//! reproduction (its argument is `gpnm_matcher::repair`'s correctness
+//! sketch).
 
 use gpnm_engine::{GpnmEngine, Strategy};
 use gpnm_graph::paper::fig1;
@@ -12,6 +13,8 @@ use rand::{Rng, SeedableRng};
 
 mod common;
 use common::{random_graph, random_pattern};
+
+const SIMULATION: MatchSemantics = MatchSemantics::Simulation;
 
 /// Random valid batch against the current graphs (applies to clones to
 /// track validity while generating).
@@ -101,11 +104,10 @@ fn assert_all_strategies_agree(
     graph: &DataGraph,
     pattern: &PatternGraph,
     batch: &UpdateBatch,
-    semantics: MatchSemantics,
     seed_info: &str,
 ) {
     // Reference: apply the batch and recompute from scratch.
-    let mut reference = GpnmEngine::new(graph.clone(), pattern.clone(), semantics);
+    let mut reference = GpnmEngine::new(graph.clone(), pattern.clone(), SIMULATION);
     reference.initial_query();
     reference
         .subsequent_query(batch, Strategy::Scratch)
@@ -113,7 +115,7 @@ fn assert_all_strategies_agree(
     let expected = reference.result().clone();
 
     for strategy in [Strategy::IncGpnm, Strategy::EhGpnm, Strategy::UaGpnm] {
-        let mut engine = GpnmEngine::new(graph.clone(), pattern.clone(), semantics);
+        let mut engine = GpnmEngine::new(graph.clone(), pattern.clone(), SIMULATION);
         engine.initial_query();
         let stats = engine
             .subsequent_query(batch, strategy)
@@ -121,7 +123,7 @@ fn assert_all_strategies_agree(
         assert_eq!(
             engine.result(),
             &expected,
-            "{strategy} disagrees with Scratch ({seed_info}, semantics {semantics:?}, stats: {})",
+            "{strategy} disagrees with Scratch ({seed_info}, stats: {})",
             stats.summary()
         );
         // The SLen matrix must stay exact too.
@@ -156,15 +158,13 @@ fn paper_example_2_all_strategies() {
         from: f.db1,
         to: f.s1,
     });
-    for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
-        assert_all_strategies_agree(&f.graph, &f.pattern, &batch, semantics, "example2");
-    }
+    assert_all_strategies_agree(&f.graph, &f.pattern, &batch, "example2");
 }
 
 #[test]
 fn paper_example_2_squery_equals_iquery() {
     // The elimination story of Example 2: the four updates cancel out and
-    // SQuery == IQuery (under the successor-only semantics of Table I).
+    // SQuery == IQuery (Table I's matches).
     let f = fig1();
     let mut engine = GpnmEngine::new(
         f.graph.clone(),
@@ -213,34 +213,7 @@ fn randomized_equivalence_simulation() {
         let pattern = random_pattern(&mut rng, &mut interner, labels);
         let batch_len = rng.gen_range(1..12);
         let batch = random_batch(&mut rng, &graph, &pattern, &interner, batch_len);
-        assert_all_strategies_agree(
-            &graph,
-            &pattern,
-            &batch,
-            MatchSemantics::Simulation,
-            &format!("round {round}"),
-        );
-    }
-}
-
-#[test]
-fn randomized_equivalence_dual() {
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    for round in 0..30 {
-        let labels = rng.gen_range(2..6);
-        let nodes = rng.gen_range(8..40);
-        let edges = rng.gen_range(nodes / 2..nodes * 3);
-        let (graph, mut interner) = random_graph(&mut rng, nodes, edges, labels);
-        let pattern = random_pattern(&mut rng, &mut interner, labels);
-        let batch_len = rng.gen_range(1..12);
-        let batch = random_batch(&mut rng, &graph, &pattern, &interner, batch_len);
-        assert_all_strategies_agree(
-            &graph,
-            &pattern,
-            &batch,
-            MatchSemantics::DualSimulation,
-            &format!("round {round}"),
-        );
+        assert_all_strategies_agree(&graph, &pattern, &batch, &format!("round {round}"));
     }
 }
 
@@ -279,92 +252,87 @@ fn chained_subsequent_queries_stay_exact() {
 #[test]
 fn pattern_updates_over_an_unmatched_result_equal_scratch() {
     let strategies = [Strategy::IncGpnm, Strategy::EhGpnm, Strategy::UaGpnm];
-    for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
-        let mut rng = StdRng::seed_from_u64(0x5EED);
-        let (mut unmatched_starts, mut revived) = (0, 0);
-        for round in 0..40 {
-            let labels = rng.gen_range(2..5);
-            let nodes = rng.gen_range(10..30);
-            let edges = rng.gen_range(nodes / 2..nodes * 2);
-            let (graph, interner) = random_graph(&mut rng, nodes, edges, labels);
-            // A bound-1 chain: usually unmatched from the head while the
-            // tail keeps members.
-            let mut pattern = PatternGraph::new();
-            let chain: Vec<_> = (0..4)
-                .map(|_| pattern.add_node(Label(rng.gen_range(0..labels as u32))))
-                .collect();
-            for pair in chain.windows(2) {
-                pattern.add_edge(pair[0], pair[1], Bound::Hops(1)).unwrap();
-            }
-            let data_only = |rng: &mut StdRng, engine: &GpnmEngine| {
-                let mixed = random_batch(rng, engine.graph(), engine.pattern(), &interner, 6);
-                UpdateBatch::from_updates(
-                    mixed
-                        .updates()
-                        .iter()
-                        .filter(|u| !u.is_pattern())
-                        .copied()
-                        .collect(),
-                )
-            };
-            let mut reference = GpnmEngine::new(graph.clone(), pattern.clone(), semantics);
-            reference.initial_query();
-            if !reference.result().is_empty() {
-                continue;
-            }
-            unmatched_starts += 1;
-            let mut engines: Vec<GpnmEngine> = strategies
-                .iter()
-                .map(|_| {
-                    let mut e = GpnmEngine::new(graph.clone(), pattern.clone(), semantics);
-                    e.initial_query();
-                    e
-                })
-                .collect();
-            for step in 0..5 {
-                // Data-only batches around two that also carry a pattern
-                // update: one tightens the tail, whose hidden set is a
-                // whole label class no DER-I candidate names; one relaxes
-                // the head, the update most likely to revive the match.
-                let mut batch = data_only(&mut rng, &reference);
-                match step {
-                    1 => batch.push(PatternUpdate::InsertEdge {
-                        from: chain[3],
-                        to: chain[2],
-                        bound: Bound::Hops(1),
-                    }),
-                    3 => batch.push(PatternUpdate::DeleteEdge {
-                        from: chain[0],
-                        to: chain[1],
-                    }),
-                    _ => {}
-                }
-                reference
-                    .subsequent_query(&batch, Strategy::Scratch)
-                    .expect("valid batch");
-                for (engine, &strategy) in engines.iter_mut().zip(&strategies) {
-                    engine
-                        .subsequent_query(&batch, strategy)
-                        .expect("valid batch");
-                    let context = format!("round {round} step {step}, {strategy}, {semantics:?}");
-                    assert_eq!(engine.result(), reference.result(), "{context}");
-                    assert!(
-                        engine.result().relation_eq(reference.result()),
-                        "stale relation ({context})"
-                    );
-                }
-                revived += usize::from(step == 3 && !reference.result().is_empty());
-            }
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let (mut unmatched_starts, mut revived) = (0, 0);
+    for round in 0..40 {
+        let labels = rng.gen_range(2..5);
+        let nodes = rng.gen_range(10..30);
+        let edges = rng.gen_range(nodes / 2..nodes * 2);
+        let (graph, interner) = random_graph(&mut rng, nodes, edges, labels);
+        // A bound-1 chain: usually unmatched from the head while the
+        // tail keeps members.
+        let mut pattern = PatternGraph::new();
+        let chain: Vec<_> = (0..4)
+            .map(|_| pattern.add_node(Label(rng.gen_range(0..labels as u32))))
+            .collect();
+        for pair in chain.windows(2) {
+            pattern.add_edge(pair[0], pair[1], Bound::Hops(1)).unwrap();
         }
-        assert!(
-            unmatched_starts >= 10,
-            "{unmatched_starts} unmatched starts"
-        );
-        assert!(
-            revived >= 1,
-            "no pattern update revived a match ({semantics:?})"
-        );
+        let data_only = |rng: &mut StdRng, engine: &GpnmEngine| {
+            let mixed = random_batch(rng, engine.graph(), engine.pattern(), &interner, 6);
+            UpdateBatch::from_updates(
+                mixed
+                    .updates()
+                    .iter()
+                    .filter(|u| !u.is_pattern())
+                    .copied()
+                    .collect(),
+            )
+        };
+        let mut reference = GpnmEngine::new(graph.clone(), pattern.clone(), SIMULATION);
+        reference.initial_query();
+        if !reference.result().is_empty() {
+            continue;
+        }
+        unmatched_starts += 1;
+        let mut engines: Vec<GpnmEngine> = strategies
+            .iter()
+            .map(|_| {
+                let mut e = GpnmEngine::new(graph.clone(), pattern.clone(), SIMULATION);
+                e.initial_query();
+                e
+            })
+            .collect();
+        for step in 0..5 {
+            // Data-only batches around two that also carry a pattern
+            // update: one tightens the tail, whose hidden set is a
+            // whole label class no DER-I candidate names; one relaxes
+            // the head, the update most likely to revive the match.
+            let mut batch = data_only(&mut rng, &reference);
+            match step {
+                1 => batch.push(PatternUpdate::InsertEdge {
+                    from: chain[3],
+                    to: chain[2],
+                    bound: Bound::Hops(1),
+                }),
+                3 => batch.push(PatternUpdate::DeleteEdge {
+                    from: chain[0],
+                    to: chain[1],
+                }),
+                _ => {}
+            }
+            reference
+                .subsequent_query(&batch, Strategy::Scratch)
+                .expect("valid batch");
+            for (engine, &strategy) in engines.iter_mut().zip(&strategies) {
+                engine
+                    .subsequent_query(&batch, strategy)
+                    .expect("valid batch");
+                let context = format!("round {round} step {step}, {strategy}");
+                assert_eq!(engine.result(), reference.result(), "{context}");
+                assert!(
+                    engine.result().relation_eq(reference.result()),
+                    "stale relation ({context})"
+                );
+            }
+            revived += usize::from(step == 3 && !reference.result().is_empty());
+        }
     }
+    assert!(
+        unmatched_starts >= 10,
+        "{unmatched_starts} unmatched starts"
+    );
+    assert!(revived >= 1, "no pattern update revived a match");
 }
 
 #[test]

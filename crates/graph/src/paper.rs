@@ -8,7 +8,9 @@
 //!
 //! Pattern of Figure 1(b): `PM→SE(3)`, `PM→S(3)`, `SE→TE(4)` — the reading
 //! under which Table I, Example 7 and Example 9 are simultaneously
-//! consistent (see DESIGN.md §2).
+//! consistent: `tests/paper_examples.rs` holds this fixture to Table I,
+//! to Table IV (Example 7's candidate sets) and to the Example 2 batch,
+//! whose `UP1` Example 9 cross-eliminates.
 
 use std::collections::HashMap;
 

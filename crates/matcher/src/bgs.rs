@@ -13,17 +13,14 @@ use crate::semantics::MatchSemantics;
 ///
 /// The node must still be live in `graph` with `u`'s label (a node deleted
 /// by a data update lingers in old sets — label mismatch on the tombstone
-/// evicts it even when `u` has no edge constraints). Then, simulation
-/// semantics: for every pattern edge `(u, u', b)` out of `u`, some current
-/// member `v'` of `u'` must satisfy `d(v, v') ≤ b`. Dual semantics
-/// additionally requires, for every `(w, u, b)` into `u`, some member
-/// `v''` of `w` with `d(v'', v) ≤ b`.
-pub fn verify_node<O: DistanceOracle>(
+/// evicts it even when `u` has no edge constraints). Then, for every
+/// pattern edge `(u, u', b)` out of `u`, some current member `v'` of `u'`
+/// must satisfy `d(v, v') ≤ b`.
+pub(crate) fn verify_node<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     result: &MatchResult,
     oracle: &O,
-    semantics: MatchSemantics,
     u: PatternNodeId,
     v: NodeId,
 ) -> bool {
@@ -35,24 +32,12 @@ pub fn verify_node<O: DistanceOracle>(
             return false;
         }
     }
-    if semantics.checks_predecessors() {
-        // Fixed target, varying source: no backend keeps reverse rows, so
-        // this side stays a pair probe per member.
-        for &(pred, bound) in pattern.in_edges(u) {
-            let found = result
-                .set(pred)
-                .iter()
-                .any(|v0| oracle.within(v0, v, bound));
-            if !found {
-                return false;
-            }
-        }
-    }
     true
 }
 
 /// Batch GPNM: compute the maximum bounded simulation of `pattern` in
-/// `graph` under `semantics`, using `oracle` for path lengths.
+/// `graph`, using `oracle` for path lengths. `_semantics` selects nothing
+/// (see [`MatchSemantics`]).
 ///
 /// Seeds every live pattern node with its full label-candidate set, then
 /// prunes to the greatest fixpoint. If any live pattern node ends empty,
@@ -62,7 +47,7 @@ pub fn match_graph<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
-    semantics: MatchSemantics,
+    _semantics: MatchSemantics,
 ) -> MatchResult {
     let mut result = MatchResult::for_pattern(pattern);
     let mut pending: Vec<bool> = vec![false; pattern.slot_count()];
@@ -74,15 +59,7 @@ pub fn match_graph<O: DistanceOracle>(
         }
         pending[u.index()] = true;
     }
-    prune_to_fixpoint(
-        pattern,
-        graph,
-        &mut result,
-        oracle,
-        semantics,
-        &mut pending,
-        None,
-    );
+    prune_to_fixpoint(pattern, graph, &mut result, oracle, &mut pending, None);
     enforce_total_match(pattern, &mut result);
     result
 }
@@ -136,16 +113,14 @@ struct Repaired {
 ///
 /// 1. **grows candidates**, keeping only live nodes of `u`'s label
 ///    outside `S_old(u)`. The reverse-dependency closure of
-///    `plan.addition_sources` (under simulation `u` depends on its
-///    successors; under dual, on both directions) takes its whole label
-///    classes, as a pattern update may relax any member's constraints.
-///    Every other `Cand(u)` starts from `u`'s gains and grows to a
-///    fixpoint: new members of `Cand(u')` add, for each pattern edge `(u,
-///    u', b)`, the nodes of `u`'s label within `b` of them (a BFS of
-///    depth `b` over in-edges); under dual semantics also, for each `(u',
-///    w, b)`, the nodes of `w`'s label within `b` *from* them (over
-///    out-edges). So a data update's candidates reach only the pattern
-///    nodes, and the data nodes, its gains' balls reach.
+///    `plan.addition_sources` (`u` depends on its successors) takes its
+///    whole label classes, as a pattern update may relax any member's
+///    constraints. Every other `Cand(u)` starts from `u`'s gains and
+///    grows to a fixpoint: new members of `Cand(u')` add, for each
+///    pattern edge `(u, u', b)`, the nodes of `u`'s label within `b` of
+///    them (a BFS of depth `b` over in-edges). So a data update's
+///    candidates reach only the pattern nodes, and the data nodes, its
+///    gains' balls reach.
 /// 2. **seeds** every set with `S_old(u) ∪ Cand(u)`; and
 /// 3. **prunes** to the greatest fixpoint, with `u`'s *dirty* members
 ///    `plan.verify ∪ Cand(u)`: a sweep checks only the dirty members of
@@ -171,7 +146,7 @@ struct Repaired {
 /// batch moved it across `b` with `x` outside `S_old(u)`, which names
 /// `(u, x)` a root gain. A node that did not exist before is a root gain
 /// under every pattern node of its label. So the old distance was within
-/// `b` too (the predecessor side is the mirrored argument).
+/// `b` too.
 ///
 /// **Skipping clean members is exact.** Outside the sources' closure, a
 /// member of `u` that is neither in `plan.verify` nor a candidate is an
@@ -217,7 +192,6 @@ pub fn repair<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
-    semantics: MatchSemantics,
     result: &mut MatchResult,
     plan: &RepairPlan,
 ) -> RepairOutcome {
@@ -226,7 +200,7 @@ pub fn repair<O: DistanceOracle>(
         sources: &plan.addition_sources,
     };
     let verify = &plan.verify;
-    repair_parts(pattern, graph, oracle, semantics, result, verify, additions).outcome
+    repair_parts(pattern, graph, oracle, result, verify, additions).outcome
 }
 
 /// [`repair`] for a data update's plan, with the `verify` set borrowed:
@@ -239,7 +213,6 @@ pub fn repair_gains<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
-    semantics: MatchSemantics,
     result: &mut MatchResult,
     verify: &NodeSet,
     gains: &[(PatternNodeId, NodeId)],
@@ -248,7 +221,7 @@ pub fn repair_gains<O: DistanceOracle>(
         gains,
         sources: &[],
     };
-    let repaired = repair_parts(pattern, graph, oracle, semantics, result, verify, additions);
+    let repaired = repair_parts(pattern, graph, oracle, result, verify, additions);
     (repaired.outcome.clone(), project(repaired, result))
 }
 
@@ -263,7 +236,6 @@ fn repair_parts<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
-    semantics: MatchSemantics,
     result: &mut MatchResult,
     verify: &NodeSet,
     additions: Additions<'_>,
@@ -303,7 +275,7 @@ fn repair_parts<O: DistanceOracle>(
     }
     if no_relation {
         // What was shown is exactly what the tombstones took.
-        *result = match_graph(pattern, graph, oracle, semantics);
+        *result = match_graph(pattern, graph, oracle, MatchSemantics::Simulation);
         return Repaired {
             outcome: RepairOutcome {
                 rematched: true,
@@ -316,8 +288,8 @@ fn repair_parts<O: DistanceOracle>(
     }
 
     // (1) Grow candidates; (2) seed `S_old ∪ Cand`.
-    let whole = close_addition_sources(pattern, additions.sources, semantics);
-    let (fresh, admitted) = grow_candidates(pattern, graph, result, semantics, additions, &whole);
+    let whole = close_addition_sources(pattern, additions.sources);
+    let (fresh, admitted) = grow_candidates(pattern, graph, result, additions, &whole);
     let mut pending: Vec<bool> = vec![false; pattern.slot_count()];
     for u in pattern.nodes() {
         let cand = &fresh[u.index()];
@@ -339,7 +311,6 @@ fn repair_parts<O: DistanceOracle>(
         graph,
         result,
         oracle,
-        semantics,
         &mut pending,
         Some(dirty),
     ));
@@ -417,7 +388,6 @@ fn grow_candidates(
     pattern: &PatternGraph,
     graph: &DataGraph,
     relation: &MatchResult,
-    semantics: MatchSemantics,
     additions: Additions<'_>,
     closure: &[bool],
 ) -> (Vec<NodeSet>, Vec<(PatternNodeId, NodeId)>) {
@@ -454,22 +424,14 @@ fn grow_candidates(
         admitted.extend(roots.iter().map(|&v| (u_new, v)));
         // `w` depends on `u_new` through `(w, u_new, b)`: a node of w's
         // label within `b` of a new candidate may now have its witness.
-        let backward = pattern.in_edges(u_new).iter().map(|&(w, b)| (w, b, true));
-        // Dual semantics: `(u_new, w, b)` asks members of `w` for a
-        // predecessor in `u_new` within `b`.
-        let forward = pattern
-            .out_edges(u_new)
-            .iter()
-            .filter(|_| semantics.checks_predecessors())
-            .map(|&(w, b)| (w, b, false));
-        for (w, bound, backward) in backward.chain(forward) {
+        for &(w, bound) in pattern.in_edges(u_new) {
             // A closure node holds its whole class already, and the
             // closure is closed under dependency: only walks out of gains'
             // candidates go on.
             if closure[w.index()] {
                 continue;
             }
-            for &v in ball.walk(graph, &roots, bound, backward) {
+            for &v in ball.walk(graph, &roots, bound) {
                 admit(w, v, &mut cand, &mut unwalked);
             }
         }
@@ -487,16 +449,9 @@ struct Ball {
 }
 
 impl Ball {
-    /// Every node within `bound` hops of some root — *to* a root over
-    /// in-edges when `backward`, *from* one over out-edges otherwise —
-    /// the roots included.
-    fn walk(
-        &mut self,
-        graph: &DataGraph,
-        roots: &[NodeId],
-        bound: Bound,
-        backward: bool,
-    ) -> &[NodeId] {
+    /// Every node within `bound` hops *to* some root, over in-edges, the
+    /// roots included.
+    fn walk(&mut self, graph: &DataGraph, roots: &[NodeId], bound: Bound) -> &[NodeId] {
         for &v in &self.members {
             self.seen.remove(v);
         }
@@ -517,13 +472,7 @@ impl Ball {
             }
             let end = self.members.len();
             for i in level {
-                let v = self.members[i];
-                let next = if backward {
-                    graph.in_neighbors(v)
-                } else {
-                    graph.out_neighbors(v)
-                };
-                for &n in next {
+                for &n in graph.in_neighbors(self.members[i]) {
                     if self.seen.insert(n) {
                         self.members.push(n);
                     }
@@ -537,11 +486,7 @@ impl Ball {
 
 /// Reverse-dependency closure of the addition sources: the pattern nodes
 /// whose sweeps are whole from the start.
-fn close_addition_sources(
-    pattern: &PatternGraph,
-    sources: &[PatternNodeId],
-    semantics: MatchSemantics,
-) -> Vec<bool> {
+fn close_addition_sources(pattern: &PatternGraph, sources: &[PatternNodeId]) -> Vec<bool> {
     let mut affected = vec![false; pattern.slot_count()];
     let mut work: Vec<PatternNodeId> = Vec::with_capacity(sources.len());
     for &s in sources {
@@ -551,21 +496,12 @@ fn close_addition_sources(
         }
     }
     while let Some(u) = work.pop() {
-        // Under simulation semantics, membership in `w` depends on the sets
-        // of w's successors: if u gained members, every w with (w -> u)
-        // may gain members too.
+        // Membership in `w` depends on the sets of w's successors: if u
+        // gained members, every w with (w -> u) may gain members too.
         for &(w, _) in pattern.in_edges(u) {
             if !affected[w.index()] {
                 affected[w.index()] = true;
                 work.push(w);
-            }
-        }
-        if semantics.checks_predecessors() {
-            for &(w, _) in pattern.out_edges(u) {
-                if !affected[w.index()] {
-                    affected[w.index()] = true;
-                    work.push(w);
-                }
             }
         }
     }
@@ -595,7 +531,6 @@ fn prune_to_fixpoint<O: DistanceOracle>(
     graph: &DataGraph,
     result: &mut MatchResult,
     oracle: &O,
-    semantics: MatchSemantics,
     pending: &mut [bool],
     dirty: Option<Dirty<'_>>,
 ) -> Vec<(PatternNodeId, NodeId)> {
@@ -616,7 +551,7 @@ fn prune_to_fixpoint<O: DistanceOracle>(
         removals.clear();
         let set = result.set(u);
         let mut check = |v: NodeId| {
-            if !verify_node(pattern, graph, result, oracle, semantics, u, v) {
+            if !verify_node(pattern, graph, result, oracle, u, v) {
                 removals.push(v);
             }
         };
@@ -647,13 +582,7 @@ fn prune_to_fixpoint<O: DistanceOracle>(
             set.remove(v);
         }
         // Removal cascade: any pattern node whose checks reference u's set.
-        let dependents = pattern.in_edges(u).iter().chain(
-            pattern
-                .out_edges(u)
-                .iter()
-                .filter(|_| semantics.checks_predecessors()),
-        );
-        for &(w, _) in dependents {
+        for &(w, _) in pattern.in_edges(u) {
             pending[w.index()] = true;
             whole[w.index()] |= old_removed;
         }
@@ -693,18 +622,6 @@ mod tests {
         assert_eq!(m.matches_of(f.p_se).collect::<Vec<_>>(), vec![f.se1, f.se2]);
         assert_eq!(m.matches_of(f.p_s).collect::<Vec<_>>(), vec![f.s1]);
         assert_eq!(m.matches_of(f.p_te).collect::<Vec<_>>(), vec![f.te1, f.te2]);
-    }
-
-    #[test]
-    fn dual_semantics_drops_unreachable_te2() {
-        // Under dual simulation TE2 needs an SE within 4 hops pointing at
-        // it; none exists in the original graph (column TE2 of Table III is
-        // all infinite), so TE2 falls out — and only TE2.
-        let f = fig1();
-        let slen = apsp_matrix(&f.graph);
-        let m = match_graph(&f.pattern, &f.graph, &slen, MatchSemantics::DualSimulation);
-        assert_eq!(m.matches_of(f.p_te).collect::<Vec<_>>(), vec![f.te1]);
-        assert_eq!(m.matches_of(f.p_pm).collect::<Vec<_>>(), vec![f.pm1, f.pm2]);
     }
 
     #[test]
@@ -777,14 +694,7 @@ mod tests {
         plan.verify.insert(f.pm2);
         plan.verify.insert(f.te1);
         plan.verify.insert(f.te2);
-        repair(
-            &f.pattern,
-            &f.graph,
-            &slen,
-            MatchSemantics::Simulation,
-            &mut result,
-            &plan,
-        );
+        repair(&f.pattern, &f.graph, &slen, &mut result, &plan);
         let scratch = match_graph(&f.pattern, &f.graph, &slen, MatchSemantics::Simulation);
         assert_eq!(result, scratch);
         assert_eq!(result.matches_of(f.p_pm).collect::<Vec<_>>(), vec![f.pm1]);
@@ -802,14 +712,7 @@ mod tests {
         f.pattern.remove_edge(f.p_pm, f.p_te).unwrap();
         let mut plan = RepairPlan::new();
         plan.addition_sources.push(f.p_pm);
-        repair(
-            &f.pattern,
-            &f.graph,
-            &slen,
-            MatchSemantics::Simulation,
-            &mut result,
-            &plan,
-        );
+        repair(&f.pattern, &f.graph, &slen, &mut result, &plan);
         let scratch = match_graph(&f.pattern, &f.graph, &slen, MatchSemantics::Simulation);
         assert_eq!(result, scratch);
         assert_eq!(
@@ -833,14 +736,7 @@ mod tests {
         // labels; the engine derives sources from the delta — here PM/TE.
         plan.addition_sources.push(f.p_pm);
         plan.addition_sources.push(f.p_te);
-        repair(
-            &f.pattern,
-            &f.graph,
-            &slen,
-            MatchSemantics::Simulation,
-            &mut result,
-            &plan,
-        );
+        repair(&f.pattern, &f.graph, &slen, &mut result, &plan);
         let scratch = match_graph(&f.pattern, &f.graph, &slen, MatchSemantics::Simulation);
         assert_eq!(result, scratch);
         assert_eq!(
@@ -855,14 +751,7 @@ mod tests {
         let slen = IncrementalIndex::build(&f.graph);
         let mut result = match_graph(&f.pattern, &f.graph, &slen, MatchSemantics::Simulation);
         let before = result.clone();
-        repair(
-            &f.pattern,
-            &f.graph,
-            &slen,
-            MatchSemantics::Simulation,
-            &mut result,
-            &RepairPlan::new(),
-        );
+        repair(&f.pattern, &f.graph, &slen, &mut result, &RepairPlan::new());
         assert_eq!(result, before);
     }
 
@@ -896,14 +785,7 @@ mod tests {
         let delta = slen.commit_delete_edge(&g, names["b"], names["c"]);
         let mut plan = RepairPlan::new();
         plan.verify = delta.affected.clone();
-        repair(
-            &p,
-            &g,
-            &slen,
-            MatchSemantics::Simulation,
-            &mut result,
-            &plan,
-        );
+        repair(&p, &g, &slen, &mut result, &plan);
         let scratch = match_graph(&p, &g, &slen, MatchSemantics::Simulation);
         assert_eq!(result, scratch);
         assert!(result.is_empty());
@@ -943,14 +825,7 @@ mod tests {
         let slen = apsp_matrix(&g);
         let mut plan = RepairPlan::new();
         plan.verify.insert(names["c1"]);
-        repair(
-            &p,
-            &g,
-            &slen,
-            MatchSemantics::Simulation,
-            &mut result,
-            &plan,
-        );
+        repair(&p, &g, &slen, &mut result, &plan);
         assert!(
             !result.contains(pn["B"], names["b1"]),
             "b1 lost its only witness"
@@ -1036,7 +911,7 @@ mod tests {
                     plan.verify.insert(n[v]);
                 }
             }
-            let rematched = repair(&p, &g, &slen, SEM, &mut result, &plan).rematched;
+            let rematched = repair(&p, &g, &slen, &mut result, &plan).rematched;
             assert!(!rematched, "step {i} repaired the kept relation");
             let scratch = match_graph(&p, &g, &slen, SEM);
             assert_eq!(result, scratch, "step {i}: visible sets");
@@ -1107,7 +982,7 @@ mod tests {
             inner: &slen,
             probes: std::cell::Cell::new(0),
         };
-        let rematched = repair(&p, &g, &counting, SEM, &mut result, &plan).rematched;
+        let rematched = repair(&p, &g, &counting, &mut result, &plan).rematched;
         assert!(!rematched);
         assert_eq!(counting.probes.get(), 1, "one dirty member with an edge");
         assert!(!result.relation_contains(pn["A"], n["a0"]));
@@ -1168,7 +1043,7 @@ mod tests {
         let mut plan = RepairPlan::new();
         plan.verify = slen.commit_insert_edge(n["c1"], n["d1"]).affected;
         plan.gains.push((pn["C"], n["c1"]));
-        let outcome = repair(&p, &g, &slen, SEM, &mut result, &plan);
+        let outcome = repair(&p, &g, &slen, &mut result, &plan);
         assert_eq!(outcome.candidates, 3, "c1, b1 and a1 — not a3");
         let scratch = match_graph(&p, &g, &slen, SEM);
         assert_eq!(result, scratch);
@@ -1225,7 +1100,7 @@ mod tests {
         assert!(plan.verify.contains(n["x_old"]) && !plan.verify.contains(n["y_old"]));
         plan.gains.push((pn["U0"], n["x_new"]));
         plan.gains.push((pn["U1"], n["y_new"]));
-        let outcome = repair(&p, &g, &slen, SEM, &mut result, &plan);
+        let outcome = repair(&p, &g, &slen, &mut result, &plan);
         assert_eq!(outcome.candidates, 2);
         assert!(
             !result.contains(pn["U1"], n["y_old"]),
@@ -1257,7 +1132,7 @@ mod tests {
         let mut plan = RepairPlan::new();
         plan.verify = slen.commit_insert_edge(n["a3"], n["b3"]).affected;
         plan.addition_sources.push(pn["A"]);
-        let rematched = repair(&p, &g, &slen, SEM, &mut result, &plan).rematched;
+        let rematched = repair(&p, &g, &slen, &mut result, &plan).rematched;
         assert!(rematched, "no relation to repair: fallback");
         let scratch = match_graph(&p, &g, &slen, SEM);
         assert_eq!(result, scratch);
@@ -1277,10 +1152,9 @@ mod tests {
     ) -> (RepairOutcome, MatchDelta) {
         assert!(plan.addition_sources.is_empty(), "a data plan");
         let (before, mut plain) = (result.clone(), result.clone());
-        let sem = MatchSemantics::Simulation;
-        let (outcome, delta) = repair_gains(p, g, oracle, sem, result, &plan.verify, &plan.gains);
+        let (outcome, delta) = repair_gains(p, g, oracle, result, &plan.verify, &plan.gains);
         assert_eq!(delta, result.delta_from(&before, 0));
-        assert_eq!(repair(p, g, oracle, sem, &mut plain, plan), outcome);
+        assert_eq!(repair(p, g, oracle, &mut plain, plan), outcome);
         assert_eq!(&plain, result);
         (outcome, delta)
     }
@@ -1301,14 +1175,7 @@ mod tests {
         g.remove_edge(n["a1"], n["b1"]).unwrap();
         let mut plan = RepairPlan::new();
         plan.verify = slen.commit_delete_edge(&g, n["a1"], n["b1"]).affected;
-        repair(
-            &p,
-            &g,
-            &slen,
-            MatchSemantics::Simulation,
-            &mut result,
-            &plan,
-        );
+        repair(&p, &g, &slen, &mut result, &plan);
         assert!(result.is_empty() && result.relation_contains(pn["B"], n["b3"]));
         (g, p, slen, result, n, pn)
     }

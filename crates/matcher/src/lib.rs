@@ -12,10 +12,9 @@
 //!   function, so its correctness argument (documented on the function)
 //!   is load-bearing.
 //!
-//! Both support two [`MatchSemantics`] (see DESIGN.md §2): successor-only
-//! `Simulation` (faithful to BGS \[4\]; the default) and `DualSimulation`
-//! (successor + predecessor partners, matching the paper's candidate
-//! examples).
+//! Both compute bounded graph simulation as BGS \[4\] defines it: a
+//! matcher of `u` needs a partner within the bound for every pattern edge
+//! *out of* `u`. [`MatchSemantics`] has that one value and selects nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +27,7 @@ mod render;
 mod result;
 mod semantics;
 
-pub use bgs::{match_graph, repair, repair_gains, verify_node, RepairOutcome};
+pub use bgs::{match_graph, repair, repair_gains, RepairOutcome};
 pub use delta::MatchDelta;
 pub use plan::RepairPlan;
 pub use render::render_match_table;

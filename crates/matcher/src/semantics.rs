@@ -1,35 +1,19 @@
-//! Which direction(s) of pattern edges constrain a match.
+//! The matching semantics argument, which selects nothing.
 
-/// The two readings of "node appears in a matching subgraph" (DESIGN.md §2).
+/// An argument of the batch matcher and the registration entry points
+/// that selects nothing: every match is bounded graph simulation as Fan et
+/// al. \[4\] define it, the paper's GPNM. A matcher of `u` needs a partner
+/// for every *outgoing* pattern edge `(u, u')`; that reproduces the
+/// paper's Table I.
+///
+/// The type stays in [`crate::match_graph`], `GpnmEngine::new`,
+/// `PatternHost::register_pattern` and
+/// `pipeline::refresh_pattern_strategy` only because the benchmark of
+/// record (`gpnm-bench/`) passes it by name, until ROADMAP N deletes the
+/// staged replay. No other function takes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatchSemantics {
-    /// Successor-only bounded graph simulation, exactly as defined by
-    /// Fan et al. \[4\]: a matcher of `u` needs a partner for every
-    /// *outgoing* pattern edge `(u, u')`. Reproduces the paper's Table I.
+    /// Bounded graph simulation: the only value.
     #[default]
     Simulation,
-    /// Dual bounded simulation: a matcher additionally needs a partner for
-    /// every *incoming* pattern edge `(w, u)`. This is the reading under
-    /// which the paper's candidate-set examples (Example 7) are exact.
-    DualSimulation,
-}
-
-impl MatchSemantics {
-    /// Whether incoming pattern edges constrain membership.
-    #[inline(always)]
-    pub fn checks_predecessors(self) -> bool {
-        matches!(self, MatchSemantics::DualSimulation)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_simulation() {
-        assert_eq!(MatchSemantics::default(), MatchSemantics::Simulation);
-        assert!(!MatchSemantics::Simulation.checks_predecessors());
-        assert!(MatchSemantics::DualSimulation.checks_predecessors());
-    }
 }

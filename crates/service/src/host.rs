@@ -165,9 +165,6 @@ pub trait PatternHost {
     /// The registered pattern behind `handle`.
     fn pattern(&self, handle: Self::Handle) -> Result<&PatternGraph, Self::Error>;
 
-    /// The semantics `handle` was registered under.
-    fn semantics(&self, handle: Self::Handle) -> Result<MatchSemantics, Self::Error>;
-
     /// The full current result of `handle` — the snapshot for late
     /// joiners; deltas are the streaming answer.
     fn result(&self, handle: Self::Handle) -> Result<&MatchResult, Self::Error>;
@@ -185,7 +182,7 @@ pub trait PatternHost {
     fn tick(&self) -> u64;
 
     /// Register a standing pattern and return the handle its deltas will
-    /// be keyed by.
+    /// be keyed by. `semantics` selects nothing (see [`MatchSemantics`]).
     fn register_pattern(
         &mut self,
         pattern: PatternGraph,

@@ -24,8 +24,8 @@
 //!   from [`PatternHost::result`] for late joiners.
 //!
 //! Per-pattern results are bitwise identical to k independent engines
-//! (asserted by the `service_equivalence` proptest suite, all backends ×
-//! both semantics); the shared pass just stops paying the `SLen` repair k
+//! (asserted by the `service_equivalence` proptest suite on every
+//! backend); the shared pass just stops paying the `SLen` repair k
 //! times — the benchmark of record (`gpnm-bench/`) times the result on
 //! its multi-pattern workloads.
 //!

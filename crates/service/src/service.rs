@@ -49,7 +49,6 @@ impl std::fmt::Display for PatternHandle {
 #[derive(Debug, Clone)]
 struct PatternSession {
     pattern: PatternGraph,
-    semantics: MatchSemantics,
     result: MatchResult,
     version: u64,
 }
@@ -759,7 +758,6 @@ impl<B: SlenBackend> GpnmService<B> {
                     &sess.pattern,
                     &self.graph,
                     &self.index,
-                    sess.semantics,
                     &mut sess.result,
                     &verify,
                     gains,
@@ -861,10 +859,6 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
         Ok(&self.session(handle)?.pattern)
     }
 
-    fn semantics(&self, handle: PatternHandle) -> Result<MatchSemantics, ServiceError> {
-        Ok(self.session(handle)?.semantics)
-    }
-
     fn result(&self, handle: PatternHandle) -> Result<&MatchResult, ServiceError> {
         Ok(&self.session(handle)?.result)
     }
@@ -928,7 +922,6 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
             handle,
             PatternSession {
                 pattern,
-                semantics,
                 result,
                 version: 0,
             },
@@ -1251,24 +1244,28 @@ mod tests {
 
     #[test]
     fn tick_stats_count_the_candidates_grown() {
-        // Under dual semantics TE2 is unmatched until SE1 -> TE2 brings an
-        // SE within bound of it: the tick grows at least that candidate,
-        // and a delete grows none.
+        // Fig. 1 with Example 2's pattern edge PM -> TE (bound 2): PM2 is
+        // unmatched until SE1 -> TE2 brings TE2 within 2 of it. The tick
+        // grows at least that candidate, and a delete grows none.
         let f = fig1();
+        let mut pattern = f.pattern.clone();
+        pattern
+            .add_edge(f.p_pm, f.p_te, gpnm_graph::Bound::Hops(2))
+            .unwrap();
         let mut service = GpnmService::<SparseIndex>::new(f.graph.clone());
         let h = service
-            .register_pattern(f.pattern.clone(), MatchSemantics::DualSimulation)
+            .register_pattern(pattern, MatchSemantics::Simulation)
             .unwrap();
-        assert!(!service.result(h).unwrap().contains(f.p_te, f.te2));
+        assert!(!service.result(h).unwrap().contains(f.p_pm, f.pm2));
         let mut batch = UpdateBatch::new();
         batch.push(DataUpdate::InsertEdge {
             from: f.se1,
             to: f.te2,
         });
         let report = service.apply(&batch).expect("valid");
-        assert!(service.result(h).unwrap().contains(f.p_te, f.te2));
+        assert!(service.result(h).unwrap().contains(f.p_pm, f.pm2));
         let grown = report.stats.addition_candidates;
-        assert!(grown >= 1, "(TE, TE2) was a candidate");
+        assert!(grown >= 1, "(PM, PM2) was a candidate");
         assert!(report
             .stats
             .render()
@@ -1296,7 +1293,7 @@ mod tests {
             .unwrap();
         service.deregister(a).unwrap();
         let b = service
-            .register_pattern(f.pattern.clone(), MatchSemantics::DualSimulation)
+            .register_pattern(f.pattern.clone(), MatchSemantics::Simulation)
             .unwrap();
         assert_ne!(a, b);
         assert!(service.result(a).is_err());

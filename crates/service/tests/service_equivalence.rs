@@ -1,7 +1,7 @@
 //! Service/engine equivalence: a `GpnmService` hosting k registered
 //! patterns must produce, per handle and per tick, results **bitwise
 //! identical** to k independent `GpnmEngine`s fed the same batches — on
-//! every backend and under both semantics. On top of result equality the
+//! every backend. On top of result equality the
 //! suite asserts the delta contract: each tick's `MatchDelta` reconstructs
 //! the new result from the previous one (`added ∪ (prev ∖ removed)`), with
 //! a monotone `result_version`. A third of the generated patterns come from
@@ -27,6 +27,8 @@ use gpnm_service::{GpnmService, PatternHandle, PatternHost, ServiceError, TickOu
 use gpnm_updates::{reduce_batch, DataUpdate, Update, UpdateBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+const SIMULATION: MatchSemantics = MatchSemantics::Simulation;
 
 /// Random labeled digraph (the engine equivalence suites' distribution).
 fn random_graph(
@@ -141,12 +143,11 @@ fn random_data_batch(
 fn assert_fresh<B: SlenBackend>(
     service: &GpnmService<B>,
     handle: PatternHandle,
-    semantics: MatchSemantics,
     context: &str,
 ) -> bool {
     let got = service.result(handle).unwrap();
     let pattern = service.pattern(handle).unwrap();
-    let fresh = match_graph(pattern, service.graph(), service.backend(), semantics);
+    let fresh = match_graph(pattern, service.graph(), service.backend(), SIMULATION);
     assert_eq!(got, &fresh, "visible sets vs fresh match ({context})");
     assert!(
         got.relation_eq(&fresh),
@@ -163,12 +164,7 @@ fn assert_fresh<B: SlenBackend>(
 /// plus the delta-reconstruction invariant and [`assert_fresh`]. Returns
 /// `(unmatched, revived)`: pattern-ticks spent unmatched over a non-empty
 /// relation, and how many of those were followed by a tick with a match.
-fn check_equivalence<B: SlenBackend>(
-    seed: u64,
-    k: usize,
-    ticks: usize,
-    semantics: MatchSemantics,
-) -> (usize, usize) {
+fn check_equivalence<B: SlenBackend>(seed: u64, k: usize, ticks: usize) -> (usize, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let labels = rng.gen_range(2..6);
     let nodes = rng.gen_range(8..32);
@@ -181,9 +177,9 @@ fn check_equivalence<B: SlenBackend>(
     for i in 0..k {
         let pattern = random_pattern(&mut rng, &interner, labels);
         let handle = service
-            .register_pattern(pattern.clone(), semantics)
+            .register_pattern(pattern.clone(), SIMULATION)
             .expect("non-empty pattern");
-        let mut engine = GpnmEngine::<B>::with_backend(graph.clone(), pattern, semantics);
+        let mut engine = GpnmEngine::<B>::with_backend(graph.clone(), pattern);
         engine.initial_query();
         assert_eq!(
             service.result(handle).unwrap(),
@@ -200,7 +196,7 @@ fn check_equivalence<B: SlenBackend>(
         .collect();
     let mut was_hidden: Vec<bool> = handles
         .iter()
-        .map(|&h| assert_fresh(&service, h, semantics, &format!("seed {seed}, initial")))
+        .map(|&h| assert_fresh(&service, h, &format!("seed {seed}, initial")))
         .collect();
     let (mut unmatched, mut revived) = (0, 0);
     for tick in 0..ticks {
@@ -219,7 +215,7 @@ fn check_equivalence<B: SlenBackend>(
                 got,
                 engines[i].result(),
                 "tick {tick} pattern {i} diverged from its engine \
-                 (seed {seed}, {strategy}, {semantics:?})"
+                 (seed {seed}, {strategy})"
             );
             // Delta contract: added ∪ (prev ∖ removed) = new, version moves.
             let delta = report.delta_for(handles[i]).expect("handle in report");
@@ -242,8 +238,8 @@ fn check_equivalence<B: SlenBackend>(
                 assert!(prev[i].contains(p, v), "removed pair was not present");
             }
             prev[i] = got.clone();
-            let context = format!("seed {seed}, tick {tick}, pattern {i}, {semantics:?}");
-            let hidden = assert_fresh(&service, handles[i], semantics, &context);
+            let context = format!("seed {seed}, tick {tick}, pattern {i}");
+            let hidden = assert_fresh(&service, handles[i], &context);
             unmatched += usize::from(hidden);
             revived += usize::from(was_hidden[i] && !got.is_empty());
             was_hidden[i] = hidden;
@@ -269,11 +265,9 @@ fn check_equivalence<B: SlenBackend>(
 fn starved_arm_reaches_unmatched_patterns_and_revivals() {
     let (mut unmatched, mut revived) = (0, 0);
     for seed in 0..24u64 {
-        for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
-            let (u, r) = check_equivalence::<SparseIndex>(seed, 3, 8, semantics);
-            unmatched += u;
-            revived += r;
-        }
+        let (u, r) = check_equivalence::<SparseIndex>(seed, 3, 8);
+        unmatched += u;
+        revived += r;
     }
     assert!(unmatched >= 50, "only {unmatched} unmatched pattern-ticks");
     assert!(revived >= 1, "no unmatched pattern ever revived");
@@ -301,7 +295,6 @@ fn absent_edges(rng: &mut StdRng, graph: &DataGraph, count: usize) -> Vec<(NodeI
 /// freshly built index agree bitwise, relation included.
 #[test]
 fn merged_pass_matches_scratch_across_batch_sizes() {
-    let semantics = MatchSemantics::Simulation;
     let mut changed_ticks = 0;
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -310,7 +303,7 @@ fn merged_pass_matches_scratch_across_batch_sizes() {
         let mut handles = Vec::new();
         for _ in 0..3 {
             let pattern = random_pattern(&mut rng, &interner, 4);
-            handles.push(merged.register_pattern(pattern, semantics).unwrap());
+            handles.push(merged.register_pattern(pattern, SIMULATION).unwrap());
         }
         let picks = absent_edges(&mut rng, merged.graph(), 81);
         let (trickle, churn) = picks.split_at(1);
@@ -329,7 +322,7 @@ fn merged_pass_matches_scratch_across_batch_sizes() {
                 let fresh = SparseIndex::build(merged.graph(), merged.requirements());
                 for &hm in &handles {
                     let pattern = merged.pattern(hm).unwrap();
-                    let scratch = match_graph(pattern, merged.graph(), &fresh, semantics);
+                    let scratch = match_graph(pattern, merged.graph(), &fresh, SIMULATION);
                     let context = format!("seed {seed}, tick {tick}, insert {insert}");
                     assert_eq!(merged.result(hm).unwrap(), &scratch, "{context}");
                     assert!(
@@ -368,7 +361,7 @@ fn cancelling_batch(graph: &DataGraph) -> UpdateBatch {
 /// which reduces to nothing, both refreshes must leave the same result
 /// and relation (a fresh match's), grow the same candidates and run the
 /// same number of passes, under every refresh strategy.
-fn check_fold<B: SlenBackend>(seed: u64, semantics: MatchSemantics) {
+fn check_fold<B: SlenBackend>(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let labels = rng.gen_range(2..6);
     let nodes = rng.gen_range(8..32);
@@ -376,7 +369,7 @@ fn check_fold<B: SlenBackend>(seed: u64, semantics: MatchSemantics) {
     let (mut graph, interner) = random_graph(&mut rng, nodes, edges, labels);
     let pattern = random_pattern(&mut rng, &interner, labels);
     let mut index = B::build(&graph, &SlenRequirements::of_pattern(&pattern));
-    let mut result = match_graph(&pattern, &graph, &index, semantics);
+    let mut result = match_graph(&pattern, &graph, &index, SIMULATION);
     let ticks = 4;
     for tick in 0..ticks {
         let batch = if tick + 1 < ticks {
@@ -404,16 +397,16 @@ fn check_fold<B: SlenBackend>(seed: u64, semantics: MatchSemantics) {
         } else {
             std::slice::from_ref(&folded)
         };
-        let fresh = match_graph(&pattern, &graph, &index, semantics);
+        let fresh = match_graph(&pattern, &graph, &index, SIMULATION);
         for strategy in RefreshStrategy::ALL {
-            let context = format!("seed {seed}, tick {tick}, {strategy}, {semantics:?}");
+            let context = format!("seed {seed}, tick {tick}, {strategy}");
             let mut staged = result.clone();
             let staged_stats = refresh_pattern_strategy(
                 strategy,
                 &pattern,
                 &graph,
                 &index,
-                semantics,
+                SIMULATION,
                 &mut staged,
                 &plans,
                 &SharedElimination::detect(&committed),
@@ -424,7 +417,7 @@ fn check_fold<B: SlenBackend>(seed: u64, semantics: MatchSemantics) {
                 &pattern,
                 &graph,
                 &index,
-                semantics,
+                SIMULATION,
                 &mut host,
                 host_plans,
                 &SharedElimination::detect(&[]),
@@ -453,31 +446,23 @@ fn check_fold<B: SlenBackend>(seed: u64, semantics: MatchSemantics) {
 }
 
 proptest! {
-    // Each case runs 3 backends (+ both semantics split across two props),
-    // k engines and several ticks; 12 cases keeps the default run under a
-    // few seconds while PROPTEST_CASES still scales it in CI.
+    // Each case runs 2 backends, k engines and several ticks; 12 cases
+    // keeps the default run under a few seconds while PROPTEST_CASES still
+    // scales it in CI.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn service_matches_k_engines_simulation(seed in any::<u64>(), k in 1usize..4) {
-        let _ = check_equivalence::<IncrementalIndex>(seed, k, 3, MatchSemantics::Simulation);
-        let _ = check_equivalence::<SparseIndex>(seed, k, 3, MatchSemantics::Simulation);
-    }
-
-    #[test]
-    fn service_matches_k_engines_dual(seed in any::<u64>(), k in 1usize..4) {
-        let _ = check_equivalence::<IncrementalIndex>(seed, k, 3, MatchSemantics::DualSimulation);
-        let _ = check_equivalence::<SparseIndex>(seed, k, 3, MatchSemantics::DualSimulation);
+        let _ = check_equivalence::<IncrementalIndex>(seed, k, 3);
+        let _ = check_equivalence::<SparseIndex>(seed, k, 3);
     }
 
     /// One folded plan per pattern refreshes exactly like the per-update
     /// plans with a real elimination analysis ([`check_fold`]).
     #[test]
     fn folded_plan_refreshes_like_per_update_plans(seed in any::<u64>()) {
-        for semantics in [MatchSemantics::Simulation, MatchSemantics::DualSimulation] {
-            check_fold::<IncrementalIndex>(seed, semantics);
-            check_fold::<SparseIndex>(seed, semantics);
-        }
+        check_fold::<IncrementalIndex>(seed);
+        check_fold::<SparseIndex>(seed);
     }
 
     /// The runtime-dispatched backend behind the builder path obeys the
@@ -495,17 +480,10 @@ proptest! {
                 .expect("tiny graph fits any budget");
             let pattern = random_pattern(&mut rng, &interner, 4);
             let h = service
-                .register_pattern(pattern.clone(), MatchSemantics::Simulation)
+                .register_pattern(pattern.clone(), SIMULATION)
                 .unwrap();
-            let mut engine = GpnmEngine::with_backend_kind(
-                kind,
-                graph,
-                pattern,
-                MatchSemantics::Simulation,
-                1.0,
-                None,
-            )
-            .expect("tiny graph fits any budget");
+            let mut engine = GpnmEngine::with_backend_kind(kind, graph, pattern, 1.0, None)
+                .expect("tiny graph fits any budget");
             engine.initial_query();
             for _ in 0..2 {
                 let batch = random_data_batch(&mut rng, service.graph(), &interner, 5);
@@ -527,12 +505,9 @@ proptest! {
         let mut service = GpnmService::<SparseIndex>::new(graph.clone());
         let p1 = random_pattern(&mut rng, &interner, 4);
         let p2 = random_pattern(&mut rng, &interner, 4);
-        let h1 = service.register_pattern(p1, MatchSemantics::Simulation).unwrap();
-        let h2 = service
-            .register_pattern(p2.clone(), MatchSemantics::Simulation)
-            .unwrap();
-        let mut engine2 =
-            GpnmEngine::<SparseIndex>::with_backend(graph, p2, MatchSemantics::Simulation);
+        let h1 = service.register_pattern(p1, SIMULATION).unwrap();
+        let h2 = service.register_pattern(p2.clone(), SIMULATION).unwrap();
+        let mut engine2 = GpnmEngine::<SparseIndex>::with_backend(graph, p2);
         engine2.initial_query();
 
         let batch = random_data_batch(&mut rng, service.graph(), &interner, 5);
@@ -549,12 +524,7 @@ proptest! {
         let report = service.apply(&batch).expect("valid");
         engine2.subsequent_query(&batch, Strategy::UaGpnm).expect("valid");
         prop_assert_eq!(service.result(h2).unwrap(), engine2.result());
-        assert_fresh(
-            &service,
-            h2,
-            MatchSemantics::Simulation,
-            &format!("seed {seed}, after deregister"),
-        );
+        assert_fresh(&service, h2, &format!("seed {seed}, after deregister"));
         prop_assert_eq!(report.deltas.len(), 1);
         prop_assert!(report.delta_for(h1).is_none());
     }

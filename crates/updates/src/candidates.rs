@@ -53,6 +53,12 @@ impl Candidates {
 /// * **DeleteNode(p)** — `IQuery[p]` joins `Can_RN` (all its matchers go);
 ///   label-matching non-members of `p`'s pattern neighbors join `Can_AN`
 ///   (their constraints relax).
+///
+/// A source-side check (does `v` reach some member of a set?) is one
+/// [`DistanceOracle::any_within`] probe: one row fetch on the bounded-row
+/// backends. A target-side check (does some member reach `v'`?) stays a
+/// `within` probe per member, here and in the cascade: no backend keeps
+/// reverse rows.
 pub fn candidates_for<O: DistanceOracle>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -90,12 +96,9 @@ pub fn candidates_for<O: DistanceOracle>(
                 return c;
             };
             // Label-level pairs that failed the old bound may re-enter.
+            let to_class: NodeSet = graph.nodes_with_label(l_to).iter().copied().collect();
             for &v in graph.nodes_with_label(l_from) {
-                let had_partner = graph
-                    .nodes_with_label(l_to)
-                    .iter()
-                    .any(|&v2| oracle.within(v, v2, bound));
-                if !had_partner {
+                if !oracle.any_within(v, &to_class, bound) {
                     c.can_an.insert(v);
                 }
             }
@@ -178,15 +181,17 @@ fn cascade_removals<O: DistanceOracle>(
             // supporting partner is now flagged — a node that never had a
             // partner for this edge (possible under simulation semantics)
             // was not disturbed by the candidates and stays unflagged.
+            let mut unflagged = iquery.set(pt).clone();
+            for v2 in iquery.set(pt).intersection(flagged) {
+                unflagged.remove(v2);
+            }
             let mut newly: Vec<NodeId> = Vec::new();
             for v in iquery.matches_of(pu) {
                 if flagged.contains(v) {
                     continue;
                 }
                 let had_support = oracle.any_within(v, iquery.set(pt), bound);
-                let has_unflagged = iquery
-                    .matches_of(pt)
-                    .any(|v2| !flagged.contains(v2) && oracle.within(v, v2, bound));
+                let has_unflagged = oracle.any_within(v, &unflagged, bound);
                 if had_support && !has_unflagged {
                     newly.push(v);
                 }
@@ -287,6 +292,45 @@ mod tests {
             vec![f.te2],
             "paper Table IV row UP2"
         );
+    }
+
+    #[test]
+    fn cascade_flags_a_matcher_whose_every_partner_is_flagged() {
+        // Pattern A -> B (bound 1); insert B -> C (bound 1). b1 has no C,
+        // so it is flagged; a1's only B partner is b1, so the cascade
+        // flags a1 too. a2 keeps the unflagged b2.
+        let (g, li, n) = gpnm_graph::DataGraphBuilder::new()
+            .node("a1", "A")
+            .node("b1", "B")
+            .node("a2", "A")
+            .node("b2", "B")
+            .node("c1", "C")
+            .edge("a1", "b1")
+            .edge("a2", "b2")
+            .edge("b2", "c1")
+            .build()
+            .unwrap();
+        let (mut p, _, pn) = gpnm_graph::PatternGraphBuilder::new()
+            .node("A", "A")
+            .node("B", "B")
+            .edge("A", "B", 1)
+            .build_with_interner(li.clone())
+            .unwrap();
+        let c_node = p.add_node(li.get("C").unwrap());
+        let slen = apsp_matrix(&g);
+        let iq = match_graph(&p, &g, &slen, MatchSemantics::Simulation);
+        let c = candidates_for(
+            &p,
+            &g,
+            &slen,
+            &iq,
+            &PatternUpdate::InsertEdge {
+                from: pn["B"],
+                to: c_node,
+                bound: Bound::Hops(1),
+            },
+        );
+        assert_eq!(c.can_rn.iter().collect::<Vec<_>>(), vec![n["a1"], n["b1"]]);
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub enum RelationKind {
     /// Type II: single-graph, data (`UDa ⊵ UDb`).
     SingleGraphData,
     /// Type III: cross-graph (`UDa ⇔ UPb`, recorded with the data update
-    /// as eliminator — see DESIGN.md §2 on why the larger coverage side
-    /// must parent).
+    /// as eliminator: DER-III requires `Aff_N(UDa) ⊇ Can_N(UPb)`, and the
+    /// EH-Tree parent's repair pass must cover its children's verify
+    /// sets, so the larger coverage side parents).
     CrossGraph,
 }
 

@@ -98,7 +98,7 @@ impl Dataset {
 /// Load a SNAP-style whitespace-separated edge list (`u v` per line,
 /// `#`-prefixed comments), assigning labels with the same
 /// community-coherent scheme as the synthetic generator (SNAP graphs are
-/// unlabeled; GPNM needs labels — DESIGN.md §5).
+/// unlabeled; GPNM needs labels).
 pub fn from_edge_list(
     path: &Path,
     labels: usize,

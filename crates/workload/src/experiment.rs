@@ -20,11 +20,11 @@ pub struct ExperimentConfig {
     /// ΔG scales as the paper labels them: `(|ΔGP|, |ΔGD|)`,
     /// (6,200)…(10,1000).
     pub delta_scales: Vec<(usize, usize)>,
-    /// Our graphs are scaled down (DESIGN.md §5); the data-update count is
+    /// Our graphs are scaled down ([`Dataset`]); the data-update count is
     /// divided by this to keep the update/graph ratio in the paper's
     /// regime. 1 = literal counts.
     pub data_update_divisor: usize,
-    /// Divide the dataset size by this (1 = the DESIGN.md §5 stand-in
+    /// Divide the dataset size by this (1 = the [`Dataset`] stand-in
     /// scale; larger for CI-speed runs).
     pub graph_scale_divisor: usize,
     /// Strategies to time.
@@ -34,8 +34,6 @@ pub struct ExperimentConfig {
     pub runs: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Match semantics.
-    pub semantics: MatchSemantics,
 }
 
 impl ExperimentConfig {
@@ -51,7 +49,6 @@ impl ExperimentConfig {
             strategies: Strategy::PAPER.to_vec(),
             runs: 2,
             seed: 0xDA7A,
-            semantics: MatchSemantics::Simulation,
         }
     }
 
@@ -130,7 +127,8 @@ pub fn run_experiment(config: &ExperimentConfig) -> Vec<CellResult> {
                     },
                     &interner,
                 );
-                let mut base = GpnmEngine::new(graph.clone(), pattern.clone(), config.semantics);
+                let mut base =
+                    GpnmEngine::new(graph.clone(), pattern.clone(), MatchSemantics::Simulation);
                 base.initial_query();
                 let protocol = UpdateProtocol::from_scale(
                     delta_scale.0,

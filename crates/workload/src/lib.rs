@@ -5,8 +5,8 @@
 //!
 //! The SNAP graphs themselves are not redistributable offline; the
 //! [`Dataset`] stand-ins preserve node/edge ratios, degree skew and
-//! label-community locality at laptop scale (DESIGN.md §5 documents the
-//! substitution). [`datasets::from_edge_list`] loads the real files when
+//! label-community locality at laptop scale (the [`datasets`] module
+//! documents the substitution). [`datasets::from_edge_list`] loads the real files when
 //! present, so the harness runs unmodified on the originals.
 
 #![forbid(unsafe_code)]

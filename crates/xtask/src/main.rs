@@ -6,10 +6,10 @@
 //! purely lexical pass (no rustc plumbing, no external parser) that
 //! enforces the `SAFETY:` / `RELAXED:` commenting discipline, each crate
 //! root's unsafe policy and no ad-hoc printing in library crates, and that
-//! no README line or `//!` doc cites a `BENCH_*.json` result file missing
-//! from the repository root (deleting a result file fails the lint until
-//! its citations go too). Diagnostics are `path:line: message`; any
-//! finding exits nonzero.
+//! no README line or source comment cites a `BENCH_*.json` result file or
+//! an upper-case `*.md` document missing from the repository root
+//! (deleting either fails the lint until its citations go too).
+//! Diagnostics are `path:line: message`; any finding exits nonzero.
 //!
 //! `cargo run -p gpnm-xtask -- check-telemetry [--metrics FILE]
 //! [--trace FILE]` validates the replay exporters' output: the Prometheus
@@ -101,14 +101,12 @@ mod lint {
                 check_no_adhoc_printing(&name, &lines, &mut findings);
             }
             for (i, line) in lines.iter().enumerate() {
-                if line.comment.starts_with('!') {
-                    check_cited_bench_files(root, &name, i, &line.comment, &mut findings);
-                }
+                check_cited_root_files(root, &name, i, &line.comment, &mut findings);
             }
         }
         if let Ok(readme) = std::fs::read_to_string(root.join("README.md")) {
             for (i, line) in readme.lines().enumerate() {
-                check_cited_bench_files(root, "README.md", i, line, &mut findings);
+                check_cited_root_files(root, "README.md", i, line, &mut findings);
             }
         }
         check_crate_attrs(root, &files, &mut findings);
@@ -447,33 +445,40 @@ mod lint {
         }
     }
 
-    /// The `BENCH_<name>.json` result files `text` names.
-    pub fn cited_bench_files(text: &str) -> Vec<&str> {
-        let mut cited = Vec::new();
-        let mut rest = text;
-        while let Some(at) = rest.find("BENCH_") {
-            let tail = &rest[at..];
-            let stem = tail
-                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                .unwrap_or(tail.len());
-            if tail[stem..].starts_with(".json") {
-                cited.push(&tail[..stem + ".json".len()]);
-            }
-            rest = &tail[stem..];
-        }
-        cited
+    /// The repository-root files `text` names: `BENCH_<name>.json` result
+    /// files and upper-case `<NAME>.md` documents. A name inside a path
+    /// (`gpnm-bench/README.md`), a glob or a longer name is not one.
+    pub fn cited_root_files(text: &str) -> Vec<&str> {
+        let is_stem = |stem: &str, ok: fn(char) -> bool| !stem.is_empty() && stem.chars().all(ok);
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || "_./*-".contains(c)))
+            .map(|token| token.trim_end_matches('.'))
+            .filter(|token| {
+                if let Some(stem) = token.strip_suffix(".md") {
+                    stem.starts_with(|c: char| c.is_ascii_uppercase())
+                        && is_stem(stem, |c| {
+                            c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
+                        })
+                } else if let Some(stem) = token.strip_suffix(".json") {
+                    stem.strip_prefix("BENCH_").is_some_and(|name| {
+                        is_stem(name, |c| c.is_ascii_alphanumeric() || c == '_')
+                    })
+                } else {
+                    false
+                }
+            })
+            .collect()
     }
 
-    /// Rule 5: a result file that `README.md` or a `//!` doc cites exists
-    /// at the repository root.
-    fn check_cited_bench_files(
+    /// Rule 5: a result file or document that `README.md` or a source
+    /// comment cites exists at the repository root.
+    fn check_cited_root_files(
         root: &Path,
         name: &str,
         line_idx: usize,
         text: &str,
         findings: &mut Vec<String>,
     ) {
-        for file in cited_bench_files(text) {
+        for file in cited_root_files(text) {
             if !root.join(file).is_file() {
                 push(
                     findings,
@@ -915,8 +920,14 @@ unsafe in block */ let c = 'x'; let lt: &'static str = "";
         let text = "`BENCH_k16.json` (k = 16) and (BENCH_read_10.json); not the CI copy \
                     `BENCH_k4.ci.json`, a glob `BENCH_k*.json` or `BENCH_k4/16.json`";
         assert_eq!(
-            super::lint::cited_bench_files(text),
+            super::lint::cited_root_files(text),
             ["BENCH_k16.json", "BENCH_read_10.json"]
+        );
+        let text = "ROADMAP.md's item (see DESIGN.md §2); not `gpnm-bench/README.md`, \
+                    `notes.md`, `Design.md` or `FOO.md.bak`";
+        assert_eq!(
+            super::lint::cited_root_files(text),
+            ["ROADMAP.md", "DESIGN.md"]
         );
     }
 
@@ -935,6 +946,33 @@ unsafe in block */ let c = 'x'; let lt: &'static str = "";
         assert_eq!(
             findings,
             ["README.md:4: cites `BENCH_gone.json`, which is not at the repository root"]
+        );
+    }
+
+    #[test]
+    fn lint_reports_a_citation_of_a_missing_root_document() {
+        let root = std::env::temp_dir().join(format!("gpnm-xtask-docs-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("crates/x/src")).unwrap();
+        std::fs::write(root.join("ROADMAP.md"), "# Roadmap\n").unwrap();
+        std::fs::write(
+            root.join("README.md"),
+            "# Title\n\nSee ROADMAP.md and `sub/NOTES.md`.\nGone: DESIGN.md §5.\n",
+        )
+        .unwrap();
+        std::fs::write(
+            root.join("crates/x/src/lib.rs"),
+            "//! Crate docs (ROADMAP.md).\n#![forbid(unsafe_code)]\n\n\
+             /// Why (DESIGN.md §2).\npub fn f() {}\n",
+        )
+        .unwrap();
+        let findings = super::lint::run(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(
+            findings,
+            [
+                "crates/x/src/lib.rs:4: cites `DESIGN.md`, which is not at the repository root",
+                "README.md:4: cites `DESIGN.md`, which is not at the repository root",
+            ]
         );
     }
 

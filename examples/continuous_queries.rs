@@ -61,11 +61,7 @@ fn main() {
         let handle = service
             .register_pattern(pattern.clone(), MatchSemantics::Simulation)
             .expect("non-empty pattern");
-        let mut shadow = GpnmEngine::<SparseIndex>::with_backend(
-            graph.clone(),
-            pattern,
-            MatchSemantics::Simulation,
-        );
+        let mut shadow = GpnmEngine::<SparseIndex>::with_backend(graph.clone(), pattern);
         shadow.initial_query();
         println!(
             "registered {handle}: {} initial matches",

@@ -2,9 +2,10 @@
 //! application (Morris et al. [7]) plus the paper's §VIII future-work
 //! item (2), selecting the top-k matching nodes.
 //!
-//! Uses the stricter `DualSimulation` semantics (an expert must both reach
-//! and be reachable from its collaborators) and ranks the matched experts
-//! by aggregate closeness to their partner matches.
+//! Matches the pattern under bounded simulation — an expert must reach a
+//! moderator within 2 hops and an answerer within 3, and that answerer
+//! must reach an expert within 3 (the pattern's back edge) — and ranks
+//! the matched experts by aggregate closeness to their partner matches.
 //!
 //! Run with: `cargo run --release --example expert_recommendation`
 
@@ -35,13 +36,13 @@ fn main() {
         .build_with_interner(interner)
         .expect("expert pattern is well-formed");
 
-    let mut engine = GpnmEngine::new(graph, pattern, MatchSemantics::DualSimulation);
+    let mut engine = GpnmEngine::new(graph, pattern, MatchSemantics::Simulation);
     engine.initial_query();
 
     let expert = names["expert"];
     let n_matched = engine.result().set(expert).len();
     println!(
-        "{} experts satisfy the pattern under dual bounded simulation",
+        "{} experts satisfy the pattern under bounded simulation",
         n_matched
     );
 

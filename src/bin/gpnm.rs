@@ -11,7 +11,8 @@
 //! gpnm demo
 //! ```
 //!
-//! `match` loads a whitespace edge list (labels assigned per DESIGN.md §5,
+//! `match` loads a whitespace edge list (labels assigned by
+//! `gpnm_workload::datasets::from_edge_list`'s community-coherent scheme,
 //! since SNAP graphs are unlabeled), generates a random pattern and prints
 //! the match table. `bench` additionally generates an update batch and
 //! compares the paper's three strategies. `smoke` generates a power-law social
@@ -209,7 +210,6 @@ fn build_engine(
         args.backend,
         graph,
         pattern,
-        MatchSemantics::Simulation,
         args.max_index_gb,
         args.cache_budget_mb,
     )

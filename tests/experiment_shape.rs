@@ -1,6 +1,6 @@
 //! Structural assertions on the experiment harness: the paper's expected
 //! *shape* in timing-independent metrics (timing itself is asserted only
-//! weakly — CI machines are noisy; EXPERIMENTS.md records measured times).
+//! weakly — CI machines are noisy; `paper-repro` prints measured times).
 
 use ua_gpnm::prelude::*;
 use ua_gpnm::workload::{

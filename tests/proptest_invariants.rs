@@ -1,5 +1,4 @@
-//! Property-based tests of the workspace's load-bearing invariants
-//! (DESIGN.md §7).
+//! Property-based tests of the workspace's load-bearing invariants.
 
 use proptest::prelude::*;
 // Explicit import: both preludes glob-export a `Strategy` (proptest's trait,

@@ -269,10 +269,9 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
     );
     pattern.add_node(ghost);
 
-    let semantics = MatchSemantics::Simulation;
     let mut service = GpnmService::builder().build(graph.clone()).unwrap();
     let h = service
-        .register_pattern(pattern.clone(), semantics)
+        .register_pattern(pattern.clone(), MatchSemantics::Simulation)
         .unwrap();
     let mut carried = service.result(h).unwrap().visible();
     assert!(carried.is_empty());
@@ -310,15 +309,7 @@ fn repair_rematch_fallback_is_reported_then_stays_silent() {
         }
         let collector = install_collector();
         let (verify, gains) = (&plan.verify, &plan.gains);
-        let stats = refresh_pattern(
-            &pattern,
-            &replica,
-            &index,
-            semantics,
-            &mut carried,
-            verify,
-            gains,
-        );
+        let stats = refresh_pattern(&pattern, &replica, &index, &mut carried, verify, gains);
         uninstall_collector();
         let trace = collector.finish();
         rematches.push(stats.rematched);
