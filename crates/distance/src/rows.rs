@@ -58,7 +58,15 @@
 //!   nearest change in place and merges the rest back from a copy, whole
 //!   runs at a time. A row that outgrows its allocation takes an eighth
 //!   more than it needs, so most growing patches do not reallocate; the
-//!   slack is counted in `mem_bytes` (`distance.index_mib`).
+//!   slack is counted in `mem_bytes` (`distance.index_mib`). Two
+//!   alternatives were measured and not taken; do not re-run them. A
+//!   patch that shifts the tail once, in place, instead of merging it
+//!   back from a copy gained nothing: patch time went 44 → 46 µs a tick
+//!   on `steady_multi` and 137 → 149 µs on `churn_adaptive`, so the cost
+//!   is touching the row, not copying it. A one-entry removal for a
+//!   single drop (`drop_entry`) instead of a patch took another 1.5–3%
+//!   off `steady_multi`, but cost `paged_squeeze` 3–4% of its median
+//!   tick and 7% of its p90.
 //! * *Deltas stay ascending by (source, target)*, the order a diff of two
 //!   rows lists them and the order every consumer and the equivalence
 //!   suites hold them to: an insert walks `v`'s BFS as pairs sorted by

@@ -16,8 +16,10 @@
 //!    commit pass, while the graph sits at that update's post-state —
 //!    exactly where the single-pattern engine calls it. A plan's `verify`
 //!    set does not depend on the pattern, so the hosts union it once per
-//!    tick and build only each pattern's root gains
-//!    ([`push_data_update_gains`], also re-exported).
+//!    tick and derive only the root gains, for all their patterns at once,
+//!    from one [`GainTable`] (also re-exported) built when the patterns
+//!    change: each changed record is tested against the pattern edges of
+//!    its source's label alone.
 //! 3. [`SharedElimination::detect`] — DER-II elimination analysis
 //!    (affected-set containment → EH-Tree). Only `gpnm-bench`'s staged
 //!    replay calls it, to time it; no host calls it, and no refresh reads
@@ -45,9 +47,7 @@ use gpnm_updates::{DataUpdate, EhTree, EliminationGraph, Update, UpdateEffect};
 
 use crate::error::EngineError;
 
-pub use crate::plan_builder::{
-    plan_for_data_update, plan_for_pattern_update, push_data_update_gains,
-};
+pub use crate::plan_builder::{plan_for_data_update, plan_for_pattern_update, GainTable};
 
 /// One data update after its single shared commit: what the graph and
 /// backend absorbed, and what a plan or an elimination analysis reads.
@@ -213,7 +213,7 @@ impl SharedElimination {
 ///
 /// `verify` must be the union of the tick's committed updates' `Aff_N`
 /// sets and created nodes — one set for every pattern — and `gains` what
-/// [`push_data_update_gains`] appended for them *against this pattern*
+/// [`GainTable::push_gains`] appended for them *against this pattern*
 /// during the commit pass: together, the fold of the plans
 /// [`plan_for_data_update`] would derive. By refresh time the graph and
 /// index are read-only, and pruning a superset of the maximum simulation

@@ -3,9 +3,16 @@
 //! The [`gpnm_matcher::repair`] contract (see its docs) asks the caller
 //! for every *primary* membership trigger. This module centralizes that
 //! derivation so every strategy satisfies the contract the same way.
+//!
+//! A data update's root gains come from a [`GainTable`]: the pattern
+//! edges of one or more patterns, grouped by their source's label. The
+//! hosts keep one table for all their patterns and rebuild it only when
+//! a pattern registers or leaves; [`plan_for_data_update`], the engine's
+//! one-pattern case, builds one for its pattern. Either way the crossing
+//! rule lives in [`GainTable::push_gains`] alone.
 
 use gpnm_distance::AffDelta;
-use gpnm_graph::{DataGraph, NodeId, PatternGraph, PatternNodeId};
+use gpnm_graph::{Bound, DataGraph, Label, NodeId, PatternGraph, PatternNodeId};
 use gpnm_matcher::{MatchResult, RepairPlan};
 use gpnm_updates::{Candidates, DataUpdate, PatternUpdate};
 
@@ -70,62 +77,176 @@ pub fn plan_for_data_update(
     let mut plan = RepairPlan::new();
     plan.verify = delta.affected.clone();
     plan.verify.extend(created);
-    push_data_update_gains(
+    // Deletions only remove members: no table to build.
+    if matches!(
         update,
-        delta,
-        pattern,
-        graph,
-        result,
-        created,
-        &mut plan.gains,
-    );
-    plan.gains.sort_unstable();
-    plan.gains.dedup();
+        DataUpdate::InsertEdge { .. } | DataUpdate::InsertNode { .. }
+    ) {
+        let table = GainTable::new([pattern]);
+        let gains = std::slice::from_mut(&mut plan.gains);
+        table.push_gains(update, delta, graph, created, |_| result, gains);
+        plan.gains.sort_unstable();
+        plan.gains.dedup();
+    }
     plan
 }
 
-/// The pattern-dependent half of [`plan_for_data_update`]: append the
-/// update's root gains against `pattern` to `gains`, unsorted and possibly
-/// repeated. The other half, `verify`, is the update's `Aff_N` plus any
+/// The root gains of every pattern a host serves, indexed by label: the
+/// pattern-dependent half of [`plan_for_data_update`] for k patterns at
+/// once. (The other half, `verify`, is the update's `Aff_N` plus any
 /// created node, the same for every pattern: a host unions it once per
-/// tick and passes it to [`gpnm_matcher::repair_gains`] by reference.
-pub fn push_data_update_gains(
-    update: &DataUpdate,
-    delta: &AffDelta,
-    pattern: &PatternGraph,
-    graph: &DataGraph,
-    result: &MatchResult,
-    created: Option<NodeId>,
-    gains: &mut Vec<(PatternNodeId, NodeId)>,
-) {
-    match update {
-        DataUpdate::InsertEdge { .. } => {
-            for &(x, y, old, new) in &delta.changed {
-                if new >= old {
-                    continue;
+/// tick and passes it to [`gpnm_matcher::repair_gains`] by reference.)
+///
+/// The table holds every live pattern edge `(u, u', b)` of every pattern,
+/// grouped by `label(u)`, and every live pattern node, grouped by its own
+/// label. A changed record `(x, y, old, new)` is tested only against the
+/// edges whose source carries `label(x)`, so deriving a tick's gains
+/// costs its records, not records × patterns × pattern nodes — the
+/// type-indexed alpha memory of a discrimination network (*Generalized
+/// Discrimination Networks*, PAPERS.md). The rule applied is the one
+/// [`plan_for_data_update`] documents, and the gains come out per pattern
+/// in the order a scan of that pattern's nodes and out-edges would push
+/// them: the entries of one label keep pattern, node and edge order.
+///
+/// A host builds the table when its set of patterns changes and reads it
+/// on every tick; patterns are named by their position in the sequence
+/// the table was built from.
+#[derive(Debug, Clone, Default)]
+pub struct GainTable {
+    /// Every live pattern edge, by the label of its source.
+    edges: ByLabel<GainEdge>,
+    /// Every live pattern node `(pattern, u)`, by `label(u)`: the gains of
+    /// an `InsertNode`.
+    nodes: ByLabel<(usize, PatternNodeId)>,
+}
+
+/// One pattern edge `(u, u', b)` of pattern `pattern`, stored under
+/// `label(u)`.
+#[derive(Debug, Clone, Copy)]
+struct GainEdge {
+    pattern: usize,
+    u: PatternNodeId,
+    succ_label: Label,
+    bound: Bound,
+}
+
+impl GainTable {
+    /// The table of `patterns`, which it names `0, 1, …` in order.
+    pub fn new<'p>(patterns: impl IntoIterator<Item = &'p PatternGraph>) -> Self {
+        let (mut edges, mut nodes) = (Vec::new(), Vec::new());
+        for (pattern, p) in patterns.into_iter().enumerate() {
+            for u in p.nodes() {
+                let Some(label) = p.label(u) else { continue };
+                nodes.push((label, (pattern, u)));
+                for &(succ, bound) in p.out_edges(u) {
+                    if let Some(succ_label) = p.label(succ) {
+                        let edge = GainEdge {
+                            pattern,
+                            u,
+                            succ_label,
+                            bound,
+                        };
+                        edges.push((label, edge));
+                    }
                 }
-                let (lx, ly) = (graph.label(x), graph.label(y));
-                for u in pattern.nodes().filter(|&u| pattern.label(u) == lx) {
-                    for &(succ, bound) in pattern.out_edges(u) {
-                        let crossed = bound.admits(new) && !bound.admits(old);
-                        if crossed && pattern.label(succ) == ly && !result.relation_contains(u, x) {
-                            gains.push((u, x));
+            }
+        }
+        GainTable {
+            edges: ByLabel::new(edges),
+            nodes: ByLabel::new(nodes),
+        }
+    }
+
+    /// Append `update`'s root gains to `gains[i]` for each pattern `i`,
+    /// unsorted and possibly repeated, given the `SLen` delta its commit
+    /// produced. `relation(i)` is pattern `i`'s standing result, read at
+    /// this update's post-state like `graph`.
+    pub fn push_gains<'r>(
+        &self,
+        update: &DataUpdate,
+        delta: &AffDelta,
+        graph: &DataGraph,
+        created: Option<NodeId>,
+        relation: impl Fn(usize) -> &'r MatchResult,
+        gains: &mut [Vec<(PatternNodeId, NodeId)>],
+    ) {
+        match update {
+            DataUpdate::InsertEdge { .. } => {
+                for &(x, y, old, new) in &delta.changed {
+                    if new >= old {
+                        continue;
+                    }
+                    let edges = self.edges.get(graph.label(x));
+                    if edges.is_empty() {
+                        continue;
+                    }
+                    let ly = graph.label(y);
+                    for e in edges {
+                        let crossed = e.bound.admits(new) && !e.bound.admits(old);
+                        if crossed
+                            && Some(e.succ_label) == ly
+                            && !relation(e.pattern).relation_contains(e.u, x)
+                        {
+                            gains[e.pattern].push((e.u, x));
                         }
                     }
                 }
             }
-        }
-        DataUpdate::InsertNode { label } => {
-            if let Some(id) = created {
-                for u in pattern.nodes() {
-                    if pattern.label(u) == Some(*label) {
-                        gains.push((u, id));
+            DataUpdate::InsertNode { label } => {
+                if let Some(id) = created {
+                    for &(pattern, u) in self.nodes.get(Some(*label)) {
+                        gains[pattern].push((u, id));
                     }
                 }
             }
+            // Deletions only lengthen/lose paths: no additions possible.
+            DataUpdate::DeleteEdge { .. } | DataUpdate::DeleteNode { .. } => {}
         }
-        // Deletions only lengthen/lose paths: no additions possible.
-        DataUpdate::DeleteEdge { .. } | DataUpdate::DeleteNode { .. } => {}
+    }
+}
+
+/// Items grouped by label in one flat array, CSR style: label `l`'s items
+/// are `items[offsets[l]..offsets[l + 1]]`, in the order they were given.
+#[derive(Debug, Clone)]
+struct ByLabel<T> {
+    offsets: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Default for ByLabel<T> {
+    fn default() -> Self {
+        ByLabel {
+            offsets: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T> ByLabel<T> {
+    fn new(mut keyed: Vec<(Label, T)>) -> Self {
+        // Stable: a label's items keep their order.
+        keyed.sort_by_key(|&(label, _)| label);
+        let labels = keyed.last().map_or(0, |&(label, _)| label.index() + 1);
+        let mut offsets = vec![0; labels + 1];
+        for (label, _) in &keyed {
+            offsets[label.index() + 1] += 1;
+        }
+        for l in 0..labels {
+            offsets[l + 1] += offsets[l];
+        }
+        let items = keyed.into_iter().map(|(_, item)| item).collect();
+        ByLabel { offsets, items }
+    }
+
+    /// The items of `label`; none for a label no item carries, or `None`.
+    fn get(&self, label: Option<Label>) -> &[T] {
+        let Some(l) = label.map(Label::index) else {
+            return &[];
+        };
+        match (self.offsets.get(l), self.offsets.get(l + 1)) {
+            (Some(&start), Some(&end)) => &self.items[start..end],
+            _ => &[],
+        }
     }
 }
 
@@ -174,7 +295,7 @@ pub fn plan_for_pattern_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpnm_distance::IncrementalIndex;
+    use gpnm_distance::{IncrementalIndex, INF};
     use gpnm_graph::paper::fig1;
     use gpnm_graph::{Bound, DataGraphBuilder, PatternGraphBuilder};
     use gpnm_matcher::{match_graph, MatchSemantics};
@@ -222,6 +343,195 @@ mod tests {
         assert!(plan.verify.contains(n["a1"]));
         gpnm_matcher::repair(&p, &g, &idx, &mut result, &plan);
         assert_eq!(result, match_graph(&p, &g, &idx, SIMULATION));
+    }
+
+    /// The per-pattern rule [`GainTable`] replaced, verbatim: one
+    /// pattern's root gains, scanning its nodes for every changed record.
+    fn reference_gains(
+        update: &DataUpdate,
+        delta: &AffDelta,
+        pattern: &PatternGraph,
+        graph: &DataGraph,
+        result: &MatchResult,
+        created: Option<NodeId>,
+        gains: &mut Vec<(PatternNodeId, NodeId)>,
+    ) {
+        match update {
+            DataUpdate::InsertEdge { .. } => {
+                for &(x, y, old, new) in &delta.changed {
+                    if new >= old {
+                        continue;
+                    }
+                    let (lx, ly) = (graph.label(x), graph.label(y));
+                    for u in pattern.nodes().filter(|&u| pattern.label(u) == lx) {
+                        for &(succ, bound) in pattern.out_edges(u) {
+                            let crossed = bound.admits(new) && !bound.admits(old);
+                            if crossed
+                                && pattern.label(succ) == ly
+                                && !result.relation_contains(u, x)
+                            {
+                                gains.push((u, x));
+                            }
+                        }
+                    }
+                }
+            }
+            DataUpdate::InsertNode { label } => {
+                if let Some(id) = created {
+                    for u in pattern.nodes() {
+                        if pattern.label(u) == Some(*label) {
+                            gains.push((u, id));
+                        }
+                    }
+                }
+            }
+            DataUpdate::DeleteEdge { .. } | DataUpdate::DeleteNode { .. } => {}
+        }
+    }
+
+    type GainLists = Vec<Vec<(PatternNodeId, NodeId)>>;
+
+    /// Each pattern's gains from a [`GainTable`] of `patterns`, and from
+    /// [`reference_gains`].
+    fn both_gains(
+        update: &DataUpdate,
+        delta: &AffDelta,
+        patterns: &[PatternGraph],
+        graph: &DataGraph,
+        results: &[MatchResult],
+        created: Option<NodeId>,
+    ) -> (GainLists, GainLists) {
+        let table = GainTable::new(patterns);
+        let mut gains = vec![Vec::new(); patterns.len()];
+        table.push_gains(update, delta, graph, created, |i| &results[i], &mut gains);
+        let mut reference = vec![Vec::new(); patterns.len()];
+        for (i, out) in reference.iter_mut().enumerate() {
+            let (p, r) = (&patterns[i], &results[i]);
+            reference_gains(update, delta, p, graph, r, created, out);
+        }
+        (gains, reference)
+    }
+
+    proptest::proptest! {
+        /// The table's gains for k patterns equal, pattern by pattern and
+        /// in order, what the per-pattern rule pushes. Labels are shared
+        /// across patterns and within one, bounds are 1–3 or `*`, some
+        /// pattern nodes are tombstoned (with their edges), and the
+        /// records improve, worsen, or go to or from `INF` (distance 5
+        /// below) — what a real commit would emit or not. Relations come
+        /// from a real match, so some sources are already members.
+        #[test]
+        fn a_gain_table_gains_what_the_per_pattern_rule_gains(
+            labels in proptest::collection::vec(0u32..3, 1..12),
+            edges in proptest::collection::vec((0usize..12, 0usize..12), 0..30),
+            patterns in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u32..4, 1..6),
+                    proptest::collection::vec((0usize..6, 0usize..6, 0u32..4), 0..10),
+                    proptest::prelude::any::<u8>(),
+                ),
+                1..5,
+            ),
+            records in proptest::collection::vec((0usize..12, 0usize..12, 0u32..6, 0u32..6), 0..40),
+            fresh in 0u32..4,
+        ) {
+            let mut graph = DataGraph::new();
+            let ids: Vec<NodeId> = labels.iter().map(|&l| graph.add_node(Label(l))).collect();
+            let n = ids.len();
+            for (a, b) in edges {
+                let _ = graph.add_edge(ids[a % n], ids[b % n]);
+            }
+            let mut drawn = Vec::new();
+            for (node_labels, pattern_edges, dead) in patterns {
+                let mut p = PatternGraph::new();
+                let us: Vec<PatternNodeId> =
+                    node_labels.iter().map(|&l| p.add_node(Label(l))).collect();
+                for (a, b, k) in pattern_edges {
+                    let bound = if k == 0 { Bound::Unbounded } else { Bound::Hops(k) };
+                    let _ = p.add_edge(us[a % us.len()], us[b % us.len()], bound);
+                }
+                // Tombstones; the first node always lives.
+                for (i, &u) in us.iter().enumerate().skip(1) {
+                    if dead >> i & 1 == 1 {
+                        p.remove_node(u).unwrap();
+                    }
+                }
+                drawn.push(p);
+            }
+            let idx = IncrementalIndex::build(&graph);
+            let results: Vec<MatchResult> =
+                drawn.iter().map(|p| match_graph(p, &graph, &idx, SIMULATION)).collect();
+            let dist = |d: u32| if d == 5 { INF } else { d };
+            let mut delta = AffDelta::new();
+            for (x, y, old, new) in records {
+                if old != new {
+                    delta.record(ids[x % n], ids[y % n], dist(old), dist(new));
+                }
+            }
+            let insert = DataUpdate::InsertEdge { from: ids[0], to: ids[0] };
+            let (gains, reference) = both_gains(&insert, &delta, &drawn, &graph, &results, None);
+            proptest::prop_assert_eq!(gains, reference);
+            let delete = DataUpdate::DeleteEdge { from: ids[0], to: ids[0] };
+            let (gains, reference) = both_gains(&delete, &delta, &drawn, &graph, &results, None);
+            proptest::prop_assert_eq!(gains, reference);
+            let node = DataUpdate::InsertNode { label: Label(fresh) };
+            let created = Some(graph.add_node(Label(fresh)));
+            let none = AffDelta::new();
+            let (gains, reference) = both_gains(&node, &none, &drawn, &graph, &results, created);
+            proptest::prop_assert_eq!(gains, reference);
+        }
+    }
+
+    #[test]
+    fn two_patterns_sharing_a_source_label_gain_by_their_own_bounds() {
+        // P0 is A -(1)-> B, P1 is A -(3)-> B, and a1 reaches no B yet.
+        // `d(a1, b1)` falling from INF to 2 crosses P1's bound only; a
+        // fall from 4 to 1 crosses both.
+        let (g, li, n) = DataGraphBuilder::new()
+            .node("a1", "A")
+            .node("b1", "B")
+            .build()
+            .unwrap();
+        let (p0, li, p0n) = PatternGraphBuilder::new()
+            .node("A", "A")
+            .node("B", "B")
+            .edge("A", "B", 1)
+            .build_with_interner(li)
+            .unwrap();
+        let (p1, _, p1n) = PatternGraphBuilder::new()
+            .node("B", "B")
+            .node("A", "A")
+            .edge("A", "B", 3)
+            .build_with_interner(li)
+            .unwrap();
+        let idx = IncrementalIndex::build(&g);
+        let patterns = [p0, p1];
+        let results: Vec<MatchResult> = patterns
+            .iter()
+            .map(|p| match_graph(p, &g, &idx, SIMULATION))
+            .collect();
+        let table = GainTable::new(&patterns);
+        let up = DataUpdate::InsertEdge {
+            from: n["a1"],
+            to: n["b1"],
+        };
+        let gains_of = |old, new| {
+            let mut delta = AffDelta::new();
+            delta.record(n["a1"], n["b1"], old, new);
+            let mut gains = vec![Vec::new(); 2];
+            table.push_gains(&up, &delta, &g, None, |i| &results[i], &mut gains);
+            gains
+        };
+        let a1 = n["a1"];
+        assert_eq!(gains_of(INF, 2), vec![vec![], vec![(p1n["A"], a1)]]);
+        assert_eq!(
+            gains_of(4, 1),
+            vec![vec![(p0n["A"], a1)], vec![(p1n["A"], a1)]]
+        );
+        // Worsening records, and improvements within both bounds, gain
+        // nothing.
+        assert_eq!(gains_of(1, 4), vec![vec![], vec![]]);
+        assert_eq!(gains_of(3, 2), vec![vec![], vec![]]);
     }
 
     #[test]

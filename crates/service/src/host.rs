@@ -92,7 +92,8 @@ pub trait TickOutcome {
     /// shard order).
     ///
     /// Stats object fields: phase timings in integer nanoseconds
-    /// (`reduce_ns`, `shared_repair_ns`, `refresh_total_ns`,
+    /// (`reduce_ns`, `shared_repair_ns`, `plan_ns` — the commit pass
+    /// less its commits, i.e. deriving root gains —, `refresh_total_ns`,
     /// `refresh_max_ns`, `publish_ns` — `publish_ns` is 0 on a
     /// non-publishing host); `shared_repair_by_kind_ns` — an object from
     /// update kind to its nanoseconds of `shared_repair_ns`, holding only

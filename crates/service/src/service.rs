@@ -9,7 +9,7 @@ use gpnm_distance::{
     DEFAULT_MAX_INDEX_GB,
 };
 use gpnm_engine::pipeline::{
-    commit_data_update, push_data_update_gains, refresh_pattern, CommittedUpdate, RefreshStats,
+    commit_data_update, refresh_pattern, CommittedUpdate, GainTable, RefreshStats,
 };
 use gpnm_graph::{DataGraph, NodeId, NodeSet, PatternGraph, PatternNodeId};
 use gpnm_matcher::{match_graph, MatchDelta, MatchResult, MatchSemantics};
@@ -60,8 +60,8 @@ struct PatternSession {
 /// This is the tick's one record: [`PatternHost::apply`] writes each
 /// measurement here once, then flushes the finished record into the
 /// global metrics registry, so `--stats`, `--stats-json` and the
-/// `gpnm_tick_*` series read the same values. The four phases (reduce,
-/// commit, refresh, publish) do not overlap, so their sum is at
+/// `gpnm_tick_*` series read the same values. The five phases (reduce,
+/// commit, plan, refresh, publish) do not overlap, so their sum is at
 /// most the tick's [`TickReport::total_time`]. All durations are
 /// nanoseconds.
 #[derive(Debug, Clone, Default)]
@@ -74,6 +74,10 @@ pub struct TickStats {
     /// `shared_repair_ns` by update kind (`insert_edge`, `delete_edge`,
     /// `insert_node`, `delete_node`; only the kinds the tick committed).
     pub shared_repair_by_kind_ns: Vec<(&'static str, u64)>,
+    /// The commit pass's wall time less `shared_repair_ns`: deriving every
+    /// pattern's root gains from the host's [`GainTable`] and unioning the
+    /// tick's verify set.
+    pub plan_ns: u64,
     /// The per-pattern refresh phase, wall clock (it starts after the
     /// commit pass returns and refreshes the patterns one after another).
     pub refresh_ns: u64,
@@ -103,8 +107,8 @@ pub struct TickStats {
     /// members a tick had to verify beyond its dirty set, to read the
     /// matcher's cost against.
     pub addition_candidates: usize,
-    /// Nodes in the union of the committed updates' `Aff_N` sets (with
-    /// multiplicity across updates) — how much of the graph the batch
+    /// The committed updates' `Aff_N` sizes, summed (a node affected by
+    /// two updates counts twice) — how much of the graph the batch
     /// disturbed.
     pub affected_nodes: usize,
     /// The `SLen` backend that served the tick (`"partitioned"`, `"sparse"`,
@@ -154,12 +158,13 @@ impl TickStats {
             .map(|(kind, ns)| format!("{kind}={}µs", ns / 1_000))
             .collect();
         let mut out = format!(
-            "  stats: reduce={}µs shared_repair={}µs [{}] refresh(Σ)={}µs \
+            "  stats: reduce={}µs shared_repair={}µs [{}] plan={}µs refresh(Σ)={}µs \
              refresh(max)={}µs publish={}µs \
              repairs={} candidates={} affected={}",
             self.reduce_ns / 1_000,
             self.shared_repair_ns / 1_000,
             by_kind.join(" "),
+            self.plan_ns / 1_000,
             self.refresh_total_ns() / 1_000,
             self.refresh_max_ns() / 1_000,
             self.publish_ns / 1_000,
@@ -214,13 +219,14 @@ impl TickStats {
             .collect();
         format!(
             "{{\"reduce_ns\":{},\"shared_repair_ns\":{},\"shared_repair_by_kind_ns\":{{{}}},\
-             \"refresh_total_ns\":{},\"refresh_max_ns\":{},\"publish_ns\":{},\
+             \"plan_ns\":{},\"refresh_total_ns\":{},\"refresh_max_ns\":{},\"publish_ns\":{},\
              \"repair_calls\":{},\"addition_candidates\":{},\"affected_nodes\":{},\
              \"backend_kind\":\"{}\",\
              \"resident_rows\":{},\"index_mem_bytes\":{},\"per_pattern\":[{}],\"io\":{}}}",
             self.reduce_ns,
             self.shared_repair_ns,
             by_kind.join(","),
+            self.plan_ns,
             self.refresh_total_ns(),
             self.refresh_max_ns(),
             self.publish_ns,
@@ -256,6 +262,7 @@ struct TickSeries {
     total_ns: Arc<Histogram>,
     reduce_ns: Arc<Histogram>,
     commit_ns: Arc<Histogram>,
+    plan_ns: Arc<Histogram>,
     refresh_ns: Arc<Histogram>,
     publish_ns: Arc<Histogram>,
     pattern_refresh_ns: Arc<Histogram>,
@@ -286,6 +293,7 @@ fn series() -> &'static TickSeries {
         total_ns: registry.histogram("gpnm_tick_total_ns"),
         reduce_ns: registry.histogram("gpnm_tick_reduce_ns"),
         commit_ns: registry.histogram("gpnm_tick_commit_ns"),
+        plan_ns: registry.histogram("gpnm_tick_plan_ns"),
         refresh_ns: registry.histogram("gpnm_tick_refresh_ns"),
         publish_ns: registry.histogram("gpnm_tick_publish_ns"),
         pattern_refresh_ns: registry.histogram("gpnm_pattern_refresh_ns"),
@@ -317,6 +325,7 @@ fn flush(report: &TickReport) {
         let i = CommittedUpdate::KINDS.iter().position(|&k| k == kind);
         f.slen_repair_seconds[i.expect("a committed update kind")].add(ns as f64 / 1e9);
     }
+    f.plan_ns.observe(stats.plan_ns);
     f.refresh_ns.observe(stats.refresh_ns);
     f.publish_ns.observe(stats.publish_ns);
     f.updates_applied.add(report.updates_applied as u64);
@@ -543,6 +552,9 @@ pub struct GpnmService<B: SlenBackend = IncrementalIndex> {
     index: B,
     reqs: SlenRequirements,
     sessions: Vec<(PatternHandle, PatternSession)>,
+    /// The sessions' patterns, in session order, for the commit pass's
+    /// root gains: rebuilt whenever a pattern registers or leaves.
+    gain_table: GainTable,
     next_handle: u64,
     tick: u64,
     front: ReadFront,
@@ -561,6 +573,7 @@ impl<B: SlenBackend + Clone> Clone for GpnmService<B> {
             index: self.index.clone(),
             reqs: self.reqs.clone(),
             sessions: self.sessions.clone(),
+            gain_table: self.gain_table.clone(),
             next_handle: self.next_handle,
             tick: self.tick,
             front: ReadFront::new(),
@@ -606,11 +619,18 @@ impl<B: SlenBackend> GpnmService<B> {
             index,
             reqs,
             sessions: Vec::new(),
+            gain_table: GainTable::default(),
             next_handle: 0,
             tick: 0,
             front: ReadFront::new(),
             publishing: true,
         }
+    }
+
+    /// Rebuild the gain table from the sessions' patterns, after the set
+    /// of sessions changed.
+    fn rebuild_gain_table(&mut self) {
+        self.gain_table = GainTable::new(self.sessions.iter().map(|(_, s)| &s.pattern));
     }
 
     /// Publish every session's current state to (a fresh) front — the
@@ -707,13 +727,16 @@ impl<B: SlenBackend> GpnmService<B> {
 
         // The shared single pass: each surviving update mutates the graph
         // and repairs the backend exactly once. Its `Aff_N` (and created
-        // node) join the tick's one verify set, whatever the pattern; each
-        // pattern appends only its root gains, derived from the shared
-        // delta *at this update's post-state* — precisely where the
+        // node) join the tick's one verify set, whatever the pattern; the
+        // gain table appends every pattern's root gains, derived from the
+        // shared delta *at this update's post-state* — precisely where the
         // single-pattern engine derives its plan. The refresh then runs
         // one pass per pattern over the union (see `refresh_pattern`).
+        // One clock pair times the whole pass; less the commits it is
+        // `plan_ns`.
         let commit_span = tracing::span!(tracing::Level::DEBUG, "commit", updates = reduced.len());
         let commit_entered = commit_span.enter();
+        let pass = Instant::now();
         let mut verify = NodeSet::new();
         let mut gains: Vec<Vec<(PatternNodeId, NodeId)>> = vec![Vec::new(); self.sessions.len()];
         let mut slen_changes = 0;
@@ -728,11 +751,11 @@ impl<B: SlenBackend> GpnmService<B> {
             stats.affected_nodes += cu.delta.affected.len();
             verify.union_with(&cu.delta.affected);
             verify.extend(cu.created);
-            for ((_, sess), gains) in self.sessions.iter().zip(gains.iter_mut()) {
-                let (pattern, graph, result) = (&sess.pattern, &self.graph, &sess.result);
-                push_data_update_gains(du, &cu.delta, pattern, graph, result, cu.created, gains);
-            }
+            let relation = |i: usize| &self.sessions[i].1.result;
+            let table = &self.gain_table;
+            table.push_gains(du, &cu.delta, &self.graph, cu.created, relation, &mut gains);
         }
+        stats.plan_ns = ns64(pass.elapsed()).saturating_sub(stats.shared_repair_ns);
         drop(commit_entered);
 
         // Per-pattern refresh, one pattern after another over the
@@ -926,6 +949,7 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
                 version: 0,
             },
         ));
+        self.rebuild_gain_table();
         Ok(handle)
     }
 
@@ -939,6 +963,7 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
             .position(|(h, _)| *h == handle)
             .ok_or(ServiceError::UnknownHandle(handle))?;
         self.sessions.remove(pos);
+        self.rebuild_gain_table();
         // Terminate the handle's published state and subscriptions
         // (queued deltas drain first, then a final `Closed`).
         self.front.close(handle);
@@ -1224,7 +1249,10 @@ mod tests {
         assert!(stats.refresh_total_ns() >= stats.refresh_max_ns());
         let rendered = stats.render();
         assert!(rendered.contains("shared_repair"));
+        assert!(rendered.contains(&format!(" plan={}µs ", stats.plan_ns / 1_000)));
         assert!(rendered.contains("pattern #0"));
+        let json = stats.to_json();
+        assert!(json.contains(&format!("\"plan_ns\":{},", stats.plan_ns)));
 
         // Deleting the edge and inserting it back cancel in the reduction:
         // nothing commits, so no pass runs.
@@ -1282,6 +1310,104 @@ mod tests {
         });
         let report = service.apply(&batch).expect("valid");
         assert_eq!(report.stats.addition_candidates, 0, "deletes gain nothing");
+    }
+
+    /// Fig. 1's pattern, Example 2's `PM -> TE (2)` variant of it, and a
+    /// two-node `PM -> TE (2)`: three patterns over one label set, two of
+    /// which gain `(PM, PM2)` when `SE1 -> TE2` is inserted.
+    fn three_patterns() -> (gpnm_graph::paper::Fig1, [PatternGraph; 3]) {
+        let f = fig1();
+        let mut example2 = f.pattern.clone();
+        example2
+            .add_edge(f.p_pm, f.p_te, gpnm_graph::Bound::Hops(2))
+            .unwrap();
+        let mut pair = PatternGraph::new();
+        let te = pair.add_node(f.pattern.label(f.p_te).unwrap());
+        let pm = pair.add_node(f.pattern.label(f.p_pm).unwrap());
+        pair.add_edge(pm, te, gpnm_graph::Bound::Hops(2)).unwrap();
+        let patterns = [f.pattern.clone(), example2, pair];
+        (f, patterns)
+    }
+
+    /// Every session of `service` holds what a fresh match at its graph
+    /// holds, relation included.
+    fn assert_fresh(service: &GpnmService<SparseIndex>) {
+        for h in service.handles() {
+            let pattern = service.pattern(h).unwrap();
+            let graph = service.graph();
+            let reqs = SlenRequirements::of_pattern(pattern);
+            let fresh = match_graph(
+                pattern,
+                graph,
+                &SparseIndex::build(graph, &reqs),
+                MatchSemantics::Simulation,
+            );
+            let result = service.result(h).unwrap();
+            assert_eq!(result, &fresh, "{h}");
+            assert!(result.relation_eq(&fresh), "{h}");
+        }
+    }
+
+    fn insert_se1_te2(f: &gpnm_graph::paper::Fig1) -> UpdateBatch {
+        let mut batch = UpdateBatch::new();
+        batch.push(DataUpdate::InsertEdge {
+            from: f.se1,
+            to: f.te2,
+        });
+        batch.push(DataUpdate::InsertEdge {
+            from: f.pm1,
+            to: f.te1,
+        });
+        batch
+    }
+
+    #[test]
+    fn gains_follow_the_patterns_left_after_a_deregister() {
+        // The gain table names patterns by position: deregistering the
+        // first shifts the other two down, and their gains must follow.
+        let (f, patterns) = three_patterns();
+        let mut service = GpnmService::<SparseIndex>::new(f.graph.clone());
+        let handles: Vec<PatternHandle> = patterns
+            .into_iter()
+            .map(|p| {
+                service
+                    .register_pattern(p, MatchSemantics::Simulation)
+                    .unwrap()
+            })
+            .collect();
+        service.deregister(handles[0]).unwrap();
+        for &h in &handles[1..] {
+            let p_pm = PatternNodeId::from_index(if h == handles[1] { 0 } else { 1 });
+            assert!(!service.result(h).unwrap().relation_contains(p_pm, f.pm2));
+        }
+        service.apply(&insert_se1_te2(&f)).unwrap();
+        assert_fresh(&service);
+        assert!(service.result(handles[1]).unwrap().contains(f.p_pm, f.pm2));
+        let pair_pm = PatternNodeId::from_index(1);
+        assert!(service.result(handles[2]).unwrap().contains(pair_pm, f.pm2));
+    }
+
+    #[test]
+    fn a_clone_derives_the_gains_of_its_own_patterns() {
+        // A clone carries the gain table of the patterns it was cloned
+        // with, and keeps it when the original's patterns change.
+        let (f, patterns) = three_patterns();
+        let mut service = GpnmService::<SparseIndex>::new(f.graph.clone());
+        let handles: Vec<PatternHandle> = patterns
+            .into_iter()
+            .map(|p| {
+                service
+                    .register_pattern(p, MatchSemantics::Simulation)
+                    .unwrap()
+            })
+            .collect();
+        let mut clone = service.clone();
+        service.deregister(handles[1]).unwrap();
+        clone.apply(&insert_se1_te2(&f)).unwrap();
+        assert_fresh(&clone);
+        assert!(clone.result(handles[1]).unwrap().contains(f.p_pm, f.pm2));
+        service.apply(&insert_se1_te2(&f)).unwrap();
+        assert_fresh(&service);
     }
 
     #[test]

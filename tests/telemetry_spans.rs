@@ -404,7 +404,7 @@ fn commit_time_is_reported_by_update_kind() {
 
 /// One tick, one record: what a tick flushes into the metrics registry is
 /// exactly what its report carries — the total once, each phase once,
-/// each counter once — and the four phases do not overlap. One sparse
+/// each counter once — and the five phases do not overlap. One sparse
 /// tick and one paged tick (a cache small enough that the tick pages).
 #[test]
 fn registry_deltas_equal_the_tick_report() {
@@ -412,7 +412,7 @@ fn registry_deltas_equal_the_tick_report() {
     let registry = ua_gpnm::telemetry::global();
     let histogram = |name: &str| registry.histogram(name).sum();
     let counter = |name: &str| registry.counter(name).get();
-    let phases = ["reduce", "commit", "refresh", "publish"];
+    let phases = ["reduce", "commit", "plan", "refresh", "publish"];
     let series = |name: &str| format!("gpnm_tick_{name}_ns");
     let counters = [
         "gpnm_repair_calls_total",
@@ -469,6 +469,7 @@ fn registry_deltas_equal_the_tick_report() {
         let phase_ns = [
             stats.reduce_ns,
             stats.shared_repair_ns,
+            stats.plan_ns,
             stats.refresh_ns,
             stats.publish_ns,
         ];
