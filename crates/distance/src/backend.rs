@@ -15,18 +15,21 @@
 //!   kind, and the one the paper-scale experiments use.
 //! * [`crate::SparseIndex`] — bounded rows for edge *sources* only (nodes
 //!   whose label some pattern edge leaves), each truncated at the deepest
-//!   bound on those edges. Memory proportional to source rows × nodes
-//!   within their bounds, which is what unlocks 100k+-node graphs.
+//!   bound on those edges, its last level holding only the targets some
+//!   of those edges read there. Memory proportional to source rows ×
+//!   nodes within their bounds, which is what unlocks 100k+-node graphs.
 //!   [`crate::PagedIndex`] is the same index ([`crate::BoundedRows`]) with
 //!   its rows in a spill file behind a hot-row cache.
 //!
 //! What a backend must cover is captured by [`SlenRequirements`]: the
 //! matcher only ever asks for distances *from* nodes matching a pattern
-//! edge's source and only compares them against that edge's bound, so a
-//! backend may restrict itself to that projection. Dense backends ignore requirements
-//! (they cover everything); the sparse backend materializes exactly the
-//! requirement set and [`SlenBackend::sync_requirements`] grows it when a
-//! batch's pattern updates widen the pattern.
+//! edge's source *to* nodes labelled like its target, and only compares
+//! them against that edge's bound, so a backend may restrict itself to
+//! that projection ([`project_delta`] states it record by record). Dense
+//! backends ignore requirements (they cover everything); the bounded
+//! backends materialize exactly the requirement set and
+//! [`SlenBackend::sync_requirements`] grows it when a batch's pattern
+//! updates widen the pattern.
 
 use gpnm_graph::{Bound, DataGraph, Label, LabelInterner, NodeId, PatternGraph};
 
@@ -37,22 +40,56 @@ use crate::oracle::DistanceOracle;
 use crate::INF;
 
 /// What the pattern (plus any pending pattern updates) requires of the
-/// `SLen` index: which nodes are distance sources, and how deep each one's
-/// row must resolve — a map from source label to *horizon*.
+/// `SLen` index: which nodes are distance sources, how deep each one's row
+/// must resolve — its *horizon* — and which targets it keeps there.
 ///
 /// The matcher's `within(v, v', b)` checks always originate at a node `v`
-/// matching the source `u` of a pattern edge `(u, u', b)`. So a label gets
-/// rows only if some pattern edge leaves a node
-/// with that label, and its horizon is the deepest bound on those edges —
-/// [`INF`] for a `*` edge, which needs full reachability rows. A distance
-/// beyond a source's horizon is indistinguishable from ∞ for every bound
-/// its edges carry. A backend honoring a requirement set is therefore
-/// exact *for the projection the engine observes* even if it stores
-/// nothing else.
+/// matching the source `u` of a pattern edge `(u, u', b)`, with `v'`
+/// labelled like `u'`. So a label gets rows only if some pattern edge
+/// leaves a node with that label, and its horizon is the deepest bound on
+/// those edges — [`INF`] for a `*` edge, which needs full reachability
+/// rows. A distance beyond a source's horizon is indistinguishable from ∞
+/// for every bound its edges carry. At the horizon itself, only the
+/// targets of the edges that reach it are read: a row keeps `y` at
+/// distance `h` only if `label(y)` is one of them (its *kept labels*), and
+/// every target nearer than `h`. A full-row (`*`) horizon has no last
+/// level, so it keeps every label and lists none. A backend honoring a
+/// requirement set is therefore exact *for the projection the engine
+/// observes* even if it stores nothing else.
+///
+/// The form is canonical per source label — `(horizon, kept labels)` —
+/// so two sets that answer every [`SlenRequirements::keeps`] alike compare
+/// equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlenRequirements {
-    /// `(source label, horizon)`, sorted by label, one entry per label.
-    horizons: Vec<(Label, u32)>,
+    /// One entry per source label, sorted by label.
+    sources: Vec<Source>,
+}
+
+/// One source label's requirement: its horizon and, for a finite one, the
+/// target labels kept at it, ascending and distinct. The bounded rows index
+/// these by label, one lookup per row they touch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Source {
+    pub(crate) label: Label,
+    pub(crate) horizon: u32,
+    pub(crate) kept: Vec<Label>,
+}
+
+impl Source {
+    /// Whether a row of this label keeps a `to` target at distance `d`:
+    /// inside the horizon, or on it with `to` kept.
+    #[inline]
+    pub(crate) fn keeps(&self, to: Label, d: u32) -> bool {
+        d < self.horizon || d == self.horizon && self.kept.binary_search(&to).is_ok()
+    }
+
+    /// [`Source::keeps`] for target node `y` of `graph`, which reads `y`'s
+    /// label only when `d` is the horizon (a tombstone is kept nowhere).
+    #[inline]
+    pub(crate) fn keeps_node(&self, graph: &DataGraph, y: NodeId, d: u32) -> bool {
+        d < self.horizon || d == self.horizon && graph.label(y).is_some_and(|l| self.keeps(l, d))
+    }
 }
 
 impl SlenRequirements {
@@ -61,76 +98,121 @@ impl SlenRequirements {
     /// a time (the multi-pattern service's register path).
     pub fn empty() -> Self {
         SlenRequirements {
-            horizons: Vec::new(),
+            sources: Vec::new(),
         }
     }
 
     /// Requirements of `pattern` as it stands: one
-    /// [`SlenRequirements::absorb_edge`] per edge, at its source's label.
+    /// [`SlenRequirements::absorb_edge`] per edge, at its endpoints' labels.
     pub fn of_pattern(pattern: &PatternGraph) -> Self {
         let mut reqs = SlenRequirements::empty();
         for e in pattern.edges() {
-            if let Some(label) = pattern.label(e.from) {
-                reqs.absorb_edge(label, e.bound);
+            if let (Some(from), Some(to)) = (pattern.label(e.from), pattern.label(e.to)) {
+                reqs.absorb_edge(from, to, e.bound);
             }
         }
         reqs
     }
 
-    /// Widen to also resolve `bound` from every node labeled `label` (a
-    /// pattern edge leaving a node with that label).
-    pub fn absorb_edge(&mut self, label: Label, bound: Bound) {
+    /// Widen to also resolve `bound` from every node labeled `from` to
+    /// every node labeled `to` (a pattern edge between nodes with those
+    /// labels). An edge deeper than `from`'s horizon resets its kept
+    /// labels to `to`; one at the horizon adds `to`; a shallower one
+    /// changes nothing.
+    pub fn absorb_edge(&mut self, from: Label, to: Label, bound: Bound) {
         let horizon = match bound {
             Bound::Hops(k) => k,
             Bound::Unbounded => INF,
         };
-        self.absorb_horizon(label, horizon);
+        let kept = if horizon == INF { Vec::new() } else { vec![to] };
+        self.absorb_source(Source {
+            label: from,
+            horizon,
+            kept,
+        });
     }
 
-    fn absorb_horizon(&mut self, label: Label, horizon: u32) {
-        match self.horizons.binary_search_by_key(&label, |e| e.0) {
-            Ok(i) => self.horizons[i].1 = self.horizons[i].1.max(horizon),
-            Err(i) => self.horizons.insert(i, (label, horizon)),
+    fn absorb_source(&mut self, other: Source) {
+        let at = self.sources.binary_search_by_key(&other.label, |s| s.label);
+        let mine = match at {
+            Ok(i) => &mut self.sources[i],
+            Err(i) => return self.sources.insert(i, other),
+        };
+        if other.horizon > mine.horizon {
+            *mine = other;
+        } else if other.horizon == mine.horizon {
+            mine.kept.extend(other.kept);
+            mine.kept.sort_unstable();
+            mine.kept.dedup();
         }
     }
 
-    /// Widen to the union with `other`: per label, the deeper horizon.
+    /// Widen to the union with `other`: per label, the deeper horizon, and
+    /// at equal horizons both kept sets.
     pub fn absorb(&mut self, other: &SlenRequirements) {
-        for &(label, horizon) in &other.horizons {
-            self.absorb_horizon(label, horizon);
+        for source in &other.sources {
+            self.absorb_source(source.clone());
         }
     }
 
     /// The source labels, ascending.
     pub fn labels(&self) -> impl ExactSizeIterator<Item = Label> + '_ {
-        self.horizons.iter().map(|e| e.0)
+        self.sources.iter().map(|s| s.label)
+    }
+
+    /// The per-label requirements, ascending by label.
+    pub(crate) fn sources(&self) -> &[Source] {
+        &self.sources
+    }
+
+    fn source(&self, label: Label) -> Option<&Source> {
+        let at = self.sources.binary_search_by_key(&label, |s| s.label);
+        at.ok().map(|i| &self.sources[i])
     }
 
     /// How deep rows of `label`'s nodes resolve ([`INF`] = full rows);
     /// `None` when `label` is no source.
     pub fn horizon(&self, label: Label) -> Option<u32> {
-        let at = self.horizons.binary_search_by_key(&label, |e| e.0);
-        at.ok().map(|i| self.horizons[i].1)
+        self.source(label).map(|s| s.horizon)
+    }
+
+    /// The target labels rows of `label`'s nodes keep at their horizon,
+    /// ascending: empty when `label` is no source, and for a full-row
+    /// horizon, which has no last level to cut.
+    pub fn kept(&self, label: Label) -> &[Label] {
+        self.source(label).map_or(&[], |s| &s.kept)
+    }
+
+    /// Whether a row of a `from` node keeps a `to` target at distance `d`:
+    /// `from` is a source and `d` lies inside its horizon, or on it with
+    /// `to` kept.
+    pub fn keeps(&self, from: Label, to: Label, d: u32) -> bool {
+        self.source(from).is_some_and(|s| s.keeps(to, d))
     }
 
     /// The deepest horizon (0 with no source label).
     pub fn depth(&self) -> u32 {
-        self.horizons.iter().map(|e| e.1).max().unwrap_or(0)
+        self.sources.iter().map(|s| s.horizon).max().unwrap_or(0)
     }
 
-    /// The map as `{name:horizon, …}`, label names from `names` and `*`
-    /// for a full-row horizon — the form reports print.
+    /// The map as `{name:horizon[kept, …], …}`, label names from `names`
+    /// and `*` for a full-row horizon — the form reports print, e.g.
+    /// `{L3:3[L8,L20], L10:1[L11], L5:*}`.
     pub fn render(&self, names: &LabelInterner) -> String {
         let entries: Vec<String> = self
-            .horizons
+            .sources
             .iter()
-            .map(|&(label, h)| {
-                let name = names.name_or_placeholder(label);
-                if h == INF {
-                    format!("{name}:*")
-                } else {
-                    format!("{name}:{h}")
+            .map(|s| {
+                let name = names.name_or_placeholder(s.label);
+                if s.horizon == INF {
+                    return format!("{name}:*");
                 }
+                let kept: Vec<_> = s
+                    .kept
+                    .iter()
+                    .map(|&l| names.name_or_placeholder(l))
+                    .collect();
+                format!("{name}:{}[{}]", s.horizon, kept.join(","))
             })
             .collect();
         format!("{{{}}}", entries.join(", "))
@@ -138,23 +220,25 @@ impl SlenRequirements {
 }
 
 /// Project a dense [`AffDelta`] onto a bounded backend's observable
-/// slice: keep records whose source `x` has a horizon `horizon(x)`, clamp
-/// distances beyond it to [`INF`], and drop records the clamp turns into
-/// no-ops. This *is* the bounded backends' delta contract — the
-/// equivalence proptests assert `sparse.changed == project_delta(dense,
-/// horizon)` record for record. `horizon` must reflect residency at the
+/// slice: keep the records a row of `reqs` keeps on either side —
+/// [`SlenRequirements::keeps`] at the labels `label` gives source and
+/// target — read every other distance as [`INF`], and drop records that
+/// turns into no-ops. This *is* the bounded backends' delta contract —
+/// the equivalence proptests assert `sparse.changed == project_delta(dense,
+/// reqs, label)` record for record. `label` must give the labels at the
 /// time the delta was produced (for a node-deletion commit: *before* the
 /// node left the graph).
-pub fn project_delta<F: Fn(NodeId) -> Option<u32>>(
+pub fn project_delta<F: Fn(NodeId) -> Option<Label>>(
     delta: &AffDelta,
-    horizon: F,
+    reqs: &SlenRequirements,
+    label: F,
 ) -> Vec<(NodeId, NodeId, u32, u32)> {
     delta
         .changed
         .iter()
         .filter_map(|&(x, y, old, new)| {
-            let h = horizon(x)?;
-            let clamp = |d: u32| if d <= h { d } else { INF };
+            let (from, to) = (label(x)?, label(y)?);
+            let clamp = |d: u32| if reqs.keeps(from, to, d) { d } else { INF };
             let (old, new) = (clamp(old), clamp(new));
             (old != new).then_some((x, y, old, new))
         })
@@ -390,8 +474,8 @@ mod tests {
     fn requirements_of_fig1_pattern() {
         let f = fig1();
         let reqs = SlenRequirements::of_pattern(&f.pattern);
-        // Edges leave PM (bound 3 twice) and SE (bound 4); S and TE are
-        // sinks and need no rows.
+        // Edges leave PM (bound 3 to SE and to S) and SE (bound 4 to TE);
+        // S and TE are sinks and need no rows.
         let [pm, se, s, te] = ["PM", "SE", "S", "TE"].map(|l| f.interner.get(l).unwrap());
         assert_eq!(reqs.labels().collect::<Vec<_>>(), {
             let mut sources = vec![pm, se];
@@ -401,55 +485,104 @@ mod tests {
         assert_eq!(reqs.horizon(pm), Some(3));
         assert_eq!(reqs.horizon(se), Some(4));
         assert_eq!((reqs.horizon(s), reqs.horizon(te)), (None, None));
+        assert_eq!(reqs.kept(pm), {
+            let mut kept = vec![se, s];
+            kept.sort_unstable();
+            kept
+        });
+        assert_eq!(reqs.kept(se), [te]);
         assert_eq!(reqs.depth(), 4);
+        // Below the horizon every target is kept; at it, only the kept ones.
+        assert!(reqs.keeps(pm, te, 2) && reqs.keeps(pm, s, 3));
+        assert!(!reqs.keeps(pm, te, 3) && !reqs.keeps(pm, se, 4));
+        assert!(!reqs.keeps(te, pm, 0), "a sink keeps nothing");
         let mut shown = reqs.clone();
-        shown.absorb_edge(te, Bound::Unbounded);
-        let rendered = shown.render(&f.interner);
-        for entry in ["PM:3", "SE:4", "TE:*"] {
-            assert!(rendered.contains(entry), "{rendered}");
-        }
+        shown.absorb_edge(te, pm, Bound::Unbounded);
+        assert_eq!(shown.render(&f.interner), "{PM:3[SE,S], SE:4[TE], TE:*}");
         assert_eq!(SlenRequirements::empty().render(&f.interner), "{}");
     }
 
     #[test]
     fn requirements_absorb_monotonically() {
         let f = fig1();
-        let [pm, se, db] = ["PM", "SE", "DB"].map(|l| f.interner.get(l).unwrap());
+        let [pm, se, s, te, db] = ["PM", "SE", "S", "TE", "DB"].map(|l| f.interner.get(l).unwrap());
         let mut reqs = SlenRequirements::of_pattern(&f.pattern);
-        reqs.absorb_edge(pm, Bound::Hops(2));
+        reqs.absorb_edge(pm, db, Bound::Hops(2));
         assert_eq!(reqs.horizon(pm), Some(3), "a smaller bound never shrinks");
-        reqs.absorb_edge(pm, Bound::Hops(9));
+        assert!(!reqs.keeps(pm, db, 3), "nor adds a kept label");
+        reqs.absorb_edge(pm, db, Bound::Hops(3));
+        assert!(
+            reqs.keeps(pm, db, 3),
+            "an edge at the horizon adds its target"
+        );
+        reqs.absorb_edge(pm, te, Bound::Hops(9));
         assert_eq!(reqs.horizon(pm), Some(9));
+        assert_eq!(reqs.kept(pm), [te], "a deeper edge resets the kept labels");
         assert_eq!(reqs.horizon(se), Some(4), "other labels keep theirs");
         assert_eq!(reqs.depth(), 9);
         let before = reqs.labels().len();
-        reqs.absorb_edge(db, Bound::Hops(1));
+        reqs.absorb_edge(db, s, Bound::Hops(1));
         assert_eq!(reqs.labels().len(), before + 1);
-        reqs.absorb_edge(db, Bound::Hops(1));
+        reqs.absorb_edge(db, s, Bound::Hops(1));
         assert_eq!(reqs.labels().len(), before + 1, "labels dedupe");
-        reqs.absorb_edge(db, Bound::Unbounded);
+        assert_eq!(reqs.kept(db), [s], "and so do kept labels");
+        reqs.absorb_edge(db, s, Bound::Unbounded);
         assert_eq!((reqs.horizon(db), reqs.depth()), (Some(INF), INF));
-        // The union takes the deeper horizon per label.
+        assert_eq!(reqs.kept(db), [] as [Label; 0], "a full row lists none");
+        assert!(reqs.keeps(db, pm, 1_000), "and keeps every label");
+        // The union takes the deeper horizon per label, and both kept sets
+        // at an equal one.
         let mut union = SlenRequirements::empty();
-        union.absorb_edge(se, Bound::Hops(7));
+        union.absorb_edge(se, pm, Bound::Hops(7));
+        union.absorb_edge(pm, se, Bound::Hops(9));
         union.absorb(&reqs);
-        assert_eq!(union.horizon(se), Some(7));
+        assert_eq!((union.horizon(se), union.kept(se)), (Some(7), &[pm][..]));
         assert_eq!(union.horizon(pm), Some(9));
+        let mut both = vec![se, te];
+        both.sort_unstable();
+        assert_eq!(union.kept(pm), both);
+        // Edge by edge or set by set, the same canonical form.
+        let mut by_edge = SlenRequirements::empty();
+        for (from, to, b) in [
+            (pm, se, 9),
+            (se, pm, 7),
+            (pm, te, 9),
+            (pm, s, 2),
+            (se, te, 4),
+        ] {
+            by_edge.absorb_edge(from, to, Bound::Hops(b));
+        }
+        let mut by_set = SlenRequirements::empty();
+        by_set.absorb(&reqs_of(&[(se, te, 4), (pm, te, 9)]));
+        by_set.absorb(&reqs_of(&[(pm, s, 2), (se, pm, 7), (pm, se, 9)]));
+        assert_eq!(by_edge, by_set);
         assert_eq!(SlenRequirements::empty().depth(), 0);
+    }
+
+    fn reqs_of(edges: &[(Label, Label, u32)]) -> SlenRequirements {
+        let mut reqs = SlenRequirements::empty();
+        for &(from, to, b) in edges {
+            reqs.absorb_edge(from, to, Bound::Hops(b));
+        }
+        reqs
     }
 
     #[test]
     fn projection_clamps_each_source_at_its_own_horizon() {
         let mut delta = AffDelta::new();
-        let [x, y, z] = [0, 1, 2].map(NodeId);
+        let [x, y, z, w] = [0, 1, 2, 3].map(NodeId);
+        let [lx, ly, lz, lw] = [0, 1, 2, 3].map(Label);
+        let reqs = reqs_of(&[(lx, lw, 2), (ly, lz, 4)]);
         delta.record(x, y, 3, 1); // x's horizon 2: INF -> 1
         delta.record(x, z, 4, 3); // beyond x's horizon either way: dropped
+        delta.record(x, y, 1, 2); // y is not kept at x's horizon: 1 -> INF
+        delta.record(x, w, 1, 2); // w is: kept as is
         delta.record(y, z, 4, 3); // y's horizon 4: kept as is
         delta.record(z, x, 1, 2); // z has no row: dropped
-        let horizon = |n: NodeId| [Some(2), Some(4), None][n.index()];
+        let label = |n: NodeId| Some(Label(n.0));
         assert_eq!(
-            project_delta(&delta, horizon),
-            [(x, y, INF, 1), (y, z, 4, 3)]
+            project_delta(&delta, &reqs, label),
+            [(x, y, INF, 1), (x, y, 1, INF), (x, w, 1, 2), (y, z, 4, 3)]
         );
     }
 

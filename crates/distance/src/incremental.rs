@@ -151,7 +151,7 @@ impl IncrementalIndex {
             }
             self.resettle.clear();
             self.resettle.seed(row, v, dv);
-            self.resettle.run(graph, row, INF);
+            self.resettle.run(graph, row, INF, |_| true);
             record(&mut delta, x, &self.resettle);
         }
         delta
@@ -196,7 +196,7 @@ impl IncrementalIndex {
                     self.resettle.seed(row, z, did + 1);
                 }
             }
-            self.resettle.run(graph, row, INF);
+            self.resettle.run(graph, row, INF, |_| true);
             record(&mut delta, x, &self.resettle);
         }
         delta

@@ -76,7 +76,8 @@
 //! **Bounded rows** ([`BoundedRows`]). Rows only for nodes whose label
 //! some pattern edge leaves, each truncated at the deepest bound on those
 //! edges — its label's *horizon* (a `*` edge gives that label untruncated
-//! rows). The right choice past ~50k nodes. Repair is ball-local: an
+//! rows) — and keeping on that last level only the targets whose label
+//! an edge reaching the horizon reads. The right choice past ~50k nodes. Repair is ball-local: an
 //! update at `u` fetches only the resident rows inside `u`'s backward
 //! ball (one BFS over the graph's own in-adjacency — no reverse rows, and
 //! no CSR copy outside the bulk build) and re-runs only the rows that

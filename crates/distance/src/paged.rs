@@ -492,8 +492,11 @@ mod tests {
     /// pattern's own requirements make only PM and SE sources.)
     fn pattern_label_reqs(f: &gpnm_graph::paper::Fig1) -> SlenRequirements {
         let mut reqs = SlenRequirements::empty();
-        for label in ["PM", "SE", "S", "TE"] {
-            reqs.absorb_edge(f.interner.get(label).unwrap(), Bound::Hops(4));
+        for from in ["PM", "SE", "S", "TE"] {
+            for to in ["PM", "SE", "S", "TE", "DB"] {
+                let [from, to] = [from, to].map(|l| f.interner.get(l).unwrap());
+                reqs.absorb_edge(from, to, Bound::Hops(4));
+            }
         }
         reqs
     }

@@ -17,6 +17,23 @@
 //! gets no rows at all. Memory is `O(Σ_sources |ball_{h(x)}(x)|)` instead
 //! of `O(n²)`; [`SlenRequirements`] holds the label → horizon map.
 //!
+//! **The label-pair projection.** A check `d(v, v') ≤ b` also has a
+//! target: `v'` is labelled like the edge's `u'`. Below the horizon some
+//! edge of `x`'s label may read any target (its bound may exceed the
+//! distance), but *at* the horizon only the edges whose bound is the
+//! horizon read, so a row keeps an entry `(x, y)` at distance `h(x)` only
+//! when some pattern edge from `label(x)` to `label(y)` has bound `≥ h(x)`
+//! — `label(y)` is one of the label's *kept labels*. On the benchmark's
+//! workloads 78–81% of a full-level index lay on rows' last levels, and
+//! only 3–4% of those had a kept label. Levels below the horizon stay
+//! complete, and **only the last level may be cut**: it is the one level
+//! no repair reads as a parent. Every repair test reads a parent one level
+//! above its target (§3), so at distance `≤ h − 1`, and a target at `h`
+//! has its children beyond `h`, out of every row. A cut level nearer than
+//! the horizon would leave the level below it without the parents its
+//! repairs test. An unbounded horizon has no last level and keeps every
+//! label.
+//!
 //! Below, `B` is the horizon of the row at hand. **Why not one horizon
 //! for every row** (the deepest bound of any pattern, on every pattern
 //! label): on the benchmark's default serving workload 17% of those rows
@@ -28,12 +45,34 @@
 //!
 //! **A row is its targets grouped by distance.** Each resident row
 //! (`SparseRow`) is one `Vec<u32>`: the targets at distance 0, then those
-//! at 1, and so on to the row's last level (at most its horizon `B`), each
-//! level ascending by slot, then one end offset per level. No distance is
+//! at 1, and so on to the row's last level (at most its horizon `B`, and
+//! at `B` only the kept targets), each level ascending by slot, then one
+//! end offset per level. No distance is
 //! stored: a target's level is its distance. A BFS truncated at `B` fills
 //! it straight from its queue, which is already in level order (each level
 //! is sorted where it lies). 4 bytes a target plus 4 a level, against the
 //! 8 of the `(target, dist)` pairs this replaced.
+//!
+//! **The keep test** (`Source::keeps_node`: is `label(y)` among the row's kept
+//! labels?) runs wherever a target can land on the horizon, with the kept
+//! labels looked up once per row through the label-indexed table
+//! `horizon_table` builds:
+//!
+//! * *The bulk build* queues a node it first reaches at `B` only if the row
+//!   keeps it. One it does not keep is a leaf no row holds, so the BFS
+//!   never marks it. Filtering each finished row instead was measured at
+//!   the benchmark's `setup_s` 15–64% worse than full last levels; the
+//!   test inside the BFS, 0–31% better.
+//! * *An insert* skips a candidate target at exactly `B` that the row does
+//!   not keep, before searching the row for it (§3).
+//! * *A re-settle* never writes a distance of exactly `B` for a target the
+//!   row does not keep (§3).
+//! * *The backward ball* (§3) admits a source whose path over the updated
+//!   edge reaches the head at exactly `B` only if the row keeps the head.
+//! * *A retarget* that cuts a horizon, or drops kept labels, filters the
+//!   new last level in place (`retain_last_level`). One that deepens a
+//!   horizon or adds a kept label re-runs the rows: the targets their last
+//!   level now needs were never stored.
 //!
 //! * *The witness probe* (`any_within(set, b)`, the matcher's one question)
 //!   reads the targets of levels `0..=b` — one prefix of the vector — and
@@ -131,7 +170,11 @@
 //! h(x)}` is one BFS from `u` over [`DataGraph::in_neighbors`], as deep as
 //! the deepest horizon less one — a path runs through nodes of every
 //! label, so the walk cannot stop at a shallow label — with each node it
-//! reaches admitted against its own horizon. A node delete has one such
+//! reaches admitted against its own horizon: at `d(x, u) + 1 < h(x)`, or
+//! at `= h(x)` when its row keeps the head (`v`, or a deleted node). A
+//! source that reaches the head only on its horizon, unkept, holds
+//! nothing the update can move: no entry for the head, whose children lie
+//! beyond. A node delete has one such
 //! tail per in-edge, and one BFS seeded with all of them at once. The ball
 //! is filtered *before* any row is fetched and walked in slot order, so
 //! deltas keep the order a slot-order pass over every row gave them; the
@@ -152,8 +195,12 @@
 //!   inserting commit there, the earlier ones inner shells of the last) —
 //!   cheaper than fetching every candidate a second time. `v`'s row is
 //!   read level by level and stops at the first level that would land
-//!   past `B`; improvements move up a level and new targets arrive in one
-//!   patch of the row (§2). An insert with no such source does
+//!   past `B`; a target that would land exactly on `B` is kept only if the
+//!   row keeps its label, tested before the row is searched for it (on the
+//!   benchmark's default serving workload most improvements were arrivals
+//!   on the horizon, so most candidate rows now need no search, no record
+//!   and no patch). Improvements move up a level and new targets arrive in
+//!   one patch of the row (§2). An insert with no such source does
 //!   no forward BFS and no write; one whose `u` no resident row reaches
 //!   fetches nothing at all.
 //! * *Edge delete `(u, v)`*: only resident sources with
@@ -169,7 +216,9 @@
 //!   other entries can only change below a child `z` of `id` (an
 //!   `out_edges` head) at `d + 1` that has no other in-neighbour left at
 //!   `d`. With no such child — or with `id` at the horizon, its children
-//!   beyond it — the one entry is dropped in place. Otherwise the row is
+//!   beyond it — the one entry is dropped in place; a row with `id` on its
+//!   horizon but not kept there is no candidate at all (the ball leaves it
+//!   out). Otherwise the row is
 //!   re-settled, seeded with `id` at `d` and those children at `d + 1`:
 //!   the seeding the dense index uses, which reads the children from
 //!   `id`'s own matrix row instead. A bounded index holds that row only
@@ -182,7 +231,9 @@
 //! without passing through the node, so the walk's depth plus one is the
 //! row's `d(x, id)`. The ball is admitted at `d + 1 ≤ h(x)`, so that entry
 //! is in the row, and each commit reads it off the ball instead of
-//! searching the row for it (asserted in debug builds).
+//! searching the row for it (asserted in debug builds). (A deleted node
+//! `id` at `d + 1 = h(x)` is in the row too: the ball admits it there only
+//! if the row keeps it.)
 //!
 //! **The ball, walked in the post-update graph, is a superset of the
 //! candidates the old rows define.** Three arguments are needed, one per
@@ -241,15 +292,19 @@
 //!   its standing in-neighbours, then a small heap settles the nearest
 //!   tentative one and relaxes its affected children — Dijkstra over `A`
 //!   alone, since a target can come back through another affected target
-//!   (even one of its own children). What is left unsettled fell beyond
-//!   `B` and leaves the row. Records go out ascending by target — the
+//!   (even one of its own children). A tentative distance of exactly `B`
+//!   is written only for a target the row keeps. What is left unsettled
+//!   fell beyond `B`, or onto it unkept, and leaves the row. Records go out
+//!   ascending by target — the
 //!   order a diff of the two rows lists them — so deltas are bit-identical
 //!   to the re-run's.
 //! * *The truncated row is enough.* A parent of `z` one level up sits at
 //!   `d(z) − 1 ≤ B − 1`, and the predecessor on any new path of length
 //!   `≤ B` sits at `≤ B − 1`: both are entries of the row (or affected,
-//!   hence former entries). A neighbour the row does not list is farther
-//!   than `B` and can hold nothing up.
+//!   hence former entries) — the levels below the horizon are complete.
+//!   A neighbour the row does not list is farther than `B`, or on `B`
+//!   unkept, and can hold nothing up: a parent is read only one level
+//!   above its child, so never at `B`.
 //! * *The two lemmas of PR 17 are its first step.* "No standing parent of
 //!   `v`" is the **alternative-parent** test: a candidate that fails it is
 //!   fetched once and dropped, its whole row standing. A `v` at `d(v) == B`
@@ -276,7 +331,8 @@
 //! distance rides in the small affected list. Every tentative value is the
 //! length of a real path in the post-delete graph, so it can only ever
 //! undercut an affected cell — a standing cell is already at its
-//! distance, and a cell outside the row is farther than `B` — and the
+//! distance, and a cell outside the row is farther than `B`, or on it
+//! unkept, where the keep test refuses to write — and the
 //! settle needs no way to tell them apart. One O(n) array serves the
 //! BFSs and the re-settle; it is all-[`INF`] between commits (asserted on
 //! entry in debug builds, and after every commit by the tests).
@@ -286,7 +342,8 @@
 //! delete, the node's own row, and only ever patches rows in place
 //! (`RowStore::update`; `put` is for builds and re-targets). Deltas are the
 //! dense deltas *projected* onto resident sources with distances beyond
-//! each source's horizon mapped to ∞ — exactly the projection the matcher
+//! each source's horizon, and on it to an unkept target, mapped to ∞
+//! ([`crate::project_delta`]) — exactly the projection the matcher
 //! observes, which the
 //! backend-equivalence proptest suite asserts record-for-record against
 //! [`crate::IncrementalIndex`] (and, between the two stores, proves the
@@ -324,10 +381,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
 
-use gpnm_graph::{Bound, CsrGraph, DataGraph, NodeId, NodeSet};
+use gpnm_graph::{Bound, CsrGraph, DataGraph, Label, NodeId, NodeSet};
 
 use crate::aff::AffDelta;
-use crate::backend::{IoStats, RepairHint, SlenBackend, SlenRequirements};
+use crate::backend::{IoStats, RepairHint, SlenBackend, SlenRequirements, Source};
 use crate::oracle::DistanceOracle;
 use crate::{sat_add, INF};
 
@@ -494,6 +551,32 @@ impl SparseRow {
         self.drop_empty_last_levels();
     }
 
+    /// Keep at level `d`, when it is the row's last, only the targets
+    /// `keep` admits: the kept-label filter of a horizon a retarget made
+    /// shallower or narrower. One pass over the level, in place.
+    pub(crate) fn retain_last_level(&mut self, d: u32, keep: impl Fn(u32) -> bool) {
+        let levels = self.ends().len();
+        if levels != d as usize + 1 {
+            return;
+        }
+        let total = self.len();
+        let start = d
+            .checked_sub(1)
+            .map_or(0, |p| self.words[total + p as usize] as usize);
+        let mut end = start;
+        for i in start..total {
+            let y = self.words[i];
+            if keep(y) {
+                self.words[end] = y;
+                end += 1;
+            }
+        }
+        self.words.copy_within(total..total + levels, end);
+        self.words.truncate(end + levels);
+        *self.words.last_mut().expect("a level") = end as u32;
+        self.drop_empty_last_levels();
+    }
+
     /// Apply `changes` — `(target, old, new)`, one per target, each a real
     /// change, [`INF`] for "absent" on either side: a target moves from
     /// level `old` to level `new`, arrives, or leaves. Levels nearer
@@ -577,11 +660,14 @@ impl SparseRow {
 /// costs its ball and nothing per graph version. `dist` is an all-[`INF`]
 /// scratch array; on return `queue` lists the nodes reached, in BFS order,
 /// and `dist` holds their depths — the caller reads what it needs and
-/// hands both to [`restore_scratch`].
+/// hands both to [`restore_scratch`]. A node first met at `depth` is
+/// reached only if `leaf` admits it (a row's keep test at its horizon);
+/// one it refuses is left unmarked, so a second parent tests it again.
 fn bfs_visit<'g>(
     adjacent: impl Fn(NodeId) -> &'g [NodeId],
     sources: &[NodeId],
     depth: u32,
+    leaf: impl Fn(NodeId) -> bool,
     dist: &mut [u32],
     queue: &mut Vec<NodeId>,
 ) {
@@ -600,7 +686,7 @@ fn bfs_visit<'g>(
             continue; // at the truncation horizon: do not expand further
         }
         for &v in adjacent(u) {
-            if dist[v.index()] == INF {
+            if dist[v.index()] == INF && (du + 1 < depth || leaf(v)) {
                 dist[v.index()] = du + 1;
                 queue.push(v);
             }
@@ -616,16 +702,18 @@ fn restore_scratch(dist: &mut [u32], queue: &[NodeId]) {
 }
 
 /// The truncated BFS row of `source`: [`bfs_visit`] harvested into a
-/// [`SparseRow`], scratch restored. The queue is already in level order,
-/// so each level is one run of it, sorted where it lies.
+/// [`SparseRow`], scratch restored, its last level (at `depth`) holding
+/// only the targets `leaf` keeps. The queue is already in level order, so
+/// each level is one run of it, sorted where it lies.
 pub(crate) fn bfs_truncated<'g>(
     adjacent: impl Fn(NodeId) -> &'g [NodeId],
     source: NodeId,
     depth: u32,
+    leaf: impl Fn(NodeId) -> bool,
     dist: &mut [u32],
     queue: &mut Vec<NodeId>,
 ) -> SparseRow {
-    bfs_visit(adjacent, &[source], depth, dist, queue);
+    bfs_visit(adjacent, &[source], depth, leaf, dist, queue);
     let levels = queue.last().map_or(0, |v| dist[v.index()] as usize + 1);
     let mut words = Vec::with_capacity(queue.len() + levels);
     words.extend(queue.iter().map(|v| v.0));
@@ -674,10 +762,18 @@ impl Resettle {
     /// Re-settle `dist` — a source's distances as they stood before
     /// `graph` lost an edge or a node, with the targets that lost their
     /// last parent seeded. The unit-weight decremental step of Ramalingam &
-    /// Reps, truncated at `depth` ([`INF`] = untruncated). Leaves `dist`
-    /// exact for `graph` on every cell the source reached, and
-    /// [`Resettle::affected`] listing the changes.
-    pub(crate) fn run(&mut self, graph: &DataGraph, dist: &mut [u32], depth: u32) {
+    /// Reps, truncated at `depth` ([`INF`] = untruncated), writing a
+    /// distance of exactly `depth` only for a target `keep` admits. Leaves
+    /// `dist` exact for `graph` on every cell the row keeps, and
+    /// [`Resettle::affected`] listing the changes: an affected target that
+    /// settles at `depth` unkept leaves the row.
+    pub(crate) fn run(
+        &mut self,
+        graph: &DataGraph,
+        dist: &mut [u32],
+        depth: u32,
+        keep: impl Fn(NodeId) -> bool,
+    ) {
         let Resettle { affected, heap } = self;
         // 1. The affected set, level by level from the seeds. A cell reads
         // INF from the moment its target is affected, so "a standing
@@ -700,13 +796,14 @@ impl Resettle {
         // in-neighbour, then the nearest unsettled one relaxes its affected
         // children. Every value written is the length of a real path, so only
         // an affected cell can ever exceed `d + 1` (a standing one is already
-        // at its distance; any other INF cell lies beyond `depth`, or out of
-        // the source's reach before the delete and so after it).
+        // at its distance; any other INF cell lies beyond `depth`, or at it
+        // and unkept, or out of the source's reach before the delete and so
+        // after it). No level-`depth` cell is ever read as a parent.
         heap.clear();
         for &(y, _, _) in affected.iter() {
             let parents = graph.in_neighbors(NodeId(y)).iter();
             let near = parents.map(|w| dist[w.index()]).min().unwrap_or(INF);
-            if near < depth {
+            if near < depth && (near + 1 < depth || keep(NodeId(y))) {
                 dist[y as usize] = near + 1;
                 heap.push(Reverse((near + 1, y)));
             }
@@ -716,7 +813,7 @@ impl Resettle {
                 continue; // superseded, or at the horizon
             }
             for &z in graph.out_neighbors(NodeId(y)) {
-                if dist[z.index()] > d + 1 {
+                if dist[z.index()] > d + 1 && (d + 1 < depth || keep(z)) {
                     debug_assert!(affected.iter().any(|a| a.0 == z.0), "wrote a standing cell");
                     dist[z.index()] = d + 1;
                     heap.push(Reverse((d + 1, z.0)));
@@ -808,31 +905,34 @@ pub(crate) trait RowStore: Debug + Default + Send + Sync {
     }
 }
 
-/// The horizon `reqs` cuts `x`'s row at; `None` when `x` is no source.
-fn horizon_of(reqs: &SlenRequirements, graph: &DataGraph, x: NodeId) -> Option<u32> {
-    graph.label(x).and_then(|l| reqs.horizon(l))
-}
-
-/// `reqs` indexed by label: the ball walk's per-node horizon lookup.
-fn horizon_table(reqs: &SlenRequirements) -> Vec<Option<u32>> {
+/// `reqs` indexed by label: the per-node horizon (and kept labels) lookup
+/// of the ball walk and of every row a commit or a build touches.
+fn horizon_table(reqs: &SlenRequirements) -> Vec<Option<Source>> {
     let mut table = Vec::new();
-    for l in reqs.labels() {
-        grow_with_slack(&mut table, l.index() + 1, || None);
-        table[l.index()] = reqs.horizon(l);
+    for source in reqs.sources() {
+        grow_with_slack(&mut table, source.label.index() + 1, || None);
+        table[source.label.index()] = Some(source.clone());
     }
     table
 }
 
-/// Every node `reqs` makes a distance source, with its horizon,
-/// label-major.
+/// `x`'s row requirement in `table`; `None` when `x` is no source.
+fn horizon_of<'t>(table: &'t [Option<Source>], graph: &DataGraph, x: NodeId) -> Option<&'t Source> {
+    graph.label(x).and_then(|l| table.get(l.index())?.as_ref())
+}
+
+/// The label of an updated edge's head: the edge joins live nodes.
+fn head_label(graph: &DataGraph, v: NodeId) -> Label {
+    graph.label(v).expect("an edge's head is a live node")
+}
+
+/// Every node `reqs` makes a distance source, label-major.
 fn required_sources<'a>(
     reqs: &'a SlenRequirements,
     graph: &'a DataGraph,
-) -> impl Iterator<Item = (NodeId, u32)> + 'a {
-    reqs.labels().flat_map(move |l| {
-        let h = reqs.horizon(l).expect("a listed label");
-        graph.nodes_with_label(l).iter().map(move |&x| (x, h))
-    })
+) -> impl Iterator<Item = NodeId> + 'a {
+    reqs.labels()
+        .flat_map(move |l| graph.nodes_with_label(l).iter().copied())
 }
 
 /// Bounded-row `SLen` index over candidate sources only, generic over its
@@ -842,17 +942,20 @@ fn required_sources<'a>(
 /// and emit identical deltas.
 ///
 /// [`DistanceOracle::distance`] answers [`INF`] for any pair outside the
-/// resident projection — sound for every consumer in this workspace
-/// because they all source distance queries at pattern-labeled nodes and
-/// compare them against the pattern's bounds only (the projection
-/// [`SlenRequirements`] captures), but *not* a general-purpose APSP oracle.
+/// resident projection — a source without a row, a target beyond its
+/// horizon, or one on it whose label no edge of the source's label reads
+/// there. That is sound for every consumer in this workspace because they
+/// all source distance queries at pattern-labeled nodes, aim them at
+/// nodes labelled like the edge's target and compare them against the
+/// pattern's bounds only (the projection [`SlenRequirements`] captures),
+/// but it makes this *not* a general-purpose APSP oracle.
 #[derive(Debug, Clone)]
 pub struct BoundedRows<S> {
     /// The covered requirement set (source labels and their horizons) —
     /// the single source of truth for what is resident, and how deep.
     reqs: SlenRequirements,
     /// `reqs` as [`horizon_table`], rebuilt with it.
-    horizons: Vec<Option<u32>>,
+    horizons: Vec<Option<Source>>,
     pub(crate) store: S,
     /// Flat adjacency for the bulk build ([`BoundedRows::build_rows`]),
     /// built on demand and dropped by every commit and rebuild: the
@@ -897,30 +1000,37 @@ impl<S: RowStore> BoundedRows<S> {
     }
 
     /// The backward ball of `tails` — an edge's tail, or every in-neighbour
-    /// a deleted node had: the sources `x` with `d(x, t) + 1 ≤ h(x)` in
-    /// `graph` for some tail `t`, where `h(x)` is the horizon of `x`'s row —
-    /// the sources that reach across one of the edges inside their own
-    /// horizon — ascending by slot, each as `(x, h(x), d(x, tails))`. One
-    /// BFS over the
-    /// live in-adjacency, from all the tails at once, as deep as the
-    /// deepest horizon (a path passes through nodes of any label), filtered
-    /// straight off its queue: before any row is fetched, and before
-    /// anything is sorted. (Depth 0 leaves nobody.) The ball is returned
-    /// in the buffer the last commit's ball used: hand it back to
-    /// `ball_buf` when done.
-    fn backward_ball(&mut self, graph: &DataGraph, tails: &[NodeId]) -> Vec<(u32, u32, u32)> {
+    /// a deleted node had — towards a head labelled `head`: the sources `x`
+    /// with `d(x, t) + 1 ≤ h(x)` in `graph` for some tail `t`, where `h(x)`
+    /// is the horizon of `x`'s row, and with the head kept when the sum is
+    /// `h(x)` — the sources that reach across one of the edges to a cell
+    /// their row keeps — ascending by slot, each as `(x, h(x), d(x,
+    /// tails))`. One BFS over the live in-adjacency, from all the tails at
+    /// once, as deep as the deepest horizon (a path passes through nodes of
+    /// any label), filtered straight off its queue: before any row is
+    /// fetched, and before anything is sorted. (Depth 0 leaves nobody.)
+    /// The ball is returned in the buffer the last commit's ball used:
+    /// hand it back to `ball_buf` when done.
+    fn backward_ball(
+        &mut self,
+        graph: &DataGraph,
+        tails: &[NodeId],
+        head: Label,
+    ) -> Vec<(u32, u32, u32)> {
         let mut ball = std::mem::take(&mut self.ball_buf);
         ball.clear();
         let Some(radius) = self.reqs.depth().checked_sub(1) else {
             return ball;
         };
         let (dist, queue) = (&mut self.dist_buf, &mut self.queue_buf);
-        bfs_visit(|n| graph.in_neighbors(n), tails, radius, dist, queue);
+        let all = |_| true;
+        bfs_visit(|n| graph.in_neighbors(n), tails, radius, all, dist, queue);
         let horizons = &self.horizons;
         let admitted = |x: &NodeId| {
-            let h = graph.label(*x).and_then(|l| *horizons.get(l.index())?)?;
+            let source = horizon_of(horizons, graph, *x)?;
             let d = dist[x.index()];
-            (sat_add(d, 1) <= h).then_some((x.0, h, d))
+            let reads = source.keeps(head, sat_add(d, 1));
+            reads.then_some((x.0, source.horizon, d))
         };
         ball.extend(queue.iter().filter_map(admitted));
         restore_scratch(dist, queue);
@@ -929,15 +1039,17 @@ impl<S: RowStore> BoundedRows<S> {
     }
 
     /// Bulk build: one row per source, at its horizon, each handed to
-    /// `keep`. The only
-    /// reader of the CSR: hundreds of BFSs over one unchanging graph are
-    /// worth a flat copy of its adjacency, and registering `k` patterns
-    /// re-targets `k` times with no commit in between, which one copy
-    /// answers.
+    /// `keep`. A node first reached at the horizon is queued only if the
+    /// row keeps it: one it does not keep is a leaf no row holds, and
+    /// testing it inside the BFS costs less than harvesting it and
+    /// filtering after. The only reader of the CSR: hundreds of BFSs over
+    /// one unchanging graph are worth a flat copy of its adjacency, and
+    /// registering `k` patterns re-targets `k` times with no commit in
+    /// between, which one copy answers.
     fn build_rows(
         &mut self,
         graph: &DataGraph,
-        sources: Vec<(NodeId, u32)>,
+        sources: Vec<NodeId>,
         mut keep: impl FnMut(&mut S, u32, SparseRow),
     ) {
         if sources.is_empty() {
@@ -949,9 +1061,12 @@ impl<S: RowStore> BoundedRows<S> {
             (graph.slot_count(), graph.edge_count()),
             "the graph moved without a commit"
         );
-        for (x, h) in sources {
+        for x in sources {
+            let source = horizon_of(&self.horizons, graph, x).expect("a source has a horizon");
+            let h = source.horizon;
             let (dist, queue) = (&mut self.dist_buf, &mut self.queue_buf);
-            let row = bfs_truncated(|n| csr.out_neighbors(n), x, h, dist, queue);
+            let leaf = |y| source.keeps_node(graph, y, h);
+            let row = bfs_truncated(|n| csr.out_neighbors(n), x, h, leaf, dist, queue);
             keep(&mut self.store, x.0, row);
         }
     }
@@ -965,36 +1080,46 @@ impl<S: RowStore> BoundedRows<S> {
     }
 
     /// Re-aim coverage at exactly `target`, label by label. Rows whose
-    /// label left are dropped; a label whose horizon shrank re-truncates
-    /// its rows in place (a depth-B row filtered to `d ≤ B'` *is* the
-    /// depth-B' row, no BFS needed); a label whose horizon grew re-runs its
-    /// rows, then newly required sources are materialized — puts in slot
-    /// order first, label order second.
+    /// label left are dropped. A label whose horizon shrank re-truncates
+    /// its rows in place and filters their new last level (a depth-B row
+    /// cut to `d ≤ B'` *is* the depth-B' row before its keep test, no BFS
+    /// needed); one whose kept labels only shrank filters the last level in
+    /// place. A label whose horizon grew, or whose kept labels gained one
+    /// at the same horizon, re-runs its rows (their last level is missing
+    /// targets no filter can bring back). Newly required sources are
+    /// materialized last — puts in slot order first, label order second.
     fn retarget(&mut self, graph: &DataGraph, target: SlenRequirements) {
         self.ensure_slots(graph);
         if self.reqs == target {
             return;
         }
-        let old = std::mem::replace(&mut self.reqs, target);
-        self.horizons = horizon_table(&self.reqs);
-        let mut todo: Vec<(NodeId, u32)> = Vec::new();
+        self.reqs = target;
+        let old = std::mem::replace(&mut self.horizons, horizon_table(&self.reqs));
+        let mut todo: Vec<NodeId> = Vec::new();
         for slot in 0..self.store.slots() as u32 {
             if !self.store.is_resident(slot) {
                 continue;
             }
             let x = NodeId(slot);
-            let was = horizon_of(&old, graph, x);
-            match horizon_of(&self.reqs, graph, x) {
-                None => self.store.remove(slot),
-                Some(h) if Some(h) < was => {
-                    self.store.update(slot, |row| row.truncate(h));
-                }
-                Some(h) if Some(h) > was => todo.push((x, h)),
-                Some(_) => {}
+            let was = horizon_of(&old, graph, x).expect("a resident row has a horizon");
+            let Some(now) = horizon_of(&self.horizons, graph, x) else {
+                self.store.remove(slot);
+                continue;
+            };
+            let gained = |l: &Label| was.kept.binary_search(l).is_err();
+            let h = now.horizon;
+            if h > was.horizon || h == was.horizon && now.kept.iter().any(gained) {
+                todo.push(x);
+            } else if now != was {
+                let keep = |y| now.keeps_node(graph, NodeId(y), h);
+                self.store.update(slot, |row| {
+                    row.truncate(h);
+                    row.retain_last_level(h, keep);
+                });
             }
         }
         let sources = required_sources(&self.reqs, graph);
-        todo.extend(sources.filter(|&(x, _)| !self.store.is_resident(x.0)));
+        todo.extend(sources.filter(|&x| !self.store.is_resident(x.0)));
         self.build_rows(graph, todo, S::put);
     }
 
@@ -1020,13 +1145,15 @@ impl<S: RowStore> BoundedRows<S> {
         let mut vrow: Vec<(u32, u32)> = Vec::new();
         let mut reach = None;
         let mut updates: Vec<(u32, u32, u32)> = Vec::new();
-        let ball = self.backward_ball(graph, &[u]);
+        let ball = self.backward_ball(graph, &[u], head_label(graph, v));
         for &(slot, h, du) in &ball {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
             };
+            let x = NodeId(slot);
+            let source = horizon_of(&self.horizons, graph, x).expect("a ball row has a horizon");
             // Affected source: `d_h(x,u) + 1 < d_h(x,v)`, within its horizon
-            // (the ball admitted `d(x, u) + 1 ≤ h`).
+            // (the ball admitted `d(x, u) + 1 ≤ h`, and `v` kept at `h`).
             debug_assert!(row.has_at(u.0, du), "the ball's d(x, u) is the row's");
             let through = du + 1;
             if row.has_within(v.0, through) {
@@ -1035,7 +1162,8 @@ impl<S: RowStore> BoundedRows<S> {
             let usable = if h == INF { INF } else { h - through };
             if reach < Some(usable) {
                 let (dist, queue) = (&mut self.dist_buf, &mut self.queue_buf);
-                bfs_visit(|n| graph.out_neighbors(n), &[v], usable, dist, queue);
+                let all = |_| true;
+                bfs_visit(|n| graph.out_neighbors(n), &[v], usable, all, dist, queue);
                 vrow.clear();
                 vrow.extend(queue.iter().map(|&y| (y.0, dist[y.index()])));
                 restore_scratch(dist, queue);
@@ -1044,13 +1172,15 @@ impl<S: RowStore> BoundedRows<S> {
             }
             updates.clear();
             for &(y, dvy) in &vrow {
+                // A candidate beyond the horizon, or on it and not kept,
+                // is one the row never holds: skipped before the search.
                 let cand = sat_add(through, dvy);
-                if cand > h {
+                if !source.keeps_node(graph, NodeId(y), cand) {
                     continue;
                 }
                 let old = row.get(y).unwrap_or(INF);
                 if cand < old {
-                    delta.record(NodeId(slot), NodeId(y), old, cand);
+                    delta.record(x, NodeId(y), old, cand);
                     updates.push((y, old, cand));
                 }
             }
@@ -1070,7 +1200,7 @@ impl<S: RowStore> BoundedRows<S> {
     fn delete_edge_delta(&mut self, graph: &DataGraph, u: NodeId, v: NodeId) -> AffDelta {
         self.ensure_slots(graph);
         let mut delta = AffDelta::new();
-        let ball = self.backward_ball(graph, &[u]);
+        let ball = self.backward_ball(graph, &[u], head_label(graph, v));
         for &(slot, h, du) in &ball {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
@@ -1098,8 +1228,10 @@ impl<S: RowStore> BoundedRows<S> {
                 self.drop_entry(x, v, dv, &mut delta);
                 continue;
             }
+            let source = horizon_of(&self.horizons, graph, x).expect("a ball row has a horizon");
             let (dist, resettle) = (&mut self.dist_buf, &mut self.resettle);
-            resettle_row(graph, row, h, dist, resettle, [(v, dv)]);
+            let keep = |y| source.keeps_node(graph, y, h);
+            resettle_row(graph, row, h, keep, dist, resettle, [(v, dv)]);
             self.settle_row(x, &mut delta);
         }
         self.ball_buf = ball;
@@ -1130,7 +1262,9 @@ impl<S: RowStore> BoundedRows<S> {
             }
             self.store.remove(id.0);
         }
-        let ball = self.backward_ball(graph, &removed.in_edges);
+        // A row with `id` at its horizon and not kept there holds nothing
+        // about it (its children lie beyond): the ball leaves it out.
+        let ball = self.backward_ball(graph, &removed.in_edges, removed.label);
         for &(slot, h, dw) in &ball {
             let Some(row) = self.store.fetch(slot) else {
                 continue;
@@ -1152,8 +1286,10 @@ impl<S: RowStore> BoundedRows<S> {
                 continue;
             }
             let seeds = std::iter::once((id, d)).chain(orphans.iter().map(|&z| (z, d + 1)));
+            let source = horizon_of(&self.horizons, graph, x).expect("a ball row has a horizon");
             let (dist, resettle) = (&mut self.dist_buf, &mut self.resettle);
-            resettle_row(graph, row, h, dist, resettle, seeds);
+            let keep = |y| source.keeps_node(graph, y, h);
+            resettle_row(graph, row, h, keep, dist, resettle, seeds);
             self.settle_row(x, &mut delta);
         }
         self.ball_buf = ball;
@@ -1183,12 +1319,14 @@ impl<S: RowStore> BoundedRows<S> {
 /// Re-settle one bounded `row` (module docs §3): scatter it into the
 /// all-[`INF`] scratch `dist`, seed `resettle` with the affected `(target,
 /// old distance)`s — in the order [`Resettle::seed`] asks for — run it at
-/// `depth` and restore `dist`. [`Resettle::affected`] then lists the row's
-/// changes, ascending by target.
+/// `depth` with the row's keep test and restore `dist`.
+/// [`Resettle::affected`] then lists the row's changes, ascending by
+/// target.
 fn resettle_row(
     graph: &DataGraph,
     row: &SparseRow,
     depth: u32,
+    keep: impl Fn(NodeId) -> bool,
     dist: &mut [u32],
     resettle: &mut Resettle,
     seeds: impl IntoIterator<Item = (NodeId, u32)>,
@@ -1204,7 +1342,7 @@ fn resettle_row(
     for (y, d) in seeds {
         resettle.seed(dist, y, d);
     }
-    resettle.run(graph, dist, depth);
+    resettle.run(graph, dist, depth, keep);
     for y in cells() {
         dist[y] = INF;
     }
@@ -1299,7 +1437,7 @@ impl<S: RowStore> SlenBackend for BoundedRows<S> {
     fn commit_insert_node(&mut self, graph: &DataGraph, id: NodeId, _hint: RepairHint) -> AffDelta {
         self.csr = None;
         self.ensure_slots(graph);
-        if horizon_of(&self.reqs, graph, id).is_some() {
+        if horizon_of(&self.horizons, graph, id).is_some() {
             // An isolated newcomer's row is just itself at distance 0.
             self.store.put(id.0, SparseRow::single(id.0));
         }
@@ -1337,18 +1475,28 @@ mod tests {
     use gpnm_graph::Label;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Fig. 1's four pattern labels, each a source at the pattern's
-    /// deepest bound (4): the uniform requirement set the specs below
-    /// count fetches and writes against. (The pattern's own requirements
+    /// `labels` of Fig. 1, each a source at `bound` that keeps every
+    /// label of the graph at its horizon: the uniform requirement set the
+    /// specs below count fetches and writes against (with the pattern's
+    /// four labels at its deepest bound, 4). The pattern's own requirements
     /// give rows to PM and SE only — see
-    /// `of_pattern_rows_sit_at_edge_sources_at_their_own_horizons`.)
+    /// `of_pattern_rows_sit_at_edge_sources_at_their_own_horizons` — and
+    /// keep only the labels its edges read.
     fn uniform_reqs(f: &Fig1, bound: Bound, labels: &[&str]) -> SlenRequirements {
         let mut reqs = SlenRequirements::empty();
-        for l in labels {
-            reqs.absorb_edge(f.interner.get(l).unwrap(), bound);
+        for from in labels {
+            for to in ALL_LABELS {
+                reqs.absorb_edge(
+                    f.interner.get(from).unwrap(),
+                    f.interner.get(to).unwrap(),
+                    bound,
+                );
+            }
         }
         reqs
     }
+
+    const ALL_LABELS: [&str; 5] = ["PM", "SE", "S", "TE", "DB"];
 
     const PATTERN_LABELS: [&str; 4] = ["PM", "SE", "S", "TE"];
 
@@ -1359,14 +1507,24 @@ mod tests {
         (f, index)
     }
 
-    /// The horizon of resident `x`'s row.
-    fn horizon<S: RowStore>(s: &BoundedRows<S>, graph: &DataGraph, x: NodeId) -> u32 {
-        horizon_of(&s.reqs, graph, x).expect("a resident row has a horizon")
+    /// Whether resident `x`'s row keeps target `y` at distance `d`, by the
+    /// label-pair rule.
+    fn keeps<S: RowStore>(
+        s: &BoundedRows<S>,
+        graph: &DataGraph,
+        x: NodeId,
+        y: NodeId,
+        d: u32,
+    ) -> bool {
+        let (from, to) = (graph.label(x), graph.label(y));
+        from.zip(to)
+            .is_some_and(|(from, to)| s.reqs.keeps(from, to, d))
     }
 
     /// The truncated-projection equality every test leans on — each row cut
-    /// at its own horizon — and, since it runs after every commit of every
-    /// test, the scratch invariant.
+    /// at its own horizon, keeping there only the labels an edge reads —
+    /// and, since it runs after every commit of every test, the scratch
+    /// invariant.
     fn assert_projection<S: RowStore>(
         s: &BoundedRows<S>,
         graph: &DataGraph,
@@ -1379,11 +1537,10 @@ mod tests {
             if !s.store.is_resident(x.0) {
                 continue;
             }
-            let h = horizon(s, graph, x);
             for j in 0..n {
                 let y = NodeId::from_index(j);
                 let d = dense.get(x, y);
-                let expected = if d <= h { d } else { INF };
+                let expected = if keeps(s, graph, x, y, d) { d } else { INF };
                 assert_eq!(s.distance(x, y), expected, "d({x:?},{y:?})");
             }
         }
@@ -1515,7 +1672,8 @@ mod tests {
         // A `*` edge out of TE: TE's rows are full, PM's and SE's stay at 3
         // and 4.
         let mut reqs = SlenRequirements::of_pattern(&f.pattern);
-        reqs.absorb_edge(f.interner.get("TE").unwrap(), Bound::Unbounded);
+        let [te, pm] = ["TE", "PM"].map(|l| f.interner.get(l).unwrap());
+        reqs.absorb_edge(te, pm, Bound::Unbounded);
         let s = BoundedRows::with_store(&f.graph, &reqs, store);
         assert_eq!(s.reqs.depth(), INF);
         let dense = apsp_matrix(&f.graph);
@@ -1543,6 +1701,7 @@ mod tests {
             let bound = [1, 2, 3, 4, INF][round % 5];
             let mut reqs = SlenRequirements::empty();
             reqs.absorb_edge(
+                Label(0),
                 Label(0),
                 if bound == INF {
                     Bound::Unbounded
@@ -1591,7 +1750,7 @@ mod tests {
                     .iter()
                     .map(|&x| {
                         let live = graph.contains(x);
-                        live.then(|| bfs_truncated(out, x, bound, &mut dist, &mut queue))
+                        live.then(|| bfs_truncated(out, x, bound, |_| true, &mut dist, &mut queue))
                     })
                     .collect();
                 let (empty, mut expected) = (SparseRow::default(), AffDelta::new());
@@ -1677,7 +1836,7 @@ mod tests {
     #[test]
     fn a_target_resettles_through_its_own_affected_child() {
         let mut reqs = SlenRequirements::empty();
-        reqs.absorb_edge(Label(0), Bound::Hops(5));
+        reqs.absorb_edge(Label(0), Label(0), Bound::Hops(5));
         let mut graph = DataGraph::new();
         let [x, u, v, c, a, b, e] = [0; 7].map(|_| graph.add_node(Label(0)));
         let edges = [
@@ -1845,7 +2004,7 @@ mod tests {
             reference.sort_unstable();
             let (mut dist, mut queue) = (vec![INF; n], Vec::new());
             let out = |x| graph.out_neighbors(x);
-            let mut row = bfs_truncated(out, ids[0], depth, &mut dist, &mut queue);
+            let mut row = bfs_truncated(out, ids[0], depth, |_| true, &mut dist, &mut queue);
             assert_row_is(&row, &reference, &set);
             let mut buf = PatchBuf::default();
             for (kind, seed) in ops {
@@ -1898,6 +2057,7 @@ mod tests {
             |x| graph.out_neighbors(x),
             ids[0],
             INF,
+            |_| true,
             &mut dist,
             &mut queue,
         );
@@ -1910,7 +2070,7 @@ mod tests {
         assert!(row.any_within(&last, Bound::Hops(70)));
         assert!(row.any_within(&last, Bound::Unbounded));
         let mut reqs = SlenRequirements::empty();
-        reqs.absorb_edge(Label(0), Bound::Unbounded);
+        reqs.absorb_edge(Label(0), Label(0), Bound::Unbounded);
         let s = BoundedRows::with_store(&graph, &reqs, MemStore::default());
         assert_eq!(s.distance(ids[0], ids[70]), 70);
         assert_projection(&s, &graph, &apsp_matrix(&graph));
@@ -1937,7 +2097,7 @@ mod tests {
         // `u -> v` brings `v` and, one level deeper, `a`, whose slot comes
         // first: each source's records list `a` before `v`.
         let mut reqs = SlenRequirements::empty();
-        reqs.absorb_edge(Label(0), Bound::Hops(3));
+        reqs.absorb_edge(Label(0), Label(0), Bound::Hops(3));
         let mut graph = DataGraph::new();
         let [x, u, a, v] = [0; 4].map(|_| graph.add_node(Label(0)));
         for (from, to) in [(x, u), (v, a)] {
@@ -1961,7 +2121,7 @@ mod tests {
         // x -> u -> v -> w at horizon 3: deleting `u -> v` leaves `v` and
         // `w` no path, so levels 2 and 3 lose their last targets and go.
         let mut reqs = SlenRequirements::empty();
-        reqs.absorb_edge(Label(0), Bound::Hops(3));
+        reqs.absorb_edge(Label(0), Label(0), Bound::Hops(3));
         let mut graph = DataGraph::new();
         let [x, u, v, w] = [0; 4].map(|_| graph.add_node(Label(0)));
         for (a, b) in [(x, u), (u, v), (v, w)] {
@@ -2156,20 +2316,19 @@ mod tests {
     }
 
     /// The locality contract of the edge repairs: since the last `reset`,
-    /// every fetched slot is a resident `x` with `d(x, u) + 1 ≤ h(x)` in
-    /// `graph` — inside the backward ball of the edge's tail `u`, at its
-    /// own horizon — and none was fetched more than once (tested and
-    /// repaired on the same fetch).
-    fn assert_ball_local(s: &BoundedRows<Recording>, graph: &DataGraph, u: NodeId) {
+    /// every fetched slot is a resident `x` whose row keeps `v` at
+    /// `d(x, u) + 1` in `graph` — inside the backward ball of the edge
+    /// `(u, v)`, at its own horizon and kept labels — and none was fetched
+    /// more than once (tested and repaired on the same fetch).
+    fn assert_ball_local(s: &BoundedRows<Recording>, graph: &DataGraph, u: NodeId, v: NodeId) {
         let dense = apsp_matrix(graph);
         for (slot, &count) in s.store.fetches.iter().enumerate() {
             let x = NodeId::from_index(slot);
             assert!(count <= 1, "{x:?} fetched {count} times");
             if count > 0 {
                 assert!(s.store.inner.is_resident(x.0));
-                let d = dense.get(x, u);
-                let h = horizon(s, graph, x);
-                assert!(sat_add(d, 1) <= h, "{x:?} is outside the ball");
+                let through = sat_add(dense.get(x, u), 1);
+                assert!(keeps(s, graph, x, v, through), "{x:?} is outside the ball");
             }
         }
     }
@@ -2184,13 +2343,18 @@ mod tests {
 
     /// The locality contract of a node delete: since the last `reset`, the
     /// slots fetched are exactly the deleted node's own row, when `own` (it
-    /// had one), and the resident `x` with `d(x, w) + 1 ≤ h(x)` in `graph`
-    /// for an in-neighbour `w` the node had — its in-edges' backward ball —
-    /// each once.
+    /// had one), and the resident `x` whose row kept the node at `d(x, w) +
+    /// 1` in `graph` for an in-neighbour `w` it had — its in-edges'
+    /// backward ball — each once.
     fn assert_in_edges_ball_local(s: &BoundedRows<Recording>, graph: &DataGraph, own: bool) {
         let removed = graph.last_removed().expect("a node delete");
         let dense = apsp_matrix(graph);
-        let near = |x, w| sat_add(dense.get(x, w), 1) <= horizon(s, graph, x);
+        let near = |x, w| {
+            let through = sat_add(dense.get(x, w), 1);
+            graph
+                .label(x)
+                .is_some_and(|l| s.reqs.keeps(l, removed.label, through))
+        };
         for (slot, &count) in s.store.fetches.iter().enumerate() {
             let x = NodeId::from_index(slot);
             let in_ball =
@@ -2228,7 +2392,7 @@ mod tests {
         let delta = s.commit_insert_edge(&f.graph, f.se1, f.te2, RepairHint::Baseline);
         assert!(!delta.is_empty());
         assert_eq!(s.store.resident_fetches(), [1, 1, 1, 1, 1, 1, 1]);
-        assert_ball_local(&s, &f.graph, f.se1);
+        assert_ball_local(&s, &f.graph, f.se1, f.te2);
         let improved = [f.pm1, f.pm2, f.se1, f.se2, f.s1, f.te1].map(|x| x.0);
         assert_eq!(s.store.updates, improved);
         assert_patches_only_sources(&s, &delta, 0);
@@ -2241,7 +2405,7 @@ mod tests {
         let delta = s.commit_delete_edge(&f.graph, f.pm1, f.db1, RepairHint::Baseline);
         assert!(!delta.is_empty());
         assert_eq!(s.store.resident_fetches(), [1, 0, 0, 0, 0, 0, 0]);
-        assert_ball_local(&s, &f.graph, f.pm1);
+        assert_ball_local(&s, &f.graph, f.pm1, f.db1);
         assert_eq!(s.store.updates, [f.pm1.0]);
         assert_patches_only_sources(&s, &delta, 0);
         assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
@@ -2273,7 +2437,7 @@ mod tests {
         s.store.reset();
         let delta = s.commit_delete_edge(&f.graph, f.se2, f.db1, RepairHint::Baseline);
         assert_eq!(s.store.resident_fetches(), [1, 1, 1, 1, 1, 1, 0]);
-        assert_ball_local(&s, &f.graph, f.se2);
+        assert_ball_local(&s, &f.graph, f.se2, f.db1);
         assert_eq!(s.store.updates, [f.se2.0, f.te1.0]);
         assert_patches_only_sources(&s, &delta, 0);
         assert!(delta.changed.iter().all(|r| r.0 == f.se2 || r.0 == f.te1));
@@ -2441,8 +2605,8 @@ mod tests {
     fn a_source_past_its_own_horizon_is_not_fetched() {
         let (lx, ly, sink) = (Label(0), Label(1), Label(2));
         let mut reqs = SlenRequirements::empty();
-        reqs.absorb_edge(lx, Bound::Hops(1));
-        reqs.absorb_edge(ly, Bound::Hops(2));
+        reqs.absorb_edge(lx, sink, Bound::Hops(1));
+        reqs.absorb_edge(ly, sink, Bound::Hops(2));
         let mut graph = DataGraph::new();
         let (x, y) = (graph.add_node(lx), graph.add_node(ly));
         let [u, v] = [0; 2].map(|_| graph.add_node(sink));
@@ -2457,7 +2621,7 @@ mod tests {
         let delta = s.commit_insert_edge(&graph, u, v, RepairHint::Baseline);
         assert_eq!(delta.changed, [(y, v, INF, 2)]);
         assert_eq!(s.store.resident_fetches(), [0, 1]);
-        assert_ball_local(&s, &graph, u);
+        assert_ball_local(&s, &graph, u, v);
         assert_patches_only_sources(&s, &delta, 0);
         assert_projection(&s, &graph, &apsp_matrix(&graph));
 
@@ -2477,6 +2641,158 @@ mod tests {
         assert_eq!(delta.changed, [(x, u, 1, INF), (y, u, 1, INF)]);
         assert_in_edges_ball_local(&s, &graph, false);
         assert_projection(&s, &graph, &apsp_matrix(&graph));
+    }
+
+    /// Fig. 1's PM edges read SE and S at bound 3. PM1 reaches S1 and PM2
+    /// at 3: it keeps S1 and not PM2. Every target PM2 has at 3 (TE1, DB1)
+    /// is unread, so its row ends at level 2. Below the horizon every label
+    /// stays: PM1 keeps TE1, which no PM edge reads, at 2.
+    #[test]
+    fn a_row_keeps_at_its_horizon_only_the_labels_an_edge_reads() {
+        let f = fig1();
+        let reqs = SlenRequirements::of_pattern(&f.pattern);
+        let s = BoundedRows::with_store(&f.graph, &reqs, MemStore::default());
+        let dense = apsp_matrix(&f.graph);
+        assert_eq!([f.pm2, f.s1, f.te1].map(|y| dense.get(f.pm1, y)), [3, 3, 2]);
+        assert_eq!(
+            [f.pm2, f.s1, f.te1].map(|y| s.distance(f.pm1, y)),
+            [INF, 3, 2]
+        );
+        assert_eq!([f.te1, f.db1].map(|y| dense.get(f.pm2, y)), [3, 3]);
+        assert_eq!(s.store.with_row(f.pm2.0, |r| r.levels().count()), Some(3));
+        assert_projection(&s, &f.graph, &dense);
+    }
+
+    /// Label A reaches B at bound 2 and C at bound 3: its horizon is 3, and
+    /// only C is kept there. `x`'s row holds B-labelled `q` at 2 and
+    /// C-labelled `r` at 3, but not B-labelled `s` at 3.
+    #[test]
+    fn only_the_deepest_edge_target_is_kept_at_the_last_level() {
+        let [a, b, c] = [0, 1, 2].map(Label);
+        let mut reqs = SlenRequirements::empty();
+        reqs.absorb_edge(a, b, Bound::Hops(2));
+        reqs.absorb_edge(a, c, Bound::Hops(3));
+        assert_eq!((reqs.horizon(a), reqs.kept(a)), (Some(3), &[c][..]));
+        let mut graph = DataGraph::new();
+        let x = graph.add_node(a);
+        let [p, q, s_] = [0; 3].map(|_| graph.add_node(b));
+        let r = graph.add_node(c);
+        for (from, to) in [(x, p), (p, q), (q, r), (q, s_)] {
+            graph.add_edge(from, to).unwrap();
+        }
+        let mut s = BoundedRows::with_store(&graph, &reqs, MemStore::default());
+        let row = row_of(&[(x.0, 0), (p.0, 1), (q.0, 2), (r.0, 3)]);
+        assert_eq!(s.store.fetch(x.0), Some(&row));
+        assert_projection(&s, &graph, &apsp_matrix(&graph));
+    }
+
+    /// PM at 3 keeping SE, then SE and S, then SE again. The widening
+    /// re-runs PM's rows (PM1 gains S1 at 3, which no filter could bring
+    /// back); the narrowing filters their last level in place. Both land
+    /// where a fresh build does.
+    #[test]
+    fn a_kept_set_widened_then_narrowed_at_one_horizon_equals_a_fresh_build() {
+        let f = fig1();
+        let [pm, se, s_] = ["PM", "SE", "S"].map(|l| f.interner.get(l).unwrap());
+        let mut narrow = SlenRequirements::empty();
+        narrow.absorb_edge(pm, se, Bound::Hops(3));
+        let mut wide = narrow.clone();
+        wide.absorb_edge(pm, s_, Bound::Hops(3));
+        let mut s = BoundedRows::with_store(&f.graph, &narrow, Recording::default());
+        assert_eq!(s.distance(f.pm1, f.s1), INF);
+
+        s.store.reset();
+        s.narrow_requirements(&f.graph, &wide);
+        assert_eq!(
+            s.store.puts,
+            [f.pm1.0, f.pm2.0],
+            "a kept set that grows re-runs"
+        );
+        assert_eq!(s.distance(f.pm1, f.s1), 3);
+        let fresh = BoundedRows::with_store(&f.graph, &wide, MemStore::default());
+        assert_same_index(&s, &fresh, &f.graph);
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
+
+        s.store.reset();
+        s.narrow_requirements(&f.graph, &narrow);
+        assert_eq!(s.store.puts, [] as [u32; 0], "one that shrinks filters");
+        assert_eq!(s.store.updates, [f.pm1.0, f.pm2.0]);
+        let fresh = BoundedRows::with_store(&f.graph, &narrow, MemStore::default());
+        assert_same_index(&s, &fresh, &f.graph);
+        assert_projection(&s, &f.graph, &apsp_matrix(&f.graph));
+    }
+
+    /// Label A reads C at bound 2. `u -> v` brings B-labelled `v` to `x`
+    /// at exactly 2, unread: nothing is recorded, fetched or written. At
+    /// bound 3 the same insert brings `v` at 2 and, at 3, C-labelled `k`
+    /// (kept) and B-labelled `w` (skipped before any search).
+    #[test]
+    fn an_insert_whose_new_targets_are_unread_at_the_horizon_records_and_writes_nothing() {
+        let [a, b, c] = [0, 1, 2].map(Label);
+        let mut graph = DataGraph::new();
+        let x = graph.add_node(a);
+        let [u, v, w] = [0; 3].map(|_| graph.add_node(b));
+        let k = graph.add_node(c);
+        for (from, to) in [(x, u), (v, w), (v, k)] {
+            graph.add_edge(from, to).unwrap();
+        }
+        let reqs_at = |bound| {
+            let mut reqs = SlenRequirements::empty();
+            reqs.absorb_edge(a, c, Bound::Hops(bound));
+            reqs
+        };
+        let mut shallow = BoundedRows::with_store(&graph, &reqs_at(2), Recording::default());
+        let mut deep = BoundedRows::with_store(&graph, &reqs_at(3), Recording::default());
+        graph.add_edge(u, v).unwrap();
+
+        shallow.store.reset();
+        let delta = shallow.commit_insert_edge(&graph, u, v, RepairHint::Baseline);
+        assert!(delta.is_empty());
+        assert_eq!(shallow.store.writes, 0);
+        assert_eq!(shallow.store.resident_fetches(), [0]);
+        assert_projection(&shallow, &graph, &apsp_matrix(&graph));
+
+        deep.store.reset();
+        let delta = deep.commit_insert_edge(&graph, u, v, RepairHint::Baseline);
+        assert_eq!(delta.changed, [(x, v, INF, 2), (x, k, INF, 3)]);
+        assert_eq!(deep.store.updates, [x.0]);
+        assert_patches_only_sources(&deep, &delta, 0);
+        assert_projection(&deep, &graph, &apsp_matrix(&graph));
+    }
+
+    /// Label A reads C at bound 3. Deleting `p -> t` leaves B-labelled `t`
+    /// a path of 3 through `q -> r`: at the horizon and unread, so it
+    /// leaves the row, and its C-labelled child `k` falls beyond. The
+    /// records are the dense delta's, projected.
+    #[test]
+    fn an_unread_target_that_falls_to_the_horizon_leaves_the_row() {
+        let [a, b, c] = [0, 1, 2].map(Label);
+        let mut reqs = SlenRequirements::empty();
+        reqs.absorb_edge(a, c, Bound::Hops(3));
+        let mut graph = DataGraph::new();
+        let x = graph.add_node(a);
+        let [p, q, r, t] = [0; 4].map(|_| graph.add_node(b));
+        let k = graph.add_node(c);
+        for (from, to) in [(x, p), (p, t), (x, q), (q, r), (r, t), (t, k)] {
+            graph.add_edge(from, to).unwrap();
+        }
+        let mut s = BoundedRows::with_store(&graph, &reqs, MemStore::default());
+        let mut dense = IncrementalIndex::build(&graph);
+        graph.remove_edge(p, t).unwrap();
+        let delta = s.commit_delete_edge(&graph, p, t, RepairHint::Baseline);
+        let dense_delta = dense.commit_delete_edge(&graph, p, t);
+        assert!(dense_delta.changed.contains(&(x, t, 2, 3)));
+        assert_eq!(delta.changed, [(x, t, 2, INF), (x, k, 3, INF)]);
+        let label = |n: NodeId| graph.label(n);
+        assert_eq!(
+            crate::project_delta(&dense_delta, &reqs, label),
+            delta.changed
+        );
+        assert_eq!(
+            s.store.fetch(x.0),
+            Some(&row_of(&[(x.0, 0), (p.0, 1), (q.0, 1), (r.0, 2)]))
+        );
+        assert_projection(&s, &graph, dense.matrix());
     }
 
     /// A deleted node is in its own `Aff_N` even when it held no row and

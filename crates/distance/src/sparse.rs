@@ -151,8 +151,11 @@ mod tests {
         assert_recount(&s); // `remove`, `put` over the re-run rows
                             // PM's rows truncate 3 -> 2, SE's leave, TE's arrive.
         let mut pm_te = SlenRequirements::empty();
-        for label in ["PM", "TE"] {
-            pm_te.absorb_edge(f.interner.get(label).unwrap(), gpnm_graph::Bound::Hops(2));
+        for from in ["PM", "TE"] {
+            for to in ["PM", "SE", "S", "TE", "DB"] {
+                let [from, to] = [from, to].map(|l| f.interner.get(l).unwrap());
+                pm_te.absorb_edge(from, to, gpnm_graph::Bound::Hops(2));
+            }
         }
         s.narrow_requirements(&f.graph, &pm_te);
         assert_eq!(s.store.resident, 4);

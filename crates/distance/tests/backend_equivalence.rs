@@ -2,14 +2,18 @@
 //!
 //! The sparse backend's contract is that its deltas and distances are the
 //! dense backend's *projected* onto the resident sources, each row cut at
-//! its own label's horizon, with everything beyond it reading as ∞.
-//! These property tests drive both backends through identical random
-//! graph/requirement/update triples and assert that projection exactly —
-//! same records, same order — for the commits of all four update kinds,
-//! plus full distance agreement after every commit. One block pins
-//! the unbounded-depth fallback (full rows, candidate sources only), and
-//! one draws a different horizon per label — some labels without rows,
-//! some shallow, now and then one unbounded — and re-targets mid-stream.
+//! its own label's horizon and keeping there only the target labels some
+//! edge reads at it, with everything else reading as ∞
+//! ([`SlenRequirements::keeps`], pair by pair). These property tests drive
+//! both backends through identical random graph/requirement/update
+//! triples and assert that projection exactly — same records, same order —
+//! for the commits of all four update kinds, plus full distance agreement
+//! after every commit. One block pins the unbounded-depth fallback (full
+//! rows, candidate sources only); one draws a different horizon and kept
+//! set per label — some labels without rows, some shallow, now and then
+//! one unbounded — and re-targets mid-stream; one draws patterns whose
+//! labels branch, one source label reaching several target labels at
+//! different bounds.
 //!
 //! The paged backend rides along through every case under a deliberately
 //! tiny (2-page, ~0.5 KiB) cache so rows constantly evict and reload from
@@ -236,10 +240,25 @@ fn requirements(label_ids: &[Label], mask: u8, depth_sel: u8) -> SlenRequirement
     let mut reqs = SlenRequirements::of_pattern(&pattern);
     if chosen.len() == 1 {
         // A single-node pattern has no edge; keep its label a source at
-        // the drawn bound, so the case still has rows.
-        reqs.absorb_edge(chosen[0], bound_of(depth_sel as u32));
+        // the drawn bound, reading its own label, so the case still has
+        // rows.
+        reqs.absorb_edge(chosen[0], chosen[0], bound_of(depth_sel as u32));
     }
     reqs
+}
+
+/// A pattern with one node per label and an edge per `(from, to, bound)`
+/// draw (labels mod the label count; a repeated pair keeps its first
+/// bound): a source label may reach several target labels, each at its
+/// own bound, so its horizon keeps some of them and not others.
+fn branching_requirements(label_ids: &[Label], branches: &[(u8, u8, u32)]) -> SlenRequirements {
+    let mut pattern = PatternGraph::new();
+    let nodes: Vec<_> = label_ids.iter().map(|&l| pattern.add_node(l)).collect();
+    for &(from, to, bound) in branches {
+        let [from, to] = [from, to].map(|i| nodes[i as usize % nodes.len()]);
+        let _ = pattern.add_edge(from, to, Bound::Hops(bound));
+    }
+    SlenRequirements::of_pattern(&pattern)
 }
 
 /// `Hops(k)`, or `*` for selector 0 / [`INF`].
@@ -251,20 +270,19 @@ fn bound_of(horizon: u32) -> Bound {
     }
 }
 
-/// The shared projection helper, bound to pre-op per-slot horizons.
-fn project(delta: &AffDelta, horizons: &[Option<u32>]) -> Vec<(NodeId, NodeId, u32, u32)> {
-    project_delta(delta, |x| horizons.get(x.index()).copied().flatten())
+/// The shared projection helper, bound to pre-op per-slot labels.
+fn project(
+    delta: &AffDelta,
+    reqs: &SlenRequirements,
+    labels: &[Option<Label>],
+) -> Vec<(NodeId, NodeId, u32, u32)> {
+    project_delta(delta, reqs, |x| labels.get(x.index()).copied().flatten())
 }
 
-/// Each slot's row horizon for `reqs` in the current graph (`None`: no
-/// row).
-fn horizons(graph: &DataGraph, reqs: &SlenRequirements) -> Vec<Option<u32>> {
+/// Each slot's label in the current graph (`None`: a tombstone).
+fn labels_of(graph: &DataGraph) -> Vec<Option<Label>> {
     (0..graph.slot_count())
-        .map(|i| {
-            graph
-                .label(NodeId::from_index(i))
-                .and_then(|l| reqs.horizon(l))
-        })
+        .map(|i| graph.label(NodeId::from_index(i)))
         .collect()
 }
 
@@ -305,19 +323,20 @@ fn assert_distances_match(
     graph: &DataGraph,
     dense: &IncrementalIndex,
     sparse: &SparseIndex,
-    horizons: &[Option<u32>],
+    reqs: &SlenRequirements,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let n = graph.slot_count();
-    for (i, &horizon) in horizons.iter().enumerate().take(n) {
+    let labels = labels_of(graph);
+    for (i, &from) in labels.iter().enumerate() {
         let x = NodeId::from_index(i);
-        for j in 0..n {
+        for (j, &to) in labels.iter().enumerate() {
             let y = NodeId::from_index(j);
             let d = dense.distance(x, y);
-            // A slot without a row reads ∞ everywhere.
-            let expected = match horizon {
-                Some(h) if d <= h => d,
-                _ => INF,
-            };
+            // A slot without a row reads ∞ everywhere, and so does a
+            // target the row does not keep.
+            let kept = from
+                .zip(to)
+                .is_some_and(|(from, to)| reqs.keeps(from, to, d));
+            let expected = if kept { d } else { INF };
             prop_assert_eq!(
                 sparse.distance(x, y),
                 expected,
@@ -354,8 +373,7 @@ impl Trio {
         graph: &DataGraph,
         reqs: &SlenRequirements,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
-        let horizons = horizons(graph, reqs);
-        assert_distances_match(graph, &self.dense, &self.sparse, &horizons)?;
+        assert_distances_match(graph, &self.dense, &self.sparse, reqs)?;
         assert_paged_matches_sparse(graph, &self.sparse, &self.paged)
     }
 
@@ -392,7 +410,7 @@ impl Trio {
         for (kind, a, b) in ops {
             // Residency as the deltas see it: before the op (a deleted
             // node's own row is part of its delta).
-            let before = horizons(graph, reqs);
+            let before = labels_of(graph);
             // Mutate the graph, commit on all three: `(dense, sparse, paged)`
             // deltas, and whose records lead (a deleted node's own row).
             let (what, dc, sc, pc, own) = match kind {
@@ -470,15 +488,14 @@ impl Trio {
                 _ => unreachable!("kind range"),
             };
             prop_assert_eq!(
-                project(&dc, &before),
+                project(&dc, reqs, &before),
                 sc.changed.clone(),
                 "{} commit vs dense projection",
                 what
             );
             prop_assert_eq!(&pc.changed, &sc.changed, "paged {} commit", what);
             assert_delta_order(&sc, own)?;
-            let after = horizons(graph, reqs);
-            assert_distances_match(graph, dense, sparse, &after)?;
+            assert_distances_match(graph, dense, sparse, reqs)?;
             assert_paged_matches_sparse(graph, sparse, paged)?;
         }
         Ok(())
@@ -499,14 +516,19 @@ fn check_case(case: RawCase) -> Result<(), proptest::test_runner::TestCaseError>
 }
 
 /// Per-label horizons from `picks`, one selector per label: 0–2 no rows,
-/// 3–10 `Hops(1..=4)`, 11 unbounded.
+/// 3–10 `Hops(1..=4)`, 11 unbounded. An even pick keeps every label at
+/// its horizon; an odd one only the labels `i` with `(pick + i) % 3 != 0`.
 fn heterogeneous_requirements(label_ids: &[Label], picks: &[u8]) -> SlenRequirements {
     let mut reqs = SlenRequirements::empty();
     for (&label, &pick) in label_ids.iter().zip(picks) {
-        match pick {
-            0..=2 => {}
-            3..=10 => reqs.absorb_edge(label, Bound::Hops(1 + (pick as u32 - 3) % 4)),
-            _ => reqs.absorb_edge(label, Bound::Unbounded),
+        let bound = match pick {
+            0..=2 => continue,
+            3..=10 => Bound::Hops(1 + (pick as u32 - 3) % 4),
+            _ => Bound::Unbounded,
+        };
+        let read = |i: usize| pick % 2 == 0 || (pick as usize + i) % 3 != 0;
+        for (_, &to) in label_ids.iter().enumerate().filter(|&(i, _)| read(i)) {
+            reqs.absorb_edge(label, to, bound);
         }
     }
     reqs
@@ -514,23 +536,32 @@ fn heterogeneous_requirements(label_ids: &[Label], picks: &[u8]) -> SlenRequirem
 
 /// `reqs` re-aimed, starting at the `turn`-th of its labels: the first
 /// deepens (by one hop, or to `*`), the next shallows (by one hop, or from
-/// `*` to 2), the third leaves; any others stay as they were.
-fn retargeted(reqs: &SlenRequirements, turn: usize) -> SlenRequirements {
+/// `*` to 2), the third leaves, the fourth keeps its horizon and changes
+/// what it keeps there (every label of `label_ids` if it kept one, else
+/// one less); any others stay as they were. A label that moves keeps the
+/// labels it kept, or all of them coming from `*`.
+fn retargeted(reqs: &SlenRequirements, label_ids: &[Label], turn: usize) -> SlenRequirements {
     let labels: Vec<Label> = reqs.labels().collect();
     let mut next = SlenRequirements::empty();
     for (i, &label) in labels.iter().enumerate() {
         let h = reqs.horizon(label).expect("listed");
-        let role = (i + labels.len() - turn % labels.len().max(1)) % labels.len();
-        let moved = match role {
-            0 if h >= 4 => Some(INF),
-            0 => Some(h + 1),
-            1 if h == INF => Some(2),
-            1 => Some(h.saturating_sub(1).max(1)),
-            2 => None,
-            _ => Some(h),
+        let kept = match reqs.kept(label) {
+            [] => label_ids,
+            kept => kept,
         };
-        if let Some(h) = moved {
-            next.absorb_edge(label, bound_of(h));
+        let role = (i + labels.len() - turn % labels.len().max(1)) % labels.len();
+        let (h, kept) = match role {
+            0 if h >= 4 => (INF, kept),
+            0 => (h + 1, kept),
+            1 if h == INF => (2, kept),
+            1 => (h.saturating_sub(1).max(1), kept),
+            2 => continue,
+            3 if kept.len() == 1 => (h, label_ids),
+            3 => (h, &kept[1..]),
+            _ => (h, kept),
+        };
+        for &to in kept {
+            next.absorb_edge(label, to, bound_of(h));
         }
     }
     next
@@ -677,7 +708,7 @@ proptest! {
         let second = ops.split_off(ops.len() / 2);
         trio.commit_stream(&mut graph, &label_ids, &reqs, ops)?;
 
-        let next = retargeted(&reqs, turn);
+        let next = retargeted(&reqs, &label_ids, turn);
         trio.sparse.narrow_requirements(&graph, &next);
         trio.paged.narrow_requirements(&graph, &next);
         trio.assert_agree(&graph, &next)?;
@@ -687,6 +718,23 @@ proptest! {
         assert_paged_matches_sparse(&graph, &fresh, &trio.paged)?;
 
         trio.commit_stream(&mut graph, &label_ids, &next, second)?;
+        trio.assert_spill_traffic()?;
+    }
+
+    /// Labels that branch: a source label reaching several target labels
+    /// at different bounds keeps, at its horizon, only the targets of its
+    /// deepest edges — through every commit of the stream.
+    #[test]
+    fn branching_labels_match_dense_projection(
+        case in raw_case(),
+        branches in vec((0u8..4, 0u8..4, 1u32..5), 1..8),
+    ) {
+        let (nodes, labels, edges, _, _, ops) = case;
+        let (mut graph, label_ids) = build_graph(nodes, labels, &edges);
+        let reqs = branching_requirements(&label_ids, &branches);
+        let mut trio = Trio::build(&graph, &reqs);
+        trio.assert_agree(&graph, &reqs)?;
+        trio.commit_stream(&mut graph, &label_ids, &reqs, ops)?;
         trio.assert_spill_traffic()?;
     }
 
@@ -713,12 +761,14 @@ proptest! {
         } else {
             reqs.labels().collect()
         };
-        for l in deepened {
-            wide.absorb_edge(l, Bound::Hops(extra_depth as u32));
+        for from in deepened {
+            for &to in &label_ids {
+                wide.absorb_edge(from, to, Bound::Hops(extra_depth as u32));
+            }
         }
         sparse.sync_requirements(&graph, &wide);
         paged.sync_requirements(&graph, &wide);
-        assert_distances_match(&graph, &dense, &sparse, &horizons(&graph, &wide))?;
+        assert_distances_match(&graph, &dense, &sparse, &wide)?;
         assert_paged_matches_sparse(&graph, &sparse, &paged)?;
     }
 
@@ -796,9 +846,10 @@ proptest! {
             assert_kernel_matches_member_loop(backend, backend.kind(), slots, &sets)?;
         }
         // A source without a row has no partner in any set.
-        let horizons = horizons(&graph, &reqs);
+        let labels = labels_of(&graph);
+        let rowless = |&i: &usize| labels[i].and_then(|l| reqs.horizon(l)).is_none();
         let everyone: NodeSet = (0..slots).map(NodeId::from_index).collect();
-        for u in (0..slots).filter(|&i| horizons[i].is_none()).map(NodeId::from_index) {
+        for u in (0..slots).filter(rowless).map(NodeId::from_index) {
             for backend in &backends[2..] {
                 prop_assert!(!backend.any_within(u, &everyone, Bound::Unbounded));
             }

@@ -175,8 +175,8 @@ impl<B: SlenBackend> GpnmEngine<B> {
         // for *before* any detection: DER-I probes a pattern insert's new
         // bound against the pre-update index, so requirements must be the
         // union of the standing pattern and every pending pattern edge
-        // insert, each at the label its source node has when it arrives —
-        // which may be a node inserted earlier in the same batch, so the
+        // insert, each at the labels its endpoints have when it arrives —
+        // either may be a node inserted earlier in the same batch, so the
         // batch is walked on a copy of the pattern. Scratch skips the
         // pre-sync — its rebuild covers the widened requirements in the
         // same single pass.
@@ -185,9 +185,9 @@ impl<B: SlenBackend> GpnmEngine<B> {
         let mut pending = self.pattern.clone();
         for u in batch.updates() {
             let Update::Pattern(pu) = u else { continue };
-            if let PatternUpdate::InsertEdge { from, bound, .. } = *pu {
-                if let Some(label) = pending.label(from) {
-                    reqs.absorb_edge(label, bound);
+            if let PatternUpdate::InsertEdge { from, to, bound } = *pu {
+                if let (Some(from), Some(to)) = (pending.label(from), pending.label(to)) {
+                    reqs.absorb_edge(from, to, bound);
                 }
             }
             apply_to_pattern(&mut pending, pu);

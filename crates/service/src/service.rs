@@ -553,8 +553,10 @@ pub struct GpnmService<B: SlenBackend = IncrementalIndex> {
     reqs: SlenRequirements,
     sessions: Vec<(PatternHandle, PatternSession)>,
     /// The sessions' patterns, in session order, for the commit pass's
-    /// root gains: rebuilt whenever a pattern registers or leaves.
-    gain_table: GainTable,
+    /// root gains. Registering or deregistering a pattern marks it stale
+    /// (`None`), and the next tick rebuilds it once: `k` registrations in a
+    /// row build one table, not `k`.
+    gain_table: Option<GainTable>,
     next_handle: u64,
     tick: u64,
     front: ReadFront,
@@ -619,18 +621,12 @@ impl<B: SlenBackend> GpnmService<B> {
             index,
             reqs,
             sessions: Vec::new(),
-            gain_table: GainTable::default(),
+            gain_table: None,
             next_handle: 0,
             tick: 0,
             front: ReadFront::new(),
             publishing: true,
         }
-    }
-
-    /// Rebuild the gain table from the sessions' patterns, after the set
-    /// of sessions changed.
-    fn rebuild_gain_table(&mut self) {
-        self.gain_table = GainTable::new(self.sessions.iter().map(|(_, s)| &s.pattern));
     }
 
     /// Publish every session's current state to (a fresh) front — the
@@ -734,6 +730,12 @@ impl<B: SlenBackend> GpnmService<B> {
         // one pass per pattern over the union (see `refresh_pattern`).
         // One clock pair times the whole pass; less the commits it is
         // `plan_ns`.
+        // A table left stale by a registration or a deregistration is
+        // rebuilt here, before the pass's clock: `plan_ns` times the gains.
+        let sessions = &self.sessions;
+        let table = self
+            .gain_table
+            .get_or_insert_with(|| GainTable::new(sessions.iter().map(|(_, s)| &s.pattern)));
         let commit_span = tracing::span!(tracing::Level::DEBUG, "commit", updates = reduced.len());
         let commit_entered = commit_span.enter();
         let pass = Instant::now();
@@ -751,8 +753,7 @@ impl<B: SlenBackend> GpnmService<B> {
             stats.affected_nodes += cu.delta.affected.len();
             verify.union_with(&cu.delta.affected);
             verify.extend(cu.created);
-            let relation = |i: usize| &self.sessions[i].1.result;
-            let table = &self.gain_table;
+            let relation = |i: usize| &sessions[i].1.result;
             table.push_gains(du, &cu.delta, &self.graph, cu.created, relation, &mut gains);
         }
         stats.plan_ns = ns64(pass.elapsed()).saturating_sub(stats.shared_repair_ns);
@@ -949,7 +950,7 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
                 version: 0,
             },
         ));
-        self.rebuild_gain_table();
+        self.gain_table = None;
         Ok(handle)
     }
 
@@ -963,7 +964,7 @@ impl<B: SlenBackend> PatternHost for GpnmService<B> {
             .position(|(h, _)| *h == handle)
             .ok_or(ServiceError::UnknownHandle(handle))?;
         self.sessions.remove(pos);
-        self.rebuild_gain_table();
+        self.gain_table = None;
         // Terminate the handle's published state and subscriptions
         // (queued deltas drain first, then a final `Closed`).
         self.front.close(handle);
@@ -1408,6 +1409,32 @@ mod tests {
         assert!(clone.result(handles[1]).unwrap().contains(f.p_pm, f.pm2));
         service.apply(&insert_se1_te2(&f)).unwrap();
         assert_fresh(&service);
+    }
+
+    #[test]
+    fn registrations_leave_the_gain_table_to_the_next_tick() {
+        // Three registrations build no table; the first tick builds one,
+        // and a deregistration marks it stale again. A clone keeps the mark.
+        let (f, patterns) = three_patterns();
+        let mut service = GpnmService::<SparseIndex>::new(f.graph.clone());
+        let handles: Vec<PatternHandle> = patterns
+            .into_iter()
+            .map(|p| {
+                service
+                    .register_pattern(p, MatchSemantics::Simulation)
+                    .unwrap()
+            })
+            .collect();
+        assert!(service.gain_table.is_none());
+        let mut clone = service.clone();
+        assert!(clone.gain_table.is_none(), "a clone keeps the mark");
+        service.apply(&insert_se1_te2(&f)).unwrap();
+        assert!(service.gain_table.is_some());
+        service.deregister(handles[0]).unwrap();
+        assert!(service.gain_table.is_none());
+        clone.apply(&insert_se1_te2(&f)).unwrap();
+        assert_fresh(&clone);
+        assert!(clone.gain_table.is_some());
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn main() {
         shadows.push(shadow);
     }
     println!(
-        "shared index: {} rows resident, horizons (label:hops) {}\n",
+        "shared index: {} rows resident, horizons (label:hops[kept labels]) {}\n",
         service.backend().resident_rows(),
         service.requirements().render(&interner),
     );

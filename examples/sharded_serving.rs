@@ -76,14 +76,14 @@ fn main() {
     // at its own horizon — the isolation a single union index cannot offer.
     for (i, shard) in cluster.shards().iter().enumerate() {
         println!(
-            "shard {i}: {} patterns, horizons {}, {} rows resident",
+            "shard {i}: {} patterns, horizons[kept] {}, {} rows resident",
             shard.pattern_count(),
             shard.requirements().render(&interner),
             shard.backend().resident_rows(),
         );
     }
     println!(
-        "single-service union for comparison: horizons {}, {} rows resident",
+        "single-service union for comparison: horizons[kept] {}, {} rows resident",
         shadow.requirements().render(&interner),
         shadow.backend().resident_rows(),
     );

@@ -629,7 +629,7 @@ fn run_replay_service(
 
     replay_register(&mut service, args, interner)?;
     println!(
-        "union requirements (label:horizon): {}; index: {} rows resident, {:.1} MiB ({})",
+        "union requirements (label:horizon[kept]): {}; index: {} rows resident, {:.1} MiB ({})",
         service.requirements().render(interner),
         service.backend().resident_rows(),
         service.backend().mem_bytes() as f64 / (1u64 << 20) as f64,
@@ -666,7 +666,7 @@ fn run_replay_cluster(
     replay_register(&mut cluster, args, interner)?;
     for (i, shard) in cluster.shards().iter().enumerate() {
         println!(
-            "shard {i}: {} patterns, horizons {}, {} rows resident, {:.1} MiB ({})",
+            "shard {i}: {} patterns, horizons[kept] {}, {} rows resident, {:.1} MiB ({})",
             shard.pattern_count(),
             shard.requirements().render(interner),
             shard.backend().resident_rows(),
