@@ -283,10 +283,8 @@ fn a_whole_sweep_stays_whole_for_the_rest_of_the_fixpoint() {
 }
 
 proptest! {
-    // Each case runs shard counts {1, 2, 4} on one backend; 8 cases × the
-    // three backend props keeps the default run in seconds while
-    // PROPTEST_CASES scales it in CI. The two dense props run the same
-    // check on different cases.
+    // Each case runs shard counts {1, 2, 4} on one backend; the default
+    // counts keep the run in seconds while PROPTEST_CASES scales it in CI.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
@@ -295,16 +293,15 @@ proptest! {
             check_equivalence(seed, shards, k, 4, BackendKind::Sparse);
         }
     }
+}
+
+proptest! {
+    // The dense matrix (`BackendKind::Partitioned`, which `dense` parses
+    // to): 16 cases, on smaller pattern sets and fewer ticks than sparse.
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn cluster_matches_service_and_engines_dense(seed in any::<u64>(), k in 1usize..4) {
-        for shards in [1usize, 2, 4] {
-            check_equivalence(seed, shards, k, 3, BackendKind::Partitioned);
-        }
-    }
-
-    #[test]
-    fn cluster_matches_service_and_engines_partitioned(seed in any::<u64>(), k in 1usize..4) {
         for shards in [1usize, 2, 4] {
             check_equivalence(seed, shards, k, 3, BackendKind::Partitioned);
         }

@@ -199,9 +199,9 @@ pub trait PatternHost {
     fn apply(&mut self, batch: &UpdateBatch) -> Result<Self::Report, Self::Error>;
 
     /// The last published snapshot of `handle` — an `Arc` clone under the
-    /// pattern's view read lock, which publication holds only to swap the
-    /// pointer (never across a tick); safe to call from any thread holding
-    /// [`PatternHost::reader`].
+    /// front's view-map read lock, which publication holds only to swap a
+    /// tick's pointers (never across a tick); safe to call from any thread
+    /// holding [`PatternHost::reader`].
     fn read_view(&self, handle: Self::Handle) -> Result<Arc<ReadView>, Self::Error>;
 
     /// Subscribe to `handle`'s per-tick delta stream (default bounded

@@ -7,40 +7,72 @@
 //! with no front-end lock held — and *publishes* it after commit, so a
 //! reader can only ever observe a fully-committed view:
 //!
-//! * every pattern's live view is one `RwLock<Arc<ReadView>>`. A read
-//!   takes the read lock for the length of one `Arc` clone; `publish`
-//!   takes the write lock for the length of one pointer swap and drops
-//!   the superseded view after releasing it. The views themselves are
-//!   immutable — the shared-immutable hand-off *Asynchronous Graph
-//!   Pattern Matching on Multiprocessor Systems* (PAPERS.md) gives its
-//!   workers — so the lock guards a pointer, never a tick;
+//! * every handle's live view sits in one map, `RwLock<HashMap<u64,
+//!   Arc<ReadView>>>`. A read takes the read lock for one lookup and one
+//!   `Arc` clone; a tick's publication takes the write lock **once**,
+//!   swaps every handle's pointer, and drops the superseded views after
+//!   releasing it. The views themselves are immutable — the
+//!   shared-immutable hand-off *Asynchronous Graph Pattern Matching on
+//!   Multiprocessor Systems* (PAPERS.md) gives its workers — so the lock
+//!   guards pointers, never a tick;
 //! * subscriptions ride the same publication: after the views of a tick
-//!   are swapped in, the tick's [`MatchDelta`]s fan out to per-subscriber
-//!   bounded queues. A slow consumer is never buffered without bound —
-//!   once its queue is full, everything it missed is folded (via
-//!   [`MatchDelta::compose`]) into **one** coalesced
-//!   [`SubEvent::Lagged`] catch-up delta.
+//!   are swapped in, the tick's [`MatchDelta`]s fan out, under one lock of
+//!   the subscriber map, to per-subscriber bounded queues. A slow
+//!   consumer is never buffered without bound — once its queue is full,
+//!   everything it missed is folded (via [`MatchDelta::compose`]) into
+//!   **one** coalesced [`SubEvent::Lagged`] catch-up delta;
+//! * an offer wakes a consumer only if one is waiting. A consumer raises
+//!   its queue's waiter count under the queue's lock before it waits on
+//!   the condition variable, and lowers it after. The offer reads the
+//!   count under the same lock and notifies only when it is non-zero, so
+//!   a consumer that drains with [`Subscription::try_recv`] costs the
+//!   writer no wake-up call. No wake-up is lost: a consumer about to wait
+//!   has raised the count before it unlocks, and the condition variable
+//!   itself covers the gap between its unlock and its sleep. `close`
+//!   always notifies.
 //!
 //! The [`ReadFront`] is the shared, cloneable bundle of all of this:
 //! hosts hand it out via `reader()`, reader threads keep their clone —
 //! and their views and subscriptions — while `&mut self` ticks proceed
 //! on the host. Dropping the host closes every subscription on its front.
 //!
-//! Rejected alternative: from PR 6 to PR 24 each view sat in an
-//! epoch-swapped double buffer (an `AtomicU64` epoch naming the live one
-//! of two `RwLock` slots, a `try_read` + spin retry, a seqlock re-check
-//! of the epoch). It avoided no lock — every `read_view` already took the
-//! handle map's `RwLock` first, and each slot was an `RwLock` too — and
-//! its spare slot kept every superseded view alive for one more
-//! publication. Sizing run (`trickle_read`, four alternating pairs,
-//! `--seconds 5`): the reader went from 101.7 / 82.8 / 77.6 / 77.4 ns per
-//! read with the double buffer to 83.4 / 76.0 / 72.6 / 75.4 with one
-//! lock, `tick_p50_ms` stayed within 0.100–0.104 on both sides, and every
-//! run printed `correct: true`.
+//! Measured on `trickle_read` (12 patterns, 2-update ticks, one reader
+//! thread; seed 11, 2 cores). Per-tick medians of two 5 s rounds a side,
+//! from instrumented copies of the per-handle design below and this one:
+//! publication fell from 14.8–16.4 µs a tick to 7.6 µs — building the
+//! views and deltas 1.6–1.8 → 1.7–1.9 µs, the swap 6.8–6.9 → 1.4–1.5 µs,
+//! the fan-out 6.9–7.0 → 1.9–2.0 µs — and from 31–35% of the host's tick
+//! to 20–21%. Over ten alternating 20 s runs a side, `tick_p50_ms` read
+//! 0.0312 → 0.0265 and the reader's `read_view` 95.5 → 49.6 ns.
+//!
+//! Rejected alternatives:
+//!
+//! * *One lock per handle* (the design this one replaced): each handle's
+//!   entry held its view in its own `RwLock<Arc<ReadView>>` and its
+//!   subscribers in its own `Mutex`, and every offer called `notify_all`
+//!   whether or not a consumer waited. A tick of k patterns paid k map
+//!   lookups, k view write locks and k subscriber locks, and a wake-up
+//!   system call per subscriber (std's futex condition variable issues
+//!   one even with no waiter), so publication was the largest phase of
+//!   `trickle_read`'s tick, though about 3% of its ticks change any
+//!   result. A read paid two read locks and two `Arc` clones (the
+//!   entry's and the view's).
+//! * *An epoch-swapped double buffer* (the design before that): an
+//!   `AtomicU64` epoch naming the live one of two `RwLock` slots, a
+//!   `try_read` + spin retry, a seqlock re-check of the epoch. It
+//!   avoided no lock — every `read_view` already took the handle map's
+//!   `RwLock` first, and each slot was an `RwLock` too — and its spare
+//!   slot kept every superseded view alive for one more publication. Sizing run (`trickle_read`,
+//!   four alternating pairs, `--seconds 5`): the reader went from 101.7 /
+//!   82.8 / 77.6 / 77.4 ns per read with the double buffer to 83.4 / 76.0
+//!   / 72.6 / 75.4 with one lock, `tick_p50_ms` stayed within 0.100–0.104
+//!   on both sides, and every run printed `correct: true`.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak,
+};
 use std::time::Duration;
 
 use gpnm_matcher::{MatchDelta, MatchResult};
@@ -168,6 +200,10 @@ struct SubState {
     pending: VecDeque<MatchDelta>,
     lagged: Option<(u64, MatchDelta)>,
     closed: bool,
+    /// Consumers blocked in `recv` / `recv_timeout`. Raised under this
+    /// lock before each wait and lowered after it, so an `offer` that
+    /// reads 0 here knows nobody can be asleep on `ready`.
+    waiting: usize,
 }
 
 struct SubShared {
@@ -183,6 +219,7 @@ impl SubShared {
                 pending: VecDeque::new(),
                 lagged: None,
                 closed: false,
+                waiting: 0,
             }),
             ready: Condvar::new(),
             capacity: capacity.max(1),
@@ -190,10 +227,10 @@ impl SubShared {
     }
 
     /// Writer side: enqueue one published delta, degrading to the
-    /// coalesced lagged record instead of growing past `capacity`.
-    /// Returns whether this offer *newly* degraded the stream (the
-    /// full-queue → lagged transition; folds into an existing lagged
-    /// record return `false`).
+    /// coalesced lagged record instead of growing past `capacity`, and
+    /// wake the consumer only if one is waiting. Returns whether this
+    /// offer *newly* degraded the stream (the full-queue → lagged
+    /// transition; folds into an existing lagged record return `false`).
     fn offer(&self, delta: &MatchDelta) -> bool {
         let mut st = lock(&self.state);
         if st.closed {
@@ -215,8 +252,11 @@ impl SubShared {
         } else {
             st.pending.push_back(delta.clone());
         }
+        let wake = st.waiting > 0;
         drop(st);
-        self.ready.notify_all();
+        if wake {
+            self.ready.notify_all();
+        }
         newly_lagged
     }
 
@@ -279,11 +319,13 @@ impl Subscription {
             if let Some(event) = SubShared::pop(&mut st) {
                 return event;
             }
+            st.waiting += 1;
             st = self
                 .shared
                 .ready
                 .wait(st)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
+            st.waiting -= 1;
         }
     }
 
@@ -305,61 +347,72 @@ impl Subscription {
             if now >= deadline {
                 return None;
             }
+            st.waiting += 1;
             let (guard, _) = self
                 .shared
                 .ready
                 .wait_timeout(st, deadline - now)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             st = guard;
+            st.waiting -= 1;
         }
     }
 }
 
-/// One handle's published state: the live view and its subscribers.
-struct Entry {
-    /// The live view. Locked only to clone the `Arc` out (readers) or to
-    /// swap a new one in (`publish`), never across a tick; the stored
-    /// `Arc` is always a whole, fully built view, so a poisoned lock is
-    /// recovered rather than propagated.
-    view: RwLock<Arc<ReadView>>,
-    subs: Mutex<Vec<Arc<SubShared>>>,
+/// Where a [`PinnedReader`] finds its handle's final view once the handle
+/// is closed: empty while the handle is live, set once by `close`.
+type PinCell = OnceLock<Arc<ReadView>>;
+
+/// Who watches one handle: its subscribers, and the cells of its live
+/// pinned readers.
+#[derive(Default)]
+struct Watchers {
+    subs: Vec<Arc<SubShared>>,
+    pins: Vec<Weak<PinCell>>,
 }
 
-impl Entry {
-    fn load(&self) -> Arc<ReadView> {
-        Arc::clone(
-            &self
-                .view
-                .read()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
-    }
-
-    fn publish(&self, view: Arc<ReadView>) {
-        let mut live = self
-            .view
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let superseded = std::mem::replace(&mut *live, view);
-        drop(live);
-        // A view no reader holds is freed here, outside the lock.
-        drop(superseded);
-    }
-}
-
+/// The front's two locks. Lock order: `watchers` before `views`; only
+/// `close`, `pinned` and `subscribe` hold both.
 #[derive(Default)]
 struct FrontInner {
-    entries: RwLock<HashMap<u64, Arc<Entry>>>,
+    /// Every handle's live view. Locked only to clone an `Arc` out
+    /// (readers) or to swap a tick's views in (publication), never across
+    /// a tick; the stored `Arc`s are always whole, fully built views, so
+    /// a poisoned lock is recovered rather than propagated.
+    views: RwLock<HashMap<u64, Arc<ReadView>>>,
+    /// Subscribers and pins, by handle; a handle nobody watches has no
+    /// entry.
+    watchers: Mutex<HashMap<u64, Watchers>>,
 }
 
 impl FrontInner {
-    fn entry(&self, id: HandleId) -> Result<Arc<Entry>, ReadError> {
-        self.entries
+    fn views(&self) -> RwLockReadGuard<'_, HashMap<u64, Arc<ReadView>>> {
+        self.views
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(&id.raw())
-            .cloned()
-            .ok_or(ReadError::UnknownHandle(id))
+    }
+
+    fn views_mut(&self) -> RwLockWriteGuard<'_, HashMap<u64, Arc<ReadView>>> {
+        self.views
+            .write()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn load(&self, id: u64) -> Option<Arc<ReadView>> {
+        self.views().get(&id).cloned()
+    }
+
+    /// The watchers of `id` under the held `watchers` lock, created on
+    /// first use; `UnknownHandle` unless `id` has a live view.
+    fn watch<'a>(
+        &self,
+        watchers: &'a mut HashMap<u64, Watchers>,
+        id: HandleId,
+    ) -> Result<&'a mut Watchers, ReadError> {
+        if !self.views().contains_key(&id.raw()) {
+            return Err(ReadError::UnknownHandle(id));
+        }
+        Ok(watchers.entry(id.raw()).or_default())
     }
 }
 
@@ -371,10 +424,9 @@ impl FrontInner {
 /// method of the same name); cloning is cheap (`Arc`) and every clone
 /// observes the same publications. The read path
 /// ([`ReadFront::read_view`]) takes no lock the writer ever holds across
-/// a tick: it write-locks a pattern's view only to swap the pointer in,
-/// and a read holds the handle map's and the view's read locks for one
-/// lookup and one `Arc` clone. Any number of readers may read
-/// concurrently with `apply`.
+/// a tick: publication write-locks the view map only to swap a tick's
+/// pointers in, and a read holds its read lock for one lookup and one
+/// `Arc` clone. Any number of readers may read concurrently with `apply`.
 ///
 /// The `publish*`/`close` methods are the **host side** of the contract;
 /// application code only reads.
@@ -396,18 +448,30 @@ impl ReadFront {
     }
 
     /// The last published snapshot of `handle` — an `Arc` clone under the
-    /// view's read lock, which publication holds only for a pointer swap;
-    /// always a fully-committed view.
+    /// view map's read lock, which publication holds only for a tick's
+    /// pointer swaps; always a fully-committed view.
     pub fn read_view(&self, handle: impl Into<HandleId>) -> Result<Arc<ReadView>, ReadError> {
-        Ok(self.inner.entry(handle.into())?.load())
+        let id = handle.into();
+        self.inner
+            .load(id.raw())
+            .ok_or(ReadError::UnknownHandle(id))
     }
 
-    /// A reader pinned to one handle: skips the per-call handle lookup,
-    /// leaving only the view's read lock and `Arc` clone on the hot path.
-    /// The benchmark's (and a tight reader loop's) entry point.
+    /// A reader pinned to one handle: it keeps serving the handle's last
+    /// published view after the handle is closed, where
+    /// [`ReadFront::read_view`] errs. While the handle is live a view
+    /// costs what `read_view` costs, plus one check.
     pub fn pinned(&self, handle: impl Into<HandleId>) -> Result<PinnedReader, ReadError> {
+        let id = handle.into();
+        let closed = Arc::new(PinCell::new());
+        let mut watchers = lock(&self.inner.watchers);
+        let watch = self.inner.watch(&mut watchers, id)?;
+        watch.pins.retain(|pin| pin.strong_count() > 0);
+        watch.pins.push(Arc::downgrade(&closed));
         Ok(PinnedReader {
-            entry: self.inner.entry(handle.into())?,
+            front: Arc::clone(&self.inner),
+            id: id.raw(),
+            closed,
         })
     }
 
@@ -425,66 +489,68 @@ impl ReadFront {
         handle: impl Into<HandleId>,
         capacity: usize,
     ) -> Result<Subscription, ReadError> {
-        let entry = self.inner.entry(handle.into())?;
         let shared = Arc::new(SubShared::new(capacity));
-        lock(&entry.subs).push(Arc::clone(&shared));
+        let mut watchers = lock(&self.inner.watchers);
+        self.inner
+            .watch(&mut watchers, handle.into())?
+            .subs
+            .push(Arc::clone(&shared));
         Ok(Subscription { shared })
     }
 
-    /// Host side: publish `view` as `handle`'s live snapshot, creating
-    /// the handle's entry on first publication (registration). No delta
-    /// fan-out — tick publication goes through
+    /// Host side: publish `view` as `handle`'s live snapshot, serving the
+    /// handle from here on if it was not published before
+    /// (registration). No delta fan-out — tick publication goes through
     /// [`ReadFront::publish_tick`].
     pub fn publish(&self, handle: impl Into<HandleId>, view: ReadView) {
-        self.publish_entry(handle.into(), view);
-    }
-
-    /// [`ReadFront::publish`], returning the handle's entry: one map
-    /// lookup for a published handle.
-    fn publish_entry(&self, id: HandleId, view: ReadView) -> Arc<Entry> {
         let view = Arc::new(view);
-        if let Ok(entry) = self.inner.entry(id) {
-            entry.publish(view);
-            return entry;
-        }
-        let mut entries = self
-            .inner
-            .entries
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let entry = Arc::new(Entry {
-            view: RwLock::new(view),
-            subs: Mutex::new(Vec::new()),
-        });
-        entries.insert(id.raw(), Arc::clone(&entry));
-        entry
+        let superseded = self.inner.views_mut().insert(handle.into().raw(), view);
+        // A view no reader holds is freed here, outside the lock.
+        drop(superseded);
     }
 
     /// Host side: publish one committed tick. **All** views are swapped
-    /// in before **any** delta fans out, so by the time a subscriber
-    /// wakes, `read_view` already serves a snapshot at least as new as
-    /// the event — a late joiner can take a view as its base and apply
-    /// exactly the events with `result_version` beyond it. Dropped
-    /// subscribers are pruned here.
+    /// in, under one write lock, before **any** delta fans out, so by
+    /// the time a subscriber wakes, `read_view` already serves a snapshot
+    /// at least as new as the event — a late joiner can take a view as
+    /// its base and apply exactly the events with `result_version` beyond
+    /// it. The fan-out then takes the watcher lock once; it prunes dropped
+    /// subscribers and wakes only consumers blocked in `recv`.
     pub fn publish_tick(&self, items: impl IntoIterator<Item = (HandleId, ReadView, MatchDelta)>) {
-        let fanout: Vec<(Arc<Entry>, MatchDelta)> = items
+        // Built outside the lock; after the swap each slot holds the view
+        // it superseded (a handle's first view keeps a second reference),
+        // released at the end of this call with no lock held.
+        let mut tick: Vec<(u64, Arc<ReadView>, MatchDelta)> = items
             .into_iter()
-            .map(|(id, view, delta)| (self.publish_entry(id, view), delta))
+            .map(|(id, view, delta)| (id.raw(), Arc::new(view), delta))
             .collect();
-        let views = fanout.len() as u64;
-        let mut offered = 0u64;
-        let mut newly_lagged = 0u64;
-        for (entry, delta) in fanout {
-            let mut subs = lock(&entry.subs);
-            subs.retain(|sub| Arc::strong_count(sub) > 1);
-            for sub in subs.iter() {
+        let mut views = self.inner.views_mut();
+        for (id, view, _) in tick.iter_mut() {
+            match views.get_mut(id) {
+                Some(live) => std::mem::swap(live, view),
+                None => {
+                    views.insert(*id, Arc::clone(view));
+                }
+            }
+        }
+        drop(views);
+
+        let (mut offered, mut newly_lagged) = (0u64, 0u64);
+        let mut watchers = lock(&self.inner.watchers);
+        for (id, _, delta) in &tick {
+            let Some(watch) = watchers.get_mut(id) else {
+                continue;
+            };
+            watch.subs.retain(|sub| Arc::strong_count(sub) > 1);
+            for sub in &watch.subs {
                 offered += 1;
-                if sub.offer(&delta) {
+                if sub.offer(delta) {
                     newly_lagged += 1;
                 }
             }
         }
-        read_metrics::tick_published(views, offered, newly_lagged);
+        drop(watchers);
+        read_metrics::tick_published(tick.len() as u64, offered, newly_lagged);
     }
 
     /// Host side: stop serving `handle` (deregistration). Live
@@ -493,42 +559,51 @@ impl ReadFront {
     /// get [`ReadError::UnknownHandle`]. Pinned readers created earlier
     /// keep serving the last published view.
     pub fn close(&self, handle: impl Into<HandleId>) {
-        let id = handle.into();
-        let removed = self
-            .inner
-            .entries
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .remove(&id.raw());
-        if let Some(entry) = removed {
-            for sub in lock(&entry.subs).drain(..) {
-                sub.close();
+        let id = handle.into().raw();
+        // Both locks, in order: a `pinned` or `subscribe` racing this call
+        // either lands in the removed watchers or finds no view.
+        let mut watchers = lock(&self.inner.watchers);
+        let watch = watchers.remove(&id).unwrap_or_default();
+        let mut views = self.inner.views_mut();
+        let last = views.remove(&id);
+        // Each pin gets the final view under the write lock that removes
+        // it, so a pin whose lookup misses finds its cell set.
+        if let Some(last) = &last {
+            for pin in watch.pins.iter().filter_map(Weak::upgrade) {
+                let _ = pin.set(Arc::clone(last));
             }
+        }
+        drop(views);
+        drop(watchers);
+        for sub in &watch.subs {
+            sub.close();
         }
     }
 }
 
-/// A handle-pinned reader: [`PinnedReader::view`] is the minimal hot
-/// path — one read lock of the pattern's view, held for one `Arc` clone.
-/// Survives deregistration (keeps serving the last
-/// published view); take a fresh one from [`ReadFront::pinned`] to
-/// observe re-registration.
+/// A handle-pinned reader: [`PinnedReader::view`] serves the handle's live
+/// view, and keeps serving the last published one after deregistration;
+/// take a fresh one from [`ReadFront::pinned`] to observe
+/// re-registration.
 #[derive(Debug, Clone)]
 pub struct PinnedReader {
-    entry: Arc<Entry>,
-}
-
-impl fmt::Debug for Entry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Entry").finish_non_exhaustive()
-    }
+    front: Arc<FrontInner>,
+    id: u64,
+    closed: Arc<PinCell>,
 }
 
 impl PinnedReader {
-    /// The last published snapshot — infallible: the pinned entry is
-    /// kept alive by this reader even across deregistration.
+    /// The last published snapshot — infallible: `close` hands the final
+    /// view to every live pin before it unpublishes the handle.
     pub fn view(&self) -> Arc<ReadView> {
-        self.entry.load()
+        if let Some(last) = self.closed.get() {
+            return Arc::clone(last);
+        }
+        self.front.load(self.id).unwrap_or_else(|| {
+            // Absent from the map: `close` set the cell before it removed
+            // the view, under the write lock the failed lookup waited on.
+            Arc::clone(self.closed.get().expect("close sets every pin"))
+        })
     }
 }
 
@@ -721,8 +796,13 @@ mod tests {
         drop(dropped);
         let v1 = view_with(&[2], 1);
         front.publish_tick(vec![(id, v1.clone(), delta_between(&v0, &v1))]);
-        let entry = front.inner.entry(id).unwrap();
-        assert_eq!(lock(&entry.subs).len(), 1, "dropped subscriber pruned");
+        let watchers = lock(&front.inner.watchers);
+        assert_eq!(
+            watchers[&id.raw()].subs.len(),
+            1,
+            "dropped subscriber pruned"
+        );
+        drop(watchers);
         assert!(matches!(keep.recv(), SubEvent::Delta(_)));
     }
 
@@ -742,12 +822,74 @@ mod tests {
         ));
     }
 
+    /// A consumer blocked in `recv` (or `recv_timeout`) while another
+    /// thread publishes. The writer publishes tick `v` only once the
+    /// consumer has taken tick `v − 1`, so most offers find it asleep and
+    /// must wake it; a lost wakeup fails on the writer's deadline instead
+    /// of hanging the test.
+    fn blocked_consumer_receives_every_tick(recv: fn(&Subscription) -> Option<SubEvent>) {
+        const TICKS: u64 = 1_000;
+        let front = ReadFront::new();
+        let id = HandleId(0);
+        let mut prev = view_with(&[0], 0);
+        front.publish(id, prev.clone());
+        let sub = front.subscribe(id).unwrap();
+        let taken = Arc::new(AtomicU64::new(0));
+        let consumer = {
+            let taken = Arc::clone(&taken);
+            std::thread::spawn(move || {
+                for v in 1..=TICKS {
+                    match recv(&sub) {
+                        Some(SubEvent::Delta(d)) => assert_eq!(d.result_version, v, "in order"),
+                        other => panic!("tick {v}: expected its delta, got {other:?}"),
+                    }
+                    taken.store(v, Ordering::Release);
+                }
+                assert_eq!(recv(&sub), Some(SubEvent::Closed));
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let wait_for = |v: u64| {
+            while taken.load(Ordering::Acquire) < v {
+                if consumer.is_finished() {
+                    return; // it panicked: `join` below reports why
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "consumer never took tick {v}: a lost wakeup"
+                );
+                std::thread::yield_now();
+            }
+        };
+        for v in 1..=TICKS {
+            wait_for(v - 1);
+            let next = view_with(&[v as u32], v);
+            front.publish_tick(vec![(id, next.clone(), delta_between(&prev, &next))]);
+            prev = next;
+        }
+        wait_for(TICKS);
+        front.close(id);
+        consumer
+            .join()
+            .expect("consumer took every tick, then Closed");
+    }
+
+    #[test]
+    fn a_consumer_blocked_in_recv_receives_every_tick() {
+        blocked_consumer_receives_every_tick(|sub| Some(sub.recv()));
+    }
+
+    #[test]
+    fn a_consumer_blocked_in_recv_timeout_receives_every_tick() {
+        blocked_consumer_receives_every_tick(|sub| sub.recv_timeout(Duration::from_secs(60)));
+    }
+
     #[test]
     fn every_view_is_swapped_in_before_any_delta_fans_out() {
-        // Hold the middle handle's subscriber lock while a tick of three
-        // publishes: fan-out blocks there, so every view must already be
-        // live. A tick that fanned out item by item, before or after each
-        // swap, would block with the last view still unpublished.
+        // Hold the subscriber lock while a tick of three publishes:
+        // fan-out blocks there, so every view must already be live. A tick
+        // that fanned out before the swap, or item by item beside it,
+        // would block with a view still unpublished.
         let front = ReadFront::new();
         let ids = [HandleId(0), HandleId(1), HandleId(2)];
         let v0 = view_with(&[1], 0);
@@ -759,8 +901,7 @@ mod tests {
                 front.subscribe(id).unwrap()
             })
             .collect();
-        let middle = front.inner.entry(ids[1]).unwrap();
-        let blocked = lock(&middle.subs);
+        let blocked = lock(&front.inner.watchers);
         let items: Vec<_> = ids
             .iter()
             .map(|&id| (id, v1.clone(), delta_between(&v0, &v1)))

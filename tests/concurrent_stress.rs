@@ -4,7 +4,9 @@
 //! observes must be **bitwise one of the committed epochs** — never a torn
 //! or in-progress state. Subscription streams are folded over their base
 //! views and must reconstruct the final published result exactly (gaps
-//! surface as `Lagged` records that keep the fold exact).
+//! surface as `Lagged` records that keep the fold exact). One stream per
+//! pattern is drained by a consumer thread blocked in `recv`, so the
+//! writer's wake-on-wait rule is exercised on every tick.
 //!
 //! The same harness runs against a single `GpnmService` and a 4-shard
 //! `GpnmCluster` with parallel fan-out — the cluster must publish each
@@ -14,8 +16,9 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use ua_gpnm::prelude::*;
@@ -53,7 +56,11 @@ fn stress_graph(seed: u64, nodes: usize) -> (DataGraph, LabelInterner) {
 ///    `MatchDelta::apply_to`, must reconstruct the final live view
 ///    (ordered, gap-free delivery — with `Lagged` coalescing kept exact);
 /// 3. deregistration closes streams with a final `Closed` and turns the
-///    handle into a typed error, not a panic.
+///    handle into a typed error, not a panic;
+/// 4. a second stream per pattern, drained by its own thread blocked in
+///    `recv`, catches up with the last tick before any stream closes (a
+///    lost wake-up fails on a deadline), then ends at `Closed` once the
+///    host is dropped, folded to the final live view.
 fn stress_host<H: PatternHost>(
     mut host: H,
     interner: &LabelInterner,
@@ -102,6 +109,26 @@ fn stress_host<H: PatternHost>(
         let sub = host.subscribe(h).expect("live handle");
         streams.push((h, sub, base.result.clone(), base.result_version));
     }
+
+    let consumers: Vec<_> = handles
+        .iter()
+        .map(|&h| {
+            let base = host.read_view(h).expect("published at registration");
+            let sub = host.subscribe(h).expect("live handle");
+            let taken = Arc::new(AtomicU64::new(base.result_version));
+            let thread = {
+                let taken = Arc::clone(&taken);
+                std::thread::spawn(move || {
+                    let (mut folded, mut version) = (base.result.clone(), base.result_version);
+                    while fold(sub.recv(), &mut folded, &mut version) {
+                        taken.store(version, Ordering::Release);
+                    }
+                    (folded, version)
+                })
+            };
+            (thread, taken)
+        })
+        .collect();
 
     let stop = Arc::new(AtomicBool::new(false));
     let ids: Vec<HandleId> = handles.iter().map(|&h| h.into()).collect();
@@ -158,6 +185,20 @@ fn stress_host<H: PatternHost>(
     }
     stop.store(true, Ordering::Release);
 
+    // Each blocking consumer catches up with the last tick while its
+    // stream is still open: only the writer's wake-ups can get it there.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for ((thread, taken), &h) in consumers.iter().zip(&handles) {
+        let live = host.result_version(h).expect("live handle");
+        while taken.load(Ordering::Acquire) < live && !thread.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "a consumer blocked in recv missed a wake-up (seed {seed})"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     for thread in reader_threads {
         let seen = thread.join().expect("reader thread");
         assert!(!seen.is_empty(), "reader observed nothing (seed {seed})");
@@ -178,25 +219,8 @@ fn stress_host<H: PatternHost>(
     // without gaps — a `Lagged` record accounts for every skipped version.
     for (h, sub, mut folded, mut version) in streams {
         while let Some(event) = sub.try_recv() {
-            match event {
-                SubEvent::Delta(delta) => {
-                    assert_eq!(delta.result_version, version + 1, "gap in stream");
-                    version = delta.result_version;
-                    folded = delta.apply_to(&folded);
-                }
-                SubEvent::Lagged {
-                    missed_versions,
-                    delta,
-                } => {
-                    assert_eq!(
-                        delta.result_version,
-                        version + missed_versions,
-                        "lagged record does not account for every missed version"
-                    );
-                    version = delta.result_version;
-                    folded = delta.apply_to(&folded);
-                }
-                SubEvent::Closed => break,
+            if !fold(event, &mut folded, &mut version) {
+                break;
             }
         }
         let live = host.read_view(h).expect("live handle");
@@ -209,6 +233,7 @@ fn stress_host<H: PatternHost>(
 
     // Deregistration: streams close, further reads are typed errors.
     let victim = handles[0];
+    let victim_final = host.read_view(victim).expect("still live");
     let orphan = host.subscribe(victim).expect("still live");
     host.deregister(victim).expect("still live");
     assert!(matches!(orphan.try_recv(), Some(SubEvent::Closed)));
@@ -219,6 +244,61 @@ fn stress_host<H: PatternHost>(
     // The survivors still serve.
     let survivor = handles[1];
     assert!(host.read_view(survivor).is_ok());
+
+    // Dropping the host closes the survivors' streams too: every blocking
+    // consumer must end, folded to its pattern's final view.
+    let mut finals = vec![victim_final];
+    finals.extend(
+        handles[1..]
+            .iter()
+            .map(|&h| host.read_view(h).expect("live handle")),
+    );
+    drop(host);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for ((consumer, _), last) in consumers.into_iter().zip(finals) {
+        while !consumer.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "a consumer blocked in recv never saw Closed (seed {seed})"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (folded, version) = consumer.join().expect("blocking consumer");
+        assert_eq!(
+            version, last.result_version,
+            "blocking stream stopped early"
+        );
+        assert_eq!(
+            folded, last.result,
+            "blocking stream diverges from the final view (seed {seed})"
+        );
+    }
+}
+
+/// Folds one stream event over `(folded, version)`, checking order and
+/// gap-freedom; `false` at `Closed`.
+fn fold(event: SubEvent, folded: &mut MatchResult, version: &mut u64) -> bool {
+    match event {
+        SubEvent::Delta(delta) => {
+            assert_eq!(delta.result_version, *version + 1, "gap in stream");
+            *version = delta.result_version;
+            *folded = delta.apply_to(folded);
+        }
+        SubEvent::Lagged {
+            missed_versions,
+            delta,
+        } => {
+            assert_eq!(
+                delta.result_version,
+                *version + missed_versions,
+                "lagged record does not account for every missed version"
+            );
+            *version = delta.result_version;
+            *folded = delta.apply_to(folded);
+        }
+        SubEvent::Closed => return false,
+    }
+    true
 }
 
 #[test]
