@@ -296,12 +296,12 @@ proptest! {
 }
 
 proptest! {
-    // The dense matrix (`BackendKind::Partitioned`, which `dense` parses
-    // to): 16 cases, on smaller pattern sets and fewer ticks than sparse.
+    // The dense matrix (`BackendKind::Partitioned`): 16 cases, on smaller
+    // pattern sets and fewer ticks than sparse.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn cluster_matches_service_and_engines_dense(seed in any::<u64>(), k in 1usize..4) {
+    fn cluster_matches_service_and_engines_partitioned(seed in any::<u64>(), k in 1usize..4) {
         for shards in [1usize, 2, 4] {
             check_equivalence(seed, shards, k, 3, BackendKind::Partitioned);
         }
