@@ -190,11 +190,6 @@ impl SlenRequirements {
         self.source(from).is_some_and(|s| s.keeps(to, d))
     }
 
-    /// The deepest horizon (0 with no source label).
-    pub fn depth(&self) -> u32 {
-        self.sources.iter().map(|s| s.horizon).max().unwrap_or(0)
-    }
-
     /// The map as `{name:horizon[kept, …], …}`, label names from `names`
     /// and `*` for a full-row horizon — the form reports print, e.g.
     /// `{L3:3[L8,L20], L10:1[L11], L5:*}`.
@@ -292,9 +287,9 @@ impl IoStats {
 /// It once chose whether the dense matrix recomputed a delete's rows by
 /// BFS on the worker pool (the paper's §V distributed maintenance, its
 /// UA-GPNM arm). Every dense delete now re-settles only the entries it
-/// changes, at ≈0.4 µs a re-settled row (a node delete on the
-/// email-EU-core stand-in) against 31–44 µs for one scoped thread spawn,
-/// so there is nothing left worth fanning out. The engine and the service
+/// changes, on one thread: a node delete's rows are the one dense repair
+/// large enough to split, and the split measured gains no median query
+/// (the crate docs' rejected alternatives). The engine and the service
 /// pass [`RepairHint::Baseline`] from one place
 /// (`gpnm_engine::pipeline::commit_data_update`). The type stays in the
 /// commit signatures only because the benchmark of record
@@ -491,7 +486,7 @@ mod tests {
             kept
         });
         assert_eq!(reqs.kept(se), [te]);
-        assert_eq!(reqs.depth(), 4);
+        assert_eq!(deepest(&reqs), Some(4));
         // Below the horizon every target is kept; at it, only the kept ones.
         assert!(reqs.keeps(pm, te, 2) && reqs.keeps(pm, s, 3));
         assert!(!reqs.keeps(pm, te, 3) && !reqs.keeps(pm, se, 4));
@@ -519,7 +514,7 @@ mod tests {
         assert_eq!(reqs.horizon(pm), Some(9));
         assert_eq!(reqs.kept(pm), [te], "a deeper edge resets the kept labels");
         assert_eq!(reqs.horizon(se), Some(4), "other labels keep theirs");
-        assert_eq!(reqs.depth(), 9);
+        assert_eq!(deepest(&reqs), Some(9));
         let before = reqs.labels().len();
         reqs.absorb_edge(db, s, Bound::Hops(1));
         assert_eq!(reqs.labels().len(), before + 1);
@@ -527,7 +522,7 @@ mod tests {
         assert_eq!(reqs.labels().len(), before + 1, "labels dedupe");
         assert_eq!(reqs.kept(db), [s], "and so do kept labels");
         reqs.absorb_edge(db, s, Bound::Unbounded);
-        assert_eq!((reqs.horizon(db), reqs.depth()), (Some(INF), INF));
+        assert_eq!((reqs.horizon(db), deepest(&reqs)), (Some(INF), Some(INF)));
         assert_eq!(reqs.kept(db), [] as [Label; 0], "a full row lists none");
         assert!(reqs.keeps(db, pm, 1_000), "and keeps every label");
         // The union takes the deeper horizon per label, and both kept sets
@@ -556,7 +551,12 @@ mod tests {
         by_set.absorb(&reqs_of(&[(se, te, 4), (pm, te, 9)]));
         by_set.absorb(&reqs_of(&[(pm, s, 2), (se, pm, 7), (pm, se, 9)]));
         assert_eq!(by_edge, by_set);
-        assert_eq!(SlenRequirements::empty().depth(), 0);
+        assert_eq!(deepest(&SlenRequirements::empty()), None);
+    }
+
+    /// The deepest horizon of any source label; `None` with none.
+    fn deepest(reqs: &SlenRequirements) -> Option<u32> {
+        reqs.labels().filter_map(|l| reqs.horizon(l)).max()
     }
 
     fn reqs_of(edges: &[(Label, Label, u32)]) -> SlenRequirements {
@@ -595,7 +595,7 @@ mod tests {
             .edge_unbounded("PM", "SE")
             .build_with_interner(f.interner.clone())
             .unwrap();
-        assert_eq!(SlenRequirements::of_pattern(&p).depth(), INF);
+        assert_eq!(deepest(&SlenRequirements::of_pattern(&p)), Some(INF));
     }
 
     #[test]

@@ -52,11 +52,19 @@
 //! changes ≈2 400 entries, yet the BFS re-ran 26 k edges for every row
 //! that reached a deleted node, and every node insert copied the whole
 //! matrix: 32.9 ms a query, 0.53 ms with the re-settle and the stride
-//! (medians of ten runs each, 2 cores). A re-settled row costs ≈0.4 µs, a
-//! scoped thread spawn 31–44 µs, so there is nothing left worth fanning
-//! out; [`RepairHint`] selects nothing. With it went the paper's
-//! `UA-GPNM-NoPar` ablation, which isolated exactly this arm: the engine
-//! has one UA-GPNM, and the kind has one type.
+//! (medians of ten runs each, 2 cores). The re-settle runs on one thread
+//! and [`RepairHint`] selects nothing. That is not because a delete is
+//! too small to split: one re-settled row costs ≈0.38 µs, but a node
+//! delete there re-settles all ≈1 000 rows that reach the node, a median
+//! 381 µs (151–863 µs over 117 deletes), ≈80% of a query's `SLen` repair,
+//! against 31–44 µs for a scoped thread spawn. Split into two
+//! `WorkerPool::scope` lanes, one per half of those rows, it read
+//! `paper_squery` `tick_p90_ms` lower in 10 of 10 pairs (by 1–19%,
+//! median 8%), but `tick_p50_ms` 0.545 → 0.568 ms (worse in 7 of 10; 10 s
+//! pairs on 2 cores) and `peak_rss_mb` 0.1–0.3 MiB higher, so it is not
+//! taken (ROADMAP T). With the pool went the paper's `UA-GPNM-NoPar`
+//! ablation, which isolated exactly this arm: the engine has one UA-GPNM,
+//! and the kind has one type.
 //! *Repairing deletion rows by composing partition-local distances
 //! through the §V bridge graph* — this backend's former second arm,
 //! selected only when at most 1/8 of the nodes are bridges. No graph in

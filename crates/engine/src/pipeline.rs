@@ -99,11 +99,13 @@ pub fn commit_data_update<B: SlenBackend>(
 ) -> Result<CommittedUpdate, EngineError> {
     const HINT: RepairHint = RepairHint::Baseline;
     // The repair is timed apart from the mutation: the event below
-    // carries the `SLen` layer's share alone.
+    // carries the `SLen` layer's share alone. Only the event reads the
+    // clock pair, so an untraced commit skips it behind the gate `event!`
+    // checks.
     fn timed(repair: impl FnOnce() -> AffDelta) -> (AffDelta, Duration) {
-        let t = Instant::now();
+        let t = tracing::dispatch::enabled().then(Instant::now);
         let delta = repair();
-        (delta, t.elapsed())
+        (delta, t.map_or(Duration::ZERO, |t| t.elapsed()))
     }
     let ((delta, took), created) = match *update {
         DataUpdate::InsertEdge { from, to } => {

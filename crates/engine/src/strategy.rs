@@ -28,9 +28,9 @@ pub enum Strategy {
     /// The paper's full method: all three elimination types and the
     /// EH-Tree. The paper also evaluates a `UA-GPNM-NoPar` ablation without
     /// §V's distributed `SLen` maintenance; no backend distributes anything
-    /// any more (a dense delete re-settles only the entries it changes,
-    /// ≈0.4 µs a row against 31–44 µs for one scoped thread spawn), so the
-    /// ablation would run this strategy's code and has no variant of its own.
+    /// any more (a dense delete re-settles only the entries it changes, on
+    /// one thread), so the ablation would run this strategy's code and has
+    /// no variant of its own.
     UaGpnm,
 }
 
